@@ -2,13 +2,15 @@
 # keep green: build, go vet, the full suite on the memory backend, the
 # storage-sensitive suites again over the disk engine
 # (SCDB_BACKEND=disk swaps every ledger.NewState onto a throwaway
-# WAL+segment engine), and a seconds-scale bench smoke run.
-# `make test-race` runs the concurrency-sensitive packages under the
-# race detector on both backends.
+# WAL+segment engine), a seconds-scale bench smoke run, and the repo
+# benchmark's own smoke test (a nested module `go test ./...` does not
+# reach). `make test-race` runs the concurrency-sensitive packages
+# under the race detector on both backends; `make test-flake` repeats
+# them 50 times at GOMAXPROCS 1 and 2.
 
 GO ?= go
 
-.PHONY: all build vet test test-disk test-race bench-parallel bench-storage bench-mempool bench-commit bench-query bench-mvcc bench-obs bench-shard bench-traffic bench-pipeline bench-smoke ci
+.PHONY: all build vet test test-disk test-bench test-race test-flake bench-parallel bench-storage bench-mempool bench-commit bench-query bench-mvcc bench-obs bench-shard bench-traffic bench-pipeline bench-smoke ci
 
 all: build test
 
@@ -22,6 +24,13 @@ test: build vet
 	$(GO) test ./...
 	$(MAKE) test-disk
 	$(MAKE) bench-smoke
+	$(MAKE) test-bench
+
+# The repo benchmark (BENCHMARK.json, `bash benchmark/run.sh`) is its
+# own Go module: a 1/100-scale smoke of every workload with its
+# correctness gate, plus the BENCHMARK.json <-> metric-table check.
+test-bench:
+	cd benchmark && $(GO) test -count=1 .
 
 # The tier-1 suites that touch chain state (ledger, server/cluster,
 # nested recovery, bench differential, query) re-run over the disk
@@ -45,9 +54,19 @@ test-disk:
 # txn/keys/driver leg covers the admission fast path: the per-tx
 # canonical-bytes memo (CAS copy-forward) and the batched signature
 # verifier's worker fan-out.
+RACE_PKGS = ./internal/mempool ./internal/parallel ./internal/ledger ./internal/consensus ./internal/server ./internal/bench ./internal/storage ./internal/docstore ./internal/query ./internal/obs ./internal/shard ./internal/txn ./internal/keys ./internal/driver
+
 test-race:
-	$(GO) test -race ./internal/mempool ./internal/parallel ./internal/ledger ./internal/consensus ./internal/server ./internal/bench ./internal/storage ./internal/docstore ./internal/query ./internal/obs ./internal/shard ./internal/txn ./internal/keys ./internal/driver
+	$(GO) test -race $(RACE_PKGS)
 	SCDB_BACKEND=disk $(GO) test -race -count=1 ./internal/ledger ./internal/server ./internal/consensus ./internal/query ./internal/shard
+
+# Flake hunt over the race-gate packages: 50 repetitions with one and
+# with two scheduler threads, the two settings under which a test that
+# depends on goroutine interleaving behaves most differently. No race
+# detector — this looks for tests that fail some runs, not for races.
+test-flake:
+	GOMAXPROCS=1 $(GO) test -count=50 $(RACE_PKGS)
+	GOMAXPROCS=2 $(GO) test -count=50 $(RACE_PKGS)
 
 # Reproduce the parallel-validation experiment (wall-clock sweep plus
 # the virtual-time consensus leg) at the paper-mix scale: ~110k

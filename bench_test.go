@@ -413,7 +413,7 @@ func BenchmarkConsensusCommitPath(b *testing.B) {
 	apps := 0
 	_ = apps
 	cluster := consensus.NewCluster(consensus.Config{Nodes: 4, Seed: 1}, func(int) consensus.App {
-		return nopApp{}
+		return consensus.Lift(nopApp{})
 	})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

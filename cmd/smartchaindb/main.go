@@ -34,9 +34,8 @@ func main() {
 		admitBatch   = flag.Int("admitbatch", 64, "admission batch size: arrivals buffered while the receiver is busy join the next CheckTx batch")
 		admitWorkers = flag.Int("admitworkers", 4, "CheckTx-stage admission workers per node (<2 validates each batch sequentially)")
 		valWorkers   = flag.Int("valworkers", 4, "DeliverTx-stage block-validation workers per node (<2 = sequential)")
-		commitW      = flag.Int("commitworkers", 4, "commit-stage per-conflict-group apply workers per node (<2 = sequential commit)")
-		asyncCommit  = flag.Bool("asynccommit", true, "overlap block h's commit with height h+1's validation behind the commit fence (same as -commitdepth 2)")
-		commitDepth  = flag.Int("commitdepth", 0, "commit pipeline depth D: up to D-1 decided blocks apply concurrently behind stacked footprint fences, sealing in height order (1 = synchronous; 0 derives from -asynccommit)")
+		commitW      = flag.Int("commitworkers", 4, "commit-stage per-conflict-group apply workers per node (<2 stages each block sequentially)")
+		commitDepth  = flag.Int("commitdepth", 2, "commit pipeline depth D: up to D-1 decided blocks apply concurrently behind stacked footprint fences, sealing in height order (1 = synchronous; 2 overlaps block h's commit with height h+1's validation)")
 		opsAddr      = flag.String("opsaddr", "", "serve the ops endpoint (/metrics, /traces, /debug/pprof) on this address, e.g. localhost:6060 or :0; /metrics labels validator 0's registry node-0 and, with -shards, each shard's registry shard-<id>")
 		shards       = flag.Int("shards", 0, "after the auction, demo a horizontally sharded cluster with this many footprint-routed shards: a local create on shard 0 then a cross-shard 2PC migration (0 disables)")
 	)
@@ -87,7 +86,6 @@ func main() {
 			AdmissionWorkers: *admitWorkers,
 			MempoolBatch:     *admitBatch,
 			CommitWorkers:    *commitW,
-			AsyncCommit:      *asyncCommit,
 			CommitDepth:      *commitDepth,
 		},
 	})

@@ -366,8 +366,8 @@ func RunCommit(p CommitParams) CommitResult {
 		}
 	}
 
-	serial, serialFPs := runSimCommit(false, maxWorkers, p.Seed)
-	overlap, overlapFPs := runSimCommit(true, maxWorkers, p.Seed)
+	serial, serialFPs := runSimCommit(1, maxWorkers, p.Seed)
+	overlap, overlapFPs := runSimCommit(2, maxWorkers, p.Seed)
 	res.SimRows = append(res.SimRows, serial, overlap)
 	res.SimMatch = serial.Committed == overlap.Committed && len(serialFPs) > 0
 	for i := range serialFPs {
@@ -380,9 +380,9 @@ func RunCommit(p CommitParams) CommitResult {
 
 // runSimCommit drives one auction workload through a commit-bound
 // cluster (commit stage as expensive as validation) with the commit
-// either serialized on the execution resource or overlapped on the
-// commit resource behind the fence.
-func runSimCommit(overlapped bool, workers int, seed int64) (CommitSimRow, []string) {
+// either serialized on the execution resource (depth 1) or overlapped
+// on the commit resource behind the fence (depth 2).
+func runSimCommit(commitDepth, workers int, seed int64) (CommitSimRow, []string) {
 	cluster := server.NewCluster(server.ClusterConfig{
 		Nodes:         4,
 		Seed:          seed,
@@ -397,7 +397,7 @@ func runSimCommit(overlapped bool, workers int, seed int64) (CommitSimRow, []str
 			CommitTimePerTx:     8 * time.Millisecond,
 			ParallelWorkers:     workers,
 			CommitWorkers:       workers,
-			AsyncCommit:         overlapped,
+			CommitDepth:         commitDepth,
 		},
 	})
 	defer cluster.Close()
@@ -414,7 +414,7 @@ func runSimCommit(overlapped bool, workers int, seed int64) (CommitSimRow, []str
 	driveAuctionPhases(cluster, groups, 2*time.Millisecond)
 	sum := cluster.Summarize()
 	mode := "serialized"
-	if overlapped {
+	if commitDepth > 1 {
 		mode = "overlapped"
 	}
 	var fps []string

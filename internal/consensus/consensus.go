@@ -28,104 +28,132 @@ type Tx interface{ Hash() string }
 
 // App is the state machine replicated by consensus — the ABCI-like
 // surface of the SmartchainDB server (CheckTx / DeliverTx / Commit in
-// Figure 4). One App instance runs per validator node.
+// Figure 4). One App instance runs per validator node. It is the only
+// interface the engine drives; an app that has nothing to say about
+// batching, verdict reuse, overlapped commits or metrics implements
+// MinimalApp and is lifted by Lift.
 type App interface {
-	// CheckTx admits a transaction to the mempool (schema + semantic
-	// validation against committed state).
-	CheckTx(tx Tx) error
-	// ValidateBlock re-validates a proposed block before the node
-	// prevotes it (the DeliverTx-stage checks). It returns the invalid
+	// CheckTxBatch validates one admission batch against committed
+	// state (schema + semantic validation, the first and second
+	// validations of Fig. 4), returning the errors keyed by transaction
+	// hash; transactions absent from the result are admitted. The
+	// node's receiver path accumulates arrivals while its execution
+	// resource is busy and admits them in batches; an app may validate
+	// a batch internally in parallel (the SmartchainDB app dispatches
+	// conflict groups to a worker pool), and per-transaction verdicts
+	// mean one bad transaction never poisons its batch.
+	CheckTxBatch(txs []Tx) map[string]error
+	// ReceiverBatchTime is the simulated time the receiver node spends
+	// on one batched admission ("Prepare and Sign" + semantic
+	// validation): the makespan of the batch's conflict groups on the
+	// admission workers, or the per-transaction sum.
+	ReceiverBatchTime(txs []Tx) time.Duration
+	// ValidateBlockFresh re-validates a proposed block before the node
+	// prevotes it (the DeliverTx-stage checks) and returns the invalid
 	// transactions; an empty result means the block is acceptable.
-	// Proposers also use it to filter their mempool before packing.
-	// Implementations may validate the batch internally in parallel
-	// (the SmartchainDB app dispatches conflict groups derived from
-	// declarative footprints to a worker pool); the engine only
+	// Proposers also use it to filter what they packed. fresh is
+	// aligned with txs: fresh[i] marks a transaction whose
+	// CheckTx-stage verdict was computed against committed state alone
+	// and has not been conflicted by any commit since (the pool tracks
+	// this through the transactions' declarative footprints). An app
+	// may skip the semantic condition sets for fresh transactions and
+	// re-run only the structural intra-block checks, which closes the
+	// propose-time O(pending) re-validation gap; soundness rests on
+	// the declarative contract that a transaction's validity depends
+	// only on the state keys in its footprint. An app may also
+	// validate the batch internally in parallel; the engine only
 	// requires that the returned set be deterministic in the block's
 	// transaction order, so every honest validator votes identically.
+	ValidateBlockFresh(txs []Tx, fresh []bool) []Tx
+	// ValidationTimeFresh is the simulated time a validator spends on
+	// ValidateBlockFresh before voting: fresh transactions cost
+	// nothing, so a mostly-fresh block votes in the time of its stale
+	// remainder.
+	ValidationTimeFresh(txs []Tx, fresh []bool) time.Duration
+	// CommitStart begins applying the decided block and returns a join
+	// that blocks until the block is fully sealed and runs the app's
+	// post-commit hooks (e.g. the nested-transaction pipeline). The
+	// engine calls CommitStart in height order and the join on the
+	// simulation thread once the block's CommitTime has elapsed on the
+	// resource Config.CommitDepth selects; the join must be idempotent.
+	// Between the two the block may apply in the background, and the
+	// app is responsible for its own safety: reads that touch an
+	// unsealed block's write footprint must wait for the seal (the
+	// SmartchainDB app orders them through a commit fence), and commits
+	// must seal in height order.
+	CommitStart(height int64, txs []Tx) (join func())
+	// CommitTime is the simulated duration of the block's commit — the
+	// commit-stage counterpart of ValidationTimeFresh.
+	CommitTime(txs []Tx) time.Duration
+	// Obs returns the app's observability registry (nil for the no-op
+	// build). The engine wires the node's mempool to it (admission
+	// counters, stage dwell tracing) and stamps client arrivals into
+	// its stage tracer, so a transaction's recv dwell — arrival at the
+	// receiver to admission-batch pickup — lands on the same trace its
+	// mempool, validation, and commit stages do.
+	Obs() *obs.Registry
+}
+
+// MinimalApp is the five-method state machine an application can get
+// away with — the frozen ETH-SC baseline and the engine's own test
+// apps: one transaction checked at a time, no verdict reuse, a
+// synchronous Commit that is free in virtual time, no metrics.
+type MinimalApp interface {
+	// CheckTx admits a transaction to the mempool.
+	CheckTx(tx Tx) error
+	// ValidateBlock returns the block's invalid transactions.
 	ValidateBlock(txs []Tx) []Tx
-	// ReceiverTime is the simulated time the receiver node spends
-	// validating one incoming transaction ("Prepare and Sign" +
-	// semantic validation).
+	// ReceiverTime is the simulated receiver cost of one transaction.
 	ReceiverTime(tx Tx) time.Duration
-	// ValidationTime is the simulated time a validator spends on
-	// ValidateBlock before voting.
+	// ValidationTime is the simulated cost of ValidateBlock.
 	ValidationTime(txs []Tx) time.Duration
 	// Commit applies a decided block to local state.
 	Commit(height int64, txs []Tx)
 }
 
-// BatchApp is optionally implemented by Apps whose CheckTx-stage
-// validation handles a whole admission batch as one unit. The node's
-// receiver path accumulates arrivals while its execution resource is
-// busy and admits them in batches; a BatchApp validates each batch
-// internally in parallel (the SmartchainDB app dispatches conflict
-// groups to a worker pool) and returns per-transaction verdicts, so one
-// bad transaction never poisons its batch. Apps without it fall back to
-// per-transaction CheckTx inside the batch.
-type BatchApp interface {
-	// CheckTxBatch validates an admission batch against committed
-	// state, returning the errors keyed by transaction hash;
-	// transactions absent from the result are admitted.
-	CheckTxBatch(txs []Tx) map[string]error
-	// ReceiverBatchTime is the simulated receiver cost of one batched
-	// admission (the makespan of the batch's conflict groups on the
-	// admission workers, not the per-transaction sum).
-	ReceiverBatchTime(txs []Tx) time.Duration
+// Lift adapts a MinimalApp to App with the trivial defaults: a batch
+// is checked (and priced) transaction by transaction, freshness flags
+// are ignored, the block is applied inside CommitStart with a no-op
+// join and zero CommitTime, and there is no registry.
+func Lift(m MinimalApp) App { return lifted{m} }
+
+type lifted struct{ MinimalApp }
+
+func (l lifted) CheckTxBatch(txs []Tx) map[string]error {
+	var errs map[string]error
+	for _, tx := range txs {
+		if err := l.CheckTx(tx); err != nil {
+			if errs == nil {
+				errs = make(map[string]error)
+			}
+			errs[tx.Hash()] = err
+		}
+	}
+	return errs
 }
 
-// AsyncApp is optionally implemented by Apps that apply decided blocks
-// on a background commit resource, so block h's commit overlaps with
-// height h+1's validation and admission. The app is responsible for
-// its own safety: reads that touch the in-flight block's write
-// footprint must wait for the seal (the SmartchainDB app orders them
-// through a commit fence), and commits must seal in height order. The
-// engine only uses it when Config.AsyncCommit is set.
-type AsyncApp interface {
-	// CommitStart begins applying the decided block and returns a
-	// join function that blocks until the block is fully sealed and
-	// runs the app's post-commit hooks (e.g. the nested-transaction
-	// pipeline). The engine calls the join on the simulation thread
-	// once the block's slot on the commit resource elapses; it must be
-	// idempotent.
-	CommitStart(height int64, txs []Tx) (join func())
-	// CommitTime is the simulated duration the block occupies the
-	// commit resource — the commit-stage counterpart of
-	// ValidationTime. It does not occupy the node's validation
-	// resource: that is the overlap.
-	CommitTime(txs []Tx) time.Duration
+func (l lifted) ReceiverBatchTime(txs []Tx) time.Duration {
+	var d time.Duration
+	for _, tx := range txs {
+		d += l.ReceiverTime(tx)
+	}
+	return d
 }
 
-// ObsApp is optionally implemented by Apps that carry an observability
-// registry. The engine wires each node's mempool to its app's registry
-// (admission counters, stage dwell tracing) and stamps client arrivals
-// into the registry's stage tracer, so a transaction's recv dwell —
-// arrival at the receiver to admission-batch pickup — lands on the
-// same trace its mempool, validation, and commit stages do. A nil
-// registry keeps that node's no-op build.
-type ObsApp interface {
-	// Obs returns the app's registry (nil for the no-op build).
-	Obs() *obs.Registry
+func (l lifted) ValidateBlockFresh(txs []Tx, _ []bool) []Tx { return l.ValidateBlock(txs) }
+
+func (l lifted) ValidationTimeFresh(txs []Tx, _ []bool) time.Duration {
+	return l.ValidationTime(txs)
 }
 
-// VerdictReuseApp is optionally implemented by Apps that can re-use
-// admission verdicts at block validation: fresh[i] marks a
-// transaction whose CheckTx-stage verdict was computed against
-// committed state alone and has not been conflicted by any commit
-// since (the pool tracks this through the transactions' declarative
-// footprints). Implementations skip the semantic condition sets for
-// fresh transactions and re-run only the structural intra-block
-// checks, which closes the propose-time O(pending) re-validation
-// gap. Soundness rests on the declarative contract: a transaction's
-// validity depends only on the state keys in its footprint.
-type VerdictReuseApp interface {
-	// ValidateBlockFresh is ValidateBlock with freshness flags
-	// (aligned with txs).
-	ValidateBlockFresh(txs []Tx, fresh []bool) []Tx
-	// ValidationTimeFresh is ValidationTime with freshness flags:
-	// fresh transactions cost nothing, so a mostly-fresh block votes
-	// in the time of its stale remainder.
-	ValidationTimeFresh(txs []Tx, fresh []bool) time.Duration
+func (l lifted) CommitStart(height int64, txs []Tx) (join func()) {
+	l.Commit(height, txs)
+	return func() {}
 }
+
+func (lifted) CommitTime([]Tx) time.Duration { return 0 }
+
+func (lifted) Obs() *obs.Registry { return nil }
 
 // Config parameterizes a cluster.
 type Config struct {
@@ -144,22 +172,16 @@ type Config struct {
 	Packer func(pending []Tx) []Tx
 	// Pipelined enables voting on block h+1 before h is finalized.
 	Pipelined bool
-	// AsyncCommit overlaps block h's commit with height h+1's
-	// validation on Apps implementing AsyncApp: Commit is replaced by
-	// CommitStart on a dedicated commit resource, and the join runs
-	// when the block's CommitTime elapses. Apps without AsyncApp (or
-	// with this flag off) keep the synchronous Commit. Kept for
-	// compatibility: AsyncCommit is exactly CommitDepth 2, and an
-	// explicit CommitDepth overrides it.
-	AsyncCommit bool
-	// CommitDepth generalizes AsyncCommit to a depth-D commit
-	// pipeline: decided blocks occupy one of D-1 commit slots (the
+	// CommitDepth is the depth of the commit pipeline. Depth 1
+	// serializes: a decided block's CommitTime is charged to the node's
+	// execution resource and its join runs at once, so the next
+	// height's validation and admission queue behind it. At depth
+	// D >= 2 decided blocks occupy one of D-1 commit slots instead (the
 	// depth's first stage is the next height's validation), so in
-	// virtual time validation of h+D-1 proceeds while blocks
-	// h..h+D-2 apply. Joins are scheduled in height order no matter
-	// which slot frees first — the seal-order invariant the app
-	// enforces for real. Depth 1 keeps the synchronous Commit; zero
-	// picks 2 when AsyncCommit is set, else 1.
+	// virtual time validation of h+D-1 proceeds while blocks h..h+D-2
+	// apply. Joins are scheduled in height order no matter which slot
+	// frees first — the seal-order invariant the app enforces for
+	// real. Zero picks 1.
 	CommitDepth int
 	// Latency is the network latency model.
 	Latency netsim.LatencyModel
@@ -199,14 +221,8 @@ func (c *Config) fill() {
 		c.RetryTimeout = 2 * time.Second
 	}
 	if c.CommitDepth <= 0 {
-		if c.AsyncCommit {
-			c.CommitDepth = 2
-		} else {
-			c.CommitDepth = 1
-		}
+		c.CommitDepth = 1
 	}
-	// The depth is authoritative; the boolean is its >= 2 shadow.
-	c.AsyncCommit = c.CommitDepth >= 2
 	// Mempool defaults (Shards, BatchSize, the ForTransaction
 	// footprint function) apply inside mempool.New.
 }

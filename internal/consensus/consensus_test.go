@@ -66,7 +66,7 @@ func newTestCluster(t *testing.T, cfg Config) (*Cluster, []*testApp) {
 	apps := make([]*testApp, cfg.Nodes)
 	c := NewCluster(cfg, func(i int) App {
 		apps[i] = newTestApp(i)
-		return apps[i]
+		return Lift(apps[i])
 	})
 	return c, apps
 }
@@ -156,7 +156,7 @@ func TestCheckTxRejectionRecorded(t *testing.T) {
 	c := NewCluster(Config{Nodes: 4, Seed: 6}, func(i int) App {
 		apps[i] = newTestApp(i)
 		apps[i].reject["bad"] = true
-		return apps[i]
+		return Lift(apps[i])
 	})
 	c.SubmitAt(0, testTx("bad"))
 	c.SubmitAt(0, testTx("good"))
@@ -177,7 +177,7 @@ func TestInvalidBlockNeverCommits(t *testing.T) {
 	c := NewCluster(Config{Nodes: 4, Seed: 7, ProposeTimeout: 100 * time.Millisecond}, func(i int) App {
 		apps[i] = newTestApp(i)
 		apps[i].invalid["poison"] = true
-		return apps[i]
+		return Lift(apps[i])
 	})
 	c.SubmitAt(0, testTx("poison"))
 	c.SubmitAt(time.Millisecond, testTx("fine"))

@@ -6,10 +6,11 @@ import (
 	"time"
 )
 
-// batchTestApp extends testApp with the BatchApp surface, recording
-// admission batch sizes.
+// batchTestApp is a full App: the lifted testApp with its own batched
+// admission, recording admission batch sizes.
 type batchTestApp struct {
 	*testApp
+	App
 	batchSizes []int
 }
 
@@ -36,7 +37,8 @@ func (a *batchTestApp) ReceiverBatchTime(txs []Tx) time.Duration {
 func TestBatchedAdmissionCommitsEverything(t *testing.T) {
 	apps := make([]*batchTestApp, 4)
 	c := NewCluster(Config{Nodes: 4, Seed: 31, MaxBlockTxs: 16}, func(i int) App {
-		apps[i] = &batchTestApp{testApp: newTestApp(i)}
+		ta := newTestApp(i)
+		apps[i] = &batchTestApp{testApp: ta, App: Lift(ta)}
 		apps[i].reject["bad"] = true
 		return apps[i]
 	})
@@ -98,7 +100,7 @@ func TestClientCopyUpgradesQueuedGossipCopy(t *testing.T) {
 	c := NewCluster(Config{Nodes: 4, Seed: 35}, func(i int) App {
 		apps[i] = newTestApp(i)
 		apps[i].reject["bad"] = true
-		return apps[i]
+		return Lift(apps[i])
 	})
 	n := c.nodes[0]
 	// Occupy the node so the queue holds both copies before admission.

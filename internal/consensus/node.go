@@ -71,18 +71,9 @@ type node struct {
 	c   *Cluster
 	id  netsim.NodeID
 	app App
-	// batchApp is non-nil when the app validates admission batches as
-	// one parallel unit (see BatchApp).
-	batchApp BatchApp
-	// asyncApp is non-nil when the app commits blocks on a background
-	// commit resource (see AsyncApp); used only under cfg.AsyncCommit.
-	asyncApp AsyncApp
-	// vrApp is non-nil when the app can re-use admission verdicts at
-	// block validation (see VerdictReuseApp).
-	vrApp VerdictReuseApp
-	// tracer is the app's stage tracer (nil without an ObsApp registry):
-	// client arrivals are stamped here so the recv-stage dwell spans
-	// arrival to admission pickup.
+	// tracer is the app's stage tracer (nil without a registry): client
+	// arrivals are stamped here so the recv-stage dwell spans arrival
+	// to admission pickup.
 	tracer *obs.Tracer
 
 	height int64 // height currently being decided
@@ -121,11 +112,11 @@ type node struct {
 	lastProposal  time.Duration // pacing for this node's proposer role
 	lastBlockTime time.Duration // when the last block was applied locally
 	busyUntil     time.Duration // the node's single execution resource
-	// commitSlots is the node's depth-D commit resource: under async
-	// commit a decided block occupies the earliest-free of
-	// CommitDepth-1 slots instead of the execution resource, which is
-	// what lets later heights' validation overlap the in-flight
-	// applies. Lazily sized on first use.
+	// commitSlots is the node's depth-D commit resource: at depth >= 2
+	// a decided block occupies the earliest-free of CommitDepth-1 slots
+	// instead of the execution resource, which is what lets later
+	// heights' validation overlap the in-flight applies. Empty at
+	// depth 1.
 	commitSlots []time.Duration
 	// lastCommitJoin orders the joins (seals) in height order even
 	// when a later block's slot frees first — the virtual-time mirror
@@ -152,19 +143,15 @@ func newNode(c *Cluster, id netsim.NodeID, app App) *node {
 		decided:       make(map[int64][]Tx),
 		appliedBlocks: make(map[int64][]Tx),
 		round:         make(map[int64]int),
+		commitSlots:   make([]time.Duration, c.cfg.CommitDepth-1),
 	}
-	n.batchApp, _ = app.(BatchApp)
-	n.asyncApp, _ = app.(AsyncApp)
-	n.vrApp, _ = app.(VerdictReuseApp)
 	poolCfg := c.cfg.Mempool
 	poolCfg.Check = n.checkBatch
-	if oa, ok := app.(ObsApp); ok {
-		// Per-node registry: the node's mempool and the app's own layers
-		// (ledger, storage, validation fence) record into the same one,
-		// so a transaction's stage trace is complete on this node.
-		poolCfg.Obs = oa.Obs()
-		n.tracer = poolCfg.Obs.Tracer()
-	}
+	// Per-node registry: the node's mempool and the app's own layers
+	// (ledger, storage, validation fence) record into the same one, so
+	// a transaction's stage trace is complete on this node.
+	poolCfg.Obs = app.Obs()
+	n.tracer = poolCfg.Obs.Tracer()
 	n.pool = mempool.New(poolCfg)
 	return n
 }
@@ -265,7 +252,7 @@ func (n *node) maybeAdmit() {
 	}
 	done := n.c.sched.Now()
 	if len(clientTxs) > 0 {
-		done = n.charge(n.receiverTime(clientTxs))
+		done = n.charge(n.app.ReceiverBatchTime(clientTxs))
 	}
 	n.c.sched.At(done, func() {
 		n.admitting = false
@@ -277,20 +264,6 @@ func (n *node) maybeAdmit() {
 	})
 }
 
-// receiverTime models the receiver validation cost of one admission
-// batch: the parallel batch cost for BatchApps, the per-transaction sum
-// otherwise.
-func (n *node) receiverTime(txs []Tx) time.Duration {
-	if n.batchApp != nil {
-		return n.batchApp.ReceiverBatchTime(txs)
-	}
-	var d time.Duration
-	for _, tx := range txs {
-		d += n.app.ReceiverTime(tx)
-	}
-	return d
-}
-
 // checkBatch is the pool's semantic admission hook: the CheckTx-stage
 // schema + semantic validation (the first and second validations of
 // Fig. 4), batched through the app.
@@ -299,19 +272,7 @@ func (n *node) checkBatch(txs []mempool.Tx) map[string]error {
 	for i, tx := range txs {
 		batch[i] = tx.(Tx)
 	}
-	if n.batchApp != nil {
-		return n.batchApp.CheckTxBatch(batch)
-	}
-	var errs map[string]error
-	for _, tx := range batch {
-		if err := n.app.CheckTx(tx); err != nil {
-			if errs == nil {
-				errs = make(map[string]error)
-			}
-			errs[tx.Hash()] = err
-		}
-	}
-	return errs
+	return n.app.CheckTxBatch(batch)
 }
 
 // processAdmission runs one batch through the pool and handles the
@@ -606,14 +567,13 @@ func (n *node) freshFlags(txs []Tx) []bool {
 }
 
 // blockInvalid re-validates a packed block, re-using still-fresh
-// admission verdicts when the app supports it: the pool's freshness
-// flags let the app skip semantic condition sets for transactions
-// whose CheckTx verdict still describes committed state. Freshness is
-// deliberately re-derived here rather than reused from the earlier
-// blockValidationTime call: a block may commit between pricing the
-// validation and running it, and skipping a semantic check on a
-// since-staled verdict would be unsound — the cost model may
-// undercharge, the verdicts may not.
+// admission verdicts: the pool's freshness flags let the app skip
+// semantic condition sets for transactions whose CheckTx verdict still
+// describes committed state. Freshness is deliberately re-derived here
+// rather than reused from the earlier blockValidationTime call: a
+// block may commit between pricing the validation and running it, and
+// skipping a semantic check on a since-staled verdict would be unsound
+// — the cost model may undercharge, the verdicts may not.
 //
 // A clean validation flows back into the pool: it re-proved every
 // member against committed state (pinned by the pre-validation epoch),
@@ -622,27 +582,21 @@ func (n *node) freshFlags(txs []Tx) []bool {
 // change — skips their semantic checks instead of re-validating the
 // same verdicts every round.
 func (n *node) blockInvalid(txs []Tx) []Tx {
-	if n.vrApp != nil {
-		pooled := make([]mempool.Tx, len(txs))
-		for i, tx := range txs {
-			pooled[i] = tx
-		}
-		epoch := n.pool.Epoch()
-		bad := n.vrApp.ValidateBlockFresh(txs, n.pool.Fresh(pooled))
-		if len(bad) == 0 {
-			n.pool.MarkValidated(pooled, epoch)
-		}
-		return bad
+	pooled := make([]mempool.Tx, len(txs))
+	for i, tx := range txs {
+		pooled[i] = tx
 	}
-	return n.app.ValidateBlock(txs)
+	epoch := n.pool.Epoch()
+	bad := n.app.ValidateBlockFresh(txs, n.pool.Fresh(pooled))
+	if len(bad) == 0 {
+		n.pool.MarkValidated(pooled, epoch)
+	}
+	return bad
 }
 
 // blockValidationTime is the simulated cost of blockInvalid.
 func (n *node) blockValidationTime(txs []Tx) time.Duration {
-	if n.vrApp != nil {
-		return n.vrApp.ValidationTimeFresh(txs, n.freshFlags(txs))
-	}
-	return n.app.ValidationTime(txs)
+	return n.app.ValidationTimeFresh(txs, n.freshFlags(txs))
 }
 
 // evict drops transactions that failed block validation; the pool
@@ -759,23 +713,24 @@ func (n *node) applyBlock(h int64, txs []Tx) {
 	// rival claiming it, and each write key stales the conflicting
 	// admission verdicts — no rescan of the pending set.
 	n.pool.RemoveCommitted(removed)
-	if n.asyncApp != nil && n.c.cfg.AsyncCommit {
-		// Overlapped commit: the block starts applying immediately on
-		// the app's background commit path, occupies the earliest-free
-		// of the node's CommitDepth-1 commit slots (not the execution
-		// resource validation charges), and joins — sealing plus
-		// post-commit hooks — when its slot elapses, never before an
-		// earlier block's join (seals are height-ordered). Later
-		// heights' validation proceeds meanwhile; reads into unsealed
-		// write footprints wait on the app's commit fence.
-		join := n.asyncApp.CommitStart(h, txs)
-		if n.commitSlots == nil {
-			slots := n.c.cfg.CommitDepth - 1
-			if slots < 1 {
-				slots = 1
-			}
-			n.commitSlots = make([]time.Duration, slots)
-		}
+	// The block starts applying immediately; what differs by depth is
+	// the resource its CommitTime occupies and when the join — sealing
+	// plus post-commit hooks — runs.
+	join := n.app.CommitStart(h, txs)
+	if len(n.commitSlots) == 0 {
+		// Depth 1, serialized commit: the block occupies the node's
+		// single execution resource, delaying the next height's
+		// validation and admission — the cost the overlapped pipeline
+		// hides on its separate commit resource — and joins now.
+		n.charge(n.app.CommitTime(txs))
+		join()
+	} else {
+		// Overlapped commit: the block occupies the earliest-free of the
+		// node's CommitDepth-1 commit slots (not the execution resource
+		// validation charges) and joins when its slot elapses, never
+		// before an earlier block's join (seals are height-ordered).
+		// Later heights' validation proceeds meanwhile; reads into
+		// unsealed write footprints wait on the app's commit fence.
 		best := 0
 		for i, free := range n.commitSlots {
 			if free < n.commitSlots[best] {
@@ -786,22 +741,13 @@ func (n *node) applyBlock(h int64, txs []Tx) {
 		if now := n.c.sched.Now(); start < now {
 			start = now
 		}
-		finish := start + n.asyncApp.CommitTime(txs)
+		finish := start + n.app.CommitTime(txs)
 		n.commitSlots[best] = finish
 		if finish < n.lastCommitJoin {
 			finish = n.lastCommitJoin
 		}
 		n.lastCommitJoin = finish
 		n.c.sched.At(finish, join)
-	} else {
-		if n.asyncApp != nil {
-			// Serialized commit: the block occupies the node's single
-			// execution resource, delaying the next height's validation
-			// and admission — the cost the overlapped pipeline hides on
-			// its separate commit resource.
-			n.charge(n.asyncApp.CommitTime(txs))
-		}
-		n.app.Commit(h, txs)
 	}
 	n.c.recordCommit(txs)
 }

@@ -28,7 +28,7 @@ func TestValidateBlockOnlyOnPackedBlock(t *testing.T) {
 	apps := make([]*packedApp, 4)
 	c := NewCluster(Config{Nodes: 4, Seed: 21, MaxBlockTxs: maxBlock}, func(i int) App {
 		apps[i] = &packedApp{testApp: newTestApp(i)}
-		return apps[i]
+		return Lift(apps[i])
 	})
 	// Flood the mempool before the first block cuts, so pending >> block.
 	for i := 0; i < n; i++ {

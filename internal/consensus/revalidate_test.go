@@ -7,16 +7,19 @@ import (
 	"smartchaindb/internal/mempool"
 )
 
-// vrCountApp implements VerdictReuseApp and counts, per transaction,
-// how many times block validation had to run its semantic checks
-// (i.e. saw the transaction without a fresh verdict).
+// vrCountApp is a full App — the lifted testApp with its own
+// fresh-aware validation — that counts, per transaction, how many
+// times block validation had to run its semantic checks (i.e. saw the
+// transaction without a fresh verdict).
 type vrCountApp struct {
 	*testApp
+	App
 	semantic map[string]int
 }
 
 func newVRCountApp(node int) *vrCountApp {
-	return &vrCountApp{testApp: newTestApp(node), semantic: make(map[string]int)}
+	ta := newTestApp(node)
+	return &vrCountApp{testApp: ta, App: Lift(ta), semantic: make(map[string]int)}
 }
 
 func (a *vrCountApp) ValidateBlockFresh(txs []Tx, fresh []bool) []Tx {

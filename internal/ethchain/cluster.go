@@ -180,7 +180,7 @@ func NewCluster(cfg ClusterConfig, genesis func(*Chain)) *Cluster {
 		}
 		a := &app{cfg: cfg, chain: chain, staged: map[string]*staged{}}
 		c.apps[i] = a
-		return a
+		return consensus.Lift(a)
 	})
 	c.Cluster = cc
 	return c

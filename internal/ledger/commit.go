@@ -2,47 +2,18 @@ package ledger
 
 import (
 	"fmt"
-	"sync/atomic"
-	"time"
 
-	"smartchaindb/internal/obs"
-	"smartchaindb/internal/parallel"
 	"smartchaindb/internal/storage"
 	"smartchaindb/internal/txn"
 )
 
-// The pipelined block commit splits CommitBlockAt into three stages:
-//
-//	plan  — partition the batch into conflict groups from the
-//	        transactions' declarative footprints (parallel.BuildPlan,
-//	        the same relation validation and packing use);
-//	apply — per-group appliers run concurrently, each checking its
-//	        group's transactions in block order against committed
-//	        state plus a group-local overlay of the group's own staged
-//	        writes, and emitting the write ops each transaction would
-//	        perform;
-//	seal  — a single pass applies the staged ops in block order inside
-//	        one storage Group, then writes the height record, so the
-//	        whole block is still one atomic WAL record and both the
-//	        document iteration order and the WAL byte stream are
-//	        identical to the sequential commit.
-//
-// Cross-group independence is what makes the apply phase sound: a
-// transaction's checks only read keys in its own footprint, and two
-// transactions in different groups share no footprint key, so each
-// group sees exactly the state the sequential pass would have shown
-// it. The differential tests pin this byte for byte via
-// State.Fingerprint.
+// The stage and seal primitives every commit path shares: stageTx
+// checks one transaction against an overlay and emits its write ops,
+// sealTx performs them. pipeline.go composes them into the block
+// commit; CommitTx and the 2PC apply (prepare.go) use them for a
+// single transaction.
 
-// SetCommitWorkers selects the per-conflict-group parallel apply phase
-// for block commits. Values below 2 keep the sequential reference
-// path. Safe to call only while no commit is running.
-func (s *State) SetCommitWorkers(w int) { s.commitWorkers = w }
-
-// CommitWorkers reports the configured apply-phase worker count.
-func (s *State) CommitWorkers() int { return s.commitWorkers }
-
-// stagedOp kinds, in the exact order commitTxLocked mutates state.
+// stagedOp kinds, in the exact order a transaction mutates state.
 const (
 	opInsertTx = iota
 	opMarkSpent
@@ -95,10 +66,10 @@ func (o *groupOverlay) getUTXO(key string) (map[string]any, bool) {
 	return doc, true
 }
 
-// stageTx performs commitTxLocked's checks against the overlay and
-// stages the write ops instead of performing them. On success the
-// overlay absorbs the transaction's effects so later group members
-// observe them.
+// stageTx checks one transaction against the overlay and stages its
+// write ops instead of performing them. On success the overlay
+// absorbs the transaction's effects so later group members observe
+// them.
 func (o *groupOverlay) stageTx(t *txn.Transaction) *stagedTx {
 	if o.hasTx(t.ID) {
 		return &stagedTx{err: &txn.DuplicateTransactionError{TxID: t.ID, Reason: "already committed"}}
@@ -131,9 +102,9 @@ func (o *groupOverlay) stageTx(t *txn.Transaction) *stagedTx {
 	txDoc := t.ToDoc()
 	// The transaction document is the only user-controlled payload; a
 	// doc the durable encoding rejects is skipped here, before any
-	// mutation stages. Both commit paths (sequential and pipelined)
-	// share this check, so the canonical-document contract is enforced
-	// identically on every backend and worker count.
+	// mutation stages. Every commit path stages through here, so the
+	// canonical-document contract is enforced identically on every
+	// backend and worker count.
 	if err := storage.EncodableDoc(txDoc); err != nil {
 		return &stagedTx{err: fmt.Errorf("ledger: insert tx: %w", err)}
 	}
@@ -192,8 +163,8 @@ func (o *groupOverlay) stageTx(t *txn.Transaction) *stagedTx {
 	return st
 }
 
-// sealTx applies one staged transaction's ops through the docstore —
-// the same mutations, in the same order, as commitTxLocked.
+// sealTx applies one staged transaction's ops through the docstore,
+// in the order stageTx emitted them.
 func (s *State) sealTx(st *stagedTx) error {
 	txs := s.store.Collection(ColTransactions)
 	utxos := s.store.Collection(ColUTXOs)
@@ -223,82 +194,4 @@ func (s *State) sealTx(st *stagedTx) error {
 		}
 	}
 	return nil
-}
-
-// commitBlockPipelined is the plan/apply/seal commit. It holds the
-// state lock like the sequential path; only the internal apply phase
-// is parallel. Byte-identical outcome to commitBlockLocked.
-func (s *State) commitBlockPipelined(height int64, batch []*txn.Transaction, workers int) (committed []*txn.Transaction, skipped map[string]error, err error) {
-	t0 := time.Now()
-	plan := parallel.BuildPlan(batch)
-	planD := time.Since(t0)
-	staged := make([]*stagedTx, len(batch))
-
-	// Apply: per-conflict-group appliers over the shared LPT dispatch
-	// (largest group first, so the critical path never starts last).
-	// busy accumulates per-group applier time so busy/(wall*workers)
-	// reports the phase's worker utilization.
-	var busy atomic.Int64
-	applyT := time.Now()
-	plan.RunGroups(workers, func(g []int) {
-		gt := time.Now()
-		overlay := newGroupOverlay(s)
-		for _, i := range g {
-			staged[i] = overlay.stageTx(batch[i])
-		}
-		busy.Add(int64(time.Since(gt)))
-	})
-	applyD := time.Since(applyT)
-
-	// Seal: block-order application inside one atomic WAL group, then
-	// the height record — nothing of the block is durable before
-	// everything is.
-	sealT := time.Now()
-	committed = make([]*txn.Transaction, 0, len(batch))
-	err = s.store.Group(func() error {
-		for i, t := range batch {
-			st := staged[i]
-			if st.err != nil {
-				if skipped == nil {
-					skipped = make(map[string]error)
-				}
-				skipped[t.ID] = st.err
-				continue
-			}
-			if serr := s.sealTx(st); serr != nil {
-				// The apply phase vouched for these ops; a failure here
-				// means the backend lost a write mid-block.
-				return serr
-			}
-			committed = append(committed, t)
-		}
-		ids := make([]any, len(committed))
-		for i, t := range committed {
-			ids[i] = t.ID
-		}
-		return s.store.Collection(ColBlocks).Upsert(blockKey(height), map[string]any{
-			"height": float64(height),
-			"count":  float64(len(committed)),
-			"txids":  ids,
-		})
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if height > s.lastHeight {
-		s.lastHeight = height
-	}
-	sealD := time.Since(sealT)
-	if s.ob.tracer != nil { // guard: the id projections allocate
-		cids := txIDs(committed)
-		s.ob.tracer.ObserveEach(txIDs(batch), obs.StageApply, applyD)
-		s.ob.tracer.ObserveEach(cids, obs.StageSeal, sealD)
-		s.ob.sealTraces(height, cids, skipped)
-	}
-	s.ob.recordBlock(height, planD, applyD, sealD, time.Since(t0), len(batch), len(committed), len(skipped))
-	s.ob.applyBusyNs.Add(uint64(busy.Load()))
-	s.ob.applyWallNs.Add(uint64(applyD))
-	s.ob.conflictGroups.Observe(int64(len(plan.Groups)))
-	s.ob.largestGroup.Observe(int64(plan.Largest()))
-	return committed, skipped, nil
 }

@@ -71,21 +71,7 @@ func deepPipelineDifferential(t *testing.T, seq, deep *State, capacity, workers 
 		if r.err != nil {
 			t.Fatalf("block %d: pipelined seal error: %v", h, r.err)
 		}
-		if !reflect.DeepEqual(txIDs(seqC), txIDs(r.committed)) {
-			t.Fatalf("block %d: committed sets differ:\n seq=%v\n deep=%v", h, txIDs(seqC), txIDs(r.committed))
-		}
-		if len(seqS) != len(r.skipped) {
-			t.Fatalf("block %d: skipped sets differ: %v vs %v", h, skippedIDs(seqS), skippedIDs(r.skipped))
-		}
-		for id, serr := range seqS {
-			perr, ok := r.skipped[id]
-			if !ok {
-				t.Fatalf("block %d: pipeline lost skip for %.8s (%v)", h, id, serr)
-			}
-			if fmt.Sprintf("%T", serr) != fmt.Sprintf("%T", perr) {
-				t.Fatalf("block %d: skip error type differs for %.8s: %T vs %T", h, id, serr, perr)
-			}
-		}
+		sameOutcome(t, h, seqC, seqS, r.committed, r.skipped)
 	}
 	if seq.Height() != deep.Height() {
 		t.Fatalf("heights differ: %d vs %d", seq.Height(), deep.Height())
@@ -132,15 +118,7 @@ func TestDeepPipelineDifferentialDisk(t *testing.T) {
 			if err := deep.Close(); err != nil {
 				t.Fatal(err)
 			}
-			seqWAL, err := os.ReadFile(findWAL(t, seqDir))
-			if err != nil {
-				t.Fatal(err)
-			}
-			deepWAL, err := os.ReadFile(findWAL(t, deepDir))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(seqWAL, deepWAL) {
+			if seqWAL, deepWAL := readWAL(t, seqDir), readWAL(t, deepDir); !bytes.Equal(seqWAL, deepWAL) {
 				t.Fatalf("WAL byte streams differ: seq %d bytes, deep %d bytes", len(seqWAL), len(deepWAL))
 			}
 			seq2, deep2 := openDiskState(t, seqDir), openDiskState(t, deepDir)
@@ -191,15 +169,7 @@ func TestDeepPipelineCrashMultiBlockInFlight(t *testing.T) {
 		if err := s.Close(); err != nil { // release the dir lock; NoSync close flushes nothing
 			t.Fatal(err)
 		}
-		refWAL, err := os.ReadFile(findWAL(t, refDir))
-		if err != nil {
-			t.Fatal(err)
-		}
-		deepWAL, err := os.ReadFile(walPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(refWAL, deepWAL) {
+		if refWAL, deepWAL := readWAL(t, refDir), readWAL(t, dir); !bytes.Equal(refWAL, deepWAL) {
 			t.Fatalf("trial %d: pipelined WAL diverges from sequential reference (%d vs %d bytes)",
 				trial, len(deepWAL), len(refWAL))
 		}

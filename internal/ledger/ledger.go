@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"time"
 
 	"smartchaindb/internal/docstore"
 	"smartchaindb/internal/obs"
@@ -33,20 +32,19 @@ type State struct {
 	mu         sync.RWMutex
 	store      *docstore.Store
 	lastHeight int64
-	// commitWorkers selects the pipelined (plan/apply/seal) block
-	// commit: conflict groups from declarative footprints apply
-	// concurrently on this many workers, then seal in block order as
-	// one WAL group. Below 2, block commits run the sequential
-	// reference path. See commit.go.
+	// commitWorkers is the block commit's stage parallelism: conflict
+	// groups from declarative footprints stage concurrently on this
+	// many workers, then seal in block order as one WAL group. Below 2
+	// the batch stages sequentially. See pipeline.go.
 	commitWorkers int
 	// ob holds the cached observability handles (obs.go). The zero
 	// value is the no-op build; SetObs swaps in live handles. Guarded
 	// by mu, which every commit path already holds.
 	ob  ledgerObs
 	reg *obs.Registry
-	// sealGate orders the deep commit pipeline's block seals by
-	// height: overlapped commits (pipeline.go) register here and park
-	// until every earlier block's WAL group has sealed.
+	// sealGate orders overlapped block seals by height: commits begun
+	// with BeginBlockCommit register here and park until every earlier
+	// block's WAL group has sealed.
 	sealGate storage.SealGate
 }
 
@@ -103,18 +101,24 @@ func blockKey(height int64) string { return fmt.Sprintf("%016d", height) }
 
 func utxoKey(ref txn.OutputRef) string { return ref.String() }
 
-// CommitTx atomically applies a validated transaction: it appends the
-// transaction document, marks every spent output, and registers the new
-// outputs as unspent. It fails without side effects if the transaction
-// is a duplicate or any input is already spent — the last line of
-// defence behind the validators. On a disk backend the transaction's
-// mutations land as one durable WAL group.
+// CommitTx atomically applies a validated transaction outside any
+// block: it appends the transaction document, marks every spent
+// output, and registers the new outputs as unspent. It fails without
+// side effects if the transaction is a duplicate or any input is
+// already spent — the last line of defence behind the validators. It
+// is the one commit that is not a block (no height record, no MVCC
+// bracket — the standalone and nested-recovery paths use it): one
+// stageTx and one sealTx, the block commit's own primitives, landing
+// as one durable WAL group.
 func (s *State) CommitTx(t *txn.Transaction) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var txErr error
 	if err := s.store.Group(func() error {
-		txErr = s.commitTxLocked(t)
+		st := newGroupOverlay(s).stageTx(t)
+		if txErr = st.err; txErr == nil {
+			txErr = s.sealTx(st)
+		}
 		return nil
 	}); err != nil {
 		return fmt.Errorf("ledger: durable commit: %w", err)
@@ -122,11 +126,11 @@ func (s *State) CommitTx(t *txn.Transaction) error {
 	return txErr
 }
 
-// CommitBlock applies a validated batch in order under a single lock
-// acquisition — the batched commit the consensus DeliverTx path uses
-// instead of per-transaction locking — at the next block height. A
-// storage failure is fatal: the node's disk state can no longer be
-// trusted. See CommitBlockAt for the semantics.
+// CommitBlock applies a validated batch as the block at the next
+// height — CommitBlockAt with the height derived under the same lock
+// acquisition, so concurrent callers (and the 2PC applies, which take
+// their heights the same way) never collide. A storage failure is
+// fatal: the node's disk state can no longer be trusted.
 func (s *State) CommitBlock(batch []*txn.Transaction) (committed []*txn.Transaction, skipped map[string]error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -147,6 +151,18 @@ func (s *State) CommitBlock(batch []*txn.Transaction) (committed []*txn.Transact
 // mid-block reopens at the previous height with no partial effects.
 // It returns the transactions actually committed, in block order; a
 // non-nil error means the backend could not make the block durable.
+// That includes a write failing for a transaction the stage already
+// checked: every check runs in the stage, so a failure in the seal is
+// a lost backend write and fails the whole block, never a
+// per-transaction skip (CommitBlock then panics).
+//
+// This is the depth-1 use of the one block commit (pipeline.go): the
+// same Stage and the same seal body as BeginBlockCommit → Stage →
+// Seal, but run back to back with the state lock held across both, so
+// the call is atomic with respect to every other writer that takes
+// only the state lock (CommitTx, ApplyPrepared, AbortPrepared, other
+// synchronous block commits). It does not pass the seal gate and must
+// not be called while a BeginBlockCommit reservation is outstanding.
 func (s *State) CommitBlockAt(height int64, batch []*txn.Transaction) (committed []*txn.Transaction, skipped map[string]error, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -154,74 +170,26 @@ func (s *State) CommitBlockAt(height int64, batch []*txn.Transaction) (committed
 }
 
 func (s *State) commitBlockLocked(height int64, batch []*txn.Transaction) (committed []*txn.Transaction, skipped map[string]error, err error) {
-	// Bracket the block: every write between here and the seal is
-	// stamped with this height and stays invisible to snapshot readers
-	// until SealBlock publishes it atomically. Sealing also
-	// garbage-collects versions that fell out of the retained window;
-	// the index sweep rides the same moment, since that is when the
-	// retention floor advances.
-	bk := s.store.Backend()
-	bk.BeginBlock(height)
-	defer func() {
-		bk.SealBlock(height)
-		s.store.SweepIndexes()
-	}()
-	if s.commitWorkers > 1 && len(batch) > 1 {
-		return s.commitBlockPipelined(height, batch, s.commitWorkers)
-	}
-	t0 := time.Now()
-	committed = make([]*txn.Transaction, 0, len(batch))
-	err = s.store.Group(func() error {
-		for _, t := range batch {
-			if cerr := s.commitTxLocked(t); cerr != nil {
-				if skipped == nil {
-					skipped = make(map[string]error)
-				}
-				skipped[t.ID] = cerr
-				continue
-			}
-			committed = append(committed, t)
-		}
-		ids := make([]any, len(committed))
-		for i, t := range committed {
-			ids[i] = t.ID
-		}
-		return s.store.Collection(ColBlocks).Upsert(blockKey(height), map[string]any{
-			"height": float64(height),
-			"count":  float64(len(committed)),
-			"txids":  ids,
-		})
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if height > s.lastHeight {
-		s.lastHeight = height
-	}
-	// The sequential reference path has no plan/apply phases: the whole
-	// block is one interleaved check-and-seal pass, attributed to seal.
-	total := time.Since(t0)
-	if s.ob.tracer != nil { // guard: the id projection allocates
-		ids := txIDs(committed)
-		s.ob.tracer.ObserveEach(ids, obs.StageApply, 0)
-		s.ob.tracer.ObserveEach(ids, obs.StageSeal, total)
-		s.ob.sealTraces(height, ids, skipped)
-	}
-	s.ob.recordBlock(height, 0, 0, total, total, len(batch), len(committed), len(skipped))
-	return committed, skipped, nil
+	p := &PendingCommit{s: s, height: height}
+	p.Stage(batch)
+	return p.sealLocked()
 }
 
-// commitTxLocked applies one transaction through the shared
-// stage/seal machinery (commit.go): checks against committed state,
-// then the exact mutation sequence, so the sequential path and the
-// pipelined per-group appliers can never drift apart. Failure stages
-// nothing and leaves no partial state.
-func (s *State) commitTxLocked(t *txn.Transaction) error {
-	st := newGroupOverlay(s).stageTx(t)
-	if st.err != nil {
-		return st.err
+// putBlockRecord writes height's record into the blocks collection —
+// the one place the record is built. It must run last inside the
+// block's storage Group, so the record and the block's effects are
+// one atomic WAL group. twopc marks a cross-shard apply's
+// single-transaction block.
+func (s *State) putBlockRecord(height int64, txids []any, twopc bool) error {
+	rec := map[string]any{
+		"height": float64(height),
+		"count":  float64(len(txids)),
+		"txids":  txids,
 	}
-	return s.sealTx(st)
+	if twopc {
+		rec["twopc"] = true
+	}
+	return s.store.Collection(ColBlocks).Upsert(blockKey(height), rec)
 }
 
 // SetChildren records the child transaction IDs assigned to a nested

@@ -10,24 +10,52 @@ import (
 	"smartchaindb/internal/txn"
 )
 
-// The depth-N commit pipeline splits CommitBlockAt across threads the
-// way commitBlockPipelined splits it across phases: BeginBlockCommit
-// reserves block h's slot in the seal order (on the ordered consensus
-// thread), Stage runs the plan/apply phases off the state lock — so
-// several blocks' staging can overlap — and Seal parks at the storage
-// seal gate until h-1 has sealed, then applies the staged ops as one
-// atomic WAL group. The WAL byte stream, the document iteration
-// order, and the MVCC height bracketing are identical to the
-// sequential CommitBlockAt at every depth.
+// Every block commit is one PendingCommit taken through Stage and
+// then a seal:
 //
-// Soundness contract: Stage reads committed state through the writer
-// view while *earlier* blocks may still be applying or sealing, so
-// the caller must guarantee the batch's touch (read+write) footprint
-// is disjoint from every earlier unsealed block's write footprint
-// before calling Stage — parallel.PipelineFence.WaitApply is exactly
-// that guarantee. Given disjointness, every key staging reads has the
-// same value it would have after the earlier seals, so the staged ops
-// — and therefore the sealed bytes — equal the sequential outcome.
+//	stage — plan the batch into conflict groups from the transactions'
+//	        declarative footprints (parallel.BuildPlan, the same
+//	        relation validation and packing use) and let per-group
+//	        appliers check their transactions in block order against
+//	        committed state plus a group-local overlay, emitting the
+//	        write ops each transaction would perform (commit.go);
+//	seal  — a single pass applies the staged ops in block order inside
+//	        one storage Group, then writes the height record, so the
+//	        whole block is one atomic WAL record.
+//
+// The entry points differ only in who holds what while that happens.
+// BeginBlockCommit reserves block h's slot in the seal order (on the
+// ordered consensus thread), Stage runs off the state lock — so
+// several blocks' staging can overlap — and Seal parks at the storage
+// seal gate until h-1 has sealed. CommitBlock / CommitBlockAt
+// (ledger.go) run the same Stage and the same seal body back to back
+// under the state lock: depth 1. The WAL byte stream, the document
+// iteration order, and the MVCC height bracketing are identical at
+// every depth and worker count; the differential tests pin this byte
+// for byte against an interleaved per-transaction reference.
+//
+// Cross-group independence is what makes the parallel stage sound: a
+// transaction's checks only read keys in its own footprint, and two
+// transactions in different groups share no footprint key, so each
+// group sees exactly the state a block-order pass would have shown it.
+//
+// Soundness contract for overlapped use: Stage reads committed state
+// through the writer view while *earlier* blocks may still be applying
+// or sealing, so the caller must guarantee the batch's touch
+// (read+write) footprint is disjoint from every earlier unsealed
+// block's write footprint before calling Stage —
+// parallel.PipelineFence.WaitApply is exactly that guarantee. Given
+// disjointness, every key staging reads has the same value it would
+// have after the earlier seals, so the staged ops — and therefore the
+// sealed bytes — equal the depth-1 outcome.
+
+// SetCommitWorkers selects the stage's per-conflict-group appliers.
+// Values below 2 stage the batch sequentially against one overlay.
+// Safe to call only while no commit is running.
+func (s *State) SetCommitWorkers(w int) { s.commitWorkers = w }
+
+// CommitWorkers reports the configured stage worker count.
+func (s *State) CommitWorkers() int { return s.commitWorkers }
 
 // BeginBlockCommit reserves height's slot in the seal order and
 // returns the pending commit. Heights must be reserved in strictly
@@ -37,10 +65,13 @@ func (s *State) BeginBlockCommit(height int64) *PendingCommit {
 	return &PendingCommit{s: s, height: height, ticket: s.sealGate.Register(height)}
 }
 
-// PendingCommit is one in-flight block of the deep commit pipeline.
+// PendingCommit is one in-flight block commit.
 type PendingCommit struct {
 	s      *State
 	height int64
+	// ticket is the block's place in the seal order. The synchronous
+	// entry points leave it nil: they hold the state lock across stage
+	// and seal instead of passing the gate.
 	ticket *storage.SealTicket
 
 	batch  []*txn.Transaction
@@ -53,12 +84,13 @@ type PendingCommit struct {
 	busy   int64
 }
 
-// Stage runs the plan and apply phases for the block's batch without
-// holding the state lock: conflict groups stage their write ops
-// against committed state plus group-local overlays, exactly as the
-// single-threaded pipelined commit does. With CommitWorkers < 2 (or a
-// single-transaction batch) the batch stages sequentially against one
-// shared overlay — the same check-then-stage sequence, block order.
+// Stage runs the plan and apply phases for the block's batch. It takes
+// no lock: conflict groups stage their write ops against committed
+// state plus group-local overlays over the shared LPT dispatch
+// (largest group first, so the critical path never starts last). With
+// CommitWorkers < 2 (or a single-transaction batch) the batch stages
+// sequentially against one shared overlay — the same check-then-stage
+// sequence, block order.
 func (p *PendingCommit) Stage(batch []*txn.Transaction) {
 	s := p.s
 	p.batch = batch
@@ -67,6 +99,8 @@ func (p *PendingCommit) Stage(batch []*txn.Transaction) {
 	if s.commitWorkers > 1 && len(batch) > 1 {
 		p.plan = parallel.BuildPlan(batch)
 		p.planD = time.Since(p.t0)
+		// busy accumulates per-group applier time so busy/(wall*workers)
+		// reports the phase's worker utilization.
 		var busy atomic.Int64
 		applyT := time.Now()
 		p.plan.RunGroups(s.commitWorkers, func(g []int) {
@@ -93,9 +127,8 @@ func (p *PendingCommit) Stage(batch []*txn.Transaction) {
 // Seal applies the staged block: it parks until every earlier
 // reserved height has sealed (the storage seal gate — WAL groups land
 // in height order no matter which applier finishes first), then takes
-// the state lock, brackets the MVCC block, and applies the staged ops
-// in block order inside one atomic WAL group, followed by the height
-// record. Semantics of the results match CommitBlockAt.
+// the state lock and seals. Semantics of the results match
+// CommitBlockAt.
 func (p *PendingCommit) Seal() (committed []*txn.Transaction, skipped map[string]error, err error) {
 	s := p.s
 	stalled := p.ticket.Enter()
@@ -105,6 +138,22 @@ func (p *PendingCommit) Seal() (committed []*txn.Transaction, skipped map[string
 	if stalled {
 		s.ob.sealStalls.Inc()
 	}
+	return p.sealLocked()
+}
+
+// sealLocked is the one seal body, called with the state lock held:
+// it brackets the MVCC block, applies the staged ops in block order
+// inside one atomic WAL group followed by the height record — nothing
+// of the block is durable before everything is — and records the
+// block's plan/apply/seal attribution.
+func (p *PendingCommit) sealLocked() (committed []*txn.Transaction, skipped map[string]error, err error) {
+	s := p.s
+	// Bracket the block: every write between here and the seal is
+	// stamped with this height and stays invisible to snapshot readers
+	// until SealBlock publishes it atomically. Sealing also
+	// garbage-collects versions that fell out of the retained window;
+	// the index sweep rides the same moment, since that is when the
+	// retention floor advances.
 	bk := s.store.Backend()
 	bk.BeginBlock(p.height)
 	defer func() {
@@ -134,11 +183,7 @@ func (p *PendingCommit) Seal() (committed []*txn.Transaction, skipped map[string
 		for i, t := range committed {
 			ids[i] = t.ID
 		}
-		return s.store.Collection(ColBlocks).Upsert(blockKey(p.height), map[string]any{
-			"height": float64(p.height),
-			"count":  float64(len(committed)),
-			"txids":  ids,
-		})
+		return s.putBlockRecord(p.height, ids, false)
 	})
 	if err != nil {
 		return nil, nil, err

@@ -108,21 +108,7 @@ func commitDifferential(t *testing.T, seq, par *State, workers int, seed int64) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(txIDs(seqC), txIDs(parC)) {
-			t.Fatalf("block %d: committed sets differ:\n seq=%v\n par=%v", h, txIDs(seqC), txIDs(parC))
-		}
-		for id, serr := range seqS {
-			perr, ok := parS[id]
-			if !ok {
-				t.Fatalf("block %d: pipeline lost skip for %.8s (%v)", h, id, serr)
-			}
-			if fmt.Sprintf("%T", serr) != fmt.Sprintf("%T", perr) {
-				t.Fatalf("block %d: skip error type differs for %.8s: %T vs %T", h, id, serr, perr)
-			}
-		}
-		if len(seqS) != len(parS) {
-			t.Fatalf("block %d: skipped sets differ: %v vs %v", h, skippedIDs(seqS), skippedIDs(parS))
-		}
+		sameOutcome(t, h, seqC, seqS, parC, parS)
 	}
 	if seq.Height() != par.Height() {
 		t.Fatalf("heights differ: %d vs %d", seq.Height(), par.Height())

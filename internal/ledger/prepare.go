@@ -26,7 +26,7 @@ func DecisionKey(txID string) string { return "d:" + txID }
 
 // Prepared is one shard's staged share of a cross-shard transaction:
 // the exact mutation ops the shard will seal on commit, in the order
-// commitTxLocked would have performed them.
+// stageTx would have emitted them.
 type Prepared struct {
 	TxID string
 	ops  []stagedOp
@@ -267,12 +267,7 @@ func (s *State) ApplyPrepared(p *Prepared, decision map[string]any) (int64, erro
 		if cerr := bk.ClearTwoPC(PrepareKey(p.TxID)); cerr != nil {
 			return cerr
 		}
-		return s.store.Collection(ColBlocks).Upsert(blockKey(height), map[string]any{
-			"height": float64(height),
-			"count":  float64(1),
-			"txids":  []any{p.TxID},
-			"twopc":  true,
-		})
+		return s.putBlockRecord(height, []any{p.TxID}, true)
 	})
 	bk.SealBlock(height)
 	s.store.SweepIndexes()

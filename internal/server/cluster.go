@@ -96,7 +96,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		BlockInterval: cfg.BlockInterval,
 		MaxBlockTxs:   cfg.MaxBlockTxs,
 		Pipelined:     cfg.Pipelined,
-		AsyncCommit:   cfg.Node.AsyncCommit,
 		CommitDepth:   cfg.Node.CommitDepth,
 		Latency:       cfg.Latency,
 		Mempool: mempool.Config{

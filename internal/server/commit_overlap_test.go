@@ -83,12 +83,12 @@ func runAuctionWorkload(t *testing.T, nodeCfg Config) (committed []string, finge
 	return committed, fingerprints
 }
 
-// TestAsyncCommitDifferential runs the identical auction workload with
-// the synchronous commit and with the full overlapped pipeline (async
-// commit + per-group appliers + verdict reuse over the commit fence)
-// and requires byte-identical committed sets and chain state. Overlap
-// may reshape wall-clock, never state.
-func TestAsyncCommitDifferential(t *testing.T) {
+// TestCommitDepth1Vs2Differential runs the identical auction workload
+// with the synchronous commit (depth 1) and with the full overlapped
+// pipeline (depth 2 + per-group appliers + verdict reuse over the
+// commit fence) and requires byte-identical committed sets and chain
+// state. Overlap may reshape wall-clock, never state.
+func TestCommitDepth1Vs2Differential(t *testing.T) {
 	base := Config{
 		ReceiverTime:        2 * time.Millisecond,
 		ValidationTimePerTx: time.Millisecond,
@@ -99,7 +99,7 @@ func TestAsyncCommitDifferential(t *testing.T) {
 	syncCommitted, syncFPs := runAuctionWorkload(t, base)
 
 	async := base
-	async.AsyncCommit = true
+	async.CommitDepth = 2
 	async.CommitWorkers = 4
 	async.CommitTimePerTx = time.Millisecond
 	asyncCommitted, asyncFPs := runAuctionWorkload(t, async)

@@ -106,9 +106,8 @@ func (n *Node) batchIDs(batch []*txn.Transaction) []string {
 }
 
 // Obs returns the node's observability registry (nil when the node
-// runs the no-op build). The consensus engine picks it up through its
-// optional ObsApp surface to wire each node's mempool and stage
-// tracer to the same registry.
+// runs the no-op build). The consensus engine wires each node's
+// mempool and stage tracer to the same registry.
 func (n *Node) Obs() *obs.Registry { return n.cfg.Obs }
 
 // observeValidation records one block validation's shape: the

@@ -32,7 +32,7 @@ func runTracedWorkload(t *testing.T, dataDir string) (*obs.Registry, []string) {
 			AdmissionWorkers: 2,
 			MempoolBatch:     8,
 			CommitWorkers:    2,
-			AsyncCommit:      true,
+			CommitDepth:      2,
 		},
 	})
 	defer cluster.Close()

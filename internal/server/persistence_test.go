@@ -34,8 +34,8 @@ func dumpNode(n *Node) nodeDump {
 }
 
 // commitBlock pushes a batch through the consensus App surface the
-// real cluster uses: ValidateBlock filters it, Commit applies it at
-// the given height.
+// real cluster uses: ValidateBlock filters it, CommitStart and its
+// join apply it at the given height.
 func commitBlock(t *testing.T, n *Node, height int64, batch ...*txn.Transaction) {
 	t.Helper()
 	txs := make([]consensus.Tx, len(batch))
@@ -45,7 +45,7 @@ func commitBlock(t *testing.T, n *Node, height int64, batch ...*txn.Transaction)
 	if invalid := n.ValidateBlock(txs); len(invalid) != 0 {
 		t.Fatalf("block %d: %d transactions rejected", height, len(invalid))
 	}
-	n.Commit(height, txs)
+	n.CommitStart(height, txs)()
 }
 
 // TestNodeDataDirKillRestartRecoversIdenticalState is the acceptance

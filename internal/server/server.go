@@ -57,37 +57,30 @@ type Config struct {
 	// while the receiver is busy accumulate up to this size into the
 	// next batch.
 	MempoolBatch int
-	// CommitWorkers selects the pipelined block commit in the ledger:
-	// the block's conflict groups apply concurrently on this many
+	// CommitWorkers is the ledger block commit's stage parallelism:
+	// the block's conflict groups stage concurrently on this many
 	// workers and seal in block order as one WAL group. Values below 2
-	// keep the sequential commit. State bytes are identical either
+	// stage the batch sequentially. State bytes are identical either
 	// way.
 	CommitWorkers int
-	// AsyncCommit lets the consensus engine overlap block h's commit
-	// with height h+1's validation: Commit runs behind the node's
-	// commit fence (reads at h+1 that touch h's write footprint wait
-	// on the fence; disjoint ones proceed). Wired through
-	// consensus.Config.AsyncCommit by the cluster. Kept for
-	// compatibility: AsyncCommit is exactly CommitDepth 2, and setting
-	// CommitDepth explicitly overrides it.
-	AsyncCommit bool
 	// CommitDepth is the commit pipeline's depth: how many pipeline
 	// stages a decided block can overlap. Depth 1 serializes —
-	// validation of h+1 starts only after block h seals (the
-	// synchronous reference path). Depth 2 overlaps one in-flight
-	// commit with the next height's validation (the old AsyncCommit).
-	// Depth D lets up to D-1 blocks be mid-apply concurrently —
-	// admitted by the footprint fence, staged against MVCC overlays,
+	// validation of h+1 starts only after block h seals. Depth 2
+	// overlaps one in-flight commit with the next height's validation:
+	// the commit runs behind the node's commit fence (reads at h+1
+	// that touch h's write footprint wait on the fence; disjoint ones
+	// proceed). Depth D lets up to D-1 blocks be mid-apply concurrently
+	// — admitted by the footprint fence, staged against MVCC overlays,
 	// sealed strictly in height order so the WAL fsync is the only
 	// serial stage. Blocks whose footprints intersect never apply
 	// concurrently regardless of depth, so state bytes are identical
-	// to the sequential commit at every depth. Zero picks the default:
-	// 2 when AsyncCommit is set, else 1.
+	// at every depth. Wired through consensus.Config.CommitDepth by
+	// the cluster. Zero picks 1.
 	CommitDepth int
 	// CommitTimePerTx is the simulated per-transaction cost of the
-	// commit stage on the consensus engine's commit resource (only
-	// meaningful with AsyncCommit; zero keeps commits free in virtual
-	// time, as the synchronous path models them).
+	// commit stage in the consensus engine (charged to the execution
+	// resource at depth 1, to a commit slot above it; zero keeps
+	// commits free in virtual time).
 	CommitTimePerTx time.Duration
 	// DataDir selects the persistent storage engine: the node's chain
 	// state lives in a write-ahead log plus segment files under this
@@ -133,15 +126,8 @@ func (c *Config) fill() {
 		c.ValidationTimePerTx = time.Millisecond
 	}
 	if c.CommitDepth <= 0 {
-		if c.AsyncCommit {
-			c.CommitDepth = 2
-		} else {
-			c.CommitDepth = 1
-		}
+		c.CommitDepth = 1
 	}
-	// The depth is authoritative; the boolean is its >= 2 shadow, kept
-	// coherent for layers that still branch on it.
-	c.AsyncCommit = c.CommitDepth >= 2
 }
 
 // fenceDepth maps the pipeline depth onto the fence's in-flight
@@ -381,17 +367,7 @@ func (n *Node) Recover() int {
 
 // --- consensus.App implementation -----------------------------------
 
-// CheckTx admits a transaction to the mempool: full schema + semantic
-// validation against committed state.
-func (n *Node) CheckTx(tx consensus.Tx) error {
-	t, ok := tx.(*txn.Transaction)
-	if !ok {
-		return fmt.Errorf("server: unexpected tx type %T", tx)
-	}
-	return n.ValidateTx(t)
-}
-
-// CheckTxBatch validates one admission batch with per-transaction
+// CheckTxBatch admits one batch to the mempool with per-transaction
 // verdicts: schema validation per transaction (Algorithm 1, cheap and
 // independent), then the semantic condition sets dispatched over the
 // conflict-group scheduler on AdmissionWorkers workers. Intra-batch
@@ -472,24 +448,25 @@ func (n *Node) ReceiverBatchTime(txs []consensus.Tx) time.Duration {
 	return time.Duration(len(txs)) * n.cfg.ReceiverTime
 }
 
-// ValidateBlock re-validates a proposed block with intra-block conflict
-// detection (the CurrentTxs context of Algorithms 2–3) and returns the
-// transactions that must not be included. With ParallelWorkers > 1 the
-// batch is validated by the dependency-aware parallel scheduler;
-// transactions in one conflict group keep block order, so the result
-// is identical to the sequential pass.
+// ValidateBlock is ValidateBlockFresh with no verdict to reuse: every
+// transaction's semantic condition set runs.
 func (n *Node) ValidateBlock(txs []consensus.Tx) []consensus.Tx {
 	return n.ValidateBlockFresh(txs, nil)
 }
 
-// ValidateBlockFresh is ValidateBlock with verdict reuse (the
-// consensus.VerdictReuseApp surface): transactions flagged fresh skip
-// their semantic condition sets — their admission verdict was proven
-// against committed state and nothing committed since has written
-// into their footprints — and re-run only the structural duplicate
-// and intra-block double-spend checks. A nil fresh re-validates
-// everything. Either way the block first waits out any in-flight
-// asynchronous commit whose writes its footprints touch.
+// ValidateBlockFresh re-validates a proposed block with intra-block
+// conflict detection (the CurrentTxs context of Algorithms 2–3) and
+// returns the transactions that must not be included. With
+// ParallelWorkers > 1 the batch is validated by the dependency-aware
+// parallel scheduler; transactions in one conflict group keep block
+// order, so the result is identical to the sequential pass.
+// Transactions flagged fresh skip their semantic condition sets —
+// their admission verdict was proven against committed state and
+// nothing committed since has written into their footprints — and
+// re-run only the structural duplicate and intra-block double-spend
+// checks. A nil fresh re-validates everything. Either way the block
+// first waits out any in-flight commit whose writes its footprints
+// touch.
 func (n *Node) ValidateBlockFresh(txs []consensus.Tx, fresh []bool) []consensus.Tx {
 	batch, freshBatch := asTransactionsFresh(txs, fresh)
 	var plan *parallel.Plan
@@ -520,18 +497,10 @@ func (n *Node) ValidateBlockFresh(txs []consensus.Tx, fresh []bool) []consensus.
 	return invalid
 }
 
-// ReceiverTime reports the simulated receiver-node validation cost.
-func (n *Node) ReceiverTime(consensus.Tx) time.Duration { return n.cfg.ReceiverTime }
-
-// ValidationTime reports the simulated block validation cost. Under
-// parallel validation the cost is the makespan of scheduling the
+// ValidationTimeFresh reports the simulated block validation cost.
+// Under parallel validation the cost is the makespan of scheduling the
 // block's conflict groups on the worker pool rather than the batch
-// size — the simulated counterpart of the wall-clock speedup.
-func (n *Node) ValidationTime(txs []consensus.Tx) time.Duration {
-	return n.ValidationTimeFresh(txs, nil)
-}
-
-// ValidationTimeFresh is ValidationTime with verdict reuse: fresh
+// size — the simulated counterpart of the wall-clock speedup. Fresh
 // transactions cost nothing (their semantic checks are skipped), so
 // the block's cost is the weighted makespan of its stale remainder.
 func (n *Node) ValidationTimeFresh(txs []consensus.Tx, fresh []bool) time.Duration {
@@ -604,33 +573,28 @@ func asTransactionsFresh(txs []consensus.Tx, fresh []bool) ([]*txn.Transaction, 
 	return batch, flags
 }
 
-// Commit applies a decided block through the ledger's batched commit —
-// one lock acquisition and one atomic WAL batch per block instead of
-// per transaction — and fires the nested pipeline for each committed
-// transaction in block order. Per-transaction commit failures indicate
-// duplicates delivered through catch-up, which are safe to skip; a
-// storage failure means the node's durable state can no longer be
-// trusted and is fatal.
-func (n *Node) Commit(height int64, txs []consensus.Tx) {
-	join := n.CommitStart(height, txs)
-	join()
-}
-
-// CommitStart is the asynchronous half of the commit pipeline (the
-// consensus.AsyncApp surface): it admits the block into the depth-N
-// pipeline — publishing its write footprint on the commit fence and
-// reserving its slot in the seal order — then stages and seals it in
-// the background, and returns a join. Validation of later heights
-// proceeds meanwhile; reads into any unsealed block's writes wait on
-// the fence, disjoint reads run concurrently with the appliers. With
+// CommitStart applies a decided block through the ledger's one block
+// commit — one atomic WAL group per block instead of per transaction.
+// It admits the block into the depth-N pipeline — publishing its write
+// footprint on the commit fence and reserving its slot in the seal
+// order — then stages and seals it in the background, and returns a
+// join; a synchronous commit is CommitStart followed at once by its
+// join, which is what the engine does at depth 1. Per-transaction
+// commit failures indicate duplicates delivered through catch-up,
+// which are safe to skip; a storage failure means the node's durable
+// state can no longer be trusted and is fatal. Validation of later
+// heights proceeds meanwhile; reads into any unsealed block's writes
+// wait on the fence, disjoint reads run concurrently with the
+// appliers. With
 // CommitDepth > 2 several disjoint blocks stage concurrently; blocks
 // whose footprints intersect serialize at the fence's apply gate, and
 // every block's WAL group seals strictly in height order, so the
 // durable prefix is always a block prefix. Begin parks when
 // CommitDepth-1 blocks are already in flight — the backpressure that
 // bounds the pipeline. The join blocks until the block is sealed and
-// then runs the nested-transaction hooks on the caller's thread —
-// child submissions re-enter the network at join time, never from the
+// then runs the nested-transaction hooks for each committed
+// transaction, in block order, on the caller's thread — child
+// submissions re-enter the network at join time, never from the
 // background goroutine.
 func (n *Node) CommitStart(height int64, txs []consensus.Tx) (join func()) {
 	batch := asTransactions(txs)
@@ -674,12 +638,11 @@ func (n *Node) CommitStart(height int64, txs []consensus.Tx) (join func()) {
 	}
 }
 
-// CommitTime reports the simulated duration a block occupies the
-// consensus engine's commit resource: the makespan of its conflict
-// groups on the commit workers (the per-group appliers), in
-// CommitTimePerTx units. Zero cost unless configured — the
-// synchronous path modeled commits as free, and the default keeps
-// that calibration.
+// CommitTime reports the simulated duration of a block's commit in the
+// consensus engine: the makespan of its conflict groups on the commit
+// workers (the per-group appliers), in CommitTimePerTx units. Zero
+// cost unless configured — commits were first modeled as free, and the
+// default keeps that calibration.
 func (n *Node) CommitTime(txs []consensus.Tx) time.Duration {
 	if n.cfg.CommitTimePerTx <= 0 {
 		return 0

@@ -318,8 +318,12 @@ func TestMVCCSnapshotReadersRaceAppliers(t *testing.T) {
 					}
 					n := 0
 					c.ScanAt(h, func(key string, doc map[string]any) bool {
-						if bh := int64(doc["b"].(float64)); key != "counter" && bh > h {
-							panic(fmt.Sprintf("snapshot at %d leaked a write from block %d", h, bh))
+						// The seed counter (height 0) carries no "b": guard
+						// on the key before asserting the field's type.
+						if key != "counter" {
+							if bh := int64(doc["b"].(float64)); bh > h {
+								panic(fmt.Sprintf("snapshot at %d leaked a write from block %d", h, bh))
+							}
 						}
 						n++
 						return true
