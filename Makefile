@@ -2,15 +2,16 @@
 # keep green: build, go vet, the full suite on the memory backend, the
 # storage-sensitive suites again over the disk engine
 # (SCDB_BACKEND=disk swaps every ledger.NewState onto a throwaway
-# WAL+segment engine), a seconds-scale bench smoke run, and the repo
-# benchmark's own smoke test (a nested module `go test ./...` does not
-# reach). `make test-race` runs the concurrency-sensitive packages
+# WAL+segment engine), five seconds of fuzzing on each trust-boundary
+# decoder that has a target, a seconds-scale bench smoke run, and the
+# repo benchmark's own smoke test (a nested module `go test ./...` does
+# not reach). `make test-race` runs the concurrency-sensitive packages
 # under the race detector on both backends; `make test-flake` repeats
 # them 50 times at GOMAXPROCS 1 and 2.
 
 GO ?= go
 
-.PHONY: all build vet test test-disk test-bench test-race test-flake bench-parallel bench-storage bench-mempool bench-commit bench-query bench-mvcc bench-obs bench-shard bench-traffic bench-pipeline bench-smoke ci
+.PHONY: all build vet test test-disk test-bench test-race test-flake fuzz bench-alloc bench-parallel bench-storage bench-mempool bench-commit bench-query bench-mvcc bench-obs bench-shard bench-traffic bench-pipeline bench-smoke ci
 
 all: build test
 
@@ -23,6 +24,7 @@ vet:
 test: build vet
 	$(GO) test ./...
 	$(MAKE) test-disk
+	$(MAKE) fuzz FUZZTIME=5s
 	$(MAKE) bench-smoke
 	$(MAKE) test-bench
 
@@ -31,6 +33,26 @@ test: build vet
 # correctness gate, plus the BENCHMARK.json <-> metric-table check.
 test-bench:
 	cd benchmark && $(GO) test -count=1 .
+
+# Native fuzz targets, one `go test -fuzz` run each (the tool takes one
+# target at a time). FuzzTxnCodec: on any JSON object, txn.FromDoc and
+# the JSON round trip it replaced agree on accept/reject and on the
+# decoded value. A failing input is written under the package's
+# testdata/fuzz/ and then runs as a plain test — commit it with the fix.
+FUZZTIME ?= 60s
+
+fuzz:
+	$(GO) test ./internal/txn -run '^$$' -fuzz '^FuzzTxnCodec$$' -fuzztime $(FUZZTIME)
+
+# Per-call cost of the primitives a transaction passes through between
+# admission and the log — codec, footprint, committed-state reads,
+# encodability check, WAL group encode — over the two shapes the repo
+# benchmark streams (a 4-input TRANSFER, a CREATE with 1 KiB of
+# metadata). Their allocation counts are pinned by unit tests
+# (Test*Allocation*); this prints the bytes and the time. README
+# "Transaction codec and document ownership" has the table.
+bench-alloc:
+	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|MarshalCanonicalCold|OutputRefString|FootprintOf|StateView|StageBlock|EncodableDoc|EncodeGroup'
 
 # The tier-1 suites that touch chain state (ledger, server/cluster,
 # nested recovery, bench differential, query) re-run over the disk
@@ -53,8 +75,11 @@ test-disk:
 # query-engine-vs-block-commit race, over the WAL engine. The
 # txn/keys/driver leg covers the admission fast path: the per-tx
 # canonical-bytes memo (CAS copy-forward) and the batched signature
-# verifier's worker fan-out.
-RACE_PKGS = ./internal/mempool ./internal/parallel ./internal/ledger ./internal/consensus ./internal/server ./internal/bench ./internal/storage ./internal/docstore ./internal/query ./internal/obs ./internal/shard ./internal/txn ./internal/keys ./internal/driver
+# verifier's worker fan-out. nested is here because its commit hook
+# reads a borrowed (uncopied) stored document while later blocks stage;
+# the docstore suite's borrowing reader is what would catch a write
+# into one.
+RACE_PKGS = ./internal/mempool ./internal/parallel ./internal/ledger ./internal/consensus ./internal/server ./internal/bench ./internal/storage ./internal/docstore ./internal/query ./internal/obs ./internal/shard ./internal/txn ./internal/keys ./internal/driver ./internal/nested
 
 test-race:
 	$(GO) test -race $(RACE_PKGS)

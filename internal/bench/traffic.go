@@ -17,6 +17,7 @@ import (
 	"smartchaindb/internal/parallel"
 	"smartchaindb/internal/server"
 	"smartchaindb/internal/txn"
+	"smartchaindb/internal/workload"
 )
 
 // The traffic experiment is the repo's first latency-under-load
@@ -198,27 +199,7 @@ func trafficWorkload(p TrafficParams, users []*keys.KeyPair) (backing, stream []
 			for i := lo; i < hi; i++ {
 				owner := users[i%len(users)]
 				recipient := users[(i+1)%len(users)]
-				pub := owner.PublicBase58()
-				create := txn.NewCreate(pub, map[string]any{"kind": "wallet", "seq": i}, uint64(p.Inputs), nil)
-				outs := make([]*txn.Output, p.Inputs)
-				for j := range outs {
-					outs[j] = &txn.Output{PublicKeys: []string{pub}, Amount: 1}
-				}
-				create.Outputs = outs
-				if err := txn.Sign(create, owner); err != nil {
-					panic(fmt.Sprintf("bench: sign create: %v", err))
-				}
-				spends := make([]txn.Spend, p.Inputs)
-				for j := range spends {
-					spends[j] = txn.Spend{Ref: txn.OutputRef{TxID: create.ID, Index: j}, Owners: []string{pub}}
-				}
-				tr := txn.NewTransfer(create.ID, spends,
-					[]*txn.Output{{PublicKeys: []string{recipient.PublicBase58()}, Amount: uint64(p.Inputs)}}, nil)
-				if err := txn.Sign(tr, owner); err != nil {
-					panic(fmt.Sprintf("bench: sign transfer: %v", err))
-				}
-				backing[i] = create
-				stream[i] = tr
+				backing[i], stream[i] = workload.FanIn(owner, recipient.PublicBase58(), i, p.Inputs)
 			}
 		}(lo, hi)
 	}

@@ -147,7 +147,9 @@ func (s *Store) Close() error { return s.backend.Close() }
 
 // Collection is a concurrency-safe set of documents keyed by a string
 // primary key. Documents are deep-copied on the way in and out so
-// callers can never alias stored state.
+// callers can never alias stored state — except through Borrow, which
+// hands a reader the stored document itself on the promise that it
+// only reads.
 //
 // Reads come in two flavours. The plain methods (Get, Find, ...) read
 // the writer view — the newest version of every document, including
@@ -315,14 +317,33 @@ func (c *Collection) Upsert(key string, doc map[string]any) error {
 
 // Get returns a copy of the document stored under key (writer view).
 func (c *Collection) Get(key string) (map[string]any, error) {
-	if c.dropped.Load() {
-		return nil, &ErrNotFound{Collection: c.name, Key: key}
-	}
-	doc, ok := c.be.Get(key)
+	doc, ok := c.Borrow(key)
 	if !ok {
 		return nil, &ErrNotFound{Collection: c.name, Key: key}
 	}
 	return deepCopyMap(doc), nil
+}
+
+// Borrow returns the document stored under key itself (writer view),
+// not a copy, and whether it exists. The document is read-only: the
+// caller must not write to it or to anything it holds, and must not
+// hand it to code that might. In return it may keep it as long as it
+// likes — a stored document is never written to again (Insert and
+// Upsert store their own copy, Update and Delete replace the version,
+// and the MVCC chains only ever unlink one), so the borrowed value
+// stays what it was when it was read. Get is for everyone else.
+func (c *Collection) Borrow(key string) (map[string]any, bool) {
+	return c.BorrowAt(key, storage.HeightLatest)
+}
+
+// BorrowAt is Borrow as of block height h — Snapshot.Borrow without
+// the Snapshot, for a caller that reads one key per view (SnapshotAt
+// says which heights are exact).
+func (c *Collection) BorrowAt(key string, h int64) (map[string]any, bool) {
+	if c.dropped.Load() {
+		return nil, false
+	}
+	return c.be.GetAt(key, h)
 }
 
 // Has reports whether key exists (writer view).
@@ -783,22 +804,22 @@ func (s *Snapshot) Height() int64 { return s.h }
 
 // Get returns a copy of the document under key as of the view height.
 func (s *Snapshot) Get(key string) (map[string]any, error) {
-	if s.c.dropped.Load() {
-		return nil, &ErrNotFound{Collection: s.c.name, Key: key}
-	}
-	doc, ok := s.c.be.GetAt(key, s.h)
+	doc, ok := s.Borrow(key)
 	if !ok {
 		return nil, &ErrNotFound{Collection: s.c.name, Key: key}
 	}
 	return deepCopyMap(doc), nil
 }
 
+// Borrow is Collection.Borrow as of the view height: the stored
+// document itself, read-only.
+func (s *Snapshot) Borrow(key string) (map[string]any, bool) {
+	return s.c.BorrowAt(key, s.h)
+}
+
 // Has reports whether key existed at the view height.
 func (s *Snapshot) Has(key string) bool {
-	if s.c.dropped.Load() {
-		return false
-	}
-	_, ok := s.c.be.GetAt(key, s.h)
+	_, ok := s.Borrow(key)
 	return ok
 }
 

@@ -134,6 +134,104 @@ func TestSnapshotReadsTakeNoCollectionLock(t *testing.T) {
 	})
 }
 
+// TestBorrowedDocumentsNeverChange pins what Borrow rests on: a stored
+// document is never written to again. Borrowed through every accessor,
+// each must still equal its pre-image after its key was updated,
+// replaced and deleted and the versions it belonged to fell out of the
+// retention window.
+func TestBorrowedDocumentsNeverChange(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, s *Store) {
+		bk := s.Backend()
+		bk.SetRetain(2)
+		c := s.Collection("docs")
+		c.CreateIndex("kind")
+		c.CreateOrderedIndex("rank")
+		keys := []string{"updated", "upserted", "deleted"}
+		for i, k := range keys {
+			mustInsert(t, c, k, map[string]any{
+				"kind": "d", "rank": float64(i),
+				"nested": map[string]any{"x": 1.0, "deep": map[string]any{"y": "z"}},
+				"list":   []any{"a", map[string]any{"b": 2.0}},
+			})
+		}
+
+		type held struct {
+			via      string
+			doc, pre map[string]any
+		}
+		var all []held
+		snap := c.Snapshot()
+		for _, k := range keys {
+			for via, borrow := range map[string]func(string) (map[string]any, bool){
+				"Collection.Borrow":   c.Borrow,
+				"Snapshot.Borrow":     snap.Borrow,
+				"Collection.BorrowAt": func(k string) (map[string]any, bool) { return c.BorrowAt(k, snap.Height()) },
+			} {
+				doc, ok := borrow(k)
+				if !ok {
+					t.Fatalf("%s(%s) missed", via, k)
+				}
+				all = append(all, held{via: via + "(" + k + ")", doc: doc, pre: deepCopyMap(doc)})
+			}
+		}
+		if _, ok := c.Borrow("absent"); ok {
+			t.Error("Borrow found a key that was never stored")
+		}
+
+		rewrite := func(h int64) {
+			bk.BeginBlock(h)
+			if err := c.Update("updated", func(doc map[string]any) error {
+				doc["rank"] = float64(h)
+				doc["nested"].(map[string]any)["x"] = float64(h)
+				doc["nested"].(map[string]any)["deep"].(map[string]any)["y"] = "changed"
+				doc["list"].([]any)[0] = "changed"
+				doc["list"] = append(doc["list"].([]any), float64(h))
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Upsert("upserted", map[string]any{"kind": "e", "rank": float64(h)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Delete("deleted"); err != nil {
+				t.Fatal(err)
+			}
+			bk.SealBlock(h)
+			s.SweepIndexes()
+		}
+		start := bk.Visible()
+		for h := start + 1; h <= start+5; h++ {
+			rewrite(h)
+			for _, b := range all {
+				if !reflect.DeepEqual(b.doc, b.pre) {
+					t.Fatalf("after block %d: %s changed:\n got %v\nwant %v", h, b.via, b.doc, b.pre)
+				}
+			}
+		}
+		if bk.Floor() <= snap.Height() {
+			t.Fatalf("floor %d has not passed the borrowed height %d", bk.Floor(), snap.Height())
+		}
+		// The writes did land — beside the borrowed versions, not in them.
+		if got, _ := c.Get("updated"); got["nested"].(map[string]any)["x"] != float64(start+5) {
+			t.Errorf("update did not land: %v", got)
+		}
+		if c.Has("deleted") {
+			t.Error("delete did not land")
+		}
+		// A borrowed document and a Get of the same key are equal and
+		// distinct: Get's copy is the caller's to change.
+		borrowed, _ := c.Borrow("upserted")
+		got, _ := c.Get("upserted")
+		if !reflect.DeepEqual(borrowed, got) {
+			t.Errorf("Borrow %v differs from Get %v", borrowed, got)
+		}
+		got["kind"] = "mine"
+		if borrowed["kind"] != "e" {
+			t.Error("Get handed out the stored document")
+		}
+	})
+}
+
 // TestSnapshotReadersRaceBlockAppliers is the race-gate pin at the
 // docstore layer: each block rewrites every document with a uniform
 // version stamp, and concurrent snapshot readers must always observe
@@ -187,12 +285,53 @@ func TestSnapshotReadersRaceBlockAppliers(t *testing.T) {
 			}()
 		}
 
+		// A borrowing reader: it holds the stored documents themselves
+		// (writer view and snapshot) across the writer's Upserts and
+		// Updates of the same keys and keeps re-reading them. A write
+		// into a stored document, rather than a new version beside it,
+		// is a data race here and a changed pre-image.
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			type held struct{ doc, pre map[string]any }
+			var ring [2 * docs]held
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				key := fmt.Sprintf("k%d", n%docs)
+				doc, ok := c.Borrow(key)
+				if n%2 == 1 {
+					doc, ok = c.Snapshot().Borrow(key)
+				}
+				if !ok {
+					panic("borrow missed " + key)
+				}
+				ring[n%len(ring)] = held{doc: doc, pre: deepCopyMap(doc)}
+				for _, h := range ring {
+					if !reflect.DeepEqual(h.doc, h.pre) {
+						panic(fmt.Sprintf("borrowed document changed: %v, was %v", h.doc, h.pre))
+					}
+				}
+			}
+		}()
+
 		start := bk.Visible()
 		for h := start + 1; h <= start+blocks; h++ {
 			bk.BeginBlock(h)
 			for i := 0; i < docs; i++ {
-				if err := c.Upsert(fmt.Sprintf("k%d", i), map[string]any{
-					"v": float64(h), "kind": "d",
+				key := fmt.Sprintf("k%d", i)
+				if err := c.Upsert(key, map[string]any{
+					"v": float64(h), "kind": "d", "seen": []any{},
+				}); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Update(key, func(doc map[string]any) error {
+					doc["seen"] = append(doc["seen"].([]any), float64(h))
+					doc["updated"] = true
+					return nil
 				}); err != nil {
 					t.Fatal(err)
 				}

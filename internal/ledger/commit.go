@@ -38,32 +38,46 @@ type stagedTx struct {
 
 // groupOverlay is an applier's read view: the group's own staged
 // writes over committed state. Only the keys a transaction's checks
-// consult are tracked — transaction existence and UTXO records.
+// consult are tracked — transaction existence, the UTXO records the
+// group created, and the spends it made.
 type groupOverlay struct {
 	s     *State
 	txIDs map[string]bool
-	utxos map[string]map[string]any
+	utxos map[string]map[string]any // outputs staged by the group
+	spent map[string]string         // UTXO key → spender staged by the group
 }
 
 func newGroupOverlay(s *State) *groupOverlay {
-	return &groupOverlay{s: s, txIDs: make(map[string]bool), utxos: make(map[string]map[string]any)}
+	return &groupOverlay{s: s, txIDs: make(map[string]bool), utxos: make(map[string]map[string]any), spent: make(map[string]string)}
 }
 
 func (o *groupOverlay) hasTx(id string) bool {
 	return o.txIDs[id] || o.s.store.Collection(ColTransactions).Has(id)
 }
 
-// getUTXO returns the staged or committed UTXO record. Staged records
-// are returned by reference; callers must not mutate them.
+// getUTXO returns the staged or committed UTXO record, by reference
+// either way (a committed record is borrowed from the store); callers
+// must not mutate it. Its spent fields are the committed ones: who has
+// spent it in the group's view is spenderOf's answer.
 func (o *groupOverlay) getUTXO(key string) (map[string]any, bool) {
 	if doc, ok := o.utxos[key]; ok {
 		return doc, true
 	}
-	doc, err := o.s.store.Collection(ColUTXOs).Get(key)
-	if err != nil {
-		return nil, false
+	return o.s.store.Collection(ColUTXOs).Borrow(key)
+}
+
+// spenderOf reports whether the UTXO exists in the group's view and
+// which transaction, staged or committed, has spent it ("": none).
+func (o *groupOverlay) spenderOf(key string) (spender string, exists bool) {
+	if spender, ok := o.spent[key]; ok {
+		return spender, true
 	}
-	return doc, true
+	doc, ok := o.getUTXO(key)
+	if !ok {
+		return "", false
+	}
+	spender, _ = doc["spent_by"].(string)
+	return spender, true
 }
 
 // stageTx checks one transaction against the overlay and stages its
@@ -75,12 +89,15 @@ func (o *groupOverlay) stageTx(t *txn.Transaction) *stagedTx {
 		return &stagedTx{err: &txn.DuplicateTransactionError{TxID: t.ID, Reason: "already committed"}}
 	}
 	// Check all spends first so failure stages nothing.
-	for _, ref := range t.SpentRefs() {
-		doc, ok := o.getUTXO(utxoKey(ref))
+	refs := t.SpentRefs()
+	spendKeys := make([]string, len(refs))
+	for i, ref := range refs {
+		spendKeys[i] = utxoKey(ref)
+		spender, ok := o.spenderOf(spendKeys[i])
 		if !ok {
 			return &stagedTx{err: &txn.InputDoesNotExistError{TxID: ref.TxID}}
 		}
-		if spender, _ := doc["spent_by"].(string); spender != "" {
+		if spender != "" {
 			return &stagedTx{err: &txn.DoubleSpendError{Ref: ref, SpentBy: spender}}
 		}
 	}
@@ -108,24 +125,15 @@ func (o *groupOverlay) stageTx(t *txn.Transaction) *stagedTx {
 	if err := storage.EncodableDoc(txDoc); err != nil {
 		return &stagedTx{err: fmt.Errorf("ledger: insert tx: %w", err)}
 	}
-	st := &stagedTx{}
+	st := &stagedTx{ops: make([]stagedOp, 0, 2+len(spendKeys)+len(t.Outputs))}
 	st.ops = append(st.ops, stagedOp{kind: opInsertTx, key: t.ID, doc: txDoc})
-	for _, ref := range t.SpentRefs() {
-		key := utxoKey(ref)
+	for _, key := range spendKeys {
 		st.ops = append(st.ops, stagedOp{kind: opMarkSpent, key: key, spender: t.ID})
 		// Absorb the spent mark so a same-group rival sees the double
 		// spend exactly as the sequential pass would.
-		prev, _ := o.getUTXO(key)
-		next := make(map[string]any, len(prev)+2)
-		for k, v := range prev {
-			next[k] = v
-		}
-		next["spent"] = true
-		next["spent_by"] = t.ID
-		o.utxos[key] = next
+		o.spent[key] = t.ID
 	}
 	for i, out := range t.Outputs {
-		ref := txn.OutputRef{TxID: t.ID, Index: i}
 		owners := make([]any, len(out.PublicKeys))
 		for j, k := range out.PublicKeys {
 			owners[j] = k
@@ -145,8 +153,9 @@ func (o *groupOverlay) stageTx(t *txn.Transaction) *stagedTx {
 			"spent":          false,
 			"spent_by":       "",
 		}
-		st.ops = append(st.ops, stagedOp{kind: opInsertUTXO, key: utxoKey(ref), doc: doc})
-		o.utxos[utxoKey(ref)] = doc
+		key := utxoKey(txn.OutputRef{TxID: t.ID, Index: i})
+		st.ops = append(st.ops, stagedOp{kind: opInsertUTXO, key: key, doc: doc})
+		o.utxos[key] = doc
 	}
 	if t.Operation == txn.OpCreate || t.Operation == txn.OpRequest {
 		data := map[string]any{}

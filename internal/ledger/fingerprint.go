@@ -28,9 +28,9 @@ func (s *State) Fingerprint() string {
 		sort.Strings(keys)
 		h.Write([]byte(col))
 		for _, key := range keys {
-			doc, err := c.Get(key)
-			if err != nil {
-				continue // dropped between Keys and Get; not possible under the commit lock
+			doc, ok := c.Borrow(key)
+			if !ok {
+				continue // dropped between Keys and Borrow; not possible under the commit lock
 			}
 			h.Write([]byte(key))
 			buf = txn.AppendCanonicalDoc(buf[:0], doc)

@@ -216,6 +216,9 @@ func (s *State) SetChildren(parentID string, children []string) error {
 // GetTx returns a committed transaction by ID.
 func (s *State) GetTx(id string) (*txn.Transaction, error) { return s.View().GetTx(id) }
 
+// OperationOf reports a committed transaction's operation.
+func (s *State) OperationOf(id string) (string, bool) { return s.View().OperationOf(id) }
+
 // IsCommitted reports whether the transaction exists in the log.
 func (s *State) IsCommitted(id string) bool { return s.View().IsCommitted(id) }
 

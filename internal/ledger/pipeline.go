@@ -91,13 +91,23 @@ type PendingCommit struct {
 // CommitWorkers < 2 (or a single-transaction batch) the batch stages
 // sequentially against one shared overlay — the same check-then-stage
 // sequence, block order.
-func (p *PendingCommit) Stage(batch []*txn.Transaction) {
+func (p *PendingCommit) Stage(batch []*txn.Transaction) { p.StagePlan(batch, nil) }
+
+// StagePlan is Stage with the batch's conflict plan already built —
+// the server planned the block to validate it and to publish its
+// fence keys, so the commit need not derive the footprints again. The
+// plan must be parallel.BuildPlan of exactly this batch; nil plans on
+// demand.
+func (p *PendingCommit) StagePlan(batch []*txn.Transaction, plan *parallel.Plan) {
 	s := p.s
 	p.batch = batch
 	p.t0 = time.Now()
 	p.staged = make([]*stagedTx, len(batch))
 	if s.commitWorkers > 1 && len(batch) > 1 {
-		p.plan = parallel.BuildPlan(batch)
+		if plan == nil {
+			plan = parallel.BuildPlan(batch)
+		}
+		p.plan = plan
 		p.planD = time.Since(p.t0)
 		// busy accumulates per-group applier time so busy/(wall*workers)
 		// reports the phase's worker utilization.

@@ -30,10 +30,11 @@ func DecisionKey(txID string) string { return "d:" + txID }
 type Prepared struct {
 	TxID string
 	ops  []stagedOp
-	// InputDocs maps each owned spent input (by UTXO key) to a copy of
-	// its committed record — the coordinator's cross-check material
-	// (owners, asset, amount). Not persisted: checks run before the
-	// prepare is logged.
+	// InputDocs maps each owned spent input (by UTXO key) to its
+	// committed record — the coordinator's cross-check material
+	// (owners, asset, amount). The records are borrowed from the store
+	// and read-only. Not persisted: checks run before the prepare is
+	// logged.
 	InputDocs map[string]map[string]any
 }
 
@@ -58,8 +59,8 @@ func (s *State) StageOwned(t *txn.Transaction, home bool, owns func(txn.OutputRe
 			continue
 		}
 		key := utxoKey(ref)
-		doc, err := s.store.Collection(ColUTXOs).Get(key)
-		if err != nil {
+		doc, ok := s.store.Collection(ColUTXOs).Borrow(key)
+		if !ok {
 			return nil, &txn.InputDoesNotExistError{TxID: ref.TxID}
 		}
 		if spender, _ := doc["spent_by"].(string); spender != "" {
@@ -208,8 +209,8 @@ func (s *State) Applied(p *Prepared) bool {
 		case opInsertTx:
 			return s.store.Collection(ColTransactions).Has(op.key)
 		case opMarkSpent:
-			doc, err := s.store.Collection(ColUTXOs).Get(op.key)
-			if err != nil {
+			doc, ok := s.store.Collection(ColUTXOs).Borrow(op.key)
+			if !ok {
 				return false
 			}
 			spender, _ := doc["spent_by"].(string)
@@ -241,8 +242,8 @@ func (s *State) ApplyPrepared(p *Prepared, decision map[string]any) (int64, erro
 				return 0, fmt.Errorf("ledger: apply prepared %s: transaction already committed", p.TxID)
 			}
 		case opMarkSpent:
-			doc, err := utxos.Get(op.key)
-			if err != nil {
+			doc, ok := utxos.Borrow(op.key)
+			if !ok {
 				return 0, fmt.Errorf("ledger: apply prepared %s: input %s vanished", p.TxID, op.key)
 			}
 			if spender, _ := doc["spent_by"].(string); spender != "" {

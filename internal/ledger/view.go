@@ -63,19 +63,40 @@ func (v *StateView) col(name string) *docstore.Snapshot {
 // queries through.
 func (v *StateView) Collection(name string) *docstore.Snapshot { return v.col(name) }
 
-// GetTx returns the transaction committed as of the view height.
+// borrow returns the stored document under key at the view height —
+// the document itself, read-only (docstore.Collection.Borrow). Every
+// point read in this file decodes or inspects it and lets it go.
+func (v *StateView) borrow(col, key string) (map[string]any, bool) {
+	return v.s.store.Collection(col).BorrowAt(key, v.h)
+}
+
+// GetTx returns the transaction committed as of the view height. The
+// transaction is the caller's own: FromDoc shares nothing mutable with
+// the stored document.
 func (v *StateView) GetTx(id string) (*txn.Transaction, error) {
-	doc, err := v.col(ColTransactions).Get(id)
-	if err != nil {
+	doc, ok := v.borrow(ColTransactions, id)
+	if !ok {
 		return nil, &txn.InputDoesNotExistError{TxID: id}
 	}
 	return txn.FromDoc(doc)
 }
 
+// OperationOf reports the operation of the transaction committed under
+// id as of the view height, without decoding the rest of it.
+func (v *StateView) OperationOf(id string) (string, bool) {
+	doc, ok := v.borrow(ColTransactions, id)
+	if !ok {
+		return "", false
+	}
+	op, ok := doc["operation"].(string)
+	return op, ok
+}
+
 // IsCommitted reports whether the transaction was in the log at the
 // view height.
 func (v *StateView) IsCommitted(id string) bool {
-	return v.col(ColTransactions).Has(id)
+	_, ok := v.borrow(ColTransactions, id)
+	return ok
 }
 
 // TxCount returns the number of transactions committed by the view
@@ -97,8 +118,8 @@ func (v *StateView) OutputAt(ref txn.OutputRef) (*txn.Output, error) {
 // OutputAssetID reports the asset whose shares the output held at the
 // view height.
 func (v *StateView) OutputAssetID(ref txn.OutputRef) (string, bool) {
-	doc, err := v.col(ColUTXOs).Get(utxoKey(ref))
-	if err != nil {
+	doc, ok := v.borrow(ColUTXOs, utxoKey(ref))
+	if !ok {
 		return "", false
 	}
 	id, _ := doc["asset_id"].(string)
@@ -108,8 +129,8 @@ func (v *StateView) OutputAssetID(ref txn.OutputRef) (string, bool) {
 // SpenderOf reports which transaction had spent ref as of the view
 // height, if any.
 func (v *StateView) SpenderOf(ref txn.OutputRef) (string, bool) {
-	doc, err := v.col(ColUTXOs).Get(utxoKey(ref))
-	if err != nil {
+	doc, ok := v.borrow(ColUTXOs, utxoKey(ref))
+	if !ok {
 		return "", false
 	}
 	spender, _ := doc["spent_by"].(string)
@@ -119,8 +140,8 @@ func (v *StateView) SpenderOf(ref txn.OutputRef) (string, bool) {
 // IsUnspent reports whether ref existed and was unspent at the view
 // height.
 func (v *StateView) IsUnspent(ref txn.OutputRef) bool {
-	doc, err := v.col(ColUTXOs).Get(utxoKey(ref))
-	if err != nil {
+	doc, ok := v.borrow(ColUTXOs, utxoKey(ref))
+	if !ok {
 		return false
 	}
 	spent, _ := doc["spent"].(bool)
@@ -222,8 +243,8 @@ func (v *StateView) Fingerprint() string {
 		sort.Strings(keys)
 		h.Write([]byte(col))
 		for _, key := range keys {
-			doc, err := snap.Get(key)
-			if err != nil {
+			doc, ok := snap.Borrow(key)
+			if !ok {
 				continue
 			}
 			h.Write([]byte(key))

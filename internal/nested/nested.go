@@ -102,17 +102,19 @@ func (e *Engine) OnChildCommitted(child *txn.Transaction) {
 		return
 	}
 	ref := *child.Inputs[0].Fulfills
-	parent, err := e.state.GetTx(ref.TxID)
-	if err != nil || parent.Operation != txn.OpAcceptBid {
+	// Every committed TRANSFER and RETURN comes through here, and all
+	// but the nested children stop at this line: ask for the parent's
+	// operation, not for the parent.
+	if op, _ := e.state.OperationOf(ref.TxID); op != txn.OpAcceptBid {
 		return
 	}
-	if err := e.state.MarkReturnDone(parent.ID, ref.Index, child.ID); err != nil {
+	if err := e.state.MarkReturnDone(ref.TxID, ref.Index, child.ID); err != nil {
 		return // already marked by an earlier replica of this child
 	}
-	if rec, err := e.state.RecoveryFor(parent.ID); err == nil {
+	if rec, err := e.state.RecoveryFor(ref.TxID); err == nil {
 		// Children are excluded from the signing payload, so updating
 		// the vector after the fact is safe.
-		_ = e.state.SetChildren(parent.ID, rec.Done)
+		_ = e.state.SetChildren(ref.TxID, rec.Done)
 	}
 }
 

@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"sort"
+	"strconv"
 	"sync"
 
 	"smartchaindb/internal/txn"
@@ -25,11 +26,26 @@ type Footprint struct {
 // FootprintOf computes the footprint directly from the transaction
 // document — no execution, per the declarative model.
 func FootprintOf(t *txn.Transaction) Footprint {
-	var f Footprint
+	// Both slices are sized to what the sweep below appends.
+	n := len(t.Refs)
+	for _, in := range t.Inputs {
+		if in.Fulfills != nil {
+			n++
+		}
+	}
+	f := Footprint{Writes: make([]string, 0, 1+n)}
+	if t.Asset != nil && t.Asset.ID != "" {
+		n++
+	}
+	if n > 0 {
+		f.Reads = make([]string, 0, n)
+	}
 	f.Writes = append(f.Writes, "tx:"+t.ID)
-	for _, ref := range t.SpentRefs() {
-		f.Writes = append(f.Writes, "utxo:"+ref.String())
-		f.Reads = append(f.Reads, "tx:"+ref.TxID)
+	for _, in := range t.Inputs {
+		if ref := in.Fulfills; ref != nil {
+			f.Writes = append(f.Writes, spendKey(*ref))
+			f.Reads = append(f.Reads, "tx:"+ref.TxID)
+		}
 	}
 	for _, id := range t.Refs {
 		f.Writes = append(f.Writes, "ref:"+id)
@@ -39,6 +55,11 @@ func FootprintOf(t *txn.Transaction) Footprint {
 		f.Reads = append(f.Reads, "tx:"+t.Asset.ID)
 	}
 	return f
+}
+
+// spendKey is the state key of one spent output: "utxo:" + ref.String().
+func spendKey(ref txn.OutputRef) string {
+	return "utxo:" + ref.TxID + ":" + strconv.Itoa(ref.Index)
 }
 
 // SpendKeys returns the exclusive spent-output keys of a transaction —
@@ -53,7 +74,7 @@ func SpendKeys(t *txn.Transaction) []string {
 	}
 	keys := make([]string, len(refs))
 	for i, ref := range refs {
-		keys[i] = "utxo:" + ref.String()
+		keys[i] = spendKey(ref)
 	}
 	return keys
 }
@@ -245,11 +266,26 @@ func (p *Plan) RunGroups(workers int, run func(group []int)) {
 // TouchKeys unions the plan's full footprints (reads and writes) —
 // the fence key set of a batch whose plan is already built, saving
 // the footprint re-derivation TouchKeys-on-transactions would do.
-func (p *Plan) TouchKeys() []string {
-	var keys []string
+func (p *Plan) TouchKeys() []string { return p.unionKeys(true) }
+
+// WriteKeys unions the plan's write footprints — what WriteKeys on the
+// batch would return, from the footprints already derived.
+func (p *Plan) WriteKeys() []string { return p.unionKeys(false) }
+
+func (p *Plan) unionKeys(reads bool) []string {
+	n := 0
+	for _, fp := range p.Footprints {
+		n += len(fp.Writes)
+		if reads {
+			n += len(fp.Reads)
+		}
+	}
+	keys := make([]string, 0, n)
 	for _, fp := range p.Footprints {
 		keys = append(keys, fp.Writes...)
-		keys = append(keys, fp.Reads...)
+		if reads {
+			keys = append(keys, fp.Reads...)
+		}
 	}
 	return keys
 }

@@ -153,8 +153,19 @@ func (r *Registry) ValidateDoc(doc map[string]any) error {
 	return nil
 }
 
-// ValidateTx runs ValidateDoc over a Transaction value.
+// ValidateTx runs ValidateDoc over a Transaction value. The share
+// counts are checked against the schemas' maximum on the struct first:
+// the document carries them as float64, where 2^53+1 has already
+// become 2^53 and would pass.
 func (r *Registry) ValidateTx(t *txn.Transaction) error {
+	if t.Asset != nil && t.Asset.Shares > txn.MaxAmount {
+		return &txn.SchemaError{Op: t.Operation, Path: "$.asset.shares", Msg: fmt.Sprintf("%d > maximum %d", t.Asset.Shares, uint64(txn.MaxAmount))}
+	}
+	for i, o := range t.Outputs {
+		if o != nil && o.Amount > txn.MaxAmount {
+			return &txn.SchemaError{Op: t.Operation, Path: fmt.Sprintf("$.outputs[%d].amount", i), Msg: fmt.Sprintf("%d > maximum %d", o.Amount, uint64(txn.MaxAmount))}
+		}
+	}
 	return r.ValidateDoc(t.ToDoc())
 }
 

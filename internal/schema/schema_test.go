@@ -2,6 +2,7 @@ package schema
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -322,6 +323,55 @@ func TestRegistryRejectsStructuralViolations(t *testing.T) {
 		if err := r.ValidateDoc(doc); err == nil {
 			t.Errorf("%s: should be rejected", name)
 		}
+	}
+}
+
+// TestAmountAndSharesStopAt2Pow53: a document carries share counts as
+// float64, so 2^53 — the last integer before float64 starts skipping —
+// is the largest the schemas admit, on the document and on the struct
+// (where 2^53+1 would otherwise round down to 2^53 and pass).
+func TestAmountAndSharesStopAt2Pow53(t *testing.T) {
+	r := newTestRegistry(t)
+	issuer := keys.MustGenerate()
+	build := func(shares, amount uint64) *txn.Transaction {
+		tx := txn.NewCreate(issuer.PublicBase58(), map[string]any{"capabilities": []any{"cnc"}}, shares, nil)
+		tx.Outputs[0].Amount = amount
+		if err := txn.Sign(tx, issuer); err != nil {
+			t.Fatal(err)
+		}
+		return tx
+	}
+	const max = uint64(txn.MaxAmount)
+	if err := r.ValidateTx(build(max, max)); err != nil {
+		t.Errorf("2^53 refused: %v", err)
+	}
+	for _, over := range []uint64{max + 1, max + 2, math.MaxUint64} {
+		var se *txn.SchemaError
+		if err := r.ValidateTx(build(1, over)); !errors.As(err, &se) {
+			t.Errorf("amount %d: want SchemaError, got %v", over, err)
+		}
+		if err := r.ValidateTx(build(over, 1)); !errors.As(err, &se) {
+			t.Errorf("shares %d: want SchemaError, got %v", over, err)
+		}
+	}
+	doc := build(1, 1).ToDoc()
+	above := math.Nextafter(float64(max), math.Inf(1))
+	doc["outputs"].([]any)[0].(map[string]any)["amount"] = above
+	if err := r.ValidateDoc(doc); err == nil {
+		t.Error("document amount above 2^53 accepted")
+	}
+	doc = build(1, 1).ToDoc()
+	doc["asset"].(map[string]any)["shares"] = above
+	if err := r.ValidateDoc(doc); err == nil {
+		t.Error("document shares above 2^53 accepted")
+	}
+	request := txn.NewRequest(issuer.PublicBase58(), map[string]any{"capabilities": []any{"cnc"}}, nil)
+	request.Asset.Shares = max + 2
+	if err := txn.Sign(request, issuer); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ValidateDoc(request.ToDoc()); err == nil {
+		t.Error("REQUEST document shares above 2^53 accepted")
 	}
 }
 

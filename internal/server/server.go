@@ -598,8 +598,13 @@ func asTransactionsFresh(txs []consensus.Tx, fresh []bool) ([]*txn.Transaction, 
 // background goroutine.
 func (n *Node) CommitStart(height int64, txs []consensus.Tx) (join func()) {
 	batch := asTransactions(txs)
+	// One footprint sweep serves the whole commit: the plan (the one
+	// ValidateBlockFresh built, when this is the batch it validated)
+	// supplies the fence's write and touch keys and the stage's
+	// conflict groups.
+	plan := n.planFor(batch)
 	h := n.baseHeight + height
-	if waited := n.fence.Begin(h, parallel.WriteKeys(batch)); waited {
+	if waited := n.fence.Begin(h, plan.WriteKeys()); waited {
 		n.ob.stackWaits.Inc()
 	}
 	n.ob.inflight.Set(int64(n.fence.InFlight()))
@@ -615,10 +620,10 @@ func (n *Node) CommitStart(height int64, txs []consensus.Tx) (join func()) {
 		// writes intersect this block's reads or writes — the
 		// precondition that makes overlapped staging read exactly the
 		// sequential prefix.
-		if stalled := n.fence.WaitApply(h, parallel.TouchKeys(batch)); stalled {
+		if stalled := n.fence.WaitApply(h, plan.TouchKeys()); stalled {
 			n.ob.applyStalls.Inc()
 		}
-		pending.Stage(batch)
+		pending.StagePlan(batch, plan)
 		var err error
 		committed, _, err = pending.Seal()
 		if err != nil {

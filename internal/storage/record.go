@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/bits"
 )
 
 // Mutation ops inside a WAL payload. opPrepare and opDecide are the
@@ -51,6 +53,13 @@ func appendBytes(b, p []byte) []byte {
 	return append(b, p...)
 }
 
+// uvarintLen is the number of bytes appendUvarint writes for v.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// stringLen is the number of bytes appendString and appendBytes write
+// for n bytes of content.
+func stringLen(n int) int { return uvarintLen(uint64(n)) + n }
+
 // byteReader walks an encoded payload.
 type byteReader struct {
 	b   []byte
@@ -96,7 +105,17 @@ func (r *byteReader) readByte() (byte, error) {
 // encodeGroup renders a mutation group into one WAL payload, stamped
 // with the block height the group's memtable writes carried.
 func encodeGroup(height int64, muts []mutation) []byte {
-	b := []byte{walPayloadVersion}
+	// Sized from what is about to be appended, so a block's payload is
+	// one exact allocation, not a doubling series.
+	size := 1 + uvarintLen(uint64(height)) + uvarintLen(uint64(len(muts)))
+	for _, m := range muts {
+		size += 1 + stringLen(len(m.coll)) + stringLen(len(m.key))
+		if m.op == opPut || m.op == opPrepare || m.op == opDecide {
+			size += stringLen(len(m.doc))
+		}
+	}
+	b := make([]byte, 0, size)
+	b = append(b, walPayloadVersion)
 	b = appendUvarint(b, uint64(height))
 	b = appendUvarint(b, uint64(len(muts)))
 	for _, m := range muts {
@@ -167,8 +186,47 @@ func decodeGroup(payload []byte, fn func(height int64, m mutation) error) error 
 // parallel apply phase, so an unencodable transaction is skipped with
 // no side effects before the seal ever touches the WAL.
 func EncodableDoc(doc map[string]any) error {
-	_, err := marshalDoc(doc)
-	return err
+	return encodableValue(doc)
+}
+
+// encodableValue walks a value by kind, allocating nothing, and
+// refuses what the encoding refuses — NaN, ±Inf — along with every Go
+// type outside the document shape Collection.Put names (plus the other
+// Go number types, which encode as the same JSON numbers): a channel
+// or func would fail the encode, and anything else would come back
+// from a reopen as a different type than was stored.
+func encodableValue(v any) error {
+	switch x := v.(type) {
+	case nil, bool, string,
+		int, int8, int16, int32, int64, uint, uint8, uint16, uint32, uint64:
+		return nil
+	case float64:
+		return encodableFloat(x)
+	case float32:
+		return encodableFloat(float64(x))
+	case map[string]any:
+		for _, e := range x {
+			if err := encodableValue(e); err != nil {
+				return err
+			}
+		}
+		return nil
+	case []any:
+		for _, e := range x {
+			if err := encodableValue(e); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return fmt.Errorf("storage: document not JSON-representable: unsupported type %T", v)
+}
+
+func encodableFloat(f float64) error {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return fmt.Errorf("storage: document not JSON-representable: unsupported value: %v", f)
+	}
+	return nil
 }
 
 // marshalDoc renders a document into canonical JSON (object keys are

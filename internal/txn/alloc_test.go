@@ -1,0 +1,107 @@
+package txn_test
+
+import (
+	"testing"
+
+	"smartchaindb/internal/txn"
+	"smartchaindb/internal/workload"
+)
+
+// TestCodecAllocationCeilings holds each codec primitive to an
+// allocation count on the 4-input transfer, so that a regression fails
+// here and not in a benchmark. ToDoc's count is what the document shape
+// costs: two allocations per object, one box per string and number.
+func TestCodecAllocationCeilings(t *testing.T) {
+	if txn.RaceEnabled {
+		t.Skip("race detector disables sync.Pool reuse; allocation count is meaningless")
+	}
+	_, tr, _ := workload.BenchmarkShapes()
+	doc := tr.ToDoc()
+	for _, c := range []struct {
+		name    string
+		ceiling float64
+		fn      func()
+	}{
+		{"ToDoc", 58, func() { tr.ToDoc() }},
+		{"FromDoc", 20, func() {
+			if _, err := txn.FromDoc(doc); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// The exact-size copy and the memo cell it is published in.
+		{"cold SigningPayload", 2, func() { tr.Invalidate(); tr.SigningPayload() }},
+		{"cold MarshalCanonical", 2, func() { tr.Invalidate(); tr.MarshalCanonical() }},
+		{"OutputRef.String", 1, func() { _ = tr.Inputs[3].Fulfills.String() }},
+	} {
+		c.fn() // warm the encoder pool
+		if got := testing.AllocsPerRun(200, c.fn); got > c.ceiling {
+			t.Errorf("%s: %v allocations, ceiling %v", c.name, got, c.ceiling)
+		}
+	}
+}
+
+func benchShapes(b *testing.B, fn func(b *testing.B, t *txn.Transaction)) {
+	_, transfer4, create1k := workload.BenchmarkShapes()
+	b.Run("transfer4", func(b *testing.B) { fn(b, transfer4) })
+	b.Run("create1k", func(b *testing.B) { fn(b, create1k) })
+}
+
+// Typed sinks: storing into an any would count its box.
+var (
+	sinkDoc   map[string]any
+	sinkTx    *txn.Transaction
+	sinkBytes []byte
+	sinkStr   string
+)
+
+func BenchmarkToDoc(b *testing.B) {
+	benchShapes(b, func(b *testing.B, t *txn.Transaction) {
+		b.ReportAllocs()
+		for b.Loop() {
+			sinkDoc = t.ToDoc()
+		}
+	})
+}
+
+func BenchmarkFromDoc(b *testing.B) {
+	benchShapes(b, func(b *testing.B, t *txn.Transaction) {
+		doc := t.ToDoc()
+		b.ReportAllocs()
+		for b.Loop() {
+			got, err := txn.FromDoc(doc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sinkTx = got
+		}
+	})
+}
+
+func BenchmarkSigningPayloadCold(b *testing.B) {
+	benchShapes(b, func(b *testing.B, t *txn.Transaction) {
+		b.ReportAllocs()
+		for b.Loop() {
+			t.Invalidate()
+			sinkBytes = t.SigningPayload()
+		}
+	})
+}
+
+func BenchmarkMarshalCanonicalCold(b *testing.B) {
+	benchShapes(b, func(b *testing.B, t *txn.Transaction) {
+		b.ReportAllocs()
+		for b.Loop() {
+			t.Invalidate()
+			sinkBytes = t.MarshalCanonical()
+		}
+	})
+}
+
+func BenchmarkOutputRefString(b *testing.B) {
+	_, transfer4, _ := workload.BenchmarkShapes()
+	ref := *transfer4.Inputs[3].Fulfills
+	b.ReportAllocs()
+	for b.Loop() {
+		sinkStr = ref.String()
+	}
+}

@@ -12,39 +12,6 @@ import (
 	"unicode/utf8"
 )
 
-// ToDoc converts the transaction into a plain document
-// (map[string]any) suitable for schema validation and storage. Numbers
-// become float64 where JSON would produce float64, except share amounts
-// which are kept as uint64-compatible json.Number-free float64 values;
-// the docstore treats them uniformly.
-func (t *Transaction) ToDoc() map[string]any {
-	raw, err := json.Marshal(t)
-	if err != nil {
-		// Transaction contains only JSON-safe types; a failure here is
-		// a programming error.
-		panic(fmt.Sprintf("txn: marshal: %v", err))
-	}
-	var doc map[string]any
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		panic(fmt.Sprintf("txn: unmarshal: %v", err))
-	}
-	return doc
-}
-
-// FromDoc parses a document produced by ToDoc (or received as a JSON
-// payload) back into a Transaction.
-func FromDoc(doc map[string]any) (*Transaction, error) {
-	raw, err := json.Marshal(doc)
-	if err != nil {
-		return nil, fmt.Errorf("txn: encode doc: %w", err)
-	}
-	var t Transaction
-	if err := json.Unmarshal(raw, &t); err != nil {
-		return nil, fmt.Errorf("txn: decode doc: %w", err)
-	}
-	return &t, nil
-}
-
 // MarshalCanonical renders the transaction as canonical JSON: keys
 // sorted lexicographically at every level, no insignificant whitespace.
 // Two transactions with equal content always produce identical bytes,
@@ -59,7 +26,7 @@ func (t *Transaction) marshalCanonical(sc *CacheScope) []byte {
 	if b := t.cachedCanonical(sc); b != nil {
 		return b
 	}
-	b := canonicalize(t.ToDoc())
+	b := encodeTx(t, false)
 	t.storeCanonical(sc, b)
 	return b
 }
@@ -78,17 +45,7 @@ func (t *Transaction) signingPayload(sc *CacheScope) []byte {
 	if b := t.cachedSigning(sc); b != nil {
 		return b
 	}
-	doc := t.ToDoc()
-	doc["id"] = ""
-	delete(doc, "children")
-	if ins, ok := doc["inputs"].([]any); ok {
-		for _, in := range ins {
-			if m, ok := in.(map[string]any); ok {
-				delete(m, "fulfillment")
-			}
-		}
-	}
-	b := canonicalize(doc)
+	b := encodeTx(t, true)
 	t.storeSigning(sc, b)
 	return b
 }
@@ -148,31 +105,38 @@ func canonicalize(v any) []byte {
 }
 
 // canonEncoder holds the per-depth key-sorting scratch so repeated
-// encodes allocate nothing once warm. Instances are pooled; the
-// recursion carries an explicit depth so nested maps never share a
-// scratch slice.
+// encodes allocate nothing once warm, plus the buffer a transaction is
+// encoded into before its exact-size copy is taken. Instances are
+// pooled; the recursion carries an explicit depth so nested maps never
+// share a scratch slice.
 type canonEncoder struct {
 	keys [][]string
+	buf  []byte
 }
 
 var encPool = sync.Pool{New: func() any { return new(canonEncoder) }}
+
+// sortedKeys returns m's keys in order, held in depth's scratch slot.
+func (e *canonEncoder) sortedKeys(m map[string]any, depth int) []string {
+	for depth >= len(e.keys) {
+		e.keys = append(e.keys, nil)
+	}
+	ks := e.keys[depth][:0]
+	for k := range m {
+		ks = append(ks, k)
+	}
+	slices.Sort(ks)
+	e.keys[depth] = ks
+	return ks
+}
 
 func (e *canonEncoder) append(buf []byte, v any, depth int) []byte {
 	switch x := v.(type) {
 	case nil:
 		return append(buf, "null"...)
 	case map[string]any:
-		for depth >= len(e.keys) {
-			e.keys = append(e.keys, nil)
-		}
-		ks := e.keys[depth][:0]
-		for k := range x {
-			ks = append(ks, k)
-		}
-		slices.Sort(ks)
-		e.keys[depth] = ks
 		buf = append(buf, '{')
-		for i, k := range ks {
+		for i, k := range e.sortedKeys(x, depth) {
 			if i > 0 {
 				buf = append(buf, ',')
 			}
@@ -212,6 +176,196 @@ func (e *canonEncoder) append(buf []byte, v any, depth int) []byte {
 		}
 		return append(buf, b...)
 	}
+}
+
+// encodeTx renders t's canonical JSON or, with signing set, its
+// signing payload (ID zeroed, children and fulfillments left out),
+// straight from the struct: the bytes canonicalize would produce for
+// ToDoc's document, without building the document. The result is an
+// exact-size copy out of the pooled buffer, so a cold encode costs one
+// allocation.
+func encodeTx(t *Transaction, signing bool) []byte {
+	e := encPool.Get().(*canonEncoder)
+	e.buf = e.appendTx(e.buf[:0], t, signing)
+	out := make([]byte, len(e.buf))
+	copy(out, e.buf)
+	encPool.Put(e)
+	return out
+}
+
+// appendTx writes the transaction's fields in sorted key order — the
+// order is static, which is what lets it skip the document. The
+// omit-empty rules are ToDoc's.
+func (e *canonEncoder) appendTx(buf []byte, t *Transaction, signing bool) []byte {
+	buf = append(buf, `{"asset":`...)
+	switch a := t.Asset; {
+	case a == nil:
+		buf = append(buf, "null"...)
+	case a.ID != "":
+		buf = append(buf, `{"id":`...)
+		buf = appendTxString(buf, a.ID)
+		buf = append(buf, '}')
+	default:
+		buf = append(buf, `{"data":`...)
+		buf = e.appendFree(buf, a.Data, 0)
+		if a.Shares != 0 {
+			buf = append(buf, `,"shares":`...)
+			buf = appendJSONFloat(buf, float64(a.Shares))
+		}
+		buf = append(buf, '}')
+	}
+	if len(t.Children) > 0 && !signing {
+		buf = append(buf, `,"children":`...)
+		buf = appendTxStrings(buf, t.Children)
+	}
+	buf = append(buf, `,"id":`...)
+	if signing {
+		buf = append(buf, `""`...)
+	} else {
+		buf = appendTxString(buf, t.ID)
+	}
+	buf = append(buf, `,"inputs":`...)
+	if t.Inputs == nil {
+		buf = append(buf, "null"...)
+	} else {
+		buf = append(buf, '[')
+		for i, in := range t.Inputs {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			if in == nil {
+				buf = append(buf, "null"...)
+				continue
+			}
+			buf = append(buf, '{')
+			if in.Fulfillment != "" && !signing {
+				buf = append(buf, `"fulfillment":`...)
+				buf = appendTxString(buf, in.Fulfillment)
+				buf = append(buf, ',')
+			}
+			if ref := in.Fulfills; ref != nil {
+				buf = append(buf, `"fulfills":{"output_index":`...)
+				buf = appendJSONFloat(buf, float64(ref.Index))
+				buf = append(buf, `,"transaction_id":`...)
+				buf = appendTxString(buf, ref.TxID)
+				buf = append(buf, "},"...)
+			}
+			buf = append(buf, `"owners_before":`...)
+			buf = appendTxStrings(buf, in.OwnersBefore)
+			buf = append(buf, '}')
+		}
+		buf = append(buf, ']')
+	}
+	if len(t.Metadata) > 0 {
+		buf = append(buf, `,"metadata":`...)
+		buf = e.appendFree(buf, t.Metadata, 0)
+	}
+	buf = append(buf, `,"operation":`...)
+	buf = appendTxString(buf, t.Operation)
+	buf = append(buf, `,"outputs":`...)
+	if t.Outputs == nil {
+		buf = append(buf, "null"...)
+	} else {
+		buf = append(buf, '[')
+		for i, o := range t.Outputs {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			if o == nil {
+				buf = append(buf, "null"...)
+				continue
+			}
+			buf = append(buf, `{"amount":`...)
+			buf = appendJSONFloat(buf, float64(o.Amount))
+			if len(o.PrevOwners) > 0 {
+				buf = append(buf, `,"prev_owners":`...)
+				buf = appendTxStrings(buf, o.PrevOwners)
+			}
+			buf = append(buf, `,"public_keys":`...)
+			buf = appendTxStrings(buf, o.PublicKeys)
+			buf = append(buf, '}')
+		}
+		buf = append(buf, ']')
+	}
+	if len(t.Refs) > 0 {
+		buf = append(buf, `,"refs":`...)
+		buf = appendTxStrings(buf, t.Refs)
+	}
+	buf = append(buf, `,"version":`...)
+	buf = appendTxString(buf, t.Version)
+	return append(buf, '}')
+}
+
+// appendTxString writes a struct string as its document form would be
+// written: invalid UTF-8 is already U+FFFD there, not an escape.
+func appendTxString(buf []byte, s string) []byte {
+	return appendJSONString(buf, validUTF8(s))
+}
+
+func appendTxStrings(buf []byte, ss []string) []byte {
+	if ss == nil {
+		return append(buf, "null"...)
+	}
+	buf = append(buf, '[')
+	for i, s := range ss {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = appendTxString(buf, s)
+	}
+	return append(buf, ']')
+}
+
+// appendFree writes a free-form value (Asset.Data, Metadata) as
+// canonicalize would write its normalizeValue copy, without making the
+// copy when the value is already in document shape or off it only by
+// integers. Anything else — a key or string that is not valid UTF-8, a
+// Go type outside the shape — is normalised first.
+func (e *canonEncoder) appendFree(buf []byte, v any, depth int) []byte {
+	switch x := v.(type) {
+	case nil, bool, float64:
+		return e.append(buf, v, depth)
+	case string:
+		if utf8.ValidString(x) {
+			return appendJSONString(buf, x)
+		}
+	case int:
+		return appendJSONFloat(buf, float64(x))
+	case int64:
+		return appendJSONFloat(buf, float64(x))
+	case uint64:
+		return appendJSONFloat(buf, float64(x))
+	case map[string]any:
+		if x == nil {
+			return append(buf, "null"...)
+		}
+		ks := e.sortedKeys(x, depth)
+		if !slices.ContainsFunc(ks, func(k string) bool { return !utf8.ValidString(k) }) {
+			buf = append(buf, '{')
+			for i, k := range ks {
+				if i > 0 {
+					buf = append(buf, ',')
+				}
+				buf = appendJSONString(buf, k)
+				buf = append(buf, ':')
+				buf = e.appendFree(buf, x[k], depth+1)
+			}
+			return append(buf, '}')
+		}
+	case []any:
+		if x == nil {
+			return append(buf, "null"...)
+		}
+		buf = append(buf, '[')
+		for i, el := range x {
+			if i > 0 {
+				buf = append(buf, ',')
+			}
+			buf = e.appendFree(buf, el, depth)
+		}
+		return append(buf, ']')
+	}
+	return e.append(buf, mustNormalize(v), depth)
 }
 
 // appendJSONFloat renders f exactly as encoding/json does: shortest

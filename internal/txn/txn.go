@@ -9,8 +9,8 @@ package txn
 
 import (
 	"encoding/json"
-	"fmt"
 	"sort"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -81,7 +81,7 @@ type OutputRef struct {
 }
 
 // String renders the reference as txid:index.
-func (r OutputRef) String() string { return fmt.Sprintf("%s:%d", r.TxID, r.Index) }
+func (r OutputRef) String() string { return r.TxID + ":" + strconv.Itoa(r.Index) }
 
 // Output is a transaction output object o = ⟨pb, amt, pb_prev⟩: the set
 // of public keys that now control amt shares, plus the public keys of

@@ -99,12 +99,12 @@ type Batch struct {
 	mu    sync.RWMutex
 	txs   map[string]*txn.Transaction
 	order []string
-	spent map[string]string // OutputRef.String() -> spender tx ID
+	spent map[txn.OutputRef]string // spent output -> spender tx ID
 }
 
 // NewBatch creates an empty batch.
 func NewBatch() *Batch {
-	return &Batch{txs: make(map[string]*txn.Transaction), spent: make(map[string]string)}
+	return &Batch{txs: make(map[string]*txn.Transaction), spent: make(map[txn.OutputRef]string)}
 }
 
 // Add admits a transaction into the batch. It fails if the batch
@@ -117,14 +117,14 @@ func (b *Batch) Add(t *txn.Transaction) error {
 		return &txn.DuplicateTransactionError{TxID: t.ID, Reason: "already in current block"}
 	}
 	for _, ref := range t.SpentRefs() {
-		if spender, clash := b.spent[ref.String()]; clash {
+		if spender, clash := b.spent[ref]; clash {
 			return &txn.DoubleSpendError{Ref: ref, SpentBy: spender}
 		}
 	}
 	b.txs[t.ID] = t
 	b.order = append(b.order, t.ID)
 	for _, ref := range t.SpentRefs() {
-		b.spent[ref.String()] = t.ID
+		b.spent[ref] = t.ID
 	}
 	return nil
 }
@@ -141,7 +141,7 @@ func (b *Batch) Get(id string) (*txn.Transaction, bool) {
 func (b *Batch) SpentBy(ref txn.OutputRef) (string, bool) {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	id, ok := b.spent[ref.String()]
+	id, ok := b.spent[ref]
 	return id, ok
 }
 

@@ -147,6 +147,41 @@ func (g *Generator) Accept(requester *keys.KeyPair, rfq, win *txn.Transaction, l
 	return mustSign(t, g.escrow, requester)
 }
 
+// FanIn builds a wallet-style pair: a CREATE minting one share into
+// each of n outputs of owner's, and the TRANSFER that spends all n of
+// them into one output of recipient's — the multi-input shape of the
+// traffic experiment and of the repo benchmark's transfer_fanin
+// stream. seq tells otherwise identical wallets apart. It keeps no
+// generator state, so pairs may be built concurrently.
+func FanIn(owner *keys.KeyPair, recipient string, seq, n int) (create, transfer *txn.Transaction) {
+	pub := owner.PublicBase58()
+	create = txn.NewCreate(pub, map[string]any{"kind": "wallet", "seq": seq}, uint64(n), nil)
+	create.Outputs = make([]*txn.Output, n)
+	for j := range create.Outputs {
+		create.Outputs[j] = &txn.Output{PublicKeys: []string{pub}, Amount: 1}
+	}
+	mustSign(create, owner)
+	spends := make([]txn.Spend, n)
+	for j := range spends {
+		spends[j] = txn.Spend{Ref: txn.OutputRef{TxID: create.ID, Index: j}, Owners: []string{pub}}
+	}
+	transfer = txn.NewTransfer(create.ID, spends,
+		[]*txn.Output{{PublicKeys: []string{recipient}, Amount: uint64(n)}}, nil)
+	return create, mustSign(transfer, owner)
+}
+
+// BenchmarkShapes returns the two transactions the repo benchmark
+// (benchmark/) streams, for the per-call allocation tests and
+// micro-benchmarks (`make bench-alloc`) to measure the same thing it
+// does: the CREATE funding and the 4-input TRANSFER of transfer_fanin,
+// and a CREATE carrying 1 KiB of metadata, as create_durable's do.
+func BenchmarkShapes() (funding, transfer4, create1k *txn.Transaction) {
+	owner := keys.DeterministicKeyPair(41)
+	funding, transfer4 = FanIn(owner, keys.DeterministicKeyPair(42).PublicBase58(), 1, 4)
+	create1k = NewGenerator(1, keys.DeterministicKeyPair(43)).Create(owner, []string{"cnc", "3d-printing"}, 1024)
+	return funding, transfer4, create1k
+}
+
 // AuctionGroup is one complete reverse auction: a REQUEST, the bidders'
 // backing CREATEs, the BIDs, and the closing ACCEPT_BID. Submission
 // must respect the phases: Creates+Request commit before Bids, Bids
