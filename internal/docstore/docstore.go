@@ -17,6 +17,7 @@ type Store struct {
 	backend     storage.Backend
 	collections map[string]*Collection
 	reg         *obs.Registry
+	sweepSpans  *obs.Counter // docstore.index_sweep_spans
 }
 
 // NewStore creates an empty store over the in-memory backend.
@@ -47,6 +48,7 @@ func (s *Store) SetObs(reg *obs.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reg = reg
+	s.sweepSpans = reg.Counter("docstore.index_sweep_spans")
 	s.backend.SetObs(reg)
 	for _, c := range s.collections {
 		c.setObs(reg)
@@ -116,8 +118,8 @@ func (s *Store) Drop(name string) {
 // backend's current retention floor. The ledger calls it after every
 // block seal — the moment the floor actually advances — so index GC
 // tracks version GC exactly instead of amortizing by mutation count.
-// Indexes whose floor has not moved (or that hold no closed spans)
-// return immediately.
+// Each index visits only the span lists whose spans the floor has just
+// passed (see closedSpans); docstore.index_sweep_spans counts them.
 func (s *Store) SweepIndexes() {
 	floor := s.backend.Floor()
 	s.mu.RLock()
@@ -125,12 +127,15 @@ func (s *Store) SweepIndexes() {
 	for _, c := range s.collections {
 		colls = append(colls, c)
 	}
+	sweepSpans := s.sweepSpans
 	s.mu.RUnlock()
+	examined := 0
 	for _, c := range colls {
 		for _, idx := range c.indexMap() {
-			idx.sweepFloor(floor)
+			examined += idx.sweepFloor(floor)
 		}
 	}
+	sweepSpans.Add(uint64(examined))
 }
 
 // Group runs fn and commits every mutation it makes as one atomic,
@@ -305,11 +310,12 @@ func (c *Collection) Upsert(key string, doc map[string]any) error {
 	if err := c.be.Put(key, cp); err != nil {
 		return err
 	}
+	if existed {
+		c.reindex(key, old, cp)
+		return nil
+	}
 	h := c.bk.StampHeight()
 	for _, idx := range c.indexMap() {
-		if existed {
-			idx.remove(key, old, h)
-		}
 		idx.add(key, cp, h)
 	}
 	return nil
@@ -390,12 +396,23 @@ func (c *Collection) Update(key string, fn func(doc map[string]any) error) error
 	if err := c.be.Put(key, next); err != nil {
 		return err
 	}
+	c.reindex(key, old, next)
+	return nil
+}
+
+// reindex is the index upkeep of replacing the document under key:
+// only the indexes whose path reaches different values in old and next
+// do any work, so a mark-spent moves one of the four utxos indexes and
+// an update of an unindexed field none. Caller holds mu.
+func (c *Collection) reindex(key string, old, next map[string]any) {
 	h := c.bk.StampHeight()
 	for _, idx := range c.indexMap() {
+		if idx.unchanged(old, next) {
+			continue
+		}
 		idx.remove(key, old, h)
 		idx.add(key, next, h)
 	}
-	return nil
 }
 
 // Len returns the number of documents (writer view).
@@ -439,7 +456,8 @@ func (c *Collection) CreateOrderedIndex(path string) {
 // filter, so an over-inclusive candidate set can never produce a
 // wrong result, while documents deleted before the index existed are
 // unreachable below the backend floor anyway (the chain-state indexes
-// are built at open, when floor == visible).
+// are built at open, when floor == visible). The empty sweep tells the
+// index where the floor already stands.
 func (c *Collection) buildIndex(path string, idx secondaryIndex) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -447,6 +465,7 @@ func (c *Collection) buildIndex(path string, idx secondaryIndex) {
 		idx.add(key, doc, 0)
 		return true
 	})
+	idx.sweepFloor(c.bk.Floor())
 	cur := c.indexMap()
 	next := make(map[string]secondaryIndex, len(cur)+1)
 	for p, ix := range cur {

@@ -360,32 +360,9 @@ func Analyze(f Filter) Node {
 // each element is tried for the remaining path, like MongoDB. It
 // returns all values reached and whether any path resolved.
 func lookupPath(doc map[string]any, path string) ([]any, bool) {
-	parts := strings.Split(path, ".")
-	vals := []any{any(doc)}
-	for _, part := range parts {
-		var next []any
-		for _, v := range vals {
-			switch x := v.(type) {
-			case map[string]any:
-				if child, ok := x[part]; ok {
-					next = append(next, child)
-				}
-			case []any:
-				for _, e := range x {
-					if m, ok := e.(map[string]any); ok {
-						if child, ok := m[part]; ok {
-							next = append(next, child)
-						}
-					}
-				}
-			}
-		}
-		if len(next) == 0 {
-			return nil, false
-		}
-		vals = next
-	}
-	return vals, true
+	var vals []any
+	splitPath(path).each(doc, func(v any) { vals = append(vals, v) })
+	return vals, len(vals) > 0
 }
 
 // normalize converts ints to float64 so filters compare like JSON,

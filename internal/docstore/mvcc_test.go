@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"smartchaindb/internal/obs"
 )
 
 func mustInsert(t *testing.T, c *Collection, key string, doc map[string]any) {
@@ -337,6 +339,84 @@ func TestSnapshotReadersRaceBlockAppliers(t *testing.T) {
 				}
 			}
 			bk.SealBlock(h)
+		}
+		close(stop)
+		wg.Wait()
+	})
+}
+
+// TestSnapshotIndexReadsRaceSealAndSweep is the race-gate pin for the
+// index lifespan queue: every block moves every document's indexed
+// value, so each seal queues one closed span per document and index,
+// and with a short retention window the sweep that follows the seal
+// collects them while snapshot readers run index-backed Find and
+// FindOrdered at a height the floor is about to pass. A reader whose
+// height is still at or above the floor after the read must have seen
+// exactly that block's state.
+func TestSnapshotIndexReadsRaceSealAndSweep(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, s *Store) {
+		const blocks = 200
+		const docs = 8
+		s.SetObs(obs.New())
+		bk := s.Backend()
+		bk.SetRetain(3)
+		c := s.Collection("docs")
+		c.CreateIndex("v")
+		c.CreateOrderedIndex("w")
+		c.CreateIndex("kind")
+		bk.BeginBlock(1)
+		for i := 0; i < docs; i++ {
+			mustInsert(t, c, fmt.Sprintf("k%d", i), map[string]any{"v": 1.0, "w": 1.0, "kind": "d"})
+		}
+		bk.SealBlock(1)
+
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					snap := c.Snapshot()
+					h := float64(snap.Height())
+					point := snap.Find(And(Eq("v", h), Eq("kind", "d")))
+					ordered := snap.FindOrdered(nil, "w", r%2 == 0, 0)
+					if bk.Floor() > snap.Height() {
+						continue // the window moved past the read: too old to judge
+					}
+					if len(point) != docs || len(ordered) != docs {
+						t.Errorf("height %v: point read %d, ordered read %d documents, want %d", h, len(point), len(ordered), docs)
+						return
+					}
+					for _, doc := range ordered {
+						if doc["w"] != h {
+							t.Errorf("height %v: ordered read returned w=%v", h, doc["w"])
+							return
+						}
+					}
+				}
+			}()
+		}
+
+		for h := int64(2); h <= blocks; h++ {
+			bk.BeginBlock(h)
+			for i := 0; i < docs; i++ {
+				if err := c.Update(fmt.Sprintf("k%d", i), func(doc map[string]any) error {
+					doc["v"], doc["w"] = float64(h), float64(h)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			bk.SealBlock(h)
+			if n := sweepExamined(s); h > 3 && n != 2*docs {
+				t.Fatalf("sweep after block %d examined %d span lists, want %d", h, n, 2*docs)
+			}
 		}
 		close(stop)
 		wg.Wait()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 )
 
 // orderedIndex is a sorted multikey index over one dot path: a skip
@@ -31,16 +30,12 @@ import (
 // skip list still needs a total order for storage; it uses
 // nil < bool < number < string.
 type orderedIndex struct {
-	path string
-
-	mu        sync.RWMutex
-	head      *ordNode            // sentinel; head.next[0] is the first value
-	tail      *ordNode            // last value node, head when empty
-	byKey     map[string]*ordNode // indexKey(value) -> node, for point lookups
-	size      int                 // open (value, document) pairs
-	deadSpans int
-	lastFloor int64  // floor the last sweep ran at
-	rng       uint64 // deterministic xorshift state for levels
+	indexCore
+	head  *ordNode            // sentinel; head.next[0] is the first value
+	tail  *ordNode            // last value node, head when empty
+	byKey map[string]*ordNode // indexKey(value) -> node, for point lookups
+	size  int                 // open (value, document) pairs
+	rng   uint64              // deterministic xorshift state for levels
 }
 
 const ordMaxLevel = 16
@@ -50,11 +45,10 @@ const ordMaxLevel = 16
 // ascending. An unlinked node keeps its own next/prev pointers, so a
 // cursor parked on it can still step off into the live list.
 type ordNode struct {
-	val   ordValue
-	docs  map[string]spanList
-	alive int // docs with an open span
-	next  []*ordNode
-	prev  *ordNode
+	idxEntry
+	val  ordValue
+	next []*ordNode
+	prev *ordNode
 }
 
 // ordValue is a scalar rendered into the index's total order.
@@ -126,11 +120,11 @@ func classFloor(class uint8) ordValue {
 func newOrderedIndex(path string) *orderedIndex {
 	head := &ordNode{next: make([]*ordNode, ordMaxLevel)}
 	return &orderedIndex{
-		path:  path,
-		head:  head,
-		tail:  head,
-		byKey: make(map[string]*ordNode),
-		rng:   0x9e3779b97f4a7c15, // fixed seed: levels are reproducible
+		indexCore: indexCore{path: splitPath(path)},
+		head:      head,
+		tail:      head,
+		byKey:     make(map[string]*ordNode),
+		rng:       0x9e3779b97f4a7c15, // fixed seed: levels are reproducible
 	}
 }
 
@@ -173,49 +167,33 @@ func (ix *orderedIndex) seekGE(v ordValue) *ordNode {
 // add indexes every scalar reached at the path, fanning arrays out to
 // their elements like a MongoDB multikey index.
 func (ix *orderedIndex) add(docKey string, doc map[string]any, h int64) {
-	vals, found := lookupPath(doc, ix.path)
-	if !found {
-		return
-	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	for _, v := range vals {
-		ix.addValue(docKey, v, h)
-	}
-}
-
-func (ix *orderedIndex) addValue(docKey string, v any, h int64) {
-	if arr, ok := v.([]any); ok {
-		for _, e := range arr {
-			ix.addValue(docKey, e, h)
-		}
-		return
-	}
-	k, ok := indexKey(v)
-	if !ok {
-		return
-	}
-	if n, exists := ix.byKey[k]; exists {
-		sl := n.docs[docKey]
-		if sl.open() {
+	ix.path.scalars(doc, func(v any) {
+		k, ok := indexKey(v)
+		if !ok {
 			return
 		}
-		n.docs[docKey] = append(sl, span{born: h, died: spanOpen})
-		n.alive++
-		ix.size++
-		return
-	}
-	ov, ok := ordValueOf(v)
-	if !ok {
-		return
-	}
+		n := ix.byKey[k]
+		if n == nil {
+			n = ix.link(k, v)
+		}
+		if n.open(docKey, h) {
+			ix.size++
+		}
+	})
+}
+
+// link inserts an empty node for the indexable scalar v (whose
+// indexKey is k) into the skip list. Caller holds ix.mu.
+func (ix *orderedIndex) link(k string, v any) *ordNode {
+	ov, _ := ordValueOf(v)
 	var pred [ordMaxLevel]*ordNode
 	ix.preds(ov, &pred)
 	n := &ordNode{
-		val:   ov,
-		docs:  map[string]spanList{docKey: {span{born: h, died: spanOpen}}},
-		alive: 1,
-		next:  make([]*ordNode, ix.randLevel()),
+		idxEntry: idxEntry{docs: make(map[string]spanList)},
+		val:      ov,
+		next:     make([]*ordNode, ix.randLevel()),
 	}
 	for lvl := range n.next {
 		n.next[lvl] = pred[lvl].next[lvl]
@@ -228,88 +206,46 @@ func (ix *orderedIndex) addValue(docKey string, v any, h int64) {
 		ix.tail = n
 	}
 	ix.byKey[k] = n
-	ix.size++
+	return n
 }
 
 func (ix *orderedIndex) remove(docKey string, doc map[string]any, h int64) {
-	vals, found := lookupPath(doc, ix.path)
-	if !found {
-		return
-	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	for _, v := range vals {
-		ix.removeValue(docKey, v, h)
-	}
-}
-
-func (ix *orderedIndex) removeValue(docKey string, v any, h int64) {
-	if arr, ok := v.([]any); ok {
-		for _, e := range arr {
-			ix.removeValue(docKey, e, h)
+	ix.path.scalars(doc, func(v any) {
+		k, ok := indexKey(v)
+		if !ok {
+			return
 		}
-		return
-	}
-	k, ok := indexKey(v)
-	if !ok {
-		return
-	}
-	n, exists := ix.byKey[k]
-	if !exists {
-		return
-	}
-	sl := n.docs[docKey]
-	if !sl.open() {
-		return
-	}
-	sl[len(sl)-1].died = h
-	n.docs[docKey] = sl
-	n.alive--
-	ix.size--
-	ix.deadSpans++
-}
-
-// sweepFloor drops every span no snapshot at or above floor can reach
-// and unlinks nodes left with no lifespans at all. Driven by the
-// retention floor advancing at block seal (Store.SweepIndexes); a
-// floor that has not moved since the last sweep, or an index with no
-// closed spans, returns without walking the list.
-func (ix *orderedIndex) sweepFloor(floor int64) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.deadSpans == 0 || floor <= ix.lastFloor {
-		if floor > ix.lastFloor {
-			ix.lastFloor = floor
+		n := ix.byKey[k]
+		if n == nil || !n.close(docKey, h) {
+			return
 		}
-		return
-	}
-	ix.lastFloor = floor
-	remaining := 0
-	var empty []*ordNode
-	for n := ix.head.next[0]; n != nil; n = n.next[0] {
-		for dk, sl := range n.docs {
-			kept, dead := sl.sweep(floor)
-			remaining += dead
-			if len(kept) == 0 {
-				delete(n.docs, dk)
-				continue
-			}
-			n.docs[dk] = kept
-		}
+		ix.size--
+		ix.retire(&n.idxEntry, k, docKey, h)
 		if len(n.docs) == 0 {
-			empty = append(empty, n)
+			ix.unlink(k, n)
 		}
-	}
-	for _, n := range empty {
-		ix.unlink(n)
-	}
-	ix.deadSpans = remaining
+	})
 }
 
-// unlink removes n from the skip list. n keeps its own pointers so a
-// parked cursor can still step forward/backward off it. Caller holds
-// ix.mu.
-func (ix *orderedIndex) unlink(n *ordNode) {
+// sweepFloor unlinks the nodes the sweep leaves with no lifespans at
+// all.
+func (ix *orderedIndex) sweepFloor(floor int64) int {
+	return ix.sweepDue(floor,
+		func(k string) *idxEntry {
+			if n := ix.byKey[k]; n != nil {
+				return &n.idxEntry
+			}
+			return nil
+		},
+		func(k string) { ix.unlink(k, ix.byKey[k]) })
+}
+
+// unlink removes n (filed under indexKey k) from the skip list. n keeps
+// its own pointers so a parked cursor can still step forward/backward
+// off it. Caller holds ix.mu.
+func (ix *orderedIndex) unlink(k string, n *ordNode) {
 	var pred [ordMaxLevel]*ordNode
 	ix.preds(n.val, &pred)
 	for lvl := 0; lvl < len(n.next); lvl++ {
@@ -322,22 +258,7 @@ func (ix *orderedIndex) unlink(n *ordNode) {
 	} else if ix.tail == n {
 		ix.tail = n.prev
 	}
-	k, _ := indexKey(ordValueScalar(n.val))
 	delete(ix.byKey, k)
-}
-
-// ordValueScalar converts an ordValue back into the scalar indexKey
-// expects — the inverse of ordValueOf for keys held by the index.
-func ordValueScalar(v ordValue) any {
-	switch v.class {
-	case ordClassBool:
-		return v.num != 0
-	case ordClassNumber:
-		return v.num
-	case ordClassString:
-		return v.str
-	}
-	return nil
 }
 
 // lookupEq answers an equality probe (Eq / Contains candidates) as of
@@ -349,7 +270,10 @@ func (ix *orderedIndex) lookupEq(arg any, h int64) []string {
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return docKeysAt(ix.byKey[k], h)
+	if n := ix.byKey[k]; n != nil {
+		return n.keysAt(h)
+	}
+	return nil
 }
 
 // estimateEq reports the candidate count of an equality probe without
@@ -563,22 +487,7 @@ func (gc *groupCursor) next(h int64) ([]string, bool) {
 		gc.ix.mu.RUnlock()
 		return nil, false
 	}
-	keys := docKeysAt(n, h)
+	keys := n.keysAt(h)
 	gc.ix.mu.RUnlock()
 	return keys, true
-}
-
-// docKeysAt copies the node's document keys visible at height h.
-// Caller holds ix.mu (shared suffices).
-func docKeysAt(n *ordNode, h int64) []string {
-	if n == nil {
-		return nil
-	}
-	out := make([]string, 0, n.alive)
-	for dk, sl := range n.docs {
-		if sl.aliveAt(h) {
-			out = append(out, dk)
-		}
-	}
-	return out
 }

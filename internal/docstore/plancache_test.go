@@ -242,9 +242,9 @@ func TestPlanCacheCrossDDLWarmth(t *testing.T) {
 	hits := reg.Counter("docstore.plan_cache.hits")
 	misses := reg.Counter("docstore.plan_cache.misses")
 
-	fOp := Eq("op", "A")  // indexed path "op"
-	fN := Gt("n", 4)      // ordered-indexed path "n"
-	fU := Eq("u", 10)     // unindexed path "u": full-scan shape
+	fOp := Eq("op", "A") // indexed path "op"
+	fN := Gt("n", 4)     // ordered-indexed path "n"
+	fU := Eq("u", 10)    // unindexed path "u": full-scan shape
 	all := []Filter{fOp, fN, fU}
 	check := func(step string) {
 		t.Helper()

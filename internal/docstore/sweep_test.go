@@ -2,10 +2,113 @@ package docstore
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
+	"smartchaindb/internal/obs"
 	"smartchaindb/internal/storage"
 )
+
+// sweepExamined runs Store.SweepIndexes and reports how many span
+// lists it examined, read off docstore.index_sweep_spans; the store
+// needs a registry (SetObs) for there to be a counter.
+func sweepExamined(s *Store) int {
+	before := s.sweepSpans.Value()
+	s.SweepIndexes()
+	return int(s.sweepSpans.Value() - before)
+}
+
+// sweepFullWalk is the lifespan GC this package ran before the
+// closed-span queue: visit every span list of every entry and drop
+// what the floor has passed. It costs the size of the index per call,
+// which is why it is here and not in index.go; the incremental sweep
+// is pinned to it by TestIncrementalSweepMatchesFullWalk.
+func (ix *hashIndex) sweepFullWalk(floor int64) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	for k, e := range ix.entries {
+		for dk, sl := range e.docs {
+			if kept := sl.sweep(floor); len(kept) == 0 {
+				delete(e.docs, dk)
+			} else {
+				e.docs[dk] = kept
+			}
+		}
+		if len(e.docs) == 0 {
+			delete(ix.entries, k)
+		}
+	}
+	ix.closed = closedSpans{}
+}
+
+func (ix *orderedIndex) sweepFullWalk(floor int64) {
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	empty := map[string]*ordNode{}
+	for k, n := range ix.byKey {
+		for dk, sl := range n.docs {
+			if kept := sl.sweep(floor); len(kept) == 0 {
+				delete(n.docs, dk)
+			} else {
+				n.docs[dk] = kept
+			}
+		}
+		if len(n.docs) == 0 {
+			empty[k] = n
+		}
+	}
+	for k, n := range empty {
+		ix.unlink(k, n)
+	}
+	ix.closed = closedSpans{}
+}
+
+// core and spanLists open up either index kind for the tests below.
+func core(ix secondaryIndex) *indexCore {
+	switch x := ix.(type) {
+	case *hashIndex:
+		return &x.indexCore
+	case *orderedIndex:
+		return &x.indexCore
+	}
+	panic("unknown index kind")
+}
+
+type spanKey struct{ indexKey, docKey string }
+
+func spanLists(ix secondaryIndex) map[spanKey]spanList {
+	out := map[spanKey]spanList{}
+	switch x := ix.(type) {
+	case *hashIndex:
+		for k, e := range x.entries {
+			for dk, sl := range e.docs {
+				out[spanKey{k, dk}] = sl
+			}
+		}
+	case *orderedIndex:
+		for k, n := range x.byKey {
+			for dk, sl := range n.docs {
+				out[spanKey{k, dk}] = sl
+			}
+		}
+	}
+	return out
+}
+
+// closedSpanCount counts the closed spans an index still holds.
+func closedSpanCount(ix secondaryIndex) int {
+	n := 0
+	for _, sl := range spanLists(ix) {
+		for _, sp := range sl {
+			if sp.died != spanOpen {
+				n++
+			}
+		}
+	}
+	return n
+}
 
 // Index lifespan GC is tied to the retention floor advancing at block
 // seal: closed spans survive exactly as long as a snapshot could read
@@ -15,12 +118,10 @@ func TestSweepIndexesFollowsFloor(t *testing.T) {
 	be := storage.NewMemory()
 	be.SetRetain(1) // floor == visible: every sealed block expires the last
 	s := NewStoreWith(be)
+	s.SetObs(obs.New())
 	c := s.Collection("t")
 	c.CreateIndex("v")
 	c.CreateOrderedIndex("w")
-
-	hash := c.indexMap()["v"].(*hashIndex)
-	ord := c.indexMap()["w"].(*orderedIndex)
 
 	for h := int64(1); h <= 5; h++ {
 		be.BeginBlock(h)
@@ -42,18 +143,16 @@ func TestSweepIndexesFollowsFloor(t *testing.T) {
 		}
 		be.SealBlock(h)
 
-		// Before the sweep the block's closed spans are still present;
-		// after it, everything below the floor is gone. With retain=1
-		// the floor sits at h, so every span closed this block sweeps.
-		s.SweepIndexes()
-		hash.mu.RLock()
-		hd := hash.deadSpans
-		hash.mu.RUnlock()
-		ord.mu.RLock()
-		od := ord.deadSpans
-		ord.mu.RUnlock()
-		if hd != 0 || od != 0 {
-			t.Fatalf("after seal %d: deadSpans hash=%d ord=%d, want 0 (floor %d)", h, hd, od, be.Floor())
+		// Before the sweep the block's closed spans are queued; after
+		// it, everything below the floor is gone. With retain=1 the
+		// floor sits at h, so every span closed this block sweeps.
+		if want := min(h-1, 1) * 2; int64(sweepExamined(s)) != want {
+			t.Fatalf("after seal %d: sweep did not examine %d span lists", h, want)
+		}
+		for path, ix := range c.indexMap() {
+			if q, dead := core(ix).closed.len(), closedSpanCount(ix); q != 0 || dead != 0 {
+				t.Fatalf("after seal %d: index %s holds %d queued, %d closed spans, want none (floor %d)", h, path, q, dead, be.Floor())
+			}
 		}
 	}
 
@@ -63,13 +162,14 @@ func TestSweepIndexesFollowsFloor(t *testing.T) {
 	}
 }
 
-// A sweep at an unmoved floor must not walk the index: closed spans
-// above the floor stay, and deadSpans only drops when the floor
-// actually advances past the deaths.
+// A sweep the floor has not caught up with must leave closed spans
+// above it alone: they stay queued, and readable, until the floor
+// actually advances past their death.
 func TestSweepIndexesStableFloorKeepsSpans(t *testing.T) {
 	be := storage.NewMemory()
 	be.SetRetain(100) // wide window: floor stays far behind
 	s := NewStoreWith(be)
+	s.SetObs(obs.New())
 	c := s.Collection("t")
 	c.CreateIndex("v")
 	hash := c.indexMap()["v"].(*hashIndex)
@@ -85,15 +185,496 @@ func TestSweepIndexesStableFloorKeepsSpans(t *testing.T) {
 	}
 	be.SealBlock(2)
 
-	s.SweepIndexes() // floor is still below the death height
-	hash.mu.RLock()
-	dead := hash.deadSpans
-	hash.mu.RUnlock()
-	if dead != 1 {
-		t.Fatalf("deadSpans = %d after sweep under a wide window, want 1 (retained for snapshots)", dead)
+	if n := sweepExamined(s); n != 0 { // floor is still below the death height
+		t.Fatalf("sweep under a wide window examined %d span lists, want 0", n)
+	}
+	if q, dead := hash.closed.len(), closedSpanCount(hash); q != 1 || dead != 1 {
+		t.Fatalf("%d queued, %d closed spans after sweep under a wide window, want 1 and 1 (retained for snapshots)", q, dead)
 	}
 	// The historical read the retained span serves still works.
 	if keys := hash.lookupEq("x", 1); len(keys) != 1 || keys[0] != "a" {
 		t.Fatalf("lookupEq at h=1 = %v, want [a]", keys)
 	}
+}
+
+// A store that never seals a block never sweeps, so its indexes must
+// not accumulate lifespans on their own: a span closing at or below
+// the floor (stamp and floor are both 0 here) is dropped where it
+// closes, and an update that leaves an indexed value alone closes
+// nothing.
+func TestUnsealedStoreKeepsOneSpanPerLiveValue(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, s *Store) {
+		c := s.Collection("t")
+		c.CreateIndex("flag")
+		c.CreateOrderedIndex("n")
+		c.CreateIndex("fixed")
+		mustInsert(t, c, "k", map[string]any{"flag": false, "n": 0.0, "fixed": "x", "free": 0.0})
+		for i := 1; i <= 10000; i++ {
+			if err := c.Update("k", func(doc map[string]any) error {
+				doc["flag"] = i%2 == 1
+				doc["n"] = float64(i % 3)
+				doc["free"] = float64(i)
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for path, ix := range c.indexMap() {
+			lists := spanLists(ix)
+			if len(lists) != 1 {
+				t.Errorf("index %s holds %d (value, document) pairs, want 1: %v", path, len(lists), lists)
+			}
+			for k, sl := range lists {
+				if len(sl) != 1 || !sl.open() {
+					t.Errorf("index %s, %v: spans %v, want one open span", path, k, sl)
+				}
+			}
+			if q := core(ix).closed.len(); q != 0 {
+				t.Errorf("index %s queues %d closed spans on a store that never sweeps", path, q)
+			}
+		}
+		if got := c.Find(And(Eq("flag", false), Eq("n", 1.0), Eq("fixed", "x"))); len(got) != 1 {
+			t.Errorf("planned read after the updates found %d documents, want 1", len(got))
+		}
+	})
+}
+
+// The queue is a FIFO because a backend's stamp heights never run
+// backwards. Pin that where it is defined, on both backends, through
+// every way the clock moves: standalone writes, blocks, a catch-up
+// block at or below the visible height, and a retention change.
+func TestStampHeightsNeverDecrease(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, s *Store) {
+		bk := s.Backend()
+		last := bk.StampHeight()
+		check := func(when string) {
+			t.Helper()
+			if h := bk.StampHeight(); h < last {
+				t.Fatalf("%s: stamp height fell from %d to %d", when, last, h)
+			} else {
+				last = h
+			}
+		}
+		r := rand.New(rand.NewSource(1))
+		next := bk.Visible() + 1
+		for i := 0; i < 200; i++ {
+			h := next
+			if r.Intn(5) == 0 {
+				h = max(1, next-1-int64(r.Intn(3))) // catch-up replay of a sealed height
+			} else {
+				next++
+			}
+			check("before block")
+			bk.BeginBlock(h)
+			check("in block")
+			if r.Intn(4) == 0 {
+				bk.SetRetain(int64(1 + r.Intn(8)))
+			}
+			bk.SealBlock(h)
+			check("after seal")
+		}
+	})
+}
+
+// diffPath is one indexed path of the differential test with the
+// values its documents draw from.
+type diffPath struct {
+	path    string
+	ordered bool
+	domain  []any
+}
+
+func diffPaths() []diffPath {
+	strs := func(prefix string) []any {
+		out := make([]any, 4)
+		for i := range out {
+			out[i] = fmt.Sprintf("%s%d", prefix, i)
+		}
+		return out
+	}
+	nums := make([]any, 6)
+	for i := range nums {
+		nums[i] = float64(i)
+	}
+	return []diffPath{
+		{"a", false, strs("a")},
+		{"n", true, nums},
+		{"tags", false, strs("t")},
+		{"nums", true, nums},
+		{"sub.x", true, nums},
+	}
+}
+
+func diffDoc(r *rand.Rand) map[string]any {
+	pick := func(domain []any, n int) []any {
+		out := make([]any, n)
+		for i := range out {
+			out[i] = domain[r.Intn(len(domain))]
+		}
+		return out
+	}
+	p := diffPaths()
+	doc := map[string]any{
+		"a":    p[0].domain[r.Intn(4)],
+		"n":    p[1].domain[r.Intn(6)],
+		"tags": pick(p[2].domain, r.Intn(4)),
+		"nums": pick(p[3].domain, r.Intn(3)),
+		"sub": []any{
+			map[string]any{"x": p[4].domain[r.Intn(6)], "y": float64(r.Intn(100))},
+			map[string]any{"x": p[4].domain[r.Intn(6)]},
+		},
+		"u": float64(r.Intn(1000)),
+	}
+	if r.Intn(6) == 0 {
+		delete(doc, "a")
+	}
+	return doc
+}
+
+// TestIncrementalSweepMatchesFullWalk drives a collection — hash and
+// ordered indexes over scalar, multikey and nested paths — through a
+// seeded random stream of inserts, updates of an indexed field, of an
+// unindexed field and of one array element, upserts and deletes, in
+// sealed blocks and between them, at three retention windows. Beside
+// it runs a twin of every index kept the way indexes were kept before:
+// every replacement is a remove plus an add whether or not the value
+// moved, and garbage is collected by the full walk. After every seal
+// the two must answer every probe alike at every supported height, and
+// hold the same (value, document) pairs with the same visibility —
+// the span lists themselves differ, since an unchanged value no longer
+// splits its span.
+func TestIncrementalSweepMatchesFullWalk(t *testing.T) {
+	for _, retain := range []int64{1, 3, 8} {
+		t.Run(fmt.Sprintf("retain=%d", retain), func(t *testing.T) {
+			forEachBackend(t, func(t *testing.T, s *Store) {
+				runSweepDifferential(t, s, retain)
+			})
+		})
+	}
+}
+
+func runSweepDifferential(t *testing.T, s *Store, retain int64) {
+	bk := s.Backend()
+	bk.SetRetain(retain)
+	c := s.Collection("docs")
+	paths := diffPaths()
+	twins := map[string]secondaryIndex{}
+	for _, p := range paths {
+		if p.ordered {
+			c.CreateOrderedIndex(p.path)
+			twins[p.path] = newOrderedIndex(p.path)
+		} else {
+			c.CreateIndex(p.path)
+			twins[p.path] = newHashIndex(p.path)
+		}
+	}
+	r := rand.New(rand.NewSource(retain))
+	keys := make([]string, 12)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%02d", i)
+	}
+
+	mutate := func() {
+		key := keys[r.Intn(len(keys))]
+		old, had := c.Borrow(key)
+		h := bk.StampHeight()
+		var err error
+		switch op := r.Intn(7); {
+		case !had:
+			err = c.Insert(key, diffDoc(r))
+		case op == 0:
+			err = c.Upsert(key, diffDoc(r))
+		case op == 1:
+			err = c.Update(key, func(doc map[string]any) error {
+				doc["a"] = paths[0].domain[r.Intn(4)] // may pick the value it has
+				doc["n"] = paths[1].domain[r.Intn(6)]
+				return nil
+			})
+		case op == 2:
+			err = c.Update(key, func(doc map[string]any) error {
+				doc["u"] = doc["u"].(float64) + 1
+				return nil
+			})
+		case op == 3:
+			err = c.Update(key, func(doc map[string]any) error {
+				if tags := doc["tags"].([]any); len(tags) > 0 {
+					tags[r.Intn(len(tags))] = paths[2].domain[r.Intn(4)]
+				}
+				nums := doc["nums"].([]any)
+				if len(nums) > 3 {
+					nums = nums[:1]
+				}
+				doc["nums"] = append(nums, paths[3].domain[r.Intn(6)])
+				return nil
+			})
+		case op == 4:
+			err = c.Update(key, func(doc map[string]any) error {
+				sub := doc["sub"].([]any)[r.Intn(2)].(map[string]any)
+				if r.Intn(2) == 0 {
+					sub["x"] = paths[4].domain[r.Intn(6)]
+				} else {
+					sub["y"] = float64(r.Intn(100)) // off the indexed path
+				}
+				return nil
+			})
+		case op == 5:
+			next := deepCopyMap(old)
+			next["u"] = float64(r.Intn(1000))
+			err = c.Upsert(key, next)
+		default:
+			err = c.Delete(key)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, has := c.Borrow(key)
+		for _, tw := range twins {
+			if had {
+				tw.remove(key, old, h)
+			}
+			if has {
+				tw.add(key, next, h)
+			}
+		}
+	}
+
+	for h := int64(1); h <= 40; h++ {
+		for i := r.Intn(3); i > 0; i-- {
+			mutate() // outside a block: stamped with the visible height
+		}
+		bk.BeginBlock(h)
+		for i := r.Intn(8); i > 0; i-- {
+			mutate()
+		}
+		bk.SealBlock(h)
+		s.SweepIndexes()
+		floor, visible := bk.Floor(), bk.Visible()
+		for _, p := range paths {
+			ref := twins[p.path]
+			ref.(interface{ sweepFullWalk(int64) }).sweepFullWalk(floor)
+			compareIndexes(t, c, p, ref, floor, visible)
+		}
+		if t.Failed() {
+			t.Fatalf("indexes diverged after block %d (floor %d)", h, floor)
+		}
+	}
+}
+
+// compareIndexes holds c's index on p to ref at every height in
+// [floor, visible] and in the writer view.
+func compareIndexes(t *testing.T, c *Collection, p diffPath, ref secondaryIndex, floor, visible int64) {
+	t.Helper()
+	got := c.indexMap()[p.path]
+	heights := []int64{storage.HeightLatest}
+	for h := floor; h <= visible; h++ {
+		heights = append(heights, h)
+	}
+	sorted := func(keys []string) []string {
+		out := append([]string{}, keys...)
+		sort.Strings(out)
+		return out
+	}
+
+	// The queue holds exactly the deaths the floor has not reached, in
+	// the order they fall due.
+	q := core(got).closed
+	for i := q.head; i < len(q.recs); i++ {
+		if d := q.recs[i].died; d <= floor || d > visible {
+			t.Errorf("%s: queued span died at %d outside (floor %d, visible %d]", p.path, d, floor, visible)
+		}
+		if i > q.head && q.recs[i].died < q.recs[i-1].died {
+			t.Errorf("%s: queue out of order at %d: %v", p.path, i, q.recs[q.head:])
+		}
+	}
+	if queued, dead := q.len(), closedSpanCount(got); queued != dead {
+		t.Errorf("%s: %d closed spans, %d queued", p.path, dead, queued)
+	}
+
+	gotLists, refLists := spanLists(got), spanLists(ref)
+	for k := range refLists {
+		if _, ok := gotLists[k]; !ok {
+			t.Errorf("%s: pair %v only in the reference", p.path, k)
+		}
+	}
+	for k, sl := range gotLists {
+		rl, ok := refLists[k]
+		if !ok {
+			t.Errorf("%s: pair %v not in the reference", p.path, k)
+			continue
+		}
+		for _, h := range heights {
+			if sl.aliveAt(h) != rl.aliveAt(h) {
+				t.Errorf("%s: pair %v at height %d: alive %v, reference %v (%v vs %v)", p.path, k, h, sl.aliveAt(h), rl.aliveAt(h), sl, rl)
+			}
+		}
+	}
+
+	docKeys := c.Keys()
+	for _, v := range p.domain {
+		if g, w := got.estimateEq(v), ref.estimateEq(v); g != w {
+			t.Errorf("%s: estimateEq(%v) = %d, reference %d", p.path, v, g, w)
+		}
+		for _, h := range heights {
+			if g, w := sorted(got.lookupEq(v, h)), sorted(ref.lookupEq(v, h)); !reflect.DeepEqual(g, w) {
+				t.Errorf("%s: lookupEq(%v, %d) = %v, reference %v", p.path, v, h, g, w)
+			}
+			for _, dk := range docKeys {
+				if g, w := got.containsDoc(v, dk, h), ref.containsDoc(v, dk, h); g != w {
+					t.Errorf("%s: containsDoc(%v, %s, %d) = %v, reference %v", p.path, v, dk, h, g, w)
+				}
+			}
+		}
+	}
+
+	gotOrd, ok := got.(*orderedIndex)
+	if !ok {
+		return
+	}
+	refOrd := ref.(*orderedIndex)
+	for _, rng := range []ordRange{
+		{class: ordClassNumber},
+		{class: ordClassNumber, hasLo: true, lo: ordValue{class: ordClassNumber, num: 2}},
+		{class: ordClassNumber, hasLo: true, lo: ordValue{class: ordClassNumber, num: 1}, loStrict: true,
+			hasHi: true, hi: ordValue{class: ordClassNumber, num: 4}},
+		{class: ordClassNumber, hasHi: true, hi: ordValue{class: ordClassNumber, num: 3}, hiStrict: true},
+	} {
+		if g, w := gotOrd.estimateRange(rng), refOrd.estimateRange(rng); g != w {
+			t.Errorf("%s: estimateRange(%s) = %d, reference %d", p.path, rng, g, w)
+		}
+		for _, h := range heights {
+			if g, w := sorted(gotOrd.lookupRange(rng, h)), sorted(refOrd.lookupRange(rng, h)); !reflect.DeepEqual(g, w) {
+				t.Errorf("%s: lookupRange(%s, %d) = %v, reference %v", p.path, rng, h, g, w)
+			}
+		}
+	}
+	for _, h := range heights {
+		for _, desc := range []bool{false, true} {
+			gc, rc := gotOrd.groups(desc), refOrd.groups(desc)
+			for {
+				g, gmore := gc.next(h)
+				w, wmore := rc.next(h)
+				if gmore != wmore || !reflect.DeepEqual(sorted(g), sorted(w)) {
+					t.Errorf("%s: value groups at %d (desc %v) diverge: %v/%v, reference %v/%v", p.path, h, desc, g, gmore, w, wmore)
+					break
+				}
+				if !gmore {
+					break
+				}
+			}
+			f, limit := Gte("n", 2), 0
+			if desc {
+				limit = 3
+			}
+			if g, w := c.findOrderedAt(h, f, p.path, desc, limit), c.findOrderedScanAt(h, f, p.path, desc, limit); len(g)+len(w) > 0 && !reflect.DeepEqual(g, w) {
+				t.Errorf("%s: FindOrdered at %d (desc %v, limit %d) = %v, scan %v", p.path, h, desc, limit, g, w)
+			}
+		}
+	}
+}
+
+// The cost of a sweep is a count, not a timing: with one document
+// changed per block, a post-seal sweep examines the span lists that
+// change closed — however many documents the indexes hold.
+func TestSweepExaminesOnlyWhatTheBlockClosed(t *testing.T) {
+	const docs = 50000
+	s := NewStore()
+	s.SetObs(obs.New())
+	bk := s.Backend()
+	c := s.Collection("utxos")
+	c.CreateIndex("owner")
+	c.CreateIndex("asset_id")
+	c.CreateOrderedIndex("spent")
+	c.CreateOrderedIndex("amount")
+	indexes := len(c.indexMap())
+	for i := 0; i < docs; i++ {
+		mustInsert(t, c, fmt.Sprintf("u%05d", i), map[string]any{
+			"owner": []any{fmt.Sprintf("o%d", i%97)}, "asset_id": fmt.Sprintf("a%d", i%13),
+			"amount": float64(i % 1000), "spent": false, "spent_by": "",
+		})
+	}
+	start := bk.Visible()
+	total := 0
+	for h := start + 1; h <= start+40; h++ {
+		bk.BeginBlock(h)
+		// A mark-spent: one value of one index moves.
+		if err := c.Update(fmt.Sprintf("u%05d", int(h-start)*1000), func(doc map[string]any) error {
+			doc["spent"], doc["spent_by"] = true, "tx"
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		bk.SealBlock(h)
+		n := sweepExamined(s)
+		if n > indexes {
+			t.Fatalf("sweep after block %d examined %d span lists over %d documents, want at most %d", h, n, docs, indexes)
+		}
+		total += n
+	}
+	// Everything that closed inside the run and has left the window
+	// was examined once: the sweep is not skipping work either.
+	if want := 40 - int(storage.DefaultRetainHeights) + 1; total != want {
+		t.Fatalf("sweeps examined %d span lists in all, want %d", total, want)
+	}
+}
+
+// TestUpdateIndexWorkFollowsChangedPaths: replacing a document costs
+// index work in the indexes whose value moved and nothing in the
+// others — a mark-spent over the four utxos indexes allocates what it
+// would with the spent index alone, and the comparison that decides it
+// allocates nothing.
+func TestUpdateIndexWorkFollowsChangedPaths(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	unspent := map[string]any{
+		"owner": []any{"o1", "o2"}, "asset_id": "a1", "amount": 7.0, "spent": false, "spent_by": "",
+		"nested": map[string]any{"deep": []any{map[string]any{"x": 1.0}}},
+	}
+	spent := deepCopyMap(unspent)
+	spent["spent"], spent["spent_by"] = true, "tx"
+
+	reindexAllocs := func(build func(c *Collection)) float64 {
+		t.Helper()
+		s := NewStore()
+		s.Backend().SetRetain(1 << 20) // every closed span queues: the steady state inside a block
+		c := s.Collection("utxos")
+		build(c)
+		mustInsert(t, c, "k", unspent)
+		docs := [2]map[string]any{unspent, spent}
+		h := int64(0)
+		allocs := testing.AllocsPerRun(200, func() {
+			h++
+			s.Backend().BeginBlock(h)
+			c.mu.Lock()
+			c.reindex("k", docs[h%2], docs[(h+1)%2])
+			c.mu.Unlock()
+			s.Backend().SealBlock(h)
+		})
+		for path, ix := range c.indexMap() {
+			if q := core(ix).closed.len(); (q != 0) != (path == "spent") {
+				t.Errorf("index %s queued %d closed spans over %d mark-spents", path, q, h)
+			}
+		}
+		return allocs
+	}
+	one := reindexAllocs(func(c *Collection) { c.CreateOrderedIndex("spent") })
+	four := reindexAllocs(func(c *Collection) {
+		c.CreateIndex("owner")
+		c.CreateIndex("asset_id")
+		c.CreateOrderedIndex("spent")
+		c.CreateOrderedIndex("amount")
+		c.CreateIndex("nested.deep.x")
+	})
+	none := reindexAllocs(func(c *Collection) {
+		c.CreateIndex("owner")
+		c.CreateOrderedIndex("amount")
+		c.CreateIndex("nested.deep.x")
+	})
+	if four != one {
+		t.Errorf("re-indexing a mark-spent: %v allocations with five indexes, %v with the spent index alone", four, one)
+	}
+	if none != 0 {
+		t.Errorf("re-indexing a mark-spent over indexes it does not move: %v allocations, want 0", none)
+	}
+	t.Logf("mark-spent index upkeep: %v allocations", one)
 }

@@ -154,25 +154,13 @@ func (p *PendingCommit) Seal() (committed []*txn.Transaction, skipped map[string
 // sealLocked is the one seal body, called with the state lock held:
 // it brackets the MVCC block, applies the staged ops in block order
 // inside one atomic WAL group followed by the height record — nothing
-// of the block is durable before everything is — and records the
-// block's plan/apply/seal attribution.
+// of the block is durable before everything is — publishes the block,
+// and records its plan/apply/seal attribution.
 func (p *PendingCommit) sealLocked() (committed []*txn.Transaction, skipped map[string]error, err error) {
 	s := p.s
-	// Bracket the block: every write between here and the seal is
-	// stamped with this height and stays invisible to snapshot readers
-	// until SealBlock publishes it atomically. Sealing also
-	// garbage-collects versions that fell out of the retained window;
-	// the index sweep rides the same moment, since that is when the
-	// retention floor advances.
-	bk := s.store.Backend()
-	bk.BeginBlock(p.height)
-	defer func() {
-		bk.SealBlock(p.height)
-		s.store.SweepIndexes()
-	}()
 	sealT := time.Now()
 	committed = make([]*txn.Transaction, 0, len(p.batch))
-	err = s.store.Group(func() error {
+	err = s.sealBlock(p.height, func() error {
 		for i, t := range p.batch {
 			st := p.staged[i]
 			if st.err != nil {
@@ -201,6 +189,8 @@ func (p *PendingCommit) sealLocked() (committed []*txn.Transaction, skipped map[
 	if p.height > s.lastHeight {
 		s.lastHeight = p.height
 	}
+	// The clock stops after the MVCC seal and the index sweep: a block
+	// is not sealed until it is published.
 	sealD := time.Since(sealT)
 	if s.ob.tracer != nil { // guard: the id projections allocate
 		cids := txIDs(committed)
@@ -216,6 +206,25 @@ func (p *PendingCommit) sealLocked() (committed []*txn.Transaction, skipped map[
 		s.ob.largestGroup.Observe(int64(p.plan.Largest()))
 	}
 	return committed, skipped, nil
+}
+
+// sealBlock is the bracket both seal sites (the block commit above and
+// ApplyPrepared's one-transaction block) write through: every write
+// group makes is stamped with height and stays invisible to snapshot
+// readers until SealBlock publishes it atomically. Sealing also
+// garbage-collects versions that fell out of the retained window, and
+// the index sweep rides the same moment, since that is when the
+// retention floor advances; both cost what the blocks leaving the
+// window changed, not what the state holds. The block is published
+// even when group fails: a height once opened must be closed, or later
+// writes would be stamped with it. Caller holds the state lock.
+func (s *State) sealBlock(height int64, group func() error) error {
+	bk := s.store.Backend()
+	bk.BeginBlock(height)
+	err := s.store.Group(group)
+	bk.SealBlock(height)
+	s.store.SweepIndexes()
+	return err
 }
 
 // Abandon releases the block's seal slot without writing anything —

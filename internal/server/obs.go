@@ -21,9 +21,9 @@ type nodeObs struct {
 	// parked because the ring was full (fence stack waits), and
 	// appliers that stalled at the apply gate behind an intersecting
 	// earlier block.
-	inflight    *obs.Gauge   // server.pipeline.inflight
-	stackWaits  *obs.Counter // server.fence.stack_waits
-	applyStalls *obs.Counter // server.fence.apply_stalls
+	inflight    *obs.Gauge     // server.pipeline.inflight
+	stackWaits  *obs.Counter   // server.fence.stack_waits
+	applyStalls *obs.Counter   // server.fence.apply_stalls
 	validateNs  *obs.Histogram // server.validate_ns
 	groups      *obs.Histogram // server.validate.conflict_groups
 	largest     *obs.Histogram // server.validate.largest_group
