@@ -3,15 +3,16 @@
 # storage-sensitive suites again over the disk engine
 # (SCDB_BACKEND=disk swaps every ledger.NewState onto a throwaway
 # WAL+segment engine), five seconds of fuzzing on each trust-boundary
-# decoder that has a target, a seconds-scale bench smoke run, and the
-# repo benchmark's own smoke test (a nested module `go test ./...` does
-# not reach). `make test-race` runs the concurrency-sensitive packages
+# decoder that has a target, a seconds-scale smoke run of scdb-bench
+# (the paper's six experiments and the open-loop traffic sweep), and
+# the repo benchmark's own smoke test (a nested module `go test ./...`
+# does not reach). `make test-race` runs the concurrency-sensitive packages
 # under the race detector on both backends; `make test-flake` repeats
 # them 50 times at GOMAXPROCS 1 and 2.
 
 GO ?= go
 
-.PHONY: all build vet test test-disk test-bench test-race test-flake fuzz bench-alloc bench-parallel bench-storage bench-mempool bench-commit bench-query bench-mvcc bench-obs bench-shard bench-traffic bench-pipeline bench-smoke ci
+.PHONY: all build vet test test-disk test-bench test-race test-flake fuzz bench-alloc bench-traffic bench-smoke ci
 
 all: build test
 
@@ -100,79 +101,21 @@ test-flake:
 	GOMAXPROCS=1 $(GO) test -count=50 $(RACE_PKGS)
 	GOMAXPROCS=2 $(GO) test -count=50 $(RACE_PKGS)
 
-# Reproduce the parallel-validation experiment (wall-clock sweep plus
-# the virtual-time consensus leg) at the paper-mix scale: ~110k
-# transactions through the validation sweep.
-bench-parallel:
-	$(GO) run ./cmd/scdb-bench -exp parallel -paper
-
-# Storage-engine experiment: commit throughput and reopen/recovery
-# time, memory vs disk, across block sizes.
-bench-storage:
-	$(GO) run ./cmd/scdb-bench -exp storage
-
-# Mempool-subsystem experiment: batched parallel admission vs serial
-# CheckTx, plus conflict-aware vs FIFO block packing.
-bench-mempool:
-	$(GO) run ./cmd/scdb-bench -exp mempool
-
-# Commit-stage experiment: serial apply vs per-conflict-group
-# appliers, the serialized validate→commit loop vs the overlapped
-# pipeline (wall clock, both backends), and the commit-bound consensus
-# simulation (virtual time, deterministic).
-bench-commit:
-	$(GO) run ./cmd/scdb-bench -exp commit
-
-# Query-planner experiment: planned (index point/range/intersect/
-# union) reads vs forced full scans across collection sizes, plus
-# sustained query throughput concurrent with block commits on both
-# backends.
-bench-query:
-	$(GO) run ./cmd/scdb-bench -exp query
-
-# MVCC snapshot-read experiment: the marketplace query mix on
-# height-pinned snapshots, idle vs concurrent with block commits, both
-# backends — quantifies query-vs-commit interference on the fence-free
-# read path.
-bench-mvcc:
-	$(GO) run ./cmd/scdb-bench -exp mvcc
-
-# Observability overhead: the pipelined commit with a live metrics
-# registry plus per-tx stage tracing vs the no-op (nil-registry)
-# build, gated at 3% — instrumentation must stay within noise of off.
-bench-obs:
-	$(GO) run ./cmd/scdb-bench -exp obs -obsgate 3
-
-# Horizontal-sharding experiment: per-cross-rate makespan speedup over
-# shard count — near-linear at 0% cross-shard, degrading gracefully as
-# the 2PC rate sweeps up.
-bench-shard:
-	$(GO) run ./cmd/scdb-bench -exp shard
-
-# Admission fast-path experiment: open-loop Poisson traffic from a
-# million-user keypair population through CheckTxBatch → commit,
-# sweeping offered load, caches on vs off — the throughput-gain and
-# p99-latency proof for the batched signature verifier and the
-# canonical-bytes cache.
+# Open-loop traffic sweep: Poisson arrivals from a million-user
+# keypair population through one node's CheckTxBatch -> CommitStart,
+# offered rate x CommitDepth on both backends, latency measured from
+# each transaction's scheduled arrival — the one measurement a
+# closed-loop benchmark (benchmark/) cannot make.
 bench-traffic:
 	$(GO) run ./cmd/scdb-bench -exp traffic
 
-# Deep-commit-pipeline experiment: the depth sweep D=1,2,4,8 (blocks
-# concurrently mid-apply behind stacked footprint fences, sealing in
-# height order), both backends, with every depth's fingerprint checked
-# byte-for-byte against the sequential reference, plus the commit-bound
-# consensus simulation over server CommitDepth.
-bench-pipeline:
-	$(GO) run ./cmd/scdb-bench -exp pipeline
-
-# Seconds-scale smoke run of the parallel, storage, mempool, commit,
-# pipeline, query, mvcc, obs, shard, and traffic experiments — part of
+# Seconds-scale smoke run of everything scdb-bench still does — the
+# paper's six experiments at toy scale (virtual time: the output is the
+# same bytes every run) and one toy open-loop traffic sweep — part of
 # the default `make test` gate so a broken experiment path fails the
 # build, not the next benchmarking session. Writes the
-# machine-readable results alongside the tables (obs is ungated here:
-# the smoke gate is shape, not noise; the pipeline leg still hard-fails
-# on any fingerprint divergence from the sequential reference).
+# machine-readable results alongside the tables.
 bench-smoke:
-	$(GO) run ./cmd/scdb-bench -exp parallel,storage,mempool,commit,pipeline,query,mvcc,obs,shard,traffic -json bench-smoke.json -batches 1 -batchtxs 64 -parallel 1,4 -storageblocks 2 -storagesizes 64 -mempooltxs 256 -commitblocks 3 -committxs 96 -conflicts 0.25,0.5 -pipeblocks 4 -pipetxs 64 -pipedepths 1,2,4 -pipeworkers 2 -querydocs 512,4096 -queryreps 16 -queryblocks 2 -querytxs 64 -queryreaders 2 -mvccblocks 4 -mvcctxs 64 -mvccreaders 2 -shardcounts 1,2 -shardcross 0,0.25 -shardchains 8 -shardrounds 2 -trafficusers 256 -traffictxs 256 -trafficinputs 2 -trafficrates 4000 -trafficbatch 32 -trafficdepths 1,2 -trafficbackends memory
+	$(GO) run ./cmd/scdb-bench -exp fig2,fig7,fig8,usability,mix,recovery,traffic -json bench-smoke.json -auctions 1 -bidders 3 -nodes 4,8 -sizes 110,1090 -trafficusers 256 -traffictxs 256 -trafficrates 4000 -trafficbatch 32 -trafficdepths 1,4
 
 ci: test test-race

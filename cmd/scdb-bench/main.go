@@ -1,29 +1,22 @@
 // Command scdb-bench regenerates the paper's evaluation tables and
-// figures on the simulated SmartchainDB and ETH-SC clusters and prints
-// them side by side with the published numbers.
+// figures on the simulated SmartchainDB and ETH-SC clusters, printing
+// them side by side with the published numbers, and runs the open-loop
+// traffic sweep. Everything else about the pipeline's performance is
+// read off the repo benchmark (bash benchmark/run.sh).
 //
 // Usage:
 //
-//	scdb-bench -exp all                 # every experiment
-//	scdb-bench -exp fig7 -auctions 4 -bidders 10
-//	scdb-bench -exp fig8 -nodes 4,8,16,32
+//	scdb-bench -exp all                 # all seven experiments
 //	scdb-bench -exp fig2
-//	scdb-bench -exp usability
-//	scdb-bench -exp parallel -parallel 1,2,4,8 -batchtxs 256 -conflict 0.1
-//	scdb-bench -exp parallel -paper     # paper-mix scale: ~110k transactions
-//	scdb-bench -exp storage -storageblocks 8 -storagesizes 64,256,1024
-//	scdb-bench -exp mempool -mempooltxs 2048 -conflicts 0.1,0.25,0.5
-//	scdb-bench -exp commit -commitblocks 6 -committxs 256 -conflicts 0.25,0.5
-//	scdb-bench -exp pipeline -pipedepths 1,2,4,8 -pipeblocks 8 -pipetxs 256
-//	scdb-bench -exp query -querydocs 1000,10000,50000 -queryreps 64
-//	scdb-bench -exp mvcc -mvccblocks 8 -mvcctxs 256 -mvccreaders 4
-//	scdb-bench -exp obs -obsgate 3      # instrumentation overhead vs the no-op registry
-//	scdb-bench -exp shard -shardcounts 1,2,4 -shardcross 0,0.1,0.3
-//	scdb-bench -exp traffic -trafficusers 1000000 -traffictxs 16384 -trafficrates 2000,6000
-//	scdb-bench -exp traffic -cpuprofile cpu.out -memprofile mem.out
-//	scdb-bench -exp commit -json out.json   # machine-readable results alongside the tables
+//	scdb-bench -exp fig7 -auctions 4 -bidders 10
 //	scdb-bench -exp fig7 -valworkers 4  # headline curves on the parallel pipeline
-//	scdb-bench -exp parallel,storage    # comma-separated subsets
+//	scdb-bench -exp fig8 -nodes 4,8,16,32
+//	scdb-bench -exp usability
+//	scdb-bench -exp mix -scale 1000
+//	scdb-bench -exp recovery
+//	scdb-bench -exp traffic -trafficusers 1000000 -traffictxs 16384 -trafficrates 2000,6000 -trafficdepths 1,4
+//	scdb-bench -exp traffic -cpuprofile cpu.out -memprofile mem.out
+//	scdb-bench -exp fig2,mix -json out.json   # subsets; machine-readable results alongside the tables
 //
 // An unrecognized experiment name fails fast with the known set; it is
 // never silently skipped.
@@ -43,56 +36,22 @@ import (
 
 func main() {
 	var (
-		exp        = flag.String("exp", "all", "comma-separated experiments: fig2 | fig7 | fig8 | usability | mix | recovery | parallel | storage | mempool | commit | pipeline | query | mvcc | obs | shard | traffic | all")
+		exp        = flag.String("exp", "all", "comma-separated experiments: fig2 | fig7 | fig8 | usability | mix | recovery | traffic | all")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile covering every selected experiment to this path")
 		memProfile = flag.String("memprofile", "", "write a heap profile (after the last experiment) to this path")
 		jsonPath   = flag.String("json", "", "also write every selected experiment's full results as JSON to this path")
-		obsGate    = flag.Float64("obsgate", 0, "obs experiment: fail if instrumentation overhead exceeds this percent (0 = report only)")
 		auctions   = flag.Int("auctions", 4, "auctions per run")
 		bidders    = flag.Int("bidders", 10, "bidders per auction")
 		seed       = flag.Int64("seed", 42, "simulation seed")
 		sizes      = flag.String("sizes", "", "comma-separated payload sizes in bytes (default: the paper's 0.11-1.74 KB sweep)")
 		nodes      = flag.String("nodes", "", "comma-separated validator counts (default 4,8,16,32)")
 		mixScale   = flag.Int("scale", 1000, "mix experiment: divide the paper's 110k-tx mix by this factor")
-		workers    = flag.String("parallel", "1,2,4,8", "parallel/mempool experiments: comma-separated worker counts (1 = sequential baseline)")
-		batchTxs   = flag.Int("batchtxs", 256, "parallel experiment: transactions per block")
-		batches    = flag.Int("batches", 4, "parallel experiment: blocks per measurement")
-		conflict   = flag.Float64("conflict", 0.1, "parallel experiment: fraction of conflicting transactions per block")
-		paper      = flag.Bool("paper", false, "parallel experiment: paper-mix scale — ~110k transactions (430 blocks x 256 txs, single rep)")
 		valWorkers = flag.Int("valworkers", 4, "fig7/fig8: per-validator parallel-pipeline workers (0 = sequential paths)")
-		stBlocks   = flag.Int("storageblocks", 8, "storage experiment: blocks per measurement")
-		stSizes    = flag.String("storagesizes", "64,256,1024", "storage experiment: comma-separated transactions per block")
-		mpTxs      = flag.Int("mempooltxs", 2048, "mempool experiment: admission stream length")
-		mpBatch    = flag.Int("mempoolbatch", 64, "mempool experiment: admission batch size")
-		mpBlock    = flag.Int("packblock", 64, "mempool experiment: packed block size")
-		mpPackW    = flag.Int("packworkers", 8, "mempool experiment: validation workers the packer balances for")
-		mpRates    = flag.String("conflicts", "0.1,0.25,0.5", "mempool/commit experiments: comma-separated conflict rates")
-		cmBlocks   = flag.Int("commitblocks", 6, "commit experiment: blocks per measurement")
-		cmTxs      = flag.Int("committxs", 256, "commit experiment: transactions per block")
-		ppDepths   = flag.String("pipedepths", "1,2,4,8", "pipeline experiment: comma-separated concurrently-applying block bounds (1 = serial baseline)")
-		ppBlocks   = flag.Int("pipeblocks", 8, "pipeline experiment: blocks per measurement")
-		ppTxs      = flag.Int("pipetxs", 256, "pipeline experiment: transactions per block")
-		ppWorkers  = flag.Int("pipeworkers", 4, "pipeline experiment: per-block commit apply workers")
-		ppConflict = flag.Float64("pipeconflict", 0.25, "pipeline experiment: intra-block chain rate")
-		qDocs      = flag.String("querydocs", "1000,10000,50000", "query experiment: comma-separated collection sizes for the planner-vs-scan latency sweep")
-		qReps      = flag.Int("queryreps", 64, "query experiment: queries per shape per measurement")
-		qBlocks    = flag.Int("queryblocks", 8, "query experiment: blocks committed during the concurrent-throughput leg")
-		qTxs       = flag.Int("querytxs", 256, "query experiment: transactions per concurrent-leg block")
-		qReaders   = flag.Int("queryreaders", 4, "query experiment: concurrent query goroutines")
-		mvBlocks   = flag.Int("mvccblocks", 8, "mvcc experiment: commit-load blocks (half warm the state)")
-		mvTxs      = flag.Int("mvcctxs", 256, "mvcc experiment: transactions per commit-load block")
-		mvReaders  = flag.Int("mvccreaders", 4, "mvcc experiment: concurrent snapshot-query goroutines")
-		shCounts   = flag.String("shardcounts", "1,2,4", "shard experiment: comma-separated shard counts (1 = unsharded baseline)")
-		shCross    = flag.String("shardcross", "0,0.1,0.3", "shard experiment: comma-separated cross-shard transfer rates")
-		shChains   = flag.Int("shardchains", 32, "shard experiment: concurrent transfer chains split across shards")
-		shRounds   = flag.Int("shardrounds", 8, "shard experiment: lockstep rounds (one transfer per chain per round)")
 		trUsers    = flag.Int("trafficusers", 0, "traffic experiment: pre-generated keypair population (default 1,000,000)")
 		trTxs      = flag.Int("traffictxs", 0, "traffic experiment: transactions per leg (default 16384)")
-		trInputs   = flag.Int("trafficinputs", 0, "traffic experiment: inputs per transfer (default 4)")
 		trRates    = flag.String("trafficrates", "", "traffic experiment: comma-separated offered loads in tx/s (default 2000,6000)")
-		trBatch    = flag.Int("trafficbatch", 0, "traffic experiment: admission batch size (default 128)")
-		trDepths   = flag.String("trafficdepths", "", "traffic experiment: comma-separated commit pipeline depths (default 1,4)")
-		trBackends = flag.String("trafficbackends", "", "traffic experiment: comma-separated backends (default memory,disk)")
+		trBatch    = flag.Int("trafficbatch", 0, "traffic experiment: admission batch and block size (default 128)")
+		trDepths   = flag.String("trafficdepths", "", "traffic experiment: comma-separated server CommitDepth values (default 1,4)")
 	)
 	flag.Parse()
 
@@ -165,173 +124,12 @@ func main() {
 		report.Add("recovery", r)
 		bench.PrintRecovery(os.Stdout, r)
 	}
-	runParallel := func() {
-		workerList, err := parseInts(*workers)
-		if err != nil {
-			fatal(err)
-		}
-		params := bench.ParallelParams{
-			Batches:      *batches,
-			BatchTxs:     *batchTxs,
-			Workers:      workerList,
-			ConflictRate: *conflict,
-			Seed:         *seed,
-		}
-		if *paper {
-			// The paper's E4 mix size: 110,000 transactions through the
-			// wall-clock validation sweep (430 x 256 = 110,080). One rep:
-			// at this scale the run is minutes, not milliseconds.
-			// Explicitly passed -batches/-batchtxs still win.
-			explicit := map[string]bool{}
-			flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-			if !explicit["batches"] {
-				params.Batches = 430
-			}
-			if !explicit["batchtxs"] {
-				params.BatchTxs = 256
-			}
-			params.Reps = 1
-		}
-		r := bench.RunParallel(params)
-		report.Add("parallel", r)
-		bench.PrintParallel(os.Stdout, r)
-	}
-	runStorage := func() {
-		sizeList, err := parseInts(*stSizes)
-		if err != nil {
-			fatal(err)
-		}
-		r := bench.RunStorage(bench.StorageParams{
-			Blocks:     *stBlocks,
-			BlockSizes: sizeList,
-			Seed:       *seed,
-		})
-		report.Add("storage", r)
-		bench.PrintStorage(os.Stdout, r)
-	}
-	runMempool := func() {
-		workerList, err := parseInts(*workers)
-		if err != nil {
-			fatal(err)
-		}
-		rateList, err := parseFloats(*mpRates)
-		if err != nil {
-			fatal(err)
-		}
-		r := bench.RunMempool(bench.MempoolParams{
-			Txs:           *mpTxs,
-			Batch:         *mpBatch,
-			Workers:       workerList,
-			ConflictRates: rateList,
-			BlockTxs:      *mpBlock,
-			PackWorkers:   *mpPackW,
-			Seed:          *seed,
-		})
-		report.Add("mempool", r)
-		bench.PrintMempool(os.Stdout, r)
-	}
-
-	runCommit := func() {
-		workerList, err := parseInts(*workers)
-		if err != nil {
-			fatal(err)
-		}
-		rateList, err := parseFloats(*mpRates)
-		if err != nil {
-			fatal(err)
-		}
-		r := bench.RunCommit(bench.CommitParams{
-			Blocks:        *cmBlocks,
-			BlockTxs:      *cmTxs,
-			Workers:       workerList,
-			ConflictRates: rateList,
-			Seed:          *seed,
-		})
-		report.Add("commit", r)
-		bench.PrintCommit(os.Stdout, r)
-	}
-
-	runPipeline := func() {
-		depthList, err := parseInts(*ppDepths)
-		if err != nil {
-			fatal(err)
-		}
-		r := bench.RunPipeline(bench.PipelineParams{
-			Blocks:       *ppBlocks,
-			BlockTxs:     *ppTxs,
-			Depths:       depthList,
-			ConflictRate: *ppConflict,
-			Workers:      *ppWorkers,
-			Seed:         *seed,
-		})
-		report.Add("pipeline", r)
-		bench.PrintPipeline(os.Stdout, r)
-	}
-
-	runQuery := func() {
-		docList, err := parseInts(*qDocs)
-		if err != nil {
-			fatal(err)
-		}
-		r := bench.RunQuery(bench.QueryParams{
-			Docs:     docList,
-			Reps:     *qReps,
-			Blocks:   *qBlocks,
-			BlockTxs: *qTxs,
-			Readers:  *qReaders,
-			Seed:     *seed,
-		})
-		report.Add("query", r)
-		bench.PrintQuery(os.Stdout, r)
-	}
-
-	runMVCC := func() {
-		r := bench.RunMVCC(bench.MVCCParams{
-			Blocks:   *mvBlocks,
-			BlockTxs: *mvTxs,
-			Readers:  *mvReaders,
-			Seed:     *seed,
-		})
-		report.Add("mvcc", r)
-		bench.PrintMVCC(os.Stdout, r)
-	}
-
-	runObs := func() {
-		r := bench.RunObs(bench.ObsParams{Seed: *seed})
-		report.Add("obs", r)
-		bench.PrintObs(os.Stdout, r)
-		if *obsGate > 0 && r.OverheadPct > *obsGate {
-			fatal(fmt.Errorf("obs overhead %.2f%% exceeds gate %.2f%%", r.OverheadPct, *obsGate))
-		}
-	}
-
-	runShard := func() {
-		counts, err := parseInts(*shCounts)
-		if err != nil {
-			fatal(err)
-		}
-		rates, err := parseFloats(*shCross)
-		if err != nil {
-			fatal(err)
-		}
-		r := bench.RunShard(bench.ShardParams{
-			ShardCounts: counts,
-			CrossRates:  rates,
-			Chains:      *shChains,
-			Rounds:      *shRounds,
-			Seed:        *seed,
-		})
-		report.Add("shard", r)
-		bench.PrintShard(os.Stdout, r)
-	}
-
 	runTraffic := func() {
 		params := bench.TrafficParams{
-			Users:  *trUsers,
-			Txs:    *trTxs,
-			Inputs: *trInputs,
-			Batch:  *trBatch,
-			Seed:   *seed,
+			Users: *trUsers,
+			Txs:   *trTxs,
+			Batch: *trBatch,
+			Seed:  *seed,
 		}
 		if *trRates != "" {
 			rates, err := parseFloats(*trRates)
@@ -347,35 +145,30 @@ func main() {
 			}
 			params.Depths = depths
 		}
-		if *trBackends != "" {
-			for _, b := range strings.Split(*trBackends, ",") {
-				params.Backends = append(params.Backends, strings.TrimSpace(b))
-			}
-		}
 		r := bench.RunTraffic(params)
 		report.Add("traffic", r)
 		bench.PrintTraffic(os.Stdout, r)
 	}
 
-	experiments := map[string]func(){
-		"fig2":      runFig2,
-		"fig7":      runFig7,
-		"fig8":      runFig8,
-		"usability": runUsability,
-		"mix":       runMix,
-		"recovery":  runRecovery,
-		"parallel":  runParallel,
-		"storage":   runStorage,
-		"mempool":   runMempool,
-		"commit":    runCommit,
-		"pipeline":  runPipeline,
-		"query":     runQuery,
-		"mvcc":      runMVCC,
-		"obs":       runObs,
-		"shard":     runShard,
-		"traffic":   runTraffic,
+	// The experiments in canonical run order: "all" expands to this
+	// list and an -exp name is valid exactly when it is in it.
+	experiments := []struct {
+		name string
+		run  func()
+	}{
+		{"fig2", runFig2},
+		{"fig7", runFig7},
+		{"fig8", runFig8},
+		{"usability", runUsability},
+		{"mix", runMix},
+		{"recovery", runRecovery},
+		{"traffic", runTraffic},
 	}
-	selected, err := selectExperiments(*exp, experimentOrder)
+	known := make([]string, len(experiments))
+	for i, e := range experiments {
+		known[i] = e.name
+	}
+	selected, err := selectExperiments(*exp, known)
 	if err != nil {
 		fatal(err)
 	}
@@ -393,7 +186,11 @@ func main() {
 		}()
 	}
 	for _, name := range selected {
-		experiments[name]()
+		for _, e := range experiments {
+			if e.name == name {
+				e.run()
+			}
+		}
 	}
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
@@ -413,10 +210,6 @@ func main() {
 		fmt.Printf("results written to %s\n", *jsonPath)
 	}
 }
-
-// experimentOrder is the canonical run order; "all" expands to it and
-// selectExperiments validates against it.
-var experimentOrder = []string{"fig2", "fig7", "fig8", "usability", "mix", "recovery", "parallel", "storage", "mempool", "commit", "pipeline", "query", "mvcc", "obs", "shard", "traffic"}
 
 // selectExperiments expands a comma-separated -exp value against the
 // known experiment names: "all" expands to every experiment in

@@ -6,37 +6,41 @@ import (
 	"testing"
 )
 
+// known stands in for main's experiment list: selectExperiments is a
+// pure function of the spec and the names it is given.
+var known = []string{"fig2", "fig7", "mix", "traffic"}
+
 func TestSelectExperimentsSubset(t *testing.T) {
-	got, err := selectExperiments("parallel, storage ,parallel", experimentOrder)
+	got, err := selectExperiments("traffic, mix ,traffic", known)
 	if err != nil {
 		t.Fatalf("selectExperiments: %v", err)
 	}
-	if want := []string{"parallel", "storage"}; !reflect.DeepEqual(got, want) {
+	if want := []string{"traffic", "mix"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("selected %v, want %v", got, want)
 	}
 }
 
 func TestSelectExperimentsAll(t *testing.T) {
-	got, err := selectExperiments("all", experimentOrder)
+	got, err := selectExperiments("all", known)
 	if err != nil {
 		t.Fatalf("selectExperiments: %v", err)
 	}
-	if !reflect.DeepEqual(got, experimentOrder) {
-		t.Fatalf("all expanded to %v, want %v", got, experimentOrder)
+	if !reflect.DeepEqual(got, known) {
+		t.Fatalf("all expanded to %v, want %v", got, known)
 	}
 	// "all" plus an explicit name stays deduplicated.
-	got, err = selectExperiments("query,all", experimentOrder)
+	got, err = selectExperiments("mix,all", known)
 	if err != nil {
 		t.Fatalf("selectExperiments: %v", err)
 	}
-	if len(got) != len(experimentOrder) || got[0] != "query" {
-		t.Fatalf("query,all selected %v", got)
+	if len(got) != len(known) || got[0] != "mix" {
+		t.Fatalf("mix,all selected %v", got)
 	}
 }
 
 func TestSelectExperimentsUnknown(t *testing.T) {
-	for _, spec := range []string{"bogus", "parallel,bogus", "quer"} {
-		_, err := selectExperiments(spec, experimentOrder)
+	for _, spec := range []string{"bogus", "traffic,bogus", "traffi", "parallel"} {
+		_, err := selectExperiments(spec, known)
 		if err == nil {
 			t.Fatalf("spec %q: expected an error, got none", spec)
 		}
@@ -45,7 +49,7 @@ func TestSelectExperimentsUnknown(t *testing.T) {
 			t.Fatalf("spec %q: error %q does not flag the unknown name", spec, msg)
 		}
 		// The error teaches the valid set instead of just rejecting.
-		for _, name := range experimentOrder {
+		for _, name := range known {
 			if !strings.Contains(msg, name) {
 				t.Fatalf("spec %q: error %q does not list known experiment %q", spec, msg, name)
 			}
@@ -55,54 +59,8 @@ func TestSelectExperimentsUnknown(t *testing.T) {
 
 func TestSelectExperimentsEmpty(t *testing.T) {
 	for _, spec := range []string{"", " , ,"} {
-		if _, err := selectExperiments(spec, experimentOrder); err == nil {
+		if _, err := selectExperiments(spec, known); err == nil {
 			t.Fatalf("spec %q: expected an error, got none", spec)
 		}
-	}
-}
-
-func TestExperimentOrderRegistersMVCC(t *testing.T) {
-	found := false
-	for _, n := range experimentOrder {
-		if n == "mvcc" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("mvcc experiment not registered in experimentOrder")
-	}
-}
-
-func TestExperimentOrderRegistersShard(t *testing.T) {
-	found := false
-	for _, n := range experimentOrder {
-		if n == "shard" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("shard experiment not registered in experimentOrder")
-	}
-	// The shard experiment is selectable on its own and rides "all".
-	got, err := selectExperiments("shard", experimentOrder)
-	if err != nil || len(got) != 1 || got[0] != "shard" {
-		t.Fatalf("selectExperiments(shard) = %v, %v", got, err)
-	}
-}
-
-func TestExperimentOrderRegistersTraffic(t *testing.T) {
-	found := false
-	for _, n := range experimentOrder {
-		if n == "traffic" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("traffic experiment not registered in experimentOrder")
-	}
-	// The traffic experiment is selectable on its own and rides "all".
-	got, err := selectExperiments("traffic", experimentOrder)
-	if err != nil || len(got) != 1 || got[0] != "traffic" {
-		t.Fatalf("selectExperiments(traffic) = %v, %v", got, err)
 	}
 }

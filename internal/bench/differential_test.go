@@ -2,11 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"testing"
-	"time"
 
-	"smartchaindb/internal/consensus"
 	"smartchaindb/internal/ethchain"
 	"smartchaindb/internal/keys"
 	"smartchaindb/internal/minisol"
@@ -14,7 +11,6 @@ import (
 	"smartchaindb/internal/server"
 	"smartchaindb/internal/txn"
 	"smartchaindb/internal/txtype"
-	"smartchaindb/internal/workload"
 )
 
 // TestCrossSystemOutcomeEquivalence runs the *same* reverse auction on
@@ -159,101 +155,6 @@ func TestCrossSystemOutcomeEquivalence(t *testing.T) {
 	if !scdbSecondAcceptRejected || !ethSecondAcceptRejected {
 		t.Errorf("double accept: scdb rejected=%v eth rejected=%v",
 			scdbSecondAcceptRejected, ethSecondAcceptRejected)
-	}
-}
-
-// TestClusterDifferentialSequentialVsParallel drives the identical
-// reverse-auction workload — creates, requests, conflict-heavy bids on
-// shared REQUESTs, accepts, and the nested children they spawn —
-// through two full consensus clusters, one validating blocks
-// sequentially and one with the 4-worker parallel pipeline, and
-// requires them to commit exactly the same transaction set and agree
-// on the auction economics. Run it with -race to exercise the worker
-// pool under the detector.
-func TestClusterDifferentialSequentialVsParallel(t *testing.T) {
-	const auctions, bidders = 2, 4
-
-	type outcome struct {
-		committed []string
-		economics map[string]bool
-	}
-	run := func(workers int) outcome {
-		cluster := server.NewCluster(server.ClusterConfig{
-			Nodes:         4,
-			Seed:          1234, // same seed: identical scheduling and workload
-			BlockInterval: 40 * time.Millisecond,
-			MaxBlockTxs:   16,
-			Pipelined:     true,
-			// Hold children back until every replica applied the parent;
-			// an early child on a lagging receiver is rejected for good.
-			ChildDelay: 100 * time.Millisecond,
-			Node: server.Config{
-				ReceiverTime:        2 * time.Millisecond,
-				ValidationTimePerTx: time.Millisecond,
-				ParallelWorkers:     workers,
-			},
-		})
-		defer cluster.Close()
-		var committed []string
-		cluster.OnCommit(func(tx consensus.Tx, _ time.Duration) {
-			committed = append(committed, tx.Hash())
-		})
-		gen := workload.NewGenerator(99, cluster.ServerNode(0).Escrow())
-		groups := make([]*workload.AuctionGroup, 0, auctions)
-		base := 0
-		for i := 0; i < auctions; i++ {
-			groups = append(groups, gen.NewAuctionGroup(base, workload.AuctionGroupSpec{
-				BiddersPerAuction: bidders, PayloadBytes: 96,
-			}))
-			base += bidders + 1
-		}
-		driveAuctionPhases(cluster, groups, 3*time.Millisecond)
-
-		econ := make(map[string]bool)
-		state := cluster.ServerNode(0).State()
-		for gi, g := range groups {
-			accept, ok := state.AcceptForRFQ(g.Request.ID)
-			econ[fmt.Sprintf("auction%d.settled", gi)] = ok
-			if !ok {
-				continue
-			}
-			winAsset, _ := state.OutputAssetID(txn.OutputRef{TxID: accept.Asset.ID, Index: 0})
-			econ[fmt.Sprintf("auction%d.winnerPaid", gi)] =
-				state.Balance(g.Requester.PublicBase58(), winAsset) == 1
-			for bi, bid := range g.Bids {
-				if bid.ID == accept.Asset.ID {
-					continue
-				}
-				aid, _ := state.OutputAssetID(txn.OutputRef{TxID: bid.ID, Index: 0})
-				econ[fmt.Sprintf("auction%d.loser%d.whole", gi, bi)] =
-					state.Balance(g.Bidders[bi].PublicBase58(), aid) == 1
-			}
-		}
-		sort.Strings(committed)
-		return outcome{committed: committed, economics: econ}
-	}
-
-	seq := run(0)
-	par := run(4)
-
-	if len(seq.committed) == 0 {
-		t.Fatal("sequential cluster committed nothing")
-	}
-	if len(seq.committed) != len(par.committed) {
-		t.Fatalf("committed counts differ: seq=%d par=%d", len(seq.committed), len(par.committed))
-	}
-	for i := range seq.committed {
-		if seq.committed[i] != par.committed[i] {
-			t.Fatalf("committed sets differ at %d: %s vs %s", i, seq.committed[i][:8], par.committed[i][:8])
-		}
-	}
-	for k, v := range seq.economics {
-		if !v {
-			t.Errorf("sequential cluster economics broken: %s", k)
-		}
-		if par.economics[k] != v {
-			t.Errorf("economics differ for %s: seq=%v par=%v", k, v, par.economics[k])
-		}
 	}
 }
 

@@ -3,89 +3,13 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
-	"time"
-
-	"smartchaindb/internal/obs"
 )
-
-// This file is the shared reporting machinery: the best-of-reps
-// measurement loop every wall-clock experiment repeats, per-stage
-// latency-distribution capture off a live obs registry, and the
-// machine-readable report scdb-bench -json emits.
-
-// fastest repeats run and returns the rep with the lowest elapsed
-// time — the wall-clock discipline of every experiment here (the
-// minimum over reps rejects scheduler noise; means average it in).
-// The payload rides along with its rep's measurement.
-func fastest[T any](reps int, run func() (time.Duration, T)) (time.Duration, T) {
-	best := time.Duration(1<<62 - 1)
-	var out T
-	for rep := 0; rep < reps; rep++ {
-		el, v := run()
-		if el < best {
-			best, out = el, v
-		}
-	}
-	return best, out
-}
-
-// timed runs f once and returns its wall time, for use as a fastest
-// payload-free measurement body.
-func timed(f func()) time.Duration {
-	start := time.Now()
-	f()
-	return time.Since(start)
-}
-
-// stageMetric names one histogram a stage table reports: the short
-// label rendered in tables and the registry metric it snapshots.
-type stageMetric struct {
-	Label  string
-	Metric string
-}
-
-// StageDist is one per-stage latency distribution captured off a live
-// obs registry during an instrumented pass. Dist values are
-// nanoseconds for *_ns metrics.
-type StageDist struct {
-	Backend string           `json:"backend"`
-	Stage   string           `json:"stage"`
-	Metric  string           `json:"metric"`
-	Dist    obs.HistSnapshot `json:"dist"`
-}
-
-// captureStages snapshots the named histograms from a live registry
-// into stage rows, in table order.
-func captureStages(reg *obs.Registry, backend string, metrics []stageMetric) []StageDist {
-	out := make([]StageDist, 0, len(metrics))
-	for _, m := range metrics {
-		out = append(out, StageDist{
-			Backend: backend,
-			Stage:   m.Label,
-			Metric:  m.Metric,
-			Dist:    reg.Histogram(m.Metric).Snapshot(),
-		})
-	}
-	return out
-}
-
-// printStages renders stage rows as one quantile table (µs).
-func printStages(w io.Writer, rows []StageDist) {
-	fmt.Fprintf(w, "  %-8s %-8s %8s %10s %10s %10s %10s\n", "backend", "stage", "count", "p50(µs)", "p99(µs)", "p999(µs)", "max(µs)")
-	for _, r := range rows {
-		d := r.Dist
-		fmt.Fprintf(w, "  %-8s %-8s %8d %10.1f %10.1f %10.1f %10.1f\n",
-			r.Backend, r.Stage, d.Count,
-			float64(d.P50)/1e3, float64(d.P99)/1e3, float64(d.P999)/1e3, float64(d.Max)/1e3)
-	}
-}
 
 // Report accumulates every selected experiment's result struct for
 // the -json emission. The structs marshal as-is: durations are
-// nanosecond integers, histograms are HistSnapshot objects.
+// nanosecond integers.
 type Report struct {
 	GoMaxProcs  int           `json:"gomaxprocs"`
 	Experiments []ReportEntry `json:"experiments"`

@@ -2,7 +2,10 @@
 // and figure of the paper's evaluation (Figure 2, Figures 7a–7c,
 // Figures 8a–8c, and the §5.2.2 usability comparison) on the simulated
 // SmartchainDB and ETH-SC clusters, printing paper-style rows so the
-// measured shapes can be compared against the published ones.
+// measured shapes can be compared against the published ones. The one
+// wall-clock experiment it keeps is the open-loop traffic sweep
+// (traffic.go); every other measurement of the pipeline belongs to the
+// repo benchmark (benchmark/).
 package bench
 
 import (

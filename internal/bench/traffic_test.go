@@ -9,11 +9,11 @@ import (
 
 // TestRunTrafficSmall runs the traffic experiment at toy scale and
 // checks the structural invariants: every offered transaction is
-// admitted (the workload is valid by construction), fast-path and
-// slow-path legs admit identically, dedup fires on the multi-input
-// transfers, and the report renders. The backend follows the tier-1
-// SCDB_BACKEND switch so the disk gate exercises the traffic node's
-// WAL-backed leg too.
+// admitted and committed (the workload is valid by construction) at
+// every commit depth, dedup fires on the multi-input transfers, the
+// quantiles are ordered, and the report renders. The backend follows
+// the tier-1 SCDB_BACKEND switch so the disk gate exercises the
+// traffic node's WAL-backed leg too.
 func TestRunTrafficSmall(t *testing.T) {
 	backend := "memory"
 	if os.Getenv("SCDB_BACKEND") == "disk" {
@@ -25,64 +25,44 @@ func TestRunTrafficSmall(t *testing.T) {
 		Inputs:   3,
 		Batch:    16,
 		Workers:  2,
-		Reps:     1,
 		Rates:    []float64{3000},
-		Depths:   []int{1, 2},
+		Depths:   []int{1, 4},
 		Backends: []string{backend},
 		Seed:     5,
 	}
 	r := RunTraffic(p)
 
-	if len(r.ThroughputRows) != 2 {
-		t.Fatalf("throughput rows = %d, want 2 (off, on)", len(r.ThroughputRows))
+	if len(r.Rows) != 2 {
+		t.Fatalf("rows = %d, want 2 (depths 1, 4)", len(r.Rows))
 	}
-	for _, row := range r.ThroughputRows {
-		if row.Admitted != p.Txs {
-			t.Fatalf("closed-loop %s fast=%v admitted %d/%d", row.Backend, row.FastPath, row.Admitted, p.Txs)
+	for i, row := range r.Rows {
+		if row.Depth != p.Depths[i] || row.Backend != backend {
+			t.Fatalf("row %d is %s depth %d, want %s depth %d", i, row.Backend, row.Depth, backend, p.Depths[i])
 		}
-		if row.TPS <= 0 {
-			t.Fatalf("closed-loop TPS = %v", row.TPS)
-		}
-	}
-	if _, ok := r.ThroughputGain[backend]; !ok {
-		t.Fatal("no throughput gain recorded for backend")
-	}
-
-	if len(r.LatencyRows) != 4 {
-		t.Fatalf("latency rows = %d, want 4 (off/on × depths 1,2)", len(r.LatencyRows))
-	}
-	depthsSeen := map[int]int{}
-	for _, row := range r.LatencyRows {
-		depthsSeen[row.Depth]++
-	}
-	if depthsSeen[1] != 2 || depthsSeen[2] != 2 {
-		t.Fatalf("latency depth coverage = %v, want two legs each at depths 1 and 2", depthsSeen)
-	}
-	for _, row := range r.LatencyRows {
-		if row.Admitted != p.Txs || row.Rejected != 0 {
-			t.Fatalf("open-loop %s fast=%v admitted=%d rejected=%d, want %d/0",
-				row.Backend, row.FastPath, row.Admitted, row.Rejected, p.Txs)
+		if row.Admitted != p.Txs || row.Committed != p.Txs || row.Rejected != 0 {
+			t.Fatalf("%s depth %d: admitted=%d committed=%d rejected=%d, want %d/%d/0",
+				row.Backend, row.Depth, row.Admitted, row.Committed, row.Rejected, p.Txs, p.Txs)
 		}
 		if row.AdmitP50 <= 0 || row.AdmitP99 < row.AdmitP50 || row.AdmitP999 < row.AdmitP99 {
 			t.Fatalf("admission quantiles not monotone: p50=%v p99=%v p999=%v",
 				row.AdmitP50, row.AdmitP99, row.AdmitP999)
 		}
-		if row.CommitP50 <= 0 {
-			t.Fatalf("commit p50 = %v", row.CommitP50)
+		if row.CommitP50 <= 0 || row.CommitP99 < row.CommitP50 || row.CommitP999 < row.CommitP99 {
+			t.Fatalf("commit quantiles not monotone: p50=%v p99=%v p999=%v",
+				row.CommitP50, row.CommitP99, row.CommitP999)
 		}
-		if row.FastPath {
-			if row.SigTasks == 0 || row.DedupHits == 0 {
-				t.Fatalf("fast-path leg saw no dedup: tasks=%d hits=%d", row.SigTasks, row.DedupHits)
-			}
-		} else if row.SigTasks != 0 {
-			t.Fatalf("slow-path leg ran the batch verifier: tasks=%d", row.SigTasks)
+		if row.CommitP50 < row.AdmitP50 {
+			t.Fatalf("commit p50 %v below admission p50 %v", row.CommitP50, row.AdmitP50)
+		}
+		if row.SigTasks == 0 || row.DedupHits == 0 {
+			t.Fatalf("leg saw no dedup: tasks=%d hits=%d", row.SigTasks, row.DedupHits)
 		}
 	}
 
 	var buf bytes.Buffer
 	PrintTraffic(&buf, r)
 	out := buf.String()
-	for _, want := range []string{"keygen", "closed-loop", "open-loop", "p99", backend} {
+	for _, want := range []string{"keygen", "open-loop", "CommitDepth", "p99", backend} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}

@@ -41,9 +41,10 @@
 // not serialize behind the commit writer. Candidates are a superset
 // of the matches (multikey indexes fan arrays out) and every fetched
 // document is re-checked against the full filter, so plans affect
-// performance, never results: FindScan forces the full-scan path and
-// must return byte-identical output, which the planner/scan
-// differential property test pins on both backends.
+// performance, never results: the planner/scan differential property
+// test holds Find to byte-identical output with a forced full scan
+// (FindScan, a reference implementation kept in the package's tests)
+// on both backends.
 //
 // Explain renders the compiled plan ("point(operation eq "BID")[3]",
 // "intersect[2](...)", "full-scan(no index on "x")") for tests and

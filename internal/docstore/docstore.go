@@ -675,24 +675,6 @@ func (c *Collection) shardedVisitAt(h int64, keys []string, fn func(key string, 
 	}
 }
 
-// FindScan is Find forced down the full-scan path, bypassing the
-// planner — the reference implementation the planner/scan differential
-// tests and the query benchmarks compare against. Results are
-// byte-identical to Find in content and order.
-func (c *Collection) FindScan(filter Filter) []map[string]any {
-	if c.dropped.Load() {
-		return nil
-	}
-	var out []map[string]any
-	c.scanVisitAt(storage.HeightLatest, func(_ string, doc map[string]any) bool {
-		if filter == nil || filter.Matches(doc) {
-			out = append(out, deepCopyMap(doc))
-		}
-		return true
-	})
-	return out
-}
-
 // FindOrdered returns copies of the documents matching filter in
 // index-value order over orderPath — ascending, or fully reversed when
 // desc — with ties broken by insertion order; limit <= 0 means

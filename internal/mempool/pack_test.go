@@ -96,15 +96,17 @@ func TestPackFIFOKeepsArrivalPrefix(t *testing.T) {
 
 func TestPackMakespanBeatsFIFOOnChainedTraffic(t *testing.T) {
 	const n, blockTxs, workers = 256, 64, 8
-	txs := interleavedWorkload(n, 4) // 25% of traffic on one chain
-	fifo := fillPool(t, PackFIFO, workers, txs).Pack(blockTxs, workers)
-	packed := fillPool(t, PackMakespan, workers, txs).Pack(blockTxs, workers)
-	if len(fifo) != blockTxs || len(packed) != blockTxs {
-		t.Fatalf("block sizes: fifo=%d packed=%d", len(fifo), len(packed))
-	}
-	fm, pm := makespanOf(fifo, workers), makespanOf(packed, workers)
-	if pm >= fm {
-		t.Fatalf("makespan not improved: fifo=%d packed=%d", fm, pm)
+	for _, chainEvery := range []int{4, 2} { // 25% and 50% of traffic on one chain
+		txs := interleavedWorkload(n, chainEvery)
+		fifo := fillPool(t, PackFIFO, workers, txs).Pack(blockTxs, workers)
+		packed := fillPool(t, PackMakespan, workers, txs).Pack(blockTxs, workers)
+		if len(fifo) != blockTxs || len(packed) != blockTxs {
+			t.Fatalf("chain every %d: block sizes: fifo=%d packed=%d", chainEvery, len(fifo), len(packed))
+		}
+		fm, pm := makespanOf(fifo, workers), makespanOf(packed, workers)
+		if pm >= fm {
+			t.Fatalf("chain every %d: makespan not improved: fifo=%d packed=%d", chainEvery, fm, pm)
+		}
 	}
 }
 

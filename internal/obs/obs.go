@@ -10,8 +10,9 @@
 // Every handle and the Registry itself are nil-safe: a nil *Registry
 // hands out nil handles whose methods are no-ops, so instrumented code
 // never branches on "is observability on" — the nil receiver check is
-// the no-op build, and `make bench-obs` pins its cost against the
-// instrumented one.
+// the no-op build, which allocates nothing
+// (TestNilHandlesAllocateNothing); the benchmark's
+// obs.trace_overhead_pct reads its cost against the instrumented one.
 package obs
 
 import (

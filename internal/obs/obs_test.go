@@ -203,6 +203,35 @@ func TestNilRegistryNoops(t *testing.T) {
 	}
 }
 
+// TestNilHandlesAllocateNothing pins the other half of the no-op
+// build's promise: an un-instrumented node holds nil handles, and a
+// call through one — at every instrumentation site, on every
+// transaction — costs no allocation.
+func TestNilHandlesAllocateNothing(t *testing.T) {
+	var reg *Registry
+	c, g, h, tr := reg.Counter("c"), reg.Gauge("g"), reg.Histogram("h"), reg.Tracer()
+	ids := []string{"x", "y"}
+	t0 := time.Now()
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Inc()
+		c.Add(3)
+		g.Set(1)
+		g.Add(1)
+		h.Observe(5)
+		h.ObserveDuration(time.Millisecond)
+		h.ObserveSince(t0)
+		tr.Arrive("x")
+		tr.MarkReceived(ids)
+		tr.Observe("x", StageApply, time.Millisecond)
+		tr.ObserveEach(ids, StageSeal, time.Millisecond)
+		tr.Sealed(ids, 1)
+		tr.Drop(ids)
+	})
+	if allocs != 0 {
+		t.Fatalf("nil handles allocated %.0f times per pass, want 0", allocs)
+	}
+}
+
 // TestTracerFirstObservationWins pins the double-validation semantics:
 // a stage observed twice keeps the first dwell and feeds the aggregate
 // histogram once.
@@ -365,5 +394,32 @@ func TestSnapshotAndOpsEndpoint(t *testing.T) {
 	}
 	if len(traces) != 1 || traces[0]["id"] != "txA" {
 		t.Fatalf("/traces = %+v", traces)
+	}
+}
+
+// What one instrumentation site costs: with observability off (the nil
+// handle every un-instrumented node holds), and with a live counter or
+// histogram behind it.
+
+func BenchmarkCounterIncNil(b *testing.B) {
+	var c *Counter
+	for i := 0; i < b.N; i++ {
+		c.Inc()
+	}
+}
+
+func BenchmarkCounterIncLive(b *testing.B) {
+	c := New().Counter("bench.counter")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Inc()
+	}
+}
+
+func BenchmarkHistogramObserve(b *testing.B) {
+	h := New().Histogram("bench.hist")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Observe(int64(i))
 	}
 }

@@ -103,6 +103,11 @@ func TestBuildPlanGroupsAndOrder(t *testing.T) {
 			}
 		}
 	}
+	// And its converse, the one the speedup rests on: the scenario's
+	// three auctions share nothing, so they must not share a group.
+	if len(plan.Groups) < 3 {
+		t.Errorf("independent auctions collapsed into %d conflict groups", len(plan.Groups))
+	}
 }
 
 func TestMakespan(t *testing.T) {

@@ -39,8 +39,6 @@ type ClusterConfig struct {
 	// packed blocks validate with minimal makespan; "fifo" keeps
 	// arrival order. With ParallelWorkers < 2 the two are identical.
 	Packing string
-	// MempoolShards is the spend-index shard count (default 16).
-	MempoolShards int
 	// ObsFor, when set, supplies each validator's observability
 	// registry (nil entries keep that node's no-op build). Registries
 	// are per node — each validator's mempool, stage tracer, and
@@ -99,7 +97,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		CommitDepth:   cfg.Node.CommitDepth,
 		Latency:       cfg.Latency,
 		Mempool: mempool.Config{
-			Shards:      cfg.MempoolShards,
 			BatchSize:   cfg.Node.MempoolBatch,
 			Policy:      policy,
 			PackWorkers: cfg.Node.ParallelWorkers,

@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -13,12 +12,10 @@ import (
 )
 
 // runAuctionWorkload drives a deterministic multi-auction workload
-// through a cluster and returns the sorted committed hashes plus every
-// validator's state fingerprint.
-func runAuctionWorkload(t *testing.T, nodeCfg Config) (committed []string, fingerprints []string) {
+// through a four-validator cluster of nodeCfg nodes.
+func runAuctionWorkload(t *testing.T, nodeCfg Config) auctionRun {
 	t.Helper()
-	const auctions, bidders = 3, 4
-	cluster := NewCluster(ClusterConfig{
+	return runAuctionCluster(t, ClusterConfig{
 		Nodes:         4,
 		Seed:          777, // identical across runs: same scheduling, same workload
 		BlockInterval: 30 * time.Millisecond,
@@ -26,68 +23,15 @@ func runAuctionWorkload(t *testing.T, nodeCfg Config) (committed []string, finge
 		Pipelined:     true,
 		ChildDelay:    100 * time.Millisecond,
 		Node:          nodeCfg,
-	})
-	defer cluster.Close()
-	cluster.OnCommit(func(tx consensus.Tx, _ time.Duration) {
-		committed = append(committed, tx.Hash())
-	})
-	gen := workload.NewGenerator(31, cluster.ServerNode(0).Escrow())
-	groups := make([]*workload.AuctionGroup, 0, auctions)
-	base := 0
-	for i := 0; i < auctions; i++ {
-		groups = append(groups, gen.NewAuctionGroup(base, workload.AuctionGroupSpec{
-			BiddersPerAuction: bidders, PayloadBytes: 96,
-		}))
-		base += bidders + 1
-	}
-	at := cluster.Sched().Now()
-	count, children := 0, 0
-	submit := func(tx *txn.Transaction) {
-		cluster.SubmitAt(at, tx)
-		at += 2 * time.Millisecond
-		count++
-	}
-	settle := func() {
-		cluster.RunUntil(cluster.Sched().Now() + time.Second)
-		at = cluster.Sched().Now()
-	}
-	for _, g := range groups {
-		submit(g.Request)
-		for _, c := range g.Creates {
-			submit(c)
-		}
-	}
-	cluster.RunUntilCommitted(count, at+time.Hour)
-	settle()
-	for _, g := range groups {
-		for _, b := range g.Bids {
-			submit(b)
-		}
-	}
-	cluster.RunUntilCommitted(count, at+time.Hour)
-	settle()
-	for _, g := range groups {
-		submit(g.Accept)
-		children += len(g.Bids)
-	}
-	if got := cluster.RunUntilCommitted(count+children, at+time.Hour); got != count+children {
-		t.Fatalf("committed %d of %d", got, count+children)
-	}
-	cluster.RunUntil(cluster.Sched().Now() + time.Second)
-	sort.Strings(committed)
-	for i := 0; i < 4; i++ {
-		// Drain any in-flight background commit before snapshotting.
-		cluster.ServerNode(i).DrainCommits()
-		fingerprints = append(fingerprints, cluster.ServerNode(i).State().Fingerprint())
-	}
-	return committed, fingerprints
+	}, auctionLoad{genSeed: 31, auctions: 3, bidders: 4, payload: 96, gap: 2 * time.Millisecond}, nil)
 }
 
 // TestCommitDepth1Vs2Differential runs the identical auction workload
 // with the synchronous commit (depth 1) and with the full overlapped
-// pipeline (depth 2 + per-group appliers + verdict reuse over the
-// commit fence) and requires byte-identical committed sets and chain
-// state. Overlap may reshape wall-clock, never state.
+// pipeline (depth 2, and depth 4 with several blocks mid-apply, plus
+// per-group appliers and verdict reuse over the commit fence) and
+// requires byte-identical committed sets and chain state. Overlap may
+// reshape wall-clock, never state.
 func TestCommitDepth1Vs2Differential(t *testing.T) {
 	base := Config{
 		ReceiverTime:        2 * time.Millisecond,
@@ -96,37 +40,16 @@ func TestCommitDepth1Vs2Differential(t *testing.T) {
 		AdmissionWorkers:    4,
 		MempoolBatch:        16,
 	}
-	syncCommitted, syncFPs := runAuctionWorkload(t, base)
-
-	async := base
-	async.CommitDepth = 2
-	async.CommitWorkers = 4
-	async.CommitTimePerTx = time.Millisecond
-	asyncCommitted, asyncFPs := runAuctionWorkload(t, async)
-
-	if len(syncCommitted) == 0 {
-		t.Fatal("sync run committed nothing")
-	}
-	if len(syncCommitted) != len(asyncCommitted) {
-		t.Fatalf("committed counts differ: sync=%d async=%d", len(syncCommitted), len(asyncCommitted))
-	}
-	for i := range syncCommitted {
-		if syncCommitted[i] != asyncCommitted[i] {
-			t.Fatalf("committed sets differ at %d: %.8s vs %.8s", i, syncCommitted[i], asyncCommitted[i])
-		}
-	}
-	for i, fp := range syncFPs {
-		if fp != syncFPs[0] {
-			t.Fatalf("sync node %d diverged", i)
-		}
-	}
-	for i, fp := range asyncFPs {
-		if fp != asyncFPs[0] {
-			t.Fatalf("async node %d diverged", i)
-		}
-	}
-	if syncFPs[0] != asyncFPs[0] {
-		t.Fatal("overlapped commit pipeline changed committed state")
+	serial := runAuctionWorkload(t, base)
+	for _, depth := range []int{2, 4} {
+		async := base
+		async.CommitDepth = depth
+		async.CommitWorkers = 4
+		async.CommitTimePerTx = time.Millisecond
+		name := fmt.Sprintf("depth %d", depth)
+		overlapped := runAuctionWorkload(t, async)
+		requireSameCommitted(t, "depth 1", serial, name, overlapped)
+		requireSameState(t, "depth 1", serial, name, overlapped)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"smartchaindb/internal/consensus"
 	"smartchaindb/internal/keys"
+	"smartchaindb/internal/obs"
 	"smartchaindb/internal/txn"
 )
 
@@ -36,10 +37,27 @@ func fastPathBatch(t *testing.T) []consensus.Tx {
 // TestAdmissionFastPathParity pins the fast path's contract: for the
 // same batch, CheckTxBatch with the batched signature stage produces
 // exactly the verdict set (same IDs, same error strings) as the
-// per-transaction slow path.
+// per-transaction slow path — on one admission worker and, planned
+// over the conflict-group scheduler, on four.
 func TestAdmissionFastPathParity(t *testing.T) {
-	slowNode := NewNode(Config{ReservedSeed: 71, DisableAdmissionFastPath: true})
-	fastNode := NewNode(Config{ReservedSeed: 71})
+	slowReg := obs.New()
+	slowNode := NewNode(Config{ReservedSeed: 71, DisableAdmissionFastPath: true, Obs: slowReg})
+	for _, workers := range []int{0, 4} {
+		fastReg := obs.New()
+		admissionParity(t, slowNode, NewNode(Config{ReservedSeed: 71, AdmissionWorkers: workers, Obs: fastReg}))
+		if fastReg.Counter("server.admit.sig_tasks").Value() == 0 {
+			t.Errorf("%d workers: the fast path never ran the batch verifier", workers)
+		}
+	}
+	// The two sides agree because the switch changes nothing but cost,
+	// not because it does nothing: a disabled node never batch-verifies.
+	if n := slowReg.Counter("server.admit.sig_tasks").Value(); n != 0 {
+		t.Errorf("disabled fast path ran the batch verifier on %d signatures", n)
+	}
+}
+
+func admissionParity(t *testing.T, slowNode, fastNode *Node) {
+	t.Helper()
 
 	batch := fastPathBatch(t)
 	// Clone per node so neither sees the other's memoized verdicts.

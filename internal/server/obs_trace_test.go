@@ -4,10 +4,8 @@ import (
 	"testing"
 	"time"
 
-	"smartchaindb/internal/consensus"
 	"smartchaindb/internal/obs"
 	"smartchaindb/internal/txn"
-	"smartchaindb/internal/workload"
 )
 
 // runTracedWorkload drives a multi-auction workload through a
@@ -17,8 +15,7 @@ import (
 func runTracedWorkload(t *testing.T, dataDir string) (*obs.Registry, []string) {
 	t.Helper()
 	reg := obs.New()
-	var committed []string
-	cluster := NewCluster(ClusterConfig{
+	run := runAuctionCluster(t, ClusterConfig{
 		Nodes:         1,
 		Seed:          99,
 		BlockInterval: 30 * time.Millisecond,
@@ -34,60 +31,8 @@ func runTracedWorkload(t *testing.T, dataDir string) (*obs.Registry, []string) {
 			CommitWorkers:    2,
 			CommitDepth:      2,
 		},
-	})
-	defer cluster.Close()
-	cluster.OnCommit(func(tx consensus.Tx, _ time.Duration) {
-		committed = append(committed, tx.Hash())
-	})
-
-	const auctions, bidders = 2, 3
-	gen := workload.NewGenerator(7, cluster.ServerNode(0).Escrow())
-	groups := make([]*workload.AuctionGroup, 0, auctions)
-	base := 0
-	for i := 0; i < auctions; i++ {
-		groups = append(groups, gen.NewAuctionGroup(base, workload.AuctionGroupSpec{
-			BiddersPerAuction: bidders, PayloadBytes: 96,
-		}))
-		base += bidders + 1
-	}
-	at := cluster.Sched().Now()
-	count, children := 0, 0
-	submit := func(tx *txn.Transaction) {
-		cluster.SubmitAt(at, tx)
-		at += 2 * time.Millisecond
-		count++
-	}
-	settle := func() {
-		cluster.RunUntil(cluster.Sched().Now() + time.Second)
-		at = cluster.Sched().Now()
-	}
-	for _, g := range groups {
-		submit(g.Request)
-		for _, c := range g.Creates {
-			submit(c)
-		}
-	}
-	cluster.RunUntilCommitted(count, at+time.Hour)
-	settle()
-	for _, g := range groups {
-		for _, b := range g.Bids {
-			submit(b)
-		}
-	}
-	cluster.RunUntilCommitted(count, at+time.Hour)
-	settle()
-	for _, g := range groups {
-		submit(g.Accept)
-		children += len(g.Bids)
-	}
-	if got := cluster.RunUntilCommitted(count+children, at+time.Hour); got != count+children {
-		t.Fatalf("committed %d of %d", got, count+children)
-	}
-	settle()
-	// A decided block may still be applying in the background; drain so
-	// the last block's apply/seal observations and height stamps land.
-	cluster.ServerNode(0).DrainCommits()
-	return reg, committed
+	}, auctionLoad{genSeed: 7, auctions: 2, bidders: 3, payload: 96, gap: 2 * time.Millisecond}, nil)
+	return reg, run.committed
 }
 
 // assertTracesComplete is the tentpole's trace acceptance: every
