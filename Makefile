@@ -41,26 +41,39 @@ test-bench:
 # Native fuzz targets, one `go test -fuzz` run each (the tool takes one
 # target at a time). FuzzTxnCodec: on any JSON object, txn.FromDoc and
 # the JSON round trip it replaced agree on accept/reject and on the
-# decoded value. A failing input is written under the package's
-# testdata/fuzz/ and then runs as a plain test — commit it with the fix.
+# decoded value. FuzzDocEncoder: on any JSON object retyped into every
+# Go number type and string hazard, the one document encoder
+# (internal/canon) and encoding/json.Marshal agree byte for byte and on
+# what they refuse. The storage trust boundary — bytes read back from a
+# data directory: FuzzDecodeGroup (WAL frames and group payloads),
+# FuzzLoadSegment, FuzzReadManifest never panic, and decode what the
+# encoders wrote into what went in. A failing input is written under the
+# package's testdata/fuzz/ and then runs as a plain test — commit it
+# with the fix.
 FUZZTIME ?= 60s
 
 fuzz:
 	$(GO) test ./internal/txn -run '^$$' -fuzz '^FuzzTxnCodec$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/canon -run '^$$' -fuzz '^FuzzDocEncoder$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzDecodeGroup$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzLoadSegment$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzReadManifest$$' -fuzztime $(FUZZTIME)
 
 # Per-call cost of the primitives a transaction passes through between
 # admission and the log — codec, footprint, committed-state reads,
-# encodability check, WAL group encode — over the two shapes the repo
+# encodability check, and a create_durable block's WAL group commit
+# (encode, frame, write; no fsync) — over the two shapes the repo
 # benchmark streams (a 4-input TRANSFER, a CREATE with 1 KiB of
-# metadata). Their allocation counts are pinned by unit tests
-# (Test*Allocation*); this prints the bytes and the time. README
-# "Transaction codec and document ownership" has the table.
+# metadata), plus the checkpoint fold of 128 such blocks. Their
+# allocation counts are pinned by unit tests (Test*Allocation*); this
+# prints the bytes and the time. README "Transaction codec and document
+# ownership" has the table.
 # SealOneTxBlock/{1k,64k} is the seal of a one-transaction block over
 # two state sizes: the two read alike because a seal costs what the
 # block changed (the count is pinned by
 # TestPreparedApplyCostsTheBlockNotTheState).
 bench-alloc:
-	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|MarshalCanonicalCold|OutputRefString|FootprintOf|StateView|StageBlock|SealOneTxBlock|EncodableDoc|EncodeGroup'
+	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|MarshalCanonicalCold|OutputRefString|FootprintOf|StateView|StageBlock|SealOneTxBlock|EncodableDoc|GroupCommit|Fold'
 
 # The tier-1 suites that touch chain state (ledger, server/cluster,
 # nested recovery, bench differential, query) re-run over the disk

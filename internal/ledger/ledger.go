@@ -7,6 +7,7 @@
 package ledger
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -134,11 +135,24 @@ func (s *State) CommitTx(t *txn.Transaction) error {
 func (s *State) CommitBlock(batch []*txn.Transaction) (committed []*txn.Transaction, skipped map[string]error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	committed, skipped, err := s.commitBlockLocked(s.lastHeight+1, batch)
+	height := s.lastHeight + 1
+	committed, skipped, err := s.commitBlockLocked(height, batch)
 	if err != nil {
-		panic(fmt.Sprintf("ledger: block commit lost durability: %v", err))
+		panic("ledger: " + SealFailure(height, err))
 	}
 	return committed, skipped
+}
+
+// SealFailure words the fatal report of a block commit that returned
+// an error, for the callers that stop the node on one. A failed storage
+// checkpoint (storage.ErrCheckpoint) comes back after the block's WAL
+// group is already durable: the node still stops — it cannot fold its
+// log — but the operator is not told a block was lost when none was.
+func SealFailure(height int64, err error) string {
+	if errors.Is(err, storage.ErrCheckpoint) {
+		return fmt.Sprintf("block %d is durable; checkpoint failed: %v", height, err)
+	}
+	return fmt.Sprintf("block %d lost durability: %v", height, err)
 }
 
 // CommitBlockAt applies a validated batch in order as the block at

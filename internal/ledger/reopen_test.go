@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"smartchaindb/internal/keys"
@@ -109,6 +110,53 @@ func TestStateReopenRecoversExactCommittedState(t *testing.T) {
 	committed, _ := s2.CommitBlock(extra)
 	if len(committed) != len(extra) || s2.Height() != 6 {
 		t.Fatalf("post-reopen commit: %d txs, height %d", len(committed), s2.Height())
+	}
+}
+
+// TestFailedCheckpointIsNotReportedAsALostBlock: when the storage
+// engine cannot cut its checkpoint — a directory squats on the next
+// WAL's name — the block whose group triggered it is durable, and the
+// fail-stop panic says so instead of "lost durability".
+func TestFailedCheckpointIsNotReportedAsALostBlock(t *testing.T) {
+	dir := t.TempDir()
+	eng, err := storage.Open(dir, storage.Options{NoSync: true, CompactWALBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewStateWith(eng)
+	defer s.Close()
+	// Settle whatever checkpoint opening the state set off, so the next
+	// group past the one-byte threshold is the one that cuts.
+	if err := eng.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	squatter := filepath.Join(dir, fmt.Sprintf("wal-%06d.log", eng.Stats().Gen+1))
+	if err := os.Mkdir(squatter, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	block := buildBlocks(t, "ckpt", 1, 4)[0]
+	func() {
+		defer func() {
+			want := "ledger: block 1 is durable; checkpoint failed: storage: checkpoint failed: cut: "
+			if msg, _ := recover().(string); !strings.HasPrefix(msg, want) {
+				t.Fatalf("CommitBlock over a failing checkpoint panicked with %q, want %q…", msg, want)
+			}
+		}()
+		s.CommitBlock(block)
+	}()
+	if got := SealFailure(7, fmt.Errorf("wal append: %w", os.ErrClosed)); got != "block 7 lost durability: wal append: file already closed" {
+		t.Errorf("a real durability failure is reported as %q", got)
+	}
+	// Durable it is: a process that opens the directory next (the
+	// squatter gone) finds the block.
+	if err := os.Remove(squatter); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s2 := openDiskState(t, dir)
+	defer s2.Close()
+	if s2.Height() != 1 || s2.TxCount() != len(block) {
+		t.Fatalf("reopened at height %d with %d transactions, want block 1's %d", s2.Height(), s2.TxCount(), len(block))
 	}
 }
 

@@ -117,6 +117,7 @@ type Registry struct {
 	counters sync.Map // name -> *Counter
 	gauges   sync.Map // name -> *Gauge
 	hists    sync.Map // name -> *Histogram
+	notes    sync.Map // name -> string
 	tracer   *Tracer
 }
 
@@ -163,6 +164,16 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return v.(*Histogram)
 }
 
+// Note records text under name, replacing what was there: the latest
+// reason behind a counter that counts failures, by convention under the
+// counter's name. A number says how often; the note says what last.
+func (r *Registry) Note(name, text string) {
+	if r == nil {
+		return
+	}
+	r.notes.Store(name, text)
+}
+
 // Tracer returns the registry's stage tracer (nil for a nil registry).
 func (r *Registry) Tracer() *Tracer {
 	if r == nil {
@@ -179,6 +190,8 @@ type Snapshot struct {
 	// Stages holds the tracer's aggregate per-stage dwell histograms,
 	// keyed by stage name in pipeline order (recv ... seal).
 	Stages map[string]HistSnapshot `json:"stages"`
+	// Notes holds the latest text recorded under each Note name.
+	Notes map[string]string `json:"notes,omitempty"`
 }
 
 // Snapshot captures every counter, gauge, histogram, and the tracer's
@@ -210,6 +223,13 @@ func (r *Registry) Snapshot() Snapshot {
 	for st, h := range r.tracer.stageSnapshots() {
 		s.Stages[st] = h
 	}
+	r.notes.Range(func(k, v any) bool {
+		if s.Notes == nil {
+			s.Notes = map[string]string{}
+		}
+		s.Notes[k.(string)] = v.(string)
+		return true
+	})
 	return s
 }
 

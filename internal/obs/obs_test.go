@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -197,8 +198,9 @@ func TestNilRegistryNoops(t *testing.T) {
 	if _, ok := tr.Trace("x"); ok {
 		t.Fatal("nil tracer returned a trace")
 	}
+	reg.Note("n", "text")
 	snap := reg.Snapshot()
-	if len(snap.Counters) != 0 || len(snap.Stages) != 0 {
+	if len(snap.Counters) != 0 || len(snap.Stages) != 0 || len(snap.Notes) != 0 {
 		t.Fatal("nil registry snapshot not empty")
 	}
 }
@@ -364,6 +366,16 @@ func TestSnapshotAndOpsEndpoint(t *testing.T) {
 	}
 	if got := snap.CounterNames(); len(got) != 1 || got[0] != "a.hits" {
 		t.Fatalf("counter names = %v", got)
+	}
+	// A note is the latest text under its name, and absent from the
+	// wire until there is one.
+	if raw, _ := json.Marshal(snap); snap.Notes != nil || strings.Contains(string(raw), "notes") {
+		t.Fatalf("snapshot without notes carries %v: %s", snap.Notes, raw)
+	}
+	reg.Note("a.failed", "disk full")
+	reg.Note("a.failed", "read-only file system")
+	if got := reg.Snapshot().Notes; len(got) != 1 || got["a.failed"] != "read-only file system" {
+		t.Fatalf("notes = %v", got)
 	}
 
 	srv, err := Serve("localhost:0", reg)

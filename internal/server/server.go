@@ -627,7 +627,7 @@ func (n *Node) CommitStart(height int64, txs []consensus.Tx) (join func()) {
 		var err error
 		committed, _, err = pending.Seal()
 		if err != nil {
-			panic(fmt.Sprintf("server: block %d lost durability: %v", height, err))
+			panic("server: " + ledger.SealFailure(height, err))
 		}
 		n.fence.End(h)
 		n.ob.inflight.Set(int64(n.fence.InFlight()))

@@ -473,8 +473,8 @@ func (c *MemCollection) Ords(keys []string) map[string]uint64 {
 }
 
 // scanHead visits live writer-view versions in insertion order,
-// exposing ord and birth height — the segment writer's iterator.
-// Caller must exclude writers (Compact holds the compaction lock).
+// exposing ord and birth height. Caller must exclude writers (a
+// checkpoint's cut holds the compaction lock).
 func (c *MemCollection) scanHead(fn func(key string, v *docVersion) bool) {
 	for seg := c.log.Load(); seg != nil; seg = seg.next.Load() {
 		n := seg.n.Load()
@@ -493,6 +493,42 @@ func (c *MemCollection) scanHead(fn func(key string, v *docVersion) bool) {
 			}
 		}
 	}
+}
+
+// headRef is one live document as a checkpoint captures it: the key
+// and its head version. A published version is immutable — its doc,
+// ord and height are never written again — so the fold reads what it
+// points at with no lock while commits install newer heads.
+type headRef struct {
+	key string
+	v   *docVersion
+}
+
+// collHeads is one collection's capture.
+type collHeads struct {
+	name  string
+	heads []headRef
+}
+
+// captureHeads returns the head version of every live document of
+// every collection, collections in name order: the state a checkpoint
+// folds, taken as an O(keys) pointer copy. Caller must exclude writers.
+func (m *Memory) captureHeads() []collHeads {
+	names := m.CollectionNames()
+	out := make([]collHeads, 0, len(names))
+	for _, name := range names {
+		c := m.peek(name)
+		if c == nil {
+			continue
+		}
+		heads := make([]headRef, 0, c.live.Load())
+		c.scanHead(func(key string, v *docVersion) bool {
+			heads = append(heads, headRef{key: key, v: v})
+			return true
+		})
+		out = append(out, collHeads{name: name, heads: heads})
+	}
+	return out
 }
 
 // gc truncates version history that fell below horizon: every dirty

@@ -1,8 +1,11 @@
 package storage
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -233,50 +236,24 @@ func TestMVCCDiskReopenRecoversHeights(t *testing.T) {
 	reopen("segments")
 }
 
-// TestWALPayloadV1Decodes pins backward compatibility: a pre-MVCC
-// (v1) WAL payload — no height prefix — still decodes, with every
-// mutation replayed at height 0.
-func TestWALPayloadV1Decodes(t *testing.T) {
-	var payload []byte
-	payload = append(payload, walPayloadV1)
-	payload = appendUvarint(payload, 2)
-	payload = append(payload, opPut)
-	payload = appendString(payload, "c")
-	payload = appendString(payload, "k1")
-	payload = appendBytes(payload, []byte(`{"v":1}`))
-	payload = append(payload, opDelete)
-	payload = appendString(payload, "c")
-	payload = appendString(payload, "k2")
-
-	type rec struct {
-		h    int64
-		op   byte
-		key  string
-		body string
-	}
-	var got []rec
-	if err := decodeGroup(payload, func(h int64, m mutation) error {
-		got = append(got, rec{h: h, op: m.op, key: m.key, body: string(m.doc)})
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := []rec{
-		{h: 0, op: opPut, key: "k1", body: `{"v":1}`},
-		{h: 0, op: opDelete, key: "k2", body: ""},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("v1 decode = %+v, want %+v", got, want)
-	}
-
-	// And the v2 round trip preserves the stamped height.
-	v2 := encodeGroup(7, []mutation{{op: opPut, coll: "c", key: "k", doc: []byte(`{}`)}})
-	var h2 int64 = -1
-	if err := decodeGroup(v2, func(h int64, m mutation) error { h2 = h; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if h2 != 7 {
-		t.Fatalf("v2 height = %d, want 7", h2)
+// TestUnknownFormatVersionsAreRefused: a WAL payload or a segment of a
+// version this engine does not write — v1 included, which no file ever
+// held — fails with the version in the message instead of decoding as
+// something else.
+func TestUnknownFormatVersionsAreRefused(t *testing.T) {
+	for _, ver := range []byte{0, 1, 3} {
+		payload := []byte{ver, 0, 0}
+		err := decodeGroup(payload, func(int64, mutation) error { return nil })
+		if want := fmt.Sprintf("unknown wal payload version %d", ver); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("wal payload version %d: %v, want %q", ver, err, want)
+		}
+		body := appendUvarint(appendString([]byte{ver}, "c"), 0)
+		seg := append(segMagic[:len(segMagic):len(segMagic)], body...)
+		seg = binary.BigEndian.AppendUint32(seg, crc32.Checksum(body, castagnoli))
+		_, err = decodeSegment(seg, NewMemory())
+		if want := fmt.Sprintf("unknown segment version %d", ver); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("segment version %d: %v, want %q", ver, err, want)
+		}
 	}
 }
 

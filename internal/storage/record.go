@@ -4,8 +4,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/bits"
+
+	"smartchaindb/internal/canon"
 )
 
 // Mutation ops inside a WAL payload. opPrepare and opDecide are the
@@ -21,20 +24,20 @@ const (
 	opDecide  = 5 // 2PC coordinator/participant decision record
 )
 
-// WAL payload versions. v1 had no height; v2 prefixes the mutation
-// list with the block height the group's writes were stamped with.
-// Decoding accepts both (v1 groups replay at height 0).
-const (
-	walPayloadV1      = 1
-	walPayloadVersion = 2
-)
+// walPayloadVersion is the one WAL payload version ever written to a
+// file: the mutation list prefixed with the block height the group's
+// writes were stamped with.
+const walPayloadVersion = 2
 
-// mutation is one durable document change staged into a WAL group.
+// opHasDoc reports whether op's record carries a document.
+func opHasDoc(op byte) bool { return op == opPut || op == opPrepare || op == opDecide }
+
+// mutation is one decoded WAL record.
 type mutation struct {
 	op   byte
 	coll string
 	key  string
-	doc  []byte // canonical JSON, opPut only
+	doc  []byte // canonical JSON, ops with a document only
 }
 
 func appendUvarint(b []byte, v uint64) []byte {
@@ -48,17 +51,95 @@ func appendString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func appendBytes(b, p []byte) []byte {
-	b = appendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
 // uvarintLen is the number of bytes appendUvarint writes for v.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// stringLen is the number of bytes appendString and appendBytes write
-// for n bytes of content.
-func stringLen(n int) int { return uvarintLen(uint64(n)) + n }
+// appendDoc appends doc as both file formats carry one — uvarint
+// length, then canonical JSON — encoding straight into b. The length is
+// only known once the document is written, so room for it is guessed
+// up front and the document shifted by the difference in the uncommon
+// case the guess was wrong; nothing is allocated beyond b's own growth.
+// On an unencodable document b comes back at its original length.
+func appendDoc(b []byte, doc map[string]any) ([]byte, error) {
+	const guess = 2 // length bytes of a 128 B to 16 KiB document
+	at := len(b)
+	b = append(b, 0, 0)
+	b, err := canon.AppendDoc(b, doc)
+	if err != nil {
+		return b[:at], fmt.Errorf("storage: document not JSON-representable: %w", err)
+	}
+	n := len(b) - at - guess
+	if w := uvarintLen(uint64(n)); w != guess {
+		if w > guess {
+			var pad [binary.MaxVarintLen64]byte
+			b = append(b, pad[:w-guess]...)
+		}
+		copy(b[at+w:], b[at+guess:at+guess+n])
+		b = b[:at+w+n]
+	}
+	binary.PutUvarint(b[at:], uint64(n))
+	return b, nil
+}
+
+// frameHeadroom is what a group's buffer reserves in front of its first
+// mutation for the fields only known when the group closes: the frame
+// header (payload length, CRC) and the payload's version, height and
+// mutation count.
+const frameHeadroom = walFrameOverhead + 1 + 2*binary.MaxVarintLen64
+
+// groupFrame builds one WAL frame in place: every mutation of a group
+// is encoded once, straight into the buffer the frame is written to the
+// file from, and the buffer is reused by the next group.
+type groupFrame struct {
+	buf   []byte // frameHeadroom reserved bytes, then the mutations
+	count uint64 // mutations
+	docs  uint64 // of which carry a document
+}
+
+func (g *groupFrame) reset() {
+	if cap(g.buf) < frameHeadroom {
+		g.buf = make([]byte, frameHeadroom, 4096)
+	}
+	g.buf = g.buf[:frameHeadroom]
+	g.count, g.docs = 0, 0
+}
+
+// add appends one mutation; doc is read only for the ops that carry
+// one. A document that cannot be encoded leaves the group as it was.
+func (g *groupFrame) add(op byte, coll, key string, doc map[string]any) error {
+	mark := len(g.buf)
+	b := append(g.buf, op)
+	b = appendString(b, coll)
+	b = appendString(b, key)
+	if opHasDoc(op) {
+		var err error
+		if b, err = appendDoc(b, doc); err != nil {
+			g.buf = b[:mark]
+			return err
+		}
+		g.docs++
+	}
+	g.buf = b
+	g.count++
+	return nil
+}
+
+// finish closes the group at height: the payload header and the frame
+// header go right-aligned into the headroom, directly in front of the
+// first mutation. The returned frame aliases the buffer and is valid
+// until the next reset.
+func (g *groupFrame) finish(height int64) []byte {
+	var hdr [1 + 2*binary.MaxVarintLen64]byte
+	hdr[0] = walPayloadVersion
+	n := 1 + binary.PutUvarint(hdr[1:], uint64(height))
+	n += binary.PutUvarint(hdr[n:], g.count)
+	frame := g.buf[frameHeadroom-n-walFrameOverhead:]
+	payload := frame[walFrameOverhead:]
+	copy(payload, hdr[:n])
+	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+	return frame
+}
 
 // byteReader walks an encoded payload.
 type byteReader struct {
@@ -102,53 +183,26 @@ func (r *byteReader) readByte() (byte, error) {
 	return b, nil
 }
 
-// encodeGroup renders a mutation group into one WAL payload, stamped
-// with the block height the group's memtable writes carried.
-func encodeGroup(height int64, muts []mutation) []byte {
-	// Sized from what is about to be appended, so a block's payload is
-	// one exact allocation, not a doubling series.
-	size := 1 + uvarintLen(uint64(height)) + uvarintLen(uint64(len(muts)))
-	for _, m := range muts {
-		size += 1 + stringLen(len(m.coll)) + stringLen(len(m.key))
-		if m.op == opPut || m.op == opPrepare || m.op == opDecide {
-			size += stringLen(len(m.doc))
-		}
-	}
-	b := make([]byte, 0, size)
-	b = append(b, walPayloadVersion)
-	b = appendUvarint(b, uint64(height))
-	b = appendUvarint(b, uint64(len(muts)))
-	for _, m := range muts {
-		b = append(b, m.op)
-		b = appendString(b, m.coll)
-		b = appendString(b, m.key)
-		if m.op == opPut || m.op == opPrepare || m.op == opDecide {
-			b = appendBytes(b, m.doc)
-		}
-	}
-	return b
-}
-
 // decodeGroup parses one WAL payload, calling fn per mutation with
-// the group's block height (0 for v1 payloads). The doc slice aliases
-// the payload; fn must not retain it.
+// the group's block height. The doc slice aliases the payload; fn must
+// not retain it.
 func decodeGroup(payload []byte, fn func(height int64, m mutation) error) error {
 	r := &byteReader{b: payload}
 	ver, err := r.readByte()
 	if err != nil {
 		return err
 	}
-	if ver != walPayloadV1 && ver != walPayloadVersion {
+	if ver != walPayloadVersion {
 		return fmt.Errorf("storage: unknown wal payload version %d", ver)
 	}
-	var height int64
-	if ver >= walPayloadVersion {
-		h, err := r.uvarint()
-		if err != nil {
-			return err
-		}
-		height = int64(h)
+	h, err := r.uvarint()
+	if err != nil {
+		return err
 	}
+	if h > math.MaxInt64 {
+		return fmt.Errorf("storage: wal group height %d out of range", h)
+	}
+	height := int64(h)
 	count, err := r.uvarint()
 	if err != nil {
 		return err
@@ -227,16 +281,6 @@ func encodableFloat(f float64) error {
 		return fmt.Errorf("storage: document not JSON-representable: unsupported value: %v", f)
 	}
 	return nil
-}
-
-// marshalDoc renders a document into canonical JSON (object keys are
-// sorted by encoding/json, so identical documents encode identically).
-func marshalDoc(doc map[string]any) ([]byte, error) {
-	data, err := json.Marshal(doc)
-	if err != nil {
-		return nil, fmt.Errorf("storage: document not JSON-representable: %w", err)
-	}
-	return data, nil
 }
 
 func unmarshalDoc(data []byte) (map[string]any, error) {

@@ -8,30 +8,42 @@
 //   - Engine (Open): a disk backend combining an append-only
 //     write-ahead log with immutable sorted segment files. Every
 //     mutation is framed into the WAL ([length][CRC32-C][payload])
-//     and group-fsynced; Compact snapshots the live state into sorted
-//     per-collection segment files and starts a fresh WAL generation.
-//     Open replays segments then the WAL tail, truncating a torn
-//     final record, so a killed node recovers to its last durable
+//     and group-fsynced; a checkpoint folds the live state into sorted
+//     per-collection segment files beside the commits and retires the
+//     log it covers. Open replays segments then the WALs, truncating a
+//     torn final record, so a killed node recovers to its last durable
 //     group — for the ledger, the last fully committed block.
 //
 // File layout of an Engine directory:
 //
-//	MANIFEST                 current generation (JSON, atomically renamed)
+//	MANIFEST                 root pointer (JSON, atomically renamed)
 //	wal-<gen>.log            append-only log of mutation groups
 //	seg-<gen>-<idx>.seg      one sorted immutable segment per collection
+//
+// MANIFEST names the segment files of the last installed checkpoint and
+// the WALs to replay over them, oldest first:
+//
+//	{"version":1, "gen":7, "wal":"wal-000007.log",
+//	 "segments":["seg-000006-000.seg", …],
+//	 "wals":["wal-000006.log","wal-000007.log"]}
+//
+// "wal" is the live WAL, always the last to replay; "wals" is written
+// only while there is more than one, so a manifest without it (every
+// one written before checkpoints ran beside commits, and every one
+// between checkpoints since) reads as its single "wal".
 //
 // WAL record frame (big endian):
 //
 //	[4B payload length][4B CRC32-C of payload][payload]
 //
-// WAL payload (v2; v1 lacked the height and decodes as height 0):
+// WAL payload (version 2, the only one ever written to a file):
 //
 //	[1B version][height uvarint][count uvarint] then per mutation:
-//	[1B op (1=put 2=delete 3=drop-collection)]
+//	[1B op (1=put 2=delete 3=drop-collection 4=2PC-prepare 5=2PC-decide)]
 //	[collection uvarint len + bytes][key uvarint len + bytes]
-//	[doc uvarint len + canonical JSON]   (op=put only)
+//	[doc uvarint len + canonical JSON]   (put, prepare, decide)
 //
-// Segment file (v2; v1 records lacked the height):
+// Segment file (version 2, likewise):
 //
 //	"SCDBSEG1" [1B version][collection][count uvarint]
 //	records sorted by key:
@@ -40,7 +52,49 @@
 //
 // ord is the document's insertion counter; reloading sorts keys by ord
 // so iteration order survives restarts byte-for-byte. height is the
-// block height the version was written at (the MVCC stamp).
+// block height the version was written at (the MVCC stamp). Documents
+// are written by internal/canon, byte for byte what encoding/json
+// writes, each encoded once straight into the buffer that goes to the
+// file. An unknown version of either format fails the open with the
+// version in the message.
+//
+// # Checkpoints: cut, fold, install
+//
+// A checkpoint (Compact, or automatically once the live WAL passes
+// max(CompactWALBytes, bytes the previous checkpoint wrote)) runs in
+// three steps, and only the first is on the commit path:
+//
+//   - cut, between two groups: fsync the live WAL, create the next
+//     one, publish a MANIFEST naming the current segments and every WAL
+//     including the new one, switch appends to it, and capture a
+//     pointer to the head version of every live document. O(keys)
+//     pointer copies; nothing is encoded, no segment is touched.
+//   - fold, on its own goroutine with no engine lock: sort the captured
+//     heads and write each collection's segment (tmp, fsync, rename).
+//     Versions are immutable once published, so commits and snapshot
+//     reads proceed throughout.
+//   - install: publish a MANIFEST naming the new segments and the live
+//     WAL only, then delete the old segments and the WALs the fold
+//     covered.
+//
+// One fold runs at a time; Compact and Close wait for it. What Open
+// finds after a crash at each point, and does:
+//
+//	next WAL created, MANIFEST old        replay as before; delete the orphan WAL
+//	cut MANIFEST published                old segments, then both WALs in order
+//	mid-fold (a partial seg-*.seg.tmp)    the same; delete the partial file
+//	segments renamed, MANIFEST still cut  the same; delete the unnamed segments
+//	install MANIFEST published            new segments + live WAL; delete the old generation
+//
+// Only the last WAL a MANIFEST names can have a torn tail, which Open
+// truncates; an earlier one was fsynced before the cut that closed it
+// was published, so a bad frame there is corruption and Open fails
+// naming the file. A manifest that names more than one WAL is an
+// interrupted checkpoint, which Open redoes before returning. A failed
+// checkpoint is reported as ErrCheckpoint — by the Group whose cut
+// failed, and for a failed fold by the next cut, Compact and Close —
+// and never costs a committed group: the generation on disk stays
+// intact.
 //
 // # MVCC snapshot reads
 //
@@ -98,8 +152,8 @@ type Backend interface {
 	// atomicity is a durability guarantee (all-or-nothing on disk
 	// after a crash), not a rollback mechanism.
 	Group(fn func() error) error
-	// Compact folds the log into fresh segment files (disk) or is a
-	// no-op (memory).
+	// Compact checkpoints the log into fresh segment files and waits
+	// for it (disk) or is a no-op (memory).
 	Compact() error
 	// Close flushes and releases the backend. The memory backend
 	// forgets everything; the disk engine can be reopened.
@@ -145,7 +199,7 @@ type Backend interface {
 	TwoPCScan(fn func(key string, doc map[string]any) bool)
 
 	// SetObs attaches an observability registry: WAL group bytes and
-	// fsync latency, segment counts, compaction durations, and MVCC
+	// fsync latency, segment counts, checkpoint durations, and MVCC
 	// clock/GC metrics record into it. A nil registry (the default)
 	// detaches; recording into the nil handles is a no-op.
 	SetObs(reg *obs.Registry)

@@ -308,7 +308,12 @@ func TestEngineAutoCompactsPastThreshold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if st := e.Stats(); st.Gen == 0 {
+	// The checkpoint a group cuts folds beside later groups: wait for
+	// the one in flight before looking for what it installs.
+	if err := e.joinFold(); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Gen == 0 || st.Segments != 1 || st.WALs != 1 || st.Folding {
 		t.Fatalf("engine never auto-compacted: %+v", st)
 	}
 	if c.Len() != 64 {

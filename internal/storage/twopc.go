@@ -11,22 +11,12 @@ package storage
 
 // LogPrepare durably records a participant PREPARE.
 func (e *Engine) LogPrepare(key string, doc map[string]any) error {
-	return e.logTwoPC(opPrepare, key, doc)
+	return e.apply(opPrepare, TwoPCCollection, key, doc)
 }
 
 // LogDecision durably records a commit/abort decision.
 func (e *Engine) LogDecision(key string, doc map[string]any) error {
-	return e.logTwoPC(opDecide, key, doc)
-}
-
-func (e *Engine) logTwoPC(op byte, key string, doc map[string]any) error {
-	data, err := marshalDoc(doc)
-	if err != nil {
-		return err
-	}
-	return e.apply(mutation{op: op, coll: TwoPCCollection, key: key, doc: data}, func() error {
-		return e.mem.coll(TwoPCCollection).Put(key, doc)
-	})
+	return e.apply(opDecide, TwoPCCollection, key, doc)
 }
 
 // ClearTwoPC removes a 2PC record; a missing key is a no-op.

@@ -1,12 +1,14 @@
 package storage
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -18,9 +20,11 @@ import (
 //	[4B big-endian payload length][4B CRC32-C of payload][payload]
 //
 // The file starts with an 8-byte magic. Recovery reads frames until
-// EOF or the first bad length/CRC and truncates the file there — a
-// torn final record (the process died mid-write) rolls back to the
-// last fully durable group.
+// EOF or the first bad length/CRC. In the last WAL MANIFEST names that
+// is a torn final record (the process died mid-write): the file is
+// truncated there, rolling back to the last fully durable group. An
+// earlier WAL was fsynced before the checkpoint cut that closed it was
+// published, so a bad frame there is corruption and fails the open.
 
 var walMagic = [8]byte{'S', 'C', 'D', 'B', 'W', 'A', 'L', '1'}
 
@@ -53,6 +57,7 @@ type wal struct {
 	fsyncNs    *obs.Histogram
 	groupBytes *obs.Histogram
 	groups     *obs.Counter
+	walBytes   *obs.Gauge
 }
 
 // setObs attaches (nil: detaches) the WAL's metric handles.
@@ -60,12 +65,14 @@ func (w *wal) setObs(reg *obs.Registry) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if reg == nil {
-		w.fsyncNs, w.groupBytes, w.groups = nil, nil, nil
+		w.fsyncNs, w.groupBytes, w.groups, w.walBytes = nil, nil, nil, nil
 		return
 	}
 	w.fsyncNs = reg.Histogram("storage.wal.fsync_ns")
 	w.groupBytes = reg.Histogram("storage.wal.group_bytes")
 	w.groups = reg.Counter("storage.wal.groups")
+	w.walBytes = reg.Gauge("storage.wal.bytes")
+	w.walBytes.Set(w.size)
 }
 
 // createWAL makes a fresh, empty, synced WAL file at path.
@@ -115,19 +122,15 @@ func openWALForAppend(path string, size int64, noSync bool) (*wal, error) {
 	return w, nil
 }
 
-// commit appends one payload frame and waits until it is durable.
-// Concurrent commits share fsyncs (group commit).
-func (w *wal) commit(payload []byte) error {
-	if len(payload) > maxWALPayload {
+// commit appends one finished frame (groupFrame.finish) with a single
+// write and waits until it is durable. Concurrent commits share fsyncs
+// (group commit). The frame is the caller's again on return.
+func (w *wal) commit(frame []byte) error {
+	if n := len(frame) - walFrameOverhead; n > maxWALPayload {
 		// Replay treats anything past this bound as corruption, so
 		// acknowledging it would be silent data loss on restart.
-		return fmt.Errorf("storage: wal record of %d bytes exceeds the %d-byte limit", len(payload), maxWALPayload)
+		return fmt.Errorf("storage: wal record of %d bytes exceeds the %d-byte limit", n, maxWALPayload)
 	}
-	frame := make([]byte, walFrameOverhead+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
-	copy(frame[8:], payload)
-
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -141,6 +144,7 @@ func (w *wal) commit(payload []byte) error {
 	w.size += int64(len(frame))
 	w.groups.Inc()
 	w.groupBytes.Observe(int64(len(frame)))
+	w.walBytes.Set(w.size)
 	myEnd := w.size
 	if w.noSync {
 		return nil
@@ -180,6 +184,26 @@ func (w *wal) bytes() int64 {
 	return w.size
 }
 
+// sync makes every appended frame durable. Committers fsync their own
+// frames, so between groups this finds nothing to do; a checkpoint's
+// cut calls it to hold that rather than assume it.
+func (w *wal) sync() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil {
+		return w.err
+	}
+	if w.noSync || w.syncedEnd == w.size {
+		return nil
+	}
+	if err := w.f.Sync(); err != nil {
+		w.err = fmt.Errorf("storage: wal fsync: %w", err)
+		return w.err
+	}
+	w.syncedEnd = w.size
+	return nil
+}
+
 // close syncs and closes the file.
 func (w *wal) close() error {
 	w.mu.Lock()
@@ -198,49 +222,86 @@ func (w *wal) close() error {
 	return err
 }
 
-// replayWAL reads every intact frame of the file at path, calling
-// apply for each payload in append order, and truncates the file at
-// the first torn or corrupt frame. It returns the validated length.
-// A missing file is an empty log.
-func replayWAL(path string, apply func(payload []byte) error) (int64, error) {
+// replayWAL streams every intact frame of the file at path through
+// apply, in append order, and returns the validated length. Frames are
+// read through one reused payload buffer — apply must not retain it —
+// so a reopen holds one group resident, not the log. What follows the
+// last intact frame is cut off when last is set (the torn tail of the
+// WAL that was live) and is an error naming the file otherwise. A
+// missing live WAL is an empty log.
+func replayWAL(path string, last bool, apply func(payload []byte) error) (int64, error) {
 	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
+	if last && errors.Is(err, os.ErrNotExist) {
 		return 0, nil
 	}
 	if err != nil {
 		return 0, err
 	}
-	data, err := io.ReadAll(f)
-	f.Close()
+	defer f.Close()
+	fi, err := f.Stat()
 	if err != nil {
 		return 0, err
 	}
-	valid := int64(0)
-	if len(data) >= walHeaderLen && [8]byte(data[:8]) == walMagic {
-		valid = walHeaderLen
-		for {
-			rest := data[valid:]
-			if len(rest) < walFrameOverhead {
-				break
-			}
-			n := int64(binary.BigEndian.Uint32(rest[0:4]))
-			if n > maxWALPayload || int64(len(rest)) < walFrameOverhead+n {
-				break // torn or corrupt tail
-			}
-			payload := rest[walFrameOverhead : walFrameOverhead+n]
-			if binary.BigEndian.Uint32(rest[4:8]) != crc32.Checksum(payload, castagnoli) {
-				break
-			}
-			if err := apply(payload); err != nil {
-				return valid, err
-			}
-			valid += walFrameOverhead + n
-		}
+	size := fi.Size()
+	valid, err := readFrames(bufio.NewReaderSize(f, 1<<16), size, apply)
+	if err != nil {
+		return valid, fmt.Errorf("storage: %s: %w", filepath.Base(path), err)
 	}
-	if valid < int64(len(data)) {
-		if err := os.Truncate(path, valid); err != nil {
-			return valid, fmt.Errorf("storage: truncate torn wal tail: %w", err)
-		}
+	if valid == size {
+		return valid, nil
+	}
+	if !last {
+		return valid, fmt.Errorf("storage: %s: corrupt at byte %d of %d, in a wal closed by a checkpoint", filepath.Base(path), valid, size)
+	}
+	if err := os.Truncate(path, valid); err != nil {
+		return valid, fmt.Errorf("storage: truncate torn wal tail: %w", err)
 	}
 	return valid, nil
+}
+
+// readFrames reads a WAL of size bytes from r and returns how many of
+// them were intact frames (with the magic) handed to apply. A frame
+// length is checked against the bytes the file still has before
+// anything is sized by it.
+func readFrames(r io.Reader, size int64, apply func(payload []byte) error) (valid int64, err error) {
+	// short separates "the file ends here" — a torn tail, for the
+	// caller to judge — from a read that failed.
+	short := func(err error) error {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return nil
+		}
+		return err
+	}
+	var hdr [8]byte // the file's magic, then each frame's header: both 8 bytes
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, short(err)
+	}
+	if hdr != walMagic {
+		return 0, nil
+	}
+	valid = walHeaderLen
+	var payload []byte
+	for {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+			return valid, short(err)
+		}
+		n := int64(binary.BigEndian.Uint32(hdr[0:4]))
+		if n > maxWALPayload || n > size-valid-walFrameOverhead {
+			return valid, nil
+		}
+		if int64(cap(payload)) < n {
+			payload = make([]byte, n)
+		}
+		payload = payload[:n]
+		if _, err := io.ReadFull(r, payload); err != nil {
+			return valid, short(err)
+		}
+		if binary.BigEndian.Uint32(hdr[4:8]) != crc32.Checksum(payload, castagnoli) {
+			return valid, nil
+		}
+		if err := apply(payload); err != nil {
+			return valid, err
+		}
+		valid += walFrameOverhead + n
+	}
 }

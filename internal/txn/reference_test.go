@@ -52,7 +52,7 @@ func RefMarshalCanonical(t *Transaction) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return canonicalize(doc), nil
+	return CanonicalizeDoc(doc), nil
 }
 
 // RefSigningPayload is the old uncached SigningPayload: the document
@@ -71,7 +71,7 @@ func RefSigningPayload(t *Transaction) ([]byte, error) {
 			}
 		}
 	}
-	return canonicalize(doc), nil
+	return CanonicalizeDoc(doc), nil
 }
 
 // RaceEnabled lets the external test package skip allocation counts

@@ -108,7 +108,7 @@ func TestCanonicalDeterministic(t *testing.T) {
 }
 
 func TestCanonicalSortsKeys(t *testing.T) {
-	got := string(canonicalize(map[string]any{"b": 1.0, "a": []any{map[string]any{"z": nil, "y": "s"}}}))
+	got := string(CanonicalizeDoc(map[string]any{"b": 1.0, "a": []any{map[string]any{"z": nil, "y": "s"}}}))
 	want := `{"a":[{"y":"s","z":null}],"b":1}`
 	if got != want {
 		t.Errorf("canonicalize = %s, want %s", got, want)
@@ -123,12 +123,12 @@ func TestCanonicalPropertyRoundTrip(t *testing.T) {
 		for k, v := range m {
 			doc[k] = v
 		}
-		c1 := canonicalize(doc)
+		c1 := CanonicalizeDoc(doc)
 		var back map[string]any
 		if err := json.Unmarshal(c1, &back); err != nil {
 			return false
 		}
-		return string(canonicalize(back)) == string(c1)
+		return string(CanonicalizeDoc(back)) == string(c1)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
