@@ -4,15 +4,16 @@
 # (SCDB_BACKEND=disk swaps every ledger.NewState onto a throwaway
 # WAL+segment engine), five seconds of fuzzing on each trust-boundary
 # decoder that has a target, a seconds-scale smoke run of scdb-bench
-# (the paper's six experiments and the open-loop traffic sweep), and
-# the repo benchmark's own smoke test (a nested module `go test ./...`
-# does not reach). `make test-race` runs the concurrency-sensitive packages
+# (the paper's six experiments and the open-loop traffic sweep), the
+# repo benchmark's own smoke test (a nested module `go test ./...`
+# does not reach), and a run of every program we ship (the demo binary
+# and the five examples). `make test-race` runs the concurrency-sensitive packages
 # under the race detector on both backends; `make test-flake` repeats
 # them 50 times at GOMAXPROCS 1 and 2.
 
 GO ?= go
 
-.PHONY: all build vet test test-disk test-bench test-race test-flake fuzz bench-alloc bench-traffic bench-smoke ci
+.PHONY: all build vet test test-disk test-bench test-race test-flake fuzz bench-alloc bench-traffic bench-smoke run-shipped ci
 
 all: build test
 
@@ -31,6 +32,7 @@ test: build vet
 	$(MAKE) fuzz FUZZTIME=5s
 	$(MAKE) bench-smoke
 	$(MAKE) test-bench
+	$(MAKE) run-shipped
 
 # The repo benchmark (BENCHMARK.json, `bash benchmark/run.sh`) is its
 # own Go module: a 1/100-scale smoke of every workload with its
@@ -116,8 +118,8 @@ test-flake:
 
 # Open-loop traffic sweep: Poisson arrivals from a million-user
 # keypair population through one node's CheckTxBatch -> CommitStart,
-# offered rate x CommitDepth on both backends, latency measured from
-# each transaction's scheduled arrival — the one measurement a
+# backend x offered rate, latency measured from each transaction's
+# scheduled arrival — the one measurement a
 # closed-loop benchmark (benchmark/) cannot make.
 bench-traffic:
 	$(GO) run ./cmd/scdb-bench -exp traffic
@@ -129,6 +131,38 @@ bench-traffic:
 # build, not the next benchmarking session. Writes the
 # machine-readable results alongside the tables.
 bench-smoke:
-	$(GO) run ./cmd/scdb-bench -exp fig2,fig7,fig8,usability,mix,recovery,traffic -json bench-smoke.json -auctions 1 -bidders 3 -nodes 4,8 -sizes 110,1090 -trafficusers 256 -traffictxs 256 -trafficrates 4000 -trafficbatch 32 -trafficdepths 1,4
+	$(GO) run ./cmd/scdb-bench -exp fig2,fig7,fig8,usability,mix,recovery,traffic -json bench-smoke.json -auctions 1 -bidders 3 -nodes 4,8 -sizes 110,1090 -trafficusers 256 -traffictxs 256 -trafficrates 4000 -trafficbatch 32
+
+# Run what we ship: the five examples and the demo binary are the only
+# callers of workflow, the closed-loop driver and several query
+# methods, so they are run, not just compiled. Each must exit 0 and
+# print its closing line; the demo runs four ways — in memory, twice
+# over one data directory (the second run must recover validator 0 and
+# both shards at a height above zero), sharded, and at depth 1 — and
+# must refuse -commitdepth 3 with exit status 2.
+run-shipped:
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; mkdir "$$d/bin"; \
+	$(GO) build -o "$$d/bin/" ./cmd/smartchaindb ./examples/...; \
+	run() { want=$$1; shift; name="$$*"; name=$${name#$$d/bin/}; \
+		out=$$("$$@" 2>&1) || { echo "run-shipped: $$name: exit $$?"; echo "$$out"; exit 1; }; \
+		echo "$$out" | grep -Eq -- "$$want" || { echo "run-shipped: $$name: no line matching '$$want'"; echo "$$out"; exit 1; }; \
+		echo "ok   $$name"; }; \
+	run 'double spend rejected' "$$d/bin/quickstart"; \
+	run 'settled=true' "$$d/bin/procurement"; \
+	run 'validates against the simple-transfer spec' "$$d/bin/supplychain"; \
+	run 'TOTAL +[1-9]' "$$d/bin/analytics"; \
+	run 'second recovery pass: nothing to do' "$$d/bin/sealedbid-recovery"; \
+	summary='^11 transactions committed, mean latency'; \
+	run "$$summary" "$$d/bin/smartchaindb"; \
+	run "$$summary" "$$d/bin/smartchaindb" -commitdepth 1; \
+	run 'shard 1 height: [1-9]' "$$d/bin/smartchaindb" -shards 2; \
+	run 'validator 0 recovered at height 0' "$$d/bin/smartchaindb" -datadir "$$d/data" -shards 2; \
+	run 'validator 0 recovered at height [1-9]' "$$d/bin/smartchaindb" -datadir "$$d/data" -shards 2; \
+	echo "$$out" | grep -Ec 'shard [0-9]+ recovered at height [1-9]' | grep -qx 2 \
+		|| { echo "run-shipped: a shard did not recover its chain:"; echo "$$out"; exit 1; }; \
+	echo "ok   (both shards recovered too)"; \
+	if out=$$("$$d/bin/smartchaindb" -commitdepth 3 2>&1); then echo "run-shipped: -commitdepth 3 was accepted"; exit 1; \
+	elif [ $$? -ne 2 ] || ! echo "$$out" | grep -q 'Config.CommitDepth is 3'; then echo "run-shipped: -commitdepth 3: want exit 2 naming the field, got: $$out"; exit 1; fi; \
+	echo "ok   smartchaindb -commitdepth 3 (refused, exit 2)"
 
 ci: test test-race

@@ -14,7 +14,7 @@
 //	scdb-bench -exp usability
 //	scdb-bench -exp mix -scale 1000
 //	scdb-bench -exp recovery
-//	scdb-bench -exp traffic -trafficusers 1000000 -traffictxs 16384 -trafficrates 2000,6000 -trafficdepths 1,4
+//	scdb-bench -exp traffic -trafficusers 1000000 -traffictxs 16384 -trafficrates 2000,6000
 //	scdb-bench -exp traffic -cpuprofile cpu.out -memprofile mem.out
 //	scdb-bench -exp fig2,mix -json out.json   # subsets; machine-readable results alongside the tables
 //
@@ -51,7 +51,6 @@ func main() {
 		trTxs      = flag.Int("traffictxs", 0, "traffic experiment: transactions per leg (default 16384)")
 		trRates    = flag.String("trafficrates", "", "traffic experiment: comma-separated offered loads in tx/s (default 2000,6000)")
 		trBatch    = flag.Int("trafficbatch", 0, "traffic experiment: admission batch and block size (default 128)")
-		trDepths   = flag.String("trafficdepths", "", "traffic experiment: comma-separated server CommitDepth values (default 1,4)")
 	)
 	flag.Parse()
 
@@ -138,14 +137,10 @@ func main() {
 			}
 			params.Rates = rates
 		}
-		if *trDepths != "" {
-			depths, err := parseInts(*trDepths)
-			if err != nil {
-				fatal(err)
-			}
-			params.Depths = depths
+		r, err := bench.RunTraffic(params)
+		if err != nil {
+			fatal(err)
 		}
-		r := bench.RunTraffic(params)
 		report.Add("traffic", r)
 		bench.PrintTraffic(os.Stdout, r)
 	}

@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"smartchaindb/internal/keys"
@@ -35,12 +36,16 @@ func main() {
 		admitWorkers = flag.Int("admitworkers", 4, "CheckTx-stage admission workers per node (<2 validates each batch sequentially)")
 		valWorkers   = flag.Int("valworkers", 4, "DeliverTx-stage block-validation workers per node (<2 = sequential)")
 		commitW      = flag.Int("commitworkers", 4, "commit-stage per-conflict-group apply workers per node (<2 stages each block sequentially)")
-		commitDepth  = flag.Int("commitdepth", 2, "commit pipeline depth D: up to D-1 decided blocks apply concurrently behind stacked footprint fences, sealing in height order (1 = synchronous; 2 overlaps block h's commit with height h+1's validation)")
+		commitDepth  = flag.Int("commitdepth", 2, "where a decided block commits: 1 joins each commit at once (synchronous); 2 overlaps block h's commit with height h+1's validation behind the footprint fence")
 		opsAddr      = flag.String("opsaddr", "", "serve the ops endpoint (/metrics, /traces, /debug/pprof) on this address, e.g. localhost:6060 or :0; /metrics labels validator 0's registry node-0 and, with -shards, each shard's registry shard-<id>")
 		shards       = flag.Int("shards", 0, "after the auction, demo a horizontally sharded cluster with this many footprint-routed shards: a local create on shard 0 then a cross-shard 2PC migration (0 disables)")
 	)
 	flag.Parse()
 	if _, err := server.ParsePacking(*packing); err != nil {
+		fmt.Fprintln(os.Stderr, "smartchaindb:", err)
+		os.Exit(2)
+	}
+	if err := server.CheckCommitDepth(*commitDepth); err != nil {
 		fmt.Fprintln(os.Stderr, "smartchaindb:", err)
 		os.Exit(2)
 	}
@@ -196,24 +201,40 @@ func main() {
 		sum.Committed, float64(sum.MeanLatency)/float64(time.Millisecond), sum.Throughput)
 
 	if *shards > 1 {
-		shardDemo(*shards, shardRegs)
+		shardDir := ""
+		if *datadir != "" {
+			shardDir = filepath.Join(*datadir, "shards")
+		}
+		shardDemo(*shards, shardDir, shardRegs)
 	}
 }
 
 // shardDemo runs the horizontal-sharding walkthrough: an asset is
 // created on shard 0 through the zero-coordination local path, then a
 // hinted transfer migrates it to shard 1 through the cross-shard
-// two-phase commit. Each shard's registry (when -opsaddr is live)
-// records its side under its own label.
-func shardDemo(shards int, regs []*obs.Registry) {
-	fmt.Printf("\nSharded cluster: %d footprint-routed shards, each with its own ledger, mempool, and WAL\n", shards)
-	sc := shard.New(shard.Config{Shards: shards, ObsFor: func(i int) *obs.Registry {
+// two-phase commit. With a data directory every shard keeps its own
+// WAL under it and a second run recovers what the first committed.
+// Each shard's registry (when -opsaddr is live) records its side under
+// its own label.
+func shardDemo(shards int, dataDir string, regs []*obs.Registry) {
+	storage := "ledger and mempool (in memory; -datadir gives each a WAL)"
+	if dataDir != "" {
+		storage = "ledger, mempool, and WAL under " + dataDir
+	}
+	fmt.Printf("\nSharded cluster: %d footprint-routed shards, each with its own %s\n", shards, storage)
+	sc, err := shard.Open(shard.Config{Shards: shards, DataDir: dataDir, ObsFor: func(i int) *obs.Registry {
 		if i < len(regs) {
 			return regs[i]
 		}
 		return nil
 	}})
+	must(err)
 	defer sc.Close()
+	if dataDir != "" {
+		for i := 0; i < sc.Shards(); i++ {
+			fmt.Printf("  shard %d recovered at height %d\n", i, sc.Shard(i).Node.State().Height())
+		}
+	}
 
 	owner := keys.MustGenerate()
 	asset := txn.NewCreate(owner.PublicBase58(),

@@ -28,8 +28,8 @@ import (
 // latency is measured from its *scheduled* arrival, so queueing delay
 // shows up in p99/p999 instead of vanishing into the generator. Each
 // leg drives one product node: admission through Node.CheckTxBatch,
-// commit through Node.CommitStart. The sweep is offered rate ×
-// server.Config.CommitDepth.
+// commit through Node.CommitStart, at most one block committing behind
+// the next batch's admission. The sweep is backend × offered rate.
 
 // TrafficParams configures the open-loop traffic experiment.
 type TrafficParams struct {
@@ -47,13 +47,6 @@ type TrafficParams struct {
 	Rates []float64
 	// Batch caps one admission batch, and so one block (default 128).
 	Batch int
-	// Depths sweeps the node's server.Config.CommitDepth (default 1,
-	// 4). The node's commit fence keeps up to depth-1 blocks mid-apply,
-	// never fewer than one, so depths 1 and 2 read alike here: what
-	// depth 2 adds in the consensus engine — block h+1 validating while
-	// h commits — this leg always has, admission running on its own
-	// goroutine.
-	Depths []int
 	// Workers is the node's admission and commit worker count (default
 	// NumCPU, max 8).
 	Workers int
@@ -79,9 +72,6 @@ func (p *TrafficParams) fill() {
 	if p.Batch <= 0 {
 		p.Batch = 128
 	}
-	if len(p.Depths) == 0 {
-		p.Depths = []int{1, 4}
-	}
 	if p.Workers <= 0 {
 		p.Workers = runtime.NumCPU()
 		if p.Workers > 8 {
@@ -93,12 +83,11 @@ func (p *TrafficParams) fill() {
 	}
 }
 
-// TrafficRow is one open-loop leg: a backend × commit depth × rate
-// point with scheduled-arrival latency quantiles for admission (batch
-// verdict returned) and commit (block sealed and joined).
+// TrafficRow is one open-loop leg: a backend × rate point with
+// scheduled-arrival latency quantiles for admission (batch verdict
+// returned) and commit (block sealed and joined).
 type TrafficRow struct {
 	Backend   string
-	Depth     int     // server.Config.CommitDepth
 	Rate      float64 // offered load, tx/s
 	Offered   int
 	Admitted  int // passed CheckTxBatch
@@ -185,28 +174,31 @@ func trafficWorkload(p TrafficParams, users []*keys.KeyPair) (backing, stream []
 	return backing, stream
 }
 
-// newTrafficNode opens a fresh node on the given backend at the given
-// commit depth, commits the backing CREATEs, and returns it with a
-// cleanup.
-func newTrafficNode(p TrafficParams, backend string, depth int, reg *obs.Registry, backing []*txn.Transaction) (*server.Node, func()) {
+// newTrafficNode opens a fresh node on the given backend, commits the
+// backing CREATEs, and returns it with a cleanup.
+func newTrafficNode(p TrafficParams, backend string, reg *obs.Registry, backing []*txn.Transaction) (*server.Node, func(), error) {
 	cfg := server.Config{
 		ReservedSeed:     p.Seed + 9300,
 		AdmissionWorkers: p.Workers,
 		CommitWorkers:    p.Workers,
-		CommitDepth:      depth,
 		Obs:              reg,
 	}
-	cleanup := func() {}
+	rmDir := func() {}
 	if backend == "disk" {
 		dir, err := os.MkdirTemp("", "scdb-bench-traffic-*")
 		if err != nil {
-			panic(fmt.Sprintf("bench: temp dir: %v", err))
+			return nil, nil, fmt.Errorf("bench: traffic data directory: %w", err)
 		}
 		cfg.DataDir = dir
 		cfg.NoSync = true
-		cleanup = func() { os.RemoveAll(dir) }
+		rmDir = func() { os.RemoveAll(dir) }
 	}
-	node := server.NewNode(cfg)
+	node, err := server.OpenNode(cfg)
+	if err != nil {
+		rmDir()
+		return nil, nil, fmt.Errorf("bench: traffic node: %w", err)
+	}
+	cleanup := func() { node.Close(); rmDir() }
 	for start := 0; start < len(backing); start += 1024 {
 		end := start + 1024
 		if end > len(backing) {
@@ -214,11 +206,11 @@ func newTrafficNode(p TrafficParams, backend string, depth int, reg *obs.Registr
 		}
 		committed, skipped := node.State().CommitBlock(backing[start:end])
 		if len(skipped) != 0 || len(committed) != end-start {
-			panic(fmt.Sprintf("bench: backing commit: %d of %d, skipped %d", len(committed), end-start, len(skipped)))
+			cleanup()
+			return nil, nil, fmt.Errorf("bench: traffic backing commit: %d of %d, skipped %d", len(committed), end-start, len(skipped))
 		}
 	}
-	rm := cleanup
-	return node, func() { node.Close(); rm() }
+	return node, cleanup, nil
 }
 
 // cloneStream deep-copies the traffic transactions so every leg starts
@@ -238,27 +230,24 @@ type trafficArrival struct {
 	scheduled time.Time
 }
 
-// trafficBlock is one admitted batch between CommitStart and its join.
-type trafficBlock struct {
-	join  func()
-	batch []trafficArrival
-}
-
 // runTrafficLeg runs one open-loop leg: Poisson arrivals at rate tx/s
 // fired at absolute deadlines, batched admission through CheckTxBatch,
 // then each admitted batch committed as one block through CommitStart
-// — whose own fence admission is the back-pressure: it parks while the
-// node's in-flight bound is full — and joined in height order, with
-// per-transaction latency measured from the scheduled arrival.
-func runTrafficLeg(p TrafficParams, backend string, depth int, rate float64, backing, stream []*txn.Transaction) TrafficRow {
+// and joined — one block commits while the next batch is admitted,
+// which is all the overlap the node's one-slot commit fence allows —
+// with per-transaction latency measured from the scheduled arrival.
+func runTrafficLeg(p TrafficParams, backend string, rate float64, backing, stream []*txn.Transaction) (TrafficRow, error) {
 	reg := obs.New()
-	node, cleanup := newTrafficNode(p, backend, depth, reg, backing)
+	node, cleanup, err := newTrafficNode(p, backend, reg, backing)
+	if err != nil {
+		return TrafficRow{}, err
+	}
 	defer cleanup()
 	fresh := cloneStream(stream)
 	admitNs := reg.Histogram("traffic.admit_ns")
 	commitNs := reg.Histogram("traffic.commit_ns")
 
-	row := TrafficRow{Backend: backend, Depth: depth, Rate: rate, Offered: len(fresh)}
+	row := TrafficRow{Backend: backend, Rate: rate, Offered: len(fresh)}
 	rng := rand.New(rand.NewSource(p.Seed + 71))
 	schedule := driver.PoissonSchedule(len(fresh), rate, rng)
 
@@ -268,7 +257,6 @@ func runTrafficLeg(p TrafficParams, backend string, depth int, rate float64, bac
 	// schedule.
 	arrivals := make(chan trafficArrival, len(fresh))
 	admitted := make(chan []trafficArrival, len(fresh))
-	blocks := make(chan trafficBlock, len(fresh))
 	done := make(chan struct{})
 
 	go func() { // admission stage
@@ -308,8 +296,8 @@ func runTrafficLeg(p TrafficParams, backend string, depth int, rate float64, bac
 		}
 	}()
 
-	go func() { // commit stage: one block per admitted batch
-		defer close(blocks)
+	go func() { // commit stage: one block per admitted batch, joined in height order
+		defer close(done)
 		// CommitStart counts heights from the node's height at open
 		// (zero, the node being fresh); the backing blocks took the
 		// first ones.
@@ -320,16 +308,9 @@ func runTrafficLeg(p TrafficParams, backend string, depth int, rate float64, bac
 			for i, b := range batch {
 				txs[i] = b.tx
 			}
-			blocks <- trafficBlock{join: node.CommitStart(height, txs), batch: batch}
-		}
-	}()
-
-	go func() { // join stage: blocks seal, and are joined, in height order
-		defer close(done)
-		for blk := range blocks {
-			blk.join()
+			node.CommitStart(height, txs)()
 			now := time.Now()
-			for _, b := range blk.batch {
+			for _, b := range batch {
 				commitNs.Observe(int64(now.Sub(b.scheduled)))
 			}
 		}
@@ -352,12 +333,12 @@ func runTrafficLeg(p TrafficParams, backend string, depth int, rate float64, bac
 	row.CommitP50, row.CommitP99, row.CommitP999 = time.Duration(c.P50), time.Duration(c.P99), time.Duration(c.P999)
 	row.SigTasks = snap.Counters["server.admit.sig_tasks"]
 	row.DedupHits = snap.Counters["server.admit.sig_dedup_hits"]
-	return row
+	return row, nil
 }
 
 // RunTraffic runs the full experiment: keygen, then the open-loop
-// backend × commit depth × offered rate sweep.
-func RunTraffic(p TrafficParams) TrafficResult {
+// backend × offered rate sweep.
+func RunTraffic(p TrafficParams) (TrafficResult, error) {
 	p.fill()
 	res := TrafficResult{Params: p}
 
@@ -368,13 +349,15 @@ func RunTraffic(p TrafficParams) TrafficResult {
 
 	backing, stream := trafficWorkload(p, users)
 	for _, backend := range p.Backends {
-		for _, depth := range p.Depths {
-			for _, rate := range p.Rates {
-				res.Rows = append(res.Rows, runTrafficLeg(p, backend, depth, rate, backing, stream))
+		for _, rate := range p.Rates {
+			row, err := runTrafficLeg(p, backend, rate, backing, stream)
+			if err != nil {
+				return res, err
 			}
+			res.Rows = append(res.Rows, row)
 		}
 	}
-	return res
+	return res, nil
 }
 
 // PrintTraffic renders the experiment.
@@ -385,12 +368,12 @@ func PrintTraffic(w io.Writer, r TrafficResult) {
 	fmt.Fprintf(w, "  keygen: %d distinct keypairs in %.2fs (%.0f keys/s)\n\n",
 		p.Users, r.KeygenElapsed.Seconds(), r.KeygenPerSec)
 
-	fmt.Fprintln(w, "Traffic — latency from scheduled arrival (CheckTxBatch verdict / CommitStart joined), per CommitDepth")
-	fmt.Fprintf(w, "  %-8s %5s %8s %9s %9s %9s %10s %9s %9s %9s %9s %10s\n",
-		"backend", "depth", "rate", "admit p50", "p99", "p999", "commit p50", "p99", "p999", "achieved", "rejected", "dedup")
+	fmt.Fprintln(w, "Traffic — latency from scheduled arrival (CheckTxBatch verdict / CommitStart joined)")
+	fmt.Fprintf(w, "  %-8s %8s %9s %9s %9s %10s %9s %9s %9s %9s %10s\n",
+		"backend", "rate", "admit p50", "p99", "p999", "commit p50", "p99", "p999", "achieved", "rejected", "dedup")
 	for _, row := range r.Rows {
-		fmt.Fprintf(w, "  %-8s %5d %8.0f %7.2fms %7.2fms %7.2fms %8.2fms %7.2fms %7.2fms %9.0f %9d %4d/%d\n",
-			row.Backend, row.Depth, row.Rate,
+		fmt.Fprintf(w, "  %-8s %8.0f %7.2fms %7.2fms %7.2fms %8.2fms %7.2fms %7.2fms %9.0f %9d %4d/%d\n",
+			row.Backend, row.Rate,
 			ms(row.AdmitP50), ms(row.AdmitP99), ms(row.AdmitP999),
 			ms(row.CommitP50), ms(row.CommitP99), ms(row.CommitP999),
 			row.Achieved, row.Rejected, row.DedupHits, row.SigTasks)

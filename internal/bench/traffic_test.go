@@ -10,7 +10,7 @@ import (
 // TestRunTrafficSmall runs the traffic experiment at toy scale and
 // checks the structural invariants: every offered transaction is
 // admitted and committed (the workload is valid by construction) at
-// every commit depth, dedup fires on the multi-input transfers, the
+// every offered rate, dedup fires on the multi-input transfers, the
 // quantiles are ordered, and the report renders. The backend follows
 // the tier-1 SCDB_BACKEND switch so the disk gate exercises the
 // traffic node's WAL-backed leg too.
@@ -25,23 +25,25 @@ func TestRunTrafficSmall(t *testing.T) {
 		Inputs:   3,
 		Batch:    16,
 		Workers:  2,
-		Rates:    []float64{3000},
-		Depths:   []int{1, 4},
+		Rates:    []float64{3000, 12000},
 		Backends: []string{backend},
 		Seed:     5,
 	}
-	r := RunTraffic(p)
+	r, err := RunTraffic(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	if len(r.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2 (depths 1, 4)", len(r.Rows))
+		t.Fatalf("rows = %d, want 2 (rates 3000, 12000)", len(r.Rows))
 	}
 	for i, row := range r.Rows {
-		if row.Depth != p.Depths[i] || row.Backend != backend {
-			t.Fatalf("row %d is %s depth %d, want %s depth %d", i, row.Backend, row.Depth, backend, p.Depths[i])
+		if row.Rate != p.Rates[i] || row.Backend != backend {
+			t.Fatalf("row %d is %s rate %.0f, want %s rate %.0f", i, row.Backend, row.Rate, backend, p.Rates[i])
 		}
 		if row.Admitted != p.Txs || row.Committed != p.Txs || row.Rejected != 0 {
-			t.Fatalf("%s depth %d: admitted=%d committed=%d rejected=%d, want %d/%d/0",
-				row.Backend, row.Depth, row.Admitted, row.Committed, row.Rejected, p.Txs, p.Txs)
+			t.Fatalf("%s rate %.0f: admitted=%d committed=%d rejected=%d, want %d/%d/0",
+				row.Backend, row.Rate, row.Admitted, row.Committed, row.Rejected, p.Txs, p.Txs)
 		}
 		if row.AdmitP50 <= 0 || row.AdmitP99 < row.AdmitP50 || row.AdmitP999 < row.AdmitP99 {
 			t.Fatalf("admission quantiles not monotone: p50=%v p99=%v p999=%v",
@@ -62,7 +64,7 @@ func TestRunTrafficSmall(t *testing.T) {
 	var buf bytes.Buffer
 	PrintTraffic(&buf, r)
 	out := buf.String()
-	for _, want := range []string{"keygen", "open-loop", "CommitDepth", "p99", backend} {
+	for _, want := range []string{"keygen", "open-loop", "CommitStart joined", "p99", backend} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}

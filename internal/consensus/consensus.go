@@ -80,7 +80,8 @@ type App interface {
 	// app is responsible for its own safety: reads that touch an
 	// unsealed block's write footprint must wait for the seal (the
 	// SmartchainDB app orders them through a commit fence), and commits
-	// must seal in height order.
+	// must seal in height order (CommitStart(h+1) is the app's place to
+	// wait out block h).
 	CommitStart(height int64, txs []Tx) (join func())
 	// CommitTime is the simulated duration of the block's commit — the
 	// commit-stage counterpart of ValidationTimeFresh.
@@ -172,16 +173,15 @@ type Config struct {
 	Packer func(pending []Tx) []Tx
 	// Pipelined enables voting on block h+1 before h is finalized.
 	Pipelined bool
-	// CommitDepth is the depth of the commit pipeline. Depth 1
-	// serializes: a decided block's CommitTime is charged to the node's
+	// CommitDepth says where a decided block's commit runs. Depth 1
+	// serializes: the block's CommitTime is charged to the node's
 	// execution resource and its join runs at once, so the next
-	// height's validation and admission queue behind it. At depth
-	// D >= 2 decided blocks occupy one of D-1 commit slots instead (the
-	// depth's first stage is the next height's validation), so in
-	// virtual time validation of h+D-1 proceeds while blocks h..h+D-2
-	// apply. Joins are scheduled in height order no matter which slot
-	// frees first — the seal-order invariant the app enforces for
-	// real. Zero picks 1.
+	// height's validation and admission queue behind it. At depth 2
+	// the block occupies the node's one commit slot instead, so in
+	// virtual time validation of h+1 proceeds while block h applies;
+	// a block waits for the slot, so joins run in height order. Zero
+	// picks 1; there is one slot, so the engine reads anything above 2
+	// as 2 (the SmartchainDB app refuses it at open).
 	CommitDepth int
 	// Latency is the network latency model.
 	Latency netsim.LatencyModel

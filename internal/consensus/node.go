@@ -112,16 +112,11 @@ type node struct {
 	lastProposal  time.Duration // pacing for this node's proposer role
 	lastBlockTime time.Duration // when the last block was applied locally
 	busyUntil     time.Duration // the node's single execution resource
-	// commitSlots is the node's depth-D commit resource: at depth >= 2
-	// a decided block occupies the earliest-free of CommitDepth-1 slots
-	// instead of the execution resource, which is what lets later
-	// heights' validation overlap the in-flight applies. Empty at
-	// depth 1.
-	commitSlots []time.Duration
-	// lastCommitJoin orders the joins (seals) in height order even
-	// when a later block's slot frees first — the virtual-time mirror
-	// of the app's seal gate.
-	lastCommitJoin time.Duration
+	// commitFree is when the node's one commit slot next falls free:
+	// at depth 2 a decided block occupies it instead of the execution
+	// resource, which is what lets the next height's validation overlap
+	// the in-flight apply. Unused at depth 1.
+	commitFree time.Duration
 }
 
 func newNode(c *Cluster, id netsim.NodeID, app App) *node {
@@ -143,7 +138,6 @@ func newNode(c *Cluster, id netsim.NodeID, app App) *node {
 		decided:       make(map[int64][]Tx),
 		appliedBlocks: make(map[int64][]Tx),
 		round:         make(map[int64]int),
-		commitSlots:   make([]time.Duration, c.cfg.CommitDepth-1),
 	}
 	poolCfg := c.cfg.Mempool
 	poolCfg.Check = n.checkBatch
@@ -717,7 +711,7 @@ func (n *node) applyBlock(h int64, txs []Tx) {
 	// the resource its CommitTime occupies and when the join — sealing
 	// plus post-commit hooks — runs.
 	join := n.app.CommitStart(h, txs)
-	if len(n.commitSlots) == 0 {
+	if n.c.cfg.CommitDepth < 2 {
 		// Depth 1, serialized commit: the block occupies the node's
 		// single execution resource, delaying the next height's
 		// validation and admission — the cost the overlapped pipeline
@@ -725,29 +719,18 @@ func (n *node) applyBlock(h int64, txs []Tx) {
 		n.charge(n.app.CommitTime(txs))
 		join()
 	} else {
-		// Overlapped commit: the block occupies the earliest-free of the
-		// node's CommitDepth-1 commit slots (not the execution resource
-		// validation charges) and joins when its slot elapses, never
-		// before an earlier block's join (seals are height-ordered).
-		// Later heights' validation proceeds meanwhile; reads into
-		// unsealed write footprints wait on the app's commit fence.
-		best := 0
-		for i, free := range n.commitSlots {
-			if free < n.commitSlots[best] {
-				best = i
-			}
-		}
-		start := n.commitSlots[best]
+		// Overlapped commit: the block occupies the node's commit slot
+		// (not the execution resource validation charges), starting
+		// once the previous block has left it, and joins when its
+		// CommitTime has elapsed there. The next height's validation
+		// proceeds meanwhile; reads into the unsealed write footprint
+		// wait on the app's commit fence.
+		start := n.commitFree
 		if now := n.c.sched.Now(); start < now {
 			start = now
 		}
-		finish := start + n.app.CommitTime(txs)
-		n.commitSlots[best] = finish
-		if finish < n.lastCommitJoin {
-			finish = n.lastCommitJoin
-		}
-		n.lastCommitJoin = finish
-		n.c.sched.At(finish, join)
+		n.commitFree = start + n.app.CommitTime(txs)
+		n.c.sched.At(n.commitFree, join)
 	}
 	n.c.recordCommit(txs)
 }

@@ -110,6 +110,7 @@ func (s *Store) Drop(name string) {
 		delete(s.collections, name)
 	}
 	if err := s.backend.Drop(name); err != nil {
+		// fail-stop: the collection is already unlinked in memory; a backend that kept its data would resurrect it on reopen.
 		panic(fmt.Sprintf("docstore: drop %q: %v", name, err))
 	}
 }

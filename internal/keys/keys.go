@@ -35,6 +35,7 @@ func Generate() (*KeyPair, error) {
 func MustGenerate() *KeyPair {
 	kp, err := Generate()
 	if err != nil {
+		// invariant: must-constructor for tests and examples; only a broken entropy source fails, and Generate returns that.
 		panic(err)
 	}
 	return kp
@@ -47,8 +48,8 @@ func DeterministicKeyPair(seed int64) *KeyPair {
 	rng := mathrand.New(mathrand.NewSource(seed))
 	pub, priv, err := ed25519.GenerateKey(rng)
 	if err != nil {
-		// ed25519.GenerateKey only fails if the reader fails; a
-		// math/rand source cannot.
+		// invariant: ed25519.GenerateKey only fails if the reader
+		// fails; a math/rand source cannot.
 		panic(err)
 	}
 	return &KeyPair{Public: pub, Private: priv}

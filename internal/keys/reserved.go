@@ -56,6 +56,7 @@ func (r *Reserved) Lookup(role string) (*KeyPair, bool) {
 func (r *Reserved) Escrow() *KeyPair {
 	kp, ok := r.Lookup(RoleEscrow)
 	if !ok {
+		// invariant: nodes build their registry with NewReservedWithDefaults, which registers ESCROW; an empty one asked for it is a wiring bug.
 		panic("keys: no ESCROW account registered")
 	}
 	return kp

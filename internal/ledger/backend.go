@@ -25,14 +25,17 @@ func defaultBackend() storage.Backend {
 	case "disk":
 		dir, err := os.MkdirTemp("", "scdb-state-*")
 		if err != nil {
+			// invariant: SCDB_BACKEND is the Makefile's test switch; a node with a real directory uses NewStateWith and gets the error.
 			panic(fmt.Sprintf("ledger: SCDB_BACKEND=disk temp dir: %v", err))
 		}
 		eng, err := storage.Open(dir, storage.Options{NoSync: true})
 		if err != nil {
+			// invariant: a fresh temporary directory opens; same test-switch path as above.
 			panic(fmt.Sprintf("ledger: SCDB_BACKEND=disk open %s: %v", dir, err))
 		}
 		return eng
 	default:
+		// invariant: a misspelt test switch must not silently run the suite on the wrong backend.
 		panic(fmt.Sprintf("ledger: unknown SCDB_BACKEND %q (want memory or disk)", os.Getenv("SCDB_BACKEND")))
 	}
 }

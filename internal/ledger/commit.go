@@ -101,6 +101,35 @@ func (o *groupOverlay) stageTx(t *txn.Transaction) *stagedTx {
 			return &stagedTx{err: &txn.DoubleSpendError{Ref: ref, SpentBy: spender}}
 		}
 	}
+	ops, err := homeOps(t, spendKeys, o.getUTXO)
+	if err != nil {
+		return &stagedTx{err: err}
+	}
+	// Absorb the transaction's effects so a same-group rival sees the
+	// double spend, and a same-group spender the new outputs, exactly
+	// as the sequential pass would.
+	for _, op := range ops {
+		switch op.kind {
+		case opMarkSpent:
+			o.spent[op.key] = op.spender
+		case opInsertUTXO:
+			o.utxos[op.key] = op.doc
+		}
+	}
+	o.txIDs[t.ID] = true
+	return &stagedTx{ops: ops}
+}
+
+// homeOps turns transaction t into the write ops that record it where
+// it is homed — the transaction document, a spent mark for each of
+// spendKeys, one UTXO document per output and, for CREATE and REQUEST,
+// the asset record — in the exact order a transaction mutates state.
+// It is the one place a transaction becomes documents: the block
+// commit (stageTx) passes every spent key, the cross-shard home share
+// (StageOwned) only the keys its shard owns. utxo resolves a UTXO
+// record in the caller's view: an ACCEPT_BID output carries the asset
+// of the bid output its input fulfils, not the parent's.
+func homeOps(t *txn.Transaction, spendKeys []string, utxo func(key string) (map[string]any, bool)) ([]stagedOp, error) {
 	outputAsset := make([]string, len(t.Outputs))
 	for i := range t.Outputs {
 		outputAsset[i] = t.AssetID()
@@ -108,7 +137,7 @@ func (o *groupOverlay) stageTx(t *txn.Transaction) *stagedTx {
 	if t.Operation == txn.OpAcceptBid {
 		for i := range t.Outputs {
 			if i < len(t.Inputs) && t.Inputs[i].Fulfills != nil {
-				if doc, ok := o.getUTXO(utxoKey(*t.Inputs[i].Fulfills)); ok {
+				if doc, ok := utxo(utxoKey(*t.Inputs[i].Fulfills)); ok {
 					if aid, aok := doc["asset_id"].(string); aok {
 						outputAsset[i] = aid
 					}
@@ -118,20 +147,17 @@ func (o *groupOverlay) stageTx(t *txn.Transaction) *stagedTx {
 	}
 	txDoc := t.ToDoc()
 	// The transaction document is the only user-controlled payload; a
-	// doc the durable encoding rejects is skipped here, before any
+	// doc the durable encoding rejects is refused here, before any
 	// mutation stages. Every commit path stages through here, so the
 	// canonical-document contract is enforced identically on every
-	// backend and worker count.
+	// backend, worker count and shard.
 	if err := storage.EncodableDoc(txDoc); err != nil {
-		return &stagedTx{err: fmt.Errorf("ledger: insert tx: %w", err)}
+		return nil, fmt.Errorf("ledger: insert tx: %w", err)
 	}
-	st := &stagedTx{ops: make([]stagedOp, 0, 2+len(spendKeys)+len(t.Outputs))}
-	st.ops = append(st.ops, stagedOp{kind: opInsertTx, key: t.ID, doc: txDoc})
+	ops := make([]stagedOp, 0, 2+len(spendKeys)+len(t.Outputs))
+	ops = append(ops, stagedOp{kind: opInsertTx, key: t.ID, doc: txDoc})
 	for _, key := range spendKeys {
-		st.ops = append(st.ops, stagedOp{kind: opMarkSpent, key: key, spender: t.ID})
-		// Absorb the spent mark so a same-group rival sees the double
-		// spend exactly as the sequential pass would.
-		o.spent[key] = t.ID
+		ops = append(ops, stagedOp{kind: opMarkSpent, key: key, spender: t.ID})
 	}
 	for i, out := range t.Outputs {
 		owners := make([]any, len(out.PublicKeys))
@@ -142,7 +168,7 @@ func (o *groupOverlay) stageTx(t *txn.Transaction) *stagedTx {
 		for j, k := range out.PrevOwners {
 			prev[j] = k
 		}
-		doc := map[string]any{
+		ops = append(ops, stagedOp{kind: opInsertUTXO, key: utxoKey(txn.OutputRef{TxID: t.ID, Index: i}), doc: map[string]any{
 			"transaction_id": t.ID,
 			"output_index":   float64(i),
 			"owner":          owners,
@@ -152,24 +178,20 @@ func (o *groupOverlay) stageTx(t *txn.Transaction) *stagedTx {
 			"operation":      t.Operation,
 			"spent":          false,
 			"spent_by":       "",
-		}
-		key := utxoKey(txn.OutputRef{TxID: t.ID, Index: i})
-		st.ops = append(st.ops, stagedOp{kind: opInsertUTXO, key: key, doc: doc})
-		o.utxos[key] = doc
+		}})
 	}
 	if t.Operation == txn.OpCreate || t.Operation == txn.OpRequest {
 		data := map[string]any{}
 		if t.Asset != nil && t.Asset.Data != nil {
 			data = t.Asset.Data
 		}
-		st.ops = append(st.ops, stagedOp{kind: opUpsertAsset, key: t.ID, doc: map[string]any{
+		ops = append(ops, stagedOp{kind: opUpsertAsset, key: t.ID, doc: map[string]any{
 			"id":        t.ID,
 			"data":      data,
 			"operation": t.Operation,
 		}})
 	}
-	o.txIDs[t.ID] = true
-	return st
+	return ops, nil
 }
 
 // sealTx applies one staged transaction's ops through the docstore,

@@ -43,10 +43,10 @@ type State struct {
 	// by mu, which every commit path already holds.
 	ob  ledgerObs
 	reg *obs.Registry
-	// sealGate orders overlapped block seals by height: commits begun
-	// with BeginBlockCommit register here and park until every earlier
-	// block's WAL group has sealed.
-	sealGate storage.SealGate
+	// unsealed is the block BeginBlockCommit opened and Seal has not
+	// closed; a second open while it is set is a caller bug. Guarded by
+	// mu.
+	unsealed *PendingCommit
 }
 
 // NewState creates a chain state over the backend selected by the
@@ -138,6 +138,7 @@ func (s *State) CommitBlock(batch []*txn.Transaction) (committed []*txn.Transact
 	height := s.lastHeight + 1
 	committed, skipped, err := s.commitBlockLocked(height, batch)
 	if err != nil {
+		// fail-stop: the backend lost a write mid-block; CommitBlockAt is the variant that returns the error.
 		panic("ledger: " + SealFailure(height, err))
 	}
 	return committed, skipped
@@ -170,13 +171,13 @@ func SealFailure(height int64, err error) string {
 // a lost backend write and fails the whole block, never a
 // per-transaction skip (CommitBlock then panics).
 //
-// This is the depth-1 use of the one block commit (pipeline.go): the
-// same Stage and the same seal body as BeginBlockCommit → Stage →
+// This is the synchronous use of the one block commit (pipeline.go):
+// the same Stage and the same seal body as BeginBlockCommit → Stage →
 // Seal, but run back to back with the state lock held across both, so
 // the call is atomic with respect to every other writer that takes
 // only the state lock (CommitTx, ApplyPrepared, AbortPrepared, other
-// synchronous block commits). It does not pass the seal gate and must
-// not be called while a BeginBlockCommit reservation is outstanding.
+// synchronous block commits). It must not be called while a block
+// opened by BeginBlockCommit is unsealed.
 func (s *State) CommitBlockAt(height int64, batch []*txn.Transaction) (committed []*txn.Transaction, skipped map[string]error, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -30,11 +30,6 @@ type ledgerObs struct {
 	conflictGroups *obs.Histogram // ledger.commit.conflict_groups
 	largestGroup   *obs.Histogram // ledger.commit.largest_group
 
-	// Deep-pipeline seal ordering: sealStalls counts blocks whose
-	// staging finished out of height order, parking at the storage
-	// seal gate until every earlier block's WAL group fsynced.
-	sealStalls *obs.Counter // ledger.pipeline.seal_stalls
-
 	height *obs.Gauge // ledger.height
 
 	tracer *obs.Tracer
@@ -57,7 +52,6 @@ func newLedgerObs(reg *obs.Registry) ledgerObs {
 		batchTxs:       reg.Histogram("ledger.commit.batch_txs"),
 		conflictGroups: reg.Histogram("ledger.commit.conflict_groups"),
 		largestGroup:   reg.Histogram("ledger.commit.largest_group"),
-		sealStalls:     reg.Counter("ledger.pipeline.seal_stalls"),
 		height:         reg.Gauge("ledger.height"),
 		tracer:         reg.Tracer(),
 	}

@@ -1,12 +1,12 @@
 package ledger
 
 import (
+	"fmt"
 	"sync/atomic"
 	"time"
 
 	"smartchaindb/internal/obs"
 	"smartchaindb/internal/parallel"
-	"smartchaindb/internal/storage"
 	"smartchaindb/internal/txn"
 )
 
@@ -24,30 +24,22 @@ import (
 //	        whole block is one atomic WAL record.
 //
 // The entry points differ only in who holds what while that happens.
-// BeginBlockCommit reserves block h's slot in the seal order (on the
-// ordered consensus thread), Stage runs off the state lock — so
-// several blocks' staging can overlap — and Seal parks at the storage
-// seal gate until h-1 has sealed. CommitBlock / CommitBlockAt
-// (ledger.go) run the same Stage and the same seal body back to back
-// under the state lock: depth 1. The WAL byte stream, the document
-// iteration order, and the MVCC height bracketing are identical at
-// every depth and worker count; the differential tests pin this byte
-// for byte against an interleaved per-transaction reference.
+// BeginBlockCommit opens block h — at most one block is open at a
+// time — Stage runs off the state lock, so the next height's
+// validation reads beside it, and Seal takes the state lock and
+// seals. CommitBlock / CommitBlockAt (ledger.go) run the same Stage
+// and the same seal body back to back under the state lock. The WAL
+// byte stream, the document iteration order, and the MVCC height
+// bracketing are identical either way and at every worker count; the
+// differential tests pin this byte for byte against an interleaved
+// per-transaction reference.
 //
 // Cross-group independence is what makes the parallel stage sound: a
 // transaction's checks only read keys in its own footprint, and two
 // transactions in different groups share no footprint key, so each
 // group sees exactly the state a block-order pass would have shown it.
-//
-// Soundness contract for overlapped use: Stage reads committed state
-// through the writer view while *earlier* blocks may still be applying
-// or sealing, so the caller must guarantee the batch's touch
-// (read+write) footprint is disjoint from every earlier unsealed
-// block's write footprint before calling Stage —
-// parallel.PipelineFence.WaitApply is exactly that guarantee. Given
-// disjointness, every key staging reads has the same value it would
-// have after the earlier seals, so the staged ops — and therefore the
-// sealed bytes — equal the depth-1 outcome.
+// Because only one block is ever open, Stage reads exactly the
+// sequential prefix: every earlier block has sealed.
 
 // SetCommitWorkers selects the stage's per-conflict-group appliers.
 // Values below 2 stage the batch sequentially against one overlay.
@@ -57,22 +49,28 @@ func (s *State) SetCommitWorkers(w int) { s.commitWorkers = w }
 // CommitWorkers reports the configured stage worker count.
 func (s *State) CommitWorkers() int { return s.commitWorkers }
 
-// BeginBlockCommit reserves height's slot in the seal order and
-// returns the pending commit. Heights must be reserved in strictly
-// increasing order; the returned commit must eventually Seal (or
-// Abandon), or every later height parks forever at the seal gate.
+// BeginBlockCommit opens height's block commit and returns it. At most
+// one block is open at a time — the commit fence admits block h+1 only
+// after block h has sealed — so the returned commit must Seal before
+// the next BeginBlockCommit.
 func (s *State) BeginBlockCommit(height int64) *PendingCommit {
-	return &PendingCommit{s: s, height: height, ticket: s.sealGate.Register(height)}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.unsealed != nil {
+		// invariant: blocks seal in the order they are opened because
+		// only one is ever open; a second one would stage against state
+		// the first has not written and race it for the WAL.
+		panic(fmt.Sprintf("ledger: BeginBlockCommit(%d) while block %d is unsealed", height, s.unsealed.height))
+	}
+	p := &PendingCommit{s: s, height: height}
+	s.unsealed = p
+	return p
 }
 
 // PendingCommit is one in-flight block commit.
 type PendingCommit struct {
 	s      *State
 	height int64
-	// ticket is the block's place in the seal order. The synchronous
-	// entry points leave it nil: they hold the state lock across stage
-	// and seal instead of passing the gate.
-	ticket *storage.SealTicket
 
 	batch  []*txn.Transaction
 	staged []*stagedTx
@@ -134,20 +132,13 @@ func (p *PendingCommit) StagePlan(batch []*txn.Transaction, plan *parallel.Plan)
 	p.busy = int64(p.applyD)
 }
 
-// Seal applies the staged block: it parks until every earlier
-// reserved height has sealed (the storage seal gate — WAL groups land
-// in height order no matter which applier finishes first), then takes
-// the state lock and seals. Semantics of the results match
-// CommitBlockAt.
+// Seal applies the staged block under the state lock and closes it,
+// whatever the outcome. Semantics of the results match CommitBlockAt.
 func (p *PendingCommit) Seal() (committed []*txn.Transaction, skipped map[string]error, err error) {
 	s := p.s
-	stalled := p.ticket.Enter()
-	defer p.ticket.Done()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if stalled {
-		s.ob.sealStalls.Inc()
-	}
+	s.unsealed = nil
 	return p.sealLocked()
 }
 
@@ -226,9 +217,3 @@ func (s *State) sealBlock(height int64, group func() error) error {
 	s.store.SweepIndexes()
 	return err
 }
-
-// Abandon releases the block's seal slot without writing anything —
-// the escape hatch for a caller that reserved a height and then could
-// not produce the block. Later heights proceed as if this one never
-// existed.
-func (p *PendingCommit) Abandon() { p.ticket.Done() }

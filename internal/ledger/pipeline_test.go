@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"smartchaindb/internal/keys"
@@ -225,5 +226,37 @@ func TestPipelinedCommitCrashMidApply(t *testing.T) {
 			t.Fatalf("trial %d: post-recovery commit height %d, want %d", trial, s2.Height(), got.Height+1)
 		}
 		s2.Close()
+	}
+}
+
+// TestSecondBeginBlockCommitPanics pins the one-open-block invariant:
+// opening block h+1 while block h is unsealed is a caller bug the
+// ledger names, with both heights, instead of letting the two commits
+// race for the WAL; once h has sealed, h+1 opens.
+func TestSecondBeginBlockCommitPanics(t *testing.T) {
+	s := NewStateWith(storage.NewMemory())
+	defer s.Close()
+	blocks := chaosBlocks(t, 9, 2, 8)
+	first := s.BeginBlockCommit(1)
+	func() {
+		defer func() {
+			msg := fmt.Sprint(recover())
+			if !strings.Contains(msg, "BeginBlockCommit(2)") || !strings.Contains(msg, "block 1 is unsealed") {
+				t.Fatalf("second BeginBlockCommit: got %q, want a panic naming heights 2 and 1", msg)
+			}
+		}()
+		s.BeginBlockCommit(2)
+	}()
+	first.Stage(blocks[0])
+	if _, _, err := first.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	second := s.BeginBlockCommit(2)
+	second.Stage(blocks[1])
+	if _, _, err := second.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	if s.Height() != 2 {
+		t.Fatalf("height %d after two sealed blocks, want 2", s.Height())
 	}
 }

@@ -52,7 +52,7 @@ func (s *State) StageOwned(t *txn.Transaction, home bool, owns func(txn.OutputRe
 		return nil, &txn.DuplicateTransactionError{TxID: t.ID, Reason: "already committed"}
 	}
 	p := &Prepared{TxID: t.ID, InputDocs: make(map[string]map[string]any)}
-	var marks []stagedOp
+	var owned []string // UTXO keys of the spent inputs this shard owns
 	allOwned := true
 	for _, ref := range t.SpentRefs() {
 		if !owns(ref) {
@@ -68,77 +68,34 @@ func (s *State) StageOwned(t *txn.Transaction, home bool, owns func(txn.OutputRe
 			return nil, &txn.DoubleSpendError{Ref: ref, SpentBy: spender}
 		}
 		p.InputDocs[key] = doc
-		marks = append(marks, stagedOp{kind: opMarkSpent, key: key, spender: t.ID})
+		owned = append(owned, key)
 	}
 	if !home {
-		if len(marks) == 0 {
+		if len(owned) == 0 {
 			return nil, fmt.Errorf("ledger: shard owns no inputs of %s", t.ID)
 		}
-		p.ops = marks
+		for _, key := range owned {
+			p.ops = append(p.ops, stagedOp{kind: opMarkSpent, key: key, spender: t.ID})
+		}
 		return p, nil
 	}
 
-	// Home shard: the full transaction record. Output-asset resolution
-	// for nested parents reads input UTXOs, so a cross-shard ACCEPT_BID
-	// (inputs on other shards) cannot be staged — the router keeps
-	// auction chains co-located, and the coordinator rejects the rest.
+	// Home shard: the full transaction record, from the builder the
+	// block commit uses. Output-asset resolution for nested parents
+	// reads input UTXOs, so a cross-shard ACCEPT_BID (inputs on other
+	// shards) cannot be staged — the router keeps auction chains
+	// co-located, and the coordinator rejects the rest.
 	if t.Operation == txn.OpAcceptBid && !allOwned {
 		return nil, fmt.Errorf("ledger: cross-shard %s is not supported", t.Operation)
 	}
-	outputAsset := make([]string, len(t.Outputs))
-	for i := range t.Outputs {
-		outputAsset[i] = t.AssetID()
+	ops, err := homeOps(t, owned, func(key string) (map[string]any, bool) {
+		doc, ok := p.InputDocs[key]
+		return doc, ok
+	})
+	if err != nil {
+		return nil, err
 	}
-	if t.Operation == txn.OpAcceptBid {
-		for i := range t.Outputs {
-			if i < len(t.Inputs) && t.Inputs[i].Fulfills != nil {
-				if doc, ok := p.InputDocs[utxoKey(*t.Inputs[i].Fulfills)]; ok {
-					if aid, aok := doc["asset_id"].(string); aok {
-						outputAsset[i] = aid
-					}
-				}
-			}
-		}
-	}
-	txDoc := t.ToDoc()
-	if err := storage.EncodableDoc(txDoc); err != nil {
-		return nil, fmt.Errorf("ledger: insert tx: %w", err)
-	}
-	p.ops = append(p.ops, stagedOp{kind: opInsertTx, key: t.ID, doc: txDoc})
-	p.ops = append(p.ops, marks...)
-	for i, out := range t.Outputs {
-		ref := txn.OutputRef{TxID: t.ID, Index: i}
-		owners := make([]any, len(out.PublicKeys))
-		for j, k := range out.PublicKeys {
-			owners[j] = k
-		}
-		prev := make([]any, len(out.PrevOwners))
-		for j, k := range out.PrevOwners {
-			prev[j] = k
-		}
-		p.ops = append(p.ops, stagedOp{kind: opInsertUTXO, key: utxoKey(ref), doc: map[string]any{
-			"transaction_id": t.ID,
-			"output_index":   float64(i),
-			"owner":          owners,
-			"prev_owners":    prev,
-			"amount":         float64(out.Amount),
-			"asset_id":       outputAsset[i],
-			"operation":      t.Operation,
-			"spent":          false,
-			"spent_by":       "",
-		}})
-	}
-	if t.Operation == txn.OpCreate || t.Operation == txn.OpRequest {
-		data := map[string]any{}
-		if t.Asset != nil && t.Asset.Data != nil {
-			data = t.Asset.Data
-		}
-		p.ops = append(p.ops, stagedOp{kind: opUpsertAsset, key: t.ID, doc: map[string]any{
-			"id":        t.ID,
-			"data":      data,
-			"operation": t.Operation,
-		}})
-	}
+	p.ops = ops
 	return p, nil
 }
 

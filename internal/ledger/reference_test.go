@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"smartchaindb/internal/obs"
+	"smartchaindb/internal/parallel"
 	"smartchaindb/internal/storage"
 	"smartchaindb/internal/txn"
 )
@@ -97,18 +98,48 @@ func sameOutcome(t *testing.T, h int64, wantC []*txn.Transaction, wantS map[stri
 	}
 }
 
+// blockResult collects one block's commit outcome.
+type blockResult struct {
+	committed []*txn.Transaction
+	skipped   map[string]error
+	err       error
+}
+
+// commitBehindFence drives the blocks through the commit the way
+// server.CommitStart does: the ordered caller thread admits height h
+// through the one-slot fence — parking until h-1 has sealed — and
+// opens its commit, then a per-block goroutine stages off-lock, seals
+// and retires the fence slot.
+func commitBehindFence(s *State, blocks [][]*txn.Transaction) []blockResult {
+	var fence parallel.PipelineFence
+	results := make([]blockResult, len(blocks))
+	for i, block := range blocks {
+		h := int64(i + 1)
+		fence.Begin(h, parallel.BuildPlan(block).WriteKeys())
+		pending := s.BeginBlockCommit(h)
+		go func(i int, block []*txn.Transaction) {
+			pending.Stage(block)
+			c, sk, err := pending.Seal()
+			results[i] = blockResult{committed: c, skipped: sk, err: err}
+			fence.End(h)
+		}(i, block)
+	}
+	fence.Drain()
+	return results
+}
+
 // TestBlockCommitMatchesInterleavedReference pins the one block commit
 // to the interleaved reference at every way of driving it: the
-// synchronous CommitBlockAt (depth 1) and the overlapped
-// BeginBlockCommit → Stage → Seal at depths 2, 4 and 8, each with the
-// sequential stage (workers 0) and per-group appliers (workers 4), on
-// both backends. Per block the committed sequences and skip sets must
+// synchronous CommitBlockAt (depth 1) and BeginBlockCommit → Stage →
+// Seal in the background behind the commit fence (depth 2), each with
+// the sequential stage (workers 0) and per-group appliers (workers 4),
+// on both backends. Per block the committed sequences and skip sets must
 // match; at the end the heights and state fingerprints; on disk the
 // raw WAL byte streams and the fingerprints recovered from them.
 func TestBlockCommitMatchesInterleavedReference(t *testing.T) {
 	const seed = 7
 	for _, backend := range []string{"memory", "disk"} {
-		for _, depth := range []int{1, 2, 4, 8} {
+		for _, depth := range []int{1, 2} {
 			for _, workers := range []int{0, 4} {
 				t.Run(fmt.Sprintf("%s/depth=%d/workers=%d", backend, depth, workers), func(t *testing.T) {
 					open := func() (*State, string) {
@@ -130,7 +161,7 @@ func TestBlockCommitMatchesInterleavedReference(t *testing.T) {
 							results[i] = blockResult{committed: c, skipped: sk, err: err}
 						}
 					} else {
-						results = commitDeepPipeline(t, got, depth-1, blocks)
+						results = commitBehindFence(got, blocks)
 					}
 					for i, block := range blocks {
 						h := int64(i + 1)

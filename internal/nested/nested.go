@@ -84,8 +84,8 @@ func (e *Engine) Drain() int {
 	for _, spec := range specs {
 		child := ledger.BuildChild(spec, e.escrow.PublicBase58())
 		if err := txn.Sign(child, e.escrow); err != nil {
-			// The escrow key is local; a signing failure is a defect,
-			// not a runtime condition.
+			// invariant: the escrow key is local; a signing failure is a
+			// defect, not a runtime condition.
 			panic(fmt.Sprintf("nested: sign child: %v", err))
 		}
 		e.submit(child)

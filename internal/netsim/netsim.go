@@ -81,6 +81,7 @@ func (n *Network) Scheduler() *simclock.Scheduler { return n.sched }
 // AddNode registers a node and its message handler.
 func (n *Network) AddNode(id NodeID, h Handler) {
 	if _, dup := n.handlers[id]; dup {
+		// invariant: cluster assembly numbers its nodes once; a duplicate would silently drop the first handler.
 		panic(fmt.Sprintf("netsim: node %d already registered", id))
 	}
 	n.handlers[id] = h

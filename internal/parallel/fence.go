@@ -5,63 +5,45 @@ import (
 	"sync"
 )
 
-// PipelineFence is the commit fence of the depth-N commit pipeline: an
-// ordered ring of per-height write-footprint slots. While up to D
-// blocks apply concurrently on the commit resource, each block's
-// declarative write footprint is published here, and the *validation*
-// paths at later heights consult it before computing verdicts. A
-// validation whose own footprint intersects any in-flight write set
-// blocks until the intersecting blocks seal; a disjoint one proceeds
-// immediately, no matter how many blocks are mid-apply.
+// PipelineFence is the commit fence: one slot holding the write
+// footprint of the one block that may commit behind the next height's
+// validation. While that block applies, its declarative write
+// footprint is published here, and the *validation* paths at later
+// heights consult it before computing verdicts. A validation whose own
+// footprint intersects the in-flight write set blocks until the block
+// seals; a disjoint one proceeds immediately.
 //
 // The fence is a verdict-ordering device, not a read barrier: since
 // the storage layer grew height-stamped MVCC snapshots, plain reads
 // (queries, analytics, fingerprint-at-height) never consult the fence
 // — they resolve against the last sealed block's snapshot and can run
-// concurrently with the appliers no matter whose footprint they
-// touch. What remains fenced is the cross-height data dependency:
-// a verdict for height h+k whose footprint overlaps an unsealed
-// block's writes must be computed *after* that block seals, or
-// replicas deciding at different points of the apply phase would
-// disagree.
+// concurrently with the applier no matter whose footprint they touch.
+// What remains fenced is the cross-height data dependency: a verdict
+// for height h+1 whose footprint overlaps the unsealed block's writes
+// must be computed *after* that block seals, or replicas deciding at
+// different points of the apply phase would disagree.
 //
-// Three invariants make depth > 1 sound:
+// One slot is the whole design, not the small case of a deeper ring:
+// Begin parks while a block is in flight, so block h+1 is admitted
+// only after block h has sealed. Staging therefore always reads the
+// sequential prefix, WAL groups land in height order, and the durable
+// prefix is a block prefix, with nothing left to order.
 //
-//   - Admission is depth-bounded: Begin(h) parks while Depth blocks
-//     are already in flight, so the ring never grows past the
-//     configured depth (backpressure on the consensus thread).
-//   - Apply is footprint-ordered: WaitApply(h) parks an applier while
-//     any *earlier* unsealed block's write set intersects block h's
-//     touch (read+write) footprint — two intersecting blocks never
-//     apply concurrently, so each block's staging reads exactly the
-//     state the sequential pass would have shown it.
-//   - Seals are height-ordered: End(h) parks until h is the oldest
-//     in-flight height, so blocks leave the ring — and their WAL
-//     groups fsync — in height order, preserving the crash invariant
-//     that the durable prefix is a block prefix.
-//
-// The zero value is an idle fence of depth 1 (one block in flight:
-// the single-slot behavior the pipeline had before it grew depth) and
-// every wait on it returns immediately.
+// The zero value is an idle fence and every wait on it returns
+// immediately.
 type PipelineFence struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	depth int
+	mu   sync.Mutex
+	cond *sync.Cond
 
-	// flights is the in-flight ring, ordered by height ascending —
-	// Begin appends (heights must arrive increasing) and End pops the
-	// head, so the slice never reorders.
-	flights []fenceFlight
-}
-
-// fenceFlight is one in-flight block's published write footprint.
-type fenceFlight struct {
+	// busy marks the slot taken; height and keys are the in-flight
+	// block's height and published write footprint.
+	busy   bool
 	height int64
 	keys   map[string]struct{}
 }
 
-// locked returns the fence's condition variable, creating it on first
-// use so the zero value works.
+// signal returns the fence's condition variable, creating it on first
+// use so the zero value works. Caller holds mu.
 func (f *PipelineFence) signal() *sync.Cond {
 	if f.cond == nil {
 		f.cond = sync.NewCond(&f.mu)
@@ -69,183 +51,84 @@ func (f *PipelineFence) signal() *sync.Cond {
 	return f.cond
 }
 
-// SetDepth bounds the number of concurrently in-flight blocks. Values
-// below 1 clamp to 1 (the single-slot fence). Safe to call only while
-// no block is in flight.
-func (f *PipelineFence) SetDepth(d int) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if d < 1 {
-		d = 1
-	}
-	f.depth = d
-}
-
-// Depth reports the configured in-flight bound (>= 1).
-func (f *PipelineFence) Depth() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.effectiveDepth()
-}
-
-func (f *PipelineFence) effectiveDepth() int {
-	if f.depth < 1 {
-		return 1
-	}
-	return f.depth
-}
-
-// Begin admits block height into the pipeline with its write keys,
-// parking while the ring is full (Depth blocks already in flight) —
-// the backpressure that bounds the pipeline. Heights must be admitted
-// in strictly increasing order (the consensus thread decides blocks in
-// order, so this holds by construction); Begin panics on a regression,
-// since an out-of-order admission would silently break the seal-order
-// invariant. It reports whether the caller had to wait for a slot —
-// the "fence stack wait" the pipeline metrics count.
+// Begin admits block height with its write keys, parking while another
+// block is in flight — the backpressure that keeps the pipeline at one
+// commit behind one validation. It reports whether the caller had to
+// wait for the slot — the "fence stack wait" the pipeline metrics
+// count.
 func (f *PipelineFence) Begin(height int64, writeKeys []string) (waited bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for len(f.flights) >= f.effectiveDepth() {
+	for f.busy {
 		waited = true
 		f.signal().Wait()
 	}
-	if n := len(f.flights); n > 0 && f.flights[n-1].height >= height {
-		panic(fmt.Sprintf("parallel: fence Begin(%d) after height %d", height, f.flights[n-1].height))
-	}
-	keys := make(map[string]struct{}, len(writeKeys))
+	f.busy = true
+	f.height = height
+	f.keys = make(map[string]struct{}, len(writeKeys))
 	for _, k := range writeKeys {
-		keys[k] = struct{}{}
+		f.keys[k] = struct{}{}
 	}
-	f.flights = append(f.flights, fenceFlight{height: height, keys: keys})
-	f.signal().Broadcast()
 	return waited
 }
 
-// WaitApply parks block height's applier while any earlier unsealed
-// block's write set intersects touchKeys (the block's read+write
-// footprint). On return every earlier intersecting block has sealed,
-// so the applier's staging reads observe exactly the sequential
-// prefix. Blocks admitted with disjoint footprints never wait here —
-// that is the depth win. It reports whether the applier stalled.
-func (f *PipelineFence) WaitApply(height int64, touchKeys []string) (stalled bool) {
+// End retires block height's slot once it has sealed and releases
+// every waiter.
+func (f *PipelineFence) End(height int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for f.intersectsBelow(height, touchKeys) {
-		stalled = true
-		f.signal().Wait()
+	if !f.busy || f.height != height {
+		// invariant: only the block that took the slot releases it; a
+		// stray End would let validation read under an unsealed block.
+		panic(fmt.Sprintf("parallel: fence End(%d) but the slot holds height %d (in flight: %v)", height, f.height, f.busy))
 	}
-	return stalled
-}
-
-// intersectsBelow reports whether any in-flight block with a height
-// strictly below h publishes a write key in keys.
-func (f *PipelineFence) intersectsBelow(h int64, keys []string) bool {
-	for i := range f.flights {
-		fl := &f.flights[i]
-		if fl.height >= h {
-			break // flights are height-ordered
-		}
-		if len(fl.keys) == 0 {
-			continue
-		}
-		for _, k := range keys {
-			if _, ok := fl.keys[k]; ok {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// End seals block height: it parks until height is the oldest
-// in-flight block (enforcing seal-in-height-order even when appliers
-// finish out of order), then retires the slot and releases every
-// waiter. It reports whether the seal had to stall behind an earlier
-// unsealed block — the "seal reorder stall" the pipeline metrics
-// count. Ending a height that was never admitted panics.
-func (f *PipelineFence) End(height int64) (stalled bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for {
-		if len(f.flights) == 0 {
-			panic(fmt.Sprintf("parallel: fence End(%d) with no block in flight", height))
-		}
-		if h := f.flights[0].height; h == height {
-			break
-		} else if h > height {
-			panic(fmt.Sprintf("parallel: fence End(%d) but oldest in-flight height is %d", height, h))
-		}
-		stalled = true
-		f.signal().Wait()
-	}
-	f.flights = f.flights[1:]
-	if len(f.flights) == 0 {
-		f.flights = nil
-	}
+	f.busy = false
+	f.keys = nil
 	f.signal().Broadcast()
-	return stalled
 }
 
-// WaitKeys blocks while any in-flight block's write set intersects
-// keys — the reads-at-h+k-wait-on-unsealed-writes rule. Disjoint key
-// sets return immediately, concurrent with the appliers.
-func (f *PipelineFence) WaitKeys(keys []string) { f.WaitKeysReport(keys) }
-
-// WaitKeysReport is WaitKeys reporting what it found: inflight is
-// whether any commit was applying when the call entered, blocked
-// whether the keys intersected an in-flight write set (so the call
-// waited for one or more seals). The two counters behind the
-// commit-overlap metrics — fenced waits lost vs. reads that overlapped
-// the appliers — come from here.
+// WaitKeysReport blocks while the in-flight block's write set
+// intersects keys — the reads-at-h+1-wait-on-unsealed-writes rule.
+// Disjoint key sets return immediately, concurrent with the applier.
+// inflight is whether a commit was applying when the call entered,
+// blocked whether the keys intersected its write set (so the call
+// waited for the seal). The two counters behind the commit-overlap
+// metrics — fenced waits lost vs. reads that overlapped the applier —
+// come from here.
 func (f *PipelineFence) WaitKeysReport(keys []string) (inflight, blocked bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	inflight = len(f.flights) > 0
-	for f.intersectsAny(keys) {
+	inflight = f.busy
+	for f.intersects(keys) {
 		blocked = true
 		f.signal().Wait()
 	}
 	return inflight, blocked
 }
 
-// intersectsAny reports whether any in-flight block publishes a write
-// key in keys.
-func (f *PipelineFence) intersectsAny(keys []string) bool {
-	for i := range f.flights {
-		fl := &f.flights[i]
-		if len(fl.keys) == 0 {
-			continue
-		}
-		for _, k := range keys {
-			if _, ok := fl.keys[k]; ok {
-				return true
-			}
+// intersects reports whether the in-flight block publishes a write key
+// in keys. Caller holds mu.
+func (f *PipelineFence) intersects(keys []string) bool {
+	if len(f.keys) == 0 {
+		return false
+	}
+	for _, k := range keys {
+		if _, ok := f.keys[k]; ok {
+			return true
 		}
 	}
 	return false
 }
 
-// InFlight reports how many blocks are currently admitted and
-// unsealed — the live pipeline depth the ops endpoint gauges.
+// InFlight reports how many blocks are admitted and unsealed (0 or 1)
+// — the live pipeline gauge of the ops endpoint.
 func (f *PipelineFence) InFlight() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.flights)
-}
-
-// Oldest reports the lowest in-flight height, if any — the height the
-// next seal must retire. Since End pops strictly in height order, the
-// sequence of Oldest values any observer samples is non-decreasing;
-// the pipeline property test pins the seal-order invariant on exactly
-// that monotonicity.
-func (f *PipelineFence) Oldest() (int64, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.flights) == 0 {
-		return 0, false
+	if f.busy {
+		return 1
 	}
-	return f.flights[0].height, true
+	return 0
 }
 
 // Drain blocks until no commit is in flight — the full barrier node
@@ -253,7 +136,7 @@ func (f *PipelineFence) Oldest() (int64, bool) {
 func (f *PipelineFence) Drain() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	for len(f.flights) > 0 {
+	for f.busy {
 		f.signal().Wait()
 	}
 }

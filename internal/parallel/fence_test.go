@@ -20,7 +20,7 @@ func TestFenceDisjointProceedsConflictWaits(t *testing.T) {
 	// Disjoint: must not block.
 	done := make(chan struct{})
 	go func() {
-		f.WaitKeys([]string{"tx:b", "utxo:b:0"})
+		f.WaitKeysReport([]string{"tx:b", "utxo:b:0"})
 		close(done)
 	}()
 	select {
@@ -33,7 +33,7 @@ func TestFenceDisjointProceedsConflictWaits(t *testing.T) {
 	var sealed atomic.Bool
 	waited := make(chan struct{})
 	go func() {
-		f.WaitKeys([]string{"utxo:a:0"})
+		f.WaitKeysReport([]string{"utxo:a:0"})
 		if !sealed.Load() {
 			t.Error("conflicting reader proceeded before the seal")
 		}
@@ -49,13 +49,12 @@ func TestFenceDisjointProceedsConflictWaits(t *testing.T) {
 	}
 
 	// Idle fence: everything passes straight through.
-	f.WaitKeys([]string{"utxo:a:0"})
+	f.WaitKeysReport([]string{"utxo:a:0"})
 	f.Drain()
 }
 
-// TestFenceZeroValueIsSingleSlot checks the depth-1 default: a second
-// Begin waits for the first End, so two in-flight commits can never
-// coexist on an unconfigured fence.
+// TestFenceZeroValueIsSingleSlot checks the slot: a second Begin waits
+// for the first End, so two in-flight commits can never coexist.
 func TestFenceZeroValueIsSingleSlot(t *testing.T) {
 	var f parallel.PipelineFence
 	var inFlight atomic.Int32
@@ -71,7 +70,7 @@ func TestFenceZeroValueIsSingleSlot(t *testing.T) {
 			f.Begin(h, []string{"k"})
 			mu.Unlock()
 			if n := inFlight.Add(1); n != 1 {
-				t.Errorf("%d commits in flight on a depth-1 fence", n)
+				t.Errorf("%d commits in flight on the one-slot fence", n)
 			}
 			time.Sleep(time.Millisecond)
 			inFlight.Add(-1)
@@ -82,123 +81,21 @@ func TestFenceZeroValueIsSingleSlot(t *testing.T) {
 	f.Drain()
 }
 
-// TestFenceDepthBoundsInflight pins the admission bound: with depth D,
-// Begin parks while D blocks are in flight, so the ring never exceeds
-// D, and disjoint blocks apply concurrently up to that bound.
-func TestFenceDepthBoundsInflight(t *testing.T) {
-	const depth = 3
-	var f parallel.PipelineFence
-	f.SetDepth(depth)
-	var inFlight, peak atomic.Int32
-	var wg sync.WaitGroup
-	release := make(chan int64, 16)
-	// Sealer retires heights strictly in height order as appliers
-	// finish (in any order), never parking inside End — End's own
-	// out-of-order parking is pinned by TestFenceEndSealsInHeightOrder.
-	var sealWg sync.WaitGroup
-	sealWg.Add(1)
-	go func() {
-		defer sealWg.Done()
-		pending := make(map[int64]bool)
-		next := int64(1)
-		for h := range release {
-			pending[h] = true
-			for pending[next] {
-				delete(pending, next)
-				f.End(next)
-				next++
-			}
-		}
-	}()
-	for h := int64(1); h <= 10; h++ {
-		h := h
-		f.Begin(h, []string{"k" + string(rune('a'+h))})
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			n := inFlight.Add(1)
-			for {
-				p := peak.Load()
-				if n <= p || peak.CompareAndSwap(p, n) {
-					break
-				}
-			}
-			if n > depth {
-				t.Errorf("%d blocks in flight, depth %d", n, depth)
-			}
-			time.Sleep(time.Millisecond)
-			inFlight.Add(-1)
-			release <- h
-		}()
-	}
-	wg.Wait()
-	close(release)
-	sealWg.Wait()
-	f.Drain()
-	if p := peak.Load(); p < 2 {
-		t.Errorf("peak in-flight %d, want >= 2 (no overlap happened)", p)
-	}
-}
-
-// TestFenceEndSealsInHeightOrder checks the seal-order invariant: an
-// applier finishing out of order parks in End until every earlier
-// height has sealed.
-func TestFenceEndSealsInHeightOrder(t *testing.T) {
-	var f parallel.PipelineFence
-	f.SetDepth(4)
-	for h := int64(1); h <= 3; h++ {
-		f.Begin(h, nil)
-	}
-	var order []int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	// End 3 and 2 first; both must park until 1 seals.
-	for _, h := range []int64{3, 2} {
-		h := h
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stalled := f.End(h)
-			mu.Lock()
-			order = append(order, h)
-			mu.Unlock()
-			if !stalled {
-				t.Errorf("End(%d) did not report a seal-order stall", h)
-			}
-		}()
-	}
-	time.Sleep(20 * time.Millisecond)
-	mu.Lock()
-	if len(order) != 0 {
-		t.Fatalf("heights %v sealed before height 1", order)
-	}
-	mu.Unlock()
-	if stalled := f.End(1); stalled {
-		t.Error("End(1) stalled with height 1 oldest in flight")
-	}
-	wg.Wait()
-	f.Drain()
-	mu.Lock()
-	defer mu.Unlock()
-	if len(order) != 2 || order[0] != 2 || order[1] != 3 {
-		t.Fatalf("seal order after 1 = %v, want [2 3]", order)
-	}
-}
-
 // TestFencePipelineProperty is the randomized pipeline property test:
-// blocks with random footprints stream through a depth-D fence with
-// appliers gated by WaitApply, and the test asserts (a) no two blocks
-// with intersecting footprints are ever mid-apply at the same time,
-// and (b) seals retire in height order.
+// blocks with random footprints stream through the fence the way the
+// server drives it — the ordered thread validates block h (waiting on
+// the fence for its touch keys), admits it, and a background applier
+// seals and retires it — and the test asserts (a) a validation never
+// proceeds while the in-flight block's writes intersect its footprint,
+// (b) no two blocks are ever mid-apply at the same time, and (c) seals
+// retire in height order.
 func TestFencePipelineProperty(t *testing.T) {
 	const (
-		depth   = 4
 		heights = 64
 		keySpan = 12 // small key space => frequent intersections
 	)
 	rng := rand.New(rand.NewSource(7))
 	var f parallel.PipelineFence
-	f.SetDepth(depth)
 
 	type block struct {
 		height int64
@@ -216,8 +113,7 @@ func TestFencePipelineProperty(t *testing.T) {
 		}
 		blocks[i] = b
 	}
-	intersects := func(a, b block) bool {
-		touch := append(append([]string{}, a.writes...), a.reads...)
+	intersects := func(touch []string, b block) bool {
 		for _, w := range b.writes {
 			for _, k := range touch {
 				if k == w {
@@ -231,85 +127,61 @@ func TestFencePipelineProperty(t *testing.T) {
 	var mu sync.Mutex
 	applying := make(map[int64]block) // height -> block currently mid-apply
 	var wg sync.WaitGroup
+	var sealed atomic.Int64 // highest height whose End has returned
+	blockedWaits := 0
 
-	// Seal-order observer: End pops strictly in height order, so the
-	// oldest in-flight height is non-decreasing over time. Any dip
-	// means a later block sealed before an earlier one.
-	stopObs := make(chan struct{})
-	obsDone := make(chan struct{})
-	go func() {
-		defer close(obsDone)
-		var last int64
-		for {
-			select {
-			case <-stopObs:
-				return
-			default:
-			}
-			if h, ok := f.Oldest(); ok {
-				if h < last {
-					t.Errorf("oldest in-flight height went backwards: %d after %d", h, last)
-					return
-				}
-				last = h
-			}
-			time.Sleep(20 * time.Microsecond)
-		}
-	}()
-
-	var sealedMax atomic.Int64
 	for _, b := range blocks {
 		b := b
 		// Drawn on the driver thread: the applier goroutines must not
 		// share the unsynchronized rng.
 		pause := time.Duration(rng.Intn(500)) * time.Microsecond
+		touch := append(append([]string{}, b.writes...), b.reads...)
+		// Validation of block h: on return no unsealed block may write
+		// into its footprint. Only this thread admits blocks, so what
+		// is applying now is all that can be.
+		if _, blocked := f.WaitKeysReport(touch); blocked {
+			blockedWaits++
+		}
+		mu.Lock()
+		for h, other := range applying {
+			if intersects(touch, other) {
+				t.Errorf("height %d validated while intersecting height %d was mid-apply", b.height, h)
+			}
+		}
+		mu.Unlock()
 		f.Begin(b.height, b.writes)
+		if got := sealed.Load(); got != b.height-1 {
+			t.Errorf("height %d admitted with height %d the last sealed", b.height, got)
+		}
+		mu.Lock()
+		if len(applying) != 0 {
+			t.Errorf("height %d admitted with %d blocks still mid-apply", b.height, len(applying))
+		}
+		applying[b.height] = b
+		mu.Unlock()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			touch := append(append([]string{}, b.writes...), b.reads...)
-			f.WaitApply(b.height, touch)
-			mu.Lock()
-			for h, other := range applying {
-				// A block already applying at a lower height must not
-				// intersect us (we just cleared WaitApply); one at a
-				// higher height must not intersect our writes either,
-				// or ITS WaitApply was wrong.
-				if h < b.height && intersects(b, other) {
-					t.Errorf("height %d applying concurrently with intersecting earlier height %d", b.height, h)
-				}
-				if h > b.height && intersects(other, b) {
-					t.Errorf("height %d applying concurrently with intersecting later height %d", b.height, h)
-				}
-			}
-			applying[b.height] = b
-			mu.Unlock()
 			time.Sleep(pause)
 			mu.Lock()
 			delete(applying, b.height)
 			mu.Unlock()
+			if !sealed.CompareAndSwap(b.height-1, b.height) {
+				t.Errorf("height %d sealed after height %d", b.height, sealed.Load())
+			}
 			f.End(b.height)
-			// End(h) returning means every height <= h has been popped.
-			for {
-				m := sealedMax.Load()
-				if m >= b.height || sealedMax.CompareAndSwap(m, b.height) {
-					break
-				}
-			}
-			if h, ok := f.Oldest(); ok && h <= b.height {
-				t.Errorf("height %d still in flight after End(%d) returned", h, b.height)
-			}
 		}()
 	}
 	wg.Wait()
 	f.Drain()
-	close(stopObs)
-	<-obsDone
-	if got := sealedMax.Load(); got != heights {
+	if got := sealed.Load(); got != heights {
 		t.Fatalf("sealed up to height %d, want %d", got, heights)
 	}
 	if n := f.InFlight(); n != 0 {
 		t.Fatalf("%d blocks still in flight after drain", n)
+	}
+	if blockedWaits == 0 {
+		t.Fatal("no validation ever intersected an in-flight block: the schedule exercised nothing")
 	}
 }
 

@@ -79,17 +79,6 @@ func SpendKeys(t *txn.Transaction) []string {
 	return keys
 }
 
-// WriteKeys unions the write footprints of a batch — the key set a
-// commit fence publishes while the batch's apply phase is in flight.
-// Duplicates are kept (the fence stores a set anyway).
-func WriteKeys(txs []*txn.Transaction) []string {
-	var keys []string
-	for _, t := range txs {
-		keys = append(keys, FootprintOf(t).Writes...)
-	}
-	return keys
-}
-
 // TouchKeys unions the full footprints (reads and writes) of a batch —
 // the key set a reader presents to the commit fence: any overlap with
 // an in-flight block's write set must wait for the seal.

@@ -70,6 +70,7 @@ func NewRegistry() (*Registry, error) {
 func MustNewRegistry() *Registry {
 	r, err := NewRegistry()
 	if err != nil {
+		// invariant: the schemas are embedded at build time; one that does not compile is a build defect.
 		panic(err)
 	}
 	return r

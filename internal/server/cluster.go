@@ -85,6 +85,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	cfg.Node.ReservedSeed = cfg.Seed + 1000 // shared by all nodes
 	policy, err := ParsePacking(cfg.Packing)
 	if err != nil {
+		// invariant: front ends validate the name through ParsePacking first; reaching here is programmatic misuse.
 		panic(err)
 	}
 	c := &Cluster{cfg: cfg}

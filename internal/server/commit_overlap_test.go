@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -27,11 +28,11 @@ func runAuctionWorkload(t *testing.T, nodeCfg Config) auctionRun {
 }
 
 // TestCommitDepth1Vs2Differential runs the identical auction workload
-// with the synchronous commit (depth 1) and with the full overlapped
-// pipeline (depth 2, and depth 4 with several blocks mid-apply, plus
-// per-group appliers and verdict reuse over the commit fence) and
-// requires byte-identical committed sets and chain state. Overlap may
-// reshape wall-clock, never state.
+// with the synchronous commit (depth 1) and with the overlapped
+// pipeline (depth 2: a block committing behind the next height's
+// validation, plus per-group appliers and verdict reuse over the
+// commit fence) and requires byte-identical committed sets and chain
+// state. Overlap may reshape wall-clock, never state.
 func TestCommitDepth1Vs2Differential(t *testing.T) {
 	base := Config{
 		ReceiverTime:        2 * time.Millisecond,
@@ -41,16 +42,42 @@ func TestCommitDepth1Vs2Differential(t *testing.T) {
 		MempoolBatch:        16,
 	}
 	serial := runAuctionWorkload(t, base)
-	for _, depth := range []int{2, 4} {
-		async := base
-		async.CommitDepth = depth
-		async.CommitWorkers = 4
-		async.CommitTimePerTx = time.Millisecond
-		name := fmt.Sprintf("depth %d", depth)
-		overlapped := runAuctionWorkload(t, async)
-		requireSameCommitted(t, "depth 1", serial, name, overlapped)
-		requireSameState(t, "depth 1", serial, name, overlapped)
+	async := base
+	async.CommitDepth = 2
+	async.CommitWorkers = 4
+	async.CommitTimePerTx = time.Millisecond
+	overlapped := runAuctionWorkload(t, async)
+	requireSameCommitted(t, "depth 1", serial, "depth 2", overlapped)
+	requireSameState(t, "depth 1", serial, "depth 2", overlapped)
+}
+
+// TestOpenNodeRefusesDepthAbove2 pins the CommitDepth domain: 0, 1 and
+// 2 open; anything above is refused with an error naming the field and
+// the two legal values — not clamped — and every constructor built on
+// OpenNode surfaces that error.
+func TestOpenNodeRefusesDepthAbove2(t *testing.T) {
+	for _, depth := range []int{0, 1, 2} {
+		n, err := OpenNode(Config{CommitDepth: depth})
+		if err != nil {
+			t.Fatalf("CommitDepth %d refused: %v", depth, err)
+		}
+		n.Close()
 	}
+	wantRefusal := func(where string, got any) {
+		t.Helper()
+		msg := fmt.Sprint(got)
+		for _, want := range []string{"Config.CommitDepth is 3", "want 1 ", " or 2 "} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("%s: got %q, want a refusal containing %q", where, msg, want)
+			}
+		}
+	}
+	_, err := OpenNode(Config{CommitDepth: 3})
+	wantRefusal("OpenNode", err)
+	func() {
+		defer func() { wantRefusal("NewCluster", recover()) }()
+		NewCluster(ClusterConfig{Nodes: 1, Node: Config{CommitDepth: 3}})
+	}()
 }
 
 // TestCommitFenceStress races height h+1 reads against block h's

@@ -17,13 +17,11 @@ type nodeObs struct {
 	fenceWaitNs *obs.Histogram // server.fence.wait_ns
 	overlapWon  *obs.Counter   // server.fence.overlap_won
 	overlapLost *obs.Counter   // server.fence.overlap_lost
-	// Deep commit pipeline: the live in-flight depth, admissions that
-	// parked because the ring was full (fence stack waits), and
-	// appliers that stalled at the apply gate behind an intersecting
-	// earlier block.
+	// Commit pipeline: whether a block is in flight (0 or 1), and
+	// admissions that parked because the previous block had not sealed
+	// yet (fence stack waits).
 	inflight    *obs.Gauge     // server.pipeline.inflight
 	stackWaits  *obs.Counter   // server.fence.stack_waits
-	applyStalls *obs.Counter   // server.fence.apply_stalls
 	validateNs  *obs.Histogram // server.validate_ns
 	groups      *obs.Histogram // server.validate.conflict_groups
 	largest     *obs.Histogram // server.validate.largest_group
@@ -45,7 +43,6 @@ func newNodeObs(reg *obs.Registry) nodeObs {
 		overlapLost: reg.Counter("server.fence.overlap_lost"),
 		inflight:    reg.Gauge("server.pipeline.inflight"),
 		stackWaits:  reg.Counter("server.fence.stack_waits"),
-		applyStalls: reg.Counter("server.fence.apply_stalls"),
 		validateNs:  reg.Histogram("server.validate_ns"),
 		groups:      reg.Histogram("server.validate.conflict_groups"),
 		largest:     reg.Histogram("server.validate.largest_group"),

@@ -63,23 +63,21 @@ type Config struct {
 	// stage the batch sequentially. State bytes are identical either
 	// way.
 	CommitWorkers int
-	// CommitDepth is the commit pipeline's depth: how many pipeline
-	// stages a decided block can overlap. Depth 1 serializes —
-	// validation of h+1 starts only after block h seals. Depth 2
-	// overlaps one in-flight commit with the next height's validation:
-	// the commit runs behind the node's commit fence (reads at h+1
-	// that touch h's write footprint wait on the fence; disjoint ones
-	// proceed). Depth D lets up to D-1 blocks be mid-apply concurrently
-	// — admitted by the footprint fence, staged against MVCC overlays,
-	// sealed strictly in height order so the WAL fsync is the only
-	// serial stage. Blocks whose footprints intersect never apply
-	// concurrently regardless of depth, so state bytes are identical
-	// at every depth. Wired through consensus.Config.CommitDepth by
-	// the cluster. Zero picks 1.
+	// CommitDepth says where a decided block's commit runs. 1 (the
+	// zero value): the consensus engine joins the commit at once and
+	// charges it to the execution resource, so validation of h+1
+	// starts only after block h seals. 2: the commit runs behind the
+	// next height's validation — reads at h+1 that touch h's write
+	// footprint wait on the node's commit fence, disjoint ones
+	// proceed. At most one block is ever in flight, so state bytes are
+	// identical either way; on a bare Node (no consensus engine) the
+	// two values are one program, since the caller decides when to
+	// join. Wired through consensus.Config.CommitDepth by the cluster.
+	// OpenNode refuses any other value.
 	CommitDepth int
 	// CommitTimePerTx is the simulated per-transaction cost of the
 	// commit stage in the consensus engine (charged to the execution
-	// resource at depth 1, to a commit slot above it; zero keeps
+	// resource at depth 1, to the commit slot at depth 2; zero keeps
 	// commits free in virtual time).
 	CommitTimePerTx time.Duration
 	// DataDir selects the persistent storage engine: the node's chain
@@ -130,16 +128,14 @@ func (c *Config) fill() {
 	}
 }
 
-// fenceDepth maps the pipeline depth onto the fence's in-flight
-// bound: stage one of a depth-D pipeline is the next height's
-// validation, so up to D-1 commits may be mid-flight at once (never
-// below 1 — the synchronous path still publishes its single in-flight
-// footprint).
-func (c *Config) fenceDepth() int {
-	if d := c.CommitDepth - 1; d > 1 {
-		return d
+// CheckCommitDepth is OpenNode's check of Config.CommitDepth — the one
+// place the legal values live — exported so command-line front ends
+// can refuse a flag before building anything. Zero and below mean 1.
+func CheckCommitDepth(d int) error {
+	if d > 2 {
+		return fmt.Errorf("server: Config.CommitDepth is %d, want 1 (join each commit at once) or 2 (commit behind the next height's validation)", d)
 	}
-	return 1
+	return nil
 }
 
 // Node is one SmartchainDB validator.
@@ -171,18 +167,12 @@ type Node struct {
 	planTxs []*txn.Transaction
 	plan    *parallel.Plan
 
-	// fence orders validation against the in-flight asynchronous block
-	// commits: while up to CommitDepth-1 blocks apply in the
-	// background their write footprints are published here, and
-	// validation paths whose footprints intersect any of them wait for
-	// the seal — a cross-height data dependency (a verdict at h+k must
-	// observe the overlapping unsealed writes), not a memory-safety
-	// requirement. The fence also gates the appliers themselves
-	// (WaitApply: intersecting blocks never apply concurrently) and
-	// bounds the pipeline (Begin parks when the ring is full). Plain
-	// reads — queries, analytics, fingerprints — take no fence at all:
-	// they run on MVCC snapshots of the last sealed block
-	// (ledger.StateView).
+	// fence orders validation against the one in-flight block commit
+	// (parallel.PipelineFence has the contract): validation whose
+	// footprint intersects the block's published writes waits for its
+	// seal, and CommitStart parks until the previous block has sealed.
+	// Plain reads — queries, analytics, fingerprints — take no fence:
+	// they run on MVCC snapshots of the last sealed block.
 	fence parallel.PipelineFence
 
 	submitChild nested.Submitter
@@ -194,6 +184,7 @@ type Node struct {
 func NewNode(cfg Config) *Node {
 	n, err := OpenNode(cfg)
 	if err != nil {
+		// invariant: NewNode is the must-constructor; a caller with a DataDir or a depth to get wrong uses OpenNode.
 		panic(fmt.Sprintf("server: open node: %v", err))
 	}
 	return n
@@ -204,6 +195,9 @@ func NewNode(cfg Config) *Node {
 // existing data directory resumes from its last committed block.
 func OpenNode(cfg Config) (*Node, error) {
 	cfg.fill()
+	if err := CheckCommitDepth(cfg.CommitDepth); err != nil {
+		return nil, err
+	}
 	state, err := openState(cfg)
 	if err != nil {
 		return nil, err
@@ -219,7 +213,6 @@ func OpenNode(cfg Config) (*Node, error) {
 		ob:       newNodeObs(cfg.Obs),
 		cache:    cache,
 	}
-	n.fence.SetDepth(cfg.fenceDepth())
 	n.submitChild = func(child *txn.Transaction) {
 		// Standalone default: apply children locally and synchronously.
 		_ = n.Apply(child)
@@ -575,58 +568,43 @@ func asTransactionsFresh(txs []consensus.Tx, fresh []bool) ([]*txn.Transaction, 
 
 // CommitStart applies a decided block through the ledger's one block
 // commit — one atomic WAL group per block instead of per transaction.
-// It admits the block into the depth-N pipeline — publishing its write
-// footprint on the commit fence and reserving its slot in the seal
-// order — then stages and seals it in the background, and returns a
-// join; a synchronous commit is CommitStart followed at once by its
-// join, which is what the engine does at depth 1. Per-transaction
-// commit failures indicate duplicates delivered through catch-up,
-// which are safe to skip; a storage failure means the node's durable
-// state can no longer be trusted and is fatal. Validation of later
-// heights proceeds meanwhile; reads into any unsealed block's writes
-// wait on the fence, disjoint reads run concurrently with the
-// appliers. With
-// CommitDepth > 2 several disjoint blocks stage concurrently; blocks
-// whose footprints intersect serialize at the fence's apply gate, and
-// every block's WAL group seals strictly in height order, so the
-// durable prefix is always a block prefix. Begin parks when
-// CommitDepth-1 blocks are already in flight — the backpressure that
-// bounds the pipeline. The join blocks until the block is sealed and
-// then runs the nested-transaction hooks for each committed
-// transaction, in block order, on the caller's thread — child
-// submissions re-enter the network at join time, never from the
-// background goroutine.
+// It admits the block — parking while the previous block is still in
+// flight, then publishing its write footprint on the commit fence —
+// stages and seals it in the background, and returns a join; a
+// synchronous commit is CommitStart followed at once by its join,
+// which is what the engine does at depth 1. Per-transaction commit
+// failures indicate duplicates delivered through catch-up, which are
+// safe to skip; a storage failure means the node's durable state can
+// no longer be trusted and is fatal. Validation of the next height
+// proceeds meanwhile; reads into the unsealed block's writes wait on
+// the fence, disjoint reads run concurrently with the applier. The
+// join blocks until the block is sealed and then runs the
+// nested-transaction hooks for each committed transaction, in block
+// order, on the caller's thread — child submissions re-enter the
+// network at join time, never from the background goroutine.
 func (n *Node) CommitStart(height int64, txs []consensus.Tx) (join func()) {
 	batch := asTransactions(txs)
 	// One footprint sweep serves the whole commit: the plan (the one
 	// ValidateBlockFresh built, when this is the batch it validated)
-	// supplies the fence's write and touch keys and the stage's
-	// conflict groups.
+	// supplies the fence's write keys and the stage's conflict groups.
 	plan := n.planFor(batch)
 	h := n.baseHeight + height
 	if waited := n.fence.Begin(h, plan.WriteKeys()); waited {
 		n.ob.stackWaits.Inc()
 	}
 	n.ob.inflight.Set(int64(n.fence.InFlight()))
-	// Reserve the seal slot on the caller's (ordered) thread, so the
-	// ledger seals blocks in decide order no matter how the background
-	// appliers interleave.
+	// The previous block has sealed (Begin returned), so this one
+	// stages against exactly the sequential prefix.
 	pending := n.state.BeginBlockCommit(h)
 	done := make(chan struct{})
 	var committed []*txn.Transaction
 	go func() {
 		defer close(done)
-		// Apply gate: stage only once no earlier unsealed block's
-		// writes intersect this block's reads or writes — the
-		// precondition that makes overlapped staging read exactly the
-		// sequential prefix.
-		if stalled := n.fence.WaitApply(h, plan.TouchKeys()); stalled {
-			n.ob.applyStalls.Inc()
-		}
 		pending.StagePlan(batch, plan)
 		var err error
 		committed, _, err = pending.Seal()
 		if err != nil {
+			// fail-stop: the backend lost a write mid-block; no later commit may build on this state.
 			panic("server: " + ledger.SealFailure(height, err))
 		}
 		n.fence.End(h)

@@ -145,6 +145,7 @@ func Open(cfg Config) (*Cluster, error) {
 func New(cfg Config) *Cluster {
 	c, err := Open(cfg)
 	if err != nil {
+		// invariant: New is the in-memory must-constructor; a caller with directories to fail on uses Open.
 		panic(fmt.Sprintf("shard: open: %v", err))
 	}
 	return c

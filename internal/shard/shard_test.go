@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 
 	"smartchaindb/internal/keys"
 	"smartchaindb/internal/obs"
+	"smartchaindb/internal/server"
 	"smartchaindb/internal/txn"
 )
 
@@ -262,5 +264,15 @@ func TestPerShardObsCounters(t *testing.T) {
 	// 2PC apply on shard 0, the migration apply alone on shard 1.
 	if s0.Gauges["shard.height"] != 2 || s1.Gauges["shard.height"] != 1 {
 		t.Fatalf("heights = %d/%d, want 2/1", s0.Gauges["shard.height"], s1.Gauges["shard.height"])
+	}
+}
+
+// TestOpenSurfacesNodeRefusal: a node configuration server.OpenNode
+// refuses comes back from Open as an error naming the shard and the
+// field, with no shard left open.
+func TestOpenSurfacesNodeRefusal(t *testing.T) {
+	_, err := Open(Config{Shards: 2, Node: server.Config{CommitDepth: 3}})
+	if err == nil || !strings.Contains(err.Error(), "shard 0") || !strings.Contains(err.Error(), "Config.CommitDepth is 3") {
+		t.Fatalf("Open with CommitDepth 3: got %v, want shard 0's refusal naming Config.CommitDepth", err)
 	}
 }

@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"smartchaindb/internal/canon"
+	"smartchaindb/internal/ledger"
 	"smartchaindb/internal/mempool"
+	"smartchaindb/internal/server"
 	"smartchaindb/internal/txn"
 )
 
@@ -221,5 +224,89 @@ func TestDirectoryRebuildAcrossReopen(t *testing.T) {
 	submitDrain(t, c2, local)
 	if !c2.Shard(1).Node.State().IsCommitted(local.ID) {
 		t.Fatal("migrated output not spendable after reopen")
+	}
+}
+
+// TestCrossShardCommitMatchesBlockCommit is the differential between
+// the two ways a transaction becomes documents: the cross-shard 2PC
+// (each shard stages its owned share through ledger.StageOwned and
+// seals it through ApplyPrepared) and one node's block commit. The
+// same CREATE, hinted cross-shard TRANSFER and two-input split must
+// leave the same transactions / utxos / assets documents by key,
+// canonical bytes equal — the shards' collections being a disjoint
+// partition of the single node's.
+func TestCrossShardCommitMatchesBlockCommit(t *testing.T) {
+	alice, bob, carol, dave := kp(1), kp(2), kp(3), kp(4)
+	a := mkCreate(t, alice, 10, 0)
+	// Shard 0 -> 1: one input, two outputs, previous owners recorded.
+	t1 := mkTransfer(t, a.ID, txn.OutputRef{TxID: a.ID, Index: 0}, alice, []*txn.Output{
+		{PublicKeys: []string{bob.PublicBase58()}, Amount: 4, PrevOwners: []string{alice.PublicBase58()}},
+		{PublicKeys: []string{bob.PublicBase58()}, Amount: 6, PrevOwners: []string{alice.PublicBase58()}},
+	}, 1)
+	// Shard 1 -> 0: the two-input split.
+	t2 := txn.NewTransfer(a.ID,
+		[]txn.Spend{
+			{Ref: txn.OutputRef{TxID: t1.ID, Index: 0}, Owners: []string{bob.PublicBase58()}},
+			{Ref: txn.OutputRef{TxID: t1.ID, Index: 1}, Owners: []string{bob.PublicBase58()}},
+		},
+		[]*txn.Output{
+			{PublicKeys: []string{carol.PublicBase58()}, Amount: 3, PrevOwners: []string{bob.PublicBase58()}},
+			{PublicKeys: []string{dave.PublicBase58()}, Amount: 7, PrevOwners: []string{bob.PublicBase58()}},
+		},
+		map[string]any{MetaShardHint: float64(0)})
+	if err := txn.Sign(t2, bob); err != nil {
+		t.Fatal(err)
+	}
+
+	c := newTestCluster(t, Config{Shards: 2})
+	submitDrain(t, c, a)
+	for _, cross := range []*txn.Transaction{t1, t2} {
+		if r, err := c.RouteOf(cross); err != nil || !r.Cross() {
+			t.Fatalf("%s routed %+v, %v: want a cross-shard round", cross.ID[:8], r, err)
+		}
+		if err := c.Submit(cross); err != nil {
+			t.Fatalf("cross-shard %s: %v", cross.ID[:8], err)
+		}
+	}
+
+	node := server.NewNode(server.Config{})
+	defer node.Close()
+	block := []*txn.Transaction{a, t1, t2}
+	if committed, skipped := node.State().CommitBlock(block); len(committed) != len(block) {
+		t.Fatalf("block commit took %d of %d: %v", len(committed), len(block), skipped)
+	}
+
+	for _, col := range []string{ledger.ColTransactions, ledger.ColUTXOs, ledger.ColAssets} {
+		docs := func(st *ledger.State) map[string]string {
+			out := make(map[string]string)
+			coll := st.Store().Collection(col)
+			for _, key := range coll.Keys() {
+				doc, _ := coll.Borrow(key)
+				b, err := canon.AppendDoc(nil, doc)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", col, key, err)
+				}
+				out[key] = string(b)
+			}
+			return out
+		}
+		sharded := make(map[string]string)
+		for i := 0; i < c.Shards(); i++ {
+			for key, b := range docs(c.Shard(i).Node.State()) {
+				if _, dup := sharded[key]; dup {
+					t.Fatalf("%s/%s is stored on two shards", col, key)
+				}
+				sharded[key] = b
+			}
+		}
+		single := docs(node.State())
+		if len(single) == 0 || len(sharded) != len(single) {
+			t.Fatalf("%s: %d documents across the shards, %d on the single node", col, len(sharded), len(single))
+		}
+		for key, want := range single {
+			if got := sharded[key]; got != want {
+				t.Fatalf("%s/%s differs:\n sharded %s\n single  %s", col, key, got, want)
+			}
+		}
 	}
 }

@@ -94,6 +94,7 @@ func AppendCanonicalDoc(dst []byte, doc map[string]any) []byte {
 
 func mustEncode(err error) {
 	if err != nil {
+		// invariant: every document reaching here was decoded from JSON or built from a Transaction, so it encodes.
 		panic(fmt.Sprintf("txn: canonicalize: %v", err))
 	}
 }

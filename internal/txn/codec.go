@@ -154,6 +154,7 @@ func validUTF8(s string) string {
 func mustNormalize(v any) any {
 	n, err := normalizeValue(v)
 	if err != nil {
+		// invariant: callers pass values of a Transaction's own fields, all of JSON-representable types.
 		panic(fmt.Sprintf("txn: marshal: %v", err))
 	}
 	return n

@@ -103,7 +103,7 @@ func (g *Generator) meta(payloadBytes int) map[string]any {
 
 func mustSign(t *txn.Transaction, signers ...*keys.KeyPair) *txn.Transaction {
 	if err := txn.Sign(t, signers...); err != nil {
-		// Generator inputs are all locally produced; failure is a defect.
+		// invariant: generator inputs are all locally produced; failure is a defect.
 		panic(fmt.Sprintf("workload: sign: %v", err))
 	}
 	return t
@@ -142,6 +142,7 @@ func (g *Generator) Bid(bidder *keys.KeyPair, asset, rfq *txn.Transaction, paylo
 func (g *Generator) Accept(requester *keys.KeyPair, rfq, win *txn.Transaction, losing []*txn.Transaction) *txn.Transaction {
 	t, err := txn.NewAcceptBid(requester.PublicBase58(), g.escrow.PublicBase58(), rfq.ID, win, losing, nil)
 	if err != nil {
+		// invariant: the generator built rfq, win and losing itself, so they form a well-shaped accept.
 		panic(fmt.Sprintf("workload: accept: %v", err))
 	}
 	return mustSign(t, g.escrow, requester)
