@@ -7,13 +7,15 @@
 # (the paper's six experiments and the open-loop traffic sweep), the
 # repo benchmark's own smoke test (a nested module `go test ./...`
 # does not reach), and a run of every program we ship (the demo binary
-# and the five examples). `make test-race` runs the concurrency-sensitive packages
+# and the five examples), and the state-touching suites once more with
+# the immutability tripwire compiled in (`make test-tripwire`). `make
+# test-race` runs the concurrency-sensitive packages
 # under the race detector on both backends; `make test-flake` repeats
 # them 50 times at GOMAXPROCS 1 and 2.
 
 GO ?= go
 
-.PHONY: all build vet test test-disk test-bench test-race test-flake fuzz bench-alloc bench-traffic bench-smoke run-shipped ci
+.PHONY: all build vet test test-disk test-tripwire test-bench test-race test-flake fuzz bench-alloc bench-traffic bench-smoke run-shipped ci
 
 all: build test
 
@@ -29,6 +31,7 @@ vet:
 test: build vet
 	$(GO) test ./...
 	$(MAKE) test-disk
+	$(MAKE) test-tripwire
 	$(MAKE) fuzz FUZZTIME=5s
 	$(MAKE) bench-smoke
 	$(MAKE) test-bench
@@ -66,7 +69,8 @@ fuzz:
 # encodability check, and a create_durable block's WAL group commit
 # (encode, frame, write; no fsync) — over the two shapes the repo
 # benchmark streams (a 4-input TRANSFER, a CREATE with 1 KiB of
-# metadata), plus the checkpoint fold of 128 such blocks. Their
+# metadata), plus the checkpoint fold of 128 such blocks, the docstore
+# Insert of each shape's document and one sealed spent mark. Their
 # allocation counts are pinned by unit tests (Test*Allocation*); this
 # prints the bytes and the time. README "Transaction codec and document
 # ownership" has the table.
@@ -75,7 +79,7 @@ fuzz:
 # block changed (the count is pinned by
 # TestPreparedApplyCostsTheBlockNotTheState).
 bench-alloc:
-	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|MarshalCanonicalCold|OutputRefString|FootprintOf|StateView|StageBlock|SealOneTxBlock|EncodableDoc|GroupCommit|Fold'
+	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|MarshalCanonicalCold|OutputRefString|FootprintOf|StateView|InsertDoc|MarkSpent|StageBlock|SealOneTxBlock|EncodableDoc|GroupCommit|Fold'
 
 # The tier-1 suites that touch chain state (ledger, server/cluster,
 # nested recovery, bench differential, query) re-run over the disk
@@ -86,6 +90,20 @@ bench-alloc:
 # fresh run under the env switch.
 test-disk:
 	SCDB_BACKEND=disk $(GO) test -count=1 ./internal/ledger ./internal/server ./internal/consensus ./internal/nested ./internal/bench ./internal/query ./internal/docstore ./internal/obs ./internal/shard
+
+# A stored document is an immutable value — whoever builds it hands it
+# over, nobody edits it. `-tags tripwire` compiles the check into the
+# storage layer (internal/storage/tripwire_on.go; the hooks are empty in
+# every other build): each document is digested as it is stored and
+# again when it is stored a second time, when its backend closes and
+# after a suite's last test; a difference panics or fails the run
+# naming collection and key. Every suite that commits to a state runs
+# under it, unchanged.
+TRIPWIRE_PKGS = ./internal/storage ./internal/docstore ./internal/ledger ./internal/server ./internal/nested ./internal/shard ./internal/query
+
+test-tripwire:
+	$(GO) vet -tags tripwire $(TRIPWIRE_PKGS)
+	$(GO) test -tags tripwire -count=1 $(TRIPWIRE_PKGS)
 
 # The race gate covers the commit pipeline end to end: the ledger's
 # per-conflict-group appliers, the server's commit fence (incl. the
@@ -101,7 +119,10 @@ test-disk:
 # verifier's worker fan-out. nested is here because its commit hook
 # reads a borrowed (uncopied) stored document while later blocks stage;
 # the docstore suite's borrowing reader is what would catch a write
-# into one.
+# into one. server's TestSharedDocumentRace is the gate on the write
+# side of that contract: four validators admit, validate, commit and
+# then update the same *txn.Transaction — one shared document — while
+# borrowing readers walk transactions and utxos on every node.
 RACE_PKGS = ./internal/mempool ./internal/parallel ./internal/ledger ./internal/consensus ./internal/server ./internal/bench ./internal/storage ./internal/docstore ./internal/query ./internal/obs ./internal/shard ./internal/txn ./internal/keys ./internal/driver ./internal/nested
 
 test-race:

@@ -10,9 +10,22 @@
 // The store runs over a pluggable storage.Backend: the volatile
 // memory backend (the default) or the disk engine, which makes every
 // mutation durable through a write-ahead log and recovers it on
-// reopen. Filters, secondary indexes, deep-copy isolation, and
+// reopen. Filters, secondary indexes, document ownership, and
 // iteration order behave identically on both; Group exposes the
 // backend's atomic-durability batches to the ledger's block commit.
+//
+// # Who owns a document
+//
+// A stored document is an immutable value: whoever builds it hands it
+// over, nobody copies it, nobody edits it. Insert and Upsert take
+// ownership of the map they are given; Update hands its closure a copy
+// of the top level only, sharing everything below with the version it
+// replaces; Get and Find copy on the way out, for documents that leave
+// the program; Borrow and the BorrowFind family hand in-program readers
+// the stored documents themselves, read-only. The deep-copying write
+// path this replaced is kept in reference_test.go, and the new one is
+// pinned to it; `go test -tags tripwire` (internal/storage) checks that
+// no stored document is ever written to.
 //
 // # Query planning
 //

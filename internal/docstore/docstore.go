@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -152,10 +153,12 @@ func (s *Store) Compact() error { return s.backend.Compact() }
 func (s *Store) Close() error { return s.backend.Close() }
 
 // Collection is a concurrency-safe set of documents keyed by a string
-// primary key. Documents are deep-copied on the way in and out so
-// callers can never alias stored state — except through Borrow, which
-// hands a reader the stored document itself on the promise that it
-// only reads.
+// primary key. A stored document is an immutable value: Insert and
+// Upsert take ownership of the document they are handed, Update
+// replaces the version, and nothing writes to a stored document
+// again. Get and Find copy on the way out, so their results are the
+// caller's own; Borrow and BorrowFind hand a reader the stored
+// documents themselves on the promise that it only reads.
 //
 // Reads come in two flavours. The plain methods (Get, Find, ...) read
 // the writer view — the newest version of every document, including
@@ -273,11 +276,13 @@ func (e *ErrCollectionDropped) Error() string {
 }
 
 // Insert stores doc under key. It fails if the key already exists.
+// The collection takes ownership of doc and everything it holds: the
+// caller builds it, hands it over, and never writes to it again (it
+// may keep reading it — that is a Borrow).
 func (c *Collection) Insert(key string, doc map[string]any) error {
 	if key == "" {
 		return fmt.Errorf("docstore: empty key in collection %q", c.name)
 	}
-	cp := deepCopyMap(doc)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dropped.Load() {
@@ -286,38 +291,38 @@ func (c *Collection) Insert(key string, doc map[string]any) error {
 	if c.be.Has(key) {
 		return &ErrDuplicateKey{Collection: c.name, Key: key}
 	}
-	if err := c.be.Put(key, cp); err != nil {
+	if err := c.be.Put(key, doc); err != nil {
 		return err
 	}
 	h := c.bk.StampHeight()
 	for _, idx := range c.indexMap() {
-		idx.add(key, cp, h)
+		idx.add(key, doc, h)
 	}
 	return nil
 }
 
-// Upsert stores doc under key, replacing any existing document.
+// Upsert stores doc under key, replacing any existing document. Like
+// Insert, it takes ownership of doc.
 func (c *Collection) Upsert(key string, doc map[string]any) error {
 	if key == "" {
 		return nil
 	}
-	cp := deepCopyMap(doc)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.dropped.Load() {
 		return &ErrCollectionDropped{Collection: c.name}
 	}
 	old, existed := c.be.Get(key)
-	if err := c.be.Put(key, cp); err != nil {
+	if err := c.be.Put(key, doc); err != nil {
 		return err
 	}
 	if existed {
-		c.reindex(key, old, cp)
+		c.reindex(key, old, doc)
 		return nil
 	}
 	h := c.bk.StampHeight()
 	for _, idx := range c.indexMap() {
-		idx.add(key, cp, h)
+		idx.add(key, doc, h)
 	}
 	return nil
 }
@@ -336,9 +341,9 @@ func (c *Collection) Get(key string) (map[string]any, error) {
 // caller must not write to it or to anything it holds, and must not
 // hand it to code that might. In return it may keep it as long as it
 // likes — a stored document is never written to again (Insert and
-// Upsert store their own copy, Update and Delete replace the version,
-// and the MVCC chains only ever unlink one), so the borrowed value
-// stays what it was when it was read. Get is for everyone else.
+// Upsert own what they are handed, Update and Delete replace the
+// version, and the MVCC chains only ever unlink one), so the borrowed
+// value stays what it was when it was read. Get is for everyone else.
 func (c *Collection) Borrow(key string) (map[string]any, bool) {
 	return c.BorrowAt(key, storage.HeightLatest)
 }
@@ -379,7 +384,12 @@ func (c *Collection) Delete(key string) error {
 }
 
 // Update applies fn to a copy of the document under key and stores the
-// result atomically. fn returning an error aborts the update.
+// result atomically. fn returning an error aborts the update. The copy
+// is of the top level only: fn may assign and delete top-level keys,
+// and what it assigns the collection then owns, as with Insert.
+// Everything below the top level is shared with the version being
+// replaced and is read-only — to change a nested value, fn builds the
+// new one and assigns it.
 func (c *Collection) Update(key string, fn func(doc map[string]any) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -390,7 +400,7 @@ func (c *Collection) Update(key string, fn func(doc map[string]any) error) error
 	if !ok {
 		return &ErrNotFound{Collection: c.name, Key: key}
 	}
-	next := deepCopyMap(old)
+	next := maps.Clone(old)
 	if err := fn(next); err != nil {
 		return err
 	}
@@ -536,14 +546,25 @@ func (c *Collection) Find(filter Filter) []map[string]any {
 
 // FindLimit is Find with a result cap; limit <= 0 means unlimited.
 func (c *Collection) FindLimit(filter Filter, limit int) []map[string]any {
-	return c.findLimitAt(storage.HeightLatest, filter, limit)
+	return copyDocs(c.borrowLimitAt(storage.HeightLatest, filter, limit))
 }
 
-func (c *Collection) findLimitAt(h int64, filter Filter, limit int) []map[string]any {
+// BorrowFind is Find without the copies: the matching stored documents
+// themselves, read-only under Borrow's contract. It is for in-program
+// readers that decode or inspect each hit and let it go; Find is for
+// documents that leave the program.
+func (c *Collection) BorrowFind(filter Filter) []map[string]any {
+	return c.borrowLimitAt(storage.HeightLatest, filter, 0)
+}
+
+// borrowLimitAt collects the stored documents matching filter at
+// height h, up to limit. The slice is the caller's; the documents are
+// borrowed.
+func (c *Collection) borrowLimitAt(h int64, filter Filter, limit int) []map[string]any {
 	var out []map[string]any
 	c.visitCandidatesAt(h, filter, func(_ string, doc map[string]any) bool {
 		if filter == nil || filter.Matches(doc) {
-			out = append(out, deepCopyMap(doc))
+			out = append(out, doc)
 			if limit > 0 && len(out) >= limit {
 				return false
 			}
@@ -689,10 +710,12 @@ func (c *Collection) shardedVisitAt(h int64, keys []string, fn func(key string, 
 // after O(limit) work. Without one it falls back to a full scan plus
 // sort.
 func (c *Collection) FindOrdered(filter Filter, orderPath string, desc bool, limit int) []map[string]any {
-	return c.findOrderedAt(storage.HeightLatest, filter, orderPath, desc, limit)
+	return copyDocs(c.borrowOrderedAt(storage.HeightLatest, filter, orderPath, desc, limit))
 }
 
-func (c *Collection) findOrderedAt(h int64, filter Filter, orderPath string, desc bool, limit int) []map[string]any {
+// borrowOrderedAt is FindOrdered at height h, returning the stored
+// documents themselves (borrowed).
+func (c *Collection) borrowOrderedAt(h int64, filter Filter, orderPath string, desc bool, limit int) []map[string]any {
 	if c.dropped.Load() {
 		return nil
 	}
@@ -744,12 +767,9 @@ func (c *Collection) findOrderedAt(h int64, filter Filter, orderPath string, des
 	}
 }
 
-// findOrderedScan is FindOrdered's no-index fallback: scan, sort by
-// the extreme scalar value at orderPath, then cut to limit.
-func (c *Collection) findOrderedScan(filter Filter, orderPath string, desc bool, limit int) []map[string]any {
-	return c.findOrderedScanAt(storage.HeightLatest, filter, orderPath, desc, limit)
-}
-
+// findOrderedScanAt is FindOrdered's no-index fallback: scan, sort by
+// the extreme scalar value at orderPath, then cut to limit. Like
+// borrowOrderedAt, it returns the stored documents.
 func (c *Collection) findOrderedScanAt(h int64, filter Filter, orderPath string, desc bool, limit int) []map[string]any {
 	type item struct {
 		doc map[string]any
@@ -767,7 +787,7 @@ func (c *Collection) findOrderedScanAt(h int64, filter Filter, orderPath string,
 		if !ok {
 			return true
 		}
-		items = append(items, item{doc: deepCopyMap(doc), val: val, seq: seq})
+		items = append(items, item{doc: doc, val: val, seq: seq})
 		return true
 	})
 	sort.SliceStable(items, func(i, j int) bool {
@@ -847,7 +867,17 @@ func (s *Snapshot) Find(filter Filter) []map[string]any { return s.FindLimit(fil
 
 // FindLimit is Find with a result cap; limit <= 0 means unlimited.
 func (s *Snapshot) FindLimit(filter Filter, limit int) []map[string]any {
-	return s.c.findLimitAt(s.h, filter, limit)
+	return copyDocs(s.BorrowFindLimit(filter, limit))
+}
+
+// BorrowFind is Collection.BorrowFind as of the view height: the
+// matching stored documents themselves, read-only.
+func (s *Snapshot) BorrowFind(filter Filter) []map[string]any { return s.BorrowFindLimit(filter, 0) }
+
+// BorrowFindLimit is BorrowFind with a result cap; limit <= 0 means
+// unlimited.
+func (s *Snapshot) BorrowFindLimit(filter Filter, limit int) []map[string]any {
+	return s.c.borrowLimitAt(s.h, filter, limit)
 }
 
 // FindKeys returns the keys of matching documents in insertion order.
@@ -867,7 +897,13 @@ func (s *Snapshot) Count(filter Filter) int { return s.c.countAt(s.h, filter) }
 
 // FindOrdered is Collection.FindOrdered as of the view height.
 func (s *Snapshot) FindOrdered(filter Filter, orderPath string, desc bool, limit int) []map[string]any {
-	return s.c.findOrderedAt(s.h, filter, orderPath, desc, limit)
+	return copyDocs(s.BorrowFindOrdered(filter, orderPath, desc, limit))
+}
+
+// BorrowFindOrdered is FindOrdered without the copies: the stored
+// documents themselves, read-only.
+func (s *Snapshot) BorrowFindOrdered(filter Filter, orderPath string, desc bool, limit int) []map[string]any {
+	return s.c.borrowOrderedAt(s.h, filter, orderPath, desc, limit)
 }
 
 // extremeOrdValue finds the smallest (largest when max) scalar value a
@@ -903,6 +939,15 @@ func extremeOrdValue(doc map[string]any, path string, max bool) (ordValue, bool)
 		visit(v)
 	}
 	return best, have
+}
+
+// copyDocs replaces each borrowed document in docs with the caller's
+// own deep copy — the copy-out of Find and FindOrdered.
+func copyDocs(docs []map[string]any) []map[string]any {
+	for i, doc := range docs {
+		docs[i] = deepCopyMap(doc)
+	}
+	return docs
 }
 
 func deepCopyMap(m map[string]any) map[string]any {

@@ -52,24 +52,85 @@ func TestInsertGetDelete(t *testing.T) {
 	}
 }
 
+// TestDocumentsAreIsolated pins who owns a document on each side of the
+// store. On the way in, isolation is by hand-over: Insert and Upsert
+// keep the very map they are given (no copy), and Update's closure
+// owns its top level and nothing below it. On the way out, Get, Find,
+// FindOne and FindOrdered still copy: what they return is the caller's
+// to change, at any depth, and the store never sees it.
 func TestDocumentsAreIsolated(t *testing.T) {
-	c := NewStore().Collection("c")
-	original := doc("nested", map[string]any{"x": 1.0}, "list", []any{"a"})
-	if err := c.Insert("k", original); err != nil {
-		t.Fatal(err)
-	}
-	// Mutating the inserted map must not affect the store.
-	original["nested"].(map[string]any)["x"] = 99.0
-	got, _ := c.Get("k")
-	if got["nested"].(map[string]any)["x"] != 1.0 {
-		t.Error("store aliased inserted document")
-	}
-	// Mutating a returned copy must not affect the store.
-	got["list"].([]any)[0] = "mutated"
-	again, _ := c.Get("k")
-	if again["list"].([]any)[0] != "a" {
-		t.Error("store aliased returned document")
-	}
+	forEachBackend(t, func(t *testing.T, s *Store) {
+		c := s.Collection("c")
+		c.CreateOrderedIndex("rank")
+		same := func(a, b map[string]any) bool { return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer() }
+		pristine := func() map[string]any {
+			return doc("rank", 1.0, "nested", map[string]any{"x": 1.0}, "list", []any{"a"})
+		}
+
+		// Hand-over: the stored document is the one that was handed in.
+		inserted, upserted := pristine(), pristine()
+		mustInsert(t, c, "k", inserted)
+		if err := c.Upsert("u", upserted); err != nil {
+			t.Fatal(err)
+		}
+		for key, handed := range map[string]map[string]any{"k": inserted, "u": upserted} {
+			if stored, _ := c.Borrow(key); !same(stored, handed) {
+				t.Errorf("%s: the store copied the document it was handed", key)
+			}
+		}
+
+		// Copy-out: every copying read hands out a document of the
+		// caller's own, equal to the stored one; editing it at any depth
+		// leaves the stored one as it was.
+		reads := map[string]func() map[string]any{
+			"Get":         func() map[string]any { d, _ := c.Get("k"); return d },
+			"Find":        func() map[string]any { return c.Find(Eq("rank", 1.0))[0] },
+			"FindOne":     func() map[string]any { d, _ := c.FindOne(Eq("rank", 1.0)); return d },
+			"FindOrdered": func() map[string]any { return c.FindOrdered(nil, "rank", false, 1)[0] },
+			"Snapshot":    func() map[string]any { d, _ := c.Snapshot().Get("k"); return d },
+		}
+		for name, read := range reads {
+			got := read()
+			if same(got, inserted) || !reflect.DeepEqual(got, pristine()) {
+				t.Fatalf("%s: want an equal copy of the stored document, got %v", name, got)
+			}
+			got["rank"] = 9.0
+			got["nested"].(map[string]any)["x"] = 99.0
+			got["list"].([]any)[0] = "mutated"
+			if stored, _ := c.Borrow("k"); !reflect.DeepEqual(stored, pristine()) {
+				t.Fatalf("%s: editing the returned document changed the stored one: %v", name, stored)
+			}
+		}
+		// A borrowing find hands out the stored documents themselves.
+		if got := c.BorrowFind(Eq("rank", 1.0)); len(got) != 2 || !same(got[0], inserted) || !same(got[1], upserted) {
+			t.Errorf("BorrowFind did not return the stored documents: %v", got)
+		}
+
+		// Update: the closure's top level is its own — the version it
+		// replaces keeps its keys — and what lies below is shared, so a
+		// nested value is changed by replacing it.
+		if err := c.Update("k", func(d map[string]any) error {
+			if same(d, inserted) {
+				t.Error("Update handed the closure the stored document")
+			}
+			if !same(d["nested"].(map[string]any), inserted["nested"].(map[string]any)) {
+				t.Error("Update copied below the top level")
+			}
+			d["rank"] = 2.0
+			d["nested"] = map[string]any{"x": 2.0}
+			delete(d, "list")
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(inserted, pristine()) {
+			t.Errorf("Update edited the version it replaced: %v", inserted)
+		}
+		want := doc("rank", 2.0, "nested", map[string]any{"x": 2.0})
+		if got, _ := c.Get("k"); !reflect.DeepEqual(got, want) {
+			t.Errorf("after Update: got %v, want %v", got, want)
+		}
+	})
 }
 
 func TestUpsertAndUpdate(t *testing.T) {

@@ -20,3 +20,10 @@ func (c *Collection) FindScan(filter Filter) []map[string]any {
 	})
 	return out
 }
+
+// findOrderedScan is FindOrdered forced down its no-index fallback in
+// the writer view — the reference the ordered-index differentials
+// compare against.
+func (c *Collection) findOrderedScan(filter Filter, orderPath string, desc bool, limit int) []map[string]any {
+	return c.findOrderedScanAt(storage.HeightLatest, filter, orderPath, desc, limit)
+}

@@ -1,7 +1,7 @@
 package docstore
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -388,9 +388,13 @@ func indexKey(v any) (string, bool) {
 	case nil:
 		return "n:", true
 	case bool:
-		return fmt.Sprintf("b:%t", x), true
+		if x {
+			return "b:true", true
+		}
+		return "b:false", true
 	case float64:
-		return fmt.Sprintf("f:%g", x), true
+		var buf [32]byte // "f:" and the longest shortest-form float64, 24 bytes
+		return string(strconv.AppendFloat(append(buf[:0], "f:"...), x, 'g', -1, 64)), true
 	case string:
 		return "s:" + x, true
 	}

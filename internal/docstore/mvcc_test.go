@@ -140,7 +140,10 @@ func TestSnapshotReadsTakeNoCollectionLock(t *testing.T) {
 // document is never written to again. Borrowed through every accessor,
 // each must still equal its pre-image after its key was updated,
 // replaced and deleted and the versions it belonged to fell out of the
-// retention window.
+// retention window. The writers keep their side of the contract — an
+// Update closure assigns top-level keys and replaces, never edits,
+// what lies below — and the store keeps its own: Update must not hand
+// the closure the borrowed version's top level.
 func TestBorrowedDocumentsNeverChange(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, s *Store) {
 		bk := s.Backend()
@@ -179,15 +182,30 @@ func TestBorrowedDocumentsNeverChange(t *testing.T) {
 		if _, ok := c.Borrow("absent"); ok {
 			t.Error("Borrow found a key that was never stored")
 		}
+		for via, docs := range map[string][]map[string]any{
+			"Collection.BorrowFind":      c.BorrowFind(Eq("kind", "d")),
+			"Snapshot.BorrowFind":        snap.BorrowFind(Eq("kind", "d")),
+			"Snapshot.BorrowFindLimit":   snap.BorrowFindLimit(nil, len(keys)),
+			"Snapshot.BorrowFindOrdered": snap.BorrowFindOrdered(nil, "rank", true, 0),
+		} {
+			if len(docs) != len(keys) {
+				t.Fatalf("%s found %d of %d documents", via, len(docs), len(keys))
+			}
+			for i, doc := range docs {
+				all = append(all, held{via: fmt.Sprintf("%s[%d]", via, i), doc: doc, pre: deepCopyMap(doc)})
+			}
+		}
 
 		rewrite := func(h int64) {
 			bk.BeginBlock(h)
+			// Below the top level the closure shares the version it
+			// replaces (which the test has borrowed): every nested change
+			// is a fresh value assigned to a top-level key.
 			if err := c.Update("updated", func(doc map[string]any) error {
 				doc["rank"] = float64(h)
-				doc["nested"].(map[string]any)["x"] = float64(h)
-				doc["nested"].(map[string]any)["deep"].(map[string]any)["y"] = "changed"
-				doc["list"].([]any)[0] = "changed"
-				doc["list"] = append(doc["list"].([]any), float64(h))
+				doc["nested"] = map[string]any{"x": float64(h), "deep": map[string]any{"y": "changed"}}
+				list := append([]any{"changed"}, doc["list"].([]any)[1:]...)
+				doc["list"] = append(list, float64(h))
 				return nil
 			}); err != nil {
 				t.Fatal(err)

@@ -2,8 +2,10 @@ package docstore
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -395,12 +397,16 @@ func runSweepDifferential(t *testing.T, s *Store, retain int64) {
 				doc["u"] = doc["u"].(float64) + 1
 				return nil
 			})
+		// Ops 3 and 4 change values below the top level, which the
+		// closure shares with the version it replaces: each clones the
+		// list (and the element) it changes and assigns the clone.
 		case op == 3:
 			err = c.Update(key, func(doc map[string]any) error {
-				if tags := doc["tags"].([]any); len(tags) > 0 {
+				if tags := slices.Clone(doc["tags"].([]any)); len(tags) > 0 {
 					tags[r.Intn(len(tags))] = paths[2].domain[r.Intn(4)]
+					doc["tags"] = tags
 				}
-				nums := doc["nums"].([]any)
+				nums := slices.Clone(doc["nums"].([]any))
 				if len(nums) > 3 {
 					nums = nums[:1]
 				}
@@ -409,12 +415,16 @@ func runSweepDifferential(t *testing.T, s *Store, retain int64) {
 			})
 		case op == 4:
 			err = c.Update(key, func(doc map[string]any) error {
-				sub := doc["sub"].([]any)[r.Intn(2)].(map[string]any)
+				subs := slices.Clone(doc["sub"].([]any))
+				i := r.Intn(2)
+				sub := maps.Clone(subs[i].(map[string]any))
 				if r.Intn(2) == 0 {
 					sub["x"] = paths[4].domain[r.Intn(6)]
 				} else {
 					sub["y"] = float64(r.Intn(100)) // off the indexed path
 				}
+				subs[i] = sub
+				doc["sub"] = subs
 				return nil
 			})
 		case op == 5:
@@ -565,7 +575,7 @@ func compareIndexes(t *testing.T, c *Collection, p diffPath, ref secondaryIndex,
 			if desc {
 				limit = 3
 			}
-			if g, w := c.findOrderedAt(h, f, p.path, desc, limit), c.findOrderedScanAt(h, f, p.path, desc, limit); len(g)+len(w) > 0 && !reflect.DeepEqual(g, w) {
+			if g, w := c.borrowOrderedAt(h, f, p.path, desc, limit), c.findOrderedScanAt(h, f, p.path, desc, limit); len(g)+len(w) > 0 && !reflect.DeepEqual(g, w) {
 				t.Errorf("%s: FindOrdered at %d (desc %v, limit %d) = %v, scan %v", p.path, h, desc, limit, g, w)
 			}
 		}

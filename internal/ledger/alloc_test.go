@@ -1,9 +1,14 @@
 package ledger
 
 import (
+	"errors"
+	"fmt"
+	"strconv"
 	"testing"
 
+	"smartchaindb/internal/docstore"
 	"smartchaindb/internal/keys"
+	"smartchaindb/internal/schema"
 	"smartchaindb/internal/txn"
 	"smartchaindb/internal/workload"
 )
@@ -73,6 +78,133 @@ func TestStateViewReadAllocationCeilings(t *testing.T) {
 	}
 }
 
+// TestCommitPathAllocationCeilings pins the write side of the ownership
+// contract the way the read side is pinned above: a stored document is
+// built once and never copied. The counts are compared with each other
+// wherever that says it better than a number: storing a document costs
+// the same whatever it holds, and so does replacing one.
+func TestCommitPathAllocationCeilings(t *testing.T) {
+	if raceEnabled || tripwireEnabled {
+		t.Skip("allocation counts are meaningless under the race detector or the tripwire")
+	}
+	const runs = 50
+	v, transfer4, _ := shapeState(t)
+	s := v.s
+	toDoc := testing.AllocsPerRun(runs, func() { transfer4.ToDoc() })
+
+	// Insert takes the document it is handed: the 4-input TRANSFER's
+	// document (two allocations per object, a box per string and
+	// number) costs what a one-key document costs.
+	insert := func(name string, docs []map[string]any) float64 {
+		col, i := s.store.Collection("pins"), 0
+		keys := make([]string, len(docs))
+		for j := range keys {
+			keys[j] = fmt.Sprint(name, j)
+		}
+		return testing.AllocsPerRun(runs, func() {
+			if err := col.Insert(keys[i], docs[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	}
+	big, small := make([]map[string]any, runs+1), make([]map[string]any, runs+1)
+	for i := range big {
+		big[i], small[i] = transfer4.ToDoc(), map[string]any{"id": "x"}
+	}
+	if b, sm := insert("big", big), insert("small", small); b != sm || b >= toDoc {
+		t.Errorf("Insert of the TRANSFER document: %v allocations, of a one-key document %v (ToDoc: %v): the document was copied", b, sm, toDoc)
+	}
+
+	// A mark-spent copies the UTXO record's top level and nothing
+	// below it: it costs what the same update of a record with nothing
+	// below the top level costs.
+	spent := utxoKey(*transfer4.Inputs[3].Fulfills)
+	record, _ := s.store.Collection(ColUTXOs).Get(spent)
+	flat := make(map[string]any, len(record))
+	for k, val := range record {
+		if _, list := val.([]any); list {
+			val = "flat"
+		}
+		flat[k] = val
+	}
+	plain := s.store.Collection("pins")
+	if err := errors.Join(plain.Insert("record", record), plain.Insert("flat", flat)); err != nil {
+		t.Fatal(err)
+	}
+	markSpent := func(col *docstore.Collection, key string) float64 {
+		return testing.AllocsPerRun(runs, func() {
+			if err := col.Update(key, func(doc map[string]any) error {
+				doc["spent"], doc["spent_by"] = true, transfer4.ID
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if deep, shallow := markSpent(plain, "record"), markSpent(plain, "flat"); deep != shallow {
+		t.Errorf("mark-spent of a UTXO record: %v allocations, of a flat record %v: Update copied below the top level", deep, shallow)
+	}
+	if got := testing.AllocsPerRun(runs, func() {
+		if err := s.sealTx(&stagedTx{ops: []stagedOp{{kind: opMarkSpent, key: spent, spender: transfer4.ID}}}); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 6 {
+		t.Errorf("sealing a mark-spent: %v allocations, ceiling 6", got)
+	}
+
+	// One document per transaction. Staging a transaction whose
+	// document exists builds none — the whole stage costs a third of a
+	// ToDoc — and a transaction that arrives without one pays for
+	// exactly one, and its memo cell, between the schema check and the
+	// sealed block.
+	owner := keys.DeterministicKeyPair(41)
+	funding, transfers := make([]*txn.Transaction, 3*(runs+1)), make([]*txn.Transaction, 3*(runs+1))
+	for i := range funding {
+		funding[i], transfers[i] = workload.FanIn(owner, owner.PublicBase58(), 1000+i, 4)
+	}
+	if committed, skipped := s.CommitBlock(funding); len(committed) != len(funding) {
+		t.Fatal(skipped)
+	}
+	schemas := schema.MustNewRegistry()
+	next := 0
+	commitValidated := func() float64 {
+		return testing.AllocsPerRun(runs, func() {
+			tx := transfers[next]
+			next++
+			if err := schemas.ValidateTx(tx); err != nil {
+				t.Fatal(err)
+			}
+			if committed, skipped := s.CommitBlock([]*txn.Transaction{tx}); len(committed) != 1 {
+				t.Fatal(skipped)
+			}
+		})
+	}
+	cold := commitValidated()
+	for _, tx := range transfers[next:] {
+		tx.SharedDoc()
+	}
+	warm := commitValidated()
+	// The two averages are taken over a state that grows under them
+	// (index and version-chain upkeep is amortised), so they are held
+	// to one document give or take a quarter, not to the allocation:
+	// a second build would be another whole ToDoc.
+	if built := cold - warm; built < toDoc*3/4 || built > toDoc*5/4 {
+		t.Errorf("validate + stage + seal of a TRANSFER: %v allocations without a document, %v with one: the difference is %v, one ToDoc is %v", cold, warm, built, toDoc)
+	}
+	for _, tx := range transfers[next:] {
+		tx.SpendKeys() // admission derived the footprint long before the stage
+	}
+	if staged := testing.AllocsPerRun(runs, func() {
+		if st := newGroupOverlay(s).stageTx(transfers[next]); st.err != nil {
+			t.Fatal(st.err)
+		}
+		next++
+	}); staged > 17 || staged >= toDoc {
+		t.Errorf("staging a TRANSFER whose document exists: %v allocations, ceiling 17 (ToDoc: %v)", staged, toDoc)
+	}
+}
+
 var (
 	sinkTx  *txn.Transaction
 	sinkStr string
@@ -121,9 +253,51 @@ func BenchmarkStateViewOutputAssetID(b *testing.B) {
 	}
 }
 
+// BenchmarkInsertDoc hands a transaction document to the store: the
+// cost is the version node, the iteration-log entry and the key — the
+// same for either shape, since the document is not copied. (One
+// document is stored under every key, which the contract allows: a
+// stored document is an immutable value.)
+func BenchmarkInsertDoc(b *testing.B) {
+	_, transfer4, create1k := workload.BenchmarkShapes()
+	for _, c := range []struct {
+		name string
+		doc  map[string]any
+	}{{"transfer4", transfer4.ToDoc()}, {"create1k", create1k.ToDoc()}} {
+		b.Run(c.name, func(b *testing.B) {
+			s := NewState()
+			b.Cleanup(func() { s.Close() })
+			col, i := s.store.Collection("bench"), 0
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := col.Insert(strconv.Itoa(i), c.doc); err != nil {
+					b.Fatal(err)
+				}
+				i++
+			}
+		})
+	}
+}
+
+// BenchmarkMarkSpent seals one spent mark: a copy of the UTXO record's
+// top level, the new version, and the one index (of four) the mark
+// moves.
+func BenchmarkMarkSpent(b *testing.B) {
+	v, transfer4, _ := shapeState(b)
+	st := &stagedTx{ops: []stagedOp{{kind: opMarkSpent, key: utxoKey(*transfer4.Inputs[3].Fulfills), spender: transfer4.ID}}}
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := v.s.sealTx(st); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkStageBlock stages (does not seal) a block of the two shapes
-// against the state that funds it: the commit path's share of ToDoc,
-// EncodableDoc, the overlay and the UTXO reads.
+// against the state that funds it: EncodableDoc, the overlay, the UTXO
+// reads and the output records. The transactions' documents and spend
+// keys exist after the first pass, as they do when a validated block
+// reaches the stage.
 func BenchmarkStageBlock(b *testing.B) {
 	owner := keys.DeterministicKeyPair(41)
 	recipient := keys.DeterministicKeyPair(42).PublicBase58()

@@ -22,6 +22,10 @@ const (
 )
 
 // stagedOp is one deferred docstore mutation produced by an applier.
+// doc is handed over to the store at the seal and is immutable from
+// the moment it is staged: the transaction document is the
+// transaction's shared one, the others are built here and never
+// touched again.
 type stagedOp struct {
 	kind    int
 	key     string
@@ -89,19 +93,17 @@ func (o *groupOverlay) stageTx(t *txn.Transaction) *stagedTx {
 		return &stagedTx{err: &txn.DuplicateTransactionError{TxID: t.ID, Reason: "already committed"}}
 	}
 	// Check all spends first so failure stages nothing.
-	refs := t.SpentRefs()
-	spendKeys := make([]string, len(refs))
-	for i, ref := range refs {
-		spendKeys[i] = utxoKey(ref)
-		spender, ok := o.spenderOf(spendKeys[i])
+	spent := spentUTXOKeys(t)
+	for i, key := range spent {
+		spender, ok := o.spenderOf(key)
 		if !ok {
-			return &stagedTx{err: &txn.InputDoesNotExistError{TxID: ref.TxID}}
+			return &stagedTx{err: &txn.InputDoesNotExistError{TxID: t.SpentRefs()[i].TxID}}
 		}
 		if spender != "" {
-			return &stagedTx{err: &txn.DoubleSpendError{Ref: ref, SpentBy: spender}}
+			return &stagedTx{err: &txn.DoubleSpendError{Ref: t.SpentRefs()[i], SpentBy: spender}}
 		}
 	}
-	ops, err := homeOps(t, spendKeys, o.getUTXO)
+	ops, err := homeOps(t, spent, o.getUTXO)
 	if err != nil {
 		return &stagedTx{err: err}
 	}
@@ -121,15 +123,15 @@ func (o *groupOverlay) stageTx(t *txn.Transaction) *stagedTx {
 }
 
 // homeOps turns transaction t into the write ops that record it where
-// it is homed — the transaction document, a spent mark for each of
-// spendKeys, one UTXO document per output and, for CREATE and REQUEST,
+// it is homed — the transaction document, a spent mark for each UTXO
+// key in spent, one UTXO document per output and, for CREATE and REQUEST,
 // the asset record — in the exact order a transaction mutates state.
 // It is the one place a transaction becomes documents: the block
 // commit (stageTx) passes every spent key, the cross-shard home share
 // (StageOwned) only the keys its shard owns. utxo resolves a UTXO
 // record in the caller's view: an ACCEPT_BID output carries the asset
 // of the bid output its input fulfils, not the parent's.
-func homeOps(t *txn.Transaction, spendKeys []string, utxo func(key string) (map[string]any, bool)) ([]stagedOp, error) {
+func homeOps(t *txn.Transaction, spent []string, utxo func(key string) (map[string]any, bool)) ([]stagedOp, error) {
 	outputAsset := make([]string, len(t.Outputs))
 	for i := range t.Outputs {
 		outputAsset[i] = t.AssetID()
@@ -145,7 +147,9 @@ func homeOps(t *txn.Transaction, spendKeys []string, utxo func(key string) (map[
 			}
 		}
 	}
-	txDoc := t.ToDoc()
+	// The transaction's one document: the schema check read it, the
+	// log stores it, nobody copies it.
+	txDoc := t.SharedDoc()
 	// The transaction document is the only user-controlled payload; a
 	// doc the durable encoding rejects is refused here, before any
 	// mutation stages. Every commit path stages through here, so the
@@ -154,9 +158,9 @@ func homeOps(t *txn.Transaction, spendKeys []string, utxo func(key string) (map[
 	if err := storage.EncodableDoc(txDoc); err != nil {
 		return nil, fmt.Errorf("ledger: insert tx: %w", err)
 	}
-	ops := make([]stagedOp, 0, 2+len(spendKeys)+len(t.Outputs))
+	ops := make([]stagedOp, 0, 2+len(spent)+len(t.Outputs))
 	ops = append(ops, stagedOp{kind: opInsertTx, key: t.ID, doc: txDoc})
-	for _, key := range spendKeys {
+	for _, key := range spent {
 		ops = append(ops, stagedOp{kind: opMarkSpent, key: key, spender: t.ID})
 	}
 	for i, out := range t.Outputs {
@@ -181,9 +185,13 @@ func homeOps(t *txn.Transaction, spendKeys []string, utxo func(key string) (map[
 		}})
 	}
 	if t.Operation == txn.OpCreate || t.Operation == txn.OpRequest {
-		data := map[string]any{}
-		if t.Asset != nil && t.Asset.Data != nil {
-			data = t.Asset.Data
+		// The asset record shares the document's normalised asset.data,
+		// never t.Asset.Data itself: the store must not hold a map the
+		// client's transaction can still write to.
+		asset, _ := txDoc["asset"].(map[string]any)
+		data, _ := asset["data"].(map[string]any)
+		if data == nil {
+			data = map[string]any{}
 		}
 		ops = append(ops, stagedOp{kind: opUpsertAsset, key: t.ID, doc: map[string]any{
 			"id":        t.ID,

@@ -102,6 +102,18 @@ func blockKey(height int64) string { return fmt.Sprintf("%016d", height) }
 
 func utxoKey(ref txn.OutputRef) string { return ref.String() }
 
+// spentUTXOKeys lists the UTXO keys of the outputs t spends, in
+// SpentRefs order. Each is the suffix of the spend key the transaction
+// already carries for that input, so naming them builds no string.
+func spentUTXOKeys(t *txn.Transaction) []string {
+	spends := t.SpendKeys()
+	keys := make([]string, len(spends))
+	for i, k := range spends {
+		keys[i] = k[len(txn.SpendKeyPrefix):]
+	}
+	return keys
+}
+
 // CommitTx atomically applies a validated transaction outside any
 // block: it appends the transaction document, marks every spent
 // output, and registers the new outputs as unspent. It fails without

@@ -54,12 +54,13 @@ func (s *State) StageOwned(t *txn.Transaction, home bool, owns func(txn.OutputRe
 	p := &Prepared{TxID: t.ID, InputDocs: make(map[string]map[string]any)}
 	var owned []string // UTXO keys of the spent inputs this shard owns
 	allOwned := true
-	for _, ref := range t.SpentRefs() {
+	spent := spentUTXOKeys(t)
+	for i, ref := range t.SpentRefs() {
 		if !owns(ref) {
 			allOwned = false
 			continue
 		}
-		key := utxoKey(ref)
+		key := spent[i]
 		doc, ok := s.store.Collection(ColUTXOs).Borrow(key)
 		if !ok {
 			return nil, &txn.InputDoesNotExistError{TxID: ref.TxID}

@@ -101,7 +101,8 @@ func returnSpecFromDoc(d map[string]any) ReturnSpec {
 
 // MarkReturnDone records that the child RETURN spending the parent's
 // outputIndex committed as childID, and flips the record to COMPLETE
-// when no children remain.
+// when no children remain. The update assigns freshly built lists to
+// top-level keys and edits nothing below them (docstore.Update).
 func (s *State) MarkReturnDone(acceptID string, outputIndex int, childID string) error {
 	col := s.store.Collection(ColRecovery)
 	return col.Update(acceptID, func(doc map[string]any) error {
@@ -123,7 +124,10 @@ func (s *State) MarkReturnDone(acceptID string, outputIndex int, childID string)
 		done, _ := doc["done"].([]any)
 		// Keyed by output index (not append order) so the derived Done
 		// vector is replica- and packing-order independent.
-		doc["done"] = append(done, map[string]any{
+		// The replaced version still holds done: append to a slice
+		// clipped to its length, so the new entry always lands in a
+		// fresh array.
+		doc["done"] = append(done[:len(done):len(done)], map[string]any{
 			"output_index": float64(outputIndex),
 			"child_id":     childID,
 		})
@@ -147,7 +151,7 @@ func (s *State) RecoveryFor(acceptID string) (*RecoveryRecord, error) {
 // worklist a recovering node replays ("enqueue all the RETURNs using
 // the recovery log when the receiver node comes up online").
 func (s *State) PendingRecoveries() []*RecoveryRecord {
-	docs := s.store.Collection(ColRecovery).Find(docstore.Eq("status", RecoveryPending))
+	docs := s.store.Collection(ColRecovery).BorrowFind(docstore.Eq("status", RecoveryPending))
 	out := make([]*RecoveryRecord, 0, len(docs))
 	for _, d := range docs {
 		out = append(out, recoveryFromDoc(d))

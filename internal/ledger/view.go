@@ -65,7 +65,8 @@ func (v *StateView) Collection(name string) *docstore.Snapshot { return v.col(na
 
 // borrow returns the stored document under key at the view height —
 // the document itself, read-only (docstore.Collection.Borrow). Every
-// point read in this file decodes or inspects it and lets it go.
+// read in this file, point or set-valued (BorrowFind), decodes or
+// inspects the stored documents and lets them go.
 func (v *StateView) borrow(col, key string) (map[string]any, bool) {
 	return v.s.store.Collection(col).BorrowAt(key, v.h)
 }
@@ -151,7 +152,7 @@ func (v *StateView) IsUnspent(ref txn.OutputRef) bool {
 // UnspentOutputs lists the output references pub owned unspent at the
 // view height.
 func (v *StateView) UnspentOutputs(pub string) []txn.OutputRef {
-	docs := v.col(ColUTXOs).Find(docstore.And(docstore.Eq("owner", pub), docstore.Eq("spent", false)))
+	docs := v.col(ColUTXOs).BorrowFind(docstore.And(docstore.Eq("owner", pub), docstore.Eq("spent", false)))
 	refs := make([]txn.OutputRef, 0, len(docs))
 	for _, d := range docs {
 		refs = append(refs, txn.OutputRef{
@@ -165,7 +166,7 @@ func (v *StateView) UnspentOutputs(pub string) []txn.OutputRef {
 // Balance sums the unspent shares pub owned of the asset at the view
 // height.
 func (v *StateView) Balance(pub, assetID string) uint64 {
-	docs := v.col(ColUTXOs).Find(docstore.And(
+	docs := v.col(ColUTXOs).BorrowFind(docstore.And(
 		docstore.Eq("owner", pub),
 		docstore.Eq("spent", false),
 		docstore.Eq("asset_id", assetID),
@@ -182,7 +183,7 @@ func (v *StateView) Balance(pub, assetID string) uint64 {
 // so a commit landing mid-query cannot produce a bid list no single
 // chain state ever held.
 func (v *StateView) LockedBidsForRFQ(rfqID string) []*txn.Transaction {
-	docs := v.col(ColTransactions).Find(docstore.And(
+	docs := v.col(ColTransactions).BorrowFind(docstore.And(
 		docstore.Eq("operation", txn.OpBid),
 		docstore.Contains("refs", rfqID),
 	))
@@ -202,7 +203,7 @@ func (v *StateView) LockedBidsForRFQ(rfqID string) []*txn.Transaction {
 // AcceptForRFQ returns the ACCEPT_BID referencing the REQUEST as of
 // the view height, if one had committed.
 func (v *StateView) AcceptForRFQ(rfqID string) (*txn.Transaction, bool) {
-	docs := v.col(ColTransactions).FindLimit(docstore.And(
+	docs := v.col(ColTransactions).BorrowFindLimit(docstore.And(
 		docstore.Eq("operation", txn.OpAcceptBid),
 		docstore.Contains("refs", rfqID),
 	), 1)
@@ -219,7 +220,7 @@ func (v *StateView) AcceptForRFQ(rfqID string) (*txn.Transaction, bool) {
 // TxsByOperation lists the transactions of one operation type
 // committed by the view height.
 func (v *StateView) TxsByOperation(op string) []*txn.Transaction {
-	docs := v.col(ColTransactions).Find(docstore.Eq("operation", op))
+	docs := v.col(ColTransactions).BorrowFind(docstore.Eq("operation", op))
 	out := make([]*txn.Transaction, 0, len(docs))
 	for _, d := range docs {
 		if t, err := txn.FromDoc(d); err == nil {

@@ -43,7 +43,7 @@ func ForTransaction(tx Tx) Footprint {
 	}
 	fp := parallel.FootprintOf(t)
 	return Footprint{
-		Spends: parallel.SpendKeys(t),
+		Spends: t.SpendKeys(),
 		Writes: fp.Writes,
 		Reads:  fp.Reads,
 	}

@@ -8,8 +8,10 @@ import (
 )
 
 // TestFootprintOfAllocationCeiling: a sized slice per side that has keys
-// and one string per key — "tx:"+id, a spend key and a read key per
-// input, the asset read.
+// and one string per key built here — "tx:"+id, a read key per input,
+// the asset read. The spend keys are the transaction's own
+// (txn.Transaction.SpendKeys), built once however many times its
+// footprint is derived: here by the warm-up call.
 func TestFootprintOfAllocationCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -19,7 +21,7 @@ func TestFootprintOfAllocationCeiling(t *testing.T) {
 		name    string
 		tx      *txn.Transaction
 		ceiling float64
-	}{{"transfer4", transfer4, 2 + 1 + 2*4 + 1}, {"create1k", create1k, 1 + 1}} {
+	}{{"transfer4", transfer4, 2 + 1 + 4 + 1}, {"create1k", create1k, 1 + 1}} {
 		if got := testing.AllocsPerRun(200, func() { FootprintOf(c.tx) }); got > c.ceiling {
 			t.Errorf("FootprintOf(%s): %v allocations, ceiling %v", c.name, got, c.ceiling)
 		}

@@ -2,7 +2,6 @@ package parallel
 
 import (
 	"sort"
-	"strconv"
 	"sync"
 
 	"smartchaindb/internal/txn"
@@ -41,9 +40,9 @@ func FootprintOf(t *txn.Transaction) Footprint {
 		f.Reads = make([]string, 0, n)
 	}
 	f.Writes = append(f.Writes, "tx:"+t.ID)
+	f.Writes = append(f.Writes, t.SpendKeys()...)
 	for _, in := range t.Inputs {
 		if ref := in.Fulfills; ref != nil {
-			f.Writes = append(f.Writes, spendKey(*ref))
 			f.Reads = append(f.Reads, "tx:"+ref.TxID)
 		}
 	}
@@ -55,28 +54,6 @@ func FootprintOf(t *txn.Transaction) Footprint {
 		f.Reads = append(f.Reads, "tx:"+t.Asset.ID)
 	}
 	return f
-}
-
-// spendKey is the state key of one spent output: "utxo:" + ref.String().
-func spendKey(ref txn.OutputRef) string {
-	return "utxo:" + ref.TxID + ":" + strconv.Itoa(ref.Index)
-}
-
-// SpendKeys returns the exclusive spent-output keys of a transaction —
-// the "utxo:" subset of its write footprint. No two pending
-// transactions may hold the same spend key: exactly one of them can
-// ever commit, which is what lets the mempool reject the rival at
-// admission instead of at block validation.
-func SpendKeys(t *txn.Transaction) []string {
-	refs := t.SpentRefs()
-	if len(refs) == 0 {
-		return nil
-	}
-	keys := make([]string, len(refs))
-	for i, ref := range refs {
-		keys[i] = spendKey(ref)
-	}
-	return keys
 }
 
 // TouchKeys unions the full footprints (reads and writes) of a batch —

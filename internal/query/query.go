@@ -97,6 +97,9 @@ func utxos(v *ledger.StateView) *docstore.Snapshot {
 
 // txsFromDocs decodes stored documents, skipping any that fail to
 // parse (foreign documents cannot round-trip the transaction shape).
+// Every query borrows what it decodes or inspects (BorrowFind): the
+// documents are the store's, read-only, and what a method returns is
+// built from them, never them.
 func txsFromDocs(docs []map[string]any) []*txn.Transaction {
 	out := make([]*txn.Transaction, 0, len(docs))
 	for _, d := range docs {
@@ -111,7 +114,7 @@ func txsFromDocs(docs []map[string]any) []*txn.Transaction {
 // references — one planned point query on the operation index, and the
 // left side of the open-requests indexed difference.
 func acceptedRFQs(v *ledger.StateView) []any {
-	docs := transactions(v).Find(docstore.Eq("operation", txn.OpAcceptBid))
+	docs := transactions(v).BorrowFind(docstore.Eq("operation", txn.OpAcceptBid))
 	var ids []any
 	for _, d := range docs {
 		refs, _ := d["refs"].([]any)
@@ -139,7 +142,7 @@ func openRequestsFilter(v *ledger.StateView, extra ...docstore.Filter) docstore.
 func (e *Engine) OpenRequests() []*txn.Transaction {
 	defer e.timed("open_requests")()
 	v := e.view()
-	return txsFromDocs(transactions(v).Find(openRequestsFilter(v)))
+	return txsFromDocs(transactions(v).BorrowFind(openRequestsFilter(v)))
 }
 
 // OpenRequestsWithCapability filters open requests by one required
@@ -149,7 +152,7 @@ func (e *Engine) OpenRequests() []*txn.Transaction {
 func (e *Engine) OpenRequestsWithCapability(capability string) []*txn.Transaction {
 	defer e.timed("open_requests_with_capability")()
 	v := e.view()
-	return txsFromDocs(transactions(v).Find(openRequestsFilter(v,
+	return txsFromDocs(transactions(v).BorrowFind(openRequestsFilter(v,
 		docstore.Contains("asset.data.capabilities", capability),
 	)))
 }
@@ -161,7 +164,7 @@ func (e *Engine) OpenRequestsWithCapability(capability string) []*txn.Transactio
 func (e *Engine) RecentOpenRequests(limit int) []*txn.Transaction {
 	defer e.timed("recent_open_requests")()
 	v := e.view()
-	return txsFromDocs(transactions(v).FindOrdered(
+	return txsFromDocs(transactions(v).BorrowFindOrdered(
 		openRequestsFilter(v), "metadata.timestamp", true, limit,
 	))
 }
@@ -170,7 +173,7 @@ func (e *Engine) RecentOpenRequests(limit int) []*txn.Transaction {
 // settled — the intersection of the operation and reference indexes.
 func (e *Engine) BidsForRequest(rfqID string) []*txn.Transaction {
 	defer e.timed("bids_for_request")()
-	return txsFromDocs(transactions(e.view()).Find(docstore.And(
+	return txsFromDocs(transactions(e.view()).BorrowFind(docstore.And(
 		docstore.Eq("operation", txn.OpBid),
 		docstore.Contains("refs", rfqID),
 	)))
@@ -180,7 +183,7 @@ func (e *Engine) BidsForRequest(rfqID string) []*txn.Transaction {
 // carry the account as owner-before).
 func (e *Engine) BidsByAccount(pub string) []*txn.Transaction {
 	defer e.timed("bids_by_account")()
-	return txsFromDocs(transactions(e.view()).Find(docstore.And(
+	return txsFromDocs(transactions(e.view()).BorrowFind(docstore.And(
 		docstore.Eq("operation", txn.OpBid),
 		docstore.Eq("inputs.owners_before", pub),
 	)))
@@ -192,7 +195,7 @@ func (e *Engine) BidsByAccount(pub string) []*txn.Transaction {
 // requester runs before accepting.
 func (e *Engine) BidsInPriceBand(lo, hi uint64) []*txn.Transaction {
 	defer e.timed("bids_in_price_band")()
-	return txsFromDocs(transactions(e.view()).Find(docstore.And(
+	return txsFromDocs(transactions(e.view()).BorrowFind(docstore.And(
 		docstore.Eq("operation", txn.OpBid),
 		docstore.Gte("outputs.amount", lo),
 		docstore.Lte("outputs.amount", hi),
@@ -276,7 +279,7 @@ func (e *Engine) AssetProvenance(assetID string) []ProvenanceStep {
 // the asset-id index intersected with the unspent set.
 func (e *Engine) HolderOf(assetID string) map[string]uint64 {
 	defer e.timed("holder_of")()
-	docs := utxos(e.view()).Find(docstore.And(
+	docs := utxos(e.view()).BorrowFind(docstore.And(
 		docstore.Eq("asset_id", assetID),
 		docstore.Eq("spent", false),
 	))
@@ -298,7 +301,7 @@ func (e *Engine) HolderOf(assetID string) map[string]uint64 {
 // index, intersected with the unspent set.
 func (e *Engine) HoldingsInBand(lo, hi uint64) []txn.OutputRef {
 	defer e.timed("holdings_in_band")()
-	docs := utxos(e.view()).Find(docstore.And(
+	docs := utxos(e.view()).BorrowFind(docstore.And(
 		docstore.Eq("spent", false),
 		docstore.Gte("amount", lo),
 		docstore.Lte("amount", hi),
@@ -317,7 +320,7 @@ func (e *Engine) HoldingsInBand(lo, hi uint64) []txn.OutputRef {
 // capability index on the asset collection.
 func (e *Engine) AssetsWithCapability(capability string) []string {
 	defer e.timed("assets_with_capability")()
-	docs := e.view().Collection(ledger.ColAssets).Find(docstore.And(
+	docs := e.view().Collection(ledger.ColAssets).BorrowFind(docstore.And(
 		docstore.Eq("operation", txn.OpCreate),
 		docstore.Contains("data.capabilities", capability),
 	))

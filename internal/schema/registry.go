@@ -154,10 +154,12 @@ func (r *Registry) ValidateDoc(doc map[string]any) error {
 	return nil
 }
 
-// ValidateTx runs ValidateDoc over a Transaction value. The share
-// counts are checked against the schemas' maximum on the struct first:
-// the document carries them as float64, where 2^53+1 has already
-// become 2^53 and would pass.
+// ValidateTx runs ValidateDoc over a Transaction value — over its one
+// shared document (txn.Transaction.SharedDoc), which the validators
+// only read and the ledger later stores. The share counts are checked
+// against the schemas' maximum on the struct first: the document
+// carries them as float64, where 2^53+1 has already become 2^53 and
+// would pass.
 func (r *Registry) ValidateTx(t *txn.Transaction) error {
 	if t.Asset != nil && t.Asset.Shares > txn.MaxAmount {
 		return &txn.SchemaError{Op: t.Operation, Path: "$.asset.shares", Msg: fmt.Sprintf("%d > maximum %d", t.Asset.Shares, uint64(txn.MaxAmount))}
@@ -167,7 +169,7 @@ func (r *Registry) ValidateTx(t *txn.Transaction) error {
 			return &txn.SchemaError{Op: t.Operation, Path: fmt.Sprintf("$.outputs[%d].amount", i), Msg: fmt.Sprintf("%d > maximum %d", o.Amount, uint64(txn.MaxAmount))}
 		}
 	}
-	return r.ValidateDoc(t.ToDoc())
+	return r.ValidateDoc(t.SharedDoc())
 }
 
 // validateKeys rejects document keys the storage layer cannot index:

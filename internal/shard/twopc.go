@@ -63,9 +63,10 @@ func (c *Cluster) event(step, txID string) {
 // shard id owns.
 func (c *Cluster) ownedSpendKeys(t *txn.Transaction, id int) []string {
 	var keys []string
-	for _, ref := range t.SpentRefs() {
+	spends := t.SpendKeys()
+	for i, ref := range t.SpentRefs() {
 		if s, ok := c.dir.Lookup(ref.TxID); ok && s == id {
-			keys = append(keys, "utxo:"+ref.String())
+			keys = append(keys, spends[i])
 		}
 	}
 	return keys

@@ -609,6 +609,7 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	e.closed = true
+	tripClosed(&e.mem.clock)
 	err := errors.Join(e.wal.close(), e.foldErr)
 	e.unlock()
 	return err

@@ -222,6 +222,7 @@ func (c *MemCollection) Has(key string) bool {
 
 // Put stores doc under key, stamped with the clock's current height.
 func (c *MemCollection) Put(key string, doc map[string]any) error {
+	tripStored(c.clock, c.name, key, doc)
 	c.wmu.Lock()
 	c.putAt(key, doc, c.clock.stamp())
 	c.wmu.Unlock()
@@ -330,6 +331,7 @@ func (c *MemCollection) deleteAt(key string, h int64) {
 // original insertion counter and birth height. The caller finishes
 // with finishLoad.
 func (c *MemCollection) putLoaded(key string, doc map[string]any, ord uint64, h int64) {
+	tripStored(c.clock, c.name, key, doc)
 	c.wmu.Lock()
 	ch := c.chain(key)
 	if ch.head.Load() == nil {
@@ -361,6 +363,7 @@ func (c *MemCollection) finishLoad() {
 // putReplay / deleteReplay apply one recovered WAL mutation at its
 // logged height.
 func (c *MemCollection) putReplay(key string, doc map[string]any, h int64) {
+	tripStored(c.clock, c.name, key, doc)
 	c.wmu.Lock()
 	c.putAt(key, doc, h)
 	c.wmu.Unlock()
@@ -811,4 +814,7 @@ func (m *Memory) recoverClock(h int64) {
 func (m *Memory) Compact() error { return nil }
 
 // Close is a no-op; the memory backend's state dies with the process.
-func (m *Memory) Close() error { return nil }
+func (m *Memory) Close() error {
+	tripClosed(&m.clock)
+	return nil
+}

@@ -128,7 +128,7 @@ const TwoPCCollection = "__twopc__"
 
 // Backend is the persistence layer a docstore.Store runs over. It was
 // extracted from the document store's collection primitives so the
-// same Store (filters, indexes, deep-copy semantics) runs unchanged
+// same Store (filters, indexes, document ownership) runs unchanged
 // over volatile memory or the durable disk engine.
 //
 // Concurrency contract: Collection handles are safe for concurrent
@@ -208,7 +208,9 @@ type Backend interface {
 // Collection is one backend collection: an ordered, concurrency-safe
 // key → document map. Iteration (Keys, Scan) is in insertion order —
 // the determinism the validators' queries rely on. Documents are
-// stored by reference; callers own copy-in/copy-out semantics.
+// stored by reference and never written to again: Put takes ownership
+// of the map it is given, and the reads hand out the stored map itself
+// (docstore decides who gets a copy).
 type Collection interface {
 	// Get returns the stored document (not a copy) and whether it
 	// exists. Point reads lock only the key's shard, never the whole

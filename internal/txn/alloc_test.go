@@ -32,6 +32,9 @@ func TestCodecAllocationCeilings(t *testing.T) {
 		{"cold SigningPayload", 2, func() { tr.Invalidate(); tr.SigningPayload() }},
 		{"cold MarshalCanonical", 2, func() { tr.Invalidate(); tr.MarshalCanonical() }},
 		{"OutputRef.String", 1, func() { _ = tr.Inputs[3].Fulfills.String() }},
+		// One string per spent output, once: the warm-up call built them.
+		{"SpendKeys and a UTXO key", 0, func() { _ = tr.SpendKeys()[3][len(txn.SpendKeyPrefix):] }},
+		{"SharedDoc", 0, func() { tr.SharedDoc() }},
 	} {
 		c.fn() // warm the encoder pool
 		if got := testing.AllocsPerRun(200, c.fn); got > c.ceiling {
@@ -97,11 +100,23 @@ func BenchmarkMarshalCanonicalCold(b *testing.B) {
 	})
 }
 
+// BenchmarkOutputRefString is what naming one spent output costs: built
+// from the reference (a state read by reference still does), and taken
+// as the suffix of the transaction's spend key, which every stage from
+// admission to the log does.
 func BenchmarkOutputRefString(b *testing.B) {
 	_, transfer4, _ := workload.BenchmarkShapes()
 	ref := *transfer4.Inputs[3].Fulfills
-	b.ReportAllocs()
-	for b.Loop() {
-		sinkStr = ref.String()
-	}
+	b.Run("String", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			sinkStr = ref.String()
+		}
+	})
+	b.Run("SpendKeySuffix", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			sinkStr = transfer4.SpendKeys()[3][len(txn.SpendKeyPrefix):]
+		}
+	})
 }

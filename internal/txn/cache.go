@@ -14,26 +14,45 @@
 // a global flip). Unscoped entry points use the package default scope,
 // which is always enabled.
 //
+// The cell also carries the transaction's document (SharedDoc) and its
+// spend keys (SpendKeys), each built once and read by every stage from
+// admission to the log. They follow the same invalidation contract but
+// no scope: they are representations of the transaction, not a policy,
+// and move no hit/miss tally.
+//
 // Invalidation contract: the blessed mutation points inside this
-// package (Sign re-canonicalizes from scratch; SetID drops the
-// ID-covering encoding) maintain the cache themselves. Code that
-// mutates a Transaction's exported fields in place after signing must
-// call Invalidate — otherwise verification answers for the bytes the
-// transaction had when the cache was populated. Clone never copies the
+// package (Sign re-canonicalizes from scratch; SetID drops what covers
+// the ID — the canonical encoding and the document) maintain the cache
+// themselves. Code that mutates a Transaction's exported fields in
+// place after signing must call Invalidate — otherwise verification
+// answers for the bytes the transaction had when the cache was
+// populated, and the log stores the document it had. Clone never copies the
 // cache: a clone starts cold, so the tamper-detection tests' pattern
 // (clone, mutate, verify) keeps failing closed.
 package txn
 
-import "sync/atomic"
+import (
+	"strconv"
+	"sync/atomic"
+)
 
-// txMemo is one immutable cache generation. The byte slices are
-// written once before the memo is published and never mutated after;
-// only the verified flag flips in place (false → true is the sole
-// transition, and a lost flip merely costs one re-verification).
-type txMemo struct {
+// memoFields are the derived representations a cache generation
+// holds; nil means not computed yet. signing and spends leave the ID
+// out, canonical and doc cover it.
+type memoFields struct {
 	signing   []byte
 	canonical []byte
-	verified  atomic.Bool
+	doc       map[string]any // SharedDoc
+	spends    []string       // SpendKeys
+}
+
+// txMemo is one immutable cache generation. The fields are written
+// once before the memo is published and never mutated after; only the
+// verified flag flips in place (false → true is the sole transition,
+// and a lost flip merely costs one re-verification).
+type txMemo struct {
+	memoFields
+	verified atomic.Bool
 }
 
 // CacheScope is one validator's policy handle for the canonical-bytes
@@ -89,19 +108,20 @@ func CacheStats() (hits, misses uint64) { return defaultCacheScope.Stats() }
 // it implicitly.
 func (t *Transaction) Invalidate() { t.memo.Store(nil) }
 
-// dropDerivedMemo keeps the signing payload but discards the canonical
-// encoding and the signature verdict — what SetID needs: the new ID is
-// covered by the canonical bytes but excluded from the payload.
+// dropDerivedMemo keeps the signing payload and the spend keys but
+// discards the canonical encoding, the document and the signature
+// verdict — what SetID needs: the new ID is covered by those and
+// excluded from the payload.
 func (t *Transaction) dropDerivedMemo() {
 	for {
 		old := t.memo.Load()
 		if old == nil {
 			return
 		}
-		if old.canonical == nil && !old.verified.Load() {
+		if old.canonical == nil && old.doc == nil && !old.verified.Load() {
 			return
 		}
-		next := &txMemo{signing: old.signing}
+		next := &txMemo{memoFields: memoFields{signing: old.signing, spends: old.spends}}
 		if t.memo.CompareAndSwap(old, next) {
 			return
 		}
@@ -134,41 +154,96 @@ func (t *Transaction) cachedCanonical(sc *CacheScope) []byte {
 	return nil
 }
 
-// storeSigning publishes a freshly computed signing payload,
-// preserving whatever else the current generation holds. Racing
-// writers compute identical bytes, so last-write-wins is benign.
-func (t *Transaction) storeSigning(sc *CacheScope, b []byte) {
-	if sc.orDefault().disabled {
-		return
-	}
+// storeMemo publishes freshly computed fields in a new generation that
+// carries forward whatever the current one holds, and returns what is
+// then published. A field the current generation already has wins over
+// the one offered: racing writers compute equal values, and keeping
+// the first means every reader shares one.
+func (t *Transaction) storeMemo(fresh memoFields) *memoFields {
 	for {
 		old := t.memo.Load()
-		next := &txMemo{signing: b}
+		next := &txMemo{memoFields: fresh}
 		if old != nil {
-			next.canonical = old.canonical
+			if old.signing != nil {
+				next.signing = old.signing
+			}
+			if old.canonical != nil {
+				next.canonical = old.canonical
+			}
+			if old.doc != nil {
+				next.doc = old.doc
+			}
+			if old.spends != nil {
+				next.spends = old.spends
+			}
 			next.verified.Store(old.verified.Load())
 		}
 		if t.memo.CompareAndSwap(old, next) {
-			return
+			return &next.memoFields
 		}
 	}
 }
 
+func (t *Transaction) storeSigning(sc *CacheScope, b []byte) {
+	if !sc.orDefault().disabled {
+		t.storeMemo(memoFields{signing: b})
+	}
+}
+
 func (t *Transaction) storeCanonical(sc *CacheScope, b []byte) {
-	if sc.orDefault().disabled {
-		return
+	if !sc.orDefault().disabled {
+		t.storeMemo(memoFields{canonical: b})
 	}
-	for {
-		old := t.memo.Load()
-		next := &txMemo{canonical: b}
-		if old != nil {
-			next.signing = old.signing
-			next.verified.Store(old.verified.Load())
-		}
-		if t.memo.CompareAndSwap(old, next) {
-			return
+}
+
+// SharedDoc returns the transaction's document — what ToDoc builds —
+// built once and kept beside the canonical bytes, so the schema check
+// and the ledger read one document and the store that commits the
+// transaction holds that same one. It is read-only and immutable:
+// nobody writes to it or to anything it holds, a mutation of the
+// transaction drops it (Sign, SetID, Invalidate) and never edits it,
+// and Clone starts without it. ToDoc is for callers that want a
+// document of their own.
+func (t *Transaction) SharedDoc() map[string]any {
+	if m := t.memo.Load(); m != nil && m.doc != nil {
+		return m.doc
+	}
+	return t.storeMemo(memoFields{doc: t.ToDoc()}).doc
+}
+
+// SpendKeyPrefix starts the state key of a spent output in a
+// footprint (package parallel); the rest is the output's UTXO key,
+// OutputRef.String.
+const SpendKeyPrefix = "utxo:"
+
+// SpendKeys returns the state keys of the outputs the transaction
+// spends — SpendKeyPrefix + ref.String() for each of SpentRefs, in
+// that order — built once per transaction: conflict planning, the
+// mempool's spend claims and the commit all name a spent output by
+// this one string, and the UTXO key is its suffix. No two pending
+// transactions may hold the same spend key: exactly one of them can
+// ever commit. The slice is shared and read-only; nil when the
+// transaction spends nothing.
+func (t *Transaction) SpendKeys() []string {
+	if m := t.memo.Load(); m != nil && m.spends != nil {
+		return m.spends
+	}
+	n := 0
+	for _, in := range t.Inputs {
+		if in.Fulfills != nil {
+			n++
 		}
 	}
+	if n == 0 {
+		return nil
+	}
+	keys := make([]string, 0, n)
+	for _, in := range t.Inputs {
+		if ref := in.Fulfills; ref != nil {
+			keys = append(keys, SpendKeyPrefix+ref.TxID+":"+strconv.Itoa(ref.Index))
+		}
+	}
+	return t.storeMemo(memoFields{spends: keys}).spends
 }
 
 // sigVerified reports a memoized successful VerifyFulfillments for the

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -375,20 +376,21 @@ func TestVerifyFulfillmentsBatchReusesVerdicts(t *testing.T) {
 }
 
 // TestMemoConcurrentReaders hammers one transaction's memo from many
-// goroutines — payload reads, canonical reads, and batch verification
-// racing the CAS copy-forward — and checks every reader saw the same
+// goroutines — payload reads, canonical reads, the shared document,
+// the spend keys and batch verification racing the CAS copy-forward — and checks every reader saw the same
 // bytes. Run under -race, this pins the generation swap.
 func TestMemoConcurrentReaders(t *testing.T) {
 	tr, _ := signedTransfer(t, 27)
 	want := append([]byte(nil), tr.SigningPayload()...)
 	tr.Invalidate() // start everyone from a cold memo
+	var docs [8]map[string]any
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				switch (g + i) % 3 {
+				switch (g + i) % 5 {
 				case 0:
 					if !bytes.Equal(tr.SigningPayload(), want) {
 						t.Error("payload diverged")
@@ -396,6 +398,13 @@ func TestMemoConcurrentReaders(t *testing.T) {
 					}
 				case 1:
 					tr.MarshalCanonical()
+				case 2:
+					docs[g] = tr.SharedDoc()
+				case 3:
+					if got := tr.SpendKeys(); len(got) != 2 || got[1] != "utxo:a1:1" {
+						t.Errorf("spend keys diverged: %v", got)
+						return
+					}
 				default:
 					if err := VerifyFulfillments(tr); err != nil {
 						t.Errorf("verify: %v", err)
@@ -406,6 +415,126 @@ func TestMemoConcurrentReaders(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	// However the first builds raced, one document won and everyone
+	// shares it.
+	for g, doc := range docs {
+		if !sameMap(doc, tr.SharedDoc()) {
+			t.Errorf("goroutine %d holds a document of its own", g)
+		}
+	}
+}
+
+// --- the shared document and the spend keys --------------------------
+
+func sameMap(a, b map[string]any) bool {
+	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+}
+
+// TestSharedDocIsOneDocument: SharedDoc builds the document once and
+// serves that one map until the transaction changes; ToDoc keeps
+// handing out private documents, storing the document moves no
+// canonical-cache tally and displaces no memoized encoding, and every
+// blessed mutation point drops the document instead of editing it.
+func TestSharedDocIsOneDocument(t *testing.T) {
+	tr, kp := signedTransfer(t, 28)
+	canonical := tr.MarshalCanonical()
+	hits, misses := CacheStats()
+	doc := tr.SharedDoc()
+	if !sameMap(doc, tr.SharedDoc()) {
+		t.Fatal("the second SharedDoc built another document")
+	}
+	if h, m := CacheStats(); h != hits || m != misses {
+		t.Fatalf("SharedDoc moved the canonical-cache tallies: %d/%d → %d/%d", hits, misses, h, m)
+	}
+	if &tr.MarshalCanonical()[0] != &canonical[0] {
+		t.Fatal("storing the document displaced the memoized canonical bytes")
+	}
+	private := tr.ToDoc()
+	if !reflect.DeepEqual(private, doc) {
+		t.Fatalf("SharedDoc %v differs from ToDoc %v", doc, private)
+	}
+	private["outputs"].([]any)[0].(map[string]any)["amount"] = 99.0
+	private["seq"] = 1.0
+	if sameMap(private, doc) || !reflect.DeepEqual(doc, tr.ToDoc()) {
+		t.Fatal("ToDoc handed out the shared document")
+	}
+
+	// Each mutation point leaves the old document as it was and serves
+	// a new one that reads the transaction as it now is.
+	before := tr.ToDoc()
+	for name, mutate := range map[string]func(){
+		"Invalidate": func() { tr.Outputs[0].Amount++; tr.Invalidate() },
+		"Sign": func() {
+			tr.Outputs[0].Amount++
+			if err := Sign(tr, kp); err != nil {
+				t.Fatal(err)
+			}
+		},
+		// A document built before the ID is stamped must not outlive
+		// the stamping.
+		"SetID": func() {
+			tr.ID = "unstamped"
+			tr.Invalidate()
+			if unstamped := tr.SharedDoc(); unstamped["id"] != "unstamped" {
+				t.Fatalf("document of the unstamped transaction: %v", unstamped)
+			}
+			tr.SetID()
+		},
+	} {
+		old := tr.SharedDoc()
+		oldCopy := cloneMap(old)
+		mutate()
+		if !reflect.DeepEqual(old, oldCopy) {
+			t.Fatalf("%s edited the shared document in place", name)
+		}
+		if got := tr.SharedDoc(); sameMap(got, old) || !reflect.DeepEqual(got, tr.ToDoc()) || got["id"] != tr.ID {
+			t.Fatalf("%s left a stale document behind: %v", name, got)
+		}
+	}
+	if reflect.DeepEqual(before, tr.ToDoc()) {
+		t.Fatal("the mutations did not land")
+	}
+	if c := tr.Clone(); c.memo.Load() != nil {
+		t.Fatal("Clone copied the memo cell")
+	}
+}
+
+// TestSpendKeysAreBuiltOnce: one key string per spent output, the same
+// strings on every call; they leave the ID out, so SetID keeps them
+// and Invalidate drops them. A transaction that spends nothing has
+// none and memoizes nothing.
+func TestSpendKeysAreBuiltOnce(t *testing.T) {
+	tr, _ := signedTransfer(t, 29)
+	keys := tr.SpendKeys()
+	refs := tr.SpentRefs()
+	if len(keys) != len(refs) {
+		t.Fatalf("%d spend keys for %d spent outputs", len(keys), len(refs))
+	}
+	for i, ref := range refs {
+		if keys[i] != SpendKeyPrefix+ref.String() {
+			t.Errorf("spend key %d = %q, want %q", i, keys[i], SpendKeyPrefix+ref.String())
+		}
+	}
+	doc := tr.SharedDoc() // something for SetID to drop
+	tr.SetID()
+	if sameMap(doc, tr.SharedDoc()) {
+		t.Fatal("SetID kept the document")
+	}
+	if again := tr.SpendKeys(); &again[0] != &keys[0] {
+		t.Fatal("SetID dropped the spend keys, which do not cover the ID")
+	}
+	if n := testing.AllocsPerRun(100, func() { tr.SpendKeys() }); n != 0 {
+		t.Errorf("a warm SpendKeys allocates %v times", n)
+	}
+	tr.Inputs[0].Fulfills.Index = 7
+	tr.Invalidate()
+	if got := tr.SpendKeys(); got[0] != "utxo:a1:7" || keys[0] != "utxo:a1:0" {
+		t.Fatalf("after Invalidate: %v (the old slice reads %v)", got, keys)
+	}
+	create := NewCreate("pk", nil, 1, nil)
+	if create.SpendKeys() != nil || create.memo.Load() != nil {
+		t.Fatal("a transaction that spends nothing has spend keys or a memo")
+	}
 }
 
 // --- allocation regression ------------------------------------------
