@@ -52,7 +52,13 @@ test-bench:
 # what they refuse. The storage trust boundary — bytes read back from a
 # data directory: FuzzDecodeGroup (WAL frames and group payloads),
 # FuzzLoadSegment, FuzzReadManifest never panic, and decode what the
-# encoders wrote into what went in. A failing input is written under the
+# encoders wrote into what went in. FuzzPlannedFind: on documents and
+# filter trees decoded from the input, over hash, ordered, multikey and
+# unique-valued indexes, the planner finds what a full scan finds, in
+# the writer view and at a snapshot height; its choices past the end of
+# an input come from a generator the input seeds, so every byte moves
+# its coverage and minimising an input rarely converges — each attempt
+# is capped at a second. A failing input is written under the
 # package's testdata/fuzz/ and then runs as a plain test — commit it
 # with the fix.
 FUZZTIME ?= 60s
@@ -63,6 +69,7 @@ fuzz:
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzDecodeGroup$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzLoadSegment$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzReadManifest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/docstore -run '^$$' -fuzz '^FuzzPlannedFind$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # Per-call cost of the primitives a transaction passes through between
 # admission and the log — codec, footprint, committed-state reads,
@@ -78,8 +85,12 @@ fuzz:
 # two state sizes: the two read alike because a seal costs what the
 # block changed (the count is pinned by
 # TestPreparedApplyCostsTheBlockNotTheState).
+# IndexInsert/{hash,ordered}/{unique,shared} is one document's index
+# upkeep on insert (B/op is what a posting costs) and PlannedIntersect
+# the validator's locked-bid find; TestIndexPostingBytes and
+# TestPlannedIntersectAllocations pin them.
 bench-alloc:
-	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|MarshalCanonicalCold|OutputRefString|FootprintOf|StateView|InsertDoc|MarkSpent|StageBlock|SealOneTxBlock|EncodableDoc|GroupCommit|Fold'
+	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage ./internal/docstore -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|MarshalCanonicalCold|OutputRefString|FootprintOf|StateView|InsertDoc|MarkSpent|StageBlock|SealOneTxBlock|EncodableDoc|GroupCommit|Fold|IndexInsert|PlannedIntersect'
 
 # The tier-1 suites that touch chain state (ledger, server/cluster,
 # nested recovery, bench differential, query) re-run over the disk

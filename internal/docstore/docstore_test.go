@@ -207,6 +207,11 @@ func TestFindFilters(t *testing.T) {
 		{"bad regex", Regex("op", "["), nil},
 		{"string gt", Gt("op", "BID"), []string{"1", "4"}},
 		{"uncomparable", Gt("caps", 1), nil},
+		// Objects and arrays as arguments compare structurally.
+		{"eq object", Eq("nested", map[string]any{"deep": "x"}), []string{"3"}},
+		{"ne object", Ne("nested", map[string]any{"deep": "y"}), []string{"1", "2", "3", "4"}},
+		{"in object", In("nested", map[string]any{"deep": "x"}, "z"), []string{"3"}},
+		{"eq array", Eq("caps", []any{"cnc"}), []string{"2"}},
 	}
 	for _, tc := range cases {
 		got := c.FindKeys(tc.filter)

@@ -390,11 +390,16 @@ func normalize(v any) any {
 	}
 }
 
+// valuesEqual is the filters' equality. Objects and arrays compare
+// structurally (sameValue): == on two of them would panic.
 func valuesEqual(a, b any) bool {
 	a, b = normalize(a), normalize(b)
-	if af, aok := a.(float64); aok {
+	switch x := a.(type) {
+	case float64:
 		bf, bok := b.(float64)
-		return bok && af == bf
+		return bok && x == bf
+	case map[string]any, []any:
+		return sameValue(a, b)
 	}
 	return a == b
 }

@@ -21,6 +21,18 @@ func (c *Collection) FindScan(filter Filter) []map[string]any {
 	return out
 }
 
+// scanKeysAt is FindKeys forced down the full-scan path at height h.
+func (c *Collection) scanKeysAt(h int64, filter Filter) []string {
+	var out []string
+	c.scanVisitAt(h, func(key string, doc map[string]any) bool {
+		if filter == nil || filter.Matches(doc) {
+			out = append(out, key)
+		}
+		return true
+	})
+	return out
+}
+
 // findOrderedScan is FindOrdered forced down its no-index fallback in
 // the writer view — the reference the ordered-index differentials
 // compare against.

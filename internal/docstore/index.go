@@ -29,19 +29,21 @@ type secondaryIndex interface {
 	// this index: closing [b, h) and opening [h, ∞) shows every height
 	// exactly what leaving [b, ∞) alone does.
 	unchanged(old, next map[string]any) bool
-	// lookupEq returns the candidate document keys holding arg at the
-	// indexed path as of height h (a superset for multikey paths;
-	// callers re-apply the filter). estimateEq is its cost-free
-	// cardinality estimate (over current contents — plan choice, not
-	// correctness), and containsDoc the O(1) membership probe the
-	// planner uses to intersect without materializing non-driving
-	// candidate sets.
-	lookupEq(arg any, h int64) []string
-	estimateEq(arg any) int
-	containsDoc(arg any, docKey string, h int64) bool
+	// lookupEq returns the candidate document keys holding the value
+	// whose indexKey is key at the indexed path as of height h (a
+	// superset for multikey paths; callers re-apply the filter), each
+	// key once. estimateEq is its cost-free cardinality estimate (over
+	// current contents — plan choice, not correctness), and containsDoc
+	// the O(1) membership probe the planner uses to intersect without
+	// materializing non-driving candidate sets. All three take the
+	// rendered key, so a plan renders each argument once however many
+	// candidates it probes.
+	lookupEq(key string, h int64) []string
+	estimateEq(key string) int
+	containsDoc(key, docKey string, h int64) bool
 	// sweepFloor drops every lifespan that closed at or below floor —
 	// no supported snapshot height can observe it — and reports how
-	// many span lists it examined. The store calls it when the
+	// many postings it examined. The store calls it when the
 	// backend's retention floor advances at block seal, so index GC
 	// tracks version GC; see closedSpans for what it costs.
 	sweepFloor(floor int64) int
@@ -153,58 +155,125 @@ func sameValue(a, b any) bool {
 // span is one visibility interval of a (value, document) pairing:
 // the pairing is visible at h iff born <= h and h is below died (an
 // open span has died == spanOpen and additionally covers
-// storage.HeightLatest).
+// storage.HeightLatest). A zero-width span (born == died: added and
+// removed at the same height) is invisible at every height.
 type span struct{ born, died int64 }
 
 const spanOpen = storage.HeightLatest
 
-// spanList holds one document's lifespans under one value, newest
-// last. Zero-width spans (born == died: added and removed at the same
-// height) are naturally invisible at every height.
-type spanList []span
+func (s span) aliveAt(h int64) bool { return s.born <= h && (s.died == spanOpen || h < s.died) }
 
-func (s spanList) aliveAt(h int64) bool {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i].born <= h && (s[i].died == spanOpen || h < s[i].died) {
+func (s span) open() bool { return s.died == spanOpen }
+
+// idxEntry is one indexed value's postings — a posting is one
+// document's lifespans under the value — plus the open-posting count
+// estimates use. Most values a chain index holds belong to one
+// document (a transaction id, a timestamp, an asset id), so the layout
+// is sized for that:
+//
+//   - A value with one posting keeps it inline in doc and span; docs is
+//     nil. Collection keys are never empty (Insert refuses one), so doc
+//     == "" marks an entry with no posting.
+//   - From the second posting on, docs holds every posting's newest
+//     span by value and doc is "". When sweeps take it back down to
+//     one posting, that posting moves inline again.
+//   - A posting's older spans — closed, all before its newest — exist
+//     only for a document that left the value and came back while the
+//     closed span was still retained. They go in older, oldest first,
+//     made on first use and dropped when the last is swept.
+type idxEntry struct {
+	doc   string
+	span  span
+	docs  map[string]span
+	older map[string][]span
+	alive int
+}
+
+// newest returns docKey's newest span and whether docKey has a posting.
+func (e *idxEntry) newest(docKey string) (span, bool) {
+	if e.docs != nil {
+		sp, ok := e.docs[docKey]
+		return sp, ok
+	}
+	return e.span, e.doc == docKey
+}
+
+// setNewest stores docKey's newest span, moving the postings into docs
+// when docKey is a second document.
+func (e *idxEntry) setNewest(docKey string, sp span) {
+	switch {
+	case e.docs != nil:
+		e.docs[docKey] = sp
+	case e.doc == "" || e.doc == docKey:
+		e.doc, e.span = docKey, sp
+	default:
+		e.docs = map[string]span{e.doc: e.span, docKey: sp}
+		e.doc, e.span = "", span{}
+	}
+}
+
+// setOlder replaces docKey's older spans, dropping the side map once
+// no posting has any.
+func (e *idxEntry) setOlder(docKey string, spans []span) {
+	if len(spans) > 0 {
+		e.older[docKey] = spans
+		return
+	}
+	delete(e.older, docKey)
+	if len(e.older) == 0 {
+		e.older = nil
+	}
+}
+
+// drop removes docKey's posting, older spans included, moving the one
+// posting left (if any) back inline.
+func (e *idxEntry) drop(docKey string) {
+	e.setOlder(docKey, nil)
+	if e.docs == nil {
+		e.doc, e.span = "", span{}
+		return
+	}
+	delete(e.docs, docKey)
+	if len(e.docs) == 1 {
+		for dk, sp := range e.docs {
+			e.doc, e.span = dk, sp
+		}
+		e.docs = nil
+	}
+}
+
+// empty reports an entry with no posting left; its index drops it.
+func (e *idxEntry) empty() bool { return e.docs == nil && e.doc == "" }
+
+// aliveAt reports whether the posting of docKey, whose newest span is
+// newest, is visible at height h.
+func (e *idxEntry) aliveAt(docKey string, newest span, h int64) bool {
+	if newest.aliveAt(h) {
+		return true
+	}
+	for _, sp := range e.older[docKey] {
+		if sp.aliveAt(h) {
 			return true
 		}
 	}
 	return false
 }
 
-// open reports whether the newest span is still open.
-func (s spanList) open() bool {
-	return len(s) > 0 && s[len(s)-1].died == spanOpen
-}
-
-// sweep drops spans that closed at or below floor — no supported
-// snapshot can see them — and returns the survivors.
-func (s spanList) sweep(floor int64) spanList {
-	kept := s[:0]
-	for _, sp := range s {
-		if sp.died > floor {
-			kept = append(kept, sp)
-		}
-	}
-	return kept
-}
-
-// idxEntry is one indexed value's document set: lifespans per document
-// key plus the open-span count estimates use.
-type idxEntry struct {
-	docs  map[string]spanList
-	alive int
-}
-
 // open starts a lifespan for docKey at h, unless one is open already
 // (a value occurring twice in a multikey array), and reports whether
 // it did.
 func (e *idxEntry) open(docKey string, h int64) bool {
-	sl := e.docs[docKey]
-	if sl.open() {
-		return false
+	sp, ok := e.newest(docKey)
+	if ok {
+		if sp.open() {
+			return false
+		}
+		if e.older == nil {
+			e.older = make(map[string][]span)
+		}
+		e.older[docKey] = append(e.older[docKey], sp)
 	}
-	e.docs[docKey] = append(sl, span{born: h, died: spanOpen})
+	e.setNewest(docKey, span{born: h, died: spanOpen})
 	e.alive++
 	return true
 }
@@ -212,29 +281,56 @@ func (e *idxEntry) open(docKey string, h int64) bool {
 // close ends docKey's open lifespan at h and reports whether there
 // was one.
 func (e *idxEntry) close(docKey string, h int64) bool {
-	sl := e.docs[docKey]
-	if !sl.open() {
+	sp, ok := e.newest(docKey)
+	if !ok || !sp.open() {
 		return false
 	}
-	sl[len(sl)-1].died = h
+	sp.died = h
+	e.setNewest(docKey, sp)
 	e.alive--
 	return true
 }
 
 // sweep drops docKey's lifespans that closed at or below floor, and
-// docKey itself once none is left; the caller drops an entry left
-// with no documents. It reports whether docKey had a span list.
+// the posting itself once none is left; the caller drops an entry left
+// empty. It reports whether docKey had a posting. Every older span
+// died no later than the newest was born (stamp heights never
+// decrease), so a swept newest span takes the whole posting with it.
 func (e *idxEntry) sweep(docKey string, floor int64) bool {
-	sl, ok := e.docs[docKey]
+	sp, ok := e.newest(docKey)
 	if !ok {
 		return false
 	}
-	if kept := sl.sweep(floor); len(kept) == 0 {
-		delete(e.docs, docKey)
-	} else if len(kept) < len(sl) {
-		e.docs[docKey] = kept
+	if sp.died <= floor {
+		e.drop(docKey)
+		return true
+	}
+	if old := e.older[docKey]; old != nil {
+		kept := old[:0]
+		for _, o := range old {
+			if o.died > floor {
+				kept = append(kept, o)
+			}
+		}
+		e.setOlder(docKey, kept)
 	}
 	return true
+}
+
+// appendKeysAt appends the document keys visible at height h to dst.
+func (e *idxEntry) appendKeysAt(dst []string, h int64) []string {
+	if e.docs == nil {
+		if e.doc != "" && e.aliveAt(e.doc, e.span, h) {
+			dst = append(dst, e.doc)
+		}
+		return dst
+	}
+	for dk, sp := range e.docs {
+		if e.aliveAt(dk, sp, h) {
+			dst = append(dst, dk)
+		}
+	}
+	return dst
 }
 
 // keysAt copies the document keys visible at height h. A nil entry
@@ -243,16 +339,16 @@ func (e *idxEntry) keysAt(h int64) []string {
 	if e == nil {
 		return nil
 	}
-	keys := make([]string, 0, e.alive)
-	for dk, sl := range e.docs {
-		if sl.aliveAt(h) {
-			keys = append(keys, dk)
-		}
-	}
-	return keys
+	return e.appendKeysAt(make([]string, 0, e.alive), h)
 }
 
-// closedSpan records one lifespan ending: the span list under
+// holds reports whether docKey's posting is visible at height h.
+func (e *idxEntry) holds(docKey string, h int64) bool {
+	sp, ok := e.newest(docKey)
+	return ok && e.aliveAt(docKey, sp, h)
+}
+
+// closedSpan records one lifespan ending: the posting under
 // (indexKey, docKey) holds a span that died at died and is garbage
 // once the retention floor reaches that height.
 type closedSpan struct {
@@ -263,7 +359,7 @@ type closedSpan struct {
 
 // closedSpans is an index's GC worklist: every lifespan that closes
 // above the floor is appended here, and a sweep pops the prefix the
-// floor has reached and visits only those span lists. It is the
+// floor has reached and visits only those postings. It is the
 // worklist storage.MemCollection keeps for version GC (dirty[h])
 // applied to index GC, and the two run at the same moment, the block
 // seal. A sweep therefore costs the spans that closed in the block
@@ -329,7 +425,7 @@ func (c *indexCore) unchanged(old, next map[string]any) bool { return c.path.sam
 // retire disposes of the span that just closed at h under (indexKey,
 // docKey) in e: swept now if the floor already covers it, queued for
 // the sweep that will otherwise. The caller drops e if this leaves it
-// with no documents. Caller holds mu.
+// empty. Caller holds mu.
 func (c *indexCore) retire(e *idxEntry, indexKey, docKey string, h int64) {
 	if h <= c.floor {
 		e.sweep(docKey, c.floor)
@@ -339,12 +435,11 @@ func (c *indexCore) retire(e *idxEntry, indexKey, docKey string, h int64) {
 }
 
 // sweepDue is sweepFloor for both index kinds: it pops the closed
-// spans floor has reached and sweeps their span lists. entry finds the
+// spans floor has reached and sweeps their postings. entry finds the
 // entry filed under an index key (nil once it is gone) and drop
-// removes one the sweep left with no documents. A popped record may
-// find its list already swept by an earlier record, gone, or
-// re-created by a later add; sweeping whatever is there now is right
-// in every case.
+// removes one the sweep left empty. A popped record may find its
+// posting already swept by an earlier record, gone, or re-created by a
+// later add; sweeping whatever is there now is right in every case.
 func (c *indexCore) sweepDue(floor int64, entry func(indexKey string) *idxEntry, drop func(indexKey string)) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -360,7 +455,7 @@ func (c *indexCore) sweepDue(floor int64, entry func(indexKey string) *idxEntry,
 			continue
 		}
 		examined++
-		if len(e.docs) == 0 {
+		if e.empty() {
 			drop(r.indexKey)
 		}
 	}
@@ -411,7 +506,7 @@ func (ix *hashIndex) add(docKey string, doc map[string]any, h int64) {
 		}
 		e := ix.entries[k]
 		if e == nil {
-			e = &idxEntry{docs: make(map[string]spanList)}
+			e = &idxEntry{}
 			ix.entries[k] = e
 		}
 		e.open(docKey, h)
@@ -431,7 +526,7 @@ func (ix *hashIndex) remove(docKey string, doc map[string]any, h int64) {
 			return
 		}
 		ix.retire(e, k, docKey, h)
-		if len(e.docs) == 0 {
+		if e.empty() {
 			delete(ix.entries, k)
 		}
 	})
@@ -445,42 +540,30 @@ func (ix *hashIndex) sweepFloor(floor int64) int {
 
 // lookupEq answers an equality probe (Eq / Contains candidates) as of
 // height h.
-func (ix *hashIndex) lookupEq(arg any, h int64) []string {
-	k, ok := indexKey(arg)
-	if !ok {
-		return nil
-	}
+func (ix *hashIndex) lookupEq(key string, h int64) []string {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return ix.entries[k].keysAt(h)
+	return ix.entries[key].keysAt(h)
 }
 
 // estimateEq reports the candidate count of an equality probe without
 // materializing it — the planner's selectivity estimate.
-func (ix *hashIndex) estimateEq(arg any) int {
-	k, ok := indexKey(arg)
-	if !ok {
-		return 0
-	}
+func (ix *hashIndex) estimateEq(key string) int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if e := ix.entries[k]; e != nil {
+	if e := ix.entries[key]; e != nil {
 		return e.alive
 	}
 	return 0
 }
 
-// containsDoc reports whether docKey is among the candidates for arg
+// containsDoc reports whether docKey is among the candidates for key
 // as of height h.
-func (ix *hashIndex) containsDoc(arg any, docKey string, h int64) bool {
-	k, ok := indexKey(arg)
-	if !ok {
-		return false
-	}
+func (ix *hashIndex) containsDoc(key, docKey string, h int64) bool {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if e := ix.entries[k]; e != nil {
-		return e.docs[docKey].aliveAt(h)
+	if e := ix.entries[key]; e != nil {
+		return e.holds(docKey, h)
 	}
 	return false
 }

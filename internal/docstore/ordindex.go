@@ -40,7 +40,7 @@ type orderedIndex struct {
 
 const ordMaxLevel = 16
 
-// ordNode is one distinct indexed value and its document lifespans.
+// ordNode is one distinct indexed value and its postings (idxEntry).
 // prev links level 0 backwards so descending iteration streams like
 // ascending. An unlinked node keeps its own next/prev pointers, so a
 // cursor parked on it can still step off into the live list.
@@ -191,9 +191,8 @@ func (ix *orderedIndex) link(k string, v any) *ordNode {
 	var pred [ordMaxLevel]*ordNode
 	ix.preds(ov, &pred)
 	n := &ordNode{
-		idxEntry: idxEntry{docs: make(map[string]spanList)},
-		val:      ov,
-		next:     make([]*ordNode, ix.randLevel()),
+		val:  ov,
+		next: make([]*ordNode, ix.randLevel()),
 	}
 	for lvl := range n.next {
 		n.next[lvl] = pred[lvl].next[lvl]
@@ -223,14 +222,13 @@ func (ix *orderedIndex) remove(docKey string, doc map[string]any, h int64) {
 		}
 		ix.size--
 		ix.retire(&n.idxEntry, k, docKey, h)
-		if len(n.docs) == 0 {
+		if n.empty() {
 			ix.unlink(k, n)
 		}
 	})
 }
 
-// sweepFloor unlinks the nodes the sweep leaves with no lifespans at
-// all.
+// sweepFloor unlinks the nodes the sweep leaves with no posting.
 func (ix *orderedIndex) sweepFloor(floor int64) int {
 	return ix.sweepDue(floor,
 		func(k string) *idxEntry {
@@ -263,14 +261,10 @@ func (ix *orderedIndex) unlink(k string, n *ordNode) {
 
 // lookupEq answers an equality probe (Eq / Contains candidates) as of
 // height h.
-func (ix *orderedIndex) lookupEq(arg any, h int64) []string {
-	k, ok := indexKey(arg)
-	if !ok {
-		return nil
-	}
+func (ix *orderedIndex) lookupEq(key string, h int64) []string {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if n := ix.byKey[k]; n != nil {
+	if n := ix.byKey[key]; n != nil {
 		return n.keysAt(h)
 	}
 	return nil
@@ -278,30 +272,22 @@ func (ix *orderedIndex) lookupEq(arg any, h int64) []string {
 
 // estimateEq reports the candidate count of an equality probe without
 // materializing it — the planner's selectivity estimate.
-func (ix *orderedIndex) estimateEq(arg any) int {
-	k, ok := indexKey(arg)
-	if !ok {
-		return 0
-	}
+func (ix *orderedIndex) estimateEq(key string) int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if n := ix.byKey[k]; n != nil {
+	if n := ix.byKey[key]; n != nil {
 		return n.alive
 	}
 	return 0
 }
 
-// containsDoc reports whether docKey is among the candidates for arg
+// containsDoc reports whether docKey is among the candidates for key
 // as of height h.
-func (ix *orderedIndex) containsDoc(arg any, docKey string, h int64) bool {
-	k, ok := indexKey(arg)
-	if !ok {
-		return false
-	}
+func (ix *orderedIndex) containsDoc(key, docKey string, h int64) bool {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if n := ix.byKey[k]; n != nil {
-		return n.docs[docKey].aliveAt(h)
+	if n := ix.byKey[key]; n != nil {
+		return n.holds(docKey, h)
 	}
 	return false
 }
@@ -386,11 +372,7 @@ func (ix *orderedIndex) lookupRange(r ordRange, h int64) []string {
 				break
 			}
 		}
-		for dk, sl := range n.docs {
-			if sl.aliveAt(h) {
-				out = append(out, dk)
-			}
-		}
+		out = n.appendKeysAt(out, h)
 	}
 	return out
 }

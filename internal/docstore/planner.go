@@ -92,6 +92,11 @@ type Access struct {
 
 	materialize func(h int64) []string            // leaves: produce candidates as of height h
 	probe       func(docKey string, h int64) bool // nil when not probe-capable
+	// distinct reports that materialize never yields a key twice: a
+	// one-key point probe (a value holds one posting per document), an
+	// intersect (its driving set is deduplicated) and none. Ranges,
+	// unions and many-key points may repeat a multikey document.
+	distinct bool
 }
 
 // FullScan reports whether executing this plan takes the collection
@@ -201,7 +206,7 @@ type planner struct {
 func fullScan(reason string) *Access { return &Access{Kind: AccessFullScan, Reason: reason} }
 
 func noneAccess() *Access {
-	a := &Access{Kind: AccessNone}
+	a := &Access{Kind: AccessNone, distinct: true}
 	a.materialize = func(int64) []string { return nil }
 	a.probe = func(string, int64) bool { return false }
 	return a
@@ -242,20 +247,24 @@ func (p planner) compileField(n Node) *Access {
 	}
 	switch n.Op {
 	case OpEq, OpContains:
-		if _, ok := indexKey(n.Arg); !ok {
+		k, ok := indexKey(n.Arg)
+		if !ok {
 			return fullScan(fmt.Sprintf("non-scalar %s argument on %q", n.Op, n.Path))
 		}
-		return p.pointAccess(ix, n.Path, n.Op, renderArg(n.Arg), []any{n.Arg})
+		return p.pointAccess(ix, n.Path, n.Op, renderArg(n.Arg), []string{k})
 	case OpIn:
 		if len(n.List) == 0 {
 			return noneAccess()
 		}
-		for _, arg := range n.List {
-			if _, ok := indexKey(arg); !ok {
+		keys := make([]string, len(n.List))
+		for i, arg := range n.List {
+			k, ok := indexKey(arg)
+			if !ok {
 				return fullScan(fmt.Sprintf("non-scalar in argument on %q", n.Path))
 			}
+			keys[i] = k
 		}
-		return p.pointAccess(ix, n.Path, n.Op, fmt.Sprintf("%d values", len(n.List)), n.List)
+		return p.pointAccess(ix, n.Path, n.Op, fmt.Sprintf("%d values", len(n.List)), keys)
 	case OpGt, OpGte, OpLt, OpLte:
 		return p.rangeAccess(ix, n)
 	case OpContainsAll:
@@ -268,43 +277,45 @@ func (p planner) compileField(n Node) *Access {
 		}
 		children := make([]*Access, 0, len(n.List))
 		for _, arg := range n.List {
-			if _, ok := indexKey(arg); !ok {
+			k, ok := indexKey(arg)
+			if !ok {
 				return fullScan(fmt.Sprintf("non-scalar contains-all argument on %q", n.Path))
 			}
-			children = append(children, p.pointAccess(ix, n.Path, OpContains, renderArg(arg), []any{arg}))
+			children = append(children, p.pointAccess(ix, n.Path, OpContains, renderArg(arg), []string{k}))
 		}
 		return intersectAccess(children)
 	}
 	return fullScan(fmt.Sprintf("index on %q cannot answer %s", n.Path, n.Op))
 }
 
-// pointAccess builds an equality-class leaf over one or more probe
-// arguments (one for Eq/Contains, the list for In).
-func (p planner) pointAccess(ix secondaryIndex, path, op, detail string, args []any) *Access {
+// pointAccess builds an equality-class leaf over the index keys of one
+// or more probe arguments (one for Eq/Contains, the list for In),
+// rendered once by the caller for every probe the plan makes.
+func (p planner) pointAccess(ix secondaryIndex, path, op, detail string, keys []string) *Access {
 	est := p.tape.est(func() int {
 		sum := 0
-		for _, arg := range args {
-			sum += ix.estimateEq(arg)
+		for _, k := range keys {
+			sum += ix.estimateEq(k)
 		}
 		return sum
 	})
 	probes := p.probes
-	a := &Access{Kind: AccessPoint, Path: path, Op: op, Detail: detail, Est: est}
+	a := &Access{Kind: AccessPoint, Path: path, Op: op, Detail: detail, Est: est, distinct: len(keys) == 1}
 	a.materialize = func(h int64) []string {
-		probes.Add(uint64(len(args)))
-		if len(args) == 1 {
-			return ix.lookupEq(args[0], h)
+		probes.Add(uint64(len(keys)))
+		if len(keys) == 1 {
+			return ix.lookupEq(keys[0], h)
 		}
 		var out []string
-		for _, arg := range args {
-			out = append(out, ix.lookupEq(arg, h)...)
+		for _, k := range keys {
+			out = append(out, ix.lookupEq(k, h)...)
 		}
 		return out
 	}
 	a.probe = func(docKey string, h int64) bool {
 		probes.Inc()
-		for _, arg := range args {
-			if ix.containsDoc(arg, docKey, h) {
+		for _, k := range keys {
+			if ix.containsDoc(k, docKey, h) {
 				return true
 			}
 		}
@@ -369,9 +380,13 @@ func intersectAccess(children []*Access) *Access {
 	// Ascending estimate: the smallest (driving) index materializes,
 	// the rest only shrink its candidates.
 	sort.SliceStable(children, func(i, j int) bool { return children[i].Est < children[j].Est })
-	a := &Access{Kind: AccessIntersect, Est: children[0].Est, Children: children}
+	drive := children[0]
+	a := &Access{Kind: AccessIntersect, Est: drive.Est, Children: children, distinct: true}
 	a.materialize = func(h int64) []string {
-		keys := dedupKeys(children[0].materialize(h))
+		keys := drive.materialize(h)
+		if !drive.distinct {
+			keys = dedupKeys(keys)
+		}
 		for _, ch := range children[1:] {
 			if len(keys) == 0 {
 				return nil

@@ -22,52 +22,7 @@ func sweepExamined(s *Store) int {
 	return int(s.sweepSpans.Value() - before)
 }
 
-// sweepFullWalk is the lifespan GC this package ran before the
-// closed-span queue: visit every span list of every entry and drop
-// what the floor has passed. It costs the size of the index per call,
-// which is why it is here and not in index.go; the incremental sweep
-// is pinned to it by TestIncrementalSweepMatchesFullWalk.
-func (ix *hashIndex) sweepFullWalk(floor int64) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	for k, e := range ix.entries {
-		for dk, sl := range e.docs {
-			if kept := sl.sweep(floor); len(kept) == 0 {
-				delete(e.docs, dk)
-			} else {
-				e.docs[dk] = kept
-			}
-		}
-		if len(e.docs) == 0 {
-			delete(ix.entries, k)
-		}
-	}
-	ix.closed = closedSpans{}
-}
-
-func (ix *orderedIndex) sweepFullWalk(floor int64) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	empty := map[string]*ordNode{}
-	for k, n := range ix.byKey {
-		for dk, sl := range n.docs {
-			if kept := sl.sweep(floor); len(kept) == 0 {
-				delete(n.docs, dk)
-			} else {
-				n.docs[dk] = kept
-			}
-		}
-		if len(n.docs) == 0 {
-			empty[k] = n
-		}
-	}
-	for k, n := range empty {
-		ix.unlink(k, n)
-	}
-	ix.closed = closedSpans{}
-}
-
-// core and spanLists open up either index kind for the tests below.
+// core opens up either index kind for the tests below.
 func core(ix secondaryIndex) *indexCore {
 	switch x := ix.(type) {
 	case *hashIndex:
@@ -76,27 +31,6 @@ func core(ix secondaryIndex) *indexCore {
 		return &x.indexCore
 	}
 	panic("unknown index kind")
-}
-
-type spanKey struct{ indexKey, docKey string }
-
-func spanLists(ix secondaryIndex) map[spanKey]spanList {
-	out := map[spanKey]spanList{}
-	switch x := ix.(type) {
-	case *hashIndex:
-		for k, e := range x.entries {
-			for dk, sl := range e.docs {
-				out[spanKey{k, dk}] = sl
-			}
-		}
-	case *orderedIndex:
-		for k, n := range x.byKey {
-			for dk, sl := range n.docs {
-				out[spanKey{k, dk}] = sl
-			}
-		}
-	}
-	return out
 }
 
 // closedSpanCount counts the closed spans an index still holds.
@@ -194,7 +128,7 @@ func TestSweepIndexesStableFloorKeepsSpans(t *testing.T) {
 		t.Fatalf("%d queued, %d closed spans after sweep under a wide window, want 1 and 1 (retained for snapshots)", q, dead)
 	}
 	// The historical read the retained span serves still works.
-	if keys := hash.lookupEq("x", 1); len(keys) != 1 || keys[0] != "a" {
+	if keys := hash.lookupEq("s:x", 1); len(keys) != 1 || keys[0] != "a" {
 		t.Fatalf("lookupEq at h=1 = %v, want [a]", keys)
 	}
 }
@@ -294,16 +228,22 @@ func diffPaths() []diffPath {
 		}
 		return out
 	}
-	nums := make([]any, 6)
-	for i := range nums {
-		nums[i] = float64(i)
+	nums := func(n int) []any {
+		out := make([]any, n)
+		for i := range out {
+			out[i] = float64(i)
+		}
+		return out
 	}
 	return []diffPath{
 		{"a", false, strs("a")},
-		{"n", true, nums},
+		{"n", true, nums(6)},
 		{"tags", false, strs("t")},
-		{"nums", true, nums},
-		{"sub.x", true, nums},
+		{"nums", true, nums(6)},
+		{"sub.x", true, nums(6)},
+		// Nearly unique, like a timestamp: most values hold one
+		// document, and now and then two collide.
+		{"ts", true, nums(64)},
 	}
 }
 
@@ -330,21 +270,27 @@ func diffDoc(r *rand.Rand) map[string]any {
 	if r.Intn(6) == 0 {
 		delete(doc, "a")
 	}
+	doc["ts"] = p[5].domain[r.Intn(len(p[5].domain))]
 	return doc
 }
 
 // TestIncrementalSweepMatchesFullWalk drives a collection — hash and
-// ordered indexes over scalar, multikey and nested paths — through a
-// seeded random stream of inserts, updates of an indexed field, of an
-// unindexed field and of one array element, upserts and deletes, in
-// sealed blocks and between them, at three retention windows. Beside
-// it runs a twin of every index kept the way indexes were kept before:
-// every replacement is a remove plus an add whether or not the value
-// moved, and garbage is collected by the full walk. After every seal
-// the two must answer every probe alike at every supported height, and
-// hold the same (value, document) pairs with the same visibility —
-// the span lists themselves differ, since an unchanged value no longer
-// splits its span.
+// ordered indexes over scalar, multikey, nested and nearly unique
+// paths — through a seeded random stream of inserts, updates of an
+// indexed field, of an unindexed field and of one array element,
+// upserts and deletes, in sealed blocks and between them, at three
+// retention windows. Beside it runs a twin of every index in the
+// reference posting layout (postings_test.go), kept the way indexes
+// were kept before: every replacement is a remove plus an add whether
+// or not the value moved, and garbage is collected by the full walk.
+// After every seal the two must answer every probe alike at every
+// supported height, and hold the same (value, document) pairs with the
+// same visibility — the spans themselves differ, since an unchanged
+// value no longer splits its span. The stream must take the compact
+// postings through every layout they have: a value's first document
+// inline, the move to a map at the second, back down to one, a
+// document that left a value and came back inside the window, and a
+// key deleted and inserted again.
 func TestIncrementalSweepMatchesFullWalk(t *testing.T) {
 	for _, retain := range []int64{1, 3, 8} {
 		t.Run(fmt.Sprintf("retain=%d", retain), func(t *testing.T) {
@@ -360,16 +306,17 @@ func runSweepDifferential(t *testing.T, s *Store, retain int64) {
 	bk.SetRetain(retain)
 	c := s.Collection("docs")
 	paths := diffPaths()
-	twins := map[string]secondaryIndex{}
+	twins := map[string]*refIndex{}
 	for _, p := range paths {
 		if p.ordered {
 			c.CreateOrderedIndex(p.path)
-			twins[p.path] = newOrderedIndex(p.path)
 		} else {
 			c.CreateIndex(p.path)
-			twins[p.path] = newHashIndex(p.path)
 		}
+		twins[p.path] = newRefIndex(p.path)
 	}
+	var seen layouts
+	deleted, reinserted := map[string]bool{}, false
 	r := rand.New(rand.NewSource(retain))
 	keys := make([]string, 12)
 	for i := range keys {
@@ -383,6 +330,7 @@ func runSweepDifferential(t *testing.T, s *Store, retain int64) {
 		var err error
 		switch op := r.Intn(7); {
 		case !had:
+			reinserted = reinserted || deleted[key]
 			err = c.Insert(key, diffDoc(r))
 		case op == 0:
 			err = c.Upsert(key, diffDoc(r))
@@ -432,6 +380,7 @@ func runSweepDifferential(t *testing.T, s *Store, retain int64) {
 			next["u"] = float64(r.Intn(1000))
 			err = c.Upsert(key, next)
 		default:
+			deleted[key] = true
 			err = c.Delete(key)
 		}
 		if err != nil {
@@ -461,18 +410,24 @@ func runSweepDifferential(t *testing.T, s *Store, retain int64) {
 		floor, visible := bk.Floor(), bk.Visible()
 		for _, p := range paths {
 			ref := twins[p.path]
-			ref.(interface{ sweepFullWalk(int64) }).sweepFullWalk(floor)
+			ref.sweepFullWalk(floor)
 			compareIndexes(t, c, p, ref, floor, visible)
+			seen.observe(c.indexMap()[p.path])
 		}
 		if t.Failed() {
 			t.Fatalf("indexes diverged after block %d (floor %d)", h, floor)
 		}
 	}
+	// A closed span outlives its block only in a window wider than one.
+	if !seen.inline || !seen.mapped || !seen.collapsed || (retain > 1 && !seen.older) || !reinserted {
+		t.Errorf("the stream missed a posting layout: inline %v, map %v, back to inline %v, older span %v, reinsert %v",
+			seen.inline, seen.mapped, seen.collapsed, seen.older, reinserted)
+	}
 }
 
 // compareIndexes holds c's index on p to ref at every height in
 // [floor, visible] and in the writer view.
-func compareIndexes(t *testing.T, c *Collection, p diffPath, ref secondaryIndex, floor, visible int64) {
+func compareIndexes(t *testing.T, c *Collection, p diffPath, ref *refIndex, floor, visible int64) {
 	t.Helper()
 	got := c.indexMap()[p.path]
 	heights := []int64{storage.HeightLatest}
@@ -500,7 +455,7 @@ func compareIndexes(t *testing.T, c *Collection, p diffPath, ref secondaryIndex,
 		t.Errorf("%s: %d closed spans, %d queued", p.path, dead, queued)
 	}
 
-	gotLists, refLists := spanLists(got), spanLists(ref)
+	gotLists, refLists := spanLists(got), ref.spanLists()
 	for k := range refLists {
 		if _, ok := gotLists[k]; !ok {
 			t.Errorf("%s: pair %v only in the reference", p.path, k)
@@ -521,15 +476,16 @@ func compareIndexes(t *testing.T, c *Collection, p diffPath, ref secondaryIndex,
 
 	docKeys := c.Keys()
 	for _, v := range p.domain {
-		if g, w := got.estimateEq(v), ref.estimateEq(v); g != w {
+		k, _ := indexKey(v)
+		if g, w := got.estimateEq(k), ref.estimateEq(k); g != w {
 			t.Errorf("%s: estimateEq(%v) = %d, reference %d", p.path, v, g, w)
 		}
 		for _, h := range heights {
-			if g, w := sorted(got.lookupEq(v, h)), sorted(ref.lookupEq(v, h)); !reflect.DeepEqual(g, w) {
+			if g, w := sorted(got.lookupEq(k, h)), sorted(ref.lookupEq(k, h)); !reflect.DeepEqual(g, w) {
 				t.Errorf("%s: lookupEq(%v, %d) = %v, reference %v", p.path, v, h, g, w)
 			}
 			for _, dk := range docKeys {
-				if g, w := got.containsDoc(v, dk, h), ref.containsDoc(v, dk, h); g != w {
+				if g, w := got.containsDoc(k, dk, h), ref.containsDoc(k, dk, h); g != w {
 					t.Errorf("%s: containsDoc(%v, %s, %d) = %v, reference %v", p.path, v, dk, h, g, w)
 				}
 			}
@@ -540,7 +496,6 @@ func compareIndexes(t *testing.T, c *Collection, p diffPath, ref secondaryIndex,
 	if !ok {
 		return
 	}
-	refOrd := ref.(*orderedIndex)
 	for _, rng := range []ordRange{
 		{class: ordClassNumber},
 		{class: ordClassNumber, hasLo: true, lo: ordValue{class: ordClassNumber, num: 2}},
@@ -548,26 +503,22 @@ func compareIndexes(t *testing.T, c *Collection, p diffPath, ref secondaryIndex,
 			hasHi: true, hi: ordValue{class: ordClassNumber, num: 4}},
 		{class: ordClassNumber, hasHi: true, hi: ordValue{class: ordClassNumber, num: 3}, hiStrict: true},
 	} {
-		if g, w := gotOrd.estimateRange(rng), refOrd.estimateRange(rng); g != w {
+		if g, w := gotOrd.estimateRange(rng), ref.estimateRange(rng); g != w {
 			t.Errorf("%s: estimateRange(%s) = %d, reference %d", p.path, rng, g, w)
 		}
 		for _, h := range heights {
-			if g, w := sorted(gotOrd.lookupRange(rng, h)), sorted(refOrd.lookupRange(rng, h)); !reflect.DeepEqual(g, w) {
+			if g, w := sorted(gotOrd.lookupRange(rng, h)), sorted(ref.lookupRange(rng, h)); !reflect.DeepEqual(g, w) {
 				t.Errorf("%s: lookupRange(%s, %d) = %v, reference %v", p.path, rng, h, g, w)
 			}
 		}
 	}
 	for _, h := range heights {
 		for _, desc := range []bool{false, true} {
-			gc, rc := gotOrd.groups(desc), refOrd.groups(desc)
-			for {
-				g, gmore := gc.next(h)
-				w, wmore := rc.next(h)
-				if gmore != wmore || !reflect.DeepEqual(sorted(g), sorted(w)) {
-					t.Errorf("%s: value groups at %d (desc %v) diverge: %v/%v, reference %v/%v", p.path, h, desc, g, gmore, w, wmore)
-					break
-				}
-				if !gmore {
+			gc := gotOrd.groups(desc)
+			for i, w := range append(ref.groups(h, desc), nil) {
+				g, more := gc.next(h)
+				if more != (i < len(ref.entries)) || !reflect.DeepEqual(sorted(g), sorted(w)) {
+					t.Errorf("%s: value group %d at %d (desc %v) diverges: %v (more %v), reference %v", p.path, i, h, desc, g, more, w)
 					break
 				}
 			}
