@@ -53,9 +53,11 @@ test-bench:
 # data directory: FuzzDecodeGroup (WAL frames and group payloads),
 # FuzzLoadSegment, FuzzReadManifest never panic, and decode what the
 # encoders wrote into what went in. FuzzPlannedFind: on documents and
-# filter trees decoded from the input, over hash, ordered, multikey and
-# unique-valued indexes, the planner finds what a full scan finds, in
-# the writer view and at a snapshot height; its choices past the end of
+# filter trees decoded from the input, over hash, ordered, multikey,
+# unique-valued and partial indexes, with documents entering and leaving
+# the partial indexes' predicates, the planner finds what a full scan
+# finds, in the writer view and at every retained snapshot height; its
+# choices past the end of
 # an input come from a generator the input seeds, so every byte moves
 # its coverage and minimising an input rarely converges — each attempt
 # is capped at a second. A failing input is written under the
@@ -77,20 +79,22 @@ fuzz:
 # (encode, frame, write; no fsync) — over the two shapes the repo
 # benchmark streams (a 4-input TRANSFER, a CREATE with 1 KiB of
 # metadata), plus the checkpoint fold of 128 such blocks, the docstore
-# Insert of each shape's document and one sealed spent mark. Their
+# Insert of each shape's document and one sealed spent mark of a fresh
+# output. Their
 # allocation counts are pinned by unit tests (Test*Allocation*); this
 # prints the bytes and the time. README "Transaction codec and document
 # ownership" has the table.
 # SealOneTxBlock/{1k,64k} is the seal of a one-transaction block over
 # two state sizes: the two read alike because a seal costs what the
 # block changed (the count is pinned by
-# TestPreparedApplyCostsTheBlockNotTheState).
+# TestPreparedApplyCostsTheBlockNotTheState). CommitTransferChain
+# commits 4096 chained transfers in blocks of 256 and reports ns/tx.
 # IndexInsert/{hash,ordered}/{unique,shared} is one document's index
 # upkeep on insert (B/op is what a posting costs) and PlannedIntersect
 # the validator's locked-bid find; TestIndexPostingBytes and
 # TestPlannedIntersectAllocations pin them.
 bench-alloc:
-	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage ./internal/docstore -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|MarshalCanonicalCold|OutputRefString|FootprintOf|StateView|InsertDoc|MarkSpent|StageBlock|SealOneTxBlock|EncodableDoc|GroupCommit|Fold|IndexInsert|PlannedIntersect'
+	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage ./internal/docstore -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|MarshalCanonicalCold|OutputRefString|FootprintOf|StateView|InsertDoc|MarkSpent|StageBlock|SealOneTxBlock|CommitTransferChain|EncodableDoc|GroupCommit|Fold|IndexInsert|PlannedIntersect'
 
 # The tier-1 suites that touch chain state (ledger, server/cluster,
 # nested recovery, bench differential, query) re-run over the disk

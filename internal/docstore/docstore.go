@@ -178,9 +178,9 @@ type Collection struct {
 	be storage.Collection
 	bk storage.Backend
 
-	// indexes is copy-on-write: writers swap a fresh map under mu,
+	// indexes is copy-on-write: writers swap a fresh set under mu,
 	// readers (Plan, FindOrdered) load it with one atomic read.
-	indexes atomic.Pointer[map[string]secondaryIndex]
+	indexes atomic.Pointer[indexSet]
 
 	// plans caches compiled-plan estimate tapes by filter shape,
 	// invalidated per path (via that path's DDL epoch) when its index
@@ -199,10 +199,17 @@ type Collection struct {
 
 // collObs is one collection's bundle of cached metric handles.
 type collObs struct {
+	reg         *obs.Registry
 	fullScans   *obs.Counter // docstore.full_scans
 	indexProbes *obs.Counter // docstore.index_probes
+	candidates  *obs.Counter // docstore.candidates
 	snapshots   *obs.Counter // docstore.snapshots
 	plan        [AccessUnion + 1]*obs.Counter
+	// indexUses counts, per indexed path, the executed plans that
+	// drive on or probe the index and the FindOrdered walks over it
+	// (docstore.index_uses.<collection>.<path>): which indexes earn
+	// their upkeep.
+	indexUses map[string]*obs.Counter
 
 	planCacheHits   *obs.Counter // docstore.plan_cache.hits
 	planCacheMisses *obs.Counter // docstore.plan_cache.misses
@@ -217,15 +224,21 @@ func (c *Collection) obs() collObs {
 	return collObs{}
 }
 
-// setObs attaches (nil: detaches) the collection's metric handles.
+// setObs attaches (nil: detaches) the collection's metric handles. It
+// takes the writer lock so an index being built picks up the registry
+// its collection ends up with.
 func (c *Collection) setObs(reg *obs.Registry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if reg == nil {
 		c.ob.Store(nil)
 		return
 	}
 	ob := &collObs{
+		reg:             reg,
 		fullScans:       reg.Counter("docstore.full_scans"),
 		indexProbes:     reg.Counter("docstore.index_probes"),
+		candidates:      reg.Counter("docstore.candidates"),
 		snapshots:       reg.Counter("docstore.snapshots"),
 		planCacheHits:   reg.Counter("docstore.plan_cache.hits"),
 		planCacheMisses: reg.Counter("docstore.plan_cache.misses"),
@@ -234,20 +247,61 @@ func (c *Collection) setObs(reg *obs.Registry) {
 	for k := range ob.plan {
 		ob.plan[k] = reg.Counter("docstore.plan." + AccessKind(k).metricName())
 	}
-	c.ob.Store(ob)
+	c.ob.Store(ob.withIndexUses(c.name, c.IndexedPaths()))
+}
+
+// withIndexUses returns a copy of ob counting uses of the indexes on
+// paths besides those it already counts.
+func (ob *collObs) withIndexUses(collection string, paths []string) *collObs {
+	next := *ob
+	next.indexUses = make(map[string]*obs.Counter, len(ob.indexUses)+len(paths))
+	for p, ctr := range ob.indexUses {
+		next.indexUses[p] = ctr
+	}
+	for _, p := range paths {
+		next.indexUses[p] = ob.reg.Counter("docstore.index_uses." + collection + "." + p)
+	}
+	return &next
+}
+
+// countUses records one use of every index plan a drives on or probes.
+func (ob *collObs) countUses(a *Access) {
+	if a.Kind == AccessPoint || a.Kind == AccessRange {
+		ob.indexUses[a.Path].Inc()
+	}
+	for _, ch := range a.Children {
+		ob.countUses(ch)
+	}
+}
+
+// indexSet is a collection's secondary indexes by path, and the paths
+// its partial indexes take their predicates on. It is never mutated:
+// CreateIndex and DropIndex install a new one.
+type indexSet struct {
+	byPath    map[string]secondaryIndex
+	predPaths map[string]bool
+}
+
+func newIndexSet(byPath map[string]secondaryIndex) *indexSet {
+	set := &indexSet{byPath: byPath, predPaths: make(map[string]bool)}
+	for _, ix := range byPath {
+		if w := ix.partial(); w != nil {
+			set.predPaths[w.path] = true
+		}
+	}
+	return set
 }
 
 func newCollection(name string, be storage.Collection, bk storage.Backend) *Collection {
 	c := &Collection{name: name, be: be, bk: bk}
-	empty := make(map[string]secondaryIndex)
-	c.indexes.Store(&empty)
+	c.indexes.Store(newIndexSet(nil))
 	return c
 }
 
 // indexMap returns the current index handles (copy-on-write; never
 // mutated in place).
 func (c *Collection) indexMap() map[string]secondaryIndex {
-	return *c.indexes.Load()
+	return c.indexes.Load().byPath
 }
 
 // Name returns the collection name.
@@ -295,10 +349,21 @@ func (c *Collection) Insert(key string, doc map[string]any) error {
 		return err
 	}
 	h := c.bk.StampHeight()
-	for _, idx := range c.indexMap() {
-		idx.add(key, doc, h)
+	for path, idx := range c.indexMap() {
+		c.add(path, idx, key, doc, h)
 	}
 	return nil
+}
+
+// add indexes doc under key in idx, the index on path, at height h. A
+// path that just turned multikey no longer merges its comparisons into
+// one range, so the estimate tapes recorded over it are dropped (the
+// epoch bump). Caller holds mu.
+func (c *Collection) add(path string, idx secondaryIndex, key string, doc map[string]any, h int64) {
+	if idx.add(key, doc, h) {
+		c.plans.invalidatePath(path)
+		c.obs().planCacheInvals.Inc()
+	}
 }
 
 // Upsert stores doc under key, replacing any existing document. Like
@@ -321,8 +386,8 @@ func (c *Collection) Upsert(key string, doc map[string]any) error {
 		return nil
 	}
 	h := c.bk.StampHeight()
-	for _, idx := range c.indexMap() {
-		idx.add(key, doc, h)
+	for path, idx := range c.indexMap() {
+		c.add(path, idx, key, doc, h)
 	}
 	return nil
 }
@@ -412,17 +477,19 @@ func (c *Collection) Update(key string, fn func(doc map[string]any) error) error
 }
 
 // reindex is the index upkeep of replacing the document under key:
-// only the indexes whose path reaches different values in old and next
-// do any work, so a mark-spent moves one of the four utxos indexes and
-// an update of an unindexed field none. Caller holds mu.
+// only the indexes whose path reaches different values in old and next,
+// or whose predicate the replacement enters or leaves, do any work — a
+// mark-spent closes the postings of the indexes partial on unspent
+// outputs, and an update of an unindexed field does nothing. Caller
+// holds mu.
 func (c *Collection) reindex(key string, old, next map[string]any) {
 	h := c.bk.StampHeight()
-	for _, idx := range c.indexMap() {
+	for path, idx := range c.indexMap() {
 		if idx.unchanged(old, next) {
 			continue
 		}
 		idx.remove(key, old, h)
-		idx.add(key, next, h)
+		c.add(path, idx, key, next, h)
 	}
 }
 
@@ -442,21 +509,43 @@ func (c *Collection) Keys() []string {
 	return c.be.Keys()
 }
 
+// Where is a partial index's predicate: the index holds a document
+// only while Eq(Path, Value) matches it. The zero Where indexes every
+// document.
+type Where struct {
+	Path  string
+	Value any
+}
+
 // CreateIndex builds (or rebuilds) a hash index over the dot-path
 // field. Equality filters on the path then use the index instead of a
 // collection scan. Array values index every element, like MongoDB
 // multikey indexes.
-func (c *Collection) CreateIndex(path string) {
-	c.buildIndex(path, newHashIndex(path))
-}
+func (c *Collection) CreateIndex(path string) { c.CreateIndexWhere(path, false, Where{}) }
 
 // CreateOrderedIndex builds (or rebuilds) a sorted multikey index over
 // the dot-path field. On top of everything a hash index answers, it
 // serves the comparison operators (Gt, Gte, Lt, Lte) as range scans
 // and value-ordered iteration (FindOrdered). It replaces any existing
 // index on the path.
-func (c *Collection) CreateOrderedIndex(path string) {
-	c.buildIndex(path, newOrderedIndex(path))
+func (c *Collection) CreateOrderedIndex(path string) { c.CreateIndexWhere(path, true, Where{}) }
+
+// CreateIndexWhere builds (or rebuilds) a hash or ordered index over
+// the dot-path field that holds only the documents matching where — a
+// partial index, like PostgreSQL's: a document is indexed exactly while
+// its current version matches, and leaving the predicate at height h
+// closes its postings at h as a value change does. The planner uses
+// the index only for a filter whose top-level And holds
+// Eq(where.Path, where.Value) (a bare Eq counts as an And of one), and
+// FindOrdered walks it only under such a filter; any other filter
+// plans as if the path had no index. A zero where builds the full
+// index CreateIndex and CreateOrderedIndex do.
+func (c *Collection) CreateIndexWhere(path string, ordered bool, where Where) {
+	if ordered {
+		c.buildIndex(path, newOrderedIndex(path, where))
+	} else {
+		c.buildIndex(path, newHashIndex(path, where))
+	}
 }
 
 // buildIndex populates idx from the current documents and installs it
@@ -483,9 +572,11 @@ func (c *Collection) buildIndex(path string, idx secondaryIndex) {
 		next[p] = ix
 	}
 	next[path] = idx
-	c.indexes.Store(&next)
-	c.plans.invalidatePath(path)
-	c.obs().planCacheInvals.Inc()
+	c.indexes.Store(newIndexSet(next))
+	c.invalidate(path, cur[path], idx)
+	if ob := c.ob.Load(); ob != nil {
+		c.ob.Store(ob.withIndexUses(c.name, []string{path}))
+	}
 }
 
 // DropIndex removes the index on path and reports whether one existed.
@@ -496,7 +587,8 @@ func (c *Collection) DropIndex(path string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cur := c.indexMap()
-	if _, ok := cur[path]; !ok {
+	old, ok := cur[path]
+	if !ok {
 		return false
 	}
 	next := make(map[string]secondaryIndex, len(cur)-1)
@@ -505,10 +597,25 @@ func (c *Collection) DropIndex(path string) bool {
 			next[p] = ix
 		}
 	}
-	c.indexes.Store(&next)
-	c.plans.invalidatePath(path)
-	c.obs().planCacheInvals.Inc()
+	c.indexes.Store(newIndexSet(next))
+	c.invalidate(path, old)
 	return true
+}
+
+// invalidate bumps the plan-cache epoch of path, whose index changed,
+// and of the predicate path of every partial index among changed (nil
+// entries allowed): shapes over either are keyed on what the indexes
+// were. Caller holds mu.
+func (c *Collection) invalidate(path string, changed ...secondaryIndex) {
+	c.plans.invalidatePath(path)
+	for _, ix := range changed {
+		if ix != nil {
+			if w := ix.partial(); w != nil && w.path != path {
+				c.plans.invalidatePath(w.path)
+			}
+		}
+	}
+	c.obs().planCacheInvals.Inc()
 }
 
 // IndexedPaths lists the indexed dot-paths, sorted.
@@ -707,8 +814,9 @@ func (c *Collection) shardedVisitAt(h int64, keys []string, fn func(key string, 
 // With an ordered index on orderPath the walk streams value groups
 // lazily off the index plus lock-free point reads — no collection
 // lock, O(group) index-lock holds, and an early limit stops the walk
-// after O(limit) work. Without one it falls back to a full scan plus
-// sort.
+// after O(limit) work. Without one — or with a partial one whose
+// predicate the filter's top-level And does not hold — it falls back
+// to a full scan plus sort.
 func (c *Collection) FindOrdered(filter Filter, orderPath string, desc bool, limit int) []map[string]any {
 	return copyDocs(c.borrowOrderedAt(storage.HeightLatest, filter, orderPath, desc, limit))
 }
@@ -720,9 +828,13 @@ func (c *Collection) borrowOrderedAt(h int64, filter Filter, orderPath string, d
 		return nil
 	}
 	ord, ok := c.indexMap()[orderPath].(*orderedIndex)
-	if !ok {
+	if !ok || (ord.where != nil && !implies(Analyze(filter), ord.where)) {
+		// No ordered index, or a partial one the filter does not confine
+		// itself to: it would miss the documents outside its predicate.
 		return c.findOrderedScanAt(h, filter, orderPath, desc, limit)
 	}
+	ob := c.obs()
+	ob.indexUses[orderPath].Inc()
 	var out []map[string]any
 	seen := make(map[string]struct{}) // multikey docs appear under several values
 	cur := ord.groups(desc)
@@ -731,6 +843,7 @@ func (c *Collection) borrowOrderedAt(h int64, filter Filter, orderPath string, d
 		if !more {
 			return out
 		}
+		ob.candidates.Add(uint64(len(group)))
 		fresh := group[:0]
 		for _, k := range group {
 			if _, dup := seen[k]; dup {
@@ -778,12 +891,13 @@ func (c *Collection) findOrderedScanAt(h int64, filter Filter, orderPath string,
 	}
 	var items []item
 	seq := 0
+	path := splitPath(orderPath)
 	c.scanVisitAt(h, func(_ string, doc map[string]any) bool {
 		seq++
 		if filter != nil && !filter.Matches(doc) {
 			return true
 		}
-		val, ok := extremeOrdValue(doc, orderPath, desc)
+		val, ok := extremeOrdValue(doc, path, desc)
 		if !ok {
 			return true
 		}
@@ -908,11 +1022,7 @@ func (s *Snapshot) BorrowFindOrdered(filter Filter, orderPath string, desc bool,
 
 // extremeOrdValue finds the smallest (largest when max) scalar value a
 // document reaches at path, flattening arrays like the indexes do.
-func extremeOrdValue(doc map[string]any, path string, max bool) (ordValue, bool) {
-	vals, found := lookupPath(doc, path)
-	if !found {
-		return ordValue{}, false
-	}
+func extremeOrdValue(doc map[string]any, path indexPath, max bool) (ordValue, bool) {
 	var best ordValue
 	have := false
 	var visit func(v any)
@@ -935,9 +1045,7 @@ func extremeOrdValue(doc map[string]any, path string, max bool) (ordValue, bool)
 			best = ov
 		}
 	}
-	for _, v := range vals {
-		visit(v)
-	}
+	path.each(doc, visit)
 	return best, have
 }
 

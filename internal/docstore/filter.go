@@ -13,22 +13,22 @@ type Filter interface {
 
 // Eq matches documents whose value at path equals v. If the value at
 // path is an array, any element equal to v matches (Mongo semantics).
-func Eq(path string, v any) Filter { return &fieldFilter{path: path, op: opEq, arg: normalize(v)} }
+func Eq(path string, v any) Filter { return field(path, opEq, normalize(v)) }
 
 // Ne matches documents whose value at path does not equal v.
-func Ne(path string, v any) Filter { return &fieldFilter{path: path, op: opNe, arg: normalize(v)} }
+func Ne(path string, v any) Filter { return field(path, opNe, normalize(v)) }
 
 // Gt matches numeric or string values strictly greater than v.
-func Gt(path string, v any) Filter { return &fieldFilter{path: path, op: opGt, arg: normalize(v)} }
+func Gt(path string, v any) Filter { return field(path, opGt, normalize(v)) }
 
 // Gte matches values greater than or equal to v.
-func Gte(path string, v any) Filter { return &fieldFilter{path: path, op: opGte, arg: normalize(v)} }
+func Gte(path string, v any) Filter { return field(path, opGte, normalize(v)) }
 
 // Lt matches values strictly less than v.
-func Lt(path string, v any) Filter { return &fieldFilter{path: path, op: opLt, arg: normalize(v)} }
+func Lt(path string, v any) Filter { return field(path, opLt, normalize(v)) }
 
 // Lte matches values less than or equal to v.
-func Lte(path string, v any) Filter { return &fieldFilter{path: path, op: opLte, arg: normalize(v)} }
+func Lte(path string, v any) Filter { return field(path, opLte, normalize(v)) }
 
 // In matches documents whose value at path equals any of vs. With an
 // all-scalar value list the membership test is a hash probe, so a
@@ -53,18 +53,20 @@ func In(path string, vs ...any) Filter {
 			}
 		}
 	}
-	return &fieldFilter{path: path, op: opIn, list: norm, inSet: set}
+	f := field(path, opIn, nil)
+	f.list, f.inSet = norm, set
+	return f
 }
 
 // Exists matches documents that have (or lack) any value at path.
 func Exists(path string, want bool) Filter {
-	return &fieldFilter{path: path, op: opExists, arg: want}
+	return field(path, opExists, want)
 }
 
 // Contains matches documents whose array at path contains element v.
 // It is Eq restricted to arrays; on non-arrays it never matches.
 func Contains(path string, v any) Filter {
-	return &fieldFilter{path: path, op: opContains, arg: normalize(v)}
+	return field(path, opContains, normalize(v))
 }
 
 // ContainsAll matches arrays containing every one of vs.
@@ -73,7 +75,9 @@ func ContainsAll(path string, vs ...any) Filter {
 	for i, v := range vs {
 		norm[i] = normalize(v)
 	}
-	return &fieldFilter{path: path, op: opContainsAll, list: norm}
+	f := field(path, opContainsAll, nil)
+	f.list = norm
+	return f
 }
 
 // Regex matches string values against the pattern. Compilation errors
@@ -81,9 +85,11 @@ func ContainsAll(path string, vs ...any) Filter {
 func Regex(path, pattern string) Filter {
 	re, err := regexp.Compile(pattern)
 	if err != nil {
-		return &fieldFilter{path: path, op: opNever}
+		return field(path, opNever, nil)
 	}
-	return &fieldFilter{path: path, op: opRegex, re: re}
+	f := field(path, opRegex, nil)
+	f.re = re
+	return f
 }
 
 // And matches documents satisfying every sub-filter.
@@ -117,9 +123,12 @@ const (
 
 type fieldFilter struct {
 	path string
-	op   fieldOp
-	arg  any
-	list []any
+	// split is path split once, when the filter is built: Matches
+	// walks it on every document.
+	split indexPath
+	op    fieldOp
+	arg   any
+	list  []any
 	// inSet is the hash form of an all-scalar In list (nil otherwise):
 	// membership keyed by indexKey, which equates values exactly like
 	// valuesEqual does for scalars.
@@ -127,33 +136,22 @@ type fieldFilter struct {
 	re    *regexp.Regexp
 }
 
+func field(path string, op fieldOp, arg any) *fieldFilter {
+	return &fieldFilter{path: path, split: splitPath(path), op: op, arg: arg}
+}
+
+// Matches walks the path through doc and stops at the first value that
+// decides the answer.
 func (f *fieldFilter) Matches(doc map[string]any) bool {
-	vals, found := lookupPath(doc, f.path)
 	switch f.op {
 	case opExists:
-		return found == f.arg.(bool)
+		return f.split.some(doc, func(any) bool { return true }) == f.arg.(bool)
 	case opNever:
 		return false
 	case opNe:
-		if !found {
-			return true
-		}
-		for _, v := range vals {
-			if valuesEqual(v, f.arg) {
-				return false
-			}
-		}
-		return true
+		return !f.split.some(doc, func(v any) bool { return valuesEqual(v, f.arg) })
 	}
-	if !found {
-		return false
-	}
-	for _, v := range vals {
-		if f.matchOne(v) {
-			return true
-		}
-	}
-	return false
+	return f.split.some(doc, f.matchOne)
 }
 
 func (f *fieldFilter) matchOne(v any) bool {
@@ -354,15 +352,6 @@ func Analyze(f Filter) Node {
 		return Node{Kind: KindAll}
 	}
 	return Node{Kind: KindOpaque}
-}
-
-// lookupPath navigates a dot path through nested maps. Arrays fan out:
-// each element is tried for the remaining path, like MongoDB. It
-// returns all values reached and whether any path resolved.
-func lookupPath(doc map[string]any, path string) ([]any, bool) {
-	var vals []any
-	splitPath(path).each(doc, func(v any) { vals = append(vals, v) })
-	return vals, len(vals) > 0
 }
 
 // normalize converts ints to float64 so filters compare like JSON,

@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"maps"
@@ -14,17 +15,26 @@ import (
 	"smartchaindb/internal/storage"
 )
 
+// fuzzWheres are the predicates of FuzzPlannedFind's partial indexes,
+// over a bool field and a string field, as in ledger.ChainIndexes.
+var fuzzWheres = []Where{{Path: "spent", Value: false}, {Path: "operation", Value: "REQUEST"}, {Path: "operation", Value: "BID"}}
+
 // fuzzIndexes are FuzzPlannedFind's indexed paths: the differential's
-// hash, ordered, multikey, nested and nearly unique paths, and the
-// transactions-collection shapes of ledger.ChainIndexes.
+// hash, ordered, multikey, nested and nearly unique paths, the
+// transactions-collection shapes of ledger.ChainIndexes with their
+// predicates, and partial indexes over the unspent UTXO shape — a hash
+// one and an ordered one (single-valued until a fuzzed document puts
+// an array there).
 func fuzzIndexes() []diffPath {
 	return append(diffPaths(),
 		diffPath{path: "operation"},
 		diffPath{path: "refs"},
 		diffPath{path: "asset.id"},
-		diffPath{path: "asset.data.capabilities"},
-		diffPath{path: "metadata.timestamp", ordered: true},
-		diffPath{path: "outputs.amount", ordered: true},
+		diffPath{path: "asset.data.capabilities", where: fuzzWheres[1]},
+		diffPath{path: "metadata.timestamp", ordered: true, where: fuzzWheres[1]},
+		diffPath{path: "outputs.amount", ordered: true, where: fuzzWheres[2]},
+		diffPath{path: "owner", where: fuzzWheres[0]},
+		diffPath{path: "amount", ordered: true, where: fuzzWheres[0]},
 	)
 }
 
@@ -36,7 +46,12 @@ var fuzzExtras = []any{nil, true, false, 0.0, -1.0, 2.5, "", "a0", "zz", []any{"
 // component of the indexed paths, so nested maps reach them, and the
 // unindexed "u" and "y".
 var fuzzKeys = []string{"a", "n", "tags", "nums", "sub", "x", "y", "ts", "u",
-	"operation", "refs", "asset", "id", "data", "capabilities", "metadata", "timestamp", "outputs", "amount"}
+	"operation", "refs", "asset", "id", "data", "capabilities", "metadata", "timestamp", "outputs", "amount",
+	"owner", "spent"}
+
+// fuzzWords are the strings a tagWord picks from: the predicates'
+// values, so fuzzed documents enter and leave them, and two others.
+var fuzzWords = []string{"REQUEST", "BID", "a0", "zz"}
 
 // fuzzProg feeds a test's choices from fuzz bytes and, once they run
 // out, from a generator seeded with them: a short input still makes
@@ -79,6 +94,7 @@ const (
 	tagInt8   // then one byte, a two's-complement integer
 	tagFloat  // then eight bytes, big-endian float64 bits (NaN and ±Inf read as 0)
 	tagString // then a length below 16 and the bytes
+	tagWord   // then a fuzzWords index
 	tagArray  // then a length below 5 and the elements
 	tagObject // then a length below 8 and (fuzzKeys index, value) pairs
 )
@@ -103,6 +119,8 @@ func (p *fuzzProg) value(depth int) any {
 		return 0.0
 	case tagString:
 		return string(p.take(p.next(16)))
+	case tagWord:
+		return fuzzWords[p.next(len(fuzzWords))]
 	case tagArray:
 		out := make([]any, p.next(5))
 		for i := range out {
@@ -137,6 +155,9 @@ func fuzzEncode(dst []byte, v any) []byte {
 		}
 		return binary.BigEndian.AppendUint64(append(dst, tagFloat), math.Float64bits(x))
 	case string:
+		if i := slices.Index(fuzzWords, x); i >= 0 {
+			return append(dst, tagWord, byte(i))
+		}
 		return append(append(dst, tagString, byte(len(x))), x...)
 	case []any:
 		dst = append(dst, tagArray, byte(len(x)))
@@ -159,28 +180,39 @@ func fuzzEncodeObject(dst []byte, m map[string]any) []byte {
 	return dst
 }
 
-// filter builds a filter tree over paths, with arguments from args.
+// filter builds a filter tree over paths, with arguments from args:
+// leaves, bands (a lower and an upper comparison on one path) and, in
+// a tree, And, Or and Not nodes and a subtree anded with a partial
+// index's predicate.
 func (p *fuzzProg) filter(paths []string, args map[string][]any, depth int) Filter {
-	kinds := 10
+	kinds := 11
 	if depth > 0 {
-		kinds = 13
+		kinds = 15
 	}
 	kind := p.next(kinds)
-	if kind >= 10 {
+	path := paths[p.next(len(paths))]
+	arg := func() any { return args[path][p.next(len(args[path]))] }
+	switch kind {
+	case 10:
+		lower, upper := []func(string, any) Filter{Gt, Gte}, []func(string, any) Filter{Lt, Lte}
+		return And(lower[p.next(2)](path, arg()), upper[p.next(2)](path, arg()))
+	case 14:
+		w := fuzzWheres[p.next(len(fuzzWheres))]
+		return And(p.filter(paths, args, depth-1), Eq(w.Path, w.Value))
+	}
+	if kind >= 11 {
 		subs := make([]Filter, 1+p.next(3))
 		for i := range subs {
 			subs[i] = p.filter(paths, args, depth-1)
 		}
 		switch kind {
-		case 10:
-			return And(subs...)
 		case 11:
+			return And(subs...)
+		case 12:
 			return Or(subs...)
 		}
 		return Not(subs[0])
 	}
-	path := paths[p.next(len(paths))]
-	arg := func() any { return args[path][p.next(len(args[path]))] }
 	list := func() []any {
 		out := make([]any, p.next(4))
 		for i := range out {
@@ -215,13 +247,16 @@ func (p *fuzzProg) filter(paths []string, args map[string][]any, depth int) Filt
 // decoded from the first input (objects over fuzzKeys, one after
 // another) and filter trees built from the third, a planned Find
 // returns the documents a forced scan does, in the same order, in the
-// writer view and at a retained snapshot height, and so does
+// writer view and at every retained snapshot height, and so does
 // FindOrdered over an ordered index against its no-index fallback.
 // Half the documents are inserted in block 1; the rest replace, add or
 // delete documents in block 2, as the second input picks, so index
-// entries move between values and lifespans close. Nothing may panic.
+// entries move between values and lifespans close; blocks 3 and 4 flip
+// the predicate fields of some documents, so they leave and re-enter
+// the partial indexes inside the retention window. Nothing may panic.
 // The seeds are the sweep differential's documents (diffDoc) and
-// transactions shaped like ledger.ChainIndexes' paths.
+// transactions and UTXO records shaped like ledger.ChainIndexes'
+// paths.
 func FuzzPlannedFind(f *testing.F) {
 	r := rand.New(rand.NewSource(25))
 	diffDocs := make([]map[string]any, 12)
@@ -238,6 +273,9 @@ func FuzzPlannedFind(f *testing.F) {
 		{"operation": "ACCEPT_BID", "refs": []any{"r1", "b1"}, "asset": map[string]any{"id": "r1"},
 			"metadata": map[string]any{"timestamp": 1700000000004.0}, "outputs": []any{}},
 		{"operation": "TRANSFER", "refs": []any{"b2", "b2"}, "asset": map[string]any{"id": "b2"}, "outputs": []any{map[string]any{"amount": nil}}},
+		{"owner": []any{"a0"}, "amount": 3.0, "spent": false},
+		{"owner": []any{"a0", "zz"}, "amount": 5.0, "spent": true},
+		{"owner": []any{"zz"}, "amount": 4.0, "spent": false},
 	}
 	for _, docs := range [][]map[string]any{diffDocs, chain, append(chain, diffDocs...)} {
 		var raw []byte
@@ -264,14 +302,12 @@ func FuzzPlannedFind(f *testing.F) {
 		bk := s.Backend()
 		c := s.Collection("docs")
 		indexes := fuzzIndexes()
-		paths := []string{"u", "missing"}
+		paths := []string{"u", "missing", "spent"}
 		var ordered []string
 		for _, ix := range indexes {
+			c.CreateIndexWhere(ix.path, ix.ordered, ix.where)
 			if ix.ordered {
-				c.CreateOrderedIndex(ix.path)
 				ordered = append(ordered, ix.path)
-			} else {
-				c.CreateIndex(ix.path)
 			}
 			paths = append(paths, ix.path)
 		}
@@ -305,11 +341,31 @@ func FuzzPlannedFind(f *testing.F) {
 		}
 		bk.SealBlock(2)
 		s.SweepIndexes()
+		for h := int64(3); h <= 4; h++ {
+			bk.BeginBlock(h)
+			for n := edits.next(len(docs) + 1); n > 0; n-- {
+				key := fmt.Sprintf("d%02d", edits.next(len(docs)))
+				flip, word := edits.next(3), fuzzWords[edits.next(len(fuzzWords))]
+				if err := c.Update(key, func(doc map[string]any) error {
+					if flip == 0 {
+						spent, _ := doc["spent"].(bool)
+						doc["spent"] = !spent
+					} else {
+						doc["operation"] = word
+					}
+					return nil
+				}); err != nil && !errors.As(err, new(*ErrNotFound)) {
+					t.Fatal(err)
+				}
+			}
+			bk.SealBlock(h)
+			s.SweepIndexes()
+		}
 
 		for i := 0; i < 8; i++ {
 			flt := prog.filter(paths, args, 2)
 			orderBy, desc, limit := ordered[prog.next(len(ordered))], prog.next(2) == 0, prog.next(4)
-			for _, h := range []int64{storage.HeightLatest, 1} {
+			for _, h := range []int64{storage.HeightLatest, 1, 2, 3} {
 				if got, want := c.findKeysAt(h, flt), c.scanKeysAt(h, flt); !slices.Equal(got, want) {
 					t.Fatalf("at height %d, plan %s found %q, the scan %q", h, c.Explain(flt), got, want)
 				}

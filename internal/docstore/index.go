@@ -18,17 +18,28 @@ import (
 // its visibility lifespans, so probes answer "which documents held
 // this value as of block height h". storage.HeightLatest probes the
 // current (writer-view) contents.
+//
+// An index may be partial: it holds a document only while the
+// document's current version matches the index's predicate (partial).
+// A document leaving the predicate at height h closes its postings at
+// h, exactly as a value change does, so reads below h still find it.
 type secondaryIndex interface {
 	// add / remove maintain the index for one document mutation at
-	// block height h. They are called under the collection's writer
-	// lock.
-	add(docKey string, doc map[string]any, h int64)
+	// block height h; a partial index skips a document its predicate
+	// does not match. They are called under the collection's writer
+	// lock. add reports whether the indexed path just turned multikey
+	// (only an ordered index tracks it; see orderedIndex.multikey).
+	add(docKey string, doc map[string]any, h int64) bool
 	remove(docKey string, doc map[string]any, h int64)
-	// unchanged reports that old and next reach the same values at the
-	// indexed path, so replacing one with the other needs no upkeep in
-	// this index: closing [b, h) and opening [h, ∞) shows every height
-	// exactly what leaving [b, ∞) alone does.
+	// unchanged reports that old and next are both outside a partial
+	// index's predicate, or both inside it and reaching the same values
+	// at the indexed path, so replacing one with the other needs no
+	// upkeep in this index: closing [b, h) and opening [h, ∞) shows
+	// every height exactly what leaving [b, ∞) alone does.
 	unchanged(old, next map[string]any) bool
+	// partial returns the predicate of a partial index, nil for an
+	// index over every document.
+	partial() *fieldFilter
 	// lookupEq returns the candidate document keys holding the value
 	// whose indexKey is key at the indexed path as of height h (a
 	// superset for multikey paths; callers re-apply the filter), each
@@ -55,28 +66,34 @@ type indexPath []string
 
 func splitPath(path string) indexPath { return strings.Split(path, ".") }
 
-// each calls fn with every value v reaches at the path. Arrays on the
-// way fan out to their map elements, like lookupPath (which is this
-// walk collected into a slice).
-func (p indexPath) each(v any, fn func(any)) {
+// some reports whether fn holds for a value v reaches at the path,
+// stopping at the first that does. Arrays on the way fan out to their
+// map elements, like MongoDB: each element is tried for the rest of
+// the path.
+func (p indexPath) some(v any, fn func(any) bool) bool {
 	if len(p) == 0 {
-		fn(v)
-		return
+		return fn(v)
 	}
 	switch x := v.(type) {
 	case map[string]any:
 		if child, ok := x[p[0]]; ok {
-			p[1:].each(child, fn)
+			return p[1:].some(child, fn)
 		}
 	case []any:
 		for _, e := range x {
 			if m, ok := e.(map[string]any); ok {
-				if child, ok := m[p[0]]; ok {
-					p[1:].each(child, fn)
+				if child, ok := m[p[0]]; ok && p[1:].some(child, fn) {
+					return true
 				}
 			}
 		}
 	}
+	return false
+}
+
+// each calls fn with every value v reaches at the path.
+func (p indexPath) each(v any, fn func(any)) {
+	p.some(v, func(x any) bool { fn(x); return false })
 }
 
 // scalars is each with the arrays it reaches fanned out to their
@@ -402,12 +419,15 @@ func (q *closedSpans) pop(floor int64) (closedSpan, bool) {
 }
 
 // indexCore is what the two index kinds share: the split path, the
-// lock, and the lifespan GC state. The index carries its own lock so
-// index-backed readers can answer candidate lookups without the
-// collection-wide lock — writers mutate it under the collection lock,
-// but a planned read never serializes behind them.
+// predicate, the lock, and the lifespan GC state. The index carries
+// its own lock so index-backed readers can answer candidate lookups
+// without the collection-wide lock — writers mutate it under the
+// collection lock, but a planned read never serializes behind them.
 type indexCore struct {
 	path indexPath
+	// where is a partial index's predicate, an Eq filter; nil indexes
+	// every document.
+	where *fieldFilter
 
 	mu     sync.RWMutex
 	closed closedSpans
@@ -420,7 +440,28 @@ type indexCore struct {
 	floor int64
 }
 
-func (c *indexCore) unchanged(old, next map[string]any) bool { return c.path.same(old, next) }
+// predicate compiles a partial index's Where into its Eq filter; the
+// zero Where is nil, a full index.
+func predicate(w Where) *fieldFilter {
+	if w.Path == "" {
+		return nil
+	}
+	return field(w.Path, opEq, normalize(w.Value))
+}
+
+// covers reports whether the index holds doc: always for a full index,
+// while its predicate matches for a partial one.
+func (c *indexCore) covers(doc map[string]any) bool { return c.where == nil || c.where.Matches(doc) }
+
+func (c *indexCore) partial() *fieldFilter { return c.where }
+
+func (c *indexCore) unchanged(old, next map[string]any) bool {
+	in := c.covers(old)
+	if in != c.covers(next) {
+		return false
+	}
+	return !in || c.path.same(old, next)
+}
 
 // retire disposes of the span that just closed at h under (indexKey,
 // docKey) in e: swept now if the floor already covers it, queued for
@@ -469,9 +510,9 @@ type hashIndex struct {
 	entries map[string]*idxEntry // indexKey -> value entry
 }
 
-func newHashIndex(path string) *hashIndex {
+func newHashIndex(path string, where Where) *hashIndex {
 	return &hashIndex{
-		indexCore: indexCore{path: splitPath(path)},
+		indexCore: indexCore{path: splitPath(path), where: predicate(where)},
 		entries:   make(map[string]*idxEntry),
 	}
 }
@@ -496,7 +537,10 @@ func indexKey(v any) (string, bool) {
 	return "", false
 }
 
-func (ix *hashIndex) add(docKey string, doc map[string]any, h int64) {
+func (ix *hashIndex) add(docKey string, doc map[string]any, h int64) bool {
+	if !ix.covers(doc) {
+		return false
+	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.path.scalars(doc, func(v any) {
@@ -511,9 +555,13 @@ func (ix *hashIndex) add(docKey string, doc map[string]any, h int64) {
 		}
 		e.open(docKey, h)
 	})
+	return false
 }
 
 func (ix *hashIndex) remove(docKey string, doc map[string]any, h int64) {
+	if !ix.covers(doc) {
+		return
+	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.path.scalars(doc, func(v any) {

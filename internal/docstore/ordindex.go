@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 )
 
 // orderedIndex is a sorted multikey index over one dot path: a skip
@@ -36,6 +37,13 @@ type orderedIndex struct {
 	byKey map[string]*ordNode // indexKey(value) -> node, for point lookups
 	size  int                 // open (value, document) pairs
 	rng   uint64              // deterministic xorshift state for levels
+	// multikey is set, for good, once any document the index holds
+	// reaches more than one value at the path (MongoDB's rule). Until
+	// then every document has at most one value there, so an And of
+	// comparisons on the path holds exactly for the documents whose
+	// value lies in the intersection of their ranges, and the planner
+	// compiles it to one bounded range.
+	multikey atomic.Bool
 }
 
 const ordMaxLevel = 16
@@ -117,10 +125,10 @@ func classFloor(class uint8) ordValue {
 	return ordValue{class: class}
 }
 
-func newOrderedIndex(path string) *orderedIndex {
+func newOrderedIndex(path string, where Where) *orderedIndex {
 	head := &ordNode{next: make([]*ordNode, ordMaxLevel)}
 	return &orderedIndex{
-		indexCore: indexCore{path: splitPath(path)},
+		indexCore: indexCore{path: splitPath(path), where: predicate(where)},
 		head:      head,
 		tail:      head,
 		byKey:     make(map[string]*ordNode),
@@ -165,15 +173,21 @@ func (ix *orderedIndex) seekGE(v ordValue) *ordNode {
 }
 
 // add indexes every scalar reached at the path, fanning arrays out to
-// their elements like a MongoDB multikey index.
-func (ix *orderedIndex) add(docKey string, doc map[string]any, h int64) {
+// their elements like a MongoDB multikey index, and reports whether
+// doc is the first to reach more than one.
+func (ix *orderedIndex) add(docKey string, doc map[string]any, h int64) bool {
+	if !ix.covers(doc) {
+		return false
+	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	values := 0
 	ix.path.scalars(doc, func(v any) {
 		k, ok := indexKey(v)
 		if !ok {
 			return
 		}
+		values++
 		n := ix.byKey[k]
 		if n == nil {
 			n = ix.link(k, v)
@@ -182,6 +196,7 @@ func (ix *orderedIndex) add(docKey string, doc map[string]any, h int64) {
 			ix.size++
 		}
 	})
+	return values > 1 && !ix.multikey.Swap(true)
 }
 
 // link inserts an empty node for the indexable scalar v (whose
@@ -209,6 +224,9 @@ func (ix *orderedIndex) link(k string, v any) *ordNode {
 }
 
 func (ix *orderedIndex) remove(docKey string, doc map[string]any, h int64) {
+	if !ix.covers(doc) {
+		return
+	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.path.scalars(doc, func(v any) {
@@ -293,12 +311,30 @@ func (ix *orderedIndex) containsDoc(key, docKey string, h int64) bool {
 }
 
 // ordRange is a planner-compiled range over one class of values:
-// lo/hi bounds (either side optional), inclusive or strict.
+// lo/hi bounds (either side optional), inclusive or strict — one
+// comparison, or an And of them on a single-valued path.
 type ordRange struct {
 	class              uint8
 	lo, hi             ordValue
 	hasLo, hasHi       bool
 	loStrict, hiStrict bool
+}
+
+// narrow tightens r by one comparison (OpGt, OpGte, OpLt or OpLte)
+// against v, a value of r's class.
+func (r *ordRange) narrow(op string, v ordValue) {
+	switch op {
+	case OpGt, OpGte:
+		strict := op == OpGt
+		if cmp := v.compare(r.lo); !r.hasLo || cmp > 0 || (cmp == 0 && strict) {
+			r.lo, r.hasLo, r.loStrict = v, true, strict
+		}
+	case OpLt, OpLte:
+		strict := op == OpLt
+		if cmp := v.compare(r.hi); !r.hasHi || cmp < 0 || (cmp == 0 && strict) {
+			r.hi, r.hasHi, r.hiStrict = v, true, strict
+		}
+	}
 }
 
 // empty reports a provably empty range (lo above hi).

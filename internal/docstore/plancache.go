@@ -21,10 +21,11 @@ import (
 // cache. Invalidation is per path: every entry is stamped with the sum
 // of the per-path DDL epochs over the paths its filter references, and
 // CreateIndex / CreateOrderedIndex / DropIndex bump only their own
-// path's epoch. Path epochs never decrease, so any DDL on a referenced
-// path strictly moves the sum and the entry misses — while shapes over
-// untouched paths stay warm across unrelated DDL instead of being
-// flushed wholesale.
+// path's epoch (and a partial index's predicate path's); an ordered
+// path's epoch also moves the moment it turns multikey. Path epochs
+// never decrease, so any DDL on a referenced path strictly moves the
+// sum and the entry misses — while shapes over untouched paths stay
+// warm across unrelated DDL instead of being flushed wholesale.
 
 // estTape carries selectivity estimates between a recording compile
 // and replaying ones. The leaf visit order is a pure function of the
@@ -148,11 +149,16 @@ var shapeScratchPool = sync.Pool{New: func() any {
 // appendShape serializes everything compile's control flow depends on:
 // node kinds, paths, operators, child counts, and each argument's
 // index class (indexKey scalar-ness and ordValueOf comparison class
-// are both functions of the class alone). Two filters with equal shape
-// keys compile to structurally identical plans modulo estimates. It
-// also collects every referenced dot-path into paths — the set the
+// are both functions of the class alone) — except on predPaths, the
+// paths partial indexes take their predicates on, where an Eq's
+// literal argument decides which partial indexes the filter may use:
+// there the key carries the literal itself, so Eq(spent, false) and
+// Eq(spent, true) are two shapes. Two filters with equal shape keys
+// compile to structurally identical plans modulo estimates (and the
+// multikey state of their paths, whose flips bump the path's epoch).
+// It also collects every referenced dot-path into paths — the set the
 // entry's per-path epoch stamp is computed over.
-func appendShape(dst []byte, paths []string, n Node) ([]byte, []string) {
+func appendShape(dst []byte, paths []string, n Node, predPaths map[string]bool) ([]byte, []string) {
 	switch n.Kind {
 	case KindField:
 		dst = append(dst, 'F')
@@ -160,6 +166,11 @@ func appendShape(dst []byte, paths []string, n Node) ([]byte, []string) {
 		dst = append(dst, 0)
 		dst = append(dst, n.Op...)
 		dst = append(dst, 0, argClass(n.Arg))
+		if n.Op == OpEq && predPaths[n.Path] {
+			k, _ := indexKey(n.Arg)
+			dst = binary.AppendUvarint(dst, uint64(len(k)))
+			dst = append(dst, k...)
+		}
 		dst = binary.AppendUvarint(dst, uint64(len(n.List)))
 		for _, a := range n.List {
 			dst = append(dst, argClass(a))
@@ -173,12 +184,12 @@ func appendShape(dst []byte, paths []string, n Node) ([]byte, []string) {
 		dst = append(dst, marker)
 		dst = binary.AppendUvarint(dst, uint64(len(n.Children)))
 		for _, ch := range n.Children {
-			dst, paths = appendShape(dst, paths, ch)
+			dst, paths = appendShape(dst, paths, ch, predPaths)
 		}
 	case KindNot:
 		dst = append(dst, '!')
 		for _, ch := range n.Children {
-			dst, paths = appendShape(dst, paths, ch)
+			dst, paths = appendShape(dst, paths, ch, predPaths)
 		}
 	case KindAll:
 		dst = append(dst, '*')

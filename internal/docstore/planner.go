@@ -2,6 +2,7 @@ package docstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -19,8 +20,10 @@ import (
 // Plan shapes:
 //
 //	point      an equality-class probe (Eq, Contains, In) on any index
-//	range      an ordered-index scan for Gt/Gte/Lt/Lte, confined to the
-//	           bound's comparison class (numbers or strings)
+//	range      an ordered-index scan for Gt/Gte/Lt/Lte — or for an And
+//	           of them on a single-valued path, between both bounds —
+//	           confined to the bound's comparison class (numbers or
+//	           strings)
 //	intersect  an AND of indexable children: the lowest-estimate child
 //	           drives (its candidates are materialized) and the others
 //	           shrink the set, by O(1) index probes where possible
@@ -32,11 +35,19 @@ import (
 // Candidate sets are supersets of the matching documents (multikey
 // indexes fan arrays out), so executors always re-apply the full
 // filter to each fetched document; correctness never depends on the
-// plan, only performance does. Notably, comparisons on one path are
-// NOT merged into a single bounded scan: with multikey values,
-// Gte(p,5) AND Lte(p,10) matches a document whose values are {3, 20},
-// which no [5,10] scan would surface — each comparison materializes
-// its own candidates and the intersection keeps the superset property.
+// plan, only performance does. Two rules keep candidate sets
+// supersets:
+//
+//   - A partial index (CreateIndexWhere) holds only the documents its
+//     predicate matches, so it serves a filter only when the filter's
+//     top-level And contains that predicate as an Eq; every other
+//     filter plans as if the path had no index.
+//   - Comparisons on one path merge into a single bounded range only
+//     while the path is single-valued (orderedIndex.multikey unset).
+//     On a multikey path they are NOT merged: Gte(p,5) AND Lte(p,10)
+//     matches a document whose values are {3, 20}, which no [5,10]
+//     scan would surface — each comparison materializes its own
+//     candidates and the intersection keeps the superset property.
 
 // AccessKind classifies one node of a compiled access plan.
 type AccessKind int
@@ -84,7 +95,7 @@ func (k AccessKind) metricName() string {
 type Access struct {
 	Kind     AccessKind
 	Path     string    // leaf: the indexed dot path
-	Op       string    // leaf: the operator (OpEq, OpIn, OpGt, ...)
+	Op       string    // point leaf: the operator (OpEq, OpIn, OpContains)
 	Detail   string    // leaf: rendered argument or range bounds
 	Reason   string    // AccessFullScan: why the planner gave up
 	Est      int       // estimated candidate count
@@ -97,6 +108,11 @@ type Access struct {
 	// intersect (its driving set is deduplicated) and none. Ranges,
 	// unions and many-key points may repeat a multikey document.
 	distinct bool
+	// where is the predicate of the partial index a leaf draws from
+	// (nil: a full index, or not a leaf): every candidate matches it.
+	where *fieldFilter
+	// arg is an Eq or Contains leaf's argument.
+	arg any
 }
 
 // FullScan reports whether executing this plan takes the collection
@@ -140,27 +156,34 @@ func (a *Access) String() string {
 // materialize/probe closures answer for whatever height the executor
 // passes, so one plan serves the writer view and snapshot reads alike.
 func (c *Collection) Plan(f Filter) *Access {
-	p := planner{idx: c.indexMap(), probes: c.obs().indexProbes}
 	n := Analyze(f)
+	p, ob := c.planner(n), c.obs()
 	sc := shapeScratchPool.Get().(*shapeScratch)
-	key, paths := appendShape(sc.key[:0], sc.paths[:0], n)
+	key, paths := appendShape(sc.key[:0], sc.paths[:0], n, p.predPaths)
 	stamp := c.plans.epochOf(paths)
-	ob := c.obs()
 	if vals, hit := c.plans.get(key, stamp); hit {
 		ob.planCacheHits.Inc()
 		p.tape = &estTape{vals: vals, replay: true}
-		a := p.compile(n)
-		sc.key, sc.paths = key, paths
-		shapeScratchPool.Put(sc)
-		return a
+	} else {
+		ob.planCacheMisses.Inc()
+		p.tape = &estTape{}
 	}
-	ob.planCacheMisses.Inc()
-	p.tape = &estTape{}
 	a := p.compile(n)
-	c.plans.put(key, paths, stamp, p.tape.vals)
+	if !p.tape.replay {
+		c.plans.put(key, paths, stamp, p.tape.vals)
+	}
 	sc.key, sc.paths = key, paths
 	shapeScratchPool.Put(sc)
+	if ob.indexUses != nil {
+		ob.countUses(a)
+	}
 	return a
+}
+
+// planner starts a compile of n against the current indexes.
+func (c *Collection) planner(n Node) planner {
+	set, ob := c.indexes.Load(), c.obs()
+	return planner{idx: set.byPath, predPaths: set.predPaths, root: n, probes: ob.indexProbes, candidates: ob.candidates}
 }
 
 // Explain renders the access plan with live selectivity estimates —
@@ -182,9 +205,10 @@ func (c *Collection) Plan(f Filter) *Access {
 // set never differs.
 func (c *Collection) Explain(f Filter) string {
 	n := Analyze(f)
-	p := planner{idx: c.indexMap(), probes: c.obs().indexProbes, tape: &estTape{}}
+	p := c.planner(n)
+	p.tape = &estTape{}
 	sc := shapeScratchPool.Get().(*shapeScratch)
-	key, paths := appendShape(sc.key[:0], sc.paths[:0], n)
+	key, paths := appendShape(sc.key[:0], sc.paths[:0], n, p.predPaths)
 	stamp := c.plans.epochOf(paths)
 	a := p.compile(n)
 	c.plans.put(key, paths, stamp, p.tape.vals)
@@ -195,12 +219,50 @@ func (c *Collection) Explain(f Filter) string {
 
 type planner struct {
 	idx map[string]secondaryIndex
+	// predPaths are the paths the collection's partial indexes take
+	// their predicates on; root is the filter being compiled, whose
+	// top-level conjuncts decide which partial indexes may serve it.
+	predPaths map[string]bool
+	root      Node
 	// probes counts executed index lookups and membership probes
-	// (docstore.index_probes); nil is a no-op handle.
-	probes *obs.Counter
+	// (docstore.index_probes), candidates the keys the plan's leaves
+	// materialise (docstore.candidates); nil is a no-op handle.
+	probes, candidates *obs.Counter
 	// tape records or replays leaf selectivity estimates for the
 	// prepared-plan cache; nil computes them directly.
 	tape *estTape
+}
+
+// index returns the index the filter may use on path. A partial index
+// serves only a filter that implies its predicate: for any other, the
+// documents outside the predicate — which the filter may match — are
+// not in it. Otherwise it reports why not.
+func (p planner) index(path string) (secondaryIndex, string) {
+	ix, ok := p.idx[path]
+	if !ok {
+		return nil, fmt.Sprintf("no index on %q", path)
+	}
+	if w := ix.partial(); w != nil && !implies(p.root, w) {
+		return nil, fmt.Sprintf("partial index on %q needs %s == %s", path, w.path, renderArg(w.arg))
+	}
+	return ix, ""
+}
+
+// implies reports whether every document n matches also matches the
+// predicate w, an Eq: n's top-level conjuncts (an And's children, a
+// nested And's flattened, or n itself) include w.
+func implies(n Node, w *fieldFilter) bool {
+	switch n.Kind {
+	case KindField:
+		return n.Op == OpEq && n.Path == w.path && valuesEqual(n.Arg, w.arg)
+	case KindAnd:
+		for _, ch := range n.Children {
+			if implies(ch, w) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func fullScan(reason string) *Access { return &Access{Kind: AccessFullScan, Reason: reason} }
@@ -232,8 +294,8 @@ func (p planner) compileField(n Node) *Access {
 	if n.Op == OpNever {
 		return noneAccess()
 	}
-	ix, indexed := p.idx[n.Path]
-	if !indexed {
+	ix, why := p.index(n.Path)
+	if ix == nil {
 		// Comparisons against non-comparable arguments match nothing
 		// regardless of any index: compareValues only relates numbers
 		// to numbers and strings to strings.
@@ -243,7 +305,7 @@ func (p planner) compileField(n Node) *Access {
 		if n.Op == OpIn && len(n.List) == 0 {
 			return noneAccess()
 		}
-		return fullScan(fmt.Sprintf("no index on %q", n.Path))
+		return fullScan(why)
 	}
 	switch n.Op {
 	case OpEq, OpContains:
@@ -251,7 +313,9 @@ func (p planner) compileField(n Node) *Access {
 		if !ok {
 			return fullScan(fmt.Sprintf("non-scalar %s argument on %q", n.Op, n.Path))
 		}
-		return p.pointAccess(ix, n.Path, n.Op, renderArg(n.Arg), []string{k})
+		a := p.pointAccess(ix, n.Path, n.Op, renderArg(n.Arg), []string{k})
+		a.arg = n.Arg
+		return a
 	case OpIn:
 		if len(n.List) == 0 {
 			return noneAccess()
@@ -266,7 +330,19 @@ func (p planner) compileField(n Node) *Access {
 		}
 		return p.pointAccess(ix, n.Path, n.Op, fmt.Sprintf("%d values", len(n.List)), keys)
 	case OpGt, OpGte, OpLt, OpLte:
-		return p.rangeAccess(ix, n)
+		ov, ok := ordValueOf(n.Arg)
+		if !ok || (ov.class != ordClassNumber && ov.class != ordClassString) {
+			// The comparison can never hold (wrong class), whatever the
+			// index could answer.
+			return noneAccess()
+		}
+		ord, isOrdered := ix.(*orderedIndex)
+		if !isOrdered {
+			return fullScan(fmt.Sprintf("hash index on %q cannot answer %s", n.Path, n.Op))
+		}
+		r := ordRange{class: ov.class}
+		r.narrow(n.Op, ov)
+		return p.rangeAccess(ord, n.Path, r)
 	case OpContainsAll:
 		// Candidates must hold every element, so the point probes
 		// intersect — a superset even for elements spread across
@@ -299,17 +375,19 @@ func (p planner) pointAccess(ix secondaryIndex, path, op, detail string, keys []
 		}
 		return sum
 	})
-	probes := p.probes
-	a := &Access{Kind: AccessPoint, Path: path, Op: op, Detail: detail, Est: est, distinct: len(keys) == 1}
+	probes, candidates := p.probes, p.candidates
+	a := &Access{Kind: AccessPoint, Path: path, Op: op, Detail: detail, Est: est, distinct: len(keys) == 1, where: ix.partial()}
 	a.materialize = func(h int64) []string {
 		probes.Add(uint64(len(keys)))
-		if len(keys) == 1 {
-			return ix.lookupEq(keys[0], h)
-		}
 		var out []string
-		for _, k := range keys {
-			out = append(out, ix.lookupEq(k, h)...)
+		if len(keys) == 1 {
+			out = ix.lookupEq(keys[0], h)
+		} else {
+			for _, k := range keys {
+				out = append(out, ix.lookupEq(k, h)...)
+			}
 		}
+		candidates.Add(uint64(len(out)))
 		return out
 	}
 	a.probe = func(docKey string, h int64) bool {
@@ -324,36 +402,74 @@ func (p planner) pointAccess(ix secondaryIndex, path, op, detail string, keys []
 	return a
 }
 
-func (p planner) rangeAccess(ix secondaryIndex, n Node) *Access {
-	ov, ok := ordValueOf(n.Arg)
-	if !ok || (ov.class != ordClassNumber && ov.class != ordClassString) {
-		// The comparison can never hold (wrong class), whatever the
-		// index could answer.
+// rangeAccess builds a range leaf walking ord between r's bounds.
+func (p planner) rangeAccess(ord *orderedIndex, path string, r ordRange) *Access {
+	if r.empty() {
 		return noneAccess()
 	}
-	ord, isOrdered := ix.(*orderedIndex)
-	if !isOrdered {
-		return fullScan(fmt.Sprintf("hash index on %q cannot answer %s", n.Path, n.Op))
+	candidates := p.candidates
+	a := &Access{Kind: AccessRange, Path: path, Detail: r.String(), Est: p.tape.est(func() int { return ord.estimateRange(r) }), where: ord.where}
+	a.materialize = func(h int64) []string {
+		out := ord.lookupRange(r, h)
+		candidates.Add(uint64(len(out)))
+		return out
 	}
-	r := ordRange{class: ov.class}
-	switch n.Op {
-	case OpGt:
-		r.lo, r.hasLo, r.loStrict = ov, true, true
-	case OpGte:
-		r.lo, r.hasLo = ov, true
-	case OpLt:
-		r.hi, r.hasHi, r.hiStrict = ov, true, true
-	case OpLte:
-		r.hi, r.hasHi = ov, true
-	}
-	a := &Access{Kind: AccessRange, Path: n.Path, Op: n.Op, Detail: r.String(), Est: p.tape.est(func() int { return ord.estimateRange(r) })}
-	a.materialize = func(h int64) []string { return ord.lookupRange(r, h) }
 	return a
 }
 
+// band is the comparisons an And holds on one single-valued ordered
+// path, merged into one range. never marks two comparisons of
+// different classes: no single value satisfies both.
+type band struct {
+	path  string
+	ix    *orderedIndex
+	r     ordRange
+	never bool
+}
+
+// bandable reports the ordered index a comparison n narrows as one
+// band: an index the filter may use, on a path no document reaches
+// twice. A comparison against a value no document value compares with
+// is never bandable; it compiles to none on its own.
+func (p planner) bandable(n Node) (*orderedIndex, ordValue, bool) {
+	if n.Kind != KindField || !isComparison(n.Op) {
+		return nil, ordValue{}, false
+	}
+	ix, _ := p.index(n.Path)
+	ord, ok := ix.(*orderedIndex)
+	if !ok || ord.multikey.Load() {
+		return nil, ordValue{}, false
+	}
+	ov, ok := ordValueOf(n.Arg)
+	if !ok || (ov.class != ordClassNumber && ov.class != ordClassString) {
+		return nil, ordValue{}, false
+	}
+	return ord, ov, true
+}
+
+// compileAnd intersects the indexable conjuncts. Comparisons on a
+// single-valued ordered path merge into one bounded range first: with
+// one value per document, Gte(p, 5) ∧ Lte(p, 10) holds exactly for the
+// values in [5, 10]. (On a multikey path it does not — a document
+// reaching {3, 20} satisfies both — so each comparison there stays its
+// own range and the intersection keeps the superset property.)
 func (p planner) compileAnd(children []Node) *Access {
 	indexable := make([]*Access, 0, len(children))
+	var bands []band
 	for _, ch := range children {
+		if ord, ov, ok := p.bandable(ch); ok {
+			i := slices.IndexFunc(bands, func(b band) bool { return b.path == ch.Path })
+			if i < 0 {
+				bands = append(bands, band{path: ch.Path, ix: ord, r: ordRange{class: ov.class}})
+				i = len(bands) - 1
+			}
+			if b := &bands[i]; b.r.class != ov.class {
+				b.never = true
+			} else {
+				b.r.narrow(ch.Op, ov)
+			}
+			continue
+		}
 		a := p.compile(ch)
 		switch a.Kind {
 		case AccessNone:
@@ -363,14 +479,51 @@ func (p planner) compileAnd(children []Node) *Access {
 			// Unindexable conjuncts are pruned: the residual filter
 			// re-checks them on every candidate anyway.
 			continue
-		default:
-			indexable = append(indexable, a)
+		}
+		indexable = append(indexable, a)
+	}
+	for _, b := range bands {
+		a := noneAccess()
+		if !b.never {
+			a = p.rangeAccess(b.ix, b.path, b.r)
+		}
+		if a.Kind == AccessNone {
+			return a
+		}
+		indexable = append(indexable, a)
+	}
+	// A conjunct that is the predicate of a partial index a sibling
+	// draws from holds for every candidate that sibling yields: probing
+	// its own index for it is wasted work, so it goes to the residual
+	// filter. Only a sibling not dropped before it can justify a drop,
+	// so the last leaf standing is always kept.
+	kept := indexable[:0]
+	for i, a := range indexable {
+		if !impliedBySibling(a, kept, indexable[i+1:]) {
+			kept = append(kept, a)
 		}
 	}
-	if len(indexable) == 0 {
+	if len(kept) == 0 {
 		return fullScan("no indexed conjunct")
 	}
-	return intersectAccess(indexable)
+	return intersectAccess(kept)
+}
+
+// impliedBySibling reports whether a probes for the predicate of a
+// partial index that a sibling leaf draws from: one kept so far, or
+// one still to be considered.
+func impliedBySibling(a *Access, kept, later []*Access) bool {
+	if a.Kind != AccessPoint || a.Op != OpEq {
+		return false
+	}
+	for _, sibs := range [2][]*Access{kept, later} {
+		for _, s := range sibs {
+			if w := s.where; w != nil && w.path == a.Path && valuesEqual(a.arg, w.arg) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 func intersectAccess(children []*Access) *Access {

@@ -218,6 +218,7 @@ type diffPath struct {
 	path    string
 	ordered bool
 	domain  []any
+	where   Where
 }
 
 func diffPaths() []diffPath {
@@ -236,14 +237,14 @@ func diffPaths() []diffPath {
 		return out
 	}
 	return []diffPath{
-		{"a", false, strs("a")},
-		{"n", true, nums(6)},
-		{"tags", false, strs("t")},
-		{"nums", true, nums(6)},
-		{"sub.x", true, nums(6)},
+		{path: "a", domain: strs("a")},
+		{path: "n", ordered: true, domain: nums(6)},
+		{path: "tags", domain: strs("t")},
+		{path: "nums", ordered: true, domain: nums(6)},
+		{path: "sub.x", ordered: true, domain: nums(6)},
 		// Nearly unique, like a timestamp: most values hold one
 		// document, and now and then two collide.
-		{"ts", true, nums(64)},
+		{path: "ts", ordered: true, domain: nums(64)},
 	}
 }
 

@@ -3,6 +3,7 @@ package ledger
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"strconv"
 	"testing"
 
@@ -279,15 +280,51 @@ func BenchmarkInsertDoc(b *testing.B) {
 	}
 }
 
-// BenchmarkMarkSpent seals one spent mark: a copy of the UTXO record's
-// top level, the new version, and the one index (of four) the mark
-// moves.
+// BenchmarkMarkSpent seals one spent mark of a fresh unspent output: a
+// copy of the UTXO record's top level, the new version, and the
+// postings it closes in the three indexes over unspent outputs. The
+// outputs — copies of a committed UTXO record — are minted untimed, a
+// block of them at a time, and each block's spent outputs are deleted
+// when the next is minted, so the state stays one size however long
+// the benchmark runs. The marks run inside a block, as a commit's do.
 func BenchmarkMarkSpent(b *testing.B) {
 	v, transfer4, _ := shapeState(b)
-	st := &stagedTx{ops: []stagedOp{{kind: opMarkSpent, key: utxoKey(*transfer4.Inputs[3].Fulfills), spender: transfer4.ID}}}
+	s, bk := v.s, v.s.store.Backend()
+	utxos := s.store.Collection(ColUTXOs)
+	record, _ := utxos.Borrow(utxoKey(txn.OutputRef{TxID: transfer4.ID, Index: 0}))
+	const batch = 1024
+	keys := make([]string, batch)
+	height := s.Height()
+	mint := func(round int) {
+		height++
+		bk.BeginBlock(height)
+		for i := range keys {
+			if keys[i] != "" {
+				if err := utxos.Delete(keys[i]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			doc := maps.Clone(record)
+			doc["transaction_id"], doc["output_index"] = fmt.Sprint("mint-", round), float64(i)
+			keys[i] = utxoKey(txn.OutputRef{TxID: doc["transaction_id"].(string), Index: i})
+			if err := utxos.Insert(keys[i], doc); err != nil {
+				b.Fatal(err)
+			}
+		}
+		bk.SealBlock(height)
+		s.store.SweepIndexes()
+		height++
+		bk.BeginBlock(height)
+	}
 	b.ReportAllocs()
-	for b.Loop() {
-		if err := v.s.sealTx(st); err != nil {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%batch == 0 {
+			b.StopTimer()
+			mint(i / batch)
+			b.StartTimer()
+		}
+		if err := s.sealTx(&stagedTx{ops: []stagedOp{{kind: opMarkSpent, key: keys[i%batch], spender: transfer4.ID}}}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,9 @@
 package ledger
 
-import "smartchaindb/internal/docstore"
+import (
+	"smartchaindb/internal/docstore"
+	"smartchaindb/internal/txn"
+)
 
 // IndexSpec declares one secondary index on a chain-state collection.
 type IndexSpec struct {
@@ -9,43 +12,52 @@ type IndexSpec struct {
 	// Ordered selects a sorted multikey index (range scans, ordered
 	// iteration) instead of a hash index (equality probes only).
 	Ordered bool
+	// Where makes the index partial: it holds only the documents whose
+	// Where.Path equals Where.Value, and serves only the filters that
+	// say so (docstore.Collection.CreateIndexWhere). The zero Where
+	// indexes every document.
+	Where docstore.Where
 }
 
 // ChainIndexes is the chain state's index registry: the declarative
 // list NewStateWith applies when a state opens — including a disk
 // reopen, where every index is rebuilt from the documents recovered by
-// WAL replay (secondary indexes are never persisted). The hot read
-// paths it covers:
+// WAL replay (secondary indexes are never persisted). Each entry exists
+// for the readers named beside it, and indexes only what they can ask
+// for (internal/query's TestEveryIndexHasAReader holds the two lists
+// equal):
 //
 //   - transactions.operation / refs: the validator queries
-//     (getAcceptTxForRFQ, getLockedBids) and every per-operation
-//     marketplace rollup — their conjunction is an index intersection.
-//   - transactions.asset.data.capabilities: the paper's motivating
-//     "open requests demanding a capability" query.
-//   - transactions.metadata.timestamp (ordered): recency queries —
-//     most-recent open requests first.
-//   - transactions.outputs.amount (ordered): price-band queries over
-//     escrowed bid amounts.
-//   - utxos.owner / asset_id: balance, holder, and unspent-output
-//     lookups.
-//   - utxos.spent (ordered) and utxos.amount (ordered): the spent-set
-//     screens of block validation and value-band analytics.
-//   - assets.operation / data.capabilities: provider-side asset
-//     discovery.
+//     (AcceptForRFQ, LockedBidsForRFQ) and every per-operation
+//     rollup — their conjunction is an index intersection.
+//   - transactions.asset.data.capabilities and, ordered,
+//     metadata.timestamp, both over REQUESTs only: the paper's
+//     motivating "open requests demanding a capability" query and the
+//     most-recent open requests feed.
+//   - transactions.outputs.amount (ordered) and inputs.owners_before,
+//     both over BIDs only: price bands over escrowed bid amounts, and
+//     the bids an account placed.
+//   - utxos.owner / asset_id and, ordered, amount, all over unspent
+//     outputs only: balances, holders, an owner's unspent outputs and
+//     value bands. A spent output leaves all three at the height it is
+//     spent, and the index sweep retires it once no retained snapshot
+//     can see it.
+//   - assets.data.capabilities, over CREATEd assets only:
+//     provider-side asset discovery.
 func ChainIndexes() []IndexSpec {
+	unspent := docstore.Where{Path: "spent", Value: false}
+	op := func(operation string) docstore.Where { return docstore.Where{Path: "operation", Value: operation} }
 	return []IndexSpec{
 		{Collection: ColTransactions, Path: "operation"},
 		{Collection: ColTransactions, Path: "refs"},
-		{Collection: ColTransactions, Path: "asset.id"},
-		{Collection: ColTransactions, Path: "asset.data.capabilities"},
-		{Collection: ColTransactions, Path: "metadata.timestamp", Ordered: true},
-		{Collection: ColTransactions, Path: "outputs.amount", Ordered: true},
-		{Collection: ColUTXOs, Path: "owner"},
-		{Collection: ColUTXOs, Path: "asset_id"},
-		{Collection: ColUTXOs, Path: "spent", Ordered: true},
-		{Collection: ColUTXOs, Path: "amount", Ordered: true},
-		{Collection: ColAssets, Path: "operation"},
-		{Collection: ColAssets, Path: "data.capabilities"},
+		{Collection: ColTransactions, Path: "asset.data.capabilities", Where: op(txn.OpRequest)},
+		{Collection: ColTransactions, Path: "metadata.timestamp", Ordered: true, Where: op(txn.OpRequest)},
+		{Collection: ColTransactions, Path: "outputs.amount", Ordered: true, Where: op(txn.OpBid)},
+		{Collection: ColTransactions, Path: "inputs.owners_before", Where: op(txn.OpBid)},
+		{Collection: ColUTXOs, Path: "owner", Where: unspent},
+		{Collection: ColUTXOs, Path: "asset_id", Where: unspent},
+		{Collection: ColUTXOs, Path: "amount", Ordered: true, Where: unspent},
+		{Collection: ColAssets, Path: "data.capabilities", Where: op(txn.OpCreate)},
 	}
 }
 
@@ -54,11 +66,6 @@ func ChainIndexes() []IndexSpec {
 // a disk recovery.
 func applyIndexes(store *docstore.Store, specs []IndexSpec) {
 	for _, spec := range specs {
-		c := store.Collection(spec.Collection)
-		if spec.Ordered {
-			c.CreateOrderedIndex(spec.Path)
-		} else {
-			c.CreateIndex(spec.Path)
-		}
+		store.Collection(spec.Collection).CreateIndexWhere(spec.Path, spec.Ordered, spec.Where)
 	}
 }

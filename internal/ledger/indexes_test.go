@@ -7,6 +7,7 @@ import (
 
 	"smartchaindb/internal/docstore"
 	"smartchaindb/internal/keys"
+	"smartchaindb/internal/obs"
 	"smartchaindb/internal/storage"
 	"smartchaindb/internal/txn"
 	"smartchaindb/internal/workload"
@@ -14,7 +15,9 @@ import (
 
 // hotPathFilters are the validator and marketplace query shapes the
 // registry exists for; each must compile to a planned access on a
-// fresh state and on a reopened one.
+// fresh state and on a reopened one. (internal/query's
+// TestEveryIndexHasAReader holds the readers themselves to the
+// registry.)
 func hotPathFilters(rfqID, owner string) map[string]struct {
 	col    string
 	filter docstore.Filter
@@ -36,6 +39,9 @@ func hotPathFilters(rfqID, owner string) map[string]struct {
 			docstore.Eq("operation", txn.OpBid),
 			docstore.Gte("outputs.amount", 1),
 			docstore.Lte("outputs.amount", 2))},
+		"bids-by-account": {ColTransactions, docstore.And(
+			docstore.Eq("operation", txn.OpBid),
+			docstore.Eq("inputs.owners_before", owner))},
 		"unspent-by-owner": {ColUTXOs, docstore.And(
 			docstore.Eq("owner", owner),
 			docstore.Eq("spent", false))},
@@ -61,7 +67,10 @@ func TestChainIndexRegistryPlansHotPaths(t *testing.T) {
 // TestChainIndexesRebuiltOnReopen commits a marketplace workload on
 // the disk engine, reopens it, and checks the registry rebuilt every
 // index over the WAL-recovered documents: identical planned results
-// and plans, and an intact ordered recency walk.
+// and plans, and an intact ordered recency walk over the REQUESTs the
+// timestamp index holds — walked off the index, not a scan. A recency
+// walk over the BIDs, which that index does not hold, falls back to the
+// scan and agrees across the reopen too.
 func TestChainIndexesRebuiltOnReopen(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *State {
@@ -96,10 +105,20 @@ func TestChainIndexesRebuiltOnReopen(t *testing.T) {
 			t.Fatalf("%s not planned before reopen: %s", name, plans[name])
 		}
 	}
-	wantRecent := state.Store().Collection(ColTransactions).FindOrdered(
-		docstore.Eq("operation", txn.OpBid), "metadata.timestamp", true, 0)
-	if len(wantRecent) != 3 {
-		t.Fatalf("recency walk found %d bids, want 3", len(wantRecent))
+	reg := obs.New()
+	recent := func(s *State, op string) []map[string]any {
+		t.Helper()
+		s.Store().SetObs(reg)
+		scans := reg.Counter("docstore.full_scans").Value()
+		docs := s.Store().Collection(ColTransactions).FindOrdered(docstore.Eq("operation", op), "metadata.timestamp", true, 0)
+		if scanned := reg.Counter("docstore.full_scans").Value() != scans; scanned != (op != txn.OpRequest) {
+			t.Errorf("recency walk over %s scanned the collection: %v", op, scanned)
+		}
+		return docs
+	}
+	wantRecent, wantBids := recent(state, txn.OpRequest), recent(state, txn.OpBid)
+	if len(wantRecent) != 1 || len(wantBids) != 3 {
+		t.Fatalf("recency walks found %d requests and %d bids, want 1 and 3", len(wantRecent), len(wantBids))
 	}
 	wantHeight := state.Height()
 	if err := state.Close(); err != nil {
@@ -120,9 +139,11 @@ func TestChainIndexesRebuiltOnReopen(t *testing.T) {
 			t.Errorf("%s results changed across reopen (%d vs %d docs)", name, len(got), len(want[name]))
 		}
 	}
-	if got := state2.Store().Collection(ColTransactions).FindOrdered(
-		docstore.Eq("operation", txn.OpBid), "metadata.timestamp", true, 0); !reflect.DeepEqual(got, wantRecent) {
+	if got := recent(state2, txn.OpRequest); !reflect.DeepEqual(got, wantRecent) {
 		t.Error("ordered recency walk changed across reopen")
+	}
+	if got := recent(state2, txn.OpBid); !reflect.DeepEqual(got, wantBids) {
+		t.Error("recency walk over bids changed across reopen")
 	}
 	// And the rebuilt indexes keep following new commits.
 	g2 := gen.NewAuctionGroup(50, workload.AuctionGroupSpec{BiddersPerAuction: 2})
@@ -130,8 +151,8 @@ func TestChainIndexesRebuiltOnReopen(t *testing.T) {
 		append([]*txn.Transaction{g2.Request}, g2.Creates...)); err != nil || len(skipped) != 0 {
 		t.Fatalf("post-reopen commit: err=%v skipped=%v", err, skipped)
 	}
-	reqs := state2.Store().Collection(ColTransactions).Find(docstore.Eq("operation", txn.OpRequest))
-	if len(reqs) != 2 {
-		t.Errorf("requests after post-reopen commit = %d, want 2", len(reqs))
+	reqs := recent(state2, txn.OpRequest)
+	if len(reqs) != 2 || reqs[0]["id"] != g2.Request.ID {
+		t.Errorf("recency walk after post-reopen commit = %d requests, want 2, the new one first", len(reqs))
 	}
 }

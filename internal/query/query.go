@@ -9,10 +9,13 @@
 // the ledger's index registry (ledger.ChainIndexes): candidate sets
 // come from index points, ordered-index range scans, intersections,
 // and unions — never a collection-lock full scan on the transactions,
-// UTXO, or asset collections. The open-requests anti-join is an
-// indexed difference (all REQUESTs minus the RFQ ids the committed
-// ACCEPT_BIDs reference) instead of a per-RFQ probe loop, and the
-// recency/price-band queries stream off the ordered timestamp and
+// UTXO, or asset collections. Most of those indexes are partial: they
+// hold only the REQUESTs, BIDs, CREATEd assets or unspent outputs their
+// readers ask about, and each reader's filter names that predicate,
+// which is what lets the planner use them. The open-requests anti-join
+// is an indexed difference (all REQUESTs minus the RFQ ids the
+// committed ACCEPT_BIDs reference) instead of a per-RFQ probe loop, and
+// the recency/price-band queries stream off the ordered timestamp and
 // amount indexes.
 //
 // Each call pins one MVCC snapshot of the last sealed block
@@ -148,7 +151,7 @@ func (e *Engine) OpenRequests() []*txn.Transaction {
 // OpenRequestsWithCapability filters open requests by one required
 // capability — the motivating query of the paper's introduction, posed
 // by a manufacturing provider looking for work. The capability index
-// intersects with the operation index before any document is fetched.
+// holds REQUESTs only, so it answers alone.
 func (e *Engine) OpenRequestsWithCapability(capability string) []*txn.Transaction {
 	defer e.timed("open_requests_with_capability")()
 	v := e.view()
@@ -159,8 +162,9 @@ func (e *Engine) OpenRequestsWithCapability(capability string) []*txn.Transactio
 
 // RecentOpenRequests lists up to limit open requests, most recently
 // submitted first (by the client-stamped metadata.timestamp), streamed
-// off the ordered timestamp index — the "what just arrived?" feed a
-// provider polls. Requests without a timestamp are not listed.
+// off the ordered timestamp index over REQUESTs — the "what just
+// arrived?" feed a provider polls. Requests without a timestamp are not
+// listed.
 func (e *Engine) RecentOpenRequests(limit int) []*txn.Transaction {
 	defer e.timed("recent_open_requests")()
 	v := e.view()
@@ -180,7 +184,8 @@ func (e *Engine) BidsForRequest(rfqID string) []*txn.Transaction {
 }
 
 // BidsByAccount lists the BIDs a given account has placed (its inputs
-// carry the account as owner-before).
+// carry the account as owner-before) — one probe of the owners-before
+// index over BIDs.
 func (e *Engine) BidsByAccount(pub string) []*txn.Transaction {
 	defer e.timed("bids_by_account")()
 	return txsFromDocs(transactions(e.view()).BorrowFind(docstore.And(
@@ -190,9 +195,9 @@ func (e *Engine) BidsByAccount(pub string) []*txn.Transaction {
 }
 
 // BidsInPriceBand lists committed BIDs escrowing an amount within
-// [lo, hi] — an ordered-index range scan over outputs.amount
-// intersected with the operation index, the price-discovery query a
-// requester runs before accepting.
+// [lo, hi] — one bounded range scan of the ordered outputs.amount index
+// over BIDs, the price-discovery query a requester runs before
+// accepting.
 func (e *Engine) BidsInPriceBand(lo, hi uint64) []*txn.Transaction {
 	defer e.timed("bids_in_price_band")()
 	return txsFromDocs(transactions(e.view()).BorrowFind(docstore.And(
@@ -276,7 +281,7 @@ func (e *Engine) AssetProvenance(assetID string) []ProvenanceStep {
 }
 
 // HolderOf reports who currently holds unspent shares of an asset —
-// the asset-id index intersected with the unspent set.
+// one probe of the asset-id index over unspent outputs.
 func (e *Engine) HolderOf(assetID string) map[string]uint64 {
 	defer e.timed("holder_of")()
 	docs := utxos(e.view()).BorrowFind(docstore.And(
@@ -297,8 +302,8 @@ func (e *Engine) HolderOf(assetID string) map[string]uint64 {
 }
 
 // HoldingsInBand lists the unspent outputs whose amount lies within
-// [lo, hi] — the value-band analytics sweep over the ordered amount
-// index, intersected with the unspent set.
+// [lo, hi] — one bounded range scan of the ordered amount index over
+// unspent outputs.
 func (e *Engine) HoldingsInBand(lo, hi uint64) []txn.OutputRef {
 	defer e.timed("holdings_in_band")()
 	docs := utxos(e.view()).BorrowFind(docstore.And(
@@ -317,7 +322,7 @@ func (e *Engine) HoldingsInBand(lo, hi uint64) []txn.OutputRef {
 
 // AssetsWithCapability finds registered assets advertising a
 // capability — the provider-side discovery query, driven by the
-// capability index on the asset collection.
+// capability index over the CREATEd assets.
 func (e *Engine) AssetsWithCapability(capability string) []string {
 	defer e.timed("assets_with_capability")()
 	docs := e.view().Collection(ledger.ColAssets).BorrowFind(docstore.And(
