@@ -60,7 +60,12 @@ test-bench:
 # choices past the end of
 # an input come from a generator the input seeds, so every byte moves
 # its coverage and minimising an input rarely converges — each attempt
-# is capped at a second. A failing input is written under the
+# is capped at a second. FuzzDecodePrepared: on a PREPARE record read
+# back from the 2PC log (the home and participant shares of the
+# workload generators' transactions, fields rewritten by an edit
+# program), ledger.DecodePrepared never panics, and what it accepts
+# renders and decodes again to the same ops, each carrying what its
+# seal needs. A failing input is written under the
 # package's testdata/fuzz/ and then runs as a plain test — commit it
 # with the fix.
 FUZZTIME ?= 60s
@@ -72,6 +77,7 @@ fuzz:
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzLoadSegment$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzReadManifest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/docstore -run '^$$' -fuzz '^FuzzPlannedFind$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/ledger -run '^$$' -fuzz '^FuzzDecodePrepared$$' -fuzztime $(FUZZTIME)
 
 # Per-call cost of the primitives a transaction passes through between
 # admission and the log — codec, footprint, committed-state reads,
@@ -79,8 +85,10 @@ fuzz:
 # (encode, frame, write; no fsync) — over the two shapes the repo
 # benchmark streams (a 4-input TRANSFER, a CREATE with 1 KiB of
 # metadata), plus the checkpoint fold of 128 such blocks, the docstore
-# Insert of each shape's document and one sealed spent mark of a fresh
-# output. Their
+# Insert of each shape's document, one sealed spent mark of a fresh
+# output (its marker, version and closed postings) and one 4-input
+# TRANSFER committed over 64 k outputs (SpendFanIn: one marker for four
+# spent keys). Their
 # allocation counts are pinned by unit tests (Test*Allocation*); this
 # prints the bytes and the time. README "Transaction codec and document
 # ownership" has the table.
@@ -94,7 +102,7 @@ fuzz:
 # the validator's locked-bid find; TestIndexPostingBytes and
 # TestPlannedIntersectAllocations pin them.
 bench-alloc:
-	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage ./internal/docstore -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|MarshalCanonicalCold|OutputRefString|FootprintOf|StateView|InsertDoc|MarkSpent|StageBlock|SealOneTxBlock|CommitTransferChain|EncodableDoc|GroupCommit|Fold|IndexInsert|PlannedIntersect'
+	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage ./internal/docstore -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|MarshalCanonicalCold|OutputRefString|FootprintOf|StateView|InsertDoc|MarkSpent|SpendFanIn|StageBlock|SealOneTxBlock|CommitTransferChain|EncodableDoc|GroupCommit|Fold|IndexInsert|PlannedIntersect'
 
 # The tier-1 suites that touch chain state (ledger, server/cluster,
 # nested recovery, bench differential, query) re-run over the disk

@@ -367,10 +367,10 @@ func (c *Collection) add(path string, idx secondaryIndex, key string, doc map[st
 }
 
 // Upsert stores doc under key, replacing any existing document. Like
-// Insert, it takes ownership of doc.
+// Insert, it takes ownership of doc, and refuses the empty key.
 func (c *Collection) Upsert(key string, doc map[string]any) error {
 	if key == "" {
-		return nil
+		return fmt.Errorf("docstore: empty key in collection %q", c.name)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -52,6 +52,28 @@ func TestInsertGetDelete(t *testing.T) {
 	}
 }
 
+// TestUpsertRefusesTheEmptyKey: an index posting marks "no document"
+// with the empty key, so no document may be stored under it — Upsert
+// refuses it with Insert's error, where it used to report success and
+// store nothing.
+func TestUpsertRefusesTheEmptyKey(t *testing.T) {
+	forEachBackend(t, func(t *testing.T, s *Store) {
+		c := s.Collection("blocks")
+		c.CreateIndex("h")
+		insertErr := c.Insert("", doc("h", 1.0))
+		upsertErr := c.Upsert("", doc("h", 1.0))
+		if upsertErr == nil || insertErr == nil || upsertErr.Error() != insertErr.Error() {
+			t.Fatalf("Upsert of the empty key: %v; Insert: %v", upsertErr, insertErr)
+		}
+		if c.Len() != 0 || c.Has("") || len(c.Find(Eq("h", 1.0))) != 0 {
+			t.Fatalf("the refused write left %d documents behind", c.Len())
+		}
+		if err := c.Upsert("1", doc("h", 1.0)); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestDocumentsAreIsolated pins who owns a document on each side of the
 // store. On the way in, isolation is by hand-over: Insert and Upsert
 // keep the very map they are given (no copy), and Update's closure

@@ -117,11 +117,11 @@ func TestCommitPathAllocationCeilings(t *testing.T) {
 		t.Errorf("Insert of the TRANSFER document: %v allocations, of a one-key document %v (ToDoc: %v): the document was copied", b, sm, toDoc)
 	}
 
-	// A mark-spent copies the UTXO record's top level and nothing
+	// Update — the children vector's write, and the mark-spent of the
+	// copy-on-spend reference — copies a record's top level and nothing
 	// below it: it costs what the same update of a record with nothing
 	// below the top level costs.
-	spent := utxoKey(*transfer4.Inputs[3].Fulfills)
-	record, _ := s.store.Collection(ColUTXOs).Get(spent)
+	record, _ := s.store.Collection(ColUTXOs).Get(utxoKey(txn.OutputRef{TxID: transfer4.ID, Index: 0}))
 	flat := make(map[string]any, len(record))
 	for k, val := range record {
 		if _, list := val.([]any); list {
@@ -146,17 +146,32 @@ func TestCommitPathAllocationCeilings(t *testing.T) {
 	if deep, shallow := markSpent(plain, "record"), markSpent(plain, "flat"); deep != shallow {
 		t.Errorf("mark-spent of a UTXO record: %v allocations, of a flat record %v: Update copied below the top level", deep, shallow)
 	}
-	if got := testing.AllocsPerRun(runs, func() {
-		if err := s.sealTx(&stagedTx{ops: []stagedOp{{kind: opMarkSpent, key: spent, spender: transfer4.ID}}}); err != nil {
-			t.Fatal(err)
+	// A spend stores its transaction's marker — a three-key map and the
+	// spender's box, three allocations built once — and a version per
+	// key it spends: one spend costs 4 allocations, the 4-input
+	// TRANSFER's four spends 7, not four markers' worth. (The outputs
+	// are spent already, so the marks re-mark them and no index moves:
+	// this is the marker path alone.)
+	var spends []stagedOp
+	for _, in := range transfer4.Inputs {
+		spends = append(spends, stagedOp{kind: opMarkSpent, key: utxoKey(*in.Fulfills), spender: transfer4.ID})
+	}
+	for _, c := range []struct {
+		ops     []stagedOp
+		ceiling float64
+	}{{spends[3:], 4}, {spends, 7}} {
+		if got := testing.AllocsPerRun(runs, func() {
+			if err := s.sealTx(&stagedTx{ops: c.ops}); err != nil {
+				t.Fatal(err)
+			}
+		}); got > c.ceiling {
+			t.Errorf("sealing %d mark-spents of one transaction: %v allocations, ceiling %v", len(c.ops), got, c.ceiling)
 		}
-	}); got > 6 {
-		t.Errorf("sealing a mark-spent: %v allocations, ceiling 6", got)
 	}
 
 	// One document per transaction. Staging a transaction whose
-	// document exists builds none — the whole stage costs a third of a
-	// ToDoc — and a transaction that arrives without one pays for
+	// document exists builds none — the whole stage costs six
+	// allocations — and a transaction that arrives without one pays for
 	// exactly one, and its memo cell, between the schema check and the
 	// sealed block.
 	owner := keys.DeterministicKeyPair(41)
@@ -201,8 +216,10 @@ func TestCommitPathAllocationCeilings(t *testing.T) {
 			t.Fatal(st.err)
 		}
 		next++
-	}); staged > 17 || staged >= toDoc {
-		t.Errorf("staging a TRANSFER whose document exists: %v allocations, ceiling 17 (ToDoc: %v)", staged, toDoc)
+	}); staged > 6 || staged >= toDoc {
+		// The overlay, the ops, and the output's key and record: the
+		// record's values are the document's own.
+		t.Errorf("staging a TRANSFER whose document exists: %v allocations, ceiling 6 (ToDoc: %v)", staged, toDoc)
 	}
 }
 
@@ -280,9 +297,10 @@ func BenchmarkInsertDoc(b *testing.B) {
 	}
 }
 
-// BenchmarkMarkSpent seals one spent mark of a fresh unspent output: a
-// copy of the UTXO record's top level, the new version, and the
-// postings it closes in the three indexes over unspent outputs. The
+// BenchmarkMarkSpent seals one spent mark of a fresh unspent output:
+// the spending transaction's marker (a three-key map and the spender's
+// box), the new version, and the postings it closes in the three
+// indexes over unspent outputs. The
 // outputs — copies of a committed UTXO record — are minted untimed, a
 // block of them at a time, and each block's spent outputs are deleted
 // when the next is minted, so the state stays one size however long

@@ -3,6 +3,7 @@ package ledger
 import (
 	"fmt"
 
+	"smartchaindb/internal/docstore"
 	"smartchaindb/internal/storage"
 	"smartchaindb/internal/txn"
 )
@@ -124,29 +125,22 @@ func (o *groupOverlay) stageTx(t *txn.Transaction) *stagedTx {
 
 // homeOps turns transaction t into the write ops that record it where
 // it is homed — the transaction document, a spent mark for each UTXO
-// key in spent, one UTXO document per output and, for CREATE and REQUEST,
+// key in spent, one UTXO record per output and, for CREATE and REQUEST,
 // the asset record — in the exact order a transaction mutates state.
 // It is the one place a transaction becomes documents: the block
 // commit (stageTx) passes every spent key, the cross-shard home share
 // (StageOwned) only the keys its shard owns. utxo resolves a UTXO
 // record in the caller's view: an ACCEPT_BID output carries the asset
 // of the bid output its input fulfils, not the parent's.
+//
+// An output's record is seven keys — one map group — and, but for the
+// output index, its values are the log document's own: the id, the
+// output's public_keys and amount, and the asset id as the document
+// (or, for an ACCEPT_BID output, the spent bid's record) holds it.
+// Nothing under them is copied; stored documents are immutable, so
+// sharing them is safe. What only the log's readers ask (the
+// operation, the previous owners) the record does not repeat.
 func homeOps(t *txn.Transaction, spent []string, utxo func(key string) (map[string]any, bool)) ([]stagedOp, error) {
-	outputAsset := make([]string, len(t.Outputs))
-	for i := range t.Outputs {
-		outputAsset[i] = t.AssetID()
-	}
-	if t.Operation == txn.OpAcceptBid {
-		for i := range t.Outputs {
-			if i < len(t.Inputs) && t.Inputs[i].Fulfills != nil {
-				if doc, ok := utxo(utxoKey(*t.Inputs[i].Fulfills)); ok {
-					if aid, aok := doc["asset_id"].(string); aok {
-						outputAsset[i] = aid
-					}
-				}
-			}
-		}
-	}
 	// The transaction's one document: the schema check read it, the
 	// log stores it, nobody copies it.
 	txDoc := t.SharedDoc()
@@ -163,23 +157,24 @@ func homeOps(t *txn.Transaction, spent []string, utxo func(key string) (map[stri
 	for _, key := range spent {
 		ops = append(ops, stagedOp{kind: opMarkSpent, key: key, spender: t.ID})
 	}
-	for i, out := range t.Outputs {
-		owners := make([]any, len(out.PublicKeys))
-		for j, k := range out.PublicKeys {
-			owners[j] = k
-		}
-		prev := make([]any, len(out.PrevOwners))
-		for j, k := range out.PrevOwners {
-			prev[j] = k
+	outs, _ := txDoc["outputs"].([]any)
+	asset := assetIDOf(t, txDoc)
+	for i, o := range outs {
+		out, _ := o.(map[string]any)
+		aid := asset
+		if t.Operation == txn.OpAcceptBid && i < len(t.Inputs) && t.Inputs[i].Fulfills != nil {
+			if doc, ok := utxo(utxoKey(*t.Inputs[i].Fulfills)); ok {
+				if _, isID := doc["asset_id"].(string); isID {
+					aid = doc["asset_id"]
+				}
+			}
 		}
 		ops = append(ops, stagedOp{kind: opInsertUTXO, key: utxoKey(txn.OutputRef{TxID: t.ID, Index: i}), doc: map[string]any{
-			"transaction_id": t.ID,
+			"transaction_id": txDoc["id"],
 			"output_index":   float64(i),
-			"owner":          owners,
-			"prev_owners":    prev,
-			"amount":         float64(out.Amount),
-			"asset_id":       outputAsset[i],
-			"operation":      t.Operation,
+			"owner":          out["public_keys"],
+			"amount":         out["amount"],
+			"asset_id":       aid,
 			"spent":          false,
 			"spent_by":       "",
 		}})
@@ -202,11 +197,44 @@ func homeOps(t *txn.Transaction, spent []string, utxo func(key string) (map[stri
 	return ops, nil
 }
 
+// assetIDOf is t.AssetID() as the value t's document holds: the
+// document's id for CREATE and REQUEST, its asset link otherwise.
+func assetIDOf(t *txn.Transaction, txDoc map[string]any) any {
+	if t.Operation == txn.OpCreate || t.Operation == txn.OpRequest {
+		return txDoc["id"]
+	}
+	if asset, ok := txDoc["asset"].(map[string]any); ok {
+		if id, ok := asset["id"]; ok {
+			return id
+		}
+	}
+	return ""
+}
+
+// spendMarker returns the record a spend leaves in place of the output
+// it consumes: {spent, spent_by, asset_id}, the three keys every reader
+// of a spent output reads. prev is the marker of the spend sealed just
+// before, returned again when it is the same spender's of the same
+// asset: a 4-input TRANSFER writes one marker under its four keys,
+// while an ACCEPT_BID, whose inputs hold different assets, writes one
+// per input. Like every stored document, a marker is never written to
+// again.
+func spendMarker(prev map[string]any, spender string, asset any) map[string]any {
+	if id, ok := asset.(string); ok && prev != nil && prev["spent_by"] == spender && prev["asset_id"] == id {
+		return prev
+	}
+	return map[string]any{"spent": true, "spent_by": spender, "asset_id": asset}
+}
+
 // sealTx applies one staged transaction's ops through the docstore,
-// in the order stageTx emitted them.
+// in the order stageTx emitted them. A spend replaces the output's
+// record with a marker (spendMarker) built from the record it replaces,
+// whose version below the spend's height snapshot readers still see; a
+// spend of a missing output fails the seal.
 func (s *State) sealTx(st *stagedTx) error {
 	txs := s.store.Collection(ColTransactions)
 	utxos := s.store.Collection(ColUTXOs)
+	var mark map[string]any
 	for _, op := range st.ops {
 		switch op.kind {
 		case opInsertTx:
@@ -214,12 +242,12 @@ func (s *State) sealTx(st *stagedTx) error {
 				return fmt.Errorf("ledger: insert tx: %w", err)
 			}
 		case opMarkSpent:
-			spender := op.spender
-			if err := utxos.Update(op.key, func(doc map[string]any) error {
-				doc["spent"] = true
-				doc["spent_by"] = spender
-				return nil
-			}); err != nil {
+			rec, ok := utxos.Borrow(op.key)
+			if !ok {
+				return fmt.Errorf("ledger: mark spent %s: %w", op.key, &docstore.ErrNotFound{Collection: ColUTXOs, Key: op.key})
+			}
+			mark = spendMarker(mark, op.spender, rec["asset_id"])
+			if err := utxos.Upsert(op.key, mark); err != nil {
 				return fmt.Errorf("ledger: mark spent %s: %w", op.key, err)
 			}
 		case opInsertUTXO:

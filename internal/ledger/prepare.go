@@ -2,6 +2,7 @@ package ledger
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"smartchaindb/internal/storage"
@@ -125,33 +126,29 @@ func (p *Prepared) Doc() map[string]any {
 }
 
 // DecodePrepared parses a PREPARE record document back into the staged
-// share it was rendered from.
+// share it was rendered from. The record is bytes read back from a data
+// directory, so it is checked for everything the seal will need: each
+// op a known kind, a key, a document for each write and the spender for
+// each spend (FuzzDecodePrepared).
 func DecodePrepared(doc map[string]any) (*Prepared, error) {
 	id, _ := doc["tx"].(string)
-	rawOps, _ := doc["ops"].([]any)
-	if id == "" || doc["kind"] != "prepare" {
+	rawOps, isList := doc["ops"].([]any)
+	if id == "" || doc["kind"] != "prepare" || !isList {
 		return nil, fmt.Errorf("ledger: malformed prepare record: %v", doc)
 	}
 	p := &Prepared{TxID: id}
-	for _, raw := range rawOps {
-		m, ok := raw.(map[string]any)
-		if !ok {
-			return nil, fmt.Errorf("ledger: malformed prepare op in %s", id)
-		}
-		kind, ok := m["kind"].(float64)
-		key, kok := m["key"].(string)
-		if !ok || !kok {
-			return nil, fmt.Errorf("ledger: malformed prepare op in %s", id)
+	for i, raw := range rawOps {
+		m, _ := raw.(map[string]any)
+		kind, kok := m["kind"].(float64)
+		key, keyOK := m["key"].(string)
+		if !kok || !keyOK || kind != math.Trunc(kind) || kind < opInsertTx || kind > opUpsertAsset {
+			return nil, fmt.Errorf("ledger: malformed prepare op %d in %s", i, id)
 		}
 		op := stagedOp{kind: int(kind), key: key}
-		if d, ok := m["doc"].(map[string]any); ok {
-			op.doc = d
-		}
-		if sp, ok := m["spender"].(string); ok {
-			op.spender = sp
-		}
-		if op.kind < opInsertTx || op.kind > opUpsertAsset {
-			return nil, fmt.Errorf("ledger: unknown staged op kind %d in %s", op.kind, id)
+		op.doc, _ = m["doc"].(map[string]any)
+		op.spender, _ = m["spender"].(string)
+		if op.kind == opMarkSpent && op.spender == "" || op.kind != opMarkSpent && op.doc == nil {
+			return nil, fmt.Errorf("ledger: prepare op %d in %s lacks its spender or document", i, id)
 		}
 		p.ops = append(p.ops, op)
 	}

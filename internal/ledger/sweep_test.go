@@ -9,6 +9,7 @@ import (
 	"smartchaindb/internal/obs"
 	"smartchaindb/internal/storage"
 	"smartchaindb/internal/txn"
+	"smartchaindb/internal/workload"
 )
 
 // preloadOutputs commits CREATEs minting n unspent outputs of owner's
@@ -164,6 +165,59 @@ func BenchmarkSealOneTxBlock(b *testing.B) {
 				seal(i)
 			}
 		})
+	}
+}
+
+// BenchmarkSpendFanIn commits one 4-input TRANSFER as a block over a
+// state of 64 k unspent outputs: the transaction document, one marker
+// under the four keys it spends, the four postings each of those keys
+// closes, and its one new output (`make bench-alloc`). The wallets it
+// spends are minted untimed, 4096 at a time in one block, on a freshly
+// preloaded state each time, so the state stays one size however long
+// the benchmark runs.
+func BenchmarkSpendFanIn(b *testing.B) {
+	const wallets = 4096
+	owner := keys.DeterministicKeyPair(77)
+	recipient := keys.DeterministicKeyPair(78).PublicBase58()
+	funding, transfers := make([]*txn.Transaction, wallets), make([]*txn.Transaction, wallets)
+	for i := range funding {
+		funding[i], transfers[i] = workload.FanIn(owner, recipient, i, 4)
+		transfers[i].SharedDoc() // the schema check built it at admission
+		transfers[i].SpendKeys()
+	}
+	var s *State
+	next := wallets
+	spend := func() {
+		if committed, skipped := s.CommitBlock(transfers[next : next+1]); len(committed) != 1 {
+			b.Fatal(fmt.Sprint(skipped))
+		}
+		next++
+	}
+	// fresh preloads a new state, mints every wallet and, as in
+	// BenchmarkSealOneTxBlock, lets the preload leave the retention
+	// window before anything is timed.
+	fresh := func() {
+		if s != nil {
+			s.Close()
+		}
+		s = NewStateWith(storage.NewMemory())
+		preloadOutputs(b, s, owner, 1<<16)
+		if committed, skipped := s.CommitBlock(funding); len(committed) != wallets {
+			b.Fatal(fmt.Sprint(skipped))
+		}
+		for next = 0; next < int(storage.DefaultRetainHeights); {
+			spend()
+		}
+	}
+	b.Cleanup(func() { s.Close() })
+	b.ReportAllocs()
+	for b.Loop() {
+		if next == wallets {
+			b.StopTimer()
+			fresh()
+			b.StartTimer()
+		}
+		spend()
 	}
 }
 
