@@ -100,9 +100,12 @@ fuzz:
 # IndexInsert/{hash,ordered}/{unique,shared} is one document's index
 # upkeep on insert (B/op is what a posting costs) and PlannedIntersect
 # the validator's locked-bid find; TestIndexPostingBytes and
-# TestPlannedIntersectAllocations pin them.
+# TestPlannedIntersectAllocations pin them. PlanLockedBids compiles and
+# executes the locked-bid filter over 64 k transactions after an
+# accept-shaped compile: planning on live estimates, the cost a plan
+# cache would have to beat.
 bench-alloc:
-	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage ./internal/docstore -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|MarshalCanonicalCold|OutputRefString|FootprintOf|StateView|InsertDoc|MarkSpent|SpendFanIn|StageBlock|SealOneTxBlock|CommitTransferChain|EncodableDoc|GroupCommit|Fold|IndexInsert|PlannedIntersect'
+	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage ./internal/docstore -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|MarshalCanonicalCold|OutputRefString|FootprintOf|StateView|InsertDoc|MarkSpent|SpendFanIn|StageBlock|SealOneTxBlock|CommitTransferChain|EncodableDoc|GroupCommit|Fold|IndexInsert|PlannedIntersect|PlanLockedBids'
 
 # The tier-1 suites that touch chain state (ledger, server/cluster,
 # nested recovery, bench differential, query) re-run over the disk

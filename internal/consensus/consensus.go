@@ -190,8 +190,7 @@ type Config struct {
 	// §4.2.1 that rescues transactions lost to a crashing receiver.
 	RetryTimeout time.Duration
 	// Mempool configures each node's footprint-indexed admission pool:
-	// batch size, spend-index sharding, packing policy, and the
-	// footprint function. The zero value keeps the seed behaviour
+	// batch size, packing policy, and the footprint function. The zero value keeps the seed behaviour
 	// (FIFO packing, declarative footprints for SmartchainDB
 	// transactions, independent footprints for foreign ones). The
 	// semantic Check hook is wired per node to its App and must stay
@@ -223,7 +222,7 @@ func (c *Config) fill() {
 	if c.CommitDepth <= 0 {
 		c.CommitDepth = 1
 	}
-	// Mempool defaults (Shards, BatchSize, the ForTransaction
+	// Mempool defaults (BatchSize, the ForTransaction
 	// footprint function) apply inside mempool.New.
 }
 

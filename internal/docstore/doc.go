@@ -48,8 +48,16 @@
 //     against non-comparable arguments) plan to nothing at all;
 //   - everything else falls back to the full collection scan.
 //
+// Every read compiles its own plan, from the estimates its own
+// arguments give at that moment; nothing is cached between reads. A
+// compile costs a few index read locks and no allocation per estimate
+// (BenchmarkPlanLockedBids), and a plan chosen from another argument's
+// or an older state's estimates can drive on the wrong index: a
+// shape-keyed plan cache once made the validator's locked-bid read
+// materialise every BID on the chain.
+//
 // Planned reads resolve candidates through the indexes' own locks and
-// shard-locked point reads, re-ordered into insertion order from the
+// lock-free point reads, re-ordered into insertion order from the
 // backend's ord counters — never the collection-wide lock, so they do
 // not serialize behind the commit writer. Candidates are a superset
 // of the matches (multikey indexes fan arrays out) and every fetched
@@ -59,7 +67,7 @@
 // (FindScan, a reference implementation kept in the package's tests)
 // on both backends.
 //
-// Explain renders the compiled plan ("point(operation eq "BID")[3]",
+// Explain renders the plan Plan compiles ("point(operation eq "BID")[3]",
 // "intersect[2](...)", "full-scan(no index on "x")") for tests and
 // benchmarks; with a Store.SetObs registry attached, executed full
 // scans, planner decisions, and index probes record into the

@@ -178,14 +178,10 @@ type Collection struct {
 	be storage.Collection
 	bk storage.Backend
 
-	// indexes is copy-on-write: writers swap a fresh set under mu,
-	// readers (Plan, FindOrdered) load it with one atomic read.
-	indexes atomic.Pointer[indexSet]
-
-	// plans caches compiled-plan estimate tapes by filter shape,
-	// invalidated per path (via that path's DDL epoch) when its index
-	// changes — shapes over untouched paths stay warm.
-	plans planCache
+	// indexes maps each indexed dot path to its index. It is
+	// copy-on-write: writers swap a fresh map under mu, readers (Plan,
+	// FindOrdered) load it with one atomic read.
+	indexes atomic.Pointer[map[string]secondaryIndex]
 
 	dropped atomic.Bool
 	// ob holds the attached metric handles (nil: observability off;
@@ -210,10 +206,11 @@ type collObs struct {
 	// (docstore.index_uses.<collection>.<path>): which indexes earn
 	// their upkeep.
 	indexUses map[string]*obs.Counter
-
-	planCacheHits   *obs.Counter // docstore.plan_cache.hits
-	planCacheMisses *obs.Counter // docstore.plan_cache.misses
-	planCacheInvals *obs.Counter // docstore.plan_cache.invalidations
+	// plans counts compiled plans. Its name, docstore.plan_cache.misses,
+	// is left from a deleted plan cache and kept only because the repo
+	// benchmark divides docstore.index_probes by it; it becomes
+	// docstore.plans with the next benchmark change (ROADMAP item 1(c)).
+	plans *obs.Counter
 }
 
 // obs returns the collection's handles; detached reads as all-no-op.
@@ -235,14 +232,12 @@ func (c *Collection) setObs(reg *obs.Registry) {
 		return
 	}
 	ob := &collObs{
-		reg:             reg,
-		fullScans:       reg.Counter("docstore.full_scans"),
-		indexProbes:     reg.Counter("docstore.index_probes"),
-		candidates:      reg.Counter("docstore.candidates"),
-		snapshots:       reg.Counter("docstore.snapshots"),
-		planCacheHits:   reg.Counter("docstore.plan_cache.hits"),
-		planCacheMisses: reg.Counter("docstore.plan_cache.misses"),
-		planCacheInvals: reg.Counter("docstore.plan_cache.invalidations"),
+		reg:         reg,
+		fullScans:   reg.Counter("docstore.full_scans"),
+		indexProbes: reg.Counter("docstore.index_probes"),
+		candidates:  reg.Counter("docstore.candidates"),
+		snapshots:   reg.Counter("docstore.snapshots"),
+		plans:       reg.Counter("docstore.plan_cache.misses"),
 	}
 	for k := range ob.plan {
 		ob.plan[k] = reg.Counter("docstore.plan." + AccessKind(k).metricName())
@@ -274,34 +269,16 @@ func (ob *collObs) countUses(a *Access) {
 	}
 }
 
-// indexSet is a collection's secondary indexes by path, and the paths
-// its partial indexes take their predicates on. It is never mutated:
-// CreateIndex and DropIndex install a new one.
-type indexSet struct {
-	byPath    map[string]secondaryIndex
-	predPaths map[string]bool
-}
-
-func newIndexSet(byPath map[string]secondaryIndex) *indexSet {
-	set := &indexSet{byPath: byPath, predPaths: make(map[string]bool)}
-	for _, ix := range byPath {
-		if w := ix.partial(); w != nil {
-			set.predPaths[w.path] = true
-		}
-	}
-	return set
-}
-
 func newCollection(name string, be storage.Collection, bk storage.Backend) *Collection {
 	c := &Collection{name: name, be: be, bk: bk}
-	c.indexes.Store(newIndexSet(nil))
+	c.indexes.Store(new(map[string]secondaryIndex))
 	return c
 }
 
 // indexMap returns the current index handles (copy-on-write; never
 // mutated in place).
 func (c *Collection) indexMap() map[string]secondaryIndex {
-	return c.indexes.Load().byPath
+	return *c.indexes.Load()
 }
 
 // Name returns the collection name.
@@ -349,21 +326,10 @@ func (c *Collection) Insert(key string, doc map[string]any) error {
 		return err
 	}
 	h := c.bk.StampHeight()
-	for path, idx := range c.indexMap() {
-		c.add(path, idx, key, doc, h)
+	for _, idx := range c.indexMap() {
+		idx.add(key, doc, h)
 	}
 	return nil
-}
-
-// add indexes doc under key in idx, the index on path, at height h. A
-// path that just turned multikey no longer merges its comparisons into
-// one range, so the estimate tapes recorded over it are dropped (the
-// epoch bump). Caller holds mu.
-func (c *Collection) add(path string, idx secondaryIndex, key string, doc map[string]any, h int64) {
-	if idx.add(key, doc, h) {
-		c.plans.invalidatePath(path)
-		c.obs().planCacheInvals.Inc()
-	}
 }
 
 // Upsert stores doc under key, replacing any existing document. Like
@@ -386,8 +352,8 @@ func (c *Collection) Upsert(key string, doc map[string]any) error {
 		return nil
 	}
 	h := c.bk.StampHeight()
-	for path, idx := range c.indexMap() {
-		c.add(path, idx, key, doc, h)
+	for _, idx := range c.indexMap() {
+		idx.add(key, doc, h)
 	}
 	return nil
 }
@@ -484,12 +450,12 @@ func (c *Collection) Update(key string, fn func(doc map[string]any) error) error
 // holds mu.
 func (c *Collection) reindex(key string, old, next map[string]any) {
 	h := c.bk.StampHeight()
-	for path, idx := range c.indexMap() {
+	for _, idx := range c.indexMap() {
 		if idx.unchanged(old, next) {
 			continue
 		}
 		idx.remove(key, old, h)
-		c.add(path, idx, key, next, h)
+		idx.add(key, next, h)
 	}
 }
 
@@ -572,23 +538,19 @@ func (c *Collection) buildIndex(path string, idx secondaryIndex) {
 		next[p] = ix
 	}
 	next[path] = idx
-	c.indexes.Store(newIndexSet(next))
-	c.invalidate(path, cur[path], idx)
+	c.indexes.Store(&next)
 	if ob := c.ob.Load(); ob != nil {
 		c.ob.Store(ob.withIndexUses(c.name, []string{path}))
 	}
 }
 
 // DropIndex removes the index on path and reports whether one existed.
-// Queries on the path fall back to full scans; cached plans whose
-// filters reference the path are invalidated through its epoch bump,
-// while plans over other paths stay cached.
+// Queries on the path fall back to full scans from the next plan on.
 func (c *Collection) DropIndex(path string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cur := c.indexMap()
-	old, ok := cur[path]
-	if !ok {
+	if _, ok := cur[path]; !ok {
 		return false
 	}
 	next := make(map[string]secondaryIndex, len(cur)-1)
@@ -597,25 +559,8 @@ func (c *Collection) DropIndex(path string) bool {
 			next[p] = ix
 		}
 	}
-	c.indexes.Store(newIndexSet(next))
-	c.invalidate(path, old)
+	c.indexes.Store(&next)
 	return true
-}
-
-// invalidate bumps the plan-cache epoch of path, whose index changed,
-// and of the predicate path of every partial index among changed (nil
-// entries allowed): shapes over either are keyed on what the indexes
-// were. Caller holds mu.
-func (c *Collection) invalidate(path string, changed ...secondaryIndex) {
-	c.plans.invalidatePath(path)
-	for _, ix := range changed {
-		if ix != nil {
-			if w := ix.partial(); w != nil && w.path != path {
-				c.plans.invalidatePath(w.path)
-			}
-		}
-	}
-	c.obs().planCacheInvals.Inc()
 }
 
 // IndexedPaths lists the indexed dot-paths, sorted.

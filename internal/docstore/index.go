@@ -27,9 +27,8 @@ type secondaryIndex interface {
 	// add / remove maintain the index for one document mutation at
 	// block height h; a partial index skips a document its predicate
 	// does not match. They are called under the collection's writer
-	// lock. add reports whether the indexed path just turned multikey
-	// (only an ordered index tracks it; see orderedIndex.multikey).
-	add(docKey string, doc map[string]any, h int64) bool
+	// lock.
+	add(docKey string, doc map[string]any, h int64)
 	remove(docKey string, doc map[string]any, h int64)
 	// unchanged reports that old and next are both outside a partial
 	// index's predicate, or both inside it and reaching the same values
@@ -537,9 +536,9 @@ func indexKey(v any) (string, bool) {
 	return "", false
 }
 
-func (ix *hashIndex) add(docKey string, doc map[string]any, h int64) bool {
+func (ix *hashIndex) add(docKey string, doc map[string]any, h int64) {
 	if !ix.covers(doc) {
-		return false
+		return
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -555,7 +554,6 @@ func (ix *hashIndex) add(docKey string, doc map[string]any, h int64) bool {
 		}
 		e.open(docKey, h)
 	})
-	return false
 }
 
 func (ix *hashIndex) remove(docKey string, doc map[string]any, h int64) {

@@ -173,11 +173,11 @@ func (ix *orderedIndex) seekGE(v ordValue) *ordNode {
 }
 
 // add indexes every scalar reached at the path, fanning arrays out to
-// their elements like a MongoDB multikey index, and reports whether
-// doc is the first to reach more than one.
-func (ix *orderedIndex) add(docKey string, doc map[string]any, h int64) bool {
+// their elements like a MongoDB multikey index, and marks the index
+// multikey if doc reaches more than one.
+func (ix *orderedIndex) add(docKey string, doc map[string]any, h int64) {
 	if !ix.covers(doc) {
-		return false
+		return
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -196,7 +196,9 @@ func (ix *orderedIndex) add(docKey string, doc map[string]any, h int64) bool {
 			ix.size++
 		}
 	})
-	return values > 1 && !ix.multikey.Swap(true)
+	if values > 1 {
+		ix.multikey.Store(true)
+	}
 }
 
 // link inserts an empty node for the indexable scalar v (whose

@@ -62,6 +62,20 @@ func TestPartialIndexFollowsItsPredicate(t *testing.T) {
 				t.Errorf("unspent outputs of a at height %d: planned %v, scan %v, want %v", at.h, got, scan, at.want)
 			}
 		}
+		// The literal decides: spent outputs of a cannot use the index
+		// that holds only unspent ones.
+		spentOfA := And(Eq("owner", "a"), Eq("spent", true))
+		for _, tc := range []struct {
+			f    Filter
+			want string
+		}{{mine, `point(owner eq "a")[1]`}, {spentOfA, "full-scan(no indexed conjunct)"}} {
+			if got := c.Explain(tc.f); got != tc.want {
+				t.Errorf("Explain = %s, want %s", got, tc.want)
+			}
+		}
+		if got := c.FindKeys(spentOfA); !slices.Equal(got, []string{"u2"}) {
+			t.Errorf("spent outputs of a: %v, want [u2]", got)
+		}
 
 		block(4, func() {
 			queued := core(amount).closed.len()
@@ -149,46 +163,6 @@ func TestPartialIndexServesOnlyFiltersThatImplyIt(t *testing.T) {
 	}
 }
 
-// A shape key carries the literal of an Eq on a predicate path: a
-// filter asking for spent outputs neither replays the tape an unspent
-// query recorded nor uses the unspent-owner index, while another owner
-// under the same predicate still hits. Creating the partial index
-// bumps the predicate path's epoch.
-func TestPlanCacheKeysPredicateLiterals(t *testing.T) {
-	c := NewStore().Collection("utxos")
-	reg := obs.New()
-	c.setObs(reg)
-	hits := reg.Counter("docstore.plan_cache.hits")
-	epoch := c.plans.epochOf([]string{"spent"})
-	c.CreateIndexWhere("owner", false, unspent)
-	if c.plans.epochOf([]string{"spent"}) == epoch {
-		t.Error("creating an index partial on spent left spent's plan epoch")
-	}
-	for i, spent := range []bool{false, true, false, true} {
-		mustInsert(t, c, fmt.Sprintf("u%d", i), map[string]any{"owner": "x", "spent": spent})
-	}
-
-	if got := c.Plan(And(Eq("owner", "x"), Eq("spent", false))).String(); got != `point(owner eq "x")[2]` {
-		t.Fatalf("unspent outputs of x plan as %s", got)
-	}
-	before := hits.Value()
-	spentOnes := And(Eq("owner", "x"), Eq("spent", true))
-	if got := c.Plan(spentOnes).String(); got != "full-scan(no indexed conjunct)" {
-		t.Errorf("spent outputs of x plan as %s", got)
-	}
-	if hits.Value() != before {
-		t.Error("the spent query replayed the unspent query's tape")
-	}
-	if got, want := c.FindKeys(spentOnes), []string{"u1", "u3"}; !slices.Equal(got, want) {
-		t.Errorf("spent outputs of x: %v, want %v", got, want)
-	}
-	before = hits.Value()
-	c.Plan(And(Eq("owner", "y"), Eq("spent", false)))
-	if hits.Value() != before+1 {
-		t.Error("another owner's unspent query missed the cache")
-	}
-}
-
 // bandFixture indexes items.v, which every document reaches once.
 func bandFixture(t *testing.T) *Collection {
 	t.Helper()
@@ -202,7 +176,9 @@ func bandFixture(t *testing.T) *Collection {
 
 // While no document reaches two values at a path, an And of
 // comparisons there is one bounded range; comparisons no single value
-// can satisfy together plan to none.
+// can satisfy together plan to none. The first document to reach two
+// values ends the merging for good: the band then plans as two ranges,
+// and finds that document.
 func TestBandOnSingleValuedPath(t *testing.T) {
 	c := bandFixture(t)
 	for _, tc := range []struct {
@@ -222,30 +198,13 @@ func TestBandOnSingleValuedPath(t *testing.T) {
 			t.Errorf("%s: planned %v, scan %v", tc.want, got, want)
 		}
 	}
-}
-
-// The first document to reach two values at the path ends the merging
-// for good, and bumps the path's plan epoch: the tape recorded for the
-// one-range plan is not replayed into the two-range one.
-func TestPlanCacheMultikeyFlip(t *testing.T) {
-	c := bandFixture(t)
-	reg := obs.New()
-	c.setObs(reg)
-	misses := reg.Counter("docstore.plan_cache.misses")
-	f := And(Gte("items.v", 5), Lte("items.v", 10))
-	c.Plan(f)
-	c.Plan(f)
 
 	mustInsert(t, c, "straddle", map[string]any{"items": []any{map[string]any{"v": 3.0}, map[string]any{"v": 20.0}}})
-	before := misses.Value()
-	got := c.Plan(f).String()
-	if misses.Value() != before+1 {
-		t.Error("the plan after the path turned multikey replayed a tape recorded before")
-	}
-	if want := c.Explain(f); got != want || want != "intersect[11](range(items.v <=10)[11], range(items.v >=5)[17])" {
-		t.Errorf("after the flip, Plan = %s and Explain = %s, want two ranges", got, want)
+	f := And(Gte("items.v", 5), Lte("items.v", 10))
+	if got, want := c.Explain(f), "intersect[11](range(items.v <=10)[11], range(items.v >=5)[17])"; got != want {
+		t.Errorf("after the path turned multikey, the band plans as %s, want %s", got, want)
 	}
 	if keys := c.FindKeys(f); !slices.Contains(keys, "straddle") || !slices.Equal(keys, c.scanKeysAt(storage.HeightLatest, f)) {
-		t.Errorf("band after the flip found %v", keys)
+		t.Errorf("band after the path turned multikey found %v", keys)
 	}
 }

@@ -12,7 +12,7 @@ import (
 // The query planner compiles a filter tree (via Analyze) into an
 // access plan: which secondary indexes can produce a candidate key
 // set, and how their answers combine. Executed plans resolve
-// candidates through the indexes' own locks plus shard-locked point
+// candidates through the indexes' own locks plus lock-free point
 // reads — never the collection lock — so every planned read stays off
 // the commit writer's critical section. Only filters no index can
 // answer fall back to the full collection scan.
@@ -145,92 +145,40 @@ func (a *Access) String() string {
 	return "invalid"
 }
 
-// Plan compiles filter against the collection's current indexes. The
-// index handle map is copy-on-write (an atomic pointer swap per
-// CreateIndex), so compilation takes no lock at all; estimation runs
-// under the indexes' own locks — unless the prepared-plan cache holds
-// an estimate tape for this filter shape at the current index epoch,
-// in which case the compile replays the taped estimates and touches no
-// index lock at all (see plancache.go). The plan is a point-in-time
-// compilation: it does not follow later CreateIndex calls, and its
-// materialize/probe closures answer for whatever height the executor
-// passes, so one plan serves the writer view and snapshot reads alike.
+// Plan compiles filter against the collection's current indexes, with
+// the selectivity estimates they give now: every plan is chosen from
+// the data its own arguments select. The index map is copy-on-write (an
+// atomic pointer swap per CreateIndex), so compilation takes no
+// collection lock; each estimate takes only its index's read lock. The
+// plan is a point-in-time compilation: it does not follow later
+// CreateIndex calls, and its materialize/probe closures answer for
+// whatever height the executor passes, so one plan serves the writer
+// view and snapshot reads alike.
 func (c *Collection) Plan(f Filter) *Access {
-	n := Analyze(f)
-	p, ob := c.planner(n), c.obs()
-	sc := shapeScratchPool.Get().(*shapeScratch)
-	key, paths := appendShape(sc.key[:0], sc.paths[:0], n, p.predPaths)
-	stamp := c.plans.epochOf(paths)
-	if vals, hit := c.plans.get(key, stamp); hit {
-		ob.planCacheHits.Inc()
-		p.tape = &estTape{vals: vals, replay: true}
-	} else {
-		ob.planCacheMisses.Inc()
-		p.tape = &estTape{}
-	}
-	a := p.compile(n)
-	if !p.tape.replay {
-		c.plans.put(key, paths, stamp, p.tape.vals)
-	}
-	sc.key, sc.paths = key, paths
-	shapeScratchPool.Put(sc)
+	n, ob := Analyze(f), c.obs()
+	a := planner{idx: c.indexMap(), root: n, probes: ob.indexProbes, candidates: ob.candidates}.compile(n)
+	ob.plans.Inc()
 	if ob.indexUses != nil {
 		ob.countUses(a)
 	}
 	return a
 }
 
-// planner starts a compile of n against the current indexes.
-func (c *Collection) planner(n Node) planner {
-	set, ob := c.indexes.Load(), c.obs()
-	return planner{idx: set.byPath, predPaths: set.predPaths, root: n, probes: ob.indexProbes, candidates: ob.candidates}
-}
-
-// Explain renders the access plan with live selectivity estimates —
-// the planner's debugging and test surface. A plan containing
-// "full-scan" takes the collection lock; anything else resolves
-// entirely through index and shard locks.
-//
-// Explain deliberately bypasses tape replay. The prepared-plan cache
-// keys on filter *shape*, so a cached tape may carry estimates
-// recorded from a different argument of the same shape
-// (Eq("operation", "BID") and Eq("operation", "ACCEPT_BID") share one
-// entry), and replaying those numbers would make Explain's output
-// depend on which argument happened to compile first. Explain instead
-// compiles fresh — estimates are a pure function of the data — and
-// stores the resulting tape, so it doubles as a cache refresher. The
-// hot path (Find and friends, via Plan) keeps the lock-free replay: a
-// replayed intersect may drive in a different order than Explain
-// reports, but its closures bind the current arguments, so the result
-// set never differs.
-func (c *Collection) Explain(f Filter) string {
-	n := Analyze(f)
-	p := c.planner(n)
-	p.tape = &estTape{}
-	sc := shapeScratchPool.Get().(*shapeScratch)
-	key, paths := appendShape(sc.key[:0], sc.paths[:0], n, p.predPaths)
-	stamp := c.plans.epochOf(paths)
-	a := p.compile(n)
-	c.plans.put(key, paths, stamp, p.tape.vals)
-	sc.key, sc.paths = key, paths
-	shapeScratchPool.Put(sc)
-	return a.String()
-}
+// Explain renders the access plan Plan compiles — the planner's
+// debugging and test surface. A plan containing "full-scan" takes the
+// collection lock; anything else resolves entirely through the
+// indexes' own locks and lock-free point reads.
+func (c *Collection) Explain(f Filter) string { return c.Plan(f).String() }
 
 type planner struct {
 	idx map[string]secondaryIndex
-	// predPaths are the paths the collection's partial indexes take
-	// their predicates on; root is the filter being compiled, whose
-	// top-level conjuncts decide which partial indexes may serve it.
-	predPaths map[string]bool
-	root      Node
+	// root is the filter being compiled, whose top-level conjuncts
+	// decide which partial indexes may serve it.
+	root Node
 	// probes counts executed index lookups and membership probes
 	// (docstore.index_probes), candidates the keys the plan's leaves
 	// materialise (docstore.candidates); nil is a no-op handle.
 	probes, candidates *obs.Counter
-	// tape records or replays leaf selectivity estimates for the
-	// prepared-plan cache; nil computes them directly.
-	tape *estTape
 }
 
 // index returns the index the filter may use on path. A partial index
@@ -368,13 +316,10 @@ func (p planner) compileField(n Node) *Access {
 // or more probe arguments (one for Eq/Contains, the list for In),
 // rendered once by the caller for every probe the plan makes.
 func (p planner) pointAccess(ix secondaryIndex, path, op, detail string, keys []string) *Access {
-	est := p.tape.est(func() int {
-		sum := 0
-		for _, k := range keys {
-			sum += ix.estimateEq(k)
-		}
-		return sum
-	})
+	est := 0
+	for _, k := range keys {
+		est += ix.estimateEq(k)
+	}
 	probes, candidates := p.probes, p.candidates
 	a := &Access{Kind: AccessPoint, Path: path, Op: op, Detail: detail, Est: est, distinct: len(keys) == 1, where: ix.partial()}
 	a.materialize = func(h int64) []string {
@@ -408,7 +353,7 @@ func (p planner) rangeAccess(ord *orderedIndex, path string, r ordRange) *Access
 		return noneAccess()
 	}
 	candidates := p.candidates
-	a := &Access{Kind: AccessRange, Path: path, Detail: r.String(), Est: p.tape.est(func() int { return ord.estimateRange(r) }), where: ord.where}
+	a := &Access{Kind: AccessRange, Path: path, Detail: r.String(), Est: ord.estimateRange(r), where: ord.where}
 	a.materialize = func(h int64) []string {
 		out := ord.lookupRange(r, h)
 		candidates.Add(uint64(len(out)))

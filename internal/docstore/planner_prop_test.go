@@ -153,6 +153,10 @@ func TestPlannerScanDifferentialProperty(t *testing.T) {
 		check := func(round int) {
 			for i := 0; i < 80; i++ {
 				f := propFilter(rng, 2)
+				// Explain renders the plan Find runs.
+				if ex, plan := c.Explain(f), c.Plan(f).String(); ex != plan {
+					t.Fatalf("round %d: Explain = %s, Plan = %s", round, ex, plan)
+				}
 				planned, scanned := c.Find(f), c.FindScan(f)
 				pb, err := json.Marshal(planned)
 				if err != nil {

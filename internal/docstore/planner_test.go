@@ -83,6 +83,64 @@ func TestIntersectDrivingIndex(t *testing.T) {
 	}
 }
 
+// TestExplainFreshAcrossSameShapeArgs: a plan's estimates are its own
+// argument's, whatever filter of the same shape compiled before it.
+func TestExplainFreshAcrossSameShapeArgs(t *testing.T) {
+	c := plannerFixture(t)
+	// Compile Eq(op, "A") (cardinality 2), then Explain "C"
+	// (cardinality 1): the rendering carries C's estimate, not A's.
+	c.Plan(Eq("op", "A"))
+	if got := c.Explain(Eq("op", "C")); got != `point(op eq "C")[1]` {
+		t.Fatalf(`Explain(op eq "C") = %s, want live estimate [1]`, got)
+	}
+	// And the reverse order: compile the rarer value, Explain the
+	// denser one.
+	c.Plan(Eq("n", 5))
+	if got := c.Explain(Eq("op", "A")); got != `point(op eq "A")[2]` {
+		t.Fatalf(`Explain(op eq "A") = %s, want live estimate [2]`, got)
+	}
+}
+
+// TestPlansFollowIndexDDL: every plan compiles against the indexes of
+// its moment. A filter that full-scanned gains a point lookup once its
+// path is indexed, one that used an index falls back to a scan once the
+// index is dropped, and at every step the results are the scan's.
+func TestPlansFollowIndexDDL(t *testing.T) {
+	c := plannerFixture(t)
+	step := func(name string, f Filter, plan string, keys ...string) {
+		t.Helper()
+		if got := c.Explain(f); got != plan {
+			t.Errorf("%s: plan = %s, want %s", name, got, plan)
+		}
+		if got := c.FindKeys(f); !reflect.DeepEqual(got, keys) {
+			t.Errorf("%s: keys = %v, want %v", name, got, keys)
+		}
+		if !reflect.DeepEqual(c.Find(f), c.FindScan(f)) {
+			t.Errorf("%s: planned find differs from the scan", name)
+		}
+	}
+	onU, both, onOp := Eq("u", 10), And(Gt("n", 0), Eq("u", 10)), Eq("op", "A")
+	step("before CreateIndex(u)", onU, `full-scan(no index on "u")`, "a")
+	c.CreateIndex("u")
+	step("after CreateIndex(u)", onU, `point(u eq 10)[1]`, "a")
+	step("after CreateIndex(u)", both, `intersect[1](point(u eq 10)[1], range(n >0)[4])`, "a")
+
+	if !c.DropIndex("op") {
+		t.Fatal("DropIndex(op) = false, index exists")
+	}
+	step("after DropIndex(op)", onOp, `full-scan(no index on "op")`, "a", "c")
+	if c.DropIndex("op") {
+		t.Fatal("second DropIndex(op) = true, index already gone")
+	}
+	if c.DropIndex("nonexistent") {
+		t.Fatal("DropIndex(nonexistent) = true")
+	}
+	if !c.DropIndex("u") {
+		t.Fatal("DropIndex(u) = false, index exists")
+	}
+	step("after DropIndex(u)", both, `range(n >0)[4]`, "a")
+}
+
 // TestPlannedResultsMatchScan spot-checks that every plan shape
 // returns exactly what the full scan returns, in insertion order.
 func TestPlannedResultsMatchScan(t *testing.T) {
@@ -150,19 +208,24 @@ func TestMultikeyRangeIntersection(t *testing.T) {
 
 // TestFullScanCounter pins the observable: planned queries leave the
 // obs registry's full-scan counter flat, unplannable ones bump it,
-// and the planner's decisions land in the plan-kind counters.
+// the planner's decisions land in the plan-kind counters, and every
+// compile counts once in docstore.plan_cache.misses (the name the
+// benchmark reads plans by).
 func TestFullScanCounter(t *testing.T) {
 	c := plannerFixture(t)
 	reg := obs.New()
 	c.setObs(reg)
-	scans := reg.Counter("docstore.full_scans")
+	scans, plans := reg.Counter("docstore.full_scans"), reg.Counter("docstore.plan_cache.misses")
 	base := scans.Value()
 	c.Find(Eq("op", "A"))
 	c.Count(And(Eq("op", "B"), Gt("n", 0)))
 	c.FindKeys(Or(Eq("op", "C"), Lt("n", 3)))
-	c.FindOrdered(Eq("op", "A"), "n", true, 0)
+	c.FindOrdered(Eq("op", "A"), "n", true, 0) // walks the index; compiles nothing
 	if got := scans.Value(); got != base {
 		t.Fatalf("planned queries executed %d full scans", got-base)
+	}
+	if got := plans.Value(); got != 3 {
+		t.Fatalf("three planned reads counted %d compiles", got)
 	}
 	if reg.Counter("docstore.plan.point").Value() == 0 {
 		t.Fatal("point plans not counted")
@@ -173,6 +236,9 @@ func TestFullScanCounter(t *testing.T) {
 	c.Find(Eq("u", 10))
 	if got := scans.Value(); got != base+1 {
 		t.Fatalf("full-scan counter = %d, want %d", got, base+1)
+	}
+	if got := plans.Value(); got != 4 {
+		t.Fatalf("four reads counted %d compiles", got)
 	}
 	if reg.Counter("docstore.plan.full_scan").Value() == 0 {
 		t.Fatal("full-scan plans not counted")

@@ -64,6 +64,52 @@ func TestChainIndexRegistryPlansHotPaths(t *testing.T) {
 	}
 }
 
+// TestSameShapePlansUseTheirOwnEstimates: the validator's two reads
+// over one REQUEST — its ACCEPT_BID, then its locked BIDs — each plan
+// on the estimates its own arguments give now. The first auction's
+// reads run while the chain holds one auction's BIDs, where the
+// operation and refs probes estimate alike; once many auctions' BIDs
+// have committed, a locked-bid read must still drive on the REQUEST's
+// references, never on every BID the chain holds.
+func TestSameShapePlansUseTheirOwnEstimates(t *testing.T) {
+	state := NewState()
+	defer state.Close()
+	gen := workload.NewGenerator(5, keys.DeterministicKeyPair(505))
+	const auctions, bidders = 16, 8
+	var rfqs []string
+	for i := 0; i < auctions; i++ {
+		g := gen.NewAuctionGroup(i*(bidders+1), workload.AuctionGroupSpec{BiddersPerAuction: bidders})
+		for _, b := range [][]*txn.Transaction{append([]*txn.Transaction{g.Request}, g.Creates...), g.Bids} {
+			if _, skipped, err := state.CommitBlockAt(state.Height()+1, b); err != nil || len(skipped) != 0 {
+				t.Fatalf("commit: err=%v skipped=%v", err, skipped)
+			}
+		}
+		rfqs = append(rfqs, g.Request.ID)
+		if i == 0 {
+			v := state.View()
+			v.AcceptForRFQ(g.Request.ID)
+			v.LockedBidsForRFQ(g.Request.ID)
+		}
+	}
+
+	reg := obs.New()
+	state.Store().SetObs(reg)
+	candidates := reg.Counter("docstore.candidates")
+	for _, rfq := range rfqs {
+		v := state.View()
+		if _, ok := v.AcceptForRFQ(rfq); ok {
+			t.Fatal("an ACCEPT_BID was found where none committed")
+		}
+		before := candidates.Value()
+		if got := len(v.LockedBidsForRFQ(rfq)); got != bidders {
+			t.Fatalf("locked bids = %d, want %d", got, bidders)
+		}
+		if n := candidates.Value() - before; n > bidders {
+			t.Errorf("the locked-bid read of a REQUEST with %d BIDs materialised %d candidates (the chain holds %d BIDs)", bidders, n, auctions*bidders)
+		}
+	}
+}
+
 // TestChainIndexesRebuiltOnReopen commits a marketplace workload on
 // the disk engine, reopens it, and checks the registry rebuilt every
 // index over the WAL-recovered documents: identical planned results

@@ -6,28 +6,28 @@ import (
 )
 
 // TestScreenPrimitivesZeroAlloc pins the O(1) structural-screen
-// primitives — the sharded spend-key lookup and the hash lookup — at
-// zero allocations per call on a warm pool. The inline FNV hash in
-// shardFor exists precisely so these stay garbage-free on the
-// admission hot path; this test keeps future PRs from regressing it.
+// primitives — the spend-key lookup and the hash lookup — at zero
+// allocations per call on a warm pool, so the admission hot path stays
+// garbage-free.
 func TestScreenPrimitivesZeroAlloc(t *testing.T) {
 	p := newPool(t, Config{})
 	for i := 0; i < 64; i++ {
 		admit(t, p, spender(fmt.Sprintf("tx-%d", i), fmt.Sprintf("utxo:%d", i)))
 	}
-	hit, miss := "utxo:13", "utxo:9999"
+	hit, miss := []string{"utxo:13"}, []string{"utxo:9999"}
 	hash, absent := "tx-13", "tx-9999"
+	batch := map[string]string{"utxo:batch": "tx-batch"}
 
 	allocs := testing.AllocsPerRun(500, func() {
-		if _, ok := p.claimant(hit); !ok {
+		if _, _, ok := p.claimed(hit, batch); !ok {
 			t.Fatal("claimed key not found")
 		}
-		if _, ok := p.claimant(miss); ok {
+		if _, _, ok := p.claimed(miss, batch); ok {
 			t.Fatal("unclaimed key found")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("claimant allocations = %v, want 0", allocs)
+		t.Fatalf("claimed allocations = %v, want 0", allocs)
 	}
 
 	allocs = testing.AllocsPerRun(500, func() {

@@ -1,6 +1,6 @@
 // Package mempool is the ingest leg of the parallel pipeline: a
-// sharded, footprint-indexed pending-transaction pool that replaces the
-// plain arrival-order slice inside the consensus engine.
+// footprint-indexed pending-transaction pool that replaces the plain
+// arrival-order slice inside the consensus engine.
 //
 // The paper's thesis — declarative transactions expose their read/write
 // footprints before execution — is applied here to the receiver path,
@@ -15,8 +15,9 @@
 //     concurrently across a worker pool with per-transaction verdicts.
 //
 //   - The pool indexes every pending transaction by its declarative
-//     spend keys, sharded by key hash. Point lookups (is this output
-//     already claimed? is this ID pending?) lock one shard; block-commit
+//     spend keys in one map beside its ID map, both under the pool's
+//     lock. The screen's point lookups (is this output already
+//     claimed? is this ID pending?) take its read lock; block-commit
 //     compaction becomes an index sweep — each committed spend key
 //     evicts its pending rival directly — instead of a full rescan.
 //

@@ -33,11 +33,8 @@ const (
 )
 
 // Config parameterizes a pool. The zero value is usable: FIFO packing,
-// per-transaction batches, default sharding, independent footprints.
+// per-transaction batches, independent footprints.
 type Config struct {
-	// Shards is the spend-index shard count (default 16). Point
-	// lookups and claims lock a single shard.
-	Shards int
 	// BatchSize caps one admission batch (default 64). The consensus
 	// receiver path accumulates arrivals up to this size while the
 	// node's execution resource is busy with the previous batch.
@@ -58,9 +55,6 @@ type Config struct {
 }
 
 func (c *Config) fill() {
-	if c.Shards <= 0 {
-		c.Shards = 16
-	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 64
 	}
@@ -107,13 +101,6 @@ type entry struct {
 	stale bool
 }
 
-// indexShard is one slice of the spend index: spend key -> hash of the
-// pending claimant.
-type indexShard struct {
-	mu     sync.Mutex
-	claims map[string]string
-}
-
 // Pool is the footprint-indexed mempool.
 type Pool struct {
 	cfg Config
@@ -123,11 +110,13 @@ type Pool struct {
 	byHash map[string]*entry
 	order  []*entry // arrival order, with tombstones compacted lazily
 	live   int
+	// claims is the spend index: spend key -> hash of the pending
+	// transaction (or the Hold owner) claiming it.
+	claims map[string]string
 	// keyIndex maps every footprint key (reads and writes) of every
 	// live entry to its holders — the staleness sweep: when a block
 	// commits, each of its write keys marks the pending holders stale
-	// in O(holders), independent of pool size. Guarded by mu (all
-	// writers already hold it), unlike the lock-free spend shards.
+	// in O(holders), independent of pool size.
 	keyIndex map[string]map[*entry]struct{}
 	// sweepEpoch counts RemoveCommitted sweeps. An admission batch
 	// records it before semantic validation; candidates inserted after
@@ -135,45 +124,34 @@ type Pool struct {
 	// write keys could not have marked them (they were not indexed
 	// yet), so freshness must not be assumed.
 	sweepEpoch uint64
-
-	shards []*indexShard
 }
 
 // New builds an empty pool.
 func New(cfg Config) *Pool {
 	cfg.fill()
-	p := &Pool{
+	return &Pool{
 		cfg:      cfg,
 		ob:       newPoolObs(cfg.Obs),
 		byHash:   make(map[string]*entry),
+		claims:   make(map[string]string),
 		keyIndex: make(map[string]map[*entry]struct{}),
-		shards:   make([]*indexShard, cfg.Shards),
 	}
-	for i := range p.shards {
-		p.shards[i] = &indexShard{claims: make(map[string]string)}
-	}
-	return p
 }
 
-func (p *Pool) shardFor(key string) *indexShard {
-	// Inline FNV-1a: the spend index is the O(1) hot path, and
-	// hash/fnv would allocate a hasher plus a []byte copy per lookup.
-	const offset32, prime32 = 2166136261, 16777619
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
+// claimed returns the first of keys that an earlier member of the
+// admission batch (batch) or the pool already claims, and its claimant.
+func (p *Pool) claimed(keys []string, batch map[string]string) (key, owner string, ok bool) {
+	p.mu.RLock()
+	defer p.mu.RUnlock()
+	for _, key := range keys {
+		if owner, ok := batch[key]; ok {
+			return key, owner, true
+		}
+		if owner, ok := p.claims[key]; ok {
+			return key, owner, true
+		}
 	}
-	return p.shards[h%uint32(len(p.shards))]
-}
-
-// claimant returns the pending transaction holding a spend key, if any.
-func (p *Pool) claimant(key string) (string, bool) {
-	s := p.shardFor(key)
-	s.mu.Lock()
-	owner, ok := s.claims[key]
-	s.mu.Unlock()
-	return owner, ok
+	return "", "", false
 }
 
 // Contains reports whether the pool holds a transaction.
@@ -296,19 +274,8 @@ func (p *Pool) AdmitBatch(txs []Tx) AdmitResult {
 			continue
 		}
 		fp := p.cfg.Footprint(tx)
-		var clash error
-		for _, key := range fp.Spends {
-			if owner, ok := batchClaims[key]; ok {
-				clash = &ErrSpendClaimed{TxHash: h, Key: key, ClaimedBy: owner}
-				break
-			}
-			if owner, ok := p.claimant(key); ok {
-				clash = &ErrSpendClaimed{TxHash: h, Key: key, ClaimedBy: owner}
-				break
-			}
-		}
-		if clash != nil {
-			res.Skipped[h] = clash
+		if key, owner, ok := p.claimed(fp.Spends, batchClaims); ok {
+			res.Skipped[h] = &ErrSpendClaimed{TxHash: h, Key: key, ClaimedBy: owner}
 			p.ob.screenClaimed.Inc()
 			continue
 		}
@@ -405,7 +372,7 @@ func (p *Pool) AdmitBatch(txs []Tx) AdmitResult {
 			// batch may have taken one between the screen and here.
 			lost := false
 			for _, key := range c.fp.Spends {
-				if owner, ok := p.claimant(key); ok {
+				if owner, ok := p.claims[key]; ok {
 					res.Skipped[h] = &ErrSpendClaimed{TxHash: h, Key: key, ClaimedBy: owner}
 					p.ob.screenClaimed.Inc()
 					lost = true
@@ -424,10 +391,7 @@ func (p *Pool) AdmitBatch(txs []Tx) AdmitResult {
 			p.live++
 			p.indexKeysLocked(e)
 			for _, key := range c.fp.Spends {
-				s := p.shardFor(key)
-				s.mu.Lock()
-				s.claims[key] = h
-				s.mu.Unlock()
+				p.claims[key] = h
 			}
 			res.Admitted = append(res.Admitted, c.tx)
 			p.ob.admitted.Inc()
@@ -477,15 +441,12 @@ func (p *Pool) Hold(keys []string, owner string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, key := range keys {
-		if cur, ok := p.claimant(key); ok && cur != owner {
+		if cur, ok := p.claims[key]; ok && cur != owner {
 			return &ErrSpendClaimed{TxHash: owner, Key: key, ClaimedBy: cur}
 		}
 	}
 	for _, key := range keys {
-		s := p.shardFor(key)
-		s.mu.Lock()
-		s.claims[key] = owner
-		s.mu.Unlock()
+		p.claims[key] = owner
 	}
 	return nil
 }
@@ -496,12 +457,9 @@ func (p *Pool) Release(keys []string, owner string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, key := range keys {
-		s := p.shardFor(key)
-		s.mu.Lock()
-		if s.claims[key] == owner {
-			delete(s.claims, key)
+		if p.claims[key] == owner {
+			delete(p.claims, key)
 		}
-		s.mu.Unlock()
 	}
 }
 
@@ -561,7 +519,7 @@ func (p *Pool) RemoveCommitted(txs []Tx) {
 			fp := p.cfg.Footprint(tx)
 			writes = fp.Writes
 			for _, key := range fp.Spends {
-				if owner, ok := p.claimant(key); ok && owner != h {
+				if owner, ok := p.claims[key]; ok && owner != h {
 					if rival, live := p.byHash[owner]; live {
 						p.dropLocked(rival)
 					}
@@ -706,12 +664,9 @@ func (p *Pool) dropLocked(e *entry) {
 	delete(p.byHash, h)
 	p.unindexKeysLocked(e)
 	for _, key := range e.fp.Spends {
-		s := p.shardFor(key)
-		s.mu.Lock()
-		if s.claims[key] == h {
-			delete(s.claims, key)
+		if p.claims[key] == h {
+			delete(p.claims, key)
 		}
-		s.mu.Unlock()
 	}
 }
 

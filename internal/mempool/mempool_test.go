@@ -41,6 +41,13 @@ func admit(t *testing.T, p *Pool, txs ...Tx) AdmitResult {
 	return p.AdmitBatch(txs)
 }
 
+// claimant returns the pending transaction or hold owner claiming a
+// spend key, if any.
+func (p *Pool) claimant(key string) (string, bool) {
+	_, owner, ok := p.claimed([]string{key}, nil)
+	return owner, ok
+}
+
 func TestAdmitAndContains(t *testing.T) {
 	p := newPool(t, Config{})
 	res := admit(t, p, indep("a"), indep("b"))

@@ -13,7 +13,7 @@ import (
 // afterwards. Run under -race (the Makefile race gate includes this
 // package).
 func TestConcurrentAdmitPackRemove(t *testing.T) {
-	p := newPool(t, Config{Shards: 8, Policy: PackMakespan, PackWorkers: 4})
+	p := newPool(t, Config{Policy: PackMakespan, PackWorkers: 4})
 
 	const admitters = 4
 	const batches = 40

@@ -42,7 +42,7 @@ func checkpointErr(step string, err error) error {
 	return fmt.Errorf("%w: %s: %w", ErrCheckpoint, step, err)
 }
 
-// Engine is the disk backend: the shared sharded memtable as the
+// Engine is the disk backend: the shared memtable as the
 // resident working set, a group-fsynced WAL for durability, and
 // sorted segment files written by checkpoints. See the package comment
 // for the on-disk formats and the checkpoint protocol.

@@ -3,8 +3,8 @@
 // log-structured stores (bbolt, pebble) real blockchain databases sit
 // on. It offers two backends behind one interface:
 //
-//   - Memory (NewMemory): the original volatile backend — sharded
-//     in-memory maps, no files. A restarted node starts empty.
+//   - Memory (NewMemory): the original volatile backend — in-memory
+//     maps, no files. A restarted node starts empty.
 //   - Engine (Open): a disk backend combining an append-only
 //     write-ahead log with immutable sorted segment files. Every
 //     mutation is framed into the WAL ([length][CRC32-C][payload])
@@ -213,8 +213,7 @@ type Backend interface {
 // (docstore decides who gets a copy).
 type Collection interface {
 	// Get returns the stored document (not a copy) and whether it
-	// exists. Point reads lock only the key's shard, never the whole
-	// collection.
+	// exists. Point reads never lock the whole collection.
 	Get(key string) (map[string]any, bool)
 	// Put stores doc under key (insert or replace). An insert appends
 	// to the iteration order; a replace keeps the original position.
