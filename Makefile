@@ -103,9 +103,13 @@ fuzz:
 # TestPlannedIntersectAllocations pin them. PlanLockedBids compiles and
 # executes the locked-bid filter over 64 k transactions after an
 # accept-shaped compile: planning on live estimates, the cost a plan
-# cache would have to beat.
+# cache would have to beat. ChildCommitted is what every validator pays
+# per committed nested child (TestChildCommittedAllocations pins it):
+# each iteration settles one child of a ten-bid auction and every tenth
+# builds a fresh auction off the clock, so it runs at a fixed count.
 bench-alloc:
 	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage ./internal/docstore -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|MarshalCanonicalCold|OutputRefString|FootprintOf|StateView|InsertDoc|MarkSpent|SpendFanIn|StageBlock|SealOneTxBlock|CommitTransferChain|EncodableDoc|GroupCommit|Fold|IndexInsert|PlannedIntersect|PlanLockedBids'
+	$(GO) test ./internal/nested -run '^$$' -benchmem -bench ChildCommitted -benchtime 5000x
 
 # The tier-1 suites that touch chain state (ledger, server/cluster,
 # nested recovery, bench differential, query) re-run over the disk

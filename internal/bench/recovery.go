@@ -70,9 +70,7 @@ func RunRecovery(bidders int, seed int64) (RecoveryResult, error) {
 
 	// One node restarts: reconnect its worker and replay the log.
 	n0 := cluster.ServerNode(0)
-	n0.SetChildSubmitter(func(child *txn.Transaction) {
-		cluster.SubmitAt(cluster.Sched().Now()+time.Millisecond, child)
-	})
+	n0.SetChildSubmitter(cluster.ChildInjector(0))
 	cluster.Sched().After(0, func() { n0.Recover() })
 	want := count + bidders
 	got := cluster.RunUntilCommitted(want, cluster.Sched().Now()+time.Hour)

@@ -1,7 +1,8 @@
 // Package consensus implements a Tendermint-style BFT consensus engine
 // over the simulated network, standing in for the Tendermint service of
 // the BigchainDB/SmartchainDB stack. Each validator keeps a mempool fed
-// by gossip, proposals rotate round-robin, and a block commits once
+// by gossip of client submissions and by the transactions it derives
+// itself (InjectAt), proposals rotate round-robin, and a block commits once
 // more than 2/3 of the validators precommit it. The engine supports the
 // blockchain pipelining technique the paper credits for BigchainDB's
 // scalability — voting on block h+1 before block h is finalized — as a
@@ -88,10 +89,11 @@ type App interface {
 	CommitTime(txs []Tx) time.Duration
 	// Obs returns the app's observability registry (nil for the no-op
 	// build). The engine wires the node's mempool to it (admission
-	// counters, stage dwell tracing) and stamps client arrivals into
-	// its stage tracer, so a transaction's recv dwell — arrival at the
-	// receiver to admission-batch pickup — lands on the same trace its
-	// mempool, validation, and commit stages do.
+	// counters, stage dwell tracing) and stamps client arrivals and
+	// injections into its stage tracer, so a transaction's recv dwell —
+	// arrival at the receiver, or injection, to admission-batch pickup —
+	// lands on the same trace its mempool, validation, and commit stages
+	// do.
 	Obs() *obs.Registry
 }
 
@@ -240,6 +242,9 @@ type Cluster struct {
 	commitTimes map[string]time.Duration
 	rejected    map[string]error
 	onCommit    func(tx Tx, at time.Duration)
+	// injected holds the first copy of each injected transaction that
+	// has not committed yet: every validator pools that one object.
+	injected map[string]Tx
 }
 
 // NewCluster builds a cluster; appFor supplies each node's App.
@@ -251,6 +256,7 @@ func NewCluster(cfg Config, appFor func(node int) App) *Cluster {
 		submitTimes: make(map[string]time.Duration),
 		commitTimes: make(map[string]time.Duration),
 		rejected:    make(map[string]error),
+		injected:    make(map[string]Tx),
 	}
 	c.net = netsim.New(c.sched, cfg.Latency)
 	for i := 0; i < cfg.Nodes; i++ {
@@ -282,7 +288,9 @@ func (c *Cluster) OnCommit(fn func(tx Tx, at time.Duration)) { c.onCommit = fn }
 // to the other validators. If it neither commits nor is rejected
 // within the retry timeout (e.g. the receiver crashed mid-validation),
 // the client re-triggers it toward another node; resubmission is safe
-// because transaction identity is deterministic.
+// because transaction identity is deterministic. SubmitAt is the
+// client's path; a transaction every validator derives for itself
+// enters through InjectAt.
 func (c *Cluster) SubmitAt(at time.Duration, tx Tx) {
 	c.sched.At(at, func() {
 		if _, dup := c.submitTimes[tx.Hash()]; dup {
@@ -331,6 +339,29 @@ func (c *Cluster) aliveReceiver() *node {
 		return nil
 	}
 	return alive[c.sched.Rand().Intn(len(alive))]
+}
+
+// InjectAt hands tx to validator i's own mempool at virtual time at. It
+// is the path of a transaction every validator derives for itself from
+// committed state — a nested child (§4.2) — so it visits no receiver,
+// costs no receiver time, waits behind no client admission batch and is
+// never gossiped; the pool still runs its CheckTx through the Check
+// hook. What one validator is handed for one instant enters its pool as
+// one admission batch. Until the transaction commits, every validator
+// pools the first copy injected anywhere, so one object stands for it
+// however many validators built it. Its submit time, which Latency
+// measures from, is its first injection into a live validator. An
+// injection into a crashed validator is dropped and never retried: the
+// others inject their own, and a restarted validator re-derives what it
+// still owes.
+func (c *Cluster) InjectAt(at time.Duration, i int, tx Tx) {
+	h := tx.Hash()
+	if first, ok := c.injected[h]; ok {
+		tx = first
+	} else if _, done := c.commitTimes[h]; !done {
+		c.injected[h] = tx
+	}
+	c.nodes[i].inject(at, tx)
 }
 
 // Crash takes validator i offline.
@@ -443,6 +474,7 @@ func (c *Cluster) recordCommit(txs []Tx) {
 			continue
 		}
 		c.commitTimes[tx.Hash()] = now
+		delete(c.injected, tx.Hash())
 		if c.onCommit != nil {
 			c.onCommit(tx, now)
 		}

@@ -60,10 +60,17 @@ type hrKey struct {
 
 // admitItem is one transaction awaiting batched admission, tagged with
 // its origin: client submissions are re-gossiped and get their
-// rejections recorded; gossiped copies are neither.
+// rejections recorded; gossiped and injected copies are neither.
 type admitItem struct {
 	tx     Tx
 	client bool
+}
+
+// injection is the transactions injected into one node for one instant:
+// they enter its pool as one admission batch.
+type injection struct {
+	at  time.Duration
+	txs []Tx
 }
 
 // node is one validator's consensus state machine.
@@ -72,8 +79,8 @@ type node struct {
 	id  netsim.NodeID
 	app App
 	// tracer is the app's stage tracer (nil without a registry): client
-	// arrivals are stamped here so the recv-stage dwell spans arrival
-	// to admission pickup.
+	// arrivals and injections are stamped here so the recv-stage dwell
+	// spans arrival to admission pickup.
 	tracer *obs.Tracer
 
 	height int64 // height currently being decided
@@ -86,6 +93,8 @@ type node struct {
 	admitQueue []admitItem
 	queued     map[string]bool
 	admitting  bool
+	// injecting is the newest injection batch not yet admitted.
+	injecting *injection
 
 	committed map[string]bool // tx hashes applied locally
 	reserved  map[string]bool // txs in a precommitted-but-unfinalized block (pipelining)
@@ -178,6 +187,51 @@ func (n *node) charge(d time.Duration) time.Duration {
 func (n *node) receiveClientTx(tx Tx) {
 	n.tracer.Arrive(tx.Hash())
 	n.enqueueAdmission(tx, true)
+}
+
+// inject adds tx to the node's injection batch for instant at, opening
+// a new batch if the newest one is for another instant.
+func (n *node) inject(at time.Duration, tx Tx) {
+	if b := n.injecting; b != nil && b.at == at {
+		b.txs = append(b.txs, tx)
+		return
+	}
+	b := &injection{at: at, txs: []Tx{tx}}
+	n.injecting = b
+	n.c.sched.At(at, func() {
+		if n.injecting == b {
+			n.injecting = nil
+		}
+		n.admitInjected(b.txs)
+	})
+}
+
+// admitInjected admits one injection batch straight into the pool, the
+// way a gossiped batch is admitted but off the admission queue and the
+// execution resource: no receiver time, no gossip, no verdict recorded
+// for a client. A transaction's first injection into a live validator
+// is its submit time, and each validator's injection is its trace's
+// arrival there.
+func (n *node) admitInjected(txs []Tx) {
+	if n.c.net.IsDown(n.id) {
+		return
+	}
+	now := n.c.sched.Now()
+	batch := make([]admitItem, 0, len(txs))
+	for _, tx := range txs {
+		h := tx.Hash()
+		if n.committed[h] || n.pool.Contains(h) {
+			continue
+		}
+		if _, ok := n.c.submitTimes[h]; !ok {
+			n.c.submitTimes[h] = now
+		}
+		n.tracer.Arrive(h)
+		batch = append(batch, admitItem{tx: tx})
+	}
+	if len(batch) > 0 {
+		n.processAdmission(batch)
+	}
 }
 
 // enqueueAdmission queues one transaction for the next admission batch.

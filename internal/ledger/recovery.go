@@ -138,11 +138,13 @@ func (s *State) MarkReturnDone(acceptID string, outputIndex int, childID string)
 	})
 }
 
-// RecoveryFor returns the recovery record for one ACCEPT_BID.
+// RecoveryFor returns the recovery record for one ACCEPT_BID. It decodes
+// the stored document in place: every validator reads it once per
+// committed child, and the record keeps nothing of the map.
 func (s *State) RecoveryFor(acceptID string) (*RecoveryRecord, error) {
-	doc, err := s.store.Collection(ColRecovery).Get(acceptID)
-	if err != nil {
-		return nil, err
+	doc, ok := s.store.Collection(ColRecovery).Borrow(acceptID)
+	if !ok {
+		return nil, &docstore.ErrNotFound{Collection: ColRecovery, Key: acceptID}
 	}
 	return recoveryFromDoc(doc), nil
 }

@@ -4,10 +4,13 @@
 // (one TRANSFER to the requester, n-1 RETURNs to losing bidders) are
 // enqueued into a return queue, built and signed by the escrow system
 // account, and submitted asynchronously with eventual-commit semantics.
-// The accept_tx_recovery log makes the children replayable after a
-// crash; duplicate submissions are harmless because child construction
-// is deterministic (same escrow key, same parent output) so replays
-// carry identical transaction IDs.
+// Child construction is deterministic (same escrow key, same parent
+// output), so every validator derives the same children, with the same
+// transaction IDs, from its own commit of the parent: in a cluster each
+// validator's engine hands its children to its own mempool, and none
+// travels through a receiver or gossip. The accept_tx_recovery log
+// makes the children replayable after a crash, and a replayed child is
+// the same transaction again.
 package nested
 
 import (
@@ -19,9 +22,9 @@ import (
 	"smartchaindb/internal/txn"
 )
 
-// Submitter forwards a signed child transaction back into the network
-// (in production: to a randomly selected validator node; in the
-// simulation: into the consensus cluster).
+// Submitter hands a signed child transaction on for commit. A cluster
+// validator's submitter injects it into that validator's own mempool
+// (server.Cluster.ChildInjector); a standalone node's applies it at once.
 type Submitter func(child *txn.Transaction)
 
 // Engine is one node's return-queue worker pool and recovery driver.

@@ -22,7 +22,7 @@ type auction struct {
 
 var seq int
 
-func newAuction(t *testing.T, nBids int) *auction {
+func newAuction(t testing.TB, nBids int) *auction {
 	t.Helper()
 	a := &auction{
 		state:     ledger.NewState(),

@@ -36,8 +36,18 @@ type auctionRun struct {
 // differs between them is the configuration, never the driving.
 func runAuctionCluster(t *testing.T, cfg ClusterConfig, load auctionLoad, inspect func(*Cluster, []*workload.AuctionGroup)) auctionRun {
 	t.Helper()
+	return runAuctionClusterWith(t, cfg, nil, load, inspect)
+}
+
+// runAuctionClusterWith is runAuctionCluster with prepare, when
+// non-nil, run on the new cluster before any traffic.
+func runAuctionClusterWith(t *testing.T, cfg ClusterConfig, prepare func(*Cluster), load auctionLoad, inspect func(*Cluster, []*workload.AuctionGroup)) auctionRun {
+	t.Helper()
 	cluster := NewCluster(cfg)
 	defer cluster.Close()
+	if prepare != nil {
+		prepare(cluster)
+	}
 	var run auctionRun
 	cluster.OnCommit(func(tx consensus.Tx, _ time.Duration) {
 		run.committed = append(run.committed, tx.Hash())

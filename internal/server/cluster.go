@@ -7,6 +7,7 @@ import (
 
 	"smartchaindb/internal/consensus"
 	"smartchaindb/internal/mempool"
+	"smartchaindb/internal/nested"
 	"smartchaindb/internal/netsim"
 	"smartchaindb/internal/obs"
 	"smartchaindb/internal/txn"
@@ -26,8 +27,9 @@ type ClusterConfig struct {
 	Pipelined bool
 	// Latency models inter-validator network delay.
 	Latency netsim.LatencyModel
-	// ChildDelay is the queue delay before a nested child re-enters the
-	// network (the asynchronous return-queue worker hop).
+	// ChildDelay is the return-queue hop of a nested child: the delay
+	// between a validator's commit of the parent and the children that
+	// commit derived entering the same validator's mempool.
 	ChildDelay time.Duration
 	// DataDir, when set, gives every validator a persistent storage
 	// engine under DataDir/node-<i>; each node's committed blocks land
@@ -65,8 +67,8 @@ func ParsePacking(s string) (mempool.Policy, error) {
 }
 
 // Cluster is a simulated SmartchainDB network: n server nodes replicated
-// over BFT consensus, with the nested-transaction pipeline wired back
-// into the cluster's submission path.
+// over BFT consensus, with each validator's nested-transaction pipeline
+// wired into its own mempool (ChildInjector).
 type Cluster struct {
 	*consensus.Cluster
 	nodes []*Node
@@ -116,15 +118,21 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		return n
 	})
 	c.Cluster = cc
-	// Nested children re-enter the network asynchronously. Every node
-	// submits deterministically identical children, so duplicates
-	// coalesce at the cluster's submission layer.
-	for _, n := range c.nodes {
-		n.SetChildSubmitter(func(child *txn.Transaction) {
-			cc.SubmitAt(cc.Sched().Now()+c.cfg.ChildDelay, child)
-		})
+	for i, n := range c.nodes {
+		n.SetChildSubmitter(c.ChildInjector(i))
 	}
 	return c
+}
+
+// ChildInjector is validator i's nested-child submitter: it injects each
+// child the validator's commit of a parent derived into that validator's
+// own mempool, ChildDelay later. Every validator derives the same
+// children from the same committed parent, so no child needs a receiver
+// or gossip.
+func (c *Cluster) ChildInjector(i int) nested.Submitter {
+	return func(child *txn.Transaction) {
+		c.InjectAt(c.Sched().Now()+c.cfg.ChildDelay, i, child)
+	}
 }
 
 // ServerNode returns validator i's server node.

@@ -195,8 +195,7 @@ func TestKnobDirectionsInVirtualTime(t *testing.T) {
 				cfg.Nodes = 4
 				cfg.MaxBlockTxs = 64
 				cfg.Pipelined = true
-				// Children re-enter the network only after every replica
-				// has applied the parent block.
+				// The marketplace benchmark's return-queue hop.
 				cfg.ChildDelay = 100 * time.Millisecond
 				tc.set(&cfg.Node, v)
 				return runAuctionCluster(t, cfg, tc.load, nil)

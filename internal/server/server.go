@@ -580,8 +580,8 @@ func asTransactionsFresh(txs []consensus.Tx, fresh []bool) ([]*txn.Transaction, 
 // the fence, disjoint reads run concurrently with the applier. The
 // join blocks until the block is sealed and then runs the
 // nested-transaction hooks for each committed transaction, in block
-// order, on the caller's thread — child submissions re-enter the
-// network at join time, never from the background goroutine.
+// order, on the caller's thread — children are handed to the child
+// submitter at join time, never from the background goroutine.
 func (n *Node) CommitStart(height int64, txs []consensus.Tx) (join func()) {
 	batch := asTransactions(txs)
 	// One footprint sweep serves the whole commit: the plan (the one

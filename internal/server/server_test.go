@@ -286,9 +286,7 @@ func TestClusterCrashRecoveryOfChildren(t *testing.T) {
 	}
 	// Reconnect one node's submitter and replay its recovery log.
 	n0 := c.ServerNode(0)
-	n0.SetChildSubmitter(func(child *txn.Transaction) {
-		c.SubmitAt(c.Sched().Now()+time.Millisecond, child)
-	})
+	n0.SetChildSubmitter(c.ChildInjector(0))
 	c.Sched().After(0, func() { n0.Recover() })
 	if got := c.RunUntilCommitted(8, c.Sched().Now()+5*time.Minute); got != 8 {
 		t.Fatalf("recovery did not commit children: %d of 8", got)
