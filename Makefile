@@ -52,7 +52,11 @@ test-bench:
 # what they refuse. The storage trust boundary — bytes read back from a
 # data directory: FuzzDecodeGroup (WAL frames and group payloads),
 # FuzzLoadSegment, FuzzReadManifest never panic, and decode what the
-# encoders wrote into what went in. FuzzPlannedFind: on documents and
+# encoders wrote into what went in. FuzzMemCollection: on any program
+# of puts, deletes, block begins and seals and retention changes, the
+# memtable's per-key table answers every read at every retained height
+# as the sync.Map layout it replaced does (reference_test.go).
+# FuzzPlannedFind: on documents and
 # filter trees decoded from the input, over hash, ordered, multikey,
 # unique-valued and partial indexes, with documents entering and leaving
 # the partial indexes' predicates, the planner finds what a full scan
@@ -76,6 +80,7 @@ fuzz:
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzDecodeGroup$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzLoadSegment$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzReadManifest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzMemCollection$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/docstore -run '^$$' -fuzz '^FuzzPlannedFind$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/ledger -run '^$$' -fuzz '^FuzzDecodePrepared$$' -fuzztime $(FUZZTIME)
 
@@ -103,12 +108,15 @@ fuzz:
 # TestPlannedIntersectAllocations pin them. PlanLockedBids compiles and
 # executes the locked-bid filter over 64 k transactions after an
 # accept-shaped compile: planning on live estimates, the cost a plan
-# cache would have to beat. ChildCommitted is what every validator pays
+# cache would have to beat. MemPut, MemGetAt and MemScanAt are the
+# memtable's insert, snapshot point read and full scan over 64 k keys,
+# each beside the sync.Map layout it replaced; TestStoredKeyBytes pins
+# what a key retains. ChildCommitted is what every validator pays
 # per committed nested child (TestChildCommittedAllocations pins it):
 # each iteration settles one child of a ten-bid auction and every tenth
 # builds a fresh auction off the clock, so it runs at a fixed count.
 bench-alloc:
-	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage ./internal/docstore -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|MarshalCanonicalCold|OutputRefString|FootprintOf|StateView|InsertDoc|MarkSpent|SpendFanIn|StageBlock|SealOneTxBlock|CommitTransferChain|EncodableDoc|GroupCommit|Fold|IndexInsert|PlannedIntersect|PlanLockedBids'
+	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage ./internal/docstore -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|MarshalCanonicalCold|OutputRefString|FootprintOf|StateView|InsertDoc|MarkSpent|SpendFanIn|StageBlock|SealOneTxBlock|CommitTransferChain|EncodableDoc|GroupCommit|Fold|MemPut|MemGetAt|MemScanAt|IndexInsert|PlannedIntersect|PlanLockedBids'
 	$(GO) test ./internal/nested -run '^$$' -benchmem -bench ChildCommitted -benchtime 5000x
 
 # The tier-1 suites that touch chain state (ledger, server/cluster,

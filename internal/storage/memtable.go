@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"hash/maphash"
 	"math"
 	"sort"
 	"sync"
@@ -16,6 +17,7 @@ type memObs struct {
 	prunedVersions *obs.Counter   // storage.mvcc.pruned_versions
 	prunedChains   *obs.Counter   // storage.mvcc.pruned_chains
 	chainLen       *obs.Histogram // storage.mvcc.chain_len (per GC'd key)
+	gcCollections  *obs.Counter   // storage.mvcc.gc_collections (visited by seals)
 	visible        *obs.Gauge     // storage.mvcc.visible_height
 	floor          *obs.Gauge     // storage.mvcc.floor_height
 }
@@ -28,6 +30,7 @@ func newMemObs(reg *obs.Registry) *memObs {
 		prunedVersions: reg.Counter("storage.mvcc.pruned_versions"),
 		prunedChains:   reg.Counter("storage.mvcc.pruned_chains"),
 		chainLen:       reg.Histogram("storage.mvcc.chain_len"),
+		gcCollections:  reg.Counter("storage.mvcc.gc_collections"),
 		visible:        reg.Gauge("storage.mvcc.visible_height"),
 		floor:          reg.Gauge("storage.mvcc.floor_height"),
 	}
@@ -71,28 +74,24 @@ func (c *verClock) stamp() int64 {
 	return c.visible.Load()
 }
 
-// docVersion is one immutable version of a document. A nil doc is a
-// tombstone. prev points at the next-older version; it is only ever
-// rewritten by GC, which cuts links no supported snapshot can follow.
+// docVersion is one immutable version of a document. A key's newest
+// version is also the key's entry in its collection's table, which is
+// why it carries the key: a stored key costs this one record and a
+// log entry. A nil doc is a tombstone. prev points at the next-older
+// version; it is only ever rewritten by GC, which cuts links no
+// supported snapshot can follow.
 type docVersion struct {
+	key    string
 	doc    map[string]any
 	height int64
 	ord    uint64
 	prev   atomic.Pointer[docVersion]
 }
 
-// verChain is one key's version chain, newest first. The head pointer
-// is the publication point: a version (and its prev link) is fully
-// built before the head store, so lock-free readers walking from head
-// always see complete versions.
-type verChain struct {
-	head atomic.Pointer[docVersion]
-}
-
-// versionAt resolves the chain at height h: the newest version whose
-// height is <= h, or nil if the key did not exist at h.
-func (ch *verChain) versionAt(h int64) *docVersion {
-	for v := ch.head.Load(); v != nil; v = v.prev.Load() {
+// at resolves the chain starting at v at height h: the newest version
+// whose height is <= h, or nil if the key did not exist at h.
+func (v *docVersion) at(h int64) *docVersion {
+	for ; v != nil; v = v.prev.Load() {
 		if v.height <= h {
 			return v
 		}
@@ -100,11 +99,74 @@ func (ch *verChain) versionAt(h int64) *docVersion {
 	return nil
 }
 
+// vacated fills the table slot of a removed key. A probe steps over
+// it; the next rebuild of the table drops it.
+var vacated = new(docVersion)
+
+// verTable is a collection's key index: open addressing with linear
+// probing over a power-of-two slot array, hashed with hash/maphash.
+// A slot is nil (never used; it ends a probe), vacated, or a key's
+// newest version. The collection's one writer (under wmu) stores into
+// the current table; readers load the table and its slots atomically
+// and take no lock. A table is never written again once a rebuild has
+// replaced it: the writer fills the replacement completely, then
+// publishes it, so a reader still probing the old table sees every
+// key as of the swap.
+type verTable struct {
+	slots []atomic.Pointer[docVersion]
+	seed  maphash.Seed
+}
+
+// verTableMinSlots is the size of an empty collection's table.
+const verTableMinSlots = 8
+
+// find returns key's newest version, or nil. The table is at most half
+// full, so a probe always ends at a nil slot.
+func (t *verTable) find(key string) *docVersion {
+	mask := uint64(len(t.slots) - 1)
+	for i := maphash.String(t.seed, key) & mask; ; i = (i + 1) & mask {
+		v := t.slots[i].Load()
+		if v == nil {
+			return nil
+		}
+		if v != vacated && v.key == key {
+			return v
+		}
+	}
+}
+
+// slot returns key's slot and its head or, for a key the table lacks,
+// the slot an insert takes (the first vacated one on the probe path,
+// else the nil that ended it) and nil. Caller holds wmu.
+func (t *verTable) slot(key string) (*atomic.Pointer[docVersion], *docVersion) {
+	mask := uint64(len(t.slots) - 1)
+	var free *atomic.Pointer[docVersion]
+	for i := maphash.String(t.seed, key) & mask; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		switch v := s.Load(); {
+		case v == nil:
+			if free == nil {
+				free = s
+			}
+			return free, nil
+		case v == vacated:
+			if free == nil {
+				free = s
+			}
+		case v.key == key:
+			return s, v
+		}
+	}
+}
+
 // entry is one slot of a collection's append-only iteration log: the
 // key and the insertion counter it was (re)inserted with. An entry is
 // emitted by a scan at height h iff the key's chain resolves at h to a
 // live version carrying the same ord — which both dedups re-inserts
-// (only the current ord matches) and hides deleted keys.
+// (only the current ord matches) and hides deleted keys. An entry
+// holds the key, not its version: a version it pointed at would stay
+// alive, document and all, after a rewrite or GC had cut it from its
+// chain.
 type entry struct {
 	key string
 	ord uint64
@@ -119,51 +181,143 @@ type entrySeg struct {
 	next atomic.Pointer[entrySeg]
 }
 
+// A log segment doubles from entrySegMinCap up to entrySegMaxCap
+// entries, so the unused tail of the newest one is at most 96 KiB.
 const (
 	entrySegMinCap = 64
-	entrySegMaxCap = 1 << 15
+	entrySegMaxCap = 1 << 12
 )
+
+// dirtyRun is one height of a collection's GC worklist: the keys whose
+// first write at height h was a put or a delete.
+type dirtyRun struct {
+	h    int64
+	keys []string
+}
+
+// gcQueue is a backend's GC schedule: every collection whose worklist
+// is not empty, filed under the height of the worklist's front run. A
+// seal takes the collections filed at or below its horizon and visits
+// no other.
+type gcQueue struct {
+	mu  sync.Mutex
+	due map[int64][]*MemCollection
+}
+
+func (q *gcQueue) add(h int64, c *MemCollection) {
+	q.mu.Lock()
+	if q.due == nil {
+		q.due = make(map[int64][]*MemCollection)
+	}
+	q.due[h] = append(q.due[h], c)
+	q.mu.Unlock()
+}
+
+// take removes and returns the collections filed at or below horizon.
+func (q *gcQueue) take(horizon int64) []*MemCollection {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	var out []*MemCollection
+	for h, cs := range q.due {
+		if h <= horizon {
+			out = append(out, cs...)
+			delete(q.due, h)
+		}
+	}
+	return out
+}
 
 // MemCollection is the in-memory MVCC collection both backends share:
 // the memory backend stores documents here directly, and the disk
 // engine keeps it as the always-resident working set in front of the
 // WAL and segments. Every key holds an immutable version chain stamped
-// with block heights; reads resolve a height against the chains and
-// the iteration log with atomics only — no collection, shard, or order
+// with block heights, its head in a slot of the collection's table;
+// reads resolve a height against the table, the chains and the
+// iteration log with atomics only — no collection, shard, or order
 // lock exists on the read path. Writers serialize on one mutex.
 type MemCollection struct {
 	name  string
 	clock *verClock
 	// ob points at the owning backend's attached metric handles; a
 	// stored nil (never attached) reads as all-no-op handles.
-	ob *atomic.Pointer[memObs]
+	ob  *atomic.Pointer[memObs]
+	gcq *gcQueue
 
-	chains sync.Map // key -> *verChain
-	log    atomic.Pointer[entrySeg]
-	live   atomic.Int64 // keys live in the writer view
+	table atomic.Pointer[verTable]
+	log   atomic.Pointer[entrySeg]
+	live  atomic.Int64 // keys live in the writer view
 
 	// wmu serializes writers (and GC). Readers never take it.
 	wmu     sync.Mutex
+	keys    int // heads in the table, tombstones included
+	used    int // table slots that are not nil: heads and vacated
 	tail    *entrySeg
 	nextOrd uint64
-	dead    int                           // log entries no snapshot can resolve
-	dirty   map[int64]map[string]struct{} // height -> keys written (GC worklist)
+	dead    int // log entries no snapshot can resolve
+	// dirty is the GC worklist in write order, which is height order
+	// unless a block was opened or sealed below one already written;
+	// GC takes runs from the front while they are at or below its
+	// horizon, so such a run only waits for the runs ahead of it.
+	dirty  []dirtyRun
+	queued bool // filed on gcq, or taken by a seal not yet done
 }
 
-func newMemCollection(name string, clock *verClock, ob *atomic.Pointer[memObs]) *MemCollection {
-	c := &MemCollection{name: name, clock: clock, ob: ob, dirty: make(map[int64]map[string]struct{})}
+func newMemCollection(name string, clock *verClock, ob *atomic.Pointer[memObs], gcq *gcQueue) *MemCollection {
+	c := &MemCollection{name: name, clock: clock, ob: ob, gcq: gcq}
+	c.table.Store(&verTable{slots: make([]atomic.Pointer[docVersion], verTableMinSlots), seed: maphash.MakeSeed()})
 	seg := &entrySeg{buf: make([]entry, entrySegMinCap)}
 	c.log.Store(seg)
 	c.tail = seg
 	return c
 }
 
-func (c *MemCollection) chain(key string) *verChain {
-	if v, ok := c.chains.Load(key); ok {
-		return v.(*verChain)
+// install stores v in slot s, which holds head — nil when v's key is
+// new to the table. An insert that would fill more than half the slots
+// rebuilds the table first. Caller holds wmu.
+func (c *MemCollection) install(s *atomic.Pointer[docVersion], head, v *docVersion) {
+	if head == nil {
+		if s.Load() == nil {
+			if t := c.table.Load(); (c.used+1)*2 > len(t.slots) {
+				s, _ = c.rebuild(t, c.keys+1).slot(v.key)
+			}
+			c.used++
+		}
+		c.keys++
 	}
-	v, _ := c.chains.LoadOrStore(key, &verChain{})
-	return v.(*verChain)
+	s.Store(v)
+}
+
+// remove vacates the slot of a key no supported snapshot can see.
+// Caller holds wmu.
+func (c *MemCollection) remove(s *atomic.Pointer[docVersion]) {
+	s.Store(vacated)
+	c.keys--
+}
+
+// rebuild publishes a table with room for n keys at most half full,
+// holding every head of t and none of its vacated slots, and returns
+// it. Caller holds wmu.
+func (c *MemCollection) rebuild(t *verTable, n int) *verTable {
+	size := verTableMinSlots
+	for size < 2*n {
+		size *= 2
+	}
+	nt := &verTable{slots: make([]atomic.Pointer[docVersion], size), seed: t.seed}
+	mask := uint64(size - 1)
+	for i := range t.slots {
+		v := t.slots[i].Load()
+		if v == nil || v == vacated {
+			continue
+		}
+		j := maphash.String(nt.seed, v.key) & mask
+		for nt.slots[j].Load() != nil {
+			j = (j + 1) & mask
+		}
+		nt.slots[j].Store(v)
+	}
+	c.used = c.keys
+	c.table.Store(nt)
+	return nt
 }
 
 // appendEntry publishes one log entry. Caller holds wmu.
@@ -171,11 +325,7 @@ func (c *MemCollection) appendEntry(e entry) {
 	t := c.tail
 	n := t.n.Load()
 	if int(n) == len(t.buf) {
-		cap := len(t.buf) * 2
-		if cap > entrySegMaxCap {
-			cap = entrySegMaxCap
-		}
-		ns := &entrySeg{buf: make([]entry, cap)}
+		ns := &entrySeg{buf: make([]entry, min(len(t.buf)*2, entrySegMaxCap))}
 		t.next.Store(ns)
 		c.tail = ns
 		t, n = ns, 0
@@ -184,25 +334,24 @@ func (c *MemCollection) appendEntry(e entry) {
 	t.n.Store(n + 1)
 }
 
-// markDirty records key as written at height h so seal-time GC can
-// find its chain once h falls past the retention horizon. Caller
-// holds wmu.
+// markDirty files key under height h in the GC worklist, so seal-time
+// GC finds its chain once h falls past the retention horizon. Writers
+// call it for a key's first write at h only. Caller holds wmu.
 func (c *MemCollection) markDirty(key string, h int64) {
-	set := c.dirty[h]
-	if set == nil {
-		set = make(map[string]struct{})
-		c.dirty[h] = set
+	if n := len(c.dirty); n > 0 && c.dirty[n-1].h == h {
+		c.dirty[n-1].keys = append(c.dirty[n-1].keys, key)
+		return
 	}
-	set[key] = struct{}{}
+	c.dirty = append(c.dirty, dirtyRun{h: h, keys: []string{key}})
+	if !c.queued {
+		c.queued = true
+		c.gcq.add(h, c)
+	}
 }
 
 // GetAt returns the document visible at height h.
 func (c *MemCollection) GetAt(key string, h int64) (map[string]any, bool) {
-	v, ok := c.chains.Load(key)
-	if !ok {
-		return nil, false
-	}
-	ver := v.(*verChain).versionAt(h)
+	ver := c.table.Load().find(key).at(h)
 	if ver == nil || ver.doc == nil {
 		return nil, false
 	}
@@ -231,17 +380,20 @@ func (c *MemCollection) Put(key string, doc map[string]any) error {
 
 // putAt installs a new version of key at height h. Caller holds wmu.
 func (c *MemCollection) putAt(key string, doc map[string]any, h int64) {
-	ch := c.chain(key)
-	head := ch.head.Load()
-	if head != nil && h < head.height {
-		// Heights only move forward; treat a stale stamp as a
-		// same-height rewrite of the newest version.
-		h = head.height
+	s, head := c.table.Load().slot(key)
+	if head != nil {
+		// Every version of a key shares the first one's key string.
+		key = head.key
+		if h < head.height {
+			// Heights only move forward; treat a stale stamp as a
+			// same-height rewrite of the newest version.
+			h = head.height
+		}
 	}
-	v := &docVersion{doc: doc, height: h}
+	v := &docVersion{key: key, doc: doc, height: h}
 	switch {
 	case head == nil || head.doc == nil:
-		// Fresh insert (no chain, or over a tombstone): new insertion
+		// Fresh insert (a new key, or over a tombstone): new insertion
 		// counter and a new log entry.
 		v.ord = c.nextOrd
 		c.nextOrd++
@@ -271,8 +423,10 @@ func (c *MemCollection) putAt(key string, doc map[string]any, h int64) {
 		// No supported snapshot can see anything older.
 		v.prev.Store(nil)
 	}
-	ch.head.Store(v)
-	c.markDirty(key, h)
+	if head == nil || head.height != h {
+		c.markDirty(key, h)
+	}
+	c.install(s, head, v)
 }
 
 // Delete removes key at the clock's current height; missing keys are a
@@ -286,12 +440,7 @@ func (c *MemCollection) Delete(key string) error {
 
 // deleteAt installs a tombstone for key at height h. Caller holds wmu.
 func (c *MemCollection) deleteAt(key string, h int64) {
-	v, ok := c.chains.Load(key)
-	if !ok {
-		return
-	}
-	ch := v.(*verChain)
-	head := ch.head.Load()
+	s, head := c.table.Load().slot(key)
 	if head == nil || head.doc == nil {
 		return
 	}
@@ -299,32 +448,26 @@ func (c *MemCollection) deleteAt(key string, h int64) {
 		h = head.height
 	}
 	c.live.Add(-1)
-	if h <= c.clock.floor.Load() {
-		// No snapshot can observe the key anymore: drop the chain
-		// outright (this is the entire delete path for stores that
-		// never seal blocks).
-		c.chains.Delete(key)
-		c.dead++
-		c.markDirty(key, h)
-		return
-	}
-	t := &docVersion{doc: nil, height: h, ord: head.ord}
-	if head.height == h {
-		t.prev.Store(head.prev.Load())
-	} else {
-		t.prev.Store(head)
-	}
-	if t.prev.Load() == nil {
-		// Inserted and deleted above the floor with no history: the
-		// chain can't serve any height.
-		c.chains.Delete(key)
-		c.dead++
-		c.markDirty(key, h)
-		return
-	}
-	ch.head.Store(t)
 	c.dead++
-	c.markDirty(key, h)
+	prev := head
+	if head.height == h {
+		prev = head.prev.Load()
+	} else {
+		// Filed even when the key leaves the table below: the seal
+		// that collects h compacts the log its entry now clutters.
+		c.markDirty(head.key, h)
+	}
+	if h <= c.clock.floor.Load() || prev == nil {
+		// No snapshot can observe the key anymore — it is deleted at or
+		// below the floor (the entire delete path for stores that never
+		// seal blocks), or it was inserted above the floor and has no
+		// history: vacate its slot outright.
+		c.remove(s)
+		return
+	}
+	t := &docVersion{key: head.key, height: h, ord: head.ord}
+	t.prev.Store(prev)
+	s.Store(t)
 }
 
 // putLoaded stores a document recovered from a segment with its
@@ -333,16 +476,15 @@ func (c *MemCollection) deleteAt(key string, h int64) {
 func (c *MemCollection) putLoaded(key string, doc map[string]any, ord uint64, h int64) {
 	tripStored(c.clock, c.name, key, doc)
 	c.wmu.Lock()
-	ch := c.chain(key)
-	if ch.head.Load() == nil {
+	s, head := c.table.Load().slot(key)
+	if head == nil {
 		c.appendEntry(entry{key: key, ord: ord})
 		c.live.Add(1)
+	} else {
+		key = head.key
 	}
-	v := &docVersion{doc: doc, height: h, ord: ord}
-	ch.head.Store(v)
-	if ord >= c.nextOrd {
-		c.nextOrd = ord + 1
-	}
+	c.install(s, head, &docVersion{key: key, doc: doc, height: h, ord: ord})
+	c.nextOrd = max(c.nextOrd, ord+1)
 	c.wmu.Unlock()
 }
 
@@ -382,19 +524,12 @@ func (c *MemCollection) resetLog(entries []entry) {
 	for cap < len(entries) && cap < entrySegMaxCap {
 		cap *= 2
 	}
-	seg := &entrySeg{buf: make([]entry, maxInt(cap, len(entries)))}
+	seg := &entrySeg{buf: make([]entry, max(cap, len(entries)))}
 	copy(seg.buf, entries)
 	seg.n.Store(int64(len(entries)))
 	c.log.Store(seg)
 	c.tail = seg
 	c.dead = 0
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // LenAt returns the number of documents visible at height h.
@@ -418,13 +553,8 @@ func (c *MemCollection) Len() int { return c.LenAt(HeightLatest) }
 func (c *MemCollection) ScanAt(h int64, fn func(key string, doc map[string]any) bool) {
 	for seg := c.log.Load(); seg != nil; seg = seg.next.Load() {
 		n := seg.n.Load()
-		for i := int64(0); i < n; i++ {
-			e := seg.buf[i]
-			v, ok := c.chains.Load(e.key)
-			if !ok {
-				continue
-			}
-			ver := v.(*verChain).versionAt(h)
+		for _, e := range seg.buf[:n] {
+			ver := c.table.Load().find(e.key).at(h)
 			if ver == nil || ver.doc == nil || ver.ord != e.ord {
 				continue
 			}
@@ -458,12 +588,9 @@ func (c *MemCollection) Keys() []string { return c.KeysAt(HeightLatest) }
 // at height h (missing keys absent), lock-free.
 func (c *MemCollection) OrdsAt(keys []string, h int64) map[string]uint64 {
 	out := make(map[string]uint64, len(keys))
+	t := c.table.Load()
 	for _, key := range keys {
-		v, ok := c.chains.Load(key)
-		if !ok {
-			continue
-		}
-		if ver := v.(*verChain).versionAt(h); ver != nil && ver.doc != nil {
+		if ver := t.find(key).at(h); ver != nil && ver.doc != nil {
 			out[key] = ver.ord
 		}
 	}
@@ -475,47 +602,19 @@ func (c *MemCollection) Ords(keys []string) map[string]uint64 {
 	return c.OrdsAt(keys, HeightLatest)
 }
 
-// scanHead visits live writer-view versions in insertion order,
-// exposing ord and birth height. Caller must exclude writers (a
-// checkpoint's cut holds the compaction lock).
-func (c *MemCollection) scanHead(fn func(key string, v *docVersion) bool) {
-	for seg := c.log.Load(); seg != nil; seg = seg.next.Load() {
-		n := seg.n.Load()
-		for i := int64(0); i < n; i++ {
-			e := seg.buf[i]
-			cv, ok := c.chains.Load(e.key)
-			if !ok {
-				continue
-			}
-			head := cv.(*verChain).head.Load()
-			if head == nil || head.doc == nil || head.ord != e.ord {
-				continue
-			}
-			if !fn(e.key, head) {
-				return
-			}
-		}
-	}
-}
-
-// headRef is one live document as a checkpoint captures it: the key
-// and its head version. A published version is immutable — its doc,
-// ord and height are never written again — so the fold reads what it
-// points at with no lock while commits install newer heads.
-type headRef struct {
-	key string
-	v   *docVersion
-}
-
-// collHeads is one collection's capture.
+// collHeads is one collection as a checkpoint captures it: the head
+// version of every live document. A published version is immutable —
+// its key, doc, ord and height are never written again — so the fold
+// reads what it points at with no lock while commits install newer
+// heads.
 type collHeads struct {
 	name  string
-	heads []headRef
+	heads []*docVersion
 }
 
-// captureHeads returns the head version of every live document of
-// every collection, collections in name order: the state a checkpoint
-// folds, taken as an O(keys) pointer copy. Caller must exclude writers.
+// captureHeads returns every collection's capture, collections in name
+// order: the state a checkpoint folds, taken as an O(keys) pointer copy
+// off the tables. Caller must exclude writers.
 func (m *Memory) captureHeads() []collHeads {
 	names := m.CollectionNames()
 	out := make([]collHeads, 0, len(names))
@@ -524,73 +623,83 @@ func (m *Memory) captureHeads() []collHeads {
 		if c == nil {
 			continue
 		}
-		heads := make([]headRef, 0, c.live.Load())
-		c.scanHead(func(key string, v *docVersion) bool {
-			heads = append(heads, headRef{key: key, v: v})
-			return true
-		})
+		heads := make([]*docVersion, 0, c.live.Load())
+		t := c.table.Load()
+		for i := range t.slots {
+			if v := t.slots[i].Load(); v != nil && v != vacated && v.doc != nil {
+				heads = append(heads, v)
+			}
+		}
 		out = append(out, collHeads{name: name, heads: heads})
 	}
 	return out
 }
 
-// gc truncates version history that fell below horizon: every dirty
-// set at or below horizon is processed — each chain keeps the version
-// serving horizon and cuts everything older; chains whose newest
-// surviving version is a tombstone are removed entirely. Readers
+// gc truncates version history that fell below horizon: every worklist
+// height at or below horizon is processed — each chain keeps the
+// version serving horizon and cuts everything older; a key whose
+// newest surviving version is a tombstone leaves the table. Readers
 // racing the cut are safe: only links no height >= horizon can reach
 // are rewritten, and a reader already past the cut holds direct
-// version pointers.
+// version pointers. A collection with work left is filed again under
+// its lowest remaining height.
 func (c *MemCollection) gc(horizon int64) {
 	ob := memObsOf(c.ob)
 	c.wmu.Lock()
-	for h, keys := range c.dirty {
-		if h > horizon {
-			continue
+	n := 0
+	for ; n < len(c.dirty) && c.dirty[n].h <= horizon; n++ {
+		for _, key := range c.dirty[n].keys {
+			c.collect(key, horizon, ob)
 		}
-		delete(c.dirty, h)
-		for key := range keys {
-			cv, ok := c.chains.Load(key)
-			if !ok {
-				continue
-			}
-			ch := cv.(*verChain)
-			head := ch.head.Load()
-			v := head
-			depth := int64(0)
-			for v != nil && v.height > horizon {
-				depth++
-				v = v.prev.Load()
-			}
-			if v == nil {
-				ob.chainLen.Observe(depth)
-				continue
-			}
-			ob.chainLen.Observe(depth + 1)
-			if v == head && v.doc == nil {
-				// The newest version is a tombstone at or below the
-				// horizon: no supported snapshot sees this key.
-				c.chains.Delete(key)
-				c.dead++
-				ob.prunedChains.Inc()
-				ob.prunedVersions.Inc()
-				continue
-			}
-			if old := v.prev.Load(); old != nil {
-				if old.doc != nil || old.ord != v.ord {
-					// History being cut held other insertion counters;
-					// their log entries are now unresolvable.
-					c.dead++
-				}
-				v.prev.Store(nil)
-				for ; old != nil; old = old.prev.Load() {
-					ob.prunedVersions.Inc()
-				}
-			}
-		}
+	}
+	clear(c.dirty[:n])
+	c.dirty = c.dirty[n:]
+	if len(c.dirty) > 0 {
+		c.gcq.add(c.dirty[0].h, c)
+	} else {
+		c.dirty, c.queued = nil, false
 	}
 	c.maybeCompactLog()
 	c.wmu.Unlock()
+}
+
+// collect cuts key's chain below horizon. Caller holds wmu.
+func (c *MemCollection) collect(key string, horizon int64, ob memObs) {
+	s, head := c.table.Load().slot(key)
+	if head == nil {
+		return
+	}
+	v := head
+	depth := int64(0)
+	for v != nil && v.height > horizon {
+		depth++
+		v = v.prev.Load()
+	}
+	if v == nil {
+		ob.chainLen.Observe(depth)
+		return
+	}
+	ob.chainLen.Observe(depth + 1)
+	if v == head && v.doc == nil {
+		// The newest version is a tombstone at or below the horizon:
+		// no supported snapshot sees this key.
+		c.remove(s)
+		c.dead++
+		ob.prunedChains.Inc()
+		ob.prunedVersions.Inc()
+		return
+	}
+	if old := v.prev.Load(); old != nil {
+		if old.doc != nil || old.ord != v.ord {
+			// History being cut held other insertion counters; their
+			// log entries are now unresolvable.
+			c.dead++
+		}
+		v.prev.Store(nil)
+		for ; old != nil; old = old.prev.Load() {
+			ob.prunedVersions.Inc()
+		}
+	}
 }
 
 // memObsOf dereferences a collection's handle pointer; nil (backend
@@ -612,15 +721,11 @@ func (c *MemCollection) maybeCompactLog() {
 		return
 	}
 	var kept []entry
+	t := c.table.Load()
 	for seg := c.log.Load(); seg != nil; seg = seg.next.Load() {
 		n := seg.n.Load()
-		for i := int64(0); i < n; i++ {
-			e := seg.buf[i]
-			cv, ok := c.chains.Load(e.key)
-			if !ok {
-				continue
-			}
-			for v := cv.(*verChain).head.Load(); v != nil; v = v.prev.Load() {
+		for _, e := range seg.buf[:n] {
+			for v := t.find(e.key); v != nil; v = v.prev.Load() {
 				if v.ord == e.ord && v.doc != nil {
 					kept = append(kept, e)
 					break
@@ -631,16 +736,15 @@ func (c *MemCollection) maybeCompactLog() {
 	c.resetLog(kept)
 }
 
-// clear empties the collection in place so stale handles held across a
-// Drop read nothing instead of resurrecting dropped documents.
+// clear empties the collection in place — an empty table and log are
+// published — so stale handles held across a Drop read nothing instead
+// of resurrecting dropped documents.
 func (c *MemCollection) clear() {
 	c.wmu.Lock()
-	c.chains.Range(func(k, _ any) bool {
-		c.chains.Delete(k)
-		return true
-	})
+	c.table.Store(&verTable{slots: make([]atomic.Pointer[docVersion], verTableMinSlots), seed: c.table.Load().seed})
+	c.keys, c.used = 0, 0
 	c.live.Store(0)
-	c.dirty = make(map[int64]map[string]struct{})
+	c.dirty = nil
 	c.resetLog(nil)
 	c.wmu.Unlock()
 }
@@ -653,6 +757,7 @@ type Memory struct {
 	colls   map[string]*MemCollection
 	clock   verClock
 	ob      atomic.Pointer[memObs]
+	gcq     gcQueue
 }
 
 // NewMemory creates an empty memory backend.
@@ -674,7 +779,7 @@ func (m *Memory) coll(name string) *MemCollection {
 	if c := m.colls[name]; c != nil {
 		return c
 	}
-	c = newMemCollection(name, &m.clock, &m.ob)
+	c = newMemCollection(name, &m.clock, &m.ob, &m.gcq)
 	m.colls[name] = c
 	return c
 }
@@ -769,12 +874,8 @@ func (m *Memory) SealBlock(h int64) {
 	// truncated chain only if it was already below the new floor —
 	// the documented "snapshot too old" horizon.
 	m.clock.floor.Store(horizon)
-	m.mu.RLock()
-	colls := make([]*MemCollection, 0, len(m.colls))
-	for _, c := range m.colls {
-		colls = append(colls, c)
-	}
-	m.mu.RUnlock()
+	colls := m.gcq.take(horizon)
+	ob.gcCollections.Add(uint64(len(colls)))
 	for _, c := range colls {
 		c.gc(horizon)
 	}

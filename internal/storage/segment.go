@@ -209,7 +209,7 @@ func (cw *crcWriter) Write(p []byte) (int, error) {
 // half written, at the crash point "mid-segment". It returns the bytes
 // written.
 func writeSegment(path string, c collHeads, at func(point string)) (int64, error) {
-	slices.SortFunc(c.heads, func(a, b headRef) int { return strings.Compare(a.key, b.key) })
+	slices.SortFunc(c.heads, func(a, b *docVersion) int { return strings.Compare(a.key, b.key) })
 
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -229,14 +229,14 @@ func writeSegment(path string, c collHeads, at func(point string)) (int64, error
 	if _, err := cw.Write(scratch); err != nil {
 		return 0, err
 	}
-	for i, h := range c.heads {
+	for i, v := range c.heads {
 		if i == len(c.heads)/2 {
 			at("mid-segment")
 		}
-		scratch = appendString(scratch[:0], h.key)
-		scratch = appendUvarint(scratch, h.v.ord)
-		scratch = appendUvarint(scratch, uint64(h.v.height))
-		if scratch, err = appendDoc(scratch, h.v.doc); err != nil {
+		scratch = appendString(scratch[:0], v.key)
+		scratch = appendUvarint(scratch, v.ord)
+		scratch = appendUvarint(scratch, uint64(v.height))
+		if scratch, err = appendDoc(scratch, v.doc); err != nil {
 			return 0, err
 		}
 		if _, err := cw.Write(scratch); err != nil {

@@ -102,11 +102,12 @@
 // brackets a block commit with BeginBlock(h) / SealBlock(h): writes in
 // between are stamped h and stay invisible to snapshot reads at
 // heights below h until the seal publishes them. Each key holds an
-// immutable version chain (newest first); reads at height h resolve
-// the newest version with height <= h using atomics only — the read
-// path takes no collection, shard, or order lock. Writes outside a
-// block are stamped with the current visible height and become
-// visible immediately (the standalone relaxation).
+// immutable version chain (newest first) whose head sits in the key's
+// slot of the collection's table; reads at height h probe the table
+// and resolve the newest version with height <= h using atomics only —
+// the read path takes no collection, shard, or order lock. Writes
+// outside a block are stamped with the current visible height and
+// become visible immediately (the standalone relaxation).
 //
 // SealBlock retains the last K sealed heights (SetRetain, default
 // DefaultRetainHeights) and garbage-collects versions no retained

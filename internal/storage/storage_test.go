@@ -322,7 +322,7 @@ func TestEngineAutoCompactsPastThreshold(t *testing.T) {
 }
 
 func TestMemCollectionConcurrentPointReads(t *testing.T) {
-	c := newMemCollection("x", &verClock{}, nil)
+	c := newMemCollection("x", &verClock{}, nil, &gcQueue{})
 	for i := 0; i < 256; i++ {
 		c.Put(fmt.Sprintf("k%d", i), doc("i", float64(i)))
 	}
