@@ -176,7 +176,7 @@ test-flake:
 	GOMAXPROCS=2 $(GO) test -count=50 $(RACE_PKGS)
 
 # Open-loop traffic sweep: Poisson arrivals from a million-user
-# keypair population through one node's CheckTxBatch -> CommitStart,
+# keypair population through one node's CheckTxBatch -> CommitNext,
 # backend x offered rate, latency measured from each transaction's
 # scheduled arrival — the one measurement a
 # closed-loop benchmark (benchmark/) cannot make.

@@ -40,6 +40,13 @@ import (
 
 var benchScale = bench.Fig7Scale{Auctions: 2, Bidders: 5}
 
+// commitOne commits tx as its own block and returns the error the
+// stage skipped it with, if any.
+func commitOne(s *ledger.State, tx *txn.Transaction) error {
+	_, skipped := s.CommitBlock([]*txn.Transaction{tx})
+	return skipped[tx.ID]
+}
+
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // BenchmarkFig2TransferNativeVsContract regenerates Figure 2: gas and
@@ -271,7 +278,7 @@ func BenchmarkAblationNestedLockingVsNonLocking(b *testing.B) {
 		if err := txn.Sign(rfq, requester); err != nil {
 			b.Fatal(err)
 		}
-		if err := state.CommitTx(rfq); err != nil {
+		if err := commitOne(state, rfq); err != nil {
 			b.Fatal(err)
 		}
 		var bids []*txn.Transaction
@@ -281,7 +288,7 @@ func BenchmarkAblationNestedLockingVsNonLocking(b *testing.B) {
 			if err := txn.Sign(asset, bidder); err != nil {
 				b.Fatal(err)
 			}
-			if err := state.CommitTx(asset); err != nil {
+			if err := commitOne(state, asset); err != nil {
 				b.Fatal(err)
 			}
 			bid := txn.NewBid(bidder.PublicBase58(), asset.ID,
@@ -290,7 +297,7 @@ func BenchmarkAblationNestedLockingVsNonLocking(b *testing.B) {
 			if err := txn.Sign(bid, bidder); err != nil {
 				b.Fatal(err)
 			}
-			if err := state.CommitTx(bid); err != nil {
+			if err := commitOne(state, bid); err != nil {
 				b.Fatal(err)
 			}
 			bids = append(bids, bid)
@@ -317,7 +324,7 @@ func BenchmarkAblationNestedLockingVsNonLocking(b *testing.B) {
 		// before the non-locking engine finishes children in background.
 		for i := 0; i < b.N; i++ {
 			state, _, _, accept := setup(i)
-			if err := state.CommitTx(accept); err != nil {
+			if err := commitOne(state, accept); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -337,14 +344,14 @@ func buildBidScenario(b *testing.B) (*txtype.Registry, *txtype.Context, *txn.Tra
 	if err := txn.Sign(rfq, requester); err != nil {
 		b.Fatal(err)
 	}
-	if err := state.CommitTx(rfq); err != nil {
+	if err := commitOne(state, rfq); err != nil {
 		b.Fatal(err)
 	}
 	asset := txn.NewCreate(bidder.PublicBase58(), map[string]any{"capabilities": []any{"cnc", "3d", "laser"}}, 1, nil)
 	if err := txn.Sign(asset, bidder); err != nil {
 		b.Fatal(err)
 	}
-	if err := state.CommitTx(asset); err != nil {
+	if err := commitOne(state, asset); err != nil {
 		b.Fatal(err)
 	}
 	bid := txn.NewBid(bidder.PublicBase58(), asset.ID,

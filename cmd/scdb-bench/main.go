@@ -25,6 +25,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -35,40 +36,42 @@ import (
 )
 
 func main() {
-	var (
-		exp        = flag.String("exp", "all", "comma-separated experiments: fig2 | fig7 | fig8 | usability | mix | recovery | traffic | all")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile covering every selected experiment to this path")
-		memProfile = flag.String("memprofile", "", "write a heap profile (after the last experiment) to this path")
-		jsonPath   = flag.String("json", "", "also write every selected experiment's full results as JSON to this path")
-		auctions   = flag.Int("auctions", 4, "auctions per run")
-		bidders    = flag.Int("bidders", 10, "bidders per auction")
-		seed       = flag.Int64("seed", 42, "simulation seed")
-		sizes      = flag.String("sizes", "", "comma-separated payload sizes in bytes (default: the paper's 0.11-1.74 KB sweep)")
-		nodes      = flag.String("nodes", "", "comma-separated validator counts (default 4,8,16,32)")
-		mixScale   = flag.Int("scale", 1000, "mix experiment: divide the paper's 110k-tx mix by this factor")
-		valWorkers = flag.Int("valworkers", 4, "fig7/fig8: per-validator parallel-pipeline workers (0 = sequential paths)")
-		trUsers    = flag.Int("trafficusers", 0, "traffic experiment: pre-generated keypair population (default 1,000,000)")
-		trTxs      = flag.Int("traffictxs", 0, "traffic experiment: transactions per leg (default 16384)")
-		trRates    = flag.String("trafficrates", "", "traffic experiment: comma-separated offered loads in tx/s (default 2000,6000)")
-		trBatch    = flag.Int("trafficbatch", 0, "traffic experiment: admission batch and block size (default 128)")
-	)
-	flag.Parse()
-
-	sizeList := bench.PayloadSizes
-	if *sizes != "" {
-		var err error
-		sizeList, err = parseInts(*sizes)
-		if err != nil {
-			fatal(err)
-		}
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "scdb-bench:", err)
+		os.Exit(1)
 	}
-	nodeList := bench.ClusterSizes
-	if *nodes != "" {
-		var err error
-		nodeList, err = parseInts(*nodes)
-		if err != nil {
-			fatal(err)
-		}
+}
+
+// run is the command with its arguments and output as parameters, so a
+// test can run it in-process and read what it prints.
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("scdb-bench", flag.ExitOnError)
+	var (
+		exp        = fs.String("exp", "all", "comma-separated experiments: fig2 | fig7 | fig8 | usability | mix | recovery | traffic | all")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile covering every selected experiment to this path")
+		memProfile = fs.String("memprofile", "", "write a heap profile (after the last experiment) to this path")
+		jsonPath   = fs.String("json", "", "also write every selected experiment's full results as JSON to this path")
+		auctions   = fs.Int("auctions", 4, "auctions per run")
+		bidders    = fs.Int("bidders", 10, "bidders per auction")
+		seed       = fs.Int64("seed", 42, "simulation seed")
+		sizes      = fs.String("sizes", "", "comma-separated payload sizes in bytes (default: the paper's 0.11-1.74 KB sweep)")
+		nodes      = fs.String("nodes", "", "comma-separated validator counts (default 4,8,16,32)")
+		mixScale   = fs.Int("scale", 1000, "mix experiment: divide the paper's 110k-tx mix by this factor")
+		valWorkers = fs.Int("valworkers", 4, "fig7/fig8: per-validator parallel-pipeline workers (0 = sequential paths)")
+		trUsers    = fs.Int("trafficusers", 0, "traffic experiment: pre-generated keypair population (default 1,000,000)")
+		trTxs      = fs.Int("traffictxs", 0, "traffic experiment: transactions per leg (default 16384)")
+		trRates    = fs.String("trafficrates", "", "traffic experiment: comma-separated offered loads in tx/s (default 2000,6000)")
+		trBatch    = fs.Int("trafficbatch", 0, "traffic experiment: admission batch and block size (default 128)")
+	)
+	fs.Parse(args) // ExitOnError: a bad flag exits 2 with the usage
+
+	sizeList, err := parseInts(*sizes, bench.PayloadSizes)
+	if err != nil {
+		return err
+	}
+	nodeList, err := parseInts(*nodes, bench.ClusterSizes)
+	if err != nil {
+		return err
 	}
 	scale := bench.Fig7Scale{Auctions: *auctions, Bidders: *bidders, Workers: *valWorkers}
 
@@ -76,88 +79,87 @@ func main() {
 	// accumulated report after the last one prints.
 	report := bench.NewReport()
 
-	runFig2 := func() {
-		r, err := bench.RunFig2(*seed)
-		if err != nil {
-			fatal(err)
-		}
-		report.Add("fig2", r)
-		bench.PrintFig2(os.Stdout, r)
-	}
-	runFig7 := func() {
-		fmt.Printf("Experiment 1 — %d auctions x %d bidders per size point\n\n", *auctions, *bidders)
-		rows, err := bench.RunFig7(sizeList, scale, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		report.Add("fig7", rows)
-		bench.PrintFig7(os.Stdout, rows)
-	}
-	runFig8 := func() {
-		fmt.Printf("Experiment 2 — 1.09 KB transactions, %d auctions x %d bidders per cluster size\n\n", *auctions, *bidders)
-		rows, err := bench.RunFig8(nodeList, scale, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		report.Add("fig8", rows)
-		bench.PrintFig8(os.Stdout, rows)
-	}
-	runUsability := func() {
-		r, err := bench.RunUsability()
-		if err != nil {
-			fatal(err)
-		}
-		report.Add("usability", r)
-		bench.PrintUsability(os.Stdout, r)
-	}
-	runMix := func() {
-		r := bench.RunMix(*mixScale, *seed)
-		report.Add("mix", r)
-		bench.PrintMix(os.Stdout, r)
-	}
-	runRecovery := func() {
-		r, err := bench.RunRecovery(*bidders, *seed)
-		if err != nil {
-			fatal(err)
-		}
-		report.Add("recovery", r)
-		bench.PrintRecovery(os.Stdout, r)
-	}
-	runTraffic := func() {
-		params := bench.TrafficParams{
-			Users: *trUsers,
-			Txs:   *trTxs,
-			Batch: *trBatch,
-			Seed:  *seed,
-		}
-		if *trRates != "" {
-			rates, err := parseFloats(*trRates)
-			if err != nil {
-				fatal(err)
-			}
-			params.Rates = rates
-		}
-		r, err := bench.RunTraffic(params)
-		if err != nil {
-			fatal(err)
-		}
-		report.Add("traffic", r)
-		bench.PrintTraffic(os.Stdout, r)
-	}
-
 	// The experiments in canonical run order: "all" expands to this
 	// list and an -exp name is valid exactly when it is in it.
 	experiments := []struct {
 		name string
-		run  func()
+		run  func() error
 	}{
-		{"fig2", runFig2},
-		{"fig7", runFig7},
-		{"fig8", runFig8},
-		{"usability", runUsability},
-		{"mix", runMix},
-		{"recovery", runRecovery},
-		{"traffic", runTraffic},
+		{"fig2", func() error {
+			r, err := bench.RunFig2(*seed)
+			if err != nil {
+				return err
+			}
+			report.Add("fig2", r)
+			bench.PrintFig2(w, r)
+			return nil
+		}},
+		{"fig7", func() error {
+			fmt.Fprintf(w, "Experiment 1 — %d auctions x %d bidders per size point\n\n", *auctions, *bidders)
+			rows, err := bench.RunFig7(sizeList, scale, *seed)
+			if err != nil {
+				return err
+			}
+			report.Add("fig7", rows)
+			bench.PrintFig7(w, rows)
+			return nil
+		}},
+		{"fig8", func() error {
+			fmt.Fprintf(w, "Experiment 2 — 1.09 KB transactions, %d auctions x %d bidders per cluster size\n\n", *auctions, *bidders)
+			rows, err := bench.RunFig8(nodeList, scale, *seed)
+			if err != nil {
+				return err
+			}
+			report.Add("fig8", rows)
+			bench.PrintFig8(w, rows)
+			return nil
+		}},
+		{"usability", func() error {
+			r, err := bench.RunUsability()
+			if err != nil {
+				return err
+			}
+			report.Add("usability", r)
+			bench.PrintUsability(w, r)
+			return nil
+		}},
+		{"mix", func() error {
+			r := bench.RunMix(*mixScale, *seed)
+			report.Add("mix", r)
+			bench.PrintMix(w, r)
+			return nil
+		}},
+		{"recovery", func() error {
+			r, err := bench.RunRecovery(*bidders, *seed)
+			if err != nil {
+				return err
+			}
+			report.Add("recovery", r)
+			bench.PrintRecovery(w, r)
+			return nil
+		}},
+		{"traffic", func() error {
+			params := bench.TrafficParams{
+				Users: *trUsers,
+				Txs:   *trTxs,
+				Batch: *trBatch,
+				Seed:  *seed,
+			}
+			if *trRates != "" {
+				rates, err := parseFloats(*trRates)
+				if err != nil {
+					return err
+				}
+				params.Rates = rates
+			}
+			r, err := bench.RunTraffic(params)
+			if err != nil {
+				return err
+			}
+			report.Add("traffic", r)
+			bench.PrintTraffic(w, r)
+			return nil
+		}},
 	}
 	known := make([]string, len(experiments))
 	for i, e := range experiments {
@@ -165,15 +167,15 @@ func main() {
 	}
 	selected, err := selectExperiments(*exp, known)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return err
 		}
 		defer func() {
 			pprof.StopCPUProfile()
@@ -182,28 +184,32 @@ func main() {
 	}
 	for _, name := range selected {
 		for _, e := range experiments {
-			if e.name == name {
-				e.run()
+			if e.name != name {
+				continue
+			}
+			if err := e.run(); err != nil {
+				return err
 			}
 		}
 	}
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		runtime.GC() // report live allocations, not garbage
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(err)
+			return err
 		}
 		f.Close()
 	}
 	if *jsonPath != "" {
 		if err := report.WriteFile(*jsonPath); err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("results written to %s\n", *jsonPath)
+		fmt.Fprintf(w, "results written to %s\n", *jsonPath)
 	}
+	return nil
 }
 
 // selectExperiments expands a comma-separated -exp value against the
@@ -247,7 +253,11 @@ func selectExperiments(spec string, known []string) ([]string, error) {
 	return selected, nil
 }
 
-func parseInts(s string) ([]int, error) {
+// parseInts parses a comma-separated flag value; empty means def.
+func parseInts(s string, def []int) ([]int, error) {
+	if s == "" {
+		return def, nil
+	}
 	parts := strings.Split(s, ",")
 	out := make([]int, 0, len(parts))
 	for _, p := range parts {
@@ -271,9 +281,4 @@ func parseFloats(s string) ([]float64, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "scdb-bench:", err)
-	os.Exit(1)
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"smartchaindb/internal/ledger"
 	"smartchaindb/internal/txn"
 	"smartchaindb/internal/txtype"
 	"smartchaindb/internal/validate"
@@ -46,13 +47,11 @@ func BenchmarkConditionOrderingEffect(b *testing.B) {
 	if err := registry.Validate(ctx, bid); err != nil {
 		b.Fatal(err)
 	}
-	st, okState := ctx.State.(interface {
-		CommitTx(*txn.Transaction) error
-	})
+	st, okState := ctx.State.(*ledger.State)
 	if !okState {
-		b.Fatal("state lacks CommitTx")
+		b.Fatal("context state is not a ledger state")
 	}
-	if err := st.CommitTx(bid); err != nil {
+	if err := commitOne(st, bid); err != nil {
 		b.Fatal(err)
 	}
 	ty, _ := registry.Type(txn.OpBid)

@@ -28,7 +28,7 @@ func main() {
 	fmt.Println("Setting up a sealed-bid auction with 3 bids in escrow:")
 	rfq := txn.NewRequest(requester.PublicBase58(), map[string]any{"capabilities": []any{"forging"}}, nil)
 	must(txn.Sign(rfq, requester))
-	must(state.CommitTx(rfq))
+	commit(state, rfq)
 	var bidders []*keys.KeyPair
 	var bids []*txn.Transaction
 	for i := 0; i < 3; i++ {
@@ -36,12 +36,11 @@ func main() {
 		bidders = append(bidders, kp)
 		asset := txn.NewCreate(kp.PublicBase58(), map[string]any{"capabilities": []any{"forging"}, "n": i}, 1, nil)
 		must(txn.Sign(asset, kp))
-		must(state.CommitTx(asset))
 		bid := txn.NewBid(kp.PublicBase58(), asset.ID,
 			txn.Spend{Ref: txn.OutputRef{TxID: asset.ID, Index: 0}, Owners: []string{kp.PublicBase58()}},
 			1, escrow.PublicBase58(), rfq.ID, nil)
 		must(txn.Sign(bid, kp))
-		must(state.CommitTx(bid))
+		commit(state, asset, bid)
 		bids = append(bids, bid)
 		fmt.Printf("  bid %d escrowed (%s)\n", i+1, bid.ID[:12]+"...")
 	}
@@ -51,7 +50,7 @@ func main() {
 	accept, err := txn.NewAcceptBid(requester.PublicBase58(), escrow.PublicBase58(), rfq.ID, bids[0], bids[1:], nil)
 	must(err)
 	must(txn.Sign(accept, escrow, requester))
-	must(state.CommitTx(accept))
+	commit(state, accept)
 	fmt.Printf("\nACCEPT_BID committed (non-locking): %s\n", accept.ID[:12]+"...")
 
 	// The node logs the children... and crashes before submitting any.
@@ -79,7 +78,7 @@ func main() {
 	fmt.Printf("recovery replayed %d pending children\n", replayed)
 	restarted.Drain()
 	for _, child := range delivered {
-		must(state.CommitTx(child))
+		commit(state, child)
 		restarted.OnChildCommitted(child)
 		fmt.Printf("  child %s (%s) committed\n", child.ID[:12]+"...", child.Operation)
 	}
@@ -108,6 +107,13 @@ func mustAsset(state *ledger.State, bid *txn.Transaction) string {
 		log.Fatal(err)
 	}
 	return t.AssetID()
+}
+
+// commit applies txs as one block, stopping on any it skips.
+func commit(state *ledger.State, txs ...*txn.Transaction) {
+	if _, skipped := state.CommitBlock(txs); len(skipped) != 0 {
+		log.Fatal(skipped)
+	}
 }
 
 func must(err error) {

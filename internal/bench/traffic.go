@@ -28,7 +28,7 @@ import (
 // latency is measured from its *scheduled* arrival, so queueing delay
 // shows up in p99/p999 instead of vanishing into the generator. Each
 // leg drives one product node: admission through Node.CheckTxBatch,
-// commit through Node.CommitStart, at most one block committing behind
+// commit through Node.CommitNext, at most one block committing behind
 // the next batch's admission. The sweep is backend × offered rate.
 
 // TrafficParams configures the open-loop traffic experiment.
@@ -204,7 +204,7 @@ func newTrafficNode(p TrafficParams, backend string, reg *obs.Registry, backing 
 		if end > len(backing) {
 			end = len(backing)
 		}
-		committed, skipped := node.State().CommitBlock(backing[start:end])
+		committed, skipped := node.CommitNext(backing[start:end])
 		if len(skipped) != 0 || len(committed) != end-start {
 			cleanup()
 			return nil, nil, fmt.Errorf("bench: traffic backing commit: %d of %d, skipped %d", len(committed), end-start, len(skipped))
@@ -232,8 +232,8 @@ type trafficArrival struct {
 
 // runTrafficLeg runs one open-loop leg: Poisson arrivals at rate tx/s
 // fired at absolute deadlines, batched admission through CheckTxBatch,
-// then each admitted batch committed as one block through CommitStart
-// and joined — one block commits while the next batch is admitted,
+// then each admitted batch committed as one block through CommitNext
+// — one block commits while the next batch is admitted,
 // which is all the overlap the node's one-slot commit fence allows —
 // with per-transaction latency measured from the scheduled arrival.
 func runTrafficLeg(p TrafficParams, backend string, rate float64, backing, stream []*txn.Transaction) (TrafficRow, error) {
@@ -296,19 +296,14 @@ func runTrafficLeg(p TrafficParams, backend string, rate float64, backing, strea
 		}
 	}()
 
-	go func() { // commit stage: one block per admitted batch, joined in height order
+	go func() { // commit stage: one block per admitted batch, in order
 		defer close(done)
-		// CommitStart counts heights from the node's height at open
-		// (zero, the node being fresh); the backing blocks took the
-		// first ones.
-		height := node.State().Height()
 		for batch := range admitted {
-			height++
-			txs := make([]consensus.Tx, len(batch))
+			txs := make([]*txn.Transaction, len(batch))
 			for i, b := range batch {
 				txs[i] = b.tx
 			}
-			node.CommitStart(height, txs)()
+			node.CommitNext(txs)
 			now := time.Now()
 			for _, b := range batch {
 				commitNs.Observe(int64(now.Sub(b.scheduled)))

@@ -11,8 +11,8 @@ import (
 // The stage and seal primitives every commit path shares: stageTx
 // checks one transaction against an overlay and emits its write ops,
 // sealTx performs them. pipeline.go composes them into the block
-// commit; CommitTx and the 2PC apply (prepare.go) use them for a
-// single transaction.
+// commit; the 2PC apply (prepare.go) seals a single transaction's share
+// with sealTx.
 
 // stagedOp kinds, in the exact order a transaction mutates state.
 const (

@@ -119,7 +119,7 @@ func TestCommitBlockMatchesPerTxCommits(t *testing.T) {
 		t.Fatalf("batched commit applied %d of %d", len(committed), len(block1))
 	}
 	for _, tx := range block2 {
-		if err := s2.CommitTx(tx); err != nil {
+		if err := commitOne(s2, tx); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -216,8 +216,7 @@ func applyPreparedCopyOnSpend(s *State, p *Prepared, decision map[string]any) (i
 	return height, nil
 }
 
-// sealSpendOf seals, outside any block as CommitTx does, one spend of
-// key by spender — through the reference or the marker layout — and
+// sealSpendOf seals, outside any block, one spend of key by spender — through the reference or the marker layout — and
 // returns the seal's error. The stage never lets a spend of a missing
 // output through; the seal must refuse one all the same.
 func sealSpendOf(s *State, key, spender string, copyOnSpend bool) error {

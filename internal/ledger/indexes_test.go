@@ -80,7 +80,7 @@ func TestSameShapePlansUseTheirOwnEstimates(t *testing.T) {
 	for i := 0; i < auctions; i++ {
 		g := gen.NewAuctionGroup(i*(bidders+1), workload.AuctionGroupSpec{BiddersPerAuction: bidders})
 		for _, b := range [][]*txn.Transaction{append([]*txn.Transaction{g.Request}, g.Creates...), g.Bids} {
-			if _, skipped, err := state.CommitBlockAt(state.Height()+1, b); err != nil || len(skipped) != 0 {
+			if _, skipped, err := commitAt(state, state.Height()+1, b); err != nil || len(skipped) != 0 {
 				t.Fatalf("commit: err=%v skipped=%v", err, skipped)
 			}
 		}
@@ -135,7 +135,7 @@ func TestChainIndexesRebuiltOnReopen(t *testing.T) {
 		{g.Accept},
 	}
 	for i, b := range blocks {
-		if _, skipped, err := state.CommitBlockAt(int64(i+1), b); err != nil || len(skipped) != 0 {
+		if _, skipped, err := commitAt(state, int64(i+1), b); err != nil || len(skipped) != 0 {
 			t.Fatalf("commit %d: err=%v skipped=%v", i, err, skipped)
 		}
 	}
@@ -193,7 +193,7 @@ func TestChainIndexesRebuiltOnReopen(t *testing.T) {
 	}
 	// And the rebuilt indexes keep following new commits.
 	g2 := gen.NewAuctionGroup(50, workload.AuctionGroupSpec{BiddersPerAuction: 2})
-	if _, skipped, err := state2.CommitBlockAt(wantHeight+1,
+	if _, skipped, err := commitAt(state2, wantHeight+1,
 		append([]*txn.Transaction{g2.Request}, g2.Creates...)); err != nil || len(skipped) != 0 {
 		t.Fatalf("post-reopen commit: err=%v skipped=%v", err, skipped)
 	}

@@ -114,46 +114,37 @@ func spentUTXOKeys(t *txn.Transaction) []string {
 	return keys
 }
 
-// CommitTx atomically applies a validated transaction outside any
-// block: it appends the transaction document, marks every spent
-// output, and registers the new outputs as unspent. It fails without
-// side effects if the transaction is a duplicate or any input is
-// already spent — the last line of defence behind the validators. It
-// is the one commit that is not a block (no height record, no MVCC
-// bracket — the standalone and nested-recovery paths use it): one
-// stageTx and one sealTx, the block commit's own primitives, landing
-// as one durable WAL group.
-func (s *State) CommitTx(t *txn.Transaction) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var txErr error
-	if err := s.store.Group(func() error {
-		st := newGroupOverlay(s).stageTx(t)
-		if txErr = st.err; txErr == nil {
-			txErr = s.sealTx(st)
-		}
-		return nil
-	}); err != nil {
-		return fmt.Errorf("ledger: durable commit: %w", err)
-	}
-	return txErr
-}
-
-// CommitBlock applies a validated batch as the block at the next
-// height — CommitBlockAt with the height derived under the same lock
-// acquisition, so concurrent callers (and the 2PC applies, which take
-// their heights the same way) never collide. A storage failure is
-// fatal: the node's disk state can no longer be trusted.
+// CommitBlock applies a validated batch in order as the block at the
+// next height, derived under the state lock, so concurrent callers and
+// the 2PC applies never collide. A failing transaction (a duplicate, or
+// an input an earlier entry spent) is skipped without side effects and
+// reported in skipped; the block — every committed transaction's
+// effects plus the height record — is one atomic WAL group. It is the
+// pipeline's Stage and seal run back to back under the state lock, for
+// callers without a node. A storage failure is fatal: the seal lost a
+// backend write (Seal is the variant that returns the error).
 func (s *State) CommitBlock(batch []*txn.Transaction) (committed []*txn.Transaction, skipped map[string]error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	height := s.lastHeight + 1
-	committed, skipped, err := s.commitBlockLocked(height, batch)
+	s.requireSealed("CommitBlock", height)
+	p := &PendingCommit{s: s, height: height}
+	p.Stage(batch)
+	committed, skipped, err := p.sealLocked()
 	if err != nil {
-		// fail-stop: the backend lost a write mid-block; CommitBlockAt is the variant that returns the error.
+		// fail-stop: the backend lost a write mid-block; Seal is the variant that returns the error.
 		panic("ledger: " + SealFailure(height, err))
 	}
 	return committed, skipped
+}
+
+// requireSealed panics if a block BeginBlockCommit opened is unsealed:
+// height would take its place. Caller holds the state lock.
+func (s *State) requireSealed(what string, height int64) {
+	if s.unsealed != nil {
+		// invariant: one block is open at a time; a writer taking the next height waits for its seal.
+		panic(fmt.Sprintf("ledger: %s(%d) while block %d is unsealed", what, height, s.unsealed.height))
+	}
 }
 
 // SealFailure words the fatal report of a block commit that returned
@@ -166,40 +157,6 @@ func SealFailure(height int64, err error) string {
 		return fmt.Sprintf("block %d is durable; checkpoint failed: %v", height, err)
 	}
 	return fmt.Sprintf("block %d lost durability: %v", height, err)
-}
-
-// CommitBlockAt applies a validated batch in order as the block at
-// height. Each transaction still applies atomically: a failing one
-// (duplicate delivered through catch-up, or an input raced by an
-// earlier batch entry) is skipped without side effects and reported in
-// skipped, and the rest of the batch proceeds. The whole block —
-// every transaction's effects plus the height record — is committed
-// as one atomic WAL group on the disk backend, so a node killed
-// mid-block reopens at the previous height with no partial effects.
-// It returns the transactions actually committed, in block order; a
-// non-nil error means the backend could not make the block durable.
-// That includes a write failing for a transaction the stage already
-// checked: every check runs in the stage, so a failure in the seal is
-// a lost backend write and fails the whole block, never a
-// per-transaction skip (CommitBlock then panics).
-//
-// This is the synchronous use of the one block commit (pipeline.go):
-// the same Stage and the same seal body as BeginBlockCommit → Stage →
-// Seal, but run back to back with the state lock held across both, so
-// the call is atomic with respect to every other writer that takes
-// only the state lock (CommitTx, ApplyPrepared, AbortPrepared, other
-// synchronous block commits). It must not be called while a block
-// opened by BeginBlockCommit is unsealed.
-func (s *State) CommitBlockAt(height int64, batch []*txn.Transaction) (committed []*txn.Transaction, skipped map[string]error, err error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.commitBlockLocked(height, batch)
-}
-
-func (s *State) commitBlockLocked(height int64, batch []*txn.Transaction) (committed []*txn.Transaction, skipped map[string]error, err error) {
-	p := &PendingCommit{s: s, height: height}
-	p.Stage(batch)
-	return p.sealLocked()
 }
 
 // putBlockRecord writes height's record into the blocks collection —

@@ -36,10 +36,25 @@ func (f *fixture) create(t *testing.T, owner *keys.KeyPair, shares uint64, caps 
 	if err := txn.Sign(tx, owner); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.state.CommitTx(tx); err != nil {
+	if err := commitOne(f.state, tx); err != nil {
 		t.Fatal(err)
 	}
 	return tx
+}
+
+// commitOne commits tx as its own block and returns the error the
+// stage skipped it with, if any.
+func commitOne(s *State, tx *txn.Transaction) error {
+	_, skipped := s.CommitBlock([]*txn.Transaction{tx})
+	return skipped[tx.ID]
+}
+
+// commitAt commits batch as the block at height through
+// BeginBlockCommit → Stage → Seal, returning the seal's outcome.
+func commitAt(s *State, height int64, batch []*txn.Transaction) (committed []*txn.Transaction, skipped map[string]error, err error) {
+	p := s.BeginBlockCommit(height)
+	p.Stage(batch)
+	return p.Seal()
 }
 
 func TestCommitAndLookup(t *testing.T) {
@@ -70,7 +85,7 @@ func TestCommitAndLookup(t *testing.T) {
 func TestDuplicateCommitRejected(t *testing.T) {
 	f := newFixture(t)
 	tx := f.create(t, f.issuer, 1)
-	err := f.state.CommitTx(tx)
+	err := commitOne(f.state, tx)
 	var dup *txn.DuplicateTransactionError
 	if !errors.As(err, &dup) {
 		t.Fatalf("want DuplicateTransactionError, got %v", err)
@@ -95,7 +110,7 @@ func TestSpendAndDoubleSpend(t *testing.T) {
 		return tr
 	}
 	first := spend(f.requester.PublicBase58())
-	if err := f.state.CommitTx(first); err != nil {
+	if err := commitOne(f.state, first); err != nil {
 		t.Fatal(err)
 	}
 	if f.state.IsUnspent(ref) {
@@ -107,7 +122,7 @@ func TestSpendAndDoubleSpend(t *testing.T) {
 	}
 
 	second := spend(f.escrow.PublicBase58())
-	err := f.state.CommitTx(second)
+	err := commitOne(f.state, second)
 	var ds *txn.DoubleSpendError
 	if !errors.As(err, &ds) {
 		t.Fatalf("want DoubleSpendError, got %v", err)
@@ -126,7 +141,7 @@ func TestCommitMissingInputRejected(t *testing.T) {
 	if err := txn.Sign(tr, f.issuer); err != nil {
 		t.Fatal(err)
 	}
-	err := f.state.CommitTx(tr)
+	err := commitOne(f.state, tr)
 	var missing *txn.InputDoesNotExistError
 	if !errors.As(err, &missing) {
 		t.Fatalf("want InputDoesNotExistError, got %v", err)
@@ -158,7 +173,7 @@ func (f *fixture) request(t *testing.T, caps ...any) *txn.Transaction {
 	if err := txn.Sign(req, f.requester); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.state.CommitTx(req); err != nil {
+	if err := commitOne(f.state, req); err != nil {
 		t.Fatal(err)
 	}
 	return req
@@ -173,7 +188,7 @@ func (f *fixture) bid(t *testing.T, bidder *keys.KeyPair, rfqID string, caps ...
 	if err := txn.Sign(bid, bidder); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.state.CommitTx(bid); err != nil {
+	if err := commitOne(f.state, bid); err != nil {
 		t.Fatal(err)
 	}
 	return bid
@@ -213,7 +228,7 @@ func TestAcceptBidFlowAndRecoveryLog(t *testing.T) {
 	if err := txn.Sign(accept, f.escrow, f.requester); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.state.CommitTx(accept); err != nil {
+	if err := commitOne(f.state, accept); err != nil {
 		t.Fatal(err)
 	}
 
@@ -264,7 +279,7 @@ func TestAcceptBidFlowAndRecoveryLog(t *testing.T) {
 	if err := txn.Sign(child, f.escrow); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.state.CommitTx(child); err != nil {
+	if err := commitOne(f.state, child); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.state.MarkReturnDone(accept.ID, specs[0].OutputIndex, child.ID); err != nil {
@@ -292,7 +307,7 @@ func TestAcceptBidFlowAndRecoveryLog(t *testing.T) {
 		if err := txn.Sign(ret, f.escrow); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.state.CommitTx(ret); err != nil {
+		if err := commitOne(f.state, ret); err != nil {
 			t.Fatal(err)
 		}
 		if err := f.state.MarkReturnDone(accept.ID, spec.OutputIndex, ret.ID); err != nil {

@@ -10,7 +10,7 @@ import (
 )
 
 // commitChaos commits blocks[0:n] onto a fresh state and returns it.
-// CommitBlockAt tolerates the chaos workload's double spends and
+// The block commit tolerates the chaos workload's double spends and
 // duplicates by skipping them — only hard errors fail the test.
 func commitChaos(t *testing.T, blocks [][]*txn.Transaction, n int) *State {
 	t.Helper()
@@ -18,7 +18,7 @@ func commitChaos(t *testing.T, blocks [][]*txn.Transaction, n int) *State {
 	t.Cleanup(func() { s.Close() })
 	s.SetRetain(int64(len(blocks)) + 2)
 	for i := 0; i < n; i++ {
-		if _, _, err := s.CommitBlockAt(int64(i+1), blocks[i]); err != nil {
+		if _, _, err := commitAt(s, int64(i+1), blocks[i]); err != nil {
 			t.Fatalf("commit block %d: %v", i+1, err)
 		}
 	}
@@ -60,7 +60,7 @@ func TestStateAtOutsideRetainedWindow(t *testing.T) {
 	defer s.Close()
 	s.SetRetain(2)
 	for i, b := range blocks {
-		if _, _, err := s.CommitBlockAt(int64(i+1), b); err != nil {
+		if _, _, err := commitAt(s, int64(i+1), b); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -95,7 +95,7 @@ func TestViewReadersRacePipelinedCommits(t *testing.T) {
 		ref := commitChaos(t, blocks, 0)
 		want[0] = ref.Fingerprint()
 		for i, b := range blocks {
-			if _, _, err := ref.CommitBlockAt(int64(i+1), b); err != nil {
+			if _, _, err := commitAt(ref, int64(i+1), b); err != nil {
 				t.Fatal(err)
 			}
 			want[int64(i+1)] = ref.Fingerprint()
@@ -131,7 +131,7 @@ func TestViewReadersRacePipelinedCommits(t *testing.T) {
 		}()
 	}
 	for i, b := range blocks {
-		if _, _, err := s.CommitBlockAt(int64(i+1), b); err != nil {
+		if _, _, err := commitAt(s, int64(i+1), b); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -67,14 +67,12 @@ func copyDoc(v any) any {
 // internal/workload generator (CREATE, REQUEST, BID, ACCEPT_BID through
 // an auction group, the fan-in CREATE and its 4-input TRANSFER, a
 // CREATE with a payload) in blocks, the accept's nested children with
-// their recovery-log updates and the parent's children vector, one
-// transaction outside any block, and one through the cross-shard
-// prepare → apply path.
+// their recovery-log updates and the parent's children vector, and one
+// transaction through the cross-shard prepare → apply path.
 type ownershipStream struct {
 	escrow *keys.KeyPair
 	group  *workload.AuctionGroup
 	blocks [][]*txn.Transaction
-	loose  *txn.Transaction // CommitTx
 	cross  *txn.Transaction // StageOwned → LogPrepare → ApplyPrepared
 }
 
@@ -93,7 +91,6 @@ func newOwnershipStream() *ownershipStream {
 			append([]*txn.Transaction{fan1}, grp.Bids...),
 			{grp.Accept, fan1}, // fan1 again: a duplicate delivery, skipped
 		},
-		loose: gen.Create(owner, []string{"laser"}, 32),
 		cross: fan2,
 	}
 }
@@ -102,7 +99,7 @@ func newOwnershipStream() *ownershipStream {
 func (w *ownershipStream) commit(t *testing.T, s *State) {
 	t.Helper()
 	for _, block := range w.blocks {
-		if _, _, err := s.CommitBlockAt(s.Height()+1, block); err != nil {
+		if _, _, err := commitAt(s, s.Height()+1, block); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,9 +130,6 @@ func (w *ownershipStream) commit(t *testing.T, s *State) {
 			t.Fatal(err)
 		}
 	}
-	if err := s.CommitTx(w.loose); err != nil {
-		t.Fatal(err)
-	}
 	p, err := s.StageOwned(w.cross, true, func(txn.OutputRef) bool { return true })
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +146,7 @@ func (w *ownershipStream) commit(t *testing.T, s *State) {
 // submitted — raw field writes into the free-form maps, no Invalidate —
 // after the commits returned. The store must hold none of that memory.
 func (w *ownershipStream) scribble() {
-	txs := []*txn.Transaction{w.loose, w.cross}
+	txs := []*txn.Transaction{w.cross}
 	for _, block := range w.blocks {
 		txs = append(txs, block...)
 	}
@@ -344,7 +338,7 @@ func TestNoStaleDocumentIsCommitted(t *testing.T) {
 		for name, mutate := range cases {
 			seq++
 			tx := mutate(build(seq))
-			if err := s.CommitTx(tx); err != nil {
+			if err := commitOne(s, tx); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			stored, ok := s.store.Collection(ColTransactions).Borrow(tx.ID)

@@ -1,7 +1,6 @@
 package ledger
 
 import (
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -27,8 +26,10 @@ import (
 // BeginBlockCommit opens block h — at most one block is open at a
 // time — Stage runs off the state lock, so the next height's
 // validation reads beside it, and Seal takes the state lock and
-// seals. CommitBlock / CommitBlockAt (ledger.go) run the same Stage
-// and the same seal body back to back under the state lock. The WAL
+// seals: every block a server.Node commits. CommitBlock (ledger.go)
+// runs the same Stage and seal body back to back under the state lock,
+// for callers without a node; ApplyPrepared (prepare.go) seals a 2PC
+// share as a one-transaction block in the same bracket. The WAL
 // byte stream, the document iteration order, and the MVCC height
 // bracketing are identical either way and at every worker count; the
 // differential tests pin this byte for byte against an interleaved
@@ -56,12 +57,7 @@ func (s *State) CommitWorkers() int { return s.commitWorkers }
 func (s *State) BeginBlockCommit(height int64) *PendingCommit {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.unsealed != nil {
-		// invariant: blocks seal in the order they are opened because
-		// only one is ever open; a second one would stage against state
-		// the first has not written and race it for the WAL.
-		panic(fmt.Sprintf("ledger: BeginBlockCommit(%d) while block %d is unsealed", height, s.unsealed.height))
-	}
+	s.requireSealed("BeginBlockCommit", height)
 	p := &PendingCommit{s: s, height: height}
 	s.unsealed = p
 	return p
@@ -133,7 +129,10 @@ func (p *PendingCommit) StagePlan(batch []*txn.Transaction, plan *parallel.Plan)
 }
 
 // Seal applies the staged block under the state lock and closes it,
-// whatever the outcome. Semantics of the results match CommitBlockAt.
+// whatever the outcome. It returns the transactions committed, in block
+// order, and the ones the stage skipped with their errors (CommitBlock
+// has the semantics); a non-nil error means the backend could not make
+// the block durable.
 func (p *PendingCommit) Seal() (committed []*txn.Transaction, skipped map[string]error, err error) {
 	s := p.s
 	s.mu.Lock()

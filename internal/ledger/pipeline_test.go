@@ -101,11 +101,11 @@ func commitDifferential(t *testing.T, seq, par *State, workers int, seed int64) 
 	blocks := chaosBlocks(t, seed, 6, 48)
 	for i, block := range blocks {
 		h := int64(i + 1)
-		seqC, seqS, err := seq.CommitBlockAt(h, block)
+		seqC, seqS, err := commitAt(seq, h, block)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parC, parS, err := par.CommitBlockAt(h, block)
+		parC, parS, err := commitAt(par, h, block)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func TestPipelinedCommitCrashMidApply(t *testing.T) {
 		snaps := []ledgerDump{dumpState(s)}
 		ends := []int64{fileSize(t, walPath)}
 		for i, block := range blocks {
-			if _, _, err := s.CommitBlockAt(int64(i+1), block); err != nil {
+			if _, _, err := commitAt(s, int64(i+1), block); err != nil {
 				t.Fatal(err)
 			}
 			snaps = append(snaps, dumpState(s))
@@ -219,7 +219,7 @@ func TestPipelinedCommitCrashMidApply(t *testing.T) {
 		}
 		// The recovered node keeps committing through the pipeline.
 		extra := chaosBlocks(t, int64(200+trial), 1, 16)[0]
-		if _, _, err := s2.CommitBlockAt(got.Height+1, extra); err != nil {
+		if _, _, err := commitAt(s2, got.Height+1, extra); err != nil {
 			t.Fatal(err)
 		}
 		if s2.Height() != got.Height+1 {

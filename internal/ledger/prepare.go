@@ -10,7 +10,7 @@ import (
 )
 
 // Cross-shard two-phase commit, ledger side. A cross-shard transaction
-// never goes through CommitBlock: each participant shard stages only
+// never goes through a block commit: each participant shard stages only
 // the ops that touch keys it owns (StageOwned), durably logs them as a
 // PREPARE record, and — once the coordinator's decision record exists
 // — applies them as a single-transaction block (ApplyPrepared) whose
@@ -182,10 +182,12 @@ func (s *State) Applied(p *Prepared) bool {
 // deletes the prepare record. Returns the block height. A failure
 // before the group means nothing was applied; a prepared transaction
 // whose global decision is commit failing its pre-checks is an
-// invariant violation and errors without touching state.
+// invariant violation and errors without touching state. It panics
+// while a block BeginBlockCommit opened, the next height's, is unsealed.
 func (s *State) ApplyPrepared(p *Prepared, decision map[string]any) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.requireSealed("ApplyPrepared", s.lastHeight+1)
 	// Pre-verify every op lands cleanly so the group cannot fail
 	// halfway: the participant vouched for these ops at prepare time
 	// and holds exclude conflicting local commits in between.

@@ -26,7 +26,7 @@ func TestShareConservationProperty(t *testing.T) {
 		if err := txn.Sign(mint, owners[0]); err != nil {
 			return false
 		}
-		if err := state.CommitTx(mint); err != nil {
+		if err := commitOne(state, mint); err != nil {
 			return false
 		}
 		for s := 0; s < int(steps%40); s++ {
@@ -56,7 +56,7 @@ func TestShareConservationProperty(t *testing.T) {
 			}
 			// Occasionally re-attempt the same spend (a double spend):
 			// the ledger must reject it without corrupting state.
-			if err := state.CommitTx(tr); err != nil {
+			if err := commitOne(state, tr); err != nil {
 				continue
 			}
 			if rng.Intn(3) == 0 {
@@ -67,7 +67,7 @@ func TestShareConservationProperty(t *testing.T) {
 				if err := txn.Sign(dup, from); err != nil {
 					return false
 				}
-				if err := state.CommitTx(dup); err == nil {
+				if err := commitOne(state, dup); err == nil {
 					return false // double spend must fail
 				}
 			}
@@ -92,7 +92,7 @@ func TestUTXOSetMatchesTransactionLog(t *testing.T) {
 	if err := txn.Sign(mint, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := state.CommitTx(mint); err != nil {
+	if err := commitOne(state, mint); err != nil {
 		t.Fatal(err)
 	}
 	tr := txn.NewTransfer(mint.ID,
@@ -104,7 +104,7 @@ func TestUTXOSetMatchesTransactionLog(t *testing.T) {
 	if err := txn.Sign(tr, a); err != nil {
 		t.Fatal(err)
 	}
-	if err := state.CommitTx(tr); err != nil {
+	if err := commitOne(state, tr); err != nil {
 		t.Fatal(err)
 	}
 	// Recompute the unspent set from the log: every output of every tx

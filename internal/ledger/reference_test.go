@@ -130,7 +130,7 @@ func commitBehindFence(s *State, blocks [][]*txn.Transaction) []blockResult {
 
 // TestBlockCommitMatchesInterleavedReference pins the one block commit
 // to the interleaved reference at every way of driving it: the
-// synchronous CommitBlockAt (depth 1) and BeginBlockCommit → Stage →
+// synchronous CommitBlock (depth 1) and BeginBlockCommit → Stage →
 // Seal in the background behind the commit fence (depth 2), each with
 // the sequential stage (workers 0) and per-group appliers (workers 4),
 // on both backends. Per block the committed sequences and skip sets must
@@ -157,8 +157,8 @@ func TestBlockCommitMatchesInterleavedReference(t *testing.T) {
 					results := make([]blockResult, len(blocks))
 					if depth == 1 {
 						for i, block := range blocks {
-							c, sk, err := got.CommitBlockAt(int64(i+1), block)
-							results[i] = blockResult{committed: c, skipped: sk, err: err}
+							c, sk := got.CommitBlock(block)
+							results[i] = blockResult{committed: c, skipped: sk}
 						}
 					} else {
 						results = commitBehindFence(got, blocks)
@@ -206,7 +206,7 @@ func TestBlockCommitMatchesInterleavedReference(t *testing.T) {
 
 // TestCommitAttributionIsOnePath pins the metric attribution: the same
 // blocks report the same plan/apply/seal split whether they commit
-// through CommitBlockAt or through BeginBlockCommit → Stage → Seal, at
+// through CommitBlock or through BeginBlockCommit → Stage → Seal, at
 // any worker count. Before the paths were unified the synchronous
 // entry point at workers < 2 reported apply = 0 and seal = total.
 func TestCommitAttributionIsOnePath(t *testing.T) {
@@ -227,7 +227,7 @@ func TestCommitAttributionIsOnePath(t *testing.T) {
 						p.Stage(block)
 						_, _, err = p.Seal()
 					} else {
-						_, _, err = s.CommitBlockAt(h, block)
+						s.CommitBlock(block)
 					}
 					if err != nil {
 						t.Fatal(err)

@@ -78,7 +78,7 @@ func TestStateReopenRecoversExactCommittedState(t *testing.T) {
 	s := openDiskState(t, dir)
 	blocks := buildBlocks(t, "reopen", 5, 8)
 	for i, block := range blocks {
-		committed, skipped, err := s.CommitBlockAt(int64(i+1), block)
+		committed, skipped, err := commitAt(s, int64(i+1), block)
 		if err != nil || len(skipped) != 0 || len(committed) != len(block) {
 			t.Fatalf("block %d: committed %d skipped %v err %v", i, len(committed), skipped, err)
 		}
@@ -167,7 +167,7 @@ func TestStateReopenAfterCompaction(t *testing.T) {
 	s := openDiskState(t, dir)
 	blocks := buildBlocks(t, "compact", 4, 6)
 	for i, block := range blocks[:2] {
-		if _, _, err := s.CommitBlockAt(int64(i+1), block); err != nil {
+		if _, _, err := commitAt(s, int64(i+1), block); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -175,7 +175,7 @@ func TestStateReopenAfterCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, block := range blocks[2:] {
-		if _, _, err := s.CommitBlockAt(int64(i+3), block); err != nil {
+		if _, _, err := commitAt(s, int64(i+3), block); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -204,7 +204,7 @@ func TestStateCrashMidBlockRecoversLastFullBlock(t *testing.T) {
 		snaps := []ledgerDump{dumpState(s)}
 		ends := []int64{fileSize(t, walPath)}
 		for i, block := range blocks {
-			if _, _, err := s.CommitBlockAt(int64(i+1), block); err != nil {
+			if _, _, err := commitAt(s, int64(i+1), block); err != nil {
 				t.Fatal(err)
 			}
 			snaps = append(snaps, dumpState(s))

@@ -112,7 +112,9 @@ func (sd *side) commitBlock(s *ledger.State, batch []*txn.Transaction) (committe
 	if sd.copyOnSpend {
 		c, sk, err = ledger.CommitBlockCopyOnSpend(s, batch)
 	} else {
-		c, sk, err = s.CommitBlockAt(s.Height()+1, batch)
+		p := s.BeginBlockCommit(s.Height() + 1)
+		p.Stage(batch)
+		c, sk, err = p.Seal()
 	}
 	for _, t := range c {
 		committed = append(committed, t.ID)

@@ -17,7 +17,7 @@ const marketBidders = 10
 func settledAuction(tb testing.TB) (*Engine, []*txn.Transaction) {
 	tb.Helper()
 	a := newAuction(tb, marketBidders)
-	if err := a.state.CommitTx(a.accept); err != nil {
+	if err := commitOne(a.state, a.accept); err != nil {
 		tb.Fatal(err)
 	}
 	var children []*txn.Transaction
@@ -27,7 +27,7 @@ func settledAuction(tb testing.TB) (*Engine, []*txn.Transaction) {
 	}
 	eng.Drain()
 	for _, c := range children {
-		if err := a.state.CommitTx(c); err != nil {
+		if err := commitOne(a.state, c); err != nil {
 			tb.Fatal(err)
 		}
 	}

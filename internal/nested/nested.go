@@ -24,7 +24,8 @@ import (
 
 // Submitter hands a signed child transaction on for commit. A cluster
 // validator's submitter injects it into that validator's own mempool
-// (server.Cluster.ChildInjector); a standalone node's applies it at once.
+// (server.Cluster.ChildInjector), a shard's into the shard's pool; a
+// standalone node's applies it at once.
 type Submitter func(child *txn.Transaction)
 
 // Engine is one node's return-queue worker pool and recovery driver.
@@ -143,13 +144,13 @@ func (e *Engine) Recover() int {
 }
 
 // LockingCommit is the locking alternative the paper argues against
-// (§4.2): it commits the parent and all children atomically, blocking
-// until every child is applied. It exists for the ablation benchmark
-// comparing locking vs non-locking nested execution; the non-locking
-// path is the production one.
+// (§4.2): it commits the parent and all children, one block each,
+// blocking until every child is applied. It exists for the ablation
+// benchmark comparing locking vs non-locking nested execution; the
+// non-locking path is the production one.
 func LockingCommit(state *ledger.State, escrow *keys.KeyPair, accept *txn.Transaction, rfqOwner string) ([]*txn.Transaction, error) {
-	if err := state.CommitTx(accept); err != nil {
-		return nil, err
+	if _, skipped := state.CommitBlock([]*txn.Transaction{accept}); skipped[accept.ID] != nil {
+		return nil, skipped[accept.ID]
 	}
 	specs, err := state.PendingReturnsFor(accept, escrow.PublicBase58(), rfqOwner)
 	if err != nil {
@@ -162,8 +163,8 @@ func LockingCommit(state *ledger.State, escrow *keys.KeyPair, accept *txn.Transa
 		if err := txn.Sign(child, escrow); err != nil {
 			return nil, err
 		}
-		if err := state.CommitTx(child); err != nil {
-			return nil, fmt.Errorf("nested: locking commit child: %w", err)
+		if _, skipped := state.CommitBlock([]*txn.Transaction{child}); skipped[child.ID] != nil {
+			return nil, fmt.Errorf("nested: locking commit child: %w", skipped[child.ID])
 		}
 		children = append(children, child)
 		ids = append(ids, child.ID)

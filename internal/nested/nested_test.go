@@ -20,6 +20,13 @@ type auction struct {
 	accept    *txn.Transaction
 }
 
+// commitOne commits tx as its own block and returns the error the
+// stage skipped it with, if any.
+func commitOne(s *ledger.State, tx *txn.Transaction) error {
+	_, skipped := s.CommitBlock([]*txn.Transaction{tx})
+	return skipped[tx.ID]
+}
+
 var seq int
 
 func newAuction(t testing.TB, nBids int) *auction {
@@ -34,7 +41,7 @@ func newAuction(t testing.TB, nBids int) *auction {
 	if err := txn.Sign(rfq, a.requester); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.state.CommitTx(rfq); err != nil {
+	if err := commitOne(a.state, rfq); err != nil {
 		t.Fatal(err)
 	}
 	a.rfq = rfq
@@ -46,7 +53,7 @@ func newAuction(t testing.TB, nBids int) *auction {
 		if err := txn.Sign(asset, bidder); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.state.CommitTx(asset); err != nil {
+		if err := commitOne(a.state, asset); err != nil {
 			t.Fatal(err)
 		}
 		bid := txn.NewBid(bidder.PublicBase58(), asset.ID,
@@ -55,7 +62,7 @@ func newAuction(t testing.TB, nBids int) *auction {
 		if err := txn.Sign(bid, bidder); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.state.CommitTx(bid); err != nil {
+		if err := commitOne(a.state, bid); err != nil {
 			t.Fatal(err)
 		}
 		a.bids = append(a.bids, bid)
@@ -74,7 +81,7 @@ func newAuction(t testing.TB, nBids int) *auction {
 func TestNonLockingPipeline(t *testing.T) {
 	a := newAuction(t, 3)
 	// Non-locking: the parent commits first.
-	if err := a.state.CommitTx(a.accept); err != nil {
+	if err := commitOne(a.state, a.accept); err != nil {
 		t.Fatal(err)
 	}
 
@@ -94,7 +101,7 @@ func TestNonLockingPipeline(t *testing.T) {
 	}
 	// Children are valid, committable, and complete the recovery record.
 	for _, child := range submitted {
-		if err := a.state.CommitTx(child); err != nil {
+		if err := commitOne(a.state, child); err != nil {
 			t.Fatalf("commit child: %v", err)
 		}
 		eng.OnChildCommitted(child)
@@ -128,7 +135,7 @@ func TestNonLockingPipeline(t *testing.T) {
 
 func TestCrashBeforeDrainRecovers(t *testing.T) {
 	a := newAuction(t, 3)
-	if err := a.state.CommitTx(a.accept); err != nil {
+	if err := commitOne(a.state, a.accept); err != nil {
 		t.Fatal(err)
 	}
 	// First engine logs and enqueues, then "crashes" before draining.
@@ -147,7 +154,7 @@ func TestCrashBeforeDrainRecovers(t *testing.T) {
 		t.Fatalf("submitted %d children after recovery", len(submitted))
 	}
 	for _, child := range submitted {
-		if err := a.state.CommitTx(child); err != nil {
+		if err := commitOne(a.state, child); err != nil {
 			t.Fatalf("recovered child does not commit: %v", err)
 		}
 		fresh.OnChildCommitted(child)
@@ -160,7 +167,7 @@ func TestCrashBeforeDrainRecovers(t *testing.T) {
 
 func TestCrashMidwayRecoversOnlyPending(t *testing.T) {
 	a := newAuction(t, 3)
-	if err := a.state.CommitTx(a.accept); err != nil {
+	if err := commitOne(a.state, a.accept); err != nil {
 		t.Fatal(err)
 	}
 	var firstBatch []*txn.Transaction
@@ -171,7 +178,7 @@ func TestCrashMidwayRecoversOnlyPending(t *testing.T) {
 	eng.Drain()
 	// One child commits before the crash; mark-done is lost (crash hit
 	// between commit and mark).
-	if err := a.state.CommitTx(firstBatch[0]); err != nil {
+	if err := commitOne(a.state, firstBatch[0]); err != nil {
 		t.Fatal(err)
 	}
 	// Restart: recovery must skip the already-spent output.
@@ -182,7 +189,7 @@ func TestCrashMidwayRecoversOnlyPending(t *testing.T) {
 	}
 	fresh.Drain()
 	for _, child := range resubmitted {
-		if err := a.state.CommitTx(child); err != nil {
+		if err := commitOne(a.state, child); err != nil {
 			t.Fatalf("resubmitted child: %v", err)
 		}
 	}
@@ -190,7 +197,7 @@ func TestCrashMidwayRecoversOnlyPending(t *testing.T) {
 
 func TestChildrenAreDeterministic(t *testing.T) {
 	a := newAuction(t, 2)
-	if err := a.state.CommitTx(a.accept); err != nil {
+	if err := commitOne(a.state, a.accept); err != nil {
 		t.Fatal(err)
 	}
 	collect := func() []string {
@@ -217,7 +224,7 @@ func TestOnChildCommittedIgnoresUnrelated(t *testing.T) {
 	if err := txn.Sign(create, stranger); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.state.CommitTx(create); err != nil {
+	if err := commitOne(a.state, create); err != nil {
 		t.Fatal(err)
 	}
 	tr := txn.NewTransfer(create.ID,
@@ -226,7 +233,7 @@ func TestOnChildCommittedIgnoresUnrelated(t *testing.T) {
 	if err := txn.Sign(tr, stranger); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.state.CommitTx(tr); err != nil {
+	if err := commitOne(a.state, tr); err != nil {
 		t.Fatal(err)
 	}
 	eng.OnChildCommitted(tr) // must not panic or corrupt anything

@@ -160,11 +160,11 @@ func scenario(t *testing.T, auctions, bidders int, seed int64) (*ledger.State, *
 			PayloadBytes:      96,
 		})
 		base += bidders + 1
-		if err := state.CommitTx(grp.Request); err != nil {
+		if err := commitOne(state, grp.Request); err != nil {
 			t.Fatal(err)
 		}
 		for _, c := range grp.Creates {
-			if err := state.CommitTx(c); err != nil {
+			if err := commitOne(state, c); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -185,7 +185,7 @@ func scenario(t *testing.T, auctions, bidders int, seed int64) (*ledger.State, *
 		// Independent transfer on a fresh asset.
 		owner := gen.Account(base + 600)
 		solo := gen.Create(owner, []string{"cnc"}, 96)
-		if err := state.CommitTx(solo); err != nil {
+		if err := commitOne(state, solo); err != nil {
 			t.Fatal(err)
 		}
 		tr := txn.NewTransfer(solo.ID,
@@ -200,6 +200,13 @@ func scenario(t *testing.T, auctions, bidders int, seed int64) (*ledger.State, *
 	batch = append(batch, batch[0])
 	rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
 	return state, reserved, batch
+}
+
+// commitOne commits tx as its own block and returns the error the
+// stage skipped it with, if any.
+func commitOne(s *ledger.State, tx *txn.Transaction) error {
+	_, skipped := s.CommitBlock([]*txn.Transaction{tx})
+	return skipped[tx.ID]
 }
 
 func ids(txs []*txn.Transaction) []string {

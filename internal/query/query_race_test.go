@@ -26,10 +26,18 @@ func TestQueriesRaceBlockCommits(t *testing.T) {
 	// Seed one settled and one open auction so every query has matter.
 	seed := gen.NewAuctionGroup(0, workload.AuctionGroupSpec{BiddersPerAuction: 3})
 	open := gen.NewAuctionGroup(100, workload.AuctionGroupSpec{BiddersPerAuction: 2})
+	// commitAt commits txs as the block at h, staging off the state
+	// lock as a node's commit does.
+	commitAt := func(h int64, txs []*txn.Transaction) (map[string]error, error) {
+		p := state.BeginBlockCommit(h)
+		p.Stage(txs)
+		_, skipped, err := p.Seal()
+		return skipped, err
+	}
 	height := int64(0)
 	commit := func(txs ...*txn.Transaction) {
 		height++
-		if _, skipped, err := state.CommitBlockAt(height, txs); err != nil || len(skipped) != 0 {
+		if skipped, err := commitAt(height, txs); err != nil || len(skipped) != 0 {
 			t.Fatalf("seed commit: err=%v skipped=%v", err, skipped)
 		}
 	}
@@ -53,7 +61,7 @@ func TestQueriesRaceBlockCommits(t *testing.T) {
 			}
 			for _, b := range blocks {
 				h++
-				if _, skipped, err := state.CommitBlockAt(h, b); err != nil || len(skipped) != 0 {
+				if skipped, err := commitAt(h, b); err != nil || len(skipped) != 0 {
 					t.Errorf("commit h=%d: err=%v skipped=%v", h, err, skipped)
 					return
 				}

@@ -111,14 +111,17 @@ func TestCommitFenceStress(t *testing.T) {
 	for round := 0; round < 4; round++ {
 		// Disjoint batch: transfers of assets committed before round h.
 		var disjoint []consensus.Tx
+		var assets []*txn.Transaction
 		for i := 0; i < width; i++ {
 			owner := nextAccount()
 			asset := gen.Create(gen.Account(owner), []string{"cnc"}, 64)
-			if err := node.State().CommitTx(asset); err != nil {
-				t.Fatal(err)
-			}
+			assets = append(assets, asset)
 			disjoint = append(disjoint, transferOf(asset, owner, fmt.Sprintf("d%d-%d", round, i)))
 		}
+		if _, skipped := node.CommitNext(assets); len(skipped) != 0 {
+			t.Fatalf("round %d: assets skipped: %v", round, skipped)
+		}
+		h := node.State().Height()
 		// Block h: fresh CREATEs. The dependent batch spends their
 		// outputs, so it must not validate before h seals.
 		var block, dependent []consensus.Tx
@@ -129,7 +132,7 @@ func TestCommitFenceStress(t *testing.T) {
 			dependent = append(dependent, transferOf(asset, owner, fmt.Sprintf("c%d-%d", round, i)))
 		}
 
-		join := node.CommitStart(int64(round*2+1), block)
+		join := node.CommitStart(h+1, block)
 		var wg sync.WaitGroup
 		wg.Add(2)
 		go func() {
@@ -148,9 +151,9 @@ func TestCommitFenceStress(t *testing.T) {
 		join()
 		// Seal the dependents as the next block so every round starts
 		// from quiesced state.
-		node.CommitStart(int64(round*2+2), dependent)()
-		if got := node.State().Height(); got != int64(round*2+2) {
-			t.Fatalf("round %d: height %d after seal, want %d", round, got, round*2+2)
+		node.CommitStart(h+2, dependent)()
+		if got := node.State().Height(); got != h+2 {
+			t.Fatalf("round %d: height %d after seal, want %d", round, got, h+2)
 		}
 	}
 }

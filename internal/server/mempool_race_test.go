@@ -30,12 +30,11 @@ func TestMempoolAdmissionRace(t *testing.T) {
 	// screens).
 	const owners = 96
 	streams := make([][]*txn.Transaction, 3)
+	var assets []*txn.Transaction
 	for i := 0; i < owners; i++ {
 		owner := gen.Account(i)
 		asset := gen.Create(owner, []string{"cnc"}, 64)
-		if err := node.State().CommitTx(asset); err != nil {
-			t.Fatal(err)
-		}
+		assets = append(assets, asset)
 		for s := range streams {
 			recipient := gen.Account(10_000 + i*len(streams) + s)
 			tr := txn.NewTransfer(asset.ID,
@@ -47,6 +46,9 @@ func TestMempoolAdmissionRace(t *testing.T) {
 			}
 			streams[s] = append(streams[s], tr)
 		}
+	}
+	if _, skipped := node.CommitNext(assets); len(skipped) != 0 {
+		t.Fatalf("backing assets skipped: %v", skipped)
 	}
 
 	pool := mempool.New(mempool.Config{
@@ -84,9 +86,10 @@ func TestMempoolAdmissionRace(t *testing.T) {
 		}(stream)
 	}
 
-	// Proposer + commit path: pack a block, commit it to the ledger,
-	// sweep the pool — the applyBlock compaction under contention. It
-	// stops once the admitters finished and the pool is drained.
+	// Proposer + commit path: pack a block, commit it through the node
+	// (the commit fence admission validates against), sweep the pool —
+	// the applyBlock compaction under contention. It stops once the
+	// admitters finished and the pool is drained.
 	done := make(chan struct{})
 	committed := make(map[string]bool)
 	var commitErr error
@@ -94,7 +97,6 @@ func TestMempoolAdmissionRace(t *testing.T) {
 	committer.Add(1)
 	go func() {
 		defer committer.Done()
-		height := node.State().Height()
 		for {
 			block := pool.Pack(24, 4)
 			if len(block) == 0 {
@@ -112,12 +114,7 @@ func TestMempoolAdmissionRace(t *testing.T) {
 			for i, tx := range block {
 				batch[i] = tx.(*txn.Transaction)
 			}
-			height++
-			applied, _, err := node.State().CommitBlockAt(height, batch)
-			if err != nil {
-				commitErr = err
-				return
-			}
+			applied, _ := node.CommitNext(batch)
 			for _, tr := range applied {
 				if committed[tr.ID] {
 					commitErr = fmt.Errorf("transaction %.12s committed twice", tr.ID)

@@ -307,16 +307,15 @@ func (n *Node) ValidateTx(t *txn.Transaction) error {
 
 // Apply validates and commits a transaction synchronously against this
 // single node — the standalone (consensus-free) mode used by examples
-// and tests. Nested children are applied recursively.
+// and tests — as a one-transaction block at the next height
+// (CommitNext). Nested children are applied recursively, each its own
+// block.
 func (n *Node) Apply(t *txn.Transaction) error {
 	if err := n.ValidateTx(t); err != nil {
 		return err
 	}
-	if err := n.state.CommitTx(t); err != nil {
-		return err
-	}
-	n.afterCommit(t)
-	return nil
+	_, skipped := n.CommitNext([]*txn.Transaction{t})
+	return skipped[t.ID]
 }
 
 // afterCommit runs the nested hooks for one committed transaction.
@@ -566,29 +565,41 @@ func asTransactionsFresh(txs []consensus.Tx, fresh []bool) ([]*txn.Transaction, 
 	return batch, flags
 }
 
-// CommitStart applies a decided block through the ledger's one block
-// commit — one atomic WAL group per block instead of per transaction.
-// It admits the block — parking while the previous block is still in
-// flight, then publishing its write footprint on the commit fence —
-// stages and seals it in the background, and returns a join; a
-// synchronous commit is CommitStart followed at once by its join,
-// which is what the engine does at depth 1. Per-transaction commit
-// failures indicate duplicates delivered through catch-up, which are
-// safe to skip; a storage failure means the node's durable state can
-// no longer be trusted and is fatal. Validation of the next height
-// proceeds meanwhile; reads into the unsealed block's writes wait on
-// the fence, disjoint reads run concurrently with the applier. The
-// join blocks until the block is sealed and then runs the
-// nested-transaction hooks for each committed transaction, in block
-// order, on the caller's thread — children are handed to the child
-// submitter at join time, never from the background goroutine.
+// CommitStart applies a decided block at the consensus height, counted
+// on from the height the node recovered at open, through commit below
+// and returns the join. Per-transaction commit failures indicate
+// duplicates delivered through catch-up, which are safe to skip.
 func (n *Node) CommitStart(height int64, txs []consensus.Tx) (join func()) {
-	batch := asTransactions(txs)
+	joinBlock := n.commit(n.baseHeight+height, asTransactions(txs))
+	return func() { joinBlock() }
+}
+
+// CommitNext commits batch as the block after the last one sealed, joined
+// at once, and returns what committed, in block order, and what the
+// stage skipped, with each one's error. It is the entry for a node no
+// consensus engine drives: a standalone node's Apply, a shard's local
+// block. Callers make one call at a time, never beside CommitStart.
+func (n *Node) CommitNext(batch []*txn.Transaction) (committed []*txn.Transaction, skipped map[string]error) {
+	n.fence.Drain()
+	return n.commit(n.state.Height()+1, batch)()
+}
+
+// commit is the one body behind CommitStart and CommitNext — one atomic
+// WAL group per block. It admits block h — parking while the previous
+// block is still in flight, then publishing its write footprint on the
+// commit fence — stages and seals it in the background, and returns a
+// join. Validation of the next height proceeds meanwhile; reads into
+// the unsealed block's writes wait on the fence, disjoint reads run
+// concurrently with the applier. A storage failure is fatal. The join
+// waits for the seal, runs the nested hooks of each committed
+// transaction in block order on the caller's thread (children reach
+// the child submitter at join time, never from the background
+// goroutine), once, and reports the seal's outcome.
+func (n *Node) commit(h int64, batch []*txn.Transaction) (join func() ([]*txn.Transaction, map[string]error)) {
 	// One footprint sweep serves the whole commit: the plan (the one
 	// ValidateBlockFresh built, when this is the batch it validated)
 	// supplies the fence's write keys and the stage's conflict groups.
 	plan := n.planFor(batch)
-	h := n.baseHeight + height
 	if waited := n.fence.Begin(h, plan.WriteKeys()); waited {
 		n.ob.stackWaits.Inc()
 	}
@@ -598,26 +609,28 @@ func (n *Node) CommitStart(height int64, txs []consensus.Tx) (join func()) {
 	pending := n.state.BeginBlockCommit(h)
 	done := make(chan struct{})
 	var committed []*txn.Transaction
+	var skipped map[string]error
 	go func() {
 		defer close(done)
 		pending.StagePlan(batch, plan)
 		var err error
-		committed, _, err = pending.Seal()
+		committed, skipped, err = pending.Seal()
 		if err != nil {
 			// fail-stop: the backend lost a write mid-block; no later commit may build on this state.
-			panic("server: " + ledger.SealFailure(height, err))
+			panic("server: " + ledger.SealFailure(h, err))
 		}
 		n.fence.End(h)
 		n.ob.inflight.Set(int64(n.fence.InFlight()))
 	}()
 	var once sync.Once
-	return func() {
+	return func() ([]*txn.Transaction, map[string]error) {
 		once.Do(func() {
 			<-done
 			for _, t := range committed {
 				n.afterCommit(t)
 			}
 		})
+		return committed, skipped
 	}
 }
 

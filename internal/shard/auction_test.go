@@ -1,0 +1,130 @@
+package shard
+
+import (
+	"fmt"
+	"os"
+	"testing"
+
+	"smartchaindb/internal/ledger"
+	"smartchaindb/internal/txn"
+	"smartchaindb/internal/workload"
+)
+
+// auctionOn builds a three-bidder auction whose transactions all land
+// on the cluster's last shard: Place homes the input-less REQUEST and
+// CREATEs there, and the BIDs, the ACCEPT_BID and its children follow
+// their inputs.
+func auctionOn(c *Cluster) *workload.AuctionGroup {
+	gen := workload.NewGenerator(41, c.Shard(0).Node.Escrow())
+	return gen.NewAuctionGroup(0, workload.AuctionGroupSpec{BiddersPerAuction: 3})
+}
+
+func placeLast(shards int) func(*txn.Transaction) int {
+	return func(*txn.Transaction) int { return shards - 1 }
+}
+
+// requireSettled fails unless the ACCEPT_BID committed on shard home
+// and every child it owes committed there too: the escrow holds none of
+// its outputs, its recovery record is done, and the directory homes
+// each child on the parent's shard.
+func requireSettled(t *testing.T, c *Cluster, grp *workload.AuctionGroup, home int) {
+	t.Helper()
+	st := c.Shard(home).Node.State()
+	accept := grp.Accept
+	if !st.IsCommitted(accept.ID) {
+		t.Fatalf("ACCEPT_BID %.8s is not committed on shard %d", accept.ID, home)
+	}
+	held := 0
+	for i := range accept.Outputs {
+		if st.IsUnspent(txn.OutputRef{TxID: accept.ID, Index: i}) {
+			held++
+		}
+	}
+	if held != 0 {
+		t.Fatalf("escrow holds %d of %d of the ACCEPT_BID's outputs", held, len(accept.Outputs))
+	}
+	rec, err := st.RecoveryFor(accept.ID)
+	if err != nil || rec.Status != ledger.RecoveryComplete || len(rec.Done) != len(grp.Bids) {
+		t.Fatalf("recovery record: %+v, %v", rec, err)
+	}
+	for _, id := range append([]string{accept.ID}, rec.Done...) {
+		if s, ok := c.Directory().Lookup(id); !ok || s != home {
+			t.Fatalf("directory homes %.8s on %d (%v), want shard %d", id, s, ok, home)
+		}
+		if !st.IsCommitted(id) {
+			t.Fatalf("%.8s is not committed on shard %d", id, home)
+		}
+	}
+}
+
+// An auction settles on a shard: the shard's local block runs the
+// nested hooks, so the ACCEPT_BID's children go to the shard's own pool
+// and commit in its next local blocks.
+func TestAuctionSettlesOnShard(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			c := newTestCluster(t, Config{Shards: shards, Place: placeLast(shards)})
+			grp := auctionOn(c)
+			submitDrain(t, c, append([]*txn.Transaction{grp.Request}, grp.Creates...)...)
+			submitDrain(t, c, grp.Bids...)
+			submitDrain(t, c, grp.Accept)
+			requireSettled(t, c, grp, shards-1)
+		})
+	}
+}
+
+// TestAuctionChildrenReplayAfterCrash cuts the home shard's WAL right
+// after the ACCEPT_BID's block (and the recovery record its commit
+// wrote), so none of the children survive; the reopened cluster replays
+// the recovery log into the shard's pool and the next local blocks
+// settle the auction.
+func TestAuctionChildrenReplayAfterCrash(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Shards: 2, DataDir: dir, Place: placeLast(2)}
+	cfg.Node.NoSync = true
+	c, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grp := auctionOn(c)
+	submitDrain(t, c, append([]*txn.Transaction{grp.Request}, grp.Creates...)...)
+	submitDrain(t, c, grp.Bids...)
+	if errs := c.SubmitBatch([]*txn.Transaction{grp.Accept}); len(errs) != 0 {
+		t.Fatalf("submit ACCEPT_BID: %v", errs)
+	}
+	if got := c.CommitLocal(1, 64); len(got) != 1 || got[0].ID != grp.Accept.ID {
+		t.Fatalf("the ACCEPT_BID's block committed %d transactions", len(got))
+	}
+	st, err := os.Stat(walPath(dir, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := st.Size()
+	if n := c.DrainLocal(64); n != len(grp.Bids) {
+		t.Fatalf("drained %d children, want %d", n, len(grp.Bids))
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(walPath(dir, 1), cut); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err = Open(cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer c.Close()
+	for i := range grp.Accept.Outputs {
+		if !c.Shard(1).Node.State().IsUnspent(txn.OutputRef{TxID: grp.Accept.ID, Index: i}) {
+			t.Fatalf("output %d of the ACCEPT_BID is spent after the cut: the WAL kept a child", i)
+		}
+	}
+	if c.Recovered != 0 {
+		t.Fatalf("Recovered = %d: the nested replay must not count as a 2PC resolution", c.Recovered)
+	}
+	if n := c.DrainLocal(64); n != len(grp.Bids) {
+		t.Fatalf("drained %d replayed children, want %d", n, len(grp.Bids))
+	}
+	requireSettled(t, c, grp, 1)
+}

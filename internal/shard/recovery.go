@@ -26,7 +26,7 @@ func (c *Cluster) recover() error {
 					if err := sh.Node.State().AbortPrepared(txID, decisionDoc(txID, "commit", nil)); err != nil {
 						return fmt.Errorf("shard %d: retire %s: %w", sh.ID, txID[:8], err)
 					}
-				} else if _, err := sh.Node.State().ApplyPrepared(p, decisionDoc(txID, "commit", nil)); err != nil {
+				} else if err := sh.applyPrepared(p, decisionDoc(txID, "commit", nil)); err != nil {
 					return fmt.Errorf("shard %d: replay committed %s: %w", sh.ID, txID[:8], err)
 				}
 				sh.ob.committed.Inc()

@@ -6,7 +6,10 @@
 // on a single shard commits fully locally, with zero cross-shard
 // coordination; one whose footprint spans shards runs a
 // footprint-derived two-phase commit whose participants are exactly
-// the shards owning its keys (twopc.go).
+// the shards owning its keys (twopc.go). A local block commits through
+// the shard's node as a validator's does (server.Node.CommitNext), so
+// an ACCEPT_BID's children land in the shard's own pool and commit in
+// its next local blocks.
 package shard
 
 import (

@@ -59,9 +59,9 @@ type Shard struct {
 	Node *server.Node
 	Pool *mempool.Pool
 	// mu serializes this shard's local commit cycles (pack → commit →
-	// sweep). 2PC staging and apply do not take it: the ledger's own
-	// lock orders them against local commits, and mempool holds keep
-	// the footprints disjoint.
+	// sweep) and its 2PC applies, which take the next height: never
+	// that of a local block still staging. 2PC staging and prepare do
+	// not take it: mempool holds keep the footprints disjoint.
 	mu sync.Mutex
 	ob shardObs
 }
@@ -83,8 +83,9 @@ type Cluster struct {
 
 // Open builds (or reopens) the sharded cluster. With DataDir set, each
 // shard recovers its own chain from its WAL; then in-doubt cross-shard
-// transactions are driven to their global outcome and the routing
-// directory is rebuilt from the shards' transaction logs.
+// transactions are driven to their global outcome, the routing
+// directory is rebuilt from the shards' transaction logs, and each
+// shard's nested recovery log is replayed into its pool.
 func Open(cfg Config) (*Cluster, error) {
 	cfg.fill()
 	c := &Cluster{cfg: cfg, dir: NewDirectory()}
@@ -116,6 +117,12 @@ func Open(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		sh := &Shard{ID: i, Node: node, ob: newShardObs(nodeCfg.Obs)}
+		// Nested children go to the shard's own pool, their parent homed
+		// here first: CommitLocal homes its block only after the hooks.
+		node.SetChildSubmitter(func(child *txn.Transaction) {
+			c.dir.Set(child.Inputs[0].Fulfills.TxID, id)
+			sh.Pool.AdmitBatch([]mempool.Tx{child})
+		})
 		sh.Pool = mempool.New(mempool.Config{
 			BatchSize: cfg.MempoolBatch,
 			Obs:       nodeCfg.Obs,
@@ -135,6 +142,9 @@ func Open(cfg Config) (*Cluster, error) {
 	}
 	c.rebuildDirectory()
 	for _, sh := range c.shards {
+		if sh.Node.State().Height() > 0 { // a fresh shard has no recovery log
+			sh.Node.Recover() // not counted in Recovered: that counts 2PC resolutions
+		}
 		sh.ob.height.Set(sh.Node.State().Height())
 	}
 	return c, nil
@@ -268,10 +278,10 @@ func (c *Cluster) SubmitBatch(txs []*txn.Transaction) map[string]error {
 	return errs
 }
 
-// CommitLocal packs and commits one local block on shard id from its
-// pending pool, with zero cross-shard coordination. Returns the
-// transactions committed. Safe to call concurrently across shards —
-// the single-shard scaling path.
+// CommitLocal packs one local block on shard id from its pending pool
+// and commits it through its node (server.Node.CommitNext), with zero
+// cross-shard coordination. Returns the transactions committed. Safe
+// to call concurrently across shards — the single-shard scaling path.
 func (c *Cluster) CommitLocal(id int, maxTxs int) []*txn.Transaction {
 	sh := c.shards[id]
 	sh.mu.Lock()
@@ -284,7 +294,7 @@ func (c *Cluster) CommitLocal(id int, maxTxs int) []*txn.Transaction {
 	for i, tx := range packed {
 		batch[i] = tx.(*txn.Transaction)
 	}
-	committed, _ := sh.Node.State().CommitBlock(batch)
+	committed, _ := sh.Node.CommitNext(batch)
 	sh.Pool.RemoveCommitted(asPoolTxs(committed))
 	ids := make([]string, len(committed))
 	for i, t := range committed {

@@ -164,7 +164,7 @@ func (c *Cluster) commitCross(t *txn.Transaction, r Route) error {
 	// (nothing was applied) aborts everyone.
 	dec := decisionDoc(t.ID, "commit", r.Participants)
 	t0 := time.Now()
-	if _, err := home.Node.State().ApplyPrepared(prepared[r.Home], dec); err != nil {
+	if err := home.applyPrepared(prepared[r.Home], dec); err != nil {
 		abort(len(r.Participants))
 		return fmt.Errorf("shard %d: decide %s: %w", r.Home, t.ID[:8], err)
 	}
@@ -182,7 +182,7 @@ func (c *Cluster) commitCross(t *txn.Transaction, r Route) error {
 			continue
 		}
 		t0 := time.Now()
-		if _, err := c.shards[id].Node.State().ApplyPrepared(prepared[id], dec); err != nil {
+		if err := c.shards[id].applyPrepared(prepared[id], dec); err != nil {
 			if applyErr == nil {
 				applyErr = fmt.Errorf("shard %d: apply decided %s: %w", id, t.ID[:8], err)
 			}
@@ -203,6 +203,14 @@ func (c *Cluster) commitCross(t *txn.Transaction, r Route) error {
 	c.dir.Set(t.ID, r.Home)
 	c.event("release", t.ID)
 	return applyErr
+}
+
+// applyPrepared seals a decided share under the shard's lock.
+func (sh *Shard) applyPrepared(p *ledger.Prepared, decision map[string]any) error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	_, err := sh.Node.State().ApplyPrepared(p, decision)
+	return err
 }
 
 // crossCheck is the coordinator's semantic validation of a cross-shard

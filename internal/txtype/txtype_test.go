@@ -68,8 +68,8 @@ func TestContextResolveOrder(t *testing.T) {
 	committed := signedCreate(t, owner, 1)
 	batched := signedCreate(t, owner, 2)
 	state := ledger.NewState()
-	if err := state.CommitTx(committed); err != nil {
-		t.Fatal(err)
+	if _, skipped := state.CommitBlock([]*txn.Transaction{committed}); skipped[committed.ID] != nil {
+		t.Fatal(skipped[committed.ID])
 	}
 	batch := txtype.NewBatch()
 	if err := batch.Add(batched); err != nil {

@@ -24,6 +24,13 @@ type world struct {
 	seq       int
 }
 
+// commitOne commits tx as its own block and returns the error the
+// stage skipped it with, if any.
+func commitOne(s *ledger.State, tx *txn.Transaction) error {
+	_, skipped := s.CommitBlock([]*txn.Transaction{tx})
+	return skipped[tx.ID]
+}
+
 func newWorld(t *testing.T) *world {
 	t.Helper()
 	w := &world{
@@ -52,7 +59,7 @@ func (w *world) mustCommit(tx *txn.Transaction) {
 	if err := w.validate(tx); err != nil {
 		w.t.Fatalf("validate before commit: %v", err)
 	}
-	if err := w.state.CommitTx(tx); err != nil {
+	if err := commitOne(w.state, tx); err != nil {
 		w.t.Fatal(err)
 	}
 }
@@ -437,7 +444,7 @@ func TestValidAcceptBidFlow(t *testing.T) {
 		if err := w.validate(child); err != nil {
 			t.Fatalf("child %s: %v", spec.Kind, err)
 		}
-		if err := w.state.CommitTx(child); err != nil {
+		if err := commitOne(w.state, child); err != nil {
 			t.Fatal(err)
 		}
 	}

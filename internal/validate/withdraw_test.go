@@ -34,7 +34,7 @@ func TestWithdrawBidHappyPath(t *testing.T) {
 	if err := w.validate(wd); err != nil {
 		t.Fatalf("withdraw: %v", err)
 	}
-	if err := w.state.CommitTx(wd); err != nil {
+	if err := commitOne(w.state, wd); err != nil {
 		t.Fatal(err)
 	}
 	// The bidder has the backing asset again.
