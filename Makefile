@@ -59,9 +59,11 @@ test-bench:
 # FuzzPlannedFind: on documents and
 # filter trees decoded from the input, over hash, ordered, multikey,
 # unique-valued and partial indexes, with documents entering and leaving
-# the partial indexes' predicates, the planner finds what a full scan
-# finds, in the writer view and at every retained snapshot height; its
-# choices past the end of
+# the partial indexes' predicates, a read driven on the first conjunct
+# an index serves (the rest left to the residual filter) finds what a
+# full scan finds, in the writer view and at every retained snapshot
+# height, and touches one index, with one probe per key it asks for;
+# its choices past the end of
 # an input come from a generator the input seeds, so every byte moves
 # its coverage and minimising an input rarely converges — each attempt
 # is capped at a second. FuzzDecodePrepared: on a PREPARE record read
@@ -103,12 +105,12 @@ fuzz:
 # TestPreparedApplyCostsTheBlockNotTheState). CommitTransferChain
 # commits 4096 chained transfers in blocks of 256 and reports ns/tx.
 # IndexInsert/{hash,ordered}/{unique,shared} is one document's index
-# upkeep on insert (B/op is what a posting costs) and PlannedIntersect
-# the validator's locked-bid find; TestIndexPostingBytes and
-# TestPlannedIntersectAllocations pin them. PlanLockedBids compiles and
-# executes the locked-bid filter over 64 k transactions after an
-# accept-shaped compile: planning on live estimates, the cost a plan
-# cache would have to beat. MemPut, MemGetAt and MemScanAt are the
+# upkeep on insert (B/op is what a posting costs); TestIndexPostingBytes
+# pins it. PlanLockedBids compiles the validator's locked-bid filter
+# over 64 k transactions and executes its plan: the refs conjunct,
+# written first, drives one point probe, and the operation is left to
+# the residual filter (TestLockedBidFindAllocations pins what the find
+# allocates). MemPut, MemGetAt and MemScanAt are the
 # memtable's insert, snapshot point read and full scan over 64 k keys,
 # each beside the sync.Map layout it replaced; TestStoredKeyBytes pins
 # what a key retains. ChildCommitted is what every validator pays
@@ -116,7 +118,7 @@ fuzz:
 # each iteration settles one child of a ten-bid auction and every tenth
 # builds a fresh auction off the clock, so it runs at a fixed count.
 bench-alloc:
-	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage ./internal/docstore -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|MarshalCanonicalCold|OutputRefString|FootprintOf|StateView|InsertDoc|MarkSpent|SpendFanIn|StageBlock|SealOneTxBlock|CommitTransferChain|EncodableDoc|GroupCommit|Fold|MemPut|MemGetAt|MemScanAt|IndexInsert|PlannedIntersect|PlanLockedBids'
+	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage ./internal/docstore -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|MarshalCanonicalCold|OutputRefString|FootprintOf|StateView|InsertDoc|MarkSpent|SpendFanIn|StageBlock|SealOneTxBlock|CommitTransferChain|EncodableDoc|GroupCommit|Fold|MemPut|MemGetAt|MemScanAt|IndexInsert|PlanLockedBids'
 	$(GO) test ./internal/nested -run '^$$' -benchmem -bench ChildCommitted -benchtime 5000x
 
 # The tier-1 suites that touch chain state (ledger, server/cluster,

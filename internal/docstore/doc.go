@@ -30,34 +30,31 @@
 // # Query planning
 //
 // Every read entry point (Find, FindLimit, FindKeys, FindOne, Count)
-// resolves through a cost-aware planner. A filter tree is first made
+// resolves through the planner. A filter tree is first made
 // introspectable by Analyze (filter.go), then compiled against the
-// collection's secondary indexes into an access plan (planner.go):
+// collection's secondary indexes into an access plan (planner.go) by
+// one rule: in an And, the first conjunct in written order that an
+// index can serve drives the read, and every other conjunct is left to
+// the residual filter.
 //
-//   - equality-class operators (Eq, Contains, In) probe a hash or
-//     ordered index for candidate keys;
+//   - equality-class operators (Eq, Contains, In, and ContainsAll's
+//     first element) probe a hash or ordered index for candidate keys;
 //   - comparisons (Gt, Gte, Lt, Lte) become range scans over an
 //     ordered index (CreateOrderedIndex), a deterministic skip list
-//     ordering numbers and strings (ordindex.go);
-//   - And intersects its indexable conjuncts — the lowest-estimate
-//     index drives, chosen from index cardinalities, and the others
-//     shrink its candidates via O(1) membership probes — while
-//     unindexable conjuncts are left to the residual filter;
-//   - Or unions its branches when every branch is indexable;
+//     ordering numbers and strings (ordindex.go), bounded by every
+//     comparison on the path while it is single-valued;
 //   - provably empty filters (Never, In with no values, comparisons
 //     against non-comparable arguments) plan to nothing at all;
-//   - everything else falls back to the full collection scan.
+//   - Or, Not, and an And with no servable conjunct fall back to the
+//     full collection scan.
 //
-// Every read compiles its own plan, from the estimates its own
-// arguments give at that moment; nothing is cached between reads. A
-// compile costs a few index read locks and no allocation per estimate
-// (BenchmarkPlanLockedBids), and a plan chosen from another argument's
-// or an older state's estimates can drive on the wrong index: a
-// shape-keyed plan cache once made the validator's locked-bid read
-// materialise every BID on the chain.
+// A reader's filter is therefore its access path, fixed when the
+// reader is written: the chain's readers (internal/ledger,
+// internal/query) write the conjunct whose index should drive first.
+// Compiling takes no lock, and executing touches one index.
 //
-// Planned reads resolve candidates through the indexes' own locks and
-// lock-free point reads, re-ordered into insertion order from the
+// Planned reads resolve candidates through the driving index's own
+// lock and lock-free point reads, re-ordered into insertion order from the
 // backend's ord counters — never the collection-wide lock, so they do
 // not serialize behind the commit writer. Candidates are a superset
 // of the matches (multikey indexes fan arrays out) and every fetched
@@ -67,8 +64,8 @@
 // (FindScan, a reference implementation kept in the package's tests)
 // on both backends.
 //
-// Explain renders the plan Plan compiles ("point(operation eq "BID")[3]",
-// "intersect[2](...)", "full-scan(no index on "x")") for tests and
+// Explain renders the plan Plan compiles ("point(refs contains "r1")",
+// "range(amount >=1 <=5)", "full-scan(no index on "x")") for tests and
 // benchmarks; with a Store.SetObs registry attached, executed full
 // scans, planner decisions, and index probes record into the
 // docstore.* obs counters, so hot paths can assert they never take

@@ -200,9 +200,9 @@ type collObs struct {
 	indexProbes *obs.Counter // docstore.index_probes
 	candidates  *obs.Counter // docstore.candidates
 	snapshots   *obs.Counter // docstore.snapshots
-	plan        [AccessUnion + 1]*obs.Counter
-	// indexUses counts, per indexed path, the executed plans that
-	// drive on or probe the index and the FindOrdered walks over it
+	plan        [AccessRange + 1]*obs.Counter
+	// indexUses counts, per indexed path, the compiled plans that drive
+	// on the index and the FindOrdered walks over it
 	// (docstore.index_uses.<collection>.<path>): which indexes earn
 	// their upkeep.
 	indexUses map[string]*obs.Counter
@@ -257,16 +257,6 @@ func (ob *collObs) withIndexUses(collection string, paths []string) *collObs {
 		next.indexUses[p] = ob.reg.Counter("docstore.index_uses." + collection + "." + p)
 	}
 	return &next
-}
-
-// countUses records one use of every index plan a drives on or probes.
-func (ob *collObs) countUses(a *Access) {
-	if a.Kind == AccessPoint || a.Kind == AccessRange {
-		ob.indexUses[a.Path].Inc()
-	}
-	for _, ch := range a.Children {
-		ob.countUses(ch)
-	}
 }
 
 func newCollection(name string, be storage.Collection, bk storage.Backend) *Collection {
@@ -678,15 +668,13 @@ func (c *Collection) visitCandidatesAt(h int64, filter Filter, fn func(key strin
 	if c.dropped.Load() {
 		return
 	}
-	plan := c.Plan(filter)
-	if k := int(plan.Kind); k >= 0 && k < len(c.obs().plan) {
-		c.obs().plan[k].Inc()
-	}
-	if keys, ok := resolveAccess(plan, h); ok {
-		c.shardedVisitAt(h, keys, fn)
+	plan, ob := c.Plan(filter), c.obs()
+	ob.plan[plan.Kind].Inc()
+	if plan.FullScan() {
+		c.scanVisitAt(h, fn)
 		return
 	}
-	c.scanVisitAt(h, fn)
+	c.shardedVisitAt(h, plan.candidates(h, ob), fn)
 }
 
 // scanVisitAt is the full-scan path. At HeightLatest it scans the
@@ -816,7 +804,7 @@ func (c *Collection) borrowOrderedAt(h int64, filter Filter, orderPath string, d
 				continue
 			}
 			if filter == nil || filter.Matches(doc) {
-				out = append(out, deepCopyMap(doc))
+				out = append(out, doc)
 				if limit > 0 && len(out) >= limit {
 					return out
 				}

@@ -109,7 +109,9 @@ func TestDocumentsAreIsolated(t *testing.T) {
 			"Find":        func() map[string]any { return c.Find(Eq("rank", 1.0))[0] },
 			"FindOne":     func() map[string]any { d, _ := c.FindOne(Eq("rank", 1.0)); return d },
 			"FindOrdered": func() map[string]any { return c.FindOrdered(nil, "rank", false, 1)[0] },
-			"Snapshot":    func() map[string]any { d, _ := c.Snapshot().Get("k"); return d },
+			// No index on nested.x: FindOrdered sorts a scan.
+			"FindOrdered (scan)": func() map[string]any { return c.FindOrdered(nil, "nested.x", false, 1)[0] },
+			"Snapshot":           func() map[string]any { d, _ := c.Snapshot().Get("k"); return d },
 		}
 		for name, read := range reads {
 			got := read()
@@ -126,6 +128,15 @@ func TestDocumentsAreIsolated(t *testing.T) {
 		// A borrowing find hands out the stored documents themselves.
 		if got := c.BorrowFind(Eq("rank", 1.0)); len(got) != 2 || !same(got[0], inserted) || !same(got[1], upserted) {
 			t.Errorf("BorrowFind did not return the stored documents: %v", got)
+		}
+		// So does a borrowing ordered walk, off the index and off the scan.
+		for _, orderPath := range []string{"rank", "nested.x"} {
+			got := c.Snapshot().BorrowFindOrdered(nil, orderPath, false, 0)
+			k, _ := c.Borrow("k")
+			u, _ := c.Borrow("u")
+			if len(got) != 2 || !same(got[0], k) || !same(got[1], u) {
+				t.Errorf("BorrowFindOrdered by %s did not return the stored documents: %v", orderPath, got)
+			}
 		}
 
 		// Update: the closure's top level is its own — the version it

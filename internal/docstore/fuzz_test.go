@@ -12,6 +12,7 @@ import (
 	"slices"
 	"testing"
 
+	"smartchaindb/internal/obs"
 	"smartchaindb/internal/storage"
 )
 
@@ -249,6 +250,7 @@ func (p *fuzzProg) filter(paths []string, args map[string][]any, depth int) Filt
 // returns the documents a forced scan does, in the same order, in the
 // writer view and at every retained snapshot height, and so does
 // FindOrdered over an ordered index against its no-index fallback.
+// Every planned Find touches one index (oneIndexPerRead).
 // Half the documents are inserted in block 1; the rest replace, add or
 // delete documents in block 2, as the second input picks, so index
 // entries move between values and lifespans close; blocks 3 and 4 flip
@@ -288,8 +290,9 @@ func FuzzPlannedFind(f *testing.F) {
 		}
 		f.Add(raw, []byte{}, []byte{})
 		f.Add(raw, []byte{3, 1, 0, 2, 7, 0}, []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20})
-		// The locked-bid find: And(Eq(operation, …), Contains(refs, …)).
-		f.Add(raw, []byte{1, 1, 1, 1}, []byte{10, 1, 0, 8, 11, 2, 9, 12})
+		// The locked-bid find on the chain seeds: And(Contains(refs,
+		// "r1"), Eq(operation, "BID")).
+		f.Add(raw, []byte{1, 1, 1, 1}, []byte{11, 0, 1, 2, 10, 11, 0, 9, 12})
 	}
 	f.Fuzz(func(t *testing.T, docBytes, editBytes, progBytes []byte) {
 		var docs []map[string]any
@@ -362,11 +365,17 @@ func FuzzPlannedFind(f *testing.F) {
 			s.SweepIndexes()
 		}
 
+		reg := obs.New()
+		s.SetObs(reg)
 		for i := 0; i < 8; i++ {
 			flt := prog.filter(paths, args, 2)
 			orderBy, desc, limit := ordered[prog.next(len(ordered))], prog.next(2) == 0, prog.next(4)
 			for _, h := range []int64{storage.HeightLatest, 1, 2, 3} {
-				if got, want := c.findKeysAt(h, flt), c.scanKeysAt(h, flt); !slices.Equal(got, want) {
+				var got []string
+				if err := oneIndexPerRead(reg, c, flt, func() { got = c.findKeysAt(h, flt) }); err != nil {
+					t.Fatalf("at height %d: %v", h, err)
+				}
+				if want := c.scanKeysAt(h, flt); !slices.Equal(got, want) {
 					t.Fatalf("at height %d, plan %s found %q, the scan %q", h, c.Explain(flt), got, want)
 				}
 				if got, want := c.borrowOrderedAt(h, flt, orderBy, desc, limit), c.findOrderedScanAt(h, flt, orderBy, desc, limit); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {

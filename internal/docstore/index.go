@@ -42,15 +42,9 @@ type secondaryIndex interface {
 	// lookupEq returns the candidate document keys holding the value
 	// whose indexKey is key at the indexed path as of height h (a
 	// superset for multikey paths; callers re-apply the filter), each
-	// key once. estimateEq is its cost-free cardinality estimate (over
-	// current contents — plan choice, not correctness), and containsDoc
-	// the O(1) membership probe the planner uses to intersect without
-	// materializing non-driving candidate sets. All three take the
-	// rendered key, so a plan renders each argument once however many
-	// candidates it probes.
+	// key once. It takes the rendered key, which a plan renders once
+	// when it compiles.
 	lookupEq(key string, h int64) []string
-	estimateEq(key string) int
-	containsDoc(key, docKey string, h int64) bool
 	// sweepFloor drops every lifespan that closed at or below floor —
 	// no supported snapshot height can observe it — and reports how
 	// many postings it examined. The store calls it when the
@@ -183,9 +177,9 @@ func (s span) open() bool { return s.died == spanOpen }
 
 // idxEntry is one indexed value's postings — a posting is one
 // document's lifespans under the value — plus the open-posting count
-// estimates use. Most values a chain index holds belong to one
-// document (a transaction id, a timestamp, an asset id), so the layout
-// is sized for that:
+// that sizes a lookup's result. Most values a chain index holds belong
+// to one document (a transaction id, a timestamp, an asset id), so the
+// layout is sized for that:
 //
 //   - A value with one posting keeps it inline in doc and span; docs is
 //     nil. Collection keys are never empty (Insert refuses one), so doc
@@ -276,13 +270,12 @@ func (e *idxEntry) aliveAt(docKey string, newest span, h int64) bool {
 }
 
 // open starts a lifespan for docKey at h, unless one is open already
-// (a value occurring twice in a multikey array), and reports whether
-// it did.
-func (e *idxEntry) open(docKey string, h int64) bool {
+// (a value occurring twice in a multikey array).
+func (e *idxEntry) open(docKey string, h int64) {
 	sp, ok := e.newest(docKey)
 	if ok {
 		if sp.open() {
-			return false
+			return
 		}
 		if e.older == nil {
 			e.older = make(map[string][]span)
@@ -291,7 +284,6 @@ func (e *idxEntry) open(docKey string, h int64) bool {
 	}
 	e.setNewest(docKey, span{born: h, died: spanOpen})
 	e.alive++
-	return true
 }
 
 // close ends docKey's open lifespan at h and reports whether there
@@ -356,12 +348,6 @@ func (e *idxEntry) keysAt(h int64) []string {
 		return nil
 	}
 	return e.appendKeysAt(make([]string, 0, e.alive), h)
-}
-
-// holds reports whether docKey's posting is visible at height h.
-func (e *idxEntry) holds(docKey string, h int64) bool {
-	sp, ok := e.newest(docKey)
-	return ok && e.aliveAt(docKey, sp, h)
 }
 
 // closedSpan records one lifespan ending: the posting under
@@ -590,26 +576,4 @@ func (ix *hashIndex) lookupEq(key string, h int64) []string {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.entries[key].keysAt(h)
-}
-
-// estimateEq reports the candidate count of an equality probe without
-// materializing it — the planner's selectivity estimate.
-func (ix *hashIndex) estimateEq(key string) int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if e := ix.entries[key]; e != nil {
-		return e.alive
-	}
-	return 0
-}
-
-// containsDoc reports whether docKey is among the candidates for key
-// as of height h.
-func (ix *hashIndex) containsDoc(key, docKey string, h int64) bool {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if e := ix.entries[key]; e != nil {
-		return e.holds(docKey, h)
-	}
-	return false
 }

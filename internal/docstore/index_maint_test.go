@@ -12,14 +12,15 @@ import (
 
 // indexProbes are the planned queries the maintenance tests re-check
 // after every mutation: a hash point, an ordered point, a range, an
-// intersect, and a union.
+// And driving on each of its two indexes, and a many-valued point.
 func indexProbes() []Filter {
 	return []Filter{
 		Eq("op", "A"),
 		Eq("v", 5),
 		And(Gte("v", 3), Lt("v", 8)),
 		And(Eq("op", "B"), Gt("v", 0)),
-		Or(Eq("op", "A"), Gte("v", 9)),
+		And(Gte("v", 9), Eq("op", "A")),
+		In("tags", "hot", "t3"),
 		Contains("tags", "hot"),
 	}
 }

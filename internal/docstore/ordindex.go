@@ -35,7 +35,6 @@ type orderedIndex struct {
 	head  *ordNode            // sentinel; head.next[0] is the first value
 	tail  *ordNode            // last value node, head when empty
 	byKey map[string]*ordNode // indexKey(value) -> node, for point lookups
-	size  int                 // open (value, document) pairs
 	rng   uint64              // deterministic xorshift state for levels
 	// multikey is set, for good, once any document the index holds
 	// reaches more than one value at the path (MongoDB's rule). Until
@@ -192,9 +191,7 @@ func (ix *orderedIndex) add(docKey string, doc map[string]any, h int64) {
 		if n == nil {
 			n = ix.link(k, v)
 		}
-		if n.open(docKey, h) {
-			ix.size++
-		}
+		n.open(docKey, h)
 	})
 	if values > 1 {
 		ix.multikey.Store(true)
@@ -240,7 +237,6 @@ func (ix *orderedIndex) remove(docKey string, doc map[string]any, h int64) {
 		if n == nil || !n.close(docKey, h) {
 			return
 		}
-		ix.size--
 		ix.retire(&n.idxEntry, k, docKey, h)
 		if n.empty() {
 			ix.unlink(k, n)
@@ -288,28 +284,6 @@ func (ix *orderedIndex) lookupEq(key string, h int64) []string {
 		return n.keysAt(h)
 	}
 	return nil
-}
-
-// estimateEq reports the candidate count of an equality probe without
-// materializing it — the planner's selectivity estimate.
-func (ix *orderedIndex) estimateEq(key string) int {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if n := ix.byKey[key]; n != nil {
-		return n.alive
-	}
-	return 0
-}
-
-// containsDoc reports whether docKey is among the candidates for key
-// as of height h.
-func (ix *orderedIndex) containsDoc(key, docKey string, h int64) bool {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	if n := ix.byKey[key]; n != nil {
-		return n.holds(docKey, h)
-	}
-	return false
 }
 
 // ordRange is a planner-compiled range over one class of values:
@@ -413,48 +387,6 @@ func (ix *orderedIndex) lookupRange(r ordRange, h int64) []string {
 		out = n.appendKeysAt(out, h)
 	}
 	return out
-}
-
-// ordEstimateNodeBudget caps the estimation walk: selectivity only has
-// to be exact for ranges narrow enough to be worth driving a plan.
-const ordEstimateNodeBudget = 512
-
-// estimateRange counts the (value, document) pairs a range scan would
-// visit — the planner's selectivity estimate for comparisons. The walk
-// is exact up to a fixed node budget; a range still open after that
-// many distinct values saturates to the index's total size. The
-// pessimistic saturation biases the planner toward point-driven plans
-// for sweeping comparisons (a half-bounded Gte over a large index),
-// without paying an O(distinct values) walk just to learn the range is
-// wide — mis-ranking only shifts work onto the residual filter, never
-// the results.
-func (ix *orderedIndex) estimateRange(r ordRange) int {
-	start := classFloor(r.class)
-	if r.hasLo {
-		start = r.lo
-	}
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	n := ix.seekGE(start)
-	if r.hasLo && r.loStrict {
-		for n != nil && n.val.compare(r.lo) == 0 {
-			n = n.next[0]
-		}
-	}
-	est := 0
-	for nodes := 0; n != nil && n.val.class == r.class; n = n.next[0] {
-		if r.hasHi {
-			cmp := n.val.compare(r.hi)
-			if cmp > 0 || (cmp == 0 && r.hiStrict) {
-				break
-			}
-		}
-		if nodes++; nodes > ordEstimateNodeBudget {
-			return ix.size
-		}
-		est += n.alive
-	}
-	return est
 }
 
 // groupCursor streams FindOrdered's value groups lazily: each next

@@ -5,7 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"smartchaindb/internal/obs"
 )
 
 // The planner/scan differential property: for random documents and
@@ -184,4 +187,64 @@ func TestPlannerScanDifferentialProperty(t *testing.T) {
 			check(round)
 		}
 	})
+}
+
+// oneIndexPerRead runs read, a planned read of f, and checks that it
+// touched exactly one index: one docstore.index_uses.* count, and one
+// docstore.index_probes per key its plan probes (none for a range). A
+// full-scan or none plan touches no index and is not checked.
+func oneIndexPerRead(reg *obs.Registry, c *Collection, f Filter, read func()) error {
+	plan := c.Plan(f)
+	if plan.Kind == AccessFullScan || plan.Kind == AccessNone {
+		read()
+		return nil
+	}
+	before := reg.Snapshot().Counters
+	read()
+	after := reg.Snapshot().Counters
+	var uses uint64
+	for name, n := range after {
+		if strings.HasPrefix(name, "docstore.index_uses.") {
+			uses += n - before[name]
+		}
+	}
+	probes := after["docstore.index_probes"] - before["docstore.index_probes"]
+	if uses != 1 || probes != uint64(len(plan.keys)) {
+		return fmt.Errorf("plan %s: %d index uses and %d probes, want 1 and %d", plan, uses, probes, len(plan.keys))
+	}
+	return nil
+}
+
+// TestPlannedReadTouchesOneIndex: whatever the filter, a planned read
+// drives on one index and makes one probe per key it asks that index
+// for — an And over two indexed paths included.
+func TestPlannedReadTouchesOneIndex(t *testing.T) {
+	rng := rand.New(rand.NewSource(0x1DE))
+	s := NewStore()
+	defer s.Close()
+	c := s.Collection("docs")
+	c.CreateIndex("op")
+	c.CreateOrderedIndex("n")
+	c.CreateIndex("tags")
+	c.CreateOrderedIndex("m.x")
+	for i := 0; i < 300; i++ {
+		if err := c.Insert(fmt.Sprintf("d%05d", i), propDoc(rng)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := obs.New()
+	s.SetObs(reg)
+	filters := []Filter{
+		And(Eq("op", "OP1"), Eq("tags", "t2")),
+		And(Eq("op", "OP1"), Gt("n", 10)),
+		And(In("tags", "t1", "t2", "t3"), Eq("op", "OP2")),
+	}
+	for i := 0; i < 400; i++ {
+		filters = append(filters, propFilter(rng, 2))
+	}
+	for _, f := range filters {
+		if err := oneIndexPerRead(reg, c, f, func() { c.Find(f) }); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

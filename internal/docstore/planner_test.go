@@ -40,18 +40,20 @@ func TestExplainShapes(t *testing.T) {
 	cases := []struct {
 		name   string
 		filter Filter
-		want   string // prefix of the Explain rendering
+		want   string // the Explain rendering
 	}{
-		{"eq-point", Eq("op", "A"), `point(op eq "A")[2]`},
-		{"contains-point", Contains("tags", "y"), `point(tags contains "y")[2]`},
-		{"in-point", In("op", "A", "C"), `point(op in 2 values)[3]`},
-		{"gt-range", Gt("n", 4), `range(n >4)[3]`},
-		{"lte-range", Lte("n", 5), `range(n <=5)[2]`},
-		{"string-range", Gte("n", "a"), `range(n >="a")[1]`},
-		{"and-intersect", And(Eq("op", "B"), Gt("n", 0)), `intersect[2](point(op eq "B")[2], range(n >0)[4])`},
-		{"and-prunes-unindexed", And(Eq("op", "A"), Eq("u", 10)), `point(op eq "A")[2]`},
-		{"or-union", Or(Eq("op", "C"), Gt("n", 10)), `union[2](point(op eq "C")[1], range(n >10)[1])`},
-		{"or-unindexable", Or(Eq("op", "A"), Eq("u", 10)), `full-scan(unindexable or-branch: no index on "u")`},
+		{"eq-point", Eq("op", "A"), `point(op eq "A")`},
+		{"contains-point", Contains("tags", "y"), `point(tags contains "y")`},
+		{"in-point", In("op", "A", "C"), `point(op in 2 values)`},
+		{"gt-range", Gt("n", 4), `range(n >4)`},
+		{"lte-range", Lte("n", 5), `range(n <=5)`},
+		{"string-range", Gte("n", "a"), `range(n >="a")`},
+		{"and-first-servable-drives", And(Eq("op", "B"), Gt("n", 0)), `point(op eq "B")`},
+		{"and-prunes-unindexed", And(Eq("op", "A"), Eq("u", 10)), `point(op eq "A")`},
+		{"and-skips-unindexed", And(Eq("u", 10), Eq("op", "A")), `point(op eq "A")`},
+		{"and-empty", And(Eq("op", "A"), In("op")), "none"},
+		{"or-indexable", Or(Eq("op", "C"), Gt("n", 10)), "full-scan(disjunction)"},
+		{"or-unindexable", Or(Eq("op", "A"), Eq("u", 10)), "full-scan(disjunction)"},
 		{"not", Not(Eq("op", "A")), "full-scan(negation)"},
 		{"ne", Ne("op", "A"), `full-scan(index on "op" cannot answer ne)`},
 		{"exists", Exists("op", true), `full-scan(index on "op" cannot answer exists)`},
@@ -62,7 +64,7 @@ func TestExplainShapes(t *testing.T) {
 		{"empty-in", In("op"), "none"},
 		{"bad-regex", Regex("op", "("), "none"},
 		{"incomparable-range", Gt("n", true), "none"},
-		{"contains-all", ContainsAll("tags", "x", "y"), `intersect[2](point(tags contains "x")[2], point(tags contains "y")[2])`},
+		{"contains-all", ContainsAll("tags", "x", "y"), `point(tags contains "x")`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -73,31 +75,39 @@ func TestExplainShapes(t *testing.T) {
 	}
 }
 
-// TestIntersectDrivingIndex pins the selectivity choice: the smaller
-// candidate set leads the intersect regardless of conjunct order.
-func TestIntersectDrivingIndex(t *testing.T) {
+// TestAndDrivesOnFirstServableConjunct pins the access rule: the
+// written order decides which index drives, not the candidate counts.
+// op=C is rarer than n>0, yet written second it is a residual check;
+// either way the results are the scan's.
+func TestAndDrivesOnFirstServableConjunct(t *testing.T) {
 	c := plannerFixture(t)
-	ex := c.Explain(And(Gt("n", 0), Eq("op", "C"))) // op=C is rarer than n>0
-	if !strings.HasPrefix(ex, `intersect[1](point(op eq "C")[1], `) {
-		t.Errorf("driving index not the most selective: %s", ex)
+	for _, tc := range []struct {
+		f    Filter
+		want string
+	}{
+		{And(Gt("n", 0), Eq("op", "C")), `range(n >0)`},
+		{And(Eq("op", "C"), Gt("n", 0)), `point(op eq "C")`},
+		{And(Eq("u", 40), Contains("tags", "x"), Eq("op", "A")), `point(tags contains "x")`},
+	} {
+		if got := c.Explain(tc.f); got != tc.want {
+			t.Errorf("Explain = %s, want %s", got, tc.want)
+		}
+		if !reflect.DeepEqual(c.Find(tc.f), c.FindScan(tc.f)) {
+			t.Errorf("%s: planned find differs from the scan", tc.want)
+		}
 	}
 }
 
-// TestExplainFreshAcrossSameShapeArgs: a plan's estimates are its own
-// argument's, whatever filter of the same shape compiled before it.
+// TestExplainFreshAcrossSameShapeArgs: a plan probes its own argument,
+// whatever filter of the same shape compiled before it.
 func TestExplainFreshAcrossSameShapeArgs(t *testing.T) {
 	c := plannerFixture(t)
-	// Compile Eq(op, "A") (cardinality 2), then Explain "C"
-	// (cardinality 1): the rendering carries C's estimate, not A's.
 	c.Plan(Eq("op", "A"))
-	if got := c.Explain(Eq("op", "C")); got != `point(op eq "C")[1]` {
-		t.Fatalf(`Explain(op eq "C") = %s, want live estimate [1]`, got)
+	if got := c.Explain(Eq("op", "C")); got != `point(op eq "C")` {
+		t.Fatalf(`Explain(op eq "C") = %s`, got)
 	}
-	// And the reverse order: compile the rarer value, Explain the
-	// denser one.
-	c.Plan(Eq("n", 5))
-	if got := c.Explain(Eq("op", "A")); got != `point(op eq "A")[2]` {
-		t.Fatalf(`Explain(op eq "A") = %s, want live estimate [2]`, got)
+	if got := c.FindKeys(Eq("op", "C")); !reflect.DeepEqual(got, []string{"d"}) {
+		t.Fatalf(`FindKeys(op eq "C") after a compile of "A" = %v, want [d]`, got)
 	}
 }
 
@@ -119,11 +129,12 @@ func TestPlansFollowIndexDDL(t *testing.T) {
 			t.Errorf("%s: planned find differs from the scan", name)
 		}
 	}
-	onU, both, onOp := Eq("u", 10), And(Gt("n", 0), Eq("u", 10)), Eq("op", "A")
+	onU, both, onOp := Eq("u", 10), And(Eq("u", 10), Gt("n", 0)), Eq("op", "A")
 	step("before CreateIndex(u)", onU, `full-scan(no index on "u")`, "a")
+	step("before CreateIndex(u)", both, `range(n >0)`, "a")
 	c.CreateIndex("u")
-	step("after CreateIndex(u)", onU, `point(u eq 10)[1]`, "a")
-	step("after CreateIndex(u)", both, `intersect[1](point(u eq 10)[1], range(n >0)[4])`, "a")
+	step("after CreateIndex(u)", onU, `point(u eq 10)`, "a")
+	step("after CreateIndex(u)", both, `point(u eq 10)`, "a")
 
 	if !c.DropIndex("op") {
 		t.Fatal("DropIndex(op) = false, index exists")
@@ -138,7 +149,7 @@ func TestPlansFollowIndexDDL(t *testing.T) {
 	if !c.DropIndex("u") {
 		t.Fatal("DropIndex(u) = false, index exists")
 	}
-	step("after DropIndex(u)", both, `range(n >0)[4]`, "a")
+	step("after DropIndex(u)", both, `range(n >0)`, "a")
 }
 
 // TestPlannedResultsMatchScan spot-checks that every plan shape
@@ -151,8 +162,8 @@ func TestPlannedResultsMatchScan(t *testing.T) {
 		In("op", "A", "C"),
 		Gt("n", 4),
 		And(Eq("op", "B"), Gt("n", 0)),
+		And(Gt("n", 0), Eq("op", "B")),
 		And(Gte("n", 2), Lte("n", 10)),
-		Or(Eq("op", "C"), Gt("n", 10)),
 		ContainsAll("tags", "x", "y"),
 		Gte("n", "a"), // string class only: numeric n must not leak in
 		In("op"),
@@ -172,9 +183,10 @@ func TestPlannedResultsMatchScan(t *testing.T) {
 }
 
 // TestMultikeyRangeIntersection pins the reason comparisons on one
-// path are never merged into a single bounded scan: through an
-// intermediate array, a document can satisfy Gte AND Lte with two
-// different values that both lie outside the merged band.
+// multikey path are never merged into a single bounded scan: through
+// an intermediate array, a document can satisfy Gte AND Lte with two
+// different values that both lie outside the merged band. The first
+// comparison drives and the other is residual.
 func TestMultikeyRangeIntersection(t *testing.T) {
 	s := NewStore()
 	defer s.Close()
@@ -196,13 +208,22 @@ func TestMultikeyRangeIntersection(t *testing.T) {
 	if err := c.Insert("outside", item(1)); err != nil {
 		t.Fatal(err)
 	}
-	f := And(Gte("items.v", 5), Lte("items.v", 10))
-	keys := c.FindKeys(f)
-	if !reflect.DeepEqual(keys, []string{"straddle", "inside"}) {
-		t.Errorf("multikey band keys = %v, want [straddle inside]", keys)
-	}
-	if !reflect.DeepEqual(c.Find(f), c.FindScan(f)) {
-		t.Error("planned band differs from scan")
+	for _, tc := range []struct {
+		f    Filter
+		want string
+	}{
+		{And(Gte("items.v", 5), Lte("items.v", 10)), "range(items.v >=5)"},
+		{And(Lte("items.v", 10), Gte("items.v", 5)), "range(items.v <=10)"},
+	} {
+		if got := c.Explain(tc.f); got != tc.want {
+			t.Errorf("Explain = %s, want %s", got, tc.want)
+		}
+		if keys := c.FindKeys(tc.f); !reflect.DeepEqual(keys, []string{"straddle", "inside"}) {
+			t.Errorf("%s: multikey band keys = %v, want [straddle inside]", tc.want, keys)
+		}
+		if !reflect.DeepEqual(c.Find(tc.f), c.FindScan(tc.f)) {
+			t.Errorf("%s: planned band differs from scan", tc.want)
+		}
 	}
 }
 
@@ -219,7 +240,7 @@ func TestFullScanCounter(t *testing.T) {
 	base := scans.Value()
 	c.Find(Eq("op", "A"))
 	c.Count(And(Eq("op", "B"), Gt("n", 0)))
-	c.FindKeys(Or(Eq("op", "C"), Lt("n", 3)))
+	c.FindKeys(And(Lt("n", 3), Eq("op", "A")))
 	c.FindOrdered(Eq("op", "A"), "n", true, 0) // walks the index; compiles nothing
 	if got := scans.Value(); got != base {
 		t.Fatalf("planned queries executed %d full scans", got-base)
@@ -227,13 +248,13 @@ func TestFullScanCounter(t *testing.T) {
 	if got := plans.Value(); got != 3 {
 		t.Fatalf("three planned reads counted %d compiles", got)
 	}
-	if reg.Counter("docstore.plan.point").Value() == 0 {
-		t.Fatal("point plans not counted")
+	if reg.Counter("docstore.plan.point").Value() != 2 || reg.Counter("docstore.plan.range").Value() != 1 {
+		t.Fatal("point and range plans not counted")
 	}
 	if reg.Counter("docstore.index_probes").Value() == 0 {
 		t.Fatal("index probes not counted")
 	}
-	c.Find(Eq("u", 10))
+	c.Find(Or(Eq("op", "C"), Lt("n", 3)))
 	if got := scans.Value(); got != base+1 {
 		t.Fatalf("full-scan counter = %d, want %d", got, base+1)
 	}

@@ -46,9 +46,8 @@ func (s spanList) sweep(floor int64) spanList {
 
 // refEntry is one value's postings in the reference layout.
 type refEntry struct {
-	val   ordValue
-	docs  map[string]spanList
-	alive int
+	val  ordValue
+	docs map[string]spanList
 }
 
 func (e *refEntry) keysAt(h int64) []string {
@@ -62,7 +61,7 @@ func (e *refEntry) keysAt(h int64) []string {
 }
 
 // refIndex answers everything either index kind answers — point
-// probes, estimates, range scans and value-ordered groups — over
+// probes, range scans and value-ordered groups — over
 // reference postings, by brute force.
 type refIndex struct {
 	path    indexPath
@@ -87,7 +86,6 @@ func (ix *refIndex) add(docKey string, doc map[string]any, h int64) {
 		}
 		if sl := e.docs[docKey]; !sl.open() {
 			e.docs[docKey] = append(sl, span{born: h, died: spanOpen})
-			e.alive++
 		}
 	})
 }
@@ -101,7 +99,6 @@ func (ix *refIndex) remove(docKey string, doc map[string]any, h int64) {
 		if e := ix.entries[k]; e != nil {
 			if sl := e.docs[docKey]; sl.open() {
 				sl[len(sl)-1].died = h
-				e.alive--
 			}
 		}
 	})
@@ -129,18 +126,6 @@ func (ix *refIndex) lookupEq(key string, h int64) []string {
 		return e.keysAt(h)
 	}
 	return nil
-}
-
-func (ix *refIndex) estimateEq(key string) int {
-	if e := ix.entries[key]; e != nil {
-		return e.alive
-	}
-	return 0
-}
-
-func (ix *refIndex) containsDoc(key, docKey string, h int64) bool {
-	e := ix.entries[key]
-	return e != nil && e.docs[docKey].aliveAt(h)
 }
 
 // sorted lists the entries in the ordered index's value order.
@@ -178,16 +163,6 @@ func (ix *refIndex) lookupRange(r ordRange, h int64) []string {
 		}
 	}
 	return out
-}
-
-func (ix *refIndex) estimateRange(r ordRange) int {
-	n := 0
-	for _, e := range ix.sorted() {
-		if inRange(r, e.val) {
-			n += e.alive
-		}
-	}
-	return n
 }
 
 // groups is every value's visible keys at h in value order, reversed

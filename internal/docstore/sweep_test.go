@@ -475,20 +475,11 @@ func compareIndexes(t *testing.T, c *Collection, p diffPath, ref *refIndex, floo
 		}
 	}
 
-	docKeys := c.Keys()
 	for _, v := range p.domain {
 		k, _ := indexKey(v)
-		if g, w := got.estimateEq(k), ref.estimateEq(k); g != w {
-			t.Errorf("%s: estimateEq(%v) = %d, reference %d", p.path, v, g, w)
-		}
 		for _, h := range heights {
 			if g, w := sorted(got.lookupEq(k, h)), sorted(ref.lookupEq(k, h)); !reflect.DeepEqual(g, w) {
 				t.Errorf("%s: lookupEq(%v, %d) = %v, reference %v", p.path, v, h, g, w)
-			}
-			for _, dk := range docKeys {
-				if g, w := got.containsDoc(k, dk, h), ref.containsDoc(k, dk, h); g != w {
-					t.Errorf("%s: containsDoc(%v, %s, %d) = %v, reference %v", p.path, v, dk, h, g, w)
-				}
 			}
 		}
 	}
@@ -504,9 +495,6 @@ func compareIndexes(t *testing.T, c *Collection, p diffPath, ref *refIndex, floo
 			hasHi: true, hi: ordValue{class: ordClassNumber, num: 4}},
 		{class: ordClassNumber, hasHi: true, hi: ordValue{class: ordClassNumber, num: 3}, hiStrict: true},
 	} {
-		if g, w := gotOrd.estimateRange(rng), ref.estimateRange(rng); g != w {
-			t.Errorf("%s: estimateRange(%s) = %d, reference %d", p.path, rng, g, w)
-		}
 		for _, h := range heights {
 			if g, w := sorted(gotOrd.lookupRange(rng, h)), sorted(ref.lookupRange(rng, h)); !reflect.DeepEqual(g, w) {
 				t.Errorf("%s: lookupRange(%s, %d) = %v, reference %v", p.path, rng, h, g, w)

@@ -23,13 +23,16 @@ type IndexSpec struct {
 // list NewStateWith applies when a state opens — including a disk
 // reopen, where every index is rebuilt from the documents recovered by
 // WAL replay (secondary indexes are never persisted). Each entry exists
-// for the readers named beside it, and indexes only what they can ask
-// for (internal/query's TestEveryIndexHasAReader holds the two lists
-// equal):
+// for the readers that drive on it, named beside it — a reader drives
+// on the first conjunct of its filter an index serves — and indexes
+// only what they can ask for (internal/query's TestEveryIndexHasAReader
+// holds the two lists equal):
 //
-//   - transactions.operation / refs: the validator queries
-//     (AcceptForRFQ, LockedBidsForRFQ) and every per-operation
-//     rollup — their conjunction is an index intersection.
+//   - transactions.operation: every per-operation read and rollup, and
+//     the open-requests difference.
+//   - transactions.refs: the validator queries (AcceptForRFQ,
+//     LockedBidsForRFQ) and the bids of a REQUEST, whose operation is
+//     checked on each referencing transaction.
 //   - transactions.asset.data.capabilities and, ordered,
 //     metadata.timestamp, both over REQUESTs only: the paper's
 //     motivating "open requests demanding a capability" query and the

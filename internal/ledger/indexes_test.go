@@ -2,7 +2,6 @@ package ledger
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"smartchaindb/internal/docstore"
@@ -14,64 +13,60 @@ import (
 )
 
 // hotPathFilters are the validator and marketplace query shapes the
-// registry exists for; each must compile to a planned access on a
-// fresh state and on a reopened one. (internal/query's
-// TestEveryIndexHasAReader holds the readers themselves to the
-// registry.)
+// registry exists for, written as their readers write them, each with
+// the index it must drive on, on a fresh state and on a reopened one.
+// (internal/query's TestEveryIndexHasAReader holds the readers
+// themselves to the registry.)
 func hotPathFilters(rfqID, owner string) map[string]struct {
-	col    string
-	filter docstore.Filter
+	col, drive string
+	filter     docstore.Filter
 } {
 	return map[string]struct {
-		col    string
-		filter docstore.Filter
+		col, drive string
+		filter     docstore.Filter
 	}{
-		"accept-for-rfq": {ColTransactions, docstore.And(
-			docstore.Eq("operation", txn.OpAcceptBid),
-			docstore.Contains("refs", rfqID))},
-		"bids-for-rfq": {ColTransactions, docstore.And(
-			docstore.Eq("operation", txn.OpBid),
-			docstore.Contains("refs", rfqID))},
-		"recent": {ColTransactions, docstore.And(
-			docstore.Eq("operation", txn.OpRequest),
-			docstore.Gt("metadata.timestamp", 0))},
-		"price-band": {ColTransactions, docstore.And(
-			docstore.Eq("operation", txn.OpBid),
+		"accept-for-rfq": {ColTransactions, "refs", docstore.And(
+			docstore.Contains("refs", rfqID),
+			docstore.Eq("operation", txn.OpAcceptBid))},
+		"bids-for-rfq": {ColTransactions, "refs", docstore.And(
+			docstore.Contains("refs", rfqID),
+			docstore.Eq("operation", txn.OpBid))},
+		"recent": {ColTransactions, "metadata.timestamp", docstore.And(
+			docstore.Gt("metadata.timestamp", 0),
+			docstore.Eq("operation", txn.OpRequest))},
+		"price-band": {ColTransactions, "outputs.amount", docstore.And(
 			docstore.Gte("outputs.amount", 1),
-			docstore.Lte("outputs.amount", 2))},
-		"bids-by-account": {ColTransactions, docstore.And(
-			docstore.Eq("operation", txn.OpBid),
-			docstore.Eq("inputs.owners_before", owner))},
-		"unspent-by-owner": {ColUTXOs, docstore.And(
+			docstore.Lte("outputs.amount", 2),
+			docstore.Eq("operation", txn.OpBid))},
+		"bids-by-account": {ColTransactions, "inputs.owners_before", docstore.And(
+			docstore.Eq("inputs.owners_before", owner),
+			docstore.Eq("operation", txn.OpBid))},
+		"unspent-by-owner": {ColUTXOs, "owner", docstore.And(
 			docstore.Eq("owner", owner),
 			docstore.Eq("spent", false))},
-		"amount-band": {ColUTXOs, docstore.And(
-			docstore.Eq("spent", false),
-			docstore.Gte("amount", 1))},
+		"amount-band": {ColUTXOs, "amount", docstore.And(
+			docstore.Gte("amount", 1),
+			docstore.Eq("spent", false))},
 	}
 }
 
 // TestChainIndexRegistryPlansHotPaths: every registry-covered query
-// shape must plan without a full scan on a fresh state.
+// shape must drive on its index on a fresh state.
 func TestChainIndexRegistryPlansHotPaths(t *testing.T) {
 	state := NewState()
 	defer state.Close()
 	for name, probe := range hotPathFilters("rfq", "owner") {
-		ex := state.Store().Collection(probe.col).Explain(probe.filter)
-		if strings.Contains(ex, "full-scan") {
-			t.Errorf("%s not planned: %s", name, ex)
+		if plan := state.Store().Collection(probe.col).Plan(probe.filter); plan.FullScan() || plan.Path != probe.drive {
+			t.Errorf("%s plans %s, want it to drive on %s", name, plan, probe.drive)
 		}
 	}
 }
 
-// TestSameShapePlansUseTheirOwnEstimates: the validator's two reads
-// over one REQUEST — its ACCEPT_BID, then its locked BIDs — each plan
-// on the estimates its own arguments give now. The first auction's
-// reads run while the chain holds one auction's BIDs, where the
-// operation and refs probes estimate alike; once many auctions' BIDs
-// have committed, a locked-bid read must still drive on the REQUEST's
-// references, never on every BID the chain holds.
-func TestSameShapePlansUseTheirOwnEstimates(t *testing.T) {
+// TestLockedBidReadDrivesOnRefs: the validator's locked-bid read over
+// one REQUEST drives on the REQUEST's references, so once many
+// auctions' BIDs have committed it still materialises only that
+// REQUEST's BIDs, never every BID the chain holds.
+func TestLockedBidReadDrivesOnRefs(t *testing.T) {
 	state := NewState()
 	defer state.Close()
 	gen := workload.NewGenerator(5, keys.DeterministicKeyPair(505))
@@ -85,11 +80,6 @@ func TestSameShapePlansUseTheirOwnEstimates(t *testing.T) {
 			}
 		}
 		rfqs = append(rfqs, g.Request.ID)
-		if i == 0 {
-			v := state.View()
-			v.AcceptForRFQ(g.Request.ID)
-			v.LockedBidsForRFQ(g.Request.ID)
-		}
 	}
 
 	reg := obs.New()
@@ -147,8 +137,8 @@ func TestChainIndexesRebuiltOnReopen(t *testing.T) {
 		c := state.Store().Collection(probe.col)
 		want[name] = c.Find(probe.filter)
 		plans[name] = c.Explain(probe.filter)
-		if strings.Contains(plans[name], "full-scan") {
-			t.Fatalf("%s not planned before reopen: %s", name, plans[name])
+		if plan := c.Plan(probe.filter); plan.FullScan() || plan.Path != probe.drive {
+			t.Fatalf("%s plans %s before reopen, want it to drive on %s", name, plan, probe.drive)
 		}
 	}
 	reg := obs.New()

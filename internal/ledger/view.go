@@ -181,11 +181,13 @@ func (v *StateView) Balance(pub, assetID string) uint64 {
 // LockedBidsForRFQ is State.LockedBidsForRFQ at the view height: both
 // the BID lookup and the escrow-unspent check read the same snapshot,
 // so a commit landing mid-query cannot produce a bid list no single
-// chain state ever held.
+// chain state ever held. The lookup drives on the refs index, which
+// yields one REQUEST's BIDs, and checks the operation on each; written
+// the other way round it would walk every BID on the chain.
 func (v *StateView) LockedBidsForRFQ(rfqID string) []*txn.Transaction {
 	docs := v.col(ColTransactions).BorrowFind(docstore.And(
-		docstore.Eq("operation", txn.OpBid),
 		docstore.Contains("refs", rfqID),
+		docstore.Eq("operation", txn.OpBid),
 	))
 	var out []*txn.Transaction
 	for _, d := range docs {
@@ -204,8 +206,8 @@ func (v *StateView) LockedBidsForRFQ(rfqID string) []*txn.Transaction {
 // the view height, if one had committed.
 func (v *StateView) AcceptForRFQ(rfqID string) (*txn.Transaction, bool) {
 	docs := v.col(ColTransactions).BorrowFindLimit(docstore.And(
-		docstore.Eq("operation", txn.OpAcceptBid),
 		docstore.Contains("refs", rfqID),
+		docstore.Eq("operation", txn.OpAcceptBid),
 	), 1)
 	if len(docs) == 0 {
 		return nil, false

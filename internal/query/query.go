@@ -6,13 +6,15 @@
 // 3-D printing capability?" become index-backed document queries.
 //
 // Every Engine method resolves through the docstore query planner over
-// the ledger's index registry (ledger.ChainIndexes): candidate sets
-// come from index points, ordered-index range scans, intersections,
-// and unions — never a collection-lock full scan on the transactions,
-// UTXO, or asset collections. Most of those indexes are partial: they
-// hold only the REQUESTs, BIDs, CREATEd assets or unspent outputs their
-// readers ask about, and each reader's filter names that predicate,
-// which is what lets the planner use them. The open-requests anti-join
+// the ledger's index registry (ledger.ChainIndexes): each read drives
+// on one index point or ordered-index range scan — never a
+// collection-lock full scan on the transactions, UTXO, or asset
+// collections. The planner drives on the first conjunct an index can
+// serve, so every filter here writes its driving conjunct first and
+// leaves the rest to the residual check. Most of those indexes are
+// partial: they hold only the REQUESTs, BIDs, CREATEd assets or unspent
+// outputs their readers ask about, and each reader's filter names that
+// predicate, which is what lets the planner use them. The open-requests anti-join
 // is an indexed difference (all REQUESTs minus the RFQ ids the
 // committed ACCEPT_BIDs reference) instead of a per-RFQ probe loop, and
 // the recency/price-band queries stream off the ordered timestamp and
@@ -127,17 +129,17 @@ func acceptedRFQs(v *ledger.StateView) []any {
 }
 
 // openRequestsFilter is the anti-join as one declarative filter:
-// committed REQUESTs whose id is not among the accepted RFQ ids. The
-// operation index drives; the Not(In(...)) difference is a residual
-// check on the candidates, never a scan. Both sides read the same
-// snapshot, so an ACCEPT_BID sealing mid-query cannot yield a REQUEST
-// that is simultaneously open and accepted.
-func openRequestsFilter(v *ledger.StateView, extra ...docstore.Filter) docstore.Filter {
-	fs := append([]docstore.Filter{
+// committed REQUESTs whose id is not among the accepted RFQ ids. A
+// caller's drive conjuncts go first, so their index drives; with none,
+// the operation index does. The Not(In(...)) difference is a residual
+// check on the candidates, never a scan. Both sides read the same snapshot,
+// so an ACCEPT_BID sealing mid-query cannot yield a REQUEST that is
+// simultaneously open and accepted.
+func openRequestsFilter(v *ledger.StateView, drive ...docstore.Filter) docstore.Filter {
+	return docstore.And(append(drive,
 		docstore.Eq("operation", txn.OpRequest),
 		docstore.Not(docstore.In("id", acceptedRFQs(v)...)),
-	}, extra...)
-	return docstore.And(fs...)
+	)...)
 }
 
 // OpenRequests lists committed REQUESTs with no ACCEPT_BID yet — the
@@ -151,7 +153,7 @@ func (e *Engine) OpenRequests() []*txn.Transaction {
 // OpenRequestsWithCapability filters open requests by one required
 // capability — the motivating query of the paper's introduction, posed
 // by a manufacturing provider looking for work. The capability index
-// holds REQUESTs only, so it answers alone.
+// holds REQUESTs only, so it drives alone.
 func (e *Engine) OpenRequestsWithCapability(capability string) []*txn.Transaction {
 	defer e.timed("open_requests_with_capability")()
 	v := e.view()
@@ -174,12 +176,13 @@ func (e *Engine) RecentOpenRequests(limit int) []*txn.Transaction {
 }
 
 // BidsForRequest lists every BID ever placed for a REQUEST, locked or
-// settled — the intersection of the operation and reference indexes.
+// settled — one probe of the reference index, its operation checked on
+// each candidate.
 func (e *Engine) BidsForRequest(rfqID string) []*txn.Transaction {
 	defer e.timed("bids_for_request")()
 	return txsFromDocs(transactions(e.view()).BorrowFind(docstore.And(
-		docstore.Eq("operation", txn.OpBid),
 		docstore.Contains("refs", rfqID),
+		docstore.Eq("operation", txn.OpBid),
 	)))
 }
 
@@ -189,8 +192,8 @@ func (e *Engine) BidsForRequest(rfqID string) []*txn.Transaction {
 func (e *Engine) BidsByAccount(pub string) []*txn.Transaction {
 	defer e.timed("bids_by_account")()
 	return txsFromDocs(transactions(e.view()).BorrowFind(docstore.And(
-		docstore.Eq("operation", txn.OpBid),
 		docstore.Eq("inputs.owners_before", pub),
+		docstore.Eq("operation", txn.OpBid),
 	)))
 }
 
@@ -201,9 +204,9 @@ func (e *Engine) BidsByAccount(pub string) []*txn.Transaction {
 func (e *Engine) BidsInPriceBand(lo, hi uint64) []*txn.Transaction {
 	defer e.timed("bids_in_price_band")()
 	return txsFromDocs(transactions(e.view()).BorrowFind(docstore.And(
-		docstore.Eq("operation", txn.OpBid),
 		docstore.Gte("outputs.amount", lo),
 		docstore.Lte("outputs.amount", hi),
+		docstore.Eq("operation", txn.OpBid),
 	)))
 }
 
@@ -307,9 +310,9 @@ func (e *Engine) HolderOf(assetID string) map[string]uint64 {
 func (e *Engine) HoldingsInBand(lo, hi uint64) []txn.OutputRef {
 	defer e.timed("holdings_in_band")()
 	docs := utxos(e.view()).BorrowFind(docstore.And(
-		docstore.Eq("spent", false),
 		docstore.Gte("amount", lo),
 		docstore.Lte("amount", hi),
+		docstore.Eq("spent", false),
 	))
 	refs := make([]txn.OutputRef, 0, len(docs))
 	for _, d := range docs {
@@ -326,8 +329,8 @@ func (e *Engine) HoldingsInBand(lo, hi uint64) []txn.OutputRef {
 func (e *Engine) AssetsWithCapability(capability string) []string {
 	defer e.timed("assets_with_capability")()
 	docs := e.view().Collection(ledger.ColAssets).BorrowFind(docstore.And(
-		docstore.Eq("operation", txn.OpCreate),
 		docstore.Contains("data.capabilities", capability),
+		docstore.Eq("operation", txn.OpCreate),
 	))
 	ids := make([]string, 0, len(docs))
 	for _, d := range docs {

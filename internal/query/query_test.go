@@ -1,7 +1,6 @@
 package query
 
 import (
-	"strings"
 	"testing"
 
 	"smartchaindb/internal/docstore"
@@ -216,21 +215,24 @@ func TestEngineNeverFullScans(t *testing.T) {
 		t.Errorf("query engine executed %d full scans", got-base)
 	}
 
-	// The canonical filters also explain to planned access shapes.
+	// The canonical filters drive on the index their first conjunct
+	// names.
 	store := m.node.State().Store()
 	txs := store.Collection(ledger.ColTransactions)
-	for name, f := range map[string]docstore.Filter{
-		"open-requests": openRequestsFilter(e.view()),
-		"bids-for-request": docstore.And(
-			docstore.Eq("operation", txn.OpBid),
-			docstore.Contains("refs", m.settled.Request.ID)),
-		"price-band": docstore.And(
-			docstore.Eq("operation", txn.OpBid),
+	for name, tc := range map[string]struct {
+		f     docstore.Filter
+		drive string
+	}{
+		"open-requests":    {openRequestsFilter(e.view()), "operation"},
+		"with-capability":  {openRequestsFilter(e.view(), docstore.Contains("asset.data.capabilities", "3d-printing")), "asset.data.capabilities"},
+		"bids-for-request": {docstore.And(docstore.Contains("refs", m.settled.Request.ID), docstore.Eq("operation", txn.OpBid)), "refs"},
+		"price-band": {docstore.And(
 			docstore.Gte("outputs.amount", 1),
-			docstore.Lte("outputs.amount", 2)),
+			docstore.Lte("outputs.amount", 2),
+			docstore.Eq("operation", txn.OpBid)), "outputs.amount"},
 	} {
-		if ex := txs.Explain(f); strings.Contains(ex, "full-scan") {
-			t.Errorf("%s not planned: %s", name, ex)
+		if plan := txs.Plan(tc.f); plan.FullScan() || plan.Path != tc.drive {
+			t.Errorf("%s plans %s, want it to drive on %s", name, plan, tc.drive)
 		}
 	}
 }
