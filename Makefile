@@ -71,7 +71,11 @@ test-bench:
 # workload generators' transactions, fields rewritten by an edit
 # program), ledger.DecodePrepared never panics, and what it accepts
 # renders and decodes again to the same ops, each carrying what its
-# seal needs. A failing input is written under the
+# seal needs. FuzzYamlite: on any text, the schema loader's parser
+# (yamlite.Parse / ParseMap, seeded from internal/schema/schemas)
+# returns a value or an error and never panics, the same way twice,
+# and ParseMap agrees with Parse; its minimisations are capped at a
+# second like FuzzPlannedFind's. A failing input is written under the
 # package's testdata/fuzz/ and then runs as a plain test — commit it
 # with the fix.
 FUZZTIME ?= 60s
@@ -85,6 +89,7 @@ fuzz:
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzMemCollection$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/docstore -run '^$$' -fuzz '^FuzzPlannedFind$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/ledger -run '^$$' -fuzz '^FuzzDecodePrepared$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/yamlite -run '^$$' -fuzz '^FuzzYamlite$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # Per-call cost of the primitives a transaction passes through between
 # admission and the log — codec, footprint, committed-state reads,
@@ -117,8 +122,12 @@ fuzz:
 # per committed nested child (TestChildCommittedAllocations pins it):
 # each iteration settles one child of a ten-bid auction and every tenth
 # builds a fresh auction off the clock, so it runs at a fixed count.
+# FootprintOf reads the footprint the transaction derived once;
+# GroupFootprints groups a 64-transaction marketplace block over pooled
+# scratch, allocating only the groups it returns
+# (TestGroupFootprintsAllocationCeiling).
 bench-alloc:
-	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage ./internal/docstore -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|MarshalCanonicalCold|OutputRefString|FootprintOf|StateView|InsertDoc|MarkSpent|SpendFanIn|StageBlock|SealOneTxBlock|CommitTransferChain|EncodableDoc|GroupCommit|Fold|MemPut|MemGetAt|MemScanAt|IndexInsert|PlanLockedBids'
+	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage ./internal/docstore -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|MarshalCanonicalCold|OutputRefString|FootprintOf|GroupFootprints|StateView|InsertDoc|MarkSpent|SpendFanIn|StageBlock|SealOneTxBlock|CommitTransferChain|EncodableDoc|GroupCommit|Fold|MemPut|MemGetAt|MemScanAt|IndexInsert|PlanLockedBids'
 	$(GO) test ./internal/nested -run '^$$' -benchmem -bench ChildCommitted -benchtime 5000x
 
 # The tier-1 suites that touch chain state (ledger, server/cluster,
@@ -139,7 +148,7 @@ test-disk:
 # after a suite's last test; a difference panics or fails the run
 # naming collection and key. Every suite that commits to a state runs
 # under it, unchanged.
-TRIPWIRE_PKGS = ./internal/storage ./internal/docstore ./internal/ledger ./internal/server ./internal/nested ./internal/shard ./internal/query
+TRIPWIRE_PKGS = ./internal/storage ./internal/docstore ./internal/ledger ./internal/server ./internal/nested ./internal/shard ./internal/query ./internal/validate ./internal/bench
 
 test-tripwire:
 	$(GO) vet -tags tripwire $(TRIPWIRE_PKGS)

@@ -29,12 +29,16 @@ func shapeState(tb testing.TB) (v *StateView, transfer4, create1k *txn.Transacti
 
 // TestStateViewReadAllocationCeilings: a point read of committed state
 // borrows the stored document, so the UTXO questions cost the key they
-// look up and nothing else, and GetTx costs the decoded transaction.
+// look up and nothing else, and GetTx costs the decoded transaction's
+// structure: its free-form maps are the stored ones
+// (txn.FromStoredDoc). The CREATE carries asset data and metadata; 8 is
+// what decoding it costs with both borrowed, and copying them (FromDoc)
+// costs 16.
 func TestStateViewReadAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	v, transfer4, _ := shapeState(t)
+	v, transfer4, create1k := shapeState(t)
 	spent := *transfer4.Inputs[3].Fulfills
 	unspent := txn.OutputRef{TxID: transfer4.ID, Index: 0}
 	for _, c := range []struct {
@@ -69,6 +73,11 @@ func TestStateViewReadAllocationCeilings(t *testing.T) {
 		}},
 		{"GetTx", 20, func() {
 			if got, err := v.GetTx(transfer4.ID); err != nil || got.ID != transfer4.ID {
+				t.Fatalf("GetTx: %v", err)
+			}
+		}},
+		{"GetTx create1k", 8, func() {
+			if got, err := v.GetTx(create1k.ID); err != nil || len(got.Metadata) == 0 {
 				t.Fatalf("GetTx: %v", err)
 			}
 		}},

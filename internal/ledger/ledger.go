@@ -197,7 +197,8 @@ func (s *State) SetChildren(parentID string, children []string) error {
 // against one consistent state pin a view themselves via View() or
 // StateAt().
 
-// GetTx returns a committed transaction by ID.
+// GetTx returns a committed transaction by ID, read-only in its
+// free-form maps (StateView.GetTx).
 func (s *State) GetTx(id string) (*txn.Transaction, error) { return s.View().GetTx(id) }
 
 // OperationOf reports a committed transaction's operation.

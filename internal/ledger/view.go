@@ -71,15 +71,18 @@ func (v *StateView) borrow(col, key string) (map[string]any, bool) {
 	return v.s.store.Collection(col).BorrowAt(key, v.h)
 }
 
-// GetTx returns the transaction committed as of the view height. The
-// transaction is the caller's own: FromDoc shares nothing mutable with
-// the stored document.
+// GetTx returns the transaction committed as of the view height,
+// decoded from the stored document without copying it
+// (txn.FromStoredDoc). The transaction is read-only in Asset.Data and
+// Metadata, which are the stored maps: a caller that wants to change
+// it takes a Clone first. This holds for every transaction the reads
+// below return (txtype.ChainState's contract).
 func (v *StateView) GetTx(id string) (*txn.Transaction, error) {
 	doc, ok := v.borrow(ColTransactions, id)
 	if !ok {
 		return nil, &txn.InputDoesNotExistError{TxID: id}
 	}
-	return txn.FromDoc(doc)
+	return txn.FromStoredDoc(doc)
 }
 
 // OperationOf reports the operation of the transaction committed under
@@ -191,7 +194,7 @@ func (v *StateView) LockedBidsForRFQ(rfqID string) []*txn.Transaction {
 	))
 	var out []*txn.Transaction
 	for _, d := range docs {
-		t, err := txn.FromDoc(d)
+		t, err := txn.FromStoredDoc(d)
 		if err != nil {
 			continue
 		}
@@ -212,7 +215,7 @@ func (v *StateView) AcceptForRFQ(rfqID string) (*txn.Transaction, bool) {
 	if len(docs) == 0 {
 		return nil, false
 	}
-	t, err := txn.FromDoc(docs[0])
+	t, err := txn.FromStoredDoc(docs[0])
 	if err != nil {
 		return nil, false
 	}
@@ -225,7 +228,7 @@ func (v *StateView) TxsByOperation(op string) []*txn.Transaction {
 	docs := v.col(ColTransactions).BorrowFind(docstore.Eq("operation", op))
 	out := make([]*txn.Transaction, 0, len(docs))
 	for _, d := range docs {
-		if t, err := txn.FromDoc(d); err == nil {
+		if t, err := txn.FromStoredDoc(d); err == nil {
 			out = append(out, t)
 		}
 	}

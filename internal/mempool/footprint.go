@@ -1,9 +1,6 @@
 package mempool
 
-import (
-	"smartchaindb/internal/parallel"
-	"smartchaindb/internal/txn"
-)
+import "smartchaindb/internal/txn"
 
 // Tx is the pool's unit: anything with a stable unique hash. It is
 // method-compatible with consensus.Tx, so consensus transactions flow
@@ -32,8 +29,10 @@ type Footprint struct {
 type FootprintFn func(Tx) Footprint
 
 // ForTransaction is the footprint function for SmartchainDB
-// transactions: declarative footprints from parallel.FootprintOf, with
-// the spent-output keys doubling as the exclusive spend claims.
+// transactions: the transaction's own footprint keys
+// (txn.Transaction.FootprintKeys, the ones parallel.FootprintOf
+// returns), with the spent-output keys doubling as the exclusive spend
+// claims. Nothing is built per call.
 // Foreign transaction types (e.g. the baseline chain's) fall back to
 // DefaultFootprint and are treated as mutually independent.
 func ForTransaction(tx Tx) Footprint {
@@ -41,16 +40,14 @@ func ForTransaction(tx Tx) Footprint {
 	if !ok {
 		return DefaultFootprint(tx)
 	}
-	fp := parallel.FootprintOf(t)
-	return Footprint{
-		Spends: t.SpendKeys(),
-		Writes: fp.Writes,
-		Reads:  fp.Reads,
-	}
+	w, r := t.FootprintKeys()
+	return Footprint{Spends: t.SpendKeys(), Writes: w, Reads: r}
 }
 
 // DefaultFootprint treats a transaction as writing only its own
-// identity: no spend claims, no conflicts with anything else.
+// identity — its bare hash, the transaction key namespace of
+// txn.Transaction.FootprintKeys: no spend claims, no conflicts with
+// anything else.
 func DefaultFootprint(tx Tx) Footprint {
-	return Footprint{Writes: []string{"tx:" + tx.Hash()}}
+	return Footprint{Writes: []string{tx.Hash()}}
 }

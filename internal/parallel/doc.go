@@ -5,20 +5,24 @@
 // The declarative transaction model is what makes this possible without
 // speculative execution: a transaction's read/write footprint is fully
 // determined by its document alone (Definition 1), so no execution is
-// needed to discover it. The footprint rules are:
+// needed to discover it. The footprint rules are
+// (txn.Transaction.FootprintKeys derives them, once per transaction):
 //
-//   - every transaction WRITES its own identity key ("tx:<id>") — the
+//   - every transaction WRITES its own identity key (its bare ID) — the
 //     transaction-log insert, and the asset registration for
 //     CREATE/REQUEST, which mint their asset under their own ID;
 //   - every spent input WRITES the UTXO key of the output it consumes
 //     ("utxo:<txid>:<index>") and READS the producing transaction
-//     ("tx:<txid>"), ordering a spender after an in-block producer;
+//     (its ID), ordering a spender after an in-block producer;
 //   - every entry of the reference vector R WRITES the auction-state
 //     key of the referenced transaction ("ref:<id>") — a BID adds to
 //     the REQUEST's locked-bid set, an ACCEPT_BID consumes it and
 //     closes the auction, a WITHDRAW_BID removes from it — and READS
 //     the referenced transaction itself;
-//   - an asset link READS the creating transaction ("tx:<assetid>").
+//   - an asset link READS the creating transaction (the asset ID).
+//
+// A transaction ID is 64 hex digits with no ':', so the bare-ID
+// namespace cannot collide with the prefixed two.
 //
 // Two transactions conflict when one's writes intersect the other's
 // reads or writes (the commutativity criterion of Bartoletti et al.'s

@@ -1,6 +1,8 @@
 package parallel
 
 import (
+	"hash/maphash"
+	"slices"
 	"sort"
 	"sync"
 
@@ -22,38 +24,13 @@ type Footprint struct {
 	Reads []string
 }
 
-// FootprintOf computes the footprint directly from the transaction
-// document — no execution, per the declarative model.
+// FootprintOf returns the footprint derived from the transaction
+// document — no execution, per the declarative model. The keys are the
+// transaction's own (txn.Transaction.FootprintKeys), derived once
+// however many stages ask: shared and read-only.
 func FootprintOf(t *txn.Transaction) Footprint {
-	// Both slices are sized to what the sweep below appends.
-	n := len(t.Refs)
-	for _, in := range t.Inputs {
-		if in.Fulfills != nil {
-			n++
-		}
-	}
-	f := Footprint{Writes: make([]string, 0, 1+n)}
-	if t.Asset != nil && t.Asset.ID != "" {
-		n++
-	}
-	if n > 0 {
-		f.Reads = make([]string, 0, n)
-	}
-	f.Writes = append(f.Writes, "tx:"+t.ID)
-	f.Writes = append(f.Writes, t.SpendKeys()...)
-	for _, in := range t.Inputs {
-		if ref := in.Fulfills; ref != nil {
-			f.Reads = append(f.Reads, "tx:"+ref.TxID)
-		}
-	}
-	for _, id := range t.Refs {
-		f.Writes = append(f.Writes, "ref:"+id)
-		f.Reads = append(f.Reads, "tx:"+id)
-	}
-	if t.Asset != nil && t.Asset.ID != "" {
-		f.Reads = append(f.Reads, "tx:"+t.Asset.ID)
-	}
-	return f
+	w, r := t.FootprintKeys()
+	return Footprint{Writes: w, Reads: r}
 }
 
 // TouchKeys unions the full footprints (reads and writes) of a batch —
@@ -118,73 +95,154 @@ func BuildPlan(txs []*txn.Transaction) *Plan {
 
 // GroupFootprints partitions a batch of footprints into conflict
 // groups — connected components of the conflict graph — with a
-// union-find over the shared keys. Each group lists its members in
+// union-find over the shared keys: a key some footprint writes joins
+// every footprint that touches it, and a key only read stays inert
+// (read/read is not a conflict). Each group lists its members in
 // ascending batch order; groups are ordered by first member. This is
 // the single grouping relation in the system: block validation plans
 // with it, and the mempool's makespan-aware packer predicts those
 // plans through it.
+//
+// The key table and the union-find live in pooled scratch (grouper),
+// so a call allocates only the groups it returns: one backing array
+// for every member and the slice of groups over it.
 func GroupFootprints(fps []Footprint) [][]int {
-	n := len(fps)
-	parent := make([]int, n)
-	for i := range parent {
-		parent[i] = i
+	g := groupers.Get().(*grouper)
+	defer groupers.Put(g)
+	return g.group(fps)
+}
+
+var groupers = sync.Pool{New: func() any { return &grouper{seed: maphash.MakeSeed()} }}
+
+// grouper is GroupFootprints' scratch. table is an open-addressed hash
+// table of slot numbers (index+1; 0 is empty) into slots, one per
+// distinct key. A call clears exactly the table entries it filled, so
+// its cost follows its own key count, not that of the largest call the
+// scratch served before.
+type grouper struct {
+	seed    maphash.Seed
+	table   []int32
+	slots   []keySlot
+	readers []reader
+	parent  []int32
+	number  []int32 // root → group number + 1
+	sizes   []int
+}
+
+// keySlot is one key's state during a call.
+type keySlot struct {
+	key string
+	at  int32 // the key's table index, cleared when the call ends
+	// writer is the first footprint writing the key, or -1. Until it
+	// is set, readers heads the list of the key's readers, which the
+	// writer joins when it comes.
+	writer, readers int32
+}
+
+// reader is one entry of a key's reader list: a footprint and the
+// previous entry, or -1.
+type reader struct{ fp, prev int32 }
+
+func (g *grouper) group(fps []Footprint) [][]int {
+	n, keys := len(fps), 0
+	for _, fp := range fps {
+		keys += len(fp.Writes) + len(fp.Reads)
 	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
+	size := 1
+	for size < 2*keys {
+		size <<= 1
 	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[rb] = ra
-		}
+	if cap(g.table) < size {
+		g.table = make([]int32, size)
 	}
-	// For every key, remember one writer; every later writer or reader
-	// of the key is unioned with it. Readers sharing a key with no
-	// writer stay independent (read/read is not a conflict).
-	writerOf := make(map[string]int)
-	readersOf := make(map[string][]int)
+	g.table = g.table[:size]
+	g.parent = slices.Grow(g.parent[:0], n)[:n]
+	for i := range g.parent {
+		g.parent[i] = int32(i)
+	}
 	for i, fp := range fps {
+		i := int32(i)
 		for _, k := range fp.Writes {
-			if w, ok := writerOf[k]; ok {
-				union(w, i)
-			} else {
-				writerOf[k] = i
-				// Earlier readers of the key join the writer's group.
-				for _, r := range readersOf[k] {
-					union(i, r)
-				}
+			s := g.slot(k)
+			if s.writer >= 0 {
+				g.union(s.writer, i)
+				continue
+			}
+			s.writer = i
+			for r := s.readers; r >= 0; r = g.readers[r].prev {
+				g.union(i, g.readers[r].fp)
 			}
 		}
 		for _, k := range fp.Reads {
-			if w, ok := writerOf[k]; ok {
-				union(w, i)
+			if s := g.slot(k); s.writer >= 0 {
+				g.union(s.writer, i)
 			} else {
-				readersOf[k] = append(readersOf[k], i)
+				g.readers = append(g.readers, reader{fp: i, prev: s.readers})
+				s.readers = int32(len(g.readers) - 1)
 			}
 		}
 	}
-	byRoot := make(map[int][]int, n)
-	var roots []int
-	for i := 0; i < n; i++ {
-		r := find(i)
-		if _, seen := byRoot[r]; !seen {
-			roots = append(roots, r)
-		}
-		byRoot[r] = append(byRoot[r], i)
+	for _, s := range g.slots {
+		g.table[s.at] = 0
 	}
-	// Groups in order of first member: iterating roots in first-seen
-	// order yields exactly that, since members are appended ascending.
-	sort.Slice(roots, func(a, b int) bool { return byRoot[roots[a]][0] < byRoot[roots[b]][0] })
-	groups := make([][]int, 0, len(roots))
-	for _, r := range roots {
-		groups = append(groups, byRoot[r])
+	clear(g.slots) // drop the key strings
+	g.slots, g.readers = g.slots[:0], g.readers[:0]
+
+	// Number the groups in order of first member: walking the batch
+	// ascending meets each root first at its smallest member.
+	g.number = slices.Grow(g.number[:0], n)[:n]
+	clear(g.number)
+	g.sizes = g.sizes[:0]
+	for i := range n {
+		r := g.find(int32(i))
+		if g.number[r] == 0 {
+			g.sizes = append(g.sizes, 0)
+			g.number[r] = int32(len(g.sizes))
+		}
+		g.sizes[g.number[r]-1]++
+	}
+	members := make([]int, n)
+	groups := make([][]int, len(g.sizes))
+	off := 0
+	for gi, sz := range g.sizes {
+		groups[gi] = members[off : off : off+sz]
+		off += sz
+	}
+	for i := range n {
+		gi := g.number[g.find(int32(i))] - 1
+		groups[gi] = append(groups[gi], i)
 	}
 	return groups
+}
+
+// slot returns the state of key k, adding it on first sight.
+func (g *grouper) slot(k string) *keySlot {
+	mask := uint64(len(g.table) - 1)
+	for at := maphash.String(g.seed, k) & mask; ; at = (at + 1) & mask {
+		s := g.table[at]
+		if s == 0 {
+			g.slots = append(g.slots, keySlot{key: k, at: int32(at), writer: -1, readers: -1})
+			g.table[at] = int32(len(g.slots))
+			return &g.slots[len(g.slots)-1]
+		}
+		if g.slots[s-1].key == k {
+			return &g.slots[s-1]
+		}
+	}
+}
+
+func (g *grouper) find(x int32) int32 {
+	for g.parent[x] != x {
+		g.parent[x] = g.parent[g.parent[x]]
+		x = g.parent[x]
+	}
+	return x
+}
+
+func (g *grouper) union(a, b int32) {
+	if ra, rb := g.find(a), g.find(b); ra != rb {
+		g.parent[rb] = ra
+	}
 }
 
 // RunGroups dispatches the plan's conflict groups across a worker

@@ -14,16 +14,17 @@
 // a global flip). Unscoped entry points use the package default scope,
 // which is always enabled.
 //
-// The cell also carries the transaction's document (SharedDoc) and its
-// spend keys (SpendKeys), each built once and read by every stage from
-// admission to the log. They follow the same invalidation contract but
-// no scope: they are representations of the transaction, not a policy,
-// and move no hit/miss tally.
+// The cell also carries the transaction's document (SharedDoc), its
+// spend keys (SpendKeys) and its footprint (FootprintKeys), each built
+// once and read by every stage from admission to the log. They follow
+// the same invalidation contract but no scope: they are
+// representations of the transaction, not a policy, and move no
+// hit/miss tally.
 //
 // Invalidation contract: the blessed mutation points inside this
 // package (Sign re-canonicalizes from scratch; SetID drops what covers
-// the ID — the canonical encoding and the document) maintain the cache
-// themselves. Code that mutates a Transaction's exported fields in
+// the ID — the canonical encoding, the document and the footprint)
+// maintain the cache themselves. Code that mutates a Transaction's exported fields in
 // place after signing must call Invalidate — otherwise verification
 // answers for the bytes the transaction had when the cache was
 // populated, and the log stores the document it had. Clone never copies the
@@ -38,12 +39,15 @@ import (
 
 // memoFields are the derived representations a cache generation
 // holds; nil means not computed yet. signing and spends leave the ID
-// out, canonical and doc cover it.
+// out, canonical, doc and the footprint cover it.
 type memoFields struct {
 	signing   []byte
 	canonical []byte
 	doc       map[string]any // SharedDoc
 	spends    []string       // SpendKeys
+	// writes and reads are FootprintKeys; writes is never empty once
+	// derived (it holds the ID), so writes != nil says both are.
+	writes, reads []string
 }
 
 // txMemo is one immutable cache generation. The fields are written
@@ -109,16 +113,16 @@ func CacheStats() (hits, misses uint64) { return defaultCacheScope.Stats() }
 func (t *Transaction) Invalidate() { t.memo.Store(nil) }
 
 // dropDerivedMemo keeps the signing payload and the spend keys but
-// discards the canonical encoding, the document and the signature
-// verdict — what SetID needs: the new ID is covered by those and
-// excluded from the payload.
+// discards the canonical encoding, the document, the footprint and the
+// signature verdict — what SetID needs: the new ID is covered by those
+// and excluded from the payload.
 func (t *Transaction) dropDerivedMemo() {
 	for {
 		old := t.memo.Load()
 		if old == nil {
 			return
 		}
-		if old.canonical == nil && old.doc == nil && !old.verified.Load() {
+		if old.canonical == nil && old.doc == nil && old.writes == nil && !old.verified.Load() {
 			return
 		}
 		next := &txMemo{memoFields: memoFields{signing: old.signing, spends: old.spends}}
@@ -175,6 +179,9 @@ func (t *Transaction) storeMemo(fresh memoFields) *memoFields {
 			}
 			if old.spends != nil {
 				next.spends = old.spends
+			}
+			if old.writes != nil {
+				next.writes, next.reads = old.writes, old.reads
 			}
 			next.verified.Store(old.verified.Load())
 		}
@@ -244,6 +251,56 @@ func (t *Transaction) SpendKeys() []string {
 		}
 	}
 	return t.storeMemo(memoFields{spends: keys}).spends
+}
+
+// RefKeyPrefix starts the auction-state key of a referenced
+// transaction in a footprint: RefKeyPrefix + the referenced ID.
+const RefKeyPrefix = "ref:"
+
+// FootprintKeys returns the transaction's declarative read/write set
+// over chain state, derived from the document alone (package parallel
+// groups by it, the mempool packs by it). Three key namespaces share
+// one space and cannot collide: a transaction is its bare ID (64 hex
+// digits, no ':'), a spent output is its SpendKeys entry
+// ("utxo:<txid>:<index>"), the auction state of a referenced
+// transaction is RefKeyPrefix + its ID.
+//
+// writes: the transaction's own ID, its spend keys, and the
+// auction-state key of every entry of Refs. reads: the producer of
+// every spent output, every referenced transaction, and the linked
+// asset's creator. Both are derived once per transaction, shared and
+// read-only; reads is nil when there are none. A transaction key is
+// the ID string the transaction already holds, so the footprint costs
+// two slices and one string per reference.
+func (t *Transaction) FootprintKeys() (writes, reads []string) {
+	if m := t.memo.Load(); m != nil && m.writes != nil {
+		return m.writes, m.reads
+	}
+	spends := t.SpendKeys()
+	writes = make([]string, 0, 1+len(spends)+len(t.Refs))
+	writes = append(writes, t.ID)
+	writes = append(writes, spends...)
+	n := len(spends) + len(t.Refs)
+	if t.Asset != nil && t.Asset.ID != "" {
+		n++
+	}
+	if n > 0 {
+		reads = make([]string, 0, n)
+	}
+	for _, in := range t.Inputs {
+		if ref := in.Fulfills; ref != nil {
+			reads = append(reads, ref.TxID)
+		}
+	}
+	for _, id := range t.Refs {
+		writes = append(writes, RefKeyPrefix+id)
+		reads = append(reads, id)
+	}
+	if t.Asset != nil && t.Asset.ID != "" {
+		reads = append(reads, t.Asset.ID)
+	}
+	m := t.storeMemo(memoFields{writes: writes, reads: reads})
+	return m.writes, m.reads
 }
 
 // sigVerified reports a memoized successful VerifyFulfillments for the

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"smartchaindb/internal/keys"
 )
@@ -390,7 +391,7 @@ func TestMemoConcurrentReaders(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				switch (g + i) % 5 {
+				switch (g + i) % 6 {
 				case 0:
 					if !bytes.Equal(tr.SigningPayload(), want) {
 						t.Error("payload diverged")
@@ -403,6 +404,11 @@ func TestMemoConcurrentReaders(t *testing.T) {
 				case 3:
 					if got := tr.SpendKeys(); len(got) != 2 || got[1] != "utxo:a1:1" {
 						t.Errorf("spend keys diverged: %v", got)
+						return
+					}
+				case 4:
+					if w, r := tr.FootprintKeys(); len(w) != 3 || w[0] != tr.ID || w[2] != "utxo:a1:1" || len(r) != 3 {
+						t.Errorf("footprint diverged: %v %v", w, r)
 						return
 					}
 				default:
@@ -534,6 +540,36 @@ func TestSpendKeysAreBuiltOnce(t *testing.T) {
 	create := NewCreate("pk", nil, 1, nil)
 	if create.SpendKeys() != nil || create.memo.Load() != nil {
 		t.Fatal("a transaction that spends nothing has spend keys or a memo")
+	}
+}
+
+// TestFootprintKeysShareTheTransactionsStrings: the footprint's
+// transaction keys are the ID strings the transaction holds and its
+// spend keys are SpendKeys' own strings, so the memo retains slices,
+// not new strings; only an auction-state key is built. It covers the
+// ID, so SetID drops it, as Invalidate does.
+func TestFootprintKeysShareTheTransactionsStrings(t *testing.T) {
+	tr, _ := signedTransfer(t, 30)
+	tr.Refs = []string{"rfq"}
+	tr.Invalidate()
+	same := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
+	w, r := tr.FootprintKeys()
+	spends := tr.SpendKeys()
+	if len(w) != 4 || !same(w[0], tr.ID) || !same(w[1], spends[0]) || !same(w[2], spends[1]) || w[3] != RefKeyPrefix+"rfq" {
+		t.Fatalf("writes %v: not the transaction's own strings", w)
+	}
+	if len(r) != 4 || !same(r[0], tr.Inputs[0].Fulfills.TxID) || !same(r[2], tr.Refs[0]) {
+		t.Fatalf("reads %v: not the transaction's own strings", r)
+	}
+	if w2, _ := tr.FootprintKeys(); &w2[0] != &w[0] {
+		t.Fatal("the second FootprintKeys derived the footprint again")
+	}
+	tr.ID = "unstamped"
+	tr.Invalidate()
+	tr.FootprintKeys()
+	tr.SetID()
+	if w, _ := tr.FootprintKeys(); w[0] != tr.ID || tr.ID == "unstamped" {
+		t.Fatalf("after SetID the footprint writes %q, the transaction is %q", w[0], tr.ID)
 	}
 }
 

@@ -264,7 +264,20 @@ func normalizeMap(m map[string]any) (map[string]any, error) {
 // id; encoding/json folded case), unknown keys are ignored, and null
 // leaves a field at its zero value. Amounts and shares above MaxAmount
 // are rejected.
-func FromDoc(doc map[string]any) (*Transaction, error) {
+func FromDoc(doc map[string]any) (*Transaction, error) { return fromDoc(doc, false) }
+
+// FromStoredDoc is FromDoc for a document the store holds: read-only
+// and immutable, and already in document shape, because ToDoc or the
+// storage decoder built it. It runs the same decoder but borrows the
+// free-form maps — the result's Asset.Data and Metadata are the stored
+// ones (and everything under them), not copies — so the transaction
+// is read-only in those fields, as the document is (docstore.Borrow).
+// Every other field is the caller's own. A document from outside the
+// process is not immutable: decode it with FromDoc.
+func FromStoredDoc(doc map[string]any) (*Transaction, error) { return fromDoc(doc, true) }
+
+// fromDoc is the one decoder body; borrow shares the free-form maps.
+func fromDoc(doc map[string]any, borrow bool) (*Transaction, error) {
 	t := &Transaction{}
 	for k, v := range doc {
 		var err error
@@ -274,7 +287,7 @@ func FromDoc(doc map[string]any) (*Transaction, error) {
 		case "operation":
 			t.Operation, err = docString(v)
 		case "asset":
-			t.Asset, err = assetFromDoc(v)
+			t.Asset, err = assetFromDoc(v, borrow)
 		case "outputs":
 			t.Outputs, err = outputsFromDoc(v)
 		case "inputs":
@@ -284,7 +297,7 @@ func FromDoc(doc map[string]any) (*Transaction, error) {
 		case "refs":
 			t.Refs, err = docStrings(v)
 		case "metadata":
-			t.Metadata, err = docMap(v)
+			t.Metadata, err = docMap(v, borrow)
 		case "version":
 			t.Version, err = docString(v)
 		default:
@@ -364,7 +377,9 @@ func docStrings(v any) ([]string, error) {
 	return nil, kindError(v, "string list")
 }
 
-func docMap(v any) (map[string]any, error) {
+// docMap decodes a free-form object: a normalised copy, or with
+// borrow the object itself.
+func docMap(v any, borrow bool) (map[string]any, error) {
 	v, err := generic(v)
 	if err != nil {
 		return nil, err
@@ -373,6 +388,9 @@ func docMap(v any) (map[string]any, error) {
 	case nil:
 		return nil, nil
 	case map[string]any:
+		if borrow {
+			return x, nil
+		}
 		return normalizeMap(x)
 	}
 	return nil, kindError(v, "object")
@@ -447,7 +465,7 @@ func docIndex(v any) (int, error) {
 	return int(n), err
 }
 
-func assetFromDoc(v any) (*Asset, error) {
+func assetFromDoc(v any, borrow bool) (*Asset, error) {
 	v, err := generic(v)
 	if err != nil {
 		return nil, err
@@ -465,7 +483,7 @@ func assetFromDoc(v any) (*Asset, error) {
 		case "id":
 			a.ID, err = docString(e)
 		case "data":
-			a.Data, err = docMap(e)
+			a.Data, err = docMap(e, borrow)
 		case "shares":
 			a.Shares, err = docAmount(e)
 		default:

@@ -16,7 +16,12 @@ import (
 )
 
 // ChainState is the read view of committed chain state a condition may
-// consult. *ledger.State implements it.
+// consult. *ledger.State and *ledger.StateView implement it.
+//
+// Every transaction it returns is decoded from the stored document
+// without copying the free-form maps: its Asset.Data and Metadata are
+// the store's own and read-only. A condition reads them and never
+// writes; code that must change such a transaction clones it first.
 type ChainState interface {
 	GetTx(id string) (*txn.Transaction, error)
 	IsCommitted(id string) bool
@@ -52,10 +57,11 @@ type Context struct {
 	// resolved memoizes committed-state lookups for the lifetime of
 	// this Context (one validation call, one goroutine — no lock). A
 	// K-input transfer resolves its funding transaction once per
-	// input, and every State.GetTx decodes the stored document from
-	// scratch; sharing the first decode is safe because conditions
-	// only read the resolved transaction. Batch entries are never
-	// memoized — the batch mutates as the block grows.
+	// input, and every State.GetTx decodes the stored document's
+	// structure anew (its free-form maps are borrowed, not copied);
+	// sharing the first decode is safe because conditions only read
+	// the resolved transaction. Batch entries are never memoized — the
+	// batch mutates as the block grows.
 	resolved map[string]*txn.Transaction
 }
 
