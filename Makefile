@@ -46,7 +46,14 @@ test-bench:
 # Native fuzz targets, one `go test -fuzz` run each (the tool takes one
 # target at a time). FuzzTxnCodec: on any JSON object, txn.FromDoc and
 # the JSON round trip it replaced agree on accept/reject and on the
-# decoded value. FuzzDocEncoder: on any JSON object retyped into every
+# decoded value. FuzzVerifyFulfillments: on any fulfillment string and
+# previous-owner list a client can put on a signed fan-in or multisig
+# transfer (multisig strings are parsed by keys.ParseMultiSig), the
+# fulfillment verifier, the batch and the reference verifier they
+# replaced never panic and agree on the verdict and the error string;
+# each input costs a dozen verifications, so its minimisations are
+# capped at a second.
+# FuzzDocEncoder: on any JSON object retyped into every
 # Go number type and string hazard, the one document encoder
 # (internal/canon) and encoding/json.Marshal agree byte for byte and on
 # what they refuse. The storage trust boundary — bytes read back from a
@@ -82,6 +89,7 @@ FUZZTIME ?= 60s
 
 fuzz:
 	$(GO) test ./internal/txn -run '^$$' -fuzz '^FuzzTxnCodec$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/txn -run '^$$' -fuzz '^FuzzVerifyFulfillments$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/canon -run '^$$' -fuzz '^FuzzDocEncoder$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzDecodeGroup$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzLoadSegment$$' -fuzztime $(FUZZTIME)
@@ -122,12 +130,15 @@ fuzz:
 # per committed nested child (TestChildCommittedAllocations pins it):
 # each iteration settles one child of a ten-bid auction and every tenth
 # builds a fresh auction off the clock, so it runs at a fixed count.
+# VerifyFulfillmentsBatch verifies a 64-transaction admission batch of
+# 4-input fan-ins on two workers, payloads memoized
+# (TestVerifyFulfillmentsBatchAllocationCeiling pins its allocations).
 # FootprintOf reads the footprint the transaction derived once;
 # GroupFootprints groups a 64-transaction marketplace block over pooled
 # scratch, allocating only the groups it returns
 # (TestGroupFootprintsAllocationCeiling).
 bench-alloc:
-	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage ./internal/docstore -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|MarshalCanonicalCold|OutputRefString|FootprintOf|GroupFootprints|StateView|InsertDoc|MarkSpent|SpendFanIn|StageBlock|SealOneTxBlock|CommitTransferChain|EncodableDoc|GroupCommit|Fold|MemPut|MemGetAt|MemScanAt|IndexInsert|PlanLockedBids'
+	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage ./internal/docstore -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|VerifyFulfillmentsBatch|MarshalCanonicalCold|OutputRefString|FootprintOf|GroupFootprints|StateView|InsertDoc|MarkSpent|SpendFanIn|StageBlock|SealOneTxBlock|CommitTransferChain|EncodableDoc|GroupCommit|Fold|MemPut|MemGetAt|MemScanAt|IndexInsert|PlanLockedBids'
 	$(GO) test ./internal/nested -run '^$$' -benchmem -bench ChildCommitted -benchtime 5000x
 
 # The tier-1 suites that touch chain state (ledger, server/cluster,
@@ -164,8 +175,8 @@ test-tripwire:
 # leg re-runs the ledger-backed suites, incl. the
 # query-engine-vs-block-commit race, over the WAL engine. The
 # txn/keys/driver leg covers the admission fast path: the per-tx
-# canonical-bytes memo (CAS copy-forward) and the batched signature
-# verifier's worker fan-out. nested is here because its commit hook
+# canonical-bytes memo (CAS copy-forward) and the batch signature
+# verifier's per-transaction worker fan-out. nested is here because its commit hook
 # reads a borrowed (uncopied) stored document while later blocks stage;
 # the docstore suite's borrowing reader is what would catch a write
 # into one. server's TestSharedDocumentRace is the gate on the write

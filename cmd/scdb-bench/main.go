@@ -57,7 +57,7 @@ func run(args []string, w io.Writer) error {
 		sizes      = fs.String("sizes", "", "comma-separated payload sizes in bytes (default: the paper's 0.11-1.74 KB sweep)")
 		nodes      = fs.String("nodes", "", "comma-separated validator counts (default 4,8,16,32)")
 		mixScale   = fs.Int("scale", 1000, "mix experiment: divide the paper's 110k-tx mix by this factor")
-		valWorkers = fs.Int("valworkers", 4, "fig7/fig8: per-validator parallel-pipeline workers (0 = sequential paths)")
+		valWorkers = fs.Int("valworkers", 4, "fig7/fig8: per-validator pipeline workers (0 or 1 = one worker)")
 		trUsers    = fs.Int("trafficusers", 0, "traffic experiment: pre-generated keypair population (default 1,000,000)")
 		trTxs      = fs.Int("traffictxs", 0, "traffic experiment: transactions per leg (default 16384)")
 		trRates    = fs.String("trafficrates", "", "traffic experiment: comma-separated offered loads in tx/s (default 2000,6000)")

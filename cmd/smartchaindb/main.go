@@ -33,9 +33,9 @@ func main() {
 		datadir      = flag.String("datadir", "", "persist each validator's chain state under this directory (WAL + segments per node); empty keeps state in memory")
 		packing      = flag.String("packing", "makespan", "block packing policy off the footprint-indexed mempool: makespan (conflict-aware) or fifo (arrival order)")
 		admitBatch   = flag.Int("admitbatch", 64, "admission batch size: arrivals buffered while the receiver is busy join the next CheckTx batch")
-		admitWorkers = flag.Int("admitworkers", 4, "CheckTx-stage admission workers per node (<2 validates each batch sequentially)")
-		valWorkers   = flag.Int("valworkers", 4, "DeliverTx-stage block-validation workers per node (<2 = sequential)")
-		commitW      = flag.Int("commitworkers", 4, "commit-stage per-conflict-group apply workers per node (<2 stages each block sequentially)")
+		admitWorkers = flag.Int("admitworkers", 4, "CheckTx-stage admission workers per node (<2 = one worker)")
+		valWorkers   = flag.Int("valworkers", 4, "DeliverTx-stage block-validation workers per node (<2 = one worker)")
+		commitW      = flag.Int("commitworkers", 4, "commit-stage per-conflict-group apply workers per node (<2 = one worker)")
 		commitDepth  = flag.Int("commitdepth", 2, "where a decided block commits: 1 joins each commit at once (synchronous); 2 overlaps block h's commit with height h+1's validation behind the footprint fence")
 		opsAddr      = flag.String("opsaddr", "", "serve the ops endpoint (/metrics, /traces, /debug/pprof) on this address, e.g. localhost:6060 or :0; /metrics labels validator 0's registry node-0 and, with -shards, each shard's registry shard-<id>")
 		shards       = flag.Int("shards", 0, "after the auction, demo a horizontally sharded cluster with this many footprint-routed shards: a local create on shard 0 then a cross-shard 2PC migration (0 disables)")

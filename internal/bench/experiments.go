@@ -105,9 +105,9 @@ type Fig7Row struct {
 }
 
 // Fig7Scale shrinks the workload for quick runs; 1 = bench default.
-// Workers > 1 runs every SmartchainDB validator with the parallel
-// pipeline (admission, validation, packing) on that many workers, so
-// the headline curves reflect it; zero keeps the sequential paths.
+// Workers is every SmartchainDB validator's pipeline worker count
+// (admission, validation, packing), so the headline curves reflect it;
+// zero or one runs the same pipeline on one worker.
 type Fig7Scale struct {
 	Auctions int
 	Bidders  int

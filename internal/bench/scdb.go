@@ -29,10 +29,10 @@ type SCDBParams struct {
 	Seed         int64
 	// SubmitGap spaces client submissions (offered load pacing).
 	SubmitGap time.Duration
-	// Workers enables the parallel pipeline on every validator:
-	// DeliverTx-stage block validation, CheckTx-stage batched
-	// admission, and makespan-aware packing all run on this many
-	// workers. Zero keeps the sequential paths.
+	// Workers is every validator's worker count: DeliverTx-stage block
+	// validation, CheckTx-stage batched admission, and makespan-aware
+	// packing all run on this many workers. Zero or one runs the same
+	// conflict groups on one worker (and packs in arrival order).
 	Workers int
 }
 

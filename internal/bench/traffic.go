@@ -99,7 +99,7 @@ type TrafficRow struct {
 	AdmitP50, AdmitP99, AdmitP999    time.Duration
 	CommitP50, CommitP99, CommitP999 time.Duration
 
-	SigTasks  uint64 // signature triples submitted to the batch verifier
+	SigTasks  uint64 // signatures the batch verifier was presented
 	DedupHits uint64 // triples answered by an identical triple
 }
 

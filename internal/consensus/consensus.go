@@ -224,8 +224,7 @@ func (c *Config) fill() {
 	if c.CommitDepth <= 0 {
 		c.CommitDepth = 1
 	}
-	// Mempool defaults (BatchSize, the ForTransaction
-	// footprint function) apply inside mempool.New.
+	// Mempool defaults (BatchSize) apply inside mempool.New.
 }
 
 // Quorum returns the vote threshold: more than 2/3 of n validators.

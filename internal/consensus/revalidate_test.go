@@ -3,9 +3,17 @@ package consensus
 import (
 	"testing"
 	"time"
-
-	"smartchaindb/internal/mempool"
 )
+
+// fpTx is a testTx that declares its footprint keys, which the pool's
+// footprint derivation (mempool.ForTransaction) reads.
+type fpTx struct {
+	testTx
+	writes, reads []string
+}
+
+func (t *fpTx) FootprintKeys() (writes, reads []string) { return t.writes, t.reads }
+func (t *fpTx) SpendKeys() []string                     { return nil }
 
 // vrCountApp is a full App — the lifted testApp with its own
 // fresh-aware validation — that counts, per transaction, how many
@@ -52,29 +60,19 @@ func (a *vrCountApp) ValidationTimeFresh(txs []Tx, fresh []bool) time.Duration {
 // again — the O(rounds) re-validation this closes.
 func TestCleanValidationRefreshesVerdicts(t *testing.T) {
 	const nodes = 4
-	fp := func(tx mempool.Tx) mempool.Footprint {
-		switch tx.Hash() {
-		case "W":
-			return mempool.Footprint{Writes: []string{"tx:W", "k:hot"}}
-		case "P":
-			return mempool.Footprint{Writes: []string{"tx:P"}, Reads: []string{"k:hot"}}
-		}
-		return mempool.DefaultFootprint(tx)
-	}
 	apps := make([]*vrCountApp, nodes)
 	c := NewCluster(Config{
 		Nodes:       nodes,
 		Seed:        33,
 		MaxBlockTxs: 1, // one block per transaction: W commits, then P
-		Mempool:     mempool.Config{Footprint: fp},
 	}, func(i int) App {
 		apps[i] = newVRCountApp(i)
 		return apps[i]
 	})
-	c.SubmitAt(0, testTx("W"))
+	c.SubmitAt(0, &fpTx{testTx: "W", writes: []string{"tx:W", "k:hot"}})
 	// P arrives while W is pending and gossips cluster-wide well before
 	// W's block applies, so W's commit sweep stales P everywhere.
-	c.SubmitAt(40*time.Millisecond, testTx("P"))
+	c.SubmitAt(40*time.Millisecond, &fpTx{testTx: "P", writes: []string{"tx:P"}, reads: []string{"k:hot"}})
 	if got := c.RunUntilCommitted(2, time.Minute); got != 2 {
 		t.Fatalf("committed %d, want 2", got)
 	}

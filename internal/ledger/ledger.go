@@ -35,8 +35,8 @@ type State struct {
 	lastHeight int64
 	// commitWorkers is the block commit's stage parallelism: conflict
 	// groups from declarative footprints stage concurrently on this
-	// many workers, then seal in block order as one WAL group. Below 2
-	// the batch stages sequentially. See pipeline.go.
+	// many workers (below 2: one after another), then seal in block
+	// order as one WAL group. See pipeline.go.
 	commitWorkers int
 	// ob holds the cached observability handles (obs.go). The zero
 	// value is the no-op build; SetObs swaps in live handles. Guarded

@@ -42,13 +42,10 @@ import (
 // Because only one block is ever open, Stage reads exactly the
 // sequential prefix: every earlier block has sealed.
 
-// SetCommitWorkers selects the stage's per-conflict-group appliers.
-// Values below 2 stage the batch sequentially against one overlay.
-// Safe to call only while no commit is running.
+// SetCommitWorkers sets how many per-conflict-group appliers the stage
+// runs; values below 2 run the groups one after another. Safe to call
+// only while no commit is running.
 func (s *State) SetCommitWorkers(w int) { s.commitWorkers = w }
-
-// CommitWorkers reports the configured stage worker count.
-func (s *State) CommitWorkers() int { return s.commitWorkers }
 
 // BeginBlockCommit opens height's block commit and returns it. At most
 // one block is open at a time — the commit fence admits block h+1 only
@@ -81,10 +78,8 @@ type PendingCommit struct {
 // Stage runs the plan and apply phases for the block's batch. It takes
 // no lock: conflict groups stage their write ops against committed
 // state plus group-local overlays over the shared LPT dispatch
-// (largest group first, so the critical path never starts last). With
-// CommitWorkers < 2 (or a single-transaction batch) the batch stages
-// sequentially against one shared overlay — the same check-then-stage
-// sequence, block order.
+// (largest group first, so the critical path never starts last), on
+// CommitWorkers appliers.
 func (p *PendingCommit) Stage(batch []*txn.Transaction) { p.StagePlan(batch, nil) }
 
 // StagePlan is Stage with the batch's conflict plan already built —
@@ -97,35 +92,25 @@ func (p *PendingCommit) StagePlan(batch []*txn.Transaction, plan *parallel.Plan)
 	p.batch = batch
 	p.t0 = time.Now()
 	p.staged = make([]*stagedTx, len(batch))
-	if s.commitWorkers > 1 && len(batch) > 1 {
-		if plan == nil {
-			plan = parallel.BuildPlan(batch)
-		}
-		p.plan = plan
-		p.planD = time.Since(p.t0)
-		// busy accumulates per-group applier time so busy/(wall*workers)
-		// reports the phase's worker utilization.
-		var busy atomic.Int64
-		applyT := time.Now()
-		p.plan.RunGroups(s.commitWorkers, func(g []int) {
-			gt := time.Now()
-			overlay := newGroupOverlay(s)
-			for _, i := range g {
-				p.staged[i] = overlay.stageTx(batch[i])
-			}
-			busy.Add(int64(time.Since(gt)))
-		})
-		p.applyD = time.Since(applyT)
-		p.busy = busy.Load()
-		return
+	if plan == nil {
+		plan = parallel.BuildPlan(batch)
 	}
+	p.plan = plan
+	p.planD = time.Since(p.t0)
+	// busy accumulates per-group applier time so busy/(wall*workers)
+	// reports the phase's worker utilization.
+	var busy atomic.Int64
 	applyT := time.Now()
-	overlay := newGroupOverlay(s)
-	for i, t := range batch {
-		p.staged[i] = overlay.stageTx(t)
-	}
+	plan.RunGroups(s.commitWorkers, func(g []int) {
+		gt := time.Now()
+		overlay := newGroupOverlay(s)
+		for _, i := range g {
+			p.staged[i] = overlay.stageTx(batch[i])
+		}
+		busy.Add(int64(time.Since(gt)))
+	})
 	p.applyD = time.Since(applyT)
-	p.busy = int64(p.applyD)
+	p.busy = busy.Load()
 }
 
 // Seal applies the staged block under the state lock and closes it,
@@ -191,10 +176,8 @@ func (p *PendingCommit) sealLocked() (committed []*txn.Transaction, skipped map[
 	s.ob.recordBlock(p.height, p.planD, p.applyD, sealD, time.Since(p.t0), len(p.batch), len(committed), len(skipped))
 	s.ob.applyBusyNs.Add(uint64(p.busy))
 	s.ob.applyWallNs.Add(uint64(p.applyD))
-	if p.plan != nil {
-		s.ob.conflictGroups.Observe(int64(len(p.plan.Groups)))
-		s.ob.largestGroup.Observe(int64(p.plan.Largest()))
-	}
+	s.ob.conflictGroups.Observe(int64(len(p.plan.Groups)))
+	s.ob.largestGroup.Observe(int64(p.plan.Largest()))
 	return committed, skipped, nil
 }
 

@@ -10,7 +10,7 @@ import (
 // allocations per call on a warm pool, so the admission hot path stays
 // garbage-free.
 func TestScreenPrimitivesZeroAlloc(t *testing.T) {
-	p := newPool(t, Config{})
+	p := New(Config{})
 	for i := 0; i < 64; i++ {
 		admit(t, p, spender(fmt.Sprintf("tx-%d", i), fmt.Sprintf("utxo:%d", i)))
 	}

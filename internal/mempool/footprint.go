@@ -1,7 +1,5 @@
 package mempool
 
-import "smartchaindb/internal/txn"
-
 // Tx is the pool's unit: anything with a stable unique hash. It is
 // method-compatible with consensus.Tx, so consensus transactions flow
 // in and out without wrapping.
@@ -24,24 +22,26 @@ type Footprint struct {
 	Reads  []string
 }
 
-// FootprintFn derives a transaction's footprint without executing it —
-// the declarative contract of the paper.
-type FootprintFn func(Tx) Footprint
-
-// ForTransaction is the footprint function for SmartchainDB
-// transactions: the transaction's own footprint keys
-// (txn.Transaction.FootprintKeys, the ones parallel.FootprintOf
-// returns), with the spent-output keys doubling as the exclusive spend
-// claims. Nothing is built per call.
-// Foreign transaction types (e.g. the baseline chain's) fall back to
-// DefaultFootprint and are treated as mutually independent.
+// ForTransaction derives a transaction's footprint without executing it
+// — the declarative contract of the paper. A transaction that declares
+// its footprint keys (as *txn.Transaction does: FootprintKeys, the
+// keys parallel.FootprintOf returns, and SpendKeys) is read through
+// them, the spent-output keys doubling as the exclusive spend claims;
+// nothing is built per call. Any other transaction (e.g. the baseline
+// chain's) gets DefaultFootprint and is independent of every other.
 func ForTransaction(tx Tx) Footprint {
-	t, ok := tx.(*txn.Transaction)
+	t, ok := tx.(footprinted)
 	if !ok {
 		return DefaultFootprint(tx)
 	}
 	w, r := t.FootprintKeys()
 	return Footprint{Spends: t.SpendKeys(), Writes: w, Reads: r}
+}
+
+// footprinted is a transaction that declares its footprint keys.
+type footprinted interface {
+	FootprintKeys() (writes, reads []string)
+	SpendKeys() []string
 }
 
 // DefaultFootprint treats a transaction as writing only its own

@@ -17,7 +17,7 @@ func freshOf(t *testing.T, p *Pool, txs ...Tx) []bool {
 // commits staling exactly the pending transactions whose footprints
 // they write into, and unknown transactions never reporting fresh.
 func TestFreshLifecycle(t *testing.T) {
-	p := newPool(t, Config{})
+	p := New(Config{})
 
 	// a and b are independent: both admitted fresh.
 	a, b := indep("a"), indep("b")
@@ -38,7 +38,7 @@ func TestFreshLifecycle(t *testing.T) {
 
 	// The same pair admitted in separate batches stays fresh... until a
 	// commit writes into the shared key.
-	p2 := newPool(t, Config{})
+	p2 := New(Config{})
 	admit(t, p2, c)
 	admit(t, p2, indep("x"))
 	if got := p2.Fresh([]Tx{c}); !got[0] {
@@ -64,7 +64,7 @@ func TestFreshLifecycle(t *testing.T) {
 // committing a pure reader of a key must not stale other readers
 // (read/read is not a conflict), while committing a writer must.
 func TestFreshCommitSweepScope(t *testing.T) {
-	p := newPool(t, Config{})
+	p := New(Config{})
 	r1 := reader("r1", "k:a")
 	admit(t, p, r1)
 	admit(t, p, reader("r2", "k:a")) // separate batch: both fresh
@@ -89,7 +89,7 @@ func TestFreshCommitSweepScope(t *testing.T) {
 // members fresh again, leaves multi-member groups stale, and is voided
 // by an interleaved commit sweep.
 func TestMarkValidatedRefreshesSingletons(t *testing.T) {
-	p := newPool(t, Config{})
+	p := New(Config{})
 	// c reads what d writes: admitted in one batch, both start stale.
 	c := reader("c", "k:shared")
 	d := &fakeTx{hash: "d", fp: Footprint{Writes: []string{"tx:d", "k:shared"}}}
@@ -135,7 +135,7 @@ func TestMarkValidatedRefreshesSingletons(t *testing.T) {
 // TestMarkValidatedEpochGuard: a commit sweep between the epoch
 // snapshot and the marking voids it — the sweep's staling wins.
 func TestMarkValidatedEpochGuard(t *testing.T) {
-	p := newPool(t, Config{})
+	p := New(Config{})
 	r := reader("r", "k:a")
 	admit(t, p, r)
 	epoch := p.Epoch() // validation starts here...
@@ -156,7 +156,7 @@ func TestMarkValidatedEpochGuard(t *testing.T) {
 // index: a later commit sweeping their keys must not resurrect or
 // touch them, and re-admission starts a clean verdict.
 func TestFreshEvictionReleasesIndex(t *testing.T) {
-	p := newPool(t, Config{})
+	p := New(Config{})
 	s := spender("s", "utxo:1")
 	admit(t, p, s)
 	p.Remove([]Tx{s})

@@ -9,7 +9,7 @@ import (
 // behalf of a transaction that never enters the pool, and the
 // admission screen treats the claims exactly like a pending rival's.
 func TestHoldBlocksAdmission(t *testing.T) {
-	p := newPool(t, Config{})
+	p := New(Config{})
 	if err := p.Hold([]string{"k:1", "k:2"}, "xs-1"); err != nil {
 		t.Fatalf("hold on free keys: %v", err)
 	}
@@ -33,7 +33,7 @@ func TestHoldBlocksAdmission(t *testing.T) {
 }
 
 func TestHoldAllOrNothing(t *testing.T) {
-	p := newPool(t, Config{})
+	p := New(Config{})
 	// A pooled transaction claims k:2 via its spends.
 	admit(t, p, spender("a", "k:2"))
 
@@ -54,7 +54,7 @@ func TestHoldAllOrNothing(t *testing.T) {
 }
 
 func TestHoldIdempotentAndOwnerScopedRelease(t *testing.T) {
-	p := newPool(t, Config{})
+	p := New(Config{})
 	if err := p.Hold([]string{"k:1"}, "xs-1"); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestHoldIdempotentAndOwnerScopedRelease(t *testing.T) {
 // transaction but does not release the transaction's own holds — the
 // shard layer pairs every Hold with an explicit Release.
 func TestRemoveCommittedKeepsOwnHolds(t *testing.T) {
-	p := newPool(t, Config{})
+	p := New(Config{})
 	if err := p.Hold([]string{"k:1"}, "xs-1"); err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ const (
 )
 
 // Config parameterizes a pool. The zero value is usable: FIFO packing,
-// per-transaction batches, independent footprints.
+// batches of the default size, no semantic check.
 type Config struct {
 	// BatchSize caps one admission batch (default 64). The consensus
 	// receiver path accumulates arrivals up to this size while the
@@ -44,8 +44,6 @@ type Config struct {
 	// PackWorkers is the validation worker count PackMakespan balances
 	// for — the proposers' model of the validators' parallelism.
 	PackWorkers int
-	// Footprint derives declarative footprints (default: ForTransaction).
-	Footprint FootprintFn
 	// Check is the semantic admission validator (may be nil; see CheckFn).
 	Check CheckFn
 	// Obs attaches an observability registry: admission counters and
@@ -57,9 +55,6 @@ type Config struct {
 func (c *Config) fill() {
 	if c.BatchSize <= 0 {
 		c.BatchSize = 64
-	}
-	if c.Footprint == nil {
-		c.Footprint = ForTransaction
 	}
 }
 
@@ -273,7 +268,7 @@ func (p *Pool) AdmitBatch(txs []Tx) AdmitResult {
 			p.ob.screenDup.Inc()
 			continue
 		}
-		fp := p.cfg.Footprint(tx)
+		fp := ForTransaction(tx)
 		if key, owner, ok := p.claimed(fp.Spends, batchClaims); ok {
 			res.Skipped[h] = &ErrSpendClaimed{TxHash: h, Key: key, ClaimedBy: owner}
 			p.ob.screenClaimed.Inc()
@@ -516,7 +511,7 @@ func (p *Pool) RemoveCommitted(txs []Tx) {
 		} else {
 			// Committed through catch-up without ever entering this
 			// pool: derive the footprint to sweep by.
-			fp := p.cfg.Footprint(tx)
+			fp := ForTransaction(tx)
 			writes = fp.Writes
 			for _, key := range fp.Spends {
 				if owner, ok := p.claims[key]; ok && owner != h {
@@ -609,7 +604,7 @@ func (p *Pool) MarkValidated(txs []Tx, epoch uint64) {
 			entries[i] = e
 			fps[i] = parallel.Footprint{Writes: e.fp.Writes, Reads: e.fp.Reads}
 		} else {
-			fp := p.cfg.Footprint(tx)
+			fp := ForTransaction(tx)
 			fps[i] = parallel.Footprint{Writes: fp.Writes, Reads: fp.Reads}
 		}
 	}

@@ -14,16 +14,10 @@ type fakeTx struct {
 
 func (t *fakeTx) Hash() string { return t.hash }
 
-// fakeFootprint reads the footprint off the fake transaction itself.
-func fakeFootprint(tx Tx) Footprint { return tx.(*fakeTx).fp }
-
-func newPool(t *testing.T, cfg Config) *Pool {
-	t.Helper()
-	if cfg.Footprint == nil {
-		cfg.Footprint = fakeFootprint
-	}
-	return New(cfg)
-}
+// FootprintKeys and SpendKeys declare the synthetic footprint, the way
+// *txn.Transaction declares its own: ForTransaction reads them.
+func (t *fakeTx) FootprintKeys() (writes, reads []string) { return t.fp.Writes, t.fp.Reads }
+func (t *fakeTx) SpendKeys() []string                     { return t.fp.Spends }
 
 // spender builds a transaction spending the given keys (conflict
 // grouping sees them as writes too, as real spends are).
@@ -49,7 +43,7 @@ func (p *Pool) claimant(key string) (string, bool) {
 }
 
 func TestAdmitAndContains(t *testing.T) {
-	p := newPool(t, Config{})
+	p := New(Config{})
 	res := admit(t, p, indep("a"), indep("b"))
 	if len(res.Admitted) != 2 || len(res.Skipped) != 0 || len(res.Rejected) != 0 {
 		t.Fatalf("admit = %+v", res)
@@ -63,7 +57,7 @@ func TestAdmitAndContains(t *testing.T) {
 }
 
 func TestDuplicateIDRejectedAtAdmission(t *testing.T) {
-	p := newPool(t, Config{})
+	p := New(Config{})
 	a := indep("a")
 	admit(t, p, a)
 	// Duplicate against the pool.
@@ -87,7 +81,7 @@ func TestDuplicateIDRejectedAtAdmission(t *testing.T) {
 }
 
 func TestSpendClaimRejectedAndReleasedOnRemove(t *testing.T) {
-	p := newPool(t, Config{})
+	p := New(Config{})
 	a := spender("a", "utxo:x")
 	b := spender("b", "utxo:x")
 	admit(t, p, a)
@@ -104,7 +98,7 @@ func TestSpendClaimRejectedAndReleasedOnRemove(t *testing.T) {
 }
 
 func TestIntraBatchSpendConflict(t *testing.T) {
-	p := newPool(t, Config{})
+	p := New(Config{})
 	res := admit(t, p, spender("a", "utxo:x"), spender("b", "utxo:x"))
 	if len(res.Admitted) != 1 || res.Admitted[0].Hash() != "a" {
 		t.Fatalf("first claimant should win in batch order: %+v", res)
@@ -116,7 +110,7 @@ func TestIntraBatchSpendConflict(t *testing.T) {
 
 func TestCheckRejectionsArePerTransaction(t *testing.T) {
 	bad := errors.New("semantic failure")
-	p := newPool(t, Config{
+	p := New(Config{
 		Check: func(txs []Tx) map[string]error {
 			errs := make(map[string]error)
 			for _, tx := range txs {
@@ -141,7 +135,7 @@ func TestCheckRejectionsArePerTransaction(t *testing.T) {
 
 func TestRivalOfRejectedClaimantRescuedInSameBatch(t *testing.T) {
 	bad := errors.New("bad signature")
-	p := newPool(t, Config{
+	p := New(Config{
 		Check: func(txs []Tx) map[string]error {
 			errs := make(map[string]error)
 			for _, tx := range txs {
@@ -169,7 +163,7 @@ func TestRivalOfRejectedClaimantRescuedInSameBatch(t *testing.T) {
 	}
 	// Two rivals blocked by the same rejected claimant: the rescue
 	// round re-arbitrates between them, first in batch order wins.
-	p2 := newPool(t, Config{
+	p2 := New(Config{
 		Check: func(txs []Tx) map[string]error {
 			for _, tx := range txs {
 				if tx.Hash() == "a" {
@@ -190,7 +184,7 @@ func TestRivalOfRejectedClaimantRescuedInSameBatch(t *testing.T) {
 
 func TestCheckSkippedForScreenedTransactions(t *testing.T) {
 	checked := make(map[string]int)
-	p := newPool(t, Config{
+	p := New(Config{
 		Check: func(txs []Tx) map[string]error {
 			for _, tx := range txs {
 				checked[tx.Hash()]++
@@ -212,7 +206,7 @@ func TestCheckSkippedForScreenedTransactions(t *testing.T) {
 }
 
 func TestRemoveCommittedSweepsTransactionAndRivals(t *testing.T) {
-	p := newPool(t, Config{})
+	p := New(Config{})
 	a := spender("a", "utxo:x")
 	c := indep("c")
 	admit(t, p, a, c)
@@ -234,7 +228,7 @@ func TestRemoveCommittedSweepsTransactionAndRivals(t *testing.T) {
 }
 
 func TestReserveExcludesFromPackingUntilCommit(t *testing.T) {
-	p := newPool(t, Config{})
+	p := New(Config{})
 	a, b := indep("a"), indep("b")
 	admit(t, p, a, b)
 	p.Reserve([]Tx{a})
@@ -254,7 +248,7 @@ func TestReserveExcludesFromPackingUntilCommit(t *testing.T) {
 }
 
 func TestArrivalOrderSurvivesChurn(t *testing.T) {
-	p := newPool(t, Config{})
+	p := New(Config{})
 	var want []string
 	for i := 0; i < 100; i++ {
 		h := fmt.Sprintf("t%03d", i)
@@ -284,7 +278,7 @@ func TestArrivalOrderSurvivesChurn(t *testing.T) {
 }
 
 func TestAddSingle(t *testing.T) {
-	p := newPool(t, Config{})
+	p := New(Config{})
 	if err := p.Add(indep("a")); err != nil {
 		t.Fatal(err)
 	}

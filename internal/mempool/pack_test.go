@@ -19,7 +19,7 @@ func chained(hash, chainKey string) *fakeTx {
 func makespanOf(block []Tx, w int) int {
 	entries := make([]packEntry, len(block))
 	for i, tx := range block {
-		entries[i] = packEntry{tx: tx, fp: fakeFootprint(tx)}
+		entries[i] = packEntry{tx: tx, fp: ForTransaction(tx)}
 	}
 	groups := groupEntries(entries)
 	if w <= 1 {
@@ -57,7 +57,7 @@ func makespanOf(block []Tx, w int) int {
 
 func fillPool(t *testing.T, policy Policy, workers int, txs []Tx) *Pool {
 	t.Helper()
-	p := newPool(t, Config{Policy: policy, PackWorkers: workers})
+	p := New(Config{Policy: policy, PackWorkers: workers})
 	res := p.AdmitBatch(txs)
 	if len(res.Admitted) != len(txs) {
 		t.Fatalf("admitted %d of %d", len(res.Admitted), len(txs))

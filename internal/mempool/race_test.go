@@ -13,7 +13,7 @@ import (
 // afterwards. Run under -race (the Makefile race gate includes this
 // package).
 func TestConcurrentAdmitPackRemove(t *testing.T) {
-	p := newPool(t, Config{Policy: PackMakespan, PackWorkers: 4})
+	p := New(Config{Policy: PackMakespan, PackWorkers: 4})
 
 	const admitters = 4
 	const batches = 40
@@ -100,7 +100,7 @@ func TestConcurrentAdmitPackRemove(t *testing.T) {
 	}
 	claimed := make(map[string]string)
 	for _, tx := range block {
-		for _, key := range fakeFootprint(tx).Spends {
+		for _, key := range ForTransaction(tx).Spends {
 			if owner, ok := claimed[key]; ok {
 				t.Fatalf("spend key %s claimed by both %s and %s", key, owner, tx.Hash())
 			}

@@ -28,12 +28,16 @@
 // reads or writes (the commutativity criterion of Bartoletti et al.'s
 // transaction-parallelism theory). BuildPlan partitions a block's batch
 // into connected components of the conflict graph with a union-find;
-// Scheduler.ValidateBatch then dispatches the components to a worker
-// pool. Within a component transactions are validated strictly in
-// block order, so every condition set observes exactly the same batch
-// prefix it would under sequential validation, and the valid/invalid
-// partition — and therefore the committed state — is byte-identical to
-// the sequential path. Across components no condition can observe a
-// difference, because condition sets only consult batch state through
-// the keys the footprint covers.
+// Plan.RunGroups dispatches the components to a worker pool, and every
+// stage runs its batch that way — Scheduler.ValidateBatch (admission
+// and block validation), the ledger's block stage — at any worker
+// count, one worker being the same groups run one after another.
+// Within a component transactions are processed strictly in block
+// order, so every condition set observes exactly the same batch prefix
+// it would in a block-order pass, and the valid/invalid partition —
+// and therefore the committed state — is byte-identical to that pass
+// at every worker count (the tests pin it to a block-order reference
+// loop). Across components no condition can observe a difference,
+// because condition sets only consult batch state through the keys the
+// footprint covers.
 package parallel

@@ -197,9 +197,11 @@ func TestMakespanWeighted(t *testing.T) {
 		}
 		return 0
 	}
-	// Sequential: total stale count.
-	if got := p.MakespanWeighted(1, weight); got != 4 {
-		t.Errorf("sequential weighted makespan = %d, want 4", got)
+	// One worker (zero and below alike): total stale count.
+	for _, w := range []int{-1, 0, 1} {
+		if got := p.MakespanWeighted(w, weight); got != 4 {
+			t.Errorf("%d-worker weighted makespan = %d, want 4", w, got)
+		}
 	}
 	// Two workers: chains weigh {1, 2, 1} -> LPT makespan 2.
 	if got := p.MakespanWeighted(2, weight); got != 2 {

@@ -33,19 +33,6 @@ func FootprintOf(t *txn.Transaction) Footprint {
 	return Footprint{Writes: w, Reads: r}
 }
 
-// TouchKeys unions the full footprints (reads and writes) of a batch —
-// the key set a reader presents to the commit fence: any overlap with
-// an in-flight block's write set must wait for the seal.
-func TouchKeys(txs []*txn.Transaction) []string {
-	var keys []string
-	for _, t := range txs {
-		fp := FootprintOf(t)
-		keys = append(keys, fp.Writes...)
-		keys = append(keys, fp.Reads...)
-	}
-	return keys
-}
-
 // Conflicts reports whether the two footprints may not run
 // concurrently: write/write or write/read intersection.
 func (f Footprint) Conflicts(g Footprint) bool {
@@ -251,7 +238,8 @@ func (g *grouper) union(a, b int32) {
 // last; ties keep block order), calling run once per group. run
 // executes each group's members in its own goroutine; members of one
 // group must be processed in the given (block) order by the caller.
-// workers <= 1 runs the groups sequentially in plan order.
+// workers <= 1 runs the groups one after another on the caller's
+// goroutine, in plan order.
 func (p *Plan) RunGroups(workers int, run func(group []int)) {
 	if workers > len(p.Groups) {
 		workers = len(p.Groups)
@@ -287,13 +275,13 @@ func (p *Plan) RunGroups(workers int, run func(group []int)) {
 	wg.Wait()
 }
 
-// TouchKeys unions the plan's full footprints (reads and writes) —
-// the fence key set of a batch whose plan is already built, saving
-// the footprint re-derivation TouchKeys-on-transactions would do.
+// TouchKeys unions the plan's full footprints (reads and writes) — the
+// key set a reader presents to the commit fence: any overlap with an
+// in-flight block's write set must wait for the seal.
 func (p *Plan) TouchKeys() []string { return p.unionKeys(true) }
 
-// WriteKeys unions the plan's write footprints — what WriteKeys on the
-// batch would return, from the footprints already derived.
+// WriteKeys unions the plan's write footprints — the key set a block
+// publishes on the commit fence.
 func (p *Plan) WriteKeys() []string { return p.unionKeys(false) }
 
 func (p *Plan) unionKeys(reads bool) []string {
@@ -328,7 +316,8 @@ func (p *Plan) Largest() int {
 
 // Makespan estimates the parallel validation length in transaction
 // units on w workers: greedy longest-processing-time list scheduling
-// of the conflict groups. With w <= 1 it is the batch size.
+// of the conflict groups. With w <= 1 it is the batch size: one worker
+// runs every group.
 func (p *Plan) Makespan(workers int) int {
 	return p.MakespanWeighted(workers, nil)
 }
@@ -340,31 +329,18 @@ func (p *Plan) Makespan(workers int) int {
 // group's chain for free, so a block of mostly-fresh transactions
 // schedules in the time of its stale remainder.
 func (p *Plan) MakespanWeighted(workers int, weight func(i int) int) int {
-	w := func(i int) int {
-		if weight == nil {
-			return 1
-		}
-		return weight(i)
-	}
-	if workers <= 1 {
-		total := 0
-		for _, g := range p.Groups {
-			for _, i := range g {
-				total += w(i)
-			}
-		}
-		return total
-	}
 	sizes := make([]int, len(p.Groups))
 	for gi, g := range p.Groups {
 		for _, i := range g {
-			sizes[gi] += w(i)
+			if weight == nil {
+				sizes[gi]++
+			} else {
+				sizes[gi] += weight(i)
+			}
 		}
 	}
 	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
-	if workers > len(sizes) {
-		workers = len(sizes)
-	}
+	workers = min(max(workers, 1), len(sizes))
 	if workers == 0 {
 		return 0
 	}
@@ -378,11 +354,5 @@ func (p *Plan) MakespanWeighted(workers int, weight func(i int) int) int {
 		}
 		load[least] += sz
 	}
-	max := 0
-	for _, l := range load {
-		if l > max {
-			max = l
-		}
-	}
-	return max
+	return slices.Max(load)
 }

@@ -11,7 +11,6 @@ import (
 	"smartchaindb/internal/ledger"
 	"smartchaindb/internal/parallel"
 	"smartchaindb/internal/txn"
-	"smartchaindb/internal/txtype"
 	"smartchaindb/internal/validate"
 	"smartchaindb/internal/workload"
 )
@@ -124,8 +123,10 @@ func TestMakespan(t *testing.T) {
 		}
 		return p
 	}
-	if got := mk(4, 4, 4, 4).Makespan(1); got != 16 {
-		t.Errorf("sequential makespan = %d, want 16", got)
+	for _, w := range []int{0, 1} {
+		if got := mk(4, 4, 4, 4).Makespan(w); got != 16 {
+			t.Errorf("%d-worker makespan = %d, want 16", w, got)
+		}
 	}
 	if got := mk(4, 4, 4, 4).Makespan(4); got != 4 {
 		t.Errorf("4-worker makespan = %d, want 4", got)
@@ -241,51 +242,69 @@ func stateDump(t *testing.T, s *ledger.State) map[string]string {
 // --- differential tests ----------------------------------------------
 
 // TestDifferentialSequentialVsParallel is the core equivalence proof:
-// on randomized conflict-heavy batches, the parallel scheduler admits
-// exactly the transactions the sequential pass admits, with the same
-// errors, and committing the result produces byte-identical state.
+// on randomized conflict-heavy batches, the grouped run at 1, 2 and 8
+// workers admits exactly the transactions the block-order reference
+// loop admits, with the same error strings — with and without verdict
+// reuse — and committing the result produces byte-identical state.
 func TestDifferentialSequentialVsParallel(t *testing.T) {
 	reg := validate.NewRegistry()
 	for seed := int64(1); seed <= 8; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			seqState, seqReserved, seqBatch := scenario(t, 3, 5, seed)
-			parState, parReserved, parBatch := scenario(t, 3, 5, seed)
-			if !reflect.DeepEqual(ids(seqBatch), ids(parBatch)) {
-				t.Fatal("scenario construction is not deterministic")
+			refState, reserved, batch := scenario(t, 3, 5, seed)
+			rng := rand.New(rand.NewSource(seed))
+			fresh := make([]bool, len(batch))
+			for i := range fresh {
+				fresh[i] = rng.Intn(3) == 0
 			}
-
-			seq := (&parallel.Scheduler{Workers: 1}).ValidateBatch(reg, seqState, seqReserved, seqBatch)
-			par := (&parallel.Scheduler{Workers: 8}).ValidateBatch(reg, parState, parReserved, parBatch)
-
-			if !reflect.DeepEqual(ids(seq.Valid), ids(par.Valid)) {
-				t.Fatalf("valid sets differ:\n seq=%v\n par=%v", ids(seq.Valid), ids(par.Valid))
-			}
-			if !reflect.DeepEqual(ids(seq.Invalid), ids(par.Invalid)) {
-				t.Fatalf("invalid sets differ:\n seq=%v\n par=%v", ids(seq.Invalid), ids(par.Invalid))
-			}
-			if len(seq.Invalid) == 0 {
-				t.Fatal("scenario should produce at least one invalid transaction")
-			}
-			if len(seq.Valid) == 0 {
-				t.Fatal("scenario should produce valid transactions")
-			}
-			for id := range seq.Errs {
-				if _, ok := par.Errs[id]; !ok {
-					t.Errorf("parallel lost error for %s", id[:8])
+			for _, flags := range [][]bool{nil, fresh} {
+				wantValid, wantInvalid, wantErrs := refValidate(reg, refState, reserved, batch, flags)
+				if flags == nil && (len(wantInvalid) == 0 || len(wantValid) == 0) {
+					t.Fatalf("scenario should produce valid and invalid transactions: %d valid, %d invalid", len(wantValid), len(wantInvalid))
+				}
+				for _, workers := range []int{1, 2, 8} {
+					res := (&parallel.Scheduler{Workers: workers}).ValidateBatch(reg, refState, reserved, batch, nil, flags)
+					if !reflect.DeepEqual(ids(res.Valid), wantValid) {
+						t.Fatalf("workers=%d fresh=%v: valid sets differ:\n got=%v\n ref=%v", workers, flags != nil, ids(res.Valid), wantValid)
+					}
+					if !reflect.DeepEqual(ids(res.Invalid), wantInvalid) {
+						t.Fatalf("workers=%d fresh=%v: invalid sets differ:\n got=%v\n ref=%v", workers, flags != nil, ids(res.Invalid), wantInvalid)
+					}
+					if res.Batch.Len() != len(wantValid) {
+						t.Fatalf("workers=%d fresh=%v: the batch admitted %d transactions, reference %d", workers, flags != nil, res.Batch.Len(), len(wantValid))
+					}
+					for id, want := range wantErrs {
+						if got := res.Errs[id]; got == nil || got.Error() != want {
+							t.Fatalf("workers=%d fresh=%v: tx %.8s error %v, reference %q", workers, flags != nil, id, got, want)
+						}
+					}
 				}
 			}
 
-			// Committing the admitted set must land both states on the
+			// Committing the admitted set must land every state on the
 			// same bytes.
-			if got, _ := seqState.CommitBlock(seq.Valid); len(got) != len(seq.Valid) {
-				t.Fatalf("sequential commit applied %d of %d", len(got), len(seq.Valid))
+			valid, _, _ := refValidate(reg, refState, reserved, batch, nil)
+			commit := func(s *ledger.State, admitted []*txn.Transaction) map[string]string {
+				if got, _ := s.CommitBlock(admitted); len(got) != len(admitted) {
+					t.Fatalf("commit applied %d of %d", len(got), len(admitted))
+				}
+				return stateDump(t, s)
 			}
-			if got, _ := parState.CommitBlock(par.Valid); len(got) != len(par.Valid) {
-				t.Fatalf("parallel commit applied %d of %d", len(got), len(par.Valid))
+			byID := make(map[string]*txn.Transaction, len(batch))
+			for _, tx := range batch {
+				byID[tx.ID] = tx
 			}
-			if !reflect.DeepEqual(stateDump(t, seqState), stateDump(t, parState)) {
-				t.Fatal("committed states diverge")
+			var refAdmitted []*txn.Transaction
+			for _, id := range valid {
+				refAdmitted = append(refAdmitted, byID[id])
+			}
+			want := commit(refState, refAdmitted)
+			for _, workers := range []int{1, 2, 8} {
+				state, reserved, batch := scenario(t, 3, 5, seed)
+				res := (&parallel.Scheduler{Workers: workers}).ValidateBatch(reg, state, reserved, batch, nil, nil)
+				if !reflect.DeepEqual(commit(state, res.Valid), want) {
+					t.Fatalf("workers=%d: committed states diverge", workers)
+				}
 			}
 		})
 	}
@@ -321,7 +340,7 @@ func TestConflictingPairsNeverConcurrent(t *testing.T) {
 			delete(inflight, tx)
 		}
 	}
-	res := sched.ValidateBatch(reg, state, reserved, batch)
+	res := sched.ValidateBatch(reg, state, reserved, batch, nil, nil)
 	if violations != 0 {
 		t.Fatalf("%d conflicting pairs validated concurrently", violations)
 	}
@@ -331,29 +350,15 @@ func TestConflictingPairsNeverConcurrent(t *testing.T) {
 	t.Logf("groups=%d largest=%d maxInflight=%d", res.Groups, res.Largest, maxInflight)
 }
 
-// TestSchedulerMatchesLegacySequentialLoop pins the scheduler's
-// sequential mode to the reference DeliverTx loop the server used
-// before the parallel pipeline existed.
+// TestSchedulerMatchesLegacySequentialLoop pins the zero-value
+// scheduler (one worker) to the reference DeliverTx loop the server
+// used before the parallel pipeline existed.
 func TestSchedulerMatchesLegacySequentialLoop(t *testing.T) {
 	reg := validate.NewRegistry()
 	state, reserved, batch := scenario(t, 2, 4, 5)
+	legacyValid, legacyInvalid, _ := refValidate(reg, state, reserved, batch, nil)
 
-	legacyBatch := txtype.NewBatch()
-	ctx := &txtype.Context{State: state, Reserved: reserved, Batch: legacyBatch}
-	var legacyValid, legacyInvalid []string
-	for _, tx := range batch {
-		if err := reg.Validate(ctx, tx); err != nil {
-			legacyInvalid = append(legacyInvalid, tx.ID)
-			continue
-		}
-		if err := legacyBatch.Add(tx); err != nil {
-			legacyInvalid = append(legacyInvalid, tx.ID)
-			continue
-		}
-		legacyValid = append(legacyValid, tx.ID)
-	}
-
-	res := (&parallel.Scheduler{}).ValidateBatch(reg, state, reserved, batch)
+	res := (&parallel.Scheduler{}).ValidateBatch(reg, state, reserved, batch, nil, nil)
 	if !reflect.DeepEqual(ids(res.Valid), legacyValid) {
 		t.Errorf("valid mismatch:\n got %v\nwant %v", ids(res.Valid), legacyValid)
 	}

@@ -12,6 +12,7 @@ import (
 	"smartchaindb/internal/ledger"
 	"smartchaindb/internal/parallel"
 	"smartchaindb/internal/txn"
+	"smartchaindb/internal/txtype"
 	"smartchaindb/internal/workload"
 )
 
@@ -280,4 +281,30 @@ func TestGroupsDoNotShareCapacity(t *testing.T) {
 	if !reflect.DeepEqual(groups, [][]int{{0, 2}, {1}}) {
 		t.Errorf("appending to a group changed the others: %v", groups)
 	}
+}
+
+// refValidate is the block-order validation loop the scheduler ran
+// when it had a sequential path beside the grouped one (and the server
+// ran before there was a scheduler): one batch, every transaction in
+// block order, fresh ones skipping their condition sets. Kept as the
+// reference the grouped run is pinned to at every worker count.
+func refValidate(reg *txtype.Registry, state txtype.ChainState, reserved txtype.ReservedSet, txs []*txn.Transaction, fresh []bool) (valid, invalid []string, errs map[string]string) {
+	batch := txtype.NewBatch()
+	errs = make(map[string]string)
+	for i, t := range txs {
+		var err error
+		if i >= len(fresh) || !fresh[i] {
+			err = reg.Validate(&txtype.Context{State: state, Reserved: reserved, Batch: batch}, t)
+		}
+		if err == nil {
+			err = batch.Add(t)
+		}
+		if err != nil {
+			invalid = append(invalid, t.ID)
+			errs[t.ID] = err.Error()
+			continue
+		}
+		valid = append(valid, t.ID)
+	}
+	return valid, invalid, errs
 }

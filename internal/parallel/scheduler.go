@@ -5,13 +5,11 @@ import (
 	"smartchaindb/internal/txtype"
 )
 
-// Scheduler validates a block's batch across a worker pool, conflict
-// group by conflict group. The zero value (or Workers <= 1) validates
-// sequentially, which is the reference behaviour the parallel path
-// must reproduce exactly.
+// Scheduler validates a block's batch conflict group by conflict group
+// on a worker pool. Workers <= 1 runs the same groups on the caller's
+// goroutine.
 type Scheduler struct {
-	// Workers is the number of concurrent validation workers. Values
-	// below 2 select the sequential path.
+	// Workers is the number of concurrent validation workers.
 	Workers int
 
 	// Cache is the owning node's canonical-bytes cache scope, threaded
@@ -40,49 +38,33 @@ type Result struct {
 	// contains exactly the transactions in Valid.
 	Batch *txtype.Batch
 	// Groups and Largest describe the conflict plan: the number of
-	// independent groups and the critical-path length. Both are zero
-	// on the sequential path, which never computes a plan.
+	// independent groups and the critical-path length.
 	Groups  int
 	Largest int
 }
 
 // ValidateBatch runs the registry's condition sets over the batch
-// against committed state. Non-conflicting transactions validate
-// concurrently; transactions within one conflict group validate
-// sequentially in block order, so the valid/invalid partition is
-// identical to a fully sequential pass.
-func (s *Scheduler) ValidateBatch(reg *txtype.Registry, state txtype.ChainState, reserved txtype.ReservedSet, txs []*txn.Transaction) *Result {
-	return s.ValidateBatchPlan(reg, state, reserved, txs, nil)
-}
-
-// ValidateBatchPlan is ValidateBatch with a precomputed conflict plan,
-// letting a caller that already planned the block (e.g. to model its
-// validation time) avoid planning it twice. A nil plan is computed on
-// demand; the sequential path never needs one.
-func (s *Scheduler) ValidateBatchPlan(reg *txtype.Registry, state txtype.ChainState, reserved txtype.ReservedSet, txs []*txn.Transaction, plan *Plan) *Result {
-	return s.ValidateBatchFresh(reg, state, reserved, txs, plan, nil)
-}
-
-// ValidateBatchFresh is ValidateBatchPlan with verdict reuse: fresh[i]
-// marks a transaction whose admission verdict (computed against
-// committed state, and not conflicted by any commit since) still
-// stands. Fresh transactions skip their semantic condition sets and
-// only re-run the structural batch admission — duplicate and
-// intra-block double-spend checks — so the valid/invalid partition is
-// identical to a full pass whenever the freshness flags are sound. A
-// nil fresh validates everything.
-func (s *Scheduler) ValidateBatchFresh(reg *txtype.Registry, state txtype.ChainState, reserved txtype.ReservedSet, txs []*txn.Transaction, plan *Plan, fresh []bool) *Result {
-	parallelPath := s.Workers > 1
-	if parallelPath && plan == nil {
+// against committed state, one conflict group per task on the worker
+// pool; transactions within one group validate in block order, so the
+// valid/invalid partition is identical to a block-order pass. plan is
+// BuildPlan of exactly txs (nil plans on demand).
+//
+// fresh[i] marks a transaction whose admission verdict (computed
+// against committed state, and not conflicted by any commit since)
+// still stands. Fresh transactions skip their semantic condition sets
+// and only re-run the structural batch admission — duplicate and
+// intra-block double-spend checks — so the partition is identical to a
+// full pass whenever the freshness flags are sound. A nil fresh
+// validates everything.
+func (s *Scheduler) ValidateBatch(reg *txtype.Registry, state txtype.ChainState, reserved txtype.ReservedSet, txs []*txn.Transaction, plan *Plan, fresh []bool) *Result {
+	if plan == nil {
 		plan = BuildPlan(txs)
 	}
 	res := &Result{
-		Errs:  make(map[string]error),
-		Batch: txtype.NewBatch(),
-	}
-	if plan != nil {
-		res.Groups = len(plan.Groups)
-		res.Largest = plan.Largest()
+		Errs:    make(map[string]error),
+		Batch:   txtype.NewBatch(),
+		Groups:  len(plan.Groups),
+		Largest: plan.Largest(),
 	}
 	errAt := make([]error, len(txs))
 	validate := func(i int) {
@@ -104,18 +86,11 @@ func (s *Scheduler) ValidateBatchFresh(reg *txtype.Registry, state txtype.ChainS
 			errAt[i] = err
 		}
 	}
-
-	if parallelPath && len(plan.Groups) > 1 {
-		plan.RunGroups(s.Workers, func(g []int) {
-			for _, i := range g {
-				validate(i)
-			}
-		})
-	} else {
-		for i := range txs {
+	plan.RunGroups(s.Workers, func(g []int) {
+		for _, i := range g {
 			validate(i)
 		}
-	}
+	})
 
 	for i, t := range txs {
 		if errAt[i] != nil {

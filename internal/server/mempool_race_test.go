@@ -55,7 +55,6 @@ func TestMempoolAdmissionRace(t *testing.T) {
 		BatchSize:   16,
 		Policy:      mempool.PackMakespan,
 		PackWorkers: 4,
-		Footprint:   mempool.ForTransaction,
 		Check: func(txs []mempool.Tx) map[string]error {
 			batch := make([]consensus.Tx, len(txs))
 			for i, tx := range txs {

@@ -38,30 +38,26 @@ type Config struct {
 	// ValidationTimePerTx is the simulated per-transaction cost of the
 	// DeliverTx-stage block validation.
 	ValidationTimePerTx time.Duration
-	// ParallelWorkers selects the dependency-aware parallel validation
-	// pipeline for DeliverTx-stage block checks: a block's batch is
-	// partitioned into conflict groups from the transactions'
-	// declarative footprints and non-conflicting groups validate
-	// concurrently. Values below 2 keep the sequential path. The
-	// valid/invalid partition is identical either way; only the
-	// validation latency changes.
+	// ParallelWorkers is the worker count of the DeliverTx-stage block
+	// check: a block's batch is partitioned into conflict groups from
+	// the transactions' declarative footprints and the groups validate
+	// on this many workers (values below 2: one after another on the
+	// caller's goroutine). The valid/invalid partition is identical at
+	// every count; only the validation latency changes.
 	ParallelWorkers int
 	// AdmissionWorkers does the same for the CheckTx-stage receiver
 	// path: incoming transactions are admitted in batches, and one
-	// batch's schema + semantic validation is dispatched over the
-	// conflict-group scheduler on this many workers, with
-	// per-transaction verdicts. Values below 2 validate each batch
-	// sequentially (still batched, still index-screened).
+	// batch's signatures and semantic validation run on this many
+	// workers, with per-transaction verdicts.
 	AdmissionWorkers int
 	// MempoolBatch caps one admission batch (default 64). Arrivals
 	// while the receiver is busy accumulate up to this size into the
 	// next batch.
 	MempoolBatch int
 	// CommitWorkers is the ledger block commit's stage parallelism:
-	// the block's conflict groups stage concurrently on this many
-	// workers and seal in block order as one WAL group. Values below 2
-	// stage the batch sequentially. State bytes are identical either
-	// way.
+	// the block's conflict groups stage on this many workers (values
+	// below 2: one after another) and seal in block order as one WAL
+	// group. State bytes are identical at every count.
 	CommitWorkers int
 	// CommitDepth says where a decided block's commit runs. 1 (the
 	// zero value): the consensus engine joins the commit at once and
@@ -300,7 +296,7 @@ func (n *Node) ValidateTx(t *txn.Transaction) error {
 	if err := n.schemas.ValidateTx(t); err != nil {
 		return err
 	}
-	n.waitFence(parallel.TouchKeys([]*txn.Transaction{t}))
+	n.waitFence(parallel.BuildPlan([]*txn.Transaction{t}).TouchKeys())
 	ctx := &txtype.Context{State: n.state.View(), Reserved: n.reserved, Cache: n.cache}
 	return n.types.Validate(ctx, t)
 }
@@ -388,10 +384,10 @@ func (n *Node) CheckTxBatch(txs []consensus.Tx) map[string]error {
 		batch = append(batch, t)
 	}
 	if !n.cfg.DisableAdmissionFastPath && len(batch) > 0 {
-		// Verify the whole batch's fulfillments as one unit: identical
-		// (pub, payload) pairs — a multi-input transaction signs its one
-		// payload once per input — collapse to a single ed25519 check,
-		// and distinct checks fan out over the admission workers. The
+		// Verify the batch's fulfillments up front, one transaction per
+		// task on the admission workers; within a transaction identical
+		// (pub, sig) pairs — a multi-input transaction signs its one
+		// payload once per input — cost a single ed25519 check. The
 		// verdicts are deliberately NOT authoritative: successes are
 		// memoized on the transactions so the condition sets below serve
 		// the signature condition in O(1), while a failed transaction
@@ -402,21 +398,16 @@ func (n *Node) CheckTxBatch(txs []consensus.Tx) map[string]error {
 		_, stats := n.cache.VerifyFulfillmentsBatch(batch, n.cfg.AdmissionWorkers)
 		n.observeFastPath(stats)
 	}
-	sched := &parallel.Scheduler{Workers: n.cfg.AdmissionWorkers, Cache: n.cache}
-	var plan *parallel.Plan
-	if n.cfg.AdmissionWorkers > 1 && len(batch) > 1 {
-		// The plan doubles as the fence key source, so the batch's
-		// footprints are derived once, not once per consumer.
-		plan = parallel.BuildPlan(batch)
-		n.waitFence(plan.TouchKeys())
-	} else {
-		n.waitFence(parallel.TouchKeys(batch))
-	}
+	// The plan doubles as the fence key source, so the batch's
+	// footprints are derived once, not once per consumer.
+	plan := parallel.BuildPlan(batch)
+	n.waitFence(plan.TouchKeys())
 	// One snapshot for the whole batch: every worker's condition set
 	// reads the same sealed height (the one the fence wait just
 	// guaranteed covers the batch's footprints), so the verdict set is
 	// deterministic even with commits racing in the background.
-	res := sched.ValidateBatchPlan(n.types, n.state.View(), n.reserved, batch, plan)
+	sched := &parallel.Scheduler{Workers: n.cfg.AdmissionWorkers, Cache: n.cache}
+	res := sched.ValidateBatch(n.types, n.state.View(), n.reserved, batch, plan, nil)
 	for id, err := range res.Errs {
 		errs[id] = err
 	}
@@ -427,17 +418,13 @@ func (n *Node) CheckTxBatch(txs []consensus.Tx) map[string]error {
 }
 
 // ReceiverBatchTime reports the simulated receiver cost of one batched
-// admission. With AdmissionWorkers > 1 it is the makespan of the
-// batch's conflict groups on the admission pool — the simulated
-// counterpart of the wall-clock speedup CheckTxBatch gets from the
-// scheduler; otherwise the per-transaction sum, identical to admitting
-// one at a time.
+// admission: the makespan of the batch's conflict groups on the
+// admission pool — the simulated counterpart of the wall-clock speedup
+// CheckTxBatch gets from the scheduler. On one worker it is the
+// per-transaction sum, identical to admitting one at a time.
 func (n *Node) ReceiverBatchTime(txs []consensus.Tx) time.Duration {
-	if w := n.cfg.AdmissionWorkers; w > 1 && len(txs) > 1 {
-		span := parallel.BuildPlan(asTransactions(txs)).Makespan(w)
-		return time.Duration(span) * n.cfg.ReceiverTime
-	}
-	return time.Duration(len(txs)) * n.cfg.ReceiverTime
+	span := parallel.BuildPlan(asTransactions(txs)).Makespan(n.cfg.AdmissionWorkers)
+	return time.Duration(span) * n.cfg.ReceiverTime
 }
 
 // ValidateBlock is ValidateBlockFresh with no verdict to reuse: every
@@ -448,10 +435,10 @@ func (n *Node) ValidateBlock(txs []consensus.Tx) []consensus.Tx {
 
 // ValidateBlockFresh re-validates a proposed block with intra-block
 // conflict detection (the CurrentTxs context of Algorithms 2–3) and
-// returns the transactions that must not be included. With
-// ParallelWorkers > 1 the batch is validated by the dependency-aware
-// parallel scheduler; transactions in one conflict group keep block
-// order, so the result is identical to the sequential pass.
+// returns the transactions that must not be included. The batch is
+// validated by the dependency-aware scheduler on ParallelWorkers
+// workers; transactions in one conflict group keep block order, so the
+// result is identical to a block-order pass.
 // Transactions flagged fresh skip their semantic condition sets —
 // their admission verdict was proven against committed state and
 // nothing committed since has written into their footprints — and
@@ -461,19 +448,13 @@ func (n *Node) ValidateBlock(txs []consensus.Tx) []consensus.Tx {
 // touch.
 func (n *Node) ValidateBlockFresh(txs []consensus.Tx, fresh []bool) []consensus.Tx {
 	batch, freshBatch := asTransactionsFresh(txs, fresh)
-	var plan *parallel.Plan
-	var fenceD time.Duration
-	if n.cfg.ParallelWorkers > 1 {
-		plan = n.planFor(batch)
-		fenceD = n.waitFence(plan.TouchKeys())
-	} else {
-		fenceD = n.waitFence(parallel.TouchKeys(batch))
-	}
+	plan := n.planFor(batch)
+	fenceD := n.waitFence(plan.TouchKeys())
 	if n.ob.tracer != nil {
 		n.ob.tracer.ObserveEach(n.batchIDs(batch), obs.StageFenceWait, fenceD)
 	}
 	validateT := time.Now()
-	res := n.sched.ValidateBatchFresh(n.types, n.state.View(), n.reserved, batch, plan, freshBatch)
+	res := n.sched.ValidateBatch(n.types, n.state.View(), n.reserved, batch, plan, freshBatch)
 	n.observeValidation(batch, res, time.Since(validateT))
 	rejected := make(map[*txn.Transaction]bool, len(res.Invalid))
 	for _, t := range res.Invalid {
@@ -489,12 +470,12 @@ func (n *Node) ValidateBlockFresh(txs []consensus.Tx, fresh []bool) []consensus.
 	return invalid
 }
 
-// ValidationTimeFresh reports the simulated block validation cost.
-// Under parallel validation the cost is the makespan of scheduling the
-// block's conflict groups on the worker pool rather than the batch
-// size — the simulated counterpart of the wall-clock speedup. Fresh
-// transactions cost nothing (their semantic checks are skipped), so
-// the block's cost is the weighted makespan of its stale remainder.
+// ValidationTimeFresh reports the simulated block validation cost: the
+// makespan of scheduling the block's conflict groups on the worker
+// pool — the simulated counterpart of the wall-clock speedup; on one
+// worker, the batch size. Fresh transactions cost nothing (their
+// semantic checks are skipped), so the block's cost is the weighted
+// makespan of its stale remainder.
 func (n *Node) ValidationTimeFresh(txs []consensus.Tx, fresh []bool) time.Duration {
 	batch, freshBatch := asTransactionsFresh(txs, fresh)
 	weight := func(i int) int {
@@ -503,15 +484,8 @@ func (n *Node) ValidationTimeFresh(txs []consensus.Tx, fresh []bool) time.Durati
 		}
 		return 1
 	}
-	if n.cfg.ParallelWorkers > 1 {
-		span := n.planFor(batch).MakespanWeighted(n.cfg.ParallelWorkers, weight)
-		return time.Duration(span) * n.cfg.ValidationTimePerTx
-	}
-	stale := 0
-	for i := range batch {
-		stale += weight(i)
-	}
-	return time.Duration(stale) * n.cfg.ValidationTimePerTx
+	span := n.planFor(batch).MakespanWeighted(n.cfg.ParallelWorkers, weight)
+	return time.Duration(span) * n.cfg.ValidationTimePerTx
 }
 
 // planFor returns the conflict plan for a batch, reusing the last
@@ -643,10 +617,6 @@ func (n *Node) CommitTime(txs []consensus.Tx) time.Duration {
 	if n.cfg.CommitTimePerTx <= 0 {
 		return 0
 	}
-	batch := asTransactions(txs)
-	if w := n.cfg.CommitWorkers; w > 1 {
-		span := n.planFor(batch).Makespan(w)
-		return time.Duration(span) * n.cfg.CommitTimePerTx
-	}
-	return time.Duration(len(batch)) * n.cfg.CommitTimePerTx
+	span := n.planFor(asTransactions(txs)).Makespan(n.cfg.CommitWorkers)
+	return time.Duration(span) * n.cfg.CommitTimePerTx
 }

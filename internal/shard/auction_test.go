@@ -5,22 +5,38 @@ import (
 	"os"
 	"testing"
 
+	"smartchaindb/internal/keys"
 	"smartchaindb/internal/ledger"
 	"smartchaindb/internal/txn"
 	"smartchaindb/internal/workload"
 )
 
 // auctionOn builds a three-bidder auction whose transactions all land
-// on the cluster's last shard: Place homes the input-less REQUEST and
-// CREATEs there, and the BIDs, the ACCEPT_BID and its children follow
-// their inputs.
-func auctionOn(c *Cluster) *workload.AuctionGroup {
+// on shard home: the input-less REQUEST and CREATEs carry its shard
+// hint, and the BIDs, the ACCEPT_BID and its children follow their
+// inputs.
+func auctionOn(t *testing.T, c *Cluster, home int) *workload.AuctionGroup {
+	t.Helper()
 	gen := workload.NewGenerator(41, c.Shard(0).Node.Escrow())
-	return gen.NewAuctionGroup(0, workload.AuctionGroupSpec{BiddersPerAuction: 3})
-}
-
-func placeLast(shards int) func(*txn.Transaction) int {
-	return func(*txn.Transaction) int { return shards - 1 }
+	data := func() map[string]any { return map[string]any{"capabilities": []any{"3d-printing", "cnc-milling"}} }
+	hint := func() map[string]any { return map[string]any{MetaShardHint: float64(home)} }
+	sign := func(tx *txn.Transaction, by *keys.KeyPair) *txn.Transaction {
+		if err := txn.Sign(tx, by); err != nil {
+			t.Fatal(err)
+		}
+		return tx
+	}
+	grp := &workload.AuctionGroup{Requester: gen.Account(0)}
+	grp.Request = sign(txn.NewRequest(grp.Requester.PublicBase58(), data(), hint()), grp.Requester)
+	for i := 1; i <= 3; i++ {
+		bidder := gen.Account(i)
+		asset := sign(txn.NewCreate(bidder.PublicBase58(), data(), 1, hint()), bidder)
+		grp.Bidders = append(grp.Bidders, bidder)
+		grp.Creates = append(grp.Creates, asset)
+		grp.Bids = append(grp.Bids, gen.Bid(bidder, asset, grp.Request, 0))
+	}
+	grp.Accept = gen.Accept(grp.Requester, grp.Request, grp.Bids[0], grp.Bids[1:])
+	return grp
 }
 
 // requireSettled fails unless the ACCEPT_BID committed on shard home
@@ -63,8 +79,8 @@ func requireSettled(t *testing.T, c *Cluster, grp *workload.AuctionGroup, home i
 func TestAuctionSettlesOnShard(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			c := newTestCluster(t, Config{Shards: shards, Place: placeLast(shards)})
-			grp := auctionOn(c)
+			c := newTestCluster(t, Config{Shards: shards})
+			grp := auctionOn(t, c, shards-1)
 			submitDrain(t, c, append([]*txn.Transaction{grp.Request}, grp.Creates...)...)
 			submitDrain(t, c, grp.Bids...)
 			submitDrain(t, c, grp.Accept)
@@ -80,13 +96,13 @@ func TestAuctionSettlesOnShard(t *testing.T) {
 // settle the auction.
 func TestAuctionChildrenReplayAfterCrash(t *testing.T) {
 	dir := t.TempDir()
-	cfg := Config{Shards: 2, DataDir: dir, Place: placeLast(2)}
+	cfg := Config{Shards: 2, DataDir: dir}
 	cfg.Node.NoSync = true
 	c, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	grp := auctionOn(c)
+	grp := auctionOn(t, c, 1)
 	submitDrain(t, c, append([]*txn.Transaction{grp.Request}, grp.Creates...)...)
 	submitDrain(t, c, grp.Bids...)
 	if errs := c.SubmitBatch([]*txn.Transaction{grp.Accept}); len(errs) != 0 {

@@ -134,7 +134,7 @@ func (c *Cluster) RouteOf(t *txn.Transaction) (Route, error) {
 		if len(refs) > 0 {
 			home = inputHome[0]
 		} else {
-			home = c.place(t)
+			home = placeByHash(t, len(c.shards))
 		}
 	}
 	seen := map[int]bool{home: true}

@@ -30,9 +30,6 @@ type Config struct {
 	DataDir string
 	// MempoolBatch caps one admission batch per shard pool.
 	MempoolBatch int
-	// Place overrides the placement of transactions with no spent
-	// inputs and no shard hint (default: hash of the transaction ID).
-	Place func(t *txn.Transaction) int
 	// ObsFor, when set, supplies each shard's observability registry;
 	// per-shard registries keep every shard's metrics separable (the
 	// ops endpoint serves them under shard labels). Nil entries keep
@@ -183,16 +180,6 @@ func (c *Cluster) Shard(i int) *Shard { return c.shards[i] }
 
 // Directory exposes the routing directory.
 func (c *Cluster) Directory() *Directory { return c.dir }
-
-// place applies the configured placement for input-less transactions.
-func (c *Cluster) place(t *txn.Transaction) int {
-	if c.cfg.Place != nil {
-		if s := c.cfg.Place(t); s >= 0 && s < len(c.shards) {
-			return s
-		}
-	}
-	return placeByHash(t, len(c.shards))
-}
 
 // rebuildDirectory scans every shard's transaction log into the
 // routing directory — the open-time ground truth rebuild.

@@ -197,15 +197,16 @@ func TestPlacementDefaultInRange(t *testing.T) {
 	}
 }
 
+// TestPlaceOverride: a shard hint overrides the hash placement of a
+// transaction with no spent inputs, whichever shard the hash picks.
 func TestPlaceOverride(t *testing.T) {
-	c := newTestCluster(t, Config{Shards: 2, Place: func(*txn.Transaction) int { return 1 }})
+	c := newTestCluster(t, Config{Shards: 2})
 	alice := kp(1)
-	cr := txn.NewCreate(alice.PublicBase58(), map[string]any{"k": "v"}, 5, nil)
-	if err := txn.Sign(cr, alice); err != nil {
-		t.Fatal(err)
-	}
-	if r, err := c.RouteOf(cr); err != nil || r.Home != 1 {
-		t.Fatalf("Place override route = %+v, %v", r, err)
+	for home := range 2 {
+		cr := mkCreate(t, alice, 5, home)
+		if r, err := c.RouteOf(cr); err != nil || r.Home != home || r.Cross() {
+			t.Fatalf("hinted to shard %d: route = %+v, %v", home, r, err)
+		}
 	}
 }
 

@@ -271,7 +271,8 @@ func TestScopesCoexist(t *testing.T) {
 
 // --- batched fulfillment verification -------------------------------
 
-// batchCase builds transactions covering every verifyInput branch.
+// batchCase builds transactions covering every branch of an input's
+// check.
 func batchCase(t *testing.T) []*Transaction {
 	t.Helper()
 	a := keys.DeterministicKeyPair(31)
@@ -299,10 +300,6 @@ func batchCase(t *testing.T) []*Transaction {
 	forged.Inputs[0].Fulfillment = c.Sign(forged.SigningPayload())
 	forged.Inputs[1].Fulfillment = forged.Inputs[0].Fulfillment
 	ts = append(ts, forged)
-	// Missing fulfillment.
-	miss := tr1.Clone()
-	miss.Inputs[1].Fulfillment = ""
-	ts = append(ts, miss)
 	// Multisig missing one owner's signature.
 	half := m.Clone()
 	halfPayload := half.SigningPayload()
@@ -312,50 +309,32 @@ func batchCase(t *testing.T) []*Transaction {
 	multiOwner := tr1.Clone()
 	multiOwner.Inputs[0].OwnersBefore = []string{a.PublicBase58(), b.PublicBase58()}
 	ts = append(ts, multiOwner)
+	// Missing fulfillment (the last of four failing transactions that
+	// share tr1's ID: the batch reports the first one's error).
+	miss := tr1.Clone()
+	miss.Inputs[1].Fulfillment = ""
+	ts = append(ts, miss)
 	return ts
 }
 
-// TestVerifyFulfillmentsBatchDifferential pins the batched verifier to
-// the per-transaction one: same verdicts, same error strings, across
-// worker counts, on cold clones each round.
+// TestVerifyFulfillmentsBatchDifferential pins the per-transaction
+// verifier and the batch to the reference over every branch of an
+// input's check (CheckVerifyDifferential: same verdicts, same error
+// strings, same accounting, at 1, 2 and 8 workers), and checks that
+// the batch memoizes its successes as the per-transaction path does.
 func TestVerifyFulfillmentsBatchDifferential(t *testing.T) {
 	base := batchCase(t)
-	want := make(map[string]string)
-	for _, tx := range base {
-		c := tx.Clone()
-		if err := VerifyFulfillments(c); err != nil {
-			want[c.ID] = err.Error()
-		}
+	if st := CheckVerifyDifferential(t, base); st.Sig.DedupHits == 0 {
+		t.Fatalf("no dedup hits on a multi-input batch: %+v", st)
 	}
-	for _, workers := range []int{1, 4} {
-		fresh := make([]*Transaction, len(base))
-		for i, tx := range base {
-			fresh[i] = tx.Clone()
+	fresh := cold(base)
+	errs, _ := VerifyFulfillmentsBatch(fresh, 4)
+	for _, tx := range fresh {
+		if _, bad := errs[tx.ID]; bad {
+			continue
 		}
-		errs, stats := VerifyFulfillmentsBatch(fresh, workers)
-		if len(errs) != len(want) {
-			t.Fatalf("workers=%d: %d errors, want %d: %v", workers, len(errs), len(want), errs)
-		}
-		for id, msg := range want {
-			got, ok := errs[id]
-			if !ok {
-				t.Fatalf("workers=%d: tx %.8s should fail with %q", workers, id, msg)
-			}
-			if got.Error() != msg {
-				t.Fatalf("workers=%d: tx %.8s error = %q, want %q", workers, id, got.Error(), msg)
-			}
-		}
-		if stats.Sig.DedupHits == 0 {
-			t.Fatalf("workers=%d: no dedup hits on a multi-input batch: %+v", workers, stats)
-		}
-		// Successes are memoized exactly like the per-tx path.
-		for _, tx := range fresh {
-			if _, bad := errs[tx.ID]; bad {
-				continue
-			}
-			if !tx.sigVerified(nil) {
-				t.Fatalf("workers=%d: passing tx %.8s not memoized", workers, tx.ID)
-			}
+		if !tx.sigVerified(nil) {
+			t.Fatalf("passing tx %.8s not memoized", tx.ID)
 		}
 	}
 }

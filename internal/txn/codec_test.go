@@ -18,26 +18,7 @@ import (
 // the nested children, and hand-built transactions for each rule the
 // JSON round trip applied silently.
 func corpus() []*txn.Transaction {
-	escrow := keys.DeterministicKeyPair(7)
-	g := workload.NewGenerator(11, escrow)
-	var txs []*txn.Transaction
-	for i, payload := range []int{0, 100, 1024} {
-		grp := g.NewAuctionGroup(i*8, workload.AuctionGroupSpec{BiddersPerAuction: 3, PayloadBytes: payload})
-		txs = append(txs, grp.Request, grp.Accept)
-		txs = append(txs, grp.Creates...)
-		txs = append(txs, grp.Bids...)
-
-		ret := txn.NewReturn(escrow.PublicBase58(), grp.Accept.ID, 1, grp.Bidders[0].PublicBase58(), 1, grp.Creates[0].ID, nil)
-		if err := txn.Sign(ret, escrow); err != nil {
-			panic(err)
-		}
-		withChildren := grp.Accept.Clone()
-		withChildren.Children = []string{ret.ID}
-		txs = append(txs, ret, withChildren)
-	}
-
-	fund, fanIn := workload.FanIn(g.Account(90), g.Account(91).PublicBase58(), 3, 4)
-	txs = append(txs, fund, fanIn)
+	txs := generated()
 
 	hand := func(mut func(t *txn.Transaction)) {
 		t := txn.NewTransfer("a<s&s>et ",
@@ -108,6 +89,30 @@ func corpus() []*txn.Transaction {
 		}
 	})
 	return txs
+}
+
+// generated is the corpus's share built by internal/workload: every
+// generator at three payload sizes, the nested children, and a fan-in.
+func generated() []*txn.Transaction {
+	escrow := keys.DeterministicKeyPair(7)
+	g := workload.NewGenerator(11, escrow)
+	var txs []*txn.Transaction
+	for i, payload := range []int{0, 100, 1024} {
+		grp := g.NewAuctionGroup(i*8, workload.AuctionGroupSpec{BiddersPerAuction: 3, PayloadBytes: payload})
+		txs = append(txs, grp.Request, grp.Accept)
+		txs = append(txs, grp.Creates...)
+		txs = append(txs, grp.Bids...)
+
+		ret := txn.NewReturn(escrow.PublicBase58(), grp.Accept.ID, 1, grp.Bidders[0].PublicBase58(), 1, grp.Creates[0].ID, nil)
+		if err := txn.Sign(ret, escrow); err != nil {
+			panic(err)
+		}
+		withChildren := grp.Accept.Clone()
+		withChildren.Children = []string{ret.ID}
+		txs = append(txs, ret, withChildren)
+	}
+	fund, fanIn := workload.FanIn(g.Account(90), g.Account(91).PublicBase58(), 3, 4)
+	return append(txs, fund, fanIn)
 }
 
 func mustRef[T any](v T, err error) T {
@@ -371,4 +376,35 @@ func FuzzTxnCodec(f *testing.F) {
 		}
 		checkFromDoc(t, doc)
 	})
+}
+
+// TestVerifyFulfillmentsMatchesReferenceOnCorpus runs the verifier
+// differential (txn.CheckVerifyDifferential) over every generator in
+// internal/workload, and shows that deduplication across transactions
+// of different IDs finds nothing on what they build: the triples a
+// whole-batch dedup sees collapse exactly as far as each transaction's
+// own pairs do. (An ACCEPT_BID and its copy with children share an ID
+// and a payload; only one of them is counted.)
+func TestVerifyFulfillmentsMatchesReferenceOnCorpus(t *testing.T) {
+	all := generated()
+	st := txn.CheckVerifyDifferential(t, all)
+	if st.Sig.DedupHits == 0 {
+		t.Fatalf("the corpus has a fan-in, yet no dedup hits: %+v", st)
+	}
+	var valid []*txn.Transaction
+	seen := make(map[string]bool)
+	for _, tx := range all {
+		if !seen[tx.ID] && txn.VerifyFulfillments(tx.Clone()) == nil {
+			seen[tx.ID] = true
+			valid = append(valid, tx)
+		}
+	}
+	_, per := txn.RefVerifyFulfillmentsBatch(valid)
+	tasks, unique := txn.RefBatchTriples(valid)
+	if tasks != per.Sig.Tasks || unique != per.Sig.Unique {
+		t.Fatalf("whole-batch triples %d/%d unique, per-transaction pairs %d/%d", tasks, unique, per.Sig.Tasks, per.Sig.Unique)
+	}
+	if len(valid) < len(all)/2 {
+		t.Fatalf("only %d of %d corpus transactions verify", len(valid), len(all))
+	}
 }

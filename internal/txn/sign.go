@@ -1,8 +1,11 @@
 package txn
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"smartchaindb/internal/keys"
 )
@@ -64,17 +67,136 @@ func (sc *CacheScope) VerifyFulfillments(t *Transaction) error {
 	if t.sigVerified(sc) {
 		return nil
 	}
+	_, err := sc.verifyFulfillments(t)
+	return err
+}
+
+// SigStats is the signature accounting of a verification.
+type SigStats struct {
+	// Tasks is the number of signatures presented by the inputs
+	// checked — every input of a passing transaction, those up to the
+	// failing one otherwise: one per single-signature input, one per
+	// multisig entry. A fulfillment that does not parse presents none.
+	Tasks int
+	// Unique is the number of distinct (pub, sig) pairs among them —
+	// each costs at most one ed25519 check.
+	Unique int
+	// DedupHits is Tasks - Unique: signatures answered by an equal
+	// pair of the same transaction.
+	DedupHits int
+}
+
+// verifyFulfillments is VerifyFulfillments past the memo lookup,
+// returning the signature accounting. A transaction signs one payload,
+// so within it equal (pub, sig) pairs — a K-input fan-in signed by one
+// key presents K — are one check: each distinct pair is verified at
+// most once. Across transactions no pair repeats: an ID is the SHA3 of
+// the signing payload, so two transactions with different IDs never
+// sign the same bytes.
+func (sc *CacheScope) verifyFulfillments(t *Transaction) (SigStats, error) {
 	if !t.verifyID(sc) {
-		return &ValidationError{Op: t.Operation, Reason: "transaction id does not match payload"}
+		return SigStats{}, &ValidationError{Op: t.Operation, Reason: "transaction id does not match payload"}
 	}
 	payload := t.signingPayload(sc)
+	var pairs sigPairs
 	for i, in := range t.Inputs {
-		if err := verifyInput(in, payload); err != nil {
-			return &ValidationError{Op: t.Operation, Reason: fmt.Sprintf("input %d: %v", i, err)}
+		if err := pairs.verifyInput(in, payload); err != nil {
+			return pairs.stats(), &ValidationError{Op: t.Operation, Reason: fmt.Sprintf("input %d: %v", i, err)}
 		}
 	}
 	t.markSigVerified(sc)
+	return pairs.stats(), nil
+}
+
+// sigPairs holds a transaction's signatures: every one presented so
+// far (tasks) and the distinct (pub, sig) pairs among them with each
+// one's verdict once checked. A transaction presents few distinct
+// pairs, so a scan beats a map.
+type sigPairs struct {
+	tasks    int
+	distinct []sigPair
+}
+
+type sigPair struct {
+	pub, sig string
+	checked  bool
+	ok       bool
+}
+
+// verifyInput checks one input's fulfillment: a single signature by
+// its one previous owner, or a multisig in which every previous owner
+// signed and whose valid entries meet its threshold.
+func (p *sigPairs) verifyInput(in *Input, payload []byte) error {
+	if in.Fulfillment == "" {
+		return errors.New("missing fulfillment")
+	}
+	if !strings.HasPrefix(in.Fulfillment, "ms:") {
+		if len(in.OwnersBefore) != 1 {
+			return fmt.Errorf("single signature but %d owners", len(in.OwnersBefore))
+		}
+		pub := in.OwnersBefore[0]
+		if !p.valid(p.add(pub, in.Fulfillment), payload) {
+			return fmt.Errorf("invalid signature from owner %s", abbrev(pub))
+		}
+		return nil
+	}
+	ms, err := keys.ParseMultiSig(in.Fulfillment)
+	if err != nil {
+		return err
+	}
+	entry := make(map[string]int, len(ms.Sigs)) // pub → pair index
+	for pub, sig := range ms.Sigs {
+		entry[pub] = p.add(pub, sig)
+	}
+	for _, pub := range in.OwnersBefore {
+		e, ok := entry[pub]
+		if !ok || !p.valid(e, payload) {
+			return fmt.Errorf("missing or invalid signature from owner %s", abbrev(pub))
+		}
+	}
+	valid := 0
+	for _, e := range entry {
+		if valid == ms.Threshold {
+			break
+		}
+		if p.valid(e, payload) {
+			valid++
+		}
+	}
+	if valid < ms.Threshold {
+		return errors.New("multisig threshold not met")
+	}
 	return nil
+}
+
+// add records one presented signature and returns its pair's index.
+func (p *sigPairs) add(pub, sig string) int {
+	p.tasks++
+	for i, e := range p.distinct {
+		if e.pub == pub && e.sig == sig {
+			return i
+		}
+	}
+	p.distinct = append(p.distinct, sigPair{pub: pub, sig: sig})
+	return len(p.distinct) - 1
+}
+
+// valid reports whether pair i verifies over payload, checking it on
+// first ask only.
+func (p *sigPairs) valid(i int, payload []byte) bool {
+	e := &p.distinct[i]
+	if !e.checked {
+		e.checked, e.ok = true, verifySig(e.sig, e.pub, payload)
+	}
+	return e.ok
+}
+
+// verifySig is the ed25519 check every fulfillment comes down to;
+// tests count the checks a verification makes through it.
+var verifySig = keys.Verify
+
+func (p *sigPairs) stats() SigStats {
+	return SigStats{Tasks: p.tasks, Unique: len(p.distinct), DedupHits: p.tasks - len(p.distinct)}
 }
 
 // BatchVerifyStats reports what one VerifyFulfillmentsBatch run did.
@@ -82,22 +204,19 @@ type BatchVerifyStats struct {
 	// Reused counts transactions skipped entirely because their
 	// verdict was already memoized from an earlier verification.
 	Reused int
-	// Sig is the signature-level accounting from keys.VerifyBatch.
-	Sig keys.BatchStats
+	// Sig sums the signature accounting of the transactions verified.
+	Sig SigStats
 }
 
 // VerifyFulfillmentsBatch verifies the fulfillments of a whole
-// admission batch as one unit: every transaction's ID check runs
-// first (memoizing its signing payload as a side effect), then all
-// signature triples are collected into a single keys.VerifyBatch
-// call — deduplicating the identical (pub, payload) pairs a
-// multi-input transaction signs once per input — and verified across
-// up to workers goroutines. Per-transaction verdicts match calling
-// VerifyFulfillments on each transaction (pinned by a differential
-// test); successes are memoized the same way. The errs map carries an
-// entry only for failing transaction IDs; duplicate IDs in the batch
-// share one verdict. The free function runs under the package default
-// cache scope.
+// admission batch: VerifyFulfillments on each transaction, the
+// transactions spread over up to workers goroutines (workers <= 1:
+// one after another on the caller's). Verdicts, error strings and
+// memoized successes are VerifyFulfillments'; the errs map carries an
+// entry only for failing transaction IDs, and when several
+// transactions of the batch share an ID the first failing one's error
+// stands. The free function runs under the package default cache
+// scope.
 func VerifyFulfillmentsBatch(ts []*Transaction, workers int) (errs map[string]error, stats BatchVerifyStats) {
 	return (*CacheScope)(nil).VerifyFulfillmentsBatch(ts, workers)
 }
@@ -107,177 +226,59 @@ func VerifyFulfillmentsBatch(ts []*Transaction, workers int) (errs map[string]er
 // never reuses memoized verdicts, so Reused stays 0 and every
 // signature is re-checked.
 func (sc *CacheScope) VerifyFulfillmentsBatch(ts []*Transaction, workers int) (errs map[string]error, stats BatchVerifyStats) {
-	errs = make(map[string]error)
-	type pending struct {
-		t      *Transaction
-		inputs []pendingInput
-	}
-	var tasks []keys.SigTask
-	work := make([]pending, 0, len(ts))
-
+	// Reuse is decided before any verification starts, so a
+	// transaction listed twice is verified twice and the accounting
+	// does not depend on which worker finishes first.
+	work := make([]*Transaction, 0, len(ts))
 	for _, t := range ts {
 		if t == nil {
 			continue
-		}
-		if _, done := errs[t.ID]; done {
-			continue // duplicate ID in batch: first verdict stands
 		}
 		if t.sigVerified(sc) {
 			stats.Reused++
 			continue
 		}
-		if !t.verifyID(sc) {
-			errs[t.ID] = &ValidationError{Op: t.Operation, Reason: "transaction id does not match payload"}
-			continue
-		}
-		payload := t.signingPayload(sc)
-		p := pending{t: t}
-		mark := len(tasks)
-		failed := false
-		for i, in := range t.Inputs {
-			pi, err := collectInputTasks(in, payload, &tasks)
-			if err != nil {
-				errs[t.ID] = &ValidationError{Op: t.Operation, Reason: fmt.Sprintf("input %d: %v", i, err)}
-				tasks = tasks[:mark] // discard this tx's triples
-				failed = true
-				break
-			}
-			p.inputs = append(p.inputs, pi)
-		}
-		if failed {
-			continue
-		}
-		work = append(work, p)
+		work = append(work, t)
 	}
-
-	ok, sigStats := keys.VerifyBatch(tasks, workers)
-	stats.Sig = sigStats
-
-	for _, p := range work {
-		if err := judgePending(p.t, p.inputs, ok); err != nil {
-			errs[p.t.ID] = err
-			continue
+	sigs := make([]SigStats, len(work))
+	errAt := make([]error, len(work))
+	forEach(len(work), workers, func(i int) {
+		sigs[i], errAt[i] = sc.verifyFulfillments(work[i])
+	})
+	errs = make(map[string]error)
+	for i, t := range work {
+		stats.Sig.Tasks += sigs[i].Tasks
+		stats.Sig.Unique += sigs[i].Unique
+		stats.Sig.DedupHits += sigs[i].DedupHits
+		if _, seen := errs[t.ID]; !seen && errAt[i] != nil {
+			errs[t.ID] = errAt[i]
 		}
-		p.t.markSigVerified(sc)
 	}
 	return errs, stats
 }
 
-// pendingInput maps one input's structure onto its slice of the flat
-// task list so the post-verification judgment can replay verifyInput's
-// exact semantics from the batched verdicts.
-type pendingInput struct {
-	multi      *keys.MultiSig
-	owners     []string // OwnersBefore, aligned with ownerTask
-	ownerTask  []int    // task index per owner; -1 = owner absent from multisig
-	entryTasks []int    // one task per ms.Sigs entry (threshold tally)
-	single     int      // single-sig task index; -1 for multisig
-}
-
-// collectInputTasks performs verifyInput's parse-time checks and
-// appends the input's signature triples to tasks. Errors returned here
-// are exactly the ones verifyInput reports before any signature math.
-func collectInputTasks(in *Input, payload []byte, tasks *[]keys.SigTask) (pendingInput, error) {
-	pi := pendingInput{single: -1}
-	if in.Fulfillment == "" {
-		return pi, fmt.Errorf("missing fulfillment")
+// forEach calls fn(i) for every i < n on up to workers goroutines;
+// workers <= 1 calls them in order on the caller's goroutine.
+func forEach(n, workers int, fn func(i int)) {
+	workers = min(workers, n)
+	if workers <= 1 {
+		for i := range n {
+			fn(i)
+		}
+		return
 	}
-	if strings.HasPrefix(in.Fulfillment, "ms:") {
-		ms, err := keys.ParseMultiSig(in.Fulfillment)
-		if err != nil {
-			return pi, err
-		}
-		pi.multi = ms
-		pi.owners = in.OwnersBefore
-		// One task per ms.Sigs entry, mirroring MultiSig.Verify's tally
-		// where every map entry counts at most once toward the
-		// threshold; owners are then resolved onto those entries.
-		byPub := make(map[string]int, len(ms.Sigs))
-		for pub, sig := range ms.Sigs {
-			byPub[pub] = len(*tasks)
-			pi.entryTasks = append(pi.entryTasks, len(*tasks))
-			*tasks = append(*tasks, keys.SigTask{Sig: sig, Pub: pub, Msg: payload})
-		}
-		pi.ownerTask = make([]int, len(in.OwnersBefore))
-		for i, pub := range in.OwnersBefore {
-			if ti, ok := byPub[pub]; ok {
-				pi.ownerTask[i] = ti
-			} else {
-				pi.ownerTask[i] = -1
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for range workers {
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
 			}
-		}
-		return pi, nil
+		}()
 	}
-	if len(in.OwnersBefore) != 1 {
-		return pi, fmt.Errorf("single signature but %d owners", len(in.OwnersBefore))
-	}
-	pi.owners = in.OwnersBefore
-	pi.single = len(*tasks)
-	*tasks = append(*tasks, keys.SigTask{Sig: in.Fulfillment, Pub: in.OwnersBefore[0], Msg: payload})
-	return pi, nil
-}
-
-// judgePending replays verifyInput's verdict logic over the batched
-// signature results for each of t's inputs.
-func judgePending(t *Transaction, inputs []pendingInput, ok []bool) error {
-	fail := func(i int, err error) error {
-		return &ValidationError{Op: t.Operation, Reason: fmt.Sprintf("input %d: %v", i, err)}
-	}
-	for i, pi := range inputs {
-		if pi.multi != nil {
-			for j, pub := range pi.owners {
-				if ti := pi.ownerTask[j]; ti < 0 || !ok[ti] {
-					return fail(i, fmt.Errorf("missing or invalid signature from owner %s", abbrev(pub)))
-				}
-			}
-			valid := 0
-			for _, ti := range pi.entryTasks {
-				if ok[ti] {
-					valid++
-				}
-			}
-			ms := pi.multi
-			if ms.Threshold <= 0 || len(ms.Sigs) < ms.Threshold || valid < ms.Threshold {
-				return fail(i, fmt.Errorf("multisig threshold not met"))
-			}
-			continue
-		}
-		if !ok[pi.single] {
-			return fail(i, fmt.Errorf("invalid signature from owner %s", abbrev(pi.owners[0])))
-		}
-	}
-	return nil
-}
-
-func verifyInput(in *Input, payload []byte) error {
-	if in.Fulfillment == "" {
-		return fmt.Errorf("missing fulfillment")
-	}
-	if strings.HasPrefix(in.Fulfillment, "ms:") {
-		ms, err := keys.ParseMultiSig(in.Fulfillment)
-		if err != nil {
-			return err
-		}
-		// Every listed previous owner must have contributed a valid
-		// signature.
-		for _, pub := range in.OwnersBefore {
-			sig, ok := ms.Sigs[pub]
-			if !ok || !keys.Verify(sig, pub, payload) {
-				return fmt.Errorf("missing or invalid signature from owner %s", abbrev(pub))
-			}
-		}
-		if !ms.Verify(payload) {
-			return fmt.Errorf("multisig threshold not met")
-		}
-		return nil
-	}
-	if len(in.OwnersBefore) != 1 {
-		return fmt.Errorf("single signature but %d owners", len(in.OwnersBefore))
-	}
-	if !keys.Verify(in.Fulfillment, in.OwnersBefore[0], payload) {
-		return fmt.Errorf("invalid signature from owner %s", abbrev(in.OwnersBefore[0]))
-	}
-	return nil
+	wg.Wait()
 }
 
 func abbrev(s string) string {
