@@ -82,7 +82,12 @@ test-bench:
 # (yamlite.Parse / ParseMap, seeded from internal/schema/schemas)
 # returns a value or an error and never panics, the same way twice,
 # and ParseMap agrees with Parse; its minimisations are capped at a
-# second like FuzzPlannedFind's. A failing input is written under the
+# second like FuzzPlannedFind's. FuzzSchemaValidate: on any JSON
+# object (seeded from the internal/workload generators' documents, as
+# written and with one field edited), the compiled schema walker never
+# panics and agrees with the interpreter it replaced (reference_test.go)
+# on the verdict and the error string, through Registry.ValidateDoc and
+# through one anyOf over every native schema. A failing input is written under the
 # package's testdata/fuzz/ and then runs as a plain test — commit it
 # with the fix.
 FUZZTIME ?= 60s
@@ -98,6 +103,7 @@ fuzz:
 	$(GO) test ./internal/docstore -run '^$$' -fuzz '^FuzzPlannedFind$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/ledger -run '^$$' -fuzz '^FuzzDecodePrepared$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/yamlite -run '^$$' -fuzz '^FuzzYamlite$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/schema -run '^$$' -fuzz '^FuzzSchemaValidate$$' -fuzztime $(FUZZTIME)
 
 # Per-call cost of the primitives a transaction passes through between
 # admission and the log — codec, footprint, committed-state reads,
@@ -115,7 +121,9 @@ fuzz:
 # SealOneTxBlock/{1k,64k} is the seal of a one-transaction block over
 # two state sizes: the two read alike because a seal costs what the
 # block changed (the count is pinned by
-# TestPreparedApplyCostsTheBlockNotTheState). CommitTransferChain
+# TestPreparedApplyCostsTheBlockNotTheState). Every iteration commits a
+# block and the state is never reset, so it runs on its own line at a
+# fixed count, the one README's table was taken at. CommitTransferChain
 # commits 4096 chained transfers in blocks of 256 and reports ns/tx.
 # IndexInsert/{hash,ordered}/{unique,shared} is one document's index
 # upkeep on insert (B/op is what a posting costs); TestIndexPostingBytes
@@ -137,8 +145,12 @@ fuzz:
 # GroupFootprints groups a 64-transaction marketplace block over pooled
 # scratch, allocating only the groups it returns
 # (TestGroupFootprintsAllocationCeiling).
+# SchemaValidate/{transfer4,create1k,bid} is Algorithm 1 on the two
+# shapes and a generated BID: a valid document allocates nothing
+# (TestSchemaValidateAllocatesNothing pins it).
 bench-alloc:
-	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage ./internal/docstore -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|VerifyFulfillmentsBatch|MarshalCanonicalCold|OutputRefString|FootprintOf|GroupFootprints|StateView|InsertDoc|MarkSpent|SpendFanIn|StageBlock|SealOneTxBlock|CommitTransferChain|EncodableDoc|GroupCommit|Fold|MemPut|MemGetAt|MemScanAt|IndexInsert|PlanLockedBids'
+	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage ./internal/docstore ./internal/schema -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|VerifyFulfillmentsBatch|MarshalCanonicalCold|OutputRefString|FootprintOf|GroupFootprints|StateView|InsertDoc|MarkSpent|SpendFanIn|StageBlock|CommitTransferChain|EncodableDoc|GroupCommit|Fold|MemPut|MemGetAt|MemScanAt|IndexInsert|PlanLockedBids|SchemaValidate'
+	$(GO) test ./internal/ledger -run '^$$' -benchmem -bench SealOneTxBlock -benchtime 20000x
 	$(GO) test ./internal/nested -run '^$$' -benchmem -bench ChildCommitted -benchtime 5000x
 
 # The tier-1 suites that touch chain state (ledger, server/cluster,

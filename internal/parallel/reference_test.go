@@ -289,7 +289,7 @@ func TestGroupsDoNotShareCapacity(t *testing.T) {
 // block order, fresh ones skipping their condition sets. Kept as the
 // reference the grouped run is pinned to at every worker count.
 func refValidate(reg *txtype.Registry, state txtype.ChainState, reserved txtype.ReservedSet, txs []*txn.Transaction, fresh []bool) (valid, invalid []string, errs map[string]string) {
-	batch := txtype.NewBatch()
+	batch := txtype.NewBatch(nil)
 	errs = make(map[string]string)
 	for i, t := range txs {
 		var err error

@@ -62,7 +62,7 @@ func (s *Scheduler) ValidateBatch(reg *txtype.Registry, state txtype.ChainState,
 	}
 	res := &Result{
 		Errs:    make(map[string]error),
-		Batch:   txtype.NewBatch(),
+		Batch:   txtype.NewBatch(txs),
 		Groups:  len(plan.Groups),
 		Largest: plan.Largest(),
 	}

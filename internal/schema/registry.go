@@ -35,6 +35,24 @@ type Registry struct {
 // NewRegistry loads and compiles the embedded schemas for all native
 // transaction types.
 func NewRegistry() (*Registry, error) {
+	docs, err := nativeSchemaDocs()
+	if err != nil {
+		return nil, err
+	}
+	r := &Registry{byOp: make(map[string]*Schema, len(docs))}
+	for op, doc := range docs {
+		s, err := Compile(doc)
+		if err != nil {
+			return nil, fmt.Errorf("schema: compile %s: %w", opFiles[op], err)
+		}
+		r.byOp[op] = s
+	}
+	return r, nil
+}
+
+// nativeSchemaDocs parses the embedded schema of every native operation,
+// each with the common definitions merged in.
+func nativeSchemaDocs() (map[string]map[string]any, error) {
 	commonSrc, err := schemaFS.ReadFile("schemas/common.yaml")
 	if err != nil {
 		return nil, fmt.Errorf("schema: read common.yaml: %w", err)
@@ -45,7 +63,7 @@ func NewRegistry() (*Registry, error) {
 	}
 	commonDefs, _ := common["definitions"].(map[string]any)
 
-	r := &Registry{byOp: make(map[string]*Schema, len(opFiles))}
+	docs := make(map[string]map[string]any, len(opFiles))
 	for op, file := range opFiles {
 		src, err := schemaFS.ReadFile(file)
 		if err != nil {
@@ -55,14 +73,9 @@ func NewRegistry() (*Registry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("schema: parse %s: %w", file, err)
 		}
-		merged := mergeDefinitions(doc, commonDefs)
-		s, err := Compile(merged)
-		if err != nil {
-			return nil, fmt.Errorf("schema: compile %s: %w", file, err)
-		}
-		r.byOp[op] = s
+		docs[op] = mergeDefinitions(doc, commonDefs)
 	}
-	return r, nil
+	return docs, nil
 }
 
 // MustNewRegistry is NewRegistry that panics on failure; the embedded
@@ -141,14 +154,14 @@ func (r *Registry) ValidateDoc(doc map[string]any) error {
 	}
 	if asset, ok := doc["asset"].(map[string]any); ok {
 		if data, ok := asset["data"].(map[string]any); ok {
-			if err := validateKeys(op, data, "$.asset.data"); err != nil {
-				return err
+			if f := checkKeys(data); f != nil {
+				return &txn.SchemaError{Op: op, Path: f.path("$.asset.data"), Msg: f.msg}
 			}
 		}
 	}
 	if meta, ok := doc["metadata"].(map[string]any); ok {
-		if err := validateKeys(op, meta, "$.metadata"); err != nil {
-			return err
+		if f := checkKeys(meta); f != nil {
+			return &txn.SchemaError{Op: op, Path: f.path("$.metadata"), Msg: f.msg}
 		}
 	}
 	return nil
@@ -172,28 +185,37 @@ func (r *Registry) ValidateTx(t *txn.Transaction) error {
 	return r.ValidateDoc(t.SharedDoc())
 }
 
-// validateKeys rejects document keys the storage layer cannot index:
+// checkKeys rejects document keys the storage layer cannot index:
 // empty keys and keys containing '$', '.', or NUL (the same constraint
-// BigchainDB inherits from MongoDB).
-func validateKeys(op string, m map[string]any, path string) error {
+// BigchainDB inherits from MongoDB), in maps nested under m and in
+// lists of maps. Like Schema.Validate it reports the first offending
+// key in sorted order and builds its path only once it has found one.
+func checkKeys(m map[string]any) *failure {
 	for k, v := range m {
-		if k == "" {
-			return &txn.SchemaError{Op: op, Path: path, Msg: "empty key"}
+		if checkKey(k, v) != nil {
+			return firstInKeyOrder(m, checkKey)
 		}
-		if strings.ContainsAny(k, "$.\x00") {
-			return &txn.SchemaError{Op: op, Path: path + "." + k, Msg: "key contains reserved character ($, ., or NUL)"}
+	}
+	return nil
+}
+
+func checkKey(k string, v any) *failure {
+	if k == "" {
+		return &failure{msg: "empty key"}
+	}
+	if strings.ContainsAny(k, "$.\x00") {
+		return (&failure{msg: "key contains reserved character ($, ., or NUL)"}).at(k)
+	}
+	switch c := v.(type) {
+	case map[string]any:
+		if f := checkKeys(c); f != nil {
+			return f.at(k)
 		}
-		if child, ok := v.(map[string]any); ok {
-			if err := validateKeys(op, child, path+"."+k); err != nil {
-				return err
-			}
-		}
-		if list, ok := v.([]any); ok {
-			for i, e := range list {
-				if child, ok := e.(map[string]any); ok {
-					if err := validateKeys(op, child, fmt.Sprintf("%s.%s[%d]", path, k, i)); err != nil {
-						return err
-					}
+	case []any:
+		for i, e := range c {
+			if child, ok := e.(map[string]any); ok {
+				if f := checkKeys(child); f != nil {
+					return f.atIndex(i).at(k)
 				}
 			}
 		}

@@ -5,14 +5,30 @@
 // operation before semantic validation runs.
 //
 // Supported keywords: type (single or list), properties, required,
-// additionalProperties (boolean), items, pattern, enum, anyOf,
-// minimum/maximum, minLength/maxLength, minItems/maxItems,
+// additionalProperties (boolean), items, pattern, enum (of scalars),
+// anyOf, minimum/maximum, minLength/maxLength, minItems/maxItems,
 // definitions and local $ref ("#/definitions/name").
+//
+// pattern takes one form: an anchored class of ASCII characters and
+// ranges under one repeat — ^[...]{n}$, ^[...]{m,n}$, ^[...]+$ or
+// ^[...]*$. Compile turns it into a byte table with length bounds;
+// any other form is a compile error.
+//
+// Compile resolves each $ref to its definition once; a $ref naming no
+// definition compiles and fails when a value reaches it. Validation
+// reports the first violation in a fixed visit order: anyOf
+// alternatives in listed order, then type, enum, the value's own
+// bounds, required properties in listed order, an object's keys in
+// sorted order and array items by index. The path of a violation
+// ("$.inputs[2].fulfills.transaction_id") is built on the way back up
+// from it, so a valid document costs no allocation.
 package schema
 
 import (
 	"fmt"
-	"regexp"
+	"maps"
+	"slices"
+	"strconv"
 	"strings"
 
 	"smartchaindb/internal/yamlite"
@@ -20,15 +36,13 @@ import (
 
 // Schema is a compiled schema node.
 type Schema struct {
-	name string // for error messages; set on the root
-
-	types      []string // empty means any
+	types      typeMask // 0 means any
+	typeNames  string   // the listed types joined by " or ", for messages
 	properties map[string]*Schema
 	required   []string
 	additional *bool // nil = allow, false = forbid extra properties
 	items      *Schema
-	pattern    *regexp.Regexp
-	patternSrc string
+	pattern    *pattern
 	enum       []any
 	anyOf      []*Schema
 	minimum    *float64
@@ -38,57 +52,81 @@ type Schema struct {
 	minItems   *int
 	maxItems   *int
 
-	defs map[string]*Schema // only on the root
-	ref  string             // unresolved local $ref
-	root *Schema
+	// A $ref node carries only the definition's name and, once Compile
+	// has resolved it, the definition; target stays nil when no
+	// definition has that name.
+	ref    string
+	target *Schema
+}
+
+// typeMask is a set of JSON types, one bit each.
+type typeMask uint8
+
+const (
+	tObject typeMask = 1 << iota
+	tArray
+	tString
+	tInteger
+	tNumber
+	tBoolean
+	tNull
+)
+
+var typeBits = map[string]typeMask{
+	"object": tObject, "array": tArray, "string": tString, "integer": tInteger,
+	"number": tNumber, "boolean": tBoolean, "null": tNull,
+}
+
+// typeOf returns the JSON types v belongs to: a number is also an
+// integer when it is whole.
+func typeOf(v any) typeMask {
+	switch x := v.(type) {
+	case map[string]any:
+		return tObject
+	case []any:
+		return tArray
+	case string:
+		return tString
+	case bool:
+		return tBoolean
+	case nil:
+		return tNull
+	case int64:
+		return tNumber | tInteger
+	case float64:
+		if x == float64(int64(x)) {
+			return tNumber | tInteger
+		}
+		return tNumber
+	}
+	return 0
 }
 
 // Compile builds a Schema from a parsed YAML/JSON document.
 func Compile(doc map[string]any) (*Schema, error) {
-	root := &Schema{defs: map[string]*Schema{}}
-	root.root = root
-	if defs, ok := doc["definitions"].(map[string]any); ok {
-		for name, d := range defs {
-			dm, ok := d.(map[string]any)
+	c := &compiler{}
+	defs := map[string]*Schema{}
+	if raw, ok := doc["definitions"].(map[string]any); ok {
+		for _, name := range slices.Sorted(maps.Keys(raw)) {
+			dm, ok := raw[name].(map[string]any)
 			if !ok {
-				return nil, fmt.Errorf("schema: definition %q is %T, want mapping", name, d)
+				return nil, fmt.Errorf("schema: definition %q is %T, want mapping", name, raw[name])
 			}
-			ds, err := compileNode(dm, root)
+			ds, err := c.node(dm)
 			if err != nil {
 				return nil, fmt.Errorf("schema: definition %q: %w", name, err)
 			}
-			root.defs[name] = ds
+			defs[name] = ds
 		}
 	}
-	node, err := compileNode(doc, root)
+	root, err := c.node(doc)
 	if err != nil {
 		return nil, err
 	}
-	node.defs = root.defs
-	node.root = node
-	// Re-point children compiled with the temporary root.
-	repoint(node, node)
-	for _, d := range node.defs {
-		repoint(d, node)
+	for _, r := range c.refs {
+		r.target = defs[r.ref]
 	}
-	if title, ok := doc["title"].(string); ok {
-		node.name = title
-	}
-	return node, nil
-}
-
-func repoint(s, root *Schema) {
-	if s == nil {
-		return
-	}
-	s.root = root
-	for _, c := range s.properties {
-		repoint(c, root)
-	}
-	repoint(s.items, root)
-	for _, c := range s.anyOf {
-		repoint(c, root)
-	}
+	return root, nil
 }
 
 // CompileYAML parses a YAML document and compiles it.
@@ -100,50 +138,59 @@ func CompileYAML(src string) (*Schema, error) {
 	return Compile(doc)
 }
 
-func compileNode(doc map[string]any, root *Schema) (*Schema, error) {
-	s := &Schema{root: root}
+// compiler collects the $ref nodes of one schema, which Compile
+// resolves once every definition is compiled.
+type compiler struct {
+	refs []*Schema
+}
+
+func (c *compiler) node(doc map[string]any) (*Schema, error) {
+	s := &Schema{}
 	if ref, ok := doc["$ref"].(string); ok {
 		name, found := strings.CutPrefix(ref, "#/definitions/")
 		if !found {
 			return nil, fmt.Errorf("unsupported $ref %q (only #/definitions/... is supported)", ref)
 		}
 		s.ref = name
+		c.refs = append(c.refs, s)
 		return s, nil
 	}
+	var types []string
 	switch t := doc["type"].(type) {
 	case string:
-		s.types = []string{t}
+		types = []string{t}
 	case []any:
 		for _, e := range t {
 			ts, ok := e.(string)
 			if !ok {
 				return nil, fmt.Errorf("type list contains %T", e)
 			}
-			s.types = append(s.types, ts)
+			types = append(types, ts)
 		}
 	case nil:
 	default:
 		return nil, fmt.Errorf("type is %T", t)
 	}
-	for _, ty := range s.types {
-		switch ty {
-		case "object", "array", "string", "integer", "number", "boolean", "null":
-		default:
+	for _, ty := range types {
+		bit, ok := typeBits[ty]
+		if !ok {
 			return nil, fmt.Errorf("unknown type %q", ty)
 		}
+		s.types |= bit
 	}
+	s.typeNames = strings.Join(types, " or ")
 	if props, ok := doc["properties"].(map[string]any); ok {
 		s.properties = make(map[string]*Schema, len(props))
-		for k, v := range props {
-			vm, ok := v.(map[string]any)
+		for _, k := range slices.Sorted(maps.Keys(props)) {
+			vm, ok := props[k].(map[string]any)
 			if !ok {
-				return nil, fmt.Errorf("property %q is %T, want mapping", k, v)
+				return nil, fmt.Errorf("property %q is %T, want mapping", k, props[k])
 			}
-			c, err := compileNode(vm, root)
+			child, err := c.node(vm)
 			if err != nil {
 				return nil, fmt.Errorf("property %q: %w", k, err)
 			}
-			s.properties[k] = c
+			s.properties[k] = child
 		}
 	}
 	if req, ok := doc["required"].([]any); ok {
@@ -159,20 +206,29 @@ func compileNode(doc map[string]any, root *Schema) (*Schema, error) {
 		s.additional = &ap
 	}
 	if items, ok := doc["items"].(map[string]any); ok {
-		c, err := compileNode(items, root)
+		child, err := c.node(items)
 		if err != nil {
 			return nil, fmt.Errorf("items: %w", err)
 		}
-		s.items = c
+		s.items = child
 	}
-	if pat, ok := doc["pattern"].(string); ok {
-		re, err := regexp.Compile(pat)
+	if src, ok := doc["pattern"].(string); ok {
+		p, err := compilePattern(src)
 		if err != nil {
-			return nil, fmt.Errorf("pattern %q: %w", pat, err)
+			return nil, err
 		}
-		s.pattern, s.patternSrc = re, pat
+		s.pattern = p
 	}
 	if enum, ok := doc["enum"].([]any); ok {
+		// A list or map member would make the comparison with a
+		// value of its own type panic.
+		for _, e := range enum {
+			switch e.(type) {
+			case string, int64, float64, bool, nil:
+			default:
+				return nil, fmt.Errorf("enum contains %T", e)
+			}
+		}
 		s.enum = enum
 	}
 	if any_, ok := doc["anyOf"].([]any); ok {
@@ -181,11 +237,11 @@ func compileNode(doc map[string]any, root *Schema) (*Schema, error) {
 			if !ok {
 				return nil, fmt.Errorf("anyOf[%d] is %T", i, e)
 			}
-			c, err := compileNode(em, root)
+			alt, err := c.node(em)
 			if err != nil {
 				return nil, fmt.Errorf("anyOf[%d]: %w", i, err)
 			}
-			s.anyOf = append(s.anyOf, c)
+			s.anyOf = append(s.anyOf, alt)
 		}
 	}
 	var err error
@@ -237,6 +293,104 @@ func intKey(doc map[string]any, key string) (*int, error) {
 	return nil, fmt.Errorf("%s is %T, want integer", key, v)
 }
 
+// pattern is a compiled `pattern`: which bytes the class admits and
+// how many of them the repeat allows. Every admitted byte is ASCII, so
+// a byte is a character and a non-ASCII string never matches — as
+// with the regular expression the source spells.
+type pattern struct {
+	src      string
+	class    [256]bool
+	min, max int // max < 0: no upper bound
+}
+
+// maxRepeat is the largest count a repeat may name, regexp's own limit.
+const maxRepeat = 1000
+
+// compilePattern accepts ^[class]rep$, where class lists printable
+// ASCII characters and lo-hi ranges (no negation, escapes, brackets or
+// '^'; a literal '-' only first or last) and rep is {n}, {m,n}, + or *.
+func compilePattern(src string) (*pattern, error) {
+	p := &pattern{src: src}
+	bad := func(why string) (*pattern, error) {
+		return nil, fmt.Errorf("pattern %q: %s (supported: ^[...]{n}$, ^[...]{m,n}$, ^[...]+$, ^[...]*$ over printable ASCII)", src, why)
+	}
+	rest, ok := strings.CutPrefix(src, "^[")
+	if !ok {
+		return bad("not an anchored character class")
+	}
+	class, rep, ok := strings.Cut(rest, "]")
+	if !ok || class == "" {
+		return bad("unterminated or empty class")
+	}
+	if rep, ok = strings.CutSuffix(rep, "$"); !ok {
+		return bad("not anchored at the end")
+	}
+	member := func(c byte) bool { return c >= ' ' && c <= '~' && c != '\\' && c != '[' && c != '^' }
+	for i := 0; i < len(class); i++ {
+		c := class[i]
+		switch {
+		case !member(c):
+			return bad(fmt.Sprintf("class character %q", c))
+		case c == '-' && i != 0 && i != len(class)-1:
+			return bad("'-' inside the class is not a range")
+		case c != '-' && i+2 < len(class) && class[i+1] == '-':
+			hi := class[i+2]
+			if !member(hi) || hi == '-' || hi < c {
+				return bad(fmt.Sprintf("range %q", class[i:i+3]))
+			}
+			for b := c; ; b++ {
+				p.class[b] = true
+				if b == hi {
+					break
+				}
+			}
+			i += 2
+		default:
+			p.class[c] = true
+		}
+	}
+	switch rep {
+	case "+":
+		p.min, p.max = 1, -1
+	case "*":
+		p.min, p.max = 0, -1
+	default:
+		if len(rep) < 2 || rep[0] != '{' || rep[len(rep)-1] != '}' {
+			return bad(fmt.Sprintf("repeat %q", rep))
+		}
+		lo, hi, isRange := strings.Cut(rep[1:len(rep)-1], ",")
+		if !isRange {
+			hi = lo
+		}
+		var okLo, okHi bool
+		p.min, okLo = repeatCount(lo)
+		p.max, okHi = repeatCount(hi)
+		if !okLo || !okHi || p.min > p.max {
+			return bad(fmt.Sprintf("repeat %q", rep))
+		}
+	}
+	return p, nil
+}
+
+// repeatCount parses a repeat bound: decimal, no sign or leading zero,
+// at most maxRepeat.
+func repeatCount(s string) (int, bool) {
+	n, err := strconv.Atoi(s)
+	return n, err == nil && n >= 0 && n <= maxRepeat && s == strconv.Itoa(n)
+}
+
+func (p *pattern) match(s string) bool {
+	if len(s) < p.min || (p.max >= 0 && len(s) > p.max) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if !p.class[s[i]] {
+			return false
+		}
+	}
+	return true
+}
+
 // Violation describes one schema violation with its document path.
 type Violation struct {
 	Path string
@@ -245,155 +399,190 @@ type Violation struct {
 
 func (v Violation) Error() string { return fmt.Sprintf("%s: %s", v.Path, v.Msg) }
 
-// Validate checks value against the schema and returns the first
-// violation found, or nil.
-func (s *Schema) Validate(value any) error {
-	return s.validate(value, "$")
+// failure is a violation on its way up from the node that found it:
+// each level it passes appends its own path segment, so the path is
+// built only for a document that fails.
+type failure struct {
+	msg   string
+	ref   string    // an unresolved $ref: reported as a plain error, without a path
+	first *failure  // anyOf: the first alternative's failure, below this node
+	segs  []pathSeg // the path from the validated value down, innermost first
 }
 
-func (s *Schema) resolve() (*Schema, error) {
-	if s.ref == "" {
-		return s, nil
-	}
-	d, ok := s.root.defs[s.ref]
-	if !ok {
-		return nil, fmt.Errorf("schema: unresolved $ref %q", s.ref)
-	}
-	return d, nil
+// pathSeg is ".key", or "[index]" when index >= 0.
+type pathSeg struct {
+	key   string
+	index int
 }
 
-func (s *Schema) validate(value any, path string) error {
-	rs, err := s.resolve()
-	if err != nil {
-		return err
-	}
-	s = rs
-	if len(s.anyOf) > 0 {
-		var firstErr error
-		for _, alt := range s.anyOf {
-			if err := alt.validate(value, path); err == nil {
-				firstErr = nil
-				break
-			} else if firstErr == nil {
-				firstErr = err
-			}
-		}
-		if firstErr != nil {
-			return Violation{Path: path, Msg: fmt.Sprintf("no anyOf alternative matched (first failure: %v)", firstErr)}
-		}
-	}
-	if len(s.types) > 0 {
-		ok := false
-		for _, t := range s.types {
-			if typeMatches(t, value) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return Violation{Path: path, Msg: fmt.Sprintf("is %s, want %s", jsonTypeName(value), strings.Join(s.types, " or "))}
+func violation(format string, args ...any) *failure {
+	return &failure{msg: fmt.Sprintf(format, args...)}
+}
+
+func (f *failure) at(key string) *failure {
+	f.segs = append(f.segs, pathSeg{key: key, index: -1})
+	return f
+}
+
+func (f *failure) atIndex(i int) *failure {
+	f.segs = append(f.segs, pathSeg{index: i})
+	return f
+}
+
+func (f *failure) path(base string) string {
+	b := append(make([]byte, 0, len(base)+16*len(f.segs)), base...)
+	for i := len(f.segs) - 1; i >= 0; i-- {
+		if sg := f.segs[i]; sg.index < 0 {
+			b = append(append(b, '.'), sg.key...)
+		} else {
+			b = append(strconv.AppendInt(append(b, '['), int64(sg.index), 10), ']')
 		}
 	}
-	if s.enum != nil {
-		found := false
-		for _, e := range s.enum {
-			if scalarEqual(e, value) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return Violation{Path: path, Msg: fmt.Sprintf("value %v not in enum %v", value, s.enum)}
-		}
+	return string(b)
+}
+
+// err renders the failure of a value found at base.
+func (f *failure) err(base string) error {
+	if f.ref != "" {
+		return fmt.Errorf("schema: unresolved $ref %q", f.ref)
 	}
-	switch v := value.(type) {
-	case string:
-		if s.pattern != nil && !s.pattern.MatchString(v) {
-			return Violation{Path: path, Msg: fmt.Sprintf("%q does not match pattern %q", truncate(v), s.patternSrc)}
-		}
-		if s.minLength != nil && len(v) < *s.minLength {
-			return Violation{Path: path, Msg: fmt.Sprintf("length %d < minLength %d", len(v), *s.minLength)}
-		}
-		if s.maxLength != nil && len(v) > *s.maxLength {
-			return Violation{Path: path, Msg: fmt.Sprintf("length %d > maxLength %d", len(v), *s.maxLength)}
-		}
-	case map[string]any:
-		for _, r := range s.required {
-			if _, ok := v[r]; !ok {
-				return Violation{Path: path, Msg: fmt.Sprintf("missing required property %q", r)}
-			}
-		}
-		for k, e := range v {
-			child, ok := s.properties[k]
-			if !ok {
-				if s.additional != nil && !*s.additional {
-					return Violation{Path: path, Msg: fmt.Sprintf("unexpected property %q", k)}
-				}
-				continue
-			}
-			if err := child.validate(e, path+"."+k); err != nil {
-				return err
-			}
-		}
-	case []any:
-		if s.minItems != nil && len(v) < *s.minItems {
-			return Violation{Path: path, Msg: fmt.Sprintf("has %d items, want at least %d", len(v), *s.minItems)}
-		}
-		if s.maxItems != nil && len(v) > *s.maxItems {
-			return Violation{Path: path, Msg: fmt.Sprintf("has %d items, want at most %d", len(v), *s.maxItems)}
-		}
-		if s.items != nil {
-			for i, e := range v {
-				if err := s.items.validate(e, fmt.Sprintf("%s[%d]", path, i)); err != nil {
-					return err
-				}
-			}
-		}
-	case float64:
-		if s.minimum != nil && v < *s.minimum {
-			return Violation{Path: path, Msg: fmt.Sprintf("%v < minimum %v", v, *s.minimum)}
-		}
-		if s.maximum != nil && v > *s.maximum {
-			return Violation{Path: path, Msg: fmt.Sprintf("%v > maximum %v", v, *s.maximum)}
-		}
-	case int64:
-		f := float64(v)
-		if s.minimum != nil && f < *s.minimum {
-			return Violation{Path: path, Msg: fmt.Sprintf("%v < minimum %v", v, *s.minimum)}
-		}
-		if s.maximum != nil && f > *s.maximum {
-			return Violation{Path: path, Msg: fmt.Sprintf("%v > maximum %v", v, *s.maximum)}
+	path := f.path(base)
+	if f.first != nil {
+		return Violation{Path: path, Msg: fmt.Sprintf("no anyOf alternative matched (first failure: %v)", f.first.err(path))}
+	}
+	return Violation{Path: path, Msg: f.msg}
+}
+
+// firstInKeyOrder runs check over m's keys in sorted order and returns
+// the first failure. A walker ranges over a map in Go's random order
+// while every key passes, and calls this once one fails, so the
+// failure it reports does not depend on that order.
+func firstInKeyOrder(m map[string]any, check func(k string, v any) *failure) *failure {
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		if f := check(k, m[k]); f != nil {
+			return f
 		}
 	}
 	return nil
 }
 
-func typeMatches(t string, v any) bool {
-	switch t {
-	case "object":
-		_, ok := v.(map[string]any)
-		return ok
-	case "array":
-		_, ok := v.([]any)
-		return ok
-	case "string":
-		_, ok := v.(string)
-		return ok
-	case "boolean":
-		_, ok := v.(bool)
-		return ok
-	case "null":
-		return v == nil
-	case "number":
-		return isNumber(v)
-	case "integer":
-		switch x := v.(type) {
-		case int64:
-			return true
-		case float64:
-			return x == float64(int64(x))
+// Validate checks value against the schema and returns the first
+// violation found, or nil.
+func (s *Schema) Validate(value any) error {
+	if f := s.check(value); f != nil {
+		return f.err("$")
+	}
+	return nil
+}
+
+func (s *Schema) check(value any) *failure {
+	if s.ref != "" {
+		if s.target == nil {
+			return &failure{ref: s.ref}
 		}
-		return false
+		s = s.target
+	}
+	if len(s.anyOf) > 0 {
+		var first *failure
+		for _, alt := range s.anyOf {
+			f := alt.check(value)
+			if f == nil {
+				first = nil
+				break
+			}
+			if first == nil {
+				first = f
+			}
+		}
+		if first != nil {
+			return &failure{first: first}
+		}
+	}
+	if s.types != 0 && s.types&typeOf(value) == 0 {
+		return violation("is %s, want %s", jsonTypeName(value), s.typeNames)
+	}
+	if s.enum != nil && !s.inEnum(value) {
+		return violation("value %v not in enum %v", value, s.enum)
+	}
+	switch v := value.(type) {
+	case string:
+		if s.pattern != nil && !s.pattern.match(v) {
+			return violation("%q does not match pattern %q", truncate(v), s.pattern.src)
+		}
+		if s.minLength != nil && len(v) < *s.minLength {
+			return violation("length %d < minLength %d", len(v), *s.minLength)
+		}
+		if s.maxLength != nil && len(v) > *s.maxLength {
+			return violation("length %d > maxLength %d", len(v), *s.maxLength)
+		}
+	case map[string]any:
+		for _, r := range s.required {
+			if _, ok := v[r]; !ok {
+				return violation("missing required property %q", r)
+			}
+		}
+		if s.properties == nil && (s.additional == nil || *s.additional) {
+			return nil
+		}
+		for k, e := range v {
+			if s.checkProperty(k, e) != nil {
+				return firstInKeyOrder(v, s.checkProperty)
+			}
+		}
+	case []any:
+		if s.minItems != nil && len(v) < *s.minItems {
+			return violation("has %d items, want at least %d", len(v), *s.minItems)
+		}
+		if s.maxItems != nil && len(v) > *s.maxItems {
+			return violation("has %d items, want at most %d", len(v), *s.maxItems)
+		}
+		if s.items != nil {
+			for i, e := range v {
+				if f := s.items.check(e); f != nil {
+					return f.atIndex(i)
+				}
+			}
+		}
+	case float64:
+		return s.checkBounds(v, value)
+	case int64:
+		return s.checkBounds(float64(v), value)
+	}
+	return nil
+}
+
+// checkProperty checks one key of an object against the node's
+// properties and additionalProperties.
+func (s *Schema) checkProperty(k string, v any) *failure {
+	child, ok := s.properties[k]
+	if !ok {
+		if s.additional != nil && !*s.additional {
+			return violation("unexpected property %q", k)
+		}
+		return nil
+	}
+	if f := child.check(v); f != nil {
+		return f.at(k)
+	}
+	return nil
+}
+
+// checkBounds checks a number, whose value as written is value.
+func (s *Schema) checkBounds(f float64, value any) *failure {
+	if s.minimum != nil && f < *s.minimum {
+		return violation("%v < minimum %v", value, *s.minimum)
+	}
+	if s.maximum != nil && f > *s.maximum {
+		return violation("%v > maximum %v", value, *s.maximum)
+	}
+	return nil
+}
+
+func (s *Schema) inEnum(v any) bool {
+	for _, e := range s.enum {
+		if scalarEqual(e, v) {
+			return true
+		}
 	}
 	return false
 }

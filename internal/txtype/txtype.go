@@ -108,9 +108,22 @@ type Batch struct {
 	spent map[txn.OutputRef]string // spent output -> spender tx ID
 }
 
-// NewBatch creates an empty batch.
-func NewBatch() *Batch {
-	return &Batch{txs: make(map[string]*txn.Transaction), spent: make(map[txn.OutputRef]string)}
+// NewBatch creates an empty batch sized to admit txs (nil for none),
+// so that its maps do not regrow while they do.
+func NewBatch(txs []*txn.Transaction) *Batch {
+	spends := 0
+	for _, t := range txs {
+		for _, in := range t.Inputs {
+			if in.Fulfills != nil {
+				spends++
+			}
+		}
+	}
+	return &Batch{
+		txs:   make(map[string]*txn.Transaction, len(txs)),
+		order: make([]string, 0, len(txs)),
+		spent: make(map[txn.OutputRef]string, spends),
+	}
 }
 
 // Add admits a transaction into the batch. It fails if the batch
@@ -122,15 +135,20 @@ func (b *Batch) Add(t *txn.Transaction) error {
 	if _, dup := b.txs[t.ID]; dup {
 		return &txn.DuplicateTransactionError{TxID: t.ID, Reason: "already in current block"}
 	}
-	for _, ref := range t.SpentRefs() {
-		if spender, clash := b.spent[ref]; clash {
-			return &txn.DoubleSpendError{Ref: ref, SpentBy: spender}
+	for _, in := range t.Inputs {
+		if in.Fulfills == nil {
+			continue
+		}
+		if spender, clash := b.spent[*in.Fulfills]; clash {
+			return &txn.DoubleSpendError{Ref: *in.Fulfills, SpentBy: spender}
 		}
 	}
 	b.txs[t.ID] = t
 	b.order = append(b.order, t.ID)
-	for _, ref := range t.SpentRefs() {
-		b.spent[ref] = t.ID
+	for _, in := range t.Inputs {
+		if in.Fulfills != nil {
+			b.spent[*in.Fulfills] = t.ID
+		}
 	}
 	return nil
 }

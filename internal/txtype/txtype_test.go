@@ -23,7 +23,7 @@ func signedCreate(t *testing.T, owner *keys.KeyPair, seq int) *txn.Transaction {
 func TestBatchDuplicateAndConflict(t *testing.T) {
 	owner := keys.MustGenerate()
 	create := signedCreate(t, owner, 1)
-	b := txtype.NewBatch()
+	b := txtype.NewBatch(nil)
 	if err := b.Add(create); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestContextResolveOrder(t *testing.T) {
 	if _, skipped := state.CommitBlock([]*txn.Transaction{committed}); skipped[committed.ID] != nil {
 		t.Fatal(skipped[committed.ID])
 	}
-	batch := txtype.NewBatch()
+	batch := txtype.NewBatch(nil)
 	if err := batch.Add(batched); err != nil {
 		t.Fatal(err)
 	}

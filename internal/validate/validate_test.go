@@ -45,7 +45,7 @@ func newWorld(t *testing.T) *world {
 }
 
 func (w *world) ctx() *txtype.Context {
-	return &txtype.Context{State: w.state, Reserved: w.reserved, Batch: txtype.NewBatch()}
+	return &txtype.Context{State: w.state, Reserved: w.reserved, Batch: txtype.NewBatch(nil)}
 }
 
 func (w *world) schemas() *schema.Registry { return schema.MustNewRegistry() }
