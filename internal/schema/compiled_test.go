@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 	"unicode/utf8"
 
 	"smartchaindb/internal/keys"
@@ -536,26 +537,15 @@ func BenchmarkSchemaValidate(b *testing.B) {
 }
 
 // TestCompiledMatchesReferenceOnHandWrittenSchemas covers what the
-// native schemas do not use: an unresolved $ref inside anyOf, a $ref to
-// a $ref, a $ref at the root, anyOf under items, numeric and mixed
-// enums, and integer and bound checks on awkward numbers.
+// native schemas do not use: an unresolved $ref inside anyOf, a $ref at
+// the root, anyOf under items, numeric and mixed enums, and integer and
+// bound checks on awkward numbers. A $ref to a $ref is not among them:
+// the reference leaves it an empty node (TestChainedRefResolves).
 func TestCompiledMatchesReferenceOnHandWrittenSchemas(t *testing.T) {
 	schemas := []string{`
 anyOf:
   - $ref: "#/definitions/missing"
   - type: string
-`, `
-definitions:
-  a:
-    $ref: "#/definitions/b"
-  b:
-    type: string
-type: object
-properties:
-  x:
-    $ref: "#/definitions/a"
-  k:
-    $ref: "#/definitions/b"
 `, `
 definitions:
   root:
@@ -617,6 +607,136 @@ properties:
 			if got, want := render(s.Validate(doc)), render(rs.Validate(doc)); got != want {
 				t.Errorf("schema %s on %#v:\n compiled:  %s\n reference: %s", src, doc, got, want)
 			}
+		}
+	}
+}
+
+// TestChainedRefResolves: a definition that is itself a $ref is followed
+// to the node its chain ends on, a chain that ends on a missing name
+// fails naming it when a value reaches it, and a cycle of $refs is a
+// compile error.
+func TestChainedRefResolves(t *testing.T) {
+	s, err := CompileYAML(`
+definitions:
+  a:
+    $ref: "#/definitions/b"
+  b:
+    $ref: "#/definitions/c"
+  c:
+    type: string
+  m:
+    $ref: "#/definitions/missing"
+type: object
+properties:
+  x:
+    $ref: "#/definitions/a"
+  y:
+    $ref: "#/definitions/m"
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		doc  map[string]any
+		want string
+	}{
+		{map[string]any{"x": "s"}, "<nil>"},
+		{map[string]any{"x": 1.0}, "schema.Violation $.x: is number, want string"},
+		{map[string]any{"y": "s"}, `*errors.errorString schema: unresolved $ref "missing"`},
+	} {
+		if got := render(s.Validate(c.doc)); got != c.want {
+			t.Errorf("%v: %s, want %s", c.doc, got, c.want)
+		}
+	}
+	for _, src := range []string{`
+definitions:
+  a:
+    $ref: "#/definitions/a"
+$ref: "#/definitions/a"
+`, `
+definitions:
+  a:
+    $ref: "#/definitions/b"
+  b:
+    $ref: "#/definitions/a"
+  c:
+    type: string
+properties:
+  x:
+    $ref: "#/definitions/b"
+`} {
+		if _, err := CompileYAML(src); err == nil || !strings.Contains(err.Error(), "cycle") {
+			t.Errorf("schema %s: compile error %v, want a cycle", src, err)
+		}
+	}
+}
+
+// TestNestedViolationCostsLinearTime: a violation at the bottom of a
+// deep object is found in one pass over it, each key checked once. The
+// reserved-key walk over metadata nested 40 deep, and a recursive
+// custom schema over a document as deep, each allocate a few objects per
+// violation; a walk that checked a failing key twice per level would
+// make 2^40 calls.
+func TestNestedViolationCostsLinearTime(t *testing.T) {
+	const depth = 40
+	nest := func(bottom map[string]any) map[string]any {
+		m := bottom
+		for range depth {
+			m = map[string]any{"a": m, "z": 1.0}
+		}
+		return m
+	}
+	wantPath := "$" + strings.Repeat(".a", depth)
+
+	r := newTestRegistry(t)
+	_, _, create := workload.BenchmarkShapes()
+	doc := cloneValue(create.ToDoc()).(map[string]any)
+	doc["metadata"] = nest(map[string]any{"$": 1.0})
+	recursive, err := CompileYAML(`
+definitions:
+  node:
+    type: object
+    additionalProperties: false
+    properties:
+      a:
+        $ref: "#/definitions/node"
+      z:
+        type: number
+$ref: "#/definitions/node"
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep := nest(map[string]any{"bad": 1.0})
+
+	for _, c := range []struct {
+		name, want string
+		run        func() error
+	}{
+		{"reserved key in metadata", "metadata" + wantPath[1:] + ".$: key contains reserved character ($, ., or NUL)",
+			func() error { return r.ValidateDoc(doc) }},
+		{"recursive schema", wantPath + `: unexpected property "bad"`,
+			func() error { return recursive.Validate(deep) }},
+	} {
+		type result struct {
+			err    error
+			allocs float64
+		}
+		done := make(chan result, 1)
+		go func() {
+			err := c.run()
+			done <- result{err, testing.AllocsPerRun(5, func() { _ = c.run() })}
+		}()
+		select {
+		case res := <-done:
+			if res.err == nil || !strings.HasSuffix(res.err.Error(), c.want) {
+				t.Errorf("%s: %v, want …%s", c.name, res.err, c.want)
+			}
+			if res.allocs > depth {
+				t.Errorf("%s: %v allocations, want at most %d", c.name, res.allocs, depth)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: no verdict after 30 s", c.name)
 		}
 	}
 }

@@ -191,12 +191,7 @@ func (r *Registry) ValidateTx(t *txn.Transaction) error {
 // lists of maps. Like Schema.Validate it reports the first offending
 // key in sorted order and builds its path only once it has found one.
 func checkKeys(m map[string]any) *failure {
-	for k, v := range m {
-		if checkKey(k, v) != nil {
-			return firstInKeyOrder(m, checkKey)
-		}
-	}
-	return nil
+	return leastFailing(m, checkKey)
 }
 
 func checkKey(k string, v any) *failure {

@@ -14,8 +14,10 @@
 // ^[...]*$. Compile turns it into a byte table with length bounds;
 // any other form is a compile error.
 //
-// Compile resolves each $ref to its definition once; a $ref naming no
-// definition compiles and fails when a value reaches it. Validation
+// Compile resolves each $ref to its definition once, following a
+// definition that is itself a $ref (a cycle of them is a compile
+// error); a $ref naming no definition compiles and fails when a value
+// reaches it. Validation
 // reports the first violation in a fixed visit order: anyOf
 // alternatives in listed order, then type, enum, the value's own
 // bounds, required properties in listed order, an object's keys in
@@ -53,8 +55,9 @@ type Schema struct {
 	maxItems   *int
 
 	// A $ref node carries only the definition's name and, once Compile
-	// has resolved it, the definition; target stays nil when no
-	// definition has that name.
+	// has resolved it, the node its chain of definitions ends on; target
+	// stays nil, and ref names the missing one, when no definition has
+	// that name.
 	ref    string
 	target *Schema
 }
@@ -123,8 +126,17 @@ func Compile(doc map[string]any) (*Schema, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A definition may itself be a $ref: follow the chain to the node
+	// it ends on, or to the name no definition has.
 	for _, r := range c.refs {
-		r.target = defs[r.ref]
+		name, t := r.ref, defs[r.ref]
+		for hops := 0; t != nil && t.ref != ""; hops++ {
+			if hops == len(defs) {
+				return nil, fmt.Errorf("schema: $ref %q: the definitions it chains through form a cycle", r.ref)
+			}
+			name, t = t.ref, defs[t.ref]
+		}
+		r.ref, r.target = name, t
 	}
 	return root, nil
 }
@@ -453,17 +465,18 @@ func (f *failure) err(base string) error {
 	return Violation{Path: path, Msg: f.msg}
 }
 
-// firstInKeyOrder runs check over m's keys in sorted order and returns
-// the first failure. A walker ranges over a map in Go's random order
-// while every key passes, and calls this once one fails, so the
-// failure it reports does not depend on that order.
-func firstInKeyOrder(m map[string]any, check func(k string, v any) *failure) *failure {
-	for _, k := range slices.Sorted(maps.Keys(m)) {
-		if f := check(k, m[k]); f != nil {
-			return f
+// leastFailing runs check on every key of m once and returns the
+// failure of the least failing key, so the failure reported is the
+// first in sorted key order whatever order the map ranges in.
+func leastFailing(m map[string]any, check func(k string, v any) *failure) *failure {
+	var least *failure
+	var leastKey string
+	for k, v := range m {
+		if f := check(k, v); f != nil && (least == nil || k < leastKey) {
+			least, leastKey = f, k
 		}
 	}
-	return nil
+	return least
 }
 
 // Validate checks value against the schema and returns the first
@@ -524,11 +537,7 @@ func (s *Schema) check(value any) *failure {
 		if s.properties == nil && (s.additional == nil || *s.additional) {
 			return nil
 		}
-		for k, e := range v {
-			if s.checkProperty(k, e) != nil {
-				return firstInKeyOrder(v, s.checkProperty)
-			}
-		}
+		return leastFailing(v, s.checkProperty)
 	case []any:
 		if s.minItems != nil && len(v) < *s.minItems {
 			return violation("has %d items, want at least %d", len(v), *s.minItems)
