@@ -87,7 +87,13 @@ test-bench:
 # written and with one field edited), the compiled schema walker never
 # panics and agrees with the interpreter it replaced (reference_test.go)
 # on the verdict and the error string, through Registry.ValidateDoc and
-# through one anyOf over every native schema. A failing input is written under the
+# through one anyOf over every native schema. FuzzSchemaCompile: on
+# any text, schema.CompileYAML returns a schema or an error, and a
+# schema it returns validates a few generator documents without
+# panicking or recursing forever (a cycle of anyOf and $ref is a
+# compile error), the same way twice; seeded from the native schema
+# files and the hand-written test schemas, its minimisations capped at
+# a second. A failing input is written under the
 # package's testdata/fuzz/ and then runs as a plain test — commit it
 # with the fix.
 FUZZTIME ?= 60s
@@ -104,6 +110,7 @@ fuzz:
 	$(GO) test ./internal/ledger -run '^$$' -fuzz '^FuzzDecodePrepared$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/yamlite -run '^$$' -fuzz '^FuzzYamlite$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/schema -run '^$$' -fuzz '^FuzzSchemaValidate$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/schema -run '^$$' -fuzz '^FuzzSchemaCompile$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # Per-call cost of the primitives a transaction passes through between
 # admission and the log — codec, footprint, committed-state reads,
@@ -169,9 +176,12 @@ test-disk:
 # every other build): each document is digested as it is stored and
 # again when it is stored a second time, when its backend closes and
 # after a suite's last test; a difference panics or fails the run
-# naming collection and key. Every suite that commits to a state runs
-# under it, unchanged.
-TRIPWIRE_PKGS = ./internal/storage ./internal/docstore ./internal/ledger ./internal/server ./internal/nested ./internal/shard ./internal/query ./internal/validate ./internal/bench
+# naming collection and key. A signed transaction is one too, and the
+# same tag checks it (internal/txn/tripwire_on.go): each memoized
+# signing payload or canonical encoding is encoded again as it is
+# served, and a difference panics naming the transaction. Every suite
+# that commits to a state runs under it, unchanged.
+TRIPWIRE_PKGS = ./internal/txn ./internal/storage ./internal/docstore ./internal/ledger ./internal/server ./internal/nested ./internal/shard ./internal/query ./internal/validate ./internal/bench
 
 test-tripwire:
 	$(GO) vet -tags tripwire $(TRIPWIRE_PKGS)
@@ -186,9 +196,10 @@ test-tripwire:
 # at every layer), and the consensus overlap. The SCDB_BACKEND=disk
 # leg re-runs the ledger-backed suites, incl. the
 # query-engine-vs-block-commit race, over the WAL engine. The
-# txn/keys/driver leg covers the admission fast path: the per-tx
-# canonical-bytes memo (CAS copy-forward) and the batch signature
-# verifier's per-transaction worker fan-out. nested is here because its commit hook
+# txn/keys/driver leg covers the admission fast path: the per-tx memo
+# of derived values (each published once, by a compare-and-swap from
+# empty) and the batch signature verifier's per-transaction worker
+# fan-out. nested is here because its commit hook
 # reads a borrowed (uncopied) stored document while later blocks stage;
 # the docstore suite's borrowing reader is what would catch a write
 # into one. server's TestSharedDocumentRace is the gate on the write

@@ -291,9 +291,9 @@ func TestStoreHoldsNoClientMemory(t *testing.T) {
 
 // TestNoStaleDocumentIsCommitted: a transaction whose document was
 // already built (a schema check ran) and which then changes through a
-// blessed mutation point commits the document of what it now is. Each
-// case mutates, invalidates the way its name says, commits, and reads
-// the transaction back.
+// blessed mutation point — Sign, an edited Clone, SetID on a clone —
+// commits the document of what it now is. Each case changes the
+// transaction the way its name says, commits, and reads it back.
 func TestNoStaleDocumentIsCommitted(t *testing.T) {
 	owner := keys.DeterministicKeyPair(520)
 	build := func(seq int) *txn.Transaction {
@@ -305,11 +305,6 @@ func TestNoStaleDocumentIsCommitted(t *testing.T) {
 		return tx
 	}
 	cases := map[string]func(tx *txn.Transaction) *txn.Transaction{
-		"Invalidate": func(tx *txn.Transaction) *txn.Transaction {
-			tx.Metadata["note"] = "second"
-			tx.Invalidate()
-			return tx
-		},
 		"Sign": func(tx *txn.Transaction) *txn.Transaction {
 			tx.Metadata["note"] = "second"
 			if err := txn.Sign(tx, owner); err != nil {
@@ -323,12 +318,12 @@ func TestNoStaleDocumentIsCommitted(t *testing.T) {
 			return c
 		},
 		"SetID": func(tx *txn.Transaction) *txn.Transaction {
-			tx.Metadata["note"] = "second"
-			tx.Invalidate()
-			tx.ID = ""
-			tx.SharedDoc() // built before the ID is stamped
-			tx.SetID()
-			return tx
+			c := tx.Clone()
+			c.Metadata["note"] = "second"
+			c.ID = ""
+			c.SharedDoc() // built before the ID is stamped
+			c.SetID()
+			return c
 		},
 	}
 	eachBackend(t, func(t *testing.T, open func() *State) {

@@ -143,8 +143,8 @@ func footprintCorpus(t *testing.T) []*txn.Transaction {
 // TestFootprintMatchesReference: the memoized footprint is the
 // reference derivation, on the first call and on the memo, for every
 // shape; and it follows the transaction through each blessed mutation
-// point — Sign, SetID, Invalidate — instead of answering for what the
-// transaction was.
+// point — Sign, SetID, an edited Clone — instead of answering for what
+// the transaction was.
 func TestFootprintMatchesReference(t *testing.T) {
 	for _, tx := range footprintCorpus(t) {
 		for pass := range 2 {
@@ -162,23 +162,26 @@ func TestFootprintMatchesReference(t *testing.T) {
 			[]txn.Spend{{Ref: txn.OutputRef{TxID: asset.ID, Index: 0}, Owners: []string{owner.PublicBase58()}}},
 			[]*txn.Output{{PublicKeys: []string{other.PublicBase58()}, Amount: 1}}, nil)
 	}
-	for name, mutate := range map[string]func(tx *txn.Transaction){
-		"Sign": func(tx *txn.Transaction) {
+	for name, mutate := range map[string]func(tx *txn.Transaction) *txn.Transaction{
+		"Sign": func(tx *txn.Transaction) *txn.Transaction {
 			tx.Refs = append(tx.Refs, rfq.ID)
 			if err := txn.Sign(tx, owner); err != nil {
 				t.Fatal(err)
 			}
+			return tx
 		},
-		"SetID": func(tx *txn.Transaction) {
-			tx.Invalidate()
-			tx.ID = ""
-			parallel.FootprintOf(tx) // derived before the ID is stamped
-			tx.SetID()
+		"SetID": func(tx *txn.Transaction) *txn.Transaction {
+			c := tx.Clone()
+			c.ID = ""
+			parallel.FootprintOf(c) // derived before the ID is stamped
+			c.SetID()
+			return c
 		},
-		"Invalidate": func(tx *txn.Transaction) {
-			tx.Refs = append(tx.Refs, rfq.ID)
-			tx.Inputs[0].Fulfills.Index = 1
-			tx.Invalidate()
+		"Clone": func(tx *txn.Transaction) *txn.Transaction {
+			c := tx.Clone()
+			c.Refs = append(c.Refs, rfq.ID)
+			c.Inputs[0].Fulfills.Index = 1
+			return c
 		},
 	} {
 		tx := spend()
@@ -186,7 +189,7 @@ func TestFootprintMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := parallel.FootprintOf(tx)
-		mutate(tx)
+		tx = mutate(tx)
 		got, want := parallel.FootprintOf(tx), refFootprint(tx)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("after %s: footprint\n got %v\nwant %v (before: %v)", name, got, want, before)

@@ -12,11 +12,6 @@ type Scheduler struct {
 	// Workers is the number of concurrent validation workers.
 	Workers int
 
-	// Cache is the owning node's canonical-bytes cache scope, threaded
-	// into every validation Context. Nil selects the package default
-	// scope (caching on).
-	Cache *txn.CacheScope
-
 	// OnValidate, when set, is invoked with entering=true immediately
 	// before a transaction's condition set runs and with
 	// entering=false right after. Test instrumentation for the
@@ -74,7 +69,7 @@ func (s *Scheduler) ValidateBatch(reg *txtype.Registry, state txtype.ChainState,
 			defer s.OnValidate(t, false)
 		}
 		if i >= len(fresh) || !fresh[i] {
-			ctx := &txtype.Context{State: state, Reserved: reserved, Batch: res.Batch, Cache: s.Cache}
+			ctx := &txtype.Context{State: state, Reserved: reserved, Batch: res.Batch}
 			if err := reg.Validate(ctx, t); err != nil {
 				errAt[i] = err
 				return

@@ -372,6 +372,51 @@ func FuzzSchemaValidate(f *testing.F) {
 	})
 }
 
+// FuzzSchemaCompile: on any text, CompileYAML returns a schema or an
+// error, and a schema it returns validates a few generator documents
+// without panicking, overflowing the stack or hanging — the same way
+// twice. What a registered custom schema can do to a validator is
+// bounded by this. Seeded from the native schema files and the
+// hand-written test schemas.
+func FuzzSchemaCompile(f *testing.F) {
+	files, err := schemaFS.ReadDir("schemas")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, e := range files {
+		src, err := schemaFS.ReadFile("schemas/" + e.Name())
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	for _, src := range handWrittenSchemas {
+		f.Add(src)
+	}
+	f.Add("definitions:\n  node:\n    anyOf:\n      - $ref: \"#/definitions/node\"\n$ref: \"#/definitions/node\"\n")
+	f.Add("definitions:\n  node:\n    type: object\n    properties:\n      a:\n        $ref: \"#/definitions/node\"\n$ref: \"#/definitions/node\"\n")
+	// One document of each operation, and two that are not objects.
+	docs := []any{nil, "x"}
+	seen := map[any]bool{}
+	for _, doc := range corpusDocs(f) {
+		if op := doc["operation"]; !seen[op] {
+			seen[op] = true
+			docs = append(docs, doc)
+		}
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		s, err := CompileYAML(src)
+		if err != nil {
+			return
+		}
+		for _, doc := range docs {
+			if a, b := render(s.Validate(doc)), render(s.Validate(doc)); a != b {
+				t.Fatalf("schema %q validated a %T document twice differently: %s, then %s", src, doc, a, b)
+			}
+		}
+	})
+}
+
 // TestSchemaErrorsAreDeterministic: a document with several violations
 // reports the same one on every call — the first in the fixed visit
 // order, which is the reference's — for the schema walk and for the
@@ -536,13 +581,11 @@ func BenchmarkSchemaValidate(b *testing.B) {
 	}
 }
 
-// TestCompiledMatchesReferenceOnHandWrittenSchemas covers what the
-// native schemas do not use: an unresolved $ref inside anyOf, a $ref at
-// the root, anyOf under items, numeric and mixed enums, and integer and
-// bound checks on awkward numbers. A $ref to a $ref is not among them:
-// the reference leaves it an empty node (TestChainedRefResolves).
-func TestCompiledMatchesReferenceOnHandWrittenSchemas(t *testing.T) {
-	schemas := []string{`
+// handWrittenSchemas exercise what the native schemas do not use: an
+// unresolved $ref inside anyOf, a $ref at the root, anyOf under items,
+// numeric and mixed enums, and integer and bound checks on awkward
+// numbers.
+var handWrittenSchemas = []string{`
 anyOf:
   - $ref: "#/definitions/missing"
   - type: string
@@ -584,6 +627,12 @@ properties:
     minimum: -1.5
     maximum: 9007199254740992
 `}
+
+// TestCompiledMatchesReferenceOnHandWrittenSchemas holds the walker to
+// the reference on handWrittenSchemas over awkward values. A $ref to a
+// $ref is not among them: the reference leaves it an empty node
+// (TestChainedRefResolves).
+func TestCompiledMatchesReferenceOnHandWrittenSchemas(t *testing.T) {
 	values := []any{
 		nil, true, false, "x", "ab", "abc", "a", "", int64(1), int64(3), 1.0, 2.5, 1.5, -2.0, 1e19, -0.0,
 		9007199254740993.0, []any{}, map[string]any{},
@@ -594,7 +643,7 @@ properties:
 			map[string]any{"list": []any{nil, v}}, map[string]any{"list": []any{v, v, v, v}},
 			map[string]any{"list": []any{map[string]any{"k": v}}})
 	}
-	for _, src := range schemas {
+	for _, src := range handWrittenSchemas {
 		s, err := CompileYAML(src)
 		if err != nil {
 			t.Fatal(err)
@@ -667,6 +716,52 @@ properties:
 `} {
 		if _, err := CompileYAML(src); err == nil || !strings.Contains(err.Error(), "cycle") {
 			t.Errorf("schema %s: compile error %v, want a cycle", src, err)
+		}
+	}
+}
+
+// TestAnyOfRefCycleIsACompileError: a cycle of anyOf and $ref edges
+// validates the same value on every turn, so it would recurse until the
+// stack overflows — which kills the process, not the goroutine. Compile
+// refuses each shape of it, naming the definitions on the cycle, and
+// nothing here ever calls Validate.
+func TestAnyOfRefCycleIsACompileError(t *testing.T) {
+	for _, c := range []struct{ name, src, cycle string }{
+		{"self through anyOf", `
+definitions:
+  node:
+    anyOf:
+      - $ref: "#/definitions/node"
+$ref: "#/definitions/node"
+`, `node → node`},
+		{"two definitions", `
+definitions:
+  a:
+    anyOf:
+      - type: string
+      - $ref: "#/definitions/b"
+  b:
+    anyOf:
+      - $ref: "#/definitions/a"
+type: object
+properties:
+  x:
+    $ref: "#/definitions/a"
+`, `a → b → a`},
+		{"anyOf inside anyOf", `
+definitions:
+  node:
+    type: object
+    anyOf:
+      - type: "null"
+      - anyOf:
+          - type: boolean
+          - $ref: "#/definitions/node"
+`, `node → node`},
+	} {
+		_, err := CompileYAML(c.src)
+		if err == nil || !strings.Contains(err.Error(), "definitions "+c.cycle+" form a cycle") {
+			t.Errorf("%s: compile error %v, want the cycle %s", c.name, err, c.cycle)
 		}
 	}
 }

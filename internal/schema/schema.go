@@ -17,7 +17,9 @@
 // Compile resolves each $ref to its definition once, following a
 // definition that is itself a $ref (a cycle of them is a compile
 // error); a $ref naming no definition compiles and fails when a value
-// reaches it. Validation
+// reaches it. A cycle of anyOf and $ref edges is a compile error too:
+// validation would follow it forever without descending into the
+// value. Recursion through properties or items stays legal. Validation
 // reports the first violation in a fixed visit order: anyOf
 // alternatives in listed order, then type, enum, the value's own
 // bounds, required properties in listed order, an object's keys in
@@ -138,7 +140,46 @@ func Compile(doc map[string]any) (*Schema, error) {
 		}
 		r.ref, r.target = name, t
 	}
+	if err := checkCycles(defs); err != nil {
+		return nil, err
+	}
 	return root, nil
+}
+
+// checkCycles refuses a cycle of anyOf and resolved-$ref edges: each
+// turn of one validates the same value again, so validation would
+// never end. A cycle through properties or items descends into the
+// value on each turn and stays legal. Every cycle enters a definition
+// through a $ref, so a walk from each definition finds them all; path
+// names the definitions entered on the way, and acyclic holds the
+// nodes from which no cycle is reachable.
+func checkCycles(defs map[string]*Schema) error {
+	acyclic := map[*Schema]bool{}
+	var walk func(s *Schema, path []string) error
+	walk = func(s *Schema, path []string) error {
+		if s.target != nil {
+			if i := slices.Index(path, s.ref); i >= 0 {
+				return fmt.Errorf("schema: definitions %s form a cycle of anyOf and $ref that never descends into the value", strings.Join(append(path[i:], s.ref), " → "))
+			}
+			s, path = s.target, append(path, s.ref)
+		}
+		if acyclic[s] {
+			return nil
+		}
+		for _, alt := range s.anyOf {
+			if err := walk(alt, path); err != nil {
+				return err
+			}
+		}
+		acyclic[s] = true
+		return nil
+	}
+	for _, name := range slices.Sorted(maps.Keys(defs)) {
+		if err := walk(defs[name], []string{name}); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // CompileYAML parses a YAML document and compiles it.

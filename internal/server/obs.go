@@ -20,17 +20,15 @@ type nodeObs struct {
 	// Commit pipeline: whether a block is in flight (0 or 1), and
 	// admissions that parked because the previous block had not sealed
 	// yet (fence stack waits).
-	inflight    *obs.Gauge     // server.pipeline.inflight
-	stackWaits  *obs.Counter   // server.fence.stack_waits
-	validateNs  *obs.Histogram // server.validate_ns
-	groups      *obs.Histogram // server.validate.conflict_groups
-	largest     *obs.Histogram // server.validate.largest_group
-	sigTasks    *obs.Counter   // server.admit.sig_tasks
-	sigDedup    *obs.Counter   // server.admit.sig_dedup_hits
-	sigReused   *obs.Counter   // server.admit.sig_reused
-	canonHits   *obs.Gauge     // txn.canonical_cache.hits
-	canonMisses *obs.Gauge     // txn.canonical_cache.misses
-	tracer      *obs.Tracer
+	inflight   *obs.Gauge     // server.pipeline.inflight
+	stackWaits *obs.Counter   // server.fence.stack_waits
+	validateNs *obs.Histogram // server.validate_ns
+	groups     *obs.Histogram // server.validate.conflict_groups
+	largest    *obs.Histogram // server.validate.largest_group
+	sigTasks   *obs.Counter   // server.admit.sig_tasks
+	sigDedup   *obs.Counter   // server.admit.sig_dedup_hits
+	sigReused  *obs.Counter   // server.admit.sig_reused
+	tracer     *obs.Tracer
 }
 
 func newNodeObs(reg *obs.Registry) nodeObs {
@@ -49,24 +47,7 @@ func newNodeObs(reg *obs.Registry) nodeObs {
 		sigTasks:    reg.Counter("server.admit.sig_tasks"),
 		sigDedup:    reg.Counter("server.admit.sig_dedup_hits"),
 		sigReused:   reg.Counter("server.admit.sig_reused"),
-		canonHits:   reg.Gauge("txn.canonical_cache.hits"),
-		canonMisses: reg.Gauge("txn.canonical_cache.misses"),
 		tracer:      reg.Tracer(),
-	}
-}
-
-// observeFastPath accounts one batched signature verification and
-// refreshes the canonical-bytes cache gauges from this node's cache
-// scope, so /metrics always shows the latest totals without the hot
-// path touching the registry per transaction.
-func (n *Node) observeFastPath(stats txn.BatchVerifyStats) {
-	n.ob.sigTasks.Add(uint64(stats.Sig.Tasks))
-	n.ob.sigDedup.Add(uint64(stats.Sig.DedupHits))
-	n.ob.sigReused.Add(uint64(stats.Reused))
-	if n.ob.canonHits != nil {
-		hits, misses := n.cache.Stats()
-		n.ob.canonHits.Set(int64(hits))
-		n.ob.canonMisses.Set(int64(misses))
 	}
 }
 

@@ -94,15 +94,6 @@ type Config struct {
 	// transaction from CheckTx/CheckTxBatch/ValidateTx without running
 	// schema or semantic validation. Nil admits everything.
 	AdmitFilter func(*txn.Transaction) error
-	// DisableAdmissionFastPath turns off the batched, deduplicating
-	// signature pre-verification CheckTxBatch runs before dispatching
-	// the semantic condition sets, and with it this node's
-	// canonical-bytes cache scope: a disabled node re-canonicalizes and
-	// re-verifies from scratch on every validation, without touching
-	// the memos cached nodes in the same process maintain. The verdict
-	// set is identical either way; only latency changes. Exists for
-	// benchmarks that measure the uncached baseline.
-	DisableAdmissionFastPath bool
 	// Obs attaches an observability registry to every layer of the
 	// node: ledger commit histograms, docstore planner counters,
 	// storage WAL/MVCC metrics, the validation fence counters, and the
@@ -144,11 +135,6 @@ type Node struct {
 	nested   *nested.Engine
 	sched    *parallel.Scheduler
 	ob       nodeObs
-
-	// cache is this node's canonical-bytes cache scope, threaded into
-	// every validation path so one process can host cached and
-	// uncached validators side by side.
-	cache *txn.CacheScope
 
 	// baseHeight is the ledger height recovered at open; consensus
 	// heights (always starting at 1 per run) are committed relative
@@ -198,16 +184,14 @@ func OpenNode(cfg Config) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	cache := txn.NewCacheScope(!cfg.DisableAdmissionFastPath)
 	n := &Node{
 		cfg:      cfg,
 		schemas:  schema.MustNewRegistry(),
 		types:    validate.NewRegistry(),
 		state:    state,
 		reserved: keys.NewReservedWithDefaults(cfg.ReservedSeed),
-		sched:    &parallel.Scheduler{Workers: cfg.ParallelWorkers, Cache: cache},
+		sched:    &parallel.Scheduler{Workers: cfg.ParallelWorkers},
 		ob:       newNodeObs(cfg.Obs),
-		cache:    cache,
 	}
 	n.submitChild = func(child *txn.Transaction) {
 		// Standalone default: apply children locally and synchronously.
@@ -297,7 +281,7 @@ func (n *Node) ValidateTx(t *txn.Transaction) error {
 		return err
 	}
 	n.waitFence(parallel.BuildPlan([]*txn.Transaction{t}).TouchKeys())
-	ctx := &txtype.Context{State: n.state.View(), Reserved: n.reserved, Cache: n.cache}
+	ctx := &txtype.Context{State: n.state.View(), Reserved: n.reserved}
 	return n.types.Validate(ctx, t)
 }
 
@@ -383,21 +367,21 @@ func (n *Node) CheckTxBatch(txs []consensus.Tx) map[string]error {
 		}
 		batch = append(batch, t)
 	}
-	if !n.cfg.DisableAdmissionFastPath && len(batch) > 0 {
-		// Verify the batch's fulfillments up front, one transaction per
-		// task on the admission workers; within a transaction identical
-		// (pub, sig) pairs — a multi-input transaction signs its one
-		// payload once per input — cost a single ed25519 check. The
-		// verdicts are deliberately NOT authoritative: successes are
-		// memoized on the transactions so the condition sets below serve
-		// the signature condition in O(1), while a failed transaction
-		// simply stays cold and re-verifies inside its condition set,
-		// failing with the exact error — including the condition name
-		// and ordering relative to structural conditions — the per-tx
-		// path produces. Correctness never depends on this stage.
-		_, stats := n.cache.VerifyFulfillmentsBatch(batch, n.cfg.AdmissionWorkers)
-		n.observeFastPath(stats)
-	}
+	// Verify the batch's fulfillments up front, one transaction per
+	// task on the admission workers; within a transaction identical
+	// (pub, sig) pairs — a multi-input transaction signs its one
+	// payload once per input — cost a single ed25519 check. The
+	// verdicts are deliberately NOT authoritative: successes are
+	// memoized on the transactions so the condition sets below serve
+	// the signature condition in O(1), while a failed transaction
+	// simply stays cold and re-verifies inside its condition set,
+	// failing with the exact error — including the condition name
+	// and ordering relative to structural conditions — the per-tx
+	// path produces. Correctness never depends on this stage.
+	_, stats := txn.VerifyFulfillmentsBatch(batch, n.cfg.AdmissionWorkers)
+	n.ob.sigTasks.Add(uint64(stats.Sig.Tasks))
+	n.ob.sigDedup.Add(uint64(stats.Sig.DedupHits))
+	n.ob.sigReused.Add(uint64(stats.Reused))
 	// The plan doubles as the fence key source, so the batch's
 	// footprints are derived once, not once per consumer.
 	plan := parallel.BuildPlan(batch)
@@ -406,7 +390,7 @@ func (n *Node) CheckTxBatch(txs []consensus.Tx) map[string]error {
 	// reads the same sealed height (the one the fence wait just
 	// guaranteed covers the batch's footprints), so the verdict set is
 	// deterministic even with commits racing in the background.
-	sched := &parallel.Scheduler{Workers: n.cfg.AdmissionWorkers, Cache: n.cache}
+	sched := &parallel.Scheduler{Workers: n.cfg.AdmissionWorkers}
 	res := sched.ValidateBatch(n.types, n.state.View(), n.reserved, batch, plan, nil)
 	for id, err := range res.Errs {
 		errs[id] = err

@@ -12,11 +12,20 @@ import (
 // here and not in a benchmark. ToDoc's count is what the document shape
 // costs: two allocations per object, one box per string and number.
 func TestCodecAllocationCeilings(t *testing.T) {
-	if txn.RaceEnabled {
-		t.Skip("race detector disables sync.Pool reuse; allocation count is meaningless")
+	if txn.RaceEnabled || txn.TripwireEnabled {
+		t.Skip("allocation counts are meaningless under the race detector or the tripwire")
 	}
 	_, tr, _ := workload.BenchmarkShapes()
 	doc := tr.ToDoc()
+	// cold runs derive on a fresh clone each call: a clone starts with
+	// no memo. Each case is run once to warm up and 201 times measured.
+	cold := func(derive func(*txn.Transaction)) func() {
+		clones := make([]*txn.Transaction, 202)
+		for i := range clones {
+			clones[i] = tr.Clone()
+		}
+		return func() { derive(clones[0]); clones = clones[1:] }
+	}
 	for _, c := range []struct {
 		name    string
 		ceiling float64
@@ -29,8 +38,8 @@ func TestCodecAllocationCeilings(t *testing.T) {
 			}
 		}},
 		// The exact-size copy and the memo cell it is published in.
-		{"cold SigningPayload", 2, func() { tr.Invalidate(); tr.SigningPayload() }},
-		{"cold MarshalCanonical", 2, func() { tr.Invalidate(); tr.MarshalCanonical() }},
+		{"cold SigningPayload", 2, cold(func(t *txn.Transaction) { t.SigningPayload() })},
+		{"cold MarshalCanonical", 2, cold(func(t *txn.Transaction) { t.MarshalCanonical() })},
 		{"OutputRef.String", 1, func() { _ = tr.Inputs[3].Fulfills.String() }},
 		// One string per spent output, once: the warm-up call built them.
 		{"SpendKeys and a UTXO key", 0, func() { _ = tr.SpendKeys()[3][len(txn.SpendKeyPrefix):] }},
@@ -80,24 +89,33 @@ func BenchmarkFromDoc(b *testing.B) {
 	})
 }
 
-func BenchmarkSigningPayloadCold(b *testing.B) {
+// benchCold times derive on transactions with nothing memoized: fresh
+// clones, made with the timer (and the allocation count) stopped.
+func benchCold(b *testing.B, derive func(t *txn.Transaction)) {
 	benchShapes(b, func(b *testing.B, t *txn.Transaction) {
 		b.ReportAllocs()
-		for b.Loop() {
-			t.Invalidate()
-			sinkBytes = t.SigningPayload()
+		var clones []*txn.Transaction
+		for range b.N {
+			if len(clones) == 0 {
+				b.StopTimer()
+				clones = make([]*txn.Transaction, 1024)
+				for i := range clones {
+					clones[i] = t.Clone()
+				}
+				b.StartTimer()
+			}
+			derive(clones[0])
+			clones = clones[1:]
 		}
 	})
 }
 
+func BenchmarkSigningPayloadCold(b *testing.B) {
+	benchCold(b, func(t *txn.Transaction) { sinkBytes = t.SigningPayload() })
+}
+
 func BenchmarkMarshalCanonicalCold(b *testing.B) {
-	benchShapes(b, func(b *testing.B, t *txn.Transaction) {
-		b.ReportAllocs()
-		for b.Loop() {
-			t.Invalidate()
-			sinkBytes = t.MarshalCanonical()
-		}
-	})
+	benchCold(b, func(t *txn.Transaction) { sinkBytes = t.MarshalCanonical() })
 }
 
 // BenchmarkOutputRefString is what naming one spent output costs: built

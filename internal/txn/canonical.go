@@ -17,17 +17,13 @@ import (
 // which is what makes SHA3-256 identifiers and signatures stable across
 // nodes and languages. The result is memoized (see cache.go) — callers
 // must treat it as read-only.
-func (t *Transaction) MarshalCanonical() []byte { return t.marshalCanonical(nil) }
-
-// marshalCanonical is MarshalCanonical under an explicit cache scope
-// (nil = the package default, caching on).
-func (t *Transaction) marshalCanonical(sc *CacheScope) []byte {
-	if b := t.cachedCanonical(sc); b != nil {
+func (t *Transaction) MarshalCanonical() []byte {
+	m := t.cell()
+	if b, ok := m.canonical.load(); ok {
+		tripServed(t, b, false)
 		return b
 	}
-	b := encodeTx(t, false)
-	t.storeCanonical(sc, b)
-	return b
+	return m.canonical.publish(encodeTx(t, false))
 }
 
 // SigningPayload returns the canonical bytes that identify and are
@@ -36,41 +32,40 @@ func (t *Transaction) marshalCanonical(sc *CacheScope) []byte {
 // itself). Children are also excluded because a nested parent's child
 // IDs are assigned by the server after signing. The result is memoized
 // (see cache.go) — callers must treat it as read-only.
-func (t *Transaction) SigningPayload() []byte { return t.signingPayload(nil) }
-
-// signingPayload is SigningPayload under an explicit cache scope (nil
-// = the package default, caching on).
-func (t *Transaction) signingPayload(sc *CacheScope) []byte {
-	if b := t.cachedSigning(sc); b != nil {
+func (t *Transaction) SigningPayload() []byte {
+	m := t.cell()
+	if b, ok := m.signing.load(); ok {
+		tripServed(t, b, true)
 		return b
 	}
-	b := encodeTx(t, true)
-	t.storeSigning(sc, b)
-	return b
+	return m.signing.publish(encodeTx(t, true))
 }
 
 // ComputeID returns the transaction identifier: lowercase hex SHA3-256
 // of the signing payload.
-func (t *Transaction) ComputeID() string { return t.computeID(nil) }
-
-func (t *Transaction) computeID(sc *CacheScope) string {
-	sum := sha3.Sum256(t.signingPayload(sc))
+func (t *Transaction) ComputeID() string {
+	sum := sha3.Sum256(t.SigningPayload())
 	return hex.EncodeToString(sum[:])
 }
 
-// SetID stamps the computed identifier onto the transaction. The
-// memoized canonical encoding (which covers the ID) is dropped; the
-// signing payload (which excludes it) survives.
+// SetID stamps the computed identifier onto the transaction and drops
+// the derived values that cover the ID — the canonical encoding, the
+// document, the footprint and the signature verdict; the signing
+// payload and the spend keys, which leave it out, stay. Like Sign, it
+// runs before the transaction is shared.
 func (t *Transaction) SetID() {
 	t.ID = t.ComputeID()
-	t.dropDerivedMemo()
+	if m := t.memo.Load(); m != nil {
+		m.canonical.reset()
+		m.doc.reset()
+		m.footprint.reset()
+		m.verified.Store(false)
+	}
 }
 
 // VerifyID reports whether the stored ID matches the recomputed one.
-func (t *Transaction) VerifyID() bool { return t.verifyID(nil) }
-
-func (t *Transaction) verifyID(sc *CacheScope) bool {
-	return t.ID != "" && t.ID == t.computeID(sc)
+func (t *Transaction) VerifyID() bool {
+	return t.ID != "" && t.ID == t.ComputeID()
 }
 
 // CanonicalizeDoc renders any JSON-safe document in the same canonical

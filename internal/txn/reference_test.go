@@ -77,9 +77,12 @@ func RefSigningPayload(t *Transaction) ([]byte, error) {
 	return CanonicalizeDoc(doc), nil
 }
 
-// RaceEnabled lets the external test package skip allocation counts
-// under the race detector.
-const RaceEnabled = raceEnabled
+// RaceEnabled and TripwireEnabled let the external test package skip
+// allocation counts under the race detector and the tripwire.
+const (
+	RaceEnabled     = raceEnabled
+	TripwireEnabled = tripwireEnabled
+)
 
 // The fulfillment verifier as it was before it checked each distinct
 // (pub, sig) pair of a transaction once: input by input, every
@@ -201,7 +204,7 @@ func RefVerifyFulfillmentsBatch(ts []*Transaction) (map[string]error, BatchVerif
 		if t == nil {
 			continue
 		}
-		if t.sigVerified(nil) {
+		if t.sigVerified() {
 			stats.Reused++
 			continue
 		}

@@ -16,10 +16,10 @@ import (
 // relevant to an input are ignored. Sign must be called after the
 // transaction is otherwise complete — any later mutation invalidates
 // both the signatures and the ID (re-signing is always safe: Sign
-// drops any memoized encoding first, so the payload reflects the
-// current content).
+// drops every derived value first, so the payload reflects the current
+// content). Like SetID, it runs before the transaction is shared.
 func Sign(t *Transaction, signers ...*keys.KeyPair) error {
-	t.Invalidate()
+	t.memo.Store(nil)
 	byPub := make(map[string]*keys.KeyPair, len(signers))
 	for _, kp := range signers {
 		byPub[kp.PublicBase58()] = kp
@@ -50,24 +50,14 @@ func Sign(t *Transaction, signers ...*keys.KeyPair) error {
 // VerifyFulfillments checks validation condition C(5) shared by all
 // types: for every input, verify(s_i, pb_i, m_i) must hold. It also
 // re-verifies the transaction ID so a tampered payload fails closed.
-// A successful verdict is memoized on the transaction (dropped by
-// Invalidate/Sign/Clone), so re-running the condition during block
-// validation after batch admission already proved it costs O(1).
-// The free function runs under the package default cache scope; a
-// validator with its own scope calls the CacheScope method instead.
+// A successful verdict is memoized on the transaction (see cache.go),
+// so re-running the condition during block validation after batch
+// admission already proved it costs O(1).
 func VerifyFulfillments(t *Transaction) error {
-	return (*CacheScope)(nil).VerifyFulfillments(t)
-}
-
-// VerifyFulfillments is the scoped form: memo lookups, verdict
-// memoization, and hit/miss tallies all follow this scope's policy. A
-// disabled scope re-verifies from scratch every time and records
-// nothing (nil-safe; nil = the default scope, caching on).
-func (sc *CacheScope) VerifyFulfillments(t *Transaction) error {
-	if t.sigVerified(sc) {
+	if t.sigVerified() {
 		return nil
 	}
-	_, err := sc.verifyFulfillments(t)
+	_, err := verifyFulfillments(t)
 	return err
 }
 
@@ -93,18 +83,18 @@ type SigStats struct {
 // most once. Across transactions no pair repeats: an ID is the SHA3 of
 // the signing payload, so two transactions with different IDs never
 // sign the same bytes.
-func (sc *CacheScope) verifyFulfillments(t *Transaction) (SigStats, error) {
-	if !t.verifyID(sc) {
+func verifyFulfillments(t *Transaction) (SigStats, error) {
+	if !t.VerifyID() {
 		return SigStats{}, &ValidationError{Op: t.Operation, Reason: "transaction id does not match payload"}
 	}
-	payload := t.signingPayload(sc)
+	payload := t.SigningPayload()
 	var pairs sigPairs
 	for i, in := range t.Inputs {
 		if err := pairs.verifyInput(in, payload); err != nil {
 			return pairs.stats(), &ValidationError{Op: t.Operation, Reason: fmt.Sprintf("input %d: %v", i, err)}
 		}
 	}
-	t.markSigVerified(sc)
+	t.cell().verified.Store(true)
 	return pairs.stats(), nil
 }
 
@@ -215,17 +205,8 @@ type BatchVerifyStats struct {
 // memoized successes are VerifyFulfillments'; the errs map carries an
 // entry only for failing transaction IDs, and when several
 // transactions of the batch share an ID the first failing one's error
-// stands. The free function runs under the package default cache
-// scope.
+// stands.
 func VerifyFulfillmentsBatch(ts []*Transaction, workers int) (errs map[string]error, stats BatchVerifyStats) {
-	return (*CacheScope)(nil).VerifyFulfillmentsBatch(ts, workers)
-}
-
-// VerifyFulfillmentsBatch is the scoped form of the batch verifier
-// (nil-safe; nil = the default scope, caching on). A disabled scope
-// never reuses memoized verdicts, so Reused stays 0 and every
-// signature is re-checked.
-func (sc *CacheScope) VerifyFulfillmentsBatch(ts []*Transaction, workers int) (errs map[string]error, stats BatchVerifyStats) {
 	// Reuse is decided before any verification starts, so a
 	// transaction listed twice is verified twice and the accounting
 	// does not depend on which worker finishes first.
@@ -234,7 +215,7 @@ func (sc *CacheScope) VerifyFulfillmentsBatch(ts []*Transaction, workers int) (e
 		if t == nil {
 			continue
 		}
-		if t.sigVerified(sc) {
+		if t.sigVerified() {
 			stats.Reused++
 			continue
 		}
@@ -243,7 +224,7 @@ func (sc *CacheScope) VerifyFulfillmentsBatch(ts []*Transaction, workers int) (e
 	sigs := make([]SigStats, len(work))
 	errAt := make([]error, len(work))
 	forEach(len(work), workers, func(i int) {
-		sigs[i], errAt[i] = sc.verifyFulfillments(work[i])
+		sigs[i], errAt[i] = verifyFulfillments(work[i])
 	})
 	errs = make(map[string]error)
 	for i, t := range work {

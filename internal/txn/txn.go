@@ -148,8 +148,9 @@ type Transaction struct {
 	// Version is the payload format version.
 	Version string `json:"version"`
 
-	// memo caches the canonical encodings and signature verdict (see
-	// cache.go). Unexported: invisible to JSON, never copied by Clone.
+	// memo holds what is derived from the transaction, each value
+	// computed once (see cache.go). Unexported: invisible to JSON,
+	// never copied by Clone.
 	memo atomic.Pointer[txMemo]
 }
 

@@ -98,7 +98,7 @@ func multisigTransfer(t testing.TB, threshold int, owners ...*keys.KeyPair) *Tra
 func TestVerifyFanInDedup(t *testing.T) {
 	const k = 16
 	tr := fanIn(t, 51, k)
-	st, err := (*CacheScope)(nil).verifyFulfillments(tr.Clone())
+	st, err := verifyFulfillments(tr.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,6 +200,7 @@ func TestVerifyFulfillmentsRandomizedDifferential(t *testing.T) {
 		} else {
 			tr = fanIn(t, int64(200+rng.Intn(4)), 1+rng.Intn(4))
 		}
+		tr = tr.Clone() // cold, so it may be edited
 		in := tr.Inputs[rng.Intn(len(tr.Inputs))]
 		switch rng.Intn(8) {
 		case 0:
@@ -231,7 +232,6 @@ func TestVerifyFulfillmentsRandomizedDifferential(t *testing.T) {
 				tr = ts[rng.Intn(len(ts))]
 			}
 		}
-		tr.Invalidate()
 		ts = append(ts, tr)
 	}
 	st := CheckVerifyDifferential(t, ts)
@@ -271,7 +271,6 @@ func FuzzVerifyFulfillments(f *testing.F) {
 				in.OwnersBefore = strings.Split(owners, ",")
 			}
 		}
-		tr.Invalidate()
 		if restamp {
 			tr.SetID()
 		}
@@ -318,8 +317,8 @@ func BenchmarkVerifyFulfillmentsBatch(b *testing.B) {
 // list, and the base58 decodes of each distinct pair's key and
 // signature (most of it: math/big).
 func TestVerifyFulfillmentsBatchAllocationCeiling(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
+	if raceEnabled || tripwireEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector or the tripwire")
 	}
 	ts := admissionBatch(t)
 	for workers, ceiling := range map[int]float64{1: 773, 2: 777} {

@@ -48,12 +48,6 @@ type Context struct {
 	Reserved ReservedSet
 	Batch    *Batch
 
-	// Cache is the validating node's canonical-bytes cache scope.
-	// Conditions that verify signatures or recompute IDs route memo
-	// lookups through it; nil means the package default scope
-	// (caching on).
-	Cache *txn.CacheScope
-
 	// resolved memoizes committed-state lookups for the lifetime of
 	// this Context (one validation call, one goroutine — no lock). A
 	// K-input transfer resolves its funding transaction once per

@@ -155,10 +155,9 @@ func checkNotDuplicate(ctx *txtype.Context, t *txn.Transaction) error {
 }
 
 // checkSignatures verifies the transaction ID and every fulfillment —
-// condition (5) shared by all types — under the validating node's
-// cache scope.
-func checkSignatures(ctx *txtype.Context, t *txn.Transaction) error {
-	return ctx.Cache.VerifyFulfillments(t)
+// condition (5) shared by all types.
+func checkSignatures(_ *txtype.Context, t *txn.Transaction) error {
+	return txn.VerifyFulfillments(t)
 }
 
 // capabilities extracts the "capabilities" string list from an asset
