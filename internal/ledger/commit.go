@@ -90,28 +90,14 @@ func (o *groupOverlay) spenderOf(key string) (spender string, exists bool) {
 // absorbs the transaction's effects so later group members observe
 // them.
 func (o *groupOverlay) stageTx(t *txn.Transaction) *stagedTx {
-	if o.hasTx(t.ID) {
-		return &stagedTx{err: &txn.DuplicateTransactionError{TxID: t.ID, Reason: "already committed"}}
-	}
-	// Check all spends first so failure stages nothing.
-	spent := spentUTXOKeys(t)
-	for i, key := range spent {
-		spender, ok := o.spenderOf(key)
-		if !ok {
-			return &stagedTx{err: &txn.InputDoesNotExistError{TxID: t.SpentRefs()[i].TxID}}
-		}
-		if spender != "" {
-			return &stagedTx{err: &txn.DoubleSpendError{Ref: t.SpentRefs()[i], SpentBy: spender}}
-		}
-	}
-	ops, err := homeOps(t, spent, o.getUTXO)
-	if err != nil {
-		return &stagedTx{err: err}
+	st := o.stageShare(t, true, nil)
+	if st.err != nil {
+		return st
 	}
 	// Absorb the transaction's effects so a same-group rival sees the
 	// double spend, and a same-group spender the new outputs, exactly
 	// as the sequential pass would.
-	for _, op := range ops {
+	for _, op := range st.ops {
 		switch op.kind {
 		case opMarkSpent:
 			o.spent[op.key] = op.spender
@@ -120,6 +106,52 @@ func (o *groupOverlay) stageTx(t *txn.Transaction) *stagedTx {
 		}
 	}
 	o.txIDs[t.ID] = true
+	return st
+}
+
+// stageShare is the one stage body: it checks t against the overlay and
+// stages the ops of the share of t recorded here. home says whether t is
+// homed here — its document, outputs and asset record stage, after the
+// duplicate check; owns, when non-nil, says which spent inputs (by
+// SpentRefs index) are kept here, and only those are checked and
+// marked. The block commit stages the whole transaction (home, nil); a
+// non-home share must own an input. Failure stages nothing.
+func (o *groupOverlay) stageShare(t *txn.Transaction, home bool, owns func(i int) bool) *stagedTx {
+	if home && o.hasTx(t.ID) {
+		return &stagedTx{err: &txn.DuplicateTransactionError{TxID: t.ID, Reason: "already committed"}}
+	}
+	// Check all spends first so failure stages nothing.
+	spent := spentUTXOKeys(t)
+	owned := spent
+	if owns != nil {
+		owned = make([]string, 0, len(spent))
+	}
+	for i, key := range spent {
+		if owns != nil {
+			if !owns(i) {
+				continue
+			}
+			owned = append(owned, key)
+		}
+		spender, ok := o.spenderOf(key)
+		if !ok {
+			return &stagedTx{err: &txn.InputDoesNotExistError{TxID: t.SpentRefs()[i].TxID}}
+		}
+		if spender != "" {
+			return &stagedTx{err: &txn.DoubleSpendError{Ref: t.SpentRefs()[i], SpentBy: spender}}
+		}
+	}
+	if home {
+		ops, err := homeOps(t, owned, o.getUTXO)
+		return &stagedTx{ops: ops, err: err}
+	}
+	if len(owned) == 0 {
+		return &stagedTx{err: fmt.Errorf("ledger: shard owns no inputs of %s", t.ID)}
+	}
+	ops := make([]stagedOp, len(owned))
+	for i, key := range owned {
+		ops[i] = stagedOp{kind: opMarkSpent, key: key, spender: t.ID}
+	}
 	return &stagedTx{ops: ops}
 }
 

@@ -172,7 +172,7 @@ func txIDsAny(txs []*txn.Transaction) []any {
 
 // stageOwnedCopyOnSpend is StageOwned with the home share built by the
 // reference; a participant's share, mark-spent ops only, is the same.
-func stageOwnedCopyOnSpend(s *State, t *txn.Transaction, home bool, owns func(txn.OutputRef) bool) (*Prepared, error) {
+func stageOwnedCopyOnSpend(s *State, t *txn.Transaction, home bool, owns func(i int) bool) (*Prepared, error) {
 	p, err := s.StageOwned(t, home, owns)
 	if err != nil || !home {
 		return p, err
@@ -183,10 +183,7 @@ func stageOwnedCopyOnSpend(s *State, t *txn.Transaction, home bool, owns func(tx
 			owned = append(owned, op.key)
 		}
 	}
-	p.ops, err = copyOnSpendHomeOps(t, owned, func(key string) (map[string]any, bool) {
-		doc, ok := p.InputDocs[key]
-		return doc, ok
-	})
+	p.ops, err = copyOnSpendHomeOps(t, owned, s.store.Collection(ColUTXOs).Borrow)
 	return p, err
 }
 

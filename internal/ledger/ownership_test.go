@@ -130,7 +130,7 @@ func (w *ownershipStream) commit(t *testing.T, s *State) {
 			t.Fatal(err)
 		}
 	}
-	p, err := s.StageOwned(w.cross, true, func(txn.OutputRef) bool { return true })
+	p, err := s.StageOwned(w.cross, true, func(int) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}

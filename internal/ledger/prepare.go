@@ -32,73 +32,24 @@ func DecisionKey(txID string) string { return "d:" + txID }
 type Prepared struct {
 	TxID string
 	ops  []stagedOp
-	// InputDocs maps each owned spent input (by UTXO key) to its
-	// committed record — the coordinator's cross-check material
-	// (owners, asset, amount). The records are borrowed from the store
-	// and read-only. Not persisted: checks run before the prepare is
-	// logged.
-	InputDocs map[string]map[string]any
 }
 
 // StageOwned checks and stages the shard-owned share of t against
-// committed state. The home shard (home=true) stages the transaction
-// document, every output, the asset record, and its owned input
-// marks; a non-home participant stages only the spent marks for the
-// inputs it owns. owns reports whether this shard owns a spent ref's
-// UTXO key. Nothing is mutated; failure stages nothing.
-func (s *State) StageOwned(t *txn.Transaction, home bool, owns func(txn.OutputRef) bool) (*Prepared, error) {
+// committed state: the block commit's stage body (stageShare) with its
+// spends restricted to the inputs owns reports (by SpentRefs index)
+// this shard keeps. The home shard (home=true) stages the transaction
+// document, every output, the asset record, and its owned input marks;
+// a non-home participant stages only the spent marks for the inputs it
+// owns. Nothing is mutated; failure stages nothing.
+func (s *State) StageOwned(t *txn.Transaction, home bool, owns func(i int) bool) (*Prepared, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if home && s.store.Collection(ColTransactions).Has(t.ID) {
-		return nil, &txn.DuplicateTransactionError{TxID: t.ID, Reason: "already committed"}
+	// A bare overlay: committed state only, and nothing absorbed.
+	st := (&groupOverlay{s: s}).stageShare(t, home, owns)
+	if st.err != nil {
+		return nil, st.err
 	}
-	p := &Prepared{TxID: t.ID, InputDocs: make(map[string]map[string]any)}
-	var owned []string // UTXO keys of the spent inputs this shard owns
-	allOwned := true
-	spent := spentUTXOKeys(t)
-	for i, ref := range t.SpentRefs() {
-		if !owns(ref) {
-			allOwned = false
-			continue
-		}
-		key := spent[i]
-		doc, ok := s.store.Collection(ColUTXOs).Borrow(key)
-		if !ok {
-			return nil, &txn.InputDoesNotExistError{TxID: ref.TxID}
-		}
-		if spender, _ := doc["spent_by"].(string); spender != "" {
-			return nil, &txn.DoubleSpendError{Ref: ref, SpentBy: spender}
-		}
-		p.InputDocs[key] = doc
-		owned = append(owned, key)
-	}
-	if !home {
-		if len(owned) == 0 {
-			return nil, fmt.Errorf("ledger: shard owns no inputs of %s", t.ID)
-		}
-		for _, key := range owned {
-			p.ops = append(p.ops, stagedOp{kind: opMarkSpent, key: key, spender: t.ID})
-		}
-		return p, nil
-	}
-
-	// Home shard: the full transaction record, from the builder the
-	// block commit uses. Output-asset resolution for nested parents
-	// reads input UTXOs, so a cross-shard ACCEPT_BID (inputs on other
-	// shards) cannot be staged — the router keeps auction chains
-	// co-located, and the coordinator rejects the rest.
-	if t.Operation == txn.OpAcceptBid && !allOwned {
-		return nil, fmt.Errorf("ledger: cross-shard %s is not supported", t.Operation)
-	}
-	ops, err := homeOps(t, owned, func(key string) (map[string]any, bool) {
-		doc, ok := p.InputDocs[key]
-		return doc, ok
-	})
-	if err != nil {
-		return nil, err
-	}
-	p.ops = ops
-	return p, nil
+	return &Prepared{TxID: t.ID, ops: st.ops}, nil
 }
 
 // LogPrepare makes the shard's staged share durable as a PREPARE

@@ -27,14 +27,14 @@ func preparedShares(tb testing.TB) []*Prepared {
 			tb.Fatal(skipped)
 		}
 	}
-	half := func(ref txn.OutputRef) bool { return ref.Index >= 2 }
-	all := func(txn.OutputRef) bool { return true }
-	none := func(txn.OutputRef) bool { return false }
+	half := func(i int) bool { return i >= 2 }
+	all := func(int) bool { return true }
+	none := func(int) bool { return false }
 	var shares []*Prepared
 	for _, c := range []struct {
 		t    *txn.Transaction
 		home bool
-		owns func(txn.OutputRef) bool
+		owns func(int) bool
 	}{
 		{fanIn, true, all}, {fanIn, true, half}, {fanIn, true, none}, {fanIn, false, half},
 		{gen.Create(owner, []string{"cnc"}, 64), true, none},

@@ -84,7 +84,7 @@ func TestPreparedApplyCostsTheBlockNotTheState(t *testing.T) {
 			for i := 0; i < transfers; i++ {
 				tr := hop(t, owner, refs[i*(outputs/transfers)])
 				before := swept.Value()
-				p, err := s.StageOwned(tr, true, func(txn.OutputRef) bool { return true })
+				p, err := s.StageOwned(tr, true, func(int) bool { return true })
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -126,7 +126,7 @@ func (sd *side) commitBlock(s *ledger.State, batch []*txn.Transaction) (committe
 	return committed, skipped, err
 }
 
-func (sd *side) stageOwned(s *ledger.State, t *txn.Transaction, home bool, owns func(txn.OutputRef) bool) (*ledger.Prepared, error) {
+func (sd *side) stageOwned(s *ledger.State, t *txn.Transaction, home bool, owns func(i int) bool) (*ledger.Prepared, error) {
 	if sd.copyOnSpend {
 		return ledger.StageOwnedCopyOnSpend(s, t, home, owns)
 	}
@@ -174,8 +174,8 @@ func (sd *side) drive(t *testing.T, w *diffStream) []string {
 	// The hop: main owns every input and is a participant; peer owns
 	// none and is home. Home applies first — the commit point — then
 	// the participant.
-	all := func(txn.OutputRef) bool { return true }
-	none := func(txn.OutputRef) bool { return false }
+	all := func(int) bool { return true }
+	none := func(int) bool { return false }
 	part, err := sd.stageOwned(sd.main, w.hop, false, all)
 	if err != nil {
 		t.Fatal(err)

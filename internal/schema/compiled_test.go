@@ -395,6 +395,7 @@ func FuzzSchemaCompile(f *testing.F) {
 	}
 	f.Add("definitions:\n  node:\n    anyOf:\n      - $ref: \"#/definitions/node\"\n$ref: \"#/definitions/node\"\n")
 	f.Add("definitions:\n  node:\n    type: object\n    properties:\n      a:\n        $ref: \"#/definitions/node\"\n$ref: \"#/definitions/node\"\n")
+	f.Add(fanOutSchema(30))
 	// One document of each operation, and two that are not objects.
 	docs := []any{nil, "x"}
 	seen := map[any]bool{}
@@ -762,6 +763,36 @@ definitions:
 		_, err := CompileYAML(c.src)
 		if err == nil || !strings.Contains(err.Error(), "definitions "+c.cycle+" form a cycle") {
 			t.Errorf("%s: compile error %v, want the cycle %s", c.name, err, c.cycle)
+		}
+	}
+}
+
+// fanOutSchema chains the definitions d0 … dn, each but the last
+// listing the next one twice under anyOf: a value failing them all is
+// checked against 2^(n+1)-1 nodes.
+func fanOutSchema(n int) string {
+	var b strings.Builder
+	b.WriteString("definitions:\n")
+	for i := range n {
+		fmt.Fprintf(&b, "  d%d:\n    anyOf:\n      - $ref: \"#/definitions/d%d\"\n      - $ref: \"#/definitions/d%d\"\n", i, i+1, i+1)
+	}
+	fmt.Fprintf(&b, "  d%d:\n    type: string\n$ref: \"#/definitions/d0\"\n", n)
+	return b.String()
+}
+
+// TestAnyOfFanOutIsBounded: a definition reaching more than
+// maxAlternatives nodes through anyOf and $ref edges is a compile
+// error naming it, counted in time linear in the schema (at n = 30 the
+// count is 2^31, and at n = 20 a failing value took 451 ms to check);
+// one at the bound compiles.
+func TestAnyOfFanOutIsBounded(t *testing.T) {
+	if _, err := CompileYAML(fanOutSchema(7)); err != nil {
+		t.Fatalf("255 alternatives: %v", err)
+	}
+	for _, n := range []int{8, 30} {
+		_, err := CompileYAML(fanOutSchema(n))
+		if err == nil || !strings.Contains(err.Error(), `definition "d0" reaches more than 256 anyOf and $ref alternatives`) {
+			t.Errorf("n = %d: compile error %v, want d0 refused", n, err)
 		}
 	}
 }

@@ -19,11 +19,12 @@
 // error); a $ref naming no definition compiles and fails when a value
 // reaches it. A cycle of anyOf and $ref edges is a compile error too:
 // validation would follow it forever without descending into the
-// value. Recursion through properties or items stays legal. Validation
-// reports the first violation in a fixed visit order: anyOf
-// alternatives in listed order, then type, enum, the value's own
-// bounds, required properties in listed order, an object's keys in
-// sorted order and array items by index. The path of a violation
+// value. So is a definition reaching more than maxAlternatives nodes
+// through such edges. Recursion through properties or items stays
+// legal. Validation reports the first violation in a fixed visit
+// order: anyOf alternatives in listed order, then type, enum, the
+// value's own bounds, required properties in listed order, an object's
+// keys in sorted order and array items by index. The path of a violation
 // ("$.inputs[2].fulfills.transaction_id") is built on the way back up
 // from it, so a valid document costs no allocation.
 package schema
@@ -140,43 +141,60 @@ func Compile(doc map[string]any) (*Schema, error) {
 		}
 		r.ref, r.target = name, t
 	}
-	if err := checkCycles(defs); err != nil {
+	if err := checkAlternatives(defs); err != nil {
 		return nil, err
 	}
 	return root, nil
 }
 
-// checkCycles refuses a cycle of anyOf and resolved-$ref edges: each
-// turn of one validates the same value again, so validation would
-// never end. A cycle through properties or items descends into the
+// maxAlternatives bounds the nodes one value is checked against
+// without descending into it: a definition plus every alternative it
+// reaches through anyOf and $ref edges, repeats counted. Chained
+// definitions that each list the next one twice reach 2^n of them, and
+// a value failing them all would visit every one. The native schemas
+// use no anyOf: each of their definitions reaches 1.
+const maxAlternatives = 256
+
+// checkAlternatives refuses a cycle of anyOf and resolved-$ref edges
+// (each turn of one validates the same value again, so validation would
+// never end) and a definition reaching more than maxAlternatives nodes
+// through them. A cycle through properties or items descends into the
 // value on each turn and stays legal. Every cycle enters a definition
 // through a $ref, so a walk from each definition finds them all; path
-// names the definitions entered on the way, and acyclic holds the
-// nodes from which no cycle is reachable.
-func checkCycles(defs map[string]*Schema) error {
-	acyclic := map[*Schema]bool{}
-	var walk func(s *Schema, path []string) error
-	walk = func(s *Schema, path []string) error {
+// names the definitions entered on the way, and reach holds, for each
+// node from which no cycle is reachable, the nodes it reaches (capped
+// one above the bound), so each node is counted once.
+func checkAlternatives(defs map[string]*Schema) error {
+	reach := map[*Schema]int{}
+	var walk func(s *Schema, path []string) (int, error)
+	walk = func(s *Schema, path []string) (int, error) {
 		if s.target != nil {
 			if i := slices.Index(path, s.ref); i >= 0 {
-				return fmt.Errorf("schema: definitions %s form a cycle of anyOf and $ref that never descends into the value", strings.Join(append(path[i:], s.ref), " → "))
+				return 0, fmt.Errorf("schema: definitions %s form a cycle of anyOf and $ref that never descends into the value", strings.Join(append(path[i:], s.ref), " → "))
 			}
 			s, path = s.target, append(path, s.ref)
 		}
-		if acyclic[s] {
-			return nil
+		if n, ok := reach[s]; ok {
+			return n, nil
 		}
+		n := 1
 		for _, alt := range s.anyOf {
-			if err := walk(alt, path); err != nil {
-				return err
+			m, err := walk(alt, path)
+			if err != nil {
+				return 0, err
 			}
+			n = min(n+m, maxAlternatives+1)
 		}
-		acyclic[s] = true
-		return nil
+		reach[s] = n
+		return n, nil
 	}
 	for _, name := range slices.Sorted(maps.Keys(defs)) {
-		if err := walk(defs[name], []string{name}); err != nil {
+		n, err := walk(defs[name], []string{name})
+		if err != nil {
 			return err
+		}
+		if n > maxAlternatives {
+			return fmt.Errorf("schema: definition %q reaches more than %d anyOf and $ref alternatives that never descend into the value", name, maxAlternatives)
 		}
 	}
 	return nil

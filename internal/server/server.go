@@ -87,13 +87,6 @@ type Config struct {
 	// crash-consistency formats without the per-block flush cost.
 	// Only meaningful with DataDir set.
 	NoSync bool
-	// AdmitFilter, when set, screens every transaction before any
-	// validation work — the hook a sharded deployment uses to bounce
-	// transactions homed on another shard at the door (the router
-	// resubmits them where they belong). A non-nil error rejects the
-	// transaction from CheckTx/CheckTxBatch/ValidateTx without running
-	// schema or semantic validation. Nil admits everything.
-	AdmitFilter func(*txn.Transaction) error
 	// Obs attaches an observability registry to every layer of the
 	// node: ledger commit histograms, docstore planner counters,
 	// storage WAL/MVCC metrics, the validation fence counters, and the
@@ -272,11 +265,6 @@ func (n *Node) Nested() *nested.Engine { return n.nested }
 // a pinned snapshot of the newest sealed block, so a commit landing
 // mid-validation cannot flip individual reads under the verdict.
 func (n *Node) ValidateTx(t *txn.Transaction) error {
-	if n.cfg.AdmitFilter != nil {
-		if err := n.cfg.AdmitFilter(t); err != nil {
-			return err
-		}
-	}
 	if err := n.schemas.ValidateTx(t); err != nil {
 		return err
 	}
@@ -354,12 +342,6 @@ func (n *Node) CheckTxBatch(txs []consensus.Tx) map[string]error {
 		if !ok {
 			errs[tx.Hash()] = fmt.Errorf("server: unexpected tx type %T", tx)
 			continue
-		}
-		if n.cfg.AdmitFilter != nil {
-			if err := n.cfg.AdmitFilter(t); err != nil {
-				errs[t.ID] = err
-				continue
-			}
 		}
 		if err := n.schemas.ValidateTx(t); err != nil {
 			errs[t.ID] = err

@@ -13,8 +13,8 @@
 package shard
 
 import (
-	"fmt"
 	"hash/fnv"
+	"slices"
 	"sync"
 
 	"smartchaindb/internal/txn"
@@ -81,9 +81,6 @@ func placeByHash(t *txn.Transaction, shards int) int {
 // hintOf extracts the shard hint from a transaction's metadata, if
 // present and in range.
 func hintOf(t *txn.Transaction, shards int) (int, bool) {
-	if t.Metadata == nil {
-		return 0, false
-	}
 	raw, ok := t.Metadata[MetaShardHint]
 	if !ok {
 		return 0, false
@@ -104,11 +101,14 @@ func hintOf(t *txn.Transaction, shards int) (int, bool) {
 }
 
 // Route is a classified transaction: its home shard (where the
-// transaction document, outputs, and asset record land) and the full
-// participant set (home plus every shard owning a spent input).
+// transaction document, outputs, and asset record land), the full
+// participant set (home plus every shard owning a spent input), and the
+// shard owning each spent input — what the 2PC holds and staging read,
+// so a transaction is looked up in the directory once.
 type Route struct {
 	Home         int
 	Participants []int // sorted, unique, always includes Home
+	Inputs       []int // the owning shard of each spent input, in SpentRefs order
 }
 
 // Cross reports whether the route spans more than one shard.
@@ -137,41 +137,14 @@ func (c *Cluster) RouteOf(t *txn.Transaction) (Route, error) {
 			home = placeByHash(t, len(c.shards))
 		}
 	}
-	seen := map[int]bool{home: true}
 	parts := []int{home}
 	for _, s := range inputHome {
-		if !seen[s] {
-			seen[s] = true
+		if !slices.Contains(parts, s) {
 			parts = append(parts, s)
 		}
 	}
 	// Participant order matters to the 2PC lock/stage order only in
 	// that it must be deterministic; sort by shard ID.
-	for i := 1; i < len(parts); i++ {
-		for j := i; j > 0 && parts[j] < parts[j-1]; j-- {
-			parts[j], parts[j-1] = parts[j-1], parts[j]
-		}
-	}
-	return Route{Home: home, Participants: parts}, nil
-}
-
-// ownsFn builds the ownership predicate StageOwned consults: shard id
-// owns a spent ref iff the directory homes the ref's transaction there.
-func (c *Cluster) ownsFn(id int) func(txn.OutputRef) bool {
-	return func(ref txn.OutputRef) bool {
-		s, ok := c.dir.Lookup(ref.TxID)
-		return ok && s == id
-	}
-}
-
-// ErrWrongShard is the admission filter's rejection for a transaction
-// homed on a different shard: the router must resubmit it there.
-type ErrWrongShard struct {
-	TxID string
-	Got  int
-	Home int
-}
-
-func (e *ErrWrongShard) Error() string {
-	return fmt.Sprintf("shard: %s is homed on shard %d, not %d", e.TxID[:8], e.Home, e.Got)
+	slices.Sort(parts)
+	return Route{Home: home, Participants: parts, Inputs: inputHome}, nil
 }

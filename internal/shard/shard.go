@@ -50,11 +50,13 @@ func (c *Config) fill() {
 }
 
 // Shard is one vertical slice: a full server node (ledger state over
-// its own storage backend) plus its own footprint-indexed mempool.
+// its own storage backend) plus its own footprint-indexed mempool. The
+// router is the only way into a shard's pool: the node itself knows
+// nothing of routing.
 type Shard struct {
 	ID   int
 	Node *server.Node
-	Pool *mempool.Pool
+	pool *mempool.Pool
 	// mu serializes this shard's local commit cycles (pack → commit →
 	// sweep) and its 2PC applies, which take the next height: never
 	// that of a local block still staging. 2PC staging and prepare do
@@ -95,17 +97,6 @@ func Open(cfg Config) (*Cluster, error) {
 		if cfg.ObsFor != nil {
 			nodeCfg.Obs = cfg.ObsFor(i)
 		}
-		id := i
-		nodeCfg.AdmitFilter = func(t *txn.Transaction) error {
-			r, err := c.RouteOf(t)
-			if err != nil {
-				return err
-			}
-			if r.Home != id {
-				return &ErrWrongShard{TxID: t.ID, Got: id, Home: r.Home}
-			}
-			return nil
-		}
 		node, err := server.OpenNode(nodeCfg)
 		if err != nil {
 			for _, s := range c.shards[:i] {
@@ -117,10 +108,10 @@ func Open(cfg Config) (*Cluster, error) {
 		// Nested children go to the shard's own pool, their parent homed
 		// here first: CommitLocal homes its block only after the hooks.
 		node.SetChildSubmitter(func(child *txn.Transaction) {
-			c.dir.Set(child.Inputs[0].Fulfills.TxID, id)
-			sh.Pool.AdmitBatch([]mempool.Tx{child})
+			c.dir.Set(child.Inputs[0].Fulfills.TxID, sh.ID)
+			sh.pool.AdmitBatch([]mempool.Tx{child})
 		})
-		sh.Pool = mempool.New(mempool.Config{
+		sh.pool = mempool.New(mempool.Config{
 			BatchSize: cfg.MempoolBatch,
 			Obs:       nodeCfg.Obs,
 			Check: func(txs []mempool.Tx) map[string]error {
@@ -190,32 +181,16 @@ func (c *Cluster) rebuildDirectory() {
 	}
 }
 
-// Submit routes one transaction: a single-shard route admits into the
-// home shard's mempool (committed by that shard's next local block); a
-// cross-shard route runs the full two-phase commit synchronously and
-// returns its outcome.
+// Submit routes one transaction (SubmitBatch of one): a single-shard
+// route admits into the home shard's mempool (committed by that
+// shard's next local block); a cross-shard route runs the full
+// two-phase commit synchronously and returns its outcome.
 func (c *Cluster) Submit(t *txn.Transaction) error {
-	r, err := c.RouteOf(t)
-	if err != nil {
-		return err
-	}
-	if r.Cross() {
-		return c.commitCross(t, r)
-	}
-	sh := c.shards[r.Home]
-	res := sh.Pool.AdmitBatch([]mempool.Tx{t})
-	if err, ok := res.Rejected[t.ID]; ok {
-		return err
-	}
-	if err, ok := res.Skipped[t.ID]; ok {
-		return err
-	}
-	return nil
+	return c.SubmitBatch([]*txn.Transaction{t})[t.ID]
 }
 
 // SubmitBatch routes a batch: each transaction lands in its home
-// shard's admission batch (exercising that shard's routed
-// CheckTxBatch), and cross-shard transactions run 2PC in submission
+// shard's admission batch (that shard's CheckTxBatch), and cross-shard transactions run 2PC in submission
 // order. Per-transaction verdicts are returned by ID; absent means
 // admitted or committed.
 func (c *Cluster) SubmitBatch(txs []*txn.Transaction) map[string]error {
@@ -245,7 +220,7 @@ func (c *Cluster) SubmitBatch(txs []*txn.Transaction) map[string]error {
 		wg.Add(1)
 		go func(sh *Shard, batch []mempool.Tx) {
 			defer wg.Done()
-			res := sh.Pool.AdmitBatch(batch)
+			res := sh.pool.AdmitBatch(batch)
 			mu.Lock()
 			for id, err := range res.Rejected {
 				errs[id] = err
@@ -273,7 +248,7 @@ func (c *Cluster) CommitLocal(id int, maxTxs int) []*txn.Transaction {
 	sh := c.shards[id]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	packed := sh.Pool.Pack(maxTxs, c.cfg.Node.ParallelWorkers)
+	packed := sh.pool.Pack(maxTxs, c.cfg.Node.ParallelWorkers)
 	if len(packed) == 0 {
 		return nil
 	}
@@ -282,7 +257,7 @@ func (c *Cluster) CommitLocal(id int, maxTxs int) []*txn.Transaction {
 		batch[i] = tx.(*txn.Transaction)
 	}
 	committed, _ := sh.Node.CommitNext(batch)
-	sh.Pool.RemoveCommitted(asPoolTxs(committed))
+	sh.pool.RemoveCommitted(asPoolTxs(committed))
 	ids := make([]string, len(committed))
 	for i, t := range committed {
 		ids[i] = t.ID

@@ -117,21 +117,26 @@ func TestRoutingChainAffinity(t *testing.T) {
 	}
 }
 
-func TestAdmitFilterBouncesForeignShard(t *testing.T) {
+// TestSubmitAdmitsIntoHomePoolOnly: the router is the only way into a
+// shard's pool, and it puts each transaction into its home shard's pool
+// and no other. A shard's node validates what it is handed and knows
+// nothing of routing.
+func TestSubmitAdmitsIntoHomePoolOnly(t *testing.T) {
 	c := newTestCluster(t, Config{Shards: 2})
 	alice := kp(1)
-	a := mkCreate(t, alice, 10, 0)
-	// Shard 1's validation refuses the shard-0-homed transaction.
-	var wrong *ErrWrongShard
-	if err := c.Shard(1).Node.ValidateTx(a); !errors.As(err, &wrong) {
-		t.Fatalf("foreign admission: %v", err)
-	}
-	if wrong.Home != 0 || wrong.Got != 1 {
-		t.Fatalf("wrong-shard verdict = %+v", wrong)
-	}
-	// Its own shard admits it.
-	if err := c.Shard(0).Node.ValidateTx(a); err != nil {
-		t.Fatalf("home admission: %v", err)
+	for home := range 2 {
+		a := mkCreate(t, alice, 10, home)
+		if err := c.Submit(a); err != nil {
+			t.Fatalf("submit create homed on %d: %v", home, err)
+		}
+		if !c.Shard(home).pool.Contains(a.ID) || c.Shard(1-home).pool.Contains(a.ID) {
+			t.Fatalf("create homed on %d: pooled on shard 0 %v, shard 1 %v", home,
+				c.Shard(0).pool.Contains(a.ID), c.Shard(1).pool.Contains(a.ID))
+		}
+		c.DrainLocal(64)
+		if !c.Shard(home).Node.State().IsCommitted(a.ID) || c.Shard(1-home).Node.State().IsCommitted(a.ID) {
+			t.Fatalf("create homed on %d committed elsewhere", home)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"smartchaindb/internal/ledger"
 	"smartchaindb/internal/mempool"
 	"smartchaindb/internal/txn"
+	"smartchaindb/internal/txtype"
 )
 
 // Cross-shard two-phase commit, coordinator side. The home shard
@@ -18,10 +19,10 @@ import (
 //               mempool (all-or-nothing per shard); rivals are now
 //               rejected at admission, so no local block can consume
 //               the inputs mid-protocol.
-//  2. stage   — each participant checks and stages its owned share
-//               against committed state; the coordinator cross-checks
-//               ownership, asset, and conservation from the staged
-//               input docs. Nothing durable yet: any failure just
+//  2. stage   — the coordinator runs TRANSFER's own condition set
+//               over the participants' views (crossView), then each
+//               participant checks and stages its owned share against
+//               committed state. Nothing durable yet: any failure just
 //               releases the holds.
 //  3. prepare — each participant durably logs its staged share as a
 //               PREPARE record: the vote. From here the transaction
@@ -59,19 +60,6 @@ func (c *Cluster) event(step, txID string) {
 	}
 }
 
-// ownedSpendKeys lists the mempool spend-claim keys of t's inputs that
-// shard id owns.
-func (c *Cluster) ownedSpendKeys(t *txn.Transaction, id int) []string {
-	var keys []string
-	spends := t.SpendKeys()
-	for i, ref := range t.SpentRefs() {
-		if s, ok := c.dir.Lookup(ref.TxID); ok && s == id {
-			keys = append(keys, spends[i])
-		}
-	}
-	return keys
-}
-
 // commitCross runs the two-phase commit for a routed cross-shard
 // transaction and blocks until its global outcome. One coordinator
 // round runs at a time (xmu); local commits on all shards proceed
@@ -90,9 +78,6 @@ func (c *Cluster) commitCross(t *txn.Transaction, r Route) error {
 	if err := home.Node.Schemas().ValidateTx(t); err != nil {
 		return err
 	}
-	if err := txn.VerifyFulfillments(t); err != nil {
-		return err
-	}
 	for _, id := range r.Participants {
 		c.shards[id].ob.crossTxs.Inc()
 	}
@@ -103,15 +88,21 @@ func (c *Cluster) commitCross(t *txn.Transaction, r Route) error {
 	held := make(map[int][]string, len(r.Participants))
 	release := func() {
 		for id, keys := range held {
-			c.shards[id].Pool.Release(keys, t.ID)
+			c.shards[id].pool.Release(keys, t.ID)
 		}
 	}
+	spends := t.SpendKeys()
 	for _, id := range r.Participants {
-		keys := c.ownedSpendKeys(t, id)
+		var keys []string
+		for i, s := range r.Inputs {
+			if s == id {
+				keys = append(keys, spends[i])
+			}
+		}
 		if len(keys) == 0 {
 			continue // the home shard may own no inputs (pure migration)
 		}
-		if err := c.shards[id].Pool.Hold(keys, t.ID); err != nil {
+		if err := c.shards[id].pool.Hold(keys, t.ID); err != nil {
 			release()
 			return err
 		}
@@ -119,20 +110,21 @@ func (c *Cluster) commitCross(t *txn.Transaction, r Route) error {
 	}
 	c.event("hold", t.ID)
 
-	// Phase 2: stage each participant's share and cross-check the
-	// whole from the staged input docs.
+	// Phase 2: the transfer's own condition set decides, as it would
+	// on one node; then each participant stages its share.
+	ctx := &txtype.Context{State: c.crossView(r.Home), Reserved: home.Node.Reserved()}
+	if err := home.Node.Types().Validate(ctx, t); err != nil {
+		release()
+		return err
+	}
 	prepared := make(map[int]*ledger.Prepared, len(r.Participants))
 	for _, id := range r.Participants {
-		p, err := c.shards[id].Node.State().StageOwned(t, id == r.Home, c.ownsFn(id))
+		p, err := c.shards[id].Node.State().StageOwned(t, id == r.Home, func(i int) bool { return r.Inputs[i] == id })
 		if err != nil {
 			release()
 			return err
 		}
 		prepared[id] = p
-	}
-	if err := crossCheck(t, prepared); err != nil {
-		release()
-		return err
 	}
 	c.event("stage", t.ID)
 
@@ -196,7 +188,7 @@ func (c *Cluster) commitCross(t *txn.Transaction, r Route) error {
 	// Cleanup: sweep rival pool entries, release the holds, route the
 	// new outputs to the home shard.
 	for _, id := range r.Participants {
-		c.shards[id].Pool.RemoveCommitted([]mempool.Tx{t})
+		c.shards[id].pool.RemoveCommitted([]mempool.Tx{t})
 		c.shards[id].ob.height.Set(c.shards[id].Node.State().Height())
 	}
 	release()
@@ -213,48 +205,44 @@ func (sh *Shard) applyPrepared(p *ledger.Prepared, decision map[string]any) erro
 	return err
 }
 
-// crossCheck is the coordinator's semantic validation of a cross-shard
-// transfer, assembled from the participants' staged input docs: every
-// input must exist (staged by exactly one participant), be owned by
-// the keys the fulfillment names, hold shares of the transferred
-// asset, and the input and output amounts must conserve.
-func crossCheck(t *txn.Transaction, prepared map[int]*ledger.Prepared) error {
-	docs := make(map[string]map[string]any)
-	for _, p := range prepared {
-		for key, doc := range p.InputDocs {
-			docs[key] = doc
-		}
+// crossView is the chain state a cross-shard transfer's condition set
+// reads: every lookup answers from the view of the shard the directory
+// homes the looked-up transaction on, each view taken once, after the
+// holds. The embedded view is the home shard's: it answers for a
+// transaction the directory does not know, and the auction queries,
+// whose state the router keeps co-located.
+type crossView struct {
+	*ledger.StateView
+	dir   *Directory
+	views []*ledger.StateView
+}
+
+func (c *Cluster) crossView(home int) *crossView {
+	v := &crossView{dir: c.dir, views: make([]*ledger.StateView, len(c.shards))}
+	for i, sh := range c.shards {
+		v.views[i] = sh.Node.State().View()
 	}
-	var in uint64
-	for i, input := range t.Inputs {
-		if input.Fulfills == nil {
-			return fmt.Errorf("shard: input %d of %s spends nothing", i, t.ID[:8])
-		}
-		doc, ok := docs[input.Fulfills.String()]
-		if !ok {
-			return &txn.InputDoesNotExistError{TxID: input.Fulfills.TxID}
-		}
-		owners, _ := doc["owner"].([]any)
-		if len(owners) != len(input.OwnersBefore) {
-			return fmt.Errorf("shard: input %d of %s: owner mismatch", i, t.ID[:8])
-		}
-		for j, o := range owners {
-			if s, _ := o.(string); s != input.OwnersBefore[j] {
-				return fmt.Errorf("shard: input %d of %s: owner mismatch", i, t.ID[:8])
-			}
-		}
-		if aid, _ := doc["asset_id"].(string); aid != t.AssetID() {
-			return fmt.Errorf("shard: input %d of %s: asset %s, want %s", i, t.ID[:8], aid, t.AssetID())
-		}
-		amt, _ := doc["amount"].(float64)
-		in += uint64(amt)
+	v.StateView = v.views[home]
+	return v
+}
+
+// of returns the view of the shard homing transaction id.
+func (v *crossView) of(id string) *ledger.StateView {
+	if s, ok := v.dir.Lookup(id); ok {
+		return v.views[s]
 	}
-	var out uint64
-	for _, o := range t.Outputs {
-		out += o.Amount
-	}
-	if in != out {
-		return fmt.Errorf("shard: %s does not conserve: inputs %d, outputs %d", t.ID[:8], in, out)
-	}
-	return nil
+	return v.StateView
+}
+
+func (v *crossView) GetTx(id string) (*txn.Transaction, error) { return v.of(id).GetTx(id) }
+func (v *crossView) IsCommitted(id string) bool                { return v.of(id).IsCommitted(id) }
+func (v *crossView) OutputAt(ref txn.OutputRef) (*txn.Output, error) {
+	return v.of(ref.TxID).OutputAt(ref)
+}
+func (v *crossView) OutputAssetID(ref txn.OutputRef) (string, bool) {
+	return v.of(ref.TxID).OutputAssetID(ref)
+}
+func (v *crossView) IsUnspent(ref txn.OutputRef) bool { return v.of(ref.TxID).IsUnspent(ref) }
+func (v *crossView) SpenderOf(ref txn.OutputRef) (string, bool) {
+	return v.of(ref.TxID).SpenderOf(ref)
 }

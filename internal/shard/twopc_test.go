@@ -104,8 +104,9 @@ func TestCrossShardConservationRejected(t *testing.T) {
 
 	inflate := mkTransfer(t, a.ID, ref, alice, []*txn.Output{out(bob, 11)}, 1)
 	err := c.Submit(inflate)
-	if err == nil || !strings.Contains(err.Error(), "conserve") {
-		t.Fatalf("inflating transfer: %v", err)
+	var amount *txn.AmountError
+	if !errors.As(err, &amount) || condOf(err) != "TRANSFER.4" {
+		t.Fatalf("inflating transfer: %v, want TRANSFER.4's AmountError", err)
 	}
 	// Nothing durable, nothing held: the correct transfer goes through.
 	assertNoResidue(t, c, ref)
@@ -123,12 +124,13 @@ func TestCrossShardOwnerMismatchRejected(t *testing.T) {
 	ref := txn.OutputRef{TxID: a.ID, Index: 0}
 
 	// Mallory signs a well-formed transfer naming themself as the
-	// input's owner; the fulfillment verifies, but the staged input
-	// doc says alice.
+	// input's owner; the fulfillment verifies, but the spent output is
+	// alice's.
 	theft := mkTransfer(t, a.ID, ref, mallory, []*txn.Output{out(bob, 10)}, 1)
 	err := c.Submit(theft)
-	if err == nil || !strings.Contains(err.Error(), "owner mismatch") {
-		t.Fatalf("theft transfer: %v", err)
+	var invalid *txn.ValidationError
+	if !errors.As(err, &invalid) || invalid.Cond != "TRANSFER.3" {
+		t.Fatalf("theft transfer: %v, want TRANSFER.3's ValidationError", err)
 	}
 	assertNoResidue(t, c, ref)
 }

@@ -148,6 +148,21 @@ func TestCodecMatchesJSONReference(t *testing.T) {
 	}
 }
 
+// TestCloneKeepsShape: a clone encodes to the original's bytes, nil
+// and empty slices, nil entries and nil free-form lists included, so
+// it signs the same payload and hashes to the same ID.
+func TestCloneKeepsShape(t *testing.T) {
+	for i, tx := range corpus() {
+		c := tx.Clone()
+		if g, w := c.MarshalCanonical(), tx.MarshalCanonical(); !bytes.Equal(g, w) {
+			t.Fatalf("tx %d: MarshalCanonical of the clone\n got %s\nwant %s", i, g, w)
+		}
+		if g, w := c.SigningPayload(), tx.SigningPayload(); !bytes.Equal(g, w) {
+			t.Fatalf("tx %d: SigningPayload of the clone\n got %s\nwant %s", i, g, w)
+		}
+	}
+}
+
 // checkFromDoc decodes doc with the direct decoder and with the
 // reference and requires the same verdict and, on success, the same
 // struct — then the same document and bytes back out of it.

@@ -9,6 +9,7 @@ package txn
 
 import (
 	"encoding/json"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -231,28 +232,32 @@ func (t *Transaction) Clone() *Transaction {
 	if t.Asset != nil {
 		c.Asset = &Asset{ID: t.Asset.ID, Shares: t.Asset.Shares, Data: cloneMap(t.Asset.Data)}
 	}
-	c.Outputs = make([]*Output, len(t.Outputs))
+	// Nil stays nil and empty stays empty, at every level: the two
+	// encode differently (null, []), and a clone must hash to its ID.
+	if t.Outputs != nil {
+		c.Outputs = make([]*Output, len(t.Outputs))
+	}
 	for i, o := range t.Outputs {
-		c.Outputs[i] = &Output{
-			PublicKeys: append([]string(nil), o.PublicKeys...),
-			Amount:     o.Amount,
-			PrevOwners: append([]string(nil), o.PrevOwners...),
+		if o != nil {
+			c.Outputs[i] = &Output{PublicKeys: slices.Clone(o.PublicKeys), Amount: o.Amount, PrevOwners: slices.Clone(o.PrevOwners)}
 		}
 	}
-	c.Inputs = make([]*Input, len(t.Inputs))
+	if t.Inputs != nil {
+		c.Inputs = make([]*Input, len(t.Inputs))
+	}
 	for i, in := range t.Inputs {
-		ci := &Input{
-			OwnersBefore: append([]string(nil), in.OwnersBefore...),
-			Fulfillment:  in.Fulfillment,
+		if in == nil {
+			continue
 		}
+		ci := &Input{OwnersBefore: slices.Clone(in.OwnersBefore), Fulfillment: in.Fulfillment}
 		if in.Fulfills != nil {
 			ref := *in.Fulfills
 			ci.Fulfills = &ref
 		}
 		c.Inputs[i] = ci
 	}
-	c.Children = append([]string(nil), t.Children...)
-	c.Refs = append([]string(nil), t.Refs...)
+	c.Children = slices.Clone(t.Children)
+	c.Refs = slices.Clone(t.Refs)
 	c.Metadata = cloneMap(t.Metadata)
 	return c
 }
@@ -273,6 +278,9 @@ func cloneValue(v any) any {
 	case map[string]any:
 		return cloneMap(x)
 	case []any:
+		if x == nil {
+			return x
+		}
 		out := make([]any, len(x))
 		for i, e := range x {
 			out[i] = cloneValue(e)
