@@ -191,7 +191,7 @@ test-tripwire:
 # The race gate covers the commit pipeline end to end: the ledger's
 # per-conflict-group appliers, the server's commit fence (incl. the
 # h+1-reads-race-h's-appliers stress test), the docstore's planner —
-# planned point/range/intersect/union reads racing writers (the
+# planned point and range reads and ordered walks racing writers (the
 # docstore suites self-parameterize over both backends) — the MVCC
 # snapshot suites (lock-free snapshot readers racing block appliers
 # at every layer), and the consensus overlap. The SCDB_BACKEND=disk

@@ -187,10 +187,6 @@ type Config struct {
 	CommitDepth int
 	// Latency is the network latency model.
 	Latency netsim.LatencyModel
-	// RetryTimeout re-submits a client transaction that has neither
-	// committed nor been rejected — the driver-side re-trigger of
-	// §4.2.1 that rescues transactions lost to a crashing receiver.
-	RetryTimeout time.Duration
 	// Mempool configures each node's footprint-indexed admission pool:
 	// batch size, packing policy, and the footprint function. The zero value keeps the seed behaviour
 	// (FIFO packing, declarative footprints for SmartchainDB
@@ -217,9 +213,6 @@ func (c *Config) fill() {
 	}
 	if c.Latency == nil {
 		c.Latency = netsim.UniformLatency{Base: 5 * time.Millisecond, Jitter: 5 * time.Millisecond}
-	}
-	if c.RetryTimeout <= 0 {
-		c.RetryTimeout = 2 * time.Second
 	}
 	if c.CommitDepth <= 0 {
 		c.CommitDepth = 1
@@ -304,6 +297,11 @@ func (c *Cluster) SubmitAt(at time.Duration, tx Tx) {
 // cluster cannot spin the scheduler forever.
 const maxClientRetries = 200
 
+// retryTimeout re-submits a client transaction that has neither
+// committed nor been rejected — the client-side re-trigger of §4.2.1
+// that rescues transactions lost to a crashing receiver.
+const retryTimeout = 2 * time.Second
+
 func (c *Cluster) deliverToReceiver(tx Tx, attempt int) {
 	if receiver := c.aliveReceiver(); receiver != nil {
 		receiver.receiveClientTx(tx)
@@ -311,7 +309,7 @@ func (c *Cluster) deliverToReceiver(tx Tx, attempt int) {
 		c.rejected[tx.Hash()] = fmt.Errorf("consensus: no receiver node alive")
 		return
 	}
-	c.sched.After(c.cfg.RetryTimeout, func() {
+	c.sched.After(retryTimeout, func() {
 		hash := tx.Hash()
 		if _, done := c.commitTimes[hash]; done {
 			return

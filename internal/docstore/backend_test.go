@@ -40,7 +40,7 @@ func TestBackendsAgreeOnCoreOperations(t *testing.T) {
 		if err := c.Insert("k0", nil); !errors.As(err, new(*ErrDuplicateKey)) {
 			t.Fatalf("duplicate insert: %v", err)
 		}
-		if err := c.Delete("k3"); err != nil {
+		if err := c.Upsert("k3", map[string]any{"op": "RETURN", "i": 3.0}); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Update("k4", func(d map[string]any) error {
@@ -49,13 +49,16 @@ func TestBackendsAgreeOnCoreOperations(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if got := c.Count(Eq("op", "CREATE")); got != 3 {
+		if got := c.count(Eq("op", "CREATE")); got != 3 {
 			t.Errorf("CREATE count = %d, want 3", got)
 		}
-		if got := c.Count(Eq("op", "BID")); got != 1 {
+		if got := c.count(Eq("op", "BID")); got != 1 {
 			t.Errorf("BID count = %d, want 1", got)
 		}
-		wantKeys := []string{"k0", "k1", "k2", "k4", "k5", "k6", "k7"}
+		if got := c.count(Eq("op", "RETURN")); got != 1 {
+			t.Errorf("RETURN count = %d, want 1", got)
+		}
+		wantKeys := []string{"k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"}
 		if got := c.Keys(); !reflect.DeepEqual(got, wantKeys) {
 			t.Errorf("keys = %v, want %v", got, wantKeys)
 		}
@@ -65,7 +68,7 @@ func TestBackendsAgreeOnCoreOperations(t *testing.T) {
 		}
 		// Returned documents are copies, never aliases of stored state.
 		docs[0]["op"] = "mutated"
-		if got := c.Count(Eq("op", "mutated")); got != 0 {
+		if got := c.count(Eq("op", "mutated")); got != 0 {
 			t.Error("Find leaked a reference into the store")
 		}
 	})
@@ -90,7 +93,9 @@ func TestDiskStoreReopenPreservesDocstoreState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.Delete("t07")
+	if err := c.Upsert("t07", map[string]any{"operation": "RETURN", "n": 7.0}); err != nil {
+		t.Fatal(err)
+	}
 	wantKeys := c.Keys()
 	wantDocs := c.Find(nil)
 	if err := s.Close(); err != nil {
@@ -111,42 +116,37 @@ func TestDiskStoreReopenPreservesDocstoreState(t *testing.T) {
 	if got := c2.Find(nil); !reflect.DeepEqual(got, wantDocs) {
 		t.Fatalf("docs after reopen differ:\ngot  %v\nwant %v", got, wantDocs)
 	}
-	if got := c2.Count(Eq("operation", "BID")); got != 3 {
+	if got := c2.count(Eq("operation", "BID")); got != 3 {
 		t.Errorf("indexed count after reopen = %d, want 3", got)
 	}
 }
 
-// TestStoreCollectionDropRace hammers concurrent create/insert/drop of
-// one collection name; run under -race it pins the shared
-// Collection/Drop critical section, and the final state must be
-// either absent or a live collection that accepted writes after its
-// re-creation — never resurrected pre-drop documents.
-func TestStoreCollectionDropRace(t *testing.T) {
+// TestStoreCollectionCreateRace hammers the lazy create of one
+// collection name from concurrent inserts, point reads and finds; run
+// under -race it pins the store's create critical section: every
+// caller gets the one collection, and every insert lands in it.
+func TestStoreCollectionCreateRace(t *testing.T) {
 	forEachBackend(t, func(t *testing.T, s *Store) {
 		const goroutines = 8
 		const iters = 200
 		var wg sync.WaitGroup
+		inserts := 0
 		for g := 0; g < goroutines; g++ {
+			for i := 0; i < iters; i++ {
+				if (g+i)%3 == 0 {
+					inserts++
+				}
+			}
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
 				for i := 0; i < iters; i++ {
-					switch (g + i) % 4 {
+					switch (g + i) % 3 {
 					case 0:
-						s.Drop("contended")
-					case 1:
-						c := s.Collection("contended")
-						// A stale handle may race a Drop; the only
-						// acceptable failures are dropped/duplicate.
-						err := c.Insert(fmt.Sprintf("g%d-i%d", g, i), map[string]any{"g": float64(g)})
-						if err != nil {
-							var dropped *ErrCollectionDropped
-							var dup *ErrDuplicateKey
-							if !errors.As(err, &dropped) && !errors.As(err, &dup) {
-								panic(err)
-							}
+						if err := s.Collection("contended").Insert(fmt.Sprintf("g%d-i%d", g, i), map[string]any{"g": float64(g)}); err != nil {
+							panic(err)
 						}
-					case 2:
+					case 1:
 						s.Collection("contended").Get(fmt.Sprintf("g%d-i%d", g, i-1))
 					default:
 						s.Collection("contended").Find(nil)
@@ -155,52 +155,15 @@ func TestStoreCollectionDropRace(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-		// Every surviving document must be readable and well-formed.
 		c := s.Collection("contended")
-		for _, key := range c.Keys() {
+		keys := c.Keys()
+		if len(keys) != inserts {
+			t.Fatalf("%d documents survived %d inserts", len(keys), inserts)
+		}
+		for _, key := range keys {
 			if _, err := c.Get(key); err != nil {
-				t.Fatalf("surviving key %s unreadable: %v", key, err)
+				t.Fatalf("inserted key %s unreadable: %v", key, err)
 			}
-		}
-	})
-}
-
-// TestDropInvalidatesStaleHandles pins the double-checked-locking fix:
-// a handle that outlives Drop must not write into the re-created
-// collection's backend behind the store's back.
-func TestDropInvalidatesStaleHandles(t *testing.T) {
-	forEachBackend(t, func(t *testing.T, s *Store) {
-		stale := s.Collection("c")
-		if err := stale.Insert("old", map[string]any{"v": 1.0}); err != nil {
-			t.Fatal(err)
-		}
-		s.Drop("c")
-		if err := stale.Insert("ghost", map[string]any{"v": 2.0}); !errors.As(err, new(*ErrCollectionDropped)) {
-			t.Fatalf("stale insert after drop: err = %v, want ErrCollectionDropped", err)
-		}
-		if err := stale.Upsert("ghost", map[string]any{"v": 2.0}); !errors.As(err, new(*ErrCollectionDropped)) {
-			t.Fatalf("stale upsert after drop: err = %v", err)
-		}
-		if stale.Has("old") {
-			t.Error("stale handle still reads dropped documents")
-		}
-		fresh := s.Collection("c")
-		if fresh.Len() != 0 {
-			t.Fatalf("re-created collection has %d documents, want 0", fresh.Len())
-		}
-		if err := fresh.Insert("new", map[string]any{"v": 3.0}); err != nil {
-			t.Fatal(err)
-		}
-		// The stale handle stays inert even after the name is
-		// re-created — reads miss on both backends.
-		if stale.Has("new") || stale.Len() != 0 {
-			t.Error("stale handle reads the re-created collection")
-		}
-		if _, err := stale.Get("new"); err == nil {
-			t.Error("stale Get sees the re-created collection")
-		}
-		if docs := stale.Find(nil); len(docs) != 0 {
-			t.Errorf("stale Find returned %d docs", len(docs))
 		}
 	})
 }

@@ -1,11 +1,12 @@
 // Package docstore is an embedded document store playing the role
 // MongoDB plays in BigchainDB/SmartchainDB: each node keeps its
 // transaction, asset, metadata, UTXO, and recovery collections in one.
-// It supports JSON-style documents (map[string]any), dot-path filter
-// queries with Mongo-flavoured operators ($gt, $in, $elemMatch, ...),
-// secondary indexes, and deterministic iteration — enough to implement
-// the validators' lookups (getTxFromDB, getLockedBids,
-// getAcceptTxForRFQ) and the marketplace queryability study.
+// It holds JSON-style documents (map[string]any) and answers dot-path
+// filters built from the operators the chain's readers call — Eq, Gte,
+// Lt, Lte, In, Contains, And, Not — over secondary indexes, in
+// deterministic order: enough to implement the validators' lookups
+// (getTxFromDB, getLockedBids, getAcceptTxForRFQ) and the marketplace
+// queryability study, and no more.
 //
 // The store runs over a pluggable storage.Backend: the volatile
 // memory backend (the default) or the disk engine, which makes every
@@ -13,6 +14,8 @@
 // reopen. Filters, secondary indexes, document ownership, and
 // iteration order behave identically on both; Group exposes the
 // backend's atomic-durability batches to the ledger's block commit.
+// Documents are inserted and replaced, never deleted: the chain only
+// adds and supersedes.
 //
 // # Who owns a document
 //
@@ -29,24 +32,23 @@
 //
 // # Query planning
 //
-// Every read entry point (Find, FindLimit, FindKeys, FindOne, Count)
-// resolves through the planner. A filter tree is first made
-// introspectable by Analyze (filter.go), then compiled against the
-// collection's secondary indexes into an access plan (planner.go) by
-// one rule: in an And, the first conjunct in written order that an
+// Every filtered read (Find, BorrowFind, BorrowFindLimit, Count)
+// resolves through the planner (planner.go), which walks the filter
+// itself and compiles it against the collection's secondary indexes
+// by one rule: in an And, the first conjunct in written order that an
 // index can serve drives the read, and every other conjunct is left to
 // the residual filter.
 //
-//   - equality-class operators (Eq, Contains, In, and ContainsAll's
-//     first element) probe a hash or ordered index for candidate keys;
-//   - comparisons (Gt, Gte, Lt, Lte) become range scans over an
-//     ordered index (CreateOrderedIndex), a deterministic skip list
-//     ordering numbers and strings (ordindex.go), bounded by every
-//     comparison on the path while it is single-valued;
-//   - provably empty filters (Never, In with no values, comparisons
-//     against non-comparable arguments) plan to nothing at all;
-//   - Or, Not, and an And with no servable conjunct fall back to the
-//     full collection scan.
+//   - equality-class operators (Eq, Contains, In) probe a hash or
+//     ordered index for candidate keys;
+//   - comparisons (Gte, Lt, Lte) become range scans over an ordered
+//     index (CreateOrderedIndex), a deterministic skip list ordering
+//     numbers and strings (ordindex.go), bounded by every comparison
+//     on the path while it is single-valued;
+//   - provably empty filters (In with no values, comparisons against
+//     non-comparable arguments) plan to nothing at all;
+//   - Not, and an And with no servable conjunct, fall back to the full
+//     collection scan.
 //
 // A reader's filter is therefore its access path, fixed when the
 // reader is written: the chain's readers (internal/ledger,
@@ -69,7 +71,7 @@
 // benchmarks; with a Store.SetObs registry attached, executed full
 // scans, planner decisions, and index probes record into the
 // docstore.* obs counters, so hot paths can assert they never take
-// the collection lock. FindOrdered streams
-// documents in index-value order (ties in insertion order) straight
-// off an ordered index — the "most recent first" query shape.
+// the collection lock. Snapshot.BorrowFindOrdered streams documents in
+// index-value order (ties in insertion order) straight off an ordered
+// index — the "most recent first" query shape.
 package docstore

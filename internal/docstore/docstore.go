@@ -3,6 +3,7 @@ package docstore
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -65,55 +66,15 @@ func (s *Store) Collection(name string) *Collection {
 	if c != nil {
 		return c
 	}
-	return s.locked(name, func() *Collection {
-		return newCollection(name, s.backend.Collection(name), s.backend)
-	})
-}
-
-// locked is the one critical section Collection and Drop share: every
-// create and every drop of a collection happens under the store lock,
-// so a create/drop race can neither hand out a collection that
-// survives its own drop nor resurrect dropped documents through a
-// stale handle.
-func (s *Store) locked(name string, create func() *Collection) *Collection {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if c := s.collections[name]; c != nil {
 		return c
 	}
-	c := create()
+	c = newCollection(name, s.backend.Collection(name), s.backend)
 	c.setObs(s.reg)
 	s.collections[name] = c
 	return c
-}
-
-// CollectionNames lists existing collections, sorted.
-func (s *Store) CollectionNames() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.backend.CollectionNames()
-}
-
-// Drop removes a collection, its documents, and its indexes. Handles
-// held across the drop become inert: reads miss, writes fail with
-// ErrCollectionDropped. Storage failure while logging the drop is
-// fatal, like any other lost write.
-func (s *Store) Drop(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c := s.collections[name]; c != nil {
-		// Mark under the collection's writer lock so any mutation
-		// that raced the drop either completed before it or observes
-		// the flag — never lands after the backend wiped the data.
-		c.mu.Lock()
-		c.dropped.Store(true)
-		c.mu.Unlock()
-		delete(s.collections, name)
-	}
-	if err := s.backend.Drop(name); err != nil {
-		// fail-stop: the collection is already unlinked in memory; a backend that kept its data would resurrect it on reopen.
-		panic(fmt.Sprintf("docstore: drop %q: %v", name, err))
-	}
 }
 
 // SweepIndexes garbage-collects secondary-index lifespans against the
@@ -169,21 +130,19 @@ func (s *Store) Close() error { return s.backend.Close() }
 type Collection struct {
 	name string
 
-	// mu guards writers (who must see their own collection's index
-	// maintenance atomically) and the dropped flag. Full scans of the
-	// writer view hold it shared so they see a stable iteration;
-	// point reads, planned (index-backed) reads, and every snapshot
-	// read skip it entirely.
+	// mu guards writers, who must see their own collection's index
+	// maintenance atomically. Full scans of the writer view hold it
+	// shared so they see a stable iteration; point reads, planned
+	// (index-backed) reads, and every snapshot read skip it entirely.
 	mu sync.RWMutex
 	be storage.Collection
 	bk storage.Backend
 
 	// indexes maps each indexed dot path to its index. It is
 	// copy-on-write: writers swap a fresh map under mu, readers (Plan,
-	// FindOrdered) load it with one atomic read.
+	// BorrowFindOrdered) load it with one atomic read.
 	indexes atomic.Pointer[map[string]secondaryIndex]
 
-	dropped atomic.Bool
 	// ob holds the attached metric handles (nil: observability off;
 	// the zero collObs handles are no-ops either way). Full scans,
 	// planner decisions, and index probes record through it — the
@@ -202,7 +161,7 @@ type collObs struct {
 	snapshots   *obs.Counter // docstore.snapshots
 	plan        [AccessRange + 1]*obs.Counter
 	// indexUses counts, per indexed path, the compiled plans that drive
-	// on the index and the FindOrdered walks over it
+	// on the index and the BorrowFindOrdered walks over it
 	// (docstore.index_uses.<collection>.<path>): which indexes earn
 	// their upkeep.
 	indexUses map[string]*obs.Counter
@@ -242,7 +201,7 @@ func (c *Collection) setObs(reg *obs.Registry) {
 	for k := range ob.plan {
 		ob.plan[k] = reg.Counter("docstore.plan." + AccessKind(k).metricName())
 	}
-	c.ob.Store(ob.withIndexUses(c.name, c.IndexedPaths()))
+	c.ob.Store(ob.withIndexUses(c.name, slices.Collect(maps.Keys(c.indexMap()))))
 }
 
 // withIndexUses returns a copy of ob counting uses of the indexes on
@@ -271,9 +230,6 @@ func (c *Collection) indexMap() map[string]secondaryIndex {
 	return *c.indexes.Load()
 }
 
-// Name returns the collection name.
-func (c *Collection) Name() string { return c.name }
-
 // ErrDuplicateKey reports an Insert with an existing primary key.
 type ErrDuplicateKey struct{ Collection, Key string }
 
@@ -288,14 +244,6 @@ func (e *ErrNotFound) Error() string {
 	return fmt.Sprintf("docstore: key %q not found in collection %q", e.Key, e.Collection)
 }
 
-// ErrCollectionDropped reports a write through a handle that outlived
-// its collection's Drop.
-type ErrCollectionDropped struct{ Collection string }
-
-func (e *ErrCollectionDropped) Error() string {
-	return fmt.Sprintf("docstore: collection %q was dropped", e.Collection)
-}
-
 // Insert stores doc under key. It fails if the key already exists.
 // The collection takes ownership of doc and everything it holds: the
 // caller builds it, hands it over, and never writes to it again (it
@@ -306,9 +254,6 @@ func (c *Collection) Insert(key string, doc map[string]any) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.dropped.Load() {
-		return &ErrCollectionDropped{Collection: c.name}
-	}
 	if c.be.Has(key) {
 		return &ErrDuplicateKey{Collection: c.name, Key: key}
 	}
@@ -330,9 +275,6 @@ func (c *Collection) Upsert(key string, doc map[string]any) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.dropped.Load() {
-		return &ErrCollectionDropped{Collection: c.name}
-	}
 	old, existed := c.be.Get(key)
 	if err := c.be.Put(key, doc); err != nil {
 		return err
@@ -362,9 +304,9 @@ func (c *Collection) Get(key string) (map[string]any, error) {
 // caller must not write to it or to anything it holds, and must not
 // hand it to code that might. In return it may keep it as long as it
 // likes — a stored document is never written to again (Insert and
-// Upsert own what they are handed, Update and Delete replace the
-// version, and the MVCC chains only ever unlink one), so the borrowed
-// value stays what it was when it was read. Get is for everyone else.
+// Upsert own what they are handed, Update replaces the version, and
+// the MVCC chains only ever unlink one), so the borrowed value stays
+// what it was when it was read. Get is for everyone else.
 func (c *Collection) Borrow(key string) (map[string]any, bool) {
 	return c.BorrowAt(key, storage.HeightLatest)
 }
@@ -373,36 +315,11 @@ func (c *Collection) Borrow(key string) (map[string]any, bool) {
 // the Snapshot, for a caller that reads one key per view (SnapshotAt
 // says which heights are exact).
 func (c *Collection) BorrowAt(key string, h int64) (map[string]any, bool) {
-	if c.dropped.Load() {
-		return nil, false
-	}
 	return c.be.GetAt(key, h)
 }
 
 // Has reports whether key exists (writer view).
-func (c *Collection) Has(key string) bool { return !c.dropped.Load() && c.be.Has(key) }
-
-// Delete removes the document under key. Deleting a missing key is a
-// no-op, matching MongoDB's deleteOne semantics.
-func (c *Collection) Delete(key string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dropped.Load() {
-		return &ErrCollectionDropped{Collection: c.name}
-	}
-	old, ok := c.be.Get(key)
-	if !ok {
-		return nil
-	}
-	if err := c.be.Delete(key); err != nil {
-		return err
-	}
-	h := c.bk.StampHeight()
-	for _, idx := range c.indexMap() {
-		idx.remove(key, old, h)
-	}
-	return nil
-}
+func (c *Collection) Has(key string) bool { return c.be.Has(key) }
 
 // Update applies fn to a copy of the document under key and stores the
 // result atomically. fn returning an error aborts the update. The copy
@@ -414,9 +331,6 @@ func (c *Collection) Delete(key string) error {
 func (c *Collection) Update(key string, fn func(doc map[string]any) error) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.dropped.Load() {
-		return &ErrCollectionDropped{Collection: c.name}
-	}
 	old, ok := c.be.Get(key)
 	if !ok {
 		return &ErrNotFound{Collection: c.name, Key: key}
@@ -449,21 +363,8 @@ func (c *Collection) reindex(key string, old, next map[string]any) {
 	}
 }
 
-// Len returns the number of documents (writer view).
-func (c *Collection) Len() int {
-	if c.dropped.Load() {
-		return 0
-	}
-	return c.be.Len()
-}
-
 // Keys returns the live keys in insertion order (writer view).
-func (c *Collection) Keys() []string {
-	if c.dropped.Load() {
-		return nil
-	}
-	return c.be.Keys()
-}
+func (c *Collection) Keys() []string { return c.be.Keys() }
 
 // Where is a partial index's predicate: the index holds a document
 // only while Eq(Path, Value) matches it. The zero Where indexes every
@@ -481,8 +382,8 @@ func (c *Collection) CreateIndex(path string) { c.CreateIndexWhere(path, false, 
 
 // CreateOrderedIndex builds (or rebuilds) a sorted multikey index over
 // the dot-path field. On top of everything a hash index answers, it
-// serves the comparison operators (Gt, Gte, Lt, Lte) as range scans
-// and value-ordered iteration (FindOrdered). It replaces any existing
+// serves the comparison operators (Gte, Lt, Lte) as range scans and
+// value-ordered iteration (BorrowFindOrdered). It replaces any existing
 // index on the path.
 func (c *Collection) CreateOrderedIndex(path string) { c.CreateIndexWhere(path, true, Where{}) }
 
@@ -493,7 +394,7 @@ func (c *Collection) CreateOrderedIndex(path string) { c.CreateIndexWhere(path, 
 // closes its postings at h as a value change does. The planner uses
 // the index only for a filter whose top-level And holds
 // Eq(where.Path, where.Value) (a bare Eq counts as an And of one), and
-// FindOrdered walks it only under such a filter; any other filter
+// BorrowFindOrdered walks it only under such a filter; any other filter
 // plans as if the path had no index. A zero where builds the full
 // index CreateIndex and CreateOrderedIndex do.
 func (c *Collection) CreateIndexWhere(path string, ordered bool, where Where) {
@@ -534,40 +435,6 @@ func (c *Collection) buildIndex(path string, idx secondaryIndex) {
 	}
 }
 
-// DropIndex removes the index on path and reports whether one existed.
-// Queries on the path fall back to full scans from the next plan on.
-func (c *Collection) DropIndex(path string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cur := c.indexMap()
-	if _, ok := cur[path]; !ok {
-		return false
-	}
-	next := make(map[string]secondaryIndex, len(cur)-1)
-	for p, ix := range cur {
-		if p != path {
-			next[p] = ix
-		}
-	}
-	c.indexes.Store(&next)
-	return true
-}
-
-// IndexedPaths lists the indexed dot-paths, sorted.
-func (c *Collection) IndexedPaths() []string {
-	m := c.indexMap()
-	paths := make([]string, 0, len(m))
-	for p := range m {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	return paths
-}
-
-// Snapshot returns an immutable read view of the collection at the
-// backend's current visible height — the newest committed snapshot.
-func (c *Collection) Snapshot() *Snapshot { return c.SnapshotAt(c.bk.Visible()) }
-
 // SnapshotAt returns an immutable read view of the collection as of
 // block height h. Every read through the view resolves against
 // height-stamped version chains and per-version index lifespans with
@@ -583,12 +450,7 @@ func (c *Collection) SnapshotAt(h int64) *Snapshot {
 // Find returns copies of all documents matching filter, in insertion
 // order (writer view). A nil filter matches everything.
 func (c *Collection) Find(filter Filter) []map[string]any {
-	return c.FindLimit(filter, 0)
-}
-
-// FindLimit is Find with a result cap; limit <= 0 means unlimited.
-func (c *Collection) FindLimit(filter Filter, limit int) []map[string]any {
-	return copyDocs(c.borrowLimitAt(storage.HeightLatest, filter, limit))
+	return copyDocs(c.borrowLimitAt(storage.HeightLatest, filter, 0))
 }
 
 // BorrowFind is Find without the copies: the matching stored documents
@@ -616,36 +478,6 @@ func (c *Collection) borrowLimitAt(h int64, filter Filter, limit int) []map[stri
 	return out
 }
 
-// FindKeys returns the keys of matching documents in insertion order.
-func (c *Collection) FindKeys(filter Filter) []string {
-	return c.findKeysAt(storage.HeightLatest, filter)
-}
-
-func (c *Collection) findKeysAt(h int64, filter Filter) []string {
-	var out []string
-	c.visitCandidatesAt(h, filter, func(key string, doc map[string]any) bool {
-		if filter == nil || filter.Matches(doc) {
-			out = append(out, key)
-		}
-		return true
-	})
-	return out
-}
-
-// FindOne returns the first matching document, or ErrNotFound.
-func (c *Collection) FindOne(filter Filter) (map[string]any, error) {
-	res := c.FindLimit(filter, 1)
-	if len(res) == 0 {
-		return nil, &ErrNotFound{Collection: c.name, Key: "<filter>"}
-	}
-	return res[0], nil
-}
-
-// Count returns the number of matching documents.
-func (c *Collection) Count(filter Filter) int {
-	return c.countAt(storage.HeightLatest, filter)
-}
-
 func (c *Collection) countAt(h int64, filter Filter) int {
 	n := 0
 	c.visitCandidatesAt(h, filter, func(_ string, doc map[string]any) bool {
@@ -658,16 +490,12 @@ func (c *Collection) countAt(h int64, filter Filter) int {
 }
 
 // visitCandidatesAt is the single dispatch every query path shares: a
-// dropped collection yields nothing; a filter the planner can compile
-// onto indexes goes through the sharded visit path (no collection
-// lock); everything else full-scans — under the collection read lock
-// for the writer view, lock-free over the version chains for a
-// snapshot height. fn must apply the filter itself — candidates from
+// filter the planner can compile onto indexes goes through the sharded
+// visit path (no collection lock); everything else full-scans — under
+// the collection read lock for the writer view, lock-free over the
+// version chains for a snapshot height. fn must apply the filter itself — candidates from
 // a plan are a superset of matches.
 func (c *Collection) visitCandidatesAt(h int64, filter Filter, fn func(key string, doc map[string]any) bool) {
-	if c.dropped.Load() {
-		return
-	}
 	plan, ob := c.Plan(filter), c.obs()
 	ob.plan[plan.Kind].Inc()
 	if plan.FullScan() {
@@ -724,8 +552,8 @@ func (c *Collection) shardedVisitAt(h int64, keys []string, fn func(key string, 
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].ord < cands[j].ord })
 	// Documents fetch lazily inside the streaming loop, so a limited
-	// query (FindOne, FindLimit) that stops early skips the remaining
-	// point reads — the early exit the ordered scan used to provide.
+	// query (BorrowFindLimit) that stops early skips the remaining
+	// point reads.
 	for _, it := range cands {
 		doc, ok := c.be.GetAt(it.key, h)
 		if !ok {
@@ -737,12 +565,12 @@ func (c *Collection) shardedVisitAt(h int64, keys []string, fn func(key string, 
 	}
 }
 
-// FindOrdered returns copies of the documents matching filter in
-// index-value order over orderPath — ascending, or fully reversed when
-// desc — with ties broken by insertion order; limit <= 0 means
-// unlimited. Documents with no scalar value at orderPath are excluded,
-// and a multikey document sorts at its smallest (largest when desc)
-// value.
+// borrowOrderedAt collects the stored documents matching filter at
+// height h in index-value order over orderPath — ascending, or fully
+// reversed when desc — with ties broken by insertion order; limit <= 0
+// means unlimited. Documents with no scalar value at orderPath are
+// excluded, and a multikey document sorts at its smallest (largest
+// when desc) value.
 //
 // With an ordered index on orderPath the walk streams value groups
 // lazily off the index plus lock-free point reads — no collection
@@ -750,18 +578,9 @@ func (c *Collection) shardedVisitAt(h int64, keys []string, fn func(key string, 
 // after O(limit) work. Without one — or with a partial one whose
 // predicate the filter's top-level And does not hold — it falls back
 // to a full scan plus sort.
-func (c *Collection) FindOrdered(filter Filter, orderPath string, desc bool, limit int) []map[string]any {
-	return copyDocs(c.borrowOrderedAt(storage.HeightLatest, filter, orderPath, desc, limit))
-}
-
-// borrowOrderedAt is FindOrdered at height h, returning the stored
-// documents themselves (borrowed).
 func (c *Collection) borrowOrderedAt(h int64, filter Filter, orderPath string, desc bool, limit int) []map[string]any {
-	if c.dropped.Load() {
-		return nil
-	}
 	ord, ok := c.indexMap()[orderPath].(*orderedIndex)
-	if !ok || (ord.where != nil && !implies(Analyze(filter), ord.where)) {
+	if !ok || (ord.where != nil && !implies(filter, ord.where)) {
 		// No ordered index, or a partial one the filter does not confine
 		// itself to: it would miss the documents outside its predicate.
 		return c.findOrderedScanAt(h, filter, orderPath, desc, limit)
@@ -813,7 +632,7 @@ func (c *Collection) borrowOrderedAt(h int64, filter Filter, orderPath string, d
 	}
 }
 
-// findOrderedScanAt is FindOrdered's no-index fallback: scan, sort by
+// findOrderedScanAt is borrowOrderedAt's no-index fallback: scan, sort by
 // the extreme scalar value at orderPath, then cut to limit. Like
 // borrowOrderedAt, it returns the stored documents.
 func (c *Collection) findOrderedScanAt(h int64, filter Filter, orderPath string, desc bool, limit int) []map[string]any {
@@ -868,54 +687,21 @@ type Snapshot struct {
 	h int64
 }
 
-// Height returns the block height the view reads as of.
-func (s *Snapshot) Height() int64 { return s.h }
-
-// Get returns a copy of the document under key as of the view height.
-func (s *Snapshot) Get(key string) (map[string]any, error) {
-	doc, ok := s.Borrow(key)
-	if !ok {
-		return nil, &ErrNotFound{Collection: s.c.name, Key: key}
-	}
-	return deepCopyMap(doc), nil
-}
-
 // Borrow is Collection.Borrow as of the view height: the stored
 // document itself, read-only.
 func (s *Snapshot) Borrow(key string) (map[string]any, bool) {
 	return s.c.BorrowAt(key, s.h)
 }
 
-// Has reports whether key existed at the view height.
-func (s *Snapshot) Has(key string) bool {
-	_, ok := s.Borrow(key)
-	return ok
-}
-
 // Len returns the number of documents at the view height.
-func (s *Snapshot) Len() int {
-	if s.c.dropped.Load() {
-		return 0
-	}
-	return s.c.be.LenAt(s.h)
-}
+func (s *Snapshot) Len() int { return s.c.be.LenAt(s.h) }
 
 // Keys returns the keys at the view height in insertion order.
-func (s *Snapshot) Keys() []string {
-	if s.c.dropped.Load() {
-		return nil
-	}
-	return s.c.be.KeysAt(s.h)
-}
+func (s *Snapshot) Keys() []string { return s.c.be.KeysAt(s.h) }
 
 // Find returns copies of all documents matching filter at the view
 // height, in insertion order.
-func (s *Snapshot) Find(filter Filter) []map[string]any { return s.FindLimit(filter, 0) }
-
-// FindLimit is Find with a result cap; limit <= 0 means unlimited.
-func (s *Snapshot) FindLimit(filter Filter, limit int) []map[string]any {
-	return copyDocs(s.BorrowFindLimit(filter, limit))
-}
+func (s *Snapshot) Find(filter Filter) []map[string]any { return copyDocs(s.BorrowFind(filter)) }
 
 // BorrowFind is Collection.BorrowFind as of the view height: the
 // matching stored documents themselves, read-only.
@@ -927,28 +713,12 @@ func (s *Snapshot) BorrowFindLimit(filter Filter, limit int) []map[string]any {
 	return s.c.borrowLimitAt(s.h, filter, limit)
 }
 
-// FindKeys returns the keys of matching documents in insertion order.
-func (s *Snapshot) FindKeys(filter Filter) []string { return s.c.findKeysAt(s.h, filter) }
-
-// FindOne returns the first matching document, or ErrNotFound.
-func (s *Snapshot) FindOne(filter Filter) (map[string]any, error) {
-	res := s.FindLimit(filter, 1)
-	if len(res) == 0 {
-		return nil, &ErrNotFound{Collection: s.c.name, Key: "<filter>"}
-	}
-	return res[0], nil
-}
-
 // Count returns the number of matching documents at the view height.
 func (s *Snapshot) Count(filter Filter) int { return s.c.countAt(s.h, filter) }
 
-// FindOrdered is Collection.FindOrdered as of the view height.
-func (s *Snapshot) FindOrdered(filter Filter, orderPath string, desc bool, limit int) []map[string]any {
-	return copyDocs(s.BorrowFindOrdered(filter, orderPath, desc, limit))
-}
-
-// BorrowFindOrdered is FindOrdered without the copies: the stored
-// documents themselves, read-only.
+// BorrowFindOrdered returns the stored documents matching filter at
+// the view height in index-value order over orderPath (borrowOrderedAt
+// says how), read-only.
 func (s *Snapshot) BorrowFindOrdered(filter Filter, orderPath string, desc bool, limit int) []map[string]any {
 	return s.c.borrowOrderedAt(s.h, filter, orderPath, desc, limit)
 }
@@ -983,7 +753,7 @@ func extremeOrdValue(doc map[string]any, path indexPath, max bool) (ordValue, bo
 }
 
 // copyDocs replaces each borrowed document in docs with the caller's
-// own deep copy — the copy-out of Find and FindOrdered.
+// own deep copy — the copy-out of Find.
 func copyDocs(docs []map[string]any) []map[string]any {
 	for i, doc := range docs {
 		docs[i] = deepCopyMap(doc)

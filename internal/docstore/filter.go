@@ -1,11 +1,8 @@
 package docstore
 
-import (
-	"regexp"
-	"strings"
-)
+import "strings"
 
-// Filter matches documents. Filters compose with And/Or/Not; leaf
+// Filter matches documents. Filters compose with And and Not; leaf
 // filters test one dot-path against a value or operator.
 type Filter interface {
 	Matches(doc map[string]any) bool
@@ -14,12 +11,6 @@ type Filter interface {
 // Eq matches documents whose value at path equals v. If the value at
 // path is an array, any element equal to v matches (Mongo semantics).
 func Eq(path string, v any) Filter { return field(path, opEq, normalize(v)) }
-
-// Ne matches documents whose value at path does not equal v.
-func Ne(path string, v any) Filter { return field(path, opNe, normalize(v)) }
-
-// Gt matches numeric or string values strictly greater than v.
-func Gt(path string, v any) Filter { return field(path, opGt, normalize(v)) }
 
 // Gte matches values greater than or equal to v.
 func Gte(path string, v any) Filter { return field(path, opGte, normalize(v)) }
@@ -58,68 +49,36 @@ func In(path string, vs ...any) Filter {
 	return f
 }
 
-// Exists matches documents that have (or lack) any value at path.
-func Exists(path string, want bool) Filter {
-	return field(path, opExists, want)
-}
-
 // Contains matches documents whose array at path contains element v.
 // It is Eq restricted to arrays; on non-arrays it never matches.
 func Contains(path string, v any) Filter {
 	return field(path, opContains, normalize(v))
 }
 
-// ContainsAll matches arrays containing every one of vs.
-func ContainsAll(path string, vs ...any) Filter {
-	norm := make([]any, len(vs))
-	for i, v := range vs {
-		norm[i] = normalize(v)
-	}
-	f := field(path, opContainsAll, nil)
-	f.list = norm
-	return f
-}
-
-// Regex matches string values against the pattern. Compilation errors
-// yield a filter that never matches.
-func Regex(path, pattern string) Filter {
-	re, err := regexp.Compile(pattern)
-	if err != nil {
-		return field(path, opNever, nil)
-	}
-	f := field(path, opRegex, nil)
-	f.re = re
-	return f
-}
-
 // And matches documents satisfying every sub-filter.
 func And(fs ...Filter) Filter { return andFilter(fs) }
 
-// Or matches documents satisfying at least one sub-filter.
-func Or(fs ...Filter) Filter { return orFilter(fs) }
-
 // Not inverts a filter.
 func Not(f Filter) Filter { return notFilter{f} }
-
-// All matches every document.
-func All() Filter { return allFilter{} }
 
 type fieldOp int
 
 const (
 	opEq fieldOp = iota
-	opNe
-	opGt
 	opGte
 	opLt
 	opLte
 	opIn
-	opExists
 	opContains
-	opContainsAll
-	opRegex
-	opNever
 )
+
+// name is the operator as Explain renders it.
+func (op fieldOp) name() string {
+	return [...]string{opEq: "eq", opGte: "gte", opLt: "lt", opLte: "lte", opIn: "in", opContains: "contains"}[op]
+}
+
+// comparison reports the operators an ordered index answers as a range.
+func (op fieldOp) comparison() bool { return op == opGte || op == opLt || op == opLte }
 
 type fieldFilter struct {
 	path string
@@ -133,7 +92,6 @@ type fieldFilter struct {
 	// membership keyed by indexKey, which equates values exactly like
 	// valuesEqual does for scalars.
 	inSet map[string]struct{}
-	re    *regexp.Regexp
 }
 
 func field(path string, op fieldOp, arg any) *fieldFilter {
@@ -143,14 +101,6 @@ func field(path string, op fieldOp, arg any) *fieldFilter {
 // Matches walks the path through doc and stops at the first value that
 // decides the answer.
 func (f *fieldFilter) Matches(doc map[string]any) bool {
-	switch f.op {
-	case opExists:
-		return f.split.some(doc, func(any) bool { return true }) == f.arg.(bool)
-	case opNever:
-		return false
-	case opNe:
-		return !f.split.some(doc, func(v any) bool { return valuesEqual(v, f.arg) })
-	}
 	return f.split.some(doc, f.matchOne)
 }
 
@@ -168,14 +118,12 @@ func (f *fieldFilter) matchOne(v any) bool {
 			}
 		}
 		return false
-	case opGt, opGte, opLt, opLte:
+	case opGte, opLt, opLte:
 		cmp, ok := compareValues(v, f.arg)
 		if !ok {
 			return false
 		}
 		switch f.op {
-		case opGt:
-			return cmp > 0
 		case opGte:
 			return cmp >= 0
 		case opLt:
@@ -210,27 +158,6 @@ func (f *fieldFilter) matchOne(v any) bool {
 			}
 		}
 		return false
-	case opContainsAll:
-		arr, ok := v.([]any)
-		if !ok {
-			return false
-		}
-		for _, want := range f.list {
-			foundOne := false
-			for _, e := range arr {
-				if valuesEqual(e, want) {
-					foundOne = true
-					break
-				}
-			}
-			if !foundOne {
-				return false
-			}
-		}
-		return true
-	case opRegex:
-		s, ok := v.(string)
-		return ok && f.re.MatchString(s)
 	}
 	return false
 }
@@ -246,113 +173,9 @@ func (fs andFilter) Matches(doc map[string]any) bool {
 	return true
 }
 
-type orFilter []Filter
-
-func (fs orFilter) Matches(doc map[string]any) bool {
-	for _, f := range fs {
-		if f.Matches(doc) {
-			return true
-		}
-	}
-	return false
-}
-
 type notFilter struct{ f Filter }
 
 func (n notFilter) Matches(doc map[string]any) bool { return !n.f.Matches(doc) }
-
-type allFilter struct{}
-
-func (allFilter) Matches(map[string]any) bool { return true }
-
-// Introspection ------------------------------------------------------
-//
-// Analyze converts any filter built from this package's constructors
-// into a structural tree the query planner (planner.go) can reason
-// about. It replaces the old approach of type-sniffing concrete filter
-// types at the call sites: every consumer that needs to know what a
-// filter *is* — rather than merely what it matches — goes through the
-// Node view.
-
-// NodeKind classifies one node of an analyzed filter tree.
-type NodeKind int
-
-const (
-	// KindField is a leaf testing one dot path against an operator.
-	KindField NodeKind = iota
-	// KindAnd / KindOr / KindNot are the boolean combinators.
-	KindAnd
-	KindOr
-	KindNot
-	// KindAll matches every document (All(), or a nil filter).
-	KindAll
-	// KindOpaque is a foreign Filter implementation: only Matches is
-	// known, so the planner must fall back to a full scan.
-	KindOpaque
-)
-
-// Field-node operator names reported by Analyze.
-const (
-	OpEq          = "eq"
-	OpNe          = "ne"
-	OpGt          = "gt"
-	OpGte         = "gte"
-	OpLt          = "lt"
-	OpLte         = "lte"
-	OpIn          = "in"
-	OpExists      = "exists"
-	OpContains    = "contains"
-	OpContainsAll = "contains-all"
-	OpRegex       = "regex"
-	OpNever       = "never"
-)
-
-var fieldOpNames = map[fieldOp]string{
-	opEq: OpEq, opNe: OpNe, opGt: OpGt, opGte: OpGte, opLt: OpLt,
-	opLte: OpLte, opIn: OpIn, opExists: OpExists, opContains: OpContains,
-	opContainsAll: OpContainsAll, opRegex: OpRegex, opNever: OpNever,
-}
-
-// Node is the introspectable view of one filter-tree node. Field nodes
-// carry the tested path, the operator name, and the (normalized)
-// argument; combinator nodes carry their children. Arg and List alias
-// the filter's own storage and must not be mutated.
-type Node struct {
-	Kind     NodeKind
-	Path     string // KindField: the tested dot path
-	Op       string // KindField: one of the Op* operator names
-	Arg      any    // KindField: scalar argument (eq, gt, ..., exists)
-	List     []any  // KindField: list argument (in, contains-all)
-	Children []Node // KindAnd / KindOr / KindNot
-}
-
-// Analyze returns the structural tree of a filter. A nil filter
-// analyzes as KindAll (match everything), mirroring Find's treatment.
-func Analyze(f Filter) Node {
-	switch x := f.(type) {
-	case nil:
-		return Node{Kind: KindAll}
-	case *fieldFilter:
-		return Node{Kind: KindField, Path: x.path, Op: fieldOpNames[x.op], Arg: x.arg, List: x.list}
-	case andFilter:
-		children := make([]Node, len(x))
-		for i, sub := range x {
-			children[i] = Analyze(sub)
-		}
-		return Node{Kind: KindAnd, Children: children}
-	case orFilter:
-		children := make([]Node, len(x))
-		for i, sub := range x {
-			children[i] = Analyze(sub)
-		}
-		return Node{Kind: KindOr, Children: children}
-	case notFilter:
-		return Node{Kind: KindNot, Children: []Node{Analyze(x.f)}}
-	case allFilter:
-		return Node{Kind: KindAll}
-	}
-	return Node{Kind: KindOpaque}
-}
 
 // normalize converts ints to float64 so filters compare like JSON,
 // and folds negative zero into +0 so hash keys (indexKey) equate

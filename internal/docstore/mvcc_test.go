@@ -30,15 +30,15 @@ func TestSnapshotIsolationAcrossSeal(t *testing.T) {
 		mustInsert(t, c, "a", map[string]any{"kind": "x", "rank": 1.0})
 		mustInsert(t, c, "b", map[string]any{"kind": "y", "rank": 2.0})
 
-		pre := c.Snapshot()
-		if pre.Height() != bk.Visible() {
-			t.Fatalf("Snapshot height %d, want %d", pre.Height(), bk.Visible())
+		pre := c.snapshot()
+		if pre.h != bk.Visible() {
+			t.Fatalf("Snapshot height %d, want %d", pre.h, bk.Visible())
 		}
 
 		h := bk.Visible() + 1
 		bk.BeginBlock(h)
 		mustInsert(t, c, "cc", map[string]any{"kind": "x", "rank": 3.0})
-		if err := c.Delete("b"); err != nil {
+		if err := c.Upsert("b", map[string]any{"kind": "z", "rank": 0.5}); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Update("a", func(doc map[string]any) error {
@@ -53,13 +53,13 @@ func TestSnapshotIsolationAcrossSeal(t *testing.T) {
 			if got := pre.Len(); got != 2 {
 				t.Fatalf("%s: pre.Len = %d, want 2", stage, got)
 			}
-			if doc, err := pre.Get("a"); err != nil || doc["rank"] != 1.0 {
-				t.Fatalf("%s: pre a = %v (%v), want rank 1", stage, doc, err)
+			if doc, ok := pre.Borrow("a"); !ok || doc["rank"] != 1.0 {
+				t.Fatalf("%s: pre a = %v, want rank 1", stage, doc)
 			}
-			if !pre.Has("b") {
-				t.Fatalf("%s: pre lost deleted doc b", stage)
+			if doc, ok := pre.Borrow("b"); !ok || doc["kind"] != "y" {
+				t.Fatalf("%s: pre b = %v, want the version before the replace", stage, doc)
 			}
-			if pre.Has("cc") {
+			if _, ok := pre.Borrow("cc"); ok {
 				t.Fatalf("%s: pre sees doc cc from the newer block", stage)
 			}
 			// Index-planned reads honor the same visibility: the hash
@@ -68,7 +68,7 @@ func TestSnapshotIsolationAcrossSeal(t *testing.T) {
 			if got := len(pre.Find(Eq("kind", "x"))); got != 1 {
 				t.Fatalf("%s: pre Find(kind=x) = %d docs, want 1", stage, got)
 			}
-			ordered := pre.FindOrdered(nil, "rank", true, 1)
+			ordered := pre.BorrowFindOrdered(nil, "rank", true, 1)
 			if len(ordered) != 1 || ordered[0]["rank"] != 2.0 {
 				t.Fatalf("%s: pre FindOrdered top = %v, want rank 2", stage, ordered)
 			}
@@ -77,17 +77,17 @@ func TestSnapshotIsolationAcrossSeal(t *testing.T) {
 		bk.SealBlock(h)
 		check("post-seal")
 
-		post := c.Snapshot()
-		if post.Height() != h {
-			t.Fatalf("post snapshot height %d, want %d", post.Height(), h)
+		post := c.snapshot()
+		if post.h != h {
+			t.Fatalf("post snapshot height %d, want %d", post.h, h)
 		}
-		if got, want := post.Keys(), []string{"a", "cc"}; !reflect.DeepEqual(got, want) {
+		if got, want := post.Keys(), []string{"a", "b", "cc"}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("post.Keys = %v, want %v", got, want)
 		}
-		if doc, err := post.Get("a"); err != nil || doc["rank"] != 9.0 {
-			t.Fatalf("post a = %v (%v), want rank 9", doc, err)
+		if doc, ok := post.Borrow("a"); !ok || doc["rank"] != 9.0 {
+			t.Fatalf("post a = %v, want rank 9", doc)
 		}
-		ordered := post.FindOrdered(Eq("kind", "x"), "rank", false, 0)
+		ordered := post.BorrowFindOrdered(Eq("kind", "x"), "rank", false, 0)
 		if len(ordered) != 2 || ordered[0]["rank"] != 3.0 || ordered[1]["rank"] != 9.0 {
 			t.Fatalf("post FindOrdered(kind=x) = %v", ordered)
 		}
@@ -111,22 +111,21 @@ func TestSnapshotReadsTakeNoCollectionLock(t *testing.T) {
 				"kind": fmt.Sprintf("t%d", i%3), "rank": float64(i),
 			})
 		}
-		snap := c.Snapshot()
+		snap := c.snapshot()
 
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
-			snap.Get("k03")
-			snap.Has("k07")
+			snap.Borrow("k03")
 			snap.Len()
 			snap.Keys()
 			snap.Find(Eq("kind", "t1"))
-			snap.FindKeys(And(Eq("kind", "t0"), Gte("rank", 3.0)))
+			snap.c.keysAt(snap.h, And(Eq("kind", "t0"), Gte("rank", 3.0)))
 			snap.Count(Lte("rank", 8.0))
-			snap.FindOrdered(nil, "rank", true, 5)
-			snap.FindOrdered(Eq("kind", "t2"), "rank", false, 0)
+			snap.BorrowFindOrdered(nil, "rank", true, 5)
+			snap.BorrowFindOrdered(Eq("kind", "t2"), "rank", false, 0)
 		}()
 		select {
 		case <-done:
@@ -139,7 +138,7 @@ func TestSnapshotReadsTakeNoCollectionLock(t *testing.T) {
 // TestBorrowedDocumentsNeverChange pins what Borrow rests on: a stored
 // document is never written to again. Borrowed through every accessor,
 // each must still equal its pre-image after its key was updated,
-// replaced and deleted and the versions it belonged to fell out of the
+// replaced and vacated and the versions it belonged to fell out of the
 // retention window. The writers keep their side of the contract — an
 // Update closure assigns top-level keys and replaces, never edits,
 // what lies below — and the store keeps its own: Update must not hand
@@ -151,7 +150,7 @@ func TestBorrowedDocumentsNeverChange(t *testing.T) {
 		c := s.Collection("docs")
 		c.CreateIndex("kind")
 		c.CreateOrderedIndex("rank")
-		keys := []string{"updated", "upserted", "deleted"}
+		keys := []string{"updated", "upserted", "vacated"}
 		for i, k := range keys {
 			mustInsert(t, c, k, map[string]any{
 				"kind": "d", "rank": float64(i),
@@ -165,12 +164,12 @@ func TestBorrowedDocumentsNeverChange(t *testing.T) {
 			doc, pre map[string]any
 		}
 		var all []held
-		snap := c.Snapshot()
+		snap := c.snapshot()
 		for _, k := range keys {
 			for via, borrow := range map[string]func(string) (map[string]any, bool){
 				"Collection.Borrow":   c.Borrow,
 				"Snapshot.Borrow":     snap.Borrow,
-				"Collection.BorrowAt": func(k string) (map[string]any, bool) { return c.BorrowAt(k, snap.Height()) },
+				"Collection.BorrowAt": func(k string) (map[string]any, bool) { return c.BorrowAt(k, snap.h) },
 			} {
 				doc, ok := borrow(k)
 				if !ok {
@@ -213,7 +212,7 @@ func TestBorrowedDocumentsNeverChange(t *testing.T) {
 			if err := c.Upsert("upserted", map[string]any{"kind": "e", "rank": float64(h)}); err != nil {
 				t.Fatal(err)
 			}
-			if err := c.Delete("deleted"); err != nil {
+			if err := c.Upsert("vacated", map[string]any{}); err != nil {
 				t.Fatal(err)
 			}
 			bk.SealBlock(h)
@@ -228,15 +227,15 @@ func TestBorrowedDocumentsNeverChange(t *testing.T) {
 				}
 			}
 		}
-		if bk.Floor() <= snap.Height() {
-			t.Fatalf("floor %d has not passed the borrowed height %d", bk.Floor(), snap.Height())
+		if bk.Floor() <= snap.h {
+			t.Fatalf("floor %d has not passed the borrowed height %d", bk.Floor(), snap.h)
 		}
 		// The writes did land — beside the borrowed versions, not in them.
 		if got, _ := c.Get("updated"); got["nested"].(map[string]any)["x"] != float64(start+5) {
 			t.Errorf("update did not land: %v", got)
 		}
-		if c.Has("deleted") {
-			t.Error("delete did not land")
+		if got, _ := c.Borrow("vacated"); len(got) != 0 {
+			t.Errorf("vacate did not land: %v", got)
 		}
 		// A borrowed document and a Get of the same key are equal and
 		// distinct: Get's copy is the caller's to change.
@@ -281,25 +280,25 @@ func TestSnapshotReadersRaceBlockAppliers(t *testing.T) {
 						return
 					default:
 					}
-					snap := c.Snapshot()
+					snap := c.snapshot()
 					want := -1.0
 					for i := 0; i < docs; i++ {
-						doc, err := snap.Get(fmt.Sprintf("k%d", i))
-						if err != nil {
-							panic(err)
+						doc, ok := snap.Borrow(fmt.Sprintf("k%d", i))
+						if !ok {
+							panic(fmt.Sprintf("k%d missing at height %d", i, snap.h))
 						}
 						v := doc["v"].(float64)
 						if want < 0 {
 							want = v
 						} else if v != want {
 							panic(fmt.Sprintf("torn snapshot at height %d: saw versions %v and %v",
-								snap.Height(), want, v))
+								snap.h, want, v))
 						}
 					}
 					// The indexed path resolves against the same height.
 					if got := len(snap.Find(Eq("kind", "d"))); got != docs {
 						panic(fmt.Sprintf("indexed read at height %d returned %d docs, want %d",
-							snap.Height(), got, docs))
+							snap.h, got, docs))
 					}
 				}
 			}()
@@ -324,7 +323,7 @@ func TestSnapshotReadersRaceBlockAppliers(t *testing.T) {
 				key := fmt.Sprintf("k%d", n%docs)
 				doc, ok := c.Borrow(key)
 				if n%2 == 1 {
-					doc, ok = c.Snapshot().Borrow(key)
+					doc, ok = c.snapshot().Borrow(key)
 				}
 				if !ok {
 					panic("borrow missed " + key)
@@ -400,11 +399,11 @@ func TestSnapshotIndexReadsRaceSealAndSweep(t *testing.T) {
 						return
 					default:
 					}
-					snap := c.Snapshot()
-					h := float64(snap.Height())
+					snap := c.snapshot()
+					h := float64(snap.h)
 					point := snap.Find(And(Eq("v", h), Eq("kind", "d")))
-					ordered := snap.FindOrdered(nil, "w", r%2 == 0, 0)
-					if bk.Floor() > snap.Height() {
+					ordered := snap.BorrowFindOrdered(nil, "w", r%2 == 0, 0)
+					if bk.Floor() > snap.h {
 						continue // the window moved past the read: too old to judge
 					}
 					if len(point) != docs || len(ordered) != docs {

@@ -33,8 +33,8 @@ func randOrderedDoc(rng *rand.Rand) map[string]any {
 }
 
 // TestFindOrderedMatchesScan is the differential property test pinning
-// the indexed FindOrdered path to the brute-force scan: for random
-// document sets under interleaved inserts, updates, and deletes, both
+// the indexed ordered read to the brute-force scan: for random document
+// sets under interleaved inserts, replaces, and vacates, both
 // paths must return byte-identical results for every combination of
 // direction, limit, and filter — on both backends.
 func TestFindOrderedMatchesScan(t *testing.T) {
@@ -58,7 +58,7 @@ func TestFindOrderedMatchesScan(t *testing.T) {
 				for _, limit := range []int{0, 1, 3, 7, 1000} {
 					for _, flt := range filters {
 						want := c.findOrderedScan(flt.f, "rank", desc, limit)
-						got := c.FindOrdered(flt.f, "rank", desc, limit)
+						got := c.findOrdered(flt.f, "rank", desc, limit)
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("round %d desc=%v limit=%d filter=%s:\nindexed = %v\nscan    = %v",
 								round, desc, limit, flt.name, got, want)
@@ -70,8 +70,9 @@ func TestFindOrderedMatchesScan(t *testing.T) {
 
 		live := []string{}
 		for round := 0; round < 12; round++ {
-			// Mutate: a batch of inserts plus some updates and deletes of
-			// existing keys, so version chains and index lifespans churn.
+			// Mutate: a batch of inserts plus some replaces and vacates
+			// (an empty document, in no index) of existing keys, so
+			// version chains and index lifespans churn.
 			for i := 0; i < 15; i++ {
 				key := fmt.Sprintf("r%02d-%02d", round, i)
 				mustInsert(t, c, key, randOrderedDoc(rng))
@@ -84,7 +85,7 @@ func TestFindOrderedMatchesScan(t *testing.T) {
 						t.Fatal(err)
 					}
 				} else {
-					if err := c.Delete(key); err != nil {
+					if err := c.Upsert(key, map[string]any{}); err != nil {
 						t.Fatal(err)
 					}
 					for j, k := range live {

@@ -12,14 +12,14 @@ import (
 // value at the path, with visibility lifespans per (value, document)
 // pairing. On top of the point lookups a hash index answers (Eq,
 // Contains, In), it serves ordered range scans for the comparison
-// operators (Gt/Gte/Lt/Lte) and value-ordered document iteration
-// (Collection.FindOrdered), both as-of any supported block height.
+// operators (Gte/Lt/Lte) and value-ordered document iteration
+// (Snapshot.BorrowFindOrdered), both as-of any supported block height.
 //
 // Like hashIndex, it carries its own RWMutex: writers mutate it under
-// the collection lock as part of every Insert/Update/Delete, but
+// the collection lock as part of every Insert/Upsert/Update, but
 // planned readers take only this lock plus lock-free point reads — a
 // range scan never serializes behind the commit writer on the
-// collection lock. Value-group iteration (FindOrdered) is streaming:
+// collection lock. Value-group iteration (BorrowFindOrdered) is streaming:
 // the cursor copies one node's visible keys per brief lock
 // acquisition, so a limit-k query allocates O(k) and never holds the
 // lock for the whole index.
@@ -287,29 +287,28 @@ func (ix *orderedIndex) lookupEq(key string, h int64) []string {
 }
 
 // ordRange is a planner-compiled range over one class of values:
-// lo/hi bounds (either side optional), inclusive or strict — one
-// comparison, or an And of them on a single-valued path.
+// lo/hi bounds (either side optional), the lower inclusive and the
+// upper inclusive or strict — one comparison, or an And of them on a
+// single-valued path.
 type ordRange struct {
-	class              uint8
-	lo, hi             ordValue
-	hasLo, hasHi       bool
-	loStrict, hiStrict bool
+	class        uint8
+	lo, hi       ordValue
+	hasLo, hasHi bool
+	hiStrict     bool
 }
 
-// narrow tightens r by one comparison (OpGt, OpGte, OpLt or OpLte)
-// against v, a value of r's class.
-func (r *ordRange) narrow(op string, v ordValue) {
-	switch op {
-	case OpGt, OpGte:
-		strict := op == OpGt
-		if cmp := v.compare(r.lo); !r.hasLo || cmp > 0 || (cmp == 0 && strict) {
-			r.lo, r.hasLo, r.loStrict = v, true, strict
+// narrow tightens r by one comparison (opGte, opLt or opLte) against
+// v, a value of r's class.
+func (r *ordRange) narrow(op fieldOp, v ordValue) {
+	if op == opGte {
+		if !r.hasLo || v.compare(r.lo) > 0 {
+			r.lo, r.hasLo = v, true
 		}
-	case OpLt, OpLte:
-		strict := op == OpLt
-		if cmp := v.compare(r.hi); !r.hasHi || cmp < 0 || (cmp == 0 && strict) {
-			r.hi, r.hasHi, r.hiStrict = v, true, strict
-		}
+		return
+	}
+	strict := op == opLt
+	if cmp := v.compare(r.hi); !r.hasHi || cmp < 0 || (cmp == 0 && strict) {
+		r.hi, r.hasHi, r.hiStrict = v, true, strict
 	}
 }
 
@@ -319,17 +318,13 @@ func (r ordRange) empty() bool {
 		return false
 	}
 	cmp := r.lo.compare(r.hi)
-	return cmp > 0 || (cmp == 0 && (r.loStrict || r.hiStrict))
+	return cmp > 0 || (cmp == 0 && r.hiStrict)
 }
 
 func (r ordRange) String() string {
 	var b strings.Builder
 	if r.hasLo {
-		if r.loStrict {
-			b.WriteString(">")
-		} else {
-			b.WriteString(">=")
-		}
+		b.WriteString(">=")
 		b.WriteString(r.lo.render())
 	}
 	if r.hasHi {
@@ -370,14 +365,8 @@ func (ix *orderedIndex) lookupRange(r ordRange, h int64) []string {
 	}
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	n := ix.seekGE(start)
-	if r.hasLo && r.loStrict {
-		for n != nil && n.val.compare(r.lo) == 0 {
-			n = n.next[0]
-		}
-	}
 	var out []string
-	for ; n != nil && n.val.class == r.class; n = n.next[0] {
+	for n := ix.seekGE(start); n != nil && n.val.class == r.class; n = n.next[0] {
 		if r.hasHi {
 			cmp := n.val.compare(r.hi)
 			if cmp > 0 || (cmp == 0 && r.hiStrict) {
@@ -389,7 +378,7 @@ func (ix *orderedIndex) lookupRange(r ordRange, h int64) []string {
 	return out
 }
 
-// groupCursor streams FindOrdered's value groups lazily: each next
+// groupCursor streams BorrowFindOrdered's value groups lazily: each next
 // call copies one node's visible document keys under one brief lock
 // acquisition, then releases the lock before the caller resolves
 // documents. A limit-k query therefore allocates O(k) work instead of

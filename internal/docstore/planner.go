@@ -5,31 +5,31 @@ import (
 	"slices"
 )
 
-// The query planner compiles a filter tree (via Analyze) into an
-// access plan by one rule: in an And (nested Ands flattened), the
-// first conjunct in written order that an index can serve drives the
-// read, and every other conjunct is left to the residual filter that
-// re-checks each fetched document. A bare leaf is an And of one. So a
-// reader's filter is its access path: the conjunct whose index should
-// drive is written first. Executed plans resolve candidates through
-// the driving index's own lock plus lock-free point reads — never the
-// collection lock — so every planned read stays off the commit
-// writer's critical section. Only filters no index can serve fall back
-// to the full collection scan.
+// The query planner compiles a filter into an access plan by one
+// rule: in an And (nested Ands flattened), the first conjunct in
+// written order that an index can serve drives the read, and every
+// other conjunct is left to the residual filter that re-checks each
+// fetched document. A bare leaf is an And of one. So a reader's filter
+// is its access path: the conjunct whose index should drive is written
+// first. Executed plans resolve candidates through the driving index's
+// own lock plus lock-free point reads — never the collection lock — so
+// every planned read stays off the commit writer's critical section.
+// Only filters no index can serve fall back to the full collection
+// scan.
 //
 // Plan shapes:
 //
 //	point      an equality-class probe on any index: Eq, Contains, In
-//	           (one probe per value), ContainsAll (its first element)
-//	range      an ordered-index scan for Gt/Gte/Lt/Lte, narrowed by the
+//	           (one probe per value)
+//	range      an ordered-index scan for Gte/Lt/Lte, narrowed by the
 //	           sibling comparisons on its path while that path is
 //	           single-valued, confined to the bound's comparison class
 //	           (numbers or strings)
-//	none       a provably empty result (Never, In with no values,
-//	           comparisons against non-comparable arguments, an And
-//	           holding one of them, an Or of nothing else)
-//	full-scan  Or, Not, and an And with no servable conjunct: scan
-//	           under the collection read lock
+//	none       a provably empty result (In with no values, comparisons
+//	           against non-comparable arguments, an And holding one of
+//	           them)
+//	full-scan  Not, and an And with no servable conjunct: scan under
+//	           the collection read lock
 //
 // Candidate sets are supersets of the matching documents (multikey
 // indexes fan arrays out), so executors always re-apply the full
@@ -55,7 +55,7 @@ const (
 	// AccessFullScan scans the whole collection under its read lock.
 	AccessFullScan AccessKind = iota
 	// AccessNone yields no candidates: the filter provably cannot
-	// match any document (Never, empty In, class-mismatched range).
+	// match any document (empty In, class-mismatched range).
 	AccessNone
 	// AccessPoint probes an index for equality-class candidates.
 	AccessPoint
@@ -84,7 +84,7 @@ func (k AccessKind) metricName() string {
 type Access struct {
 	Kind   AccessKind
 	Path   string // point / range: the indexed dot path
-	Op     string // point: the operator (OpEq, OpIn, OpContains)
+	Op     string // point: the operator ("eq", "in" or "contains")
 	Detail string // point / range: rendered argument or range bounds
 	Reason string // AccessFullScan: why the planner gave up
 
@@ -119,7 +119,7 @@ func (a *Access) String() string {
 // answers for whatever height the executor passes, so one plan serves
 // the writer view and snapshot reads alike.
 func (c *Collection) Plan(f Filter) *Access {
-	a, ob := planner{idx: c.indexMap(), root: Analyze(f)}.compile(), c.obs()
+	a, ob := planner{idx: c.indexMap(), root: f}.compile(), c.obs()
 	ob.plans.Inc()
 	if a.ix != nil && ob.indexUses != nil {
 		ob.indexUses[a.Path].Inc()
@@ -138,7 +138,7 @@ type planner struct {
 	// root is the filter being compiled, whose top-level conjuncts
 	// decide which partial indexes may serve it and which comparisons
 	// narrow a band.
-	root Node
+	root Filter
 }
 
 // index returns the index the filter may use on path. A partial index
@@ -156,41 +156,40 @@ func (p planner) index(path string) (secondaryIndex, string) {
 	return ix, ""
 }
 
-// implies reports whether every document n matches also matches the
-// predicate w, an Eq: n's top-level conjuncts include w.
-func implies(n Node, w *fieldFilter) bool {
-	_, ok := firstConjunct(n, func(c Node) bool {
-		return c.Kind == KindField && c.Op == OpEq && c.Path == w.path && valuesEqual(c.Arg, w.arg)
+// implies reports whether every document f matches also matches the
+// predicate w, an Eq: f's top-level conjuncts include w.
+func implies(f Filter, w *fieldFilter) bool {
+	return firstConjunct(f, func(c *fieldFilter) bool {
+		return c.op == opEq && c.path == w.path && valuesEqual(c.arg, w.arg)
 	})
-	return ok
 }
 
-// firstConjunct returns the first of n's top-level conjuncts (an And's
-// children in written order, a nested And's flattened, or n itself)
-// for which fn holds.
-func firstConjunct(n Node, fn func(Node) bool) (Node, bool) {
-	if n.Kind != KindAnd {
-		return n, fn(n)
-	}
-	for _, ch := range n.Children {
-		if c, ok := firstConjunct(ch, fn); ok {
-			return c, true
+// firstConjunct calls fn on f's top-level field conjuncts (an And's
+// children in written order, a nested And's flattened, or f itself)
+// until it holds for one, and reports whether it did.
+func firstConjunct(f Filter, fn func(*fieldFilter) bool) bool {
+	switch x := f.(type) {
+	case *fieldFilter:
+		return fn(x)
+	case andFilter:
+		for _, ch := range x {
+			if firstConjunct(ch, fn) {
+				return true
+			}
 		}
 	}
-	return Node{}, false
+	return false
 }
 
 // empty reports a filter no document can match, whatever the indexes:
 // compareValues relates numbers to numbers and strings to strings
 // only, so a comparison against any other argument never holds.
-func empty(n Node) bool {
-	switch n.Kind {
-	case KindField:
-		return n.Op == OpNever || (n.Op == OpIn && len(n.List) == 0) || (isComparison(n.Op) && !comparableArg(n.Arg))
-	case KindAnd:
-		return slices.ContainsFunc(n.Children, empty)
-	case KindOr:
-		return !slices.ContainsFunc(n.Children, func(c Node) bool { return !empty(c) })
+func empty(f Filter) bool {
+	switch x := f.(type) {
+	case *fieldFilter:
+		return (x.op == opIn && len(x.list) == 0) || (x.op.comparison() && !comparableArg(x.arg))
+	case andFilter:
+		return slices.ContainsFunc(x, empty)
 	}
 	return false
 }
@@ -198,20 +197,19 @@ func empty(n Node) bool {
 func fullScan(reason string) *Access { return &Access{Kind: AccessFullScan, Reason: reason} }
 
 func (p planner) compile() *Access {
-	n := p.root
-	if empty(n) {
+	if empty(p.root) {
 		return &Access{Kind: AccessNone}
 	}
-	switch n.Kind {
-	case KindField:
-		a, why := p.serve(n)
+	switch x := p.root.(type) {
+	case *fieldFilter:
+		a, why := p.serve(x)
 		if a == nil {
 			return fullScan(why)
 		}
 		return a
-	case KindAnd:
+	case andFilter:
 		var a *Access
-		firstConjunct(n, func(c Node) bool {
+		firstConjunct(p.root, func(c *fieldFilter) bool {
 			a, _ = p.serve(c)
 			return a != nil
 		})
@@ -219,11 +217,9 @@ func (p planner) compile() *Access {
 			return fullScan("no indexed conjunct")
 		}
 		return a
-	case KindOr:
-		return fullScan("disjunction")
-	case KindAll:
+	case nil:
 		return fullScan("match-all")
-	case KindNot:
+	case notFilter:
 		return fullScan("negation")
 	}
 	return fullScan("opaque filter")
@@ -231,45 +227,33 @@ func (p planner) compile() *Access {
 
 // serve compiles the conjunct c, which is not empty, onto the index
 // that can answer it, or reports why none can.
-func (p planner) serve(c Node) (*Access, string) {
-	if c.Kind != KindField {
-		return nil, ""
-	}
-	ix, why := p.index(c.Path)
+func (p planner) serve(c *fieldFilter) (*Access, string) {
+	ix, why := p.index(c.path)
 	if ix == nil {
 		return nil, why
 	}
-	point := func(op, detail string, args ...any) (*Access, string) {
+	point := func(detail string, args ...any) (*Access, string) {
 		keys := make([]string, len(args))
 		for i, arg := range args {
 			k, ok := indexKey(arg)
 			if !ok {
-				return nil, fmt.Sprintf("non-scalar %s argument on %q", c.Op, c.Path)
+				return nil, fmt.Sprintf("non-scalar %s argument on %q", c.op.name(), c.path)
 			}
 			keys[i] = k
 		}
-		return &Access{Kind: AccessPoint, Path: c.Path, Op: op, Detail: detail, ix: ix, keys: keys}, ""
+		return &Access{Kind: AccessPoint, Path: c.path, Op: c.op.name(), Detail: detail, ix: ix, keys: keys}, ""
 	}
-	switch c.Op {
-	case OpEq, OpContains:
-		return point(c.Op, renderArg(c.Arg), c.Arg)
-	case OpIn:
-		return point(c.Op, fmt.Sprintf("%d values", len(c.List)), c.List...)
-	case OpContainsAll:
-		// Every candidate must hold the first element; the residual
-		// filter checks the rest.
-		if len(c.List) == 0 {
-			return nil, fmt.Sprintf("contains-all without values on %q", c.Path)
-		}
-		return point(OpContains, renderArg(c.List[0]), c.List[0])
-	case OpGt, OpGte, OpLt, OpLte:
-		ord, ok := ix.(*orderedIndex)
-		if !ok {
-			return nil, fmt.Sprintf("hash index on %q cannot answer %s", c.Path, c.Op)
-		}
-		return p.band(ord, c), ""
+	switch c.op {
+	case opEq, opContains:
+		return point(renderArg(c.arg), c.arg)
+	case opIn:
+		return point(fmt.Sprintf("%d values", len(c.list)), c.list...)
 	}
-	return nil, fmt.Sprintf("index on %q cannot answer %s", c.Path, c.Op)
+	ord, ok := ix.(*orderedIndex)
+	if !ok {
+		return nil, fmt.Sprintf("hash index on %q cannot answer %s", c.path, c.op.name())
+	}
+	return p.band(ord, c), ""
 }
 
 // band compiles the driving comparison c on ord into one range. While
@@ -278,18 +262,18 @@ func (p planner) serve(c Node) (*Access, string) {
 // document, Gte(p, 5) ∧ Lte(p, 10) holds exactly for the values in
 // [5, 10], and comparisons of two classes hold for none. On a multikey
 // path c alone bounds the walk.
-func (p planner) band(ord *orderedIndex, c Node) *Access {
-	ov, _ := ordValueOf(c.Arg)
+func (p planner) band(ord *orderedIndex, c *fieldFilter) *Access {
+	ov, _ := ordValueOf(c.arg)
 	r := ordRange{class: ov.class}
-	r.narrow(c.Op, ov)
+	r.narrow(c.op, ov)
 	never := false
 	if !ord.multikey.Load() {
-		firstConjunct(p.root, func(s Node) bool {
-			if s.Kind == KindField && s.Path == c.Path && isComparison(s.Op) {
-				if sv, _ := ordValueOf(s.Arg); sv.class != r.class {
+		firstConjunct(p.root, func(s *fieldFilter) bool {
+			if s.path == c.path && s.op.comparison() {
+				if sv, _ := ordValueOf(s.arg); sv.class != r.class {
 					never = true
 				} else {
-					r.narrow(s.Op, sv)
+					r.narrow(s.op, sv)
 				}
 			}
 			return false
@@ -298,7 +282,7 @@ func (p planner) band(ord *orderedIndex, c Node) *Access {
 	if never || r.empty() {
 		return &Access{Kind: AccessNone}
 	}
-	return &Access{Kind: AccessRange, Path: c.Path, Detail: r.String(), ix: ord, r: r}
+	return &Access{Kind: AccessRange, Path: c.path, Detail: r.String(), ix: ord, r: r}
 }
 
 // candidates executes the plan as of height h: the keys of the
@@ -322,14 +306,6 @@ func (a *Access) candidates(h int64, ob collObs) []string {
 	}
 	ob.candidates.Add(uint64(len(out)))
 	return out
-}
-
-func isComparison(op string) bool {
-	switch op {
-	case OpGt, OpGte, OpLt, OpLte:
-		return true
-	}
-	return false
 }
 
 // comparableArg reports whether any document value can ever compare

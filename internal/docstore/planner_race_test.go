@@ -46,7 +46,7 @@ func TestPlannedReadsRaceWriter(t *testing.T) {
 						return
 					}
 				case 1:
-					if err := c.Delete(fmt.Sprintf("u%04d", i/2)); err != nil {
+					if err := c.Upsert(fmt.Sprintf("u%04d", i/2), map[string]any{}); err != nil {
 						t.Error(err)
 						return
 					}
@@ -79,7 +79,7 @@ func TestPlannedReadsRaceWriter(t *testing.T) {
 						}
 					}
 					prev := -1.0
-					for _, doc := range c.FindOrdered(Eq("spent", false), "amount", false, 16) {
+					for _, doc := range c.findOrdered(Eq("spent", false), "amount", false, 16) {
 						amt := doc["amount"].(float64)
 						if amt < prev {
 							t.Errorf("ordered iteration went backwards: %v after %v", amt, prev)

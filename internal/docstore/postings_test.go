@@ -143,7 +143,7 @@ func inRange(r ordRange, v ordValue) bool {
 		return false
 	}
 	if r.hasLo {
-		if c := v.compare(r.lo); c < 0 || (c == 0 && r.loStrict) {
+		if v.compare(r.lo) < 0 {
 			return false
 		}
 	}

@@ -58,7 +58,7 @@ func TestShardedFindRacesWriter(t *testing.T) {
 						return
 					}
 				}
-				c.Count(Eq("owner", owner))
+				c.count(Eq("owner", owner))
 			}
 		}()
 	}

@@ -8,9 +8,7 @@ package keys
 import (
 	"crypto/ed25519"
 	"crypto/rand"
-	"errors"
 	"fmt"
-	"io"
 	mathrand "math/rand"
 )
 
@@ -92,17 +90,4 @@ func Verify(sig, pub string, msg []byte) bool {
 		return false
 	}
 	return ed25519.Verify(pk, msg, raw)
-}
-
-// ErrShortRead reports that an entropy source returned too little data.
-var ErrShortRead = errors.New("keys: short read from entropy source")
-
-// GenerateFrom creates a key pair from an arbitrary entropy reader. It
-// exists so simulations can inject deterministic sources.
-func GenerateFrom(r io.Reader) (*KeyPair, error) {
-	pub, priv, err := ed25519.GenerateKey(r)
-	if err != nil {
-		return nil, fmt.Errorf("keys: generate: %w", err)
-	}
-	return &KeyPair{Public: pub, Private: priv}, nil
 }

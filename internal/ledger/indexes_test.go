@@ -32,7 +32,7 @@ func hotPathFilters(rfqID, owner string) map[string]struct {
 			docstore.Contains("refs", rfqID),
 			docstore.Eq("operation", txn.OpBid))},
 		"recent": {ColTransactions, "metadata.timestamp", docstore.And(
-			docstore.Gt("metadata.timestamp", 0),
+			docstore.Gte("metadata.timestamp", 0),
 			docstore.Eq("operation", txn.OpRequest))},
 		"price-band": {ColTransactions, "outputs.amount", docstore.And(
 			docstore.Gte("outputs.amount", 1),
@@ -146,7 +146,7 @@ func TestChainIndexesRebuiltOnReopen(t *testing.T) {
 		t.Helper()
 		s.Store().SetObs(reg)
 		scans := reg.Counter("docstore.full_scans").Value()
-		docs := s.Store().Collection(ColTransactions).FindOrdered(docstore.Eq("operation", op), "metadata.timestamp", true, 0)
+		docs := s.Store().Collection(ColTransactions).SnapshotAt(s.Height()).BorrowFindOrdered(docstore.Eq("operation", op), "metadata.timestamp", true, 0)
 		if scanned := reg.Counter("docstore.full_scans").Value() != scans; scanned != (op != txn.OpRequest) {
 			t.Errorf("recency walk over %s scanned the collection: %v", op, scanned)
 		}

@@ -244,6 +244,24 @@ func (s *State) AcceptForRFQ(rfqID string) (*txn.Transaction, bool) {
 	return s.View().AcceptForRFQ(rfqID)
 }
 
+// BlockTxs returns the transactions block h committed, in block order;
+// none for a height that holds no block.
+func (s *State) BlockTxs(h int64) []*txn.Transaction {
+	rec, ok := s.store.Collection(ColBlocks).Borrow(blockKey(h))
+	if !ok {
+		return nil
+	}
+	ids, _ := rec["txids"].([]any)
+	v := s.View()
+	out := make([]*txn.Transaction, 0, len(ids))
+	for _, id := range ids {
+		if t, err := v.GetTx(id.(string)); err == nil {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
 // TxsByOperation lists committed transactions of one operation type.
 func (s *State) TxsByOperation(op string) []*txn.Transaction {
 	return s.View().TxsByOperation(op)

@@ -166,7 +166,7 @@ func (w *ownershipStream) scribble() {
 // three collections, this covers all of them.
 func contents(s *State) map[string][]map[string]any {
 	out := map[string][]map[string]any{}
-	for _, name := range s.store.CollectionNames() {
+	for _, name := range s.store.Backend().CollectionNames() {
 		out[name] = s.store.Collection(name).Find(nil)
 	}
 	return out

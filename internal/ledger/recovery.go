@@ -180,17 +180,10 @@ func recoveryFromDoc(doc map[string]any) *RecoveryRecord {
 		}
 		entries := make([]doneEntry, 0, len(done))
 		for _, d := range done {
-			switch dd := d.(type) {
-			case map[string]any:
+			if dd, ok := d.(map[string]any); ok {
 				idx, _ := dd["output_index"].(float64)
 				id, _ := dd["child_id"].(string)
 				entries = append(entries, doneEntry{idx: int(idx), id: id})
-			case string:
-				// Legacy format (pre output-index keying): plain child
-				// IDs in commit order. Keep them, trailing the indexed
-				// entries in their stored order, so records persisted
-				// by older binaries survive an upgrade intact.
-				entries = append(entries, doneEntry{idx: int(^uint(0) >> 1), id: dd})
 			}
 		}
 		sort.SliceStable(entries, func(a, b int) bool { return entries[a].idx < entries[b].idx })

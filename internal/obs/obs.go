@@ -245,9 +245,3 @@ func names[V any](m map[string]V) []string {
 
 // CounterNames returns the snapshot's counter names, sorted.
 func (s Snapshot) CounterNames() []string { return names(s.Counters) }
-
-// GaugeNames returns the snapshot's gauge names, sorted.
-func (s Snapshot) GaugeNames() []string { return names(s.Gauges) }
-
-// HistogramNames returns the snapshot's histogram names, sorted.
-func (s Snapshot) HistogramNames() []string { return names(s.Histograms) }

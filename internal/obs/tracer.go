@@ -50,13 +50,6 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// StageNames returns the stage names in pipeline order.
-func StageNames() []string {
-	out := make([]string, StageCount)
-	copy(out, stageNames[:])
-	return out
-}
-
 // Trace is one transaction's per-stage dwell record.
 type Trace struct {
 	// ID is the transaction hash.

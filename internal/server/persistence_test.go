@@ -197,3 +197,86 @@ func TestNodeRestartReplaysPendingRecovery(t *testing.T) {
 		t.Error("replayed children did not settle the auction")
 	}
 }
+
+// TestCrashBetweenSealAndJoinKeepsChildren kills a node between a
+// block's seal and its join — the join runs the post-commit hooks — at
+// two points of one auction: right after the ACCEPT_BID's block (its
+// recovery record and children were never written or queued), and
+// right after the block holding the first of its two children (that
+// child never marked itself done). After the reopen, Recover and a
+// commit of what it resubmits, the recovery record is COMPLETE and the
+// chain is the one the same history reaches without a crash.
+func TestCrashBetweenSealAndJoinKeepsChildren(t *testing.T) {
+	escrow := NewNode(Config{ReservedSeed: 42}).Escrow()
+	escrowPub := escrow.PublicBase58()
+	requester := keys.MustGenerate()
+	b1, b2 := keys.MustGenerate(), keys.MustGenerate()
+	rfq := signedRequest(t, requester, "cnc")
+	asset1, asset2 := signedCreate(t, b1, "cnc"), signedCreate(t, b2, "cnc")
+	bid1 := signedBid(t, b1, asset1, escrowPub, rfq.ID)
+	bid2 := signedBid(t, b2, asset2, escrowPub, rfq.ID)
+	acc, err := txn.NewAcceptBid(requester.PublicBase58(), escrowPub, rfq.ID, bid1, []*txn.Transaction{bid2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Sign(acc, escrow, requester); err != nil {
+		t.Fatal(err)
+	}
+
+	// run commits the auction — blocks 1 to 3, then one block per child
+	// — and cuts the node after block cut's seal, before its join
+	// (0: no cut). It returns the fingerprint the history ends at.
+	run := func(cut int64) string {
+		cfg := Config{ReservedSeed: 42, DataDir: t.TempDir()}
+		n := NewNode(cfg)
+		var children []*txn.Transaction
+		n.SetChildSubmitter(func(child *txn.Transaction) { children = append(children, child) })
+		blocks := [][]*txn.Transaction{{rfq, asset1, asset2}, {bid1, bid2}, {acc}}
+		for h := int64(1); ; h++ {
+			if h > 3 {
+				if len(children) < int(h-3) {
+					break
+				}
+				blocks = append(blocks, children[h-4:h-3])
+			}
+			if h != cut {
+				commitBlock(t, n, h, blocks[h-1]...)
+				continue
+			}
+			txs := make([]consensus.Tx, len(blocks[h-1]))
+			for i, tx := range blocks[h-1] {
+				txs[i] = tx
+			}
+			n.CommitStart(h, txs) // never joined
+			if err := n.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if n, err = OpenNode(cfg); err != nil {
+				t.Fatal(err)
+			}
+			var resubmitted []*txn.Transaction
+			n.SetChildSubmitter(func(child *txn.Transaction) { resubmitted = append(resubmitted, child) })
+			want := map[int64]int{3: 2, 4: 1}[cut]
+			if got := n.Recover(); got != want || len(resubmitted) != want {
+				t.Fatalf("cut after block %d: Recover resubmitted %d children (reported %d), want %d", cut, len(resubmitted), got, want)
+			}
+			for i, child := range resubmitted {
+				commitBlock(t, n, int64(i+1), child) // consensus heights count on from the reopened ledger's
+			}
+			break
+		}
+		defer n.Close()
+		rec, err := n.State().RecoveryFor(acc.ID)
+		if err != nil || rec.Status != ledger.RecoveryComplete || len(rec.Done) != 2 {
+			t.Fatalf("cut after block %d: recovery record %+v, %v", cut, rec, err)
+		}
+		return n.State().Fingerprint()
+	}
+
+	want := run(0)
+	for _, cut := range []int64{3, 4} {
+		if got := run(cut); got != want {
+			t.Errorf("cut after block %d: fingerprint %s, the uncut history's %s", cut, got, want)
+		}
+	}
+}

@@ -10,6 +10,7 @@ package server
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"smartchaindb/internal/consensus"
@@ -151,6 +152,11 @@ type Node struct {
 	fence parallel.PipelineFence
 
 	submitChild nested.Submitter
+
+	// started is the height of the newest block a commit in this
+	// process began: Recover replays the join of a newer sealed block
+	// only, one a previous process sealed.
+	started atomic.Int64
 }
 
 // NewNode builds a node with fresh state and the native type registry.
@@ -286,18 +292,15 @@ func (n *Node) Apply(t *txn.Transaction) error {
 	return skipped[t.ID]
 }
 
-// afterCommit runs the nested hooks for one committed transaction.
+// afterCommit runs the nested hooks for one committed transaction: a
+// parent queues its children for the caller's Drain, a child marks
+// itself done.
 func (n *Node) afterCommit(t *txn.Transaction) {
 	switch t.Operation {
 	case txn.OpAcceptBid:
-		owner, err := n.rfqOwnerOf(t)
-		if err != nil {
-			return
+		if owner, err := n.rfqOwnerOf(t); err == nil {
+			_ = n.nested.OnParentCommitted(t, owner)
 		}
-		if err := n.nested.OnParentCommitted(t, owner); err != nil {
-			return
-		}
-		n.nested.Drain()
 	case txn.OpTransfer, txn.OpReturn:
 		n.nested.OnChildCommitted(t)
 	}
@@ -317,12 +320,26 @@ func (n *Node) rfqOwnerOf(accept *txn.Transaction) (string, error) {
 	return rfq.Outputs[0].PublicKeys[0], nil
 }
 
-// Recover replays the nested recovery log after a crash and resubmits
-// the pending children.
+// Recover resubmits, after a crash, every nested child the node owes,
+// each once, and returns how many. The recovery log's pending children
+// whose outputs are still unspent are owed. So are the children of the
+// newest sealed block when no commit in this process began it: a crash
+// between a block's seal and its join loses the join's hooks, so they
+// run here — a parent with no recovery record logs one and queues its
+// children, and a child marks itself done in its parent's record.
 func (n *Node) Recover() int {
-	replayed := n.nested.Recover()
-	n.nested.Drain()
-	return replayed
+	n.nested.Recover()
+	if h := n.state.Height(); h > n.started.Load() {
+		for _, t := range n.state.BlockTxs(h) {
+			if t.Operation == txn.OpAcceptBid {
+				if _, err := n.state.RecoveryFor(t.ID); err == nil {
+					continue // logged: its pending children are queued above
+				}
+			}
+			n.afterCommit(t)
+		}
+	}
+	return n.nested.Drain()
 }
 
 // --- consensus.App implementation -----------------------------------
@@ -540,6 +557,7 @@ func (n *Node) commit(h int64, batch []*txn.Transaction) (join func() ([]*txn.Tr
 	// ValidateBlockFresh built, when this is the batch it validated)
 	// supplies the fence's write keys and the stage's conflict groups.
 	plan := n.planFor(batch)
+	n.started.Store(h)
 	if waited := n.fence.Begin(h, plan.WriteKeys()); waited {
 		n.ob.stackWaits.Inc()
 	}
@@ -568,6 +586,7 @@ func (n *Node) commit(h int64, batch []*txn.Transaction) (join func() ([]*txn.Tr
 			<-done
 			for _, t := range committed {
 				n.afterCommit(t)
+				n.nested.Drain()
 			}
 		})
 		return committed, skipped

@@ -236,13 +236,9 @@ func (v *crossView) of(id string) *ledger.StateView {
 
 func (v *crossView) GetTx(id string) (*txn.Transaction, error) { return v.of(id).GetTx(id) }
 func (v *crossView) IsCommitted(id string) bool                { return v.of(id).IsCommitted(id) }
-func (v *crossView) OutputAt(ref txn.OutputRef) (*txn.Output, error) {
-	return v.of(ref.TxID).OutputAt(ref)
-}
 func (v *crossView) OutputAssetID(ref txn.OutputRef) (string, bool) {
 	return v.of(ref.TxID).OutputAssetID(ref)
 }
-func (v *crossView) IsUnspent(ref txn.OutputRef) bool { return v.of(ref.TxID).IsUnspent(ref) }
 func (v *crossView) SpenderOf(ref txn.OutputRef) (string, bool) {
 	return v.of(ref.TxID).SpenderOf(ref)
 }

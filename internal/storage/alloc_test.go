@@ -83,7 +83,6 @@ func TestGroupFrameMatchesReference(t *testing.T) {
 		{op: opPut, coll: "transactions", key: "k", doc: map[string]any{"a": 1.0}},
 		{op: opPut, coll: "c", key: strings.Repeat("k", 200), doc: padDoc(300)},
 		{op: opDelete, coll: "utxos", key: "gone"},
-		{op: opDrop, coll: "dropped"},
 		{op: opPrepare, coll: TwoPCCollection, key: "p:x", doc: padDoc(127)},
 		{op: opDecide, coll: TwoPCCollection, key: "d:x", doc: padDoc(128)},
 		{op: opPut, coll: "c", key: "two-byte length, just", doc: padDoc(16383)},
@@ -206,9 +205,9 @@ func TestGroupCommitAllocations(t *testing.T) {
 		return allocs, float64(m1.TotalAlloc-m0.TotalAlloc) / runs
 	}
 	memAllocs, memBytes := measure(NewMemory())
-	before := eng.Stats().WALBytes
+	before := eng.stats().WALBytes
 	diskAllocs, diskBytes := measure(eng)
-	frame := float64(eng.Stats().WALBytes-before) / 101 // every run wrote the same frame
+	frame := float64(eng.stats().WALBytes-before) / 101 // every run wrote the same frame
 	t.Logf("frame %.0f B; disk %.0f allocs %.0f B, memory %.0f allocs %.0f B", frame, diskAllocs, diskBytes, memAllocs, memBytes)
 	if got := diskAllocs - memAllocs; got > 4 {
 		t.Errorf("encoding and logging a 32-transaction group: %v allocations, ceiling 4", got)

@@ -84,7 +84,9 @@ func (l *load) ops(n int) error {
 		case r < 19:
 			err = tmp.Put(fmt.Sprintf("t%d", l.rng.Intn(16)), l.body())
 		default:
-			err = l.e.Drop("scratch")
+			// Ten bytes of log, as the collection drop this op once was
+			// logged: the crash matrix's cut points stay where they were.
+			err = l.e.Collection("scr").Put("k", map[string]any{})
 		}
 		if err != nil {
 			return err
@@ -99,7 +101,7 @@ func (l *load) step() {
 	l.t.Helper()
 	var err error
 	if l.rng.Intn(5) == 0 {
-		for before := l.e.Stats().WALBytes; err == nil && l.e.Stats().WALBytes == before; {
+		for before := l.e.stats().WALBytes; err == nil && l.e.stats().WALBytes == before; {
 			err = l.ops(1) // a delete of a missing key logs nothing: go again
 		}
 	} else {
@@ -273,7 +275,7 @@ func TestFoldMatchesSynchronousReference(t *testing.T) {
 		if err != nil || len(refs) == 0 {
 			t.Fatalf("generation %d: reference wrote %d segments: %v", cutGen, len(refs), err)
 		}
-		if st := e.Stats(); st.Gen != cutGen || st.Segments != len(refs) || st.WALs != 1 || st.Folding {
+		if st := e.stats(); st.Gen != cutGen || st.Segments != len(refs) || st.WALs != 1 || st.Folding {
 			t.Fatalf("generation %d installed as %+v, reference wrote %d segments", cutGen, st, len(refs))
 		}
 		for _, ref := range refs {
@@ -337,7 +339,7 @@ func TestCheckpointCrashMatrix(t *testing.T) {
 			step := func() {
 				before := liveWAL(e)
 				l.step()
-				f := frame{wal: before, end: e.Stats().WALBytes}
+				f := frame{wal: before, end: e.stats().WALBytes}
 				if liveWAL(e) != before { // this step's group cut: its frame closed the old WAL
 					f.end = walSize(t, filepath.Join(dir, before))
 				}
@@ -493,7 +495,7 @@ func TestCommitsDoNotWaitForTheFold(t *testing.T) {
 				block(h)
 			}
 			<-park.parked
-			gen := e.Stats().Gen
+			gen := e.stats().Gen
 
 			stop := make(chan struct{})
 			var readers sync.WaitGroup
@@ -528,7 +530,7 @@ func TestCommitsDoNotWaitForTheFold(t *testing.T) {
 			}
 			close(stop)
 			readers.Wait()
-			if st := e.Stats(); !st.Folding || st.WALs != 2 || st.Gen != gen || st.WALBytes < 100<<10 {
+			if st := e.stats(); !st.Folding || st.WALs != 2 || st.Gen != gen || st.WALBytes < 100<<10 {
 				t.Fatalf("after 100 blocks behind a parked fold: %+v, want generation %d still folding over 2 wals", st, gen)
 			}
 			if n := park.count("cut-published"); n != 1 {
@@ -548,7 +550,7 @@ func TestCommitsDoNotWaitForTheFold(t *testing.T) {
 			if err != nil || joins == 0 {
 				t.Fatalf("%s with a fold in flight: %v after %d joins", joiner, err, joins)
 			}
-			if st := e.Stats(); st.Folding || st.WALs != 1 || st.Gen != wantGen {
+			if st := e.stats(); st.Folding || st.WALs != 1 || st.Gen != wantGen {
 				t.Fatalf("%s left %+v, want generation %d installed", joiner, st, wantGen)
 			}
 			e.Close()
@@ -560,7 +562,7 @@ func TestCommitsDoNotWaitForTheFold(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer e2.Close()
-			if st := e2.Stats(); st.Gen != wantGen || !reflect.DeepEqual(stateOf(e2), want) {
+			if st := e2.stats(); st.Gen != wantGen || !reflect.DeepEqual(stateOf(e2), want) {
 				t.Fatalf("reopened at %+v with a different state, want generation %d", st, wantGen)
 			}
 		})
@@ -604,7 +606,7 @@ func TestCutCostsTheBlockNotTheState(t *testing.T) {
 			if got := encoded.Value(); got != uint64(resident) {
 				t.Fatalf("loading %d documents encoded %d", resident, got)
 			}
-			e.opts.CompactWALBytes = e.Stats().WALBytes // the next group crosses it
+			e.opts.CompactWALBytes = e.stats().WALBytes // the next group crosses it
 
 			const own = 32
 			if err := e.Group(func() error {
@@ -678,7 +680,7 @@ func TestCheckpointTriggerIsGeometric(t *testing.T) {
 			t.Fatal(err)
 		}
 		if k == 0 {
-			frame = e.Stats().WALBytes - walHeaderLen // every frame is this long
+			frame = e.stats().WALBytes - walHeaderLen // every frame is this long
 		}
 		history += frame
 		if cuts == 1 && firstCut == 0 {
@@ -752,7 +754,7 @@ func TestCheckpointFailureIsNotALostGroup(t *testing.T) {
 			t.Errorf("storage.checkpoint.failed = %d, note %q; want %d failures ending in %q",
 				snap.Counters["storage.checkpoint.failed"], snap.Notes["storage.checkpoint.failed"], len(failed), failed[len(failed)-1])
 		}
-		if st := e.Stats(); st.Gen != 0 || st.WALs != 1 || st.Folding {
+		if st := e.stats(); st.Gen != 0 || st.WALs != 1 || st.Folding {
 			t.Errorf("a failed cut changed the engine's shape: %+v", st)
 		}
 		want := stateOf(e)
@@ -784,7 +786,7 @@ func TestCheckpointFailureIsNotALostGroup(t *testing.T) {
 		if !errors.Is(sticky, ErrCheckpoint) || !strings.Contains(sticky.Error(), "fold txs") {
 			t.Fatalf("after %d groups: %v, want the fold's ErrCheckpoint", k, sticky)
 		}
-		if st := e.Stats(); st.Gen != 1 || st.WALs != 2 || st.Segments != 0 || st.Folding {
+		if st := e.stats(); st.Gen != 1 || st.WALs != 2 || st.Segments != 0 || st.Folding {
 			t.Errorf("after the failed fold: %+v, want the cut's MANIFEST still in force", st)
 		}
 		if n := e.Collection("txs").Len(); n != k {

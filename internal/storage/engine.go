@@ -203,14 +203,9 @@ func (e *Engine) replay(h int64, m mutation) error {
 	case opDelete:
 		e.mem.coll(m.coll).deleteReplay(m.key, h)
 		return nil
-	case opDrop:
-		return e.mem.Drop(m.coll)
 	}
 	return fmt.Errorf("storage: unknown op %d", m.op)
 }
-
-// Dir returns the engine's data directory.
-func (e *Engine) Dir() string { return e.dir }
 
 // framePool holds the frames of mutations logged outside any Group,
 // which may run concurrently; a Group builds its frame in the engine's
@@ -254,14 +249,10 @@ func (e *Engine) apply(op byte, coll, key string, doc map[string]any) error {
 }
 
 // applyMem applies one logged mutation to the memtable at the clock's
-// current height, re-creating the collection if needed, as a replay of
-// its record would.
+// current height, as a replay of its record would.
 func (e *Engine) applyMem(op byte, coll, key string, doc map[string]any) error {
-	switch op {
-	case opDelete:
+	if op == opDelete {
 		return e.mem.coll(coll).Delete(key)
-	case opDrop:
-		return e.mem.Drop(coll)
 	}
 	return e.mem.coll(coll).Put(key, doc)
 }
@@ -346,12 +337,9 @@ func (e *Engine) group(fn func() error) (err error) {
 func (e *Engine) trigger() int64 { return max(e.opts.CompactWALBytes, e.foldBytes) }
 
 // Collection returns the named backend collection, creating it on
-// first use. Handles resolve the live memtable collection per
-// operation, so a handle held across a Drop sees the re-created
-// collection exactly as a WAL replay would.
+// first use.
 func (e *Engine) Collection(name string) Collection {
-	e.mem.coll(name)
-	return &engineColl{e: e, name: name}
+	return &engineColl{MemCollection: e.mem.coll(name), e: e}
 }
 
 // CollectionNames lists existing collections, sorted.
@@ -406,9 +394,6 @@ func (e *Engine) SetObs(reg *obs.Registry) {
 	}
 	e.ob.Store(ob)
 }
-
-// Drop removes a collection and logs the removal.
-func (e *Engine) Drop(name string) error { return e.apply(opDrop, name, "", nil) }
 
 // Compact checkpoints the engine and waits for it: everything written
 // before the call is in the new generation's segment files when it
@@ -570,8 +555,8 @@ func (e *Engine) foldAndInstall(cut manifest, heads []collHeads) (inst manifest,
 	return inst, written, nil
 }
 
-// Stats reports the engine's on-disk shape.
-type Stats struct {
+// engineStats is the engine's on-disk shape.
+type engineStats struct {
 	Gen      uint64 // generation of the live WAL; the segments reach it when the fold installs
 	WALBytes int64  // size of the live WAL
 	WALs     int    // WALs MANIFEST names: more than one while a checkpoint is folding
@@ -579,12 +564,12 @@ type Stats struct {
 	Folding  bool // a checkpoint's fold is in flight
 }
 
-// Stats returns current generation, WAL size and count, segment count,
+// stats returns current generation, WAL size and count, segment count,
 // and whether a fold is running.
-func (e *Engine) Stats() Stats {
+func (e *Engine) stats() engineStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return Stats{Gen: e.man.Gen, WALBytes: e.wal.bytes(), WALs: len(e.man.wals()), Segments: len(e.man.Segments), Folding: e.fold != nil}
+	return engineStats{Gen: e.man.Gen, WALBytes: e.wal.bytes(), WALs: len(e.man.wals()), Segments: len(e.man.Segments), Folding: e.fold != nil}
 }
 
 // Close waits for a fold in flight, then flushes and closes the WAL.
@@ -623,72 +608,11 @@ func (e *Engine) unlock() {
 	}
 }
 
-// engineColl is one collection handle: memtable for reads, WAL for
-// durability. Writes resolve (re-creating if needed) the live
-// memtable collection, mirroring what a WAL replay of the same ops
-// would produce; reads peek without re-registering, so a stale handle
-// held across a Drop stays inert like the memory backend's.
+// engineColl is one collection handle: the memtable collection for
+// reads, the WAL for durability of every write.
 type engineColl struct {
-	e    *Engine
-	name string
-}
-
-// memRead returns the live memtable collection or nil after a Drop.
-func (c *engineColl) memRead() *MemCollection { return c.e.mem.peek(c.name) }
-
-func (c *engineColl) Get(key string) (map[string]any, bool) {
-	return c.GetAt(key, HeightLatest)
-}
-
-func (c *engineColl) GetAt(key string, h int64) (map[string]any, bool) {
-	if m := c.memRead(); m != nil {
-		return m.GetAt(key, h)
-	}
-	return nil, false
-}
-
-func (c *engineColl) Has(key string) bool {
-	_, ok := c.Get(key)
-	return ok
-}
-
-func (c *engineColl) Ords(keys []string) map[string]uint64 {
-	return c.OrdsAt(keys, HeightLatest)
-}
-
-func (c *engineColl) OrdsAt(keys []string, h int64) map[string]uint64 {
-	if m := c.memRead(); m != nil {
-		return m.OrdsAt(keys, h)
-	}
-	return nil
-}
-
-func (c *engineColl) Len() int { return c.LenAt(HeightLatest) }
-
-func (c *engineColl) LenAt(h int64) int {
-	if m := c.memRead(); m != nil {
-		return m.LenAt(h)
-	}
-	return 0
-}
-
-func (c *engineColl) Keys() []string { return c.KeysAt(HeightLatest) }
-
-func (c *engineColl) KeysAt(h int64) []string {
-	if m := c.memRead(); m != nil {
-		return m.KeysAt(h)
-	}
-	return nil
-}
-
-func (c *engineColl) Scan(fn func(key string, doc map[string]any) bool) {
-	c.ScanAt(HeightLatest, fn)
-}
-
-func (c *engineColl) ScanAt(h int64, fn func(key string, doc map[string]any) bool) {
-	if m := c.memRead(); m != nil {
-		m.ScanAt(h, fn)
-	}
+	*MemCollection
+	e *Engine
 }
 
 func (c *engineColl) Put(key string, doc map[string]any) error {
@@ -696,7 +620,7 @@ func (c *engineColl) Put(key string, doc map[string]any) error {
 }
 
 func (c *engineColl) Delete(key string) error {
-	if m := c.memRead(); m == nil || !m.Has(key) {
+	if !c.Has(key) {
 		return nil
 	}
 	return c.e.apply(opDelete, c.name, key, nil)

@@ -77,7 +77,7 @@ func FuzzDecodeGroup(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ops := []byte{opPut, opDelete, opDrop, opPrepare, opDecide, opPut}
+		ops := []byte{opPut, opDelete, opPrepare, opDecide, opPut}
 		h := int64(height >> 1)
 		var g groupFrame
 		g.reset()

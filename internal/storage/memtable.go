@@ -597,11 +597,6 @@ func (c *MemCollection) OrdsAt(keys []string, h int64) map[string]uint64 {
 	return out
 }
 
-// Ords returns the insertion counters for keys in the writer view.
-func (c *MemCollection) Ords(keys []string) map[string]uint64 {
-	return c.OrdsAt(keys, HeightLatest)
-}
-
 // collHeads is one collection as a checkpoint captures it: the head
 // version of every live document. A published version is immutable —
 // its key, doc, ord and height are never written again — so the fold
@@ -620,9 +615,6 @@ func (m *Memory) captureHeads() []collHeads {
 	out := make([]collHeads, 0, len(names))
 	for _, name := range names {
 		c := m.peek(name)
-		if c == nil {
-			continue
-		}
 		heads := make([]*docVersion, 0, c.live.Load())
 		t := c.table.Load()
 		for i := range t.slots {
@@ -736,19 +728,6 @@ func (c *MemCollection) maybeCompactLog() {
 	c.resetLog(kept)
 }
 
-// clear empties the collection in place — an empty table and log are
-// published — so stale handles held across a Drop read nothing instead
-// of resurrecting dropped documents.
-func (c *MemCollection) clear() {
-	c.wmu.Lock()
-	c.table.Store(&verTable{slots: make([]atomic.Pointer[docVersion], verTableMinSlots), seed: c.table.Load().seed})
-	c.keys, c.used = 0, 0
-	c.live.Store(0)
-	c.dirty = nil
-	c.resetLog(nil)
-	c.wmu.Unlock()
-}
-
 // Memory is the volatile backend: the MVCC memtable with no
 // durability. It is the default a plain docstore.NewStore runs over.
 type Memory struct {
@@ -818,18 +797,6 @@ func (m *Memory) CollectionNames() []string {
 	m.mu.RUnlock()
 	sort.Strings(names)
 	return names
-}
-
-// Drop removes a collection, emptying it in place for stale handles.
-func (m *Memory) Drop(name string) error {
-	m.mu.Lock()
-	c := m.colls[name]
-	delete(m.colls, name)
-	m.mu.Unlock()
-	if c != nil {
-		c.clear()
-	}
-	return nil
 }
 
 // Group runs fn. Memory has no durability to batch, but Groups still

@@ -19,7 +19,6 @@ import (
 const (
 	opPut     = 1
 	opDelete  = 2
-	opDrop    = 3 // drop a whole collection
 	opPrepare = 4 // 2PC participant PREPARE record
 	opDecide  = 5 // 2PC coordinator/participant decision record
 )
@@ -223,7 +222,7 @@ func decodeGroup(payload []byte, fn func(height int64, m mutation) error) error 
 			if m.doc, err = r.bytes(); err != nil {
 				return err
 			}
-		case opDelete, opDrop:
+		case opDelete:
 		default:
 			return fmt.Errorf("storage: unknown wal op %d", m.op)
 		}

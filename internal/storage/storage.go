@@ -39,7 +39,8 @@
 // WAL payload (version 2, the only one ever written to a file):
 //
 //	[1B version][height uvarint][count uvarint] then per mutation:
-//	[1B op (1=put 2=delete 3=drop-collection 4=2PC-prepare 5=2PC-decide)]
+//	[1B op (1=put 2=delete 4=2PC-prepare 5=2PC-decide; 3, once a
+//	 collection drop, is refused as unknown)]
 //	[collection uvarint len + bytes][key uvarint len + bytes]
 //	[doc uvarint len + canonical JSON]   (put, prepare, decide)
 //
@@ -143,8 +144,6 @@ type Backend interface {
 	Collection(name string) Collection
 	// CollectionNames lists existing collections, sorted.
 	CollectionNames() []string
-	// Drop removes a collection and its documents.
-	Drop(name string) error
 	// Group runs fn and commits every mutation it issues as one
 	// atomic, durable unit — on disk, a single WAL record covering
 	// the whole group, fsynced once. Reads inside fn observe the
@@ -226,14 +225,6 @@ type Collection interface {
 	Delete(key string) error
 	// Has reports whether key exists.
 	Has(key string) bool
-	// Ords returns the insertion counters for the given keys (missing
-	// keys are absent from the result), acquired in one shot so a
-	// candidate set costs a single order-lock acquisition. Ords are
-	// unique per live key and ascend in insertion order (a replace
-	// keeps the original counter), so index-backed readers can
-	// reassemble insertion order from point reads without scanning
-	// under any collection-wide lock.
-	Ords(keys []string) map[string]uint64
 	// Len returns the number of documents.
 	Len() int
 	// Keys returns the live keys in insertion order.
@@ -247,6 +238,12 @@ type Collection interface {
 	// making Get equivalent to GetAt(key, HeightLatest). Heights below
 	// the backend's Floor may miss garbage-collected versions.
 	GetAt(key string, h int64) (map[string]any, bool)
+	// OrdsAt returns the insertion counters of the given keys at h
+	// (missing keys are absent from the result). Ords are unique per
+	// live key and ascend in insertion order (a replace keeps the
+	// original counter), so index-backed readers reassemble insertion
+	// order from point reads without scanning under any
+	// collection-wide lock.
 	OrdsAt(keys []string, h int64) map[string]uint64
 	LenAt(h int64) int
 	KeysAt(h int64) []string

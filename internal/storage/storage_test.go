@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -124,7 +125,7 @@ func TestEngineCompactionPreservesStateAndOrder(t *testing.T) {
 	if err := e.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	st := e.Stats()
+	st := e.stats()
 	if st.Gen != 1 || st.Segments != 2 {
 		t.Fatalf("stats after compact = %+v, want gen 1 with 2 segments", st)
 	}
@@ -200,62 +201,14 @@ func TestEngineGroupIsAtomicAcrossReopen(t *testing.T) {
 	}
 }
 
-func TestEngineDropPersists(t *testing.T) {
-	dir := t.TempDir()
-	e, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Collection("gone").Put("k", doc("v", 1.0))
-	e.Collection("kept").Put("k", doc("v", 2.0))
-	if err := e.Drop("gone"); err != nil {
-		t.Fatal(err)
-	}
-	e.Close()
-	e2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e2.Close()
-	names := e2.CollectionNames()
-	if !reflect.DeepEqual(names, []string{"kept"}) {
-		t.Fatalf("collections after reopen = %v, want [kept]", names)
-	}
-}
-
-func TestEngineStaleHandleAfterDropStaysInert(t *testing.T) {
-	dir := t.TempDir()
-	e, err := Open(dir, Options{NoSync: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer e.Close()
-	stale := e.Collection("x")
-	stale.Put("k", doc("v", 1.0))
-	if err := e.Drop("x"); err != nil {
-		t.Fatal(err)
-	}
-	// Reads through the stale handle must not re-register the
-	// collection (a phantom that would become durable at Compact).
-	if stale.Has("k") || stale.Len() != 0 || len(stale.Keys()) != 0 {
-		t.Error("stale handle still serves dropped documents")
-	}
-	if names := e.CollectionNames(); len(names) != 0 {
-		t.Fatalf("stale read resurrected the collection: %v", names)
-	}
-	if err := e.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if st := e.Stats(); st.Segments != 0 {
-		t.Fatalf("compaction wrote %d segments for dropped collections", st.Segments)
-	}
-	// A write through a stale handle re-creates, exactly as replaying
-	// its WAL record would.
-	if err := stale.Put("k2", doc("v", 2.0)); err != nil {
-		t.Fatal(err)
-	}
-	if names := e.CollectionNames(); len(names) != 1 || names[0] != "x" {
-		t.Fatalf("post-drop write: collections = %v", names)
+// TestRetiredDropOpIsRefused: op 3 once dropped a whole collection.
+// No code logs it any more, and a WAL record carrying it is refused as
+// an unknown op, like any other byte the format does not define.
+func TestRetiredDropOpIsRefused(t *testing.T) {
+	payload := []byte{walPayloadVersion, 0, 1, 3, 1, 'c', 0}
+	err := decodeGroup(payload, func(int64, mutation) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "unknown wal op 3") {
+		t.Fatalf("a record of op 3 decoded: %v", err)
 	}
 }
 
@@ -313,7 +266,7 @@ func TestEngineAutoCompactsPastThreshold(t *testing.T) {
 	if err := e.joinFold(); err != nil {
 		t.Fatal(err)
 	}
-	if st := e.Stats(); st.Gen == 0 || st.Segments != 1 || st.WALs != 1 || st.Folding {
+	if st := e.stats(); st.Gen == 0 || st.Segments != 1 || st.WALs != 1 || st.Folding {
 		t.Fatalf("engine never auto-compacted: %+v", st)
 	}
 	if c.Len() != 64 {
@@ -383,15 +336,11 @@ func TestMemoryBackendInterfaceBasics(t *testing.T) {
 	if err := b.Group(func() error { return c.Put("k2", doc("v", 2.0)) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Drop("a"); err != nil {
-		t.Fatal(err)
+	if !c.Has("k2") || c.Len() != 2 {
+		t.Fatal("a put inside a group not visible")
 	}
-	if len(b.CollectionNames()) != 0 {
-		t.Fatal("drop left collection behind")
-	}
-	// Stale handle after drop reads empty rather than resurrecting.
-	if c.Has("k") {
-		t.Fatal("stale handle still serves dropped documents")
+	if names := b.CollectionNames(); !reflect.DeepEqual(names, []string{"a"}) {
+		t.Fatalf("collections = %v, want [a]", names)
 	}
 	if err := b.Close(); err != nil {
 		t.Fatal(err)

@@ -88,7 +88,7 @@ func TestTwoPCGroupAtomicity(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	cut := e.Stats().WALBytes
+	cut := e.stats().WALBytes
 
 	if err := e.Group(func() error {
 		if err := e.Collection("c").Put("x", map[string]any{"n": float64(1)}); err != nil {

@@ -25,9 +25,7 @@ import (
 type ChainState interface {
 	GetTx(id string) (*txn.Transaction, error)
 	IsCommitted(id string) bool
-	OutputAt(ref txn.OutputRef) (*txn.Output, error)
 	OutputAssetID(ref txn.OutputRef) (string, bool)
-	IsUnspent(ref txn.OutputRef) bool
 	SpenderOf(ref txn.OutputRef) (string, bool)
 	LockedBidsForRFQ(rfqID string) []*txn.Transaction
 	AcceptForRFQ(rfqID string) (*txn.Transaction, bool)
@@ -209,7 +207,7 @@ type Type struct {
 // failure with the condition's name.
 func (ty *Type) Validate(ctx *Context, t *txn.Transaction) error {
 	for _, c := range ty.Conditions {
-		if err := c.Check(ctx, t); err != nil {
+		if err := c.run(ctx, t); err != nil {
 			if ve, ok := err.(*txn.ValidationError); ok && ve.Cond == "" {
 				ve.Cond = c.Name
 				return ve
@@ -218,6 +216,28 @@ func (ty *Type) Validate(ctx *Context, t *txn.Transaction) error {
 		}
 	}
 	return nil
+}
+
+// run evaluates the condition, turning a panic into a refusal that
+// names it: a registered condition is code the chain does not control,
+// and every validator reaches the same verdict on the same
+// transaction, where a panic would halt them all. The panic value is
+// quoted only when it is a string or an error, whose text is the same
+// on every validator.
+func (c Condition) run(ctx *Context, t *txn.Transaction) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			reason := "the condition panicked"
+			switch v := r.(type) {
+			case string:
+				reason += ": " + v
+			case error:
+				reason += ": " + v.Error()
+			}
+			err = &txn.ValidationError{Op: t.Operation, Cond: c.Name, Reason: reason}
+		}
+	}()
+	return c.Check(ctx, t)
 }
 
 // Registry maps operation names to types.
