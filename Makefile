@@ -142,9 +142,11 @@ fuzz:
 # memtable's insert, snapshot point read and full scan over 64 k keys,
 # each beside the sync.Map layout it replaced; TestStoredKeyBytes pins
 # what a key retains. ChildCommitted is what every validator pays
-# per committed nested child (TestChildCommittedAllocations pins it):
-# each iteration settles one child of a ten-bid auction and every tenth
-# builds a fresh auction off the clock, so it runs at a fixed count.
+# per committed nested child — its block, with the recovery-log mark
+# and the parent's children field its seal writes
+# (TestChildCommittedAllocations pins what they add): each iteration
+# commits one child of a ten-bid auction and every tenth builds a
+# fresh auction off the clock, so it runs at a fixed count.
 # VerifyFulfillmentsBatch verifies a 64-transaction admission batch of
 # 4-input fan-ins on two workers, payloads memoized
 # (TestVerifyFulfillmentsBatchAllocationCeiling pins its allocations).

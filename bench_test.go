@@ -270,7 +270,7 @@ func BenchmarkAblationPipelining(b *testing.B) {
 // nested-commit strategy against the non-locking pipeline (DESIGN.md
 // decision 1), measuring how long the parent's commit is exposed.
 func BenchmarkAblationNestedLockingVsNonLocking(b *testing.B) {
-	setup := func(i int) (*ledger.State, *keys.KeyPair, *keys.KeyPair, *txn.Transaction) {
+	setup := func(i int) (*ledger.State, *keys.KeyPair, *txn.Transaction) {
 		state := ledger.NewState()
 		escrow := keys.DeterministicKeyPair(int64(i)*100 + 1)
 		requester := keys.DeterministicKeyPair(int64(i)*100 + 2)
@@ -309,12 +309,12 @@ func BenchmarkAblationNestedLockingVsNonLocking(b *testing.B) {
 		if err := txn.Sign(accept, escrow, requester); err != nil {
 			b.Fatal(err)
 		}
-		return state, escrow, requester, accept
+		return state, escrow, accept
 	}
 	b.Run("locking", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			state, escrow, requester, accept := setup(i)
-			if _, err := nested.LockingCommit(state, escrow, accept, requester.PublicBase58()); err != nil {
+			state, escrow, accept := setup(i)
+			if _, err := nested.LockingCommit(state, escrow, accept); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -323,7 +323,7 @@ func BenchmarkAblationNestedLockingVsNonLocking(b *testing.B) {
 		// The parent commit alone: the latency the client observes
 		// before the non-locking engine finishes children in background.
 		for i := 0; i < b.N; i++ {
-			state, _, _, accept := setup(i)
+			state, _, accept := setup(i)
 			if err := commitOne(state, accept); err != nil {
 				b.Fatal(err)
 			}

@@ -1,9 +1,10 @@
 // Sealedbid-recovery: the §4.2.1 failure drill. A sealed-bid auction's
-// ACCEPT_BID commits non-locking; the node then "crashes" between
-// logging the recovery record and draining the return queue, so no
-// child transaction reaches the network. On restart, the recovery log
-// replays the pending children and every escrowed bid settles — the
-// eventual-commit guarantee of nested blockchain transactions.
+// ACCEPT_BID commits non-locking, and the seal of its block writes the
+// recovery record naming its children; the node then "crashes" before
+// submitting any of them, so no child transaction reaches the network.
+// On restart, the recovery log replays the pending children and every
+// escrowed bid settles — the eventual-commit guarantee of nested
+// blockchain transactions.
 //
 //	go run ./examples/sealedbid-recovery
 package main
@@ -46,29 +47,25 @@ func main() {
 	}
 
 	// The requester accepts bid 1. Non-locking: the parent commits
-	// immediately.
+	// immediately, and its block's seal logs the children it owes.
 	accept, err := txn.NewAcceptBid(requester.PublicBase58(), escrow.PublicBase58(), rfq.ID, bids[0], bids[1:], nil)
 	must(err)
 	must(txn.Sign(accept, escrow, requester))
 	commit(state, accept)
 	fmt.Printf("\nACCEPT_BID committed (non-locking): %s\n", accept.ID[:12]+"...")
 
-	// The node logs the children... and crashes before submitting any.
-	crashed := nested.NewEngine(state, escrow, func(*txn.Transaction) {
-		log.Fatal("must not submit: the node is about to crash")
-	})
-	must(crashed.OnParentCommitted(accept, requester.PublicBase58()))
-	fmt.Printf("recovery log written: %d children pending\n", crashed.QueueLen())
-	fmt.Println("*** node crashes before draining the return queue ***")
-
-	// Immutability means the committed parent cannot be undone, and the
-	// escrowed outputs are frozen — but the recovery log survives.
+	// The node crashes before submitting any child. Immutability means
+	// the committed parent cannot be undone, and the escrowed outputs
+	// are frozen — but the recovery log sealed with the parent's block.
 	rec, err := state.RecoveryFor(accept.ID)
 	must(err)
+	fmt.Printf("recovery log written: %d children pending\n", len(rec.Pending))
+	fmt.Println("*** node crashes before submitting the children ***")
 	fmt.Printf("after crash: recovery status=%s, pending=%d, committed children=%d\n",
 		rec.Status, len(rec.Pending), len(rec.Done))
 
-	// Restart: a fresh engine replays the log and submits the children.
+	// Restart: a fresh engine replays the log and submits the children;
+	// each one's block marks it done in the record as it seals.
 	fmt.Println("\n*** node restarts ***")
 	var delivered []*txn.Transaction
 	restarted := nested.NewEngine(state, escrow, func(child *txn.Transaction) {
@@ -76,10 +73,8 @@ func main() {
 	})
 	replayed := restarted.Recover()
 	fmt.Printf("recovery replayed %d pending children\n", replayed)
-	restarted.Drain()
 	for _, child := range delivered {
 		commit(state, child)
-		restarted.OnChildCommitted(child)
 		fmt.Printf("  child %s (%s) committed\n", child.ID[:12]+"...", child.Operation)
 	}
 
@@ -93,8 +88,8 @@ func main() {
 			state.Balance(kp.PublicBase58(), mustAsset(state, bids[i+1])) == 1)
 	}
 
-	// Replaying recovery again is harmless: children are deterministic
-	// and already spent outputs are skipped.
+	// Replaying recovery again is harmless: the record is COMPLETE, so
+	// nothing is pending.
 	if n := restarted.Recover(); n != 0 {
 		log.Fatalf("second recovery re-enqueued %d children, want 0", n)
 	}

@@ -184,8 +184,10 @@ properties:
 	if err != nil {
 		t.Fatal(err)
 	}
-	node.Schemas().Register("NOTARIZE", compiled)
-	node.Types().Register(&txtype.Type{
+	if err := node.Schemas().Register("NOTARIZE", compiled); err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Types().Register(&txtype.Type{
 		Op: "NOTARIZE",
 		Conditions: []txtype.Condition{
 			{Name: "NOTARIZE.1", Doc: "all fulfillments verify", Check: func(_ *txtype.Context, t *txn.Transaction) error {
@@ -198,7 +200,9 @@ properties:
 				return nil
 			}},
 		},
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 
 	kp := keys.MustGenerate()
 	tx := txn.NewCreate(kp.PublicBase58(), map[string]any{"document": "abc123"}, 1, nil)

@@ -72,8 +72,8 @@ type App interface {
 	// remainder.
 	ValidationTimeFresh(txs []Tx, fresh []bool) time.Duration
 	// CommitStart begins applying the decided block and returns a join
-	// that blocks until the block is fully sealed and runs the app's
-	// post-commit hooks (e.g. the nested-transaction pipeline). The
+	// that blocks until the block is fully sealed and then hands on
+	// what the app owes for it (e.g. a nested parent's children). The
 	// engine calls CommitStart in height order and the join on the
 	// simulation thread once the block's CommitTime has elapsed on the
 	// resource Config.CommitDepth selects; the join must be idempotent.

@@ -763,7 +763,7 @@ func (n *node) applyBlock(h int64, txs []Tx) {
 	n.pool.RemoveCommitted(removed)
 	// The block starts applying immediately; what differs by depth is
 	// the resource its CommitTime occupies and when the join — sealing
-	// plus post-commit hooks — runs.
+	// plus handing a nested parent's children on — runs.
 	join := n.app.CommitStart(h, txs)
 	if n.c.cfg.CommitDepth < 2 {
 		// Depth 1, serialized commit: the block occupies the node's

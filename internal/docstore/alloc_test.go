@@ -53,7 +53,7 @@ func TestLockedBidFindAllocations(t *testing.T) {
 	}
 	c := bidsFixture(t, 64, 16)
 	f := lockedBids("rfq0007")
-	if got := len(c.BorrowFind(f)); got != 16 {
+	if got := len(c.borrowLimitAt(storage.HeightLatest, f, 0)); got != 16 {
 		t.Fatalf("locked bids = %d, want 16", got)
 	}
 	plan := c.Plan(f)
@@ -61,7 +61,7 @@ func TestLockedBidFindAllocations(t *testing.T) {
 		t.Errorf("executing the locked-bid plan: %v allocations, want 1 (the candidates)", got)
 	}
 	const ceiling = 26
-	if got := testing.AllocsPerRun(200, func() { c.BorrowFind(f) }); got > ceiling {
+	if got := testing.AllocsPerRun(200, func() { c.borrowLimitAt(storage.HeightLatest, f, 0) }); got > ceiling {
 		t.Errorf("locked-bid find: %v allocations, ceiling %d", got, ceiling)
 	}
 }

@@ -118,8 +118,8 @@ func (s *Store) Close() error { return s.backend.Close() }
 // Upsert take ownership of the document they are handed, Update
 // replaces the version, and nothing writes to a stored document
 // again. Get and Find copy on the way out, so their results are the
-// caller's own; Borrow and BorrowFind hand a reader the stored
-// documents themselves on the promise that it only reads.
+// caller's own; Borrow and a Snapshot's BorrowFind hand a reader the
+// stored documents themselves on the promise that it only reads.
 //
 // Reads come in two flavours. The plain methods (Get, Find, ...) read
 // the writer view — the newest version of every document, including
@@ -453,14 +453,6 @@ func (c *Collection) Find(filter Filter) []map[string]any {
 	return copyDocs(c.borrowLimitAt(storage.HeightLatest, filter, 0))
 }
 
-// BorrowFind is Find without the copies: the matching stored documents
-// themselves, read-only under Borrow's contract. It is for in-program
-// readers that decode or inspect each hit and let it go; Find is for
-// documents that leave the program.
-func (c *Collection) BorrowFind(filter Filter) []map[string]any {
-	return c.borrowLimitAt(storage.HeightLatest, filter, 0)
-}
-
 // borrowLimitAt collects the stored documents matching filter at
 // height h, up to limit. The slice is the caller's; the documents are
 // borrowed.
@@ -703,8 +695,10 @@ func (s *Snapshot) Keys() []string { return s.c.be.KeysAt(s.h) }
 // height, in insertion order.
 func (s *Snapshot) Find(filter Filter) []map[string]any { return copyDocs(s.BorrowFind(filter)) }
 
-// BorrowFind is Collection.BorrowFind as of the view height: the
-// matching stored documents themselves, read-only.
+// BorrowFind is Find without the copies: the matching stored documents
+// at the view height themselves, read-only under Borrow's contract. It
+// is for in-program readers that decode or inspect each hit and let it
+// go; Find is for documents that leave the program.
 func (s *Snapshot) BorrowFind(filter Filter) []map[string]any { return s.BorrowFindLimit(filter, 0) }
 
 // BorrowFindLimit is BorrowFind with a result cap; limit <= 0 means

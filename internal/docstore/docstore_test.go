@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"smartchaindb/internal/storage"
 )
 
 func doc(kv ...any) map[string]any {
@@ -117,7 +119,7 @@ func TestDocumentsAreIsolated(t *testing.T) {
 			}
 		}
 		// A borrowing find hands out the stored documents themselves.
-		if got := c.BorrowFind(Eq("rank", 1.0)); len(got) != 2 || !same(got[0], inserted) || !same(got[1], upserted) {
+		if got := c.borrowLimitAt(storage.HeightLatest, Eq("rank", 1.0), 0); len(got) != 2 || !same(got[0], inserted) || !same(got[1], upserted) {
 			t.Errorf("BorrowFind did not return the stored documents: %v", got)
 		}
 		// So does a borrowing ordered walk, off the index and off the scan.

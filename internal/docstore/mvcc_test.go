@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"smartchaindb/internal/obs"
+	"smartchaindb/internal/storage"
 )
 
 func mustInsert(t *testing.T, c *Collection, key string, doc map[string]any) {
@@ -182,7 +183,7 @@ func TestBorrowedDocumentsNeverChange(t *testing.T) {
 			t.Error("Borrow found a key that was never stored")
 		}
 		for via, docs := range map[string][]map[string]any{
-			"Collection.BorrowFind":      c.BorrowFind(Eq("kind", "d")),
+			"Collection.borrowLimitAt":   c.borrowLimitAt(storage.HeightLatest, Eq("kind", "d"), 0),
 			"Snapshot.BorrowFind":        snap.BorrowFind(Eq("kind", "d")),
 			"Snapshot.BorrowFindLimit":   snap.BorrowFindLimit(nil, len(keys)),
 			"Snapshot.BorrowFindOrdered": snap.BorrowFindOrdered(nil, "rank", true, 0),

@@ -151,6 +151,9 @@ func commitBlockCopyOnSpend(s *State, batch []*txn.Transaction) (committed []*tx
 			if err := s.copyOnSpendSealTx(staged[i]); err != nil {
 				return err
 			}
+			if err := s.sealNested(t, staged[i].ops); err != nil {
+				return err
+			}
 			committed = append(committed, t)
 		}
 		return s.putBlockRecord(height, txIDsAny(committed), false)

@@ -176,20 +176,6 @@ func (s *State) putBlockRecord(height int64, txids []any, twopc bool) error {
 	return s.store.Collection(ColBlocks).Upsert(blockKey(height), rec)
 }
 
-// SetChildren records the child transaction IDs assigned to a nested
-// parent at commit time (the ID and signatures are unaffected: children
-// are excluded from the signing payload).
-func (s *State) SetChildren(parentID string, children []string) error {
-	list := make([]any, len(children))
-	for i, c := range children {
-		list[i] = c
-	}
-	return s.store.Collection(ColTransactions).Update(parentID, func(doc map[string]any) error {
-		doc["children"] = list
-		return nil
-	})
-}
-
 // The State read API delegates to a fresh snapshot view of the newest
 // sealed block (see view.go): reads never take the commit lock or a
 // collection lock and never observe a half-applied block — a racing
@@ -244,25 +230,12 @@ func (s *State) AcceptForRFQ(rfqID string) (*txn.Transaction, bool) {
 	return s.View().AcceptForRFQ(rfqID)
 }
 
-// BlockTxs returns the transactions block h committed, in block order;
-// none for a height that holds no block.
-func (s *State) BlockTxs(h int64) []*txn.Transaction {
-	rec, ok := s.store.Collection(ColBlocks).Borrow(blockKey(h))
-	if !ok {
-		return nil
-	}
-	ids, _ := rec["txids"].([]any)
-	v := s.View()
-	out := make([]*txn.Transaction, 0, len(ids))
-	for _, id := range ids {
-		if t, err := v.GetTx(id.(string)); err == nil {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
 // TxsByOperation lists committed transactions of one operation type.
 func (s *State) TxsByOperation(op string) []*txn.Transaction {
 	return s.View().TxsByOperation(op)
+}
+
+// RecoveryFor returns the recovery record of one ACCEPT_BID.
+func (s *State) RecoveryFor(acceptID string) (*RecoveryRecord, error) {
+	return s.View().RecoveryFor(acceptID)
 }

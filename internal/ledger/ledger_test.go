@@ -2,7 +2,6 @@ package ledger
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -212,16 +211,18 @@ func TestLockedBidsForRFQ(t *testing.T) {
 	}
 }
 
-func TestAcceptBidFlowAndRecoveryLog(t *testing.T) {
-	f := newFixture(t)
+// auction commits a REQUEST and three bids, then the ACCEPT_BID of the
+// first over the other two, each its own block, and returns the accept
+// and its bids, winner first.
+func (f *fixture) auction(t *testing.T, bidders ...*keys.KeyPair) (*txn.Transaction, []*txn.Transaction) {
+	t.Helper()
 	rfq := f.request(t, "cnc")
-	bidder1, bidder2, bidder3 := keys.MustGenerate(), keys.MustGenerate(), keys.MustGenerate()
-	win := f.bid(t, bidder1, rfq.ID, "cnc")
-	lose1 := f.bid(t, bidder2, rfq.ID, "cnc")
-	lose2 := f.bid(t, bidder3, rfq.ID, "cnc")
-
+	bids := make([]*txn.Transaction, len(bidders))
+	for i, b := range bidders {
+		bids[i] = f.bid(t, b, rfq.ID, "cnc")
+	}
 	accept, err := txn.NewAcceptBid(f.requester.PublicBase58(), f.escrow.PublicBase58(), rfq.ID,
-		win, []*txn.Transaction{lose1, lose2}, nil)
+		bids[0], bids[1:], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,92 +232,93 @@ func TestAcceptBidFlowAndRecoveryLog(t *testing.T) {
 	if err := commitOne(f.state, accept); err != nil {
 		t.Fatal(err)
 	}
+	return accept, bids
+}
 
-	got, ok := f.state.AcceptForRFQ(rfq.ID)
+// child builds and signs the child realizing spec.
+func (f *fixture) child(t *testing.T, spec ReturnSpec) *txn.Transaction {
+	t.Helper()
+	child := BuildChild(spec, f.escrow.PublicBase58())
+	if err := txn.Sign(child, f.escrow); err != nil {
+		t.Fatal(err)
+	}
+	return child
+}
+
+// TestAcceptBidFlowAndRecoveryLog: the seal of an ACCEPT_BID logs its
+// recovery record — one child per output, the winner's TRANSFER to the
+// requester first, a RETURN to each losing bidder — and the seal of
+// each child marks it done there and rewrites the parent's children
+// field, with nothing but block commits.
+func TestAcceptBidFlowAndRecoveryLog(t *testing.T) {
+	f := newFixture(t)
+	bidder1, bidder2, bidder3 := keys.MustGenerate(), keys.MustGenerate(), keys.MustGenerate()
+	accept, bids := f.auction(t, bidder1, bidder2, bidder3)
+	win, lose1, lose2 := bids[0], bids[1], bids[2]
+
+	got, ok := f.state.AcceptForRFQ(accept.Refs[0])
 	if !ok || got.ID != accept.ID {
 		t.Fatalf("AcceptForRFQ = %v, %v", got, ok)
 	}
 	// All bid escrow outputs are now spent: no locked bids remain.
-	if locked := f.state.LockedBidsForRFQ(rfq.ID); len(locked) != 0 {
+	if locked := f.state.LockedBidsForRFQ(accept.Refs[0]); len(locked) != 0 {
 		t.Errorf("locked after accept = %d", len(locked))
 	}
 
-	specs, err := f.state.PendingReturnsFor(accept, f.escrow.PublicBase58(), f.requester.PublicBase58())
-	if err != nil {
-		t.Fatal(err)
+	rec, err := f.state.RecoveryFor(accept.ID)
+	if err != nil || rec.Status != RecoveryPending || rec.RFQID != accept.Refs[0] || len(rec.Done) != 0 {
+		t.Fatalf("record after the accept: %+v, %v", rec, err)
 	}
+	specs := rec.Pending
 	if len(specs) != 3 {
 		t.Fatalf("pending children = %d, want 3 (1 transfer + 2 returns)", len(specs))
 	}
-	if specs[0].Kind != ChildTransfer || specs[0].Recipient != f.requester.PublicBase58() {
-		t.Errorf("first child should transfer to requester: %+v", specs[0])
+	want := []ReturnSpec{
+		{Kind: ChildTransfer, AcceptID: accept.ID, OutputIndex: 0, Recipient: f.requester.PublicBase58(), Amount: 1, AssetID: win.AssetID()},
+		{Kind: ChildReturn, AcceptID: accept.ID, OutputIndex: 1, Recipient: bidder2.PublicBase58(), Amount: 1, AssetID: lose1.AssetID()},
+		{Kind: ChildReturn, AcceptID: accept.ID, OutputIndex: 2, Recipient: bidder3.PublicBase58(), Amount: 1, AssetID: lose2.AssetID()},
 	}
-	recipients := map[string]bool{specs[1].Recipient: true, specs[2].Recipient: true}
-	if !recipients[bidder2.PublicBase58()] || !recipients[bidder3.PublicBase58()] {
-		t.Errorf("return recipients = %v", recipients)
+	if !reflect.DeepEqual(specs, want) {
+		t.Fatalf("pending children:\ngot  %+v\nwant %+v", specs, want)
 	}
-	if specs[1].Kind != ChildReturn || specs[2].Kind != ChildReturn {
-		t.Errorf("children 1,2 should be returns: %+v", specs[1:])
-	}
-
-	if err := f.state.LogAcceptRecovery(accept.ID, rfq.ID, specs); err != nil {
-		t.Fatal(err)
-	}
-	// Idempotent re-log.
-	if err := f.state.LogAcceptRecovery(accept.ID, rfq.ID, specs); err != nil {
-		t.Fatal(err)
-	}
-	pend := f.state.PendingRecoveries()
-	if len(pend) != 1 || len(pend[0].Pending) != 3 {
+	if pend := f.state.PendingRecoveries(); len(pend) != 1 || len(pend[0].Pending) != 3 {
 		t.Fatalf("PendingRecoveries = %+v", pend)
 	}
 
-	// Realize the first child (the winner TRANSFER) and mark it done.
-	child := BuildChild(specs[0], f.escrow.PublicBase58())
+	// Realize the first child (the winner TRANSFER): its block marks it.
+	child := f.child(t, specs[0])
 	if child.Operation != txn.OpTransfer {
 		t.Fatalf("first child op = %s, want TRANSFER", child.Operation)
-	}
-	if err := txn.Sign(child, f.escrow); err != nil {
-		t.Fatal(err)
 	}
 	if err := commitOne(f.state, child); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.state.MarkReturnDone(accept.ID, specs[0].OutputIndex, child.ID); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := f.state.RecoveryFor(accept.ID)
-	if err != nil || rec.Status != RecoveryPending || len(rec.Pending) != 2 || len(rec.Done) != 1 {
+	rec, err = f.state.RecoveryFor(accept.ID)
+	if err != nil || rec.Status != RecoveryPending || len(rec.Pending) != 2 || !reflect.DeepEqual(rec.Done, []string{child.ID}) {
 		t.Fatalf("after one child: %+v, %v", rec, err)
 	}
-	// Recomputing pending children now excludes the realized one.
-	specs2, err := f.state.PendingReturnsFor(accept, f.escrow.PublicBase58(), f.requester.PublicBase58())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(specs2) != 2 {
-		t.Fatalf("pending after transfer = %d, want 2", len(specs2))
+	if parent, _ := f.state.GetTx(accept.ID); !reflect.DeepEqual(parent.Children, []string{child.ID}) {
+		t.Fatalf("parent children after one child = %v", parent.Children)
 	}
 
 	// Finish the two RETURNs.
-	for _, spec := range specs2 {
-		ret := BuildChild(spec, f.escrow.PublicBase58())
+	ids := []string{child.ID}
+	for _, spec := range rec.Pending {
+		ret := f.child(t, spec)
 		if ret.Operation != txn.OpReturn {
 			t.Fatalf("child op = %s, want RETURN", ret.Operation)
-		}
-		if err := txn.Sign(ret, f.escrow); err != nil {
-			t.Fatal(err)
 		}
 		if err := commitOne(f.state, ret); err != nil {
 			t.Fatal(err)
 		}
-		if err := f.state.MarkReturnDone(accept.ID, spec.OutputIndex, ret.ID); err != nil {
-			t.Fatal(err)
-		}
+		ids = append(ids, ret.ID)
 	}
 	rec, _ = f.state.RecoveryFor(accept.ID)
-	if rec.Status != RecoveryComplete {
-		t.Errorf("status = %s, want COMPLETE", rec.Status)
+	if rec.Status != RecoveryComplete || len(rec.Pending) != 0 || !reflect.DeepEqual(rec.Done, ids) {
+		t.Errorf("record after every child: %+v, want COMPLETE with done %v", rec, ids)
+	}
+	if parent, _ := f.state.GetTx(accept.ID); !reflect.DeepEqual(parent.Children, ids) {
+		t.Errorf("parent children = %v, want %v", parent.Children, ids)
 	}
 	if len(f.state.PendingRecoveries()) != 0 {
 		t.Error("no recoveries should remain pending")
@@ -332,86 +334,122 @@ func TestAcceptBidFlowAndRecoveryLog(t *testing.T) {
 	if f.state.Balance(f.requester.PublicBase58(), win.AssetID()) != 1 {
 		t.Error("requester did not receive winning asset")
 	}
-}
-
-func TestMarkReturnDoneErrors(t *testing.T) {
-	f := newFixture(t)
-	if err := f.state.MarkReturnDone("missing", 0, "c"); err == nil {
-		t.Error("missing record should error")
-	}
-	if err := f.state.LogAcceptRecovery("acc", "rfq", nil); err != nil {
+	// A transfer that is no child (it spends a plain CREATE's output)
+	// writes no record and touches no other.
+	owner := keys.MustGenerate()
+	plain := f.create(t, owner, 1)
+	tr := txn.NewTransfer(plain.ID,
+		[]txn.Spend{{Ref: txn.OutputRef{TxID: plain.ID, Index: 0}, Owners: []string{owner.PublicBase58()}}},
+		[]*txn.Output{{PublicKeys: []string{owner.PublicBase58()}, Amount: 1}}, nil)
+	if err := txn.Sign(tr, owner); err != nil {
 		t.Fatal(err)
 	}
-	rec, _ := f.state.RecoveryFor("acc")
-	if rec.Status != RecoveryComplete {
-		t.Error("no-children record should be COMPLETE immediately")
+	if err := commitOne(f.state, tr); err != nil {
+		t.Fatal(err)
 	}
-	if err := f.state.MarkReturnDone("acc", 5, "c"); err == nil {
-		t.Error("unknown output index should error")
+	if _, err := f.state.RecoveryFor(plain.ID); err == nil {
+		t.Error("a plain transfer's input gained a recovery record")
+	}
+	if parent, _ := f.state.GetTx(plain.ID); parent.Children != nil {
+		t.Errorf("a plain transfer's input gained children %v", parent.Children)
 	}
 }
 
+// TestRecoveryDoneOrderAndLegacyFormat: children commit out of output
+// order, yet the record's Done vector, and the parent's children field
+// the seal derives from it, come back in output order — the
+// determinism that keeps them identical across packing policies.
 func TestRecoveryDoneOrderAndLegacyFormat(t *testing.T) {
 	f := newFixture(t)
-	specs := []ReturnSpec{
-		{Kind: ChildTransfer, AcceptID: "acc", OutputIndex: 0, Recipient: "r", Amount: 1},
-		{Kind: ChildReturn, AcceptID: "acc", OutputIndex: 1, Recipient: "a", Amount: 1},
-		{Kind: ChildReturn, AcceptID: "acc", OutputIndex: 2, Recipient: "b", Amount: 1},
+	accept, _ := f.auction(t, keys.MustGenerate(), keys.MustGenerate(), keys.MustGenerate())
+	rec, err := f.state.RecoveryFor(accept.ID)
+	if err != nil || len(rec.Pending) != 3 {
+		t.Fatalf("record after the accept: %+v, %v", rec, err)
 	}
-	if err := f.state.LogAcceptRecovery("acc", "rfq", specs); err != nil {
-		t.Fatal(err)
-	}
-	// Children commit out of output order; Done must come back in
-	// output order regardless — that determinism is what keeps parent
-	// children vectors identical across packing policies.
+	ids := make([]string, 3)
 	for _, idx := range []int{2, 0, 1} {
-		if err := f.state.MarkReturnDone("acc", idx, fmt.Sprintf("child%d", idx)); err != nil {
+		child := f.child(t, rec.Pending[idx])
+		if err := commitOne(f.state, child); err != nil {
 			t.Fatal(err)
 		}
+		ids[idx] = child.ID
 	}
-	rec, err := f.state.RecoveryFor("acc")
+	rec, err = f.state.RecoveryFor(accept.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"child0", "child1", "child2"}
-	if !reflect.DeepEqual(rec.Done, want) {
-		t.Fatalf("Done = %v, want %v", rec.Done, want)
+	if !reflect.DeepEqual(rec.Done, ids) {
+		t.Fatalf("Done = %v, want %v", rec.Done, ids)
 	}
-	// Every done entry MarkReturnDone writes names its output index; an
-	// entry of any other shape (a plain child-ID string, which nothing
-	// writes) is not a done child, and Done leaves it out.
+	if parent, _ := f.state.GetTx(accept.ID); !reflect.DeepEqual(parent.Children, ids) {
+		t.Fatalf("parent children = %v, want %v", parent.Children, ids)
+	}
+	// Every done entry the seal writes names its output index; an entry
+	// of any other shape (a plain child-ID string, which nothing writes)
+	// is not a done child, and Done leaves it out.
 	col := f.state.Store().Collection(ColRecovery)
-	if err := col.Update("acc", func(doc map[string]any) error {
+	if err := col.Update(accept.ID, func(doc map[string]any) error {
 		done, _ := doc["done"].([]any)
 		doc["done"] = append(done[:len(done):len(done)], "stray")
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	rec, err = f.state.RecoveryFor("acc")
+	rec, err = f.state.RecoveryFor(accept.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rec.Done, want) {
-		t.Fatalf("Done with a string entry = %v, want %v", rec.Done, want)
+	if !reflect.DeepEqual(rec.Done, ids) {
+		t.Fatalf("Done with a string entry = %v, want %v", rec.Done, ids)
 	}
 }
 
-func TestSetChildren(t *testing.T) {
+// TestRecoveryIsVersionedWithItsBlock: the record and the parent's
+// children field are written by the blocks that change them, so a
+// snapshot at height h reads exactly what block h left — no record
+// below the accept's height, PENDING with every child at it, one child
+// done per child block, COMPLETE at the last one's.
+func TestRecoveryIsVersionedWithItsBlock(t *testing.T) {
 	f := newFixture(t)
-	tx := f.create(t, f.issuer, 1)
-	if err := f.state.SetChildren(tx.ID, []string{"aa", "bb"}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := f.state.GetTx(tx.ID)
+	f.state.SetRetain(64)
+	accept, _ := f.auction(t, keys.MustGenerate(), keys.MustGenerate(), keys.MustGenerate())
+	acceptH := f.state.Height()
+	rec, err := f.state.RecoveryFor(accept.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Children) != 2 || got.Children[0] != "aa" {
-		t.Errorf("children = %v", got.Children)
+	for _, spec := range rec.Pending {
+		if err := commitOne(f.state, f.child(t, spec)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := f.state.SetChildren("missing", nil); err == nil {
-		t.Error("missing parent should error")
+	before, err := f.state.StateAt(acceptH - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec, err := before.RecoveryFor(accept.ID); err == nil {
+		t.Fatalf("record below the accept's height: %+v", rec)
+	}
+	for k := 0; k <= 3; k++ {
+		v, err := f.state.StateAt(acceptH + int64(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := v.RecoveryFor(accept.ID)
+		if err != nil {
+			t.Fatalf("height %d: %v", v.Height(), err)
+		}
+		status := RecoveryPending
+		if k == 3 {
+			status = RecoveryComplete
+		}
+		if rec.Status != status || len(rec.Pending) != 3-k || len(rec.Done) != k {
+			t.Errorf("height %d (accept + %d): record %s with %d pending, %d done; want %s, %d, %d", v.Height(), k, rec.Status, len(rec.Pending), len(rec.Done), status, 3-k, k)
+		}
+		parent, err := v.GetTx(accept.ID)
+		if err != nil || !reflect.DeepEqual(parent.Children, rec.Done) {
+			t.Errorf("height %d: parent children %v, record done %v (%v)", v.Height(), parent.Children, rec.Done, err)
+		}
 	}
 }
 

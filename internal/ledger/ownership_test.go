@@ -104,30 +104,17 @@ func (w *ownershipStream) commit(t *testing.T, s *State) {
 		}
 	}
 	accept, escrowPub := w.group.Accept, w.escrow.PublicBase58()
-	specs, err := s.PendingReturnsFor(accept, escrowPub, w.group.Requester.PublicBase58())
-	if err != nil || len(specs) != len(w.group.Bids) {
-		t.Fatalf("children of the accept: %d, %v", len(specs), err)
+	rec, err := s.RecoveryFor(accept.ID)
+	if err != nil || len(rec.Pending) != len(w.group.Bids) {
+		t.Fatalf("children of the accept: %+v, %v", rec, err)
 	}
-	if err := s.LogAcceptRecovery(accept.ID, w.group.Request.ID, specs); err != nil {
-		t.Fatal(err)
-	}
-	for _, spec := range specs {
+	for _, spec := range rec.Pending {
 		child := BuildChild(spec, escrowPub)
 		if err := txn.Sign(child, w.escrow); err != nil {
 			t.Fatal(err)
 		}
 		if committed, skipped := s.CommitBlock([]*txn.Transaction{child}); len(committed) != 1 {
 			t.Fatalf("child of output %d: %v", spec.OutputIndex, skipped)
-		}
-		if err := s.MarkReturnDone(accept.ID, spec.OutputIndex, child.ID); err != nil {
-			t.Fatal(err)
-		}
-		rec, err := s.RecoveryFor(accept.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.SetChildren(accept.ID, rec.Done); err != nil {
-			t.Fatal(err)
 		}
 	}
 	p, err := s.StageOwned(w.cross, true, func(int) bool { return true })

@@ -127,10 +127,11 @@ func (p *PendingCommit) Seal() (committed []*txn.Transaction, skipped map[string
 }
 
 // sealLocked is the one seal body, called with the state lock held:
-// it brackets the MVCC block, applies the staged ops in block order
-// inside one atomic WAL group followed by the height record — nothing
-// of the block is durable before everything is — publishes the block,
-// and records its plan/apply/seal attribution.
+// it brackets the MVCC block, applies the staged ops in block order,
+// each transaction's followed by the nested bookkeeping it owes
+// (sealNested), inside one atomic WAL group closed by the height
+// record — nothing of the block is durable before everything is —
+// publishes the block, and records its plan/apply/seal attribution.
 func (p *PendingCommit) sealLocked() (committed []*txn.Transaction, skipped map[string]error, err error) {
 	s := p.s
 	sealT := time.Now()
@@ -148,6 +149,9 @@ func (p *PendingCommit) sealLocked() (committed []*txn.Transaction, skipped map[
 			if serr := s.sealTx(st); serr != nil {
 				// The apply phase vouched for these ops; a failure here
 				// means the backend lost a write mid-block.
+				return serr
+			}
+			if serr := s.sealNested(t, st.ops); serr != nil {
 				return serr
 			}
 			committed = append(committed, t)

@@ -1,18 +1,21 @@
 package ledger
 
 import (
-	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"smartchaindb/internal/docstore"
 	"smartchaindb/internal/txn"
 )
 
 // Nested-transaction recovery log (the accept_tx_recovery collection of
-// §4.2.1). When an ACCEPT_BID commits, the receiver node logs one
-// record naming every pending child RETURN. Workers mark children done
-// as they commit; a node coming back from a crash replays the pending
-// children from this log.
+// §4.2.1). The seal writes it inside the block's storage group, like
+// everything else the block changes: sealing an ACCEPT_BID inserts one
+// record naming every child it owes, and sealing a child marks it done
+// there and rewrites the parent's children field. A record read at
+// height h is therefore exactly what block h left, on every replica and
+// across any crash; a node coming back up submits the pending children
+// of every PENDING record.
 
 // Child kinds of a nested ACCEPT_BID parent.
 const (
@@ -52,41 +55,158 @@ type RecoveryRecord struct {
 	Done []string
 }
 
-// LogAcceptRecovery writes the recovery record for a freshly committed
-// ACCEPT_BID (logAcceptBidTxUpdForRecovery in Algorithm 3). Logging is
-// idempotent: re-logging an existing record is a no-op so crash replays
-// cannot duplicate it.
-func (s *State) LogAcceptRecovery(acceptID, rfqID string, pending []ReturnSpec) error {
-	col := s.store.Collection(ColRecovery)
-	if col.Has(acceptID) {
-		return nil
+// sealNested writes the nested bookkeeping t's commit owes, in the
+// seal's group right after t's own ops: an ACCEPT_BID logs its recovery
+// record, and a TRANSFER or RETURN whose first input spends an output a
+// PENDING record lists marks that child done. Every other transaction
+// returns before any lookup. Caller holds the state lock inside the
+// block's group.
+func (s *State) sealNested(t *txn.Transaction, ops []stagedOp) error {
+	switch t.Operation {
+	case txn.OpAcceptBid:
+		return s.logAccept(t, ops)
+	case txn.OpTransfer, txn.OpReturn:
+		if len(t.Inputs) > 0 && t.Inputs[0].Fulfills != nil {
+			return s.markChildDone(*t.Inputs[0].Fulfills, t.ID)
+		}
 	}
-	pdocs := make([]any, len(pending))
-	for i, p := range pending {
-		pdocs[i] = returnSpecDoc(p)
+	return nil
+}
+
+// logAccept inserts the recovery record of ACCEPT_BID t
+// (logAcceptBidTxUpdForRecovery in Algorithm 3), its children derived
+// from the UTXO records ops just wrote (deterRtrnTxs): ACCEPT_BID.6
+// puts every output under escrow, and each becomes one child — output
+// 0 a TRANSFER of the winning shares to the REQUEST's owner
+// (getPubKey(RFQTx)), every other output a RETURN to the bidder it
+// records as previous owner — of the record's amount and asset, the
+// spent bid's.
+func (s *State) logAccept(t *txn.Transaction, ops []stagedOp) error {
+	rfqID, requester := "", ""
+	if len(t.Refs) > 0 {
+		rfqID = t.Refs[0]
+		requester = s.requestOwner(rfqID)
+	}
+	pending := make([]any, 0, len(t.Outputs))
+	for _, op := range ops {
+		if op.kind != opInsertUTXO {
+			continue
+		}
+		idx, _ := op.doc["output_index"].(float64)
+		kind, recipient := ChildTransfer, requester
+		if i := int(idx); i > 0 {
+			kind, recipient = ChildReturn, ""
+			if prev := t.Outputs[i].PrevOwners; len(prev) > 0 {
+				recipient = prev[0]
+			}
+		}
+		pending = append(pending, map[string]any{
+			"kind":         kind,
+			"accept_id":    t.ID,
+			"output_index": idx,
+			"recipient":    recipient,
+			"amount":       op.doc["amount"],
+			"asset_id":     op.doc["asset_id"],
+		})
 	}
 	status := RecoveryPending
 	if len(pending) == 0 {
 		status = RecoveryComplete
 	}
-	return col.Insert(acceptID, map[string]any{
-		"accept_id": acceptID,
+	return s.store.Collection(ColRecovery).Insert(t.ID, map[string]any{
+		"accept_id": t.ID,
 		"rfq_id":    rfqID,
 		"status":    status,
-		"pending":   pdocs,
+		"pending":   pending,
 		"done":      []any{},
 	})
 }
 
-func returnSpecDoc(p ReturnSpec) map[string]any {
-	return map[string]any{
-		"kind":         p.Kind,
-		"accept_id":    p.AcceptID,
-		"output_index": float64(p.OutputIndex),
-		"recipient":    p.Recipient,
-		"amount":       float64(p.Amount),
-		"asset_id":     p.AssetID,
+// requestOwner is the first owner of the REQUEST's output 0 ("" for
+// none), read in the writer view: the seal's own earlier writes count.
+func (s *State) requestOwner(rfqID string) string {
+	doc, _ := s.store.Collection(ColTransactions).Borrow(rfqID)
+	outs, _ := doc["outputs"].([]any)
+	if len(outs) == 0 {
+		return ""
 	}
+	out, _ := outs[0].(map[string]any)
+	owners, _ := out["public_keys"].([]any)
+	if len(owners) == 0 {
+		return ""
+	}
+	owner, _ := owners[0].(string)
+	return owner
+}
+
+// markChildDone records that childID spent ref: if a PENDING record
+// lists ref's output, the output moves from its pending list to its
+// done list, the record turns COMPLETE with the last one, and the
+// parent's children field becomes the done list in output order — the
+// order a replica reaches whatever the packing, so the field is the
+// same on every replica. A spend of any other output writes nothing.
+// Both documents are replaced, never edited: the new versions share
+// everything below the top level they do not rebuild.
+func (s *State) markChildDone(ref txn.OutputRef, childID string) error {
+	col := s.store.Collection(ColRecovery)
+	rec, ok := col.Borrow(ref.TxID)
+	if !ok {
+		return nil
+	}
+	pending, _ := rec["pending"].([]any)
+	at := slices.IndexFunc(pending, func(p any) bool {
+		pd, _ := p.(map[string]any)
+		idx, _ := pd["output_index"].(float64)
+		return int(idx) == ref.Index
+	})
+	if at < 0 {
+		return nil
+	}
+	next := maps.Clone(rec)
+	next["pending"] = slices.Delete(slices.Clone(pending), at, at+1)
+	done, _ := rec["done"].([]any)
+	// Clipped to its length, so the new entry lands in a fresh array
+	// and the replaced version keeps its own.
+	done = append(done[:len(done):len(done)], map[string]any{
+		"output_index": float64(ref.Index),
+		"child_id":     childID,
+	})
+	next["done"] = done
+	if len(pending) == 1 {
+		next["status"] = RecoveryComplete
+	}
+	if err := col.Upsert(ref.TxID, next); err != nil {
+		return err
+	}
+	children := doneInOrder(done)
+	return s.store.Collection(ColTransactions).Update(ref.TxID, func(doc map[string]any) error {
+		doc["children"] = children
+		return nil
+	})
+}
+
+// RecoveryFor returns the recovery record of one ACCEPT_BID at the
+// view height. It decodes the stored document in place and keeps
+// nothing of it.
+func (v *StateView) RecoveryFor(acceptID string) (*RecoveryRecord, error) {
+	doc, ok := v.borrow(ColRecovery, acceptID)
+	if !ok {
+		return nil, &docstore.ErrNotFound{Collection: ColRecovery, Key: acceptID}
+	}
+	return recoveryFromDoc(doc), nil
+}
+
+// PendingRecoveries lists every record with outstanding children as of
+// the newest sealed block — the worklist a recovering node replays
+// ("enqueue all the RETURNs using the recovery log when the receiver
+// node comes up online").
+func (s *State) PendingRecoveries() []*RecoveryRecord {
+	docs := s.View().col(ColRecovery).BorrowFind(docstore.Eq("status", RecoveryPending))
+	out := make([]*RecoveryRecord, 0, len(docs))
+	for _, d := range docs {
+		out = append(out, recoveryFromDoc(d))
+	}
+	return out
 }
 
 func returnSpecFromDoc(d map[string]any) ReturnSpec {
@@ -97,68 +217,6 @@ func returnSpecFromDoc(d map[string]any) ReturnSpec {
 	rec, _ := d["recipient"].(string)
 	aid, _ := d["asset_id"].(string)
 	return ReturnSpec{Kind: kind, AcceptID: acc, OutputIndex: int(idx), Recipient: rec, Amount: uint64(amt), AssetID: aid}
-}
-
-// MarkReturnDone records that the child RETURN spending the parent's
-// outputIndex committed as childID, and flips the record to COMPLETE
-// when no children remain. The update assigns freshly built lists to
-// top-level keys and edits nothing below them (docstore.Update).
-func (s *State) MarkReturnDone(acceptID string, outputIndex int, childID string) error {
-	col := s.store.Collection(ColRecovery)
-	return col.Update(acceptID, func(doc map[string]any) error {
-		pending, _ := doc["pending"].([]any)
-		next := make([]any, 0, len(pending))
-		removed := false
-		for _, p := range pending {
-			pd, ok := p.(map[string]any)
-			if ok && !removed && int(pd["output_index"].(float64)) == outputIndex {
-				removed = true
-				continue
-			}
-			next = append(next, p)
-		}
-		if !removed {
-			return fmt.Errorf("ledger: accept %s has no pending return for output %d", acceptID, outputIndex)
-		}
-		doc["pending"] = next
-		done, _ := doc["done"].([]any)
-		// Keyed by output index (not append order) so the derived Done
-		// vector is replica- and packing-order independent.
-		// The replaced version still holds done: append to a slice
-		// clipped to its length, so the new entry always lands in a
-		// fresh array.
-		doc["done"] = append(done[:len(done):len(done)], map[string]any{
-			"output_index": float64(outputIndex),
-			"child_id":     childID,
-		})
-		if len(next) == 0 {
-			doc["status"] = RecoveryComplete
-		}
-		return nil
-	})
-}
-
-// RecoveryFor returns the recovery record for one ACCEPT_BID. It decodes
-// the stored document in place: every validator reads it once per
-// committed child, and the record keeps nothing of the map.
-func (s *State) RecoveryFor(acceptID string) (*RecoveryRecord, error) {
-	doc, ok := s.store.Collection(ColRecovery).Borrow(acceptID)
-	if !ok {
-		return nil, &docstore.ErrNotFound{Collection: ColRecovery, Key: acceptID}
-	}
-	return recoveryFromDoc(doc), nil
-}
-
-// PendingRecoveries lists every record with outstanding children — the
-// worklist a recovering node replays ("enqueue all the RETURNs using
-// the recovery log when the receiver node comes up online").
-func (s *State) PendingRecoveries() []*RecoveryRecord {
-	docs := s.store.Collection(ColRecovery).BorrowFind(docstore.Eq("status", RecoveryPending))
-	out := make([]*RecoveryRecord, 0, len(docs))
-	for _, d := range docs {
-		out = append(out, recoveryFromDoc(d))
-	}
-	return out
 }
 
 func recoveryFromDoc(doc map[string]any) *RecoveryRecord {
@@ -173,66 +231,35 @@ func recoveryFromDoc(doc map[string]any) *RecoveryRecord {
 			}
 		}
 	}
-	if done, ok := doc["done"].([]any); ok {
-		type doneEntry struct {
-			idx int
-			id  string
-		}
-		entries := make([]doneEntry, 0, len(done))
-		for _, d := range done {
-			if dd, ok := d.(map[string]any); ok {
-				idx, _ := dd["output_index"].(float64)
-				id, _ := dd["child_id"].(string)
-				entries = append(entries, doneEntry{idx: int(idx), id: id})
-			}
-		}
-		sort.SliceStable(entries, func(a, b int) bool { return entries[a].idx < entries[b].idx })
-		for _, e := range entries {
-			rec.Done = append(rec.Done, e.id)
-		}
+	done, _ := doc["done"].([]any)
+	for _, id := range doneInOrder(done) {
+		s, _ := id.(string)
+		rec.Done = append(rec.Done, s)
 	}
 	return rec
 }
 
-// PendingReturnsFor derives the child specs for a committed ACCEPT_BID
-// from chain state alone (deterRtrnTxs in Algorithm 3): every parent
-// output still held by escrow and unspent becomes one child — output 0
-// a TRANSFER of the winning shares to the REQUEST's owner rfqOwner
-// (getPubKey(RFQTx) in the algorithm), every other output a RETURN to
-// the original bidder recorded as previous owner.
-func (s *State) PendingReturnsFor(accept *txn.Transaction, escrowPub, rfqOwner string) ([]ReturnSpec, error) {
-	var specs []ReturnSpec
-	for i, out := range accept.Outputs {
-		if !out.OwnedBy(escrowPub) {
-			continue // already realized or foreign output
-		}
-		ref := txn.OutputRef{TxID: accept.ID, Index: i}
-		if !s.IsUnspent(ref) {
-			continue // child already committed
-		}
-		assetID, err := s.bidAssetForInput(accept, i)
-		if err != nil {
-			return nil, err
-		}
-		spec := ReturnSpec{
-			AcceptID:    accept.ID,
-			OutputIndex: i,
-			Amount:      out.Amount,
-			AssetID:     assetID,
-		}
-		if i == 0 {
-			spec.Kind = ChildTransfer
-			spec.Recipient = rfqOwner
-		} else {
-			if len(out.PrevOwners) == 0 {
-				return nil, &txn.ValidationError{Op: accept.Operation, Reason: fmt.Sprintf("output %d held by escrow but records no previous owner", i)}
-			}
-			spec.Kind = ChildReturn
-			spec.Recipient = out.PrevOwners[0]
-		}
-		specs = append(specs, spec)
+// doneInOrder lists the child IDs of a record's done entries, as
+// stored, in the order of the parent output each realized; an entry of
+// any other shape is not a done child and is left out.
+func doneInOrder(done []any) []any {
+	type doneEntry struct {
+		idx int
+		id  any
 	}
-	return specs, nil
+	entries := make([]doneEntry, 0, len(done))
+	for _, d := range done {
+		if dd, ok := d.(map[string]any); ok {
+			idx, _ := dd["output_index"].(float64)
+			entries = append(entries, doneEntry{idx: int(idx), id: dd["child_id"]})
+		}
+	}
+	slices.SortStableFunc(entries, func(a, b doneEntry) int { return a.idx - b.idx })
+	ids := make([]any, len(entries))
+	for i, e := range entries {
+		ids[i] = e.id
+	}
+	return ids
 }
 
 // BuildChild constructs the unsigned child transaction realizing spec.
@@ -252,17 +279,4 @@ func BuildChild(spec ReturnSpec, escrowPub string) *txn.Transaction {
 	}
 	return txn.NewReturn(escrowPub, spec.AcceptID, spec.OutputIndex,
 		spec.Recipient, spec.Amount, spec.AssetID, nil)
-}
-
-// bidAssetForInput resolves the backing asset of the bid spent by the
-// parent's i-th input (outputs mirror inputs one-to-one).
-func (s *State) bidAssetForInput(accept *txn.Transaction, i int) (string, error) {
-	if i < 0 || i >= len(accept.Inputs) || accept.Inputs[i].Fulfills == nil {
-		return "", &txn.ValidationError{Op: accept.Operation, Reason: fmt.Sprintf("no input matching output %d", i)}
-	}
-	bid, err := s.GetTx(accept.Inputs[i].Fulfills.TxID)
-	if err != nil {
-		return "", err
-	}
-	return bid.AssetID(), nil
 }

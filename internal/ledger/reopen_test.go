@@ -12,6 +12,7 @@ import (
 	"smartchaindb/internal/keys"
 	"smartchaindb/internal/storage"
 	"smartchaindb/internal/txn"
+	"smartchaindb/internal/workload"
 )
 
 // buildBlocks returns nBlocks blocks of txsPerBlock valid transactions
@@ -83,14 +84,17 @@ func TestStateReopenRecoversExactCommittedState(t *testing.T) {
 			t.Fatalf("block %d: committed %d skipped %v err %v", i, len(committed), skipped, err)
 		}
 	}
-	if err := s.LogAcceptRecovery("accept-1", "rfq-1", []ReturnSpec{
-		{Kind: ChildReturn, AcceptID: "accept-1", OutputIndex: 1, Recipient: "bidder", Amount: 1, AssetID: "asset"},
-	}); err != nil {
-		t.Fatal(err)
+	// An auction whose ACCEPT_BID commits without its children leaves
+	// a PENDING recovery record.
+	grp := workload.NewGenerator(24, keys.DeterministicKeyPair(500)).NewAuctionGroup(0, workload.AuctionGroupSpec{BiddersPerAuction: 3})
+	for _, block := range [][]*txn.Transaction{append([]*txn.Transaction{grp.Request}, grp.Creates...), grp.Bids, {grp.Accept}} {
+		if committed, skipped, err := commitAt(s, s.Height()+1, block); err != nil || len(committed) != len(block) {
+			t.Fatalf("auction block: committed %d skipped %v err %v", len(committed), skipped, err)
+		}
 	}
 	want := dumpState(s)
-	if want.Height != 5 || s.TxCount() != 40 {
-		t.Fatalf("pre-kill height %d txcount %d", want.Height, s.TxCount())
+	if want.Height != 8 || s.TxCount() != 48 || len(want.Recovery) != 1 || want.Recovery[0]["status"] != RecoveryPending {
+		t.Fatalf("pre-kill height %d txcount %d recovery %v", want.Height, s.TxCount(), want.Recovery)
 	}
 	// "Kill" the state: Close here flushes nothing the per-block WAL
 	// groups haven't already written (and releases the directory lock
@@ -108,7 +112,7 @@ func TestStateReopenRecoversExactCommittedState(t *testing.T) {
 	// The reopened state keeps committing where it left off.
 	extra := buildBlocks(t, "extra", 1, 4)[0]
 	committed, _ := s2.CommitBlock(extra)
-	if len(committed) != len(extra) || s2.Height() != 6 {
+	if len(committed) != len(extra) || s2.Height() != 9 {
 		t.Fatalf("post-reopen commit: %d txs, height %d", len(committed), s2.Height())
 	}
 }

@@ -154,11 +154,11 @@ func (sd *side) drive(t *testing.T, w *diffStream) []string {
 		log = append(log, fmt.Sprintf("block %d: committed %v skipped %v", i+1, c, sk))
 	}
 	accept, escrowPub := w.group.Accept, w.escrow.PublicBase58()
-	specs, err := sd.main.PendingReturnsFor(accept, escrowPub, w.group.Requester.PublicBase58())
-	if err != nil || len(specs) != len(w.group.Bids) {
-		t.Fatalf("children of the accept: %d, %v", len(specs), err)
+	rec, err := sd.main.RecoveryFor(accept.ID)
+	if err != nil || len(rec.Pending) != len(w.group.Bids) {
+		t.Fatalf("children of the accept: %+v, %v", rec, err)
 	}
-	for _, spec := range specs {
+	for _, spec := range rec.Pending {
 		child := ledger.BuildChild(spec, escrowPub)
 		if err := txn.Sign(child, w.escrow); err != nil {
 			t.Fatal(err)

@@ -1,21 +1,23 @@
 // Package nested implements the non-locking execution engine for
 // nested blockchain transactions (§4.2 of the paper). An ACCEPT_BID
-// parent commits immediately — no lock — and its child transactions
-// (one TRANSFER to the requester, n-1 RETURNs to losing bidders) are
-// enqueued into a return queue, built and signed by the escrow system
-// account, and submitted asynchronously with eventual-commit semantics.
-// Child construction is deterministic (same escrow key, same parent
-// output), so every validator derives the same children, with the same
+// parent commits immediately — no lock — and the seal of its block
+// writes its accept_tx_recovery record, naming its child transactions
+// (one TRANSFER to the requester, n-1 RETURNs to losing bidders), in
+// the block's own storage group; the seal of each child's block marks
+// it done there. This engine builds the children, signs them with the
+// escrow system account and submits them with eventual-commit
+// semantics: at the join of the parent's block, and again, from every
+// PENDING record, when a node comes back from a crash. Child
+// construction is deterministic (same escrow key, same parent output),
+// so every validator derives the same children, with the same
 // transaction IDs, from its own commit of the parent: in a cluster each
 // validator's engine hands its children to its own mempool, and none
-// travels through a receiver or gossip. The accept_tx_recovery log
-// makes the children replayable after a crash, and a replayed child is
-// the same transaction again.
+// travels through a receiver or gossip. A replayed child is the same
+// transaction again.
 package nested
 
 import (
 	"fmt"
-	"sync"
 
 	"smartchaindb/internal/keys"
 	"smartchaindb/internal/ledger"
@@ -28,14 +30,11 @@ import (
 // standalone node's applies it at once.
 type Submitter func(child *txn.Transaction)
 
-// Engine is one node's return-queue worker pool and recovery driver.
+// Engine builds, signs and submits one node's nested children.
 type Engine struct {
 	state  *ledger.State
 	escrow *keys.KeyPair
 	submit Submitter
-
-	mu    sync.Mutex
-	queue []ledger.ReturnSpec
 }
 
 // NewEngine wires an engine to a node's chain state and escrow key.
@@ -43,48 +42,31 @@ func NewEngine(state *ledger.State, escrow *keys.KeyPair, submit Submitter) *Eng
 	return &Engine{state: state, escrow: escrow, submit: submit}
 }
 
-// OnParentCommitted runs at the commit phase of an ACCEPT_BID
-// (Algorithm 3's Commit hook): it determines the child transactions
-// (deterRtrnTxs), writes the recovery log, and enqueues the children.
-// It does NOT block the parent's commit — the caller already committed
-// the parent before invoking this.
-func (e *Engine) OnParentCommitted(accept *txn.Transaction, rfqOwner string) error {
-	specs, err := e.state.PendingReturnsFor(accept, e.escrow.PublicBase58(), rfqOwner)
-	if err != nil {
-		return fmt.Errorf("nested: determine children of %s: %w", short(accept.ID), err)
+// Submit hands the children the sealed recovery record of the
+// committed ACCEPT_BID acceptID lists as pending to the submitter, in
+// output order. It does NOT block the parent's commit: the join of the
+// parent's block calls it after the seal.
+func (e *Engine) Submit(acceptID string) {
+	if rec, err := e.state.RecoveryFor(acceptID); err == nil {
+		e.submitAll(rec.Pending)
 	}
-	rfqID := ""
-	if len(accept.Refs) > 0 {
-		rfqID = accept.Refs[0]
-	}
-	if err := e.state.LogAcceptRecovery(accept.ID, rfqID, specs); err != nil {
-		return fmt.Errorf("nested: log recovery for %s: %w", short(accept.ID), err)
-	}
-	e.enqueue(specs)
-	return nil
 }
 
-func (e *Engine) enqueue(specs []ledger.ReturnSpec) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.queue = append(e.queue, specs...)
+// Recover replays the recovery log after a crash: every pending child
+// of every PENDING record is submitted again ("enqueue all the RETURNs
+// using the recovery log when the receiver node comes up online"). A
+// record is sealed with the block that changes it, so it lists exactly
+// the children not yet committed. It returns the number submitted.
+func (e *Engine) Recover() int {
+	n := 0
+	for _, rec := range e.state.PendingRecoveries() {
+		e.submitAll(rec.Pending)
+		n += len(rec.Pending)
+	}
+	return n
 }
 
-// QueueLen reports the number of children awaiting submission.
-func (e *Engine) QueueLen() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.queue)
-}
-
-// Drain builds, signs, and submits every queued child. Workers in the
-// paper run in parallel; submission order does not matter because the
-// children are independent.
-func (e *Engine) Drain() int {
-	e.mu.Lock()
-	specs := e.queue
-	e.queue = nil
-	e.mu.Unlock()
+func (e *Engine) submitAll(specs []ledger.ReturnSpec) {
 	for _, spec := range specs {
 		child := ledger.BuildChild(spec, e.escrow.PublicBase58())
 		if err := txn.Sign(child, e.escrow); err != nil {
@@ -94,71 +76,23 @@ func (e *Engine) Drain() int {
 		}
 		e.submit(child)
 	}
-	return len(specs)
-}
-
-// OnChildCommitted runs when a RETURN or child TRANSFER commits: it
-// marks the child done in the recovery log and refreshes the parent's
-// children vector. Unrelated transactions are ignored, so the server
-// can call this for every committed TRANSFER/RETURN.
-func (e *Engine) OnChildCommitted(child *txn.Transaction) {
-	if len(child.Inputs) == 0 || child.Inputs[0].Fulfills == nil {
-		return
-	}
-	ref := *child.Inputs[0].Fulfills
-	// Every committed TRANSFER and RETURN comes through here, and all
-	// but the nested children stop at this line: ask for the parent's
-	// operation, not for the parent.
-	if op, _ := e.state.OperationOf(ref.TxID); op != txn.OpAcceptBid {
-		return
-	}
-	if err := e.state.MarkReturnDone(ref.TxID, ref.Index, child.ID); err != nil {
-		return // already marked by an earlier replica of this child
-	}
-	if rec, err := e.state.RecoveryFor(ref.TxID); err == nil {
-		// Children are excluded from the signing payload, so updating
-		// the vector after the fact is safe.
-		_ = e.state.SetChildren(ref.TxID, rec.Done)
-	}
-}
-
-// Recover replays the recovery log after a crash: every pending child
-// of every incomplete ACCEPT_BID is re-enqueued ("enqueue all the
-// RETURNs using the recovery log when the receiver node comes up
-// online"). It returns the number of children re-enqueued.
-func (e *Engine) Recover() int {
-	n := 0
-	for _, rec := range e.state.PendingRecoveries() {
-		// Skip specs whose child already committed (the log may lag the
-		// chain if the crash hit between commit and mark-done).
-		var still []ledger.ReturnSpec
-		for _, spec := range rec.Pending {
-			if e.state.IsUnspent(txn.OutputRef{TxID: spec.AcceptID, Index: spec.OutputIndex}) {
-				still = append(still, spec)
-			}
-		}
-		e.enqueue(still)
-		n += len(still)
-	}
-	return n
 }
 
 // LockingCommit is the locking alternative the paper argues against
-// (§4.2): it commits the parent and all children, one block each,
-// blocking until every child is applied. It exists for the ablation
-// benchmark comparing locking vs non-locking nested execution; the
-// non-locking path is the production one.
-func LockingCommit(state *ledger.State, escrow *keys.KeyPair, accept *txn.Transaction, rfqOwner string) ([]*txn.Transaction, error) {
+// (§4.2): it commits the parent and then each child its seal logged,
+// one block each, blocking until every child is applied. It exists for
+// the ablation benchmark comparing locking vs non-locking nested
+// execution; the non-locking path is the production one.
+func LockingCommit(state *ledger.State, escrow *keys.KeyPair, accept *txn.Transaction) ([]*txn.Transaction, error) {
 	if _, skipped := state.CommitBlock([]*txn.Transaction{accept}); skipped[accept.ID] != nil {
 		return nil, skipped[accept.ID]
 	}
-	specs, err := state.PendingReturnsFor(accept, escrow.PublicBase58(), rfqOwner)
+	rec, err := state.RecoveryFor(accept.ID)
 	if err != nil {
 		return nil, err
 	}
-	children := make([]*txn.Transaction, 0, len(specs))
-	ids := make([]string, 0, len(specs))
-	for _, spec := range specs {
+	children := make([]*txn.Transaction, 0, len(rec.Pending))
+	for _, spec := range rec.Pending {
 		child := ledger.BuildChild(spec, escrow.PublicBase58())
 		if err := txn.Sign(child, escrow); err != nil {
 			return nil, err
@@ -167,17 +101,6 @@ func LockingCommit(state *ledger.State, escrow *keys.KeyPair, accept *txn.Transa
 			return nil, fmt.Errorf("nested: locking commit child: %w", skipped[child.ID])
 		}
 		children = append(children, child)
-		ids = append(ids, child.ID)
-	}
-	if err := state.SetChildren(accept.ID, ids); err != nil {
-		return nil, err
 	}
 	return children, nil
-}
-
-func short(s string) string {
-	if len(s) <= 8 {
-		return s
-	}
-	return s[:8] + "..."
 }

@@ -78,33 +78,29 @@ func newAuction(t testing.TB, nBids int) *auction {
 	return a
 }
 
+// engine returns an engine over a's state whose submitter appends to
+// *into.
+func (a *auction) engine(into *[]*txn.Transaction) *Engine {
+	return NewEngine(a.state, a.escrow, func(c *txn.Transaction) { *into = append(*into, c) })
+}
+
 func TestNonLockingPipeline(t *testing.T) {
 	a := newAuction(t, 3)
-	// Non-locking: the parent commits first.
+	// Non-locking: the parent commits first, and its seal logs the
+	// children it owes.
 	if err := commitOne(a.state, a.accept); err != nil {
 		t.Fatal(err)
 	}
-
 	var submitted []*txn.Transaction
-	eng := NewEngine(a.state, a.escrow, func(c *txn.Transaction) { submitted = append(submitted, c) })
-	if err := eng.OnParentCommitted(a.accept, a.requester.PublicBase58()); err != nil {
-		t.Fatal(err)
-	}
-	if eng.QueueLen() != 3 {
-		t.Fatalf("queue = %d, want 3 (1 transfer + 2 returns)", eng.QueueLen())
-	}
-	if n := eng.Drain(); n != 3 {
-		t.Fatalf("drained %d", n)
-	}
-	if eng.QueueLen() != 0 {
-		t.Error("queue should be empty after drain")
+	a.engine(&submitted).Submit(a.accept.ID)
+	if len(submitted) != 3 {
+		t.Fatalf("submitted %d children, want 3 (1 transfer + 2 returns)", len(submitted))
 	}
 	// Children are valid, committable, and complete the recovery record.
 	for _, child := range submitted {
 		if err := commitOne(a.state, child); err != nil {
 			t.Fatalf("commit child: %v", err)
 		}
-		eng.OnChildCommitted(child)
 	}
 	rec, err := a.state.RecoveryFor(a.accept.ID)
 	if err != nil {
@@ -131,37 +127,37 @@ func TestNonLockingPipeline(t *testing.T) {
 			t.Errorf("bidder %d not refunded", i)
 		}
 	}
+	// Nothing is left to submit: the record is COMPLETE.
+	var again []*txn.Transaction
+	if a.engine(&again).Submit(a.accept.ID); len(again) != 0 {
+		t.Errorf("Submit after settlement: %d children", len(again))
+	}
 }
 
-func TestCrashBeforeDrainRecovers(t *testing.T) {
+func TestCrashBeforeSubmitRecovers(t *testing.T) {
 	a := newAuction(t, 3)
+	// The parent's block seals its record; the node "crashes" before
+	// submitting any child.
 	if err := commitOne(a.state, a.accept); err != nil {
-		t.Fatal(err)
-	}
-	// First engine logs and enqueues, then "crashes" before draining.
-	dead := NewEngine(a.state, a.escrow, func(*txn.Transaction) { t.Fatal("must not submit") })
-	if err := dead.OnParentCommitted(a.accept, a.requester.PublicBase58()); err != nil {
 		t.Fatal(err)
 	}
 	// Node restarts: a fresh engine replays the recovery log.
 	var submitted []*txn.Transaction
-	fresh := NewEngine(a.state, a.escrow, func(c *txn.Transaction) { submitted = append(submitted, c) })
-	if n := fresh.Recover(); n != 3 {
-		t.Fatalf("Recover re-enqueued %d, want 3", n)
-	}
-	fresh.Drain()
-	if len(submitted) != 3 {
-		t.Fatalf("submitted %d children after recovery", len(submitted))
+	fresh := a.engine(&submitted)
+	if n := fresh.Recover(); n != 3 || len(submitted) != 3 {
+		t.Fatalf("Recover submitted %d children (reported %d), want 3", len(submitted), n)
 	}
 	for _, child := range submitted {
 		if err := commitOne(a.state, child); err != nil {
 			t.Fatalf("recovered child does not commit: %v", err)
 		}
-		fresh.OnChildCommitted(child)
 	}
 	rec, _ := a.state.RecoveryFor(a.accept.ID)
 	if rec.Status != ledger.RecoveryComplete {
 		t.Errorf("recovery status = %s", rec.Status)
+	}
+	if n := fresh.Recover(); n != 0 {
+		t.Errorf("second Recover submitted %d children", n)
 	}
 }
 
@@ -171,27 +167,26 @@ func TestCrashMidwayRecoversOnlyPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	var firstBatch []*txn.Transaction
-	eng := NewEngine(a.state, a.escrow, func(c *txn.Transaction) { firstBatch = append(firstBatch, c) })
-	if err := eng.OnParentCommitted(a.accept, a.requester.PublicBase58()); err != nil {
-		t.Fatal(err)
-	}
-	eng.Drain()
-	// One child commits before the crash; mark-done is lost (crash hit
-	// between commit and mark).
+	a.engine(&firstBatch).Submit(a.accept.ID)
+	// One child commits before the crash; its block marked it done.
 	if err := commitOne(a.state, firstBatch[0]); err != nil {
 		t.Fatal(err)
 	}
-	// Restart: recovery must skip the already-spent output.
+	// Restart: recovery submits the two still pending.
 	var resubmitted []*txn.Transaction
-	fresh := NewEngine(a.state, a.escrow, func(c *txn.Transaction) { resubmitted = append(resubmitted, c) })
-	if n := fresh.Recover(); n != 2 {
-		t.Fatalf("Recover re-enqueued %d, want 2", n)
+	if n := a.engine(&resubmitted).Recover(); n != 2 {
+		t.Fatalf("Recover submitted %d, want 2", n)
 	}
-	fresh.Drain()
-	for _, child := range resubmitted {
+	for i, child := range resubmitted {
+		if child.ID != firstBatch[i+1].ID {
+			t.Errorf("resubmitted child %d is %.8s, the first submission's %.8s", i, child.ID, firstBatch[i+1].ID)
+		}
 		if err := commitOne(a.state, child); err != nil {
 			t.Fatalf("resubmitted child: %v", err)
 		}
+	}
+	if rec, _ := a.state.RecoveryFor(a.accept.ID); rec.Status != ledger.RecoveryComplete {
+		t.Errorf("recovery status = %s", rec.Status)
 	}
 }
 
@@ -201,12 +196,12 @@ func TestChildrenAreDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	collect := func() []string {
-		var ids []string
-		eng := NewEngine(a.state, a.escrow, func(c *txn.Transaction) { ids = append(ids, c.ID) })
-		if err := eng.OnParentCommitted(a.accept, a.requester.PublicBase58()); err != nil {
-			t.Fatal(err)
+		var children []*txn.Transaction
+		a.engine(&children).Submit(a.accept.ID)
+		ids := make([]string, len(children))
+		for i, c := range children {
+			ids[i] = c.ID
 		}
-		eng.Drain()
 		return ids
 	}
 	x, y := collect(), collect()
@@ -215,34 +210,9 @@ func TestChildrenAreDeterministic(t *testing.T) {
 	}
 }
 
-func TestOnChildCommittedIgnoresUnrelated(t *testing.T) {
-	a := newAuction(t, 2)
-	eng := NewEngine(a.state, a.escrow, func(*txn.Transaction) {})
-	stranger := keys.MustGenerate()
-	seq++
-	create := txn.NewCreate(stranger.PublicBase58(), map[string]any{"seq": seq}, 1, nil)
-	if err := txn.Sign(create, stranger); err != nil {
-		t.Fatal(err)
-	}
-	if err := commitOne(a.state, create); err != nil {
-		t.Fatal(err)
-	}
-	tr := txn.NewTransfer(create.ID,
-		[]txn.Spend{{Ref: txn.OutputRef{TxID: create.ID, Index: 0}, Owners: []string{stranger.PublicBase58()}}},
-		[]*txn.Output{{PublicKeys: []string{stranger.PublicBase58()}, Amount: 1}}, nil)
-	if err := txn.Sign(tr, stranger); err != nil {
-		t.Fatal(err)
-	}
-	if err := commitOne(a.state, tr); err != nil {
-		t.Fatal(err)
-	}
-	eng.OnChildCommitted(tr) // must not panic or corrupt anything
-	eng.OnChildCommitted(create)
-}
-
 func TestLockingCommit(t *testing.T) {
 	a := newAuction(t, 3)
-	children, err := LockingCommit(a.state, a.escrow, a.accept, a.requester.PublicBase58())
+	children, err := LockingCommit(a.state, a.escrow, a.accept)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,6 +225,9 @@ func TestLockingCommit(t *testing.T) {
 	}
 	if len(parent.Children) != 3 {
 		t.Errorf("parent children vector = %v", parent.Children)
+	}
+	if rec, err := a.state.RecoveryFor(a.accept.ID); err != nil || rec.Status != ledger.RecoveryComplete {
+		t.Errorf("recovery record = %+v, %v", rec, err)
 	}
 	// Same end state as the non-locking path.
 	if a.state.Balance(a.requester.PublicBase58(), a.bids[0].AssetID()) != 1 {
@@ -269,10 +242,10 @@ func TestLockingCommit(t *testing.T) {
 
 func TestLockingCommitDuplicateParent(t *testing.T) {
 	a := newAuction(t, 2)
-	if _, err := LockingCommit(a.state, a.escrow, a.accept, a.requester.PublicBase58()); err != nil {
+	if _, err := LockingCommit(a.state, a.escrow, a.accept); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LockingCommit(a.state, a.escrow, a.accept, a.requester.PublicBase58()); err == nil {
+	if _, err := LockingCommit(a.state, a.escrow, a.accept); err == nil {
 		t.Error("second locking commit should fail")
 	}
 }

@@ -270,8 +270,8 @@ func TestDifferentialSequentialVsParallel(t *testing.T) {
 					if !reflect.DeepEqual(ids(res.Invalid), wantInvalid) {
 						t.Fatalf("workers=%d fresh=%v: invalid sets differ:\n got=%v\n ref=%v", workers, flags != nil, ids(res.Invalid), wantInvalid)
 					}
-					if res.Batch.Len() != len(wantValid) {
-						t.Fatalf("workers=%d fresh=%v: the batch admitted %d transactions, reference %d", workers, flags != nil, res.Batch.Len(), len(wantValid))
+					if got := len(res.Batch.Transactions()); got != len(wantValid) {
+						t.Fatalf("workers=%d fresh=%v: the batch admitted %d transactions, reference %d", workers, flags != nil, got, len(wantValid))
 					}
 					for id, want := range wantErrs {
 						if got := res.Errs[id]; got == nil || got.Error() != want {

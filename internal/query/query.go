@@ -222,9 +222,8 @@ type Outcome struct {
 
 // AuctionOutcome reconstructs who won a REQUEST and whether every
 // escrow return has settled — the workflow-provenance query. The
-// auction structure (accept, winning bid, losers) reads one snapshot;
-// settlement status reads the live recovery log, which trails the
-// snapshot by design — children commit in later blocks.
+// auction structure (accept, winning bid, losers) and the settlement
+// status, the recovery record, read one snapshot.
 func (e *Engine) AuctionOutcome(rfqID string) (*Outcome, bool) {
 	defer e.timed("auction_outcome")()
 	v := e.view()
@@ -242,7 +241,7 @@ func (e *Engine) AuctionOutcome(rfqID string) (*Outcome, bool) {
 		}
 		out.Losers = append(out.Losers, o.PrevOwners[0])
 	}
-	if rec, err := e.state.RecoveryFor(accept.ID); err == nil {
+	if rec, err := v.RecoveryFor(accept.ID); err == nil {
 		out.Settled = rec.Status == ledger.RecoveryComplete
 	}
 	return out, true

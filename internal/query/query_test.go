@@ -132,6 +132,37 @@ func TestAuctionOutcome(t *testing.T) {
 	}
 }
 
+// TestAuctionOutcomeReadsItsSnapshot: settlement is read at the
+// engine's height like the rest of the outcome — unsettled as of the
+// ACCEPT_BID's block and each block before the last child's, settled
+// as of that one.
+func TestAuctionOutcomeReadsItsSnapshot(t *testing.T) {
+	node := server.NewNode(server.Config{ReservedSeed: 17})
+	grp := workload.NewGenerator(99, node.Escrow()).NewAuctionGroup(0, workload.AuctionGroupSpec{BiddersPerAuction: 3})
+	for _, tx := range append(append([]*txn.Transaction{grp.Request}, grp.Creates...), grp.Bids...) {
+		if err := node.Apply(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acceptH := node.State().Height() + 1
+	if err := node.Apply(grp.Accept); err != nil { // the children commit at once, one block each
+		t.Fatal(err)
+	}
+	if last := node.State().Height(); last != acceptH+3 {
+		t.Fatalf("height after the auction %d, want the accept's %d plus 3 children", last, acceptH)
+	}
+	for k := int64(0); k <= 3; k++ {
+		e, err := New(node.State()).AsOf(acceptH + k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, ok := e.AuctionOutcome(grp.Request.ID)
+		if !ok || out.Settled != (k == 3) {
+			t.Errorf("as of the accept's height + %d: outcome %+v, %v; want settled %v", k, out, ok, k == 3)
+		}
+	}
+}
+
 func TestAssetProvenanceAndHolder(t *testing.T) {
 	m := newMarketplace(t)
 	e := New(m.node.State())

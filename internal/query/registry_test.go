@@ -58,6 +58,7 @@ func marketReaders(m *marketplace) []reader {
 		{"StateView.LockedBidsForRFQ", func(_ *Engine, v *ledger.StateView) { v.LockedBidsForRFQ(m.open.Request.ID) }},
 		{"StateView.AcceptForRFQ", func(_ *Engine, v *ledger.StateView) { v.AcceptForRFQ(rfq) }},
 		{"StateView.TxsByOperation", func(_ *Engine, v *ledger.StateView) { v.TxsByOperation(txn.OpBid) }},
+		{"StateView.RecoveryFor", func(_ *Engine, v *ledger.StateView) { v.RecoveryFor(m.settled.Accept.ID) }},
 		{"StateView.Fingerprint", func(_ *Engine, v *ledger.StateView) { v.Fingerprint() }},
 	}
 }

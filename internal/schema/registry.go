@@ -107,11 +107,16 @@ func mergeDefinitions(doc map[string]any, commonDefs map[string]any) map[string]
 	return out
 }
 
-// Register installs a schema for a (possibly new) operation name.
-func (r *Registry) Register(op string, s *Schema) {
+// Register installs a schema for a new operation name. It refuses an
+// operation already registered: a registered schema is never replaced.
+func (r *Registry) Register(op string, s *Schema) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if _, ok := r.byOp[op]; ok {
+		return fmt.Errorf("schema: register: operation %s is already registered", op)
+	}
 	r.byOp[op] = s
+	return nil
 }
 
 // ForOperation returns the compiled schema for an operation.

@@ -442,11 +442,23 @@ properties:
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Register("INTEREST", s)
+	if err := r.Register("INTEREST", s); err != nil {
+		t.Fatal(err)
+	}
 	if err := r.ValidateDoc(map[string]any{"operation": "INTEREST"}); err != nil {
 		t.Errorf("custom operation rejected: %v", err)
 	}
 	if len(r.Operations()) != 8 {
 		t.Errorf("Operations() = %v", r.Operations())
+	}
+	// A registered operation, custom or native, is never replaced.
+	for _, op := range []string{"INTEREST", txn.OpCreate} {
+		before, _ := r.ForOperation(op)
+		if err := r.Register(op, s); err == nil || !strings.Contains(err.Error(), op+" is already registered") {
+			t.Errorf("registering %s again: %v", op, err)
+		}
+		if after, _ := r.ForOperation(op); after != before {
+			t.Errorf("registering %s again replaced its schema", op)
+		}
 	}
 }

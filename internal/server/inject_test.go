@@ -90,7 +90,7 @@ func TestInjectedChildrenMatchNetworkChildren(t *testing.T) {
 }
 
 // TestChildrenCommitWhileTheirValidatorIsDown crashes validator 0 while
-// its return queue hands over the children of an ACCEPT_BID it has just
+// its join hands over the children of an ACCEPT_BID it has just
 // committed (the §4.2.1 crash), so its injections are lost. The other
 // validators derived the same children and commit them without it. On
 // RestartNode its recovery replay injects the children it still owes

@@ -31,8 +31,10 @@ properties:
 	const panicking = "NOTARIZE.2"
 	for i := 0; i < 4; i++ {
 		n := c.ServerNode(i)
-		n.Schemas().Register("NOTARIZE", compiled)
-		n.Types().Register(&txtype.Type{
+		if err := n.Schemas().Register("NOTARIZE", compiled); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Types().Register(&txtype.Type{
 			Op: "NOTARIZE",
 			Conditions: []txtype.Condition{
 				{Name: "NOTARIZE.1", Doc: "all fulfillments verify", Check: func(_ *txtype.Context, t *txn.Transaction) error {
@@ -46,7 +48,9 @@ properties:
 					return nil
 				}},
 			},
-		})
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	alice, bob := keys.MustGenerate(), keys.MustGenerate()

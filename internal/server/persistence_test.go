@@ -3,11 +3,13 @@ package server
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"smartchaindb/internal/consensus"
 	"smartchaindb/internal/keys"
 	"smartchaindb/internal/ledger"
+	"smartchaindb/internal/obs"
 	"smartchaindb/internal/txn"
 )
 
@@ -199,13 +201,13 @@ func TestNodeRestartReplaysPendingRecovery(t *testing.T) {
 }
 
 // TestCrashBetweenSealAndJoinKeepsChildren kills a node between a
-// block's seal and its join — the join runs the post-commit hooks — at
-// two points of one auction: right after the ACCEPT_BID's block (its
-// recovery record and children were never written or queued), and
-// right after the block holding the first of its two children (that
-// child never marked itself done). After the reopen, Recover and a
-// commit of what it resubmits, the recovery record is COMPLETE and the
-// chain is the one the same history reaches without a crash.
+// block's seal and its join — the join hands an ACCEPT_BID's children
+// to the submitter — at two points of one auction: right after the
+// ACCEPT_BID's block (no child was ever submitted), and right after the
+// block holding the first of its two children. After the reopen,
+// Recover and a commit of what it resubmits, the recovery record is
+// COMPLETE and the chain is the one the same history reaches without a
+// crash.
 func TestCrashBetweenSealAndJoinKeepsChildren(t *testing.T) {
 	escrow := NewNode(Config{ReservedSeed: 42}).Escrow()
 	escrowPub := escrow.PublicBase58()
@@ -277,6 +279,201 @@ func TestCrashBetweenSealAndJoinKeepsChildren(t *testing.T) {
 	for _, cut := range []int64{3, 4} {
 		if got := run(cut); got != want {
 			t.Errorf("cut after block %d: fingerprint %s, the uncut history's %s", cut, got, want)
+		}
+	}
+}
+
+// auctionFixture is one three-bid auction, signed and uncommitted, its
+// blocks in order: the REQUEST and the bidders' assets, the bids, the
+// ACCEPT_BID, and one unrelated CREATE.
+func auctionFixture(t *testing.T, escrow *keys.KeyPair) (acc *txn.Transaction, blocks [][]*txn.Transaction) {
+	t.Helper()
+	requester := keys.MustGenerate()
+	rfq := signedRequest(t, requester, "cnc")
+	fixed := [][]*txn.Transaction{{rfq}, nil}
+	var bids []*txn.Transaction
+	for i := 0; i < 3; i++ {
+		bidder := keys.MustGenerate()
+		asset := signedCreate(t, bidder, "cnc")
+		fixed[0] = append(fixed[0], asset)
+		bids = append(bids, signedBid(t, bidder, asset, escrow.PublicBase58(), rfq.ID))
+	}
+	fixed[1] = bids
+	acc, err := txn.NewAcceptBid(requester.PublicBase58(), escrow.PublicBase58(), rfq.ID, bids[0], bids[1:], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Sign(acc, escrow, requester); err != nil {
+		t.Fatal(err)
+	}
+	return acc, append(fixed, []*txn.Transaction{acc}, []*txn.Transaction{signedCreate(t, keys.MustGenerate(), "cnc")})
+}
+
+func asConsensusTxs(batch []*txn.Transaction) []consensus.Tx {
+	txs := make([]consensus.Tx, len(batch))
+	for i, tx := range batch {
+		txs[i] = tx
+	}
+	return txs
+}
+
+// TestOneWALGroupPerBlock: the nested bookkeeping seals with its block —
+// the ACCEPT_BID's recovery record, and each child's mark and its
+// parent's children field — so on a disk node every block of an
+// auction, the ACCEPT_BID's and each child's, writes exactly one WAL
+// group.
+func TestOneWALGroupPerBlock(t *testing.T) {
+	reg := obs.New()
+	n := NewNode(Config{ReservedSeed: 42, DataDir: t.TempDir(), NoSync: true, Obs: reg})
+	defer n.Close()
+	acc, blocks := auctionFixture(t, n.Escrow())
+	var children []*txn.Transaction
+	n.SetChildSubmitter(func(child *txn.Transaction) { children = append(children, child) })
+	groups := func() uint64 { return reg.Snapshot().Counters["storage.wal.groups"] }
+	for h, block := range blocks[:3] {
+		before := groups()
+		commitBlock(t, n, int64(h+1), block...)
+		if got := groups() - before; block[0] == acc && got != 1 {
+			t.Errorf("the ACCEPT_BID's block wrote %d WAL groups, want 1", got)
+		}
+	}
+	if len(children) != 3 {
+		t.Fatalf("the ACCEPT_BID's join submitted %d children, want 3", len(children))
+	}
+	for i, child := range children {
+		before := groups()
+		commitBlock(t, n, int64(4+i), child)
+		if got := groups() - before; got != 1 {
+			t.Errorf("child %d's block wrote %d WAL groups, want 1", i, got)
+		}
+	}
+	if rec, err := n.State().RecoveryFor(acc.ID); err != nil || rec.Status != ledger.RecoveryComplete {
+		t.Fatalf("recovery record %+v, %v", rec, err)
+	}
+}
+
+// TestJoinWritesNothingAPinnedViewSees: block h's seal writes all of
+// the nested bookkeeping, so a view pinned at h reads the same recovery
+// record and the same parent children before the join of block h and
+// after it — for the ACCEPT_BID's block and for a child's.
+func TestJoinWritesNothingAPinnedViewSees(t *testing.T) {
+	n := NewNode(Config{ReservedSeed: 42})
+	defer n.Close()
+	acc, blocks := auctionFixture(t, n.Escrow())
+	var children []*txn.Transaction
+	n.SetChildSubmitter(func(child *txn.Transaction) { children = append(children, child) })
+	read := func(v *ledger.StateView) string {
+		var children []string
+		if parent, err := v.GetTx(acc.ID); err == nil {
+			children = parent.Children
+		}
+		rec, err := v.RecoveryFor(acc.ID)
+		if err != nil {
+			return fmt.Sprintf("no record, parent children %v", children)
+		}
+		return fmt.Sprintf("record %s pending %d done %v, parent children %v", rec.Status, len(rec.Pending), rec.Done, children)
+	}
+	step := func(h int64, batch ...*txn.Transaction) {
+		t.Helper()
+		if invalid := n.ValidateBlock(asConsensusTxs(batch)); len(invalid) != 0 {
+			t.Fatalf("block %d: %d transactions rejected", h, len(invalid))
+		}
+		join := n.CommitStart(h, asConsensusTxs(batch))
+		n.DrainCommits() // sealed, not joined
+		v, err := n.State().StateAt(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := read(v)
+		join()
+		if after := read(v); after != before {
+			t.Errorf("block %d: the view pinned at %d read %q before the join, %q after it", h, h, before, after)
+		}
+	}
+	for h, block := range blocks[:3] {
+		step(int64(h+1), block...)
+	}
+	if len(children) != 3 {
+		t.Fatalf("the ACCEPT_BID's join submitted %d children, want 3", len(children))
+	}
+	step(4, children[0])
+}
+
+// TestCrashCutsKeepTheAuction kills a node with sealed, unjoined blocks
+// at every point of an auction's nested part, at CommitDepth 2: after
+// the ACCEPT_BID's block and the next one, both unjoined — what
+// consensus's decide leaves when it applies two decided heights in one
+// event — and after each single block from the ACCEPT_BID's to its last
+// child's. After the reopen, Recover, and a commit of the rest of the
+// history and of what Recover submitted, the recovery record is
+// COMPLETE and the fingerprint is the uncut history's.
+func TestCrashCutsKeepTheAuction(t *testing.T) {
+	escrow := NewNode(Config{ReservedSeed: 42}).Escrow()
+	acc, fixed := auctionFixture(t, escrow)
+
+	// run commits the four fixed blocks, then each child in a block of
+	// its own, leaving blocks from to to sealed and unjoined (from 0: no
+	// cut) and killing the node after to. It returns the fingerprint
+	// the history ends at.
+	run := func(from, to int64) string {
+		cfg := Config{ReservedSeed: 42, DataDir: t.TempDir(), NoSync: true, CommitDepth: 2}
+		n := NewNode(cfg)
+		var children []*txn.Transaction
+		n.SetChildSubmitter(func(child *txn.Transaction) { children = append(children, child) })
+		blocks := slices.Clone(fixed)
+		for h := int64(1); ; h++ {
+			if k := int(h) - len(fixed); k > 0 { // child k's block
+				if k > len(children) {
+					break
+				}
+				blocks = append(blocks, children[k-1:k])
+			}
+			if from == 0 || h < from {
+				commitBlock(t, n, h, blocks[h-1]...)
+				continue
+			}
+			n.CommitStart(h, asConsensusTxs(blocks[h-1])) // never joined
+			if h < to {
+				continue
+			}
+			if err := n.Close(); err != nil {
+				t.Fatal(err)
+			}
+			var err error
+			if n, err = OpenNode(cfg); err != nil {
+				t.Fatal(err)
+			}
+			var resubmitted []*txn.Transaction
+			n.SetChildSubmitter(func(child *txn.Transaction) { resubmitted = append(resubmitted, child) })
+			want := 3 - max(0, int(to)-len(fixed))
+			if got := n.Recover(); got != want || len(resubmitted) != want {
+				t.Fatalf("cut %d–%d: Recover resubmitted %d children (reported %d), want %d", from, to, len(resubmitted), got, want)
+			}
+			rest := blocks[min(int(to), len(fixed)):len(fixed)]
+			for _, child := range resubmitted {
+				rest = append(rest, []*txn.Transaction{child})
+			}
+			for i, block := range rest {
+				commitBlock(t, n, int64(i+1), block...) // consensus heights count on from the reopened ledger's
+			}
+			break
+		}
+		defer n.Close()
+		rec, err := n.State().RecoveryFor(acc.ID)
+		if err != nil || rec.Status != ledger.RecoveryComplete || len(rec.Done) != 3 {
+			t.Fatalf("cut %d–%d: recovery record %+v, %v", from, to, rec, err)
+		}
+		return n.State().Fingerprint()
+	}
+
+	want := run(0, 0)
+	cuts := [][2]int64{{3, 4}} // the ACCEPT_BID's block and the next
+	for h := int64(3); h <= 7; h++ {
+		cuts = append(cuts, [2]int64{h, h})
+	}
+	for _, cut := range cuts {
+		if got := run(cut[0], cut[1]); got != want {
+			t.Errorf("cut %d–%d: fingerprint %s, the uncut history's %s", cut[0], cut[1], got, want)
 		}
 	}
 }

@@ -10,7 +10,6 @@ package server
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"smartchaindb/internal/consensus"
@@ -152,11 +151,6 @@ type Node struct {
 	fence parallel.PipelineFence
 
 	submitChild nested.Submitter
-
-	// started is the height of the newest block a commit in this
-	// process began: Recover replays the join of a newer sealed block
-	// only, one a previous process sealed.
-	started atomic.Int64
 }
 
 // NewNode builds a node with fresh state and the native type registry.
@@ -259,9 +253,6 @@ func (n *Node) Types() *txtype.Registry { return n.types }
 // Schemas exposes the structural schema registry.
 func (n *Node) Schemas() *schema.Registry { return n.schemas }
 
-// Nested exposes the nested-transaction engine (recovery hooks).
-func (n *Node) Nested() *nested.Engine { return n.nested }
-
 // ValidateTx runs the receiver-node validation of Figure 4: schema
 // first (Algorithm 1), then the semantic condition set for the
 // operation against committed state. If an asynchronous block commit
@@ -292,55 +283,13 @@ func (n *Node) Apply(t *txn.Transaction) error {
 	return skipped[t.ID]
 }
 
-// afterCommit runs the nested hooks for one committed transaction: a
-// parent queues its children for the caller's Drain, a child marks
-// itself done.
-func (n *Node) afterCommit(t *txn.Transaction) {
-	switch t.Operation {
-	case txn.OpAcceptBid:
-		if owner, err := n.rfqOwnerOf(t); err == nil {
-			_ = n.nested.OnParentCommitted(t, owner)
-		}
-	case txn.OpTransfer, txn.OpReturn:
-		n.nested.OnChildCommitted(t)
-	}
-}
-
-func (n *Node) rfqOwnerOf(accept *txn.Transaction) (string, error) {
-	if len(accept.Refs) == 0 {
-		return "", fmt.Errorf("server: ACCEPT_BID %s has no REQUEST reference", accept.ID[:8])
-	}
-	rfq, err := n.state.GetTx(accept.Refs[0])
-	if err != nil {
-		return "", err
-	}
-	if len(rfq.Outputs) == 0 || len(rfq.Outputs[0].PublicKeys) == 0 {
-		return "", fmt.Errorf("server: REQUEST %s has no owner", rfq.ID[:8])
-	}
-	return rfq.Outputs[0].PublicKeys[0], nil
-}
-
 // Recover resubmits, after a crash, every nested child the node owes,
-// each once, and returns how many. The recovery log's pending children
-// whose outputs are still unspent are owed. So are the children of the
-// newest sealed block when no commit in this process began it: a crash
-// between a block's seal and its join loses the join's hooks, so they
-// run here — a parent with no recovery record logs one and queues its
-// children, and a child marks itself done in its parent's record.
-func (n *Node) Recover() int {
-	n.nested.Recover()
-	if h := n.state.Height(); h > n.started.Load() {
-		for _, t := range n.state.BlockTxs(h) {
-			if t.Operation == txn.OpAcceptBid {
-				if _, err := n.state.RecoveryFor(t.ID); err == nil {
-					continue // logged: its pending children are queued above
-				}
-			}
-			n.afterCommit(t)
-		}
-	}
-	return n.nested.Drain()
-}
+// each once, and returns how many: the pending children of every
+// PENDING recovery record. The seal of a block writes the records it
+// changes in the block's own WAL group, so whatever blocks sealed
+// before the crash, with their joins run or not, the log names exactly
+// the children not yet committed.
+func (n *Node) Recover() int { return n.nested.Recover() }
 
 // --- consensus.App implementation -----------------------------------
 
@@ -548,16 +497,15 @@ func (n *Node) CommitNext(batch []*txn.Transaction) (committed []*txn.Transactio
 // join. Validation of the next height proceeds meanwhile; reads into
 // the unsealed block's writes wait on the fence, disjoint reads run
 // concurrently with the applier. A storage failure is fatal. The join
-// waits for the seal, runs the nested hooks of each committed
-// transaction in block order on the caller's thread (children reach
-// the child submitter at join time, never from the background
+// waits for the seal, hands the children of each committed ACCEPT_BID,
+// as its sealed recovery record names them, to the child submitter in
+// block order on the caller's thread (never from the background
 // goroutine), once, and reports the seal's outcome.
 func (n *Node) commit(h int64, batch []*txn.Transaction) (join func() ([]*txn.Transaction, map[string]error)) {
 	// One footprint sweep serves the whole commit: the plan (the one
 	// ValidateBlockFresh built, when this is the batch it validated)
 	// supplies the fence's write keys and the stage's conflict groups.
 	plan := n.planFor(batch)
-	n.started.Store(h)
 	if waited := n.fence.Begin(h, plan.WriteKeys()); waited {
 		n.ob.stackWaits.Inc()
 	}
@@ -585,8 +533,9 @@ func (n *Node) commit(h int64, batch []*txn.Transaction) (join func() ([]*txn.Tr
 		once.Do(func() {
 			<-done
 			for _, t := range committed {
-				n.afterCommit(t)
-				n.nested.Drain()
+				if t.Operation == txn.OpAcceptBid {
+					n.nested.Submit(t.ID)
+				}
 			}
 		})
 		return committed, skipped

@@ -17,9 +17,10 @@ import (
 // ownership contract. The four validators of an in-process cluster
 // share each *txn.Transaction, and with it its one document
 // (txn.Transaction.SharedDoc): here all four admit, validate and
-// commit the same transaction objects at once, each then updates the
-// logged transaction (SetChildren: a copy-on-write of the shared
-// document's top level), while per-node readers borrow every
+// commit the same transaction objects at once, each then gives the
+// logged transaction a children field (Collection.Update: a
+// copy-on-write of the shared document's top level, as the seal does
+// to a nested parent), while per-node readers borrow every
 // transaction and UTXO record — the writer view and the newest
 // snapshot — and read every byte of them. Nothing may write to a
 // document once it is shared or stored: under -race, a validator
@@ -52,7 +53,7 @@ func TestSharedDocumentRace(t *testing.T) {
 			var buf []byte
 			for !stop.Load() {
 				for _, col := range []string{ledger.ColTransactions, ledger.ColUTXOs} {
-					for _, doc := range node.State().Store().Collection(col).BorrowFind(nil) {
+					for _, doc := range node.State().Store().Collection(col).Find(nil) {
 						buf = txn.AppendCanonicalDoc(buf[:0], doc)
 					}
 					for _, doc := range node.State().View().Collection(col).BorrowFind(nil) {
@@ -75,7 +76,11 @@ func TestSharedDocumentRace(t *testing.T) {
 				}
 				node.CommitStart(int64(h+1), block)()
 				for _, tx := range block {
-					if err := node.State().SetChildren(tx.Hash(), []string{"child-of-" + tx.Hash()[:8]}); err != nil {
+					children := []any{"child-of-" + tx.Hash()[:8]}
+					if err := node.State().Store().Collection(ledger.ColTransactions).Update(tx.Hash(), func(doc map[string]any) error {
+						doc["children"] = children
+						return nil
+					}); err != nil {
 						t.Errorf("validator %d: %v", v, err)
 					}
 				}

@@ -73,9 +73,9 @@ func requireSettled(t *testing.T, c *Cluster, grp *workload.AuctionGroup, home i
 	}
 }
 
-// An auction settles on a shard: the shard's local block runs the
-// nested hooks, so the ACCEPT_BID's children go to the shard's own pool
-// and commit in its next local blocks.
+// An auction settles on a shard: the join of the shard's local block
+// hands the ACCEPT_BID's children to the shard's own pool, and they
+// commit in its next local blocks.
 func TestAuctionSettlesOnShard(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {

@@ -161,13 +161,6 @@ func (b *Batch) SpentBy(ref txn.OutputRef) (string, bool) {
 	return id, ok
 }
 
-// Len returns the number of batched transactions.
-func (b *Batch) Len() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.txs)
-}
-
 // Transactions returns the batched transactions in admission order.
 func (b *Batch) Transactions() []*txn.Transaction {
 	b.mu.RLock()
@@ -197,8 +190,6 @@ type Condition struct {
 type Type struct {
 	// Op is the operation name α.
 	Op string
-	// Nested marks types whose commit spawns child transactions.
-	Nested bool
 	// Conditions is the ordered condition set C_α.
 	Conditions []Condition
 }
@@ -251,11 +242,33 @@ func NewRegistry() *Registry {
 	return &Registry{types: make(map[string]*Type)}
 }
 
-// Register installs (or replaces) a type.
-func (r *Registry) Register(ty *Type) {
+// Register installs a type. It refuses, naming what is wrong, a type
+// with no operation, a condition with no name or no check, two
+// conditions of one name, and an operation already registered: a
+// registered type is never replaced.
+func (r *Registry) Register(ty *Type) error {
+	if ty == nil || ty.Op == "" {
+		return fmt.Errorf("txtype: register: a type needs an operation")
+	}
+	names := make(map[string]bool, len(ty.Conditions))
+	for i, c := range ty.Conditions {
+		switch {
+		case c.Name == "":
+			return fmt.Errorf("txtype: register %s: condition %d has no name", ty.Op, i)
+		case c.Check == nil:
+			return fmt.Errorf("txtype: register %s: condition %s has no check", ty.Op, c.Name)
+		case names[c.Name]:
+			return fmt.Errorf("txtype: register %s: two conditions are named %s", ty.Op, c.Name)
+		}
+		names[c.Name] = true
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if _, ok := r.types[ty.Op]; ok {
+		return fmt.Errorf("txtype: register: operation %s is already registered", ty.Op)
+	}
 	r.types[ty.Op] = ty
+	return nil
 }
 
 // Type returns the registered type for op.
@@ -264,17 +277,6 @@ func (r *Registry) Type(op string) (*Type, bool) {
 	defer r.mu.RUnlock()
 	ty, ok := r.types[op]
 	return ty, ok
-}
-
-// Operations lists the registered operation names.
-func (r *Registry) Operations() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	ops := make([]string, 0, len(r.types))
-	for op := range r.types {
-		ops = append(ops, op)
-	}
-	return ops
 }
 
 // Validate dispatches t to its type's condition set. Unknown

@@ -9,6 +9,7 @@ import (
 	"smartchaindb/internal/ledger"
 	"smartchaindb/internal/txn"
 	"smartchaindb/internal/txtype"
+	"smartchaindb/internal/validate"
 )
 
 func signedCreate(t *testing.T, owner *keys.KeyPair, seq int) *txn.Transaction {
@@ -48,9 +49,6 @@ func TestBatchDuplicateAndConflict(t *testing.T) {
 	var ds *txn.DoubleSpendError
 	if err := b.Add(second); !errors.As(err, &ds) {
 		t.Fatalf("want DoubleSpendError, got %v", err)
-	}
-	if b.Len() != 2 {
-		t.Errorf("Len = %d", b.Len())
 	}
 	if got := b.Transactions(); len(got) != 2 || got[0].ID != create.ID {
 		t.Errorf("Transactions order wrong")
@@ -103,7 +101,7 @@ func TestContextResolveOrder(t *testing.T) {
 func TestRegistryDispatchAndConditionNaming(t *testing.T) {
 	r := txtype.NewRegistry()
 	calls := []string{}
-	r.Register(&txtype.Type{
+	if err := r.Register(&txtype.Type{
 		Op: "PING",
 		Conditions: []txtype.Condition{
 			{Name: "PING.1", Doc: "always holds", Check: func(*txtype.Context, *txn.Transaction) error {
@@ -119,7 +117,9 @@ func TestRegistryDispatchAndConditionNaming(t *testing.T) {
 				return nil
 			}},
 		},
-	})
+	}); err != nil {
+		t.Fatal(err)
+	}
 	ctx := &txtype.Context{State: ledger.NewState()}
 	err := r.Validate(ctx, &txn.Transaction{Operation: "PING"})
 	if err == nil {
@@ -139,8 +139,50 @@ func TestRegistryDispatchAndConditionNaming(t *testing.T) {
 	if _, ok := r.Type("PING"); !ok {
 		t.Error("Type lookup failed")
 	}
-	if ops := r.Operations(); len(ops) != 1 || ops[0] != "PING" {
-		t.Errorf("Operations = %v", ops)
+}
+
+// TestRegisterRefusesWhatItCannotRun: a type with no operation, a
+// condition with no name or no check, two conditions of one name, and
+// an operation registered twice — a native one included — are refused
+// with an error naming the fault, and the registry keeps what it had.
+func TestRegisterRefusesWhatItCannotRun(t *testing.T) {
+	holds := func(*txtype.Context, *txn.Transaction) error { return nil }
+	cond := func(name string) txtype.Condition { return txtype.Condition{Name: name, Doc: "holds", Check: holds} }
+	r := txtype.NewRegistry()
+	if err := r.Register(&txtype.Type{Op: "PING", Conditions: []txtype.Condition{cond("PING.1")}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		ty   *txtype.Type
+		want string
+	}{
+		{"nil type", nil, "needs an operation"},
+		{"empty op", &txtype.Type{Conditions: []txtype.Condition{cond("X.1")}}, "needs an operation"},
+		{"unnamed condition", &txtype.Type{Op: "X", Conditions: []txtype.Condition{cond("X.1"), {Doc: "no name", Check: holds}}}, "condition 1 has no name"},
+		{"condition without check", &txtype.Type{Op: "X", Conditions: []txtype.Condition{{Name: "X.1", Doc: "no check"}}}, "condition X.1 has no check"},
+		{"two conditions of one name", &txtype.Type{Op: "X", Conditions: []txtype.Condition{cond("X.1"), cond("X.2"), cond("X.1")}}, "two conditions are named X.1"},
+		{"operation twice", &txtype.Type{Op: "PING"}, "operation PING is already registered"},
+	} {
+		err := r.Register(c.ty)
+		if err == nil || !contains(err.Error(), c.want) {
+			t.Errorf("%s: Register = %v, want an error naming %q", c.name, err, c.want)
+		}
+	}
+	if _, ok := r.Type("X"); ok {
+		t.Error("a refused type was registered")
+	}
+	if ty, _ := r.Type("PING"); len(ty.Conditions) != 1 {
+		t.Errorf("a refused registration replaced PING: %+v", ty)
+	}
+	// A native operation, registered a second time over the native set.
+	native := validate.NewRegistry()
+	create, _ := native.Type(txn.OpCreate)
+	if err := native.Register(&txtype.Type{Op: txn.OpCreate, Conditions: []txtype.Condition{cond("CREATE.x")}}); err == nil || !contains(err.Error(), "CREATE is already registered") {
+		t.Errorf("registering CREATE again: %v", err)
+	}
+	if again, _ := native.Type(txn.OpCreate); again != create {
+		t.Error("registering CREATE again replaced the native type")
 	}
 }
 

@@ -13,13 +13,12 @@ import (
 // Algorithms 2–3.
 func NewRegistry() *txtype.Registry {
 	r := txtype.NewRegistry()
-	r.Register(createType())
-	r.Register(requestType())
-	r.Register(transferType())
-	r.Register(bidType())
-	r.Register(returnType())
-	r.Register(acceptBidType())
-	r.Register(WithdrawBidType())
+	for _, ty := range []*txtype.Type{createType(), requestType(), transferType(), bidType(), returnType(), acceptBidType(), WithdrawBidType()} {
+		if err := r.Register(ty); err != nil {
+			// invariant: the native condition sets are code; one the registry refuses is a build defect.
+			panic(err)
+		}
+	}
 	return r
 }
 
@@ -267,8 +266,7 @@ func returnType() *txtype.Type {
 // acceptBidType implements C_ACCEPT_BID (Definition 4) and Algorithm 3.
 func acceptBidType() *txtype.Type {
 	return &txtype.Type{
-		Op:     txn.OpAcceptBid,
-		Nested: true,
+		Op: txn.OpAcceptBid,
 		Conditions: []txtype.Condition{
 			{Name: "ACCEPT_BID.dup", Doc: "no other ACCEPT_BID exists for the REQUEST", Check: func(ctx *txtype.Context, t *txn.Transaction) error {
 				if err := checkNotDuplicate(ctx, t); err != nil {

@@ -428,15 +428,22 @@ func TestValidAcceptBidFlow(t *testing.T) {
 	}
 	w.mustCommit(acc)
 
-	// Children validate and commit.
-	specs, err := w.state.PendingReturnsFor(acc, w.escrow.PublicBase58(), w.requester.PublicBase58())
+	// ACCEPT_BID is the nested type: its commit, and no other, logs the
+	// children it owes.
+	for _, tx := range []*txn.Transaction{rfq, win, lose1, lose2} {
+		if _, err := w.state.RecoveryFor(tx.ID); err == nil {
+			t.Errorf("committing %s %.8s logged a recovery record", tx.Operation, tx.ID)
+		}
+	}
+	rec, err := w.state.RecoveryFor(acc.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(specs) != 3 {
-		t.Fatalf("children = %d, want 3", len(specs))
+	if len(rec.Pending) != 3 {
+		t.Fatalf("children = %d, want 3", len(rec.Pending))
 	}
-	for _, spec := range specs {
+	// Children validate and commit.
+	for _, spec := range rec.Pending {
 		child := ledger.BuildChild(spec, w.escrow.PublicBase58())
 		if err := txn.Sign(child, w.escrow); err != nil {
 			t.Fatal(err)
@@ -578,11 +585,11 @@ func TestReturnConditionFailures(t *testing.T) {
 	acc := w.accept(rfq, win, lose)
 	w.mustCommit(acc)
 
-	specs, err := w.state.PendingReturnsFor(acc, w.escrow.PublicBase58(), w.requester.PublicBase58())
+	rec, err := w.state.RecoveryFor(acc.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	retSpec := specs[1] // the RETURN child
+	retSpec := rec.Pending[1] // the RETURN child
 
 	// Misrouted recipient.
 	eve := keys.MustGenerate()
@@ -638,8 +645,10 @@ func TestUnknownOperationRejected(t *testing.T) {
 func TestConditionSetIntrospection(t *testing.T) {
 	// The declarative framework exposes its condition sets as data.
 	r := NewRegistry()
-	if len(r.Operations()) != 7 {
-		t.Fatalf("Operations = %v (6 paper types + WITHDRAW_BID)", r.Operations())
+	for _, op := range append(txn.Operations(), "WITHDRAW_BID") { // 6 paper types + WITHDRAW_BID
+		if _, ok := r.Type(op); !ok {
+			t.Errorf("no type registered for %s", op)
+		}
 	}
 	bid, ok := r.Type(txn.OpBid)
 	if !ok {
@@ -652,12 +661,5 @@ func TestConditionSetIntrospection(t *testing.T) {
 		if c.Name == "" || c.Doc == "" || c.Check == nil {
 			t.Errorf("condition %+v incomplete", c.Name)
 		}
-	}
-	acc, _ := r.Type(txn.OpAcceptBid)
-	if !acc.Nested {
-		t.Error("ACCEPT_BID must be marked nested")
-	}
-	if create, _ := r.Type(txn.OpCreate); create.Nested {
-		t.Error("CREATE must not be nested")
 	}
 }
