@@ -192,6 +192,7 @@ func main() {
 		if child.Operation == txn.OpTransfer {
 			ops, _, err := workflow.Trace(st, childID)
 			must(err)
+			must(workflow.ReverseAuction().ValidSequence(ops))
 			fmt.Printf("  winning asset workflow:       %v\n", ops)
 			break
 		}

@@ -77,7 +77,7 @@ func TestLiftedAndFullAppCommitSameBlocks(t *testing.T) {
 			t.Fatalf("committed %d, want %d", got, n)
 		}
 		c.RunUntil(c.Sched().Now() + time.Second) // let stragglers apply and join
-		if err, ok := c.Rejected("bad"); !ok || err == nil {
+		if err, ok := c.rejected["bad"]; !ok || err == nil {
 			t.Error("rejection not recorded")
 		}
 		for _, a := range apps {

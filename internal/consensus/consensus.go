@@ -395,12 +395,6 @@ func (c *Cluster) CommitTime(hash string) (time.Duration, bool) {
 	return t, ok
 }
 
-// SubmitTime reports when a transaction was submitted.
-func (c *Cluster) SubmitTime(hash string) (time.Duration, bool) {
-	t, ok := c.submitTimes[hash]
-	return t, ok
-}
-
 // Latency reports commit - submit for one transaction.
 func (c *Cluster) Latency(hash string) (time.Duration, bool) {
 	s, okS := c.submitTimes[hash]
@@ -409,12 +403,6 @@ func (c *Cluster) Latency(hash string) (time.Duration, bool) {
 		return 0, false
 	}
 	return e - s, true
-}
-
-// Rejected reports the admission error for a transaction, if any.
-func (c *Cluster) Rejected(hash string) (error, bool) {
-	err, ok := c.rejected[hash]
-	return err, ok
 }
 
 // CommittedCount returns the number of distinct committed transactions.

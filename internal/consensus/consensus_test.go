@@ -164,7 +164,7 @@ func TestCheckTxRejectionRecorded(t *testing.T) {
 	if _, committed := c.CommitTime("bad"); committed {
 		t.Error("rejected tx committed")
 	}
-	if err, ok := c.Rejected("bad"); !ok || err == nil {
+	if err, ok := c.rejected["bad"]; !ok || err == nil {
 		t.Error("rejection not recorded")
 	}
 	if _, ok := c.CommitTime("good"); !ok {

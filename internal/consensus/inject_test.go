@@ -86,7 +86,7 @@ func TestInjectLatencyStartsAtFirstInjection(t *testing.T) {
 	if got := c.RunUntilCommitted(1, time.Minute); got != 1 {
 		t.Fatalf("committed %d, want 1", got)
 	}
-	if at, ok := c.SubmitTime("child"); !ok || at != 5*time.Millisecond {
+	if at, ok := c.submitTimes["child"]; !ok || at != 5*time.Millisecond {
 		t.Fatalf("submit time = %v, %v; want the first live injection, 5ms", at, ok)
 	}
 	lat, ok := c.Latency("child")

@@ -52,7 +52,7 @@ func TestBatchedAdmissionCommitsEverything(t *testing.T) {
 	if got := c.RunUntilCommitted(n, time.Minute); got != n {
 		t.Fatalf("committed %d, want %d", got, n)
 	}
-	if err, ok := c.Rejected("bad"); !ok || err == nil {
+	if err, ok := c.rejected["bad"]; !ok || err == nil {
 		t.Error("batched rejection not recorded for client tx")
 	}
 	batched := false
@@ -108,7 +108,7 @@ func TestClientCopyUpgradesQueuedGossipCopy(t *testing.T) {
 	n.enqueueAdmission(testTx("bad"), false) // gossip copy first
 	n.enqueueAdmission(testTx("bad"), true)  // client copy lands on top
 	c.Sched().RunFor(time.Second)
-	if err, ok := c.Rejected("bad"); !ok || err == nil {
+	if err, ok := c.rejected["bad"]; !ok || err == nil {
 		t.Fatal("client rejection lost when gossip copy was queued first")
 	}
 }

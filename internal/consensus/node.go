@@ -162,9 +162,6 @@ func newNode(c *Cluster, id netsim.NodeID, app App) *node {
 // Height returns the height the node is currently deciding.
 func (n *node) Height() int64 { return n.height }
 
-// MempoolSize returns the node's pending transaction count.
-func (n *node) MempoolSize() int { return n.pool.Len() }
-
 func (n *node) proposerFor(h int64, r int) netsim.NodeID {
 	return netsim.NodeID((int(h) + r) % n.c.cfg.Nodes)
 }

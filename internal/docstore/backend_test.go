@@ -43,7 +43,7 @@ func TestBackendsAgreeOnCoreOperations(t *testing.T) {
 		if err := c.Upsert("k3", map[string]any{"op": "RETURN", "i": 3.0}); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Update("k4", func(d map[string]any) error {
+		if err := update(c, "k4", func(d map[string]any) error {
 			d["op"] = "BID"
 			return nil
 		}); err != nil {

@@ -321,31 +321,6 @@ func (c *Collection) BorrowAt(key string, h int64) (map[string]any, bool) {
 // Has reports whether key exists (writer view).
 func (c *Collection) Has(key string) bool { return c.be.Has(key) }
 
-// Update applies fn to a copy of the document under key and stores the
-// result atomically. fn returning an error aborts the update. The copy
-// is of the top level only: fn may assign and delete top-level keys,
-// and what it assigns the collection then owns, as with Insert.
-// Everything below the top level is shared with the version being
-// replaced and is read-only — to change a nested value, fn builds the
-// new one and assigns it.
-func (c *Collection) Update(key string, fn func(doc map[string]any) error) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	old, ok := c.be.Get(key)
-	if !ok {
-		return &ErrNotFound{Collection: c.name, Key: key}
-	}
-	next := maps.Clone(old)
-	if err := fn(next); err != nil {
-		return err
-	}
-	if err := c.be.Put(key, next); err != nil {
-		return err
-	}
-	c.reindex(key, old, next)
-	return nil
-}
-
 // reindex is the index upkeep of replacing the document under key:
 // only the indexes whose path reaches different values in old and next,
 // or whose predicate the replacement enters or leaves, do any work — a
@@ -679,17 +654,8 @@ type Snapshot struct {
 	h int64
 }
 
-// Borrow is Collection.Borrow as of the view height: the stored
-// document itself, read-only.
-func (s *Snapshot) Borrow(key string) (map[string]any, bool) {
-	return s.c.BorrowAt(key, s.h)
-}
-
 // Len returns the number of documents at the view height.
 func (s *Snapshot) Len() int { return s.c.be.LenAt(s.h) }
-
-// Keys returns the keys at the view height in insertion order.
-func (s *Snapshot) Keys() []string { return s.c.be.KeysAt(s.h) }
 
 // Find returns copies of all documents matching filter at the view
 // height, in insertion order.

@@ -3,6 +3,7 @@ package docstore
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"reflect"
 	"sync"
 	"testing"
@@ -17,6 +18,38 @@ func doc(kv ...any) map[string]any {
 		m[kv[i].(string)] = kv[i+1]
 	}
 	return m
+}
+
+// Borrow is Collection.Borrow as of the view height.
+func (s *Snapshot) Borrow(key string) (map[string]any, bool) { return s.c.BorrowAt(key, s.h) }
+
+// Keys returns the keys at the view height in insertion order.
+func (s *Snapshot) Keys() []string {
+	var keys []string
+	s.c.be.ScanAt(s.h, func(key string, _ map[string]any) bool {
+		keys = append(keys, key)
+		return true
+	})
+	return keys
+}
+
+// len counts the records the queue holds.
+func (q *closedSpans) len() int { return len(q.recs) - q.head }
+
+// update is the tests' read-modify-write: fn edits a copy of the top
+// level of the document under key, and the copy replaces it through
+// Upsert. Below the top level the copy shares the stored values, which
+// fn replaces instead of editing. A single writer per key is assumed.
+func update(c *Collection, key string, fn func(doc map[string]any) error) error {
+	old, ok := c.Borrow(key)
+	if !ok {
+		return &ErrNotFound{Collection: c.name, Key: key}
+	}
+	next := maps.Clone(old)
+	if err := fn(next); err != nil {
+		return err
+	}
+	return c.Upsert(key, next)
 }
 
 func TestInsertGet(t *testing.T) {
@@ -132,34 +165,30 @@ func TestDocumentsAreIsolated(t *testing.T) {
 			}
 		}
 
-		// Update: the closure's top level is its own — the version it
-		// replaces keeps its keys — and what lies below is shared, so a
-		// nested value is changed by replacing it.
-		if err := c.Update("k", func(d map[string]any) error {
-			if same(d, inserted) {
-				t.Error("Update handed the closure the stored document")
-			}
-			if !same(d["nested"].(map[string]any), inserted["nested"].(map[string]any)) {
-				t.Error("Update copied below the top level")
-			}
-			d["rank"] = 2.0
-			d["nested"] = map[string]any{"x": 2.0}
-			delete(d, "list")
-			return nil
-		}); err != nil {
+		// Replacement: a top-level copy of the stored document, edited
+		// and upserted, becomes the stored one, and the version it
+		// replaces keeps its keys.
+		next := maps.Clone(inserted)
+		next["rank"] = 2.0
+		next["nested"] = map[string]any{"x": 2.0}
+		delete(next, "list")
+		if err := c.Upsert("k", next); err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(inserted, pristine()) {
-			t.Errorf("Update edited the version it replaced: %v", inserted)
+			t.Errorf("the replacement edited the version it replaced: %v", inserted)
+		}
+		if stored, _ := c.Borrow("k"); !same(stored, next) {
+			t.Error("the store copied the replacement it was handed")
 		}
 		want := doc("rank", 2.0, "nested", map[string]any{"x": 2.0})
 		if got, _ := c.Get("k"); !reflect.DeepEqual(got, want) {
-			t.Errorf("after Update: got %v, want %v", got, want)
+			t.Errorf("after the replacement: got %v, want %v", got, want)
 		}
 	})
 }
 
-func TestUpsertAndUpdate(t *testing.T) {
+func TestUpsertReplaces(t *testing.T) {
 	c := NewStore().Collection("c")
 	c.Upsert("k", doc("v", 1.0))
 	c.Upsert("k", doc("v", 2.0))
@@ -167,29 +196,15 @@ func TestUpsertAndUpdate(t *testing.T) {
 	if got["v"] != 2.0 {
 		t.Errorf("v = %v", got["v"])
 	}
-	if err := c.Update("k", func(d map[string]any) error {
-		d["v"] = d["v"].(float64) + 1
-		return nil
-	}); err != nil {
+	old, _ := c.Borrow("k")
+	next := maps.Clone(old)
+	next["v"] = old["v"].(float64) + 1
+	if err := c.Upsert("k", next); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = c.Get("k")
-	if got["v"] != 3.0 {
-		t.Errorf("v = %v", got["v"])
-	}
-	// Failed update leaves document untouched.
-	if err := c.Update("k", func(d map[string]any) error {
-		d["v"] = 99.0
-		return fmt.Errorf("abort")
-	}); err == nil {
-		t.Fatal("update should propagate error")
-	}
-	got, _ = c.Get("k")
-	if got["v"] != 3.0 {
-		t.Errorf("aborted update mutated doc: v = %v", got["v"])
-	}
-	if err := c.Update("missing", func(map[string]any) error { return nil }); err == nil {
-		t.Error("update of missing key should fail")
+	if got["v"] != 3.0 || old["v"] != 2.0 {
+		t.Errorf("v = %v, the replaced version's %v", got["v"], old["v"])
 	}
 }
 
@@ -311,7 +326,7 @@ func TestIndexedLookupMatchesScan(t *testing.T) {
 	if err := c.Insert("new", doc("op", "BID")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Update("new", func(d map[string]any) error { d["op"] = "CREATE"; return nil }); err != nil {
+	if err := update(c, "new", func(d map[string]any) error { d["op"] = "CREATE"; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if keys := c.findKeys(Eq("op", "BID")); len(keys) != len(scan) {
@@ -406,7 +421,7 @@ func TestConcurrentAccess(t *testing.T) {
 				}
 				c.Find(Eq("op", "BID"))
 				if i%3 == 0 {
-					if err := c.Update(key, func(d map[string]any) error { d["op"] = "RETURN"; return nil }); err != nil {
+					if err := update(c, key, func(d map[string]any) error { d["op"] = "RETURN"; return nil }); err != nil {
 						t.Error(err)
 						return
 					}

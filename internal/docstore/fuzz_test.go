@@ -336,7 +336,7 @@ func FuzzPlannedFind(f *testing.F) {
 			for n := edits.next(len(docs) + 1); n > 0; n-- {
 				key := fmt.Sprintf("d%02d", edits.next(len(docs)))
 				flip, word := edits.next(3), fuzzWords[edits.next(len(fuzzWords))]
-				if err := c.Update(key, func(doc map[string]any) error {
+				if err := update(c, key, func(doc map[string]any) error {
 					if flip == 0 {
 						spent, _ := doc["spent"].(bool)
 						doc["spent"] = !spent

@@ -382,8 +382,6 @@ type closedSpans struct {
 
 func (q *closedSpans) push(r closedSpan) { q.recs = append(q.recs, r) }
 
-func (q *closedSpans) len() int { return len(q.recs) - q.head }
-
 // pop removes and returns the oldest record if it died at or below
 // floor. Once half the slice is popped the rest slides down, so the
 // slice stays within twice the live records at amortized constant

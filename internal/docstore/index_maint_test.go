@@ -60,7 +60,7 @@ func TestIndexMaintenanceThroughMutations(t *testing.T) {
 
 		// Update: move documents across index values (scalar and array).
 		for i := 0; i < 16; i += 4 {
-			if err := c.Update(fmt.Sprintf("k%02d", i), func(doc map[string]any) error {
+			if err := update(c, fmt.Sprintf("k%02d", i), func(doc map[string]any) error {
 				doc["v"] = float64(9 - i%10)
 				doc["op"] = "B"
 				delete(doc, "tags")

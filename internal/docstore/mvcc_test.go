@@ -42,7 +42,7 @@ func TestSnapshotIsolationAcrossSeal(t *testing.T) {
 		if err := c.Upsert("b", map[string]any{"kind": "z", "rank": 0.5}); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Update("a", func(doc map[string]any) error {
+		if err := update(c, "a", func(doc map[string]any) error {
 			doc["rank"] = 9.0
 			return nil
 		}); err != nil {
@@ -201,7 +201,7 @@ func TestBorrowedDocumentsNeverChange(t *testing.T) {
 			// Below the top level the closure shares the version it
 			// replaces (which the test has borrowed): every nested change
 			// is a fresh value assigned to a top-level key.
-			if err := c.Update("updated", func(doc map[string]any) error {
+			if err := update(c, "updated", func(doc map[string]any) error {
 				doc["rank"] = float64(h)
 				doc["nested"] = map[string]any{"x": float64(h), "deep": map[string]any{"y": "changed"}}
 				list := append([]any{"changed"}, doc["list"].([]any)[1:]...)
@@ -348,7 +348,7 @@ func TestSnapshotReadersRaceBlockAppliers(t *testing.T) {
 				}); err != nil {
 					t.Fatal(err)
 				}
-				if err := c.Update(key, func(doc map[string]any) error {
+				if err := update(c, key, func(doc map[string]any) error {
 					doc["seen"] = append(doc["seen"].([]any), float64(h))
 					doc["updated"] = true
 					return nil
@@ -424,7 +424,7 @@ func TestSnapshotIndexReadsRaceSealAndSweep(t *testing.T) {
 		for h := int64(2); h <= blocks; h++ {
 			bk.BeginBlock(h)
 			for i := 0; i < docs; i++ {
-				if err := c.Update(fmt.Sprintf("k%d", i), func(doc map[string]any) error {
+				if err := update(c, fmt.Sprintf("k%d", i), func(doc map[string]any) error {
 					doc["v"], doc["w"] = float64(h), float64(h)
 					return nil
 				}); err != nil {

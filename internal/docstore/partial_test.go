@@ -36,7 +36,7 @@ func TestPartialIndexFollowsItsPredicate(t *testing.T) {
 		}
 		set := func(key, field string, v any) {
 			t.Helper()
-			if err := c.Update(key, func(doc map[string]any) error {
+			if err := update(c, key, func(doc map[string]any) error {
 				doc[field] = v
 				return nil
 			}); err != nil {

@@ -128,7 +128,7 @@ func TestPlannerScanDifferentialProperty(t *testing.T) {
 				case 0:
 					_ = c.Upsert(key, map[string]any{}) // vacated: in no index
 				case 1:
-					_ = c.Update(key, func(doc map[string]any) error {
+					_ = update(c, key, func(doc map[string]any) error {
 						for k, v := range propDoc(rng) {
 							doc[k] = v
 						}

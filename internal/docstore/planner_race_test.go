@@ -38,7 +38,7 @@ func TestPlannedReadsRaceWriter(t *testing.T) {
 				}
 				switch i % 4 {
 				case 0:
-					if err := c.Update(key, func(doc map[string]any) error {
+					if err := update(c, key, func(doc map[string]any) error {
 						doc["spent"] = true
 						return nil
 					}); err != nil {

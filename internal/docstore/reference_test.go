@@ -108,7 +108,7 @@ type writePath struct {
 }
 
 var (
-	owningWrites  = writePath{(*Collection).Insert, (*Collection).Upsert, (*Collection).Update}
+	owningWrites  = writePath{(*Collection).Insert, (*Collection).Upsert, update}
 	copyingWrites = writePath{(*Collection).insertCopying, (*Collection).upsertCopying, (*Collection).updateCopying}
 )
 

@@ -33,7 +33,7 @@ func TestShardedFindRacesWriter(t *testing.T) {
 				return
 			}
 			if i%3 == 0 {
-				if err := c.Update(key, func(doc map[string]any) error {
+				if err := update(c, key, func(doc map[string]any) error {
 					doc["spent"] = true
 					return nil
 				}); err != nil {

@@ -69,7 +69,7 @@ func TestSweepIndexesFollowsFloor(t *testing.T) {
 		// indexed values, ending one lifespan per index.
 		if h > 1 {
 			prev := fmt.Sprintf("doc-%d", h-1)
-			if err := c.Update(prev, func(doc map[string]any) error {
+			if err := update(c, prev, func(doc map[string]any) error {
 				doc["v"] = float64(-h)
 				doc["w"] = float64(-h)
 				return nil
@@ -116,7 +116,7 @@ func TestSweepIndexesStableFloorKeepsSpans(t *testing.T) {
 	}
 	be.SealBlock(1)
 	be.BeginBlock(2)
-	if err := c.Update("a", func(doc map[string]any) error { doc["v"] = "y"; return nil }); err != nil {
+	if err := update(c, "a", func(doc map[string]any) error { doc["v"] = "y"; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	be.SealBlock(2)
@@ -146,7 +146,7 @@ func TestUnsealedStoreKeepsOneSpanPerLiveValue(t *testing.T) {
 		c.CreateIndex("fixed")
 		mustInsert(t, c, "k", map[string]any{"flag": false, "n": 0.0, "fixed": "x", "free": 0.0})
 		for i := 1; i <= 10000; i++ {
-			if err := c.Update("k", func(doc map[string]any) error {
+			if err := update(c, "k", func(doc map[string]any) error {
 				doc["flag"] = i%2 == 1
 				doc["n"] = float64(i % 3)
 				doc["free"] = float64(i)
@@ -339,13 +339,13 @@ func runSweepDifferential(t *testing.T, s *Store, retain int64) {
 		case op == 0:
 			err = c.Upsert(key, diffDoc(r))
 		case op == 1:
-			err = c.Update(key, func(doc map[string]any) error {
+			err = update(c, key, func(doc map[string]any) error {
 				doc["a"] = paths[0].domain[r.Intn(4)] // may pick the value it has
 				doc["n"] = paths[1].domain[r.Intn(6)]
 				return nil
 			})
 		case op == 2:
-			err = c.Update(key, func(doc map[string]any) error {
+			err = update(c, key, func(doc map[string]any) error {
 				doc["u"] = doc["u"].(float64) + 1
 				return nil
 			})
@@ -353,7 +353,7 @@ func runSweepDifferential(t *testing.T, s *Store, retain int64) {
 		// closure shares with the version it replaces: each clones the
 		// list (and the element) it changes and assigns the clone.
 		case op == 3:
-			err = c.Update(key, func(doc map[string]any) error {
+			err = update(c, key, func(doc map[string]any) error {
 				if tags := slices.Clone(doc["tags"].([]any)); len(tags) > 0 {
 					tags[r.Intn(len(tags))] = paths[2].domain[r.Intn(4)]
 					doc["tags"] = tags
@@ -366,7 +366,7 @@ func runSweepDifferential(t *testing.T, s *Store, retain int64) {
 				return nil
 			})
 		case op == 4:
-			err = c.Update(key, func(doc map[string]any) error {
+			err = update(c, key, func(doc map[string]any) error {
 				subs := slices.Clone(doc["sub"].([]any))
 				i := r.Intn(2)
 				sub := maps.Clone(subs[i].(map[string]any))
@@ -550,7 +550,7 @@ func TestSweepExaminesOnlyWhatTheBlockClosed(t *testing.T) {
 	for h := start + 1; h <= start+40; h++ {
 		bk.BeginBlock(h)
 		// A mark-spent: one value of one index moves.
-		if err := c.Update(fmt.Sprintf("u%05d", int(h-start)*1000), func(doc map[string]any) error {
+		if err := update(c, fmt.Sprintf("u%05d", int(h-start)*1000), func(doc map[string]any) error {
 			doc["spent"], doc["spent_by"] = true, "tx"
 			return nil
 		}); err != nil {

@@ -158,14 +158,6 @@ func (d *Driver) PrepareRequest(requirements map[string]any, meta map[string]any
 	return d.signAndCheck(t, d.cfg.Keypair)
 }
 
-// PrepareTransfer builds and signs a TRANSFER. Extra signers cover
-// jointly-owned inputs.
-func (d *Driver) PrepareTransfer(assetID string, spends []txn.Spend, outputs []*txn.Output, meta map[string]any, cosigners ...*keys.KeyPair) (*txn.Transaction, error) {
-	t := txn.NewTransfer(assetID, spends, outputs, meta)
-	signers := append([]*keys.KeyPair{d.cfg.Keypair}, cosigners...)
-	return d.signAndCheck(t, signers...)
-}
-
 // PrepareBid builds and signs a BID answering rfqID, moving amount
 // shares of the backing asset into escrow.
 func (d *Driver) PrepareBid(assetID string, spend txn.Spend, amount uint64, rfqID string, meta map[string]any) (*txn.Transaction, error) {
@@ -255,11 +247,6 @@ func (d *Driver) NotifyCommitted(txID string) {
 	d.finish(txID, Result{TxID: txID, Status: StatusCommitted})
 }
 
-// NotifyRejected reports a validation failure from the network.
-func (d *Driver) NotifyRejected(txID string, err error) {
-	d.finish(txID, Result{TxID: txID, Status: StatusRejected, Err: err})
-}
-
 func (d *Driver) finish(txID string, r Result) {
 	d.mu.Lock()
 	p, ok := d.pending[txID]
@@ -274,11 +261,4 @@ func (d *Driver) finish(txID string, r Result) {
 	if cb != nil {
 		cb(r)
 	}
-}
-
-// PendingCount reports in-flight submissions.
-func (d *Driver) PendingCount() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.pending)
 }

@@ -40,8 +40,7 @@ func newHarness(t *testing.T, kp *keys.KeyPair) *harness {
 			return nil // swallowed: no commit, no rejection
 		}
 		if err := h.node.Apply(tx); err != nil {
-			h.sched.After(0, func() { h.drv.NotifyRejected(tx.ID, err) })
-			return nil
+			return err // the receiver's verdict: the driver finishes the submission rejected
 		}
 		h.sched.After(time.Millisecond, func() { h.drv.NotifyCommitted(tx.ID) })
 		return nil
@@ -89,7 +88,7 @@ func TestPrepareAndSubmitCreate(t *testing.T) {
 	if !h.node.State().IsCommitted(tx.ID) {
 		t.Error("transaction not on chain")
 	}
-	if h.drv.PendingCount() != 0 {
+	if len(h.drv.pending) != 0 {
 		t.Error("pending should be empty")
 	}
 }
@@ -103,18 +102,20 @@ func TestRejectionCallback(t *testing.T) {
 	}
 	// A semantically invalid transaction passes schemas but is rejected
 	// by the server: a transfer of a nonexistent output.
-	ghost, err := h.drv.PrepareTransfer(
+	ghost := txn.NewTransfer(
 		"0000000000000000000000000000000000000000000000000000000000000000",
 		[]txn.Spend{{Ref: txn.OutputRef{TxID: "0000000000000000000000000000000000000000000000000000000000000000", Index: 0}, Owners: []string{kp.PublicBase58()}}},
 		[]*txn.Output{{PublicKeys: []string{kp.PublicBase58()}, Amount: 1}}, nil)
-	if err != nil {
+	if err := txn.Sign(ghost, kp); err != nil {
 		t.Fatal(err)
+	}
+	if err := h.drv.schemas.ValidateTx(ghost); err != nil {
+		t.Fatalf("the ghost transfer should pass its schema: %v", err)
 	}
 	var result *Result
-	if err := h.drv.Submit(ghost, Async, func(r Result) { result = &r }); err != nil {
-		t.Fatal(err)
+	if err := h.drv.Submit(ghost, Async, func(r Result) { result = &r }); err == nil {
+		t.Fatal("Submit should return the receiver's rejection")
 	}
-	h.sched.Run()
 	if result == nil || result.Status != StatusRejected || result.Err == nil {
 		t.Fatalf("result = %+v", result)
 	}

@@ -331,7 +331,7 @@ func TestClusterRejectsOversizedTx(t *testing.T) {
 	if _, ok := cluster.CommitTime(tx.Hash()); ok {
 		t.Error("oversized tx should not commit")
 	}
-	if _, rejected := cluster.Rejected(tx.Hash()); !rejected {
+	if rejected := cluster.Summarize().Rejected; rejected != 1 {
 		t.Error("oversized tx should be rejected at admission")
 	}
 }

@@ -187,9 +187,8 @@ func TestReservedRegistry(t *testing.T) {
 	if !r.IsReserved(esc.PublicBase58()) {
 		t.Error("escrow key should be reserved")
 	}
-	role, ok := r.RoleOf(esc.PublicBase58())
-	if !ok || role != RoleEscrow {
-		t.Errorf("RoleOf = %q, %v", role, ok)
+	if role := r.pubs[esc.PublicBase58()]; role != RoleEscrow {
+		t.Errorf("escrow key registered as %q", role)
 	}
 	user := MustGenerate()
 	if r.IsReserved(user.PublicBase58()) {

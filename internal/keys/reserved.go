@@ -70,11 +70,3 @@ func (r *Reserved) IsReserved(pub string) bool {
 	_, ok := r.pubs[pub]
 	return ok
 }
-
-// RoleOf returns the role a reserved public key was registered under.
-func (r *Reserved) RoleOf(pub string) (string, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	role, ok := r.pubs[pub]
-	return role, ok
-}

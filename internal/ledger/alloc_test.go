@@ -66,11 +66,6 @@ func TestStateViewReadAllocationCeilings(t *testing.T) {
 				t.Fatal("IsCommitted is wrong")
 			}
 		}},
-		{"OperationOf", 0, func() {
-			if op, _ := v.OperationOf(transfer4.ID); op != txn.OpTransfer {
-				t.Fatalf("OperationOf = %q", op)
-			}
-		}},
 		{"GetTx", 20, func() {
 			if got, err := v.GetTx(transfer4.ID); err != nil || got.ID != transfer4.ID {
 				t.Fatalf("GetTx: %v", err)
@@ -144,7 +139,7 @@ func TestCommitPathAllocationCeilings(t *testing.T) {
 	}
 	markSpent := func(col *docstore.Collection, key string) float64 {
 		return testing.AllocsPerRun(runs, func() {
-			if err := col.Update(key, func(doc map[string]any) error {
+			if err := updateDoc(col, key, func(doc map[string]any) error {
 				doc["spent"], doc["spent_by"] = true, transfer4.ID
 				return nil
 			}); err != nil {
@@ -153,7 +148,7 @@ func TestCommitPathAllocationCeilings(t *testing.T) {
 		})
 	}
 	if deep, shallow := markSpent(plain, "record"), markSpent(plain, "flat"); deep != shallow {
-		t.Errorf("mark-spent of a UTXO record: %v allocations, of a flat record %v: Update copied below the top level", deep, shallow)
+		t.Errorf("mark-spent of a UTXO record: %v allocations, of a flat record %v: the replacement copied below the top level", deep, shallow)
 	}
 	// A spend stores its transaction's marker — a three-key map and the
 	// spender's box, three allocations built once — and a version per

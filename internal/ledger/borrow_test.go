@@ -26,11 +26,10 @@ func TestStoredReadsMatchCopyingDecode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			snap := v.col(ColTransactions)
 			want := map[string]*txn.Transaction{}
 			byOp := map[string]int{}
-			for _, id := range snap.Keys() {
-				doc, _ := snap.Borrow(id)
+			for _, doc := range v.col(ColTransactions).BorrowFind(nil) {
+				id := doc["id"].(string)
 				ref, err := txn.FromDoc(doc)
 				if err != nil {
 					t.Fatal(err)

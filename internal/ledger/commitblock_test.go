@@ -36,10 +36,10 @@ func TestCommitBlockAppliesInOrder(t *testing.T) {
 	if s.TxCount() != 2 {
 		t.Errorf("tx count = %d", s.TxCount())
 	}
-	if s.IsUnspent(txn.OutputRef{TxID: create.ID, Index: 0}) {
+	if s.View().IsUnspent(txn.OutputRef{TxID: create.ID, Index: 0}) {
 		t.Error("transferred output should be spent")
 	}
-	if !s.IsUnspent(txn.OutputRef{TxID: transfer.ID, Index: 0}) {
+	if !s.View().IsUnspent(txn.OutputRef{TxID: transfer.ID, Index: 0}) {
 		t.Error("new output should be unspent")
 	}
 }

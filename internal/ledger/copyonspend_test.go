@@ -104,7 +104,7 @@ func (s *State) copyOnSpendSealTx(st *stagedTx) error {
 			}
 		case opMarkSpent:
 			spender := op.spender
-			if err := utxos.Update(op.key, func(doc map[string]any) error {
+			if err := updateDoc(utxos, op.key, func(doc map[string]any) error {
 				doc["spent"] = true
 				doc["spent_by"] = spender
 				return nil

@@ -180,15 +180,11 @@ func (s *State) putBlockRecord(height int64, txids []any, twopc bool) error {
 // sealed block (see view.go): reads never take the commit lock or a
 // collection lock and never observe a half-applied block — a racing
 // commit is invisible until it seals. Callers needing several reads
-// against one consistent state pin a view themselves via View() or
-// StateAt().
+// against one consistent state pin a view themselves via View().
 
 // GetTx returns a committed transaction by ID, read-only in its
 // free-form maps (StateView.GetTx).
 func (s *State) GetTx(id string) (*txn.Transaction, error) { return s.View().GetTx(id) }
-
-// OperationOf reports a committed transaction's operation.
-func (s *State) OperationOf(id string) (string, bool) { return s.View().OperationOf(id) }
 
 // IsCommitted reports whether the transaction exists in the log.
 func (s *State) IsCommitted(id string) bool { return s.View().IsCommitted(id) }
@@ -208,12 +204,6 @@ func (s *State) OutputAssetID(ref txn.OutputRef) (string, bool) { return s.View(
 // SpenderOf reports which committed transaction spent ref, if any.
 func (s *State) SpenderOf(ref txn.OutputRef) (string, bool) { return s.View().SpenderOf(ref) }
 
-// IsUnspent reports whether ref exists and has not been spent.
-func (s *State) IsUnspent(ref txn.OutputRef) bool { return s.View().IsUnspent(ref) }
-
-// UnspentOutputs lists the unspent output references owned by pub.
-func (s *State) UnspentOutputs(pub string) []txn.OutputRef { return s.View().UnspentOutputs(pub) }
-
 // Balance sums the unspent shares pub owns of the given asset.
 func (s *State) Balance(pub, assetID string) uint64 { return s.View().Balance(pub, assetID) }
 
@@ -228,11 +218,6 @@ func (s *State) LockedBidsForRFQ(rfqID string) []*txn.Transaction {
 // referencing the REQUEST, if one exists.
 func (s *State) AcceptForRFQ(rfqID string) (*txn.Transaction, bool) {
 	return s.View().AcceptForRFQ(rfqID)
-}
-
-// TxsByOperation lists committed transactions of one operation type.
-func (s *State) TxsByOperation(op string) []*txn.Transaction {
-	return s.View().TxsByOperation(op)
 }
 
 // RecoveryFor returns the recovery record of one ACCEPT_BID.

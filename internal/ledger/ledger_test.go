@@ -95,7 +95,7 @@ func TestSpendAndDoubleSpend(t *testing.T) {
 	f := newFixture(t)
 	asset := f.create(t, f.issuer, 5)
 	ref := txn.OutputRef{TxID: asset.ID, Index: 0}
-	if !f.state.IsUnspent(ref) {
+	if !f.state.View().IsUnspent(ref) {
 		t.Fatal("fresh output should be unspent")
 	}
 
@@ -112,7 +112,7 @@ func TestSpendAndDoubleSpend(t *testing.T) {
 	if err := commitOne(f.state, first); err != nil {
 		t.Fatal(err)
 	}
-	if f.state.IsUnspent(ref) {
+	if f.state.View().IsUnspent(ref) {
 		t.Fatal("output should be spent")
 	}
 	spender, ok := f.state.SpenderOf(ref)
@@ -151,7 +151,7 @@ func TestUnspentOutputsAndBalance(t *testing.T) {
 	f := newFixture(t)
 	a := f.create(t, f.issuer, 5)
 	b := f.create(t, f.issuer, 7)
-	refs := f.state.UnspentOutputs(f.issuer.PublicBase58())
+	refs := f.state.View().UnspentOutputs(f.issuer.PublicBase58())
 	if len(refs) != 2 {
 		t.Fatalf("UnspentOutputs = %v", refs)
 	}
@@ -388,7 +388,7 @@ func TestRecoveryDoneOrderAndLegacyFormat(t *testing.T) {
 	// of any other shape (a plain child-ID string, which nothing writes)
 	// is not a done child, and Done leaves it out.
 	col := f.state.Store().Collection(ColRecovery)
-	if err := col.Update(accept.ID, func(doc map[string]any) error {
+	if err := updateDoc(col, accept.ID, func(doc map[string]any) error {
 		done, _ := doc["done"].([]any)
 		doc["done"] = append(done[:len(done):len(done)], "stray")
 		return nil
@@ -437,18 +437,18 @@ func TestRecoveryIsVersionedWithItsBlock(t *testing.T) {
 		}
 		rec, err := v.RecoveryFor(accept.ID)
 		if err != nil {
-			t.Fatalf("height %d: %v", v.Height(), err)
+			t.Fatalf("height %d: %v", v.h, err)
 		}
 		status := RecoveryPending
 		if k == 3 {
 			status = RecoveryComplete
 		}
 		if rec.Status != status || len(rec.Pending) != 3-k || len(rec.Done) != k {
-			t.Errorf("height %d (accept + %d): record %s with %d pending, %d done; want %s, %d, %d", v.Height(), k, rec.Status, len(rec.Pending), len(rec.Done), status, 3-k, k)
+			t.Errorf("height %d (accept + %d): record %s with %d pending, %d done; want %s, %d, %d", v.h, k, rec.Status, len(rec.Pending), len(rec.Done), status, 3-k, k)
 		}
 		parent, err := v.GetTx(accept.ID)
 		if err != nil || !reflect.DeepEqual(parent.Children, rec.Done) {
-			t.Errorf("height %d: parent children %v, record done %v (%v)", v.Height(), parent.Children, rec.Done, err)
+			t.Errorf("height %d: parent children %v, record done %v (%v)", v.h, parent.Children, rec.Done, err)
 		}
 	}
 }
@@ -458,13 +458,13 @@ func TestTxsByOperation(t *testing.T) {
 	f.create(t, f.issuer, 1)
 	f.create(t, f.issuer, 1)
 	f.request(t, "cnc")
-	if got := len(f.state.TxsByOperation(txn.OpCreate)); got != 2 {
+	if got := len(f.state.View().TxsByOperation(txn.OpCreate)); got != 2 {
 		t.Errorf("CREATE count = %d", got)
 	}
-	if got := len(f.state.TxsByOperation(txn.OpRequest)); got != 1 {
+	if got := len(f.state.View().TxsByOperation(txn.OpRequest)); got != 1 {
 		t.Errorf("REQUEST count = %d", got)
 	}
-	if got := len(f.state.TxsByOperation(txn.OpBid)); got != 0 {
+	if got := len(f.state.View().TxsByOperation(txn.OpBid)); got != 0 {
 		t.Errorf("BID count = %d", got)
 	}
 }

@@ -40,8 +40,8 @@ func TestStateAtMatchesSequentialBuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("StateAt(%d): %v", h, err)
 		}
-		if v.Height() != int64(h) {
-			t.Fatalf("StateAt(%d).Height = %d", h, v.Height())
+		if v.h != int64(h) {
+			t.Fatalf("StateAt(%d).Height = %d", h, v.h)
 		}
 		ref := commitChaos(t, blocks, h)
 		if got, want := v.Fingerprint(), ref.Fingerprint(); got != want {
@@ -120,12 +120,12 @@ func TestViewReadersRacePipelinedCommits(t *testing.T) {
 				default:
 				}
 				v := s.View()
-				fp, ok := want[v.Height()]
+				fp, ok := want[v.h]
 				if !ok {
-					panic(fmt.Sprintf("view pinned unexpected height %d", v.Height()))
+					panic(fmt.Sprintf("view pinned unexpected height %d", v.h))
 				}
 				if got := v.Fingerprint(); got != fp {
-					panic(fmt.Sprintf("view at height %d fingerprints %s, want %s", v.Height(), got, fp))
+					panic(fmt.Sprintf("view at height %d fingerprints %s, want %s", v.h, got, fp))
 				}
 			}
 		}()
@@ -138,7 +138,7 @@ func TestViewReadersRacePipelinedCommits(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if got := s.View().Height(); got != nBlocks {
+	if got := s.View().h; got != nBlocks {
 		t.Fatalf("final view height %d, want %d", got, nBlocks)
 	}
 	if got := s.Fingerprint(); got != want[nBlocks] {

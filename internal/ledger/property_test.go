@@ -34,7 +34,7 @@ func TestShareConservationProperty(t *testing.T) {
 			// their unspent outputs to a random recipient.
 			from := owners[rng.Intn(len(owners))]
 			to := owners[rng.Intn(len(owners))]
-			refs := state.UnspentOutputs(from.PublicBase58())
+			refs := state.View().UnspentOutputs(from.PublicBase58())
 			if len(refs) == 0 {
 				continue
 			}
@@ -112,7 +112,7 @@ func TestUTXOSetMatchesTransactionLog(t *testing.T) {
 	spent := map[string]bool{}
 	var all []*txn.Transaction
 	for _, op := range txn.Operations() {
-		all = append(all, state.TxsByOperation(op)...)
+		all = append(all, state.View().TxsByOperation(op)...)
 	}
 	for _, tx := range all {
 		for _, ref := range tx.SpentRefs() {
@@ -122,7 +122,7 @@ func TestUTXOSetMatchesTransactionLog(t *testing.T) {
 	for _, tx := range all {
 		for i := range tx.Outputs {
 			ref := txn.OutputRef{TxID: tx.ID, Index: i}
-			if got := state.IsUnspent(ref); got == spent[ref.String()] {
+			if got := state.View().IsUnspent(ref); got == spent[ref.String()] {
 				t.Errorf("UTXO disagreement at %s: IsUnspent=%v, log says spent=%v",
 					ref, got, spent[ref.String()])
 			}

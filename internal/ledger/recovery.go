@@ -178,11 +178,19 @@ func (s *State) markChildDone(ref txn.OutputRef, childID string) error {
 	if err := col.Upsert(ref.TxID, next); err != nil {
 		return err
 	}
-	children := doneInOrder(done)
-	return s.store.Collection(ColTransactions).Update(ref.TxID, func(doc map[string]any) error {
-		doc["children"] = children
-		return nil
-	})
+	// The seal is the transactions collection's only writer, under the
+	// state lock: the parent read here is the one the replacement
+	// replaces. Room for one more key keeps the copy from growing when
+	// the parent's first child adds its children field.
+	txs := s.store.Collection(ColTransactions)
+	parent, ok := txs.Borrow(ref.TxID)
+	if !ok {
+		return &docstore.ErrNotFound{Collection: ColTransactions, Key: ref.TxID}
+	}
+	nextParent := make(map[string]any, len(parent)+1)
+	maps.Copy(nextParent, parent)
+	nextParent["children"] = doneInOrder(done)
+	return txs.Upsert(ref.TxID, nextParent)
 }
 
 // RecoveryFor returns the recovery record of one ACCEPT_BID at the

@@ -1,10 +1,7 @@
 package ledger
 
 import (
-	"crypto/sha3"
-	"encoding/hex"
 	"fmt"
-	"sort"
 
 	"smartchaindb/internal/docstore"
 	"smartchaindb/internal/txn"
@@ -31,28 +28,6 @@ type StateView struct {
 func (s *State) View() *StateView {
 	return &StateView{s: s, h: s.store.Backend().Visible()}
 }
-
-// StateAt returns a snapshot of the chain as of block height h. The
-// height must lie within the retained window [Floor, Visible]:
-// heights above Visible have not committed, heights below Floor have
-// had their versions garbage-collected ("snapshot too old").
-func (s *State) StateAt(h int64) (*StateView, error) {
-	bk := s.store.Backend()
-	lo, hi := bk.Floor(), bk.Visible()
-	if h < lo || h > hi {
-		return nil, fmt.Errorf("ledger: no snapshot at height %d (retained window [%d, %d])", h, lo, hi)
-	}
-	return &StateView{s: s, h: h}, nil
-}
-
-// SetRetain sets how many sealed block heights of version history the
-// backend keeps for StateAt; older versions are garbage-collected as
-// blocks seal. Views already taken below the new floor may miss
-// collected versions.
-func (s *State) SetRetain(heights int64) { s.store.Backend().SetRetain(heights) }
-
-// Height returns the block height the view reads as of.
-func (v *StateView) Height() int64 { return v.h }
 
 func (v *StateView) col(name string) *docstore.Snapshot {
 	return v.s.store.Collection(name).SnapshotAt(v.h)
@@ -83,17 +58,6 @@ func (v *StateView) GetTx(id string) (*txn.Transaction, error) {
 		return nil, &txn.InputDoesNotExistError{TxID: id}
 	}
 	return txn.FromStoredDoc(doc)
-}
-
-// OperationOf reports the operation of the transaction committed under
-// id as of the view height, without decoding the rest of it.
-func (v *StateView) OperationOf(id string) (string, bool) {
-	doc, ok := v.borrow(ColTransactions, id)
-	if !ok {
-		return "", false
-	}
-	op, ok := doc["operation"].(string)
-	return op, ok
 }
 
 // IsCommitted reports whether the transaction was in the log at the
@@ -152,20 +116,6 @@ func (v *StateView) IsUnspent(ref txn.OutputRef) bool {
 	return !spent
 }
 
-// UnspentOutputs lists the output references pub owned unspent at the
-// view height.
-func (v *StateView) UnspentOutputs(pub string) []txn.OutputRef {
-	docs := v.col(ColUTXOs).BorrowFind(docstore.And(docstore.Eq("owner", pub), docstore.Eq("spent", false)))
-	refs := make([]txn.OutputRef, 0, len(docs))
-	for _, d := range docs {
-		refs = append(refs, txn.OutputRef{
-			TxID:  d["transaction_id"].(string),
-			Index: int(d["output_index"].(float64)),
-		})
-	}
-	return refs
-}
-
 // Balance sums the unspent shares pub owned of the asset at the view
 // height.
 func (v *StateView) Balance(pub, assetID string) uint64 {
@@ -220,43 +170,4 @@ func (v *StateView) AcceptForRFQ(rfqID string) (*txn.Transaction, bool) {
 		return nil, false
 	}
 	return t, true
-}
-
-// TxsByOperation lists the transactions of one operation type
-// committed by the view height.
-func (v *StateView) TxsByOperation(op string) []*txn.Transaction {
-	docs := v.col(ColTransactions).BorrowFind(docstore.Eq("operation", op))
-	out := make([]*txn.Transaction, 0, len(docs))
-	for _, d := range docs {
-		if t, err := txn.FromStoredDoc(d); err == nil {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// Fingerprint digests the chain state as it stood at the view height —
-// the same canonical encoding as State.Fingerprint, computed from the
-// snapshot with no state lock. A view's fingerprint is byte-identical
-// to the live fingerprint of a node that stopped committing at the
-// view's block, which is exactly what the MVCC differential tests pin.
-func (v *StateView) Fingerprint() string {
-	h := sha3.New256()
-	var buf []byte // reused across documents: one canonical-encode buffer for the whole digest
-	for _, col := range []string{ColTransactions, ColUTXOs, ColAssets} {
-		snap := v.col(col)
-		keys := snap.Keys()
-		sort.Strings(keys)
-		h.Write([]byte(col))
-		for _, key := range keys {
-			doc, ok := snap.Borrow(key)
-			if !ok {
-				continue
-			}
-			h.Write([]byte(key))
-			buf = txn.AppendCanonicalDoc(buf[:0], doc)
-			h.Write(buf)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil))
 }

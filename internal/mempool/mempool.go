@@ -157,14 +157,6 @@ func (p *Pool) Contains(hash string) bool {
 	return ok
 }
 
-// Len returns the pooled transaction count, including reserved ones.
-func (p *Pool) Len() int {
-	p.mu.RLock()
-	n := p.live
-	p.mu.RUnlock()
-	return n
-}
-
 // PendingCount returns the packable transaction count (unreserved).
 func (p *Pool) PendingCount() int {
 	p.mu.RLock()
@@ -206,19 +198,6 @@ type AdmitResult struct {
 	// verdicts (the rival may yet be evicted), so callers treat them
 	// as "drop and let the client retry".
 	Skipped map[string]error
-}
-
-// Add admits a single transaction; it is AdmitBatch of one, returning
-// that transaction's rejection (semantic or structural), if any.
-func (p *Pool) Add(tx Tx) error {
-	res := p.AdmitBatch([]Tx{tx})
-	if err, ok := res.Rejected[tx.Hash()]; ok {
-		return err
-	}
-	if err, ok := res.Skipped[tx.Hash()]; ok {
-		return err
-	}
-	return nil
 }
 
 // AdmitBatch pushes one batch through the admission pipeline:

@@ -51,8 +51,8 @@ func TestAdmitAndContains(t *testing.T) {
 	if !p.Contains("a") || !p.Contains("b") || p.Contains("c") {
 		t.Error("Contains wrong")
 	}
-	if p.Len() != 2 || p.PendingCount() != 2 {
-		t.Errorf("Len=%d Pending=%d", p.Len(), p.PendingCount())
+	if p.live != 2 || p.PendingCount() != 2 {
+		t.Errorf("Len=%d Pending=%d", p.live, p.PendingCount())
 	}
 }
 
@@ -75,8 +75,8 @@ func TestDuplicateIDRejectedAtAdmission(t *testing.T) {
 	if err := res.Skipped["b"]; !errors.As(err, &dup) {
 		t.Fatalf("batch duplicate not skipped: %v", res)
 	}
-	if p.Len() != 2 {
-		t.Errorf("Len = %d, want 2", p.Len())
+	if p.live != 2 {
+		t.Errorf("Len = %d, want 2", p.live)
 	}
 }
 
@@ -222,7 +222,7 @@ func TestRemoveCommittedSweepsTransactionAndRivals(t *testing.T) {
 	}
 	// Committing a pooled transaction removes it and frees its claims.
 	p.RemoveCommitted([]Tx{c})
-	if p.Contains("c") || p.Len() != 0 {
+	if p.Contains("c") || p.live != 0 {
 		t.Error("committed transaction survived")
 	}
 }
@@ -238,11 +238,11 @@ func TestReserveExcludesFromPackingUntilCommit(t *testing.T) {
 	if got := p.Pack(10, 1); len(got) != 1 || got[0].Hash() != "b" {
 		t.Fatalf("Pack over reserved = %v", got)
 	}
-	if p.Len() != 2 {
+	if p.live != 2 {
 		t.Errorf("reserved tx left the pool")
 	}
 	p.RemoveCommitted([]Tx{a})
-	if p.Len() != 1 {
+	if p.live != 1 {
 		t.Errorf("commit did not clear reserved entry")
 	}
 }
@@ -277,12 +277,12 @@ func TestArrivalOrderSurvivesChurn(t *testing.T) {
 	}
 }
 
-func TestAddSingle(t *testing.T) {
+func TestAdmitDuplicateSkipped(t *testing.T) {
 	p := New(Config{})
-	if err := p.Add(indep("a")); err != nil {
-		t.Fatal(err)
+	if res := p.AdmitBatch([]Tx{indep("a")}); len(res.Admitted) != 1 {
+		t.Fatalf("first admission: %+v", res)
 	}
-	if err := p.Add(indep("a")); err == nil {
-		t.Fatal("duplicate Add succeeded")
+	if res := p.AdmitBatch([]Tx{indep("a")}); len(res.Admitted) != 0 || res.Skipped["a"] == nil {
+		t.Fatalf("duplicate admission: %+v", res)
 	}
 }

@@ -1,10 +1,6 @@
 package mempool
 
-import (
-	"time"
-
-	"smartchaindb/internal/obs"
-)
+import "smartchaindb/internal/obs"
 
 // poolObs caches the admission path's metric handles. The zero value
 // (all-nil handles) is the no-op build — every obs method is nil-safe —
@@ -44,16 +40,6 @@ func newPoolObs(reg *obs.Registry) poolObs {
 		live:          reg.Gauge("mempool.live"),
 		tracer:        reg.Tracer(),
 	}
-}
-
-// observeStage attributes one admission phase's duration to every
-// member transaction's trace. No-op (and allocation-free) without a
-// tracer.
-func (o *poolObs) observeStage(hashes []string, s obs.Stage, d time.Duration) {
-	if o.tracer == nil {
-		return
-	}
-	o.tracer.ObserveEach(hashes, s, d)
 }
 
 // hashesOf collects transaction hashes for a tracer batch call; returns

@@ -52,14 +52,6 @@ func (p *parser) expectPunct(text string) error {
 	return p.errf("expected %q, got %q", text, p.cur().Text)
 }
 
-func (p *parser) expectKeyword(text string) error {
-	if p.cur().Kind == TokKeyword && p.cur().Text == text {
-		p.advance()
-		return nil
-	}
-	return p.errf("expected %q, got %q", text, p.cur().Text)
-}
-
 func (p *parser) expectIdent() (string, error) {
 	if p.cur().Kind == TokIdent {
 		return p.advance().Text, nil

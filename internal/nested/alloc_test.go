@@ -82,7 +82,7 @@ func TestChildCommittedAllocations(t *testing.T) {
 	}
 	base := perBlock(plain)
 	got := perBlock(children)
-	const ceiling = 30 // 27 on go1.24, linux/amd64
+	const ceiling = 28 // 25 to 26 on go1.24, linux/amd64
 	if got-base > ceiling {
 		t.Errorf("a child's block: %v allocations, a plain transfer's %v: the bookkeeping costs %v, ceiling %d", got, base, got-base, ceiling)
 	}

@@ -109,14 +109,6 @@ type HistSnapshot struct {
 	P999  int64  `json:"p999"`
 }
 
-// Mean returns the exact mean, or 0 for an empty snapshot.
-func (s HistSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return float64(s.Sum) / float64(s.Count)
-}
-
 // Snapshot summarizes the histogram. Concurrent Observes may straddle
 // the bucket walk; each bucket is still read atomically.
 func (h *Histogram) Snapshot() HistSnapshot {

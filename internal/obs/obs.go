@@ -18,7 +18,6 @@ package obs
 import (
 	"math/rand/v2"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -87,14 +86,6 @@ func (g *Gauge) Set(v int64) {
 		return
 	}
 	g.v.Store(v)
-}
-
-// Add adds d.
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(d)
 }
 
 // Value returns the current value.
@@ -232,16 +223,3 @@ func (r *Registry) Snapshot() Snapshot {
 	})
 	return s
 }
-
-// Names returns the sorted metric names of one snapshot section.
-func names[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// CounterNames returns the snapshot's counter names, sorted.
-func (s Snapshot) CounterNames() []string { return names(s.Counters) }

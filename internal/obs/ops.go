@@ -88,18 +88,6 @@ type OpsServer struct {
 	srv *http.Server
 }
 
-// Serve starts the ops endpoint on addr (e.g. "localhost:6060"; ":0"
-// picks a free port) and serves it in the background until Close.
-func Serve(addr string, r *Registry) (*OpsServer, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: Handler(r), ReadHeaderTimeout: 5 * time.Second}
-	go srv.Serve(l)
-	return &OpsServer{l: l, srv: srv}, nil
-}
-
 // ServeLabeled starts a multi-registry ops endpoint on addr and serves
 // it in the background until Close.
 func ServeLabeled(addr string, regs map[string]*Registry) (*OpsServer, error) {

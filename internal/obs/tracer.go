@@ -77,15 +77,14 @@ const (
 // packed block once at propose and once at prevote, and only the first
 // measurement counts — so a committed trace reports every stage
 // exactly once. Memory is bounded: at most maxActive in-flight traces
-// (later arrivals are dropped and counted) and a fixed ring of
+// (later arrivals are refused) and a fixed ring of
 // completed ones. All methods are nil-safe no-ops.
 type Tracer struct {
-	mu      sync.Mutex
-	active  map[string]*Trace
-	done    []*Trace // ring of completed traces
-	next    int
-	stage   [StageCount]*Histogram
-	dropped uint64
+	mu     sync.Mutex
+	active map[string]*Trace
+	done   []*Trace // ring of completed traces
+	next   int
+	stage  [StageCount]*Histogram
 
 	maxActive int
 }
@@ -118,7 +117,6 @@ func (t *Tracer) traceLocked(id string) *Trace {
 		return tr
 	}
 	if len(t.active) >= t.maxActive {
-		t.dropped++
 		return nil
 	}
 	tr := newTrace(id)
@@ -269,24 +267,6 @@ func (t *Tracer) Completed() []Trace {
 		out = append(out, *t.done[(t.next+i)%len(t.done)])
 	}
 	return out
-}
-
-// Dropped returns the number of traces refused at the active bound.
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
-}
-
-// StageHistogram returns the aggregate dwell histogram for one stage.
-func (t *Tracer) StageHistogram(s Stage) *Histogram {
-	if t == nil || s >= StageCount {
-		return nil
-	}
-	return t.stage[s]
 }
 
 // stageSnapshots summarizes every stage's aggregate histogram, keyed

@@ -33,30 +33,6 @@ func FootprintOf(t *txn.Transaction) Footprint {
 	return Footprint{Writes: w, Reads: r}
 }
 
-// Conflicts reports whether the two footprints may not run
-// concurrently: write/write or write/read intersection.
-func (f Footprint) Conflicts(g Footprint) bool {
-	return intersects(f.Writes, g.Writes) ||
-		intersects(f.Writes, g.Reads) ||
-		intersects(f.Reads, g.Writes)
-}
-
-func intersects(a, b []string) bool {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	set := make(map[string]struct{}, len(a))
-	for _, k := range a {
-		set[k] = struct{}{}
-	}
-	for _, k := range b {
-		if _, ok := set[k]; ok {
-			return true
-		}
-	}
-	return false
-}
-
 // Plan partitions a batch into conflict groups: connected components
 // of the conflict graph, each listed in ascending block order.
 type Plan struct {

@@ -25,8 +25,7 @@
 // analytics take no commit fence and no collection lock, cannot block
 // — or be blocked by — a concurrent block commit, and can never
 // observe a half-applied block, even for multi-collection queries
-// like the auction outcome. AsOf rewinds the whole engine to an
-// earlier retained height.
+// like the auction outcome.
 package query
 
 import (
@@ -42,7 +41,6 @@ import (
 // Engine answers marketplace queries over one node's chain state.
 type Engine struct {
 	state *ledger.State
-	asOf  *ledger.StateView // nil: newest sealed block, pinned per call
 	// reg records per-method latency histograms (query.<method>_ns);
 	// inherited from the state's attached registry, nil for the no-op
 	// build.
@@ -55,18 +53,6 @@ type Engine struct {
 // method records its latency there as query.<method>_ns.
 func New(state *ledger.State) *Engine {
 	return &Engine{state: state, reg: state.ObsRegistry()}
-}
-
-// AsOf returns an engine answering every query as of block height h —
-// time-travel analytics over the retained version window. It fails
-// like ledger.StateAt when h is above the last sealed block or below
-// the garbage-collection floor.
-func (e *Engine) AsOf(h int64) (*Engine, error) {
-	v, err := e.state.StateAt(h)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{state: e.state, asOf: v, reg: e.reg}, nil
 }
 
 // noopTimer is the shared stop function handed out when no registry is
@@ -85,12 +71,7 @@ func (e *Engine) timed(method string) func() {
 }
 
 // view pins the chain snapshot one query call runs against.
-func (e *Engine) view() *ledger.StateView {
-	if e.asOf != nil {
-		return e.asOf
-	}
-	return e.state.View()
-}
+func (e *Engine) view() *ledger.StateView { return e.state.View() }
 
 func transactions(v *ledger.StateView) *docstore.Snapshot {
 	return v.Collection(ledger.ColTransactions)

@@ -132,33 +132,36 @@ func TestAuctionOutcome(t *testing.T) {
 	}
 }
 
-// TestAuctionOutcomeReadsItsSnapshot: settlement is read at the
-// engine's height like the rest of the outcome — unsettled as of the
-// ACCEPT_BID's block and each block before the last child's, settled
-// as of that one.
+// TestAuctionOutcomeReadsItsSnapshot: settlement is read from the
+// recovery record as of the query's own block, like the rest of the
+// outcome — unsettled after the ACCEPT_BID's block and after each
+// child's but the last, settled after that one.
 func TestAuctionOutcomeReadsItsSnapshot(t *testing.T) {
 	node := server.NewNode(server.Config{ReservedSeed: 17})
+	var children []*txn.Transaction
+	node.SetChildSubmitter(func(child *txn.Transaction) { children = append(children, child) })
 	grp := workload.NewGenerator(99, node.Escrow()).NewAuctionGroup(0, workload.AuctionGroupSpec{BiddersPerAuction: 3})
 	for _, tx := range append(append([]*txn.Transaction{grp.Request}, grp.Creates...), grp.Bids...) {
 		if err := node.Apply(tx); err != nil {
 			t.Fatal(err)
 		}
 	}
-	acceptH := node.State().Height() + 1
-	if err := node.Apply(grp.Accept); err != nil { // the children commit at once, one block each
+	if err := node.Apply(grp.Accept); err != nil {
 		t.Fatal(err)
 	}
-	if last := node.State().Height(); last != acceptH+3 {
-		t.Fatalf("height after the auction %d, want the accept's %d plus 3 children", last, acceptH)
+	if len(children) != 3 {
+		t.Fatalf("the accept owes %d children, want 3", len(children))
 	}
-	for k := int64(0); k <= 3; k++ {
-		e, err := New(node.State()).AsOf(acceptH + k)
-		if err != nil {
-			t.Fatal(err)
+	e := New(node.State())
+	for k := 0; k <= 3; k++ {
+		if k > 0 {
+			if err := node.Apply(children[k-1]); err != nil {
+				t.Fatal(err)
+			}
 		}
 		out, ok := e.AuctionOutcome(grp.Request.ID)
 		if !ok || out.Settled != (k == 3) {
-			t.Errorf("as of the accept's height + %d: outcome %+v, %v; want settled %v", k, out, ok, k == 3)
+			t.Errorf("after the accept and %d children: outcome %+v, %v; want settled %v", k, out, ok, k == 3)
 		}
 	}
 }
@@ -312,7 +315,7 @@ func TestHoldingsInBand(t *testing.T) {
 		t.Fatal("no unspent holdings in band")
 	}
 	for _, ref := range refs {
-		if !m.node.State().IsUnspent(ref) {
+		if !m.node.State().View().IsUnspent(ref) {
 			t.Errorf("band returned spent output %s", ref)
 		}
 	}

@@ -27,17 +27,29 @@ func corpusTxs(t testing.TB) []*txn.Transaction {
 	funding, transfer4, create1k := workload.BenchmarkShapes()
 	owner := keys.DeterministicKeyPair(51)
 	fanCreate, fanTransfer := workload.FanIn(owner, keys.DeterministicKeyPair(52).PublicBase58(), 7, 12)
-	g := workload.NewGenerator(3, keys.DeterministicKeyPair(53))
-	grp := g.NewAuctionGroup(0, workload.AuctionGroupSpec{BiddersPerAuction: 3, PayloadBytes: 160})
-	escrow, bidder := g.Escrow(), grp.Bidders[0]
+	escrow := keys.DeterministicKeyPair(53)
+	grp := workload.NewGenerator(3, escrow).NewAuctionGroup(0, workload.AuctionGroupSpec{BiddersPerAuction: 3, PayloadBytes: 160})
+	bidder := grp.Bidders[0]
 
 	ret := txn.NewReturn(escrow.PublicBase58(), grp.Accept.ID, 1, bidder.PublicBase58(), 1, grp.Creates[0].ID, map[string]any{"note": "refund"})
 	if err := txn.Sign(ret, escrow); err != nil {
 		t.Fatal(err)
 	}
-	withdraw, err := validate.NewWithdrawBid(escrow.PublicBase58(), bidder.PublicBase58(), grp.Bids[0])
-	if err != nil {
-		t.Fatal(err)
+	bid := grp.Bids[0]
+	withdraw := &txn.Transaction{
+		Operation: validate.OpWithdrawBid,
+		Asset:     &txn.Asset{ID: bid.AssetID()},
+		Inputs: []*txn.Input{{
+			Fulfills:     &txn.OutputRef{TxID: bid.ID, Index: 0},
+			OwnersBefore: []string{escrow.PublicBase58(), bidder.PublicBase58()},
+		}},
+		Outputs: []*txn.Output{{
+			PublicKeys: []string{bidder.PublicBase58()},
+			Amount:     bid.Outputs[0].Amount,
+			PrevOwners: []string{escrow.PublicBase58()},
+		}},
+		Refs:    []string{bid.ID},
+		Version: txn.Version,
 	}
 	if err := txn.Sign(withdraw, escrow, bidder); err != nil {
 		t.Fatal(err)
@@ -587,8 +599,12 @@ func BenchmarkSchemaValidate(b *testing.B) {
 // numeric and mixed enums, and integer and bound checks on awkward
 // numbers.
 var handWrittenSchemas = []string{`
+definitions:
+  count:
+    type: integer
+    minimum: 2
 anyOf:
-  - $ref: "#/definitions/missing"
+  - $ref: "#/definitions/count"
   - type: string
 `, `
 definitions:
@@ -662,9 +678,8 @@ func TestCompiledMatchesReferenceOnHandWrittenSchemas(t *testing.T) {
 }
 
 // TestChainedRefResolves: a definition that is itself a $ref is followed
-// to the node its chain ends on, a chain that ends on a missing name
-// fails naming it when a value reaches it, and a cycle of $refs is a
-// compile error.
+// to the node its chain ends on, and a chain that ends on a missing name
+// or a cycle of $refs is a compile error.
 func TestChainedRefResolves(t *testing.T) {
 	s, err := CompileYAML(`
 definitions:
@@ -674,14 +689,10 @@ definitions:
     $ref: "#/definitions/c"
   c:
     type: string
-  m:
-    $ref: "#/definitions/missing"
 type: object
 properties:
   x:
     $ref: "#/definitions/a"
-  y:
-    $ref: "#/definitions/m"
 `)
 	if err != nil {
 		t.Fatal(err)
@@ -692,11 +703,21 @@ properties:
 	}{
 		{map[string]any{"x": "s"}, "<nil>"},
 		{map[string]any{"x": 1.0}, "schema.Violation $.x: is number, want string"},
-		{map[string]any{"y": "s"}, `*errors.errorString schema: unresolved $ref "missing"`},
 	} {
 		if got := render(s.Validate(c.doc)); got != c.want {
 			t.Errorf("%v: %s, want %s", c.doc, got, c.want)
 		}
+	}
+	_, err = CompileYAML(`
+definitions:
+  m:
+    $ref: "#/definitions/missing"
+properties:
+  y:
+    $ref: "#/definitions/m"
+`)
+	if want := `schema: $ref "missing" names no definition`; err == nil || err.Error() != want {
+		t.Errorf("a chain ending on a missing name: compile error %v, want %q", err, want)
 	}
 	for _, src := range []string{`
 definitions:

@@ -127,17 +127,6 @@ func (r *Registry) ForOperation(op string) (*Schema, bool) {
 	return s, ok
 }
 
-// Operations lists the registered operation names.
-func (r *Registry) Operations() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	ops := make([]string, 0, len(r.byOp))
-	for op := range r.byOp {
-		ops = append(ops, op)
-	}
-	return ops
-}
-
 // ValidateDoc implements Algorithm 1: it dispatches the document to the
 // schema for its operation, rejects unknown operations outright, and
 // applies the language-key checks on asset data and metadata

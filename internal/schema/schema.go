@@ -15,16 +15,16 @@
 // any other form is a compile error.
 //
 // Compile resolves each $ref to its definition once, following a
-// definition that is itself a $ref (a cycle of them is a compile
-// error); a $ref naming no definition compiles and fails when a value
-// reaches it. A cycle of anyOf and $ref edges is a compile error too:
-// validation would follow it forever without descending into the
-// value. So is a definition reaching more than maxAlternatives nodes
-// through such edges. Recursion through properties or items stays
-// legal. Validation reports the first violation in a fixed visit
-// order: anyOf alternatives in listed order, then type, enum, the
-// value's own bounds, required properties in listed order, an object's
-// keys in sorted order and array items by index. The path of a violation
+// definition that is itself a $ref; a $ref naming no definition, or a
+// cycle of definitions that are each a $ref, is a compile error. So is
+// a cycle of anyOf and $ref edges: validation would follow it forever
+// without descending into the value. So is a definition reaching more
+// than maxAlternatives nodes through such edges. Recursion through
+// properties or items stays legal. Validation reports the first
+// violation in a fixed visit order: anyOf alternatives in listed order,
+// then type, enum, the value's own bounds, required properties in
+// listed order, an object's keys in sorted order and array items by
+// index. The path of a violation
 // ("$.inputs[2].fulfills.transaction_id") is built on the way back up
 // from it, so a valid document costs no allocation.
 package schema
@@ -58,9 +58,7 @@ type Schema struct {
 	maxItems   *int
 
 	// A $ref node carries only the definition's name and, once Compile
-	// has resolved it, the node its chain of definitions ends on; target
-	// stays nil, and ref names the missing one, when no definition has
-	// that name.
+	// has resolved it, the node its chain of definitions ends on.
 	ref    string
 	target *Schema
 }
@@ -130,7 +128,7 @@ func Compile(doc map[string]any) (*Schema, error) {
 		return nil, err
 	}
 	// A definition may itself be a $ref: follow the chain to the node
-	// it ends on, or to the name no definition has.
+	// it ends on. A name no definition has ends it in an error.
 	for _, r := range c.refs {
 		name, t := r.ref, defs[r.ref]
 		for hops := 0; t != nil && t.ref != ""; hops++ {
@@ -138,6 +136,9 @@ func Compile(doc map[string]any) (*Schema, error) {
 				return nil, fmt.Errorf("schema: $ref %q: the definitions it chains through form a cycle", r.ref)
 			}
 			name, t = t.ref, defs[t.ref]
+		}
+		if t == nil {
+			return nil, fmt.Errorf("schema: $ref %q names no definition", name)
 		}
 		r.ref, r.target = name, t
 	}
@@ -475,7 +476,6 @@ func (v Violation) Error() string { return fmt.Sprintf("%s: %s", v.Path, v.Msg) 
 // built only for a document that fails.
 type failure struct {
 	msg   string
-	ref   string    // an unresolved $ref: reported as a plain error, without a path
 	first *failure  // anyOf: the first alternative's failure, below this node
 	segs  []pathSeg // the path from the validated value down, innermost first
 }
@@ -514,9 +514,6 @@ func (f *failure) path(base string) string {
 
 // err renders the failure of a value found at base.
 func (f *failure) err(base string) error {
-	if f.ref != "" {
-		return fmt.Errorf("schema: unresolved $ref %q", f.ref)
-	}
 	path := f.path(base)
 	if f.first != nil {
 		return Violation{Path: path, Msg: fmt.Sprintf("no anyOf alternative matched (first failure: %v)", f.first.err(path))}
@@ -548,10 +545,7 @@ func (s *Schema) Validate(value any) error {
 }
 
 func (s *Schema) check(value any) *failure {
-	if s.ref != "" {
-		if s.target == nil {
-			return &failure{ref: s.ref}
-		}
+	if s.target != nil {
 		s = s.target
 	}
 	if len(s.anyOf) > 0 {

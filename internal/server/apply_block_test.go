@@ -29,7 +29,7 @@ func TestApplyIsABlock(t *testing.T) {
 			t.Fatalf("%s: height %d after Apply, want %d", tx.Operation, got, h+blocks)
 		}
 		if before.IsCommitted(tx.ID) {
-			t.Fatalf("%s: a view taken at height %d before Apply sees the transaction", tx.Operation, before.Height())
+			t.Fatalf("%s: a view taken at height %d before Apply sees the transaction", tx.Operation, h)
 		}
 		if !n.State().View().IsCommitted(tx.ID) {
 			t.Fatalf("%s: a view taken after Apply misses the transaction", tx.Operation)

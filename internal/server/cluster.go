@@ -138,9 +138,6 @@ func (c *Cluster) ChildInjector(i int) nested.Submitter {
 // ServerNode returns validator i's server node.
 func (c *Cluster) ServerNode(i int) *Node { return c.nodes[i] }
 
-// Escrow returns the cluster-wide escrow account.
-func (c *Cluster) Escrow() string { return c.nodes[0].Escrow().PublicBase58() }
-
 // Close flushes and releases every validator's storage backend.
 func (c *Cluster) Close() error {
 	var first error

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"smartchaindb/internal/keys"
+	"smartchaindb/internal/obs"
 	"smartchaindb/internal/txn"
 	"smartchaindb/internal/workload"
 )
@@ -97,8 +98,17 @@ func TestInjectedChildrenMatchNetworkChildren(t *testing.T) {
 // into its own mempool, and once it has caught up it holds the same
 // state as the others, with the record complete and nothing pooled.
 func TestChildrenCommitWhileTheirValidatorIsDown(t *testing.T) {
-	c := newTestCluster(4, 17)
+	regs := make([]*obs.Registry, 4)
+	c := NewCluster(ClusterConfig{
+		Nodes:         4,
+		Seed:          17,
+		BlockInterval: 20 * time.Millisecond,
+		MaxBlockTxs:   32,
+		Pipelined:     true,
+		ObsFor:        func(i int) *obs.Registry { regs[i] = obs.New(); return regs[i] },
+	})
 	defer c.Close()
+	pooled := func() int64 { return regs[0].Snapshot().Gauges["mempool.live"] }
 	escrowPair := c.ServerNode(0).Escrow()
 	requester := keys.MustGenerate()
 	b1, b2 := keys.MustGenerate(), keys.MustGenerate()
@@ -142,7 +152,7 @@ func TestChildrenCommitWhileTheirValidatorIsDown(t *testing.T) {
 	n0.SetChildSubmitter(inject)
 	c.RestartNode(0)
 	c.RunUntil(c.Sched().Now() + 10*time.Millisecond)
-	if got := c.Node(0).MempoolSize(); got != 2 {
+	if got := pooled(); got != 2 {
 		t.Fatalf("validator 0 pools %d transactions after its recovery replay, want its 2 children", got)
 	}
 	// New traffic moves the cluster on; once it is two heights ahead,
@@ -167,7 +177,7 @@ func TestChildrenCommitWhileTheirValidatorIsDown(t *testing.T) {
 	if rec, err := n0.State().RecoveryFor(acc.ID); err != nil || rec.Status != "COMPLETE" {
 		t.Errorf("validator 0's record = %+v, %v; want COMPLETE", rec, err)
 	}
-	if got := c.Node(0).MempoolSize(); got != 0 {
+	if got := pooled(); got != 0 {
 		t.Errorf("validator 0 still pools %d transactions", got)
 	}
 }

@@ -60,12 +60,9 @@ func assertTracesComplete(t *testing.T, reg *obs.Registry, committed []string) {
 			}
 		}
 	}
-	if n := tracer.Dropped(); n != 0 {
-		t.Errorf("tracer dropped %d traces at the active bound", n)
-	}
 	// The aggregate seal histogram counts one observation per committed
 	// transaction: stages cannot double-record.
-	if got := tracer.StageHistogram(obs.StageSeal).Snapshot().Count; got != uint64(len(committed)) {
+	if got := reg.Snapshot().Stages[obs.StageSeal.String()].Count; got != uint64(len(committed)) {
 		t.Errorf("seal stage recorded %d observations for %d committed txs", got, len(committed))
 	}
 }

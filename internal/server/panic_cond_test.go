@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"smartchaindb/internal/consensus"
 	"smartchaindb/internal/keys"
 	"smartchaindb/internal/schema"
 	"smartchaindb/internal/txn"
@@ -88,14 +89,13 @@ properties:
 
 	for _, tx := range valid {
 		if _, ok := c.CommitTime(tx.ID); !ok {
-			err, _ := c.Rejected(tx.ID)
-			t.Errorf("valid %s did not commit: %v", tx.Operation, err)
+			t.Errorf("valid %s did not commit", tx.Operation)
 		}
 	}
-	err, refused := c.Rejected(marked.ID)
+	err = c.ServerNode(0).CheckTxBatch([]consensus.Tx{marked})[marked.ID]
 	var ve *txn.ValidationError
-	if !refused || !errors.As(err, &ve) || ve.Cond != panicking || !strings.Contains(ve.Reason, "panicked") {
-		t.Fatalf("the marked transaction: refused %v, %v; want a refusal naming %s", refused, err, panicking)
+	if !errors.As(err, &ve) || ve.Cond != panicking || !strings.Contains(ve.Reason, "panicked") {
+		t.Fatalf("the marked transaction: %v; want a refusal naming %s", err, panicking)
 	}
 	if _, ok := c.CommitTime(marked.ID); ok {
 		t.Fatal("the marked transaction committed")

@@ -379,11 +379,8 @@ func TestJoinWritesNothingAPinnedViewSees(t *testing.T) {
 			t.Fatalf("block %d: %d transactions rejected", h, len(invalid))
 		}
 		join := n.CommitStart(h, asConsensusTxs(batch))
-		n.DrainCommits() // sealed, not joined
-		v, err := n.State().StateAt(h)
-		if err != nil {
-			t.Fatal(err)
-		}
+		n.DrainCommits()      // sealed, not joined
+		v := n.State().View() // pinned at block h
 		before := read(v)
 		join()
 		if after := read(v); after != before {

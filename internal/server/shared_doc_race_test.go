@@ -1,6 +1,7 @@
 package server
 
 import (
+	"maps"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -18,13 +19,13 @@ import (
 // share each *txn.Transaction, and with it its one document
 // (txn.Transaction.SharedDoc): here all four admit, validate and
 // commit the same transaction objects at once, each then gives the
-// logged transaction a children field (Collection.Update: a
-// copy-on-write of the shared document's top level, as the seal does
-// to a nested parent), while per-node readers borrow every
+// logged transaction a children field (an Upsert of a copy of the
+// shared document's top level, as the seal does to a nested parent),
+// while per-node readers borrow every
 // transaction and UTXO record — the writer view and the newest
 // snapshot — and read every byte of them. Nothing may write to a
 // document once it is shared or stored: under -race, a validator
-// editing the shared document, an Update writing in place, or a
+// editing the shared document, a replacement written in place, or a
 // mark-spent editing the record a reader holds, is a reported race.
 func TestSharedDocumentRace(t *testing.T) {
 	const validators, transfers, perBlock = 4, 16, 4
@@ -77,10 +78,11 @@ func TestSharedDocumentRace(t *testing.T) {
 				node.CommitStart(int64(h+1), block)()
 				for _, tx := range block {
 					children := []any{"child-of-" + tx.Hash()[:8]}
-					if err := node.State().Store().Collection(ledger.ColTransactions).Update(tx.Hash(), func(doc map[string]any) error {
-						doc["children"] = children
-						return nil
-					}); err != nil {
+					txs := node.State().Store().Collection(ledger.ColTransactions)
+					old, _ := txs.Borrow(tx.Hash())
+					next := maps.Clone(old)
+					next["children"] = children
+					if err := txs.Upsert(tx.Hash(), next); err != nil {
 						t.Errorf("validator %d: %v", v, err)
 					}
 				}

@@ -52,7 +52,7 @@ func requireSettled(t *testing.T, c *Cluster, grp *workload.AuctionGroup, home i
 	}
 	held := 0
 	for i := range accept.Outputs {
-		if st.IsUnspent(txn.OutputRef{TxID: accept.ID, Index: i}) {
+		if st.View().IsUnspent(txn.OutputRef{TxID: accept.ID, Index: i}) {
 			held++
 		}
 	}
@@ -132,7 +132,7 @@ func TestAuctionChildrenReplayAfterCrash(t *testing.T) {
 	}
 	defer c.Close()
 	for i := range grp.Accept.Outputs {
-		if !c.Shard(1).Node.State().IsUnspent(txn.OutputRef{TxID: grp.Accept.ID, Index: i}) {
+		if !c.Shard(1).Node.State().View().IsUnspent(txn.OutputRef{TxID: grp.Accept.ID, Index: i}) {
 			t.Fatalf("output %d of the ACCEPT_BID is spent after the cut: the WAL kept a child", i)
 		}
 	}

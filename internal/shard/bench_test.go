@@ -48,7 +48,10 @@ func benchChain(b *testing.B, owner, other *keys.KeyPair, amount uint64, home, h
 // chain's shares to the other shard of two — hold, condition set,
 // stage, two prepares, decide, apply, release.
 func BenchmarkCrossShardTransfer(b *testing.B) {
-	c := New(Config{Shards: 2})
+	c, err := Open(Config{Shards: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
 	defer c.Close()
 	create, chain := benchChain(b, keys.DeterministicKeyPair(1), keys.DeterministicKeyPair(2), 10, 0, b.N,
 		func(i int) int { return (i + 1) % 2 })
@@ -70,7 +73,10 @@ func BenchmarkCrossShardTransfer(b *testing.B) {
 // commits it in one local block per shard.
 func BenchmarkLocalShardRound(b *testing.B) {
 	const chains = 64
-	c := New(Config{Shards: 2})
+	c, err := Open(Config{Shards: 2})
+	if err != nil {
+		b.Fatal(err)
+	}
 	defer c.Close()
 	rounds := (b.N + chains - 1) / chains
 	creates := make([]*txn.Transaction, chains)

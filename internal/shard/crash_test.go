@@ -142,7 +142,7 @@ func crashAt(t *testing.T, cut int, seed int64) {
 		}
 	}
 	if committed {
-		if !c.Shard(1).Node.State().IsUnspent(txn.OutputRef{TxID: cross.ID, Index: 0}) {
+		if !c.Shard(1).Node.State().View().IsUnspent(txn.OutputRef{TxID: cross.ID, Index: 0}) {
 			t.Fatal("committed transfer's output missing on home shard")
 		}
 		if c.Recovered == 0 && !spent {

@@ -138,17 +138,6 @@ func Open(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// New builds an in-memory sharded cluster, panicking on failure — the
-// test and bench constructor.
-func New(cfg Config) *Cluster {
-	c, err := Open(cfg)
-	if err != nil {
-		// invariant: New is the in-memory must-constructor; a caller with directories to fail on uses Open.
-		panic(fmt.Sprintf("shard: open: %v", err))
-	}
-	return c
-}
-
 // Close releases every shard's storage backend.
 func (c *Cluster) Close() error {
 	var first error

@@ -41,7 +41,7 @@ func TestCrossShardTransfer(t *testing.T) {
 		t.Fatalf("input not marked spent on shard 0: %q %v", sp, ok)
 	}
 	migrated := txn.OutputRef{TxID: cross.ID, Index: 0}
-	if !c.Shard(1).Node.State().IsUnspent(migrated) {
+	if !c.Shard(1).Node.State().View().IsUnspent(migrated) {
 		t.Fatal("migrated output missing on shard 1")
 	}
 	if s, ok := c.Directory().Lookup(cross.ID); !ok || s != 1 {
@@ -89,7 +89,7 @@ func TestCrossShardSplit(t *testing.T) {
 		t.Fatalf("split transfer: %v", err)
 	}
 	for i := 0; i < 2; i++ {
-		if !c.Shard(2).Node.State().IsUnspent(txn.OutputRef{TxID: cross.ID, Index: i}) {
+		if !c.Shard(2).Node.State().View().IsUnspent(txn.OutputRef{TxID: cross.ID, Index: i}) {
 			t.Fatalf("output %d missing on home shard", i)
 		}
 	}
@@ -185,7 +185,7 @@ func assertNoResidue(t *testing.T, c *Cluster, ref txn.OutputRef) {
 		}
 	}
 	home, _ := c.dir.Lookup(ref.TxID)
-	if !c.Shard(home).Node.State().IsUnspent(ref) {
+	if !c.Shard(home).Node.State().View().IsUnspent(ref) {
 		t.Fatal("aborted round consumed the input")
 	}
 }

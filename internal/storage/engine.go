@@ -555,23 +555,6 @@ func (e *Engine) foldAndInstall(cut manifest, heads []collHeads) (inst manifest,
 	return inst, written, nil
 }
 
-// engineStats is the engine's on-disk shape.
-type engineStats struct {
-	Gen      uint64 // generation of the live WAL; the segments reach it when the fold installs
-	WALBytes int64  // size of the live WAL
-	WALs     int    // WALs MANIFEST names: more than one while a checkpoint is folding
-	Segments int
-	Folding  bool // a checkpoint's fold is in flight
-}
-
-// stats returns current generation, WAL size and count, segment count,
-// and whether a fold is running.
-func (e *Engine) stats() engineStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return engineStats{Gen: e.man.Gen, WALBytes: e.wal.bytes(), WALs: len(e.man.wals()), Segments: len(e.man.Segments), Folding: e.fold != nil}
-}
-
 // Close waits for a fold in flight, then flushes and closes the WAL.
 // The directory can be reopened. A sticky fold failure is returned
 // here too: the data is all there, the checkpoint is not.

@@ -80,10 +80,10 @@ func TestMVCCBlockVisibility(t *testing.T) {
 		if got := docAt(t, c, "k1", 0)["v"]; got != 0.0 {
 			t.Fatalf("height 0 no longer stable after seal: v=%v", got)
 		}
-		if got, want := c.KeysAt(0), []string{"k1"}; !reflect.DeepEqual(got, want) {
+		if got, want := keysAt(c, 0), []string{"k1"}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("KeysAt(0) = %v, want %v", got, want)
 		}
-		if got, want := c.KeysAt(1), []string{"k1", "k2"}; !reflect.DeepEqual(got, want) {
+		if got, want := keysAt(c, 1), []string{"k1", "k2"}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("KeysAt(1) = %v, want %v", got, want)
 		}
 		if got := c.LenAt(0); got != 1 {
@@ -121,13 +121,13 @@ func TestMVCCDeleteAndReinsert(t *testing.T) {
 		// Reinsertion re-enters iteration order at the back, and each
 		// height scans exactly its own live set — no duplicates from
 		// the delete/reinsert churn.
-		if got, want := c.KeysAt(1), []string{"a", "b"}; !reflect.DeepEqual(got, want) {
+		if got, want := keysAt(c, 1), []string{"a", "b"}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("KeysAt(1) = %v, want %v", got, want)
 		}
-		if got, want := c.KeysAt(2), []string{"b"}; !reflect.DeepEqual(got, want) {
+		if got, want := keysAt(c, 2), []string{"b"}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("KeysAt(2) = %v, want %v", got, want)
 		}
-		if got, want := c.KeysAt(3), []string{"b", "a"}; !reflect.DeepEqual(got, want) {
+		if got, want := keysAt(c, 3), []string{"b", "a"}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("KeysAt(3) = %v, want %v", got, want)
 		}
 		seen := map[string]int{}
@@ -210,7 +210,7 @@ func TestMVCCDiskReopenRecoversHeights(t *testing.T) {
 		if got := eng2.Floor(); got != 3 {
 			t.Fatalf("%s: Floor after reopen = %d, want 3", stage, got)
 		}
-		if got := c2.KeysAt(3); !reflect.DeepEqual(got, wantKeys) {
+		if got := keysAt(c2, 3); !reflect.DeepEqual(got, wantKeys) {
 			t.Fatalf("%s: KeysAt(3) = %v, want %v", stage, got, wantKeys)
 		}
 		for h := int64(1); h <= 3; h++ {
@@ -323,4 +323,15 @@ func TestMVCCSnapshotReadersRaceAppliers(t *testing.T) {
 		close(stop)
 		wg.Wait()
 	})
+}
+
+// keysAt lists the keys a collection holds at height h, in insertion
+// order, as ScanAt walks them.
+func keysAt(c Collection, h int64) []string {
+	var keys []string
+	c.ScanAt(h, func(key string, _ map[string]any) bool {
+		keys = append(keys, key)
+		return true
+	})
+	return keys
 }

@@ -246,6 +246,5 @@ type Collection interface {
 	// collection-wide lock.
 	OrdsAt(keys []string, h int64) map[string]uint64
 	LenAt(h int64) int
-	KeysAt(h int64) []string
 	ScanAt(h int64, fn func(key string, doc map[string]any) bool)
 }

@@ -346,3 +346,20 @@ func TestMemoryBackendInterfaceBasics(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// engineStats is the engine's on-disk shape.
+type engineStats struct {
+	Gen      uint64 // generation of the live WAL; the segments reach it when the fold installs
+	WALBytes int64  // size of the live WAL
+	WALs     int    // WALs MANIFEST names: more than one while a checkpoint is folding
+	Segments int
+	Folding  bool // a checkpoint's fold is in flight
+}
+
+// stats returns current generation, WAL size and count, segment count,
+// and whether a fold is running.
+func (e *Engine) stats() engineStats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return engineStats{Gen: e.man.Gen, WALBytes: e.wal.bytes(), WALs: len(e.man.wals()), Segments: len(e.man.Segments), Folding: e.fold != nil}
+}

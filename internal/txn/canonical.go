@@ -68,11 +68,6 @@ func (t *Transaction) VerifyID() bool {
 	return t.ID != "" && t.ID == t.ComputeID()
 }
 
-// CanonicalizeDoc renders any JSON-safe document in the same canonical
-// form as MarshalCanonical — sorted keys, no whitespace — so byte-wise
-// comparisons and fingerprints over stored documents are stable.
-func CanonicalizeDoc(doc map[string]any) []byte { return AppendCanonicalDoc(nil, doc) }
-
 // AppendCanonicalDoc appends doc's canonical encoding to dst and
 // returns the extended slice. With a dst of sufficient capacity the
 // steady state allocates nothing (encoder scratch is pooled), which is
@@ -106,8 +101,8 @@ var encPool = sync.Pool{New: func() any { return new(canonEncoder) }}
 
 // encodeTx renders t's canonical JSON or, with signing set, its
 // signing payload (ID zeroed, children and fulfillments left out),
-// straight from the struct: the bytes CanonicalizeDoc would produce for
-// ToDoc's document, without building the document. The result is an
+// straight from the struct: the bytes AppendCanonicalDoc would produce
+// for ToDoc's document, without building the document. The result is an
 // exact-size copy out of the pooled buffer, so a cold encode costs one
 // allocation.
 func encodeTx(t *Transaction, signing bool) []byte {

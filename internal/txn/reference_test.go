@@ -244,3 +244,8 @@ func RefBatchTriples(ts []*Transaction) (tasks, unique int) {
 	}
 	return tasks, len(seen)
 }
+
+// CanonicalizeDoc renders any JSON-safe document in the same canonical
+// form as MarshalCanonical — sorted keys, no whitespace — so byte-wise
+// comparisons and fingerprints over stored documents are stable.
+func CanonicalizeDoc(doc map[string]any) []byte { return AppendCanonicalDoc(nil, doc) }

@@ -33,15 +33,6 @@ func Operations() []string {
 	return []string{OpCreate, OpTransfer, OpRequest, OpBid, OpReturn, OpAcceptBid}
 }
 
-// IsNativeOp reports whether op is one of the native operations.
-func IsNativeOp(op string) bool {
-	switch op {
-	case OpCreate, OpTransfer, OpRequest, OpBid, OpReturn, OpAcceptBid:
-		return true
-	}
-	return false
-}
-
 // Asset is a blockchain asset A = ⟨(k,v), amt⟩: a nested key-value
 // document plus a non-negative number of shares. A CREATE transaction
 // carries the asset data inline; every downstream transaction refers to

@@ -333,9 +333,6 @@ func TestHelpers(t *testing.T) {
 	if tx.Outputs[0].OwnedBy("someone-else") {
 		t.Error("OwnedBy should reject stranger")
 	}
-	if !IsNativeOp(OpBid) || IsNativeOp("NOPE") {
-		t.Error("IsNativeOp misclassifies")
-	}
 	if len(Operations()) != 6 {
 		t.Errorf("Operations() = %v", Operations())
 	}

@@ -95,27 +95,3 @@ func WithdrawBidType() *txtype.Type {
 		},
 	}
 }
-
-// NewWithdrawBid builds the withdrawal transaction: the escrow-held
-// bid output returns to the bidder, co-signed by escrow and bidder.
-func NewWithdrawBid(escrowPub, bidderPub string, bid *txn.Transaction) (*txn.Transaction, error) {
-	if len(bid.Outputs) == 0 {
-		return nil, fmt.Errorf("validate: bid %s has no outputs", short(bid.ID))
-	}
-	out := bid.Outputs[0]
-	return &txn.Transaction{
-		Operation: OpWithdrawBid,
-		Asset:     &txn.Asset{ID: bid.AssetID()},
-		Inputs: []*txn.Input{{
-			Fulfills:     &txn.OutputRef{TxID: bid.ID, Index: 0},
-			OwnersBefore: []string{escrowPub, bidderPub},
-		}},
-		Outputs: []*txn.Output{{
-			PublicKeys: []string{bidderPub},
-			Amount:     out.Amount,
-			PrevOwners: []string{escrowPub},
-		}},
-		Refs:    []string{bid.ID},
-		Version: txn.Version,
-	}, nil
-}

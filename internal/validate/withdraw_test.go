@@ -2,6 +2,7 @@ package validate
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"smartchaindb/internal/keys"
@@ -24,7 +25,7 @@ func withdrawWorld(t *testing.T) (*world, *txn.Transaction, []*txn.Transaction, 
 
 func TestWithdrawBidHappyPath(t *testing.T) {
 	w, rfq, bids, bidders := withdrawWorld(t)
-	wd, err := NewWithdrawBid(w.escrow.PublicBase58(), bidders[0].PublicBase58(), bids[0])
+	wd, err := newWithdrawBid(w.escrow.PublicBase58(), bidders[0].PublicBase58(), bids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestWithdrawBidAuthorization(t *testing.T) {
 	w, _, bids, _ := withdrawWorld(t)
 	eve := keys.MustGenerate()
 	// Eve builds a withdrawal routing the shares to herself.
-	wd, err := NewWithdrawBid(w.escrow.PublicBase58(), eve.PublicBase58(), bids[0])
+	wd, err := newWithdrawBid(w.escrow.PublicBase58(), eve.PublicBase58(), bids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestWithdrawBidAfterAcceptRejected(t *testing.T) {
 	w, rfq, bids, bidders := withdrawWorld(t)
 	acc := w.accept(rfq, bids[0], bids[1])
 	w.mustCommit(acc)
-	wd, err := NewWithdrawBid(w.escrow.PublicBase58(), bidders[1].PublicBase58(), bids[1])
+	wd, err := newWithdrawBid(w.escrow.PublicBase58(), bidders[1].PublicBase58(), bids[1])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestWithdrawBidAfterAcceptRejected(t *testing.T) {
 
 func TestWithdrawBidPartialAmountRejected(t *testing.T) {
 	w, _, bids, bidders := withdrawWorld(t)
-	wd, err := NewWithdrawBid(w.escrow.PublicBase58(), bidders[0].PublicBase58(), bids[0])
+	wd, err := newWithdrawBid(w.escrow.PublicBase58(), bidders[0].PublicBase58(), bids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestWithdrawBidMustSpendABid(t *testing.T) {
 
 func TestWithdrawBidSchemaRegistered(t *testing.T) {
 	w, _, bids, bidders := withdrawWorld(t)
-	wd, err := NewWithdrawBid(w.escrow.PublicBase58(), bidders[0].PublicBase58(), bids[0])
+	wd, err := newWithdrawBid(w.escrow.PublicBase58(), bidders[0].PublicBase58(), bids[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,4 +147,28 @@ func TestWithdrawBidSchemaRegistered(t *testing.T) {
 	if err := w.schemas().ValidateTx(wd); err != nil {
 		t.Fatalf("schema validation: %v", err)
 	}
+}
+
+// newWithdrawBid builds the withdrawal transaction: the escrow-held
+// bid output returns to the bidder, co-signed by escrow and bidder.
+func newWithdrawBid(escrowPub, bidderPub string, bid *txn.Transaction) (*txn.Transaction, error) {
+	if len(bid.Outputs) == 0 {
+		return nil, fmt.Errorf("validate: bid %s has no outputs", short(bid.ID))
+	}
+	out := bid.Outputs[0]
+	return &txn.Transaction{
+		Operation: OpWithdrawBid,
+		Asset:     &txn.Asset{ID: bid.AssetID()},
+		Inputs: []*txn.Input{{
+			Fulfills:     &txn.OutputRef{TxID: bid.ID, Index: 0},
+			OwnersBefore: []string{escrowPub, bidderPub},
+		}},
+		Outputs: []*txn.Output{{
+			PublicKeys: []string{bidderPub},
+			Amount:     out.Amount,
+			PrevOwners: []string{escrowPub},
+		}},
+		Refs:    []string{bid.ID},
+		Version: txn.Version,
+	}, nil
 }

@@ -2,9 +2,9 @@
 // (Definition 5 of the paper): named sequences of transaction types
 // composing marketplace processes, e.g. the reverse auction
 // CREATE → REQUEST → BID → ACCEPT_BID → TRANSFER. A Spec declares the
-// legal op sequences as data; a Tracker follows live instances against
-// chain state; and Trace reconstructs a completed workflow from the
-// spend/reference graph — the queryability the paper contrasts with
+// legal op sequences as data, and Trace reconstructs a workflow from
+// the chain's spend graph, so a committed path is checked against its
+// Spec by a chain query — the queryability the paper contrasts with
 // smart contracts, whose workflow state hides inside program storage.
 package workflow
 
@@ -97,36 +97,9 @@ func contains(list []string, v string) bool {
 	return false
 }
 
-// ChainState is the read view Trace and Tracker need.
+// ChainState is the read view Trace needs.
 type ChainState interface {
 	GetTx(id string) (*txn.Transaction, error)
-	IsCommitted(id string) bool
-}
-
-// ValidateChain checks Definition 5 over concrete transactions: the
-// head spends nothing, and every later transaction's inputs come from
-// committed transactions.
-func ValidateChain(state ChainState, seq []*txn.Transaction) error {
-	if len(seq) == 0 {
-		return fmt.Errorf("workflow: empty chain")
-	}
-	head := seq[0]
-	for _, in := range head.Inputs {
-		if in.Fulfills != nil {
-			return fmt.Errorf("workflow: head %s spends an output; heads must have null input", short(head.ID))
-		}
-	}
-	for _, t := range seq[1:] {
-		for _, in := range t.Inputs {
-			if in.Fulfills == nil {
-				continue
-			}
-			if !state.IsCommitted(in.Fulfills.TxID) {
-				return fmt.Errorf("workflow: %s input spends uncommitted %s", short(t.ID), short(in.Fulfills.TxID))
-			}
-		}
-	}
-	return nil
 }
 
 // Trace reconstructs the op path ending at txID by walking spending
@@ -155,45 +128,6 @@ func Trace(state ChainState, txID string) ([]string, []string, error) {
 		cur = next
 	}
 	return nil, nil, fmt.Errorf("workflow: trace exceeded depth limit at %s", short(txID))
-}
-
-// Tracker follows live workflow instances keyed by an instance ID
-// (the REQUEST transaction for reverse auctions).
-type Tracker struct {
-	spec      *Spec
-	instances map[string][]string // instance -> op path so far
-}
-
-// NewTracker creates a tracker for one spec.
-func NewTracker(spec *Spec) *Tracker {
-	return &Tracker{spec: spec, instances: make(map[string][]string)}
-}
-
-// Advance records the next transaction of an instance, rejecting
-// illegal transitions.
-func (tr *Tracker) Advance(instanceID string, op string) error {
-	path := tr.instances[instanceID]
-	if len(path) == 0 {
-		if !tr.spec.IsHead(op) {
-			return fmt.Errorf("workflow %s: instance %s cannot start with %s", tr.spec.Name, short(instanceID), op)
-		}
-	} else if !tr.spec.ValidStep(path[len(path)-1], op) {
-		return fmt.Errorf("workflow %s: instance %s illegal step %s -> %s", tr.spec.Name, short(instanceID), path[len(path)-1], op)
-	}
-	tr.instances[instanceID] = append(path, op)
-	return nil
-}
-
-// Path returns the op path of an instance so far.
-func (tr *Tracker) Path(instanceID string) []string {
-	return append([]string(nil), tr.instances[instanceID]...)
-}
-
-// Completed reports whether the instance currently ends on a terminal
-// operation.
-func (tr *Tracker) Completed(instanceID string) bool {
-	path := tr.instances[instanceID]
-	return len(path) > 0 && tr.spec.IsTerminal(path[len(path)-1])
 }
 
 func short(s string) string {

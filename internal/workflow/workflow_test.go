@@ -15,6 +15,7 @@ func TestValidSequences(t *testing.T) {
 		{txn.OpCreate},
 		{txn.OpCreate, txn.OpTransfer},
 		{txn.OpCreate, txn.OpBid, txn.OpAcceptBid},
+		{txn.OpRequest, txn.OpBid, txn.OpAcceptBid},
 		{txn.OpRequest, txn.OpBid, txn.OpAcceptBid, txn.OpTransfer},
 		{txn.OpCreate, txn.OpBid, txn.OpAcceptBid, txn.OpReturn},
 		{txn.OpCreate, txn.OpTransfer, txn.OpTransfer},
@@ -31,6 +32,7 @@ func TestValidSequences(t *testing.T) {
 		{txn.OpRequest},                 // REQUEST is not terminal
 		{txn.OpRequest, txn.OpBid},      // BID is not terminal
 		{txn.OpCreate, txn.OpRequest},   // illegal step
+		{txn.OpRequest, txn.OpBid, txn.OpAcceptBid, txn.OpBid}, // illegal step
 	}
 	for _, seq := range bad {
 		if err := ra.ValidSequence(seq); err == nil {
@@ -46,35 +48,6 @@ func TestSimpleTransferSpec(t *testing.T) {
 	}
 	if err := st.ValidSequence([]string{txn.OpCreate, txn.OpBid}); err == nil {
 		t.Error("BID should be illegal in simple-transfer")
-	}
-}
-
-func TestTracker(t *testing.T) {
-	tr := NewTracker(ReverseAuction())
-	if err := tr.Advance("rfq1", txn.OpRequest); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Completed("rfq1") {
-		t.Error("REQUEST alone should not complete")
-	}
-	if err := tr.Advance("rfq1", txn.OpBid); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Advance("rfq1", txn.OpAcceptBid); err != nil {
-		t.Fatal(err)
-	}
-	if !tr.Completed("rfq1") {
-		t.Error("ACCEPT_BID should complete the instance")
-	}
-	if got := tr.Path("rfq1"); !reflect.DeepEqual(got, []string{"REQUEST", "BID", "ACCEPT_BID"}) {
-		t.Errorf("path = %v", got)
-	}
-	// Illegal transitions are rejected and do not advance the path.
-	if err := tr.Advance("rfq1", txn.OpBid); err == nil {
-		t.Error("ACCEPT_BID -> BID should be illegal")
-	}
-	if err := tr.Advance("rfq2", txn.OpBid); err == nil {
-		t.Error("instance cannot start with BID")
 	}
 }
 
@@ -152,27 +125,5 @@ func TestTraceErrors(t *testing.T) {
 	n := server.NewNode(server.Config{ReservedSeed: 3})
 	if _, _, err := Trace(n.State(), "missing"); err == nil {
 		t.Error("tracing a missing tx should fail")
-	}
-}
-
-func TestValidateChain(t *testing.T) {
-	n, asset, bid, _ := buildAuction(t)
-	assetTx, _ := n.State().GetTx(asset.ID)
-	bidTx, _ := n.State().GetTx(bid.ID)
-	if err := ValidateChain(n.State(), []*txn.Transaction{assetTx, bidTx}); err != nil {
-		t.Errorf("valid chain rejected: %v", err)
-	}
-	// A head with a spending input violates Definition 5.
-	if err := ValidateChain(n.State(), []*txn.Transaction{bidTx}); err == nil {
-		t.Error("BID as head should be rejected")
-	}
-	if err := ValidateChain(n.State(), nil); err == nil {
-		t.Error("empty chain should be rejected")
-	}
-	// A follow-up spending an uncommitted transaction is rejected.
-	ghost := bidTx.Clone()
-	ghost.Inputs[0].Fulfills.TxID = "0000000000000000000000000000000000000000000000000000000000000000"
-	if err := ValidateChain(n.State(), []*txn.Transaction{assetTx, ghost}); err == nil {
-		t.Error("chain referencing uncommitted input should be rejected")
 	}
 }

@@ -44,9 +44,6 @@ func (g *Generator) Account(i int) *keys.KeyPair {
 	return kp
 }
 
-// Escrow returns the escrow account bids target.
-func (g *Generator) Escrow() *keys.KeyPair { return g.escrow }
-
 // CapabilityStrings builds n capability labels whose total rendered
 // size is close to totalBytes — the "list of strings of various sizes
 // ... representing digital manufacturing capabilities" of Experiment 1.
@@ -261,9 +258,6 @@ func (m Mix) Scale(factor int) Mix {
 	}
 	return Mix{Creates: scale(m.Creates), Bids: scale(m.Bids), Requests: scale(m.Requests), Accepts: scale(m.Accepts)}
 }
-
-// Total returns the transaction count of the mix.
-func (m Mix) Total() int { return m.Creates + m.Bids + m.Requests + m.Accepts }
 
 // Groups renders the mix as auction groups: one group per REQUEST with
 // Bids/Requests bidders each. The group construction consumes the

@@ -18,7 +18,7 @@ func TestDeterministicAccounts(t *testing.T) {
 	if a.Account(3).PublicBase58() == a.Account(4).PublicBase58() {
 		t.Error("different indices should differ")
 	}
-	if a.Escrow().PublicBase58() != esc.PublicBase58() {
+	if a.escrow.PublicBase58() != esc.PublicBase58() {
 		t.Error("escrow mismatch")
 	}
 }
@@ -106,8 +106,8 @@ func TestGroupsRespectMixRatios(t *testing.T) {
 
 func TestPaperMixAndScale(t *testing.T) {
 	m := PaperMix()
-	if m.Total() != 110000 {
-		t.Errorf("paper mix total = %d", m.Total())
+	if total := m.Creates + m.Bids + m.Requests + m.Accepts; total != 110000 {
+		t.Errorf("paper mix total = %d", total)
 	}
 	s := m.Scale(1000)
 	if s.Creates != 50 || s.Bids != 50 || s.Requests != 5 || s.Accepts != 5 {

@@ -15,7 +15,7 @@ import (
 // comment directly above it, why it is not a returned error:
 // "invariant:" (only a bug reaches it) or "fail-stop:" (the storage
 // backend lost a write and the node must not go on).
-const classifiedPanics = 22
+const classifiedPanics = 21
 
 // TestEveryPanicIsADecision keeps a new panic from arriving unnoticed:
 // it must be classified where it stands, and the count above bumped.
