@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -21,9 +22,10 @@ import (
 // the root module and the repo benchmark beside it.
 var apiModules = []apiModule{{dir: ".", path: "smartchaindb"}, {dir: "benchmark", path: "smartchaindb/benchmark"}}
 
-// auditedPrefix selects the audited packages: every package under
-// internal/ must earn each function and method it declares.
-const auditedPrefix = "smartchaindb/internal/"
+// auditedPrefixes select the audited packages: every package under
+// internal/, cmd/ and examples/ must earn each function and method it
+// declares (a command's main is the one exemption).
+var auditedPrefixes = []string{"smartchaindb/internal/", "smartchaindb/cmd/", "smartchaindb/examples/"}
 
 // apiAllowlist names the functions and methods kept without a non-test
 // caller, keyed by qualified name (pkg.Func, pkg.Type.Method). Each
@@ -51,7 +53,6 @@ var apiAllowlist = map[string]string{
 	"obs.Tracer.Trace":           "item 12(a) serves one transaction's trace at /traces?id=",
 	"obs.Tracer.Observe":         "item 12(a) records the stages no layer stamps yet",
 	"obs.Handler":                "item 12(a): its /traces endpoint is where the causal traces are served",
-	"ledger.State.OutputAt":      "item 26 makes the output fact the condition sets' read",
 
 	"schema.Registry.Register": "the paper's extension surface: a custom type's schema, registered by TestServerAcceptsCustomTypeEndToEnd",
 	"schema.CompileYAML":       "the paper's extension surface: a custom type's schema, compiled by TestServerAcceptsCustomTypeEndToEnd",
@@ -61,14 +62,14 @@ var apiAllowlist = map[string]string{
 	"minisol.CallResult.Reverted": "the frozen ETH-SC baseline (item 8 keeps minisol and ethchain as they are)",
 }
 
-// TestEveryExportedStoreFunctionHasACaller keeps every internal/
-// package from growing functions nothing calls. It type checks every
+// TestEveryExportedStoreFunctionHasACaller keeps every package of the
+// module from growing functions nothing calls. It type checks every
 // non-test file of the root module and of benchmark/ (the files are
 // only read) and fails, naming each, on a function or method of an
 // audited package, exported or not, that no non-test file references
 // apart from its own declaration — and on a stale allowlist entry.
 func TestEveryExportedStoreFunctionHasACaller(t *testing.T) {
-	findings, err := auditAPI(apiModules, auditedPrefix, apiAllowlist)
+	findings, err := auditAPI(apiModules, auditedPrefixes, apiAllowlist)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestAPIAuditVerdicts(t *testing.T) {
 		"a.Unproven": "kept for no stated reason",
 		"a.Ghost":    "named by TestNoSuchTest",
 	}
-	findings, err := auditAPI([]apiModule{{dir: "testdata/apiaudit", path: "fixture"}}, "fixture/internal/", allow)
+	findings, err := auditAPI([]apiModule{{dir: "testdata/apiaudit", path: "fixture"}}, []string{"fixture/internal/", "fixture/cmd/"}, allow)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,6 +104,7 @@ func TestAPIAuditVerdicts(t *testing.T) {
 		"a.Unproven":        "no reason ", // allowlisted without an item or a test
 		"a.Ghost":           "no reason ", // allowlisted naming a test that does not exist
 		"a.deadInterface.x": "unused ",    // an interface method nothing calls
+		"main.unusedFlag":   "unused ",    // a command's function nothing calls
 	}
 	for key, kinds := range want {
 		if got[key] != kinds {
@@ -111,7 +113,7 @@ func TestAPIAuditVerdicts(t *testing.T) {
 	}
 	for key, kinds := range got {
 		if want[key] == "" {
-			t.Errorf("%s: unexpected verdicts %q (the heap.Interface methods, the promoted area, the sealing markers and a.Kept must pass)", key, kinds)
+			t.Errorf("%s: unexpected verdicts %q (the heap.Interface methods, the promoted area, the sealing markers, a.Kept and the command's main and init must pass)", key, kinds)
 		}
 	}
 }
@@ -145,9 +147,9 @@ var (
 )
 
 // auditAPI type checks every package of mods and returns the verdicts
-// on the functions and methods of the packages under prefix and on
+// on the functions and methods of the packages under prefixes and on
 // allow's entries, in a stable order.
-func auditAPI(mods []apiModule, prefix string, allow map[string]string) ([]apiFinding, error) {
+func auditAPI(mods []apiModule, prefixes []string, allow map[string]string) ([]apiFinding, error) {
 	a := newAPIAudit()
 	tests := map[string]bool{}
 	for _, mod := range mods {
@@ -198,12 +200,12 @@ func auditAPI(mods []apiModule, prefix string, allow map[string]string) ([]apiFi
 		if err != nil {
 			return nil, err
 		}
-		if pkg != nil && strings.HasPrefix(p, prefix) {
+		if pkg != nil && slices.ContainsFunc(prefixes, func(prefix string) bool { return strings.HasPrefix(p, prefix) }) {
 			audited = append(audited, pkg)
 		}
 	}
 	if len(audited) == 0 {
-		return nil, fmt.Errorf("no package under %s was checked", prefix)
+		return nil, fmt.Errorf("no package under %v was checked", prefixes)
 	}
 
 	var out []apiFinding
@@ -391,7 +393,8 @@ func (a *apiAudit) declared(pkg *types.Package) map[string]*types.Func {
 }
 
 // exempt reports whether fn is never meant to be named by a caller.
-// A sealing marker — an unexported method with no parameters, no
+// The runtime calls a command's main (its init functions are never in
+// package scope, so they are never audited). A sealing marker — an unexported method with no parameters, no
 // results and an empty body, and the interface method of its package
 // it implements — closes an interface to other packages. The standard
 // library calls the rest without naming them: Error and String through
@@ -402,7 +405,7 @@ func (a *apiAudit) declared(pkg *types.Package) map[string]*types.Func {
 func (a *apiAudit) exempt(fn *types.Func) bool {
 	recv := fn.Signature().Recv()
 	if recv == nil {
-		return false
+		return fn.Pkg().Name() == "main" && fn.Name() == "main"
 	}
 	if a.markers[fn] {
 		return true

@@ -187,8 +187,9 @@ func TestReservedRegistry(t *testing.T) {
 	if !r.IsReserved(esc.PublicBase58()) {
 		t.Error("escrow key should be reserved")
 	}
-	if role := r.pubs[esc.PublicBase58()]; role != RoleEscrow {
-		t.Errorf("escrow key registered as %q", role)
+	admin, ok := r.Lookup(RoleAdmin)
+	if !ok || !r.IsReserved(admin.PublicBase58()) {
+		t.Error("admin key should be reserved")
 	}
 	user := MustGenerate()
 	if r.IsReserved(user.PublicBase58()) {

@@ -8,7 +8,7 @@ import "sync"
 type Reserved struct {
 	mu    sync.RWMutex
 	pairs map[string]*KeyPair // role name -> pair
-	pubs  map[string]string   // base58 public key -> role name
+	pubs  map[string]struct{} // the pairs' base58 public keys
 }
 
 // Well-known reserved roles used by the marketplace transaction types.
@@ -19,7 +19,7 @@ const (
 
 // NewReserved creates an empty reserved-account registry.
 func NewReserved() *Reserved {
-	return &Reserved{pairs: make(map[string]*KeyPair), pubs: make(map[string]string)}
+	return &Reserved{pairs: make(map[string]*KeyPair), pubs: make(map[string]struct{})}
 }
 
 // NewReservedWithDefaults creates a registry seeded with deterministic
@@ -41,7 +41,7 @@ func (r *Reserved) Register(role string, kp *KeyPair) {
 		delete(r.pubs, old.PublicBase58())
 	}
 	r.pairs[role] = kp
-	r.pubs[kp.PublicBase58()] = role
+	r.pubs[kp.PublicBase58()] = struct{}{}
 }
 
 // Lookup returns the key pair for a role.

@@ -46,19 +46,14 @@ func TestStateViewReadAllocationCeilings(t *testing.T) {
 		ceiling float64
 		fn      func()
 	}{
-		{"SpenderOf", 1, func() {
-			if by, ok := v.SpenderOf(spent); !ok || by != transfer4.ID {
-				t.Fatalf("SpenderOf = %q, %v", by, ok)
+		{"Output/spent", 1, func() {
+			if f, ok := v.Output(spent); !ok || f.SpentBy != transfer4.ID {
+				t.Fatalf("Output = %+v, %v", f, ok)
 			}
 		}},
-		{"IsUnspent", 1, func() {
-			if v.IsUnspent(spent) {
-				t.Fatal("IsUnspent is wrong")
-			}
-		}},
-		{"OutputAssetID", 1, func() {
-			if id, ok := v.OutputAssetID(unspent); !ok || id != transfer4.Asset.ID {
-				t.Fatalf("OutputAssetID = %q, %v", id, ok)
+		{"Output/unspent", 1, func() {
+			if f, ok := v.Output(unspent); !ok || f.AssetID != transfer4.Asset.ID || f.SpentBy != "" || f.Amount != transfer4.Outputs[0].Amount {
+				t.Fatalf("Output = %+v, %v", f, ok)
 			}
 		}},
 		{"IsCommitted", 0, func() {
@@ -228,9 +223,9 @@ func TestCommitPathAllocationCeilings(t *testing.T) {
 }
 
 var (
-	sinkTx  *txn.Transaction
-	sinkStr string
-	sinkOK  bool
+	sinkTx   *txn.Transaction
+	sinkFact txn.OutputFact
+	sinkOK   bool
 )
 
 func BenchmarkStateViewGetTx(b *testing.B) {
@@ -248,30 +243,20 @@ func BenchmarkStateViewGetTx(b *testing.B) {
 	}
 }
 
-func BenchmarkStateViewSpenderOf(b *testing.B) {
+// BenchmarkStateViewOutput reads one output's fact: an unspent
+// output's record and a spent one's marker.
+func BenchmarkStateViewOutput(b *testing.B) {
 	v, transfer4, _ := shapeState(b)
-	ref := *transfer4.Inputs[3].Fulfills
-	b.ReportAllocs()
-	for b.Loop() {
-		sinkStr, sinkOK = v.SpenderOf(ref)
-	}
-}
-
-func BenchmarkStateViewIsUnspent(b *testing.B) {
-	v, transfer4, _ := shapeState(b)
-	ref := txn.OutputRef{TxID: transfer4.ID, Index: 0}
-	b.ReportAllocs()
-	for b.Loop() {
-		sinkOK = v.IsUnspent(ref)
-	}
-}
-
-func BenchmarkStateViewOutputAssetID(b *testing.B) {
-	v, transfer4, _ := shapeState(b)
-	ref := txn.OutputRef{TxID: transfer4.ID, Index: 0}
-	b.ReportAllocs()
-	for b.Loop() {
-		sinkStr, sinkOK = v.OutputAssetID(ref)
+	for _, c := range []struct {
+		name string
+		ref  txn.OutputRef
+	}{{"unspent", txn.OutputRef{TxID: transfer4.ID, Index: 0}}, {"spent", *transfer4.Inputs[3].Fulfills}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				sinkFact, sinkOK = v.Output(c.ref)
+			}
+		})
 	}
 }
 

@@ -36,10 +36,10 @@ func TestCommitBlockAppliesInOrder(t *testing.T) {
 	if s.TxCount() != 2 {
 		t.Errorf("tx count = %d", s.TxCount())
 	}
-	if s.View().IsUnspent(txn.OutputRef{TxID: create.ID, Index: 0}) {
+	if s.View().unspent(txn.OutputRef{TxID: create.ID, Index: 0}) {
 		t.Error("transferred output should be spent")
 	}
-	if !s.View().IsUnspent(txn.OutputRef{TxID: transfer.ID, Index: 0}) {
+	if !s.View().unspent(txn.OutputRef{TxID: transfer.ID, Index: 0}) {
 		t.Error("new output should be unspent")
 	}
 }
@@ -84,8 +84,8 @@ func TestCommitBlockSkipsFailuresWithoutSideEffects(t *testing.T) {
 	if s.IsCommitted(doubleSpend.ID) {
 		t.Error("double spend must leave no state")
 	}
-	if spender, ok := s.SpenderOf(txn.OutputRef{TxID: create.ID, Index: 0}); !ok || spender != first.ID {
-		t.Errorf("spender = %s, want first transfer", spender)
+	if f, ok := s.Output(txn.OutputRef{TxID: create.ID, Index: 0}); !ok || f.SpentBy != first.ID {
+		t.Errorf("spender = %s, want first transfer", f.SpentBy)
 	}
 }
 

@@ -192,17 +192,9 @@ func (s *State) IsCommitted(id string) bool { return s.View().IsCommitted(id) }
 // TxCount returns the number of committed transactions.
 func (s *State) TxCount() int { return s.View().TxCount() }
 
-// OutputAt resolves an output reference against committed state.
-func (s *State) OutputAt(ref txn.OutputRef) (*txn.Output, error) { return s.View().OutputAt(ref) }
-
-// OutputAssetID reports the asset whose shares a committed output
-// holds. For nested parents this differs per output (each mirrors the
-// bid its input spends), so the UTXO record, not the transaction's
-// asset link, is authoritative.
-func (s *State) OutputAssetID(ref txn.OutputRef) (string, bool) { return s.View().OutputAssetID(ref) }
-
-// SpenderOf reports which committed transaction spent ref, if any.
-func (s *State) SpenderOf(ref txn.OutputRef) (string, bool) { return s.View().SpenderOf(ref) }
+// Output returns what the chain holds of a committed output
+// (StateView.Output).
+func (s *State) Output(ref txn.OutputRef) (txn.OutputFact, bool) { return s.View().Output(ref) }
 
 // Balance sums the unspent shares pub owns of the given asset.
 func (s *State) Balance(pub, assetID string) uint64 { return s.View().Balance(pub, assetID) }

@@ -66,12 +66,12 @@ func TestCommitAndLookup(t *testing.T) {
 	if err != nil || got.ID != tx.ID {
 		t.Fatalf("GetTx = %v, %v", got, err)
 	}
-	out, err := f.state.OutputAt(txn.OutputRef{TxID: tx.ID, Index: 0})
-	if err != nil || out.Amount != 5 {
-		t.Fatalf("OutputAt = %+v, %v", out, err)
+	out, ok := f.state.Output(txn.OutputRef{TxID: tx.ID, Index: 0})
+	if !ok || out.Amount != 5 || out.AssetID != tx.ID || out.SpentBy != "" || len(out.Owners) != 1 || out.Owners.At(0) != f.issuer.PublicBase58() {
+		t.Fatalf("Output = %+v, %v", out, ok)
 	}
-	if _, err := f.state.OutputAt(txn.OutputRef{TxID: tx.ID, Index: 3}); err == nil {
-		t.Error("out-of-range output should error")
+	if _, ok := f.state.Output(txn.OutputRef{TxID: tx.ID, Index: 3}); ok {
+		t.Error("an out-of-range output has no fact")
 	}
 	if _, err := f.state.GetTx("missing"); err == nil {
 		t.Error("missing tx should error")
@@ -95,7 +95,7 @@ func TestSpendAndDoubleSpend(t *testing.T) {
 	f := newFixture(t)
 	asset := f.create(t, f.issuer, 5)
 	ref := txn.OutputRef{TxID: asset.ID, Index: 0}
-	if !f.state.View().IsUnspent(ref) {
+	if out, ok := f.state.Output(ref); !ok || out.SpentBy != "" {
 		t.Fatal("fresh output should be unspent")
 	}
 
@@ -112,12 +112,11 @@ func TestSpendAndDoubleSpend(t *testing.T) {
 	if err := commitOne(f.state, first); err != nil {
 		t.Fatal(err)
 	}
-	if f.state.View().IsUnspent(ref) {
-		t.Fatal("output should be spent")
-	}
-	spender, ok := f.state.SpenderOf(ref)
-	if !ok || spender != first.ID {
-		t.Errorf("SpenderOf = %q, %v", spender, ok)
+	// The spend marker keeps the asset and the spender, and no owners
+	// or amount.
+	out, ok := f.state.Output(ref)
+	if !ok || out.SpentBy != first.ID || out.AssetID != asset.ID || out.Owners != nil || out.Amount != 0 {
+		t.Errorf("Output of a spent output = %+v, %v", out, ok)
 	}
 
 	second := spend(f.escrow.PublicBase58())

@@ -39,8 +39,8 @@ func TestShareConservationProperty(t *testing.T) {
 				continue
 			}
 			ref := refs[rng.Intn(len(refs))]
-			out, err := state.OutputAt(ref)
-			if err != nil {
+			out, ok := state.Output(ref)
+			if !ok {
 				return false
 			}
 			move := uint64(rng.Intn(int(out.Amount))) + 1
@@ -122,8 +122,8 @@ func TestUTXOSetMatchesTransactionLog(t *testing.T) {
 	for _, tx := range all {
 		for i := range tx.Outputs {
 			ref := txn.OutputRef{TxID: tx.ID, Index: i}
-			if got := state.View().IsUnspent(ref); got == spent[ref.String()] {
-				t.Errorf("UTXO disagreement at %s: IsUnspent=%v, log says spent=%v",
+			if got := state.View().unspent(ref); got == spent[ref.String()] {
+				t.Errorf("UTXO disagreement at %s: unspent=%v, log says spent=%v",
 					ref, got, spent[ref.String()])
 			}
 		}

@@ -46,6 +46,13 @@ func (s *State) StateAt(h int64) (*StateView, error) {
 // blocks seal.
 func (s *State) SetRetain(heights int64) { s.store.Backend().SetRetain(heights) }
 
+// unspent reports whether ref existed and was unspent at the view
+// height.
+func (v *StateView) unspent(ref txn.OutputRef) bool {
+	f, ok := v.Output(ref)
+	return ok && f.SpentBy == ""
+}
+
 // UnspentOutputs lists the output references pub owned unspent at the
 // view height.
 func (v *StateView) UnspentOutputs(pub string) []txn.OutputRef {

@@ -246,9 +246,12 @@ func answers(w *diffStream, children []*txn.Transaction, r *ledger.StateView, e 
 	var out []string
 	add := func(q string, a ...any) { out = append(out, q+" → "+fmt.Sprint(a...)) }
 	for _, ref := range refs {
-		spender, spent := r.SpenderOf(ref)
-		asset, held := r.OutputAssetID(ref)
-		add("output "+ref.String(), r.IsUnspent(ref), " spender ", spender, spent, " asset ", asset, held)
+		f, ok := r.Output(ref)
+		unspent := ok && f.SpentBy == ""
+		add("output "+ref.String(), ok, unspent, " spender ", f.SpentBy, " asset ", f.AssetID)
+		if unspent {
+			add("holding "+ref.String(), fmt.Sprint(f.Owners), " amount ", f.Amount)
+		}
 	}
 	for _, pub := range w.accounts {
 		add("unspent of "+pub, sortedRefs(r.UnspentOutputs(pub)))
@@ -390,7 +393,7 @@ func assertMarkerShared(t *testing.T, s *ledger.State, w *diffStream) {
 	}
 	shared := 0
 	for _, tr := range w.fanIns {
-		if spender, _ := s.SpenderOf(tr.SpentRefs()[0]); spender != tr.ID {
+		if f, _ := s.Output(tr.SpentRefs()[0]); f.SpentBy != tr.ID {
 			continue // its rival won
 		}
 		first := marker(tr.SpentRefs()[0])

@@ -1,8 +1,6 @@
 package ledger
 
 import (
-	"fmt"
-
 	"smartchaindb/internal/docstore"
 	"smartchaindb/internal/txn"
 )
@@ -71,49 +69,16 @@ func (v *StateView) IsCommitted(id string) bool {
 // height.
 func (v *StateView) TxCount() int { return v.col(ColTransactions).Len() }
 
-// OutputAt resolves an output reference at the view height.
-func (v *StateView) OutputAt(ref txn.OutputRef) (*txn.Output, error) {
-	t, err := v.GetTx(ref.TxID)
-	if err != nil {
-		return nil, err
-	}
-	if ref.Index < 0 || ref.Index >= len(t.Outputs) {
-		return nil, &txn.ValidationError{Op: t.Operation, Reason: fmt.Sprintf("output index %d out of range (tx has %d outputs)", ref.Index, len(t.Outputs))}
-	}
-	return t.Outputs[ref.Index], nil
-}
-
-// OutputAssetID reports the asset whose shares the output held at the
-// view height.
-func (v *StateView) OutputAssetID(ref txn.OutputRef) (string, bool) {
-	doc, ok := v.borrow(ColUTXOs, utxoKey(ref))
+// Output returns what the chain held of output ref at the view
+// height, from the one record under its key: the UTXO record, or the
+// spend marker that replaced it, which keeps only the asset and the
+// spender.
+func (v *StateView) Output(ref txn.OutputRef) (txn.OutputFact, bool) {
+	rec, ok := v.borrow(ColUTXOs, utxoKey(ref))
 	if !ok {
-		return "", false
+		return txn.OutputFact{}, false
 	}
-	id, _ := doc["asset_id"].(string)
-	return id, id != ""
-}
-
-// SpenderOf reports which transaction had spent ref as of the view
-// height, if any.
-func (v *StateView) SpenderOf(ref txn.OutputRef) (string, bool) {
-	doc, ok := v.borrow(ColUTXOs, utxoKey(ref))
-	if !ok {
-		return "", false
-	}
-	spender, _ := doc["spent_by"].(string)
-	return spender, spender != ""
-}
-
-// IsUnspent reports whether ref existed and was unspent at the view
-// height.
-func (v *StateView) IsUnspent(ref txn.OutputRef) bool {
-	doc, ok := v.borrow(ColUTXOs, utxoKey(ref))
-	if !ok {
-		return false
-	}
-	spent, _ := doc["spent"].(bool)
-	return !spent
+	return txn.FactFromDoc(rec["owner"], rec["amount"], rec["asset_id"], rec["spent_by"])
 }
 
 // Balance sums the unspent shares pub owned of the asset at the view
@@ -148,7 +113,7 @@ func (v *StateView) LockedBidsForRFQ(rfqID string) []*txn.Transaction {
 		if err != nil {
 			continue
 		}
-		if v.IsUnspent(txn.OutputRef{TxID: t.ID, Index: 0}) {
+		if f, ok := v.Output(txn.OutputRef{TxID: t.ID, Index: 0}); ok && f.SpentBy == "" {
 			out = append(out, t)
 		}
 	}

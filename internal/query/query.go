@@ -254,11 +254,11 @@ func (e *Engine) AssetProvenance(assetID string) []ProvenanceStep {
 		}
 		steps = append(steps, ProvenanceStep{TxID: t.ID, Operation: t.Operation, Owners: t.OwnerSet()})
 		// Follow the spender of this transaction's first output.
-		spender, ok := v.SpenderOf(txn.OutputRef{TxID: t.ID, Index: 0})
-		if !ok {
+		f, ok := v.Output(txn.OutputRef{TxID: t.ID, Index: 0})
+		if !ok || f.SpentBy == "" {
 			break
 		}
-		cur = spender
+		cur = f.SpentBy
 	}
 	return steps
 }

@@ -315,7 +315,7 @@ func TestHoldingsInBand(t *testing.T) {
 		t.Fatal("no unspent holdings in band")
 	}
 	for _, ref := range refs {
-		if !m.node.State().View().IsUnspent(ref) {
+		if f, ok := m.node.State().Output(ref); !ok || f.SpentBy != "" {
 			t.Errorf("band returned spent output %s", ref)
 		}
 	}

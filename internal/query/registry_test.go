@@ -48,10 +48,7 @@ func marketReaders(m *marketplace) []reader {
 		{"StateView.GetTx", func(_ *Engine, v *ledger.StateView) { v.GetTx(bid.ID) }},
 		{"StateView.IsCommitted", func(_ *Engine, v *ledger.StateView) { v.IsCommitted(bid.ID) }},
 		{"StateView.TxCount", func(_ *Engine, v *ledger.StateView) { v.TxCount() }},
-		{"StateView.OutputAt", func(_ *Engine, v *ledger.StateView) { v.OutputAt(ref) }},
-		{"StateView.OutputAssetID", func(_ *Engine, v *ledger.StateView) { v.OutputAssetID(ref) }},
-		{"StateView.SpenderOf", func(_ *Engine, v *ledger.StateView) { v.SpenderOf(ref) }},
-		{"StateView.IsUnspent", func(_ *Engine, v *ledger.StateView) { v.IsUnspent(ref) }},
+		{"StateView.Output", func(_ *Engine, v *ledger.StateView) { v.Output(ref) }},
 		{"StateView.Balance", func(_ *Engine, v *ledger.StateView) { v.Balance(pub, asset) }},
 		{"StateView.LockedBidsForRFQ", func(_ *Engine, v *ledger.StateView) { v.LockedBidsForRFQ(m.open.Request.ID) }},
 		{"StateView.AcceptForRFQ", func(_ *Engine, v *ledger.StateView) { v.AcceptForRFQ(rfq) }},

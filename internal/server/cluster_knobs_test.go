@@ -78,16 +78,17 @@ func TestClusterDifferentialSequentialVsParallel(t *testing.T) {
 					if !ok {
 						continue
 					}
-					winAsset, _ := state.OutputAssetID(txn.OutputRef{TxID: accept.Asset.ID, Index: 0})
+					win, _ := state.Output(txn.OutputRef{TxID: accept.Asset.ID, Index: 0})
+					winAsset := win.AssetID
 					econ[fmt.Sprintf("auction%d.winnerPaid", gi)] =
 						state.Balance(g.Requester.PublicBase58(), winAsset) == 1
 					for bi, bid := range g.Bids {
 						if bid.ID == accept.Asset.ID {
 							continue
 						}
-						aid, _ := state.OutputAssetID(txn.OutputRef{TxID: bid.ID, Index: 0})
+						lost, _ := state.Output(txn.OutputRef{TxID: bid.ID, Index: 0})
 						econ[fmt.Sprintf("auction%d.loser%d.whole", gi, bi)] =
-							state.Balance(g.Bidders[bi].PublicBase58(), aid) == 1
+							state.Balance(g.Bidders[bi].PublicBase58(), lost.AssetID) == 1
 					}
 				}
 			})

@@ -3,11 +3,13 @@ package shard
 import (
 	"fmt"
 	"os"
+	"reflect"
 	"testing"
 
 	"smartchaindb/internal/keys"
 	"smartchaindb/internal/ledger"
 	"smartchaindb/internal/txn"
+	"smartchaindb/internal/validate"
 	"smartchaindb/internal/workload"
 )
 
@@ -17,9 +19,16 @@ import (
 // inputs.
 func auctionOn(t *testing.T, c *Cluster, home int) *workload.AuctionGroup {
 	t.Helper()
+	return auctionAcross(t, c, home, func(int) int { return home })
+}
+
+// auctionAcross is auctionOn with the REQUEST hinted to shard home and
+// bidder i's CREATE (i from 1) to shard assetHome(i).
+func auctionAcross(t *testing.T, c *Cluster, home int, assetHome func(i int) int) *workload.AuctionGroup {
+	t.Helper()
 	gen := workload.NewGenerator(41, c.Shard(0).Node.Escrow())
 	data := func() map[string]any { return map[string]any{"capabilities": []any{"3d-printing", "cnc-milling"}} }
-	hint := func() map[string]any { return map[string]any{MetaShardHint: float64(home)} }
+	hint := func(s int) map[string]any { return map[string]any{MetaShardHint: float64(s)} }
 	sign := func(tx *txn.Transaction, by *keys.KeyPair) *txn.Transaction {
 		if err := txn.Sign(tx, by); err != nil {
 			t.Fatal(err)
@@ -27,10 +36,10 @@ func auctionOn(t *testing.T, c *Cluster, home int) *workload.AuctionGroup {
 		return tx
 	}
 	grp := &workload.AuctionGroup{Requester: gen.Account(0)}
-	grp.Request = sign(txn.NewRequest(grp.Requester.PublicBase58(), data(), hint()), grp.Requester)
+	grp.Request = sign(txn.NewRequest(grp.Requester.PublicBase58(), data(), hint(home)), grp.Requester)
 	for i := 1; i <= 3; i++ {
 		bidder := gen.Account(i)
-		asset := sign(txn.NewCreate(bidder.PublicBase58(), data(), 1, hint()), bidder)
+		asset := sign(txn.NewCreate(bidder.PublicBase58(), data(), 1, hint(assetHome(i))), bidder)
 		grp.Bidders = append(grp.Bidders, bidder)
 		grp.Creates = append(grp.Creates, asset)
 		grp.Bids = append(grp.Bids, gen.Bid(bidder, asset, grp.Request, 0))
@@ -52,7 +61,7 @@ func requireSettled(t *testing.T, c *Cluster, grp *workload.AuctionGroup, home i
 	}
 	held := 0
 	for i := range accept.Outputs {
-		if st.View().IsUnspent(txn.OutputRef{TxID: accept.ID, Index: i}) {
+		if unspent(st, txn.OutputRef{TxID: accept.ID, Index: i}) {
 			held++
 		}
 	}
@@ -132,7 +141,7 @@ func TestAuctionChildrenReplayAfterCrash(t *testing.T) {
 	}
 	defer c.Close()
 	for i := range grp.Accept.Outputs {
-		if !c.Shard(1).Node.State().View().IsUnspent(txn.OutputRef{TxID: grp.Accept.ID, Index: i}) {
+		if !unspent(c.Shard(1).Node.State(), txn.OutputRef{TxID: grp.Accept.ID, Index: i}) {
 			t.Fatalf("output %d of the ACCEPT_BID is spent after the cut: the WAL kept a child", i)
 		}
 	}
@@ -143,4 +152,97 @@ func TestAuctionChildrenReplayAfterCrash(t *testing.T) {
 		t.Fatalf("drained %d replayed children, want %d", n, len(grp.Bids))
 	}
 	requireSettled(t, c, grp, 1)
+}
+
+// A BID or an ACCEPT_BID homed on another shard than its REQUEST is
+// refused by the router, naming the shard the REQUEST lives on, where
+// it was refused by BID.3 as a REQUEST that does not exist. Every
+// other transaction routes as it did: as the same transaction with no
+// references routes.
+func TestRouteRefusesReferencesOffItsShard(t *testing.T) {
+	c := newTestCluster(t, Config{Shards: 2})
+	// Bidder 3's asset is homed on shard 1, the REQUEST on shard 0.
+	grp := auctionAcross(t, c, 0, func(i int) int { return (i - 1) / 2 })
+	escrow := c.Shard(0).Node.Escrow()
+	routesAsBefore := func(tx *txn.Transaction) {
+		t.Helper()
+		got, err := c.RouteOf(tx)
+		bare := tx.Clone()
+		bare.Refs = nil
+		want, _ := c.RouteOf(bare)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s %.8s routes %+v, %v; without its references %+v", tx.Operation, tx.ID, got, err, want)
+		}
+	}
+	refused := func(tx *txn.Transaction, refShard, home int) {
+		t.Helper()
+		want := fmt.Sprintf("shard: %.8s references %.8s on shard %d but is homed on shard %d: a transaction and the transactions it references must be homed on one shard",
+			tx.ID, grp.Request.ID, refShard, home)
+		if _, err := c.RouteOf(tx); err == nil || err.Error() != want {
+			t.Fatalf("%s %.8s: route error %v, want %q", tx.Operation, tx.ID, err, want)
+		}
+		if errs := c.SubmitBatch([]*txn.Transaction{tx}); errs[tx.ID] == nil || errs[tx.ID].Error() != want {
+			t.Fatalf("submit %s: %v, want %q", tx.Operation, errs[tx.ID], want)
+		}
+	}
+
+	setup := append([]*txn.Transaction{grp.Request}, grp.Creates...)
+	for _, tx := range setup {
+		routesAsBefore(tx)
+	}
+	submitDrain(t, c, setup...)
+	refused(grp.Bids[2], 0, 1)
+	for _, bid := range grp.Bids[:2] {
+		routesAsBefore(bid)
+	}
+	submitDrain(t, c, grp.Bids[:2]...)
+
+	gen := workload.NewGenerator(41, escrow)
+	across, err := txn.NewAcceptBid(grp.Requester.PublicBase58(), escrow.PublicBase58(), grp.Request.ID, grp.Bids[0], grp.Bids[1:2], map[string]any{MetaShardHint: float64(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Sign(across, escrow, grp.Requester); err != nil {
+		t.Fatal(err)
+	}
+	refused(across, 0, 1)
+	accept := gen.Accept(grp.Requester, grp.Request, grp.Bids[0], grp.Bids[1:2])
+	routesAsBefore(accept)
+	submitDrain(t, c, accept)
+	st := c.Shard(0).Node.State()
+	rec, err := st.RecoveryFor(accept.ID)
+	if err != nil || rec.Status != ledger.RecoveryComplete {
+		t.Fatalf("the ACCEPT_BID on one shard did not settle: %+v, %v", rec, err)
+	}
+	for _, id := range rec.Done { // its RETURN and TRANSFER children
+		child, err := st.GetTx(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		routesAsBefore(child)
+	}
+
+	// A TRANSFER of the refused bidder's asset, and a WITHDRAW_BID of
+	// a bid, route as before.
+	asset := grp.Creates[2]
+	move := txn.NewTransfer(asset.ID,
+		[]txn.Spend{{Ref: txn.OutputRef{TxID: asset.ID, Index: 0}, Owners: []string{grp.Bidders[2].PublicBase58()}}},
+		[]*txn.Output{{PublicKeys: []string{grp.Bidders[2].PublicBase58()}, Amount: 1}}, map[string]any{MetaShardHint: float64(0)})
+	if err := txn.Sign(move, grp.Bidders[2]); err != nil {
+		t.Fatal(err)
+	}
+	routesAsBefore(move)
+	bid := grp.Bids[1]
+	withdraw := &txn.Transaction{
+		Operation: validate.OpWithdrawBid,
+		Asset:     &txn.Asset{ID: bid.AssetID()},
+		Inputs:    []*txn.Input{{Fulfills: &txn.OutputRef{TxID: bid.ID, Index: 0}, OwnersBefore: []string{escrow.PublicBase58(), grp.Bidders[1].PublicBase58()}}},
+		Outputs:   []*txn.Output{{PublicKeys: []string{grp.Bidders[1].PublicBase58()}, Amount: 1, PrevOwners: []string{escrow.PublicBase58()}}},
+		Refs:      []string{bid.ID},
+		Version:   txn.Version,
+	}
+	if err := txn.Sign(withdraw, escrow, grp.Bidders[1]); err != nil {
+		t.Fatal(err)
+	}
+	routesAsBefore(withdraw)
 }

@@ -131,9 +131,10 @@ func crashAt(t *testing.T, cut int, seed int64) {
 	ref := txn.OutputRef{TxID: create.ID, Index: 0}
 
 	committed := c.Shard(1).Node.State().IsCommitted(cross.ID)
-	spender, spent := c.Shard(0).Node.State().SpenderOf(ref)
-	if committed != (spent && spender == cross.ID) {
-		t.Fatalf("diverged: home committed=%v, input spent=%v by %q", committed, spent, spender)
+	f, _ := c.Shard(0).Node.State().Output(ref)
+	spent := f.SpentBy != ""
+	if committed != (f.SpentBy == cross.ID) {
+		t.Fatalf("diverged: home committed=%v, input spent=%v by %q", committed, spent, f.SpentBy)
 	}
 	for s := 0; s < 2; s++ {
 		indoubt, err := c.Shard(s).Node.State().InDoubt()
@@ -142,7 +143,7 @@ func crashAt(t *testing.T, cut int, seed int64) {
 		}
 	}
 	if committed {
-		if !c.Shard(1).Node.State().View().IsUnspent(txn.OutputRef{TxID: cross.ID, Index: 0}) {
+		if !unspent(c.Shard(1).Node.State(), txn.OutputRef{TxID: cross.ID, Index: 0}) {
 			t.Fatal("committed transfer's output missing on home shard")
 		}
 		if c.Recovered == 0 && !spent {

@@ -13,6 +13,7 @@
 package shard
 
 import (
+	"fmt"
 	"hash/fnv"
 	"slices"
 	"sync"
@@ -118,26 +119,39 @@ func (r Route) Cross() bool { return len(r.Participants) > 1 }
 // metadata hint if present, else the shard owning the first spent
 // input (chain affinity), else hash placement. An unroutable spent
 // input — no shard has its transaction — is an error: the input
-// cannot exist anywhere.
+// cannot exist anywhere. So is a reference homed on another shard
+// than t: t's conditions read what it references (a BID's or an
+// ACCEPT_BID's REQUEST, a child's parent) and a shard judges t by its
+// own state, so an auction settles on the shard its REQUEST is homed
+// on. A reference no shard homes is left to t's conditions, which
+// refuse a reference that does not exist.
 func (c *Cluster) RouteOf(t *txn.Transaction) (Route, error) {
-	refs := t.SpentRefs()
-	inputHome := make([]int, len(refs))
-	for i, ref := range refs {
-		s, ok := c.dir.Lookup(ref.TxID)
-		if !ok {
-			return Route{}, &txn.InputDoesNotExistError{TxID: ref.TxID}
+	inputHome := make([]int, 0, len(t.Inputs))
+	for _, in := range t.Inputs {
+		if in.Fulfills == nil {
+			continue
 		}
-		inputHome[i] = s
+		s, ok := c.dir.Lookup(in.Fulfills.TxID)
+		if !ok {
+			return Route{}, &txn.InputDoesNotExistError{TxID: in.Fulfills.TxID}
+		}
+		inputHome = append(inputHome, s)
 	}
 	home, hinted := hintOf(t, len(c.shards))
 	if !hinted {
-		if len(refs) > 0 {
+		if len(inputHome) > 0 {
 			home = inputHome[0]
 		} else {
 			home = placeByHash(t, len(c.shards))
 		}
 	}
-	parts := []int{home}
+	for _, id := range t.Refs {
+		if s, ok := c.dir.Lookup(id); ok && s != home {
+			return Route{}, fmt.Errorf("shard: %.8s references %.8s on shard %d but is homed on shard %d: a transaction and the transactions it references must be homed on one shard", t.ID, id, s, home)
+		}
+	}
+	parts := make([]int, 1, 1+len(inputHome))
+	parts[0] = home
 	for _, s := range inputHome {
 		if !slices.Contains(parts, s) {
 			parts = append(parts, s)

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"smartchaindb/internal/ledger"
@@ -53,11 +54,17 @@ func decisionDoc(txID, outcome string, participants []int) map[string]any {
 	}
 }
 
-// event fires the configured 2PC event hook.
-func (c *Cluster) event(step, txID string) {
-	if c.cfg.EventHook != nil {
-		c.cfg.EventHook(step + ":" + txID[:8])
+// event fires the configured 2PC event hook. A step one shard takes
+// names it (shard >= 0: "prepare@1"); the name is built only when a
+// hook listens.
+func (c *Cluster) event(step string, shard int, txID string) {
+	if c.cfg.EventHook == nil {
+		return
 	}
+	if shard >= 0 {
+		step += "@" + strconv.Itoa(shard)
+	}
+	c.cfg.EventHook(step + ":" + txID[:8])
 }
 
 // commitCross runs the two-phase commit for a routed cross-shard
@@ -108,7 +115,7 @@ func (c *Cluster) commitCross(t *txn.Transaction, r Route) error {
 		}
 		held[id] = keys
 	}
-	c.event("hold", t.ID)
+	c.event("hold", -1, t.ID)
 
 	// Phase 2: the transfer's own condition set decides, as it would
 	// on one node; then each participant stages its share.
@@ -126,7 +133,7 @@ func (c *Cluster) commitCross(t *txn.Transaction, r Route) error {
 		}
 		prepared[id] = p
 	}
-	c.event("stage", t.ID)
+	c.event("stage", -1, t.ID)
 
 	// Phase 3: durable votes. A failed vote aborts the prepared
 	// participants with a durable abort decision — their surviving
@@ -148,7 +155,7 @@ func (c *Cluster) commitCross(t *txn.Transaction, r Route) error {
 		}
 		c.shards[id].ob.prepared.Inc()
 		c.shards[id].ob.prepareNs.ObserveSince(t0)
-		c.event(fmt.Sprintf("prepare@%d", id), t.ID)
+		c.event("prepare", id, t.ID)
 	}
 
 	// Phase 4: the commit point. The home shard's apply atomically
@@ -162,7 +169,7 @@ func (c *Cluster) commitCross(t *txn.Transaction, r Route) error {
 	}
 	home.ob.committed.Inc()
 	home.ob.applyNs.ObserveSince(t0)
-	c.event("decide", t.ID)
+	c.event("decide", -1, t.ID)
 
 	// Phase 5: the decision is durable — every remaining participant
 	// must apply. An apply failure past the commit point cannot be
@@ -182,7 +189,7 @@ func (c *Cluster) commitCross(t *txn.Transaction, r Route) error {
 		}
 		c.shards[id].ob.committed.Inc()
 		c.shards[id].ob.applyNs.ObserveSince(t0)
-		c.event(fmt.Sprintf("apply@%d", id), t.ID)
+		c.event("apply", id, t.ID)
 	}
 
 	// Cleanup: sweep rival pool entries, release the holds, route the
@@ -193,7 +200,7 @@ func (c *Cluster) commitCross(t *txn.Transaction, r Route) error {
 	}
 	release()
 	c.dir.Set(t.ID, r.Home)
-	c.event("release", t.ID)
+	c.event("release", -1, t.ID)
 	return applyErr
 }
 
@@ -214,31 +221,28 @@ func (sh *Shard) applyPrepared(p *ledger.Prepared, decision map[string]any) erro
 type crossView struct {
 	*ledger.StateView
 	dir   *Directory
-	views []*ledger.StateView
+	views []ledger.StateView
 }
 
 func (c *Cluster) crossView(home int) *crossView {
-	v := &crossView{dir: c.dir, views: make([]*ledger.StateView, len(c.shards))}
+	v := &crossView{dir: c.dir, views: make([]ledger.StateView, len(c.shards))}
 	for i, sh := range c.shards {
-		v.views[i] = sh.Node.State().View()
+		v.views[i] = *sh.Node.State().View()
 	}
-	v.StateView = v.views[home]
+	v.StateView = &v.views[home]
 	return v
 }
 
 // of returns the view of the shard homing transaction id.
 func (v *crossView) of(id string) *ledger.StateView {
 	if s, ok := v.dir.Lookup(id); ok {
-		return v.views[s]
+		return &v.views[s]
 	}
 	return v.StateView
 }
 
 func (v *crossView) GetTx(id string) (*txn.Transaction, error) { return v.of(id).GetTx(id) }
 func (v *crossView) IsCommitted(id string) bool                { return v.of(id).IsCommitted(id) }
-func (v *crossView) OutputAssetID(ref txn.OutputRef) (string, bool) {
-	return v.of(ref.TxID).OutputAssetID(ref)
-}
-func (v *crossView) SpenderOf(ref txn.OutputRef) (string, bool) {
-	return v.of(ref.TxID).SpenderOf(ref)
+func (v *crossView) Output(ref txn.OutputRef) (txn.OutputFact, bool) {
+	return v.of(ref.TxID).Output(ref)
 }

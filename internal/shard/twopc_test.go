@@ -12,6 +12,12 @@ import (
 	"smartchaindb/internal/txn"
 )
 
+// unspent reports whether ref exists unspent in st's newest state.
+func unspent(st *ledger.State, ref txn.OutputRef) bool {
+	f, ok := st.Output(ref)
+	return ok && f.SpentBy == ""
+}
+
 // The canonical cross-shard atomic transfer: an asset born on shard 0
 // migrates value to shard 1 via a hinted transfer. Both shards commit
 // or neither does, and the migrated output is immediately spendable
@@ -37,11 +43,11 @@ func TestCrossShardTransfer(t *testing.T) {
 	if c.Shard(0).Node.State().IsCommitted(cross.ID) {
 		t.Fatal("input shard has the full transaction document")
 	}
-	if sp, ok := c.Shard(0).Node.State().SpenderOf(ref); !ok || sp != cross.ID {
-		t.Fatalf("input not marked spent on shard 0: %q %v", sp, ok)
+	if f, ok := c.Shard(0).Node.State().Output(ref); !ok || f.SpentBy != cross.ID {
+		t.Fatalf("input not marked spent on shard 0: %q %v", f.SpentBy, ok)
 	}
 	migrated := txn.OutputRef{TxID: cross.ID, Index: 0}
-	if !c.Shard(1).Node.State().View().IsUnspent(migrated) {
+	if !unspent(c.Shard(1).Node.State(), migrated) {
 		t.Fatal("migrated output missing on shard 1")
 	}
 	if s, ok := c.Directory().Lookup(cross.ID); !ok || s != 1 {
@@ -89,7 +95,7 @@ func TestCrossShardSplit(t *testing.T) {
 		t.Fatalf("split transfer: %v", err)
 	}
 	for i := 0; i < 2; i++ {
-		if !c.Shard(2).Node.State().View().IsUnspent(txn.OutputRef{TxID: cross.ID, Index: i}) {
+		if !unspent(c.Shard(2).Node.State(), txn.OutputRef{TxID: cross.ID, Index: i}) {
 			t.Fatalf("output %d missing on home shard", i)
 		}
 	}
@@ -185,7 +191,7 @@ func assertNoResidue(t *testing.T, c *Cluster, ref txn.OutputRef) {
 		}
 	}
 	home, _ := c.dir.Lookup(ref.TxID)
-	if !c.Shard(home).Node.State().View().IsUnspent(ref) {
+	if !unspent(c.Shard(home).Node.State(), ref) {
 		t.Fatal("aborted round consumed the input")
 	}
 }

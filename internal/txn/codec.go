@@ -377,6 +377,42 @@ func docStrings(v any) ([]string, error) {
 	return nil, kindError(v, "string list")
 }
 
+// docKeys checks a key list as docStrings decodes it and returns the
+// list itself: reading it (Keys.At) costs no copy.
+func docKeys(v any) (Keys, error) {
+	v, err := generic(v)
+	if err != nil {
+		return nil, err
+	}
+	switch x := v.(type) {
+	case nil:
+		return nil, nil
+	case []any:
+		for _, e := range x {
+			if _, err := docString(e); err != nil {
+				return nil, err
+			}
+		}
+		return Keys(x), nil
+	}
+	return nil, kindError(v, "string list")
+}
+
+// FactFromDoc reads an output fact from the document values that state
+// it, a stored UTXO record's or a transaction document's output: owners
+// and amount decode as FromStoredDoc decodes an output's, so the fact
+// and the decoded transaction agree on every stored value. An absent
+// value (a spend marker has no owners or amount) reads as empty; ok is
+// false when a value cannot be decoded.
+func FactFromDoc(owners, amount, assetID, spentBy any) (f OutputFact, ok bool) {
+	var errs [4]error
+	f.Owners, errs[0] = docKeys(owners)
+	f.Amount, errs[1] = docAmount(amount)
+	f.AssetID, errs[2] = docString(assetID)
+	f.SpentBy, errs[3] = docString(spentBy)
+	return f, errs == [4]error{}
+}
+
 // docMap decodes a free-form object: a normalised copy, or with
 // borrow the object itself.
 func docMap(v any, borrow bool) (map[string]any, error) {

@@ -89,6 +89,46 @@ type Output struct {
 	PrevOwners []string `json:"prev_owners,omitempty"`
 }
 
+// OutputFact is what chain state knows of one output: who controls
+// it, how many shares it holds, of which asset, and which transaction
+// spent it (empty while unspent). A spent output's record is a marker
+// that keeps only the asset and the spender, so its fact has no owners
+// and a zero amount.
+type OutputFact struct {
+	Owners  Keys
+	Amount  uint64
+	AssetID string
+	SpentBy string
+}
+
+// Keys is a list of public keys read in place from a document: the
+// document's own list, read-only, whose elements decode as an output's
+// owner list does in FromStoredDoc.
+type Keys []any
+
+// At returns the i-th key.
+func (k Keys) At(i int) string {
+	s, _ := docString(k[i])
+	return s
+}
+
+// OutputFact returns the fact of t's i-th output as t's own document
+// (SharedDoc) states it: unspent, held by its owners, of t's asset.
+// An ACCEPT_BID output holds the asset of the bid its input spends,
+// which only chain state resolves, so its AssetID is left empty.
+func (t *Transaction) OutputFact(i int) (OutputFact, bool) {
+	outs, _ := t.SharedDoc()["outputs"].([]any)
+	if i < 0 || i >= len(outs) {
+		return OutputFact{}, false
+	}
+	out, _ := outs[i].(map[string]any)
+	asset := t.AssetID()
+	if t.Operation == OpAcceptBid {
+		asset = ""
+	}
+	return FactFromDoc(out["public_keys"], out["amount"], asset, nil)
+}
+
 // OwnedBy reports whether pub is one of the output's controlling keys.
 func (o *Output) OwnedBy(pub string) bool {
 	for _, k := range o.PublicKeys {

@@ -25,8 +25,10 @@ import (
 type ChainState interface {
 	GetTx(id string) (*txn.Transaction, error)
 	IsCommitted(id string) bool
-	OutputAssetID(ref txn.OutputRef) (string, bool)
-	SpenderOf(ref txn.OutputRef) (string, bool)
+	// Output answers what the chain holds of one output, from the one
+	// record under its key: its UTXO record, or the spend marker that
+	// replaced it (txn.OutputFact). ok is false when neither exists.
+	Output(ref txn.OutputRef) (f txn.OutputFact, ok bool)
 	LockedBidsForRFQ(rfqID string) []*txn.Transaction
 	AcceptForRFQ(rfqID string) (*txn.Transaction, bool)
 }
@@ -47,11 +49,14 @@ type Context struct {
 	Batch    *Batch
 
 	// resolved memoizes committed-state lookups for the lifetime of
-	// this Context (one validation call, one goroutine — no lock). A
-	// K-input transfer resolves its funding transaction once per
-	// input, and every State.GetTx decodes the stored document's
-	// structure anew (its free-form maps are borrowed, not copied);
-	// sharing the first decode is safe because conditions only read
+	// this Context (one validation call, one goroutine — no lock).
+	// Every State.GetTx decodes the stored document's structure anew
+	// (its free-form maps are borrowed, not copied), and a spent
+	// output is read as a fact (Output), not resolved; what is still
+	// resolved more than once per call is the REQUEST of a reference
+	// vector (BID.3 and BID.7, four ACCEPT_BID conditions) and an
+	// escrowed output's funding BID or ACCEPT_BID (its prev_owners).
+	// Sharing the first decode is safe because conditions only read
 	// the resolved transaction. Batch entries are never memoized — the
 	// batch mutates as the block grows.
 	resolved map[string]*txn.Transaction
@@ -81,14 +86,26 @@ func (c *Context) ResolveTx(id string) (*txn.Transaction, error) {
 	return t, nil
 }
 
-// SpentBy reports which transaction — committed or batched — spends ref.
-func (c *Context) SpentBy(ref txn.OutputRef) (string, bool) {
-	if c.Batch != nil {
-		if id, ok := c.Batch.SpentBy(ref); ok {
-			return id, true
-		}
+// Output returns what the chain knows of output ref, looking in the
+// block being built first and in committed state second, the rule
+// ResolveTx applies to transactions: an output of a batched
+// transaction is read from that transaction (txn.Transaction.OutputFact),
+// and a batched transaction spending ref is its spender.
+func (c *Context) Output(ref txn.OutputRef) (txn.OutputFact, bool) {
+	if c.Batch == nil {
+		return c.State.Output(ref)
 	}
-	return c.State.SpenderOf(ref)
+	var f txn.OutputFact
+	var ok bool
+	if t, batched := c.Batch.Get(ref.TxID); batched {
+		f, ok = t.OutputFact(ref.Index)
+	} else {
+		f, ok = c.State.Output(ref)
+	}
+	if spender, spent := c.Batch.SpentBy(ref); spent {
+		f.SpentBy = spender
+	}
+	return f, ok
 }
 
 // Batch tracks the transactions approved so far for the block under

@@ -83,7 +83,17 @@ func TestContextResolveOrder(t *testing.T) {
 	if _, err := ctx.ResolveTx("missing"); err == nil {
 		t.Error("missing tx should error")
 	}
-	// SpentBy consults both layers.
+	// Output reads a batched transaction's outputs from it, and names
+	// a batched spender of a committed output.
+	if f, ok := ctx.Output(txn.OutputRef{TxID: batched.ID, Index: 0}); !ok || f.Amount != 1 || f.AssetID != batched.ID || f.SpentBy != "" || len(f.Owners) != 1 || f.Owners.At(0) != owner.PublicBase58() {
+		t.Errorf("Output of a batched output = %+v, %v", f, ok)
+	}
+	if _, ok := ctx.Output(txn.OutputRef{TxID: batched.ID, Index: 1}); ok {
+		t.Error("a batched transaction's missing output has no fact")
+	}
+	if f, ok := ctx.Output(txn.OutputRef{TxID: committed.ID, Index: 0}); !ok || f.Amount != 1 || f.SpentBy != "" {
+		t.Errorf("Output of a committed output = %+v, %v", f, ok)
+	}
 	tr := txn.NewTransfer(committed.ID,
 		[]txn.Spend{{Ref: txn.OutputRef{TxID: committed.ID, Index: 0}, Owners: []string{owner.PublicBase58()}}},
 		[]*txn.Output{{PublicKeys: []string{owner.PublicBase58()}, Amount: 1}}, nil)
@@ -93,8 +103,8 @@ func TestContextResolveOrder(t *testing.T) {
 	if err := batch.Add(tr); err != nil {
 		t.Fatal(err)
 	}
-	if spender, ok := ctx.SpentBy(txn.OutputRef{TxID: committed.ID, Index: 0}); !ok || spender != tr.ID {
-		t.Errorf("SpentBy through batch = %q, %v", spender, ok)
+	if f, ok := ctx.Output(txn.OutputRef{TxID: committed.ID, Index: 0}); !ok || f.SpentBy != tr.ID || f.Amount != 1 {
+		t.Errorf("Output spent through the batch = %+v, %v", f, ok)
 	}
 }
 

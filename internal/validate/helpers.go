@@ -8,6 +8,7 @@ package validate
 
 import (
 	"fmt"
+	"slices"
 
 	"smartchaindb/internal/txn"
 	"smartchaindb/internal/txtype"
@@ -15,7 +16,9 @@ import (
 
 // spentOutput resolves an input's reference to the source transaction
 // and the output object being spent, looking at the current batch
-// first and committed state second.
+// first and committed state second. It decodes the transaction: the
+// conditions that need what an output's record does not hold (the
+// funding operation, prev_owners) read it.
 func spentOutput(ctx *txtype.Context, ref txn.OutputRef) (*txn.Transaction, *txn.Output, error) {
 	source, err := ctx.ResolveTx(ref.TxID)
 	if err != nil {
@@ -30,13 +33,33 @@ func spentOutput(ctx *txtype.Context, ref txn.OutputRef) (*txn.Transaction, *txn
 	return source, source.Outputs[ref.Index], nil
 }
 
-// outputAssetID resolves the asset whose shares an output holds,
-// following nested parents down to the underlying bid asset.
-func outputAssetID(ctx *txtype.Context, ref txn.OutputRef) (string, error) {
-	if id, ok := ctx.State.OutputAssetID(ref); ok {
-		return id, nil
+// inputFact returns what the chain knows of the output an input
+// spends: ctx.Output's one keyed read. The funding transaction is
+// decoded only where that read cannot answer: with no record, to tell
+// a missing transaction from an index out of range, and on a spent
+// output, whose marker keeps no owners or amount.
+func inputFact(ctx *txtype.Context, ref txn.OutputRef) (txn.OutputFact, error) {
+	f, ok := ctx.Output(ref)
+	if ok && f.SpentBy == "" {
+		return f, nil
 	}
-	// Not committed yet: resolve through the batch.
+	source, _, err := spentOutput(ctx, ref)
+	if err != nil {
+		return f, err
+	}
+	full, _ := source.OutputFact(ref.Index)
+	f.Owners, f.Amount = full.Owners, full.Amount
+	return f, nil
+}
+
+// assetOf is the asset whose shares output ref holds, f being its fact.
+// A committed record names it; an output of a batched ACCEPT_BID holds
+// the asset of the bid its mirroring input spends, resolved down the
+// nested parents.
+func assetOf(ctx *txtype.Context, ref txn.OutputRef, f txn.OutputFact) (string, error) {
+	if f.AssetID != "" {
+		return f.AssetID, nil
+	}
 	source, _, err := spentOutput(ctx, ref)
 	if err != nil {
 		return "", err
@@ -45,7 +68,9 @@ func outputAssetID(ctx *txtype.Context, ref txn.OutputRef) (string, error) {
 		if ref.Index >= len(source.Inputs) || source.Inputs[ref.Index].Fulfills == nil {
 			return "", &txn.ValidationError{Op: source.Operation, Reason: fmt.Sprintf("nested parent output %d has no mirroring input", ref.Index)}
 		}
-		return outputAssetID(ctx, *source.Inputs[ref.Index].Fulfills)
+		mirrored := *source.Inputs[ref.Index].Fulfills
+		f, _ := ctx.Output(mirrored)
+		return assetOf(ctx, mirrored, f)
 	}
 	return source.AssetID(), nil
 }
@@ -69,34 +94,30 @@ func checkTransferInputs(ctx *txtype.Context, t *txn.Transaction, opts inputOpts
 			return &txn.ValidationError{Op: t.Operation, Reason: fmt.Sprintf("input %d spends nothing", i)}
 		}
 		ref := *in.Fulfills
-		_, out, err := spentOutput(ctx, ref)
+		f, err := inputFact(ctx, ref)
 		if err != nil {
 			return err
 		}
 		// Owner coverage: every controlling key of the spent output must
 		// appear among owners-before (extra co-signers, e.g. the
 		// requester on ACCEPT_BID, are permitted).
-		owners := make(map[string]bool, len(in.OwnersBefore))
-		for _, k := range in.OwnersBefore {
-			owners[k] = true
-		}
-		for _, k := range out.PublicKeys {
-			if !owners[k] {
+		for j := range f.Owners {
+			if k := f.Owners.At(j); !slices.Contains(in.OwnersBefore, k) {
 				return &txn.ValidationError{Op: t.Operation, Reason: fmt.Sprintf("input %d does not carry owner %s of the spent output", i, short(k))}
 			}
 		}
-		if spender, spent := ctx.SpentBy(ref); spent && spender != t.ID {
-			return &txn.DoubleSpendError{Ref: ref, SpentBy: spender}
+		if f.SpentBy != "" && f.SpentBy != t.ID {
+			return &txn.DoubleSpendError{Ref: ref, SpentBy: f.SpentBy}
 		}
 		if opts.reservedOnly {
-			for _, k := range out.PublicKeys {
-				if !ctx.Reserved.IsReserved(k) {
+			for j := range f.Owners {
+				if !ctx.Reserved.IsReserved(f.Owners.At(j)) {
 					return &txn.ValidationError{Op: t.Operation, Reason: fmt.Sprintf("input %d spends an output not held by a reserved account", i)}
 				}
 			}
 		}
 		if opts.sameAsset {
-			assetID, err := outputAssetID(ctx, ref)
+			assetID, err := assetOf(ctx, ref, f)
 			if err != nil {
 				return err
 			}
@@ -112,6 +133,29 @@ func checkTransferInputs(ctx *txtype.Context, t *txn.Transaction, opts inputOpts
 	return nil
 }
 
+// escrowSpend is the check of a transaction that releases one
+// escrow-held output: the input checks, then the funding transaction's
+// operation (op) and t's reference to it, refused with wrongOp and
+// noRef.
+func escrowSpend(op, wrongOp, noRef string) txtype.CheckFunc {
+	return func(ctx *txtype.Context, t *txn.Transaction) error {
+		if err := checkTransferInputs(ctx, t, inputOpts{reservedOnly: true, sameAsset: true}); err != nil {
+			return err
+		}
+		source, _, err := spentOutput(ctx, *t.Inputs[0].Fulfills)
+		if err != nil {
+			return err
+		}
+		if source.Operation != op {
+			return &txn.ValidationError{Op: t.Operation, Reason: wrongOp}
+		}
+		if !t.HasRef(source.ID) {
+			return &txn.ValidationError{Op: t.Operation, Reason: noRef}
+		}
+		return nil
+	}
+}
+
 // inputTotal sums the shares held by all spent outputs.
 func inputTotal(ctx *txtype.Context, t *txn.Transaction) (uint64, error) {
 	var sum uint64
@@ -119,11 +163,11 @@ func inputTotal(ctx *txtype.Context, t *txn.Transaction) (uint64, error) {
 		if in.Fulfills == nil {
 			continue
 		}
-		_, out, err := spentOutput(ctx, *in.Fulfills)
+		f, err := inputFact(ctx, *in.Fulfills)
 		if err != nil {
 			return 0, err
 		}
-		sum += out.Amount
+		sum += f.Amount
 	}
 	return sum, nil
 }

@@ -143,12 +143,12 @@ func bidType() *txtype.Type {
 					if in.Fulfills == nil {
 						continue
 					}
-					_, out, err := spentOutput(ctx, *in.Fulfills)
+					f, err := inputFact(ctx, *in.Fulfills)
 					if err != nil {
 						return err
 					}
-					for _, k := range out.PublicKeys {
-						actualOwners[k] = true
+					for j := range f.Owners {
+						actualOwners[f.Owners.At(j)] = true
 					}
 				}
 				for j, out := range t.Outputs {
@@ -180,7 +180,8 @@ func bidType() *txtype.Type {
 					if in.Fulfills == nil {
 						continue
 					}
-					assetID, err := outputAssetID(ctx, *in.Fulfills)
+					f, _ := ctx.Output(*in.Fulfills)
+					assetID, err := assetOf(ctx, *in.Fulfills, f)
 					if err != nil {
 						return err
 					}
@@ -224,22 +225,8 @@ func returnType() *txtype.Type {
 				return nil
 			}},
 			{Name: "RETURN.2", Doc: "all fulfillments verify", Check: checkSignatures},
-			{Name: "RETURN.3", Doc: "spends an escrow-held output of a committed ACCEPT_BID", Check: func(ctx *txtype.Context, t *txn.Transaction) error {
-				if err := checkTransferInputs(ctx, t, inputOpts{reservedOnly: true, sameAsset: true}); err != nil {
-					return err
-				}
-				parent, _, err := spentOutput(ctx, *t.Inputs[0].Fulfills)
-				if err != nil {
-					return err
-				}
-				if parent.Operation != txn.OpAcceptBid {
-					return &txn.ValidationError{Op: t.Operation, Reason: "RETURN must spend an ACCEPT_BID output"}
-				}
-				if !t.HasRef(parent.ID) {
-					return &txn.ValidationError{Op: t.Operation, Reason: "RETURN must reference its parent ACCEPT_BID"}
-				}
-				return nil
-			}},
+			{Name: "RETURN.3", Doc: "spends an escrow-held output of a committed ACCEPT_BID",
+				Check: escrowSpend(txn.OpAcceptBid, "RETURN must spend an ACCEPT_BID output", "RETURN must reference its parent ACCEPT_BID")},
 			{Name: "RETURN.4", Doc: "shares go back to the recorded previous owner, fully", Check: func(ctx *txtype.Context, t *txn.Transaction) error {
 				_, spent, err := spentOutput(ctx, *t.Inputs[0].Fulfills)
 				if err != nil {

@@ -30,22 +30,8 @@ func WithdrawBidType() *txtype.Type {
 				return nil
 			}},
 			{Name: "WITHDRAW.2", Doc: "all fulfillments verify", Check: checkSignatures},
-			{Name: "WITHDRAW.3", Doc: "spends the escrow-held output of a committed BID", Check: func(ctx *txtype.Context, t *txn.Transaction) error {
-				if err := checkTransferInputs(ctx, t, inputOpts{reservedOnly: true, sameAsset: true}); err != nil {
-					return err
-				}
-				bid, _, err := spentOutput(ctx, *t.Inputs[0].Fulfills)
-				if err != nil {
-					return err
-				}
-				if bid.Operation != txn.OpBid {
-					return &txn.ValidationError{Op: t.Operation, Reason: "WITHDRAW_BID must spend a BID output"}
-				}
-				if !t.HasRef(bid.ID) {
-					return &txn.ValidationError{Op: t.Operation, Reason: "WITHDRAW_BID must reference the withdrawn BID"}
-				}
-				return nil
-			}},
+			{Name: "WITHDRAW.3", Doc: "spends the escrow-held output of a committed BID",
+				Check: escrowSpend(txn.OpBid, "WITHDRAW_BID must spend a BID output", "WITHDRAW_BID must reference the withdrawn BID")},
 			{Name: "WITHDRAW.4", Doc: "only the original bidder may withdraw, receiving all shares back", Check: func(ctx *txtype.Context, t *txn.Transaction) error {
 				_, spent, err := spentOutput(ctx, *t.Inputs[0].Fulfills)
 				if err != nil {
