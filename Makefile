@@ -53,6 +53,9 @@ test-bench:
 # replaced never panic and agree on the verdict and the error string;
 # each input costs a dozen verifications, so its minimisations are
 # capped at a second.
+# FuzzStoredTx: on any JSON object, the in-place reader of a stored
+# transaction (txn.Stored) never panics, and wherever txn.FromStoredDoc
+# decodes the object every field it reads is the decoded value.
 # FuzzDocEncoder: on any JSON object retyped into every
 # Go number type and string hazard, the one document encoder
 # (internal/canon) and encoding/json.Marshal agree byte for byte and on
@@ -101,6 +104,7 @@ FUZZTIME ?= 60s
 fuzz:
 	$(GO) test ./internal/txn -run '^$$' -fuzz '^FuzzTxnCodec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/txn -run '^$$' -fuzz '^FuzzVerifyFulfillments$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/txn -run '^$$' -fuzz '^FuzzStoredTx$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/canon -run '^$$' -fuzz '^FuzzDocEncoder$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzDecodeGroup$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzLoadSegment$$' -fuzztime $(FUZZTIME)
@@ -160,10 +164,15 @@ fuzz:
 # TransferConditions is TRANSFER's condition set on the 4-input shape,
 # one Context per call: a keyed read per spent output and condition,
 # no funding transaction decoded (TestTransferConditionsAllocations
-# pins it at 12); AuctionConditions/{bid,accept} are BID's and
-# ACCEPT_BID's sets over a ten-bid auction.
+# pins it at 12); AuctionConditions/{bid,accept,return} are BID's and
+# ACCEPT_BID's sets over a ten-bid auction and a losing bid's RETURN,
+# every transaction they read read in place
+# (TestAuctionConditionsAllocations pins all three).
+# AssetProvenance/{1k,64k} walks a 16-hop ownership chain over two state
+# sizes: the same allocations at both, fewer per hop than one decode
+# (TestAssetProvenanceReadsInPlace).
 bench-alloc:
-	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage ./internal/docstore ./internal/schema ./internal/validate -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|VerifyFulfillmentsBatch|MarshalCanonicalCold|OutputRefString|FootprintOf|GroupFootprints|StateView|InsertDoc|MarkSpent|SpendFanIn|StageBlock|CommitTransferChain|EncodableDoc|GroupCommit|Fold|MemPut|MemGetAt|MemScanAt|IndexInsert|PlanLockedBids|SchemaValidate|TransferConditions|AuctionConditions'
+	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage ./internal/docstore ./internal/schema ./internal/validate ./internal/query -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|VerifyFulfillmentsBatch|MarshalCanonicalCold|OutputRefString|FootprintOf|GroupFootprints|StateView|InsertDoc|MarkSpent|SpendFanIn|StageBlock|CommitTransferChain|EncodableDoc|GroupCommit|Fold|MemPut|MemGetAt|MemScanAt|IndexInsert|PlanLockedBids|SchemaValidate|TransferConditions|AuctionConditions|AssetProvenance'
 	$(GO) test ./internal/ledger -run '^$$' -benchmem -bench SealOneTxBlock -benchtime 20000x
 	$(GO) test ./internal/nested -run '^$$' -benchmem -bench ChildCommitted -benchtime 5000x
 	$(GO) test ./internal/shard -run '^$$' -benchmem -bench 'CrossShardTransfer|LocalShardRound'

@@ -187,9 +187,13 @@ func main() {
 	q := query.New(st)
 	fmt.Printf("  open requests remaining:      %d\n", len(q.OpenRequests()))
 	for _, childID := range parent.Children {
-		child, err := st.GetTx(childID)
+		child, ok := st.Tx(childID)
+		if !ok {
+			must(&txn.InputDoesNotExistError{TxID: childID})
+		}
+		op, err := child.Operation()
 		must(err)
-		if child.Operation == txn.OpTransfer {
+		if op == txn.OpTransfer {
 			ops, _, err := workflow.Trace(st, childID)
 			must(err)
 			must(workflow.ReverseAuction().ValidSequence(ops))

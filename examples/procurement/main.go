@@ -145,11 +145,15 @@ func main() {
 }
 
 func mustBidAsset(st interface {
-	GetTx(string) (*txn.Transaction, error)
+	Tx(string) (txn.Stored, bool)
 }, bid *txn.Transaction) string {
-	t, err := st.GetTx(bid.ID)
+	t, ok := st.Tx(bid.ID)
+	if !ok {
+		log.Fatalf("bid %s is not committed", bid.ID)
+	}
+	asset, err := t.AssetID()
 	if err != nil {
 		log.Fatal(err)
 	}
-	return t.AssetID()
+	return asset
 }

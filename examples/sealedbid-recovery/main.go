@@ -97,11 +97,15 @@ func main() {
 }
 
 func mustAsset(state *ledger.State, bid *txn.Transaction) string {
-	t, err := state.GetTx(bid.ID)
+	t, ok := state.Tx(bid.ID)
+	if !ok {
+		log.Fatalf("bid %s is not committed", bid.ID)
+	}
+	asset, err := t.AssetID()
 	if err != nil {
 		log.Fatal(err)
 	}
-	return t.AssetID()
+	return asset
 }
 
 // commit applies txs as one block, stopping on any it skips.

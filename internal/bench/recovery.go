@@ -81,9 +81,10 @@ func RunRecovery(bidders int, seed int64) (RecoveryResult, error) {
 	}
 	// End-state check: the requester holds the winning asset.
 	if res.SettledAfter {
-		winBid, err := n0.State().GetTx(grp.Accept.AssetID())
-		if err == nil {
-			res.SettledAfter = n0.State().Balance(requesterOf(grp), winBid.AssetID()) == 1
+		if winBid, ok := n0.State().Tx(grp.Accept.AssetID()); ok {
+			if asset, err := winBid.AssetID(); err == nil {
+				res.SettledAfter = n0.State().Balance(requesterOf(grp), asset) == 1
+			}
 		}
 	}
 	return res, nil

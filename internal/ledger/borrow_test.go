@@ -13,9 +13,9 @@ import (
 // reference. At every retained height of the ownership stream — each
 // generator's shapes, nested children, a cross-shard apply — on both
 // backends and again after a disk reopen, each stored transaction
-// decodes to the same value both ways, and GetTx, LockedBidsForRFQ,
-// AcceptForRFQ and TxsByOperation return exactly the copying decode of
-// the documents they read.
+// decodes to the same value both ways, GetTx, AcceptForRFQ and
+// TxsByOperation return exactly the copying decode of the documents
+// they read, and LockedBidsForRFQ names BIDs of the REQUEST.
 func TestStoredReadsMatchCopyingDecode(t *testing.T) {
 	// check returns how many locked bids and accepts it compared.
 	check := func(t *testing.T, s *State) (bids, accepts int) {
@@ -63,9 +63,12 @@ func TestStoredReadsMatchCopyingDecode(t *testing.T) {
 				same("TxsByOperation("+op+")", got)
 			}
 			for _, rfq := range v.TxsByOperation(txn.OpRequest) {
-				locked := v.LockedBidsForRFQ(rfq.ID)
-				same("LockedBidsForRFQ", locked)
-				bids += len(locked)
+				for _, id := range v.LockedBidsForRFQ(rfq.ID) {
+					if bid, ok := want[id]; !ok || bid.Operation != txn.OpBid || !bid.HasRef(rfq.ID) {
+						t.Errorf("height %d: LockedBidsForRFQ(%.8s) names %.8s, not one of its BIDs", h, rfq.ID, id)
+					}
+					bids++
+				}
 				if accept, ok := v.AcceptForRFQ(rfq.ID); ok {
 					same("AcceptForRFQ", []*txn.Transaction{accept})
 					accepts++

@@ -182,6 +182,9 @@ func (s *State) putBlockRecord(height int64, txids []any, twopc bool) error {
 // commit is invisible until it seals. Callers needing several reads
 // against one consistent state pin a view themselves via View().
 
+// Tx reads a committed transaction in place (StateView.Tx).
+func (s *State) Tx(id string) (txn.Stored, bool) { return s.View().Tx(id) }
+
 // GetTx returns a committed transaction by ID, read-only in its
 // free-form maps (StateView.GetTx).
 func (s *State) GetTx(id string) (*txn.Transaction, error) { return s.View().GetTx(id) }
@@ -199,12 +202,16 @@ func (s *State) Output(ref txn.OutputRef) (txn.OutputFact, bool) { return s.View
 // Balance sums the unspent shares pub owns of the given asset.
 func (s *State) Balance(pub, assetID string) uint64 { return s.View().Balance(pub, assetID) }
 
-// LockedBidsForRFQ implements the validator query getLockedBids: all
-// committed BID transactions referencing the REQUEST whose escrow
-// output (index 0) is still unspent.
-func (s *State) LockedBidsForRFQ(rfqID string) []*txn.Transaction {
+// LockedBidsForRFQ implements the validator query getLockedBids: the
+// IDs of the committed BID transactions referencing the REQUEST whose
+// escrow output (index 0) is still unspent.
+func (s *State) LockedBidsForRFQ(rfqID string) []string {
 	return s.View().LockedBidsForRFQ(rfqID)
 }
+
+// Accepted reads the committed ACCEPT_BID referencing the REQUEST in
+// place (StateView.Accepted).
+func (s *State) Accepted(rfqID string) (txn.Stored, bool) { return s.View().Accepted(rfqID) }
 
 // AcceptForRFQ implements getAcceptTxForRFQ: the committed ACCEPT_BID
 // referencing the REQUEST, if one exists.

@@ -204,7 +204,7 @@ func TestLockedBidsForRFQ(t *testing.T) {
 	if len(locked) != 2 {
 		t.Fatalf("locked bids = %d, want 2", len(locked))
 	}
-	ids := map[string]bool{locked[0].ID: true, locked[1].ID: true}
+	ids := map[string]bool{locked[0]: true, locked[1]: true}
 	if !ids[b1.ID] || !ids[b2.ID] {
 		t.Errorf("locked = %v", ids)
 	}

@@ -126,17 +126,11 @@ func (s *State) logAccept(t *txn.Transaction, ops []stagedOp) error {
 // none), read in the writer view: the seal's own earlier writes count.
 func (s *State) requestOwner(rfqID string) string {
 	doc, _ := s.store.Collection(ColTransactions).Borrow(rfqID)
-	outs, _ := doc["outputs"].([]any)
-	if len(outs) == 0 {
+	out, err := txn.ReadStored(doc).Output(0)
+	if err != nil || len(out.Owners) == 0 {
 		return ""
 	}
-	out, _ := outs[0].(map[string]any)
-	owners, _ := out["public_keys"].([]any)
-	if len(owners) == 0 {
-		return ""
-	}
-	owner, _ := owners[0].(string)
-	return owner
+	return out.Owners.At(0)
 }
 
 // markChildDone records that childID spent ref: if a PENDING record

@@ -260,7 +260,7 @@ func answers(w *diffStream, children []*txn.Transaction, r *ledger.StateView, e 
 		}
 	}
 	rfq := w.group.Request.ID
-	add("locked bids", sortedIDs(r.LockedBidsForRFQ(rfq)))
+	add("locked bids", slices.Sorted(slices.Values(r.LockedBidsForRFQ(rfq))))
 	if e == nil {
 		return out
 	}

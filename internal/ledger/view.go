@@ -44,18 +44,27 @@ func (v *StateView) borrow(col, key string) (map[string]any, bool) {
 	return v.s.store.Collection(col).BorrowAt(key, v.h)
 }
 
+// Tx reads the transaction committed as of the view height in place
+// (txn.Stored): the stored document, borrowed, each field checked as it
+// is read. Every condition and query that reads a transaction's fields
+// reads them this way.
+func (v *StateView) Tx(id string) (txn.Stored, bool) {
+	doc, ok := v.borrow(ColTransactions, id)
+	return txn.ReadStored(doc), ok
+}
+
 // GetTx returns the transaction committed as of the view height,
 // decoded from the stored document without copying it
-// (txn.FromStoredDoc). The transaction is read-only in Asset.Data and
-// Metadata, which are the stored maps: a caller that wants to change
-// it takes a Clone first. This holds for every transaction the reads
-// below return (txtype.ChainState's contract).
+// (txn.FromStoredDoc): for a caller that hands the transaction out.
+// It is read-only in Asset.Data and Metadata, which are the stored
+// maps: a caller that wants to change it takes a Clone first. This
+// holds for AcceptForRFQ's transaction too.
 func (v *StateView) GetTx(id string) (*txn.Transaction, error) {
-	doc, ok := v.borrow(ColTransactions, id)
+	s, ok := v.Tx(id)
 	if !ok {
 		return nil, &txn.InputDoesNotExistError{TxID: id}
 	}
-	return txn.FromStoredDoc(doc)
+	return s.Decode()
 }
 
 // IsCommitted reports whether the transaction was in the log at the
@@ -101,36 +110,46 @@ func (v *StateView) Balance(pub, assetID string) uint64 {
 // so a commit landing mid-query cannot produce a bid list no single
 // chain state ever held. The lookup drives on the refs index, which
 // yields one REQUEST's BIDs, and checks the operation on each; written
-// the other way round it would walk every BID on the chain.
-func (v *StateView) LockedBidsForRFQ(rfqID string) []*txn.Transaction {
+// the other way round it would walk every BID on the chain. Each BID's
+// id is read in place.
+func (v *StateView) LockedBidsForRFQ(rfqID string) []string {
 	docs := v.col(ColTransactions).BorrowFind(docstore.And(
 		docstore.Contains("refs", rfqID),
 		docstore.Eq("operation", txn.OpBid),
 	))
-	var out []*txn.Transaction
+	var out []string
 	for _, d := range docs {
-		t, err := txn.FromStoredDoc(d)
+		id, err := txn.ReadStored(d).ID()
 		if err != nil {
 			continue
 		}
-		if f, ok := v.Output(txn.OutputRef{TxID: t.ID, Index: 0}); ok && f.SpentBy == "" {
-			out = append(out, t)
+		if f, ok := v.Output(txn.OutputRef{TxID: id, Index: 0}); ok && f.SpentBy == "" {
+			out = append(out, id)
 		}
 	}
 	return out
 }
 
-// AcceptForRFQ returns the ACCEPT_BID referencing the REQUEST as of
-// the view height, if one had committed.
-func (v *StateView) AcceptForRFQ(rfqID string) (*txn.Transaction, bool) {
+// Accepted reads the ACCEPT_BID referencing the REQUEST as of the view
+// height in place, if one had committed.
+func (v *StateView) Accepted(rfqID string) (txn.Stored, bool) {
 	docs := v.col(ColTransactions).BorrowFindLimit(docstore.And(
 		docstore.Contains("refs", rfqID),
 		docstore.Eq("operation", txn.OpAcceptBid),
 	), 1)
 	if len(docs) == 0 {
+		return txn.Stored{}, false
+	}
+	return txn.ReadStored(docs[0]), true
+}
+
+// AcceptForRFQ is Accepted, decoded.
+func (v *StateView) AcceptForRFQ(rfqID string) (*txn.Transaction, bool) {
+	s, ok := v.Accepted(rfqID)
+	if !ok {
 		return nil, false
 	}
-	t, err := txn.FromStoredDoc(docs[0])
+	t, err := s.Decode()
 	if err != nil {
 		return nil, false
 	}

@@ -228,7 +228,7 @@ func (p *Pool) AdmitBatch(txs []Tx) AdmitResult {
 		fp Footprint
 		// dep marks a candidate that footprint-conflicts with another
 		// member of this batch: its semantic verdict may have consulted
-		// in-flight batch state (ResolveTx/Output hit the admission
+		// in-flight batch state (Tx/Output hit the admission
 		// batch before committed state), so it enters the pool stale —
 		// ineligible for verdict reuse until block validation re-proves
 		// it.

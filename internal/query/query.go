@@ -20,6 +20,11 @@
 // the recency/price-band queries stream off the ordered timestamp and
 // amount indexes.
 //
+// A query that answers from a few fields of a transaction reads them
+// in place (txn.Stored: AssetProvenance, AuctionOutcome) and decodes
+// nothing; a query that hands transactions out decodes the ones it
+// returns, and only those.
+//
 // Each call pins one MVCC snapshot of the last sealed block
 // (ledger.StateView) and runs every read of the query against it:
 // analytics take no commit fence and no collection lock, cannot block
@@ -204,25 +209,37 @@ type Outcome struct {
 // AuctionOutcome reconstructs who won a REQUEST and whether every
 // escrow return has settled — the workflow-provenance query. The
 // auction structure (accept, winning bid, losers) and the settlement
-// status, the recovery record, read one snapshot.
+// status, the recovery record, read one snapshot; the ACCEPT_BID and
+// the winning BID are read in place (txn.Stored), each for the fields
+// the outcome names.
 func (e *Engine) AuctionOutcome(rfqID string) (*Outcome, bool) {
 	defer e.timed("auction_outcome")()
 	v := e.view()
-	accept, ok := v.AcceptForRFQ(rfqID)
+	accept, ok := v.Accepted(rfqID)
 	if !ok {
 		return nil, false
 	}
-	out := &Outcome{RFQID: rfqID, AcceptID: accept.ID, WinningBid: accept.AssetID()}
-	if win, err := v.GetTx(accept.AssetID()); err == nil && len(win.Outputs) > 0 && len(win.Outputs[0].PrevOwners) > 0 {
-		out.Winner = win.Outputs[0].PrevOwners[0]
+	acceptID, err := accept.ID()
+	if err != nil {
+		return nil, false
 	}
-	for i, o := range accept.Outputs {
-		if i == 0 || len(o.PrevOwners) == 0 {
-			continue
+	winID, err := accept.AssetID()
+	if err != nil {
+		return nil, false
+	}
+	out := &Outcome{RFQID: rfqID, AcceptID: acceptID, WinningBid: winID}
+	if win, ok := v.Tx(winID); ok {
+		if o, err := win.Output(0); err == nil && len(o.PrevOwners) > 0 {
+			out.Winner = o.PrevOwners.At(0)
 		}
-		out.Losers = append(out.Losers, o.PrevOwners[0])
 	}
-	if rec, err := v.RecoveryFor(accept.ID); err == nil {
+	n, _ := accept.Outputs()
+	for i := 1; i < n; i++ {
+		if o, err := accept.Output(i); err == nil && len(o.PrevOwners) > 0 {
+			out.Losers = append(out.Losers, o.PrevOwners.At(0))
+		}
+	}
+	if rec, err := v.RecoveryFor(acceptID); err == nil {
 		out.Settled = rec.Status == ledger.RecoveryComplete
 	}
 	return out, true
@@ -239,7 +256,9 @@ type ProvenanceStep struct {
 // the current unspent holder — the audit/fraud-analysis query class.
 // Every hop is a lock-free point read against the same snapshot, so
 // the walk can never chase a spender edge into a block that sealed
-// after the walk started.
+// after the walk started. A hop reads the three fields its step names
+// in place (txn.Stored) and decodes no transaction, so what it costs
+// does not grow with the transaction or the chain.
 func (e *Engine) AssetProvenance(assetID string) []ProvenanceStep {
 	defer e.timed("asset_provenance")()
 	v := e.view()
@@ -248,19 +267,35 @@ func (e *Engine) AssetProvenance(assetID string) []ProvenanceStep {
 	seen := make(map[string]bool)
 	for !seen[cur] {
 		seen[cur] = true
-		t, err := v.GetTx(cur)
+		s, ok := v.Tx(cur)
+		if !ok {
+			break
+		}
+		step, err := provenanceStep(s)
 		if err != nil {
 			break
 		}
-		steps = append(steps, ProvenanceStep{TxID: t.ID, Operation: t.Operation, Owners: t.OwnerSet()})
+		steps = append(steps, step)
 		// Follow the spender of this transaction's first output.
-		f, ok := v.Output(txn.OutputRef{TxID: t.ID, Index: 0})
+		f, ok := v.Output(txn.OutputRef{TxID: step.TxID, Index: 0})
 		if !ok || f.SpentBy == "" {
 			break
 		}
 		cur = f.SpentBy
 	}
 	return steps
+}
+
+// provenanceStep reads one hop of AssetProvenance.
+func provenanceStep(s txn.Stored) (step ProvenanceStep, err error) {
+	if step.TxID, err = s.ID(); err != nil {
+		return step, err
+	}
+	if step.Operation, err = s.Operation(); err != nil {
+		return step, err
+	}
+	step.Owners, err = s.OwnerSet()
+	return step, err
 }
 
 // HolderOf reports who currently holds unspent shares of an asset —

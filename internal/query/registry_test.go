@@ -45,12 +45,14 @@ func marketReaders(m *marketplace) []reader {
 		{"Engine.HoldingsInBand", func(e *Engine, _ *ledger.StateView) { e.HoldingsInBand(1, 5) }},
 		{"Engine.AssetsWithCapability", func(e *Engine, _ *ledger.StateView) { e.AssetsWithCapability("3d-printing") }},
 		{"Engine.OperationCounts", func(e *Engine, _ *ledger.StateView) { e.OperationCounts() }},
+		{"StateView.Tx", func(_ *Engine, v *ledger.StateView) { v.Tx(bid.ID) }},
 		{"StateView.GetTx", func(_ *Engine, v *ledger.StateView) { v.GetTx(bid.ID) }},
 		{"StateView.IsCommitted", func(_ *Engine, v *ledger.StateView) { v.IsCommitted(bid.ID) }},
 		{"StateView.TxCount", func(_ *Engine, v *ledger.StateView) { v.TxCount() }},
 		{"StateView.Output", func(_ *Engine, v *ledger.StateView) { v.Output(ref) }},
 		{"StateView.Balance", func(_ *Engine, v *ledger.StateView) { v.Balance(pub, asset) }},
 		{"StateView.LockedBidsForRFQ", func(_ *Engine, v *ledger.StateView) { v.LockedBidsForRFQ(m.open.Request.ID) }},
+		{"StateView.Accepted", func(_ *Engine, v *ledger.StateView) { v.Accepted(rfq) }},
 		{"StateView.AcceptForRFQ", func(_ *Engine, v *ledger.StateView) { v.AcceptForRFQ(rfq) }},
 		{"StateView.RecoveryFor", func(_ *Engine, v *ledger.StateView) { v.RecoveryFor(m.settled.Accept.ID) }},
 	}
@@ -76,7 +78,7 @@ var registry = []indexReaders{
 	{"transactions.operation", docstore.Where{}, []string{
 		"Engine.OpenRequests", "Engine.OpenRequestsWithCapability", "Engine.OperationCounts", "Engine.RecentOpenRequests"}},
 	{"transactions.refs", docstore.Where{}, []string{
-		"Engine.AuctionOutcome", "Engine.BidsForRequest", "StateView.AcceptForRFQ", "StateView.LockedBidsForRFQ"}},
+		"Engine.AuctionOutcome", "Engine.BidsForRequest", "StateView.AcceptForRFQ", "StateView.Accepted", "StateView.LockedBidsForRFQ"}},
 	{"transactions.asset.data.capabilities", isReq, []string{"Engine.OpenRequestsWithCapability"}},
 	{"transactions.metadata.timestamp", isReq, []string{"Engine.RecentOpenRequests"}},
 	{"transactions.outputs.amount", isBid, []string{"Engine.BidsInPriceBand"}},

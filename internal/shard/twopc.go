@@ -241,8 +241,8 @@ func (v *crossView) of(id string) *ledger.StateView {
 	return v.StateView
 }
 
-func (v *crossView) GetTx(id string) (*txn.Transaction, error) { return v.of(id).GetTx(id) }
-func (v *crossView) IsCommitted(id string) bool                { return v.of(id).IsCommitted(id) }
+func (v *crossView) Tx(id string) (txn.Stored, bool) { return v.of(id).Tx(id) }
+func (v *crossView) IsCommitted(id string) bool      { return v.of(id).IsCommitted(id) }
 func (v *crossView) Output(ref txn.OutputRef) (txn.OutputFact, bool) {
 	return v.of(ref.TxID).Output(ref)
 }

@@ -3,6 +3,7 @@ package txn
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 	"strings"
 
 	"smartchaindb/internal/keys"
@@ -249,3 +250,24 @@ func RefBatchTriples(ts []*Transaction) (tasks, unique int) {
 // form as MarshalCanonical — sorted keys, no whitespace — so byte-wise
 // comparisons and fingerprints over stored documents are stable.
 func CanonicalizeDoc(doc map[string]any) []byte { return AppendCanonicalDoc(nil, doc) }
+
+// OwnerSet is the sorted union of t's output owner keys, as the decoded
+// transaction states it: the reference Stored.OwnerSet is pinned to. A
+// null output (a nil *Output) owns nothing.
+func (t *Transaction) OwnerSet() []string {
+	set := make(map[string]struct{})
+	for _, o := range t.Outputs {
+		if o == nil {
+			continue
+		}
+		for _, k := range o.PublicKeys {
+			set[k] = struct{}{}
+		}
+	}
+	out := make([]string, 0, len(set))
+	for k := range set {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}

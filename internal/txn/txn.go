@@ -10,7 +10,6 @@ package txn
 import (
 	"encoding/json"
 	"slices"
-	"sort"
 	"strconv"
 	"sync/atomic"
 )
@@ -110,6 +109,28 @@ type Keys []any
 func (k Keys) At(i int) string {
 	s, _ := docString(k[i])
 	return s
+}
+
+// Strings returns the keys as a list of their own.
+func (k Keys) Strings() []string {
+	if k == nil {
+		return nil
+	}
+	out := make([]string, len(k))
+	for i := range k {
+		out[i] = k.At(i)
+	}
+	return out
+}
+
+// Contains reports whether pub is one of the keys.
+func (k Keys) Contains(pub string) bool {
+	for i := range k {
+		if k.At(i) == pub {
+			return true
+		}
+	}
+	return false
 }
 
 // OutputFact returns the fact of t's i-th output as t's own document
@@ -231,22 +252,6 @@ func (t *Transaction) HasRef(id string) bool {
 		}
 	}
 	return false
-}
-
-// OwnerSet returns the sorted union of output owner keys.
-func (t *Transaction) OwnerSet() []string {
-	set := make(map[string]struct{})
-	for _, o := range t.Outputs {
-		for _, k := range o.PublicKeys {
-			set[k] = struct{}{}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Clone returns a deep copy of the transaction. Stores hand out clones

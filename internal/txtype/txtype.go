@@ -18,19 +18,23 @@ import (
 // ChainState is the read view of committed chain state a condition may
 // consult. *ledger.State and *ledger.StateView implement it.
 //
-// Every transaction it returns is decoded from the stored document
-// without copying the free-form maps: its Asset.Data and Metadata are
-// the store's own and read-only. A condition reads them and never
-// writes; code that must change such a transaction clones it first.
+// It hands out no decoded transaction: a condition reads the fields it
+// needs in place (txn.Stored), from the stored document, which is the
+// store's own and read-only.
 type ChainState interface {
-	GetTx(id string) (*txn.Transaction, error)
+	// Tx reads committed transaction id in place; ok is false when it
+	// is not committed.
+	Tx(id string) (s txn.Stored, ok bool)
 	IsCommitted(id string) bool
 	// Output answers what the chain holds of one output, from the one
 	// record under its key: its UTXO record, or the spend marker that
 	// replaced it (txn.OutputFact). ok is false when neither exists.
 	Output(ref txn.OutputRef) (f txn.OutputFact, ok bool)
-	LockedBidsForRFQ(rfqID string) []*txn.Transaction
-	AcceptForRFQ(rfqID string) (*txn.Transaction, bool)
+	// LockedBidsForRFQ is the IDs of the REQUEST's BIDs whose escrow
+	// output is unspent.
+	LockedBidsForRFQ(rfqID string) []string
+	// Accepted reads the committed ACCEPT_BID of the REQUEST in place.
+	Accepted(rfqID string) (s txn.Stored, ok bool)
 }
 
 // ReservedSet answers membership in PBPK-Res, the reserved system
@@ -43,54 +47,32 @@ type ReservedSet interface {
 // reserved-account set, and the batch of transactions already approved
 // in the block being built (the CurrentTxs parameter of Algorithms 2
 // and 3, needed to catch conflicts between in-flight transactions).
+// Every read looks in the batch first and in committed state second,
+// so a dependency landing in the same block is seen.
 type Context struct {
 	State    ChainState
 	Reserved ReservedSet
 	Batch    *Batch
-
-	// resolved memoizes committed-state lookups for the lifetime of
-	// this Context (one validation call, one goroutine — no lock).
-	// Every State.GetTx decodes the stored document's structure anew
-	// (its free-form maps are borrowed, not copied), and a spent
-	// output is read as a fact (Output), not resolved; what is still
-	// resolved more than once per call is the REQUEST of a reference
-	// vector (BID.3 and BID.7, four ACCEPT_BID conditions) and an
-	// escrowed output's funding BID or ACCEPT_BID (its prev_owners).
-	// Sharing the first decode is safe because conditions only read
-	// the resolved transaction. Batch entries are never memoized — the
-	// batch mutates as the block grows.
-	resolved map[string]*txn.Transaction
 }
 
-// ResolveTx finds a transaction in the current batch first, then in
-// committed state — the lookup validators use for dependencies that may
-// land in the same block. Committed-state hits are memoized per
-// Context, so repeated resolves of the same dependency cost one decode.
-func (c *Context) ResolveTx(id string) (*txn.Transaction, error) {
+// Tx reads transaction id in place: a batched transaction through its
+// own document (SharedDoc), a committed one from the stored document.
+// A read costs a lookup, not a decode, so a condition reads again
+// rather than keep what it read.
+func (c *Context) Tx(id string) (txn.Stored, bool) {
 	if c.Batch != nil {
 		if t, ok := c.Batch.Get(id); ok {
-			return t, nil
+			return txn.ReadStored(t.SharedDoc()), true
 		}
 	}
-	if t, ok := c.resolved[id]; ok {
-		return t, nil
-	}
-	t, err := c.State.GetTx(id)
-	if err != nil {
-		return nil, err
-	}
-	if c.resolved == nil {
-		c.resolved = make(map[string]*txn.Transaction, 4)
-	}
-	c.resolved[id] = t
-	return t, nil
+	return c.State.Tx(id)
 }
 
 // Output returns what the chain knows of output ref, looking in the
-// block being built first and in committed state second, the rule
-// ResolveTx applies to transactions: an output of a batched
-// transaction is read from that transaction (txn.Transaction.OutputFact),
-// and a batched transaction spending ref is its spender.
+// block being built first and in committed state second, as Tx does:
+// an output of a batched transaction is read from that transaction
+// (txn.Transaction.OutputFact), and a batched transaction spending ref
+// is its spender.
 func (c *Context) Output(ref txn.OutputRef) (txn.OutputFact, bool) {
 	if c.Batch == nil {
 		return c.State.Output(ref)

@@ -74,14 +74,16 @@ func TestContextResolveOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := &txtype.Context{State: state, Batch: batch}
-	if got, err := ctx.ResolveTx(committed.ID); err != nil || got.ID != committed.ID {
-		t.Errorf("resolve committed: %v, %v", got, err)
+	// Tx reads a committed transaction from the store and a batched one
+	// from its own document.
+	for _, want := range []*txn.Transaction{committed, batched} {
+		s, ok := ctx.Tx(want.ID)
+		if id, err := s.ID(); !ok || err != nil || id != want.ID {
+			t.Errorf("Tx(%.8s) reads id %q, %v, %v", want.ID, id, ok, err)
+		}
 	}
-	if got, err := ctx.ResolveTx(batched.ID); err != nil || got.ID != batched.ID {
-		t.Errorf("resolve batched: %v, %v", got, err)
-	}
-	if _, err := ctx.ResolveTx("missing"); err == nil {
-		t.Error("missing tx should error")
+	if _, ok := ctx.Tx("missing"); ok {
+		t.Error("Tx of a missing transaction should not be found")
 	}
 	// Output reads a batched transaction's outputs from it, and names
 	// a batched spender of a committed output.

@@ -14,41 +14,60 @@ import (
 	"smartchaindb/internal/txtype"
 )
 
-// spentOutput resolves an input's reference to the source transaction
-// and the output object being spent, looking at the current batch
-// first and committed state second. It decodes the transaction: the
-// conditions that need what an output's record does not hold (the
-// funding operation, prev_owners) read it.
-func spentOutput(ctx *txtype.Context, ref txn.OutputRef) (*txn.Transaction, *txn.Output, error) {
-	source, err := ctx.ResolveTx(ref.TxID)
-	if err != nil {
-		return nil, nil, &txn.InputDoesNotExistError{TxID: ref.TxID}
+// spentOutput reads the output ref spends in place, from its funding
+// transaction in the batch or in committed state (ctx.Tx), and returns
+// the funding transaction's reader with it: the conditions that need
+// what an output's record does not hold (the funding operation,
+// prev_owners) read them there. A funding transaction that is missing,
+// or whose fields cannot be read, does not exist for the condition.
+func spentOutput(ctx *txtype.Context, ref txn.OutputRef) (txn.Stored, txn.StoredOutput, error) {
+	source, ok := ctx.Tx(ref.TxID)
+	n, err := source.Outputs()
+	if !ok || err != nil {
+		return source, txn.StoredOutput{}, &txn.InputDoesNotExistError{TxID: ref.TxID}
 	}
-	if ref.Index < 0 || ref.Index >= len(source.Outputs) {
-		return nil, nil, &txn.ValidationError{
-			Op:     source.Operation,
-			Reason: fmt.Sprintf("output index %d out of range (tx %s has %d outputs)", ref.Index, short(ref.TxID), len(source.Outputs)),
+	if ref.Index < 0 || ref.Index >= n {
+		op, err := source.Operation()
+		if err != nil {
+			return source, txn.StoredOutput{}, &txn.InputDoesNotExistError{TxID: ref.TxID}
+		}
+		return source, txn.StoredOutput{}, &txn.ValidationError{
+			Op:     op,
+			Reason: fmt.Sprintf("output index %d out of range (tx %s has %d outputs)", ref.Index, short(ref.TxID), n),
 		}
 	}
-	return source, source.Outputs[ref.Index], nil
+	out, err := source.Output(ref.Index)
+	if err != nil {
+		return source, txn.StoredOutput{}, &txn.InputDoesNotExistError{TxID: ref.TxID}
+	}
+	return source, out, nil
+}
+
+// operationOf reads a transaction's operation, refusing one whose
+// fields cannot be read as missing (spentOutput).
+func operationOf(s txn.Stored, id string) (string, error) {
+	op, err := s.Operation()
+	if err != nil {
+		return "", &txn.InputDoesNotExistError{TxID: id}
+	}
+	return op, nil
 }
 
 // inputFact returns what the chain knows of the output an input
-// spends: ctx.Output's one keyed read. The funding transaction is
-// decoded only where that read cannot answer: with no record, to tell
-// a missing transaction from an index out of range, and on a spent
+// spends: ctx.Output's one keyed read. The funding transaction is read
+// only where that read cannot answer: with no record, to tell a
+// missing transaction from an index out of range, and on a spent
 // output, whose marker keeps no owners or amount.
 func inputFact(ctx *txtype.Context, ref txn.OutputRef) (txn.OutputFact, error) {
 	f, ok := ctx.Output(ref)
 	if ok && f.SpentBy == "" {
 		return f, nil
 	}
-	source, _, err := spentOutput(ctx, ref)
+	_, out, err := spentOutput(ctx, ref)
 	if err != nil {
 		return f, err
 	}
-	full, _ := source.OutputFact(ref.Index)
-	f.Owners, f.Amount = full.Owners, full.Amount
+	f.Owners, f.Amount = out.Owners, out.Amount
 	return f, nil
 }
 
@@ -64,15 +83,23 @@ func assetOf(ctx *txtype.Context, ref txn.OutputRef, f txn.OutputFact) (string, 
 	if err != nil {
 		return "", err
 	}
-	if source.Operation == txn.OpAcceptBid {
-		if ref.Index >= len(source.Inputs) || source.Inputs[ref.Index].Fulfills == nil {
-			return "", &txn.ValidationError{Op: source.Operation, Reason: fmt.Sprintf("nested parent output %d has no mirroring input", ref.Index)}
+	op, err := operationOf(source, ref.TxID)
+	if err != nil {
+		return "", err
+	}
+	if op == txn.OpAcceptBid {
+		mirrored, ok, err := source.Spends(ref.Index)
+		if err != nil || !ok {
+			return "", &txn.ValidationError{Op: op, Reason: fmt.Sprintf("nested parent output %d has no mirroring input", ref.Index)}
 		}
-		mirrored := *source.Inputs[ref.Index].Fulfills
 		f, _ := ctx.Output(mirrored)
 		return assetOf(ctx, mirrored, f)
 	}
-	return source.AssetID(), nil
+	id, err := source.AssetID()
+	if err != nil {
+		return "", &txn.InputDoesNotExistError{TxID: ref.TxID}
+	}
+	return id, nil
 }
 
 // inputOpts selects which shared checks apply for a transaction type.
@@ -142,14 +169,23 @@ func escrowSpend(op, wrongOp, noRef string) txtype.CheckFunc {
 		if err := checkTransferInputs(ctx, t, inputOpts{reservedOnly: true, sameAsset: true}); err != nil {
 			return err
 		}
-		source, _, err := spentOutput(ctx, *t.Inputs[0].Fulfills)
+		ref := *t.Inputs[0].Fulfills
+		source, _, err := spentOutput(ctx, ref)
 		if err != nil {
 			return err
 		}
-		if source.Operation != op {
+		got, err := operationOf(source, ref.TxID)
+		if err != nil {
+			return err
+		}
+		if got != op {
 			return &txn.ValidationError{Op: t.Operation, Reason: wrongOp}
 		}
-		if !t.HasRef(source.ID) {
+		id, err := source.ID()
+		if err != nil {
+			return &txn.InputDoesNotExistError{TxID: ref.TxID}
+		}
+		if !t.HasRef(id) {
 			return &txn.ValidationError{Op: t.Operation, Reason: noRef}
 		}
 		return nil
@@ -236,35 +272,40 @@ func missingCapabilities(requested, offered []string) []string {
 	return missing
 }
 
-// requestOwner resolves the public key that owns a REQUEST transaction
+// requestOwner reads the public key that owns a REQUEST transaction
 // (getPubKey(RFQTx) in Algorithm 3).
-func requestOwner(rfq *txn.Transaction) (string, error) {
-	if len(rfq.Outputs) == 0 || len(rfq.Outputs[0].PublicKeys) == 0 {
-		return "", &txn.ValidationError{Op: rfq.Operation, Reason: "REQUEST has no owner output"}
+func requestOwner(rfq txn.Stored) (string, error) {
+	if n, _ := rfq.Outputs(); n > 0 {
+		if out, err := rfq.Output(0); err == nil && len(out.Owners) > 0 {
+			return out.Owners.At(0), nil
+		}
 	}
-	return rfq.Outputs[0].PublicKeys[0], nil
+	return "", &txn.ValidationError{Op: txn.OpRequest, Reason: "REQUEST has no owner output"}
 }
 
-// theRequest resolves and checks the single committed REQUEST named in
-// a transaction's reference vector.
-func theRequest(ctx *txtype.Context, t *txn.Transaction) (*txn.Transaction, error) {
-	var rfq *txn.Transaction
-	for _, id := range t.Refs {
-		ref, err := ctx.ResolveTx(id)
-		if err != nil {
-			return nil, &txn.InputDoesNotExistError{TxID: id}
+// theRequest reads and checks the single committed REQUEST named in
+// the reference vector refs of a transaction of operation op, and
+// returns its id with its reader.
+func theRequest(ctx *txtype.Context, op string, refs []string) (string, txn.Stored, error) {
+	var id string
+	var rfq txn.Stored
+	for _, ref := range refs {
+		s, ok := ctx.Tx(ref)
+		refOp, err := s.Operation()
+		if !ok || err != nil {
+			return "", txn.Stored{}, &txn.InputDoesNotExistError{TxID: ref}
 		}
-		if ref.Operation == txn.OpRequest {
-			if rfq != nil {
-				return nil, &txn.ValidationError{Op: t.Operation, Reason: "reference vector names more than one REQUEST"}
+		if refOp == txn.OpRequest {
+			if id != "" {
+				return "", txn.Stored{}, &txn.ValidationError{Op: op, Reason: "reference vector names more than one REQUEST"}
 			}
-			rfq = ref
+			id, rfq = ref, s
 		}
 	}
-	if rfq == nil {
-		return nil, &txn.ValidationError{Op: t.Operation, Reason: "reference vector names no REQUEST"}
+	if id == "" {
+		return "", txn.Stored{}, &txn.ValidationError{Op: op, Reason: "reference vector names no REQUEST"}
 	}
-	return rfq, nil
+	return id, rfq, nil
 }
 
 func short(s string) string {

@@ -2,6 +2,7 @@ package validate
 
 import (
 	"fmt"
+	"slices"
 
 	"smartchaindb/internal/txn"
 	"smartchaindb/internal/txtype"
@@ -121,7 +122,7 @@ func bidType() *txtype.Type {
 				return nil
 			}},
 			{Name: "BID.3", Doc: "exactly one committed REQUEST in the reference vector", Check: func(ctx *txtype.Context, t *txn.Transaction) error {
-				_, err := theRequest(ctx, t)
+				_, _, err := theRequest(ctx, t.Operation, t.Refs)
 				return err
 			}},
 			{Name: "BID.4", Doc: "at least one input holds a non-null asset", Check: func(ctx *txtype.Context, t *txn.Transaction) error {
@@ -169,11 +170,15 @@ func bidType() *txtype.Type {
 				return nil
 			}},
 			{Name: "BID.7", Doc: "requested capabilities are a subset of the bid assets' capabilities", Check: func(ctx *txtype.Context, t *txn.Transaction) error {
-				rfq, err := theRequest(ctx, t)
+				rfqID, rfq, err := theRequest(ctx, t.Operation, t.Refs)
 				if err != nil {
 					return err
 				}
-				requested := capabilities(rfq.Asset.Data)
+				data, err := rfq.AssetData()
+				if err != nil {
+					return &txn.InputDoesNotExistError{TxID: rfqID}
+				}
+				requested := capabilities(data)
 				var offered []string
 				seen := make(map[string]bool)
 				for _, in := range t.Inputs {
@@ -189,13 +194,12 @@ func bidType() *txtype.Type {
 						continue
 					}
 					seen[assetID] = true
-					assetTx, err := ctx.ResolveTx(assetID)
-					if err != nil {
+					assetTx, ok := ctx.Tx(assetID)
+					data, err := assetTx.AssetData()
+					if !ok || err != nil {
 						return &txn.InputDoesNotExistError{TxID: assetID}
 					}
-					if assetTx.Asset != nil {
-						offered = append(offered, capabilities(assetTx.Asset.Data)...)
-					}
+					offered = append(offered, capabilities(data)...)
 				}
 				if missing := missingCapabilities(requested, offered); len(missing) > 0 {
 					return &txn.InsufficientCapabilitiesError{Missing: missing}
@@ -239,8 +243,8 @@ func returnType() *txtype.Type {
 				if len(spent.PrevOwners) == 0 {
 					return &txn.ValidationError{Op: t.Operation, Reason: "spent output records no previous owner"}
 				}
-				for _, prev := range spent.PrevOwners {
-					if !out.OwnedBy(prev) {
+				for j := range spent.PrevOwners {
+					if prev := spent.PrevOwners.At(j); !out.OwnedBy(prev) {
 						return &txn.ValidationError{Op: t.Operation, Reason: fmt.Sprintf("shares must return to previous owner %s", short(prev))}
 					}
 				}
@@ -259,16 +263,17 @@ func acceptBidType() *txtype.Type {
 				if err := checkNotDuplicate(ctx, t); err != nil {
 					return err
 				}
-				rfq, err := theRequest(ctx, t)
+				rfqID, _, err := theRequest(ctx, t.Operation, t.Refs)
 				if err != nil {
 					return err
 				}
-				if dup, ok := ctx.State.AcceptForRFQ(rfq.ID); ok {
-					return &txn.DuplicateTransactionError{TxID: dup.ID, Reason: "REQUEST already has an accepted bid"}
+				if dup, ok := ctx.State.Accepted(rfqID); ok {
+					id, _ := dup.ID()
+					return &txn.DuplicateTransactionError{TxID: id, Reason: "REQUEST already has an accepted bid"}
 				}
 				if ctx.Batch != nil {
 					for _, other := range ctx.Batch.Transactions() {
-						if other.Operation == txn.OpAcceptBid && other.HasRef(rfq.ID) && other.ID != t.ID {
+						if other.Operation == txn.OpAcceptBid && other.HasRef(rfqID) && other.ID != t.ID {
 							return &txn.DuplicateTransactionError{TxID: other.ID, Reason: "REQUEST already has an accepted bid in this block"}
 						}
 					}
@@ -282,12 +287,12 @@ func acceptBidType() *txtype.Type {
 				return nil
 			}},
 			{Name: "ACCEPT_BID.3", Doc: "the reference is a committed REQUEST", Check: func(ctx *txtype.Context, t *txn.Transaction) error {
-				_, err := theRequest(ctx, t)
+				_, _, err := theRequest(ctx, t.Operation, t.Refs)
 				return err
 			}},
 			{Name: "ACCEPT_BID.5", Doc: "all fulfillments verify", Check: checkSignatures},
 			{Name: "ACCEPT_BID.signer", Doc: "signer of ACCEPT_BID is the signer of the REQUEST", Check: func(ctx *txtype.Context, t *txn.Transaction) error {
-				rfq, err := theRequest(ctx, t)
+				_, rfq, err := theRequest(ctx, t.Operation, t.Refs)
 				if err != nil {
 					return err
 				}
@@ -310,20 +315,21 @@ func acceptBidType() *txtype.Type {
 				return nil
 			}},
 			{Name: "ACCEPT_BID.1", Doc: "|I| == n: inputs spend every escrow-held bid for the REQUEST", Check: func(ctx *txtype.Context, t *txn.Transaction) error {
-				rfq, err := theRequest(ctx, t)
+				rfqID, _, err := theRequest(ctx, t.Operation, t.Refs)
 				if err != nil {
 					return err
 				}
-				locked := ctx.State.LockedBidsForRFQ(rfq.ID)
+				locked := ctx.State.LockedBidsForRFQ(rfqID)
 				if len(t.Inputs) != len(locked) {
 					return &txn.ValidationError{Op: t.Operation, Reason: fmt.Sprintf("spends %d bids but %d are escrow-held for the REQUEST", len(t.Inputs), len(locked))}
 				}
-				lockedSet := make(map[string]bool, len(locked))
-				for _, b := range locked {
-					lockedSet[b.ID] = true
-				}
+				slices.Sort(locked)
 				for i, in := range t.Inputs {
-					if in.Fulfills == nil || !lockedSet[in.Fulfills.TxID] {
+					held := false
+					if in.Fulfills != nil {
+						_, held = slices.BinarySearch(locked, in.Fulfills.TxID)
+					}
+					if !held {
 						return &txn.ValidationError{Op: t.Operation, Reason: fmt.Sprintf("input %d does not spend an escrow-held bid for the REQUEST", i)}
 					}
 				}
@@ -336,11 +342,12 @@ func acceptBidType() *txtype.Type {
 				if len(t.Inputs) == 0 || t.Inputs[0].Fulfills == nil || t.Inputs[0].Fulfills.TxID != t.Asset.ID {
 					return &txn.ValidationError{Op: t.Operation, Reason: "first input must spend the winning bid"}
 				}
-				win, err := ctx.ResolveTx(t.Asset.ID)
-				if err != nil {
+				win, ok := ctx.Tx(t.Asset.ID)
+				op, err := win.Operation()
+				if !ok || err != nil {
 					return &txn.InputDoesNotExistError{TxID: t.Asset.ID}
 				}
-				if win.Operation != txn.OpBid {
+				if op != txn.OpBid {
 					return &txn.ValidationError{Op: t.Operation, Reason: "asset does not name a BID transaction"}
 				}
 				return nil
@@ -370,12 +377,8 @@ func acceptBidType() *txtype.Type {
 					if len(out.PrevOwners) == 0 || len(spent.PrevOwners) == 0 {
 						return &txn.ValidationError{Op: t.Operation, Reason: fmt.Sprintf("output %d loses the original bidder record", i)}
 					}
-					prevSet := make(map[string]bool, len(spent.PrevOwners))
-					for _, k := range spent.PrevOwners {
-						prevSet[k] = true
-					}
 					for _, k := range out.PrevOwners {
-						if !prevSet[k] {
+						if !spent.PrevOwners.Contains(k) {
 							return &txn.ValidationError{Op: t.Operation, Reason: fmt.Sprintf("output %d records previous owner %s not matching the bid", i, short(k))}
 						}
 					}

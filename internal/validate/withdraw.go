@@ -44,14 +44,14 @@ func WithdrawBidType() *txtype.Type {
 				if out.Amount != spent.Amount {
 					return &txn.AmountError{Op: t.Operation, Want: spent.Amount, Got: out.Amount}
 				}
-				for _, prev := range spent.PrevOwners {
-					if !out.OwnedBy(prev) {
+				for j := range spent.PrevOwners {
+					if prev := spent.PrevOwners.At(j); !out.OwnedBy(prev) {
 						return &txn.ValidationError{Op: t.Operation, Reason: fmt.Sprintf("shares must return to the original bidder %s", short(prev))}
 					}
 				}
 				// Authorization: the bidder co-signs the withdrawal (the
 				// escrow alone must not be able to re-route a bid).
-				bidder := spent.PrevOwners[0]
+				bidder := spent.PrevOwners.At(0)
 				signed := false
 				for _, k := range t.Inputs[0].OwnersBefore {
 					if k == bidder {
@@ -65,16 +65,26 @@ func WithdrawBidType() *txtype.Type {
 				return nil
 			}},
 			{Name: "WITHDRAW.5", Doc: "the auction is still open: no ACCEPT_BID exists for the REQUEST", Check: func(ctx *txtype.Context, t *txn.Transaction) error {
-				bid, _, err := spentOutput(ctx, *t.Inputs[0].Fulfills)
+				ref := *t.Inputs[0].Fulfills
+				bid, _, err := spentOutput(ctx, ref)
 				if err != nil {
 					return err
 				}
-				rfq, err := theRequest(ctx, bid)
+				op, err := operationOf(bid, ref.TxID)
 				if err != nil {
 					return err
 				}
-				if acc, accepted := ctx.State.AcceptForRFQ(rfq.ID); accepted {
-					return &txn.ValidationError{Op: t.Operation, Reason: fmt.Sprintf("auction already settled by %s", short(acc.ID))}
+				refs, err := bid.Refs()
+				if err != nil {
+					return &txn.InputDoesNotExistError{TxID: ref.TxID}
+				}
+				rfqID, _, err := theRequest(ctx, op, refs.Strings())
+				if err != nil {
+					return err
+				}
+				if acc, accepted := ctx.State.Accepted(rfqID); accepted {
+					id, _ := acc.ID()
+					return &txn.ValidationError{Op: t.Operation, Reason: fmt.Sprintf("auction already settled by %s", short(id))}
 				}
 				return nil
 			}},

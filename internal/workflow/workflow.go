@@ -97,37 +97,56 @@ func contains(list []string, v string) bool {
 	return false
 }
 
-// ChainState is the read view Trace needs.
+// ChainState is the read view Trace needs: a committed transaction's
+// fields, read in place.
 type ChainState interface {
-	GetTx(id string) (*txn.Transaction, error)
+	Tx(id string) (txn.Stored, bool)
 }
 
 // Trace reconstructs the op path ending at txID by walking spending
 // inputs backwards to the workflow head. It demonstrates that workflow
-// provenance is a chain query in the declarative model.
+// provenance is a chain query in the declarative model. Each hop reads
+// the transaction's id, operation and first spending input in place.
 func Trace(state ChainState, txID string) ([]string, []string, error) {
 	var ops, ids []string
 	cur := txID
 	for depth := 0; depth < 1024; depth++ {
-		t, err := state.GetTx(cur)
+		s, ok := state.Tx(cur)
+		if !ok {
+			return nil, nil, &txn.InputDoesNotExistError{TxID: cur}
+		}
+		id, op, next, err := hop(s)
 		if err != nil {
 			return nil, nil, err
 		}
-		ops = append([]string{t.Operation}, ops...)
-		ids = append([]string{t.ID}, ids...)
-		var next string
-		for _, in := range t.Inputs {
-			if in.Fulfills != nil {
-				next = in.Fulfills.TxID
-				break
-			}
-		}
+		ops = append([]string{op}, ops...)
+		ids = append([]string{id}, ids...)
 		if next == "" {
 			return ops, ids, nil
 		}
 		cur = next
 	}
 	return nil, nil, fmt.Errorf("workflow: trace exceeded depth limit at %s", short(txID))
+}
+
+// hop reads one step of a trace: the transaction's id and operation,
+// and the transaction its first spending input spends ("" for a head).
+func hop(s txn.Stored) (id, op, next string, err error) {
+	if id, err = s.ID(); err != nil {
+		return
+	}
+	if op, err = s.Operation(); err != nil {
+		return
+	}
+	n, err := s.Inputs()
+	for i := 0; i < n && err == nil; i++ {
+		var ref txn.OutputRef
+		var spends bool
+		if ref, spends, err = s.Spends(i); spends {
+			return id, op, ref.TxID, err
+		}
+	}
+	return id, op, "", err
 }
 
 func short(s string) string {
