@@ -23,9 +23,11 @@ build:
 	$(GO) build ./...
 
 # gofmt is part of vet so tier-1 keeps the tree formatted: any file
-# `gofmt -l` names fails the target.
+# `gofmt -l` names fails the target. The benchmark is its own module,
+# which `go vet ./...` does not reach, so it is vetted on its own.
 vet:
 	$(GO) vet ./...
+	cd benchmark && $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
 test: build vet
@@ -81,24 +83,20 @@ test-bench:
 # workload generators' transactions, fields rewritten by an edit
 # program), ledger.DecodePrepared never panics, and what it accepts
 # renders and decodes again to the same ops, each carrying what its
-# seal needs. FuzzYamlite: on any text, the schema loader's parser
-# (yamlite.Parse / ParseMap, seeded from internal/schema/schemas)
-# returns a value or an error and never panics, the same way twice,
-# and ParseMap agrees with Parse; its minimisations are capped at a
-# second like FuzzPlannedFind's. FuzzSchemaValidate: on any JSON
-# object (seeded from the internal/workload generators' documents, as
-# written and with one field edited), the compiled schema walker never
-# panics and agrees with the interpreter it replaced (reference_test.go)
-# on the verdict and the error string, through Registry.ValidateDoc and
-# through one anyOf over every native schema. FuzzSchemaCompile: on
-# any text, schema.CompileYAML returns a schema or an error, and a
-# schema it returns validates a few generator documents without
+# seal needs. FuzzSchemaValidate: on any JSON object (seeded from the
+# internal/workload generators' documents, as written and with one
+# field edited), the compiled schema walker never panics and agrees
+# with the interpreter it replaced (reference_test.go) on the verdict
+# and the error string, through Registry.ValidateDoc and through one
+# anyOf over every native schema. FuzzSchemaCompile: on any JSON text,
+# schema.Compile of the decoded document returns a schema or an error,
+# and a schema it returns validates a few generator documents without
 # panicking or recursing forever (a cycle of anyOf and $ref is a
 # compile error), the same way twice; seeded from the native schema
-# files and the hand-written test schemas, its minimisations capped at
-# a second. A failing input is written under the
-# package's testdata/fuzz/ and then runs as a plain test — commit it
-# with the fix.
+# files (JSON) and the hand-written test schemas, its minimisations
+# capped at a second. A failing input is written under the package's
+# testdata/fuzz/ and then runs as a plain test — commit it with the
+# fix.
 FUZZTIME ?= 60s
 
 fuzz:
@@ -112,7 +110,6 @@ fuzz:
 	$(GO) test ./internal/storage -run '^$$' -fuzz '^FuzzMemCollection$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/docstore -run '^$$' -fuzz '^FuzzPlannedFind$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/ledger -run '^$$' -fuzz '^FuzzDecodePrepared$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/yamlite -run '^$$' -fuzz '^FuzzYamlite$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/schema -run '^$$' -fuzz '^FuzzSchemaValidate$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/schema -run '^$$' -fuzz '^FuzzSchemaCompile$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
@@ -284,6 +281,9 @@ run-shipped:
 	echo "ok   (both shards recovered too)"; \
 	if out=$$("$$d/bin/smartchaindb" -commitdepth 3 2>&1); then echo "run-shipped: -commitdepth 3 was accepted"; exit 1; \
 	elif [ $$? -ne 2 ] || ! echo "$$out" | grep -q 'Config.CommitDepth is 3'; then echo "run-shipped: -commitdepth 3: want exit 2 naming the field, got: $$out"; exit 1; fi; \
-	echo "ok   smartchaindb -commitdepth 3 (refused, exit 2)"
+	echo "ok   smartchaindb -commitdepth 3 (refused, exit 2)"; \
+	if out=$$("$$d/bin/smartchaindb" -bidders 0 2>&1); then echo "run-shipped: -bidders 0 was accepted"; exit 1; \
+	elif [ $$? -ne 2 ] || ! echo "$$out" | grep -q -- '-bidders is 0'; then echo "run-shipped: -bidders 0: want exit 2 naming the flag, got: $$out"; exit 1; fi; \
+	echo "ok   smartchaindb -bidders 0 (refused, exit 2)"
 
 ci: test test-race

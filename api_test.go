@@ -55,7 +55,6 @@ var apiAllowlist = map[string]string{
 	"obs.Handler":                "item 12(a): its /traces endpoint is where the causal traces are served",
 
 	"schema.Registry.Register": "the paper's extension surface: a custom type's schema, registered by TestServerAcceptsCustomTypeEndToEnd",
-	"schema.CompileYAML":       "the paper's extension surface: a custom type's schema, compiled by TestServerAcceptsCustomTypeEndToEnd",
 
 	"ethchain.Chain.Balance":      "the frozen ETH-SC baseline (item 8 keeps minisol and ethchain as they are)",
 	"ethchain.Chain.Height":       "the frozen ETH-SC baseline (item 8 keeps minisol and ethchain as they are)",

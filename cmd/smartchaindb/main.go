@@ -41,11 +41,14 @@ func main() {
 		shards       = flag.Int("shards", 0, "after the auction, demo a horizontally sharded cluster with this many footprint-routed shards: a local create on shard 0 then a cross-shard 2PC migration (0 disables)")
 	)
 	flag.Parse()
-	if _, err := server.ParsePacking(*packing); err != nil {
-		fmt.Fprintln(os.Stderr, "smartchaindb:", err)
-		os.Exit(2)
+	_, err := server.ParsePacking(*packing)
+	if err == nil {
+		err = server.CheckCommitDepth(*commitDepth)
 	}
-	if err := server.CheckCommitDepth(*commitDepth); err != nil {
+	if err == nil {
+		err = checkCounts(*nodes, *bidders, *shards)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "smartchaindb:", err)
 		os.Exit(2)
 	}
@@ -212,6 +215,19 @@ func main() {
 		}
 		shardDemo(*shards, shardDir, shardRegs)
 	}
+}
+
+// checkCounts refuses a count the demo cannot run, naming its flag.
+func checkCounts(nodes, bidders, shards int) error {
+	switch {
+	case nodes < 1:
+		return fmt.Errorf("-nodes is %d, want at least 1", nodes)
+	case bidders < 1:
+		return fmt.Errorf("-bidders is %d, want at least 1: the auction accepts a bid", bidders)
+	case shards != 0 && shards < 2:
+		return fmt.Errorf("-shards is %d, want 0 (no shard demo) or at least 2: the demo migrates an asset from shard 0 to shard 1", shards)
+	}
+	return nil
 }
 
 // shardDemo runs the horizontal-sharding walkthrough: an asset is

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -166,21 +167,23 @@ func TestServerAcceptsCustomTypeEndToEnd(t *testing.T) {
 	node := server.NewNode(server.Config{ReservedSeed: 5})
 	// NOTARIZE: like CREATE but requires a non-empty "document" hash in
 	// the asset data. One schema + one condition set, no server changes.
-	schemaSrc := `
-type: object
-required: [id, operation, asset, outputs, inputs, version]
-properties:
-  operation:
-    enum: [NOTARIZE]
-  asset:
-    type: object
-    required: [data]
-    properties:
-      data:
-        type: object
-        required: [document]
-`
-	compiled, err := schema.CompileYAML(schemaSrc)
+	schemaSrc := `{
+  "type": "object",
+  "required": ["id", "operation", "asset", "outputs", "inputs", "version"],
+  "properties": {
+    "operation": {"enum": ["NOTARIZE"]},
+    "asset": {
+      "type": "object",
+      "required": ["data"],
+      "properties": {"data": {"type": "object", "required": ["document"]}}
+    }
+  }
+}`
+	var doc map[string]any
+	if err := json.Unmarshal([]byte(schemaSrc), &doc); err != nil {
+		t.Fatal(err)
+	}
+	compiled, err := schema.Compile(doc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package driver is the SmartchainDB client driver of Figure 4: it
 // prepares transactions from per-type templates, validates them against
-// the YAML schemas before submission ("Prepare and Sign"), submits them
+// the JSON schemas before submission ("Prepare and Sign"), submits them
 // to a server, and invokes registered callbacks when the network
 // reports a commit or a validation error. Sync-mode submissions are
 // retried after a timeout — the driver-side crash handling of §4.2.1
@@ -181,7 +181,7 @@ func (d *Driver) PrepareAcceptBid(rfqID string, winBid *txn.Transaction, losingB
 	return d.signAndCheck(t, d.cfg.EscrowSigner, d.cfg.Keypair)
 }
 
-// signAndCheck signs the transaction and validates it against its YAML
+// signAndCheck signs the transaction and validates it against its JSON
 // schema before it ever leaves the client.
 func (d *Driver) signAndCheck(t *txn.Transaction, signers ...*keys.KeyPair) (*txn.Transaction, error) {
 	if err := txn.Sign(t, signers...); err != nil {

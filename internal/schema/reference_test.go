@@ -10,15 +10,16 @@ package schema
 // follow it the same way.
 
 import (
+	"encoding/json"
 	"fmt"
 	"maps"
+	"math"
 	"regexp"
 	"slices"
 	"strings"
 	"testing"
 
 	"smartchaindb/internal/txn"
-	"smartchaindb/internal/yamlite"
 )
 
 // refSchema is a compiled schema node.
@@ -46,7 +47,7 @@ type refSchema struct {
 	root *refSchema
 }
 
-// refCompile builds a refSchema from a parsed YAML/JSON document.
+// refCompile builds a refSchema from a decoded JSON document.
 func refCompile(doc map[string]any) (*refSchema, error) {
 	root := &refSchema{defs: map[string]*refSchema{}}
 	root.root = root
@@ -94,10 +95,10 @@ func refRepoint(s, root *refSchema) {
 	}
 }
 
-// refCompileYAML parses a YAML document and compiles it.
-func refCompileYAML(src string) (*refSchema, error) {
-	doc, err := yamlite.ParseMap(src)
-	if err != nil {
+// refCompileJSON decodes a JSON schema and compiles it.
+func refCompileJSON(src string) (*refSchema, error) {
+	var doc map[string]any
+	if err := json.Unmarshal([]byte(src), &doc); err != nil {
 		return nil, err
 	}
 	return refCompile(doc)
@@ -218,11 +219,7 @@ func refFloatKey(doc map[string]any, key string) (*float64, error) {
 	if !ok {
 		return nil, nil
 	}
-	switch x := v.(type) {
-	case int64:
-		f := float64(x)
-		return &f, nil
-	case float64:
+	if x, ok := v.(float64); ok {
 		return &x, nil
 	}
 	return nil, fmt.Errorf("%s is %T, want number", key, v)
@@ -233,7 +230,7 @@ func refIntKey(doc map[string]any, key string) (*int, error) {
 	if !ok {
 		return nil, nil
 	}
-	if x, ok := v.(int64); ok {
+	if x, ok := v.(float64); ok && x == math.Trunc(x) && x >= math.MinInt && x < math.MaxInt {
 		i := int(x)
 		return &i, nil
 	}
@@ -292,7 +289,7 @@ func (s *refSchema) validate(value any, path string) error {
 	if s.enum != nil {
 		found := false
 		for _, e := range s.enum {
-			if refScalarEqual(e, value) {
+			if e == value {
 				found = true
 				break
 			}
@@ -352,14 +349,6 @@ func (s *refSchema) validate(value any, path string) error {
 		if s.maximum != nil && v > *s.maximum {
 			return Violation{Path: path, Msg: fmt.Sprintf("%v > maximum %v", v, *s.maximum)}
 		}
-	case int64:
-		f := float64(v)
-		if s.minimum != nil && f < *s.minimum {
-			return Violation{Path: path, Msg: fmt.Sprintf("%v < minimum %v", v, *s.minimum)}
-		}
-		if s.maximum != nil && f > *s.maximum {
-			return Violation{Path: path, Msg: fmt.Sprintf("%v > maximum %v", v, *s.maximum)}
-		}
 	}
 	return nil
 }
@@ -381,42 +370,13 @@ func refTypeMatches(t string, v any) bool {
 	case "null":
 		return v == nil
 	case "number":
-		return refIsNumber(v)
+		_, ok := v.(float64)
+		return ok
 	case "integer":
-		switch x := v.(type) {
-		case int64:
-			return true
-		case float64:
-			return x == float64(int64(x))
-		}
-		return false
+		x, ok := v.(float64)
+		return ok && x == float64(int64(x))
 	}
 	return false
-}
-
-func refIsNumber(v any) bool {
-	switch v.(type) {
-	case int64, float64:
-		return true
-	}
-	return false
-}
-
-func refScalarEqual(a, b any) bool {
-	if refIsNumber(a) && refIsNumber(b) {
-		return refToFloat(a) == refToFloat(b)
-	}
-	return a == b
-}
-
-func refToFloat(v any) float64 {
-	switch x := v.(type) {
-	case int64:
-		return float64(x)
-	case float64:
-		return x
-	}
-	return 0
 }
 
 func refJsonTypeName(v any) string {
@@ -427,7 +387,7 @@ func refJsonTypeName(v any) string {
 		return "boolean"
 	case string:
 		return "string"
-	case float64, int64:
+	case float64:
 		return "number"
 	case map[string]any:
 		return "object"

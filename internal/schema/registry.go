@@ -2,25 +2,25 @@ package schema
 
 import (
 	"embed"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
 
 	"smartchaindb/internal/txn"
-	"smartchaindb/internal/yamlite"
 )
 
-//go:embed schemas/*.yaml
+//go:embed schemas/*.json
 var schemaFS embed.FS
 
 var opFiles = map[string]string{
-	txn.OpCreate:    "schemas/create.yaml",
-	txn.OpTransfer:  "schemas/transfer.yaml",
-	txn.OpRequest:   "schemas/request.yaml",
-	txn.OpBid:       "schemas/bid.yaml",
-	txn.OpReturn:    "schemas/return.yaml",
-	txn.OpAcceptBid: "schemas/accept_bid.yaml",
-	"WITHDRAW_BID":  "schemas/withdraw_bid.yaml",
+	txn.OpCreate:    "schemas/create.json",
+	txn.OpTransfer:  "schemas/transfer.json",
+	txn.OpRequest:   "schemas/request.json",
+	txn.OpBid:       "schemas/bid.json",
+	txn.OpReturn:    "schemas/return.json",
+	txn.OpAcceptBid: "schemas/accept_bid.json",
+	"WITHDRAW_BID":  "schemas/withdraw_bid.json",
 }
 
 // Registry maps operation names to compiled schemas and implements
@@ -50,32 +50,37 @@ func NewRegistry() (*Registry, error) {
 	return r, nil
 }
 
-// nativeSchemaDocs parses the embedded schema of every native operation,
-// each with the common definitions merged in.
+// nativeSchemaDocs decodes the embedded schema of every native
+// operation, each with the common definitions merged in.
 func nativeSchemaDocs() (map[string]map[string]any, error) {
-	commonSrc, err := schemaFS.ReadFile("schemas/common.yaml")
+	common, err := readSchemaDoc("schemas/common.json")
 	if err != nil {
-		return nil, fmt.Errorf("schema: read common.yaml: %w", err)
-	}
-	common, err := yamlite.ParseMap(string(commonSrc))
-	if err != nil {
-		return nil, fmt.Errorf("schema: parse common.yaml: %w", err)
+		return nil, err
 	}
 	commonDefs, _ := common["definitions"].(map[string]any)
 
 	docs := make(map[string]map[string]any, len(opFiles))
 	for op, file := range opFiles {
-		src, err := schemaFS.ReadFile(file)
+		doc, err := readSchemaDoc(file)
 		if err != nil {
-			return nil, fmt.Errorf("schema: read %s: %w", file, err)
-		}
-		doc, err := yamlite.ParseMap(string(src))
-		if err != nil {
-			return nil, fmt.Errorf("schema: parse %s: %w", file, err)
+			return nil, err
 		}
 		docs[op] = mergeDefinitions(doc, commonDefs)
 	}
 	return docs, nil
+}
+
+// readSchemaDoc decodes one embedded schema file.
+func readSchemaDoc(file string) (map[string]any, error) {
+	src, err := schemaFS.ReadFile(file)
+	if err != nil {
+		return nil, fmt.Errorf("schema: read %s: %w", file, err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(src, &doc); err != nil {
+		return nil, fmt.Errorf("schema: decode %s: %w", file, err)
+	}
+	return doc, nil
 }
 
 // MustNewRegistry is NewRegistry that panics on failure; the embedded

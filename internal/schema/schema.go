@@ -1,8 +1,8 @@
 // Package schema implements SmartchainDB's declarative structural
 // validation layer (Algorithm 1, validateT-schema). Each transaction
-// type ships a YAML schema document — a JSON-Schema-subset blueprint —
-// and every incoming payload is checked against the schema for its
-// operation before semantic validation runs.
+// type ships a schema document — a subset of JSON Schema, written in
+// JSON — and every incoming payload is checked against the schema for
+// its operation before semantic validation runs.
 //
 // Supported keywords: type (single or list), properties, required,
 // additionalProperties (boolean), items, pattern, enum (of scalars),
@@ -32,11 +32,10 @@ package schema
 import (
 	"fmt"
 	"maps"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
-
-	"smartchaindb/internal/yamlite"
 )
 
 // Schema is a compiled schema node.
@@ -95,8 +94,6 @@ func typeOf(v any) typeMask {
 		return tBoolean
 	case nil:
 		return tNull
-	case int64:
-		return tNumber | tInteger
 	case float64:
 		if x == float64(int64(x)) {
 			return tNumber | tInteger
@@ -106,7 +103,9 @@ func typeOf(v any) typeMask {
 	return 0
 }
 
-// Compile builds a Schema from a parsed YAML/JSON document.
+// Compile builds a Schema from a decoded JSON document: numbers are
+// float64, as encoding/json hands them back. A keyword Compile does not
+// know ($comment, title) is ignored.
 func Compile(doc map[string]any) (*Schema, error) {
 	c := &compiler{}
 	defs := map[string]*Schema{}
@@ -201,15 +200,6 @@ func checkAlternatives(defs map[string]*Schema) error {
 	return nil
 }
 
-// CompileYAML parses a YAML document and compiles it.
-func CompileYAML(src string) (*Schema, error) {
-	doc, err := yamlite.ParseMap(src)
-	if err != nil {
-		return nil, err
-	}
-	return Compile(doc)
-}
-
 // compiler collects the $ref nodes of one schema, which Compile
 // resolves once every definition is compiled.
 type compiler struct {
@@ -296,7 +286,7 @@ func (c *compiler) node(doc map[string]any) (*Schema, error) {
 		// value of its own type panic.
 		for _, e := range enum {
 			switch e.(type) {
-			case string, int64, float64, bool, nil:
+			case string, float64, bool, nil:
 			default:
 				return nil, fmt.Errorf("enum contains %T", e)
 			}
@@ -343,26 +333,28 @@ func floatKey(doc map[string]any, key string) (*float64, error) {
 	if !ok {
 		return nil, nil
 	}
-	switch x := v.(type) {
-	case int64:
-		f := float64(x)
-		return &f, nil
-	case float64:
+	if x, ok := v.(float64); ok {
 		return &x, nil
 	}
 	return nil, fmt.Errorf("%s is %T, want number", key, v)
 }
 
+// intKey reads a count keyword: a whole number that fits an int. A
+// float64 outside int's range has no defined conversion to one.
 func intKey(doc map[string]any, key string) (*int, error) {
 	v, ok := doc[key]
 	if !ok {
 		return nil, nil
 	}
-	if x, ok := v.(int64); ok {
-		i := int(x)
-		return &i, nil
+	x, ok := v.(float64)
+	if !ok {
+		return nil, fmt.Errorf("%s is %T, want integer", key, v)
 	}
-	return nil, fmt.Errorf("%s is %T, want integer", key, v)
+	if x != math.Trunc(x) || x < math.MinInt || x >= math.MaxInt {
+		return nil, fmt.Errorf("%s is %v, want a whole number in int range", key, x)
+	}
+	i := int(x)
+	return &i, nil
 }
 
 // pattern is a compiled `pattern`: which bytes the class admits and
@@ -606,9 +598,12 @@ func (s *Schema) check(value any) *failure {
 			}
 		}
 	case float64:
-		return s.checkBounds(v, value)
-	case int64:
-		return s.checkBounds(float64(v), value)
+		if s.minimum != nil && v < *s.minimum {
+			return violation("%v < minimum %v", v, *s.minimum)
+		}
+		if s.maximum != nil && v > *s.maximum {
+			return violation("%v > maximum %v", v, *s.maximum)
+		}
 	}
 	return nil
 }
@@ -629,49 +624,10 @@ func (s *Schema) checkProperty(k string, v any) *failure {
 	return nil
 }
 
-// checkBounds checks a number, whose value as written is value.
-func (s *Schema) checkBounds(f float64, value any) *failure {
-	if s.minimum != nil && f < *s.minimum {
-		return violation("%v < minimum %v", value, *s.minimum)
-	}
-	if s.maximum != nil && f > *s.maximum {
-		return violation("%v > maximum %v", value, *s.maximum)
-	}
-	return nil
-}
-
+// inEnum compares v with each member by ==: every member is a scalar
+// (Compile refuses any other), and two numbers are both float64.
 func (s *Schema) inEnum(v any) bool {
-	for _, e := range s.enum {
-		if scalarEqual(e, v) {
-			return true
-		}
-	}
-	return false
-}
-
-func isNumber(v any) bool {
-	switch v.(type) {
-	case int64, float64:
-		return true
-	}
-	return false
-}
-
-func scalarEqual(a, b any) bool {
-	if isNumber(a) && isNumber(b) {
-		return toFloat(a) == toFloat(b)
-	}
-	return a == b
-}
-
-func toFloat(v any) float64 {
-	switch x := v.(type) {
-	case int64:
-		return float64(x)
-	case float64:
-		return x
-	}
-	return 0
+	return slices.Contains(s.enum, v)
 }
 
 func jsonTypeName(v any) string {
@@ -682,7 +638,7 @@ func jsonTypeName(v any) string {
 		return "boolean"
 	case string:
 		return "string"
-	case float64, int64:
+	case float64:
 		return "number"
 	case map[string]any:
 		return "object"

@@ -1,6 +1,7 @@
 package schema
 
 import (
+	"encoding/json"
 	"errors"
 	"math"
 	"strings"
@@ -10,43 +11,43 @@ import (
 	"smartchaindb/internal/txn"
 )
 
+// compileJSON decodes a JSON schema and compiles it.
+func compileJSON(src string) (*Schema, error) {
+	var doc map[string]any
+	if err := json.Unmarshal([]byte(src), &doc); err != nil {
+		return nil, err
+	}
+	return Compile(doc)
+}
+
 func TestCompileAndValidateBasics(t *testing.T) {
-	s, err := CompileYAML(`
-type: object
-required: [name, age]
-additionalProperties: false
-properties:
-  name:
-    type: string
-    minLength: 1
-    maxLength: 10
-  age:
-    type: integer
-    minimum: 0
-    maximum: 150
-  tags:
-    type: array
-    minItems: 1
-    items:
-      type: string
-`)
+	s, err := compileJSON(`{
+  "type": "object",
+  "required": ["name", "age"],
+  "additionalProperties": false,
+  "properties": {
+    "name": {"type": "string", "minLength": 1, "maxLength": 10},
+    "age": {"type": "integer", "minimum": 0, "maximum": 150},
+    "tags": {"type": "array", "minItems": 1, "items": {"type": "string"}}
+  }
+}`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok := map[string]any{"name": "ada", "age": int64(36), "tags": []any{"x"}}
+	ok := map[string]any{"name": "ada", "age": 36.0, "tags": []any{"x"}}
 	if err := s.Validate(ok); err != nil {
 		t.Errorf("valid doc rejected: %v", err)
 	}
 	cases := []map[string]any{
-		{"name": "ada"},                                           // missing age
-		{"name": "", "age": int64(1)},                             // minLength
-		{"name": "ada", "age": int64(-1)},                         // minimum
-		{"name": "ada", "age": int64(200)},                        // maximum
-		{"name": "ada", "age": "old"},                             // type
-		{"name": "ada", "age": int64(1), "extra": true},           // additionalProperties
-		{"name": "ada", "age": int64(1), "tags": []any{}},         // minItems
-		{"name": "ada", "age": int64(1), "tags": []any{int64(1)}}, // items type
-		{"name": strings.Repeat("x", 11), "age": int64(1)},        // maxLength
+		{"name": "ada"},                                 // missing age
+		{"name": "", "age": 1.0},                        // minLength
+		{"name": "ada", "age": -1.0},                    // minimum
+		{"name": "ada", "age": 200.0},                   // maximum
+		{"name": "ada", "age": "old"},                   // type
+		{"name": "ada", "age": 1.0, "extra": true},      // additionalProperties
+		{"name": "ada", "age": 1.0, "tags": []any{}},    // minItems
+		{"name": "ada", "age": 1.0, "tags": []any{1.0}}, // items type
+		{"name": strings.Repeat("x", 11), "age": 1.0},   // maxLength
 	}
 	for i, c := range cases {
 		if err := s.Validate(c); err == nil {
@@ -56,29 +57,23 @@ properties:
 }
 
 func TestValidatePatternEnumAnyOf(t *testing.T) {
-	s, err := CompileYAML(`
-type: object
-properties:
-  id:
-    type: string
-    pattern: "^[0-9a-f]{4}$"
-  op:
-    enum: [CREATE, TRANSFER, 3]
-  val:
-    anyOf:
-      - type: string
-      - type: integer
-        minimum: 10
-`)
+	s, err := compileJSON(`{
+  "type": "object",
+  "properties": {
+    "id": {"type": "string", "pattern": "^[0-9a-f]{4}$"},
+    "op": {"enum": ["CREATE", "TRANSFER", 3]},
+    "val": {"anyOf": [{"type": "string"}, {"type": "integer", "minimum": 10}]}
+  }
+}`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	good := []map[string]any{
 		{"id": "ab12"},
 		{"op": "CREATE"},
-		{"op": int64(3)},
+		{"op": 3.0},
 		{"val": "str"},
-		{"val": int64(11)},
+		{"val": 11.0},
 	}
 	for _, g := range good {
 		if err := s.Validate(g); err != nil {
@@ -89,7 +84,7 @@ properties:
 		{"id": "zzzz"},
 		{"id": "ab123"},
 		{"op": "DELETE"},
-		{"val": int64(5)},
+		{"val": 5.0},
 		{"val": true},
 	}
 	for _, b := range bad {
@@ -100,12 +95,7 @@ properties:
 }
 
 func TestValidateTypeList(t *testing.T) {
-	s, err := CompileYAML(`
-type: object
-properties:
-  meta:
-    type: [object, "null"]
-`)
+	s, err := compileJSON(`{"type": "object", "properties": {"meta": {"type": ["object", "null"]}}}`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +111,7 @@ properties:
 }
 
 func TestIntegerAcceptsWholeFloat(t *testing.T) {
-	s, err := CompileYAML("type: integer\n")
+	s, err := compileJSON(`{"type": "integer"}`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,20 +124,16 @@ func TestIntegerAcceptsWholeFloat(t *testing.T) {
 }
 
 func TestRefResolution(t *testing.T) {
-	s, err := CompileYAML(`
-definitions:
-  hexid:
-    type: string
-    pattern: "^[0-9a-f]+$"
-type: object
-properties:
-  a:
-    $ref: "#/definitions/hexid"
-  list:
-    type: array
-    items:
-      $ref: "#/definitions/hexid"
-`)
+	s, err := compileJSON(`{
+  "definitions": {
+    "hexid": {"type": "string", "pattern": "^[0-9a-f]+$"}
+  },
+  "type": "object",
+  "properties": {
+    "a": {"$ref": "#/definitions/hexid"},
+    "list": {"type": "array", "items": {"$ref": "#/definitions/hexid"}}
+  }
+}`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,29 +150,38 @@ properties:
 
 func TestCompileErrors(t *testing.T) {
 	bad := []string{
-		"type: zebra\n",
-		"type: 3\n",
-		"pattern: \"[\"\ntype: string\n",
-		"properties:\n  a: 3\n",
-		"$ref: \"http://remote\"\n",
-		"required: [1]\n",
-		"anyOf: [3]\n",
-		"minLength: x\n",
+		`{"type": "zebra"}`,
+		`{"type": 3}`,
+		`{"pattern": "[", "type": "string"}`,
+		`{"properties": {"a": 3}}`,
+		`{"$ref": "http://remote"}`,
+		`{"required": [1]}`,
+		`{"anyOf": [3]}`,
+		`{"minLength": "x"}`,
 	}
 	for _, src := range bad {
-		if _, err := CompileYAML(src); err == nil {
-			t.Errorf("CompileYAML(%q) should fail", src)
+		if _, err := compileJSON(src); err == nil {
+			t.Errorf("compileJSON(%q) should fail", src)
+		}
+	}
+	// A count keyword takes a whole number an int holds: a fraction, or
+	// a number whose conversion to int Go leaves undefined, is refused
+	// by name.
+	for _, key := range []string{"minLength", "maxLength", "minItems", "maxItems"} {
+		for _, n := range []string{"1.5", "-0.5", "1e300", "-1e300", "9223372036854775808"} {
+			src := `{"` + key + `": ` + n + `}`
+			if _, err := compileJSON(src); err == nil || !strings.Contains(err.Error(), key) {
+				t.Errorf("compileJSON(%s): %v, want an error naming %s", src, err, key)
+			}
+		}
+		if _, err := compileJSON(`{"` + key + `": 2.0}`); err != nil {
+			t.Errorf("%s 2.0 refused: %v", key, err)
 		}
 	}
 }
 
 func TestUnresolvedRefIsACompileError(t *testing.T) {
-	_, err := CompileYAML(`
-type: object
-properties:
-  a:
-    $ref: "#/definitions/missing"
-`)
+	_, err := compileJSON(`{"type": "object", "properties": {"a": {"$ref": "#/definitions/missing"}}}`)
 	if err == nil || err.Error() != `schema: $ref "missing" names no definition` {
 		t.Errorf("compile error %v, want one naming the missing definition", err)
 	}
@@ -431,13 +426,7 @@ func TestBidSchemaRequiresReference(t *testing.T) {
 
 func TestRegisterCustomOperation(t *testing.T) {
 	r := newTestRegistry(t)
-	s, err := CompileYAML(`
-type: object
-required: [operation]
-properties:
-  operation:
-    enum: [INTEREST]
-`)
+	s, err := compileJSON(`{"type": "object", "required": ["operation"], "properties": {"operation": {"enum": ["INTEREST"]}}}`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"strings"
 	"testing"
@@ -19,13 +20,15 @@ import (
 // it commit, and the four validators end on one chain.
 func TestPanickingConditionIsARefusal(t *testing.T) {
 	c := newTestCluster(4, 13)
-	compiled, err := schema.CompileYAML(`
-type: object
-required: [id, operation, asset, outputs, inputs, version]
-properties:
-  operation:
-    enum: [NOTARIZE]
-`)
+	var doc map[string]any
+	if err := json.Unmarshal([]byte(`{
+  "type": "object",
+  "required": ["id", "operation", "asset", "outputs", "inputs", "version"],
+  "properties": {"operation": {"enum": ["NOTARIZE"]}}
+}`), &doc); err != nil {
+		t.Fatal(err)
+	}
+	compiled, err := schema.Compile(doc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,6 +15,7 @@ package shard
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"slices"
 	"sync"
 
@@ -80,7 +81,10 @@ func placeByHash(t *txn.Transaction, shards int) int {
 }
 
 // hintOf extracts the shard hint from a transaction's metadata, if
-// present and in range.
+// present, a whole number and in range. A client's hint is a JSON
+// number (float64): a fraction is no hint, and the range is checked on
+// the float64 before the conversion, which Go leaves undefined beyond
+// int's range.
 func hintOf(t *txn.Transaction, shards int) (int, bool) {
 	raw, ok := t.Metadata[MetaShardHint]
 	if !ok {
@@ -89,6 +93,9 @@ func hintOf(t *txn.Transaction, shards int) (int, bool) {
 	var s int
 	switch v := raw.(type) {
 	case float64:
+		if v != math.Trunc(v) || v < 0 || v >= float64(shards) {
+			return 0, false
+		}
 		s = int(v)
 	case int:
 		s = v

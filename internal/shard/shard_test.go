@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"testing"
@@ -212,6 +213,40 @@ func TestPlaceOverride(t *testing.T) {
 		if r, err := c.RouteOf(cr); err != nil || r.Home != home || r.Cross() {
 			t.Fatalf("hinted to shard %d: route = %+v, %v", home, r, err)
 		}
+	}
+}
+
+// TestHintOf: a hint is a whole number in [0, S) — a JSON number or,
+// from a Go caller, an int. A fraction, a negative or out-of-range
+// number, a non-number and a number far beyond int's range are each
+// no hint.
+func TestHintOf(t *testing.T) {
+	const shards = 3
+	for _, c := range []struct {
+		hint any
+		want int
+		ok   bool
+	}{
+		{1.0, 1, true},
+		{0.0, 0, true},
+		{2, 2, true},
+		{1.5, 0, false},
+		{-1.0, 0, false},
+		{-1, 0, false},
+		{float64(shards), 0, false},
+		{shards, 0, false},
+		{"1", 0, false},
+		{1e300, 0, false},
+		{math.NaN(), 0, false},
+		{math.Inf(1), 0, false},
+	} {
+		tx := &txn.Transaction{Metadata: map[string]any{MetaShardHint: c.hint}}
+		if got, ok := hintOf(tx, shards); got != c.want || ok != c.ok {
+			t.Errorf("hint %#v: (%d, %v), want (%d, %v)", c.hint, got, ok, c.want, c.ok)
+		}
+	}
+	if _, ok := hintOf(&txn.Transaction{}, shards); ok {
+		t.Error("no metadata: a hint")
 	}
 }
 
