@@ -219,8 +219,11 @@ test-tripwire:
 # into one. server's TestSharedDocumentRace is the gate on the write
 # side of that contract: four validators admit, validate, commit and
 # then update the same *txn.Transaction — one shared document — while
-# borrowing readers walk transactions and utxos on every node.
-RACE_PKGS = ./internal/mempool ./internal/parallel ./internal/ledger ./internal/consensus ./internal/server ./internal/bench ./internal/storage ./internal/docstore ./internal/query ./internal/obs ./internal/shard ./internal/txn ./internal/keys ./internal/driver ./internal/nested
+# borrowing readers walk transactions and utxos on every node. schema
+# is here because the compiled native schemas are built once per process
+# and shared by every registry, so every node's validators walk the same
+# Schema values at once (TestRegistriesShareNativeSchemasConcurrently).
+RACE_PKGS = ./internal/mempool ./internal/parallel ./internal/ledger ./internal/consensus ./internal/server ./internal/bench ./internal/storage ./internal/docstore ./internal/query ./internal/obs ./internal/shard ./internal/txn ./internal/keys ./internal/driver ./internal/nested ./internal/schema
 
 test-race:
 	$(GO) test -race $(RACE_PKGS)

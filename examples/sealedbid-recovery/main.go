@@ -68,8 +68,8 @@ func main() {
 	// each one's block marks it done in the record as it seals.
 	fmt.Println("\n*** node restarts ***")
 	var delivered []*txn.Transaction
-	restarted := nested.NewEngine(state, escrow, func(child *txn.Transaction) {
-		delivered = append(delivered, child)
+	restarted := nested.NewEngine(state, escrow, func(_ txn.OutputRef, build func() *txn.Transaction) {
+		delivered = append(delivered, build())
 	})
 	replayed := restarted.Recover()
 	fmt.Printf("recovery replayed %d pending children\n", replayed)

@@ -56,7 +56,7 @@ func RunRecovery(bidders int, seed int64) (RecoveryResult, error) {
 
 	// Disconnect every node's child submitter: the crash window.
 	for i := 0; i < 4; i++ {
-		cluster.ServerNode(i).SetChildSubmitter(func(*txn.Transaction) {})
+		cluster.ServerNode(i).SetChildSubmitter(func(txn.OutputRef, func() *txn.Transaction) {})
 	}
 	at = cluster.Sched().Now()
 	submit(grp.Accept)

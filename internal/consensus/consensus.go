@@ -234,8 +234,10 @@ type Cluster struct {
 	commitTimes map[string]time.Duration
 	rejected    map[string]error
 	onCommit    func(tx Tx, at time.Duration)
-	// injected holds the first copy of each injected transaction that
-	// has not committed yet: every validator pools that one object.
+	// injected holds, by the spend claim it was injected under, the one
+	// copy of each injected transaction whose claimed output no
+	// committed transaction has spent yet: every validator pools that
+	// one object.
 	injected map[string]Tx
 }
 
@@ -338,25 +340,32 @@ func (c *Cluster) aliveReceiver() *node {
 	return alive[c.sched.Rand().Intn(len(alive))]
 }
 
-// InjectAt hands tx to validator i's own mempool at virtual time at. It
-// is the path of a transaction every validator derives for itself from
-// committed state — a nested child (§4.2) — so it visits no receiver,
-// costs no receiver time, waits behind no client admission batch and is
-// never gossiped; the pool still runs its CheckTx through the Check
-// hook. What one validator is handed for one instant enters its pool as
-// one admission batch. Until the transaction commits, every validator
-// pools the first copy injected anywhere, so one object stands for it
-// however many validators built it. Its submit time, which Latency
-// measures from, is its first injection into a live validator. An
-// injection into a crashed validator is dropped and never retried: the
-// others inject their own, and a restarted validator re-derives what it
-// still owes.
-func (c *Cluster) InjectAt(at time.Duration, i int, tx Tx) {
-	h := tx.Hash()
-	if first, ok := c.injected[h]; ok {
-		tx = first
-	} else if _, done := c.commitTimes[h]; !done {
-		c.injected[h] = tx
+// InjectAt hands validator i's own mempool, at virtual time at, the
+// transaction that spends the output named by claim — its spend claim
+// in the pool (mempool.Footprint.Spends), which no two pending
+// transactions may share. It is the path of a transaction every
+// validator derives for itself from committed state — a nested child
+// (§4.2) — so it visits no receiver, costs no receiver time, waits
+// behind no client admission batch and is never gossiped; the pool
+// still runs its CheckTx through the Check hook. What one validator is
+// handed for one instant enters its pool as one admission batch. Every
+// validator derives the same transaction, and the validators share
+// this process, so the cluster keeps one copy per claim until a
+// committed transaction spends it: build is called only when no copy
+// is pending, and every validator pools that one object. A validator
+// that owes the transaction after it has committed builds its own
+// copy, which the cluster does not keep. The submit time, which
+// Latency measures from, is the first injection into a live
+// validator. An injection into a crashed validator is dropped and
+// never retried: the others inject their own, and a restarted
+// validator re-derives what it still owes.
+func (c *Cluster) InjectAt(at time.Duration, i int, claim string, build func() Tx) {
+	tx, ok := c.injected[claim]
+	if !ok {
+		tx = build()
+		if _, done := c.commitTimes[tx.Hash()]; !done {
+			c.injected[claim] = tx
+		}
 	}
 	c.nodes[i].inject(at, tx)
 }
@@ -459,7 +468,11 @@ func (c *Cluster) recordCommit(txs []Tx) {
 			continue
 		}
 		c.commitTimes[tx.Hash()] = now
-		delete(c.injected, tx.Hash())
+		if len(c.injected) > 0 {
+			for _, claim := range mempool.ForTransaction(tx).Spends {
+				delete(c.injected, claim)
+			}
+		}
 		if c.onCommit != nil {
 			c.onCommit(tx, now)
 		}

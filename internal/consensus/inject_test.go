@@ -5,15 +5,44 @@ import (
 	"testing"
 	"time"
 
-	"smartchaindb/internal/mempool"
 	"smartchaindb/internal/obs"
 )
 
 // objTx is a transaction with identity: two objTx with one hash are two
-// builds of the same transaction, and a pool holds one or the other.
+// builds of the same transaction, and a pool holds one or the other. It
+// spends the output its claim names, as a nested child spends one
+// escrow output.
 type objTx struct{ h string }
 
 func (t *objTx) Hash() string { return t.h }
+
+func (t *objTx) SpendKeys() []string { return []string{claimOf(t.h)} }
+
+func (t *objTx) FootprintKeys() (writes, reads []string) {
+	return []string{t.h, claimOf(t.h)}, nil
+}
+
+// claimOf is the spend claim of the transaction named hash.
+func claimOf(hash string) string { return "utxo:" + hash + ":0" }
+
+// builder counts the builds of one transaction a test injects.
+type builder struct {
+	hash   string
+	builds int
+}
+
+// build returns a fresh copy of the transaction, as a validator that
+// builds and signs its own would.
+func (b *builder) build() Tx {
+	b.builds++
+	return &objTx{h: b.hash}
+}
+
+// injectOwn hands validator i its own build of the transaction named
+// hash at instant at.
+func injectOwn(c *Cluster, at time.Duration, i int, hash string) {
+	c.InjectAt(at, i, claimOf(hash), func() Tx { return &objTx{h: hash} })
+}
 
 // batchApp records the admission batches its validator checks.
 type batchApp struct {
@@ -39,12 +68,12 @@ func newBatchCluster(cfg Config) (*Cluster, []*batchApp) {
 	return c, apps
 }
 
-// injectEverywhere hands every validator its own build of the
-// transaction named hash at instant at, the way each validator's nested
-// hook hands it the children it derived.
+// injectEverywhere hands every validator the transaction named hash at
+// instant at, the way each validator's nested hook hands it the
+// children it derived.
 func injectEverywhere(c *Cluster, at time.Duration, hash string) {
 	for i := range c.nodes {
-		c.InjectAt(at, i, &objTx{h: hash})
+		injectOwn(c, at, i, hash)
 	}
 }
 
@@ -79,10 +108,10 @@ func TestInjectSendsNoTxMessage(t *testing.T) {
 func TestInjectLatencyStartsAtFirstInjection(t *testing.T) {
 	c, _ := newTestCluster(t, Config{Nodes: 4, Seed: 32})
 	c.Crash(3)
-	c.InjectAt(2*time.Millisecond, 3, &objTx{h: "child"}) // dropped: validator 3 is down
-	c.InjectAt(5*time.Millisecond, 1, &objTx{h: "child"})
-	c.InjectAt(9*time.Millisecond, 0, &objTx{h: "child"})
-	c.InjectAt(9*time.Millisecond, 2, &objTx{h: "child"})
+	injectOwn(c, 2*time.Millisecond, 3, "child") // dropped: validator 3 is down
+	injectOwn(c, 5*time.Millisecond, 1, "child")
+	injectOwn(c, 9*time.Millisecond, 0, "child")
+	injectOwn(c, 9*time.Millisecond, 2, "child")
 	if got := c.RunUntilCommitted(1, time.Minute); got != 1 {
 		t.Fatalf("committed %d, want 1", got)
 	}
@@ -96,27 +125,57 @@ func TestInjectLatencyStartsAtFirstInjection(t *testing.T) {
 	}
 }
 
-// TestInjectSharesOneObject: every validator built its own copy, and
-// every pool holds the first one.
+// TestInjectSharesOneObject: the first validator to owe the
+// transaction builds it, every other validator is handed that copy
+// without building its own, and once it commits the cluster holds no
+// copy of it.
 func TestInjectSharesOneObject(t *testing.T) {
 	c, _ := newTestCluster(t, Config{Nodes: 4, Seed: 33})
-	first := &objTx{h: "child"}
-	c.InjectAt(time.Millisecond, 2, first)
-	for _, i := range []int{0, 1, 3} {
-		c.InjectAt(time.Millisecond, i, &objTx{h: "child"})
+	b := &builder{hash: "child"}
+	for _, i := range []int{2, 0, 1, 3} {
+		c.InjectAt(time.Millisecond, i, claimOf("child"), b.build)
+	}
+	if b.builds != 1 {
+		t.Fatalf("four validators owing one transaction built it %d times, want once", b.builds)
 	}
 	c.RunUntil(time.Millisecond)
+	first := c.nodes[2].pool.Pending()
 	for i, n := range c.nodes {
 		pending := n.pool.Pending()
-		if len(pending) != 1 || pending[0] != mempool.Tx(first) {
-			t.Fatalf("validator %d pools %v, want the first copy %p", i, pending, first)
+		if len(pending) != 1 || len(first) != 1 || pending[0] != first[0] {
+			t.Fatalf("validator %d pools %v, validator 2 %v: want one shared copy", i, pending, first)
 		}
 	}
 	if got := c.RunUntilCommitted(1, time.Minute); got != 1 {
 		t.Fatalf("committed %d, want 1", got)
 	}
 	if len(c.injected) != 0 {
-		t.Errorf("%d first copies held after commit", len(c.injected))
+		t.Errorf("%d copies held after commit", len(c.injected))
+	}
+}
+
+// TestInjectAfterCommitBuildsItsOwn: a validator that owes the
+// transaction after it committed — one replaying its recovery log —
+// builds its own copy, which the cluster does not hold and the
+// validator's pool drops as committed.
+func TestInjectAfterCommitBuildsItsOwn(t *testing.T) {
+	c, _ := newTestCluster(t, Config{Nodes: 4, Seed: 37})
+	injectEverywhere(c, time.Millisecond, "child")
+	if got := c.RunUntilCommitted(1, time.Minute); got != 1 {
+		t.Fatalf("committed %d, want 1", got)
+	}
+	c.RunUntil(c.Sched().Now() + time.Second)
+	late := &builder{hash: "child"}
+	c.InjectAt(c.Sched().Now()+time.Millisecond, 0, claimOf("child"), late.build)
+	if late.builds != 1 {
+		t.Fatalf("a validator owing a committed transaction built it %d times, want once", late.builds)
+	}
+	if len(c.injected) != 0 {
+		t.Errorf("%d copies held after commit", len(c.injected))
+	}
+	c.RunUntil(c.Sched().Now() + time.Second)
+	if c.nodes[0].pool.Contains("child") {
+		t.Error("validator pooled a committed transaction")
 	}
 }
 
@@ -185,7 +244,7 @@ func TestInjectStampsArrival(t *testing.T) {
 		return Lift(newTestApp(i))
 	})
 	for k := 0; k < 2000; k++ {
-		c.InjectAt(time.Millisecond, 0, &objTx{h: fmt.Sprintf("child%04d", k)})
+		injectOwn(c, time.Millisecond, 0, fmt.Sprintf("child%04d", k))
 	}
 	c.RunUntil(time.Millisecond)
 	tr, ok := reg.Tracer().Trace("child0000")

@@ -4,16 +4,19 @@
 // writes its accept_tx_recovery record, naming its child transactions
 // (one TRANSFER to the requester, n-1 RETURNs to losing bidders), in
 // the block's own storage group; the seal of each child's block marks
-// it done there. This engine builds the children, signs them with the
-// escrow system account and submits them with eventual-commit
-// semantics: at the join of the parent's block, and again, from every
-// PENDING record, when a node comes back from a crash. Child
-// construction is deterministic (same escrow key, same parent output),
-// so every validator derives the same children, with the same
-// transaction IDs, from its own commit of the parent: in a cluster each
-// validator's engine hands its children to its own mempool, and none
-// travels through a receiver or gossip. A replayed child is the same
-// transaction again.
+// it done there. This engine hands each owed child on with eventual-
+// commit semantics: at the join of the parent's block, and again, from
+// every PENDING record, when a node comes back from a crash. Child
+// construction is deterministic (same escrow key, same parent output,
+// and ed25519 signatures are deterministic too), so every validator
+// derives the same child, byte for byte, from its own commit of the
+// parent. The engine therefore hands on not a child but the escrow
+// output it spends and a builder that builds and signs it on first
+// call: a cluster's validators share one process, and the cluster
+// builds one copy per owed output for all of them
+// (consensus.Cluster.InjectAt); a standalone node or a shard builds at
+// once. No child travels through a receiver or gossip. A replayed
+// child is the same transaction again.
 package nested
 
 import (
@@ -24,22 +27,28 @@ import (
 	"smartchaindb/internal/txn"
 )
 
-// Submitter hands a signed child transaction on for commit. A cluster
-// validator's submitter injects it into that validator's own mempool
-// (server.Cluster.ChildInjector), a shard's into the shard's pool; a
-// standalone node's applies it at once.
-type Submitter func(child *txn.Transaction)
+// Submitter hands one owed child on for commit: out is the escrow
+// output the child spends — a recovery record owes at most one child
+// per output — and build returns the signed child, building and
+// signing it on its first call and returning that same object after.
+// A cluster validator's submitter injects it into that validator's own
+// mempool and calls build only when no copy for out is pending in the
+// cluster (server.Cluster.ChildInjector); a shard's calls it and admits
+// the child to the shard's pool; a standalone node's calls it and
+// applies the child at once.
+type Submitter func(out txn.OutputRef, build func() *txn.Transaction)
 
-// Engine builds, signs and submits one node's nested children.
+// Engine hands one node's owed nested children to its submitter.
 type Engine struct {
-	state  *ledger.State
-	escrow *keys.KeyPair
-	submit Submitter
+	state     *ledger.State
+	escrow    *keys.KeyPair
+	escrowPub string
+	submit    Submitter
 }
 
 // NewEngine wires an engine to a node's chain state and escrow key.
 func NewEngine(state *ledger.State, escrow *keys.KeyPair, submit Submitter) *Engine {
-	return &Engine{state: state, escrow: escrow, submit: submit}
+	return &Engine{state: state, escrow: escrow, escrowPub: escrow.PublicBase58(), submit: submit}
 }
 
 // Submit hands the children the sealed recovery record of the
@@ -68,13 +77,24 @@ func (e *Engine) Recover() int {
 
 func (e *Engine) submitAll(specs []ledger.ReturnSpec) {
 	for _, spec := range specs {
-		child := ledger.BuildChild(spec, e.escrow.PublicBase58())
-		if err := txn.Sign(child, e.escrow); err != nil {
-			// invariant: the escrow key is local; a signing failure is a
-			// defect, not a runtime condition.
-			panic(fmt.Sprintf("nested: sign child: %v", err))
+		e.submit(txn.OutputRef{TxID: spec.AcceptID, Index: spec.OutputIndex}, e.builder(spec))
+	}
+}
+
+// builder returns the Submitter's build for spec: the child is built
+// and signed on the first call only.
+func (e *Engine) builder(spec ledger.ReturnSpec) func() *txn.Transaction {
+	var child *txn.Transaction
+	return func() *txn.Transaction {
+		if child == nil {
+			child = ledger.BuildChild(spec, e.escrowPub)
+			if err := txn.Sign(child, e.escrow); err != nil {
+				// invariant: the escrow key is local; a signing failure is a
+				// defect, not a runtime condition.
+				panic(fmt.Sprintf("nested: sign child: %v", err))
+			}
 		}
-		e.submit(child)
+		return child
 	}
 }
 

@@ -81,7 +81,7 @@ func newAuction(t testing.TB, nBids int) *auction {
 // engine returns an engine over a's state whose submitter appends to
 // *into.
 func (a *auction) engine(into *[]*txn.Transaction) *Engine {
-	return NewEngine(a.state, a.escrow, func(c *txn.Transaction) { *into = append(*into, c) })
+	return NewEngine(a.state, a.escrow, func(_ txn.OutputRef, build func() *txn.Transaction) { *into = append(*into, build()) })
 }
 
 func TestNonLockingPipeline(t *testing.T) {
@@ -187,6 +187,41 @@ func TestCrashMidwayRecoversOnlyPending(t *testing.T) {
 	}
 	if rec, _ := a.state.RecoveryFor(a.accept.ID); rec.Status != ledger.RecoveryComplete {
 		t.Errorf("recovery status = %s", rec.Status)
+	}
+}
+
+// TestSubmitterNamesTheSpentOutput: the engine hands its submitter, per
+// owed child in output order, the escrow output the child spends and a
+// build that signs the child once and returns that object on every
+// later call.
+func TestSubmitterNamesTheSpentOutput(t *testing.T) {
+	a := newAuction(t, 3)
+	if err := commitOne(a.state, a.accept); err != nil {
+		t.Fatal(err)
+	}
+	var outs []txn.OutputRef
+	var builds []func() *txn.Transaction
+	NewEngine(a.state, a.escrow, func(out txn.OutputRef, build func() *txn.Transaction) {
+		outs = append(outs, out)
+		builds = append(builds, build)
+	}).Submit(a.accept.ID)
+	if len(outs) != 3 {
+		t.Fatalf("submitted %d children, want 3", len(outs))
+	}
+	for i, out := range outs {
+		if want := (txn.OutputRef{TxID: a.accept.ID, Index: i}); out != want {
+			t.Errorf("child %d names output %v, want %v", i, out, want)
+		}
+		child := builds[i]()
+		if again := builds[i](); again != child {
+			t.Errorf("child %d: a second build returned another object", i)
+		}
+		if len(child.Inputs) != 1 || *child.Inputs[0].Fulfills != out {
+			t.Errorf("child %d spends %v, not the output it was submitted under, %v", i, child.Inputs[0].Fulfills, out)
+		}
+		if err := txn.VerifyFulfillments(child); err != nil {
+			t.Errorf("child %d: %v", i, err)
+		}
 	}
 }
 

@@ -139,7 +139,7 @@ func TestAuctionOutcome(t *testing.T) {
 func TestAuctionOutcomeReadsItsSnapshot(t *testing.T) {
 	node := server.NewNode(server.Config{ReservedSeed: 17})
 	var children []*txn.Transaction
-	node.SetChildSubmitter(func(child *txn.Transaction) { children = append(children, child) })
+	node.SetChildSubmitter(func(_ txn.OutputRef, build func() *txn.Transaction) { children = append(children, build()) })
 	grp := workload.NewGenerator(99, node.Escrow()).NewAuctionGroup(0, workload.AuctionGroupSpec{BiddersPerAuction: 3})
 	for _, tx := range append(append([]*txn.Transaction{grp.Request}, grp.Creates...), grp.Bids...) {
 		if err := node.Apply(tx); err != nil {

@@ -374,7 +374,7 @@ func refTypeMatches(t string, v any) bool {
 		return ok
 	case "integer":
 		x, ok := v.(float64)
-		return ok && x == float64(int64(x))
+		return ok && !math.IsInf(x, 0) && x == math.Trunc(x)
 	}
 	return false
 }

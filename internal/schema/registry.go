@@ -4,6 +4,7 @@ import (
 	"embed"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 
@@ -32,23 +33,38 @@ type Registry struct {
 	byOp map[string]*Schema
 }
 
-// NewRegistry loads and compiles the embedded schemas for all native
-// transaction types.
+// NewRegistry returns a registry of the native transaction types. The
+// embedded schemas are decoded and compiled once per process; each
+// registry copies the compiled schemas into a map of its own, so what
+// one registry Registers no other sees.
 func NewRegistry() (*Registry, error) {
+	byOp, err := nativeSchemas()
+	if err != nil {
+		return nil, err
+	}
+	return &Registry{byOp: maps.Clone(byOp)}, nil
+}
+
+// nativeSchemas compiles the embedded schema of every native operation
+// on its first call and hands every later call the same schemas. They
+// are shared by every registry, and so by every node's validators at
+// once: a compiled Schema is never written after Compile returns
+// (Validate only reads it, and its fields are unexported).
+var nativeSchemas = sync.OnceValues(func() (map[string]*Schema, error) {
 	docs, err := nativeSchemaDocs()
 	if err != nil {
 		return nil, err
 	}
-	r := &Registry{byOp: make(map[string]*Schema, len(docs))}
+	byOp := make(map[string]*Schema, len(docs))
 	for op, doc := range docs {
 		s, err := Compile(doc)
 		if err != nil {
 			return nil, fmt.Errorf("schema: compile %s: %w", opFiles[op], err)
 		}
-		r.byOp[op] = s
+		byOp[op] = s
 	}
-	return r, nil
-}
+	return byOp, nil
+})
 
 // nativeSchemaDocs decodes the embedded schema of every native
 // operation, each with the common definitions merged in.

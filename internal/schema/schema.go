@@ -81,7 +81,9 @@ var typeBits = map[string]typeMask{
 }
 
 // typeOf returns the JSON types v belongs to: a number is also an
-// integer when it is whole.
+// integer when it is finite and whole, at any magnitude (a float64
+// beyond int64's range is whole, and Go leaves converting it to int64
+// implementation-defined).
 func typeOf(v any) typeMask {
 	switch x := v.(type) {
 	case map[string]any:
@@ -95,7 +97,7 @@ func typeOf(v any) typeMask {
 	case nil:
 		return tNull
 	case float64:
-		if x == float64(int64(x)) {
+		if !math.IsInf(x, 0) && x == math.Trunc(x) {
 			return tNumber | tInteger
 		}
 		return tNumber

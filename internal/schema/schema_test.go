@@ -3,8 +3,10 @@ package schema
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"smartchaindb/internal/keys"
@@ -110,16 +112,46 @@ func TestValidateTypeList(t *testing.T) {
 	}
 }
 
+// TestIntegerAcceptsWholeFloat: "integer" is any finite number with no
+// fraction, at every magnitude — past 2^53, where float64 holds only
+// whole numbers, and past int64's range, where converting to int64
+// would be implementation-defined — in the compiled walker and in the
+// reference interpreter alike.
 func TestIntegerAcceptsWholeFloat(t *testing.T) {
-	s, err := compileJSON(`{"type": "integer"}`)
+	const src = `{"type": "integer"}`
+	s, err := compileJSON(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Validate(float64(5)); err != nil {
-		t.Errorf("5.0 should be a valid integer: %v", err)
+	ref, err := refCompileJSON(src)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := s.Validate(5.5); err == nil {
-		t.Error("5.5 should not be a valid integer")
+	for _, c := range []struct {
+		name    string
+		v       float64
+		integer bool
+	}{
+		{"5", 5, true},
+		{"-5", -5, true},
+		{"2^53", 1 << 53, true},
+		{"2^63", 1 << 63, true},
+		{"-2^63", -(1 << 63), true},
+		{"1e19", 1e19, true},
+		{"1e300", 1e300, true},
+		{"1.5", 1.5, false},
+		{"5.5", 5.5, false},
+		{"+Inf", math.Inf(1), false},
+		{"NaN", math.NaN(), false},
+	} {
+		for _, w := range []struct {
+			name string
+			err  error
+		}{{"compiled", s.Validate(c.v)}, {"reference", ref.Validate(c.v)}} {
+			if (w.err == nil) != c.integer {
+				t.Errorf("%s: %s: integer = %v (%v), want %v", w.name, c.name, w.err == nil, w.err, c.integer)
+			}
+		}
 	}
 }
 
@@ -447,6 +479,62 @@ func TestRegisterCustomOperation(t *testing.T) {
 		}
 		if after, _ := r.ForOperation(op); after != before {
 			t.Errorf("registering %s again replaced its schema", op)
+		}
+	}
+}
+
+// TestRegistriesShareNativeSchemasConcurrently: registries opened at
+// once, as a cluster's nodes open theirs, get the same compiled native
+// schemas, validate the corpus through them from several goroutines
+// and each register an operation of their own that no other sees.
+// Under the race detector it is the gate on sharing the schemas.
+func TestRegistriesShareNativeSchemasConcurrently(t *testing.T) {
+	docs := corpusDocs(t)
+	own, err := compileJSON(`{"type": "object"}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4
+	regs := make([]*Registry, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range regs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := NewRegistry()
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			regs[i] = r
+			if err := r.Register(fmt.Sprintf("OWN_%d", i), own); err != nil {
+				errs[i] = err
+				return
+			}
+			for _, doc := range docs {
+				if err := r.ValidateDoc(doc); err != nil {
+					errs[i] = fmt.Errorf("%v: %w", doc["operation"], err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("registry %d: %v", i, err)
+		}
+	}
+	create, _ := regs[0].ForOperation(txn.OpCreate)
+	for i, r := range regs {
+		if s, _ := r.ForOperation(txn.OpCreate); s != create {
+			t.Errorf("registry %d compiled its own CREATE schema", i)
+		}
+		for j := range regs {
+			if _, ok := r.ForOperation(fmt.Sprintf("OWN_%d", j)); ok != (i == j) {
+				t.Errorf("registry %d sees OWN_%d: %v, want %v", i, j, ok, i == j)
+			}
 		}
 	}
 }

@@ -21,8 +21,9 @@ type auctionLoad struct {
 
 // auctionRun is what one driven cluster leaves behind.
 type auctionRun struct {
-	committed    []string // transaction hashes, sorted
-	fingerprints []string // one per validator, read after its commits drained
+	committed    []string                 // transaction hashes, sorted
+	commitAt     map[string]time.Duration // each transaction's first commit
+	fingerprints []string                 // one per validator, read after its commits drained
 	summary      consensus.Summary
 }
 
@@ -48,9 +49,10 @@ func runAuctionClusterWith(t *testing.T, cfg ClusterConfig, prepare func(*Cluste
 	if prepare != nil {
 		prepare(cluster)
 	}
-	var run auctionRun
-	cluster.OnCommit(func(tx consensus.Tx, _ time.Duration) {
+	run := auctionRun{commitAt: make(map[string]time.Duration)}
+	cluster.OnCommit(func(tx consensus.Tx, at time.Duration) {
 		run.committed = append(run.committed, tx.Hash())
+		run.commitAt[tx.Hash()] = at
 	})
 	gen := workload.NewGenerator(load.genSeed, cluster.ServerNode(0).Escrow())
 	groups := make([]*workload.AuctionGroup, load.auctions)

@@ -124,14 +124,16 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	return c
 }
 
-// ChildInjector is validator i's nested-child submitter: it injects each
-// child the validator's commit of a parent derived into that validator's
-// own mempool, ChildDelay later. Every validator derives the same
-// children from the same committed parent, so no child needs a receiver
-// or gossip.
+// ChildInjector is validator i's nested-child submitter: it injects the
+// child owed for each escrow output the validator's commit of a parent
+// derived into that validator's own mempool, ChildDelay later. Every
+// validator derives the same children from the same committed parent,
+// so no child needs a receiver or gossip, and the cluster builds and
+// signs each one once: the validators' injectors share the pending
+// copy, keyed by the output it spends (consensus.Cluster.InjectAt).
 func (c *Cluster) ChildInjector(i int) nested.Submitter {
-	return func(child *txn.Transaction) {
-		c.InjectAt(c.Sched().Now()+c.cfg.ChildDelay, i, child)
+	return func(out txn.OutputRef, build func() *txn.Transaction) {
+		c.InjectAt(c.Sched().Now()+c.cfg.ChildDelay, i, txn.SpendKeyPrefix+out.String(), func() consensus.Tx { return build() })
 	}
 }
 

@@ -83,7 +83,7 @@ func TestNodeDataDirKillRestartRecoversIdenticalState(t *testing.T) {
 	// Route the nested children into block 4 instead of the default
 	// synchronous apply, like the cluster does.
 	var children []*txn.Transaction
-	n.SetChildSubmitter(func(child *txn.Transaction) { children = append(children, child) })
+	n.SetChildSubmitter(collectChildren(&children))
 	commitBlock(t, n, 3, acc)
 	if len(children) != 2 {
 		t.Fatalf("nested engine produced %d children, want 2", len(children))
@@ -165,7 +165,7 @@ func TestNodeRestartReplaysPendingRecovery(t *testing.T) {
 	if err := txn.Sign(acc, n.Escrow(), requester); err != nil {
 		t.Fatal(err)
 	}
-	n.SetChildSubmitter(func(*txn.Transaction) {}) // children lost in flight
+	n.SetChildSubmitter(dropChildren) // children lost in flight
 	commitBlock(t, n, 3, acc)
 
 	// Kill before any child commits; restart and replay.
@@ -182,7 +182,7 @@ func TestNodeRestartReplaysPendingRecovery(t *testing.T) {
 		t.Fatalf("recovered record = %+v, %v", rec, err)
 	}
 	var resubmitted []*txn.Transaction
-	n2.SetChildSubmitter(func(child *txn.Transaction) { resubmitted = append(resubmitted, child) })
+	n2.SetChildSubmitter(collectChildren(&resubmitted))
 	if replayed := n2.Recover(); replayed != 2 {
 		t.Fatalf("Recover replayed %d pending children, want 2", replayed)
 	}
@@ -232,7 +232,7 @@ func TestCrashBetweenSealAndJoinKeepsChildren(t *testing.T) {
 		cfg := Config{ReservedSeed: 42, DataDir: t.TempDir()}
 		n := NewNode(cfg)
 		var children []*txn.Transaction
-		n.SetChildSubmitter(func(child *txn.Transaction) { children = append(children, child) })
+		n.SetChildSubmitter(collectChildren(&children))
 		blocks := [][]*txn.Transaction{{rfq, asset1, asset2}, {bid1, bid2}, {acc}}
 		for h := int64(1); ; h++ {
 			if h > 3 {
@@ -257,7 +257,7 @@ func TestCrashBetweenSealAndJoinKeepsChildren(t *testing.T) {
 				t.Fatal(err)
 			}
 			var resubmitted []*txn.Transaction
-			n.SetChildSubmitter(func(child *txn.Transaction) { resubmitted = append(resubmitted, child) })
+			n.SetChildSubmitter(collectChildren(&resubmitted))
 			want := map[int64]int{3: 2, 4: 1}[cut]
 			if got := n.Recover(); got != want || len(resubmitted) != want {
 				t.Fatalf("cut after block %d: Recover resubmitted %d children (reported %d), want %d", cut, len(resubmitted), got, want)
@@ -328,7 +328,7 @@ func TestOneWALGroupPerBlock(t *testing.T) {
 	defer n.Close()
 	acc, blocks := auctionFixture(t, n.Escrow())
 	var children []*txn.Transaction
-	n.SetChildSubmitter(func(child *txn.Transaction) { children = append(children, child) })
+	n.SetChildSubmitter(collectChildren(&children))
 	groups := func() uint64 { return reg.Snapshot().Counters["storage.wal.groups"] }
 	for h, block := range blocks[:3] {
 		before := groups()
@@ -361,7 +361,7 @@ func TestJoinWritesNothingAPinnedViewSees(t *testing.T) {
 	defer n.Close()
 	acc, blocks := auctionFixture(t, n.Escrow())
 	var children []*txn.Transaction
-	n.SetChildSubmitter(func(child *txn.Transaction) { children = append(children, child) })
+	n.SetChildSubmitter(collectChildren(&children))
 	read := func(v *ledger.StateView) string {
 		var children []string
 		if parent, err := v.GetTx(acc.ID); err == nil {
@@ -416,7 +416,7 @@ func TestCrashCutsKeepTheAuction(t *testing.T) {
 		cfg := Config{ReservedSeed: 42, DataDir: t.TempDir(), NoSync: true, CommitDepth: 2}
 		n := NewNode(cfg)
 		var children []*txn.Transaction
-		n.SetChildSubmitter(func(child *txn.Transaction) { children = append(children, child) })
+		n.SetChildSubmitter(collectChildren(&children))
 		blocks := slices.Clone(fixed)
 		for h := int64(1); ; h++ {
 			if k := int(h) - len(fixed); k > 0 { // child k's block
@@ -441,7 +441,7 @@ func TestCrashCutsKeepTheAuction(t *testing.T) {
 				t.Fatal(err)
 			}
 			var resubmitted []*txn.Transaction
-			n.SetChildSubmitter(func(child *txn.Transaction) { resubmitted = append(resubmitted, child) })
+			n.SetChildSubmitter(collectChildren(&resubmitted))
 			want := 3 - max(0, int(to)-len(fixed))
 			if got := n.Recover(); got != want || len(resubmitted) != want {
 				t.Fatalf("cut %d–%d: Recover resubmitted %d children (reported %d), want %d", from, to, len(resubmitted), got, want)

@@ -186,16 +186,16 @@ func OpenNode(cfg Config) (*Node, error) {
 		sched:    &parallel.Scheduler{Workers: cfg.ParallelWorkers},
 		ob:       newNodeObs(cfg.Obs),
 	}
-	n.submitChild = func(child *txn.Transaction) {
+	n.submitChild = func(_ txn.OutputRef, build func() *txn.Transaction) {
 		// Standalone default: apply children locally and synchronously.
-		_ = n.Apply(child)
+		_ = n.Apply(build())
 	}
 	// The simulated consensus engine numbers blocks from 1 in every
 	// process; a node recovered from disk keeps counting the ledger
 	// from where it stopped.
 	n.baseHeight = state.Height()
-	n.nested = nested.NewEngine(n.state, n.reserved.Escrow(), func(child *txn.Transaction) {
-		n.submitChild(child)
+	n.nested = nested.NewEngine(n.state, n.reserved.Escrow(), func(out txn.OutputRef, build func() *txn.Transaction) {
+		n.submitChild(out, build)
 	})
 	return n, nil
 }

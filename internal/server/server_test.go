@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"smartchaindb/internal/keys"
+	"smartchaindb/internal/schema"
 	"smartchaindb/internal/txn"
 )
 
@@ -267,7 +268,7 @@ func TestClusterCrashRecoveryOfChildren(t *testing.T) {
 	// Simulate "crash while enqueueing RETURNs": every node's child
 	// submitter is disconnected before the accept commits.
 	for i := 0; i < 4; i++ {
-		c.ServerNode(i).SetChildSubmitter(func(*txn.Transaction) {})
+		c.ServerNode(i).SetChildSubmitter(dropChildren)
 	}
 	acc, err := txn.NewAcceptBid(requester.PublicBase58(), escrowPair.PublicBase58(), rfq.ID, bid1, []*txn.Transaction{bid2}, nil)
 	if err != nil {
@@ -327,5 +328,39 @@ func TestClusterValidatorCrashDuringAuction(t *testing.T) {
 	c.Submit(acc)
 	if got := c.RunUntilCommitted(5, c.Sched().Now()+5*time.Minute); got != 5 {
 		t.Fatalf("auction did not complete after restart: %d of 5", got)
+	}
+}
+
+// TestRegisteredSchemaStaysOnItsNode: nodes in one process share the
+// compiled native schemas, but a schema one node registers is its own.
+func TestRegisteredSchemaStaysOnItsNode(t *testing.T) {
+	a, b := NewNode(Config{}), NewNode(Config{})
+	defer a.Close()
+	defer b.Close()
+	if sa, _ := a.Schemas().ForOperation(txn.OpCreate); sa == nil {
+		t.Fatal("node a has no CREATE schema")
+	} else if sb, _ := b.Schemas().ForOperation(txn.OpCreate); sb != sa {
+		t.Error("two nodes compiled the native CREATE schema twice")
+	}
+	s, err := schema.Compile(map[string]any{"type": "object"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Schemas().Register("INTEREST", s); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := b.Schemas().ForOperation("INTEREST"); ok {
+		t.Fatal("a schema registered on node a is visible on node b")
+	}
+	if err := b.Schemas().ValidateDoc(map[string]any{"operation": "INTEREST"}); err == nil {
+		t.Error("node b accepts an operation only node a registered")
+	}
+	if err := b.Schemas().Register("INTEREST", s); err != nil {
+		t.Errorf("node b cannot register an operation node a registered: %v", err)
+	}
+	c := NewNode(Config{})
+	defer c.Close()
+	if _, ok := c.Schemas().ForOperation("INTEREST"); ok {
+		t.Error("a node opened after two registrations sees them")
 	}
 }

@@ -107,9 +107,9 @@ func Open(cfg Config) (*Cluster, error) {
 		sh := &Shard{ID: i, Node: node, ob: newShardObs(nodeCfg.Obs)}
 		// Nested children go to the shard's own pool, their parent homed
 		// here first: CommitLocal homes its block only after the join.
-		node.SetChildSubmitter(func(child *txn.Transaction) {
-			c.dir.Set(child.Inputs[0].Fulfills.TxID, sh.ID)
-			sh.pool.AdmitBatch([]mempool.Tx{child})
+		node.SetChildSubmitter(func(out txn.OutputRef, build func() *txn.Transaction) {
+			c.dir.Set(out.TxID, sh.ID)
+			sh.pool.AdmitBatch([]mempool.Tx{build()})
 		})
 		sh.pool = mempool.New(mempool.Config{
 			BatchSize: cfg.MempoolBatch,
