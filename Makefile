@@ -94,7 +94,10 @@ test-bench:
 # panicking or recursing forever (a cycle of anyOf and $ref is a
 # compile error), the same way twice; seeded from the native schema
 # files (JSON) and the hand-written test schemas, its minimisations
-# capped at a second. A failing input is written under the package's
+# capped at a second. FuzzBase58: on any string, keys.Base58Decode and
+# the math/big decoder it replaced (base58_test.go) give the same bytes
+# and the same ErrBadBase58, leading '1's included, and what decodes
+# encodes back to the string. A failing input is written under the package's
 # testdata/fuzz/ and then runs as a plain test — commit it with the
 # fix.
 FUZZTIME ?= 60s
@@ -112,6 +115,7 @@ fuzz:
 	$(GO) test ./internal/ledger -run '^$$' -fuzz '^FuzzDecodePrepared$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/schema -run '^$$' -fuzz '^FuzzSchemaValidate$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/schema -run '^$$' -fuzz '^FuzzSchemaCompile$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/keys -run '^$$' -fuzz '^FuzzBase58$$' -fuzztime $(FUZZTIME)
 
 # Per-call cost of the primitives a transaction passes through between
 # admission and the log — codec, footprint, committed-state reads,
@@ -160,16 +164,19 @@ fuzz:
 # (TestSchemaValidateAllocatesNothing pins it).
 # TransferConditions is TRANSFER's condition set on the 4-input shape,
 # one Context per call: a keyed read per spent output and condition,
-# no funding transaction decoded (TestTransferConditionsAllocations
-# pins it at 12); AuctionConditions/{bid,accept,return} are BID's and
+# under the key the transaction's spend keys hold, no funding
+# transaction decoded (TestTransferConditionsAllocations pins it at 2); AuctionConditions/{bid,accept,return} are BID's and
 # ACCEPT_BID's sets over a ten-bid auction and a losing bid's RETURN,
 # every transaction they read read in place
 # (TestAuctionConditionsAllocations pins all three).
 # AssetProvenance/{1k,64k} walks a 16-hop ownership chain over two state
 # sizes: the same allocations at both, fewer per hop than one decode
 # (TestAssetProvenanceReadsInPlace).
+# Base58Decode decodes a public key and a signature into 32-bit limbs on
+# the stack: one allocation each, the result
+# (TestBase58DecodeAllocations).
 bench-alloc:
-	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage ./internal/docstore ./internal/schema ./internal/validate ./internal/query -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|VerifyFulfillmentsBatch|MarshalCanonicalCold|OutputRefString|FootprintOf|GroupFootprints|StateView|InsertDoc|MarkSpent|SpendFanIn|StageBlock|CommitTransferChain|EncodableDoc|GroupCommit|Fold|MemPut|MemGetAt|MemScanAt|IndexInsert|PlanLockedBids|SchemaValidate|TransferConditions|AuctionConditions|AssetProvenance'
+	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage ./internal/docstore ./internal/schema ./internal/validate ./internal/query ./internal/keys -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|VerifyFulfillmentsBatch|MarshalCanonicalCold|OutputRefString|FootprintOf|GroupFootprints|StateView|InsertDoc|MarkSpent|SpendFanIn|StageBlock|CommitTransferChain|EncodableDoc|GroupCommit|Fold|MemPut|MemGetAt|MemScanAt|IndexInsert|PlanLockedBids|SchemaValidate|TransferConditions|AuctionConditions|AssetProvenance|Base58Decode'
 	$(GO) test ./internal/ledger -run '^$$' -benchmem -bench SealOneTxBlock -benchtime 20000x
 	$(GO) test ./internal/nested -run '^$$' -benchmem -bench ChildCommitted -benchtime 5000x
 	$(GO) test ./internal/shard -run '^$$' -benchmem -bench 'CrossShardTransfer|LocalShardRound'

@@ -127,10 +127,9 @@ func main() {
 		log.Fatal(err)
 	}
 	waitCommit("ACCEPT_BID", buyer, accept)
-	// Let the child TRANSFER/RETURNs commit.
-	deadline := cluster.Sched().Now() + 10*time.Second
-	for cluster.Sched().Now() < deadline && cluster.Sched().Step() {
-	}
+	// Let the child TRANSFER/RETURNs commit. RunUntil returns with every
+	// block the validators applied sealed, so the reads below see them.
+	cluster.RunUntil(cluster.Sched().Now() + 10*time.Second)
 
 	st := cluster.ServerNode(0).State()
 	q := query.New(st)

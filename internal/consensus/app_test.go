@@ -11,8 +11,10 @@ import (
 
 // fullTestApp implements App directly, with the cost model Lift gives
 // a MinimalApp (per-transaction check and price, freshness ignored,
-// free commit) but a real two-phase commit: CommitStart only notes the
-// height, and the block reaches the recorded state at the join.
+// free commit, no early checks) but a real two-phase commit:
+// CommitStart only notes the height, and the block reaches the
+// recorded state at the join, which therefore hands the state on
+// (HandsOn) and runs at its instant.
 type fullTestApp struct {
 	*testApp
 	started []int64
@@ -29,6 +31,8 @@ func (a *fullTestApp) CheckTxBatch(txs []Tx) map[string]error {
 	return errs
 }
 
+func (a *fullTestApp) PrecheckBatch([]Tx) (wait func()) { return func() {} }
+
 func (a *fullTestApp) ReceiverBatchTime(txs []Tx) time.Duration {
 	return time.Duration(len(txs)) * a.recvTime
 }
@@ -44,6 +48,8 @@ func (a *fullTestApp) CommitStart(height int64, txs []Tx) (join func()) {
 		a.Commit(height, txs)
 	}
 }
+
+func (a *fullTestApp) HandsOn([]Tx) bool { return true }
 
 func (a *fullTestApp) CommitTime([]Tx) time.Duration { return 0 }
 

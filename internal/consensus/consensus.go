@@ -8,6 +8,18 @@
 // scalability — voting on block h+1 before block h is finalized — as a
 // configuration toggle so the ablation benchmarks can quantify it.
 //
+// Every event runs at its virtual instant on one simulation thread, and
+// that thread waits for wall-clock work only when an event needs its
+// result. A decided block's join (App.CommitStart) runs at the block's
+// instant only if it hands something on (App.HandsOn); any other join
+// runs when the validator next needs it — before its next CommitStart,
+// before its next join that hands something on, before its recovery
+// after a restart, or before RunUntil returns. An admission batch's
+// state-free checks (App.PrecheckBatch), which read the transactions
+// and never state, start when the receiver cuts the batch and are
+// waited for at the batch's completion instant, where every check that
+// reads state runs.
+//
 // Fault model: crash faults only (no equivocation), matching the
 // paper's failure scenarios: progress requires more than 2/3 of the
 // voting power online, and a crashed node rejoins with its state
@@ -44,6 +56,19 @@ type App interface {
 	// conflict groups to a worker pool), and per-transaction verdicts
 	// mean one bad transaction never poisons its batch.
 	CheckTxBatch(txs []Tx) map[string]error
+	// PrecheckBatch starts the state-free checks of an admission batch
+	// (for SmartchainDB, each transaction's ID and fulfillments) off the
+	// simulation thread and returns a wait for them. The engine calls it
+	// when it cuts the batch and waits at the batch's completion
+	// instant, before CheckTxBatch, even when the node crashed
+	// meanwhile; RunUntil waits for a batch still in flight. The checks
+	// may read only the transactions themselves — never state, which
+	// moves on before CheckTxBatch reads it — and whatever they prove
+	// they memoize on the shared transaction objects, where CheckTxBatch
+	// and the validators' later checks find it. They must change no
+	// verdict and no virtual time: CheckTxBatch decides exactly as it
+	// would without them.
+	PrecheckBatch(txs []Tx) (wait func())
 	// ReceiverBatchTime is the simulated time the receiver node spends
 	// on one batched admission ("Prepare and Sign" + semantic
 	// validation): the makespan of the batch's conflict groups on the
@@ -74,16 +99,26 @@ type App interface {
 	// CommitStart begins applying the decided block and returns a join
 	// that blocks until the block is fully sealed and then hands on
 	// what the app owes for it (e.g. a nested parent's children). The
-	// engine calls CommitStart in height order and the join on the
-	// simulation thread once the block's CommitTime has elapsed on the
-	// resource Config.CommitDepth selects; the join must be idempotent.
-	// Between the two the block may apply in the background, and the
-	// app is responsible for its own safety: reads that touch an
-	// unsealed block's write footprint must wait for the seal (the
-	// SmartchainDB app orders them through a commit fence), and commits
-	// must seal in height order (CommitStart(h+1) is the app's place to
-	// wait out block h).
+	// engine calls CommitStart in height order and every join once, on
+	// the simulation thread; the join must be idempotent. The join of
+	// a block that hands something on (HandsOn) runs once the block's
+	// CommitTime has elapsed on the resource Config.CommitDepth
+	// selects, so what it hands on enters virtual time at that
+	// instant. Any other join has no virtual-time effect, so the engine
+	// runs it only when it needs it, in height order, at the first of:
+	// the node's next CommitStart, the node's next join that hands
+	// something on, the node's restart (before its recovery), and the
+	// return of RunUntil. Between CommitStart and the join the block
+	// applies in the background, and the app is responsible for its own
+	// safety: reads that touch an unsealed block's write footprint must
+	// wait for the seal (the SmartchainDB app orders them through a
+	// commit fence), and commits must seal in height order
+	// (CommitStart(h+1) is the app's place to wait out block h).
 	CommitStart(height int64, txs []Tx) (join func())
+	// HandsOn reports whether the join of a block of txs hands anything
+	// on. An app that cannot tell says true: the join then runs at its
+	// instant.
+	HandsOn(txs []Tx) bool
 	// CommitTime is the simulated duration of the block's commit — the
 	// commit-stage counterpart of ValidationTimeFresh.
 	CommitTime(txs []Tx) time.Duration
@@ -115,9 +150,10 @@ type MinimalApp interface {
 }
 
 // Lift adapts a MinimalApp to App with the trivial defaults: a batch
-// is checked (and priced) transaction by transaction, freshness flags
-// are ignored, the block is applied inside CommitStart with a no-op
-// join and zero CommitTime, and there is no registry.
+// is checked (and priced) transaction by transaction with no early
+// checks, freshness flags are ignored, the block is applied inside
+// CommitStart with a no-op join that runs at its instant (HandsOn is
+// true) and zero CommitTime, and there is no registry.
 func Lift(m MinimalApp) App { return lifted{m} }
 
 type lifted struct{ MinimalApp }
@@ -134,6 +170,8 @@ func (l lifted) CheckTxBatch(txs []Tx) map[string]error {
 	}
 	return errs
 }
+
+func (lifted) PrecheckBatch([]Tx) (wait func()) { return func() {} }
 
 func (l lifted) ReceiverBatchTime(txs []Tx) time.Duration {
 	var d time.Duration
@@ -153,6 +191,8 @@ func (l lifted) CommitStart(height int64, txs []Tx) (join func()) {
 	l.Commit(height, txs)
 	return func() {}
 }
+
+func (lifted) HandsOn([]Tx) bool { return true }
 
 func (lifted) CommitTime([]Tx) time.Duration { return 0 }
 
@@ -177,13 +217,16 @@ type Config struct {
 	Pipelined bool
 	// CommitDepth says where a decided block's commit runs. Depth 1
 	// serializes: the block's CommitTime is charged to the node's
-	// execution resource and its join runs at once, so the next
-	// height's validation and admission queue behind it. At depth 2
-	// the block occupies the node's one commit slot instead, so in
-	// virtual time validation of h+1 proceeds while block h applies;
-	// a block waits for the slot, so joins run in height order. Zero
-	// picks 1; there is one slot, so the engine reads anything above 2
-	// as 2 (the SmartchainDB app refuses it at open).
+	// execution resource and a join that hands something on runs at
+	// once, so the next height's validation and admission queue behind
+	// it. At depth 2 the block occupies the node's one commit slot
+	// instead, so in virtual time validation of h+1 proceeds while
+	// block h applies, and such a join runs when the block leaves the
+	// slot; a block waits for the slot, so these joins run in height
+	// order. At either depth a join that hands nothing on waits until
+	// the engine needs it (App.CommitStart). Zero picks 1; there is one
+	// slot, so the engine reads anything above 2 as 2 (the SmartchainDB
+	// app refuses it at open).
 	CommitDepth int
 	// Latency is the network latency model.
 	Latency netsim.LatencyModel
@@ -374,18 +417,31 @@ func (c *Cluster) InjectAt(at time.Duration, i int, claim string, build func() T
 func (c *Cluster) Crash(i int) { c.net.Crash(netsim.NodeID(i)) }
 
 // Restart brings validator i back online and re-arms its round timer so
-// it rejoins consensus.
+// it rejoins consensus. The validator's deferred join runs first, so a
+// recovery that follows reads every block it applied sealed.
 func (c *Cluster) Restart(i int) {
 	c.net.Restart(netsim.NodeID(i))
 	n := c.nodes[i]
+	n.runDeferred(n.applied + 1)
 	c.sched.After(0, func() { n.enterHeight(n.height) })
 }
 
 // Node returns validator i's node handle (read-only use in tests).
 func (c *Cluster) Node(i int) *node { return c.nodes[i] }
 
-// RunUntil advances the simulation to virtual time t.
-func (c *Cluster) RunUntil(t time.Duration) { c.sched.RunUntil(t) }
+// RunUntil advances the simulation to virtual time t, then runs every
+// validator's deferred join and waits for the early checks of any
+// admission batch in flight: nothing the engine started on another
+// goroutine outlives it.
+func (c *Cluster) RunUntil(t time.Duration) {
+	c.sched.RunUntil(t)
+	for _, n := range c.nodes {
+		n.runDeferred(n.applied + 1)
+		if n.prechecking != nil {
+			n.prechecking()
+		}
+	}
+}
 
 // RunUntilCommitted advances until want transactions have committed or
 // the virtual clock passes deadline. It reports the committed count.

@@ -121,11 +121,25 @@ type node struct {
 	lastProposal  time.Duration // pacing for this node's proposer role
 	lastBlockTime time.Duration // when the last block was applied locally
 	busyUntil     time.Duration // the node's single execution resource
+	// deferred is the join of an applied block that hands nothing on,
+	// until it runs (runDeferred); the next block's CommitStart waits
+	// for it, so there is at most one.
+	deferred deferredJoin
+	// prechecking waits for the early checks of the admission batch in
+	// flight (App.PrecheckBatch); nil when none is.
+	prechecking func()
 	// commitFree is when the node's one commit slot next falls free:
 	// at depth 2 a decided block occupies it instead of the execution
 	// resource, which is what lets the next height's validation overlap
 	// the in-flight apply. Unused at depth 1.
 	commitFree time.Duration
+}
+
+// deferredJoin is the join of the block at height h, which hands
+// nothing on.
+type deferredJoin struct {
+	h    int64
+	join func()
 }
 
 func newNode(c *Cluster, id netsim.NodeID, app App) *node {
@@ -289,17 +303,25 @@ func (n *node) maybeAdmit() {
 		delete(n.queued, it.tx.Hash())
 	}
 	n.admitting = true
+	txs := make([]Tx, len(batch))
 	var clientTxs []Tx
-	for _, it := range batch {
+	for i, it := range batch {
+		txs[i] = it.tx
 		if it.client {
 			clientTxs = append(clientTxs, it.tx)
 		}
 	}
+	// The state-free checks run beside the simulation until the batch
+	// completes; everything that reads state waits for that instant.
+	wait := n.app.PrecheckBatch(txs)
+	n.prechecking = wait
 	done := n.c.sched.Now()
 	if len(clientTxs) > 0 {
 		done = n.charge(n.app.ReceiverBatchTime(clientTxs))
 	}
 	n.c.sched.At(done, func() {
+		wait()
+		n.prechecking = nil
 		n.admitting = false
 		if n.c.net.IsDown(n.id) {
 			return // crashed while validating; the batch is lost and client drivers retry
@@ -758,17 +780,26 @@ func (n *node) applyBlock(h int64, txs []Tx) {
 	// rival claiming it, and each write key stales the conflicting
 	// admission verdicts — no rescan of the pending set.
 	n.pool.RemoveCommitted(removed)
-	// The block starts applying immediately; what differs by depth is
-	// the resource its CommitTime occupies and when the join — sealing
-	// plus handing a nested parent's children on — runs.
+	// The block starts applying immediately, once the join the node
+	// put off has run; what differs by depth is the resource its
+	// CommitTime occupies and when a join that hands something on — a
+	// nested parent's children — runs. A join that hands nothing on
+	// waits until the node needs it.
+	n.runDeferred(h)
 	join := n.app.CommitStart(h, txs)
+	handsOn := n.app.HandsOn(txs)
+	if !handsOn {
+		n.deferred = deferredJoin{h: h, join: join}
+	}
 	if n.c.cfg.CommitDepth < 2 {
 		// Depth 1, serialized commit: the block occupies the node's
 		// single execution resource, delaying the next height's
 		// validation and admission — the cost the overlapped pipeline
 		// hides on its separate commit resource — and joins now.
 		n.charge(n.app.CommitTime(txs))
-		join()
+		if handsOn {
+			join()
+		}
 	} else {
 		// Overlapped commit: the block occupies the node's commit slot
 		// (not the execution resource validation charges), starting
@@ -781,9 +812,22 @@ func (n *node) applyBlock(h int64, txs []Tx) {
 			start = now
 		}
 		n.commitFree = start + n.app.CommitTime(txs)
-		n.c.sched.At(n.commitFree, join)
+		if handsOn {
+			n.c.sched.At(n.commitFree, func() {
+				n.runDeferred(h)
+				join()
+			})
+		}
 	}
 	n.c.recordCommit(txs)
+}
+
+// runDeferred runs the deferred join if its block is below height h.
+func (n *node) runDeferred(h int64) {
+	if d := n.deferred; d.join != nil && d.h < h {
+		n.deferred = deferredJoin{}
+		d.join()
+	}
 }
 
 // advanceTo moves the node to deciding height h and re-arms the round

@@ -3,6 +3,7 @@ package keys
 import (
 	"errors"
 	"math/big"
+	"math/bits"
 )
 
 // base58Alphabet is the Bitcoin base58 alphabet, also used by BigchainDB
@@ -52,27 +53,49 @@ func Base58Encode(b []byte) string {
 // ErrBadBase58 reports a character outside the base58 alphabet.
 var ErrBadBase58 = errors.New("keys: invalid base58 character")
 
-// Base58Decode decodes a base58 string produced by Base58Encode.
+// Base58Decode decodes a base58 string produced by Base58Encode. The
+// value below the leading '1's is accumulated five digits at a time
+// (58^5 < 2^32) into 32-bit limbs on the stack, so a key or a signature
+// decodes with the one allocation of its result.
 func Base58Decode(s string) ([]byte, error) {
-	if len(s) == 0 {
-		return []byte{}, nil
-	}
 	zeros := 0
 	for zeros < len(s) && s[zeros] == base58Alphabet[0] {
 		zeros++
 	}
-	n := new(big.Int)
-	radix := big.NewInt(58)
-	for i := zeros; i < len(s); i++ {
-		d := base58Index[s[i]]
-		if d < 0 {
-			return nil, ErrBadBase58
-		}
-		n.Mul(n, radix)
-		n.Add(n, big.NewInt(int64(d)))
+	// Little-endian limbs of the value; 20 hold a 64-byte signature.
+	var small [20]uint32
+	limbs := small[:0]
+	if n := (len(s)-zeros)*733/1000/4 + 1; n > len(small) {
+		limbs = make([]uint32, 0, n)
 	}
-	body := n.Bytes()
-	out := make([]byte, zeros+len(body))
-	copy(out[zeros:], body)
+	for i := zeros; i < len(s); {
+		mul, carry := uint64(1), uint64(0)
+		for k := 0; k < 5 && i < len(s); k, i = k+1, i+1 {
+			d := base58Index[s[i]]
+			if d < 0 {
+				return nil, ErrBadBase58
+			}
+			mul *= 58
+			carry = carry*58 + uint64(d)
+		}
+		for j := range limbs {
+			carry += uint64(limbs[j]) * mul
+			limbs[j] = uint32(carry)
+			carry >>= 32
+		}
+		if carry != 0 {
+			limbs = append(limbs, uint32(carry))
+		}
+	}
+	body := 0
+	if len(limbs) > 0 {
+		body = 4*(len(limbs)-1) + (bits.Len32(limbs[len(limbs)-1])+7)/8
+	}
+	out := make([]byte, zeros+body)
+	for j, k := 0, len(out)-1; k >= zeros; j++ {
+		for v, b := limbs[j], 0; b < 4 && k >= zeros; v, b, k = v>>8, b+1, k-1 {
+			out[k] = byte(v)
+		}
+	}
 	return out, nil
 }

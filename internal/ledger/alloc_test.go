@@ -29,7 +29,8 @@ func shapeState(tb testing.TB) (v *StateView, transfer4, create1k *txn.Transacti
 
 // TestStateViewReadAllocationCeilings: a point read of committed state
 // borrows the stored document, so the UTXO questions cost the key they
-// look up and nothing else, and GetTx costs the decoded transaction's
+// look up and nothing else — nothing at all under a key the caller
+// holds (OutputKeyed, a transaction's own input) — and GetTx costs the decoded transaction's
 // structure: its free-form maps are the stored ones
 // (txn.FromStoredDoc). The CREATE carries asset data and metadata; 8 is
 // what decoding it costs with both borrowed, and copying them (FromDoc)
@@ -54,6 +55,11 @@ func TestStateViewReadAllocationCeilings(t *testing.T) {
 		{"Output/unspent", 1, func() {
 			if f, ok := v.Output(unspent); !ok || f.AssetID != transfer4.Asset.ID || f.SpentBy != "" || f.Amount != transfer4.Outputs[0].Amount {
 				t.Fatalf("Output = %+v, %v", f, ok)
+			}
+		}},
+		{"OutputKeyed/spent", 0, func() {
+			if f, ok := v.OutputKeyed(spent, transfer4.SpentKey(3)); !ok || f.SpentBy != transfer4.ID {
+				t.Fatalf("OutputKeyed = %+v, %v", f, ok)
 			}
 		}},
 		{"IsCommitted", 0, func() {

@@ -199,6 +199,11 @@ func (s *State) TxCount() int { return s.View().TxCount() }
 // (StateView.Output).
 func (s *State) Output(ref txn.OutputRef) (txn.OutputFact, bool) { return s.View().Output(ref) }
 
+// OutputKeyed is Output under ref's UTXO key (StateView.OutputKeyed).
+func (s *State) OutputKeyed(ref txn.OutputRef, key string) (txn.OutputFact, bool) {
+	return s.View().OutputKeyed(ref, key)
+}
+
 // Balance sums the unspent shares pub owns of the given asset.
 func (s *State) Balance(pub, assetID string) uint64 { return s.View().Balance(pub, assetID) }
 

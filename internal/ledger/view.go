@@ -83,7 +83,13 @@ func (v *StateView) TxCount() int { return v.col(ColTransactions).Len() }
 // spend marker that replaced it, which keeps only the asset and the
 // spender.
 func (v *StateView) Output(ref txn.OutputRef) (txn.OutputFact, bool) {
-	rec, ok := v.borrow(ColUTXOs, utxoKey(ref))
+	return v.OutputKeyed(ref, utxoKey(ref))
+}
+
+// OutputKeyed is Output under key, ref's UTXO key, which the caller
+// already holds.
+func (v *StateView) OutputKeyed(_ txn.OutputRef, key string) (txn.OutputFact, bool) {
+	rec, ok := v.borrow(ColUTXOs, key)
 	if !ok {
 		return txn.OutputFact{}, false
 	}

@@ -51,6 +51,12 @@ func NewEngine(state *ledger.State, escrow *keys.KeyPair, submit Submitter) *Eng
 	return &Engine{state: state, escrow: escrow, escrowPub: escrow.PublicBase58(), submit: submit}
 }
 
+// OwesChildren reports whether a committed transaction of operation op
+// owes nested children: an ACCEPT_BID does, and the join of its block
+// hands them on (Submit). A block holding no such transaction hands
+// nothing on.
+func OwesChildren(op string) bool { return op == txn.OpAcceptBid }
+
 // Submit hands the children the sealed recovery record of the
 // committed ACCEPT_BID acceptID lists as pending to the submitter, in
 // output order. It does NOT block the parent's commit: the join of the

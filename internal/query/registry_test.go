@@ -50,6 +50,7 @@ func marketReaders(m *marketplace) []reader {
 		{"StateView.IsCommitted", func(_ *Engine, v *ledger.StateView) { v.IsCommitted(bid.ID) }},
 		{"StateView.TxCount", func(_ *Engine, v *ledger.StateView) { v.TxCount() }},
 		{"StateView.Output", func(_ *Engine, v *ledger.StateView) { v.Output(ref) }},
+		{"StateView.OutputKeyed", func(_ *Engine, v *ledger.StateView) { v.OutputKeyed(ref, ref.String()) }},
 		{"StateView.Balance", func(_ *Engine, v *ledger.StateView) { v.Balance(pub, asset) }},
 		{"StateView.LockedBidsForRFQ", func(_ *Engine, v *ledger.StateView) { v.LockedBidsForRFQ(m.open.Request.ID) }},
 		{"StateView.Accepted", func(_ *Engine, v *ledger.StateView) { v.Accepted(rfq) }},

@@ -44,7 +44,14 @@ func runAuctionCluster(t *testing.T, cfg ClusterConfig, load auctionLoad, inspec
 // non-nil, run on the new cluster before any traffic.
 func runAuctionClusterWith(t *testing.T, cfg ClusterConfig, prepare func(*Cluster), load auctionLoad, inspect func(*Cluster, []*workload.AuctionGroup)) auctionRun {
 	t.Helper()
-	cluster := NewCluster(cfg)
+	return runAuctionClusterOn(t, NewCluster(cfg), prepare, load, inspect)
+}
+
+// runAuctionClusterOn is runAuctionClusterWith on a cluster already
+// built.
+func runAuctionClusterOn(t *testing.T, cluster *Cluster, prepare func(*Cluster), load auctionLoad, inspect func(*Cluster, []*workload.AuctionGroup)) auctionRun {
+	t.Helper()
+	cfg := cluster.cfg
 	defer cluster.Close()
 	if prepare != nil {
 		prepare(cluster)

@@ -78,6 +78,12 @@ type Cluster struct {
 // NewCluster builds the cluster. Pipelining defaults on, matching
 // BigchainDB.
 func NewCluster(cfg ClusterConfig) *Cluster {
+	return newCluster(cfg, func(n *Node) consensus.App { return n })
+}
+
+// newCluster is NewCluster with app giving the consensus engine each
+// validator's App for its node.
+func newCluster(cfg ClusterConfig, app func(*Node) consensus.App) *Cluster {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 4
 	}
@@ -115,7 +121,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		}
 		n := NewNode(nodeCfg)
 		c.nodes[i] = n
-		return n
+		return app(n)
 	})
 	c.Cluster = cc
 	for i, n := range c.nodes {

@@ -325,7 +325,9 @@ func (n *Node) CheckTxBatch(txs []consensus.Tx) map[string]error {
 	// simply stays cold and re-verifies inside its condition set,
 	// failing with the exact error — including the condition name
 	// and ordering relative to structural conditions — the per-tx
-	// path produces. Correctness never depends on this stage.
+	// path produces. Correctness never depends on this stage. What
+	// PrecheckBatch proved while the batch waited is not checked again,
+	// and is counted here as the work it would have been.
 	_, stats := txn.VerifyFulfillmentsBatch(batch, n.cfg.AdmissionWorkers)
 	n.ob.sigTasks.Add(uint64(stats.Sig.Tasks))
 	n.ob.sigDedup.Add(uint64(stats.Sig.DedupHits))
@@ -480,6 +482,39 @@ func (n *Node) CommitStart(height int64, txs []consensus.Tx) (join func()) {
 	return func() { joinBlock() }
 }
 
+// HandsOn reports whether the join of a block of txs hands anything
+// on: whether a transaction in it owes nested children
+// (nested.OwesChildren). The engine runs the join of any other block
+// when it next needs the node, not at the block's instant.
+func (n *Node) HandsOn(txs []consensus.Tx) bool {
+	for _, tx := range txs {
+		if t, ok := tx.(*txn.Transaction); ok && nested.OwesChildren(t.Operation) {
+			return true
+		}
+	}
+	return false
+}
+
+// PrecheckBatch starts the state-free checks of an admission batch —
+// each transaction's ID and fulfillments — on AdmissionWorkers workers
+// beside the simulation (txn.VerifyFulfillmentsEarly) and returns a
+// wait for them. What they prove is memoized on the shared
+// transactions, so the CheckTxBatch that follows verifies only what
+// they did not prove, and counts each transaction once, as it would
+// have without them; every check that reads state stays there.
+func (n *Node) PrecheckBatch(txs []consensus.Tx) (wait func()) {
+	batch := asTransactions(txs)
+	if len(batch) == 0 {
+		return func() {}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		txn.VerifyFulfillmentsEarly(batch, n.cfg.AdmissionWorkers)
+	}()
+	return func() { <-done }
+}
+
 // CommitNext commits batch as the block after the last one sealed, joined
 // at once, and returns what committed, in block order, and what the
 // stage skipped, with each one's error. It is the entry for a node no
@@ -533,7 +568,7 @@ func (n *Node) commit(h int64, batch []*txn.Transaction) (join func() ([]*txn.Tr
 		once.Do(func() {
 			<-done
 			for _, t := range committed {
-				if t.Operation == txn.OpAcceptBid {
+				if nested.OwesChildren(t.Operation) {
 					n.nested.Submit(t.ID)
 				}
 			}

@@ -246,3 +246,6 @@ func (v *crossView) IsCommitted(id string) bool      { return v.of(id).IsCommitt
 func (v *crossView) Output(ref txn.OutputRef) (txn.OutputFact, bool) {
 	return v.of(ref.TxID).Output(ref)
 }
+func (v *crossView) OutputKeyed(ref txn.OutputRef, key string) (txn.OutputFact, bool) {
+	return v.of(ref.TxID).OutputKeyed(ref, key)
+}

@@ -34,8 +34,13 @@ type txMemo struct {
 	doc                memoSlot[map[string]any] // SharedDoc
 	spends             memoSlot[[]string]       // SpendKeys
 	footprint          memoSlot[footprint]      // FootprintKeys
-	// verified is a successful VerifyFulfillments.
+	// verified is a successful VerifyFulfillments, or a batch's that
+	// counted it (VerifyFulfillmentsBatch).
 	verified atomic.Bool
+	// early is the accounting of a successful VerifyFulfillmentsEarly
+	// that no batch has counted yet: the first batch to meet the
+	// transaction counts it and sets verified.
+	early atomic.Pointer[SigStats]
 }
 
 type footprint struct{ writes, reads []string }
@@ -159,6 +164,23 @@ func (t *Transaction) SpendKeys() []string {
 	return t.cell().spends.publish(keys)
 }
 
+// SpentKey returns the UTXO key (OutputRef.String) of the output input
+// i spends, as the suffix of its spend key (SpendKeys): it builds no
+// string once the spend keys are. It is "" when input i spends
+// nothing.
+func (t *Transaction) SpentKey(i int) string {
+	if t.Inputs[i].Fulfills == nil {
+		return ""
+	}
+	j := 0
+	for _, in := range t.Inputs[:i] {
+		if in.Fulfills != nil {
+			j++
+		}
+	}
+	return t.SpendKeys()[j][len(SpendKeyPrefix):]
+}
+
 // RefKeyPrefix starts the auction-state key of a referenced
 // transaction in a footprint: RefKeyPrefix + the referenced ID.
 const RefKeyPrefix = "ref:"
@@ -214,4 +236,13 @@ func (t *Transaction) FootprintKeys() (writes, reads []string) {
 func (t *Transaction) sigVerified() bool {
 	m := t.memo.Load()
 	return m != nil && m.verified.Load()
+}
+
+// sigEarly returns the accounting of a successful early verification
+// no batch has counted yet, or nil.
+func (t *Transaction) sigEarly() *SigStats {
+	if m := t.memo.Load(); m != nil {
+		return m.early.Load()
+	}
+	return nil
 }

@@ -500,6 +500,29 @@ func TestSpendKeysAreBuiltOnce(t *testing.T) {
 	}
 }
 
+// TestSpentKeyIsTheSpendKeysSuffix: SpentKey(i) is the UTXO key of the
+// output input i spends, the tail of that input's spend key (the same
+// bytes, no new string), past an input that spends nothing; it is ""
+// for that input.
+func TestSpentKeyIsTheSpendKeysSuffix(t *testing.T) {
+	signed, _ := signedTransfer(t, 31)
+	tr := signed.Clone()
+	tr.Inputs = append([]*Input{{OwnersBefore: []string{"pk"}}}, tr.Inputs...)
+	spends := tr.SpendKeys()
+	if tr.SpentKey(0) != "" {
+		t.Fatalf("SpentKey(0) = %q for an input that spends nothing", tr.SpentKey(0))
+	}
+	for i := 1; i < len(tr.Inputs); i++ {
+		got := tr.SpentKey(i)
+		if got != tr.Inputs[i].Fulfills.String() || unsafe.StringData(got) != unsafe.StringData(spends[i-1][len(SpendKeyPrefix):]) {
+			t.Errorf("SpentKey(%d) = %q, want the tail of %q", i, got, spends[i-1])
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { tr.SpentKey(2) }); n != 0 {
+		t.Errorf("SpentKey allocates %v times", n)
+	}
+}
+
 // TestFootprintKeysShareTheTransactionsStrings: the footprint's
 // transaction keys are the ID strings the transaction holds and its
 // spend keys are SpendKeys' own strings, so the memo retains slices,

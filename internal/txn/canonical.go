@@ -60,6 +60,7 @@ func (t *Transaction) SetID() {
 		m.doc.reset()
 		m.footprint.reset()
 		m.verified.Store(false)
+		m.early.Store(nil)
 	}
 }
 

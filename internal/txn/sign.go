@@ -57,6 +57,10 @@ func VerifyFulfillments(t *Transaction) error {
 	if t.sigVerified() {
 		return nil
 	}
+	if t.sigEarly() != nil {
+		t.cell().verified.Store(true)
+		return nil
+	}
 	_, err := verifyFulfillments(t)
 	return err
 }
@@ -84,6 +88,15 @@ type SigStats struct {
 // the signing payload, so two transactions with different IDs never
 // sign the same bytes.
 func verifyFulfillments(t *Transaction) (SigStats, error) {
+	stats, err := checkFulfillments(t)
+	if err == nil {
+		t.cell().verified.Store(true)
+	}
+	return stats, err
+}
+
+// checkFulfillments is verifyFulfillments without the memo.
+func checkFulfillments(t *Transaction) (SigStats, error) {
 	if !t.VerifyID() {
 		return SigStats{}, &ValidationError{Op: t.Operation, Reason: "transaction id does not match payload"}
 	}
@@ -94,7 +107,6 @@ func verifyFulfillments(t *Transaction) (SigStats, error) {
 			return pairs.stats(), &ValidationError{Op: t.Operation, Reason: fmt.Sprintf("input %d: %v", i, err)}
 		}
 	}
-	t.cell().verified.Store(true)
 	return pairs.stats(), nil
 }
 
@@ -194,7 +206,9 @@ type BatchVerifyStats struct {
 	// Reused counts transactions skipped entirely because their
 	// verdict was already memoized from an earlier verification.
 	Reused int
-	// Sig sums the signature accounting of the transactions verified.
+	// Sig sums the signature accounting of the transactions verified,
+	// and of those an early verification proved that no batch had
+	// counted (VerifyFulfillmentsEarly).
 	Sig SigStats
 }
 
@@ -219,6 +233,18 @@ func VerifyFulfillmentsBatch(ts []*Transaction, workers int) (errs map[string]er
 			stats.Reused++
 			continue
 		}
+		if early := t.sigEarly(); early != nil {
+			// Proved ahead of this batch and counted by none: the
+			// batch counts it as the verification it would have run.
+			if t.cell().verified.CompareAndSwap(false, true) {
+				stats.Sig.Tasks += early.Tasks
+				stats.Sig.Unique += early.Unique
+				stats.Sig.DedupHits += early.DedupHits
+			} else {
+				stats.Reused++
+			}
+			continue
+		}
 		work = append(work, t)
 	}
 	sigs := make([]SigStats, len(work))
@@ -236,6 +262,28 @@ func VerifyFulfillmentsBatch(ts []*Transaction, workers int) (errs map[string]er
 		}
 	}
 	return errs, stats
+}
+
+// VerifyFulfillmentsEarly proves the fulfillments and ID of each
+// transaction ahead of the batch that will count them, on up to workers
+// goroutines: a success is memoized for VerifyFulfillments and for
+// VerifyFulfillmentsBatch, which counts it, once, as the verification
+// it would have run (BatchVerifyStats). A transaction already proved
+// is skipped; a failure is kept nowhere, so the verification that
+// counts runs again and reports it. Two early verifications of one
+// transaction may race: both prove it and one memo stands.
+func VerifyFulfillmentsEarly(ts []*Transaction, workers int) {
+	work := make([]*Transaction, 0, len(ts))
+	for _, t := range ts {
+		if t != nil && !t.sigVerified() && t.sigEarly() == nil {
+			work = append(work, t)
+		}
+	}
+	forEach(len(work), workers, func(i int) {
+		if stats, err := checkFulfillments(work[i]); err == nil {
+			work[i].cell().early.CompareAndSwap(nil, &stats)
+		}
+	})
 }
 
 // forEach calls fn(i) for every i < n on up to workers goroutines;

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"smartchaindb/internal/keys"
@@ -32,7 +33,9 @@ func cold(ts []*Transaction) []*Transaction {
 // every run over cold clones: VerifyFulfillments gives each transaction
 // the reference's verdict and error string, and VerifyFulfillmentsBatch
 // at 1, 2 and 8 workers gives the reference batch's errors and its
-// Tasks/Unique/DedupHits. It returns the reference batch's accounting.
+// Tasks/Unique/DedupHits — also after VerifyFulfillmentsEarly has run
+// over the batch, which the batch then counts as its own work. It
+// returns the reference batch's accounting.
 func CheckVerifyDifferential(t testing.TB, ts []*Transaction) BatchVerifyStats {
 	t.Helper()
 	wantErrs, want := RefVerifyFulfillmentsBatch(cold(ts))
@@ -45,10 +48,17 @@ func CheckVerifyDifferential(t testing.TB, ts []*Transaction) BatchVerifyStats {
 			t.Fatalf("tx %d (%.8s): VerifyFulfillments = %q, reference %q", i, c.ID, errString(got), errString(ref))
 		}
 	}
-	for _, workers := range []int{1, 2, 8} {
-		errs, stats := VerifyFulfillmentsBatch(cold(ts), workers)
+	for _, run := range []struct {
+		workers int
+		early   bool
+	}{{1, false}, {2, false}, {8, false}, {1, true}, {2, true}} {
+		workers, batch := run.workers, cold(ts)
+		if run.early {
+			VerifyFulfillmentsEarly(batch, workers)
+		}
+		errs, stats := VerifyFulfillmentsBatch(batch, workers)
 		if stats != want {
-			t.Fatalf("workers=%d: stats %+v, reference %+v", workers, stats, want)
+			t.Fatalf("workers=%d early=%v: stats %+v, reference %+v", workers, run.early, stats, want)
 		}
 		if len(errs) != len(wantErrs) {
 			t.Fatalf("workers=%d: %d failing IDs, reference %d: %v", workers, len(errs), len(wantErrs), errs)
@@ -167,6 +177,74 @@ func TestVerifySameKeyDifferentTransactions(t *testing.T) {
 		t.Fatalf("stats %+v, want %+v", stats.Sig, want)
 	}
 	CheckVerifyDifferential(t, []*Transaction{a, b})
+}
+
+// TestEarlyVerificationIsCountedOnce: a fan-in proved early is counted
+// by the first batch that meets it as the verification it would have
+// run (four tasks, three dedup hits) and by every later batch as a
+// reuse, with no ed25519 check after the early one; VerifyFulfillments
+// takes the early proof too. A forgery proved nothing early: the batch
+// checks it again and reports it.
+func TestEarlyVerificationIsCountedOnce(t *testing.T) {
+	checks := countChecks(t)
+	a := fanIn(t, 61, 4)
+	VerifyFulfillmentsEarly([]*Transaction{a}, 2)
+	if *checks != 1 {
+		t.Fatalf("the early verification made %d ed25519 checks, want 1", *checks)
+	}
+	if _, stats := VerifyFulfillmentsBatch([]*Transaction{a}, 2); stats != (BatchVerifyStats{Sig: SigStats{Tasks: 4, Unique: 1, DedupHits: 3}}) {
+		t.Fatalf("first batch after the early proof: %+v", stats)
+	}
+	if _, stats := VerifyFulfillmentsBatch([]*Transaction{a}, 2); stats != (BatchVerifyStats{Reused: 1}) {
+		t.Fatalf("second batch: %+v", stats)
+	}
+	b := fanIn(t, 62, 2)
+	VerifyFulfillmentsEarly([]*Transaction{b}, 1)
+	if err := VerifyFulfillments(b); err != nil {
+		t.Fatal(err)
+	}
+	if _, stats := VerifyFulfillmentsBatch([]*Transaction{b}, 1); stats != (BatchVerifyStats{Reused: 1}) {
+		t.Fatalf("batch after VerifyFulfillments took the early proof: %+v", stats)
+	}
+	if *checks != 2 {
+		t.Fatalf("%d ed25519 checks, want one per transaction", *checks)
+	}
+	forged := fanIn(t, 63, 2).Clone()
+	forged.Inputs[1].Fulfillment = a.Inputs[0].Fulfillment
+	VerifyFulfillmentsEarly([]*Transaction{forged}, 1)
+	errs, stats := VerifyFulfillmentsBatch([]*Transaction{forged}, 1)
+	if errs[forged.ID] == nil || stats.Reused != 0 || stats.Sig.Tasks != 2 {
+		t.Fatalf("forgery after an early check: errs %v, stats %+v", errs, stats)
+	}
+}
+
+// TestEarlyVerificationRacesBatches runs early verifications and
+// batches over the same transactions at once, as validators sharing a
+// process do: every transaction verifies, and no batch errs (the race
+// gate covers the memo).
+func TestEarlyVerificationRacesBatches(t *testing.T) {
+	ts := make([]*Transaction, 16)
+	for i := range ts {
+		ts[i] = fanIn(t, int64(70+i), 3)
+	}
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g%2 == 0 {
+				VerifyFulfillmentsEarly(ts, 2)
+			} else if errs, _ := VerifyFulfillmentsBatch(ts, 2); len(errs) != 0 {
+				t.Errorf("batch errs %v", errs)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, tx := range ts {
+		if err := VerifyFulfillments(tx); err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 func TestVerifyFulfillmentsBatchEmpty(t *testing.T) {

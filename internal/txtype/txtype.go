@@ -30,6 +30,11 @@ type ChainState interface {
 	// record under its key: its UTXO record, or the spend marker that
 	// replaced it (txn.OutputFact). ok is false when neither exists.
 	Output(ref txn.OutputRef) (f txn.OutputFact, ok bool)
+	// OutputKeyed is Output for a caller that holds ref's UTXO key
+	// (ref.String()) already — a transaction's own input, whose spend
+	// key ends in it (txn.Transaction.SpentKey) — so the read builds no
+	// string.
+	OutputKeyed(ref txn.OutputRef, key string) (f txn.OutputFact, ok bool)
 	// LockedBidsForRFQ is the IDs of the REQUEST's BIDs whose escrow
 	// output is unspent.
 	LockedBidsForRFQ(rfqID string) []string
@@ -74,18 +79,34 @@ func (c *Context) Tx(id string) (txn.Stored, bool) {
 // (txn.Transaction.OutputFact), and a batched transaction spending ref
 // is its spender.
 func (c *Context) Output(ref txn.OutputRef) (txn.OutputFact, bool) {
-	if c.Batch == nil {
-		return c.State.Output(ref)
+	return c.output(ref, "")
+}
+
+// InputOutput is Output of the output t's input i spends, read under
+// the key t's spend keys already hold (txn.Transaction.SpentKey).
+func (c *Context) InputOutput(t *txn.Transaction, i int) (txn.OutputFact, bool) {
+	return c.output(*t.Inputs[i].Fulfills, t.SpentKey(i))
+}
+
+// output is Output with ref's UTXO key, when the caller has it.
+func (c *Context) output(ref txn.OutputRef, key string) (f txn.OutputFact, ok bool) {
+	var t *txn.Transaction
+	batched := false
+	if c.Batch != nil {
+		t, batched = c.Batch.Get(ref.TxID)
 	}
-	var f txn.OutputFact
-	var ok bool
-	if t, batched := c.Batch.Get(ref.TxID); batched {
+	switch {
+	case batched:
 		f, ok = t.OutputFact(ref.Index)
-	} else {
+	case key == "":
 		f, ok = c.State.Output(ref)
+	default:
+		f, ok = c.State.OutputKeyed(ref, key)
 	}
-	if spender, spent := c.Batch.SpentBy(ref); spent {
-		f.SpentBy = spender
+	if c.Batch != nil {
+		if spender, spent := c.Batch.SpentBy(ref); spent {
+			f.SpentBy = spender
+		}
 	}
 	return f, ok
 }

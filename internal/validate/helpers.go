@@ -53,17 +53,18 @@ func operationOf(s txn.Stored, id string) (string, error) {
 	return op, nil
 }
 
-// inputFact returns what the chain knows of the output an input
-// spends: ctx.Output's one keyed read. The funding transaction is read
-// only where that read cannot answer: with no record, to tell a
-// missing transaction from an index out of range, and on a spent
-// output, whose marker keeps no owners or amount.
-func inputFact(ctx *txtype.Context, ref txn.OutputRef) (txn.OutputFact, error) {
-	f, ok := ctx.Output(ref)
+// inputFact returns what the chain knows of the output t's input i
+// spends: ctx.InputOutput's one keyed read, under the key t's spend
+// keys hold. The funding transaction is read only where that read
+// cannot answer: with no record, to tell a missing transaction from an
+// index out of range, and on a spent output, whose marker keeps no
+// owners or amount.
+func inputFact(ctx *txtype.Context, t *txn.Transaction, i int) (txn.OutputFact, error) {
+	f, ok := ctx.InputOutput(t, i)
 	if ok && f.SpentBy == "" {
 		return f, nil
 	}
-	_, out, err := spentOutput(ctx, ref)
+	_, out, err := spentOutput(ctx, *t.Inputs[i].Fulfills)
 	if err != nil {
 		return f, err
 	}
@@ -121,7 +122,7 @@ func checkTransferInputs(ctx *txtype.Context, t *txn.Transaction, opts inputOpts
 			return &txn.ValidationError{Op: t.Operation, Reason: fmt.Sprintf("input %d spends nothing", i)}
 		}
 		ref := *in.Fulfills
-		f, err := inputFact(ctx, ref)
+		f, err := inputFact(ctx, t, i)
 		if err != nil {
 			return err
 		}
@@ -195,11 +196,11 @@ func escrowSpend(op, wrongOp, noRef string) txtype.CheckFunc {
 // inputTotal sums the shares held by all spent outputs.
 func inputTotal(ctx *txtype.Context, t *txn.Transaction) (uint64, error) {
 	var sum uint64
-	for _, in := range t.Inputs {
+	for i, in := range t.Inputs {
 		if in.Fulfills == nil {
 			continue
 		}
-		f, err := inputFact(ctx, *in.Fulfills)
+		f, err := inputFact(ctx, t, i)
 		if err != nil {
 			return 0, err
 		}

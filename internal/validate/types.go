@@ -140,11 +140,11 @@ func bidType() *txtype.Type {
 				// Collect the actual owners of the spent outputs so the
 				// recorded previous owners cannot be forged.
 				actualOwners := make(map[string]bool)
-				for _, in := range t.Inputs {
+				for i, in := range t.Inputs {
 					if in.Fulfills == nil {
 						continue
 					}
-					f, err := inputFact(ctx, *in.Fulfills)
+					f, err := inputFact(ctx, t, i)
 					if err != nil {
 						return err
 					}
@@ -181,11 +181,11 @@ func bidType() *txtype.Type {
 				requested := capabilities(data)
 				var offered []string
 				seen := make(map[string]bool)
-				for _, in := range t.Inputs {
+				for i, in := range t.Inputs {
 					if in.Fulfills == nil {
 						continue
 					}
-					f, _ := ctx.Output(*in.Fulfills)
+					f, _ := ctx.InputOutput(t, i)
 					assetID, err := assetOf(ctx, *in.Fulfills, f)
 					if err != nil {
 						return err
