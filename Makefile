@@ -155,10 +155,13 @@ fuzz:
 # VerifyFulfillmentsBatch verifies a 64-transaction admission batch of
 # 4-input fan-ins on two workers, payloads memoized
 # (TestVerifyFulfillmentsBatchAllocationCeiling pins its allocations).
-# FootprintOf reads the footprint the transaction derived once;
+# Footprint reads the footprint the transaction derived once
+# (TestFootprintAllocationCeiling pins a warm one at 0);
 # GroupFootprints groups a 64-transaction marketplace block over pooled
 # scratch, allocating only the groups it returns
-# (TestGroupFootprintsAllocationCeiling).
+# (TestGroupFootprintsAllocationCeiling); AdmitBatch takes that block
+# through a fresh pool's screen, grouping and insert, with no semantic
+# check behind it.
 # SchemaValidate/{transfer4,create1k,bid} is Algorithm 1 on the two
 # shapes and a generated BID: a valid document allocates nothing
 # (TestSchemaValidateAllocatesNothing pins it).
@@ -176,7 +179,7 @@ fuzz:
 # the stack: one allocation each, the result
 # (TestBase58DecodeAllocations).
 bench-alloc:
-	$(GO) test ./internal/txn ./internal/parallel ./internal/ledger ./internal/storage ./internal/docstore ./internal/schema ./internal/validate ./internal/query ./internal/keys -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|VerifyFulfillmentsBatch|MarshalCanonicalCold|OutputRefString|FootprintOf|GroupFootprints|StateView|InsertDoc|MarkSpent|SpendFanIn|StageBlock|CommitTransferChain|EncodableDoc|GroupCommit|Fold|MemPut|MemGetAt|MemScanAt|IndexInsert|PlanLockedBids|SchemaValidate|TransferConditions|AuctionConditions|AssetProvenance|Base58Decode'
+	$(GO) test ./internal/txn ./internal/parallel ./internal/mempool ./internal/ledger ./internal/storage ./internal/docstore ./internal/schema ./internal/validate ./internal/query ./internal/keys -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|VerifyFulfillmentsBatch|MarshalCanonicalCold|OutputRefString|Footprint|GroupFootprints|AdmitBatch|StateView|InsertDoc|MarkSpent|SpendFanIn|StageBlock|CommitTransferChain|EncodableDoc|GroupCommit|Fold|MemPut|MemGetAt|MemScanAt|IndexInsert|PlanLockedBids|SchemaValidate|TransferConditions|AuctionConditions|AssetProvenance|Base58Decode'
 	$(GO) test ./internal/ledger -run '^$$' -benchmem -bench SealOneTxBlock -benchtime 20000x
 	$(GO) test ./internal/nested -run '^$$' -benchmem -bench ChildCommitted -benchtime 5000x
 	$(GO) test ./internal/shard -run '^$$' -benchmem -bench 'CrossShardTransfer|LocalShardRound'

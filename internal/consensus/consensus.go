@@ -36,8 +36,10 @@ import (
 	"smartchaindb/internal/simclock"
 )
 
-// Tx is the unit of consensus: anything with a stable unique hash.
-type Tx interface{ Hash() string }
+// Tx is the unit of consensus: anything with a stable unique hash. It
+// is the mempool's transaction type under a second name, so the engine
+// hands its batches and blocks to each node's pool as they are.
+type Tx = mempool.Tx
 
 // App is the state machine replicated by consensus — the ABCI-like
 // surface of the SmartchainDB server (CheckTx / DeliverTx / Commit in
@@ -231,11 +233,11 @@ type Config struct {
 	// Latency is the network latency model.
 	Latency netsim.LatencyModel
 	// Mempool configures each node's footprint-indexed admission pool:
-	// batch size, packing policy, and the footprint function. The zero value keeps the seed behaviour
-	// (FIFO packing, declarative footprints for SmartchainDB
-	// transactions, independent footprints for foreign ones). The
-	// semantic Check hook is wired per node to its App and must stay
-	// nil here.
+	// batch size and packing policy. The zero value packs in arrival
+	// order. Footprints are the pool's own (mempool.ForTransaction:
+	// declared ones for SmartchainDB transactions, an independent one
+	// for any other). Check and Obs are set per node to its App's
+	// CheckTxBatch and Obs, whatever they hold here.
 	Mempool mempool.Config
 	// Seed drives all randomness.
 	Seed int64
@@ -385,7 +387,7 @@ func (c *Cluster) aliveReceiver() *node {
 
 // InjectAt hands validator i's own mempool, at virtual time at, the
 // transaction that spends the output named by claim — its spend claim
-// in the pool (mempool.Footprint.Spends), which no two pending
+// in the pool (txn.Footprint.Spends), which no two pending
 // transactions may share. It is the path of a transaction every
 // validator derives for itself from committed state — a nested child
 // (§4.2) — so it visits no receiver, costs no receiver time, waits

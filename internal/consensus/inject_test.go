@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"smartchaindb/internal/obs"
+	"smartchaindb/internal/txn"
 )
 
 // objTx is a transaction with identity: two objTx with one hash are two
@@ -16,10 +17,9 @@ type objTx struct{ h string }
 
 func (t *objTx) Hash() string { return t.h }
 
-func (t *objTx) SpendKeys() []string { return []string{claimOf(t.h)} }
-
-func (t *objTx) FootprintKeys() (writes, reads []string) {
-	return []string{t.h, claimOf(t.h)}, nil
+func (t *objTx) Footprint() txn.Footprint {
+	w := []string{t.h, claimOf(t.h)}
+	return txn.Footprint{Spends: w[1:], Writes: w}
 }
 
 // claimOf is the spend claim of the transaction named hash.

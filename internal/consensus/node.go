@@ -163,7 +163,10 @@ func newNode(c *Cluster, id netsim.NodeID, app App) *node {
 		round:         make(map[int64]int),
 	}
 	poolCfg := c.cfg.Mempool
-	poolCfg.Check = n.checkBatch
+	// The pool's semantic admission hook is the CheckTx-stage schema
+	// and semantic validation (the first and second validations of
+	// Fig. 4), batched through the app.
+	poolCfg.Check = app.CheckTxBatch
 	// Per-node registry: the node's mempool and the app's own layers
 	// (ledger, storage, validation fence) record into the same one, so
 	// a transaction's stage trace is complete on this node.
@@ -331,17 +334,6 @@ func (n *node) maybeAdmit() {
 	})
 }
 
-// checkBatch is the pool's semantic admission hook: the CheckTx-stage
-// schema + semantic validation (the first and second validations of
-// Fig. 4), batched through the app.
-func (n *node) checkBatch(txs []mempool.Tx) map[string]error {
-	batch := make([]Tx, len(txs))
-	for i, tx := range txs {
-		batch[i] = tx.(Tx)
-	}
-	return n.app.CheckTxBatch(batch)
-}
-
 // processAdmission runs one batch through the pool and handles the
 // per-transaction outcomes: admitted client transactions are gossiped,
 // semantic rejections of client transactions are recorded as permanent
@@ -349,7 +341,7 @@ func (n *node) checkBatch(txs []mempool.Tx) map[string]error {
 // IDs, spend keys claimed by a pending rival — are dropped without a
 // verdict, since the rival may still be evicted and a retry succeed.
 func (n *node) processAdmission(batch []admitItem) {
-	txs := make([]mempool.Tx, 0, len(batch))
+	txs := make([]Tx, 0, len(batch))
 	clientOf := make(map[string]bool, len(batch))
 	for _, it := range batch {
 		h := it.tx.Hash()
@@ -365,15 +357,14 @@ func (n *node) processAdmission(batch []admitItem) {
 		return
 	}
 	res := n.pool.AdmitBatch(txs)
-	var lateReserved []mempool.Tx
+	var lateReserved []Tx
 	for _, tx := range res.Admitted {
 		if clientOf[tx.Hash()] {
 			n.c.net.Broadcast(n.id, msgTx{Tx: tx})
 		}
 		// The transaction may already sit in a precommitted block whose
 		// gossip beat it here (pipelining): keep it unpackable so the
-		// next height cannot include it a second time — the reserved
-		// filter the pre-mempool pendingTxs applied.
+		// next height cannot include it a second time.
 		if n.reserved[tx.Hash()] {
 			lateReserved = append(lateReserved, tx)
 		}
@@ -394,7 +385,7 @@ func (n *node) processAdmission(batch []admitItem) {
 		if clientOf[h] && errors.As(err, &dup) {
 			for _, tx := range txs {
 				if tx.Hash() == h {
-					n.c.net.Broadcast(n.id, msgTx{Tx: tx.(Tx)})
+					n.c.net.Broadcast(n.id, msgTx{Tx: tx})
 					break
 				}
 			}
@@ -512,16 +503,6 @@ func (n *node) maybePropose() {
 	n.c.sched.At(earliest, func() { n.propose(h, r) })
 }
 
-// pendingTxs snapshots the packable pool in arrival order.
-func (n *node) pendingTxs() []Tx {
-	pending := n.pool.Pending()
-	out := make([]Tx, len(pending))
-	for i, tx := range pending {
-		out[i] = tx.(Tx)
-	}
-	return out
-}
-
 func (n *node) propose(h int64, r int) {
 	if n.c.net.IsDown(n.id) || n.height != h || n.round[h] != r {
 		return
@@ -545,9 +526,9 @@ func (n *node) propose(h int64, r int) {
 			// Custom packers may hand back transactions the pool does
 			// not hold, so eviction cannot guarantee a shrinking retry
 			// set: validate once and propose the clean filtrate.
-			packed := n.c.cfg.Packer(n.pendingTxs())
+			packed := n.c.cfg.Packer(n.pool.Pending())
 			if bad := n.blockInvalid(packed); len(bad) > 0 {
-				n.evict(bad)
+				n.pool.Remove(bad)
 				drop := make(map[Tx]bool, len(bad))
 				for _, tx := range bad {
 					drop[tx] = true
@@ -559,13 +540,9 @@ func (n *node) propose(h int64, r int) {
 			for len(block) == 0 {
 				// Conflict-aware (or FIFO, per the configured policy)
 				// selection straight off the footprint index.
-				picks := n.pool.Pack(n.c.cfg.MaxBlockTxs, n.c.cfg.Mempool.PackWorkers)
-				if len(picks) == 0 {
+				packed := n.pool.Pack(n.c.cfg.MaxBlockTxs, n.c.cfg.Mempool.PackWorkers)
+				if len(packed) == 0 {
 					return
-				}
-				packed := make([]Tx, len(picks))
-				for i, tx := range picks {
-					packed[i] = tx.(Tx)
 				}
 				bad := n.blockInvalid(packed)
 				if len(bad) == 0 {
@@ -575,7 +552,7 @@ func (n *node) propose(h int64, r int) {
 				// Every rejected transaction came out of the pool, so
 				// each retry evicts at least one and the loop
 				// terminates with a clean block or an empty pool.
-				n.evict(bad)
+				n.pool.Remove(bad)
 			}
 		}
 	}
@@ -613,24 +590,15 @@ func (n *node) maybePrevote(h int64, r int) {
 		if bad := n.blockInvalid(prop.Txs); len(bad) > 0 {
 			// Withhold the vote and evict the offending transactions
 			// locally so repeated rounds converge instead of
-			// re-proposing the same invalid block forever.
-			n.evict(bad)
+			// re-proposing the same invalid block forever; the pool
+			// releases their spend claims for a later valid spender.
+			n.pool.Remove(bad)
 			return
 		}
 		vote := msgVote{Height: h, Round: r, Phase: phasePrevote, BlockID: prop.BlockID, Voter: n.id}
 		n.recordVote(vote)
 		n.c.net.Broadcast(n.id, vote)
 	})
-}
-
-// freshFlags asks the pool which of the block's transactions still
-// hold a reusable admission verdict.
-func (n *node) freshFlags(txs []Tx) []bool {
-	pooled := make([]mempool.Tx, len(txs))
-	for i, tx := range txs {
-		pooled[i] = tx
-	}
-	return n.pool.Fresh(pooled)
 }
 
 // blockInvalid re-validates a packed block, re-using still-fresh
@@ -649,31 +617,17 @@ func (n *node) freshFlags(txs []Tx) []bool {
 // change — skips their semantic checks instead of re-validating the
 // same verdicts every round.
 func (n *node) blockInvalid(txs []Tx) []Tx {
-	pooled := make([]mempool.Tx, len(txs))
-	for i, tx := range txs {
-		pooled[i] = tx
-	}
 	epoch := n.pool.Epoch()
-	bad := n.app.ValidateBlockFresh(txs, n.pool.Fresh(pooled))
+	bad := n.app.ValidateBlockFresh(txs, n.pool.Fresh(txs))
 	if len(bad) == 0 {
-		n.pool.MarkValidated(pooled, epoch)
+		n.pool.MarkValidated(txs, epoch)
 	}
 	return bad
 }
 
 // blockValidationTime is the simulated cost of blockInvalid.
 func (n *node) blockValidationTime(txs []Tx) time.Duration {
-	return n.app.ValidationTimeFresh(txs, n.freshFlags(txs))
-}
-
-// evict drops transactions that failed block validation; the pool
-// releases their spend claims so a later valid spender can be admitted.
-func (n *node) evict(txs []Tx) {
-	out := make([]mempool.Tx, len(txs))
-	for i, tx := range txs {
-		out[i] = tx
-	}
-	n.pool.Remove(out)
+	return n.app.ValidationTimeFresh(txs, n.pool.Fresh(txs))
 }
 
 func (n *node) recordVote(v msgVote) {
@@ -724,12 +678,10 @@ func (n *node) checkQuorum(h int64, r int) {
 		if n.c.cfg.Pipelined {
 			// Pipelining: reserve the block's transactions and let the
 			// next height start before this one finalizes.
-			reserve := make([]mempool.Tx, len(prop.Txs))
-			for i, tx := range prop.Txs {
+			for _, tx := range prop.Txs {
 				n.reserved[tx.Hash()] = true
-				reserve[i] = tx
 			}
-			n.pool.Reserve(reserve)
+			n.pool.Reserve(prop.Txs)
 			if n.height == h {
 				n.advanceTo(h + 1)
 			}
@@ -768,18 +720,16 @@ func (n *node) applyBlock(h int64, txs []Tx) {
 	n.applied = h
 	n.appliedBlocks[h] = txs
 	n.lastBlockTime = n.c.sched.Now()
-	removed := make([]mempool.Tx, len(txs))
-	for i, tx := range txs {
+	for _, tx := range txs {
 		hash := tx.Hash()
 		n.committed[hash] = true
 		delete(n.reserved, hash)
-		removed[i] = tx
 	}
 	// Mempool compaction is an index sweep: each committed transaction
 	// leaves the pool, each spend key it consumed evicts the pending
 	// rival claiming it, and each write key stales the conflicting
 	// admission verdicts — no rescan of the pending set.
-	n.pool.RemoveCommitted(removed)
+	n.pool.RemoveCommitted(txs)
 	// The block starts applying immediately, once the join the node
 	// put off has run; what differs by depth is the resource its
 	// CommitTime occupies and when a join that hands something on — a

@@ -3,17 +3,18 @@ package consensus
 import (
 	"testing"
 	"time"
+
+	"smartchaindb/internal/txn"
 )
 
-// fpTx is a testTx that declares its footprint keys, which the pool's
+// fpTx is a testTx that declares its footprint, which the pool's
 // footprint derivation (mempool.ForTransaction) reads.
 type fpTx struct {
 	testTx
 	writes, reads []string
 }
 
-func (t *fpTx) FootprintKeys() (writes, reads []string) { return t.writes, t.reads }
-func (t *fpTx) SpendKeys() []string                     { return nil }
+func (t *fpTx) Footprint() txn.Footprint { return txn.Footprint{Writes: t.writes, Reads: t.reads} }
 
 // vrCountApp is a full App — the lifted testApp with its own
 // fresh-aware validation — that counts, per transaction, how many

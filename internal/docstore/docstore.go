@@ -413,7 +413,7 @@ func (c *Collection) buildIndex(path string, idx secondaryIndex) {
 // SnapshotAt returns an immutable read view of the collection as of
 // block height h. Every read through the view resolves against
 // height-stamped version chains and per-version index lifespans with
-// no fence wait and no collection or shard lock; an in-flight block's
+// no fence wait and no collection lock; an in-flight block's
 // writes are invisible until that block seals. Heights must lie in
 // [Backend().Floor(), Backend().Visible()] for exact results; older
 // heights may miss garbage-collected versions ("snapshot too old").
@@ -457,7 +457,7 @@ func (c *Collection) countAt(h int64, filter Filter) int {
 }
 
 // visitCandidatesAt is the single dispatch every query path shares: a
-// filter the planner can compile onto indexes goes through the sharded
+// filter the planner can compile onto indexes goes through the planned
 // visit path (no collection lock); everything else full-scans — under
 // the collection read lock for the writer view, lock-free over the
 // version chains for a snapshot height. fn must apply the filter itself — candidates from
@@ -469,7 +469,7 @@ func (c *Collection) visitCandidatesAt(h int64, filter Filter, fn func(key strin
 		c.scanVisitAt(h, fn)
 		return
 	}
-	c.shardedVisitAt(h, plan.candidates(h, ob), fn)
+	c.plannedVisitAt(h, plan.candidates(h, ob), fn)
 }
 
 // scanVisitAt is the full-scan path. At HeightLatest it scans the
@@ -487,7 +487,7 @@ func (c *Collection) scanVisitAt(h int64, fn func(key string, doc map[string]any
 	c.be.ScanAt(h, fn)
 }
 
-// shardedVisitAt is the planned path: it resolves index candidate
+// plannedVisitAt is the planned path: it resolves index candidate
 // keys through lock-free point reads at height h, restores insertion
 // order from the version chains' ord counters, and streams the
 // documents to fn — never taking the collection lock, so index-backed
@@ -496,7 +496,7 @@ func (c *Collection) scanVisitAt(h int64, fn func(key string, doc map[string]any
 // per-document consistent (a query racing a writer may miss or see
 // the writer's in-flight keys); at a snapshot height it is exactly
 // the sealed state of that block.
-func (c *Collection) shardedVisitAt(h int64, keys []string, fn func(key string, doc map[string]any) bool) {
+func (c *Collection) plannedVisitAt(h int64, keys []string, fn func(key string, doc map[string]any) bool) {
 	type cand struct {
 		key string
 		ord uint64
@@ -645,8 +645,8 @@ func (c *Collection) findOrderedScanAt(h int64, filter Filter, orderPath string,
 
 // Snapshot is an immutable as-of-height read view of one collection.
 // Every method resolves documents and index candidates as they stood
-// when the view's block height sealed, touching no fence, collection
-// lock, or shard lock — concurrent block commits can neither block
+// when the view's block height sealed, touching no fence and no
+// collection lock — concurrent block commits can neither block
 // nor be observed by a snapshot read. Views are cheap (two words);
 // take a fresh one per logical read for the newest sealed state.
 type Snapshot struct {

@@ -357,7 +357,7 @@ func (v ordValue) render() string {
 // height h: the walk starts at the lower bound (or the class floor)
 // and stops at the upper bound or the end of the class. Keys may
 // repeat across values for multikey documents; callers dedup
-// (shardedVisit does).
+// (plannedVisitAt does).
 func (ix *orderedIndex) lookupRange(r ordRange, h int64) []string {
 	start := classFloor(r.class)
 	if r.hasLo {

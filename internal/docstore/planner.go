@@ -288,7 +288,7 @@ func (p planner) band(ord *orderedIndex, c *fieldFilter) *Access {
 // candidates executes the plan as of height h: the keys of the
 // documents it may match, a superset the caller re-checks. Keys may
 // repeat (a multikey document under several probed values or inside
-// one range); the sharded visit dedups.
+// one range); the planned visit (plannedVisitAt) dedups.
 func (a *Access) candidates(h int64, ob collObs) []string {
 	var out []string
 	switch a.Kind {

@@ -214,7 +214,7 @@ func TestCommitPathAllocationCeilings(t *testing.T) {
 		t.Errorf("validate + stage + seal of a TRANSFER: %v allocations without a document, %v with one: the difference is %v, one ToDoc is %v", cold, warm, built, toDoc)
 	}
 	for _, tx := range transfers[next:] {
-		tx.SpendKeys() // admission derived the footprint long before the stage
+		tx.Footprint() // admission derived the footprint long before the stage
 	}
 	if staged := testing.AllocsPerRun(runs, func() {
 		if st := newGroupOverlay(s).stageTx(transfers[next]); st.err != nil {

@@ -106,7 +106,7 @@ func utxoKey(ref txn.OutputRef) string { return ref.String() }
 // SpentRefs order. Each is the suffix of the spend key the transaction
 // already carries for that input, so naming them builds no string.
 func spentUTXOKeys(t *txn.Transaction) []string {
-	spends := t.SpendKeys()
+	spends := t.Footprint().Spends
 	keys := make([]string, len(spends))
 	for i, k := range spends {
 		keys[i] = k[len(txn.SpendKeyPrefix):]

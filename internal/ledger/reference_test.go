@@ -115,7 +115,7 @@ func commitBehindFence(s *State, blocks [][]*txn.Transaction) []blockResult {
 	results := make([]blockResult, len(blocks))
 	for i, block := range blocks {
 		h := int64(i + 1)
-		fence.Begin(h, parallel.BuildPlan(block).WriteKeys())
+		fence.Begin(h, parallel.BuildPlan(block).Footprints)
 		pending := s.BeginBlockCommit(h)
 		go func(i int, block []*txn.Transaction) {
 			pending.Stage(block)

@@ -183,7 +183,7 @@ func BenchmarkSpendFanIn(b *testing.B) {
 	for i := range funding {
 		funding[i], transfers[i] = workload.FanIn(owner, recipient, i, 4)
 		transfers[i].SharedDoc() // the schema check built it at admission
-		transfers[i].SpendKeys()
+		transfers[i].Footprint()
 	}
 	var s *State
 	next := wallets

@@ -42,3 +42,22 @@ func TestScreenPrimitivesZeroAlloc(t *testing.T) {
 		t.Fatalf("Contains allocations = %v, want 0", allocs)
 	}
 }
+
+var sinkAdmit AdmitResult
+
+// BenchmarkAdmitBatch takes one 64-transaction marketplace block
+// through a fresh pool's admission with no semantic check behind it:
+// the structural screen, the intra-batch conflict grouping and the
+// insert.
+func BenchmarkAdmitBatch(b *testing.B) {
+	block := marketBatch(64)
+	batch := make([]Tx, len(block))
+	for i, tx := range block {
+		tx.Footprint() // warm: this measures the pool, not the derivation
+		batch[i] = tx
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		sinkAdmit = New(Config{}).AdmitBatch(batch)
+	}
+}

@@ -10,9 +10,17 @@
 //     screened structurally against the pool's indexes first (duplicate
 //     IDs and already-claimed spent outputs are rejected in O(1),
 //     before any signature is verified), and only the survivors reach
-//     the semantic CheckFn, which the server implements over the
-//     dependency-aware parallel scheduler so one batch validates
-//     concurrently across a worker pool with per-transaction verdicts.
+//     the semantic CheckFn — the consensus app's CheckTxBatch, which
+//     the server implements over the dependency-aware parallel
+//     scheduler so one batch validates concurrently across a worker
+//     pool with per-transaction verdicts.
+//
+//   - A transaction's footprint is its own txn.Footprint, read through
+//     ForTransaction and stored with its entry as it is: the spend
+//     keys are the claims, the writes and reads drive the staleness
+//     sweep and the conflict grouping. The pool's Tx is the consensus
+//     engine's (consensus.Tx is this type), so batches and blocks pass
+//     between them without a copy.
 //
 //   - The pool indexes every pending transaction by its declarative
 //     spend keys in one map beside its ID map, both under the pool's
@@ -23,8 +31,9 @@
 //
 //   - Pack selects the next block. PackFIFO reproduces arrival order
 //     (the pre-mempool behaviour); PackMakespan groups the pending set
-//     into conflict groups with a union-find over footprint keys and
-//     greedily balances group chains across the validators' workers, so
+//     into conflict groups through parallel.GroupFootprints — the
+//     grouping every validator's block plan uses — and greedily
+//     balances group chains across the validators' workers, so
 //     the proposed block's parallel-validation makespan is minimized
 //     rather than inherited from arrival order.
 //

@@ -1,10 +1,14 @@
 package mempool
 
-import "testing"
+import (
+	"testing"
+
+	"smartchaindb/internal/txn"
+)
 
 // reader builds a transaction that reads a key without writing it.
 func reader(hash string, reads ...string) *fakeTx {
-	return &fakeTx{hash: hash, fp: Footprint{Writes: []string{"tx:" + hash}, Reads: reads}}
+	return &fakeTx{hash: hash, fp: txn.Footprint{Writes: []string{"tx:" + hash}, Reads: reads}}
 }
 
 func freshOf(t *testing.T, p *Pool, txs ...Tx) []bool {
@@ -30,7 +34,7 @@ func TestFreshLifecycle(t *testing.T) {
 	// their verdicts may have consulted each other, not committed
 	// state.
 	c := reader("c", "k:shared")
-	d := &fakeTx{hash: "d", fp: Footprint{Writes: []string{"tx:d", "k:shared"}}}
+	d := &fakeTx{hash: "d", fp: txn.Footprint{Writes: []string{"tx:d", "k:shared"}}}
 	admit(t, p, c, d)
 	if got := freshOf(t, p, c, d); got[0] || got[1] {
 		t.Fatalf("batch-dependent admissions must start stale: %v", got)
@@ -78,7 +82,7 @@ func TestFreshCommitSweepScope(t *testing.T) {
 		t.Fatal("committing a reader staled a co-reader")
 	}
 	// A writer of k:a commits: r1 goes stale.
-	p.RemoveCommitted([]Tx{&fakeTx{hash: "w", fp: Footprint{Writes: []string{"tx:w", "k:a"}}}})
+	p.RemoveCommitted([]Tx{&fakeTx{hash: "w", fp: txn.Footprint{Writes: []string{"tx:w", "k:a"}}}})
 	if got := p.Fresh([]Tx{r1}); got[0] {
 		t.Fatal("committing a writer did not stale the reader")
 	}
@@ -92,7 +96,7 @@ func TestMarkValidatedRefreshesSingletons(t *testing.T) {
 	p := New(Config{})
 	// c reads what d writes: admitted in one batch, both start stale.
 	c := reader("c", "k:shared")
-	d := &fakeTx{hash: "d", fp: Footprint{Writes: []string{"tx:d", "k:shared"}}}
+	d := &fakeTx{hash: "d", fp: txn.Footprint{Writes: []string{"tx:d", "k:shared"}}}
 	admit(t, p, c, d)
 	if got := p.Fresh([]Tx{c, d}); got[0] || got[1] {
 		t.Fatalf("batch-dependent admissions not stale: %v", got)
@@ -117,11 +121,11 @@ func TestMarkValidatedRefreshesSingletons(t *testing.T) {
 	// member's group multi-sized even though the foreigner is unknown.
 	e := reader("e", "k:other")
 	admit(t, p, e)
-	p.RemoveCommitted([]Tx{&fakeTx{hash: "w", fp: Footprint{Writes: []string{"tx:w", "k:other"}}}})
+	p.RemoveCommitted([]Tx{&fakeTx{hash: "w", fp: txn.Footprint{Writes: []string{"tx:w", "k:other"}}}})
 	if got := p.Fresh([]Tx{e}); got[0] {
 		t.Fatal("commit sweep did not stale the reader")
 	}
-	foreign := &fakeTx{hash: "f", fp: Footprint{Writes: []string{"tx:f", "k:other"}}}
+	foreign := &fakeTx{hash: "f", fp: txn.Footprint{Writes: []string{"tx:f", "k:other"}}}
 	p.MarkValidated([]Tx{e, foreign}, p.Epoch())
 	if got := p.Fresh([]Tx{e}); got[0] {
 		t.Fatal("member of a group with a foreign writer re-marked fresh")
@@ -140,7 +144,7 @@ func TestMarkValidatedEpochGuard(t *testing.T) {
 	admit(t, p, r)
 	epoch := p.Epoch() // validation starts here...
 	// ...but a block writing k:a commits before the marking lands.
-	p.RemoveCommitted([]Tx{&fakeTx{hash: "w", fp: Footprint{Writes: []string{"tx:w", "k:a"}}}})
+	p.RemoveCommitted([]Tx{&fakeTx{hash: "w", fp: txn.Footprint{Writes: []string{"tx:w", "k:a"}}}})
 	p.MarkValidated([]Tx{r}, epoch)
 	if got := p.Fresh([]Tx{r}); got[0] {
 		t.Fatal("stale epoch marking overwrote the commit sweep")

@@ -7,15 +7,18 @@ import (
 
 	"smartchaindb/internal/obs"
 	"smartchaindb/internal/parallel"
+	"smartchaindb/internal/txn"
 )
 
 // CheckFn validates an admission batch semantically and returns the
 // per-transaction errors, keyed by transaction hash. Transactions
-// absent from the result are admitted. The server wires this to its
-// CheckTx-stage pipeline (schema validation plus the condition sets,
-// dispatched over the dependency-aware parallel scheduler); a nil
-// CheckFn admits every structurally sound transaction, which the
-// synthetic engine tests and packing benchmarks use.
+// absent from the result are admitted. It is the shape of
+// consensus.App.CheckTxBatch, which the engine and the shards wire in
+// as it is: the server's CheckTx-stage pipeline (schema validation
+// plus the condition sets, dispatched over the dependency-aware
+// parallel scheduler). A nil CheckFn admits every structurally sound
+// transaction, which the synthetic engine tests and packing benchmarks
+// use.
 type CheckFn func(txs []Tx) map[string]error
 
 // Policy selects how Pack composes blocks.
@@ -82,7 +85,7 @@ func (e *ErrSpendClaimed) Error() string {
 // order; entries carry no sequence number of their own.
 type entry struct {
 	tx       Tx
-	fp       Footprint
+	fp       txn.Footprint
 	reserved bool
 	gone     bool
 	// stale is the verdict-reuse flag: false means the admission
@@ -223,18 +226,9 @@ func (p *Pool) AdmitBatch(txs []Tx) AdmitResult {
 	}
 	p.ob.batchSize.Observe(int64(len(txs)))
 	screenT := time.Now()
-	type candidate struct {
-		tx Tx
-		fp Footprint
-		// dep marks a candidate that footprint-conflicts with another
-		// member of this batch: its semantic verdict may have consulted
-		// in-flight batch state (Tx/Output hit the admission
-		// batch before committed state), so it enters the pool stale —
-		// ineligible for verdict reuse until block validation re-proves
-		// it.
-		dep bool
-	}
-	cands := make([]candidate, 0, len(txs))
+	// The screen's survivors in batch order, with their footprints.
+	cands := make([]Tx, 0, len(txs))
+	fps := make([]txn.Footprint, 0, len(txs))
 	p.mu.RLock()
 	epoch := p.sweepEpoch
 	p.mu.RUnlock()
@@ -257,27 +251,26 @@ func (p *Pool) AdmitBatch(txs []Tx) AdmitResult {
 		for _, key := range fp.Spends {
 			batchClaims[key] = h
 		}
-		cands = append(cands, candidate{tx: tx, fp: fp})
+		cands = append(cands, tx)
+		fps = append(fps, fp)
 	}
 	screenD := time.Since(screenT)
 	p.ob.screenNs.ObserveDuration(screenD)
 	if p.ob.tracer != nil && len(cands) > 0 {
-		ids := make([]string, len(cands))
-		for i, c := range cands {
-			ids[i] = c.tx.Hash()
-		}
-		p.ob.tracer.ObserveEach(ids, obs.StageAdmitScreen, screenD)
+		p.ob.tracer.ObserveEach(p.ob.hashesOf(cands), obs.StageAdmitScreen, screenD)
 	}
 
+	// dep marks a candidate that footprint-conflicts with another
+	// member of this batch: its semantic verdict may have consulted
+	// in-flight batch state (Tx/Output hit the admission batch before
+	// committed state), so it enters the pool stale — ineligible for
+	// verdict reuse until block validation re-proves it.
+	dep := make([]bool, len(cands))
 	if len(cands) > 1 {
-		fps := make([]parallel.Footprint, len(cands))
-		for i, c := range cands {
-			fps[i] = parallel.Footprint{Writes: c.fp.Writes, Reads: c.fp.Reads}
-		}
 		for _, g := range parallel.GroupFootprints(fps) {
 			if len(g) > 1 {
 				for _, i := range g {
-					cands[i].dep = true
+					dep[i] = true
 				}
 			}
 		}
@@ -285,33 +278,26 @@ func (p *Pool) AdmitBatch(txs []Tx) AdmitResult {
 
 	var verifyD time.Duration
 	if p.cfg.Check != nil && len(cands) > 0 {
-		checked := make([]Tx, len(cands))
-		for i, c := range cands {
-			checked[i] = c.tx
-		}
 		verifyT := time.Now()
-		errs := p.cfg.Check(checked)
+		errs := p.cfg.Check(cands)
 		verifyD = time.Since(verifyT)
 		p.ob.verifyNs.ObserveDuration(verifyD)
-		kept := cands[:0]
-		for _, c := range cands {
-			if err, bad := errs[c.tx.Hash()]; bad {
-				res.Rejected[c.tx.Hash()] = err
+		kept := 0
+		for i, tx := range cands {
+			if err, bad := errs[tx.Hash()]; bad {
+				res.Rejected[tx.Hash()] = err
 				p.ob.rejected.Inc()
 				continue
 			}
-			kept = append(kept, c)
+			cands[kept], fps[kept], dep[kept] = tx, fps[i], dep[i]
+			kept++
 		}
-		cands = kept
+		cands, fps, dep = cands[:kept], fps[:kept], dep[:kept]
 	}
 	// Surviving candidates carry the semantic phase's latency (zero
 	// when admission runs without a CheckFn).
 	if p.ob.tracer != nil && len(cands) > 0 {
-		ids := make([]string, len(cands))
-		for i, c := range cands {
-			ids[i] = c.tx.Hash()
-		}
-		p.ob.tracer.ObserveEach(ids, obs.StageAdmitVerify, verifyD)
+		p.ob.tracer.ObserveEach(p.ob.hashesOf(cands), obs.StageAdmitVerify, verifyD)
 	}
 
 	// Rescue round: a transaction screened out because a same-batch
@@ -335,8 +321,8 @@ func (p *Pool) AdmitBatch(txs []Tx) AdmitResult {
 
 	if len(cands) > 0 {
 		p.mu.Lock()
-		for _, c := range cands {
-			h := c.tx.Hash()
+		for i, tx := range cands {
+			h, fp := tx.Hash(), fps[i]
 			if _, dup := p.byHash[h]; dup {
 				res.Skipped[h] = &ErrDuplicate{TxHash: h}
 				p.ob.screenDup.Inc()
@@ -345,7 +331,7 @@ func (p *Pool) AdmitBatch(txs []Tx) AdmitResult {
 			// Re-verify the claims under the pool lock: a concurrent
 			// batch may have taken one between the screen and here.
 			lost := false
-			for _, key := range c.fp.Spends {
+			for _, key := range fp.Spends {
 				if owner, ok := p.claims[key]; ok {
 					res.Skipped[h] = &ErrSpendClaimed{TxHash: h, Key: key, ClaimedBy: owner}
 					p.ob.screenClaimed.Inc()
@@ -359,15 +345,15 @@ func (p *Pool) AdmitBatch(txs []Tx) AdmitResult {
 			// A commit sweep that ran while this batch validated could
 			// not see these entries in the key index; treat the whole
 			// batch's verdicts as conservatively stale in that case.
-			e := &entry{tx: c.tx, fp: c.fp, stale: c.dep || p.sweepEpoch != epoch}
+			e := &entry{tx: tx, fp: fp, stale: dep[i] || p.sweepEpoch != epoch}
 			p.byHash[h] = e
 			p.order = append(p.order, e)
 			p.live++
 			p.indexKeysLocked(e)
-			for _, key := range c.fp.Spends {
+			for _, key := range fp.Spends {
 				p.claims[key] = h
 			}
-			res.Admitted = append(res.Admitted, c.tx)
+			res.Admitted = append(res.Admitted, tx)
 			p.ob.admitted.Inc()
 		}
 		p.ob.live.Set(int64(p.live))
@@ -574,17 +560,15 @@ func (p *Pool) MarkValidated(txs []Tx, epoch uint64) {
 		return
 	}
 	entries := make([]*entry, len(txs))
-	fps := make([]parallel.Footprint, len(txs))
+	fps := make([]txn.Footprint, len(txs))
 	for i, tx := range txs {
 		// Non-pooled members (e.g. from a foreign proposer) still
 		// contribute their footprints: they decide whether a pooled
 		// member's group is a singleton.
 		if e, ok := p.byHash[tx.Hash()]; ok {
-			entries[i] = e
-			fps[i] = parallel.Footprint{Writes: e.fp.Writes, Reads: e.fp.Reads}
+			entries[i], fps[i] = e, e.fp
 		} else {
-			fp := ForTransaction(tx)
-			fps[i] = parallel.Footprint{Writes: fp.Writes, Reads: fp.Reads}
+			fps[i] = ForTransaction(tx)
 		}
 	}
 	for _, g := range parallel.GroupFootprints(fps) {

@@ -4,30 +4,31 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"smartchaindb/internal/txn"
 )
 
 // fakeTx is a string-hashed transaction with a synthetic footprint.
 type fakeTx struct {
 	hash string
-	fp   Footprint
+	fp   txn.Footprint
 }
 
 func (t *fakeTx) Hash() string { return t.hash }
 
-// FootprintKeys and SpendKeys declare the synthetic footprint, the way
-// *txn.Transaction declares its own: ForTransaction reads them.
-func (t *fakeTx) FootprintKeys() (writes, reads []string) { return t.fp.Writes, t.fp.Reads }
-func (t *fakeTx) SpendKeys() []string                     { return t.fp.Spends }
+// Footprint declares the synthetic footprint, the way *txn.Transaction
+// declares its own: ForTransaction reads it.
+func (t *fakeTx) Footprint() txn.Footprint { return t.fp }
 
 // spender builds a transaction spending the given keys (conflict
 // grouping sees them as writes too, as real spends are).
 func spender(hash string, keys ...string) *fakeTx {
-	return &fakeTx{hash: hash, fp: Footprint{Spends: keys, Writes: append([]string{"tx:" + hash}, keys...)}}
+	return &fakeTx{hash: hash, fp: txn.Footprint{Spends: keys, Writes: append([]string{"tx:" + hash}, keys...)}}
 }
 
 // indep builds a fully independent transaction.
 func indep(hash string) *fakeTx {
-	return &fakeTx{hash: hash, fp: Footprint{Writes: []string{"tx:" + hash}}}
+	return &fakeTx{hash: hash, fp: txn.Footprint{Writes: []string{"tx:" + hash}}}
 }
 
 func admit(t *testing.T, p *Pool, txs ...Tx) AdmitResult {

@@ -6,6 +6,7 @@ import (
 
 	"smartchaindb/internal/obs"
 	"smartchaindb/internal/parallel"
+	"smartchaindb/internal/txn"
 )
 
 // Pack selects up to maxTxs pending, unreserved transactions for the
@@ -14,8 +15,10 @@ import (
 // balances for it; zero falls back to Config.PackWorkers).
 //
 // PackFIFO returns the arrival-order prefix. PackMakespan computes the
-// pending set's conflict groups (union-find over footprint keys, the
-// same relation parallel.BuildPlan uses) and fills the block small
+// pending set's conflict groups through the system's single grouping
+// relation, parallel.GroupFootprints over the pooled footprints — so
+// they are exactly the groups validators plan the same transactions
+// with (parallel.BuildPlan) — and fills the block small
 // groups first, each group capped at one worker's fair share, so the
 // packed block's conflict-group chains list-schedule onto the workers
 // with minimal makespan. Within a group, arrival order is preserved —
@@ -43,67 +46,37 @@ func (p *Pool) pack(maxTxs, workers int) []Tx {
 	if workers <= 0 {
 		workers = p.cfg.PackWorkers
 	}
-	entries := p.snapshot()
-	if len(entries) == 0 {
-		return nil
-	}
-	if maxTxs <= 0 || maxTxs > len(entries) {
-		maxTxs = len(entries)
+	txs, fps := p.snapshot()
+	if maxTxs <= 0 || maxTxs >= len(txs) {
+		// Everything fits: block composition is fixed, so keep
+		// arrival order — validators re-plan the groups.
+		return txs
 	}
 	if p.cfg.Policy != PackMakespan || workers <= 1 {
-		out := make([]Tx, maxTxs)
-		for i := range out {
-			out[i] = entries[i].tx
-		}
-		return out
+		return append([]Tx(nil), txs[:maxTxs]...)
 	}
-	return packMakespan(entries, maxTxs, workers)
+	return packMakespan(txs, parallel.GroupFootprints(fps), maxTxs, workers)
 }
 
-// packEntry is an immutable snapshot of one pooled transaction.
-type packEntry struct {
-	tx Tx
-	fp Footprint
-}
-
-// snapshot copies the packable entries in arrival order.
-func (p *Pool) snapshot() []packEntry {
+// snapshot copies the packable transactions and their footprints in
+// arrival order.
+func (p *Pool) snapshot() (txs []Tx, fps []txn.Footprint) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	out := make([]packEntry, 0, p.live)
+	txs, fps = make([]Tx, 0, p.live), make([]txn.Footprint, 0, p.live)
 	for _, e := range p.order {
 		if !e.gone && !e.reserved {
-			out = append(out, packEntry{tx: e.tx, fp: e.fp})
+			txs = append(txs, e.tx)
+			fps = append(fps, e.fp)
 		}
 	}
-	return out
+	return txs, fps
 }
 
-// groupEntries partitions a snapshot into conflict groups through the
-// system's single grouping relation, parallel.GroupFootprints — so the
-// packer's groups are exactly the groups validators will plan with.
-// Each group lists its members in arrival order; groups are ordered by
-// first member.
-func groupEntries(entries []packEntry) [][]int {
-	fps := make([]parallel.Footprint, len(entries))
-	for i, e := range entries {
-		fps[i] = parallel.Footprint{Writes: e.fp.Writes, Reads: e.fp.Reads}
-	}
-	return parallel.GroupFootprints(fps)
-}
-
-// packMakespan is the greedy group-balancing selection.
-func packMakespan(entries []packEntry, maxTxs, workers int) []Tx {
-	if len(entries) <= maxTxs {
-		// Everything fits: block composition is fixed, so keep arrival
-		// order (identical to FIFO; validators re-plan the groups).
-		out := make([]Tx, len(entries))
-		for i, e := range entries {
-			out[i] = e.tx
-		}
-		return out
-	}
-	groups := groupEntries(entries)
+// packMakespan is the greedy group-balancing selection of maxTxs of
+// txs, given their conflict groups (groups lists batch indexes, each
+// group in arrival order, groups ordered by first member).
+func packMakespan(txs []Tx, groups [][]int, maxTxs, workers int) []Tx {
 	// fair is one worker's share of the block: a group contributing
 	// more than this forms a chain longer than the schedule's lower
 	// bound, so the first pass never takes more.
@@ -171,7 +144,7 @@ func packMakespan(entries []packEntry, maxTxs, workers int) []Tx {
 	sort.Ints(picks)
 	out := make([]Tx, len(picks))
 	for i, idx := range picks {
-		out[i] = entries[idx].tx
+		out[i] = txs[idx]
 	}
 	return out
 }

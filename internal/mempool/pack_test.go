@@ -5,23 +5,26 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"smartchaindb/internal/parallel"
+	"smartchaindb/internal/txn"
 )
 
 // chained builds a transaction joined to a conflict chain via a shared
 // write key.
 func chained(hash, chainKey string) *fakeTx {
-	return &fakeTx{hash: hash, fp: Footprint{Writes: []string{"tx:" + hash, chainKey}}}
+	return &fakeTx{hash: hash, fp: txn.Footprint{Writes: []string{"tx:" + hash, chainKey}}}
 }
 
 // makespanOf list-schedules a block's conflict-group sizes on w
 // workers — the metric Pack(…, w) minimizes, restated over fake
 // footprints the way parallel.Plan.Makespan states it over real ones.
 func makespanOf(block []Tx, w int) int {
-	entries := make([]packEntry, len(block))
+	fps := make([]txn.Footprint, len(block))
 	for i, tx := range block {
-		entries[i] = packEntry{tx: tx, fp: ForTransaction(tx)}
+		fps[i] = ForTransaction(tx)
 	}
-	groups := groupEntries(entries)
+	groups := parallel.GroupFootprints(fps)
 	if w <= 1 {
 		return len(block)
 	}

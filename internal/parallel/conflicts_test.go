@@ -1,11 +1,13 @@
 package parallel
 
+import "smartchaindb/internal/txn"
+
 // The pairwise conflict rule the grouping tests hold Plan and
 // GroupFootprints to: Plan itself never compares two footprints.
 
 // Conflicts reports whether the two footprints may not run
 // concurrently: write/write or write/read intersection.
-func (f Footprint) Conflicts(g Footprint) bool {
+func Conflicts(f, g txn.Footprint) bool {
 	return intersects(f.Writes, g.Writes) ||
 		intersects(f.Writes, g.Reads) ||
 		intersects(f.Reads, g.Writes)

@@ -6,7 +6,7 @@
 // speculative execution: a transaction's read/write footprint is fully
 // determined by its document alone (Definition 1), so no execution is
 // needed to discover it. The footprint rules are
-// (txn.Transaction.FootprintKeys derives them, once per transaction):
+// (txn.Transaction.Footprint derives them, once per transaction):
 //
 //   - every transaction WRITES its own identity key (its bare ID) — the
 //     transaction-log insert, and the asset registration for

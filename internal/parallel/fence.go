@@ -3,6 +3,8 @@ package parallel
 import (
 	"fmt"
 	"sync"
+
+	"smartchaindb/internal/txn"
 )
 
 // PipelineFence is the commit fence: one slot holding the write
@@ -36,7 +38,7 @@ type PipelineFence struct {
 	cond *sync.Cond
 
 	// busy marks the slot taken; height and keys are the in-flight
-	// block's height and published write footprint.
+	// block's height and the writes of its footprints.
 	busy   bool
 	height int64
 	keys   map[string]struct{}
@@ -51,12 +53,13 @@ func (f *PipelineFence) signal() *sync.Cond {
 	return f.cond
 }
 
-// Begin admits block height with its write keys, parking while another
-// block is in flight — the backpressure that keeps the pipeline at one
-// commit behind one validation. It reports whether the caller had to
-// wait for the slot — the "fence stack wait" the pipeline metrics
-// count.
-func (f *PipelineFence) Begin(height int64, writeKeys []string) (waited bool) {
+// Begin admits block height with its transactions' footprints (the
+// block plan's), parking while another block is in flight — the
+// backpressure that keeps the pipeline at one commit behind one
+// validation — and publishes their writes; the block's reads fence
+// nothing. It reports whether the caller had to wait for the slot —
+// the "fence stack wait" the pipeline metrics count.
+func (f *PipelineFence) Begin(height int64, fps []txn.Footprint) (waited bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for f.busy {
@@ -65,9 +68,15 @@ func (f *PipelineFence) Begin(height int64, writeKeys []string) (waited bool) {
 	}
 	f.busy = true
 	f.height = height
-	f.keys = make(map[string]struct{}, len(writeKeys))
-	for _, k := range writeKeys {
-		f.keys[k] = struct{}{}
+	n := 0
+	for _, fp := range fps {
+		n += len(fp.Writes)
+	}
+	f.keys = make(map[string]struct{}, n)
+	for _, fp := range fps {
+		for _, k := range fp.Writes {
+			f.keys[k] = struct{}{}
+		}
 	}
 	return waited
 }
@@ -87,34 +96,39 @@ func (f *PipelineFence) End(height int64) {
 	f.signal().Broadcast()
 }
 
-// WaitKeysReport blocks while the in-flight block's write set
-// intersects keys — the reads-at-h+1-wait-on-unsealed-writes rule.
-// Disjoint key sets return immediately, concurrent with the applier.
+// WaitKeysReport blocks while the in-flight block writes a key that
+// one of fps writes or reads — the reads-at-h+1-wait-on-unsealed-writes
+// rule. A waiter that only reads keys the block only reads, or touches
+// none of its keys, returns immediately, concurrent with the applier.
 // inflight is whether a commit was applying when the call entered,
-// blocked whether the keys intersected its write set (so the call
+// blocked whether the footprints intersected its writes (so the call
 // waited for the seal). The two counters behind the commit-overlap
 // metrics — fenced waits lost vs. reads that overlapped the applier —
 // come from here.
-func (f *PipelineFence) WaitKeysReport(keys []string) (inflight, blocked bool) {
+func (f *PipelineFence) WaitKeysReport(fps []txn.Footprint) (inflight, blocked bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	inflight = f.busy
-	for f.intersects(keys) {
+	for f.intersects(fps) {
 		blocked = true
 		f.signal().Wait()
 	}
 	return inflight, blocked
 }
 
-// intersects reports whether the in-flight block publishes a write key
-// in keys. Caller holds mu.
-func (f *PipelineFence) intersects(keys []string) bool {
+// intersects reports whether the in-flight block writes a key some
+// footprint of fps writes or reads. Caller holds mu.
+func (f *PipelineFence) intersects(fps []txn.Footprint) bool {
 	if len(f.keys) == 0 {
 		return false
 	}
-	for _, k := range keys {
-		if _, ok := f.keys[k]; ok {
-			return true
+	for _, fp := range fps {
+		for _, keys := range [2][]string{fp.Writes, fp.Reads} {
+			for _, k := range keys {
+				if _, ok := f.keys[k]; ok {
+					return true
+				}
+			}
 		}
 	}
 	return false

@@ -7,20 +7,26 @@ import (
 	"testing"
 	"time"
 
+	"smartchaindb/internal/mempool"
 	"smartchaindb/internal/parallel"
+	"smartchaindb/internal/txn"
 )
+
+// writes and reads are one-footprint fence arguments.
+func writes(keys ...string) []txn.Footprint { return []txn.Footprint{{Writes: keys}} }
+func reads(keys ...string) []txn.Footprint  { return []txn.Footprint{{Reads: keys}} }
 
 // TestFenceDisjointProceedsConflictWaits pins the fence contract:
 // while a commit is in flight, a reader with disjoint keys returns
 // immediately and a conflicting reader blocks until End.
 func TestFenceDisjointProceedsConflictWaits(t *testing.T) {
 	var f parallel.PipelineFence
-	f.Begin(1, []string{"tx:a", "utxo:a:0"})
+	f.Begin(1, writes("tx:a", "utxo:a:0"))
 
 	// Disjoint: must not block.
 	done := make(chan struct{})
 	go func() {
-		f.WaitKeysReport([]string{"tx:b", "utxo:b:0"})
+		f.WaitKeysReport(writes("tx:b", "utxo:b:0"))
 		close(done)
 	}()
 	select {
@@ -33,7 +39,7 @@ func TestFenceDisjointProceedsConflictWaits(t *testing.T) {
 	var sealed atomic.Bool
 	waited := make(chan struct{})
 	go func() {
-		f.WaitKeysReport([]string{"utxo:a:0"})
+		f.WaitKeysReport(reads("utxo:a:0"))
 		if !sealed.Load() {
 			t.Error("conflicting reader proceeded before the seal")
 		}
@@ -49,8 +55,83 @@ func TestFenceDisjointProceedsConflictWaits(t *testing.T) {
 	}
 
 	// Idle fence: everything passes straight through.
-	f.WaitKeysReport([]string{"utxo:a:0"})
+	f.WaitKeysReport(writes("utxo:a:0"))
 	f.Drain()
+}
+
+// foreignTx is a transaction that declares no footprint, as the
+// baseline chain's do.
+type foreignTx string
+
+func (t foreignTx) Hash() string { return string(t) }
+
+// TestFenceRoleRule: the fence keys on roles, not on key overlap. The
+// in-flight block publishes only its writes: a waiter that only reads
+// a key the block only reads — or writes one — proceeds, and a waiter
+// that reads or writes a key the block writes waits for the seal. A
+// foreign transaction's fallback footprint writes its own hash only,
+// so it fences nothing but itself.
+func TestFenceRoleRule(t *testing.T) {
+	block := []txn.Footprint{{Writes: []string{"w"}, Reads: []string{"r"}}}
+	foreign := []txn.Footprint{mempool.ForTransaction(foreignTx("x"))}
+	for _, c := range []struct {
+		name  string
+		block []txn.Footprint
+		fps   []txn.Footprint
+		waits bool
+	}{
+		{"reads what the block reads", block, reads("r"), false},
+		{"writes what the block reads", block, writes("r"), false},
+		{"disjoint", block, []txn.Footprint{{Writes: []string{"a"}, Reads: []string{"b"}}}, false},
+		{"reads what the block writes", block, reads("w"), true},
+		{"writes what the block writes", block, writes("w"), true},
+		{"one of several reads what the block writes", block, append(reads("r"), reads("w")...), true},
+		{"another foreign transaction", foreign, []txn.Footprint{mempool.ForTransaction(foreignTx("y"))}, false},
+		{"a declared footprint beside a foreign one", foreign, reads("r"), false},
+		{"the foreign transaction itself", foreign, []txn.Footprint{mempool.ForTransaction(foreignTx("x"))}, true},
+	} {
+		var f parallel.PipelineFence
+		f.Begin(1, c.block)
+		var sealed atomic.Bool
+		done := make(chan bool)
+		go func() {
+			inflight, blocked := f.WaitKeysReport(c.fps)
+			if !inflight {
+				t.Errorf("%s: no commit in flight at entry", c.name)
+			}
+			if blocked && !sealed.Load() {
+				t.Errorf("%s: proceeded before the seal", c.name)
+			}
+			done <- blocked
+		}()
+		if !c.waits {
+			select {
+			case blocked := <-done:
+				if blocked {
+					t.Errorf("%s: waited for the seal", c.name)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s: blocked on the fence", c.name)
+			}
+			f.End(1)
+			continue
+		}
+		select {
+		case <-done:
+			t.Fatalf("%s: proceeded while the block was in flight", c.name)
+		case <-time.After(20 * time.Millisecond): // parked
+		}
+		sealed.Store(true)
+		f.End(1)
+		select {
+		case blocked := <-done:
+			if !blocked {
+				t.Errorf("%s: released without reporting the wait", c.name)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: never released", c.name)
+		}
+	}
 }
 
 // TestFenceZeroValueIsSingleSlot checks the slot: a second Begin waits
@@ -67,7 +148,7 @@ func TestFenceZeroValueIsSingleSlot(t *testing.T) {
 			defer wg.Done()
 			mu.Lock()
 			h := height.Add(1)
-			f.Begin(h, []string{"k"})
+			f.Begin(h, writes("k"))
 			mu.Unlock()
 			if n := inFlight.Add(1); n != 1 {
 				t.Errorf("%d commits in flight on the one-slot fence", n)
@@ -99,22 +180,21 @@ func TestFencePipelineProperty(t *testing.T) {
 
 	type block struct {
 		height int64
-		writes []string
-		reads  []string
+		fp     txn.Footprint
 	}
 	blocks := make([]block, heights)
 	for i := range blocks {
 		b := block{height: int64(i + 1)}
 		for k := 0; k < 1+rng.Intn(3); k++ {
-			b.writes = append(b.writes, string(rune('a'+rng.Intn(keySpan))))
+			b.fp.Writes = append(b.fp.Writes, string(rune('a'+rng.Intn(keySpan))))
 		}
 		for k := 0; k < rng.Intn(3); k++ {
-			b.reads = append(b.reads, string(rune('a'+rng.Intn(keySpan))))
+			b.fp.Reads = append(b.fp.Reads, string(rune('a'+rng.Intn(keySpan))))
 		}
 		blocks[i] = b
 	}
 	intersects := func(touch []string, b block) bool {
-		for _, w := range b.writes {
+		for _, w := range b.fp.Writes {
 			for _, k := range touch {
 				if k == w {
 					return true
@@ -135,11 +215,11 @@ func TestFencePipelineProperty(t *testing.T) {
 		// Drawn on the driver thread: the applier goroutines must not
 		// share the unsynchronized rng.
 		pause := time.Duration(rng.Intn(500)) * time.Microsecond
-		touch := append(append([]string{}, b.writes...), b.reads...)
+		touch := append(append([]string{}, b.fp.Writes...), b.fp.Reads...)
 		// Validation of block h: on return no unsealed block may write
 		// into its footprint. Only this thread admits blocks, so what
 		// is applying now is all that can be.
-		if _, blocked := f.WaitKeysReport(touch); blocked {
+		if _, blocked := f.WaitKeysReport([]txn.Footprint{b.fp}); blocked {
 			blockedWaits++
 		}
 		mu.Lock()
@@ -149,7 +229,7 @@ func TestFencePipelineProperty(t *testing.T) {
 			}
 		}
 		mu.Unlock()
-		f.Begin(b.height, b.writes)
+		f.Begin(b.height, []txn.Footprint{b.fp})
 		if got := sealed.Load(); got != b.height-1 {
 			t.Errorf("height %d admitted with height %d the last sealed", b.height, got)
 		}

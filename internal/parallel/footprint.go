@@ -9,30 +9,6 @@ import (
 	"smartchaindb/internal/txn"
 )
 
-// Footprint is the declaratively-derived read/write set of one
-// transaction over chain state. Keys are opaque strings; two
-// transactions conflict iff one's Writes intersect the other's Writes
-// or Reads.
-type Footprint struct {
-	// Writes are the state keys the transaction mutates at commit:
-	// its own identity, the UTXOs it spends, and the auction state of
-	// every transaction it references.
-	Writes []string
-	// Reads are the state keys the transaction's condition set
-	// consults without mutating: the producers of its spent outputs
-	// and its linked asset.
-	Reads []string
-}
-
-// FootprintOf returns the footprint derived from the transaction
-// document — no execution, per the declarative model. The keys are the
-// transaction's own (txn.Transaction.FootprintKeys), derived once
-// however many stages ask: shared and read-only.
-func FootprintOf(t *txn.Transaction) Footprint {
-	w, r := t.FootprintKeys()
-	return Footprint{Writes: w, Reads: r}
-}
-
 // Plan partitions a batch into conflict groups: connected components
 // of the conflict graph, each listed in ascending block order.
 type Plan struct {
@@ -40,17 +16,19 @@ type Plan struct {
 	// group is sorted ascending (block order); groups are ordered by
 	// their first member.
 	Groups [][]int
-	// Footprints holds the per-transaction footprints, batch-indexed.
-	Footprints []Footprint
+	// Footprints holds the per-transaction footprints, batch-indexed:
+	// each transaction's own (txn.Transaction.Footprint), shared and
+	// read-only.
+	Footprints []txn.Footprint
 }
 
 // BuildPlan computes the conflict groups for a batch with a union-find
 // over the shared footprint keys. Cost is linear in the total number
 // of footprint keys.
 func BuildPlan(txs []*txn.Transaction) *Plan {
-	p := &Plan{Footprints: make([]Footprint, len(txs))}
+	p := &Plan{Footprints: make([]txn.Footprint, len(txs))}
 	for i, t := range txs {
-		p.Footprints[i] = FootprintOf(t)
+		p.Footprints[i] = t.Footprint()
 	}
 	p.Groups = GroupFootprints(p.Footprints)
 	return p
@@ -60,7 +38,8 @@ func BuildPlan(txs []*txn.Transaction) *Plan {
 // groups — connected components of the conflict graph — with a
 // union-find over the shared keys: a key some footprint writes joins
 // every footprint that touches it, and a key only read stays inert
-// (read/read is not a conflict). Each group lists its members in
+// (read/read is not a conflict); Spends are part of Writes and add
+// nothing. Each group lists its members in
 // ascending batch order; groups are ordered by first member. This is
 // the single grouping relation in the system: block validation plans
 // with it, and the mempool's makespan-aware packer predicts those
@@ -69,7 +48,7 @@ func BuildPlan(txs []*txn.Transaction) *Plan {
 // The key table and the union-find live in pooled scratch (grouper),
 // so a call allocates only the groups it returns: one backing array
 // for every member and the slice of groups over it.
-func GroupFootprints(fps []Footprint) [][]int {
+func GroupFootprints(fps []txn.Footprint) [][]int {
 	g := groupers.Get().(*grouper)
 	defer groupers.Put(g)
 	return g.group(fps)
@@ -106,7 +85,7 @@ type keySlot struct {
 // previous entry, or -1.
 type reader struct{ fp, prev int32 }
 
-func (g *grouper) group(fps []Footprint) [][]int {
+func (g *grouper) group(fps []txn.Footprint) [][]int {
 	n, keys := len(fps), 0
 	for _, fp := range fps {
 		keys += len(fp.Writes) + len(fp.Reads)
@@ -249,33 +228,6 @@ func (p *Plan) RunGroups(workers int, run func(group []int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TouchKeys unions the plan's full footprints (reads and writes) — the
-// key set a reader presents to the commit fence: any overlap with an
-// in-flight block's write set must wait for the seal.
-func (p *Plan) TouchKeys() []string { return p.unionKeys(true) }
-
-// WriteKeys unions the plan's write footprints — the key set a block
-// publishes on the commit fence.
-func (p *Plan) WriteKeys() []string { return p.unionKeys(false) }
-
-func (p *Plan) unionKeys(reads bool) []string {
-	n := 0
-	for _, fp := range p.Footprints {
-		n += len(fp.Writes)
-		if reads {
-			n += len(fp.Reads)
-		}
-	}
-	keys := make([]string, 0, n)
-	for _, fp := range p.Footprints {
-		keys = append(keys, fp.Writes...)
-		if reads {
-			keys = append(keys, fp.Reads...)
-		}
-	}
-	return keys
 }
 
 // Largest returns the size of the biggest conflict group — the

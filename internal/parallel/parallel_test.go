@@ -34,7 +34,7 @@ func TestFootprintConflictPairs(t *testing.T) {
 		return tr
 	}
 	t1, t2 := transferTo(10), transferTo(11)
-	if !parallel.FootprintOf(t1).Conflicts(parallel.FootprintOf(t2)) {
+	if !parallel.Conflicts(t1.Footprint(), t2.Footprint()) {
 		t.Error("double-spending transfers must conflict")
 	}
 
@@ -42,16 +42,16 @@ func TestFootprintConflictPairs(t *testing.T) {
 	asset2 := gen.Create(bidder2, []string{"cnc"}, 64)
 	bid1 := gen.Bid(owner, asset, rfq, 64)
 	bid2 := gen.Bid(bidder2, asset2, rfq, 64)
-	if !parallel.FootprintOf(bid1).Conflicts(parallel.FootprintOf(bid2)) {
+	if !parallel.Conflicts(bid1.Footprint(), bid2.Footprint()) {
 		t.Error("two BIDs on the same REQUEST must conflict")
 	}
 
 	// Producer/consumer: a transfer spending an in-block CREATE.
-	if !parallel.FootprintOf(asset).Conflicts(parallel.FootprintOf(t1)) {
+	if !parallel.Conflicts(asset.Footprint(), t1.Footprint()) {
 		t.Error("a transaction must conflict with the producer of its input")
 	}
 	// A BID and the REQUEST it references must order.
-	if !parallel.FootprintOf(rfq).Conflicts(parallel.FootprintOf(bid1)) {
+	if !parallel.Conflicts(rfq.Footprint(), bid1.Footprint()) {
 		t.Error("a BID must conflict with its in-block REQUEST")
 	}
 
@@ -62,7 +62,7 @@ func TestFootprintConflictPairs(t *testing.T) {
 	if err := txn.Sign(tr2, bidder2); err != nil {
 		t.Fatal(err)
 	}
-	if parallel.FootprintOf(t1).Conflicts(parallel.FootprintOf(tr2)) {
+	if parallel.Conflicts(t1.Footprint(), tr2.Footprint()) {
 		t.Error("independent transfers must not conflict")
 	}
 }
@@ -96,7 +96,7 @@ func TestBuildPlanGroupsAndOrder(t *testing.T) {
 	}
 	for i := 0; i < len(batch); i++ {
 		for j := i + 1; j < len(batch); j++ {
-			if plan.Footprints[i].Conflicts(plan.Footprints[j]) && groupOf[i] != groupOf[j] {
+			if parallel.Conflicts(plan.Footprints[i], plan.Footprints[j]) && groupOf[i] != groupOf[j] {
 				t.Errorf("conflicting pair (%d, %d) split across groups %d and %d",
 					i, j, groupOf[i], groupOf[j])
 			}
@@ -318,7 +318,7 @@ func TestConflictingPairsNeverConcurrent(t *testing.T) {
 	state, reserved, batch := scenario(t, 4, 6, 77)
 
 	var mu sync.Mutex
-	inflight := make(map[*txn.Transaction]parallel.Footprint)
+	inflight := make(map[*txn.Transaction]txn.Footprint)
 	maxInflight := 0
 	violations := 0
 	sched := &parallel.Scheduler{Workers: 8}
@@ -326,9 +326,9 @@ func TestConflictingPairsNeverConcurrent(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		if entering {
-			fp := parallel.FootprintOf(tx)
+			fp := tx.Footprint()
 			for other, ofp := range inflight {
-				if other != tx && fp.Conflicts(ofp) {
+				if other != tx && parallel.Conflicts(fp, ofp) {
 					violations++
 				}
 			}

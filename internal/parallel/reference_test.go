@@ -21,13 +21,15 @@ import (
 // pooled scratch, kept as the references the new ones are pinned to.
 
 // refFootprint derives a footprint afresh on every call, every key a
-// new string. The transaction key is the bare ID, as it now is.
-func refFootprint(t *txn.Transaction) parallel.Footprint {
-	var f parallel.Footprint
+// new string, the spend keys a slice of their own. The transaction key
+// is the bare ID, as it now is.
+func refFootprint(t *txn.Transaction) txn.Footprint {
+	var f txn.Footprint
 	f.Writes = append(f.Writes, t.ID)
 	for _, in := range t.Inputs {
 		if ref := in.Fulfills; ref != nil {
 			f.Writes = append(f.Writes, txn.SpendKeyPrefix+ref.TxID+":"+fmt.Sprint(ref.Index))
+			f.Spends = append(f.Spends, txn.SpendKeyPrefix+ref.TxID+":"+fmt.Sprint(ref.Index))
 		}
 	}
 	for _, in := range t.Inputs {
@@ -46,7 +48,7 @@ func refFootprint(t *txn.Transaction) parallel.Footprint {
 }
 
 // refGroupFootprints is the union-find over per-call maps.
-func refGroupFootprints(fps []parallel.Footprint) [][]int {
+func refGroupFootprints(fps []txn.Footprint) [][]int {
 	n := len(fps)
 	parent := make([]int, n)
 	for i := range parent {
@@ -148,7 +150,7 @@ func footprintCorpus(t *testing.T) []*txn.Transaction {
 func TestFootprintMatchesReference(t *testing.T) {
 	for _, tx := range footprintCorpus(t) {
 		for pass := range 2 {
-			if got, want := parallel.FootprintOf(tx), refFootprint(tx); !reflect.DeepEqual(got, want) {
+			if got, want := tx.Footprint(), refFootprint(tx); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s %.8s, call %d:\n got %v\nwant %v", tx.Operation, tx.ID, pass+1, got, want)
 			}
 		}
@@ -173,7 +175,7 @@ func TestFootprintMatchesReference(t *testing.T) {
 		"SetID": func(tx *txn.Transaction) *txn.Transaction {
 			c := tx.Clone()
 			c.ID = ""
-			parallel.FootprintOf(c) // derived before the ID is stamped
+			c.Footprint() // derived before the ID is stamped
 			c.SetID()
 			return c
 		},
@@ -188,9 +190,9 @@ func TestFootprintMatchesReference(t *testing.T) {
 		if err := txn.Sign(tx, owner); err != nil {
 			t.Fatal(err)
 		}
-		before := parallel.FootprintOf(tx)
+		before := tx.Footprint()
 		tx = mutate(tx)
-		got, want := parallel.FootprintOf(tx), refFootprint(tx)
+		got, want := tx.Footprint(), refFootprint(tx)
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("after %s: footprint\n got %v\nwant %v (before: %v)", name, got, want, before)
 		}
@@ -226,9 +228,9 @@ func TestGroupFootprintsMatchesReference(t *testing.T) {
 	}
 	for call, n := range []int{0, 1, 2, 700, 3, 1, 2500, 0, 17, 64, 5, 1200, 2, 40} {
 		space := 1 + rng.Intn(4*n+2)
-		fps := make([]parallel.Footprint, n)
+		fps := make([]txn.Footprint, n)
 		for i := range fps {
-			fps[i] = parallel.Footprint{Writes: keys(rng.Intn(4), space), Reads: keys(rng.Intn(5), space)}
+			fps[i] = txn.Footprint{Writes: keys(rng.Intn(4), space), Reads: keys(rng.Intn(5), space)}
 		}
 		got, want := parallel.GroupFootprints(fps), refGroupFootprints(fps)
 		if !reflect.DeepEqual(got, want) {
@@ -237,9 +239,9 @@ func TestGroupFootprintsMatchesReference(t *testing.T) {
 		}
 	}
 	// The corpus as one batch, as a block plan sees it.
-	var fps []parallel.Footprint
+	var fps []txn.Footprint
 	for _, tx := range footprintCorpus(t) {
-		fps = append(fps, parallel.FootprintOf(tx))
+		fps = append(fps, tx.Footprint())
 	}
 	if got, want := parallel.GroupFootprints(fps), refGroupFootprints(fps); !reflect.DeepEqual(got, want) {
 		t.Errorf("corpus batch:\n got %v\nwant %v", got, want)
@@ -249,9 +251,9 @@ func TestGroupFootprintsMatchesReference(t *testing.T) {
 // TestGroupFootprintsConcurrent: callers on several goroutines each get
 // scratch of their own from the pool (run under -race).
 func TestGroupFootprintsConcurrent(t *testing.T) {
-	var fps []parallel.Footprint
+	var fps []txn.Footprint
 	for _, tx := range footprintCorpus(t) {
-		fps = append(fps, parallel.FootprintOf(tx))
+		fps = append(fps, tx.Footprint())
 	}
 	var wg sync.WaitGroup
 	for g := range 4 {
@@ -274,7 +276,7 @@ func TestGroupFootprintsConcurrent(t *testing.T) {
 // each is capped at its length — a caller appending to one group must
 // not write into the next.
 func TestGroupsDoNotShareCapacity(t *testing.T) {
-	groups := parallel.GroupFootprints([]parallel.Footprint{
+	groups := parallel.GroupFootprints([]txn.Footprint{
 		{Writes: []string{"a"}}, {Writes: []string{"b"}}, {Writes: []string{"a"}},
 	})
 	if len(groups) != 2 {

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"smartchaindb/internal/consensus"
 	"smartchaindb/internal/mempool"
 	"smartchaindb/internal/txn"
 	"smartchaindb/internal/workload"
@@ -55,13 +54,7 @@ func TestMempoolAdmissionRace(t *testing.T) {
 		BatchSize:   16,
 		Policy:      mempool.PackMakespan,
 		PackWorkers: 4,
-		Check: func(txs []mempool.Tx) map[string]error {
-			batch := make([]consensus.Tx, len(txs))
-			for i, tx := range txs {
-				batch[i] = tx.(consensus.Tx)
-			}
-			return node.CheckTxBatch(batch)
-		},
+		Check:       node.CheckTxBatch,
 	})
 
 	// Admitters: each stream spends the same backing outputs, so the

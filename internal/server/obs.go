@@ -51,13 +51,13 @@ func newNodeObs(reg *obs.Registry) nodeObs {
 	}
 }
 
-// waitFence consults the commit fence and scores the overlap: a
-// validation that proceeded concurrently with the in-flight appliers
-// won the overlap, one whose footprint forced it to wait for the seal
-// lost it. Returns the time spent at the fence.
-func (n *Node) waitFence(keys []string) time.Duration {
+// waitFence consults the commit fence with a validation's footprints
+// and scores the overlap: a validation that proceeded concurrently with
+// the in-flight appliers won the overlap, one whose footprint forced it
+// to wait for the seal lost it. Returns the time spent at the fence.
+func (n *Node) waitFence(fps []txn.Footprint) time.Duration {
 	t0 := time.Now()
-	inflight, blocked := n.fence.WaitKeysReport(keys)
+	inflight, blocked := n.fence.WaitKeysReport(fps)
 	d := time.Since(t0)
 	if inflight {
 		if blocked {

@@ -265,7 +265,7 @@ func (n *Node) ValidateTx(t *txn.Transaction) error {
 	if err := n.schemas.ValidateTx(t); err != nil {
 		return err
 	}
-	n.waitFence(parallel.BuildPlan([]*txn.Transaction{t}).TouchKeys())
+	n.waitFence([]txn.Footprint{t.Footprint()})
 	ctx := &txtype.Context{State: n.state.View(), Reserved: n.reserved}
 	return n.types.Validate(ctx, t)
 }
@@ -332,10 +332,10 @@ func (n *Node) CheckTxBatch(txs []consensus.Tx) map[string]error {
 	n.ob.sigTasks.Add(uint64(stats.Sig.Tasks))
 	n.ob.sigDedup.Add(uint64(stats.Sig.DedupHits))
 	n.ob.sigReused.Add(uint64(stats.Reused))
-	// The plan doubles as the fence key source, so the batch's
-	// footprints are derived once, not once per consumer.
+	// The fence reads the plan's footprints, so the batch's footprints
+	// are gathered once, not once per consumer.
 	plan := parallel.BuildPlan(batch)
-	n.waitFence(plan.TouchKeys())
+	n.waitFence(plan.Footprints)
 	// One snapshot for the whole batch: every worker's condition set
 	// reads the same sealed height (the one the fence wait just
 	// guaranteed covers the batch's footprints), so the verdict set is
@@ -383,7 +383,7 @@ func (n *Node) ValidateBlock(txs []consensus.Tx) []consensus.Tx {
 func (n *Node) ValidateBlockFresh(txs []consensus.Tx, fresh []bool) []consensus.Tx {
 	batch, freshBatch := asTransactionsFresh(txs, fresh)
 	plan := n.planFor(batch)
-	fenceD := n.waitFence(plan.TouchKeys())
+	fenceD := n.waitFence(plan.Footprints)
 	if n.ob.tracer != nil {
 		n.ob.tracer.ObserveEach(n.batchIDs(batch), obs.StageFenceWait, fenceD)
 	}
@@ -537,11 +537,11 @@ func (n *Node) CommitNext(batch []*txn.Transaction) (committed []*txn.Transactio
 // block order on the caller's thread (never from the background
 // goroutine), once, and reports the seal's outcome.
 func (n *Node) commit(h int64, batch []*txn.Transaction) (join func() ([]*txn.Transaction, map[string]error)) {
-	// One footprint sweep serves the whole commit: the plan (the one
-	// ValidateBlockFresh built, when this is the batch it validated)
-	// supplies the fence's write keys and the stage's conflict groups.
+	// One plan serves the whole commit — the one ValidateBlockFresh
+	// built, when this is the batch it validated: it supplies the
+	// fence's footprints and the stage's conflict groups.
 	plan := n.planFor(batch)
-	if waited := n.fence.Begin(h, plan.WriteKeys()); waited {
+	if waited := n.fence.Begin(h, plan.Footprints); waited {
 		n.ob.stackWaits.Inc()
 	}
 	n.ob.inflight.Set(int64(n.fence.InFlight()))

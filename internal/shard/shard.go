@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"smartchaindb/internal/consensus"
 	"smartchaindb/internal/ledger"
 	"smartchaindb/internal/mempool"
 	"smartchaindb/internal/obs"
@@ -114,13 +113,7 @@ func Open(cfg Config) (*Cluster, error) {
 		sh.pool = mempool.New(mempool.Config{
 			BatchSize: cfg.MempoolBatch,
 			Obs:       nodeCfg.Obs,
-			Check: func(txs []mempool.Tx) map[string]error {
-				batch := make([]consensus.Tx, len(txs))
-				for i, tx := range txs {
-					batch[i] = tx.(consensus.Tx)
-				}
-				return node.CheckTxBatch(batch)
-			},
+			Check:     node.CheckTxBatch,
 		})
 		c.shards[i] = sh
 	}

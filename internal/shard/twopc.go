@@ -98,7 +98,7 @@ func (c *Cluster) commitCross(t *txn.Transaction, r Route) error {
 			c.shards[id].pool.Release(keys, t.ID)
 		}
 	}
-	spends := t.SpendKeys()
+	spends := t.Footprint().Spends
 	for _, id := range r.Participants {
 		var keys []string
 		for i, s := range r.Inputs {

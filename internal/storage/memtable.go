@@ -233,8 +233,8 @@ func (q *gcQueue) take(horizon int64) []*MemCollection {
 // WAL and segments. Every key holds an immutable version chain stamped
 // with block heights, its head in a slot of the collection's table;
 // reads resolve a height against the table, the chains and the
-// iteration log with atomics only — no collection, shard, or order
-// lock exists on the read path. Writers serialize on one mutex.
+// iteration log with atomics only — no collection or order lock
+// exists on the read path. Writers serialize on one mutex.
 type MemCollection struct {
 	name  string
 	clock *verClock

@@ -106,7 +106,7 @@
 // immutable version chain (newest first) whose head sits in the key's
 // slot of the collection's table; reads at height h probe the table
 // and resolve the newest version with height <= h using atomics only —
-// the read path takes no collection, shard, or order lock. Writes
+// the read path takes no collection or order lock. Writes
 // outside a block are stamped with the current visible height and
 // become visible immediately (the standalone relaxation).
 //

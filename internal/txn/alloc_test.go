@@ -42,7 +42,7 @@ func TestCodecAllocationCeilings(t *testing.T) {
 		{"cold MarshalCanonical", 2, cold(func(t *txn.Transaction) { t.MarshalCanonical() })},
 		{"OutputRef.String", 1, func() { _ = tr.Inputs[3].Fulfills.String() }},
 		// One string per spent output, once: the warm-up call built them.
-		{"SpendKeys and a UTXO key", 0, func() { _ = tr.SpendKeys()[3][len(txn.SpendKeyPrefix):] }},
+		{"spend keys and a UTXO key", 0, func() { _ = tr.Footprint().Spends[3][len(txn.SpendKeyPrefix):] }},
 		{"SharedDoc", 0, func() { tr.SharedDoc() }},
 	} {
 		c.fn() // warm the encoder pool
@@ -50,6 +50,45 @@ func TestCodecAllocationCeilings(t *testing.T) {
 			t.Errorf("%s: %v allocations, ceiling %v", c.name, got, c.ceiling)
 		}
 	}
+}
+
+// TestFootprintAllocationCeiling: a transaction's footprint is derived
+// once however many times it is asked for — here by the warm-up call —
+// so a warm transaction's footprint costs nothing. The cold derivation
+// is the memo cell, the writes (spend keys included) and the reads,
+// and one string per spent output.
+func TestFootprintAllocationCeiling(t *testing.T) {
+	if txn.RaceEnabled || txn.TripwireEnabled {
+		t.Skip("allocation counts are meaningless under the race detector or the tripwire")
+	}
+	_, transfer4, create1k := workload.BenchmarkShapes()
+	for _, c := range []struct {
+		name string
+		tx   *txn.Transaction
+	}{{"transfer4", transfer4}, {"create1k", create1k}} {
+		c.tx.Footprint()
+		if got := testing.AllocsPerRun(200, func() { c.tx.Footprint() }); got != 0 {
+			t.Errorf("Footprint(%s): %v allocations on a warm transaction, want 0", c.name, got)
+		}
+	}
+	clones := make([]*txn.Transaction, 201)
+	for i := range clones {
+		clones[i] = transfer4.Clone()
+	}
+	if got := testing.AllocsPerRun(200, func() { clones[0].Footprint(); clones = clones[1:] }); got != 7 {
+		t.Errorf("cold Footprint(transfer4): %v allocations, want 7 (memo, writes, reads, four spend keys)", got)
+	}
+}
+
+// BenchmarkFootprint asks a warm transaction for its footprint, as
+// every stage after admission does.
+func BenchmarkFootprint(b *testing.B) {
+	benchShapes(b, func(b *testing.B, t *txn.Transaction) {
+		b.ReportAllocs()
+		for b.Loop() {
+			sinkFootprint = t.Footprint()
+		}
+	})
 }
 
 func benchShapes(b *testing.B, fn func(b *testing.B, t *txn.Transaction)) {
@@ -64,6 +103,8 @@ var (
 	sinkTx    *txn.Transaction
 	sinkBytes []byte
 	sinkStr   string
+
+	sinkFootprint txn.Footprint
 )
 
 func BenchmarkToDoc(b *testing.B) {
@@ -134,7 +175,7 @@ func BenchmarkOutputRefString(b *testing.B) {
 	b.Run("SpendKeySuffix", func(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
-			sinkStr = transfer4.SpendKeys()[3][len(txn.SpendKeyPrefix):]
+			sinkStr = transfer4.Footprint().Spends[3][len(txn.SpendKeyPrefix):]
 		}
 	})
 }

@@ -1,8 +1,8 @@
 // A signed transaction is a value. Its ID is the SHA3 of its signing
 // payload, validators check it against named conditions and never
 // change it, so everything derived from it — the signing payload, the
-// canonical encoding, the document (SharedDoc), the spend keys
-// (SpendKeys), the footprint (FootprintKeys) and the signature verdict
+// canonical encoding, the document (SharedDoc), the footprint
+// (Footprint: spend keys, writes and reads) and the signature verdict
 // — is a fact about that one value. Each is computed on first ask and
 // kept in the transaction's memo cell; every stage from admission to
 // the log reads the one copy, and concurrent validators in one process
@@ -28,12 +28,11 @@ import (
 // txMemo is a transaction's memo cell: its derived values, each empty
 // until published.
 type txMemo struct {
-	// signing and spends leave the ID out; canonical, doc and the
-	// footprint cover it.
+	// signing leaves the ID out; canonical, doc and the footprint
+	// cover it.
 	signing, canonical memoSlot[[]byte]
 	doc                memoSlot[map[string]any] // SharedDoc
-	spends             memoSlot[[]string]       // SpendKeys
-	footprint          memoSlot[footprint]      // FootprintKeys
+	footprint          memoSlot[Footprint]
 	// verified is a successful VerifyFulfillments, or a batch's that
 	// counted it (VerifyFulfillmentsBatch).
 	verified atomic.Bool
@@ -42,8 +41,6 @@ type txMemo struct {
 	// transaction counts it and sets verified.
 	early atomic.Pointer[SigStats]
 }
-
-type footprint struct{ writes, reads []string }
 
 // memoSlot is one derived value: empty until published, then fixed.
 type memoSlot[T any] struct {
@@ -128,45 +125,88 @@ func (t *Transaction) SharedDoc() map[string]any {
 }
 
 // SpendKeyPrefix starts the state key of a spent output in a
-// footprint (package parallel); the rest is the output's UTXO key,
-// OutputRef.String.
+// footprint; the rest is the output's UTXO key, OutputRef.String.
 const SpendKeyPrefix = "utxo:"
 
-// SpendKeys returns the state keys of the outputs the transaction
-// spends — SpendKeyPrefix + ref.String() for each of SpentRefs, in
-// that order — built once per transaction: conflict planning, the
-// mempool's spend claims and the commit all name a spent output by
-// this one string, and the UTXO key is its suffix. No two pending
-// transactions may hold the same spend key: exactly one of them can
-// ever commit. The slice is shared and read-only; nil when the
-// transaction spends nothing.
-func (t *Transaction) SpendKeys() []string {
-	if m := t.memo.Load(); m != nil {
-		if keys, ok := m.spends.load(); ok {
-			return keys
-		}
+// RefKeyPrefix starts the auction-state key of a referenced
+// transaction in a footprint: RefKeyPrefix + the referenced ID.
+const RefKeyPrefix = "ref:"
+
+// Footprint is a transaction's declarative read/write set over chain
+// state, derived from its document alone. Conflict planning (package
+// parallel), the mempool's spend claims, staleness sweep and packer,
+// and the commit fence all read this one value. Three key namespaces
+// share one space and cannot collide: a transaction is its bare ID (64
+// hex digits, no ':'), a spent output is SpendKeyPrefix + its UTXO key
+// ("utxo:<txid>:<index>"), the auction state of a referenced
+// transaction is RefKeyPrefix + its ID. Two footprints conflict when
+// one's Writes intersect the other's Writes or Reads.
+type Footprint struct {
+	// Spends are the spend keys of the outputs the transaction spends,
+	// in SpentRefs order: the exclusive claims. No two pending
+	// transactions may hold the same spend key — exactly one of them
+	// can ever commit — and the UTXO key is its suffix. Spends is the
+	// slice of Writes right after the ID, not a copy; nil when the
+	// transaction spends nothing.
+	Spends []string
+	// Writes are the state keys the transaction mutates at commit: its
+	// own ID, its spend keys, and the auction-state key of every entry
+	// of Refs.
+	Writes []string
+	// Reads are the state keys its condition set consults without
+	// mutating: the producer of every spent output, every referenced
+	// transaction, and the linked asset's creator; nil when there are
+	// none.
+	Reads []string
+}
+
+// Footprint returns the transaction's footprint, derived once per
+// transaction; its slices are shared and read-only. A transaction key
+// is the ID string the transaction already holds, so the footprint
+// costs two slices, one string per spent output and one per reference.
+func (t *Transaction) Footprint() Footprint {
+	m := t.cell()
+	if fp, ok := m.footprint.load(); ok {
+		return fp
 	}
-	n := 0
+	spends := 0
 	for _, in := range t.Inputs {
 		if in.Fulfills != nil {
-			n++
+			spends++
 		}
 	}
-	if n == 0 {
-		return nil
+	n := spends + len(t.Refs)
+	if t.Asset != nil && t.Asset.ID != "" {
+		n++
 	}
-	keys := make([]string, 0, n)
+	var fp Footprint
+	fp.Writes = make([]string, 0, 1+spends+len(t.Refs))
+	fp.Writes = append(fp.Writes, t.ID)
+	if n > 0 {
+		fp.Reads = make([]string, 0, n)
+	}
 	for _, in := range t.Inputs {
 		if ref := in.Fulfills; ref != nil {
-			keys = append(keys, SpendKeyPrefix+ref.TxID+":"+strconv.Itoa(ref.Index))
+			fp.Writes = append(fp.Writes, SpendKeyPrefix+ref.TxID+":"+strconv.Itoa(ref.Index))
+			fp.Reads = append(fp.Reads, ref.TxID)
 		}
 	}
-	return t.cell().spends.publish(keys)
+	if spends > 0 {
+		fp.Spends = fp.Writes[1 : 1+spends : 1+spends]
+	}
+	for _, id := range t.Refs {
+		fp.Writes = append(fp.Writes, RefKeyPrefix+id)
+		fp.Reads = append(fp.Reads, id)
+	}
+	if t.Asset != nil && t.Asset.ID != "" {
+		fp.Reads = append(fp.Reads, t.Asset.ID)
+	}
+	return m.footprint.publish(fp)
 }
 
 // SpentKey returns the UTXO key (OutputRef.String) of the output input
-// i spends, as the suffix of its spend key (SpendKeys): it builds no
-// string once the spend keys are. It is "" when input i spends
+// i spends, as the suffix of its spend key (Footprint.Spends): it
+// builds no string once the footprint is. It is "" when input i spends
 // nothing.
 func (t *Transaction) SpentKey(i int) string {
 	if t.Inputs[i].Fulfills == nil {
@@ -178,58 +218,7 @@ func (t *Transaction) SpentKey(i int) string {
 			j++
 		}
 	}
-	return t.SpendKeys()[j][len(SpendKeyPrefix):]
-}
-
-// RefKeyPrefix starts the auction-state key of a referenced
-// transaction in a footprint: RefKeyPrefix + the referenced ID.
-const RefKeyPrefix = "ref:"
-
-// FootprintKeys returns the transaction's declarative read/write set
-// over chain state, derived from the document alone (package parallel
-// groups by it, the mempool packs by it). Three key namespaces share
-// one space and cannot collide: a transaction is its bare ID (64 hex
-// digits, no ':'), a spent output is its SpendKeys entry
-// ("utxo:<txid>:<index>"), the auction state of a referenced
-// transaction is RefKeyPrefix + its ID.
-//
-// writes: the transaction's own ID, its spend keys, and the
-// auction-state key of every entry of Refs. reads: the producer of
-// every spent output, every referenced transaction, and the linked
-// asset's creator. Both are derived once per transaction, shared and
-// read-only; reads is nil when there are none. A transaction key is
-// the ID string the transaction already holds, so the footprint costs
-// two slices and one string per reference.
-func (t *Transaction) FootprintKeys() (writes, reads []string) {
-	m := t.cell()
-	if fp, ok := m.footprint.load(); ok {
-		return fp.writes, fp.reads
-	}
-	spends := t.SpendKeys()
-	writes = make([]string, 0, 1+len(spends)+len(t.Refs))
-	writes = append(writes, t.ID)
-	writes = append(writes, spends...)
-	n := len(spends) + len(t.Refs)
-	if t.Asset != nil && t.Asset.ID != "" {
-		n++
-	}
-	if n > 0 {
-		reads = make([]string, 0, n)
-	}
-	for _, in := range t.Inputs {
-		if ref := in.Fulfills; ref != nil {
-			reads = append(reads, ref.TxID)
-		}
-	}
-	for _, id := range t.Refs {
-		writes = append(writes, RefKeyPrefix+id)
-		reads = append(reads, id)
-	}
-	if t.Asset != nil && t.Asset.ID != "" {
-		reads = append(reads, t.Asset.ID)
-	}
-	fp := m.footprint.publish(footprint{writes: writes, reads: reads})
-	return fp.writes, fp.reads
+	return t.Footprint().Spends[j][len(SpendKeyPrefix):]
 }
 
 // sigVerified reports a memoized successful VerifyFulfillments.

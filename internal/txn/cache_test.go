@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -335,13 +336,13 @@ func TestMemoConcurrentReaders(t *testing.T) {
 				case 2:
 					docs[g] = tr.SharedDoc()
 				case 3:
-					if got := tr.SpendKeys(); len(got) != 2 || got[1] != "utxo:a1:1" {
+					if got := tr.Footprint().Spends; len(got) != 2 || got[1] != "utxo:a1:1" {
 						t.Errorf("spend keys diverged: %v", got)
 						return
 					}
 				case 4:
-					if w, r := tr.FootprintKeys(); len(w) != 3 || w[0] != tr.ID || w[2] != "utxo:a1:1" || len(r) != 3 {
-						t.Errorf("footprint diverged: %v %v", w, r)
+					if fp := tr.Footprint(); len(fp.Writes) != 3 || fp.Writes[0] != tr.ID || fp.Writes[2] != "utxo:a1:1" || len(fp.Reads) != 3 {
+						t.Errorf("footprint diverged: %v %v", fp.Writes, fp.Reads)
 						return
 					}
 				default:
@@ -379,7 +380,7 @@ func TestMemoConcurrentReaders(t *testing.T) {
 				<-start
 				got[g].doc = c.SharedDoc()
 				got[g].payload = c.SigningPayload()
-				got[g].writes, _ = c.FootprintKeys()
+				got[g].writes = c.Footprint().Writes
 			}()
 		}
 		close(start)
@@ -461,12 +462,14 @@ func TestSharedDocIsOneDocument(t *testing.T) {
 }
 
 // TestSpendKeysAreBuiltOnce: one key string per spent output, the same
-// strings on every call; they leave the ID out, so SetID keeps them
-// and Sign drops them. A transaction that spends nothing has none and
-// memoizes nothing.
+// strings on every call, a slice of the footprint's writes. The
+// footprint covers the ID, so SetID drops the spend keys with it and
+// the next ask builds equal ones; Sign drops them too. A transaction
+// that spends nothing has none.
 func TestSpendKeysAreBuiltOnce(t *testing.T) {
 	tr, kp := signedTransfer(t, 29)
-	keys := tr.SpendKeys()
+	fp := tr.Footprint()
+	keys := fp.Spends
 	refs := tr.SpentRefs()
 	if len(keys) != len(refs) {
 		t.Fatalf("%d spend keys for %d spent outputs", len(keys), len(refs))
@@ -476,27 +479,33 @@ func TestSpendKeysAreBuiltOnce(t *testing.T) {
 			t.Errorf("spend key %d = %q, want %q", i, keys[i], SpendKeyPrefix+ref.String())
 		}
 	}
+	if &keys[0] != &fp.Writes[1] || cap(keys) != len(keys) {
+		t.Fatal("the spend keys are not the writes after the ID")
+	}
+	if again := tr.Footprint().Spends; &again[0] != &keys[0] {
+		t.Fatal("the second ask built the spend keys again")
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = tr.Footprint().Spends }); n != 0 {
+		t.Errorf("warm spend keys allocate %v times", n)
+	}
 	doc := tr.SharedDoc() // something for SetID to drop
 	tr.SetID()
 	if sameMap(doc, tr.SharedDoc()) {
 		t.Fatal("SetID kept the document")
 	}
-	if again := tr.SpendKeys(); &again[0] != &keys[0] {
-		t.Fatal("SetID dropped the spend keys, which do not cover the ID")
-	}
-	if n := testing.AllocsPerRun(100, func() { tr.SpendKeys() }); n != 0 {
-		t.Errorf("a warm SpendKeys allocates %v times", n)
+	if again := tr.Footprint().Spends; &again[0] == &keys[0] || !slices.Equal(again, keys) {
+		t.Fatalf("after SetID: %v (the old slice reads %v), want equal keys built again", again, keys)
 	}
 	tr.Inputs[0].Fulfills.Index = 7
 	if err := Sign(tr, kp); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.SpendKeys(); got[0] != "utxo:a1:7" || keys[0] != "utxo:a1:0" {
+	if got := tr.Footprint().Spends; got[0] != "utxo:a1:7" || keys[0] != "utxo:a1:0" {
 		t.Fatalf("after Sign: %v (the old slice reads %v)", got, keys)
 	}
 	create := NewCreate("pk", nil, 1, nil)
-	if create.SpendKeys() != nil || create.memo.Load() != nil {
-		t.Fatal("a transaction that spends nothing has spend keys or a memo")
+	if create.Footprint().Spends != nil {
+		t.Fatal("a transaction that spends nothing has spend keys")
 	}
 }
 
@@ -508,7 +517,7 @@ func TestSpentKeyIsTheSpendKeysSuffix(t *testing.T) {
 	signed, _ := signedTransfer(t, 31)
 	tr := signed.Clone()
 	tr.Inputs = append([]*Input{{OwnersBefore: []string{"pk"}}}, tr.Inputs...)
-	spends := tr.SpendKeys()
+	spends := tr.Footprint().Spends
 	if tr.SpentKey(0) != "" {
 		t.Fatalf("SpentKey(0) = %q for an input that spends nothing", tr.SpentKey(0))
 	}
@@ -525,7 +534,7 @@ func TestSpentKeyIsTheSpendKeysSuffix(t *testing.T) {
 
 // TestFootprintKeysShareTheTransactionsStrings: the footprint's
 // transaction keys are the ID strings the transaction holds and its
-// spend keys are SpendKeys' own strings, so the memo retains slices,
+// spend keys are the ones Spends lists, so the memo retains slices,
 // not new strings; only an auction-state key is built. It covers the
 // ID, so SetID drops it.
 func TestFootprintKeysShareTheTransactionsStrings(t *testing.T) {
@@ -533,22 +542,22 @@ func TestFootprintKeysShareTheTransactionsStrings(t *testing.T) {
 	tr := signed.Clone() // cold, so it may still be edited
 	tr.Refs = []string{"rfq"}
 	same := func(a, b string) bool { return unsafe.StringData(a) == unsafe.StringData(b) }
-	w, r := tr.FootprintKeys()
-	spends := tr.SpendKeys()
+	fp := tr.Footprint()
+	w, r, spends := fp.Writes, fp.Reads, fp.Spends
 	if len(w) != 4 || !same(w[0], tr.ID) || !same(w[1], spends[0]) || !same(w[2], spends[1]) || w[3] != RefKeyPrefix+"rfq" {
 		t.Fatalf("writes %v: not the transaction's own strings", w)
 	}
 	if len(r) != 4 || !same(r[0], tr.Inputs[0].Fulfills.TxID) || !same(r[2], tr.Refs[0]) {
 		t.Fatalf("reads %v: not the transaction's own strings", r)
 	}
-	if w2, _ := tr.FootprintKeys(); &w2[0] != &w[0] {
-		t.Fatal("the second FootprintKeys derived the footprint again")
+	if w2 := tr.Footprint().Writes; &w2[0] != &w[0] {
+		t.Fatal("the second Footprint derived the footprint again")
 	}
 	u := signed.Clone()
 	u.ID = "unstamped"
-	u.FootprintKeys()
+	u.Footprint()
 	u.SetID()
-	if w, _ := u.FootprintKeys(); w[0] != u.ID || u.ID == "unstamped" {
+	if w := u.Footprint().Writes; w[0] != u.ID || u.ID == "unstamped" {
 		t.Fatalf("after SetID the footprint writes %q, the transaction is %q", w[0], u.ID)
 	}
 }

@@ -51,7 +51,7 @@ func (t *Transaction) ComputeID() string {
 // SetID stamps the computed identifier onto the transaction and drops
 // the derived values that cover the ID — the canonical encoding, the
 // document, the footprint and the signature verdict; the signing
-// payload and the spend keys, which leave it out, stay. Like Sign, it
+// payload, which leaves it out, stays. Like Sign, it
 // runs before the transaction is shared.
 func (t *Transaction) SetID() {
 	t.ID = t.ComputeID()
