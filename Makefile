@@ -179,7 +179,7 @@ fuzz:
 # the stack: one allocation each, the result
 # (TestBase58DecodeAllocations).
 bench-alloc:
-	$(GO) test ./internal/txn ./internal/parallel ./internal/mempool ./internal/ledger ./internal/storage ./internal/docstore ./internal/schema ./internal/validate ./internal/query ./internal/keys -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|VerifyFulfillmentsBatch|MarshalCanonicalCold|OutputRefString|Footprint|GroupFootprints|AdmitBatch|StateView|InsertDoc|MarkSpent|SpendFanIn|StageBlock|CommitTransferChain|EncodableDoc|GroupCommit|Fold|MemPut|MemGetAt|MemScanAt|IndexInsert|PlanLockedBids|SchemaValidate|TransferConditions|AuctionConditions|AssetProvenance|Base58Decode'
+	$(GO) test ./internal/txn ./internal/parallel ./internal/mempool ./internal/ledger ./internal/storage ./internal/docstore ./internal/schema ./internal/validate ./internal/query ./internal/keys -run '^$$' -benchmem -bench 'ToDoc|FromDoc|SigningPayloadCold|VerifyFulfillmentsBatch|MarshalCanonicalCold|OutputRefString|Footprint|GroupFootprints|AdmitBatch|PoolSteadyState|StateView|InsertDoc|MarkSpent|SpendFanIn|StageBlock|CommitTransferChain|EncodableDoc|GroupCommit|Fold|MemPut|MemGetAt|MemScanAt|IndexInsert|PlanLockedBids|SchemaValidate|TransferConditions|AuctionConditions|AssetProvenance|Base58Decode'
 	$(GO) test ./internal/ledger -run '^$$' -benchmem -bench SealOneTxBlock -benchtime 20000x
 	$(GO) test ./internal/nested -run '^$$' -benchmem -bench ChildCommitted -benchtime 5000x
 	$(GO) test ./internal/shard -run '^$$' -benchmem -bench 'CrossShardTransfer|LocalShardRound'

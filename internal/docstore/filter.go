@@ -27,17 +27,17 @@ func Lte(path string, v any) Filter { return field(path, opLte, normalize(v)) }
 // difference) costs O(1) per candidate document, not O(len(vs)).
 func In(path string, vs ...any) Filter {
 	norm := make([]any, len(vs))
-	set := make(map[string]struct{}, len(vs))
+	set := make(map[ordValue]struct{}, len(vs))
 	for i, v := range vs {
 		norm[i] = normalize(v)
 		if set != nil {
 			if f, isF := norm[i].(float64); isF && f != f {
-				// NaN equals nothing under valuesEqual (and indexKey
-				// would happily render it); leaving it out of the set
-				// is exact.
+				// NaN equals nothing under valuesEqual (and ordValueOf
+				// would happily file it); leaving it out of the set is
+				// exact.
 				continue
 			}
-			if k, ok := indexKey(norm[i]); ok {
+			if k, ok := ordValueOf(norm[i]); ok {
 				set[k] = struct{}{}
 			} else {
 				set = nil // non-scalar member: fall back to the linear scan
@@ -89,9 +89,9 @@ type fieldFilter struct {
 	arg   any
 	list  []any
 	// inSet is the hash form of an all-scalar In list (nil otherwise):
-	// membership keyed by indexKey, which equates values exactly like
+	// membership keyed by ordValueOf, which equates values exactly like
 	// valuesEqual does for scalars.
-	inSet map[string]struct{}
+	inSet map[ordValue]struct{}
 }
 
 func field(path string, op fieldOp, arg any) *fieldFilter {
@@ -135,7 +135,7 @@ func (f *fieldFilter) matchOne(v any) bool {
 		if f.inSet != nil {
 			// A non-scalar document value can never equal a scalar
 			// list member, so missing the key map is a definitive no.
-			if k, ok := indexKey(v); ok {
+			if k, ok := ordValueOf(v); ok {
 				_, hit := f.inSet[k]
 				return hit
 			}
@@ -178,7 +178,7 @@ type notFilter struct{ f Filter }
 func (n notFilter) Matches(doc map[string]any) bool { return !n.f.Matches(doc) }
 
 // normalize converts ints to float64 so filters compare like JSON,
-// and folds negative zero into +0 so hash keys (indexKey) equate
+// and folds negative zero into +0 so index keys (ordValueOf) equate
 // values exactly like float equality does.
 func normalize(v any) any {
 	switch x := v.(type) {

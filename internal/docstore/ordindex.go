@@ -32,10 +32,9 @@ import (
 // nil < bool < number < string.
 type orderedIndex struct {
 	indexCore
-	head  *ordNode            // sentinel; head.next[0] is the first value
-	tail  *ordNode            // last value node, head when empty
-	byKey map[string]*ordNode // indexKey(value) -> node, for point lookups
-	rng   uint64              // deterministic xorshift state for levels
+	head *ordNode // sentinel; head.next[0] is the first value
+	tail *ordNode // last value node, head when empty
+	rng  uint64   // deterministic xorshift state for levels
 	// multikey is set, for good, once any document the index holds
 	// reaches more than one value at the path (MongoDB's rule). Until
 	// then every document has at most one value there, so an And of
@@ -47,22 +46,26 @@ type orderedIndex struct {
 
 const ordMaxLevel = 16
 
-// ordNode is one distinct indexed value and its postings (idxEntry).
-// prev links level 0 backwards so descending iteration streams like
-// ascending. An unlinked node keeps its own next/prev pointers, so a
-// cursor parked on it can still step off into the live list.
+// ordNode is one distinct indexed value and its postings (idxEntry,
+// which holds the value). prev links level 0 backwards so descending
+// iteration streams like ascending. An unlinked node keeps its own
+// next/prev pointers, so a cursor parked on it can still step off into
+// the live list.
 type ordNode struct {
 	idxEntry
-	val  ordValue
 	next []*ordNode
 	prev *ordNode
 }
 
-// ordValue is a scalar rendered into the index's total order.
+// ordValue is an indexable scalar: its place in the index order and
+// the key both index kinds file its postings under. Two scalars are
+// the same index value exactly when their ordValues are ==. bits is a
+// number's float64 bits, every NaN folded into nanBits; nil, the two
+// booleans and strings are the NaN patterns nilBits..stringBits, which
+// no number carries, and a string's text is str.
 type ordValue struct {
-	class uint8 // 0 nil, 1 bool, 2 number, 3 string
-	num   float64
-	str   string
+	str  string
+	bits uint64
 }
 
 const (
@@ -72,44 +75,102 @@ const (
 	ordClassString = 3
 )
 
-// ordValueOf renders a scalar into the index order; non-scalars
-// (maps, arrays — arrays fan out before this point) are not indexable.
+// nanBits is the one pattern every NaN is filed under; the others are
+// signalling-NaN patterns no number is filed under.
+const (
+	nanBits    uint64 = 0x7ff8_0000_0000_0001
+	nilBits    uint64 = 0x7ff0_0000_0000_0001
+	falseBits  uint64 = 0x7ff0_0000_0000_0002
+	trueBits   uint64 = 0x7ff0_0000_0000_0003
+	stringBits uint64 = 0x7ff0_0000_0000_0004
+)
+
+func numValue(x float64) ordValue {
+	if x != x {
+		return ordValue{bits: nanBits}
+	}
+	return ordValue{bits: math.Float64bits(x)}
+}
+
+func strValue(x string) ordValue { return ordValue{str: x, bits: stringBits} }
+
+// ordValueOf files a scalar into the index order; non-scalars (maps,
+// arrays — arrays fan out before this point) are not indexable.
 func ordValueOf(v any) (ordValue, bool) {
 	switch x := normalize(v).(type) {
 	case nil:
-		return ordValue{class: ordClassNil}, true
+		return ordValue{bits: nilBits}, true
 	case bool:
-		n := 0.0
 		if x {
-			n = 1
+			return ordValue{bits: trueBits}, true
 		}
-		return ordValue{class: ordClassBool, num: n}, true
+		return ordValue{bits: falseBits}, true
 	case float64:
-		return ordValue{class: ordClassNumber, num: x}, true
+		return numValue(x), true
 	case string:
-		return ordValue{class: ordClassString, str: x}, true
+		return strValue(x), true
 	}
 	return ordValue{}, false
 }
 
-func (a ordValue) compare(b ordValue) int {
-	if a.class != b.class {
-		return int(a.class) - int(b.class)
+// class is the value's comparison class: 0 nil, 1 bool, 2 number, 3
+// string.
+func (a ordValue) class() uint8 {
+	switch a.bits {
+	case nilBits:
+		return ordClassNil
+	case falseBits, trueBits:
+		return ordClassBool
+	case stringBits:
+		return ordClassString
 	}
-	switch a.class {
+	return ordClassNumber
+}
+
+func (a ordValue) num() float64 { return math.Float64frombits(a.bits) }
+
+func (a ordValue) compare(b ordValue) int {
+	ca, cb := a.class(), b.class()
+	if ca != cb {
+		return int(ca) - int(cb)
+	}
+	switch ca {
 	case ordClassString:
 		return strings.Compare(a.str, b.str)
-	case ordClassNil:
-		return 0
-	default:
-		switch {
-		case a.num < b.num:
+	case ordClassNumber:
+		switch x, y := a.num(), b.num(); {
+		case x < y:
 			return -1
-		case a.num > b.num:
+		case x > y:
 			return 1
 		}
 		return 0
 	}
+	// nil equals nil; false (falseBits) sorts before true (trueBits).
+	return int(a.bits - b.bits)
+}
+
+// order is the skip list's order: compare, with its ties between
+// different values broken so that every value has one place and a
+// point lookup can find it by walking the list. compare ties -0 with 0,
+// and a NaN with every number; order puts -0 just before 0 and a NaN
+// after every other number. A range walk seeks its bound by compare,
+// over a list order keeps non-decreasing by compare too, so it still
+// starts at the first value compare does not put below the bound and
+// meets a NaN, if at all, only after every other number.
+func (a ordValue) order(b ordValue) int {
+	if c := a.compare(b); c != 0 || a == b {
+		return c
+	}
+	switch {
+	case a.bits == nanBits:
+		return 1
+	case b.bits == nanBits:
+		return -1
+	case math.Signbit(a.num()):
+		return -1
+	}
+	return 1
 }
 
 // classFloor is the smallest ordValue of a class — the range-scan
@@ -117,11 +178,13 @@ func (a ordValue) compare(b ordValue) int {
 func classFloor(class uint8) ordValue {
 	switch class {
 	case ordClassNumber:
-		return ordValue{class: ordClassNumber, num: math.Inf(-1)}
+		return numValue(math.Inf(-1))
 	case ordClassString:
-		return ordValue{class: ordClassString, str: ""}
+		return strValue("")
+	case ordClassBool:
+		return ordValue{bits: falseBits}
 	}
-	return ordValue{class: class}
+	return ordValue{bits: nilBits}
 }
 
 func newOrderedIndex(path string, where Where) *orderedIndex {
@@ -130,7 +193,6 @@ func newOrderedIndex(path string, where Where) *orderedIndex {
 		indexCore: indexCore{path: splitPath(path), where: predicate(where)},
 		head:      head,
 		tail:      head,
-		byKey:     make(map[string]*ordNode),
 		rng:       0x9e3779b97f4a7c15, // fixed seed: levels are reproducible
 	}
 }
@@ -149,18 +211,32 @@ func (ix *orderedIndex) randLevel() int {
 	return lvl
 }
 
-// preds fills the per-level predecessors of the first node >= v.
+// preds fills the per-level predecessors of v's place.
 func (ix *orderedIndex) preds(v ordValue, out *[ordMaxLevel]*ordNode) {
 	n := ix.head
 	for lvl := ordMaxLevel - 1; lvl >= 0; lvl-- {
-		for n.next[lvl] != nil && n.next[lvl].val.compare(v) < 0 {
+		for n.next[lvl] != nil && n.next[lvl].val.order(v) < 0 {
 			n = n.next[lvl]
 		}
 		out[lvl] = n
 	}
 }
 
-// seekGE returns the first node whose value is >= v.
+// find returns the node of the value v, or nil.
+func (ix *orderedIndex) find(v ordValue) *ordNode {
+	n := ix.head
+	for lvl := ordMaxLevel - 1; lvl >= 0; lvl-- {
+		for n.next[lvl] != nil && n.next[lvl].val.order(v) < 0 {
+			n = n.next[lvl]
+		}
+	}
+	if n = n.next[0]; n != nil && n.val == v {
+		return n
+	}
+	return nil
+}
+
+// seekGE returns the first node whose value is >= v by compare.
 func (ix *orderedIndex) seekGE(v ordValue) *ordNode {
 	n := ix.head
 	for lvl := ordMaxLevel - 1; lvl >= 0; lvl-- {
@@ -182,31 +258,30 @@ func (ix *orderedIndex) add(docKey string, doc map[string]any, h int64) {
 	defer ix.mu.Unlock()
 	values := 0
 	ix.path.scalars(doc, func(v any) {
-		k, ok := indexKey(v)
+		k, ok := ordValueOf(v)
 		if !ok {
 			return
 		}
 		values++
-		n := ix.byKey[k]
+		n := ix.find(k)
 		if n == nil {
-			n = ix.link(k, v)
+			n = ix.link(k)
 		}
-		n.open(docKey, h)
+		n.open(docKey, h, ix.floor)
 	})
 	if values > 1 {
 		ix.multikey.Store(true)
 	}
 }
 
-// link inserts an empty node for the indexable scalar v (whose
-// indexKey is k) into the skip list. Caller holds ix.mu.
-func (ix *orderedIndex) link(k string, v any) *ordNode {
-	ov, _ := ordValueOf(v)
+// link inserts an empty node for the value k into the skip list.
+// Caller holds ix.mu.
+func (ix *orderedIndex) link(k ordValue) *ordNode {
 	var pred [ordMaxLevel]*ordNode
-	ix.preds(ov, &pred)
+	ix.preds(k, &pred)
 	n := &ordNode{
-		val:  ov,
-		next: make([]*ordNode, ix.randLevel()),
+		idxEntry: idxEntry{val: k},
+		next:     make([]*ordNode, ix.randLevel()),
 	}
 	for lvl := range n.next {
 		n.next[lvl] = pred[lvl].next[lvl]
@@ -218,7 +293,6 @@ func (ix *orderedIndex) link(k string, v any) *ordNode {
 	} else {
 		ix.tail = n
 	}
-	ix.byKey[k] = n
 	return n
 }
 
@@ -229,37 +303,29 @@ func (ix *orderedIndex) remove(docKey string, doc map[string]any, h int64) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
 	ix.path.scalars(doc, func(v any) {
-		k, ok := indexKey(v)
+		k, ok := ordValueOf(v)
 		if !ok {
 			return
 		}
-		n := ix.byKey[k]
-		if n == nil || !n.close(docKey, h) {
-			return
-		}
-		ix.retire(&n.idxEntry, k, docKey, h)
-		if n.empty() {
-			ix.unlink(k, n)
+		if n := ix.find(k); n != nil && ix.end(&n.idxEntry, docKey, h) && n.empty() {
+			ix.unlink(n)
 		}
 	})
 }
 
 // sweepFloor unlinks the nodes the sweep leaves with no posting.
 func (ix *orderedIndex) sweepFloor(floor int64) int {
-	return ix.sweepDue(floor,
-		func(k string) *idxEntry {
-			if n := ix.byKey[k]; n != nil {
-				return &n.idxEntry
-			}
-			return nil
-		},
-		func(k string) { ix.unlink(k, ix.byKey[k]) })
+	return ix.sweepDue(floor, func(e *idxEntry) {
+		if n := ix.find(e.val); n != nil && &n.idxEntry == e {
+			ix.unlink(n)
+		}
+	})
 }
 
-// unlink removes n (filed under indexKey k) from the skip list. n keeps
-// its own pointers so a parked cursor can still step forward/backward
-// off it. Caller holds ix.mu.
-func (ix *orderedIndex) unlink(k string, n *ordNode) {
+// unlink removes n from the skip list. n keeps its own pointers so a
+// parked cursor can still step forward/backward off it. Caller holds
+// ix.mu.
+func (ix *orderedIndex) unlink(n *ordNode) {
 	var pred [ordMaxLevel]*ordNode
 	ix.preds(n.val, &pred)
 	for lvl := 0; lvl < len(n.next); lvl++ {
@@ -272,15 +338,14 @@ func (ix *orderedIndex) unlink(k string, n *ordNode) {
 	} else if ix.tail == n {
 		ix.tail = n.prev
 	}
-	delete(ix.byKey, k)
 }
 
 // lookupEq answers an equality probe (Eq / Contains candidates) as of
 // height h.
-func (ix *orderedIndex) lookupEq(key string, h int64) []string {
+func (ix *orderedIndex) lookupEq(key ordValue, h int64) []string {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if n := ix.byKey[key]; n != nil {
+	if n := ix.find(key); n != nil {
 		return n.keysAt(h)
 	}
 	return nil
@@ -342,13 +407,13 @@ func (r ordRange) String() string {
 }
 
 func (v ordValue) render() string {
-	switch v.class {
+	switch v.class() {
 	case ordClassString:
 		return fmt.Sprintf("%q", v.str)
 	case ordClassNumber:
-		return fmt.Sprintf("%g", v.num)
+		return fmt.Sprintf("%g", v.num())
 	case ordClassBool:
-		return fmt.Sprintf("%t", v.num != 0)
+		return fmt.Sprintf("%t", v.bits == trueBits)
 	}
 	return "null"
 }
@@ -366,7 +431,7 @@ func (ix *orderedIndex) lookupRange(r ordRange, h int64) []string {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	var out []string
-	for n := ix.seekGE(start); n != nil && n.val.class == r.class; n = n.next[0] {
+	for n := ix.seekGE(start); n != nil && n.val.class() == r.class; n = n.next[0] {
 		if r.hasHi {
 			cmp := n.val.compare(r.hi)
 			if cmp > 0 || (cmp == 0 && r.hiStrict) {

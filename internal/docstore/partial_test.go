@@ -55,7 +55,7 @@ func TestPartialIndexFollowsItsPredicate(t *testing.T) {
 			h    int64
 			want []string
 		}{{1, []string{"u1"}}, {2, nil}, {3, []string{"u1"}}, {storage.HeightLatest, []string{"u1"}}} {
-			if got := owner.lookupEq("s:a", at.h); !slices.Equal(got, at.want) {
+			if got := owner.lookupEq(strValue("a"), at.h); !slices.Equal(got, at.want) {
 				t.Errorf("owner index at height %d holds %v, want %v", at.h, got, at.want)
 			}
 			if got, scan := c.keysAt(at.h, mine), c.scanKeysAt(at.h, mine); !slices.Equal(got, scan) || !slices.Equal(got, at.want) {
@@ -80,7 +80,7 @@ func TestPartialIndexFollowsItsPredicate(t *testing.T) {
 		block(4, func() {
 			queued := core(amount).closed.len()
 			set("u2", "amount", 7.0)
-			if got := amount.lookupEq("f:7", storage.HeightLatest); len(got) != 0 || core(amount).closed.len() != queued {
+			if got := amount.lookupEq(numValue(7), storage.HeightLatest); len(got) != 0 || core(amount).closed.len() != queued {
 				t.Errorf("re-pricing a spent output touched the unspent-amount index: it holds %v, %d spans queued (was %d)", got, core(amount).closed.len(), queued)
 			}
 		})

@@ -89,7 +89,7 @@ type Access struct {
 	Reason string // AccessFullScan: why the planner gave up
 
 	ix   secondaryIndex // point / range: the driving index
-	keys []string       // point: the index keys probed
+	keys []ordValue     // point: the values probed
 	r    ordRange       // range: the band walked on ix, an *orderedIndex
 }
 
@@ -233,9 +233,9 @@ func (p planner) serve(c *fieldFilter) (*Access, string) {
 		return nil, why
 	}
 	point := func(detail string, args ...any) (*Access, string) {
-		keys := make([]string, len(args))
+		keys := make([]ordValue, len(args))
 		for i, arg := range args {
-			k, ok := indexKey(arg)
+			k, ok := ordValueOf(arg)
 			if !ok {
 				return nil, fmt.Sprintf("non-scalar %s argument on %q", c.op.name(), c.path)
 			}
@@ -264,13 +264,13 @@ func (p planner) serve(c *fieldFilter) (*Access, string) {
 // path c alone bounds the walk.
 func (p planner) band(ord *orderedIndex, c *fieldFilter) *Access {
 	ov, _ := ordValueOf(c.arg)
-	r := ordRange{class: ov.class}
+	r := ordRange{class: ov.class()}
 	r.narrow(c.op, ov)
 	never := false
 	if !ord.multikey.Load() {
 		firstConjunct(p.root, func(s *fieldFilter) bool {
 			if s.path == c.path && s.op.comparison() {
-				if sv, _ := ordValueOf(s.arg); sv.class != r.class {
+				if sv, _ := ordValueOf(s.arg); sv.class() != r.class {
 					never = true
 				} else {
 					r.narrow(s.op, sv)

@@ -50,9 +50,11 @@ func (c *Collection) updateCopying(key string, fn func(doc map[string]any) error
 	return nil
 }
 
-// indexKeyFmt is indexKey as it was written with fmt — the reference
-// the strconv form is held to byte for byte
-// (TestIndexKeyMatchesFmtReference): index contents must not change.
+// indexKeyFmt is the string the indexes filed a value under before they
+// keyed postings by the value itself (ordValueOf), as it was first
+// written, with fmt. It is the reference the typed keys are held to
+// (TestIndexKeyMatchesFmtReference, and refIndex, which files values
+// under it): index contents must not change.
 func indexKeyFmt(v any) (string, bool) {
 	switch x := normalize(v).(type) {
 	case nil:
@@ -67,10 +69,17 @@ func indexKeyFmt(v any) (string, bool) {
 	return "", false
 }
 
+// TestIndexKeyMatchesFmtReference: over a corpus of scalars and
+// non-scalars, two values get the same typed key exactly when they got
+// the same rendered key, and a value is indexable under one exactly
+// when it was under the other.
 func TestIndexKeyMatchesFmtReference(t *testing.T) {
 	vals := []any{
-		nil, true, false, "", "s", "f:1",
-		0, -1, int32(7), int64(1) << 62, uint64(math.MaxUint64), float32(0.1),
+		nil, true, false, "", "s", "f:1", "s:", "n:", "b:true", "true", "1", "NaN",
+		0, -1, 1, int32(7), int64(1) << 62, uint64(math.MaxUint64), float32(0.1),
+		float32(math.Copysign(0, -1)), float32(1), int64(1)<<53 + 1, int64(1)<<53 + 2, uint64(1)<<63 + 1,
+		-(int64(1)<<53 + 1), int64(math.MaxInt64), int64(math.MinInt64), math.Float64frombits(0x7ff0_0000_0000_0001),
+		math.Float64frombits(0x7ff8_0000_0000_0002), math.Float64frombits(0xfff8_0000_0000_0000),
 		0.0, math.Copysign(0, -1), 1.0, -1.0, 0.1, 1e20, 1e21, 1e-7, 123456789.0, 1 << 53, 1<<53 + 2,
 		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 2.2250738585072014e-308, 2.225073858507201e-308,
 		math.MaxFloat64, -math.MaxFloat64, math.MaxFloat32, math.Inf(1), math.Inf(-1), math.NaN(),
@@ -89,15 +98,32 @@ func TestIndexKeyMatchesFmtReference(t *testing.T) {
 			vals = append(vals, math.Float64frombits(r.Uint64()&(1<<52-1)))
 		}
 	}
+	typed := map[string]ordValue{} // rendered key -> the typed key of the first value that had it
+	rendered := map[ordValue]string{}
 	for _, v := range vals {
-		got, gok := indexKey(v)
+		got, gok := ordValueOf(v)
 		want, wok := indexKeyFmt(v)
-		if got != want || gok != wok {
-			t.Fatalf("indexKey(%#v) = %q, %v; the fmt reference gives %q, %v", v, got, gok, want, wok)
+		if gok != wok {
+			t.Fatalf("ordValueOf(%#v) indexable %v; the fmt reference says %v", v, gok, wok)
 		}
+		if !gok {
+			continue
+		}
+		if k, seen := typed[want]; seen && k != got {
+			t.Fatalf("%#v renders %q like an earlier value but keys as %#v, not %#v", v, want, got, k)
+		}
+		if r, seen := rendered[got]; seen && r != want {
+			t.Fatalf("%#v keys as %#v like an earlier value but renders %q, not %q", v, got, want, r)
+		}
+		typed[want], rendered[got] = got, want
 	}
-	if n := testing.AllocsPerRun(100, func() { indexKey(true); indexKey(nil) }); n != 0 {
-		t.Errorf("indexKey of a boolean or nil allocates %v times", n)
+	if n := testing.AllocsPerRun(100, func() {
+		ordValueOf(true)
+		ordValueOf(nil)
+		ordValueOf(1.5)
+		ordValueOf("s")
+	}); n != 0 {
+		t.Errorf("ordValueOf of a scalar allocates %v times", n)
 	}
 }
 

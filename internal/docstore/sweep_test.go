@@ -128,7 +128,7 @@ func TestSweepIndexesStableFloorKeepsSpans(t *testing.T) {
 		t.Fatalf("%d queued, %d closed spans after sweep under a wide window, want 1 and 1 (retained for snapshots)", q, dead)
 	}
 	// The historical read the retained span serves still works.
-	if keys := hash.lookupEq("s:x", 1); len(keys) != 1 || keys[0] != "a" {
+	if keys := hash.lookupEq(strValue("x"), 1); len(keys) != 1 || keys[0] != "a" {
 		t.Fatalf("lookupEq at h=1 = %v, want [a]", keys)
 	}
 }
@@ -423,9 +423,9 @@ func runSweepDifferential(t *testing.T, s *Store, retain int64) {
 		}
 	}
 	// A closed span outlives its block only in a window wider than one.
-	if !seen.inline || !seen.mapped || !seen.collapsed || (retain > 1 && !seen.older) || !refilled {
-		t.Errorf("the stream missed a posting layout: inline %v, map %v, back to inline %v, older span %v, refill %v",
-			seen.inline, seen.mapped, seen.collapsed, seen.older, refilled)
+	if !seen.inline || !seen.run || !seen.compacted || !seen.refilled || (retain > 1 && !seen.older) || !refilled {
+		t.Errorf("the stream missed a posting layout: inline %v, run %v, compacted run %v, vacated and refilled slot %v, older span %v, refill %v",
+			seen.inline, seen.run, seen.compacted, seen.refilled, seen.older, refilled)
 	}
 }
 
@@ -479,9 +479,10 @@ func compareIndexes(t *testing.T, c *Collection, p diffPath, ref *refIndex, floo
 	}
 
 	for _, v := range p.domain {
-		k, _ := indexKey(v)
+		k, _ := ordValueOf(v)
+		rk, _ := indexKeyFmt(v)
 		for _, h := range heights {
-			if g, w := sorted(got.lookupEq(k, h)), sorted(ref.lookupEq(k, h)); !reflect.DeepEqual(g, w) {
+			if g, w := sorted(got.lookupEq(k, h)), sorted(ref.lookupEq(rk, h)); !reflect.DeepEqual(g, w) {
 				t.Errorf("%s: lookupEq(%v, %d) = %v, reference %v", p.path, v, h, g, w)
 			}
 		}
@@ -493,10 +494,9 @@ func compareIndexes(t *testing.T, c *Collection, p diffPath, ref *refIndex, floo
 	}
 	for _, rng := range []ordRange{
 		{class: ordClassNumber},
-		{class: ordClassNumber, hasLo: true, lo: ordValue{class: ordClassNumber, num: 2}},
-		{class: ordClassNumber, hasLo: true, lo: ordValue{class: ordClassNumber, num: 1},
-			hasHi: true, hi: ordValue{class: ordClassNumber, num: 4}},
-		{class: ordClassNumber, hasHi: true, hi: ordValue{class: ordClassNumber, num: 3}, hiStrict: true},
+		{class: ordClassNumber, hasLo: true, lo: numValue(2)},
+		{class: ordClassNumber, hasLo: true, lo: numValue(1), hasHi: true, hi: numValue(4)},
+		{class: ordClassNumber, hasHi: true, hi: numValue(3), hiStrict: true},
 	} {
 		for _, h := range heights {
 			if g, w := sorted(gotOrd.lookupRange(rng, h)), sorted(ref.lookupRange(rng, h)); !reflect.DeepEqual(g, w) {
@@ -630,4 +630,44 @@ func TestUpdateIndexWorkFollowsChangedPaths(t *testing.T) {
 		t.Errorf("re-indexing a mark-spent over indexes it does not move: %v allocations, want 0", none)
 	}
 	t.Logf("mark-spent index upkeep: %v allocations", one)
+}
+
+// TestCloseCostIsFlatInRunLength: ending one posting of a value many
+// documents share, and sweeping it once the floor passes, examines as
+// many postings under a value holding 64 k documents as under one
+// holding 1 k, on both index kinds. The documents arrive 32 to a
+// block, as a chain's do. A long run finds a posting through its
+// position table, built once on the run's first close and paid for by
+// the appends that made the run, so the close measured is the second.
+func TestCloseCostIsFlatInRunLength(t *testing.T) {
+	for _, kind := range []struct {
+		name string
+		new  func() secondaryIndex
+	}{
+		{"hash", func() secondaryIndex { return newHashIndex("v", Where{}) }},
+		{"ordered", func() secondaryIndex { return newOrderedIndex("v", Where{}) }},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			type cost struct{ close, sweep int }
+			measure := func(docs int) cost {
+				ix, doc := kind.new(), map[string]any{"v": "shared"}
+				for i := 0; i < docs; i++ {
+					ix.add(fmt.Sprintf("k%06d", i), doc, int64(i/32+1))
+				}
+				h := int64(docs/32 + 2)
+				ix.remove("k000000", doc, h) // the run's first close
+				before := core(ix).closeExamined
+				ix.remove(fmt.Sprintf("k%06d", docs/2), doc, h)
+				c := cost{close: core(ix).closeExamined - before, sweep: ix.sweepFloor(h)}
+				if got := len(ix.lookupEq(strValue("shared"), storage.HeightLatest)); got != docs-2 {
+					t.Fatalf("%d documents: %d left under the value after two closes and a sweep, want %d", docs, got, docs-2)
+				}
+				return c
+			}
+			small, large := measure(1<<10), measure(64<<10)
+			if small != large {
+				t.Fatalf("closing and sweeping one posting examined %+v under a value of 1 k documents and %+v under one of 64 k", small, large)
+			}
+		})
+	}
 }

@@ -102,6 +102,11 @@ func blockKey(height int64) string { return fmt.Sprintf("%016d", height) }
 
 func utxoKey(ref txn.OutputRef) string { return ref.String() }
 
+// escrowKeySuffix ends the UTXO key of a transaction's output 0, a
+// BID's escrow output: utxoKey(txn.OutputRef{TxID: id}) is id +
+// escrowKeySuffix.
+const escrowKeySuffix = ":0"
+
 // spentUTXOKeys lists the UTXO keys of the outputs t spends, in
 // SpentRefs order. Each is the suffix of the spend key the transaction
 // already carries for that input, so naming them builds no string.

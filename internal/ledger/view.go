@@ -1,6 +1,8 @@
 package ledger
 
 import (
+	"strings"
+
 	"smartchaindb/internal/docstore"
 	"smartchaindb/internal/txn"
 )
@@ -117,19 +119,31 @@ func (v *StateView) Balance(pub, assetID string) uint64 {
 // chain state ever held. The lookup drives on the refs index, which
 // yields one REQUEST's BIDs, and checks the operation on each; written
 // the other way round it would walk every BID on the chain. Each BID's
-// id is read in place.
+// id is read in place, and the UTXO keys of their escrow outputs
+// (output 0) are cut from one string built for the whole list.
 func (v *StateView) LockedBidsForRFQ(rfqID string) []string {
 	docs := v.col(ColTransactions).BorrowFind(docstore.And(
 		docstore.Contains("refs", rfqID),
 		docstore.Eq("operation", txn.OpBid),
 	))
-	var out []string
+	ids, size := make([]string, 0, len(docs)), 0
 	for _, d := range docs {
-		id, err := txn.ReadStored(d).ID()
-		if err != nil {
-			continue
+		if id, err := txn.ReadStored(d).ID(); err == nil {
+			ids = append(ids, id)
+			size += len(id) + len(escrowKeySuffix)
 		}
-		if f, ok := v.Output(txn.OutputRef{TxID: id, Index: 0}); ok && f.SpentBy == "" {
+	}
+	var keys strings.Builder
+	keys.Grow(size)
+	for _, id := range ids {
+		keys.WriteString(id)
+		keys.WriteString(escrowKeySuffix)
+	}
+	rest, out := keys.String(), ids[:0]
+	for _, id := range ids {
+		key := rest[:len(id)+len(escrowKeySuffix)]
+		rest = rest[len(key):]
+		if f, ok := v.OutputKeyed(txn.OutputRef{TxID: id, Index: 0}, key); ok && f.SpentBy == "" {
 			out = append(out, id)
 		}
 	}

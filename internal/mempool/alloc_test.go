@@ -61,3 +61,28 @@ func BenchmarkAdmitBatch(b *testing.B) {
 		sinkAdmit = New(Config{}).AdmitBatch(batch)
 	}
 }
+
+// BenchmarkPoolSteadyState takes the same 64-transaction marketplace
+// block through admission and then its commit sweep (RemoveCommitted)
+// on one long-lived pool, as a validator's pool sees block after
+// block: the pool's maps are grown once, so what is left is what a
+// block's stay in the pool allocates.
+func BenchmarkPoolSteadyState(b *testing.B) {
+	block := marketBatch(64)
+	batch := make([]Tx, len(block))
+	for i, tx := range block {
+		tx.Footprint()
+		batch[i] = tx
+	}
+	p := New(Config{})
+	b.ReportAllocs()
+	for b.Loop() {
+		if res := p.AdmitBatch(batch); len(res.Admitted) != len(batch) {
+			b.Fatalf("admitted %d of %d", len(res.Admitted), len(batch))
+		}
+		p.RemoveCommitted(batch)
+	}
+	if p.PendingCount() != 0 {
+		b.Fatalf("%d transactions left pending", p.PendingCount())
+	}
+}

@@ -29,6 +29,17 @@
 //     compaction becomes an index sweep — each committed spend key
 //     evicts its pending rival directly — instead of a full rescan.
 //
+//   - The staleness sweep reads a second index: every footprint key
+//     (writes and reads) of every pending transaction, to its holders.
+//     Each key a committed transaction writes marks its holders stale,
+//     so their admission verdicts are re-proved at block validation.
+//     Almost every key has one holder, which the index keeps in place;
+//     only a key with two or more gets an overflow list, and no key
+//     gets a set. A transaction holds a key once, however often its
+//     footprint names it (a fan-in reading one transaction's outputs
+//     reads its ID once per input). keyindex_test.go holds the index to
+//     the map-of-sets it replaced.
+//
 //   - Pack selects the next block. PackFIFO reproduces arrival order
 //     (the pre-mempool behaviour); PackMakespan groups the pending set
 //     into conflict groups through parallel.GroupFootprints — the

@@ -2,6 +2,7 @@ package mempool
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -114,8 +115,13 @@ type Pool struct {
 	// keyIndex maps every footprint key (reads and writes) of every
 	// live entry to its holders — the staleness sweep: when a block
 	// commits, each of its write keys marks the pending holders stale
-	// in O(holders), independent of pool size.
-	keyIndex map[string]map[*entry]struct{}
+	// in O(holders), independent of pool size. Almost every key has one
+	// holder, so keyIndex holds a key's first holder in place and
+	// keyMore the rest, only for a key with two or more: no key costs
+	// a set of its own. An entry holds a key once however often its
+	// footprint names it.
+	keyIndex map[string]*entry
+	keyMore  map[string][]*entry
 	// sweepEpoch counts RemoveCommitted sweeps. An admission batch
 	// records it before semantic validation; candidates inserted after
 	// the epoch moved enter stale — their verdict raced a commit whose
@@ -132,7 +138,8 @@ func New(cfg Config) *Pool {
 		ob:       newPoolObs(cfg.Obs),
 		byHash:   make(map[string]*entry),
 		claims:   make(map[string]string),
-		keyIndex: make(map[string]map[*entry]struct{}),
+		keyIndex: make(map[string]*entry),
+		keyMore:  make(map[string][]*entry),
 	}
 }
 
@@ -320,6 +327,9 @@ func (p *Pool) AdmitBatch(txs []Tx) AdmitResult {
 	}
 
 	if len(cands) > 0 {
+		// The batch's entries share one allocation: they arrive
+		// together and mostly leave together, when their block commits.
+		slab := make([]entry, len(cands))
 		p.mu.Lock()
 		for i, tx := range cands {
 			h, fp := tx.Hash(), fps[i]
@@ -345,7 +355,8 @@ func (p *Pool) AdmitBatch(txs []Tx) AdmitResult {
 			// A commit sweep that ran while this batch validated could
 			// not see these entries in the key index; treat the whole
 			// batch's verdicts as conservatively stale in that case.
-			e := &entry{tx: tx, fp: fp, stale: dep[i] || p.sweepEpoch != epoch}
+			e := &slab[i]
+			*e = entry{tx: tx, fp: fp, stale: dep[i] || p.sweepEpoch != epoch}
 			p.byHash[h] = e
 			p.order = append(p.order, e)
 			p.live++
@@ -489,8 +500,9 @@ func (p *Pool) RemoveCommitted(txs []Tx) {
 		// Staleness sweep: every pending holder of a key this commit
 		// wrote loses its cached verdict.
 		for _, key := range writes {
-			for holder := range p.keyIndex[key] {
-				if !holder.gone {
+			if holder, ok := p.keyIndex[key]; ok {
+				holder.stale = true
+				for _, holder := range p.keyMore[key] {
 					holder.stale = true
 				}
 			}
@@ -586,12 +598,17 @@ func (p *Pool) MarkValidated(txs []Tx, epoch uint64) {
 func (p *Pool) indexKeysLocked(e *entry) {
 	for _, keys := range [][]string{e.fp.Writes, e.fp.Reads} {
 		for _, key := range keys {
-			set, ok := p.keyIndex[key]
+			first, ok := p.keyIndex[key]
 			if !ok {
-				set = make(map[*entry]struct{})
-				p.keyIndex[key] = set
+				p.keyIndex[key] = e
+				continue
 			}
-			set[e] = struct{}{}
+			// The entry's keys go in one after another, so if it holds
+			// this one already it is the one it put in last.
+			more := p.keyMore[key]
+			if first != e && (len(more) == 0 || more[len(more)-1] != e) {
+				p.keyMore[key] = append(more, e)
+			}
 		}
 	}
 }
@@ -601,11 +618,23 @@ func (p *Pool) indexKeysLocked(e *entry) {
 func (p *Pool) unindexKeysLocked(e *entry) {
 	for _, keys := range [][]string{e.fp.Writes, e.fp.Reads} {
 		for _, key := range keys {
-			if set, ok := p.keyIndex[key]; ok {
-				delete(set, e)
-				if len(set) == 0 {
+			more := p.keyMore[key]
+			last := len(more) - 1
+			i := last // the overflow slot that empties
+			if p.keyIndex[key] == e {
+				if last < 0 {
 					delete(p.keyIndex, key)
+					continue
 				}
+				p.keyIndex[key] = more[last]
+			} else if i = slices.Index(more, e); i < 0 {
+				continue // a repeat of a key already let go
+			}
+			more[i], more[last] = more[last], nil
+			if last == 0 {
+				delete(p.keyMore, key)
+			} else {
+				p.keyMore[key] = more[:last]
 			}
 		}
 	}
