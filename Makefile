@@ -161,7 +161,9 @@ fuzz:
 # scratch, allocating only the groups it returns
 # (TestGroupFootprintsAllocationCeiling); AdmitBatch takes that block
 # through a fresh pool's screen, grouping and insert, with no semantic
-# check behind it.
+# check behind it; PoolSteadyState admits and sweeps it on one
+# long-lived pool, whose holder index reuses its emptied overflow lists
+# (TestPoolSteadyStateAllocationCeiling, run here too, fails above 40).
 # SchemaValidate/{transfer4,create1k,bid} is Algorithm 1 on the two
 # shapes and a generated BID: a valid document allocates nothing
 # (TestSchemaValidateAllocatesNothing pins it).
@@ -183,13 +185,14 @@ bench-alloc:
 	$(GO) test ./internal/ledger -run '^$$' -benchmem -bench SealOneTxBlock -benchtime 20000x
 	$(GO) test ./internal/nested -run '^$$' -benchmem -bench ChildCommitted -benchtime 5000x
 	$(GO) test ./internal/shard -run '^$$' -benchmem -bench 'CrossShardTransfer|LocalShardRound'
+	$(GO) test ./internal/mempool -count=1 -run 'TestPoolSteadyStateAllocationCeiling' -v
 
 # The tier-1 suites that touch chain state (ledger, server/cluster,
 # nested recovery, bench differential, query) re-run over the disk
 # backend — including the MVCC snapshot suites (storage version
 # chains, docstore snapshot isolation, ledger StateAt differentials)
 # and the sharding suite (per-shard WALs, cross-shard 2PC crash
-# convergence, directory rebuild across reopen). -count=1 forces a
+# convergence, routing from the recovered chains). -count=1 forces a
 # fresh run under the env switch.
 test-disk:
 	SCDB_BACKEND=disk $(GO) test -count=1 ./internal/ledger ./internal/server ./internal/consensus ./internal/nested ./internal/bench ./internal/query ./internal/docstore ./internal/obs ./internal/shard

@@ -271,6 +271,10 @@ func TestSnapshotReadersRaceBlockAppliers(t *testing.T) {
 
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
+		// Stop and join the readers however the test ends: a reader
+		// left running after a failure would go on reading into the
+		// next test.
+		t.Cleanup(func() { close(stop); wg.Wait() })
 		for r := 0; r < 4; r++ {
 			wg.Add(1)
 			go func() {
@@ -358,8 +362,6 @@ func TestSnapshotReadersRaceBlockAppliers(t *testing.T) {
 			}
 			bk.SealBlock(h)
 		}
-		close(stop)
-		wg.Wait()
 	})
 }
 
@@ -390,6 +392,10 @@ func TestSnapshotIndexReadsRaceSealAndSweep(t *testing.T) {
 
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
+		// Stop and join the readers however the test ends: a reader
+		// left running after a failure would go on reading into the
+		// next test.
+		t.Cleanup(func() { close(stop); wg.Wait() })
 		for r := 0; r < 4; r++ {
 			wg.Add(1)
 			go func() {
@@ -436,7 +442,5 @@ func TestSnapshotIndexReadsRaceSealAndSweep(t *testing.T) {
 				t.Fatalf("sweep after block %d examined %d span lists, want %d", h, n, 2*docs)
 			}
 		}
-		close(stop)
-		wg.Wait()
 	})
 }

@@ -196,15 +196,15 @@ func applyPreparedCopyOnSpend(s *State, p *Prepared, decision map[string]any) (i
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	height := s.lastHeight + 1
-	bk := s.store.Backend()
+	log := s.store.Backend().Collection(storage.TwoPCCollection)
 	err := s.sealBlock(height, func() error {
 		if err := s.copyOnSpendSealTx(&stagedTx{ops: p.ops}); err != nil {
 			return err
 		}
-		if err := bk.LogDecision(DecisionKey(p.TxID), decision); err != nil {
+		if err := log.Put(DecisionKey(p.TxID), decision); err != nil {
 			return err
 		}
-		if err := bk.ClearTwoPC(PrepareKey(p.TxID)); err != nil {
+		if err := log.Delete(PrepareKey(p.TxID)); err != nil {
 			return err
 		}
 		return s.putBlockRecord(height, []any{p.TxID}, true)

@@ -31,14 +31,6 @@ func (b copyingBackend) Collection(name string) storage.Collection {
 	return copyingCollection{b.Backend.Collection(name)}
 }
 
-func (b copyingBackend) LogPrepare(key string, doc map[string]any) error {
-	return b.Backend.LogPrepare(key, copyDoc(doc).(map[string]any))
-}
-
-func (b copyingBackend) LogDecision(key string, doc map[string]any) error {
-	return b.Backend.LogDecision(key, copyDoc(doc).(map[string]any))
-}
-
 type copyingCollection struct{ storage.Collection }
 
 func (c copyingCollection) Put(key string, doc map[string]any) error {

@@ -21,10 +21,27 @@ import (
 // decision durable, prepare gone) — the invariant shard recovery
 // replays against.
 
-// PrepareKey and DecisionKey name a transaction's records in the
-// backend's 2PC log.
+// PrepareKey and DecisionKey name a transaction's records in the 2PC
+// log: plain documents in the backend's storage.TwoPCCollection,
+// written, deleted and scanned like those of any other collection.
 func PrepareKey(txID string) string  { return "p:" + txID }
 func DecisionKey(txID string) string { return "d:" + txID }
+
+// twopc returns the backend collection the 2PC log lives in.
+func (s *State) twopc() storage.Collection {
+	return s.store.Backend().Collection(storage.TwoPCCollection)
+}
+
+// decide records a transaction's decision on this shard and deletes
+// its prepare record, if any. Inside an open Group both join the
+// group's atomic WAL record.
+func (s *State) decide(txID string, decision map[string]any) error {
+	log := s.twopc()
+	if err := log.Put(DecisionKey(txID), decision); err != nil {
+		return err
+	}
+	return log.Delete(PrepareKey(txID))
+}
 
 // Prepared is one shard's staged share of a cross-shard transaction:
 // the exact mutation ops the shard will seal on commit, in the order
@@ -56,7 +73,7 @@ func (s *State) StageOwned(t *txn.Transaction, home bool, owns func(i int) bool)
 // record — the participant's vote. After it returns, the shard can
 // recover the exact ops across a crash.
 func (s *State) LogPrepare(p *Prepared) error {
-	return s.store.Backend().LogPrepare(PrepareKey(p.TxID), p.Doc())
+	return s.twopc().Put(PrepareKey(p.TxID), p.Doc())
 }
 
 // Doc renders the prepared share into the canonical document shape the
@@ -165,17 +182,13 @@ func (s *State) ApplyPrepared(p *Prepared, decision map[string]any) (int64, erro
 		}
 	}
 	height := s.lastHeight + 1
-	bk := s.store.Backend()
 	sealT := time.Now()
 	err := s.sealBlock(height, func() error {
 		if serr := s.sealTx(&stagedTx{ops: p.ops}); serr != nil {
 			return serr
 		}
-		if derr := bk.LogDecision(DecisionKey(p.TxID), decision); derr != nil {
+		if derr := s.decide(p.TxID, decision); derr != nil {
 			return derr
-		}
-		if cerr := bk.ClearTwoPC(PrepareKey(p.TxID)); cerr != nil {
-			return cerr
 		}
 		return s.putBlockRecord(height, []any{p.TxID}, true)
 	})
@@ -198,13 +211,7 @@ func (s *State) ApplyPrepared(p *Prepared, decision map[string]any) (int64, erro
 func (s *State) AbortPrepared(txID string, decision map[string]any) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	bk := s.store.Backend()
-	return s.store.Group(func() error {
-		if err := bk.LogDecision(DecisionKey(txID), decision); err != nil {
-			return err
-		}
-		return bk.ClearTwoPC(PrepareKey(txID))
-	})
+	return s.store.Group(func() error { return s.decide(txID, decision) })
 }
 
 // InDoubt returns the surviving PREPARE records — transactions whose
@@ -212,7 +219,7 @@ func (s *State) AbortPrepared(txID string, decision map[string]any) error {
 func (s *State) InDoubt() (map[string]*Prepared, error) {
 	out := make(map[string]*Prepared)
 	var derr error
-	s.store.Backend().TwoPCScan(func(key string, doc map[string]any) bool {
+	s.twopc().Scan(func(key string, doc map[string]any) bool {
 		if doc["kind"] != "prepare" {
 			return true
 		}
@@ -230,7 +237,7 @@ func (s *State) InDoubt() (map[string]*Prepared, error) {
 // Decision returns the recorded outcome ("commit" or "abort") for a
 // transaction on this shard, if any.
 func (s *State) Decision(txID string) (string, bool) {
-	doc, ok := s.store.Backend().Collection(storage.TwoPCCollection).Get(DecisionKey(txID))
+	doc, ok := s.twopc().Get(DecisionKey(txID))
 	if !ok {
 		return "", false
 	}

@@ -119,9 +119,13 @@ type Pool struct {
 	// holder, so keyIndex holds a key's first holder in place and
 	// keyMore the rest, only for a key with two or more: no key costs
 	// a set of its own. An entry holds a key once however often its
-	// footprint names it.
+	// footprint names it. A key's overflow list, once emptied, waits in
+	// spare for the next key that needs one: about as many keys
+	// overflow in each block, so a long-lived pool stops allocating
+	// the lists.
 	keyIndex map[string]*entry
 	keyMore  map[string][]*entry
+	spare    [][]*entry
 	// sweepEpoch counts RemoveCommitted sweeps. An admission batch
 	// records it before semantic validation; candidates inserted after
 	// the epoch moved enter stale — their verdict raced a commit whose
@@ -606,9 +610,14 @@ func (p *Pool) indexKeysLocked(e *entry) {
 			// The entry's keys go in one after another, so if it holds
 			// this one already it is the one it put in last.
 			more := p.keyMore[key]
-			if first != e && (len(more) == 0 || more[len(more)-1] != e) {
-				p.keyMore[key] = append(more, e)
+			if first == e || len(more) > 0 && more[len(more)-1] == e {
+				continue
 			}
+			if more == nil && len(p.spare) > 0 {
+				more = p.spare[len(p.spare)-1]
+				p.spare = p.spare[:len(p.spare)-1]
+			}
+			p.keyMore[key] = append(more, e)
 		}
 	}
 }
@@ -633,6 +642,7 @@ func (p *Pool) unindexKeysLocked(e *entry) {
 			more[i], more[last] = more[last], nil
 			if last == 0 {
 				delete(p.keyMore, key)
+				p.spare = append(p.spare, more[:0])
 			} else {
 				p.keyMore[key] = more[:last]
 			}

@@ -90,10 +90,13 @@ func TestAuctionSettlesOnShard(t *testing.T) {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			c := newTestCluster(t, Config{Shards: shards})
 			grp := auctionOn(t, c, shards-1)
-			submitDrain(t, c, append([]*txn.Transaction{grp.Request}, grp.Creates...)...)
-			submitDrain(t, c, grp.Bids...)
-			submitDrain(t, c, grp.Accept)
+			ref := newRouteRef()
+			ref.submitDrain(t, c, append([]*txn.Transaction{grp.Request}, grp.Creates...)...)
+			ref.submitDrain(t, c, grp.Bids...)
+			ref.submitDrain(t, c, grp.Accept)
 			requireSettled(t, c, grp, shards-1)
+			ref.check(t, c)
+			ref.checkReopened(t, c)
 		})
 	}
 }

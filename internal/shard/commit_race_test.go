@@ -48,22 +48,24 @@ func newRaceLoad(t *testing.T, chains, hops, migrations int) raceLoad {
 }
 
 // run drives l through a new cluster: the local rounds (SubmitBatch +
-// DrainLocal) and the cross-shard Submits either at once, on two
-// goroutines, or one after the other.
-func (l raceLoad) run(t *testing.T, concurrent bool) *Cluster {
+// DrainLocal's loop) and the cross-shard Submits either at once, on two
+// goroutines, or one after the other. Every commit is recorded in the
+// routing reference it returns.
+func (l raceLoad) run(t *testing.T, concurrent bool) (*Cluster, *routeRef) {
 	c := newTestCluster(t, Config{Shards: 2})
-	submitDrain(t, c, l.creates...)
+	ref := newRouteRef()
+	ref.submitDrain(t, c, l.creates...)
 	local := func() {
 		for _, round := range l.hops {
-			for id, err := range c.SubmitBatch(round) {
+			for id, err := range ref.submitBatch(c, round) {
 				t.Errorf("submit %.8s: %v", id, err)
 			}
-			c.DrainLocal(64)
+			ref.drainLocal(c, 64)
 		}
 	}
 	cross := func() {
 		for _, m := range l.migrations {
-			if err := c.Submit(m); err != nil {
+			if err := ref.submitBatch(c, []*txn.Transaction{m})[m.ID]; err != nil {
 				t.Errorf("cross-shard %.8s: %v", m.ID, err)
 			}
 		}
@@ -71,14 +73,14 @@ func (l raceLoad) run(t *testing.T, concurrent bool) *Cluster {
 	if !concurrent {
 		local()
 		cross()
-		return c
+		return c, ref
 	}
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() { defer wg.Done(); local() }()
 	go func() { defer wg.Done(); cross() }()
 	wg.Wait()
-	return c
+	return c, ref
 }
 
 // requireOneRecordPerHeight fails unless st's block records are exactly
@@ -123,12 +125,14 @@ func requireOneRecordPerHeight(t *testing.T, shard int, st *ledger.State) {
 // same workload reaches.
 func TestLocalBlocksRaceCrossShardApplies(t *testing.T) {
 	l := newRaceLoad(t, 6, 6, 6)
-	got := l.run(t, true)
-	want := l.run(t, false)
+	got, ref := l.run(t, true)
+	want, _ := l.run(t, false)
 	for s := 0; s < 2; s++ {
 		requireOneRecordPerHeight(t, s, got.Shard(s).Node.State())
 		if g, w := got.Shard(s).Node.State().Fingerprint(), want.Shard(s).Node.State().Fingerprint(); g != w {
 			t.Fatalf("shard %d: concurrent run fingerprint %s, sequential %s", s, g, w)
 		}
 	}
+	ref.check(t, got)
+	ref.checkReopened(t, got)
 }

@@ -78,10 +78,12 @@ func crashRun(t *testing.T, dir string) []twopcEvent {
 		t.Fatal(err)
 	}
 	create, cross := crashTransfer(t)
-	submitDrain(t, c, create)
-	if err := c.Submit(cross); err != nil {
+	ref := newRouteRef()
+	ref.submitDrain(t, c, create)
+	if err := ref.submitBatch(c, []*txn.Transaction{cross})[cross.ID]; err != nil {
 		t.Fatalf("cross transfer: %v", err)
 	}
+	ref.check(t, c)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -127,6 +129,9 @@ func crashAt(t *testing.T, cut int, seed int64) {
 		t.Fatalf("reopen after crash: %v", err)
 	}
 	defer c.Close()
+	// The reopened directory routes as the map rebuilt at open did.
+	routes := openRouteRef(c)
+	routes.check(t, c)
 	create, cross := crashTransfer(t)
 	ref := txn.OutputRef{TxID: create.ID, Index: 0}
 
@@ -151,12 +156,13 @@ func crashAt(t *testing.T, cut int, seed int64) {
 		}
 	} else {
 		// Aborted: the chain is live — the same transfer goes through.
-		if err := c.Submit(cross); err != nil {
+		if err := routes.submitBatch(c, []*txn.Transaction{cross})[cross.ID]; err != nil {
 			t.Fatalf("resubmit after presumed abort: %v", err)
 		}
 		if !c.Shard(1).Node.State().IsCommitted(cross.ID) {
 			t.Fatal("resubmitted transfer did not commit")
 		}
+		routes.check(t, c)
 	}
 }
 

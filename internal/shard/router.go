@@ -17,7 +17,6 @@ import (
 	"hash/fnv"
 	"math"
 	"slices"
-	"sync"
 
 	"smartchaindb/internal/txn"
 )
@@ -30,46 +29,33 @@ import (
 // source of cross-shard work.
 const MetaShardHint = "shard"
 
-// Directory maps committed transaction IDs to the shard owning them —
-// and therefore owning their outputs' UTXO keys. It is the routing
-// ground truth: rebuilt at open by scanning each shard's transaction
-// log, maintained at every commit.
-type Directory struct {
-	mu   sync.RWMutex
-	home map[string]int
-}
-
-func NewDirectory() *Directory { return &Directory{home: make(map[string]int)} }
+// Directory answers which shard homes a committed transaction — and
+// therefore owns its outputs' UTXO keys. It keeps no state of its own:
+// the shards' chains are the one record of where a transaction lives.
+// Only the home shard's log ever holds a transaction (a participant's
+// share of a cross-shard transfer is spent marks only), so the home is
+// the shard whose newest sealed transactions collection holds it, and a
+// reopened cluster routes from what each shard recovered.
+type Directory struct{ shards []*Shard }
 
 // Lookup reports the shard owning transaction id.
-func (d *Directory) Lookup(id string) (int, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	s, ok := d.home[id]
-	return s, ok
-}
-
-// Set records transaction id as owned by shard s.
-func (d *Directory) Set(id string, s int) {
-	d.mu.Lock()
-	d.home[id] = s
-	d.mu.Unlock()
-}
-
-// SetAll records a batch of transaction IDs as owned by shard s.
-func (d *Directory) SetAll(ids []string, s int) {
-	d.mu.Lock()
-	for _, id := range ids {
-		d.home[id] = s
+func (d Directory) Lookup(id string) (int, bool) {
+	for _, sh := range d.shards {
+		if sh.Node.State().IsCommitted(id) {
+			return sh.ID, true
+		}
 	}
-	d.mu.Unlock()
+	return 0, false
 }
 
-// Len reports the number of routed transactions.
-func (d *Directory) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.home)
+// Len reports the number of routed transactions: every shard's
+// committed transactions.
+func (d Directory) Len() int {
+	n := 0
+	for _, sh := range d.shards {
+		n += sh.Node.State().TxCount()
+	}
+	return n
 }
 
 // placeByHash is the default placement for transactions with no spent
@@ -112,7 +98,7 @@ func hintOf(t *txn.Transaction, shards int) (int, bool) {
 // transaction document, outputs, and asset record land), the full
 // participant set (home plus every shard owning a spent input), and the
 // shard owning each spent input — what the 2PC holds and staging read,
-// so a transaction is looked up in the directory once.
+// so each input is looked up in the directory once.
 type Route struct {
 	Home         int
 	Participants []int // sorted, unique, always includes Home
@@ -133,12 +119,13 @@ func (r Route) Cross() bool { return len(r.Participants) > 1 }
 // on. A reference no shard homes is left to t's conditions, which
 // refuse a reference that does not exist.
 func (c *Cluster) RouteOf(t *txn.Transaction) (Route, error) {
+	dir := c.Directory()
 	inputHome := make([]int, 0, len(t.Inputs))
 	for _, in := range t.Inputs {
 		if in.Fulfills == nil {
 			continue
 		}
-		s, ok := c.dir.Lookup(in.Fulfills.TxID)
+		s, ok := dir.Lookup(in.Fulfills.TxID)
 		if !ok {
 			return Route{}, &txn.InputDoesNotExistError{TxID: in.Fulfills.TxID}
 		}
@@ -153,7 +140,7 @@ func (c *Cluster) RouteOf(t *txn.Transaction) (Route, error) {
 		}
 	}
 	for _, id := range t.Refs {
-		if s, ok := c.dir.Lookup(id); ok && s != home {
+		if s, ok := dir.Lookup(id); ok && s != home {
 			return Route{}, fmt.Errorf("shard: %.8s references %.8s on shard %d but is homed on shard %d: a transaction and the transactions it references must be homed on one shard", t.ID, id, s, home)
 		}
 	}

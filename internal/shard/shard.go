@@ -5,7 +5,6 @@ import (
 	"path/filepath"
 	"sync"
 
-	"smartchaindb/internal/ledger"
 	"smartchaindb/internal/mempool"
 	"smartchaindb/internal/obs"
 	"smartchaindb/internal/server"
@@ -23,8 +22,8 @@ type Config struct {
 	// DataDir, when set, gives every shard a persistent storage engine
 	// under DataDir/shard-<id> — its own WAL, segments, and MVCC
 	// clock. A cluster reopened over existing directories recovers
-	// every shard, resolves in-doubt cross-shard transactions
-	// (recovery.go), and rebuilds the routing directory. Empty keeps
+	// every shard and resolves in-doubt cross-shard transactions
+	// (recovery.go); routing reads the recovered chains. Empty keeps
 	// per-shard in-memory backends.
 	DataDir string
 	// MempoolBatch caps one admission batch per shard pool.
@@ -64,12 +63,11 @@ type Shard struct {
 	ob shardObs
 }
 
-// Cluster is the sharded deployment: S shards plus the routing
-// directory and the cross-shard commit coordinator.
+// Cluster is the sharded deployment: S shards plus the cross-shard
+// commit coordinator. Routing reads the shards' chains (Directory).
 type Cluster struct {
 	cfg    Config
 	shards []*Shard
-	dir    *Directory
 	// xmu serializes cross-shard 2PC rounds: one coordinator at a
 	// time, so prepare/decide interleavings across transactions cannot
 	// deadlock on holds. Local commits on disjoint shards proceed in
@@ -81,12 +79,12 @@ type Cluster struct {
 
 // Open builds (or reopens) the sharded cluster. With DataDir set, each
 // shard recovers its own chain from its WAL; then in-doubt cross-shard
-// transactions are driven to their global outcome, the routing
-// directory is rebuilt from the shards' transaction logs, and each
-// shard's nested recovery log is replayed into its pool.
+// transactions are driven to their global outcome and each shard's
+// nested recovery log is replayed into its pool. Nothing is rebuilt
+// for routing: the directory reads the recovered chains.
 func Open(cfg Config) (*Cluster, error) {
 	cfg.fill()
-	c := &Cluster{cfg: cfg, dir: NewDirectory()}
+	c := &Cluster{cfg: cfg}
 	c.shards = make([]*Shard, cfg.Shards)
 	for i := range c.shards {
 		nodeCfg := cfg.Node
@@ -104,10 +102,9 @@ func Open(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
 		sh := &Shard{ID: i, Node: node, ob: newShardObs(nodeCfg.Obs)}
-		// Nested children go to the shard's own pool, their parent homed
-		// here first: CommitLocal homes its block only after the join.
-		node.SetChildSubmitter(func(out txn.OutputRef, build func() *txn.Transaction) {
-			c.dir.Set(out.TxID, sh.ID)
+		// Nested children go to the shard's own pool; the join hands
+		// them on after the seal, so their parent is already homed here.
+		node.SetChildSubmitter(func(_ txn.OutputRef, build func() *txn.Transaction) {
 			sh.pool.AdmitBatch([]mempool.Tx{build()})
 		})
 		sh.pool = mempool.New(mempool.Config{
@@ -121,7 +118,6 @@ func Open(cfg Config) (*Cluster, error) {
 		c.Close()
 		return nil, err
 	}
-	c.rebuildDirectory()
 	for _, sh := range c.shards {
 		if sh.Node.State().Height() > 0 { // a fresh shard has no recovery log
 			sh.Node.Recover() // not counted in Recovered: that counts 2PC resolutions
@@ -151,17 +147,9 @@ func (c *Cluster) Shards() int { return len(c.shards) }
 // Shard exposes one shard (for queries, tests, and the ops endpoint).
 func (c *Cluster) Shard(i int) *Shard { return c.shards[i] }
 
-// Directory exposes the routing directory.
-func (c *Cluster) Directory() *Directory { return c.dir }
-
-// rebuildDirectory scans every shard's transaction log into the
-// routing directory — the open-time ground truth rebuild.
-func (c *Cluster) rebuildDirectory() {
-	for _, sh := range c.shards {
-		ids := sh.Node.State().Store().Collection(ledger.ColTransactions).Keys()
-		c.dir.SetAll(ids, sh.ID)
-	}
-}
+// Directory exposes the routing directory, a reader of the shards'
+// chains.
+func (c *Cluster) Directory() Directory { return Directory{c.shards} }
 
 // Submit routes one transaction (SubmitBatch of one): a single-shard
 // route admits into the home shard's mempool (committed by that
@@ -240,11 +228,6 @@ func (c *Cluster) CommitLocal(id int, maxTxs int) []*txn.Transaction {
 	}
 	committed, _ := sh.Node.CommitNext(batch)
 	sh.pool.RemoveCommitted(asPoolTxs(committed))
-	ids := make([]string, len(committed))
-	for i, t := range committed {
-		ids[i] = t.ID
-	}
-	c.dir.SetAll(ids, id)
 	sh.ob.localBlocks.Inc()
 	sh.ob.height.Set(sh.Node.State().Height())
 	return committed

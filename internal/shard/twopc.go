@@ -192,14 +192,13 @@ func (c *Cluster) commitCross(t *txn.Transaction, r Route) error {
 		c.event("apply", id, t.ID)
 	}
 
-	// Cleanup: sweep rival pool entries, release the holds, route the
-	// new outputs to the home shard.
+	// Cleanup: sweep rival pool entries and release the holds. The
+	// home shard's apply already routes the new outputs there.
 	for _, id := range r.Participants {
 		c.shards[id].pool.RemoveCommitted([]mempool.Tx{t})
 		c.shards[id].ob.height.Set(c.shards[id].Node.State().Height())
 	}
 	release()
-	c.dir.Set(t.ID, r.Home)
 	c.event("release", -1, t.ID)
 	return applyErr
 }
@@ -213,19 +212,18 @@ func (sh *Shard) applyPrepared(p *ledger.Prepared, decision map[string]any) erro
 }
 
 // crossView is the chain state a cross-shard transfer's condition set
-// reads: every lookup answers from the view of the shard the directory
-// homes the looked-up transaction on, each view taken once, after the
+// reads: every lookup answers from the view of the shard whose log
+// holds the looked-up transaction, each view taken once, after the
 // holds. The embedded view is the home shard's: it answers for a
-// transaction the directory does not know, and the auction queries,
-// whose state the router keeps co-located.
+// transaction no view holds, and the auction queries, whose state the
+// router keeps co-located.
 type crossView struct {
 	*ledger.StateView
-	dir   *Directory
 	views []ledger.StateView
 }
 
 func (c *Cluster) crossView(home int) *crossView {
-	v := &crossView{dir: c.dir, views: make([]ledger.StateView, len(c.shards))}
+	v := &crossView{views: make([]ledger.StateView, len(c.shards))}
 	for i, sh := range c.shards {
 		v.views[i] = *sh.Node.State().View()
 	}
@@ -233,10 +231,13 @@ func (c *Cluster) crossView(home int) *crossView {
 	return v
 }
 
-// of returns the view of the shard homing transaction id.
+// of returns the view of the shard homing transaction id: the one
+// whose pinned log holds it, as Directory.Lookup reads the newest.
 func (v *crossView) of(id string) *ledger.StateView {
-	if s, ok := v.dir.Lookup(id); ok {
-		return &v.views[s]
+	for i := range v.views {
+		if v.views[i].IsCommitted(id) {
+			return &v.views[i]
+		}
 	}
 	return v.StateView
 }

@@ -190,14 +190,15 @@ func assertNoResidue(t *testing.T, c *Cluster, ref txn.OutputRef) {
 			t.Fatalf("shard %d in-doubt after abort: %v %v", s, indoubt, err)
 		}
 	}
-	home, _ := c.dir.Lookup(ref.TxID)
+	home, _ := c.Directory().Lookup(ref.TxID)
 	if !unspent(c.Shard(home).Node.State(), ref) {
 		t.Fatal("aborted round consumed the input")
 	}
 }
 
-// A reopened disk cluster rebuilds the directory from the shards'
-// transaction logs: migrated outputs stay routable and spendable.
+// A reopened disk cluster routes from the shards' recovered
+// transaction logs — nothing is rebuilt, the directory reads them:
+// migrated outputs stay routable and spendable.
 func TestDirectoryRebuildAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Shards: 2, DataDir: dir}

@@ -73,7 +73,7 @@ func padDoc(n int) map[string]any {
 // TestGroupFrameMatchesReference: a frame built in place — header
 // right-aligned into the headroom, each document encoded straight
 // after its guessed length field — is byte for byte the frame the old
-// engine assembled from json.Marshal output, for every op kind, for
+// engine assembled from json.Marshal output, for both op kinds, for
 // heights and counts on both sides of a one-byte uvarint, and for
 // document lengths on both sides of the length guess; and it decodes to
 // what went in. One groupFrame builds them all, as the engine's does.
@@ -83,8 +83,8 @@ func TestGroupFrameMatchesReference(t *testing.T) {
 		{op: opPut, coll: "transactions", key: "k", doc: map[string]any{"a": 1.0}},
 		{op: opPut, coll: "c", key: strings.Repeat("k", 200), doc: padDoc(300)},
 		{op: opDelete, coll: "utxos", key: "gone"},
-		{op: opPrepare, coll: TwoPCCollection, key: "p:x", doc: padDoc(127)},
-		{op: opDecide, coll: TwoPCCollection, key: "d:x", doc: padDoc(128)},
+		{op: opPut, coll: TwoPCCollection, key: "p:x", doc: padDoc(127)},
+		{op: opPut, coll: TwoPCCollection, key: "d:x", doc: padDoc(128)},
 		{op: opPut, coll: "c", key: "two-byte length, just", doc: padDoc(16383)},
 		{op: opPut, coll: "c", key: "three-byte length", doc: padDoc(16384)},
 		{op: opPut, coll: "c", key: "escapes", doc: map[string]any{"<s>": "a&b\u2028", "n": []any{nil, -0.0, 1e21, 2e-7, int8(-3)}}},

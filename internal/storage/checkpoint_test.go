@@ -51,6 +51,7 @@ func (l *load) body() map[string]any {
 // ops issues n random mutations, each at most one WAL record.
 func (l *load) ops(n int) error {
 	txs, utxos, tmp := l.e.Collection("txs"), l.e.Collection("utxos"), l.e.Collection("scratch")
+	twopc := l.e.Collection(TwoPCCollection)
 	for i := 0; i < n; i++ {
 		var err error
 		switch r := l.rng.Intn(20); {
@@ -76,11 +77,11 @@ func (l *load) ops(n int) error {
 			l.live = append(l.live, k)
 			err = txs.Put(k, l.body())
 		case r < 16:
-			err = l.e.LogPrepare(fmt.Sprintf("p:%d", l.rng.Intn(8)), doc("kind", "prepare", "tx", l.newKey()))
+			err = twopc.Put(fmt.Sprintf("p:%d", l.rng.Intn(8)), doc("kind", "prepare", "tx", l.newKey()))
 		case r < 17:
-			err = l.e.LogDecision(fmt.Sprintf("d:%d", l.rng.Intn(8)), doc("kind", "decision", "outcome", "commit"))
+			err = twopc.Put(fmt.Sprintf("d:%d", l.rng.Intn(8)), doc("kind", "decision", "outcome", "commit"))
 		case r < 18:
-			err = l.e.ClearTwoPC(fmt.Sprintf("p:%d", l.rng.Intn(8)))
+			err = twopc.Delete(fmt.Sprintf("p:%d", l.rng.Intn(8)))
 		case r < 19:
 			err = tmp.Put(fmt.Sprintf("t%d", l.rng.Intn(16)), l.body())
 		default:

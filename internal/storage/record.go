@@ -12,15 +12,15 @@ import (
 )
 
 // Mutation ops inside a WAL payload. opPrepare and opDecide are the
-// cross-shard two-phase-commit record types: both carry a document
-// like opPut (they target the reserved TwoPCCollection), but keep
-// distinct frame tags so a WAL reader can classify 2PC traffic
-// without parsing document payloads.
+// tags the two-phase-commit log's records were once framed with, before
+// they were written as puts to TwoPCCollection like any other document.
+// Nothing writes them any more; a reader takes each as a put, so a data
+// directory that holds them still reopens.
 const (
 	opPut     = 1
 	opDelete  = 2
-	opPrepare = 4 // 2PC participant PREPARE record
-	opDecide  = 5 // 2PC coordinator/participant decision record
+	opPrepare = 4
+	opDecide  = 5
 )
 
 // walPayloadVersion is the one WAL payload version ever written to a

@@ -39,10 +39,11 @@
 // WAL payload (version 2, the only one ever written to a file):
 //
 //	[1B version][height uvarint][count uvarint] then per mutation:
-//	[1B op (1=put 2=delete 4=2PC-prepare 5=2PC-decide; 3, once a
-//	 collection drop, is refused as unknown)]
+//	[1B op (1=put 2=delete; 4 and 5, once the 2PC log's own prepare
+//	 and decision tags, are no longer written and read as a put;
+//	 3, once a collection drop, is refused as unknown)]
 //	[collection uvarint len + bytes][key uvarint len + bytes]
-//	[doc uvarint len + canonical JSON]   (put, prepare, decide)
+//	[doc uvarint len + canonical JSON]   (put, 4, 5)
 //
 // Segment file (version 2, likewise):
 //
@@ -120,11 +121,13 @@ package storage
 
 import "smartchaindb/internal/obs"
 
-// TwoPCCollection is the reserved collection the two-phase-commit log
-// lives in. It is an ordinary collection at the storage layer (it
-// replays from the WAL, survives Compact as a segment, and is
-// versioned like any other), but the ledger fingerprint excludes it
-// and the docstore never indexes it — it is coordination state, not
+// TwoPCCollection is the reserved collection the ledger keeps the
+// cross-shard two-phase-commit log in (ledger/prepare.go). It is an
+// ordinary collection at the storage layer — written with Put and
+// Delete, read with Get and Scan, replayed from the WAL, folded into a
+// segment and versioned like any other, and joining an open Group's
+// atomic record like any other — but the ledger fingerprint excludes it
+// and the docstore never indexes it: it is coordination state, not
 // chain state.
 const TwoPCCollection = "__twopc__"
 
@@ -178,25 +181,6 @@ type Backend interface {
 	// SetRetain sets K, the number of sealed heights retained for
 	// snapshot reads (minimum 1, default DefaultRetainHeights).
 	SetRetain(k int64)
-
-	// The two-phase-commit log, backing cross-shard transactions. All
-	// four operate on TwoPCCollection; on disk, LogPrepare and
-	// LogDecision frame dedicated WAL record types (opPrepare,
-	// opDecide) so the log's durability points are visible in the
-	// byte stream. Inside an open Group they join the group's atomic
-	// record — the hook the participant apply uses to make
-	// "seal + local decision + prepare removal" one durable unit.
-
-	// LogPrepare durably records a participant PREPARE under key.
-	LogPrepare(key string, doc map[string]any) error
-	// LogDecision durably records a commit/abort decision under key.
-	LogDecision(key string, doc map[string]any) error
-	// ClearTwoPC removes a 2PC record; clearing a missing key is a
-	// no-op.
-	ClearTwoPC(key string) error
-	// TwoPCScan visits the surviving 2PC records in insertion order
-	// until fn returns false — the recovery walk on reopen.
-	TwoPCScan(fn func(key string, doc map[string]any) bool)
 
 	// SetObs attaches an observability registry: WAL group bytes and
 	// fsync latency, segment counts, checkpoint durations, and MVCC
